@@ -30,12 +30,16 @@ impl Bytes {
 
     /// Wrap a static byte slice (copied once into the shared allocation).
     pub fn from_static(s: &'static [u8]) -> Self {
-        Bytes::from(s.to_vec())
+        Bytes::copy_from_slice(s)
     }
 
-    /// Copy `s` into a new buffer.
+    /// Copy `s` into a new buffer: one allocation, one copy (none at all
+    /// for an empty slice).
     pub fn copy_from_slice(s: &[u8]) -> Self {
-        Bytes::from(s.to_vec())
+        if s.is_empty() {
+            return Bytes::new();
+        }
+        Bytes { data: Arc::from(s), start: 0, end: s.len() }
     }
 
     /// Length in bytes.
@@ -65,6 +69,26 @@ impl Bytes {
         };
         assert!(lo <= hi && hi <= self.len(), "slice {lo}..{hi} out of bounds of {}", self.len());
         Bytes { data: Arc::clone(&self.data), start: self.start + lo, end: self.start + hi }
+    }
+
+    /// The sub-view of this buffer that `subset` occupies, sharing the
+    /// backing allocation — for handing out part of a buffer that was
+    /// parsed through a borrowed `&[u8]`. An empty `subset` gives an
+    /// empty buffer.
+    ///
+    /// # Panics
+    /// If `subset` does not lie within this view.
+    pub fn slice_ref(&self, subset: &[u8]) -> Self {
+        if subset.is_empty() {
+            return Bytes::new();
+        }
+        let base = self.as_ptr() as usize;
+        let at = subset.as_ptr() as usize;
+        assert!(
+            at >= base && at + subset.len() <= base + self.len(),
+            "slice_ref: subset is not part of this buffer"
+        );
+        self.slice(at - base..at - base + subset.len())
     }
 
     /// Mutable access to this view's bytes, copy-on-write.
@@ -178,6 +202,23 @@ mod tests {
         let base = b.as_ptr() as usize;
         let p = s.as_ptr() as usize;
         assert!(p >= base && p < base + b.len());
+    }
+
+    #[test]
+    fn slice_ref_finds_the_borrowed_range() {
+        let b = Bytes::from(vec![1u8, 2, 3, 4, 5]).slice(1..);
+        let s = b.slice_ref(&b[1..3]);
+        assert_eq!(&s[..], &[3, 4]);
+        assert_eq!(s.as_ptr(), b[1..].as_ptr(), "shares the allocation");
+        assert!(b.slice_ref(&b[2..2]).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "not part of this buffer")]
+    fn slice_ref_rejects_foreign_slices() {
+        let b = Bytes::from(vec![1u8, 2, 3]);
+        let other = [1u8, 2, 3];
+        let _ = b.slice_ref(&other);
     }
 
     #[test]

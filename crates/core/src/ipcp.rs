@@ -29,7 +29,9 @@ use crate::rmt::TxClass;
 use crate::routing::{EngineStats, Lsa, RouteEngine, LSA_CLASS, LSA_PREFIX};
 use bytes::Bytes;
 use rina_efcp::{ConnId, Connection};
-use rina_rib::{subtree_of, DigestTable, Rib, RibEvent, RibObject};
+use rina_rib::{
+    subtree_of, DigestTable, EncodedObject, EncodedSummary, Rib, RibObject, RibObjectRef,
+};
 use rina_sim::{Dur, Time};
 use rina_wire::{CdapMsg, CepId, MgmtPdu, Pdu, PduKind, PduView};
 use std::collections::BTreeMap;
@@ -132,6 +134,42 @@ pub struct N1Port {
     /// topology-aware suppression that keeps hub flooding O(members),
     /// not O(members × degree).
     pub(crate) tree: bool,
+    /// The last hello heard on this port (see [`HelloMemo`]).
+    pub(crate) hello_memo: Option<HelloMemo>,
+}
+
+impl N1Port {
+    /// Whether the peer's last hello proves it holds our exact state of
+    /// `subtree` (`ours`, from [`Rib::subtree_digest`]) — and with it
+    /// every object of the subtree at the version we hold.
+    fn covers(&self, subtree: &str, ours: Option<(u64, u64)>) -> bool {
+        ours.is_some() && self.peer_digests.as_ref().and_then(|t| t.get(subtree)) == ours
+    }
+}
+
+/// A hello's payload bytes with what they decode to. A neighbor whose
+/// RIB and address have not moved sends the same bytes every period, so
+/// the next hello is usually answered by one byte comparison instead of
+/// a CDAP and body decode. The decoded fields are a pure function of the
+/// bytes: the memo is replaced when different bytes arrive and never
+/// needs invalidating.
+#[derive(Clone, Debug)]
+pub(crate) struct HelloMemo {
+    payload: Bytes,
+    name: AppName,
+    addr: Addr,
+    digests: DigestTable,
+}
+
+/// The RIB names a member is authoritative for whatever else it wrote —
+/// its member record, its delegated block, its LSA — fixed by its name
+/// and address, so built once when the address is assigned rather than
+/// per object compared against them.
+#[derive(Default)]
+struct OwnNames {
+    member: String,
+    block: String,
+    lsa: String,
 }
 
 /// Flow allocation phase of one connection endpoint.
@@ -297,6 +335,16 @@ pub struct IpcpStats {
     /// Cache entries dropped by invalidation (a `/dir` tombstone or the
     /// owner's `/blocks` departure tombstone).
     pub dir_invalidations: u64,
+    /// Hellos sent (one per port per tick, plus triggered ones).
+    pub hello_tx: u64,
+    /// Hello frames actually encoded: the rest of `hello_tx` reused the
+    /// frame cached for the current RIB generation and address.
+    pub hello_built: u64,
+    /// Hellos received.
+    pub hello_rx: u64,
+    /// Received hellos that went through the full decode: the rest of
+    /// `hello_rx` were byte-identical to the port's previous hello.
+    pub hello_decoded: u64,
 }
 
 enum Pending {
@@ -423,13 +471,14 @@ pub struct Ipcp {
     /// drives the flood token bucket without threading `now` through
     /// every dissemination path.
     clock: Time,
-    /// Per-port flood queue (port → pre-encoded objects), flushed as
+    /// Per-port flood queue (port → objects in wire form), flushed as
     /// MTU-sized batches when the node drains effects: everything
     /// flooded within one event-handling pass coalesces into a few PDUs
     /// per port instead of one PDU per object. Each object is encoded
-    /// once and the bytes are shared across ports. (BTreeMap for
+    /// at most once — a re-flooded one not at all, it is queued as the
+    /// bytes that arrived — and shared across ports. (BTreeMap for
     /// deterministic flush order — same seed, same event sequence.)
-    flood_q: std::collections::BTreeMap<usize, Vec<Bytes>>,
+    flood_q: BTreeMap<usize, Vec<EncodedObject>>,
     /// Flood token-bucket level (see [`DifConfig::flood_rate`]).
     flood_tokens: f64,
     /// When the flood bucket last refilled.
@@ -451,6 +500,13 @@ pub struct Ipcp {
     dir_pending: BTreeMap<String, DirPending>,
     /// Correlation ids handed to [`MgmtBody::DirLookupRequest`]s.
     next_lookup: u64,
+    /// The encoded hello frame for one `(RIB generation, address)`: a
+    /// hello is a function of the digest table, the address and the
+    /// (fixed) name, so until one of the first two moves every tick and
+    /// every port sends these bytes again.
+    hello_cache: Option<(u64, Addr, Bytes)>,
+    /// See [`OwnNames`] (empty until an address is assigned).
+    own: OwnNames,
 }
 
 impl Ipcp {
@@ -501,7 +557,7 @@ impl Ipcp {
             lsa_last_write: Time::ZERO,
             hello_ticks: 0,
             clock: Time::ZERO,
-            flood_q: std::collections::BTreeMap::new(),
+            flood_q: BTreeMap::new(),
             flood_tokens,
             flood_refill_at: Time::ZERO,
             dir_cache: BTreeMap::new(),
@@ -509,6 +565,8 @@ impl Ipcp {
             dir_neg: BTreeMap::new(),
             dir_pending: BTreeMap::new(),
             next_lookup: 0,
+            hello_cache: None,
+            own: OwnNames::default(),
         }
     }
 
@@ -522,13 +580,23 @@ impl Ipcp {
     pub fn bootstrap(&mut self, addr: Addr) {
         assert!(!self.enrolled, "already a member");
         assert!(addr != 0, "address 0 is reserved");
+        self.become_member(addr, (addr, addr));
+        self.rib.write_local(&self.own.member, "member", encode_addr(addr));
+        self.drain_rib();
+    }
+
+    /// Take up `addr` and `block` as a member of the DIF.
+    fn become_member(&mut self, addr: Addr, block: (Addr, Addr)) {
         self.addr = addr;
-        self.block = (addr, addr);
+        self.block = block;
         self.rib.set_origin(addr);
         self.engine.set_self(addr);
         self.enrolled = true;
-        self.rib.write_local(&format!("/members/{}", self.name.key()), "member", encode_addr(addr));
-        self.drain_rib();
+        self.own = OwnNames {
+            member: format!("/members/{}", self.name.key()),
+            block: block_name(addr),
+            lsa: Lsa::object_name(addr),
+        };
     }
 
     /// Give this (bootstrapped) member the address block it sponsors
@@ -538,7 +606,7 @@ impl Ipcp {
         assert!(self.enrolled, "only members hold blocks");
         assert!(block.0 <= self.addr && self.addr <= block.1, "own address outside block");
         self.block = block;
-        self.rib.write_local(&block_name(self.addr), BLOCK_CLASS, encode_block(block));
+        self.rib.write_local(&self.own.block, BLOCK_CLASS, encode_block(block));
         self.drain_rib();
     }
 
@@ -566,6 +634,7 @@ impl Ipcp {
             last_resync_tick: 0,
             peer_digests: None,
             tree: false,
+            hello_memo: None,
         });
         self.rebuild_peer_index();
         self.n1.len() - 1
@@ -665,33 +734,12 @@ impl Ipcp {
     /// Called on the DIF's hello period.
     pub fn tick_hello(&mut self, now: Time) {
         self.clock = now;
-        // One digest table, one encoded frame, shared across every port
-        // (a hub sends ~degree identical hellos per tick).
-        let frame = self.hello_frame();
         for i in 0..self.n1.len() {
-            self.stats.mgmt_tx += 1;
-            self.tx_n1(i, frame.clone(), TxClass::mgmt());
+            self.send_hello(i);
         }
         self.hello_ticks += 1;
         if !self.is_shim && self.enrolled && self.hello_ticks.is_multiple_of(8) {
-            // Re-advertise our own objects; ports whose peers' hello
-            // digests already cover them are skipped by the suppression
-            // in `flood_rib`, so a converged facility goes quiet.
-            // Local-scope subtrees (owner-held /dir) are skipped whole:
-            // their live entries never replicate, and their deletions
-            // already flooded once — departures invalidate through the
-            // replicated /blocks tombstone instead.
-            let own: Vec<RibObject> = self
-                .rib
-                .iter_all()
-                .filter(|o| {
-                    o.origin == self.addr && !self.rib.is_local_subtree(subtree_of(&o.name))
-                })
-                .cloned()
-                .collect();
-            for obj in &own {
-                self.flood_rib(obj, None);
-            }
+            self.readvertise_own();
         }
         self.retry_dir_lookups(now);
         // Expire tombstone memory past the member-GC grace: a
@@ -762,20 +810,66 @@ impl Ipcp {
         }
     }
 
-    /// The current hello, fully encoded as a link-local frame.
-    fn hello_frame(&self) -> Bytes {
+    /// Re-advertise the objects this member wrote. A port whose peer's
+    /// hello digests already cover an object's subtree is suppressed
+    /// exactly as [`Ipcp::flood_rib`] would — so a converged facility
+    /// goes quiet — but decided here on the stored objects by reference:
+    /// only an object some port still lacks is cloned and handed on.
+    /// Local-scope subtrees (owner-held /dir) are skipped whole: their
+    /// live entries never replicate, and their deletions already flooded
+    /// once — departures invalidate through the replicated /blocks
+    /// tombstone instead.
+    fn readvertise_own(&mut self) {
+        let live = || self.n1.iter().filter(|p| p.up && p.peer_addr != 0);
+        let live_ports = live().count() as u64;
+        let mut lacking: Vec<RibObject> = Vec::new();
+        let mut suppressed = 0;
+        for o in self.rib.iter_all().filter(|o| o.origin == self.addr) {
+            let subtree = subtree_of(&o.name);
+            if self.rib.is_local_subtree(subtree) {
+                continue;
+            }
+            let ours = self.rib.subtree_digest(subtree);
+            if live().all(|p| p.covers(subtree, ours)) {
+                suppressed += live_ports;
+            } else {
+                lacking.push(o.clone());
+            }
+        }
+        self.stats.flood_suppressed += suppressed;
+        for o in &lacking {
+            self.flood_rib(&o.name, None, || EncodedObject::of(o));
+        }
+    }
+
+    /// The current hello, fully encoded as a link-local frame: built
+    /// once per `(RIB generation, address)` and shared — by every port
+    /// of a tick (a hub sends ~degree identical hellos) and by every
+    /// tick until the RIB or the address moves.
+    fn hello_frame(&mut self) -> Bytes {
+        let key = (self.rib.generation(), self.addr);
+        if let Some((generation, addr, frame)) = &self.hello_cache {
+            if (*generation, *addr) == key {
+                return frame.clone();
+            }
+        }
+        self.stats.hello_built += 1;
         let body = MgmtBody::Hello {
             name: self.name.clone(),
             addr: self.addr,
             digests: self.rib.digest_table(),
         };
         let payload = body.encode(0, 0);
-        Pdu::Mgmt(MgmtPdu { dest_addr: 0, src_addr: self.addr, ttl: 1, payload }).encode()
+        let frame =
+            Pdu::Mgmt(MgmtPdu { dest_addr: 0, src_addr: self.addr, ttl: 1, payload }).encode();
+        self.hello_cache = Some((key.0, key.1, frame.clone()));
+        frame
     }
 
     fn send_hello(&mut self, n1: usize) {
         let frame = self.hello_frame();
         self.stats.mgmt_tx += 1;
+        self.stats.hello_tx += 1;
         self.tx_n1(n1, frame, TxClass::mgmt());
     }
 
@@ -788,6 +882,9 @@ impl Ipcp {
         if let Some(p) = self.n1.get_mut(n1) {
             p.last_resync_tick = self.hello_ticks;
         }
+        // The summaries borrow their names from the RIB; sending wants
+        // `&mut self`, so every chunk is encoded first.
+        let mut requests = Vec::new();
         for st in subtrees {
             let summary = self.rib.summary(st);
             // Chunk on the summary's encoded size; boundaries are object
@@ -800,22 +897,22 @@ impl Ipcp {
                     bytes += summary[end].name.len() + 12;
                     end += 1;
                 }
-                let from = if start == 0 { String::new() } else { summary[start].name.clone() };
-                let upto =
-                    if end >= summary.len() { String::new() } else { summary[end].name.clone() };
-                let body = MgmtBody::RibDeltaRequest {
+                let name_at = |i: usize| summary.get(i).map_or("", |v| v.name).to_string();
+                requests.push(MgmtBody::RibDeltaRequest {
                     subtree: st.clone(),
-                    from,
-                    upto,
-                    summary: summary[start..end].to_vec(),
-                };
-                self.stats.delta_requests += 1;
-                self.send_mgmt_on(n1, body, 0, 0);
+                    from: if start == 0 { String::new() } else { name_at(start) },
+                    upto: name_at(end),
+                    summary: EncodedSummary::of(&summary[start..end]),
+                });
                 if end >= summary.len() {
                     break;
                 }
                 start = end;
             }
+        }
+        for body in requests {
+            self.stats.delta_requests += 1;
+            self.send_mgmt_on(n1, body, 0, 0);
         }
     }
 
@@ -827,16 +924,10 @@ impl Ipcp {
             p.last_resync_tick = self.hello_ticks;
         }
         for st in subtrees {
-            let (objects, _) = self.rib.delta_for(st, "", "", &[]);
-            self.send_delta_batches(n1, st, objects);
+            let encs: Vec<EncodedObject> =
+                self.rib.delta_for(st, "", "", &[]).0.into_iter().map(EncodedObject::of).collect();
+            self.send_encoded_batches(n1, st, &encs);
         }
-    }
-
-    /// Send `objects` of `subtree` as one or more under-MTU
-    /// [`MgmtBody::RibDeltaResponse`] PDUs on `n1`.
-    fn send_delta_batches(&mut self, n1: usize, subtree: &str, objects: Vec<RibObject>) {
-        let encs: Vec<Bytes> = objects.iter().map(|o| o.encode()).collect();
-        self.send_encoded_batches(n1, subtree, &encs);
     }
 
     /// Mark an (N-1) port down (local failure detection: the lower flow
@@ -1369,11 +1460,15 @@ impl Ipcp {
             addr: new_addr,
             block: new_block,
             retry_after_ms: 0,
-            snapshot: if stream { vec![] } else { self.rib.snapshot() },
+            snapshot: if stream {
+                vec![]
+            } else {
+                self.rib.snapshot().iter().map(EncodedObject::of).collect()
+            },
         };
         self.send_mgmt_on(from_n1, body, invoke_id, 0);
         if stream {
-            let missing = self.rib.digest_table().mismatched(&joiner_digests);
+            let missing = self.rib.mismatched(&joiner_digests);
             self.stream_subtrees(from_n1, &missing);
         }
         self.drain_rib();
@@ -1386,7 +1481,7 @@ impl Ipcp {
         addr: Addr,
         block: (Addr, Addr),
         retry_after_ms: u32,
-        snapshot: Vec<RibObject>,
+        snapshot: Vec<EncodedObject>,
         result: i32,
         now: Time,
     ) {
@@ -1402,19 +1497,15 @@ impl Ipcp {
         if result != 0 || addr == 0 {
             return; // keep retrying (or give up via node policy)
         }
-        self.addr = addr;
-        self.block = if block == (0, 0) { (addr, addr) } else { block };
-        self.rib.set_origin(addr);
-        self.engine.set_self(addr);
-        self.enrolled = true;
+        self.become_member(addr, if block == (0, 0) { (addr, addr) } else { block });
         // The port we enrolled through is our spanning-tree edge.
         if let Some(p) = self.enroll_via.and_then(|n1| self.n1.get_mut(n1)) {
             p.tree = true;
         }
         // Requests retried before this response landed are now moot.
         self.pending.retain(|_, p| !matches!(p, Pending::Enroll));
-        for o in snapshot {
-            self.rib.apply_remote_silent(o);
+        for o in &snapshot {
+            self.rib.apply_ref(&o.view());
         }
         self.sync_engine();
         self.engine.recompute();
@@ -1665,24 +1756,24 @@ impl Ipcp {
     /// directory state. Deletions are the cache-invalidation channel:
     /// remember the newest tombstone per name, drop the cache entry it
     /// kills, and pass it down the spanning tree exactly once (the
-    /// newness check is the duplicate suppression).
-    fn on_scoped_dir_flood(&mut self, obj: RibObject, from_n1: usize) {
+    /// newness check is the duplicate suppression) as `enc`, the bytes
+    /// `obj` arrived in.
+    fn on_scoped_dir_flood(&mut self, obj: &RibObjectRef<'_>, enc: &EncodedObject, from_n1: usize) {
         if !obj.deleted {
             return; // live entries are owner-held; never replicated
         }
         let newer =
-            self.dir_neg.get(&obj.name).is_none_or(|&(v, o, _)| (obj.version, obj.origin) > (v, o));
+            self.dir_neg.get(obj.name).is_none_or(|&(v, o, _)| (obj.version, obj.origin) > (v, o));
         if !newer {
             return;
         }
-        self.dir_neg.insert(obj.name.clone(), (obj.version, obj.origin, self.clock));
-        if let Some(c) = self.dir_cache.get(&obj.name) {
+        self.dir_neg.insert(obj.name.to_string(), (obj.version, obj.origin, self.clock));
+        if let Some(c) = self.dir_cache.get(obj.name) {
             if (c.version, c.addr) <= (obj.version, obj.origin) {
-                self.dir_cache.remove(&obj.name);
+                self.dir_cache.remove(obj.name);
                 self.stats.dir_invalidations += 1;
             }
         }
-        let enc = obj.encode();
         for i in 0..self.n1.len() {
             if i != from_n1 && self.n1[i].up && self.n1[i].peer_addr != 0 && self.n1[i].tree {
                 self.flood_q.entry(i).or_default().push(enc.clone());
@@ -2250,6 +2341,24 @@ impl Ipcp {
     // ------------------------------------------------------------------
 
     fn handle_mgmt(&mut self, m: MgmtPdu, from_n1: usize, now: Time) {
+        // A payload byte-identical to the port's previous hello *is*
+        // that hello: run the handler on the memoised decode. The memo
+        // is lifted out of the port for the call (the handler takes
+        // `&mut self`) and put straight back.
+        if let Some(memo) = self.n1.get_mut(from_n1).and_then(|p| p.hello_memo.take()) {
+            let repeat = memo.payload == m.payload;
+            if repeat {
+                self.stats.hello_rx += 1;
+                self.on_hello(&memo.name, memo.addr, &memo.digests, from_n1, now);
+            }
+            if let Some(p) = self.n1.get_mut(from_n1) {
+                p.hello_memo = Some(memo);
+            }
+            if repeat {
+                self.sync_engine();
+                return;
+            }
+        }
         let cdap = match CdapMsg::decode(&m.payload) {
             Ok(c) => c,
             Err(_) => {
@@ -2266,65 +2375,11 @@ impl Ipcp {
         };
         match body {
             MgmtBody::Hello { name, addr, digests } => {
-                let mut changed = false;
-                let mut new_member = false;
-                if addr != 0 {
-                    // An enrolled hello confirms the joiner is up: its
-                    // admission-window slot (if any) frees, and from
-                    // here on this sponsor owns its failure GC.
-                    if let Some((_, granted, _)) = self.admitting.remove(&name) {
-                        if granted == addr {
-                            self.sponsored.insert(name.clone(), granted);
-                        }
-                    }
-                    // Any hello from a watched member proves it alive.
-                    self.gc_watch.remove(&name);
-                }
+                self.stats.hello_rx += 1;
+                self.stats.hello_decoded += 1;
+                self.on_hello(&name, addr, &digests, from_n1, now);
                 if let Some(p) = self.n1.get_mut(from_n1) {
-                    p.last_hello = now;
-                    if !p.up {
-                        p.up = true;
-                        changed = true;
-                    }
-                    if p.peer_name.as_ref() != Some(&name) {
-                        p.peer_name = Some(name);
-                        changed = true;
-                    }
-                    // A hello carrying address 0 means the peer is not
-                    // (yet) enrolled; it must not *unlearn* an address we
-                    // already know — stale hellos cross enrollment
-                    // responses in flight.
-                    if addr != 0 && p.peer_addr != addr {
-                        p.peer_addr = addr;
-                        changed = true;
-                        new_member = true;
-                    }
-                    if addr != 0 {
-                        p.peer_digests = Some(digests.clone());
-                    }
-                }
-                if changed {
-                    self.rebuild_peer_index();
-                    self.refresh_lsa(now);
-                }
-                if !self.is_shim && self.enrolled && addr != 0 {
-                    // Anti-entropy: the digest table localizes divergence
-                    // to subtrees, and a targeted delta *pull* moves only
-                    // the objects we actually lack (the peer's own hellos
-                    // drive the opposite direction symmetrically). A
-                    // member (re)appearing on the port syncs immediately —
-                    // this is what makes mobility's join/leave cycles
-                    // (§6.4) converge — while steady-state mismatches are
-                    // damped to once per port per few hello cycles.
-                    let mismatched = self.rib.digest_table().mismatched(&digests);
-                    if !mismatched.is_empty()
-                        && (new_member
-                            || self.n1.get(from_n1).is_some_and(|p| {
-                                self.hello_ticks >= p.last_resync_tick + RESYNC_DAMP_TICKS
-                            }))
-                    {
-                        self.request_deltas(from_n1, &mismatched);
-                    }
+                    p.hello_memo = Some(HelloMemo { payload: m.payload, name, addr, digests });
                 }
             }
             MgmtBody::EnrollRequest {
@@ -2379,14 +2434,16 @@ impl Ipcp {
                 }
             }
             MgmtBody::RibUpdate(obj) => {
-                self.apply_and_reflood(obj, from_n1);
+                self.apply_and_reflood(&obj, from_n1);
             }
             MgmtBody::RibDeltaRequest { subtree, from, upto, summary } => {
                 if self.is_shim || !self.enrolled {
                     return;
                 }
-                let (objects, behind) = self.rib.delta_for(&subtree, &from, &upto, &summary);
-                self.send_delta_batches(from_n1, &subtree, objects);
+                let (objects, behind) =
+                    self.rib.delta_for(&subtree, &from, &upto, &summary.entries());
+                let encs: Vec<EncodedObject> = objects.into_iter().map(EncodedObject::of).collect();
+                self.send_encoded_batches(from_n1, &subtree, &encs);
                 // The summary proves the requester holds versions we
                 // lack: pull them right back (damped, so two diverged
                 // peers converge in one round trip without ping-pong).
@@ -2400,7 +2457,7 @@ impl Ipcp {
                 }
             }
             MgmtBody::RibDeltaResponse { subtree: _, objects } => {
-                for obj in objects {
+                for obj in &objects {
                     self.apply_and_reflood(obj, from_n1);
                 }
             }
@@ -2417,11 +2474,86 @@ impl Ipcp {
         self.sync_engine();
     }
 
+    /// A hello from the process named `name` at `addr` (0 = not yet
+    /// enrolled), advertising `digests`, arrived on `from_n1`. Takes its
+    /// input by reference — it may be the port's memoised decode — and
+    /// clones a field only where the port's record of the peer changes.
+    fn on_hello(
+        &mut self,
+        name: &AppName,
+        addr: Addr,
+        digests: &DigestTable,
+        from_n1: usize,
+        now: Time,
+    ) {
+        let mut changed = false;
+        let mut new_member = false;
+        if addr != 0 {
+            // An enrolled hello confirms the joiner is up: its
+            // admission-window slot (if any) frees, and from
+            // here on this sponsor owns its failure GC.
+            if let Some((_, granted, _)) = self.admitting.remove(name) {
+                if granted == addr {
+                    self.sponsored.insert(name.clone(), granted);
+                }
+            }
+            // Any hello from a watched member proves it alive.
+            self.gc_watch.remove(name);
+        }
+        if let Some(p) = self.n1.get_mut(from_n1) {
+            p.last_hello = now;
+            if !p.up {
+                p.up = true;
+                changed = true;
+            }
+            if p.peer_name.as_ref() != Some(name) {
+                p.peer_name = Some(name.clone());
+                changed = true;
+            }
+            // A hello carrying address 0 means the peer is not
+            // (yet) enrolled; it must not *unlearn* an address we
+            // already know — stale hellos cross enrollment
+            // responses in flight.
+            if addr != 0 && p.peer_addr != addr {
+                p.peer_addr = addr;
+                changed = true;
+                new_member = true;
+            }
+            if addr != 0 && p.peer_digests.as_ref() != Some(digests) {
+                p.peer_digests = Some(digests.clone());
+            }
+        }
+        if changed {
+            self.rebuild_peer_index();
+            self.refresh_lsa(now);
+        }
+        if !self.is_shim && self.enrolled && addr != 0 {
+            // Anti-entropy: the digest table localizes divergence
+            // to subtrees, and a targeted delta *pull* moves only
+            // the objects we actually lack (the peer's own hellos
+            // drive the opposite direction symmetrically). A
+            // member (re)appearing on the port syncs immediately —
+            // this is what makes mobility's join/leave cycles
+            // (§6.4) converge — while steady-state mismatches are
+            // damped to once per port per few hello cycles.
+            let mismatched = self.rib.mismatched(digests);
+            if !mismatched.is_empty()
+                && (new_member
+                    || self.n1.get(from_n1).is_some_and(|p| {
+                        self.hello_ticks >= p.last_resync_tick + RESYNC_DAMP_TICKS
+                    }))
+            {
+                self.request_deltas(from_n1, &mismatched);
+            }
+        }
+    }
+
     /// Apply one received object; when it is news, re-flood it to the
     /// other neighbors. LSA changes reach the routing engine through the
     /// RIB watch hook and repair on the node's debounce timer (a flood
     /// of remote LSAs collapses into one classified SPF repair).
-    fn apply_and_reflood(&mut self, obj: RibObject, from_n1: usize) {
+    fn apply_and_reflood(&mut self, enc: &EncodedObject, from_n1: usize) {
+        let obj = enc.view();
         if self.scoped_dir() && obj.name.starts_with("/dir/") {
             // Owner-held scope: only the entry's owner stores it. The
             // owner takes the normal path below — apply + reassert heal
@@ -2433,13 +2565,13 @@ impl Ipcp {
                 && obj
                     .name
                     .strip_prefix("/dir/")
-                    .is_some_and(|app| self.registered.iter().any(|r| r.key() == app));
+                    .is_some_and(|app| self.registered.iter().any(|r| r.matches_key(app)));
             if !own {
-                self.on_scoped_dir_flood(obj, from_n1);
+                self.on_scoped_dir_flood(&obj, enc, from_n1);
                 return;
             }
         }
-        if self.rib.apply_remote_silent(obj.clone()) {
+        if self.rib.apply_ref(&obj) {
             if self.scoped_dir() && obj.deleted {
                 // A departing member's /blocks tombstone rides the
                 // fully-replicated machinery: use it to drop every
@@ -2460,7 +2592,8 @@ impl Ipcp {
                 // correction from `drain_rib` floods in its place.
                 return;
             }
-            self.flood_rib(&obj, Some(from_n1));
+            // What arrived is what goes on: no re-encoding.
+            self.flood_rib(obj.name, Some(from_n1), || enc.clone());
         }
     }
 
@@ -2483,24 +2616,27 @@ impl Ipcp {
     /// tombstoned DIF-wide (nothing re-marks it dirty: the neighbor set
     /// matches what it believes it advertises) and the member is
     /// silently unroutable until its next adjacency change.
-    fn reassert_own(&mut self, obj: &RibObject) -> bool {
+    fn reassert_own(&mut self, obj: &RibObjectRef<'_>) -> bool {
         if !self.enrolled || self.is_shim || self.departed {
             return false;
         }
-        let truth: Option<(&str, Bytes)> = if obj.name == format!("/members/{}", self.name.key()) {
+        let truth: Option<(&str, Bytes)> = if obj.name == self.own.member {
             Some(("member", encode_addr(self.addr)))
-        } else if obj.name == block_name(self.addr) {
+        } else if obj.name == self.own.block {
             Some((BLOCK_CLASS, encode_block(self.block)))
-        } else if obj.name == Lsa::object_name(self.addr) {
+        } else if obj.name == self.own.lsa {
             let lsa = Lsa { neighbors: self.advertised.iter().map(|&a| (a, 1)).collect() };
             Some((LSA_CLASS, lsa.encode()))
         } else if let Some(app) = obj.name.strip_prefix("/dir/") {
-            self.registered.iter().any(|r| r.key() == app).then(|| ("dir", encode_addr(self.addr)))
+            self.registered
+                .iter()
+                .any(|r| r.matches_key(app))
+                .then(|| ("dir", encode_addr(self.addr)))
         } else {
             None
         };
         let Some((class, value)) = truth else { return false };
-        let wrong = match self.rib.get(&obj.name) {
+        let wrong = match self.rib.get(obj.name) {
             None => true, // tombstoned (a live different value is also wrong)
             Some(o) => o.value != value,
         };
@@ -2508,7 +2644,7 @@ impl Ipcp {
             return false;
         }
         self.stats.reasserts += 1;
-        self.rib.write_local(&obj.name, class, value);
+        self.rib.write_local(obj.name, class, value);
         self.drain_rib();
         true
     }
@@ -2528,24 +2664,32 @@ impl Ipcp {
     /// PDUs per port) when the node drains this process's effects, so a
     /// burst applied in one pass — a streamed enrollment sync, a whole
     /// wave's LSAs — re-floods as a burst, not one PDU per object.
-    fn flood_rib(&mut self, obj: &RibObject, except: Option<usize>) {
-        let subtree = subtree_of(&obj.name);
+    ///
+    /// `encoded` is asked for the object named `name` in wire form the
+    /// first time a port actually needs it (an object every port
+    /// suppresses is never encoded; a re-flooded one hands back the
+    /// bytes it arrived as).
+    fn flood_rib(
+        &mut self,
+        name: &str,
+        except: Option<usize>,
+        encoded: impl Fn() -> EncodedObject,
+    ) {
+        let subtree = subtree_of(name);
         let ours = self.rib.subtree_digest(subtree);
-        let mut enc: Option<Bytes> = None;
+        let mut enc: Option<EncodedObject> = None;
         for i in 0..self.n1.len() {
             if Some(i) == except || !self.n1[i].up || self.n1[i].peer_addr == 0 {
                 continue;
             }
-            let covered = ours.is_some()
-                && self.n1[i].peer_digests.as_ref().and_then(|t| t.get(subtree)) == ours;
             // Tree ports flood freely (they alone replicate to every
             // member); cross ports pay the token bucket, so assembly
             // storms stop being amplified by every redundant edge.
-            if covered || (!self.n1[i].tree && !self.take_flood_token()) {
+            if self.n1[i].covers(subtree, ours) || (!self.n1[i].tree && !self.take_flood_token()) {
                 self.stats.flood_suppressed += 1;
                 continue;
             }
-            let enc = enc.get_or_insert_with(|| obj.encode()).clone();
+            let enc = enc.get_or_insert_with(&encoded).clone();
             self.flood_q.entry(i).or_default().push(enc);
         }
     }
@@ -2563,16 +2707,17 @@ impl Ipcp {
         }
     }
 
-    /// Send pre-encoded objects as one or more under-MTU
+    /// Send objects in wire form as one or more under-MTU
     /// [`MgmtBody::RibDeltaResponse`] PDUs on `n1`.
-    fn send_encoded_batches(&mut self, n1: usize, subtree: &str, encs: &[Bytes]) {
+    fn send_encoded_batches(&mut self, n1: usize, subtree: &str, encs: &[EncodedObject]) {
         let mut start = 0;
         while start < encs.len() {
             let mut bytes = 0usize;
             let mut end = start;
-            while end < encs.len() && (end == start || bytes + encs[end].len() <= DELTA_CHUNK_BYTES)
+            while end < encs.len()
+                && (end == start || bytes + encs[end].wire().len() <= DELTA_CHUNK_BYTES)
             {
-                bytes += encs[end].len();
+                bytes += encs[end].wire().len();
                 end += 1;
             }
             let payload = MgmtBody::encode_delta_batch(subtree, &encs[start..end]);
@@ -2638,9 +2783,7 @@ impl Ipcp {
     /// in whichever recomputation runs first. Local LSA writes also
     /// recompute immediately, in [`Ipcp::write_lsa_now`].
     fn drain_rib(&mut self) {
-        while let Some(ev) = self.rib.poll_event() {
-            let _ = matches!(ev, RibEvent::Deleted(_));
-        }
+        while self.rib.poll_event().is_some() {}
         self.sync_engine();
         if self.engine.pending_full() {
             self.engine.recompute();
@@ -2649,8 +2792,8 @@ impl Ipcp {
         while let Some(o) = self.rib.poll_dissemination() {
             updates.push(o);
         }
-        for obj in updates {
-            self.flood_rib(&obj, None);
+        for obj in &updates {
+            self.flood_rib(&obj.name, None, || EncodedObject::of(obj));
         }
     }
 
@@ -2726,6 +2869,11 @@ pub fn decode_block(b: &[u8]) -> Option<(Addr, Addr)> {
 mod tests {
     use super::*;
     use crate::dif::AuthPolicy;
+
+    /// `obj` arrives from the wire on port `from_n1`.
+    fn reflood(i: &mut Ipcp, obj: RibObject, from_n1: usize) {
+        i.apply_and_reflood(&EncodedObject::of(&obj), from_n1);
+    }
 
     fn mk(name: &str) -> Ipcp {
         Ipcp::new(0, DifConfig::new("net"), AppName::new(name))
@@ -3393,7 +3541,7 @@ mod tests {
                 origin: 9,
                 deleted: true,
             };
-            a.apply_and_reflood(tomb, 0);
+            reflood(&mut a, tomb, 0);
         }
         assert_eq!(a.stats.reasserts, 2);
         let rec = a.rib.get("/members/net.a").expect("reasserted");
@@ -3436,7 +3584,7 @@ mod tests {
             origin: 9,
             deleted: true,
         };
-        a.apply_and_reflood(tomb, 0);
+        reflood(&mut a, tomb, 0);
         assert_eq!(a.stats.reasserts, 0, "a departed member does not reassert");
         assert!(a.rib.get("/members/net.a").is_none());
     }
@@ -3589,7 +3737,8 @@ mod tests {
     fn scoped_non_owner_never_stores_foreign_dir_objects() {
         let mut a = mk_scoped("net.a");
         a.bootstrap(1);
-        a.apply_and_reflood(
+        reflood(
+            &mut a,
             RibObject {
                 name: "/dir/web".into(),
                 class: "dir".into(),
@@ -3631,7 +3780,8 @@ mod tests {
         assert_eq!(a.stats.dir_cache_hits, 1);
         a.take_out();
         // The owner unregisters: its tombstone floods in on port 0.
-        a.apply_and_reflood(
+        reflood(
+            &mut a,
             RibObject {
                 name: "/dir/web".into(),
                 class: "dir".into(),
@@ -3648,7 +3798,7 @@ mod tests {
             .into_iter()
             .filter_map(|(n1, _, b)| match b {
                 MgmtBody::RibDeltaResponse { objects, .. }
-                    if objects.iter().any(|o| o.name == "/dir/web" && o.deleted) =>
+                    if objects.iter().any(|o| o.view().name == "/dir/web" && o.view().deleted) =>
                 {
                     Some(n1)
                 }
@@ -3694,7 +3844,8 @@ mod tests {
         a.handle_dir_lookup_response("/dir/ftp".into(), 8, 1);
         assert_eq!(a.dir_cache.len(), 3);
         // Member 7 departs: its block tombstone arrives over the wire.
-        a.apply_and_reflood(
+        reflood(
+            &mut a,
             RibObject {
                 name: block_name(7),
                 class: BLOCK_CLASS.into(),
@@ -3794,7 +3945,7 @@ mod tests {
             origin: 1, // authored by our own previous incarnation
             deleted: true,
         };
-        a.apply_and_reflood(tomb, 0);
+        reflood(&mut a, tomb, 0);
         assert_eq!(a.stats.reasserts, 1, "own-origin clobber must be fought");
         let healed = a.rib.get(&Lsa::object_name(1)).expect("LSA reasserted");
         assert_eq!(Lsa::decode(&healed.value).unwrap().neighbors, vec![(2, 1)]);

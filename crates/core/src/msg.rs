@@ -8,7 +8,7 @@
 use crate::naming::AppName;
 use crate::qos::QosSpec;
 use bytes::Bytes;
-use rina_rib::{DigestTable, ObjVer, RibObject};
+use rina_rib::{DigestTable, EncodedObject, EncodedSummary};
 use rina_wire::codec::{Reader, Writer};
 use rina_wire::{Addr, CdapMsg, CepId, OpCode, WireError};
 
@@ -73,7 +73,7 @@ pub enum MgmtBody {
         /// retry, in milliseconds (0 otherwise).
         retry_after_ms: u32,
         /// RIB snapshot to initialize the joiner.
-        snapshot: Vec<RibObject>,
+        snapshot: Vec<EncodedObject>,
     },
     /// Ask the member hosting the destination application to create a flow
     /// (the request "continues to the identified IPC process to ensure that
@@ -107,7 +107,7 @@ pub enum MgmtBody {
     /// protocol surface (decode + apply) for single-object updates;
     /// the send paths now batch objects into
     /// [`MgmtBody::RibDeltaResponse`] PDUs instead.
-    RibUpdate(RibObject),
+    RibUpdate(EncodedObject),
     /// Anti-entropy pull: "here is the version summary of my `subtree`
     /// for names in `[from, upto)`; send me whatever I lack or hold
     /// older". Big subtrees are requested in several name-range chunks so
@@ -120,9 +120,10 @@ pub enum MgmtBody {
         /// Upper name bound of this chunk, exclusive (empty = end).
         upto: String,
         /// The requester's `(name, version, origin)` triples in range.
-        summary: Vec<ObjVer>,
+        summary: EncodedSummary,
     },
-    /// A batch of RIB objects (full values), under the MTU: the answer
+    /// A batch of RIB objects (full values, each in wire form — on
+    /// receipt a slice of the arriving frame), under the MTU: the answer
     /// to a [`MgmtBody::RibDeltaRequest`], an enrollment sync stream, or
     /// an ordinary flood burst (flooding is batch-preserving — objects
     /// applied in one pass re-flood as one batch per port). Each object
@@ -132,7 +133,7 @@ pub enum MgmtBody {
         /// Subtree being synchronized (empty for mixed flood batches).
         subtree: String,
         /// Missing/newer objects for the requested range.
-        objects: Vec<RibObject>,
+        objects: Vec<EncodedObject>,
     },
     /// On-demand resolution of an **owner-held** directory entry (one whose
     /// subtree has local replication scope, so it is not in every member's
@@ -192,7 +193,7 @@ impl MgmtBody {
                 w.varint(addr).varint(block.0).varint(block.1).varint(retry_after_ms as u64);
                 w.varint(snapshot.len() as u64);
                 for o in &snapshot {
-                    w.bytes(&o.encode());
+                    w.bytes(o.wire());
                 }
                 (OpCode::ConnectR, class::ENROLL, "/enrollment".to_string(), w.finish())
             }
@@ -214,22 +215,18 @@ impl MgmtBody {
                 (OpCode::Delete, class::FLOW, "/flows".to_string(), w.finish())
             }
             MgmtBody::RibUpdate(obj) => {
-                let name = obj.name.clone();
-                (OpCode::Write, class::RIB, name, obj.encode())
+                (OpCode::Write, class::RIB, obj.view().name.to_string(), obj.wire().clone())
             }
             MgmtBody::RibDeltaRequest { subtree, from, upto, summary } => {
                 let mut w = Writer::new();
-                w.string(&from).string(&upto).varint(summary.len() as u64);
-                for v in &summary {
-                    v.encode_into(&mut w);
-                }
+                w.string(&from).string(&upto).raw(summary.wire());
                 (OpCode::Read, class::RIB_SYNC, subtree, w.finish())
             }
             MgmtBody::RibDeltaResponse { subtree, objects } => {
                 let mut w = Writer::new();
                 w.varint(objects.len() as u64);
                 for o in &objects {
-                    w.bytes(&o.encode());
+                    w.bytes(o.wire());
                 }
                 (OpCode::ReadR, class::RIB_SYNC, subtree, w.finish())
             }
@@ -247,7 +244,10 @@ impl MgmtBody {
         CdapMsg { op, invoke_id, obj_class: cls.to_string(), obj_name: name, result, value }
     }
 
-    /// Parse a CDAP message back into a typed body.
+    /// Parse a CDAP message back into a typed body. RIB objects and
+    /// version summaries are checked but stay in wire form, as slices of
+    /// `m.value` (itself a slice of the arriving frame): the handler
+    /// reads them through borrowed views.
     pub fn from_cdap(m: &CdapMsg) -> Result<MgmtBody, WireError> {
         let mut r = Reader::new(&m.value);
         match (m.op, m.obj_class.as_str()) {
@@ -281,7 +281,7 @@ impl MgmtBody {
                 let n = r.varint()? as usize;
                 let mut snapshot = Vec::with_capacity(n.min(4096));
                 for _ in 0..n {
-                    snapshot.push(RibObject::decode(r.bytes()?)?);
+                    snapshot.push(EncodedObject::parse(m.value.slice_ref(r.bytes()?))?);
                 }
                 r.expect_end()?;
                 Ok(MgmtBody::EnrollResponse { addr, block, retry_after_ms, snapshot })
@@ -306,23 +306,20 @@ impl MgmtBody {
                 r.expect_end()?;
                 Ok(MgmtBody::FlowTeardown { cep: c })
             }
-            (OpCode::Write, class::RIB) => Ok(MgmtBody::RibUpdate(RibObject::decode(&m.value)?)),
+            (OpCode::Write, class::RIB) => {
+                Ok(MgmtBody::RibUpdate(EncodedObject::parse(m.value.clone())?))
+            }
             (OpCode::Read, class::RIB_SYNC) => {
                 let from = r.string()?.to_string();
                 let upto = r.string()?.to_string();
-                let n = r.varint()? as usize;
-                let mut summary = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    summary.push(ObjVer::decode_from(&mut r)?);
-                }
-                r.expect_end()?;
+                let summary = EncodedSummary::parse(m.value.slice_ref(r.rest()))?;
                 Ok(MgmtBody::RibDeltaRequest { subtree: m.obj_name.clone(), from, upto, summary })
             }
             (OpCode::ReadR, class::RIB_SYNC) => {
                 let n = r.varint()? as usize;
                 let mut objects = Vec::with_capacity(n.min(4096));
                 for _ in 0..n {
-                    objects.push(RibObject::decode(r.bytes()?)?);
+                    objects.push(EncodedObject::parse(m.value.slice_ref(r.bytes()?))?);
                 }
                 r.expect_end()?;
                 Ok(MgmtBody::RibDeltaResponse { subtree: m.obj_name.clone(), objects })
@@ -354,16 +351,16 @@ impl MgmtBody {
         self.into_cdap(invoke_id, result).encode()
     }
 
-    /// Encode a [`MgmtBody::RibDeltaResponse`] directly from
-    /// *pre-encoded* objects, byte-identical to the typed path. The
-    /// flooding hot path encodes each object once and reuses the bytes
-    /// across every port's batch instead of cloning whole `RibObject`s
-    /// fan-out times.
-    pub fn encode_delta_batch(subtree: &str, encoded: &[Bytes]) -> Bytes {
-        let mut w = Writer::with_capacity(8 + encoded.iter().map(|e| e.len() + 4).sum::<usize>());
+    /// Encode a [`MgmtBody::RibDeltaResponse`] from a borrowed slice of
+    /// objects, byte-identical to the typed path: the flooding hot path
+    /// holds each object once (as encoded or as received) and shares the
+    /// bytes across every port's batch.
+    pub fn encode_delta_batch(subtree: &str, encoded: &[EncodedObject]) -> Bytes {
+        let mut w =
+            Writer::with_capacity(8 + encoded.iter().map(|e| e.wire().len() + 4).sum::<usize>());
         w.varint(encoded.len() as u64);
         for e in encoded {
-            w.bytes(e);
+            w.bytes(e.wire());
         }
         CdapMsg {
             op: OpCode::ReadR,
@@ -384,6 +381,7 @@ fn cep(v: u64) -> Result<CepId, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rina_rib::{ObjVer, RibObject};
 
     fn roundtrip(body: MgmtBody) {
         let cd = body.clone().into_cdap(42, 0);
@@ -423,14 +421,14 @@ mod tests {
             addr: 9,
             block: (9, 14),
             retry_after_ms: 0,
-            snapshot: vec![RibObject {
+            snapshot: vec![EncodedObject::of(&RibObject {
                 name: "/dir/a".into(),
                 class: "dir".into(),
                 value: Bytes::from_static(b"\x07"),
                 version: 3,
                 origin: 1,
                 deleted: false,
-            }],
+            })],
         });
         roundtrip(MgmtBody::EnrollResponse {
             addr: 0,
@@ -494,14 +492,14 @@ mod tests {
 
     #[test]
     fn rib_update_roundtrip() {
-        roundtrip(MgmtBody::RibUpdate(RibObject {
+        roundtrip(MgmtBody::RibUpdate(EncodedObject::of(&RibObject {
             name: "/lsa/4".into(),
             class: "lsa".into(),
             value: Bytes::from_static(b"\x01\x02\x03"),
             version: 8,
             origin: 4,
             deleted: false,
-        }));
+        })));
     }
 
     /// Codec pins for the incremental-sync messages: subtree, name-range
@@ -513,37 +511,37 @@ mod tests {
             subtree: "/lsa".into(),
             from: String::new(),
             upto: String::new(),
-            summary: vec![],
+            summary: EncodedSummary::of(&[]),
         });
         roundtrip(MgmtBody::RibDeltaRequest {
             subtree: "/dir".into(),
             from: "/dir/b".into(),
             upto: "/dir/k".into(),
-            summary: vec![
-                ObjVer { name: "/dir/b".into(), version: 3, origin: 9 },
-                ObjVer { name: "/dir/c".into(), version: 1 << 40, origin: u64::MAX },
-            ],
+            summary: EncodedSummary::of(&[
+                ObjVer { name: "/dir/b", version: 3, origin: 9 },
+                ObjVer { name: "/dir/c", version: 1 << 40, origin: u64::MAX },
+            ]),
         });
         roundtrip(MgmtBody::RibDeltaResponse { subtree: "/lsa".into(), objects: vec![] });
         roundtrip(MgmtBody::RibDeltaResponse {
             subtree: "/members".into(),
             objects: vec![
-                RibObject {
+                EncodedObject::of(&RibObject {
                     name: "/members/net.a".into(),
                     class: "member".into(),
                     value: Bytes::from_static(b"\x05"),
                     version: 2,
                     origin: 1,
                     deleted: false,
-                },
-                RibObject {
+                }),
+                EncodedObject::of(&RibObject {
                     name: "/members/net.b".into(),
                     class: "member".into(),
                     value: Bytes::new(),
                     version: 7,
                     origin: 3,
                     deleted: true,
-                },
+                }),
             ],
         });
     }
@@ -596,7 +594,7 @@ mod tests {
             subtree: "/dir/x".into(),
             from: String::new(),
             upto: String::new(),
-            summary: vec![],
+            summary: EncodedSummary::of(&[]),
         }
         .into_cdap(1, 0);
         assert_eq!(sync.obj_class, class::RIB_SYNC);
@@ -609,7 +607,7 @@ mod tests {
     /// encoder — a divergence would be an undecodable flood batch.
     #[test]
     fn delta_batch_fast_path_matches_typed_encoding() {
-        let objs = vec![
+        let objs = [
             RibObject {
                 name: "/lsa/3".into(),
                 class: "lsa".into(),
@@ -627,11 +625,46 @@ mod tests {
                 deleted: true,
             },
         ];
-        let encs: Vec<Bytes> = objs.iter().map(|o| o.encode()).collect();
+        let encs: Vec<EncodedObject> = objs.iter().map(EncodedObject::of).collect();
         let fast = MgmtBody::encode_delta_batch("/lsa", &encs);
         let typed =
-            MgmtBody::RibDeltaResponse { subtree: "/lsa".into(), objects: objs }.encode(0, 0);
+            MgmtBody::RibDeltaResponse { subtree: "/lsa".into(), objects: encs }.encode(0, 0);
         assert_eq!(fast, typed);
+    }
+
+    /// A batch is checked whole on decode — one object that does not
+    /// decode refuses the message, so nothing of it is applied — and what
+    /// is accepted is handed on as slices of the message, not copies.
+    #[test]
+    fn batch_objects_are_checked_slices_of_the_message() {
+        let obj = EncodedObject::of(&RibObject {
+            name: "/lsa/3".into(),
+            class: "lsa".into(),
+            value: Bytes::from_static(b"\x01\x02"),
+            version: 4,
+            origin: 3,
+            deleted: false,
+        });
+        let wire =
+            MgmtBody::RibDeltaResponse { subtree: String::new(), objects: vec![obj.clone()] }
+                .encode(0, 0);
+        let back = MgmtBody::from_cdap(&CdapMsg::decode(&wire).unwrap()).unwrap();
+        let MgmtBody::RibDeltaResponse { objects, .. } = back else { panic!("wrong variant") };
+        assert_eq!(objects, vec![obj.clone()]);
+        let (base, at) = (wire.as_ptr() as usize, objects[0].wire().as_ptr() as usize);
+        assert!(at > base && at + objects[0].wire().len() <= base + wire.len(), "copied");
+
+        let mut w = Writer::new();
+        w.varint(2).bytes(obj.wire()).bytes(b"\xff");
+        let bad = CdapMsg {
+            op: OpCode::ReadR,
+            invoke_id: 0,
+            obj_class: class::RIB_SYNC.into(),
+            obj_name: String::new(),
+            result: 0,
+            value: w.finish(),
+        };
+        assert!(MgmtBody::from_cdap(&bad).is_err());
     }
 
     #[test]

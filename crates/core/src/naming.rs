@@ -44,6 +44,16 @@ impl AppName {
         }
     }
 
+    /// Whether `key` is this name's canonical form — `self.key() == key`
+    /// without building the string.
+    pub fn matches_key(&self, key: &str) -> bool {
+        if self.instance.is_empty() {
+            return key == self.process;
+        }
+        key.strip_prefix(self.process.as_str()).and_then(|rest| rest.strip_prefix('/'))
+            == Some(self.instance.as_str())
+    }
+
     /// Parse the canonical form produced by [`AppName::key`].
     pub fn from_key(key: &str) -> Self {
         match key.split_once('/') {
@@ -97,6 +107,24 @@ mod tests {
         let b = AppName::with_instance("web", "2");
         assert_eq!(b.key(), "web/2");
         assert_eq!(AppName::from_key("web/2"), b);
+    }
+
+    #[test]
+    fn matches_key_is_key_equality() {
+        let names = [
+            AppName::new("web"),
+            AppName::with_instance("web", "2"),
+            AppName::with_instance("web", ""),
+            AppName::new("web/2"),
+            AppName::with_instance("we", "b/2"),
+            AppName::new(""),
+        ];
+        for a in &names {
+            for key in ["web", "web/2", "web/", "we", "web/22", "b/2", "", "/"] {
+                assert_eq!(a.matches_key(key), a.key() == key, "{a:?} vs {key:?}");
+            }
+            assert!(a.matches_key(&a.key()));
+        }
     }
 
     #[test]

@@ -29,6 +29,12 @@
 //! contract reads a strict subset of the frame and is pinned to the
 //! paired `decode` by proptest instead of by this rule. A `peek` on any
 //! other type, or a `*View::peek` that grows `Writer` ops, is flagged.
+//!
+//! A **borrowed decoder** is not one-sided: a read fn on a `*Ref` type
+//! (e.g. `RibObjectRef::decode`, the copy-free twin of
+//! `RibObject::decode`) answers to the write fn of the type it is a
+//! view of — the same name without the suffix — and is compared with it
+//! op for op, exactly like the owned decoder beside it.
 
 use crate::lexer::{Tok, Token};
 use crate::parse::{find_fns, find_matches, matching_close, FnItem};
@@ -66,16 +72,16 @@ pub fn check_w1(file: &str, toks: &[Token]) -> Vec<Finding> {
     let mut out = Vec::new();
     for (ename, dname) in PAIRS {
         for ef in fns.iter().filter(|f| f.name == *ename && !f.impl_type.is_empty()) {
-            let Some(df) = fns.iter().find(|f| f.name == *dname && f.impl_type == ef.impl_type)
-            else {
-                continue;
-            };
-            compare_pair(file, toks, ef, df, &mut out);
+            for df in
+                fns.iter().filter(|f| f.name == *dname && writer_of(&f.impl_type) == ef.impl_type)
+            {
+                compare_pair(file, toks, ef, df, &mut out);
+            }
         }
         // Read-side surface: a recognized read name with no write-side
         // counterpart on the same impl is a one-sided walker.
         for df in fns.iter().filter(|f| f.name == *dname && !f.impl_type.is_empty()) {
-            if fns.iter().any(|f| f.name == *ename && f.impl_type == df.impl_type) {
+            if fns.iter().any(|f| f.name == *ename && f.impl_type == writer_of(&df.impl_type)) {
                 continue;
             }
             out.push(Finding {
@@ -93,6 +99,12 @@ pub fn check_w1(file: &str, toks: &[Token]) -> Vec<Finding> {
     }
     check_peeks(file, toks, &fns, &mut out);
     out
+}
+
+/// The type whose write fn a read fn on `impl_type` answers to: the type
+/// itself, or, for a borrowed `*Ref` view, the owned type it views.
+fn writer_of(impl_type: &str) -> &str {
+    impl_type.strip_suffix("Ref").filter(|owned| !owned.is_empty()).unwrap_or(impl_type)
 }
 
 /// The sanctioned unpaired reader: `peek` on a `*View` type is a
@@ -659,6 +671,51 @@ mod tests {
         let fs = w1(src);
         assert_eq!(fs.len(), 1, "{fs:?}");
         assert!(fs[0].key.contains("unpaired-read"), "{}", fs[0].key);
+    }
+
+    #[test]
+    fn borrowed_ref_decoder_answers_to_the_owned_encoder() {
+        let codec = |ref_reads: &str| {
+            format!(
+                r#"
+            impl Obj {{
+                pub fn encode(&self) -> Bytes {{
+                    let mut w = Writer::new();
+                    w.string(&self.name).varint(self.version);
+                    w.finish()
+                }}
+                pub fn decode(buf: &[u8]) -> Result<Obj, E> {{
+                    let mut r = Reader::new(buf);
+                    Ok(Obj {{ name: r.string()?.to_string(), version: r.varint()? }})
+                }}
+            }}
+            impl<'a> ObjRef<'a> {{
+                pub fn decode(buf: &'a [u8]) -> Result<Self, E> {{
+                    let mut r = Reader::new(buf);
+                    {ref_reads}
+                }}
+            }}
+        "#
+            )
+        };
+        let ok = w1(&codec("Ok(ObjRef { name: r.string()?, version: r.varint()? })"));
+        assert!(ok.is_empty(), "{ok:?}");
+        // The view drops a field the owned type writes: W1 must fire,
+        // on the view's pairing and nowhere else.
+        let fs = w1(&codec("Ok(ObjRef { name: r.string()?, version: 0 })"));
+        assert_eq!(fs.len(), 1, "{fs:?}");
+        assert!(fs[0].key.contains("Obj::encode/decode") && fs[0].msg.contains("varint"));
+        // A `*Ref` with no owned encoder behind it is still one-sided.
+        let lone = w1(r#"
+            impl<'a> LoneRef<'a> {
+                pub fn decode(buf: &'a [u8]) -> Result<Self, E> {
+                    let mut r = Reader::new(buf);
+                    Ok(LoneRef { id: r.varint()? })
+                }
+            }
+        "#);
+        assert_eq!(lone.len(), 1, "{lone:?}");
+        assert!(lone[0].key.contains("LoneRef::decode|unpaired-read"), "{}", lone[0].key);
     }
 
     #[test]

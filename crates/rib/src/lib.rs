@@ -30,7 +30,10 @@
 //! process (routing recomputation, directory changes) and dissemination
 //! items for the management task to forward; the `rina` crate moves them.
 //! Hot paths that react to freshness directly can apply without event
-//! bookkeeping via [`Rib::apply_remote_silent`].
+//! bookkeeping via [`Rib::apply_remote_silent`]; the wire receive path
+//! goes one step further and applies borrowed [`RibObjectRef`] views
+//! ([`Rib::apply_ref`]), so an object that is not news costs no
+//! allocation at all.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
@@ -39,7 +42,9 @@
 use bytes::Bytes;
 use rina_wire::codec::{Reader, Writer};
 use rina_wire::WireError;
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Bound;
 
 /// One replicated object. Ordering of versions: `(version, origin)`
 /// lexicographic, so concurrent writes by different members resolve
@@ -93,6 +98,87 @@ impl RibObject {
     }
 }
 
+/// A borrowed view of one object in its wire encoding: name, class and
+/// value are slices of the buffer it was decoded from. The receive path
+/// decides on this view — a stale version is rejected, a known name is
+/// updated in place ([`Rib::apply_ref`]) — and a [`RibObject`] is
+/// materialised only for a name seen for the first time.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RibObjectRef<'a> {
+    /// Path-style instance name.
+    pub name: &'a str,
+    /// Object class.
+    pub class: &'a str,
+    /// Encoded value (empty for tombstones).
+    pub value: &'a [u8],
+    /// Monotonic per-name version.
+    pub version: u64,
+    /// DIF-internal address of the writing member.
+    pub origin: u64,
+    /// True if this version deletes the object.
+    pub deleted: bool,
+}
+
+impl<'a> RibObjectRef<'a> {
+    /// Decode what [`RibObject::encode`] writes, copying nothing. Agrees
+    /// with [`RibObject::decode`] on every input (pinned by proptest).
+    pub fn decode(buf: &'a [u8]) -> Result<Self, WireError> {
+        let mut r = Reader::new(buf);
+        let name = r.string()?;
+        let class = r.string()?;
+        let value = r.bytes()?;
+        let version = r.varint()?;
+        let origin = r.varint()?;
+        let deleted = r.boolean()?;
+        r.expect_end()?;
+        Ok(RibObjectRef { name, class, value, version, origin, deleted })
+    }
+
+    /// Materialise an owned object. The value is copied, never sliced
+    /// from the arriving frame: a stored 20-byte object must not keep a
+    /// whole batch buffer alive.
+    pub fn to_object(self) -> RibObject {
+        RibObject {
+            name: self.name.to_string(),
+            class: self.class.to_string(),
+            value: Bytes::copy_from_slice(self.value),
+            version: self.version,
+            origin: self.origin,
+            deleted: self.deleted,
+        }
+    }
+}
+
+/// One object in wire form, known to decode — the unit that travels:
+/// sliced out of an arriving batch, viewed through [`RibObjectRef`],
+/// queued for re-flooding and written into the next batch as the very
+/// bytes that arrived.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct EncodedObject(Bytes);
+
+impl EncodedObject {
+    /// Encode an owned object.
+    pub fn of(obj: &RibObject) -> Self {
+        EncodedObject(obj.encode())
+    }
+
+    /// Accept `wire` if it decodes as one object.
+    pub fn parse(wire: Bytes) -> Result<Self, WireError> {
+        RibObjectRef::decode(&wire)?;
+        Ok(EncodedObject(wire))
+    }
+
+    /// The object, borrowed from the encoding.
+    pub fn view(&self) -> RibObjectRef<'_> {
+        RibObjectRef::decode(&self.0).expect("checked at construction")
+    }
+
+    /// The encoding itself.
+    pub fn wire(&self) -> &Bytes {
+        &self.0
+    }
+}
+
 /// A change the local IPC process should react to.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RibEvent {
@@ -126,29 +212,75 @@ pub fn subtree_of(name: &str) -> &str {
 
 /// One object's version coordinates, without its value — the unit of a
 /// delta-request summary. Two members exchange these (cheap) to discover
-/// which full objects (expensive) actually need to move.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ObjVer {
+/// which full objects (expensive) actually need to move. The name is
+/// borrowed: from the RIB when summarising, from the arriving request
+/// when answering.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ObjVer<'a> {
     /// Full object name.
-    pub name: String,
+    pub name: &'a str,
     /// Version counter.
     pub version: u64,
     /// Writing member's address (the version tie-breaker).
     pub origin: u64,
 }
 
-impl ObjVer {
+impl<'a> ObjVer<'a> {
     /// Encode into an in-progress wire value.
     pub fn encode_into(&self, w: &mut Writer) {
-        w.string(&self.name).varint(self.version).varint(self.origin);
+        w.string(self.name).varint(self.version).varint(self.origin);
     }
 
     /// Decode from an in-progress wire value.
-    pub fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let name = r.string()?.to_string();
+    pub fn decode_from(r: &mut Reader<'a>) -> Result<Self, WireError> {
+        let name = r.string()?;
         let version = r.varint()?;
         let origin = r.varint()?;
         Ok(ObjVer { name, version, origin })
+    }
+}
+
+/// A version summary in wire form — a count, then that many [`ObjVer`]
+/// triples — known to decode.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct EncodedSummary(Bytes);
+
+impl EncodedSummary {
+    /// Encode `entries`.
+    pub fn of(entries: &[ObjVer<'_>]) -> Self {
+        let mut w =
+            Writer::with_capacity(4 + entries.iter().map(|v| v.name.len() + 12).sum::<usize>());
+        w.varint(entries.len() as u64);
+        for v in entries {
+            v.encode_into(&mut w);
+        }
+        EncodedSummary(w.finish())
+    }
+
+    /// Accept `wire` if it decodes as a summary.
+    pub fn parse(wire: Bytes) -> Result<Self, WireError> {
+        Self::walk(&wire, |_| {})?;
+        Ok(EncodedSummary(wire))
+    }
+
+    /// The entries, names borrowed from the encoding.
+    pub fn entries(&self) -> Vec<ObjVer<'_>> {
+        let mut out = Vec::new();
+        Self::walk(&self.0, |v| out.push(v)).expect("checked at construction");
+        out
+    }
+
+    /// The encoding itself.
+    pub fn wire(&self) -> &Bytes {
+        &self.0
+    }
+
+    fn walk<'a>(buf: &'a [u8], mut each: impl FnMut(ObjVer<'a>)) -> Result<(), WireError> {
+        let mut r = Reader::new(buf);
+        for _ in 0..r.varint()? {
+            each(ObjVer::decode_from(&mut r)?);
+        }
+        r.expect_end()
     }
 }
 
@@ -195,39 +327,11 @@ impl DigestTable {
     /// Subtrees whose `(count, digest)` differ between the two tables —
     /// the union, so a subtree present on only one side counts.
     pub fn mismatched(&self, other: &DigestTable) -> Vec<String> {
-        let mut out = Vec::new();
-        let (mut i, mut j) = (0, 0);
-        while i < self.entries.len() || j < other.entries.len() {
-            let a = self.entries.get(i);
-            let b = other.entries.get(j);
-            match (a, b) {
-                (Some(a), Some(b)) if a.0 == b.0 => {
-                    if (a.1, a.2) != (b.1, b.2) {
-                        out.push(a.0.clone());
-                    }
-                    i += 1;
-                    j += 1;
-                }
-                (Some(a), Some(b)) if a.0 < b.0 => {
-                    out.push(a.0.clone());
-                    i += 1;
-                }
-                (Some(_), Some(b)) => {
-                    out.push(b.0.clone());
-                    j += 1;
-                }
-                (Some(a), None) => {
-                    out.push(a.0.clone());
-                    i += 1;
-                }
-                (None, Some(b)) => {
-                    out.push(b.0.clone());
-                    j += 1;
-                }
-                (None, None) => unreachable!(),
-            }
-        }
-        out
+        diff_tables(self.triples(), other.triples())
+    }
+
+    fn triples(&self) -> impl Iterator<Item = (&str, u64, u64)> {
+        self.entries.iter().map(|e| (e.0.as_str(), e.1, e.2))
     }
 
     /// Encode into an in-progress wire value.
@@ -249,6 +353,32 @@ impl DigestTable {
             entries.push((s, c, d));
         }
         Ok(DigestTable::from_entries(entries))
+    }
+}
+
+/// Merge two `(subtree, count, digest)` sequences, each sorted by
+/// subtree, into the names whose entries differ or exist on one side
+/// only. Allocates only for names it returns.
+fn diff_tables<'a>(
+    ours: impl Iterator<Item = (&'a str, u64, u64)>,
+    theirs: impl Iterator<Item = (&'a str, u64, u64)>,
+) -> Vec<String> {
+    let (mut a, mut b) = (ours.peekable(), theirs.peekable());
+    let mut out = Vec::new();
+    loop {
+        let side = match (a.peek(), b.peek()) {
+            (None, None) => return out,
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (Some(x), Some(y)) => x.0.cmp(y.0),
+        };
+        // Step past the smaller subtree (both on a tie); whatever was
+        // stepped over without an equal partner is a mismatch.
+        let x = if side != Ordering::Greater { a.next() } else { None };
+        let y = if side != Ordering::Less { b.next() } else { None };
+        if x != y {
+            out.extend(x.or(y).map(|e| e.0.to_string()));
+        }
     }
 }
 
@@ -311,6 +441,9 @@ pub struct Rib {
     /// serving, and its live writes are not queued for dissemination —
     /// only its tombstones flood, so remote caches still hear deletions.
     local_subtrees: Vec<String>,
+    /// Bumped by everything that can change [`Rib::digest_table`] (see
+    /// [`Rib::generation`]).
+    generation: u64,
 }
 
 impl Rib {
@@ -341,11 +474,20 @@ impl Rib {
     /// prefix inside the subtree are torn down: a watcher must not fire
     /// on entries that are no longer part of the replicated RIB.
     pub fn set_local_subtree(&mut self, subtree: &str) {
+        self.generation += 1;
         if let Err(i) = self.local_subtrees.binary_search_by(|s| s.as_str().cmp(subtree)) {
             self.local_subtrees.insert(i, subtree.to_string());
         }
         self.watch_prefixes.retain(|p| subtree_of(p) != subtree);
         self.watch_q.retain(|o| subtree_of(&o.name) != subtree);
+    }
+
+    /// A counter that moves whenever [`Rib::digest_table`] may have: on
+    /// every stored version and every replication-scope change. Equal
+    /// generations mean an equal table, so whatever was derived from the
+    /// table (an encoded hello) can be kept until the generation moves.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// Whether `subtree` has local replication scope.
@@ -413,35 +555,51 @@ impl Rib {
     /// Insert `obj`, keeping the incremental digests (whole-RIB and
     /// per-subtree) in sync.
     fn store(&mut self, obj: RibObject) {
-        if self.watch_prefixes.iter().any(|p| obj.name.starts_with(p.as_str())) {
+        if Self::watched(&self.watch_prefixes, &obj.name) {
             self.watch_q.push_back(obj.clone());
         }
-        let st = subtree_of(&obj.name);
+        let old = self.objects.get(&obj.name).map(obj_fingerprint);
+        self.account(subtree_of(&obj.name), old, obj_fingerprint(&obj));
+        if old.is_none() {
+            self.objects.insert(obj.name.clone(), obj);
+        } else if let Some(slot) = self.objects.get_mut(&obj.name) {
+            // A known name keeps its key: no second copy of the name.
+            *slot = obj;
+        }
+    }
+
+    fn watched(prefixes: &[String], name: &str) -> bool {
+        prefixes.iter().any(|p| name.starts_with(p.as_str()))
+    }
+
+    /// Fold one stored version of an object in `subtree` into the
+    /// incremental digests: fingerprint `new` replaces `old` (`None` =
+    /// the name was not stored before).
+    fn account(&mut self, subtree: &str, old: Option<u64>, new: u64) {
+        self.generation += 1;
         // get_mut-then-insert instead of the entry API: the common case
         // (subtree exists) must not allocate an owned key per store —
         // this runs once per applied object, millions of times in a big
         // assembly.
-        if self.subtrees.get_mut(st).is_none() {
-            self.subtrees.insert(st.to_string(), (0, 0));
+        if self.subtrees.get_mut(subtree).is_none() {
+            self.subtrees.insert(subtree.to_string(), (0, 0));
         }
-        let entry = self.subtrees.get_mut(st).expect("just ensured");
-        if let Some(old) = self.objects.get(&obj.name) {
-            let f = obj_fingerprint(old);
-            self.digest ^= f;
-            entry.1 ^= f;
-        } else {
-            entry.0 += 1;
+        let entry = self.subtrees.get_mut(subtree).expect("just ensured");
+        match old {
+            Some(f) => {
+                self.digest ^= f;
+                entry.1 ^= f;
+            }
+            None => entry.0 += 1,
         }
-        let f = obj_fingerprint(&obj);
-        self.digest ^= f;
-        entry.1 ^= f;
-        self.objects.insert(obj.name.clone(), obj);
+        self.digest ^= new;
+        entry.1 ^= new;
     }
 
     /// All stored objects (tombstones included) in `subtree`, name order.
     fn subtree_objects<'a>(&'a self, subtree: &'a str) -> impl Iterator<Item = &'a RibObject> + 'a {
         self.objects
-            .range(subtree.to_string()..)
+            .range::<str, _>((Bound::Included(subtree), Bound::Unbounded))
             .take_while(move |(k, _)| k.starts_with(subtree))
             .filter(move |(k, _)| subtree_of(k) == subtree)
             .map(|(_, v)| v)
@@ -516,6 +674,37 @@ impl Rib {
         true
     }
 
+    /// [`Rib::apply_remote_silent`] for an object still in its arriving
+    /// frame. The version guard runs on the borrowed view, so a stale or
+    /// duplicate object allocates nothing; a newer version of a known
+    /// name is written into the stored object (only a changed value is
+    /// copied); only a first-seen name materialises a [`RibObject`].
+    pub fn apply_ref(&mut self, obj: &RibObjectRef<'_>) -> bool {
+        let Some(cur) = self.objects.get_mut(obj.name) else {
+            self.store(obj.to_object());
+            return true;
+        };
+        if (obj.version, obj.origin) <= (cur.version, cur.origin) {
+            return false;
+        }
+        let old = obj_fingerprint(cur);
+        if cur.class != obj.class {
+            cur.class = obj.class.to_string();
+        }
+        if cur.value != *obj.value {
+            cur.value = Bytes::copy_from_slice(obj.value);
+        }
+        cur.version = obj.version;
+        cur.origin = obj.origin;
+        cur.deleted = obj.deleted;
+        let new = obj_fingerprint(cur);
+        if Self::watched(&self.watch_prefixes, obj.name) {
+            self.watch_q.push_back(cur.clone());
+        }
+        self.account(subtree_of(obj.name), Some(old), new);
+        true
+    }
+
     /// Current value of a live (non-deleted) object.
     pub fn get(&self, name: &str) -> Option<&RibObject> {
         self.objects.get(name).filter(|o| !o.deleted)
@@ -524,7 +713,7 @@ impl Rib {
     /// All live objects whose names start with `prefix`, in name order.
     pub fn iter_prefix<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = &'a RibObject> + 'a {
         self.objects
-            .range(prefix.to_string()..)
+            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
             .take_while(move |(k, _)| k.starts_with(prefix))
             .map(|(_, v)| v)
             .filter(|o| !o.deleted)
@@ -593,6 +782,18 @@ impl Rib {
         )
     }
 
+    /// What `self.digest_table().mismatched(peer)` returns, read off the
+    /// incremental per-subtree digests: no table is built, and nothing
+    /// is allocated unless some subtree actually differs.
+    pub fn mismatched(&self, peer: &DigestTable) -> Vec<String> {
+        let ours = self
+            .subtrees
+            .iter()
+            .filter(|(s, _)| !self.is_local_subtree(s))
+            .map(|(s, &(c, d))| (s.as_str(), c, d));
+        diff_tables(ours, peer.triples())
+    }
+
     /// This RIB's `(count, digest)` for one subtree, if any object of it
     /// is stored.
     pub fn subtree_digest(&self, subtree: &str) -> Option<(u64, u64)> {
@@ -603,12 +804,12 @@ impl Rib {
     /// `subtree`, in name order — what a delta request carries instead of
     /// the objects themselves. Empty for local-scope subtrees: they are
     /// never offered for anti-entropy.
-    pub fn summary(&self, subtree: &str) -> Vec<ObjVer> {
+    pub fn summary<'a>(&'a self, subtree: &'a str) -> Vec<ObjVer<'a>> {
         if self.is_local_subtree(subtree) {
             return Vec::new();
         }
         self.subtree_objects(subtree)
-            .map(|o| ObjVer { name: o.name.clone(), version: o.version, origin: o.origin })
+            .map(|o| ObjVer { name: &o.name, version: o.version, origin: o.origin })
             .collect()
     }
 
@@ -618,20 +819,20 @@ impl Rib {
     /// peer lacks or holds older, plus `true` if the summary proves the
     /// peer holds versions newer than ours (so the caller should issue
     /// its own request for this subtree).
-    pub fn delta_for(
-        &self,
-        subtree: &str,
+    pub fn delta_for<'a>(
+        &'a self,
+        subtree: &'a str,
         from: &str,
         upto: &str,
-        summary: &[ObjVer],
-    ) -> (Vec<RibObject>, bool) {
+        summary: &[ObjVer<'_>],
+    ) -> (Vec<&'a RibObject>, bool) {
         if self.is_local_subtree(subtree) {
             // Owner-held state is never served by anti-entropy, and a
             // peer's summary of it proves nothing we should pull.
             return (Vec::new(), false);
         }
         let theirs: BTreeMap<&str, (u64, u64)> =
-            summary.iter().map(|v| (v.name.as_str(), (v.version, v.origin))).collect();
+            summary.iter().map(|v| (v.name, (v.version, v.origin))).collect();
         let in_range =
             |name: &str| (from.is_empty() || name >= from) && (upto.is_empty() || name < upto);
         let mut send = Vec::new();
@@ -641,11 +842,11 @@ impl Rib {
             }
             match theirs.get(o.name.as_str()) {
                 Some(&(v, org)) if (v, org) >= (o.version, o.origin) => {}
-                _ => send.push(o.clone()),
+                _ => send.push(o),
             }
         }
         let behind =
-            summary.iter().filter(|v| in_range(&v.name)).any(|v| match self.objects.get(&v.name) {
+            summary.iter().filter(|v| in_range(v.name)).any(|v| match self.objects.get(v.name) {
                 Some(o) => (v.version, v.origin) > (o.version, o.origin),
                 None => true,
             });
@@ -1116,6 +1317,73 @@ mod tests {
         assert!(r.expect_end().is_ok());
     }
 
+    #[test]
+    fn generation_moves_with_the_digest_table_and_only_then() {
+        let mut a = Rib::new(1);
+        let g0 = a.generation();
+        a.write_local("/lsa/1", "lsa", Bytes::from_static(b"x"));
+        let g1 = a.generation();
+        assert!(g1 > g0, "a stored version moves it");
+        let o = a.get("/lsa/1").unwrap().clone();
+        assert!(!a.apply_remote_silent(o.clone()));
+        assert!(!a.apply_ref(&EncodedObject::of(&o).view()));
+        assert!(!a.write_local_if_changed("/lsa/1", "lsa", Bytes::from_static(b"x")));
+        a.set_origin(9);
+        assert_eq!(a.generation(), g1, "nothing stored, nothing moved");
+        let table = a.digest_table();
+        a.set_local_subtree("/lsa");
+        assert!(a.generation() > g1, "a scope change moves it");
+        assert_ne!(a.digest_table(), table);
+    }
+
+    #[test]
+    fn apply_ref_updates_a_known_name_in_place() {
+        let mut a = Rib::new(1);
+        a.watch_prefix("/lsa/");
+        let v1 = RibObject {
+            name: "/lsa/9".into(),
+            class: "lsa".into(),
+            value: Bytes::from_static(b"one"),
+            version: 1,
+            origin: 9,
+            deleted: false,
+        };
+        assert!(a.apply_ref(&EncodedObject::of(&v1).view()), "first-seen name is stored");
+        let tomb = RibObject { value: Bytes::new(), version: 2, deleted: true, ..v1.clone() };
+        assert!(a.apply_ref(&EncodedObject::of(&tomb).view()));
+        assert!(!a.apply_ref(&EncodedObject::of(&v1).view()), "the older version is stale");
+        assert!(a.get("/lsa/9").is_none());
+        assert_eq!(a.iter_all().next(), Some(&tomb));
+        // The same two versions through the owned path: same digests,
+        // same watch stream.
+        let mut b = Rib::new(1);
+        b.watch_prefix("/lsa/");
+        assert!(b.apply_remote_silent(v1));
+        assert!(b.apply_remote_silent(tomb));
+        assert_eq!(a.digest_table(), b.digest_table());
+        assert_eq!(a.digest(), b.digest());
+        let seen = |r: &mut Rib| std::iter::from_fn(|| r.poll_watch()).collect::<Vec<_>>();
+        assert_eq!(seen(&mut a), seen(&mut b));
+    }
+
+    #[test]
+    fn summary_roundtrips_in_wire_form() {
+        let mut a = Rib::new(1);
+        a.write_local("/dir/x", "dir", Bytes::from_static(b"1"));
+        a.write_local("/dir/y", "dir", Bytes::from_static(b"2"));
+        a.delete_local("/dir/x");
+        let summary = a.summary("/dir");
+        let enc = EncodedSummary::of(&summary);
+        assert_eq!(EncodedSummary::parse(enc.wire().clone()).unwrap().entries(), summary);
+        assert!(EncodedSummary::of(&[]).entries().is_empty());
+        let mut cut = enc.wire().to_vec();
+        cut.pop();
+        assert!(EncodedSummary::parse(cut.into()).is_err());
+        let mut long = enc.wire().to_vec();
+        long.push(0);
+        assert_eq!(EncodedSummary::parse(long.into()).err(), Some(WireError::TrailingBytes));
+    }
+
     /// Run digest-driven delta sync between `a` (authoritative) and `b`
     /// until their tables agree, counting objects moved. Mirrors the
     /// ipcp exchange: per mismatched subtree, `b` summarizes, `a`
@@ -1131,7 +1399,7 @@ mod tests {
                 let (objs, _) = a.delta_for(&st, "", "", &b.summary(&st));
                 for o in objs {
                     moved += 1;
-                    b.apply_remote(o);
+                    b.apply_remote(o.clone());
                 }
             }
         }
@@ -1150,6 +1418,117 @@ mod tests {
         ) {
             let o = RibObject { name, class, value: Bytes::from(value), version, origin, deleted };
             prop_assert_eq!(RibObject::decode(&o.encode()).unwrap(), o);
+        }
+
+        /// The borrowed decoder is the owned decoder minus the copies:
+        /// same verdict and same fields on arbitrary bytes, on every
+        /// truncation of a real encoding, and with trailing garbage.
+        #[test]
+        fn prop_ref_decode_agrees_with_owned_decode(
+            junk in proptest::collection::vec(any::<u8>(), 0..48),
+            name in "[a-z/]{0,24}",
+            class in "[a-z]{0,8}",
+            value in proptest::collection::vec(any::<u8>(), 0..64),
+            version in any::<u64>(),
+            origin in any::<u64>(),
+            deleted in any::<bool>(),
+            cut in 0usize..128,
+        ) {
+            let agree = |buf: &[u8]| {
+                RibObjectRef::decode(buf).map(|r| r.to_object()) == RibObject::decode(buf)
+            };
+            prop_assert!(agree(&junk));
+            let o = RibObject { name, class, value: Bytes::from(value), version, origin, deleted };
+            let enc = o.encode();
+            prop_assert_eq!(RibObjectRef::decode(&enc).map(|r| r.to_object()), Ok(o));
+            prop_assert!(agree(&enc[..cut.min(enc.len())]));
+            let mut tail = enc.to_vec();
+            tail.extend_from_slice(&junk);
+            prop_assert!(agree(&tail));
+            prop_assert_eq!(EncodedObject::parse(tail.clone().into()).is_ok(), junk.is_empty());
+        }
+
+        /// Applying a stream of arriving encodings through the borrowed
+        /// path leaves the RIB exactly where the owned path leaves it —
+        /// same verdict per object, same objects, digests, generation
+        /// count and watch stream — and the bytes that arrived are the
+        /// bytes `encode` gives for what was stored, so forwarding them
+        /// is forwarding a re-encoding.
+        #[test]
+        fn prop_apply_ref_equals_apply_owned(seed in any::<u64>()) {
+            use rand::Rng;
+            use rand::SeedableRng;
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            let (mut by_ref, mut owned) = (Rib::new(1), Rib::new(1));
+            for r in [&mut by_ref, &mut owned] {
+                r.watch_prefix("/lsa/");
+                r.set_local_subtree("/dir");
+            }
+            for _ in 0..60 {
+                let deleted = rng.gen_range(0..5u32) == 0;
+                let o = RibObject {
+                    name: format!(
+                        "{}{}",
+                        ["/lsa/", "/dir/", "/members/"][rng.gen_range(0..3usize)],
+                        rng.gen_range(0..6u32)
+                    ),
+                    class: ["lsa", "dir"][rng.gen_range(0..2usize)].to_string(),
+                    value: if deleted {
+                        Bytes::new()
+                    } else {
+                        Bytes::from(vec![rng.gen_range(0..4u8); rng.gen_range(0..3usize)])
+                    },
+                    version: rng.gen_range(1..5u64),
+                    origin: rng.gen_range(1..4u64),
+                    deleted,
+                };
+                let enc = EncodedObject::of(&o);
+                let fresh = by_ref.apply_ref(&enc.view());
+                prop_assert_eq!(fresh, owned.apply_remote_silent(o.clone()));
+                if fresh {
+                    let stored = by_ref.iter_all().find(|s| s.name == o.name).unwrap();
+                    prop_assert_eq!(stored, &o);
+                    prop_assert_eq!(&stored.encode(), enc.wire());
+                }
+            }
+            prop_assert!(by_ref.iter_all().eq(owned.iter_all()));
+            prop_assert_eq!(by_ref.digest_table(), owned.digest_table());
+            prop_assert_eq!(by_ref.digest(), owned.digest());
+            prop_assert_eq!(by_ref.generation(), owned.generation());
+            let seen = |r: &mut Rib| std::iter::from_fn(|| r.poll_watch()).collect::<Vec<_>>();
+            prop_assert_eq!(seen(&mut by_ref), seen(&mut owned));
+        }
+
+        /// `Rib::mismatched` is `digest_table().mismatched()` without the
+        /// table, whatever the two RIBs hold and whichever subtrees are
+        /// owner-held on our side.
+        #[test]
+        fn prop_mismatched_matches_the_built_table(seed in any::<u64>()) {
+            use rand::Rng;
+            use rand::SeedableRng;
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            let subtrees = ["/blocks/", "/dir/", "/lsa/", "/members/", "/x/"];
+            let (mut a, mut b) = (Rib::new(1), Rib::new(2));
+            if rng.gen_range(0..2u32) == 0 {
+                a.set_local_subtree("/dir");
+            }
+            for _ in 0..rng.gen_range(0..24u32) {
+                let name = format!(
+                    "{}{}",
+                    subtrees[rng.gen_range(0..subtrees.len())],
+                    rng.gen_range(0..4u32)
+                );
+                let both = rng.gen_range(0..3u32) > 0;
+                a.write_local(&name, "c", Bytes::new());
+                if both {
+                    b.apply_remote_silent(a.iter_all().find(|o| o.name == name).unwrap().clone());
+                } else if rng.gen_range(0..2u32) == 0 {
+                    b.write_local(&format!("/only-b/{name}"), "c", Bytes::new());
+                }
+            }
+            let peer = b.digest_table();
+            prop_assert_eq!(a.mismatched(&peer), a.digest_table().mismatched(&peer));
+            prop_assert_eq!(b.mismatched(&a.digest_table()), peer.mismatched(&a.digest_table()));
         }
 
         #[test]

@@ -77,11 +77,11 @@ fn sync(a: &mut Rib, b: &mut Rib) -> usize {
         for s in mismatch {
             let (objs, _) = a.delta_for(&s, "", "", &b.summary(&s));
             for o in objs {
-                b.apply_remote_silent(o);
+                b.apply_remote_silent(o.clone());
             }
             let (objs, _) = b.delta_for(&s, "", "", &a.summary(&s));
             for o in objs {
-                a.apply_remote_silent(o);
+                a.apply_remote_silent(o.clone());
             }
         }
     }

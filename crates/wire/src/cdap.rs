@@ -169,15 +169,17 @@ impl CdapMsg {
         w.finish()
     }
 
-    /// Decode from bytes.
-    pub fn decode(buf: &[u8]) -> Result<Self, WireError> {
+    /// Decode from bytes. The value is a zero-copy slice of `buf`, so it
+    /// keeps the arriving frame alive for as long as it is held: state
+    /// that outlives the message must copy what it keeps.
+    pub fn decode(buf: &Bytes) -> Result<Self, WireError> {
         let mut r = Reader::new(buf);
         let op = OpCode::from_u8(r.u8()?)?;
         let invoke_id = u32::try_from(r.varint()?).map_err(|_| WireError::Invalid("invoke id"))?;
         let obj_class = r.string()?.to_string();
         let obj_name = r.string()?.to_string();
         let result = unzigzag(r.varint()?);
-        let value = Bytes::copy_from_slice(r.bytes()?);
+        let value = buf.slice_ref(r.bytes()?);
         r.expect_end()?;
         Ok(CdapMsg { op, invoke_id, obj_class, obj_name, result, value })
     }
@@ -216,6 +218,14 @@ mod tests {
     }
 
     #[test]
+    fn decoded_value_is_a_slice_of_the_frame() {
+        let b = CdapMsg::request(OpCode::Write, 1, "c", "n", Bytes::from_static(b"value")).encode();
+        let d = CdapMsg::decode(&b).unwrap();
+        let (base, at) = (b.as_ptr() as usize, d.value.as_ptr() as usize);
+        assert!(at > base && at + d.value.len() <= base + b.len(), "value was copied");
+    }
+
+    #[test]
     fn zigzag_symmetry() {
         for v in [0, 1, -1, i32::MAX, i32::MIN, 42, -42] {
             assert_eq!(unzigzag(zigzag(v)), v);
@@ -245,7 +255,7 @@ mod tests {
         let req = CdapMsg::request(OpCode::Read, 1, "c", "n", Bytes::new());
         let mut b = req.encode().to_vec();
         b.push(0);
-        assert_eq!(CdapMsg::decode(&b).err(), Some(WireError::TrailingBytes));
+        assert_eq!(CdapMsg::decode(&b.into()).err(), Some(WireError::TrailingBytes));
     }
 
     proptest! {
@@ -271,7 +281,7 @@ mod tests {
 
         #[test]
         fn prop_decode_never_panics(data in proptest::collection::vec(any::<u8>(), 0..96)) {
-            let _ = CdapMsg::decode(&data);
+            let _ = CdapMsg::decode(&data.into());
         }
     }
 }

@@ -452,14 +452,7 @@ impl PduView {
 
 /// Zero-copy slice of the remaining body bytes out of the original buffer.
 fn slice_rest(buf: &Bytes, r: &mut Reader<'_>) -> Bytes {
-    let rest = r.rest();
-    if rest.is_empty() {
-        return Bytes::new();
-    }
-    // Compute the offset of `rest` within `buf`.
-    let base = buf.as_ptr() as usize;
-    let off = rest.as_ptr() as usize - base;
-    buf.slice(off..off + rest.len())
+    buf.slice_ref(r.rest())
 }
 
 #[cfg(test)]
