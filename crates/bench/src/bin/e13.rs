@@ -39,35 +39,18 @@ fn main() {
     }
     // Largest cells first so the pool starts the stragglers early.
     sizes.sort_unstable_by(|a, b| b.cmp(a));
-    let mut cells: Vec<(usize, SchedPolicy, bool)> = Vec::new();
-    for &n in &sizes {
-        for &s in &scheds {
-            cells.push((n, s, false));
-        }
-        // One coupled cell per size: priority scheduling with the
-        // RMT→EFCP congestion feedback flipped on, so the table shows
-        // what the backoff does to the same congested population.
-        if scheds.contains(&SchedPolicy::Priority) {
-            cells.push((n, SchedPolicy::Priority, true));
-        }
-    }
+    let cells: Vec<(usize, SchedPolicy)> =
+        sizes.iter().flat_map(|&n| scheds.iter().map(move |&s| (n, s))).collect();
     eprintln!("e13: {} cells on {} threads", cells.len(), threads);
     let t0 = std::time::Instant::now();
-    let rows = par_map(threads, cells, |(n, sched, cong)| {
-        let profile = e13_flows::Profile { cong_from_rmt: cong, ..Default::default() };
-        let mut r = e13_flows::run_with(n, 5, sched, 1_300 + n as u64, profile);
-        if cong {
-            r.sched = "priority+cong";
-        }
-        r
-    });
+    let rows = par_map(threads, cells, |(n, sched)| e13_flows::run(n, 5, sched, 1_300 + n as u64));
     println!(
-        "| members | drivers | sched | sustained | peak | allocs/s | alloc p99 (ms) | deaths | inter p99 (ms) | bulk p99 (ms) | drops inter | drops bulk | relay fast | relay slow | backoffs | wall (s) |"
+        "| members | drivers | sched | sustained | peak | allocs/s | alloc p99 (ms) | deaths | inter p99 (ms) | bulk p99 (ms) | drops inter | drops bulk | relay fast | wall (s) |"
     );
-    println!("|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|");
+    println!("|---|---|---|---|---|---|---|---|---|---|---|---|---|---|");
     for r in &rows {
         println!(
-            "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} |",
+            "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} |",
             r.members,
             r.drivers,
             r.sched,
@@ -81,8 +64,6 @@ fn main() {
             r.rmt_drops_inter,
             r.rmt_drops_bulk,
             r.relay_fast,
-            r.relay_slow,
-            r.cong_backoffs,
             fmt(r.wall_s)
         );
     }

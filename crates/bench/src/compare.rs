@@ -273,12 +273,9 @@ pub fn default_gates(wall_tol: f64) -> Vec<(&'static str, Gate)> {
         ("flow_recv", Gate::Exact),
         ("rmt_drops", Gate::Exact),
         ("rmt_deq_bytes", Gate::Exact),
-        // Relay fast/slow-path split (deterministic, gated exactly):
-        // `relay_fast` dropping toward zero means the zero-copy
-        // peek-and-patch path stopped engaging; `relay_slow` growing
-        // means transit traffic is falling back to decode → re-encode.
+        // Transit PDUs forwarded DIF-wide (deterministic, gated
+        // exactly): drift means routes, TTLs or the relay decision moved.
         ("relay_fast", Gate::Exact),
-        ("relay_slow", Gate::Exact),
         ("wall_s", Gate::WallClock { frac: wall_tol }),
     ]
 }
@@ -616,7 +613,6 @@ mod tests {
                             ("rmt_drops".into(), Json::Num(0.0)),
                             ("rmt_deq_bytes".into(), Json::Num(4096.0)),
                             ("relay_fast".into(), Json::Num(30.0)),
-                            ("relay_slow".into(), Json::Num(2.0)),
                             ("wall_s".into(), Json::Num(w)),
                         ])
                     })

@@ -70,11 +70,8 @@ pub struct ScaleFreeRow {
     pub fwd_agg_mean: f64,
     /// PDUs relayed by the hub while the sampled pings ran.
     pub hub_relayed: u64,
-    /// Transit PDUs forwarded via the zero-copy peek-and-patch fast
-    /// path DIF-wide (deterministic — gated exactly).
+    /// Transit PDUs forwarded (TTL and CRC patched in place) DIF-wide.
     pub relay_fast: u64,
-    /// Transit PDUs forwarded via the decode → re-encode slow path.
-    pub relay_slow: u64,
     /// All O(n) sampled-reachability pings completed.
     pub e2e_ok: bool,
 }
@@ -99,7 +96,6 @@ row_json!(ScaleFreeRow {
     fwd_agg_mean,
     hub_relayed,
     relay_fast,
-    relay_slow,
     e2e_ok,
 });
 
@@ -151,7 +147,6 @@ pub fn run_with(n: usize, m: usize, seed: u64, schedule: EnrollSchedule) -> Scal
         schedule: match schedule {
             EnrollSchedule::Sequential { .. } => "sequential",
             EnrollSchedule::Waves { .. } => "waves",
-            EnrollSchedule::Eager => "eager",
         },
         assemble_s,
         wall_s: wall_t0.elapsed().as_secs_f64(),
@@ -169,7 +164,6 @@ pub fn run_with(n: usize, m: usize, seed: u64, schedule: EnrollSchedule) -> Scal
         fwd_agg_mean: agg_sum as f64 / n as f64,
         hub_relayed: net.ipcp(hub_ipcp).stats.relayed,
         relay_fast: ipcps.iter().map(|&h| net.ipcp(h).stats.relay_fast).sum(),
-        relay_slow: ipcps.iter().map(|&h| net.ipcp(h).stats.relay_slow).sum(),
         e2e_ok: mesh.all_done(net),
     }
 }

@@ -220,7 +220,6 @@ impl SweepCell {
     /// row's `schedule` field, so the two can never disagree.
     pub fn schedule_key(&self) -> &'static str {
         match self.schedule {
-            EnrollSchedule::Eager => "eager",
             EnrollSchedule::Waves { .. } => "waves",
             EnrollSchedule::Sequential { .. } => "seq",
         }
@@ -327,11 +326,9 @@ pub struct SweepRow {
     /// non-flow cells this counts the management traffic alone, so the
     /// queue accounting is exact-gated in every cell of the grid.
     pub rmt_deq_bytes: u64,
-    /// Transit PDUs forwarded via the zero-copy peek-and-patch fast
-    /// path, summed over every member (deterministic — gated exactly).
+    /// Transit PDUs forwarded (TTL and CRC patched in place), summed
+    /// over every member (deterministic — gated exactly).
     pub relay_fast: u64,
-    /// Transit PDUs forwarded via the decode → re-encode slow path.
-    pub relay_slow: u64,
     /// Wall-clock seconds for the cell (machine-dependent).
     pub wall_s: f64,
 }
@@ -364,7 +361,6 @@ row_json!(SweepRow {
     rmt_drops,
     rmt_deq_bytes,
     relay_fast,
-    relay_slow,
     wall_s,
 });
 
@@ -375,7 +371,9 @@ pub struct SweepGrid {
     pub sizes: Vec<usize>,
     /// Graph families.
     pub topologies: Vec<SweepTopology>,
-    /// Enrollment schedules.
+    /// Enrollment schedules: the first spans the loss × flood plane,
+    /// every further one is a comparison arm with a single cell at the
+    /// plane's first point (see [`SweepGrid::cells`]).
     pub schedules: Vec<EnrollSchedule>,
     /// Per-link Bernoulli loss probabilities.
     pub losses: Vec<f64>,
@@ -409,7 +407,12 @@ impl SweepGrid {
     /// Every cell, in deterministic enumeration order (the JSON row
     /// order), largest sizes first so the pool starts stragglers early.
     ///
-    /// On top of the static cross product, every size × topology gets
+    /// The static cells of a size × topology are the first schedule
+    /// crossed with every loss and flood rate, plus **one** cell per
+    /// further schedule at the first loss and flood rate: a comparison
+    /// arm shows its makespan there, and its interaction with loss and
+    /// flood limiting is the first schedule's, already covered. On top
+    /// of the static cells, every size × topology gets
     /// one **churn cell** (wave schedule, lossless, unlimited flood):
     /// the continuous-dynamics phase costs tens of virtual seconds per
     /// cell, so it rides the default config only — the static dimensions
@@ -438,9 +441,12 @@ impl SweepGrid {
                     scoped: false,
                     flow: false,
                 });
-                for &schedule in &self.schedules {
-                    for &loss in &self.losses {
-                        for &flood_rate in &self.flood_rates {
+                for (arm, &schedule) in self.schedules.iter().enumerate() {
+                    // The first schedule gets every (loss, flood) point,
+                    // a comparison arm only the first.
+                    let plane = if arm == 0 { usize::MAX } else { 1 };
+                    for &loss in self.losses.iter().take(plane) {
+                        for &flood_rate in self.flood_rates.iter().take(plane) {
                             cells.push(SweepCell {
                                 size,
                                 topology,
@@ -610,7 +616,6 @@ pub fn run_cell(cell: &SweepCell, base_seed: u64) -> SweepRow {
         }
     }
     let relay_fast: u64 = ipcps.iter().map(|&h| net.ipcp(h).stats.relay_fast).sum();
-    let relay_slow: u64 = ipcps.iter().map(|&h| net.ipcp(h).stats.relay_slow).sum();
     SweepRow {
         id: cell.id(),
         size: cell.size,
@@ -639,7 +644,6 @@ pub fn run_cell(cell: &SweepCell, base_seed: u64) -> SweepRow {
         rmt_drops,
         rmt_deq_bytes,
         relay_fast,
-        relay_slow,
         wall_s: wall_t0.elapsed().as_secs_f64(),
     }
 }
@@ -752,15 +756,21 @@ mod tests {
         let cells = grid.cells();
         let ids: std::collections::HashSet<String> = cells.iter().map(|c| c.id()).collect();
         assert_eq!(ids.len(), cells.len(), "cell ids collide");
-        // The static cross product plus one churn cell per size ×
-        // topology plus one scoped cell and one flow cell per size.
+        // Per size × topology: the first schedule's loss × flood plane,
+        // one cell per further schedule and one churn cell; per size, one
+        // scoped cell and one flow cell.
         assert_eq!(
             cells.len(),
             grid.sizes.len()
                 * grid.topologies.len()
-                * (grid.schedules.len() * grid.losses.len() * grid.flood_rates.len() + 1)
+                * (grid.losses.len() * grid.flood_rates.len() + (grid.schedules.len() - 1) + 1)
                 + 2 * grid.sizes.len()
         );
+        assert_eq!(cells.len(), 60);
+        let seq: Vec<String> =
+            cells.iter().filter(|c| c.schedule_key() == "seq").map(|c| c.id()).collect();
+        assert_eq!(seq.len(), grid.sizes.len() * grid.topologies.len());
+        assert!(seq.iter().all(|id| id.ends_with("-seq-l0-f64")), "{seq:?}");
         assert_eq!(
             cells.iter().filter(|c| c.churn).count(),
             grid.sizes.len() * grid.topologies.len()
@@ -841,7 +851,6 @@ mod tests {
             rmt_drops: 0,
             rmt_deq_bytes: 4_096,
             relay_fast: 7,
-            relay_slow: 2,
             wall_s: 0.123456,
         };
         let doc = sweep_doc(std::slice::from_ref(&row), 4);

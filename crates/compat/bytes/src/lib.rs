@@ -94,7 +94,7 @@ impl Bytes {
     /// Mutable access to this view's bytes, copy-on-write.
     ///
     /// If this `Bytes` is the sole owner of its backing allocation, the
-    /// bytes are patched in place (zero copy — the relay fast path). If the
+    /// bytes are patched in place (zero copy — the relay path). If the
     /// allocation is shared with clones or sub-slices (e.g. a flood batch
     /// fanned out across ports), the view's range is first copied into a
     /// fresh private allocation so the other holders never observe the

@@ -180,9 +180,4 @@ impl IpcApi<'_, '_, '_> {
     pub fn now(&self) -> Time {
         self.ctx.now()
     }
-
-    /// This application's own name.
-    pub fn my_name(&self) -> AppName {
-        self.node.app_name(self.app)
-    }
 }

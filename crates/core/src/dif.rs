@@ -67,34 +67,12 @@ pub struct DifConfig {
     /// hello confirms it is up (or the slot times out); requests beyond
     /// the window are told to back off and retry. `0` = unlimited.
     pub admission_window: u32,
-    /// Debounce *floor* for route recomputation after remote LSA floods
-    /// that require the **full-recomputation fallback** (own-LSA
-    /// changes), in milliseconds: a burst of LSAs costs one Dijkstra
-    /// run per member, not one per update. The effective window is
-    /// `max(this, lsa_count / 10)` — a full recomputation's cost grows
-    /// with the LSA set, so its window stretches with it. Experiments
-    /// sweep it.
-    pub recompute_debounce_ms: u64,
-    /// Debounce for route recomputation when every queued LSA delta is
-    /// **delta-classified** (incremental SPF repairs only the affected
-    /// region), in milliseconds. Repair cost tracks the change, not the
-    /// DIF, so this stays a small constant instead of stretching with
-    /// the LSA count — routes converge quickly however big the
-    /// facility grows.
-    pub recompute_delta_debounce_ms: u64,
     /// Flood aggregation window, in milliseconds: queued flood objects
     /// sit up to this long so everything passing a member inside one
     /// window leaves as a few MTU-sized batch PDUs per port instead of
     /// one PDU per object. `0` flushes immediately (one pass = one
     /// batch). Adds at most this much per-hop dissemination latency.
     pub flood_batch_ms: u64,
-    /// Debounce for *originating* LSA versions, in milliseconds. The
-    /// first neighbor-set change after a quiet period floods
-    /// immediately (failure rerouting stays fast); changes arriving
-    /// within the window batch into a single new version — a hub
-    /// admitting a wave of joiners advertises once per window instead
-    /// of once per attachment.
-    pub lsa_debounce_ms: u64,
     /// Token-bucket rate limit on RIEP flooding out *cross* (non
     /// spanning-tree) ports, in objects per second per member (`0` =
     /// unlimited). Tree ports are never limited — they alone replicate
@@ -135,14 +113,6 @@ pub struct DifConfig {
     /// absorb sync bursts, small enough that congestion shows up as
     /// scheduling pressure rather than unbounded memory.
     pub rmt_queue_cap_bytes: usize,
-    /// Couple EFCP congestion control to RMT queue pressure: when a
-    /// local port queue pushes out or tail-drops one of this member's
-    /// own data PDUs, the owning connection halves its window (at most
-    /// once per RTT) instead of waiting for the retransmission timer.
-    /// Off by default — the no-coupling baseline. First rung of the
-    /// RMT↔EFCP coupling: only locally-originated flows react; transit
-    /// flows dropped at a relay still discover loss end to end.
-    pub cong_from_rmt: bool,
 }
 
 impl DifConfig {
@@ -157,17 +127,13 @@ impl DifConfig {
             hello_misses: 3,
             max_sdu: 64 * 1024,
             admission_window: 8,
-            recompute_debounce_ms: 50,
-            recompute_delta_debounce_ms: 20,
             flood_batch_ms: 5,
-            lsa_debounce_ms: 100,
             flood_rate: 64,
             flood_burst: 256,
             member_gc_grace_ms: 10_000,
             scoped_dir: false,
             dir_cache_cap: 128,
             rmt_queue_cap_bytes: 8 * 1024 * 1024,
-            cong_from_rmt: false,
         }
     }
 
@@ -225,33 +191,10 @@ impl DifConfig {
         self
     }
 
-    /// Builder-style route-recompute debounce override for the full
-    /// fallback, in milliseconds (default 50; experiments sweep it).
-    pub fn with_recompute_debounce_ms(mut self, ms: u64) -> Self {
-        self.recompute_debounce_ms = ms;
-        self
-    }
-
-    /// Builder-style debounce override for delta-classified route
-    /// recomputations, in milliseconds (default 20 — incremental repair
-    /// is cheap, so the window no longer needs to stretch with the
-    /// facility; it only coalesces one flood burst).
-    pub fn with_recompute_delta_debounce_ms(mut self, ms: u64) -> Self {
-        self.recompute_delta_debounce_ms = ms;
-        self
-    }
-
     /// Builder-style flood-aggregation override, in milliseconds (`0` =
     /// flush flood batches as soon as the current event finishes).
     pub fn with_flood_batch_ms(mut self, ms: u64) -> Self {
         self.flood_batch_ms = ms;
-        self
-    }
-
-    /// Builder-style LSA-origination debounce override, in milliseconds
-    /// (`0` = advertise every neighbor-set change immediately).
-    pub fn with_lsa_debounce_ms(mut self, ms: u64) -> Self {
-        self.lsa_debounce_ms = ms;
         self
     }
 
@@ -284,13 +227,6 @@ impl DifConfig {
     /// caching; only meaningful with [`DifConfig::with_scoped_dir`]).
     pub fn with_dir_cache_cap(mut self, cap: u32) -> Self {
         self.dir_cache_cap = cap;
-        self
-    }
-
-    /// Builder-style RMT→EFCP congestion-coupling override (see
-    /// [`DifConfig::cong_from_rmt`]).
-    pub fn with_cong_from_rmt(mut self, on: bool) -> Self {
-        self.cong_from_rmt = on;
         self
     }
 
@@ -330,18 +266,8 @@ mod tests {
     #[test]
     fn sync_knobs_default_and_override() {
         let c = DifConfig::new("x");
-        assert_eq!(c.recompute_debounce_ms, 50);
-        assert!(
-            c.recompute_delta_debounce_ms < c.recompute_debounce_ms,
-            "delta-classified changes recompute on a tighter timer"
-        );
         assert!(c.flood_rate > 0, "cross-port flooding is bounded by default");
-        let c = c
-            .with_recompute_debounce_ms(5)
-            .with_recompute_delta_debounce_ms(1)
-            .with_flood_rate(200, 0);
-        assert_eq!(c.recompute_debounce_ms, 5);
-        assert_eq!(c.recompute_delta_debounce_ms, 1);
+        let c = c.with_flood_rate(200, 0);
         assert_eq!((c.flood_rate, c.flood_burst), (200, 1), "burst floors at 1");
     }
 

@@ -2,9 +2,10 @@
 //!
 //! An [`Ipcp`] bundles the paper's three task sets (§4):
 //!
-//! * **IPC Data Transfer** — [`Ipcp::on_frame`] decodes PDUs arriving on
-//!   (N-1) ports and either delivers them to a local EFCP connection or
-//!   relays them toward their destination address.
+//! * **IPC Data Transfer** — [`Ipcp::on_frame`] peeks the header of each
+//!   frame arriving on an (N-1) port and either relays it in place toward
+//!   its destination address or decodes it and delivers it to a local
+//!   EFCP connection or the management task.
 //! * **IPC Transfer Control** — one `rina_efcp::Connection` per flow.
 //! * **IPC Management** — enrollment (§5.2), flow allocation (§5.3),
 //!   neighbor hellos, and RIEP dissemination over the RIB. Dissemination
@@ -16,7 +17,13 @@
 //! The recursion that defines the architecture is in [`N1Kind`]: an (N-1)
 //! port is *either* a raw interface (making this a shim DIF "tailored to
 //! the physical medium") *or* a flow allocated from a lower DIF on the
-//! same node. Nothing else in the IPC process distinguishes ranks.
+//! same node. A shim ([`Ipcp::is_shim`]) is the same struct with work
+//! left out, not a second implementation: the two-member DIF a medium
+//! defines needs no enrollment and nothing the RIB feeds (dissemination,
+//! anti-entropy, LSAs, routing — its only route is the medium and its
+//! directory is "the peer"), binds raw flows instead of EFCP
+//! connections, and never relays. `is_shim` is read on 21 lines of this
+//! file, each one such omission.
 //!
 //! An `Ipcp` is sans-IO like everything else: methods append [`IpcpOut`]
 //! effects which the owning [`crate::node::Node`] executes.
@@ -77,6 +84,11 @@ const DIR_LOOKUP_RETRY_TICKS: u64 = 2;
 /// allocations waiting on it fail. The node's own allocation timeout
 /// usually fires first; the late failure is absorbed as a no-op.
 const DIR_LOOKUP_RETRIES: u32 = 3;
+
+/// Debounce for *originating* LSA versions ([`Ipcp::refresh_lsa`]): the
+/// window the leading-edge test measures and the node's flush timer
+/// waits out.
+pub(crate) const LSA_DEBOUNCE: Dur = Dur::from_millis(100);
 
 /// Largest RIB snapshot inlined into one [`MgmtBody::EnrollResponse`].
 /// Bigger RIBs would overflow the (N-1) MTU in a single PDU — the very
@@ -290,12 +302,9 @@ pub struct IpcpStats {
     pub no_route: u64,
     /// PDUs dropped because TTL expired.
     pub ttl_drops: u64,
-    /// Relayed PDUs forwarded by the zero-copy fast path: TTL byte and
-    /// CRC trailer patched in place, no decode, no re-encode.
+    /// Relayed PDUs that left on an (N-1) port, TTL byte and CRC trailer
+    /// patched in place: `relayed - no_route` at the relay.
     pub relay_fast: u64,
-    /// Relayed PDUs that took the full decode → decrement → re-encode
-    /// slow path (TTL about to expire, or the peek declined the frame).
-    pub relay_slow: u64,
     /// Management PDUs sent (all kinds).
     pub mgmt_tx: u64,
     /// RIEP object updates sent (dissemination + re-flood).
@@ -650,11 +659,6 @@ impl Ipcp {
         self.n1.iter().position(|p| p.kind == N1Kind::Lower { port })
     }
 
-    /// Find the (N-1) port backed by the given physical interface.
-    pub fn n1_by_iface(&self, iface: u32) -> Option<usize> {
-        self.n1.iter().position(|p| matches!(p.kind, N1Kind::Phys { iface: i, .. } if i == iface))
-    }
-
     /// Drain pending effects. With [`DifConfig::flood_batch_ms`] of 0,
     /// queued flood batches flush here (one event-handling pass = one
     /// batch); otherwise they wait for the node's aggregation timer so
@@ -741,7 +745,7 @@ impl Ipcp {
         if !self.is_shim && self.enrolled && self.hello_ticks.is_multiple_of(8) {
             self.readvertise_own();
         }
-        self.retry_dir_lookups(now);
+        self.retry_dir_lookups();
         // Expire tombstone memory past the member-GC grace: a
         // re-registered owner restarts its version clock, and /dir is
         // off the anti-entropy surface, so memory held forever would
@@ -1043,18 +1047,17 @@ impl Ipcp {
     /// Re-advertise our LSA if the live neighbor set changed — with a
     /// leading-edge debounce. The first change after a quiet period
     /// writes (and floods) immediately, so failure rerouting and
-    /// mobility stay fast; further changes inside
-    /// [`DifConfig::lsa_debounce_ms`] mark the LSA dirty and are
-    /// batched into one version when the node's flush timer fires. A
-    /// hub admitting a wave of joiners then emits a handful of LSA
-    /// versions instead of one per attachment — each saved version is
-    /// one less object flooded DIF-wide.
-    fn refresh_lsa(&mut self, _now: Time) {
+    /// mobility stay fast; further changes inside [`LSA_DEBOUNCE`] mark
+    /// the LSA dirty and are batched into one version when the node's
+    /// flush timer fires. A hub admitting a wave of joiners then emits a
+    /// handful of LSA versions instead of one per attachment — each saved
+    /// version is one less object flooded DIF-wide.
+    fn refresh_lsa(&mut self) {
         if !self.enrolled || self.is_shim {
             return;
         }
-        let window = Dur::from_millis(self.cfg.lsa_debounce_ms);
-        if self.lsa_last_write != Time::ZERO && self.clock.since(self.lsa_last_write) < window {
+        if self.lsa_last_write != Time::ZERO && self.clock.since(self.lsa_last_write) < LSA_DEBOUNCE
+        {
             self.lsa_dirty = true;
             return;
         }
@@ -1472,10 +1475,9 @@ impl Ipcp {
             self.stream_subtrees(from_n1, &missing);
         }
         self.drain_rib();
-        self.refresh_lsa(Time::ZERO);
+        self.refresh_lsa();
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn handle_enroll_response(
         &mut self,
         addr: Addr,
@@ -1483,7 +1485,6 @@ impl Ipcp {
         retry_after_ms: u32,
         snapshot: Vec<EncodedObject>,
         result: i32,
-        now: Time,
     ) {
         if self.enrolled {
             return; // duplicate response to a retried request
@@ -1515,7 +1516,7 @@ impl Ipcp {
                 self.send_hello(i);
             }
         }
-        self.refresh_lsa(now);
+        self.refresh_lsa();
         self.out.push(IpcpOut::Enrolled);
     }
 
@@ -1625,7 +1626,7 @@ impl Ipcp {
     /// fail the allocations whose retry budget ran out (the node's own
     /// allocation timeout has usually beaten us to it; its port is
     /// already gone and the late failure is a no-op).
-    fn retry_dir_lookups(&mut self, _now: Time) {
+    fn retry_dir_lookups(&mut self) {
         if !self.scoped_dir() || self.dir_pending.is_empty() {
             return;
         }
@@ -2093,65 +2094,60 @@ impl Ipcp {
         Ok(())
     }
 
-    /// A frame (encoded PDU) arrived on (N-1) port `n1`.
+    /// A frame (encoded PDU) arrived on (N-1) port `n1`: one peek decides
+    /// between relaying it untouched and terminating it here, and only
+    /// terminated frames are decoded.
+    ///
+    /// The peek validates a subset of what [`Pdu::decode`] does (it
+    /// trusts the CRC trailer), so a frame it declines is one decode
+    /// would reject. Skipping the CRC on the relay and shim branches is
+    /// sound because links lose frames but never corrupt them, and a
+    /// frame's own trailer is still checked by the full decode at its
+    /// terminal hop.
     pub fn on_frame(&mut self, n1: usize, frame: Bytes, now: Time) {
         self.clock = now;
         if let Some(p) = self.n1.get_mut(n1) {
             // Any traffic proves liveness.
             p.last_hello = now;
         }
-        // Relay fast path (cut-through): when the peeked destination is
-        // non-local and the TTL survives the hop, patch the TTL byte and
-        // CRC trailer in place and retransmit the same buffer — no decode,
-        // no allocation, no re-encode. Local delivery, shims, expiring
-        // TTLs, and frames the peek declines fall through to the full
-        // decode below; the peek validates a strict subset of what decode
-        // does (it trusts the CRC trailer — links lose frames but never
-        // corrupt them, and a corrupt frame is still caught by the
-        // terminal hop's full decode).
-        if !self.is_shim {
-            if let Some(v) = PduView::peek(&frame) {
-                if v.dest_addr != 0 && v.dest_addr != self.addr && v.ttl > 1 {
-                    self.relay_fast(v, frame);
-                    return;
-                }
-            }
-        } else if let Some(v) = PduView::peek(&frame) {
-            // Shim unwrap fast path: a shim delivers every data PDU
-            // locally — slice the payload straight out of the arrival
-            // buffer and hand it up, no decode, no Pdu construction. The
-            // outer CRC goes unverified here by the same trust argument as
-            // above: the wrapped frame carries its own trailer, checked at
-            // *its* terminal hop. Management PDUs (the shim flow
-            // handshake) and unknown/idle CEPs fall through to the full
-            // decode, which preserves the slow path's exact behavior.
+        let Some(v) = PduView::peek(&frame) else {
+            self.stats.decode_errors += 1;
+            return;
+        };
+        if self.is_shim {
+            // A shim never relays: whatever the destination, it is local.
+            // Data is the wrapped frame of an upper DIF — slice it out of
+            // the arrival buffer and hand it up, or drop it when no
+            // active flow owns the CEP. The rest is the shim's own flow
+            // handshake and takes the decode below.
             if v.kind == PduKind::Data {
-                if let Some(cep) = v.dest_cep {
-                    if let Some(r) = self.raw.get(&cep) {
-                        if r.phase == Phase::Active {
-                            let sdu = frame.slice(v.payload_range(frame.len()));
-                            self.out.push(IpcpOut::Deliver { port: r.port, sdu });
-                            return;
-                        }
-                    }
+                let flow = v.dest_cep.and_then(|cep| self.raw.get(&cep));
+                if let Some(r) = flow.filter(|r| r.phase == Phase::Active) {
+                    let sdu = frame.slice(v.payload_range(frame.len()));
+                    self.out.push(IpcpOut::Deliver { port: r.port, sdu });
                 }
-            }
-        }
-        let pdu = match Pdu::decode(&frame) {
-            Ok(p) => p,
-            Err(_) => {
-                self.stats.decode_errors += 1;
                 return;
             }
-        };
-        self.rmt_in(pdu, n1, now);
+        } else if v.dest_addr != 0 && v.dest_addr != self.addr {
+            self.relay(v, frame);
+            return;
+        }
+        match Pdu::decode(&frame) {
+            Ok(pdu) => self.deliver_local(pdu, n1, now),
+            Err(_) => self.stats.decode_errors += 1,
+        }
     }
 
-    /// Zero-copy relay: decrement the TTL and fix the CRC trailer in the
-    /// arrival buffer itself (copy-on-write if it is shared, e.g. a flood
-    /// batch fanned out across ports), then hand the buffer straight to
-    /// the chosen (N-1) port.
-    fn relay_fast(&mut self, v: PduView, mut frame: Bytes) {
+    /// Relay a transit frame: drop it if its TTL is spent, else decrement
+    /// the TTL and fix the CRC trailer in the arrival buffer itself
+    /// (copy-on-write if it is shared, e.g. a flood batch fanned out
+    /// across ports) and hand the buffer straight to the (N-1) port
+    /// toward its destination — no decode, no re-encode.
+    fn relay(&mut self, v: PduView, mut frame: Bytes) {
+        if v.ttl == 0 {
+            self.stats.ttl_drops += 1;
+            return;
+        }
         self.stats.relayed += 1;
         let Some(n1) = self.pick_n1_toward(v.dest_addr) else {
             self.stats.no_route += 1;
@@ -2179,49 +2175,10 @@ impl Ipcp {
         self.tx_n1(n1, frame, TxClass::new(v.qos_id, prio));
     }
 
-    /// RMT pressure feedback ([`DifConfig::cong_from_rmt`]): a local
-    /// port queue pushed out or tail-dropped `frame`. If it is a data
-    /// PDU of a flow *this* process originated, tell the owning EFCP
-    /// connection so it backs off now instead of waiting out the
-    /// retransmission timer. Transit flows dropped here are not
-    /// signalled (their senders are remote); they discover the loss end
-    /// to end.
-    pub fn on_rmt_drop(&mut self, frame: &Bytes, now: Time) {
-        if !self.cfg.cong_from_rmt {
-            return;
-        }
-        let Some(v) = PduView::peek(frame) else { return };
-        if v.kind != PduKind::Data || v.src_addr != self.addr {
-            return;
-        }
-        let Some(cep) = v.src_cep else { return };
-        if let Some(f) = self.conns.get_mut(&cep) {
-            f.conn.on_local_congestion(now.nanos());
-            self.timer_dirty.push(cep);
-        }
-    }
-
-    /// RMT input: deliver locally or relay.
-    fn rmt_in(&mut self, mut pdu: Pdu, from_n1: usize, now: Time) {
-        let dest = pdu.dest_addr();
-        // Shims never relay: whatever the destination, it is local.
-        if dest == 0 || dest == self.addr || self.is_shim {
-            self.deliver_local(pdu, from_n1, now);
-            return;
-        }
-        if !pdu.decrement_ttl() {
-            self.stats.ttl_drops += 1;
-            return;
-        }
-        self.stats.relayed += 1;
-        self.stats.relay_slow += 1;
-        self.forward(pdu, now);
-    }
-
     /// Two-step forwarding (§ Fig 4): (1) next-hop member address from the
     /// forwarding table, (2) live (N-1) port (path / point of attachment)
     /// toward that next hop, chosen at transmission time.
-    fn forward(&mut self, pdu: Pdu, _now: Time) {
+    fn forward(&mut self, pdu: Pdu) {
         let dest = pdu.dest_addr();
         let picked = if self.is_shim {
             // Point-to-point: the only path is the medium itself.
@@ -2275,32 +2232,18 @@ impl Ipcp {
         }
     }
 
+    /// Terminate a decoded PDU here: management to the management task,
+    /// data and control to the EFCP connection owning the CEP (never a
+    /// shim's data — `on_frame` hands that up undecoded).
     fn deliver_local(&mut self, pdu: Pdu, from_n1: usize, now: Time) {
-        match pdu {
-            Pdu::Mgmt(m) => self.handle_mgmt(m, from_n1, now),
-            Pdu::Data(ref d) => {
-                let cep = d.dest_cep;
-                if self.is_shim {
-                    if let Some(r) = self.raw.get(&cep) {
-                        if r.phase == Phase::Active {
-                            self.out
-                                .push(IpcpOut::Deliver { port: r.port, sdu: d.payload.clone() });
-                        }
-                    }
-                    return;
-                }
-                if let Some(f) = self.conns.get_mut(&cep) {
-                    f.conn.on_pdu(&pdu, now.nanos());
-                    self.pump_conn(cep, now);
-                }
-            }
-            Pdu::Ctrl(ref c) => {
-                let cep = c.dest_cep;
-                if let Some(f) = self.conns.get_mut(&cep) {
-                    f.conn.on_pdu(&pdu, now.nanos());
-                    self.pump_conn(cep, now);
-                }
-            }
+        let cep = match pdu {
+            Pdu::Mgmt(m) => return self.handle_mgmt(m, from_n1, now),
+            Pdu::Data(ref d) => d.dest_cep,
+            Pdu::Ctrl(ref c) => c.dest_cep,
+        };
+        if let Some(f) = self.conns.get_mut(&cep) {
+            f.conn.on_pdu(&pdu, now.nanos());
+            self.pump_conn(cep, now);
         }
     }
 
@@ -2320,11 +2263,11 @@ impl Ipcp {
         }
         let failed = f.conn.is_failed();
         for pdu in pdus {
-            if pdu.dest_addr() == self.addr && !self.is_shim {
+            if pdu.dest_addr() == self.addr {
                 // Flow to an app on the same member: loop back.
                 self.deliver_local(pdu, usize::MAX, now);
             } else {
-                self.forward(pdu, now);
+                self.forward(pdu);
             }
         }
         for sdu in sdus {
@@ -2402,14 +2345,7 @@ impl Ipcp {
             }
             MgmtBody::EnrollResponse { addr, block, retry_after_ms, snapshot } => {
                 if matches!(self.pending.remove(&cdap.invoke_id), Some(Pending::Enroll)) {
-                    self.handle_enroll_response(
-                        addr,
-                        block,
-                        retry_after_ms,
-                        snapshot,
-                        cdap.result,
-                        now,
-                    );
+                    self.handle_enroll_response(addr, block, retry_after_ms, snapshot, cdap.result);
                 }
             }
             MgmtBody::FlowRequest { src_app, dst_app, spec, src_addr, src_cep } => {
@@ -2525,7 +2461,7 @@ impl Ipcp {
         }
         if changed {
             self.rebuild_peer_index();
-            self.refresh_lsa(now);
+            self.refresh_lsa();
         }
         if !self.is_shim && self.enrolled && addr != 0 {
             // Anti-entropy: the digest table localizes divergence
@@ -2770,10 +2706,10 @@ impl Ipcp {
         self.stats.mgmt_tx += 1;
         if dest == self.addr {
             // Rare but possible: both apps on the same member.
-            self.deliver_local(pdu, usize::MAX, Time::ZERO);
+            self.deliver_local(pdu, usize::MAX, self.clock);
             return;
         }
-        self.forward(pdu, Time::ZERO);
+        self.forward(pdu);
     }
 
     /// Flush RIB events, feed the engine, and disseminate queued updates
@@ -2807,11 +2743,6 @@ impl Ipcp {
         let i = self.next_invoke;
         self.next_invoke += 1;
         i
-    }
-
-    /// Number of active flows terminating at this member.
-    pub fn flow_count(&self) -> usize {
-        self.conns.len() + self.raw.len()
     }
 
     /// Aggregate EFCP stats over local flow endpoints.
@@ -2907,8 +2838,8 @@ mod tests {
         assert_eq!(s.dir_lookup(&AppName::new("anything")), Some(2));
     }
 
-    #[test]
-    fn relay_fast_path_patches_ttl_in_place() {
+    /// A relay at address 1 with live ports toward peers 2 and 3.
+    fn mk_relay() -> Ipcp {
         let mut r = mk("net.r");
         r.bootstrap(1);
         r.add_n1(N1Kind::Phys { iface: 0, mtu: 1500 });
@@ -2919,7 +2850,11 @@ mod tests {
         r.n1[1].peer_addr = 3;
         r.rebuild_peer_index();
         r.take_out();
-        let pdu = Pdu::Data(rina_wire::DataPdu {
+        r
+    }
+
+    fn transit_data(ttl: u8) -> Pdu {
+        Pdu::Data(rina_wire::DataPdu {
             dest_addr: 3,
             src_addr: 2,
             qos_id: 0,
@@ -2927,28 +2862,33 @@ mod tests {
             src_cep: 9,
             seq: 42,
             flags: 0,
-            ttl: 4,
+            ttl,
             payload: Bytes::from_static(b"some payload"),
-        });
-        let original = pdu.encode();
-        r.on_frame(0, original.clone(), Time::ZERO);
-        assert_eq!(
-            (r.stats.relayed, r.stats.relay_fast, r.stats.relay_slow),
-            (1, 1, 0),
-            "a transit data PDU with ttl > 1 takes the fast path"
-        );
-        let out = r.take_out();
-        let [IpcpOut::TxPhys { n1, frame, .. }] = &out[..] else {
-            panic!("one forwarded frame expected, got {out:?}");
-        };
-        assert_eq!(*n1, 1, "forwarded toward the destination's port");
-        // The patched buffer is byte-identical to what the slow path
-        // (decode, decrement TTL, re-encode) would have produced.
-        let Pdu::Data(mut d) = Pdu::decode(&original).unwrap() else { unreachable!() };
-        d.ttl -= 1;
-        assert_eq!(frame.as_ref(), Pdu::Data(d).encode().as_ref());
-        // And the arriving buffer was not mutated in place (it is shared).
-        assert_eq!(Pdu::decode(&original).unwrap().ttl(), 4);
+        })
+    }
+
+    #[test]
+    fn relay_patches_ttl_in_place() {
+        // TTL 1 is the last hop a frame may still cross: it leaves with
+        // TTL 0 and the next relay drops it.
+        for ttl in [4u8, 1] {
+            let mut r = mk_relay();
+            let original = transit_data(ttl).encode();
+            r.on_frame(0, original.clone(), Time::ZERO);
+            assert_eq!((r.stats.relayed, r.stats.relay_fast, r.stats.ttl_drops), (1, 1, 0));
+            let out = r.take_out();
+            let [IpcpOut::TxPhys { n1, frame, .. }] = &out[..] else {
+                panic!("one forwarded frame expected, got {out:?}");
+            };
+            assert_eq!(*n1, 1, "forwarded toward the destination's port");
+            // The patched buffer is byte-identical to decode, decrement
+            // TTL, re-encode.
+            let mut reference = Pdu::decode(&original).unwrap();
+            assert!(reference.decrement_ttl());
+            assert_eq!(frame.as_ref(), reference.encode().as_ref());
+            // And the arriving buffer was not mutated in place (it is shared).
+            assert_eq!(Pdu::decode(&original).unwrap().ttl(), ttl);
+        }
     }
 
     #[test]
@@ -3234,20 +3174,23 @@ mod tests {
 
     #[test]
     fn ttl_expiry_drops() {
-        let mut r = mk("net.r");
-        r.bootstrap(1);
-        let pdu = Pdu::Mgmt(MgmtPdu { dest_addr: 99, src_addr: 50, ttl: 0, payload: Bytes::new() });
-        r.rmt_in(pdu, 0, Time::ZERO);
-        assert_eq!(r.stats.ttl_drops, 1);
+        // A spent TTL is dropped before the route lookup, for every PDU
+        // type, even with a live port toward the destination.
+        let mut r = mk_relay();
+        let mgmt = Pdu::Mgmt(MgmtPdu { dest_addr: 3, src_addr: 2, ttl: 0, payload: Bytes::new() });
+        r.on_frame(0, mgmt.encode(), Time::ZERO);
+        r.on_frame(0, transit_data(0).encode(), Time::ZERO);
+        assert_eq!((r.stats.ttl_drops, r.stats.relayed, r.stats.no_route), (2, 0, 0));
+        assert!(r.take_out().is_empty(), "an expired frame emits nothing");
     }
 
     #[test]
     fn no_route_counted() {
-        let mut r = mk("net.r");
-        r.bootstrap(1);
+        let mut r = mk_relay();
         let pdu = Pdu::Mgmt(MgmtPdu { dest_addr: 99, src_addr: 50, ttl: 8, payload: Bytes::new() });
-        r.rmt_in(pdu, 0, Time::ZERO);
-        assert_eq!(r.stats.no_route, 1);
+        r.on_frame(0, pdu.encode(), Time::ZERO);
+        assert_eq!((r.stats.relayed, r.stats.no_route, r.stats.relay_fast), (1, 1, 0));
+        assert!(r.take_out().is_empty());
     }
 
     #[test]

@@ -52,15 +52,12 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::marker::PhantomData;
 
 /// When each member's enrollment plan first fires, relative to
-/// simulation start. Every mode converges to the same membership,
+/// simulation start. Both modes converge to the same membership,
 /// addresses, and blocks (plans retry until they hold; the planner
 /// pre-assigns addresses) — the schedule only shapes *when* admission
 /// load hits each sponsor, and therefore the assembly makespan.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EnrollSchedule {
-    /// Every plan fires at start; convergence is paced purely by retries
-    /// and sponsors' admission windows (the seed behavior).
-    Eager,
     /// Concurrent waves by spanning-tree depth: a member at depth `d`
     /// first fires at `(d - 1) × interval`, so each wave meets sponsors
     /// that the previous wave just enrolled. Makespan tracks tree depth
@@ -92,7 +89,6 @@ impl EnrollSchedule {
     /// `rank` (1-based over non-bootstrap members), first fires.
     fn start_after(&self, depth: u64, rank: u64) -> Dur {
         match *self {
-            EnrollSchedule::Eager => Dur::ZERO,
             EnrollSchedule::Waves { interval } => interval * depth.saturating_sub(1),
             EnrollSchedule::Sequential { interval } => interval * rank.saturating_sub(1),
         }
@@ -165,12 +161,6 @@ impl<A> AppH<A> {
     pub fn node(&self) -> NodeH {
         self.node
     }
-
-    /// The node-local application index (for [`crate::node::ext_timer_key`]
-    /// and [`Node::app`]).
-    pub fn local_index(&self) -> usize {
-        self.idx
-    }
 }
 
 /// How a DIF adjacency is carried.
@@ -205,14 +195,13 @@ struct DifPlan {
 pub struct NetBuilder {
     sim: Sim,
     nodes: Vec<NodeId>,
-    links: Vec<(usize, usize, LinkId)>,
+    links: Vec<LinkId>,
     shim_of: HashMap<(usize, usize), usize>,
     difs: Vec<DifPlan>,
     adjacencies: Vec<AdjPlan>,
     shim_count: usize,
     shim_sched: crate::dif::SchedPolicy,
     shim_queue_cap: Option<usize>,
-    shim_cong_from_rmt: bool,
     enroll_schedule: EnrollSchedule,
 }
 
@@ -229,7 +218,6 @@ impl NetBuilder {
             shim_count: 0,
             shim_sched: crate::dif::SchedPolicy::Priority,
             shim_queue_cap: None,
-            shim_cong_from_rmt: false,
             enroll_schedule: EnrollSchedule::default(),
         }
     }
@@ -256,14 +244,6 @@ impl NetBuilder {
         self.shim_queue_cap = Some(bytes);
     }
 
-    /// Make shims created by subsequent [`NetBuilder::link`] calls report
-    /// queue push-outs and tail-drops back to the EFCP connections that
-    /// originated the victims ([`DifConfig::cong_from_rmt`]). Off by
-    /// default.
-    pub fn set_shim_cong_from_rmt(&mut self, on: bool) {
-        self.shim_cong_from_rmt = on;
-    }
-
     /// Add a machine.
     pub fn node(&mut self, name: &str) -> NodeH {
         let id = self.sim.add_node(Node::new(name));
@@ -278,13 +258,12 @@ impl NetBuilder {
         let mtu = cfg.mtu;
         let (lid, ia, ib) = self.sim.connect(self.nodes[a.0], self.nodes[b.0], cfg);
         let lidx = self.links.len();
-        self.links.push((a.0, b.0, lid));
+        self.links.push(lid);
         let shim_name = self.shim_count;
         self.shim_count += 1;
         let mut shim_cfg = DifConfig::new(&format!("shim{shim_name}"))
             .with_cubes(crate::qos::QosCube::shim_set())
-            .with_sched(self.shim_sched)
-            .with_cong_from_rmt(self.shim_cong_from_rmt);
+            .with_sched(self.shim_sched);
         if let Some(cap) = self.shim_queue_cap {
             shim_cfg = shim_cfg.with_rmt_queue_cap_bytes(cap);
         }
@@ -590,7 +569,7 @@ pub struct Net {
     /// The underlying simulator.
     pub sim: Sim,
     nodes: Vec<NodeId>,
-    links: Vec<(usize, usize, LinkId)>,
+    links: Vec<LinkId>,
 }
 
 // A built network (and its builder) is one self-contained simulation:
@@ -638,23 +617,6 @@ impl Net {
         self.node_mut(h.node).ipcp_mut(h.idx)
     }
 
-    /// Every physical link with an end at `h` (churn harnesses cut and
-    /// restore these to model node-scoped failures and partitions).
-    pub fn links_of_node(&self, h: NodeH) -> Vec<LinkH> {
-        self.links
-            .iter()
-            .enumerate()
-            .filter(|&(_, &(a, b, _))| a == h.0 || b == h.0)
-            .map(|(i, _)| LinkH(i))
-            .collect()
-    }
-
-    /// The two machines a link connects.
-    pub fn link_ends(&self, h: LinkH) -> (NodeH, NodeH) {
-        let (a, b, _) = self.links[h.0];
-        (NodeH(a), NodeH(b))
-    }
-
     /// Schedule a graceful departure: at the next event, the member
     /// behind `h` tombstones every RIB object it owns and floods the
     /// deletions (§5.2 in reverse). Keep its links up for at least one
@@ -680,13 +642,12 @@ impl Net {
 
     /// The sim-level id of a link (for failure injection).
     pub fn link_id(&self, h: LinkH) -> LinkId {
-        self.links[h.0].2
+        self.links[h.0]
     }
 
     /// Bring a physical link down or up mid-run.
     pub fn set_link_up(&mut self, h: LinkH, up: bool) {
-        let id = self.links[h.0].2;
-        self.sim.set_link_up(id, up);
+        self.sim.set_link_up(self.links[h.0], up);
     }
 
     /// Run until every node's stack has assembled (all plans satisfied,

@@ -16,7 +16,7 @@
 use crate::app::{AppProcess, FlowH, FlowOrigin, IpcApi, IpcError};
 use crate::dif::DifConfig;
 use crate::fxhash::FxBuild;
-use crate::ipcp::{Ipcp, IpcpOut, N1Kind};
+use crate::ipcp::{Ipcp, IpcpOut, N1Kind, LSA_DEBOUNCE};
 use crate::naming::{Addr, AppName};
 use crate::qos::QosSpec;
 use crate::rmt::{RmtQueue, TxClass};
@@ -39,6 +39,16 @@ const CMD_BIT: u64 = 1 << 62;
 /// Default enrollment retry period (a busy sponsor's backoff hint
 /// overrides it — see [`TimerKind::EnrollRetry`]).
 const ENROLL_RETRY_PERIOD: Dur = Dur::from_millis(300);
+
+/// Debounce floor for route recomputation after LSA floods that need the
+/// full-recomputation fallback (own-LSA changes): one Dijkstra run per
+/// burst. The effective window is `max(this, lsa_count / 10 ms)`.
+const RECOMPUTE_DEBOUNCE_FLOOR: Dur = Dur::from_millis(50);
+
+/// Debounce for route recomputation when every queued LSA delta is
+/// delta-classified (incremental SPF repairs only the affected region):
+/// it only coalesces one flood burst, however big the facility.
+const RECOMPUTE_DELTA_DEBOUNCE: Dur = Dur::from_millis(20);
 
 /// Build the key for [`rina_sim::Sim::call`] that fires
 /// [`AppProcess::on_timer`] with `key` at application `app` of the target
@@ -285,8 +295,7 @@ impl Node {
         // wire-queue-sized cap would tail-drop with no repair path for
         // distant objects.
         let c = &self.ipcps[idx].cfg;
-        let mut queue = RmtQueue::for_cubes(c.sched, c.rmt_queue_cap_bytes, &c.cubes);
-        queue.set_collect_dropped(c.cong_from_rmt);
+        let queue = RmtQueue::for_cubes(c.sched, c.rmt_queue_cap_bytes, &c.cubes);
         self.pace
             .insert((idx, n1), Pace { queue, busy_until: Time::ZERO, iface, timer_armed: false });
         idx
@@ -360,11 +369,6 @@ impl Node {
         &mut self.ipcps[idx]
     }
 
-    /// Number of IPC processes.
-    pub fn ipcp_count(&self) -> usize {
-        self.ipcps.len()
-    }
-
     /// Downcast application `idx` to its concrete type.
     ///
     /// # Panics
@@ -388,11 +392,6 @@ impl Node {
             .as_any_mut()
             .downcast_mut()
             .expect("app type mismatch")
-    }
-
-    /// Name of application `idx`.
-    pub fn app_name(&self, idx: usize) -> AppName {
-        self.apps[idx].name.clone()
     }
 
     /// Whether all planned (N-1) adjacencies are up and all IPC processes
@@ -591,27 +590,6 @@ impl Node {
             return;
         };
         p.queue.push(class, frame, now_ns);
-        let dropped = p.queue.take_dropped();
-        if !dropped.is_empty() {
-            // RMT→EFCP coupling (DifConfig::cong_from_rmt): the queue
-            // retained its push-out/tail-drop victims. Each is a shim
-            // frame whose payload is an upper-DIF PDU — unwrap one level
-            // and let every upper IPC process on this node check whether
-            // it originated the flow that just lost a frame locally.
-            let now = ctx.now();
-            for f in dropped {
-                let Some(v) = rina_wire::PduView::peek(&f) else { continue };
-                if v.kind != rina_wire::PduKind::Data || f.len() < 4 + v.ttl_offset + 1 {
-                    continue;
-                }
-                let inner = f.slice(v.ttl_offset + 1..f.len() - 4);
-                for p in &mut self.ipcps {
-                    if !p.is_shim {
-                        p.on_rmt_drop(&inner, now);
-                    }
-                }
-            }
-        }
         self.pace_kick(i, n1, ctx);
     }
 
@@ -830,24 +808,22 @@ impl Node {
         // exactly the set the old take-and-collect walk did.
         while let Some(i) = self.dirty.pop_first() {
             if self.ipcps[i].routes_dirty() && self.routes_armed.insert(i) {
-                // Debounce window from the DIF's policy bundle: a burst
-                // of flooded LSAs costs one SPF repair, not one per
-                // update. Delta-classified batches repair incrementally
-                // (cost tracks the change), so they run on a small
-                // constant; only the full-recomputation fallback keeps
-                // the LSA-count-stretched floor (1000 members → 100 ms),
-                // since its cost scales with the whole LSA set.
+                // A burst of flooded LSAs costs one SPF repair, not one
+                // per update. Delta-classified batches repair
+                // incrementally (cost tracks the change), so they run on
+                // a small constant; only the full-recomputation fallback
+                // stretches its floor with the LSA count (1000 members →
+                // 100 ms), since its cost scales with the whole LSA set.
                 let d = if self.ipcps[i].pending_full_recompute() {
-                    let floor = self.ipcps[i].cfg.recompute_debounce_ms;
-                    Dur::from_millis(floor.max(self.ipcps[i].lsa_count() as u64 / 10))
+                    RECOMPUTE_DEBOUNCE_FLOOR
+                        .max(Dur::from_millis(self.ipcps[i].lsa_count() as u64 / 10))
                 } else {
-                    Dur::from_millis(self.ipcps[i].cfg.recompute_delta_debounce_ms)
+                    RECOMPUTE_DELTA_DEBOUNCE
                 };
                 self.arm(ctx, d, TimerKind::Routes { ipcp: i });
             }
             if self.ipcps[i].lsa_flush_wanted() && self.lsa_armed.insert(i) {
-                let d = Dur::from_millis(self.ipcps[i].cfg.lsa_debounce_ms);
-                self.arm(ctx, d, TimerKind::LsaFlush { ipcp: i });
+                self.arm(ctx, LSA_DEBOUNCE, TimerKind::LsaFlush { ipcp: i });
             }
             if self.ipcps[i].flood_flush_wanted() && self.flood_armed.insert(i) {
                 let d = Dur::from_millis(self.ipcps[i].cfg.flood_batch_ms);

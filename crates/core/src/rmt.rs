@@ -164,13 +164,6 @@ pub struct RmtQueue {
     rr: usize,
     /// `Wrr` per-lane deficit, bytes.
     deficit: [u64; LANES],
-    /// When set ([`DifConfig::cong_from_rmt`]), frames lost to push-out
-    /// or tail-drop are retained for the node to feed back to EFCP
-    /// instead of being discarded silently; drained by
-    /// [`RmtQueue::take_dropped`]. Counters are identical either way.
-    collect_dropped: bool,
-    /// Retained victims (empty unless `collect_dropped`).
-    dropped: Vec<Bytes>,
 }
 
 impl RmtQueue {
@@ -188,21 +181,7 @@ impl RmtQueue {
             occupied: 0,
             rr: 0,
             deficit: [0; LANES],
-            collect_dropped: false,
-            dropped: Vec::new(),
         }
-    }
-
-    /// Enable or disable victim retention for congestion feedback (see
-    /// [`RmtQueue::take_dropped`]).
-    pub fn set_collect_dropped(&mut self, on: bool) {
-        self.collect_dropped = on;
-    }
-
-    /// Drain the frames lost to push-out or tail-drop since the last
-    /// call. Always empty unless retention was enabled.
-    pub fn take_dropped(&mut self) -> Vec<Bytes> {
-        std::mem::take(&mut self.dropped)
     }
 
     /// A queue whose lane table mirrors a DIF's cube set: each cube's id
@@ -239,9 +218,6 @@ impl RmtQueue {
         if self.bytes + len > self.cap_bytes {
             self.stats[l].drops += 1;
             self.stats[l].drop_bytes += len as u64;
-            if self.collect_dropped {
-                self.dropped.push(frame);
-            }
             return false;
         }
         self.bytes += len;
@@ -280,9 +256,6 @@ impl RmtQueue {
         self.lane_bytes[l] -= len as u64;
         self.stats[l].evict += 1;
         self.stats[l].evict_bytes += len as u64;
-        if self.collect_dropped {
-            self.dropped.push(e.frame);
-        }
         if self.lanes[l].is_empty() {
             self.occupied &= !(1 << l);
             if self.policy == SchedPolicy::Wrr {

@@ -145,7 +145,7 @@ impl Topology {
     /// backbone DIF over this graph, and an internet DIF riding both —
     /// the E6-style hierarchy (§6.5) in one call.
     pub fn layered(self, hosts_per_region: usize) -> Layered {
-        Layered { backbone: self, hosts_per_region, host_link: LinkCfg::wired() }
+        Layered { backbone: self, hosts_per_region }
     }
 
     /// Create the nodes, connect every edge, declare the spanning DIF,
@@ -249,17 +249,9 @@ impl Fabric {
 pub struct Layered {
     backbone: Topology,
     hosts_per_region: usize,
-    host_link: LinkCfg,
 }
 
 impl Layered {
-    /// Use `cfg` for the router–host access links (default:
-    /// [`LinkCfg::wired`]; the backbone keeps its own topology's link).
-    pub fn with_host_link(mut self, cfg: LinkCfg) -> Self {
-        self.host_link = cfg;
-        self
-    }
-
     /// Total machines: backbone routers plus all hosts.
     pub fn node_count(&self) -> usize {
         let r = self.backbone.node_count();
@@ -282,7 +274,7 @@ impl Layered {
             let mut lrow = Vec::new();
             for h in 0..self.hosts_per_region {
                 let id = b.node(&format!("{prefix}h{r}x{h}"));
-                lrow.push(b.link(router, id, self.host_link.clone()));
+                lrow.push(b.link(router, id, LinkCfg::wired()));
                 row.push(id);
             }
             let d = b.dif(DifConfig::new(&format!("{prefix}region{r}")));
@@ -345,7 +337,7 @@ impl Layered {
                 let id = b.node(&format!("{prefix}h{r}x{h}"));
                 let hi = nodes.len();
                 nodes.push(id);
-                links.push(b.link(nodes[r], id, self.host_link.clone()));
+                links.push(b.link(nodes[r], id, LinkCfg::wired()));
                 edges.push((r, hi));
             }
         }
@@ -465,11 +457,6 @@ pub struct SourcesToSink {
 }
 
 impl SourcesToSink {
-    /// Whether every source finished sending.
-    pub fn all_completed(&self, net: &Net) -> bool {
-        self.sources.iter().all(|&s| net.app(s).completed)
-    }
-
     /// Total SDUs the sink received.
     pub fn received(&self, net: &Net) -> u64 {
         net.app(self.sink).received

@@ -54,8 +54,8 @@ pub struct ConnStats {
     pub acks_sent: u64,
     /// SDUs (or fragments) dropped by the receiver in unreliable modes.
     pub rcv_dropped: u64,
-    /// Window halvings triggered by local RMT pressure
-    /// (`DifConfig::cong_from_rmt`), at most one per RTT.
+    /// Window halvings triggered by [`Connection::on_local_congestion`],
+    /// at most one per RTT.
     pub cong_backoffs: u64,
 }
 

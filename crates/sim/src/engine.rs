@@ -8,17 +8,16 @@
 //! Agents are event-driven state machines in the style of smoltcp: the
 //! engine calls [`Agent::handle`] with an [`Event`] and the agent reacts by
 //! mutating its own state and issuing effects through the [`Ctx`] (send a
-//! frame, arm a timer, bump a counter).
+//! frame, arm a timer).
 
 use crate::link::{DirState, Link, LinkCfg, LinkId, LinkStats};
 use crate::time::{Dur, Time};
-use crate::trace::{TraceEvent, TraceKind, Tracer};
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::any::Any;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 
 /// Identifier of a node within a [`Sim`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -146,8 +145,6 @@ pub(crate) struct World {
     /// Per node: (link index, side) for each interface.
     ifaces: Vec<Vec<(u32, u8)>>,
     rng: StdRng,
-    counters: BTreeMap<&'static str, u64>,
-    tracer: Tracer,
 }
 
 impl World {
@@ -188,13 +185,6 @@ impl World {
         }
         if d.queued_bytes + len > link.cfg.queue_bytes {
             d.drops_overflow += 1;
-            self.tracer.record(|| TraceEvent {
-                time: now,
-                node,
-                kind: TraceKind::DropOverflow,
-                iface: iface.0,
-                len,
-            });
             return Err(SendError::QueueFull);
         }
         d.queued_bytes += len;
@@ -210,13 +200,6 @@ impl World {
         if lost {
             link.dir[side as usize].drops_loss += 1;
         }
-        self.tracer.record(|| TraceEvent {
-            time: now,
-            node,
-            kind: TraceKind::Tx,
-            iface: iface.0,
-            len,
-        });
         // Record the completion in the ledger instead of pushing a TxDone
         // heap event — but still consume a sequence number, so every later
         // event gets the same seq (and thus the same tie-break order) as it
@@ -248,24 +231,12 @@ impl Ctx<'_> {
         NodeId(self.node)
     }
 
-    /// Number of interfaces attached to this node.
-    pub fn iface_count(&self) -> usize {
-        self.world.ifaces[self.node as usize].len()
-    }
-
     /// Whether the link behind `iface` is currently up.
     pub fn iface_up(&self, iface: IfaceId) -> bool {
         self.world.ifaces[self.node as usize]
             .get(iface.0 as usize)
             .map(|&(l, _)| self.world.links[l as usize].up)
             .unwrap_or(false)
-    }
-
-    /// The MTU of the link behind `iface`, if it exists.
-    pub fn iface_mtu(&self, iface: IfaceId) -> Option<usize> {
-        self.world.ifaces[self.node as usize]
-            .get(iface.0 as usize)
-            .map(|&(l, _)| self.world.links[l as usize].cfg.mtu)
     }
 
     /// The bandwidth (bits/s) of the link behind `iface`, if it exists.
@@ -300,11 +271,6 @@ impl Ctx<'_> {
     /// The simulation-wide deterministic RNG.
     pub fn rng(&mut self) -> &mut StdRng {
         &mut self.world.rng
-    }
-
-    /// Add `delta` to the named global counter (creating it at zero).
-    pub fn counter(&mut self, name: &'static str, delta: u64) {
-        *self.world.counters.entry(name).or_insert(0) += delta;
     }
 }
 
@@ -341,8 +307,6 @@ impl Sim {
                 links: Vec::new(),
                 ifaces: Vec::new(),
                 rng: StdRng::seed_from_u64(seed),
-                counters: BTreeMap::new(),
-                tracer: Tracer::disabled(),
             },
         }
     }
@@ -382,11 +346,6 @@ impl Sim {
         self.world.links[link.0 as usize].up = up;
     }
 
-    /// Whether a link is up.
-    pub fn link_up(&self, link: LinkId) -> bool {
-        self.world.links[link.0 as usize].up
-    }
-
     /// Aggregate delivery/drop statistics for a link (both directions).
     pub fn link_stats(&self, link: LinkId) -> LinkStats {
         let l = &self.world.links[link.0 as usize];
@@ -410,26 +369,6 @@ impl Sim {
     /// The current virtual time.
     pub fn now(&self) -> Time {
         self.world.time
-    }
-
-    /// Read a global counter (0 if never written).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.world.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// All global counters, sorted by name.
-    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.world.counters.iter().map(|(&k, &v)| (k, v))
-    }
-
-    /// Enable in-memory tracing of link-level events, keeping at most `cap`.
-    pub fn enable_trace(&mut self, cap: usize) {
-        self.world.tracer = Tracer::enabled(cap);
-    }
-
-    /// The recorded trace (empty unless [`Sim::enable_trace`] was called).
-    pub fn trace(&self) -> &[TraceEvent] {
-        self.world.tracer.events()
     }
 
     /// Immutable access to a node's agent, downcast to its concrete type.
@@ -476,14 +415,6 @@ impl Sim {
                 let d = &mut link.dir[1 - side as usize];
                 d.delivered += 1;
                 d.delivered_bytes += data.len() as u64;
-                let len = data.len();
-                self.world.tracer.record(|| TraceEvent {
-                    time: e.time,
-                    node,
-                    kind: TraceKind::Rx,
-                    iface,
-                    len,
-                });
                 self.dispatch(node, Event::Frame { iface: IfaceId(iface), data });
             }
         }

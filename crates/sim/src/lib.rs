@@ -47,10 +47,8 @@ mod link;
 pub mod metrics;
 pub mod time;
 pub mod topology;
-mod trace;
 
 pub use engine::{Agent, Ctx, Event, IfaceId, NodeId, SendError, Sim};
 pub use link::{LinkCfg, LinkId, LinkStats, LossModel};
 pub use metrics::Histogram;
 pub use time::{Dur, Time};
-pub use trace::{TraceEvent, TraceKind};

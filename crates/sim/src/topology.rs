@@ -185,11 +185,6 @@ pub fn random_connected(n: usize, extra: usize, seed: u64) -> Vec<Edge> {
     edges
 }
 
-/// Number of vertices implied by an edge list (max index + 1).
-pub fn vertex_count(edges: &[Edge]) -> usize {
-    edges.iter().map(|&(a, b)| a.max(b) + 1).max().unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

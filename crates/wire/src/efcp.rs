@@ -388,8 +388,7 @@ pub struct PduView {
     /// Destination CEP id for data/control PDUs (flow demultiplexing at
     /// the terminal hop); `None` for management PDUs.
     pub dest_cep: Option<CepId>,
-    /// Source CEP id for data/control PDUs (owner lookup for congestion
-    /// feedback); `None` for management PDUs.
+    /// Source CEP id for data/control PDUs; `None` for management PDUs.
     pub src_cep: Option<CepId>,
     /// Remaining TTL.
     pub ttl: u8,
@@ -714,8 +713,8 @@ mod tests {
                 payload,
             );
             let frame = p.encode();
-            // Fast path: patch the TTL byte and CRC trailer in place on a
-            // clone, exactly as the relay does.
+            // Patch the TTL byte and CRC trailer in place on a clone,
+            // exactly as the relay does.
             let mut fast = frame.clone();
             let v = PduView::peek(&fast).expect("encoder frame peeks");
             let body_len = fast.len() - 4;
@@ -727,7 +726,7 @@ mod tests {
             let buf = fast.make_mut();
             buf[v.ttl_offset] = v.ttl - 1;
             buf[body_len..].copy_from_slice(&new_crc.to_be_bytes());
-            // Slow path: full decode → decrement → re-encode.
+            // Reference: full decode → decrement → re-encode.
             let mut q = Pdu::decode(&frame).unwrap();
             prop_assert!(q.decrement_ttl());
             let slow = q.encode();
