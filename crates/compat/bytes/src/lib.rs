@@ -24,6 +24,7 @@ pub struct Bytes {
 
 impl Bytes {
     /// An empty buffer (no allocation).
+    #[inline]
     pub fn new() -> Self {
         Bytes::default()
     }
@@ -43,11 +44,13 @@ impl Bytes {
     }
 
     /// Length in bytes.
+    #[inline]
     pub fn len(&self) -> usize {
         self.end - self.start
     }
 
     /// Whether the buffer is empty.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.start == self.end
     }
@@ -56,6 +59,7 @@ impl Bytes {
     ///
     /// # Panics
     /// If the range is out of bounds or inverted.
+    #[inline]
     pub fn slice(&self, range: impl RangeBounds<usize>) -> Self {
         let lo = match range.start_bound() {
             Bound::Included(&n) => n,
@@ -99,6 +103,7 @@ impl Bytes {
     /// fanned out across ports), the view's range is first copied into a
     /// fresh private allocation so the other holders never observe the
     /// mutation.
+    #[inline]
     pub fn make_mut(&mut self) -> &mut [u8] {
         if Arc::get_mut(&mut self.data).is_none() {
             let copy: Arc<[u8]> = self.data[self.start..self.end].into();
@@ -118,6 +123,7 @@ impl Bytes {
 
 impl Deref for Bytes {
     type Target = [u8];
+    #[inline]
     fn deref(&self) -> &[u8] {
         &self.data[self.start..self.end]
     }

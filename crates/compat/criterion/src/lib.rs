@@ -2,11 +2,12 @@
 //!
 //! The build environment has no network access, so the workspace vendors
 //! the slice of the criterion API its benches use: benchmark groups with
-//! `sample_size`/`warm_up_time`/`measurement_time`, `bench_function`,
-//! `bench_with_input`, and the `criterion_group!`/`criterion_main!`
-//! macros. Statistics are minimal — mean wall-clock per iteration over a
-//! bounded sample — but the harness shape and output are compatible
-//! enough for `cargo bench` to run every wrapper unchanged.
+//! `sample_size`/`warm_up_time`/`measurement_time`/`throughput`,
+//! `bench_function`, `bench_with_input`, and the
+//! `criterion_group!`/`criterion_main!` macros. Statistics are minimal —
+//! mean wall-clock per iteration over a bounded sample — but the harness
+//! shape and output are compatible enough for `cargo bench` to run every
+//! wrapper unchanged.
 
 #![warn(missing_docs)]
 
@@ -24,8 +25,16 @@ impl Criterion {
             sample_size: 10,
             warm_up_time: Duration::from_millis(100),
             measurement_time: Duration::from_secs(2),
+            throughput: None,
         }
     }
+}
+
+/// How much work one iteration does (subset: element counts only).
+#[derive(Clone, Copy, Debug)]
+pub enum Throughput {
+    /// One iteration processes this many elements.
+    Elements(u64),
 }
 
 /// Identifier for a parameterized benchmark.
@@ -54,6 +63,7 @@ pub struct BenchmarkGroup {
     sample_size: usize,
     warm_up_time: Duration,
     measurement_time: Duration,
+    throughput: Option<Throughput>,
 }
 
 impl BenchmarkGroup {
@@ -75,6 +85,15 @@ impl BenchmarkGroup {
         self
     }
 
+    /// Declare the work one iteration of the following benchmarks does;
+    /// their report lines gain the time per element. A single timed
+    /// iteration of a nanosecond-scale kernel mostly measures the clock,
+    /// so such benches loop over a table of inputs and declare its size.
+    pub fn throughput(&mut self, t: Throughput) -> &mut Self {
+        self.throughput = Some(t);
+        self
+    }
+
     /// Measure a closure.
     pub fn bench_function<F>(&mut self, name: impl std::fmt::Display, mut f: F) -> &mut Self
     where
@@ -90,7 +109,13 @@ impl BenchmarkGroup {
         }
         let n = b.samples.len().max(1);
         let mean = b.samples.iter().sum::<Duration>() / n as u32;
-        println!("  {name}: {mean:?} mean over {n} samples");
+        match self.throughput {
+            Some(Throughput::Elements(e)) => {
+                let per = mean.as_secs_f64() * 1e9 / e as f64;
+                println!("  {name}: {mean:?} mean over {n} samples ({per:.1} ns/elem)");
+            }
+            None => println!("  {name}: {mean:?} mean over {n} samples"),
+        }
         self
     }
 

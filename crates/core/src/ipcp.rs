@@ -323,6 +323,10 @@ pub struct IpcpStats {
     pub flow_reqs_in: u64,
     /// Undecodable frames received.
     pub decode_errors: u64,
+    /// Decodable data or control PDUs addressed here whose CEP nobody
+    /// owns — no active shim flow, no EFCP connection. Routine for what is
+    /// still in flight when a flow is deallocated.
+    pub no_flow_drops: u64,
     /// Sponsored members declared failed and garbage-collected.
     pub members_purged: u64,
     /// Objects of ours someone else clobbered (usually a wrong failure
@@ -2122,9 +2126,12 @@ impl Ipcp {
             // handshake and takes the decode below.
             if v.kind == PduKind::Data {
                 let flow = v.dest_cep.and_then(|cep| self.raw.get(&cep));
-                if let Some(r) = flow.filter(|r| r.phase == Phase::Active) {
-                    let sdu = frame.slice(v.payload_range(frame.len()));
-                    self.out.push(IpcpOut::Deliver { port: r.port, sdu });
+                match flow.filter(|r| r.phase == Phase::Active) {
+                    Some(r) => {
+                        let sdu = frame.slice(v.payload_range(frame.len()));
+                        self.out.push(IpcpOut::Deliver { port: r.port, sdu });
+                    }
+                    None => self.stats.no_flow_drops += 1,
                 }
                 return;
             }
@@ -2241,10 +2248,12 @@ impl Ipcp {
             Pdu::Data(ref d) => d.dest_cep,
             Pdu::Ctrl(ref c) => c.dest_cep,
         };
-        if let Some(f) = self.conns.get_mut(&cep) {
-            f.conn.on_pdu(&pdu, now.nanos());
-            self.pump_conn(cep, now);
-        }
+        let Some(f) = self.conns.get_mut(&cep) else {
+            self.stats.no_flow_drops += 1;
+            return;
+        };
+        f.conn.on_pdu(&pdu, now.nanos());
+        self.pump_conn(cep, now);
     }
 
     /// Pump one connection: route its outgoing PDUs, surface delivered

@@ -24,7 +24,7 @@ use bytes::Bytes;
 use rina_sim::{Agent, Ctx, Dur, Event, IfaceId, SendError, Time};
 use rina_wire::CepId;
 use std::any::Any;
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 /// Timer key bit marking externally injected application timers (see
 /// [`ext_timer_key`]).
@@ -198,6 +198,43 @@ enum Work {
     },
 }
 
+/// A set of IPC-process slot indices, one bit per slot: a node hosts a few
+/// dozen at most, and the data plane inserts and pops one per frame.
+/// `insert`, `remove` and `pop_first` mean what the standard ordered set's
+/// do (pinned against it by proptest).
+#[derive(Default)]
+struct SlotSet {
+    words: Vec<u64>,
+}
+
+impl SlotSet {
+    /// Add `i`; whether it was absent.
+    fn insert(&mut self, i: usize) -> bool {
+        let (w, bit) = (i / 64, 1u64 << (i % 64));
+        if w >= self.words.len() {
+            self.words.resize(w + 1, 0);
+        }
+        let absent = self.words[w] & bit == 0;
+        self.words[w] |= bit;
+        absent
+    }
+
+    /// Drop `i` if present.
+    fn remove(&mut self, i: usize) {
+        if let Some(w) = self.words.get_mut(i / 64) {
+            *w &= !(1u64 << (i % 64));
+        }
+    }
+
+    /// Remove and return the smallest member.
+    fn pop_first(&mut self) -> Option<usize> {
+        let (w, word) = self.words.iter_mut().enumerate().find(|(_, word)| **word != 0)?;
+        let i = w * 64 + word.trailing_zeros() as usize;
+        *word &= *word - 1;
+        Some(i)
+    }
+}
+
 /// A simulated machine hosting applications and a DIF stack.
 pub struct Node {
     /// Machine name (debugging and IPC-process naming convention).
@@ -216,17 +253,18 @@ pub struct Node {
     /// Applied when the ipcp (re-)enrolls and kept — a respawned IPC
     /// process must re-register its applications, not forget them.
     regs: Vec<(AppName, usize)>,
-    dirty: BTreeSet<usize>,
+    /// IPC processes flushed since the last drain.
+    dirty: SlotSet,
     /// Recycled buffer for draining IPCP effect queues without a fresh
     /// allocation per flush (the data plane flushes after every frame).
     out_scratch: Vec<IpcpOut>,
     armed_conn: HashMap<(usize, CepId), (u64, u64), FxBuild>,
     /// IPC processes with a route-recompute debounce timer in flight.
-    routes_armed: BTreeSet<usize>,
+    routes_armed: SlotSet,
     /// IPC processes with an LSA-flush debounce timer in flight.
-    lsa_armed: BTreeSet<usize>,
+    lsa_armed: SlotSet,
     /// IPC processes with a flood-aggregation timer in flight.
-    flood_armed: BTreeSet<usize>,
+    flood_armed: SlotSet,
     /// SDUs delivered to ports with no live owner (diagnostic).
     pub orphan_sdus: u64,
 }
@@ -247,12 +285,12 @@ impl Node {
             pace: HashMap::default(),
             plans: Vec::new(),
             regs: Vec::new(),
-            dirty: BTreeSet::new(),
+            dirty: SlotSet::default(),
             out_scratch: Vec::new(),
             armed_conn: HashMap::default(),
-            routes_armed: BTreeSet::new(),
-            lsa_armed: BTreeSet::new(),
-            flood_armed: BTreeSet::new(),
+            routes_armed: SlotSet::default(),
+            lsa_armed: SlotSet::default(),
+            flood_armed: SlotSet::default(),
             orphan_sdus: 0,
         }
     }
@@ -1004,9 +1042,9 @@ impl Node {
                 | TimerKind::FloodFlush { ipcp } if *ipcp == i)
         });
         self.armed_conn.retain(|&(p, _), _| p != i);
-        self.routes_armed.remove(&i);
-        self.lsa_armed.remove(&i);
-        self.flood_armed.remove(&i);
+        self.routes_armed.remove(i);
+        self.lsa_armed.remove(i);
+        self.flood_armed.remove(i);
         self.ipcps[i] = Ipcp::new(i, cfg, name);
         // Re-fire the adjacency plans so the fresh process re-assembles.
         for idx in 0..self.plans.len() {
@@ -1064,16 +1102,16 @@ impl Node {
                 }
             }
             TimerKind::Routes { ipcp } => {
-                self.routes_armed.remove(&ipcp);
+                self.routes_armed.remove(ipcp);
                 self.ipcps[ipcp].recompute_routes_now();
             }
             TimerKind::LsaFlush { ipcp } => {
-                self.lsa_armed.remove(&ipcp);
+                self.lsa_armed.remove(ipcp);
                 self.ipcps[ipcp].flush_lsa_now(ctx.now());
                 self.flush_ipcp(ipcp, ctx);
             }
             TimerKind::FloodFlush { ipcp } => {
-                self.flood_armed.remove(&ipcp);
+                self.flood_armed.remove(ipcp);
                 self.ipcps[ipcp].flush_floods_now(ctx.now());
                 self.flush_ipcp(ipcp, ctx);
             }
@@ -1157,5 +1195,40 @@ impl Agent for Node {
             }
         }
         self.drain(ctx);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::SlotSet;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
+
+    proptest! {
+        /// Any interleaving of the three operations returns what the
+        /// ordered set returns and leaves the same members, across the
+        /// word boundary at 64 and through growth of the word vector.
+        #[test]
+        fn slot_set_is_an_ordered_set(
+            steps in proptest::collection::vec(0usize..600, 0..400),
+        ) {
+            let (mut set, mut reference) = (SlotSet::default(), BTreeSet::new());
+            for step in steps {
+                let i = step / 3;
+                match step % 3 {
+                    0 => prop_assert_eq!(set.insert(i), reference.insert(i)),
+                    1 => {
+                        set.remove(i);
+                        reference.remove(&i);
+                    }
+                    _ => prop_assert_eq!(set.pop_first(), reference.pop_first()),
+                }
+            }
+            // What is left drains in ascending order, then stays empty.
+            while let Some(i) = reference.pop_first() {
+                prop_assert_eq!(set.pop_first(), Some(i));
+            }
+            prop_assert_eq!(set.pop_first(), None);
+        }
     }
 }

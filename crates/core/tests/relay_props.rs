@@ -13,7 +13,9 @@
 //! 2. a non-local frame with TTL 0 emits nothing and counts one
 //!    `ttl_drops`;
 //! 3. arbitrary bytes never panic a member — shim or not — and a frame
-//!    the peek declines counts exactly one `decode_errors`.
+//!    the peek declines counts exactly one `decode_errors`; a decodable
+//!    data or control frame addressed to the member, for a CEP nobody
+//!    owns, counts exactly one `no_flow_drops` and emits nothing.
 
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -179,7 +181,7 @@ proptest! {
             member.on_frame(0, frame.clone(), Time::ZERO);
             let s = member.stats;
             prop_assert!(
-                s.decode_errors + s.relayed + s.ttl_drops <= 1,
+                s.decode_errors + s.relayed + s.ttl_drops + s.no_flow_drops <= 1,
                 "booked more than once: {:?}", s
             );
             if declined {
@@ -188,6 +190,30 @@ proptest! {
             if undecodable && s.relayed == 0 {
                 prop_assert!(member.take_out().is_empty(), "a dead frame emits nothing");
             }
+        }
+    }
+
+    /// Invariant 3, the decodable half: a data or control PDU that
+    /// reaches its destination member after its flow is gone (or before
+    /// it ever existed) dies there, booked exactly once, on a member and
+    /// on a shim alike.
+    #[test]
+    fn an_unowned_cep_is_booked_once_and_emits_nothing(
+        k in 0u8..2, src_addr in any::<u64>(), qos_id in any::<u8>(),
+        dest_cep in any::<u32>(), src_cep in any::<u32>(), seq in any::<u64>(),
+        flags in 0u8..8, ttl in any::<u8>(),
+        payload in proptest::collection::vec(any::<u8>(), 0..128),
+    ) {
+        // Both members answer to address 1 and own no flow at all.
+        let pdu = build_pdu(k, 1, src_addr, qos_id, dest_cep, src_cep, seq, flags, ttl, payload);
+        for mut member in [relay_toward(2), shim()] {
+            member.on_frame(0, pdu.encode(), Time::ZERO);
+            let s = member.stats;
+            prop_assert_eq!(
+                (s.no_flow_drops, s.decode_errors, s.relayed, s.ttl_drops, s.no_route),
+                (1, 0, 0, 0, 0)
+            );
+            prop_assert!(member.take_out().is_empty(), "a dropped PDU emits nothing");
         }
     }
 }

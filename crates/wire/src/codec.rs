@@ -122,6 +122,7 @@ pub struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     /// Decode from `buf`.
+    #[inline]
     pub fn new(buf: &'a [u8]) -> Self {
         Reader { buf, pos: 0 }
     }
@@ -140,6 +141,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Bytes remaining to be read.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
@@ -156,6 +158,7 @@ impl<'a> Reader<'a> {
         }
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         if self.remaining() < n {
             return Err(WireError::Truncated);
@@ -166,6 +169,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Read one byte.
+    #[inline]
     pub fn u8(&mut self) -> Result<u8, WireError> {
         Ok(self.take(1)?[0])
     }
@@ -185,6 +189,7 @@ impl<'a> Reader<'a> {
         Ok(u64::from_be_bytes(s.try_into().expect("len 8")))
     }
     /// Read an unsigned LEB128 varint.
+    #[inline]
     pub fn varint(&mut self) -> Result<u64, WireError> {
         let mut v: u64 = 0;
         let mut shift = 0u32;
@@ -216,6 +221,7 @@ impl<'a> Reader<'a> {
         std::str::from_utf8(self.bytes()?).map_err(|_| WireError::Invalid("utf-8 string"))
     }
     /// Read all remaining bytes.
+    #[inline]
     pub fn rest(&mut self) -> &'a [u8] {
         let s = &self.buf[self.pos..];
         self.pos = self.buf.len();

@@ -1,20 +1,27 @@
-//! CRC-32 (IEEE 802.3 polynomial), slice-by-8 table-driven.
+//! CRC-32 (IEEE 802.3 polynomial): a slice-by-8 summer and the O(1)
+//! algebra that lets a hop fix a trailer without summing.
 //!
 //! Links in the simulator lose frames but never corrupt them, so in normal
 //! operation the checksum always verifies; it is kept on the wire for
 //! realism, for fault-injection tests, and so the header overhead accounting
 //! in the experiments matches a deployable format.
 //!
-//! Every relayed PDU is checked on arrival and re-summed on departure, so
-//! this function dominates the data-plane profile under flow churn (E13).
-//! The slice-by-8 kernel folds eight input bytes per step through eight
-//! precomputed tables — the same polynomial, the same result for every
-//! input as the plain byte-at-a-time loop (pinned by the test vectors),
-//! at a fraction of the per-byte cost.
+//! A frame is summed in full exactly twice, by the member that encodes it
+//! and by the member that terminates it ([`crc32`]: eight input bytes per
+//! step through eight precomputed tables — the same polynomial, the same
+//! result for every input as the plain byte-at-a-time loop, pinned by the
+//! test vectors). No hop in between touches the payload: a relay peeks
+//! the header, decrements the TTL byte and repairs the trailer with
+//! [`crc32_patch`]; a shim wraps an already-trailed frame and derives the
+//! outer trailer with [`crc32_of_trailed`] and [`crc32_combine`]. All
+//! three reduce to advancing a 32-bit register across a run of zero
+//! bytes (`zero_advance`), which is therefore what a relay hop pays the
+//! wire layer for, once per frame per link.
 
 /// Lazily built reflected-polynomial lookup tables. `t[0]` is the classic
 /// byte-at-a-time table; `t[k]` maps a byte to its CRC contribution `k`
 /// positions earlier in an 8-byte block.
+#[inline]
 fn tables() -> &'static [[u32; 256]; 8] {
     use std::sync::OnceLock;
     static TABLES: OnceLock<[[u32; 256]; 8]> = OnceLock::new();
@@ -42,6 +49,9 @@ fn tables() -> &'static [[u32; 256]; 8] {
 /// of bit `j`.
 type Gf2Op = [u32; 32];
 
+/// Bit-serial operator application: one pass per set bit of `v`, each
+/// branching on a bit of the register. Table construction and the tests'
+/// reference only — the per-frame path goes through [`sliced_op`].
 fn gf2_apply(m: &Gf2Op, mut v: u32) -> u32 {
     let mut r = 0u32;
     let mut j = 0usize;
@@ -83,6 +93,34 @@ fn zero_ops() -> &'static [Gf2Op; ZERO_OPS] {
     })
 }
 
+/// One doubling operator sliced by register byte: `s[i][b]` is the
+/// operator's image of the register `b << 8·i`. The operator is linear,
+/// so its image of any register is the XOR of one entry per byte — four
+/// loads and three XORs, with no branch on the register's bits (which
+/// change with every frame and every flow, so a predictor cannot learn
+/// them).
+type SlicedOp = [[u32; 256]; 4];
+
+/// The sliced form of `zero_ops()[k]`, built on first use: 4 KiB a step,
+/// and a frame of `n` bytes only ever reaches the steps below `log2 n`
+/// (eleven for an MTU-sized frame). Boxed, so the steps nothing reaches
+/// cost the binary a pointer each rather than a table each.
+#[inline]
+fn sliced_op(k: usize) -> &'static SlicedOp {
+    use std::sync::OnceLock;
+    static SLICED: [OnceLock<Box<SlicedOp>>; ZERO_OPS] = [const { OnceLock::new() }; ZERO_OPS];
+    SLICED[k].get_or_init(|| {
+        let op = &zero_ops()[k];
+        let mut s = [[0u32; 256]; 4];
+        for (i, slice) in s.iter_mut().enumerate() {
+            for (b, slot) in slice.iter_mut().enumerate() {
+                *slot = gf2_apply(op, (b as u32) << (8 * i));
+            }
+        }
+        Box::new(s)
+    })
+}
+
 /// Patch a CRC-32 for a single changed byte without re-summing the message.
 ///
 /// `old_crc` is the CRC of the original message; the byte at distance
@@ -98,25 +136,30 @@ fn zero_ops() -> &'static [Gf2Op; ZERO_OPS] {
 /// `new_crc = old_crc ^ x^(8d)·t0[old ^ new] mod P`. The init/xorout
 /// constants cancel in the XOR. The zero-byte advance runs in
 /// `O(popcount(d))` operator applications via the precomputed doubling
-/// table, so patching a frame costs the same whether it is 10 bytes or a
+/// tables, so patching a frame costs the same whether it is 10 bytes or a
 /// megabyte.
+#[inline]
 pub fn crc32_patch(old_crc: u32, dist_from_end: usize, old_byte: u8, new_byte: u8) -> u32 {
     old_crc ^ zero_advance(tables()[0][(old_byte ^ new_byte) as usize], dist_from_end)
 }
 
 /// Advance a raw CRC register across `len` zero bytes — multiplication by
-/// `x^(8·len) mod P` in the reflected representation, `O(popcount(len))`
-/// operator applications via the doubling table.
+/// `x^(8·len) mod P` in the reflected representation: one sliced doubling
+/// operator per set bit of `len`.
+#[inline]
 fn zero_advance(mut v: u32, len: usize) -> u32 {
-    let ops = zero_ops();
     let mut d = len;
-    let mut k = 0usize;
-    while d != 0 && k < ZERO_OPS {
-        if d & 1 != 0 {
-            v = gf2_apply(&ops[k], v);
+    while d != 0 {
+        let k = d.trailing_zeros() as usize;
+        if k >= ZERO_OPS {
+            break;
         }
-        d >>= 1;
-        k += 1;
+        let s = sliced_op(k);
+        v = s[0][(v & 0xFF) as usize]
+            ^ s[1][((v >> 8) & 0xFF) as usize]
+            ^ s[2][((v >> 16) & 0xFF) as usize]
+            ^ s[3][(v >> 24) as usize];
+        d &= d - 1;
     }
     v
 }
@@ -129,6 +172,7 @@ fn zero_advance(mut v: u32, len: usize) -> u32 {
 /// linearity gives `F(B, i) = F(B, 0) ⊕ x^(8·|B|)·i`. Expanding
 /// `crc(A‖B) = F(B, F(A, i₀)) ⊕ x₀` and substituting the same identity for
 /// `crc(B)` makes both the `i₀` and `x₀` constants cancel in the XOR.
+#[inline]
 pub fn crc32_combine(crc_a: u32, crc_b: u32, len_b: usize) -> u32 {
     zero_advance(crc_a, len_b) ^ crc_b
 }
@@ -139,6 +183,7 @@ pub fn crc32_combine(crc_a: u32, crc_b: u32, len_b: usize) -> u32 {
 /// Un-finalizing the trailer (`⊕ 0xFFFF_FFFF`) recovers the register state
 /// the summer held after `body`'s last byte; feeding the four trailer bytes
 /// from there continues the very computation that produced them.
+#[inline]
 pub fn crc32_of_trailed(trailer: u32) -> u32 {
     let t = &tables()[0];
     let mut c = trailer ^ 0xFFFF_FFFF;
@@ -174,6 +219,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn known_vectors() {
@@ -284,6 +330,40 @@ mod tests {
             let mut frame = body;
             frame.extend_from_slice(&trailer.to_be_bytes());
             assert_eq!(crc32_of_trailed(trailer), crc32(&frame), "len {len}");
+        }
+    }
+
+    /// The kernel the sliced tables replaced, kept as their reference:
+    /// one bit-serial operator application per set bit of `len`.
+    fn zero_advance_bit_serial(mut v: u32, len: usize) -> u32 {
+        for (k, op) in zero_ops().iter().enumerate() {
+            if (len >> k) & 1 != 0 {
+                v = gf2_apply(op, v);
+            }
+        }
+        v
+    }
+
+    proptest! {
+        #[test]
+        fn zero_advance_matches_bit_serial(
+            v in any::<u32>(), d in 0usize..1 << 20, high in 32u32..ZERO_OPS as u32,
+        ) {
+            prop_assert_eq!(zero_advance(v, d), zero_advance_bit_serial(v, d));
+            // No frame reaches the steps past 2^32; they are built on
+            // first use like the rest and must be just as right.
+            let far = d | 1usize << high;
+            prop_assert_eq!(zero_advance(v, far), zero_advance_bit_serial(v, far));
+            // Bits past the last operator are ignored, as they always were.
+            prop_assert_eq!(zero_advance(v, far | 1usize << 63), zero_advance(v, far));
+        }
+
+        #[test]
+        fn combine_matches_full_sum_random_splits(
+            data in proptest::collection::vec(any::<u8>(), 0..4097), at in any::<usize>(),
+        ) {
+            let (a, b) = data.split_at(at % (data.len() + 1));
+            prop_assert_eq!(crc32_combine(crc32(a), crc32(b), b.len()), crc32(&data));
         }
     }
 
