@@ -1,9 +1,10 @@
 //! The CI perf-regression gate: diff a fresh `BENCH_SWEEP.json` against
 //! the checked-in `BENCH_BASELINE.json`.
 //!
-//! Deterministic metrics (virtual makespan, PDU counts, reachability)
-//! are compared exactly; wall clock relatively, with a tolerance, after
-//! median machine-speed normalization (see `rina_bench::compare`).
+//! Every member of a cell (virtual makespan, PDU counts, reachability,
+//! …) is compared exactly, a member on one side only is an error, and
+//! `wall_s` alone is compared relatively, with a tolerance, after median
+//! machine-speed normalization (see `rina_bench::compare`).
 //!
 //! Usage: `cargo run --release -p rina-bench --bin bench-compare -- \
 //!           [BASELINE] [FRESH] [--wall-tol FRAC]`
@@ -19,7 +20,7 @@
 //! in the same PR:
 //! `cargo run --release -p rina-bench --bin sweep -- --out BENCH_BASELINE.json`
 
-use rina_bench::compare::{compare, default_gates, parse};
+use rina_bench::compare::{compare, parse};
 use std::io::Write;
 
 fn read_doc(path: &str) -> rina_bench::compare::Json {
@@ -55,7 +56,7 @@ fn main() {
     let baseline = paths.first().map(|s| s.as_str()).unwrap_or("BENCH_BASELINE.json");
     let fresh = paths.get(1).map(|s| s.as_str()).unwrap_or("reports/BENCH_SWEEP.json");
 
-    let cmp = compare(&read_doc(baseline), &read_doc(fresh), &default_gates(wall_tol));
+    let cmp = compare(&read_doc(baseline), &read_doc(fresh), wall_tol);
     let md = cmp.to_markdown();
     print!("{md}");
     if let Ok(summary) = std::env::var("GITHUB_STEP_SUMMARY") {

@@ -14,9 +14,8 @@
 //! (default sizes: 50 100 200 500 1000)
 
 use rina::prelude::EnrollSchedule;
-use rina_bench::report::{finish_doc, push_section};
-use rina_bench::sweep::{par_map, positional_numbers, threads_from_args, write_report};
-use rina_bench::{e10_scalefree, fmt};
+use rina_bench::e10_scalefree;
+use rina_bench::sweep::{positional_numbers, report_cells, threads_from_args};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -35,38 +34,12 @@ fn main() {
             cells.push((n, EnrollSchedule::sequential()));
         }
     }
-    eprintln!("e10: {} cells on {} threads", cells.len(), threads);
-    let t0 = std::time::Instant::now();
-    let rows = par_map(threads, cells, |(n, schedule)| {
-        e10_scalefree::run_with(n, 2, 900 + n as u64, schedule)
-    });
-    println!(
-        "| members | schedule | makespan (s) | wall (s) | mgmt/member | rib PDUs | suppressed | spf full | spf incr | ft delta | e2e ok |"
-    );
-    println!("|---|---|---|---|---|---|---|---|---|---|---|");
-    for r in &rows {
-        println!(
-            "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} |",
-            r.members,
-            r.schedule,
-            fmt(r.assemble_s),
-            fmt(r.wall_s),
-            fmt(r.mgmt_per_member),
-            r.rib_pdus,
-            r.flood_suppressed,
-            r.spf_full,
-            r.spf_incremental,
-            r.ft_delta,
-            r.e2e_ok
-        );
-    }
-    let mut doc = Vec::new();
-    push_section(&mut doc, "e10_sweep", &rows);
-    let path = write_report("e10.json", &finish_doc(doc));
-    eprintln!(
-        "e10: {} cells in {:.1}s wall -> {}",
-        rows.len(),
-        t0.elapsed().as_secs_f64(),
-        path.display()
+    report_cells(
+        "e10",
+        "e10_sweep",
+        e10_scalefree::SWEEP_TABLE,
+        threads,
+        cells,
+        |(n, schedule)| e10_scalefree::run_with(n, 2, 900 + n as u64, schedule),
     );
 }

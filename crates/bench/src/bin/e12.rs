@@ -11,9 +11,8 @@
 //!           [sizes...] [--threads N] [--scoped-only]`
 //! (default sizes: 50 200 500 2000)
 
-use rina_bench::report::{finish_doc, push_section};
-use rina_bench::sweep::{par_map, positional_numbers, threads_from_args, write_report};
-use rina_bench::{e12_partial_rib, fmt};
+use rina_bench::e12_partial_rib;
+use rina_bench::sweep::{positional_numbers, report_cells, threads_from_args};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -32,38 +31,7 @@ fn main() {
             cells.push((n, false));
         }
     }
-    eprintln!("e12: {} cells on {} threads", cells.len(), threads);
-    let t0 = std::time::Instant::now();
-    let rows =
-        par_map(threads, cells, |(n, scoped)| e12_partial_rib::run(n, 1200 + n as u64, scoped));
-    println!(
-        "| members | /dir | rib obj max | rib bytes max | dir obj max | dir obj mean | lookups | cache hits | rib PDUs | makespan (s) | wall (s) | e2e ok |"
-    );
-    println!("|---|---|---|---|---|---|---|---|---|---|---|---|");
-    for r in &rows {
-        println!(
-            "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} |",
-            r.members,
-            if r.scoped { "scoped" } else { "full" },
-            r.rib_objects_max,
-            r.rib_bytes_max,
-            r.dir_objects_max,
-            fmt(r.dir_objects_mean),
-            r.dir_lookups,
-            r.dir_cache_hits,
-            r.rib_pdus,
-            fmt(r.assemble_s),
-            fmt(r.wall_s),
-            r.e2e_ok
-        );
-    }
-    let mut doc = Vec::new();
-    push_section(&mut doc, "e12_sweep", &rows);
-    let path = write_report("e12.json", &finish_doc(doc));
-    eprintln!(
-        "e12: {} cells in {:.1}s wall -> {}",
-        rows.len(),
-        t0.elapsed().as_secs_f64(),
-        path.display()
-    );
+    report_cells("e12", "e12_sweep", e12_partial_rib::TABLE, threads, cells, |(n, scoped)| {
+        e12_partial_rib::run(n, 1200 + n as u64, scoped)
+    });
 }

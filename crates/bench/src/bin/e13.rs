@@ -14,9 +14,8 @@
 //! (default sizes: 50 200 500; default: all three disciplines)
 
 use rina::prelude::SchedPolicy;
-use rina_bench::report::{finish_doc, push_section};
-use rina_bench::sweep::{par_map, positional_numbers, threads_from_args, write_report};
-use rina_bench::{e13_flows, fmt};
+use rina_bench::e13_flows;
+use rina_bench::sweep::{positional_numbers, report_cells, threads_from_args};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -41,39 +40,7 @@ fn main() {
     sizes.sort_unstable_by(|a, b| b.cmp(a));
     let cells: Vec<(usize, SchedPolicy)> =
         sizes.iter().flat_map(|&n| scheds.iter().map(move |&s| (n, s))).collect();
-    eprintln!("e13: {} cells on {} threads", cells.len(), threads);
-    let t0 = std::time::Instant::now();
-    let rows = par_map(threads, cells, |(n, sched)| e13_flows::run(n, 5, sched, 1_300 + n as u64));
-    println!(
-        "| members | drivers | sched | sustained | peak | allocs/s | alloc p99 (ms) | deaths | inter p99 (ms) | bulk p99 (ms) | drops inter | drops bulk | relay fast | wall (s) |"
-    );
-    println!("|---|---|---|---|---|---|---|---|---|---|---|---|---|---|");
-    for r in &rows {
-        println!(
-            "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} |",
-            r.members,
-            r.drivers,
-            r.sched,
-            r.concurrent_sustained,
-            r.concurrent_peak,
-            fmt(r.allocs_per_s),
-            fmt(r.alloc_p99_ms),
-            r.flow_deaths,
-            fmt(r.inter_p99_ms),
-            fmt(r.bulk_p99_ms),
-            r.rmt_drops_inter,
-            r.rmt_drops_bulk,
-            r.relay_fast,
-            fmt(r.wall_s)
-        );
-    }
-    let mut doc = Vec::new();
-    push_section(&mut doc, "e13_flows", &rows);
-    let path = write_report("e13.json", &finish_doc(doc));
-    eprintln!(
-        "e13: {} cells in {:.1}s wall -> {}",
-        rows.len(),
-        t0.elapsed().as_secs_f64(),
-        path.display()
-    );
+    report_cells("e13", "e13_flows", e13_flows::TABLE, threads, cells, |(n, sched)| {
+        e13_flows::run(n, 5, sched, 1_300 + n as u64)
+    });
 }

@@ -11,9 +11,20 @@
 //! its own fixed seed, so the output is reproducible at any `-N`.
 
 use rina::prelude::EnrollSchedule;
-use rina_bench::report::{finish_doc, push_section};
+use rina_bench::report::{finish_doc, markdown, push_section, Col, Row};
 use rina_bench::sweep::{par_map, run_jobs, threads_from_args, write_report};
 use rina_bench::*;
+
+/// One rows-returning job for [`run_jobs`].
+type Job<R> = Box<dyn FnOnce() -> R + Send>;
+
+/// Print one section — title, then `rows` under the column list `cols`
+/// — and file the rows under `key` in the results document.
+fn section<R: Row>(doc: &mut Vec<String>, title: &str, key: &str, cols: &[Col<R>], rows: &[R]) {
+    println!("{title}\n");
+    print!("{}", markdown(cols, rows));
+    push_section(doc, key, rows);
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -21,163 +32,56 @@ fn main() {
     let threads = threads_from_args(&args);
     let mut doc: Vec<String> = Vec::new();
 
-    println!("## E1/E2 — Figures 1 & 2: two-system and relayed IPC\n");
-    println!("| scenario | relays | alloc latency (s) | RTT mean (s) | goodput (Mb/s) | relayed PDUs | hdr overhead (B) |");
-    println!("|---|---|---|---|---|---|---|");
     let rows =
         par_map(threads, vec![0usize, 1, 3], |relays| e1_fig1::run(relays, 100 + relays as u64));
-    for r in &rows {
-        println!(
-            "| {} | {} | {} | {} | {} | {} | {} |",
-            r.scenario,
-            r.relays,
-            fmt(r.alloc_latency_s),
-            fmt(r.rtt_mean_s),
-            fmt(r.goodput_mbps),
-            r.relayed_pdus,
-            r.overhead_bytes
-        );
-    }
-    push_section(&mut doc, "e1_fig1", &rows);
+    let title = "## E1/E2 — Figures 1 & 2: two-system and relayed IPC";
+    section(&mut doc, title, "e1_fig1", e1_fig1::TABLE, &rows);
 
-    println!("\n## E3 — Figure 3: an extra DIF scoped to the lossy segment\n");
-    println!("| P(bad) | config | delivered | goodput (Mb/s) | lat mean (s) | lat p99 (s) |");
-    println!("|---|---|---|---|---|---|");
     let pbads: &[f64] = if quick { &[0.0, 0.25] } else { &[0.0, 0.1, 0.2, 0.3] };
     let cells: Vec<(f64, bool)> = pbads.iter().flat_map(|&p| [(p, false), (p, true)]).collect();
     let rows = par_map(threads, cells, |(p, scoped)| e3_fig3::run(p, scoped, 200));
-    for r in &rows {
-        println!(
-            "| {} | {} | {} | {} | {} | {} |",
-            fmt(r.p_bad),
-            r.config,
-            r.delivered,
-            fmt(r.goodput_mbps),
-            fmt(r.latency_mean_s),
-            fmt(r.latency_p99_s)
-        );
-    }
-    push_section(&mut doc, "e3_fig3", &rows);
+    let title = "\n## E3 — Figure 3: an extra DIF scoped to the lossy segment";
+    section(&mut doc, title, "e3_fig3", e3_fig3::TABLE, &rows);
 
-    println!("\n## E4 — Figure 4 / §6.3: multihoming failover\n");
-    println!("| stack | flow survived | outage (s) | delivered/2000 | conn failures |");
-    println!("|---|---|---|---|---|");
-    let rows = run_jobs(
-        threads,
-        vec![
-            Box::new(|| e4_fig4::run_rina(300)) as Box<dyn FnOnce() -> _ + Send>,
-            Box::new(|| e4_fig4::run_inet(300)),
-        ],
-    );
-    for r in &rows {
-        println!(
-            "| {} | {} | {} | {} | {} |",
-            r.stack,
-            r.flow_survived,
-            fmt(r.outage_s),
-            r.delivered,
-            r.conn_failures
-        );
-    }
-    push_section(&mut doc, "e4_fig4", &rows);
+    let jobs: Vec<Job<_>> =
+        vec![Box::new(|| e4_fig4::run_rina(300)), Box::new(|| e4_fig4::run_inet(300))];
+    let rows = run_jobs(threads, jobs);
+    let title = "\n## E4 — Figure 4 / §6.3: multihoming failover";
+    section(&mut doc, title, "e4_fig4", e4_fig4::TABLE, &rows);
 
-    println!("\n## E5 — Figure 5 / §6.4: mobility\n");
-    println!("| stack | handoff gap (s) | flow survived | update/tunnel msgs | delivered/3000 |");
-    println!("|---|---|---|---|---|");
-    let rows = run_jobs(
-        threads,
-        vec![
-            Box::new(|| e5_fig5::run_rina(400)) as Box<dyn FnOnce() -> _ + Send>,
-            Box::new(|| e5_fig5::run_inet(400)),
-        ],
-    );
-    for r in &rows {
-        println!(
-            "| {} | {} | {} | {} | {} |",
-            r.stack,
-            fmt(r.handoff_gap_s),
-            r.flow_survived,
-            r.update_msgs,
-            r.delivered
-        );
-    }
-    push_section(&mut doc, "e5_fig5", &rows);
+    let jobs: Vec<Job<_>> =
+        vec![Box::new(|| e5_fig5::run_rina(400)), Box::new(|| e5_fig5::run_inet(400))];
+    let rows = run_jobs(threads, jobs);
+    let title = "\n## E5 — Figure 5 / §6.4: mobility";
+    section(&mut doc, title, "e5_fig5", e5_fig5::TABLE, &rows);
 
-    println!("\n## E6 — §6.5: routing state, flat vs hierarchical\n");
-    println!("| regions×hosts | config | fwd mean | fwd max | RIEP msgs | e2e ok |");
-    println!("|---|---|---|---|---|---|");
     let sizes: &[(usize, usize)] = if quick { &[(3, 4)] } else { &[(3, 4), (4, 8), (6, 12)] };
     let cells: Vec<(usize, usize, bool)> =
         sizes.iter().flat_map(|&(rg, h)| [(rg, h, true), (rg, h, false)]).collect();
     let rows = par_map(threads, cells, |(rg, h, flat)| e6_scale::run(rg, h, flat, 500));
-    for r in &rows {
-        println!(
-            "| {}×{} | {} | {} | {} | {} | {} |",
-            r.regions,
-            r.hosts_per_region,
-            r.config,
-            fmt(r.fwd_mean),
-            r.fwd_max,
-            r.rib_msgs,
-            r.e2e_ok
-        );
-    }
-    push_section(&mut doc, "e6_scale", &rows);
+    let title = "\n## E6 — §6.5: routing state, flat vs hierarchical";
+    section(&mut doc, title, "e6_scale", e6_scale::TABLE, &rows);
 
-    println!("\n## E7 — §6.1: attack surface\n");
-    println!("| stack | probes | information leaks | attacker payloads delivered |");
-    println!("|---|---|---|---|");
-    let rows = run_jobs(
-        threads,
-        vec![
-            Box::new(|| e7_security::run_inet(600)) as Box<dyn FnOnce() -> _ + Send>,
-            Box::new(|| e7_security::run_rina_access_control(601)),
-            Box::new(|| e7_security::run_rina_private(602)),
-        ],
-    );
-    for r in &rows {
-        println!("| {} | {} | {} | {} |", r.stack, r.probes, r.leaks, r.payloads_delivered);
-    }
-    push_section(&mut doc, "e7_security", &rows);
+    let jobs: Vec<Job<_>> = vec![
+        Box::new(|| e7_security::run_inet(600)),
+        Box::new(|| e7_security::run_rina_access_control(601)),
+        Box::new(|| e7_security::run_rina_private(602)),
+    ];
+    let rows = run_jobs(threads, jobs);
+    let title = "\n## E7 — §6.1: attack surface";
+    section(&mut doc, title, "e7_security", e7_security::TABLE, &rows);
 
-    println!("\n## E8 — §5.2: enrollment cost\n");
-    println!("| members | assemble (s) | mgmt msgs | per member |");
-    println!("|---|---|---|---|");
     let ks: Vec<usize> = if quick { vec![4, 8] } else { vec![2, 4, 8, 16, 32] };
     let rows = par_map(threads, ks, |k| e8_enroll::run(k, 700 + k as u64));
-    for r in &rows {
-        println!(
-            "| {} | {} | {} | {} |",
-            r.members,
-            fmt(r.assemble_s),
-            r.mgmt_msgs,
-            fmt(r.mgmt_per_member)
-        );
-    }
-    push_section(&mut doc, "e8_enroll", &rows);
+    let title = "\n## E8 — §5.2: enrollment cost";
+    section(&mut doc, title, "e8_enroll", e8_enroll::TABLE, &rows);
 
-    println!("\n## E9 — intro item 5 / §6.2 / §6.6: utilization & QoS classes\n");
-    println!("| offered load | sched | utilization | inter lat mean (s) | inter lat p99 (s) | bulk (Mb/s) |");
-    println!("|---|---|---|---|---|---|");
     let loads: &[f64] = if quick { &[0.9, 1.1] } else { &[0.5, 0.8, 0.95, 1.1] };
     let cells: Vec<(f64, bool)> = loads.iter().flat_map(|&l| [(l, false), (l, true)]).collect();
     let rows = par_map(threads, cells, |(load, prio)| e9_util::run(load, prio, 800));
-    for r in &rows {
-        println!(
-            "| {} | {} | {} | {} | {} | {} |",
-            fmt(r.offered_load),
-            r.sched,
-            fmt(r.utilization),
-            fmt(r.inter_lat_mean_s),
-            fmt(r.inter_lat_p99_s),
-            fmt(r.bulk_mbps)
-        );
-    }
-    push_section(&mut doc, "e9_util", &rows);
+    let title = "\n## E9 — intro item 5 / §6.2 / §6.6: utilization & QoS classes";
+    section(&mut doc, title, "e9_util", e9_util::TABLE, &rows);
 
-    println!("\n## E10 — scale-free internetworks (Barabási–Albert DIFs)\n");
-    println!("| members | m | schedule | makespan (s) | wall (s) | mgmt/member | rib PDUs | deferred | hub degree | hub fwd | hub agg | fwd mean | agg mean | e2e ok |");
-    println!("|---|---|---|---|---|---|---|---|---|---|---|---|---|---|");
     // Wave-parallel sweep (the makespan should grow sublinearly in
     // members), with the sequential baseline alongside for comparison.
     // Largest first: the pool starts the 1000-member straggler early.
@@ -193,53 +97,13 @@ fn main() {
     let rows = par_map(threads, cells, |(n, schedule)| {
         e10_scalefree::run_with(n, 2, 900 + n as u64, schedule)
     });
-    for r in &rows {
-        println!(
-            "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} |",
-            r.members,
-            r.attach_degree,
-            r.schedule,
-            fmt(r.assemble_s),
-            fmt(r.wall_s),
-            fmt(r.mgmt_per_member),
-            r.rib_pdus,
-            r.deferred,
-            r.hub_degree,
-            r.hub_fwd,
-            r.hub_fwd_agg,
-            fmt(r.fwd_mean),
-            fmt(r.fwd_agg_mean),
-            r.e2e_ok
-        );
-    }
-    push_section(&mut doc, "e10_scalefree", &rows);
+    let title = "\n## E10 — scale-free internetworks (Barabási–Albert DIFs)";
+    section(&mut doc, title, "e10_scalefree", e10_scalefree::TABLE, &rows);
 
-    println!("\n## E11 — continuous dynamics: churn, failure, partition\n");
-    println!("| members | leaves | fails | flaps | parts | assemble (s) | churn (s) | reconverge (s) | reach min | agg before | agg after | agg peak | stale | purged | converged |");
-    println!("|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|");
     let churn_ns: &[usize] = if quick { &[30] } else { &[200, 100, 30] };
     let rows = par_map(threads, churn_ns.to_vec(), |n| e11_churn::run(n, 1100 + n as u64));
-    for r in &rows {
-        println!(
-            "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} |",
-            r.members,
-            r.leaves,
-            r.fails,
-            r.flaps,
-            r.partitions,
-            fmt(r.assemble_s),
-            fmt(r.churn_s),
-            fmt(r.reconverge_s),
-            fmt(r.reach_min),
-            r.agg_before,
-            r.agg_after,
-            r.agg_peak_calm,
-            r.stale_final,
-            r.purged,
-            r.converged
-        );
-    }
-    push_section(&mut doc, "e11_churn", &rows);
+    let title = "\n## E11 — continuous dynamics: churn, failure, partition";
+    section(&mut doc, title, "e11_churn", e11_churn::TABLE, &rows);
 
     let path = write_report("results.json", &finish_doc(doc));
     println!("\n({} written)", path.display());

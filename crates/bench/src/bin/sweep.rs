@@ -18,7 +18,11 @@
 //!   minimum across passes (default 3 — sub-second cells jitter ±30%
 //!   on a busy box, and the gate compares noise floors, not draws)
 
-use rina_bench::sweep::{run_grid_best_of, sweep_doc, threads_from_args, write_report, SweepGrid};
+use rina_bench::report::markdown;
+use rina_bench::sweep::{
+    run_grid_best_of, sweep_doc, threads_from_args, write_report, SweepGrid, TABLE,
+};
+use rina_bench::timed;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -46,24 +50,8 @@ fn main() {
     };
     let cells = grid.cells();
     eprintln!("sweep: {} cells on {} threads, best of {repeat}", cells.len(), threads);
-    let t0 = std::time::Instant::now();
-    let rows = run_grid_best_of(&grid, threads, repeat);
-    let wall = t0.elapsed().as_secs_f64();
-
-    println!("| cell | makespan (s) | mgmt PDUs | rib PDUs | suppressed | reachable | wall (s) |");
-    println!("|---|---|---|---|---|---|---|");
-    for r in &rows {
-        println!(
-            "| {} | {} | {} | {} | {} | {} | {:.3} |",
-            r.id,
-            rina_bench::fmt(r.makespan_s),
-            r.mgmt_pdus,
-            r.rib_pdus,
-            r.flood_suppressed,
-            r.reachable,
-            r.wall_s
-        );
-    }
+    let (rows, wall) = timed(|| run_grid_best_of(&grid, threads, repeat));
+    print!("{}", markdown(TABLE, &rows));
     let unreachable = rows.iter().filter(|r| !r.reachable).count();
     let doc = sweep_doc(&rows, threads);
     let path = match out {

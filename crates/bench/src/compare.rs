@@ -1,13 +1,15 @@
 //! The perf-regression gate: parse two `BENCH_SWEEP.json` documents
-//! (a checked-in baseline and a fresh run) and diff them cell by cell
-//! with per-metric tolerances.
+//! (a checked-in baseline and a fresh run) and diff them cell by cell.
 //!
-//! Deterministic metrics — virtual-time makespan, PDU counts,
-//! reachability — are compared **exactly**: under a fixed seed they are
-//! pure functions of the code, so any drift is a behaviour change that
-//! either is a regression or deserves a deliberate baseline refresh
-//! (see EXPERIMENTS.md). Wall clock is machine-dependent, so it is
-//! compared **relatively**: fresh wall clocks are first normalized by
+//! The gate derives from the documents, not from a list: **every**
+//! member of a cell except `wall_s` — virtual-time makespan, PDU counts,
+//! reachability, whatever column is added next — is compared
+//! **exactly**: under a fixed seed they are pure functions of the code,
+//! so any drift is a behaviour change that either is a regression or
+//! deserves a deliberate baseline refresh (see EXPERIMENTS.md), and a
+//! member present on one side only is a structural error. `wall_s`
+//! alone is machine-dependent, so it is compared **relatively**: fresh
+//! wall clocks are first normalized by
 //! the **median** per-cell speed ratio between the two runs (factoring
 //! out how fast the machine is — and, unlike a ratio of totals, robust
 //! to a few cells legitimately changing speed), then a cell fails only
@@ -19,6 +21,7 @@
 //! the build environment is offline (no serde), and the sweep documents
 //! are flat objects of scalars, which this covers completely.
 
+use crate::report::{markdown, Col};
 use std::collections::BTreeMap;
 
 /// A parsed JSON value.
@@ -225,60 +228,8 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-/// How one metric of a sweep row is gated.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Gate {
-    /// Any difference fails (deterministic metrics).
-    Exact,
-    /// Fails only if `fresh > base * (1 + frac)` after machine-speed
-    /// normalization — regressions only; getting faster always passes.
-    WallClock {
-        /// Allowed fractional regression (0.25 = 25%).
-        frac: f64,
-    },
-}
-
-/// The gated metrics of a sweep row, in report order.
-pub fn default_gates(wall_tol: f64) -> Vec<(&'static str, Gate)> {
-    vec![
-        ("makespan_s", Gate::Exact),
-        ("mgmt_pdus", Gate::Exact),
-        ("rib_pdus", Gate::Exact),
-        ("flood_suppressed", Gate::Exact),
-        ("spf_full", Gate::Exact),
-        ("spf_incremental", Gate::Exact),
-        ("ft_delta", Gate::Exact),
-        ("deferred", Gate::Exact),
-        ("reachable", Gate::Exact),
-        // Churn-phase invariants (deterministic, so gated exactly):
-        // `agg_len` growth means rejoin grants stopped aggregating,
-        // `stale_rib` > 0 means departed state leaked, and a lower
-        // `churn_reach` means reachability dipped after heal windows.
-        ("agg_len", Gate::Exact),
-        ("stale_rib", Gate::Exact),
-        ("churn_reach", Gate::Exact),
-        // Partial-replication invariants (deterministic, gated exactly):
-        // the widest per-member RIB footprint. Growth in a scoped cell
-        // means the full-replication floor is creeping back.
-        ("rib_objects_max", Gate::Exact),
-        ("rib_bytes_max", Gate::Exact),
-        // Data-plane invariants (deterministic, gated exactly): the
-        // §5.3 allocation-path counters of the flow cells and the RMT
-        // queue accounting of every cell. Drift in `rmt_deq_bytes`
-        // means the relaying/multiplexing byte flow changed; drift in
-        // `flow_allocs` means the allocation path changed behaviour.
-        ("flow_allocs", Gate::Exact),
-        ("flow_alloc_fail", Gate::Exact),
-        ("flow_sdus", Gate::Exact),
-        ("flow_recv", Gate::Exact),
-        ("rmt_drops", Gate::Exact),
-        ("rmt_deq_bytes", Gate::Exact),
-        // Transit PDUs forwarded DIF-wide (deterministic, gated
-        // exactly): drift means routes, TTLs or the relay decision moved.
-        ("relay_fast", Gate::Exact),
-        ("wall_s", Gate::WallClock { frac: wall_tol }),
-    ]
-}
+/// The one machine-dependent member of a sweep row.
+const WALL: &str = "wall_s";
 
 /// One compared metric of one cell.
 #[derive(Clone, Debug)]
@@ -286,7 +237,7 @@ pub struct Finding {
     /// The cell id.
     pub cell: String,
     /// The metric name.
-    pub metric: &'static str,
+    pub metric: String,
     /// Rendered baseline value.
     pub base: String,
     /// Rendered fresh value (normalized, for wall clock).
@@ -306,7 +257,7 @@ pub struct Comparison {
     pub cells: usize,
     /// The machine-speed scale applied to fresh wall clocks.
     pub wall_scale: f64,
-    /// Structural problems (missing/extra cells, missing metrics).
+    /// Structural problems (cells or members on one side only).
     pub errors: Vec<String>,
     /// One of the documents is not a sweep document at all (no `cells`
     /// array, non-string ids, duplicate ids) — a usage error, not a
@@ -319,6 +270,15 @@ pub struct Comparison {
     /// and are not comparable. Deterministic metrics are still gated.
     pub wall_skipped: Option<String>,
 }
+
+/// The diff table: one line per metric that differed.
+const FINDINGS: &[Col<Finding>] = &[
+    ("cell", |f| f.cell.clone()),
+    ("metric", |f| f.metric.clone()),
+    ("baseline", |f| f.base.clone()),
+    ("current", |f| f.fresh.clone()),
+    ("status", |f| f.status.clone()),
+];
 
 impl Comparison {
     /// Whether the gate passes.
@@ -349,13 +309,7 @@ impl Comparison {
             out.push_str("No metric drift.\n");
             return out;
         }
-        out.push_str("| cell | metric | baseline | current | status |\n|---|---|---|---|---|\n");
-        for f in &self.findings {
-            out.push_str(&format!(
-                "| {} | {} | {} | {} | {} |\n",
-                f.cell, f.metric, f.base, f.fresh, f.status
-            ));
-        }
+        out.push_str(&markdown(FINDINGS, &self.findings));
         out
     }
 }
@@ -387,20 +341,30 @@ fn cells_by_id(doc: &Json) -> Result<BTreeMap<String, &Json>, String> {
 }
 
 fn wall_of(row: &Json) -> f64 {
-    row.get("wall_s").and_then(|w| w.as_num()).unwrap_or(0.0)
+    row.get(WALL).and_then(|w| w.as_num()).unwrap_or(0.0)
+}
+
+fn members(row: &Json) -> &[(String, Json)] {
+    match row {
+        Json::Obj(fields) => fields,
+        _ => &[],
+    }
 }
 
 fn meta_threads(doc: &Json) -> Option<f64> {
     doc.get("meta").and_then(|m| m.get("threads")).and_then(Json::as_num)
 }
 
-/// Compare a fresh sweep document against the baseline. `gates` comes
-/// from [`default_gates`]; structural mismatches (missing or extra
-/// cells) are errors — the grid changed, so the baseline needs a
-/// deliberate refresh. Wall-clock gates only engage when both documents
-/// were generated at the same `meta.threads` (identical contention
-/// profile); otherwise they are skipped and noted.
-pub fn compare(base: &Json, fresh: &Json, gates: &[(&'static str, Gate)]) -> Comparison {
+/// Compare a fresh sweep document against the baseline: every member
+/// of every shared cell exactly, `wall_s` alone relatively (a cell
+/// fails when its normalized wall clock regressed by more than
+/// `wall_tol`, e.g. 0.25 = 25 %; getting faster always passes).
+/// Structural mismatches — a cell or a member on one side only — are
+/// errors: the grid or the row changed, so the baseline needs a
+/// deliberate refresh. The wall-clock gate only engages when both
+/// documents were generated at the same `meta.threads` (identical
+/// contention profile); otherwise it is skipped and noted.
+pub fn compare(base: &Json, fresh: &Json, wall_tol: f64) -> Comparison {
     let mut cmp = Comparison { wall_scale: 1.0, ..Comparison::default() };
     let (base_cells, fresh_cells) = match (cells_by_id(base), cells_by_id(fresh)) {
         (Ok(b), Ok(f)) => (b, f),
@@ -468,60 +432,64 @@ pub fn compare(base: &Json, fresh: &Json, gates: &[(&'static str, Gate)]) -> Com
     cmp.cells = shared.len();
     for id in shared {
         let (b, f) = (base_cells[id], fresh_cells[id]);
-        for &(metric, gate) in gates {
-            let (bv, fv) = (b.get(metric), f.get(metric));
-            match gate {
-                Gate::Exact => {
-                    let (Some(bv), Some(fv)) = (bv, fv) else {
-                        cmp.errors.push(format!("cell {id}: metric {metric} missing"));
-                        continue;
-                    };
-                    if bv != fv {
-                        cmp.findings.push(Finding {
-                            cell: id.clone(),
-                            metric,
-                            base: render(bv),
-                            fresh: render(fv),
-                            regressed: true,
-                            status: "❌ drift on exact metric".into(),
-                        });
-                    }
+        for (key, _) in members(f) {
+            if b.get(key).is_none() {
+                cmp.errors.push(format!(
+                    "cell {id}: member {key} is new (not in the baseline) — refresh \
+                     BENCH_BASELINE.json"
+                ));
+            }
+        }
+        for (key, bv) in members(b) {
+            let Some(fv) = f.get(key) else {
+                cmp.errors.push(format!(
+                    "cell {id}: member {key} is in the baseline but missing from the current run"
+                ));
+                continue;
+            };
+            if key != WALL {
+                if bv != fv {
+                    cmp.findings.push(Finding {
+                        cell: id.clone(),
+                        metric: key.clone(),
+                        base: render(bv),
+                        fresh: render(fv),
+                        regressed: true,
+                        status: "❌ drift on exact metric".into(),
+                    });
                 }
-                Gate::WallClock { frac } => {
-                    if cmp.wall_skipped.is_some() {
-                        continue;
-                    }
-                    let (Some(bw), Some(fw)) =
-                        (bv.and_then(Json::as_num), fv.and_then(Json::as_num))
-                    else {
-                        cmp.errors.push(format!("cell {id}: metric {metric} missing"));
-                        continue;
-                    };
-                    let fw_norm = fw * cmp.wall_scale;
-                    // Tiny cells are all noise; only gate cells that
-                    // cost at least 50 ms of normalized wall clock.
-                    let gated = bw.max(fw_norm) >= 0.05;
-                    let regressed = gated && fw_norm > bw * (1.0 + frac);
-                    let drifted = gated && (fw_norm - bw).abs() > bw * frac * 0.5;
-                    if regressed || drifted {
-                        cmp.findings.push(Finding {
-                            cell: id.clone(),
-                            metric,
-                            base: format!("{bw:.3}s"),
-                            fresh: format!("{fw_norm:.3}s (norm)"),
-                            regressed,
-                            status: if regressed {
-                                format!(
-                                    "❌ +{:.0}% > {:.0}% budget",
-                                    (fw_norm / bw - 1.0) * 100.0,
-                                    frac * 100.0
-                                )
-                            } else {
-                                format!("{:+.0}% (tolerated)", (fw_norm / bw - 1.0) * 100.0)
-                            },
-                        });
-                    }
-                }
+                continue;
+            }
+            if cmp.wall_skipped.is_some() {
+                continue;
+            }
+            let (Some(bw), Some(fw)) = (bv.as_num(), fv.as_num()) else {
+                cmp.errors.push(format!("cell {id}: {WALL} is not a number"));
+                continue;
+            };
+            let fw_norm = fw * cmp.wall_scale;
+            // Tiny cells are all noise; only gate cells that cost at
+            // least 50 ms of normalized wall clock.
+            let gated = bw.max(fw_norm) >= 0.05;
+            let regressed = gated && fw_norm > bw * (1.0 + wall_tol);
+            let drifted = gated && (fw_norm - bw).abs() > bw * wall_tol * 0.5;
+            if regressed || drifted {
+                cmp.findings.push(Finding {
+                    cell: id.clone(),
+                    metric: key.clone(),
+                    base: format!("{bw:.3}s"),
+                    fresh: format!("{fw_norm:.3}s (norm)"),
+                    regressed,
+                    status: if regressed {
+                        format!(
+                            "❌ +{:.0}% > {:.0}% budget",
+                            (fw_norm / bw - 1.0) * 100.0,
+                            wall_tol * 100.0
+                        )
+                    } else {
+                        format!("{:+.0}% (tolerated)", (fw_norm / bw - 1.0) * 100.0)
+                    },
+                });
             }
         }
     }
@@ -570,12 +538,14 @@ mod tests {
     #[test]
     fn parser_roundtrips_report_output() {
         // The emitter in report.rs and this parser must agree.
-        struct R {
-            name: &'static str,
-            x: f64,
+        crate::row! {
+            /// A string and a float.
+            pub struct R {
+                name: &'static str,
+                x: f64,
+            }
         }
-        crate::row_json!(R { name, x });
-        use crate::report::ToJson;
+        use crate::report::Row;
         let json = R { name: "cell \"q\"", x: 2.5 }.to_json();
         let doc = parse(&json).unwrap();
         assert_eq!(doc.get("name").unwrap().as_str(), Some("cell \"q\""));
@@ -624,7 +594,7 @@ mod tests {
     #[test]
     fn identical_documents_pass() {
         let a = sweep(&[("a", 1.0, 10.0), ("b", 2.0, 20.0)]);
-        let cmp = compare(&a, &a, &default_gates(0.25));
+        let cmp = compare(&a, &a, 0.25);
         assert!(cmp.ok(), "{:?}", cmp.findings);
         assert_eq!(cmp.cells, 2);
     }
@@ -633,9 +603,25 @@ mod tests {
     fn exact_metric_drift_fails() {
         let base = sweep(&[("a", 1.0, 10.0)]);
         let fresh = sweep(&[("a", 1.0, 11.0)]);
-        let cmp = compare(&base, &fresh, &default_gates(0.25));
+        let cmp = compare(&base, &fresh, 0.25);
         assert!(!cmp.ok());
         assert!(cmp.findings.iter().any(|f| f.metric == "mgmt_pdus" && f.regressed));
+    }
+
+    /// The fixture with member `key` of its first cell set to `v`
+    /// (appended if absent) or, with `None`, removed.
+    fn with_member(doc: &Json, key: &str, v: Option<Json>) -> Json {
+        let mut doc = doc.clone();
+        let Json::Obj(fields) = &mut doc else { panic!("fixture is an object") };
+        let Some((_, Json::Arr(cells))) = fields.iter_mut().find(|(k, _)| k == "cells") else {
+            panic!("fixture has cells")
+        };
+        let Some(Json::Obj(row)) = cells.first_mut() else { panic!("fixture has a cell") };
+        row.retain(|(k, _)| k != key);
+        if let Some(v) = v {
+            row.push((key.into(), v));
+        }
+        doc
     }
 
     /// The churn invariants are gated exactly: a leaked stale object or
@@ -644,22 +630,9 @@ mod tests {
     #[test]
     fn churn_metric_drift_fails() {
         let base = sweep(&[("ba2-n16-waves-l0-f0-churn", 1.0, 10.0)]);
-        let mut fresh = sweep(&[("ba2-n16-waves-l0-f0-churn", 1.0, 10.0)]);
-        if let Json::Obj(fields) = &mut fresh {
-            if let Some((_, Json::Arr(cells))) = fields.iter_mut().find(|(k, _)| k == "cells") {
-                if let Json::Obj(row) = &mut cells[0] {
-                    for (k, v) in row.iter_mut() {
-                        if k == "stale_rib" {
-                            *v = Json::Num(3.0);
-                        }
-                        if k == "churn_reach" {
-                            *v = Json::Num(0.9);
-                        }
-                    }
-                }
-            }
-        }
-        let cmp = compare(&base, &fresh, &default_gates(0.25));
+        let fresh = with_member(&base, "stale_rib", Some(Json::Num(3.0)));
+        let fresh = with_member(&fresh, "churn_reach", Some(Json::Num(0.9)));
+        let cmp = compare(&base, &fresh, 0.25);
         assert!(!cmp.ok());
         assert!(cmp.findings.iter().any(|f| f.metric == "stale_rib" && f.regressed));
         assert!(cmp.findings.iter().any(|f| f.metric == "churn_reach" && f.regressed));
@@ -670,25 +643,43 @@ mod tests {
     #[test]
     fn data_plane_metric_drift_fails() {
         let base = sweep(&[("ba2-n16-waves-l0-f0-flow", 1.0, 10.0)]);
-        let mut fresh = sweep(&[("ba2-n16-waves-l0-f0-flow", 1.0, 10.0)]);
-        if let Json::Obj(fields) = &mut fresh {
-            if let Some((_, Json::Arr(cells))) = fields.iter_mut().find(|(k, _)| k == "cells") {
-                if let Json::Obj(row) = &mut cells[0] {
-                    for (k, v) in row.iter_mut() {
-                        if k == "flow_allocs" {
-                            *v = Json::Num(5.0);
-                        }
-                        if k == "rmt_deq_bytes" {
-                            *v = Json::Num(5000.0);
-                        }
-                    }
-                }
-            }
-        }
-        let cmp = compare(&base, &fresh, &default_gates(0.25));
+        let fresh = with_member(&base, "flow_allocs", Some(Json::Num(5.0)));
+        let fresh = with_member(&fresh, "rmt_deq_bytes", Some(Json::Num(5000.0)));
+        let cmp = compare(&base, &fresh, 0.25);
         assert!(!cmp.ok());
         assert!(cmp.findings.iter().any(|f| f.metric == "flow_allocs" && f.regressed));
         assert!(cmp.findings.iter().any(|f| f.metric == "rmt_deq_bytes" && f.regressed));
+    }
+
+    /// The gate covers what the documents carry, not what a list named:
+    /// a member no gate list ever mentioned is exact-gated all the same.
+    #[test]
+    fn unlisted_field_drift_fails() {
+        let base = with_member(&sweep(&[("a", 1.0, 10.0)]), "hello_tx", Some(Json::Num(7.0)));
+        assert!(compare(&base, &base, 0.25).ok());
+        let fresh = with_member(&base, "hello_tx", Some(Json::Num(8.0)));
+        let cmp = compare(&base, &fresh, 0.25);
+        assert!(!cmp.ok());
+        assert!(cmp.findings.iter().any(|f| f.metric == "hello_tx" && f.regressed));
+    }
+
+    /// A member on one side only — a column added without refreshing the
+    /// baseline, or dropped from the row — is a structural error either
+    /// way round, not a silent pass.
+    #[test]
+    fn field_on_one_side_only_is_structural() {
+        let plain = sweep(&[("a", 1.0, 10.0)]);
+        let extra = with_member(&plain, "hello_tx", Some(Json::Num(7.0)));
+        for (base, fresh) in [(&plain, &extra), (&extra, &plain)] {
+            let cmp = compare(base, fresh, 0.25);
+            assert!(!cmp.ok());
+            assert!(!cmp.bad_input, "row drift is a regression, not a usage error");
+            assert!(cmp.findings.is_empty(), "{:?}", cmp.findings);
+            assert_eq!(cmp.errors.len(), 1, "{:?}", cmp.errors);
+            assert!(cmp.errors[0].contains("hello_tx"), "{:?}", cmp.errors);
+        }
+        let no_wall = with_member(&plain, "wall_s", None);
+        assert!(!compare(&plain, &no_wall, 0.25).ok(), "wall_s is a member like any other");
     }
 
     #[test]
@@ -696,7 +687,7 @@ mod tests {
         let base = sweep(&[("a", 1.0, 10.0), ("b", 2.0, 20.0)]);
         // Everything 3× slower — a slower machine, not a regression.
         let fresh = sweep(&[("a", 3.0, 10.0), ("b", 6.0, 20.0)]);
-        let cmp = compare(&base, &fresh, &default_gates(0.25));
+        let cmp = compare(&base, &fresh, 0.25);
         assert!(cmp.ok(), "{:?}", cmp.findings);
         assert!((cmp.wall_scale - 1.0 / 3.0).abs() < 1e-9);
     }
@@ -707,7 +698,7 @@ mod tests {
         // Cell b alone blows up 5× — a scaling regression, not machine
         // speed (the median normalization only absorbs shared factors).
         let fresh = sweep(&[("a", 1.0, 10.0), ("b", 5.0, 20.0), ("c", 1.0, 30.0)]);
-        let cmp = compare(&base, &fresh, &default_gates(0.25));
+        let cmp = compare(&base, &fresh, 0.25);
         assert!(!cmp.ok());
         assert!(cmp.findings.iter().any(|f| f.cell == "b" && f.regressed));
         assert!((cmp.wall_scale - 1.0).abs() < 1e-9, "median ignores the outlier");
@@ -719,7 +710,7 @@ mod tests {
         // Cell b alone gets 4× faster; a and c are unchanged and must
         // not be dragged into a fake regression by the normalization.
         let fresh = sweep(&[("a", 2.0, 10.0), ("b", 0.5, 20.0), ("c", 2.0, 30.0)]);
-        let cmp = compare(&base, &fresh, &default_gates(0.25));
+        let cmp = compare(&base, &fresh, 0.25);
         assert!(cmp.ok(), "{:?}", cmp.findings);
     }
 
@@ -727,7 +718,7 @@ mod tests {
     fn missing_and_extra_cells_are_structural_errors() {
         let base = sweep(&[("a", 1.0, 10.0), ("gone", 1.0, 10.0)]);
         let fresh = sweep(&[("a", 1.0, 10.0), ("new", 1.0, 10.0)]);
-        let cmp = compare(&base, &fresh, &default_gates(0.25));
+        let cmp = compare(&base, &fresh, 0.25);
         assert!(!cmp.ok());
         assert!(!cmp.bad_input, "grid drift is a regression, not a usage error");
         assert_eq!(cmp.errors.len(), 2, "{:?}", cmp.errors);
@@ -740,7 +731,7 @@ mod tests {
         let base = sweep(&[("a", 1.0, 10.0)]);
         // A results.json-shaped document: valid JSON, no cells array.
         let not_sweep = Json::Obj(vec![("e1_fig1".into(), Json::Arr(vec![]))]);
-        let cmp = compare(&base, &not_sweep, &default_gates(0.25));
+        let cmp = compare(&base, &not_sweep, 0.25);
         assert!(cmp.bad_input, "must be classed as bad input, not a regression");
         assert!(!cmp.ok());
         assert!(cmp.errors.iter().any(|e| e.contains("cells")));
@@ -759,13 +750,13 @@ mod tests {
         // Cell b 5× slower — but the runs used different worker counts,
         // so wall clocks are not comparable and must not gate…
         let fresh = with_threads(&sweep(&[("a", 1.0, 10.0), ("b", 5.0, 20.0)]), 4.0);
-        let cmp = compare(&base, &fresh, &default_gates(0.25));
+        let cmp = compare(&base, &fresh, 0.25);
         assert!(cmp.wall_skipped.is_some());
         assert!(cmp.ok(), "{:?}", cmp.findings);
         assert!(cmp.to_markdown().contains("Wall-clock gate skipped"));
         // …while the same drift at matching counts still fails.
         let fresh_matched = with_threads(&sweep(&[("a", 1.0, 10.0), ("b", 5.0, 20.0)]), 1.0);
-        let cmp = compare(&base, &fresh_matched, &default_gates(0.25));
+        let cmp = compare(&base, &fresh_matched, 0.25);
         assert!(cmp.wall_skipped.is_none());
         assert!(!cmp.ok());
     }
@@ -774,7 +765,7 @@ mod tests {
     fn exact_gates_still_fire_when_wall_is_skipped() {
         let base = with_threads(&sweep(&[("a", 1.0, 10.0)]), 1.0);
         let fresh = with_threads(&sweep(&[("a", 1.0, 12.0)]), 8.0);
-        let cmp = compare(&base, &fresh, &default_gates(0.25));
+        let cmp = compare(&base, &fresh, 0.25);
         assert!(cmp.wall_skipped.is_some());
         assert!(!cmp.ok(), "PDU drift fails regardless of wall skipping");
     }
@@ -783,11 +774,11 @@ mod tests {
     fn markdown_has_verdict_and_table() {
         let base = sweep(&[("a", 1.0, 10.0)]);
         let fresh = sweep(&[("a", 1.0, 12.0)]);
-        let cmp = compare(&base, &fresh, &default_gates(0.25));
+        let cmp = compare(&base, &fresh, 0.25);
         let md = cmp.to_markdown();
         assert!(md.contains("PERF REGRESSION"));
         assert!(md.contains("| a | mgmt_pdus | 10 | 12 |"));
-        let ok = compare(&base, &base, &default_gates(0.25));
+        let ok = compare(&base, &base, 0.25);
         assert!(ok.to_markdown().contains("no perf regression"));
     }
 }

@@ -19,85 +19,98 @@
 //! and grows linearly; it is kept behind the `schedule` parameter for
 //! comparison.
 
-use crate::{row_json, Scenario};
+use crate::report::{Col, Scalar};
+use crate::{row, timed, Scenario, Totals};
 use rina::prelude::*;
 
-/// Result of one scale-free run.
-#[derive(Debug)]
-pub struct ScaleFreeRow {
-    /// DIF size (members).
-    pub members: usize,
-    /// Edges per arriving member (the BA `m` parameter).
-    pub attach_degree: usize,
-    /// Enrollment schedule ("waves" or "sequential").
-    pub schedule: &'static str,
-    /// Enrollment makespan: virtual time until the whole facility
-    /// assembled (s).
-    pub assemble_s: f64,
-    /// Wall-clock cost of the whole run (assembly + reachability), in
-    /// seconds — the simulator-efficiency metric the RIB-sync work
-    /// optimizes (virtual makespan alone hides flooding cost).
-    pub wall_s: f64,
-    /// Management PDUs per member during assembly.
-    pub mgmt_per_member: f64,
-    /// RIEP object PDUs sent DIF-wide over the whole run (flooding,
-    /// resync streams, and delta responses).
-    pub rib_pdus: u64,
-    /// Floods skipped because the peer's hello digest already covered
-    /// the object (plus token-bucket drops when a rate limit is set).
-    pub flood_suppressed: u64,
-    /// From-scratch SPF runs DIF-wide (bootstrap + own-LSA changes +
-    /// fallbacks) — with the incremental engine this tracks local
-    /// adjacency churn, not remote joins.
-    pub spf_full: u64,
-    /// Incremental SPF repairs DIF-wide (delta-classified LSA changes).
-    pub spf_incremental: u64,
-    /// Forwarding-table entries updated via the delta path DIF-wide.
-    pub ft_delta: u64,
-    /// Enrollment requests deferred by full admission windows.
-    pub deferred: u64,
-    /// Degree of the largest hub.
-    pub hub_degree: usize,
-    /// Destinations the largest hub can reach (≈ scope size).
-    pub hub_fwd: usize,
-    /// Range entries the hub actually stores after prefix aggregation.
-    pub hub_fwd_agg: usize,
-    /// Mean reachable destinations across members.
-    pub fwd_mean: f64,
-    /// Mean stored range entries across members (the routing-table-size
-    /// metric: with per-subtree address blocks this stays near the local
-    /// degree instead of the member count).
-    pub fwd_agg_mean: f64,
-    /// PDUs relayed by the hub while the sampled pings ran.
-    pub hub_relayed: u64,
-    /// Transit PDUs forwarded (TTL and CRC patched in place) DIF-wide.
-    pub relay_fast: u64,
-    /// All O(n) sampled-reachability pings completed.
-    pub e2e_ok: bool,
+row! {
+    /// Result of one scale-free run.
+    pub struct ScaleFreeRow {
+        /// DIF size (members).
+        members: usize,
+        /// Edges per arriving member (the BA `m` parameter).
+        attach_degree: usize,
+        /// Enrollment schedule ("waves" or "sequential").
+        schedule: &'static str,
+        /// Enrollment makespan: virtual time until the whole facility
+        /// assembled (s).
+        assemble_s: f64,
+        /// Wall-clock cost of the whole run (assembly + reachability), in
+        /// seconds — the simulator-efficiency metric the RIB-sync work
+        /// optimizes (virtual makespan alone hides flooding cost).
+        wall_s: f64,
+        /// Management PDUs per member during assembly.
+        mgmt_per_member: f64,
+        /// RIEP object PDUs sent DIF-wide over the whole run (flooding,
+        /// resync streams, and delta responses).
+        rib_pdus: u64,
+        /// Floods skipped because the peer's hello digest already covered
+        /// the object (plus token-bucket drops when a rate limit is set).
+        flood_suppressed: u64,
+        /// From-scratch SPF runs DIF-wide (bootstrap + own-LSA changes +
+        /// fallbacks) — with the incremental engine this tracks local
+        /// adjacency churn, not remote joins.
+        spf_full: u64,
+        /// Incremental SPF repairs DIF-wide (delta-classified LSA changes).
+        spf_incremental: u64,
+        /// Forwarding-table entries updated via the delta path DIF-wide.
+        ft_delta: u64,
+        /// Enrollment requests deferred by full admission windows.
+        deferred: u64,
+        /// Degree of the largest hub.
+        hub_degree: usize,
+        /// Destinations the largest hub can reach (≈ scope size).
+        hub_fwd: usize,
+        /// Range entries the hub actually stores after prefix aggregation.
+        hub_fwd_agg: usize,
+        /// Mean reachable destinations across members.
+        fwd_mean: f64,
+        /// Mean stored range entries across members (the routing-table-size
+        /// metric: with per-subtree address blocks this stays near the local
+        /// degree instead of the member count).
+        fwd_agg_mean: f64,
+        /// PDUs relayed by the hub while the sampled pings ran.
+        hub_relayed: u64,
+        /// Transit PDUs forwarded (TTL and CRC patched in place) DIF-wide.
+        relay_fast: u64,
+        /// All O(n) sampled-reachability pings completed.
+        e2e_ok: bool,
+    }
 }
 
-row_json!(ScaleFreeRow {
-    members,
-    attach_degree,
-    schedule,
-    assemble_s,
-    wall_s,
-    mgmt_per_member,
-    rib_pdus,
-    flood_suppressed,
-    spf_full,
-    spf_incremental,
-    ft_delta,
-    deferred,
-    hub_degree,
-    hub_fwd,
-    hub_fwd_agg,
-    fwd_mean,
-    fwd_agg_mean,
-    hub_relayed,
-    relay_fast,
-    e2e_ok,
-});
+/// The E10 table of the `experiments` binary: the routing-state view
+/// (hub and mean table sizes before and after aggregation).
+pub const TABLE: &[Col<ScaleFreeRow>] = &[
+    ("members", |r| r.members.cell()),
+    ("m", |r| r.attach_degree.cell()),
+    ("schedule", |r| r.schedule.cell()),
+    ("makespan (s)", |r| r.assemble_s.cell()),
+    ("wall (s)", |r| r.wall_s.cell()),
+    ("mgmt/member", |r| r.mgmt_per_member.cell()),
+    ("rib PDUs", |r| r.rib_pdus.cell()),
+    ("deferred", |r| r.deferred.cell()),
+    ("hub degree", |r| r.hub_degree.cell()),
+    ("hub fwd", |r| r.hub_fwd.cell()),
+    ("hub agg", |r| r.hub_fwd_agg.cell()),
+    ("fwd mean", |r| r.fwd_mean.cell()),
+    ("agg mean", |r| r.fwd_agg_mean.cell()),
+    ("e2e ok", |r| r.e2e_ok.cell()),
+];
+
+/// The table of the `e10` scaling binary: the flooding and SPF view.
+pub const SWEEP_TABLE: &[Col<ScaleFreeRow>] = &[
+    ("members", |r| r.members.cell()),
+    ("schedule", |r| r.schedule.cell()),
+    ("makespan (s)", |r| r.assemble_s.cell()),
+    ("wall (s)", |r| r.wall_s.cell()),
+    ("mgmt/member", |r| r.mgmt_per_member.cell()),
+    ("rib PDUs", |r| r.rib_pdus.cell()),
+    ("suppressed", |r| r.flood_suppressed.cell()),
+    ("spf full", |r| r.spf_full.cell()),
+    ("spf incr", |r| r.spf_incremental.cell()),
+    ("ft delta", |r| r.ft_delta.cell()),
+    ("e2e ok", |r| r.e2e_ok.cell()),
+];
 
 /// Assemble an `n`-member Barabási–Albert DIF (attachment degree `m`)
 /// under the default wave-parallel schedule.
@@ -109,63 +122,52 @@ pub fn run(n: usize, m: usize, seed: u64) -> ScaleFreeRow {
 /// verify reachability with an O(n) sampled ping: a random-permutation
 /// ring, so every member sources *and* receives exactly one ping.
 pub fn run_with(n: usize, m: usize, seed: u64, schedule: EnrollSchedule) -> ScaleFreeRow {
-    let wall_t0 = std::time::Instant::now();
-    let mut s = Scenario::new("e10-scalefree", seed);
-    s.set_enroll_schedule(schedule);
-    let fab = Topology::barabasi_albert(n, m, seed).with_prefix("as").materialize(&mut s);
-    // O(n) reachability over a seed-shuffled permutation ring: coverage
-    // is guaranteed, and random pairs cross the hubs.
-    let mesh = Workload::ping_sampled(&mut s, fab.dif, &fab.nodes, 0, seed, 1, 64);
-    let hub = fab.hub();
-    let hub_degree =
-        fab.degrees()[fab.nodes.iter().position(|&x| x == hub).expect("hub in fabric")];
-    let hub_ipcp = s.ipcp_of(fab.dif, hub);
-    let ipcps = fab.member_ipcps(&s);
+    let (row, wall_s) = timed(|| {
+        let mut s = Scenario::new("e10-scalefree", seed);
+        s.set_enroll_schedule(schedule);
+        let fab = Topology::barabasi_albert(n, m, seed).with_prefix("as").materialize(&mut s);
+        // O(n) reachability over a seed-shuffled permutation ring: coverage
+        // is guaranteed, and random pairs cross the hubs.
+        let mesh = Workload::ping_sampled(&mut s, fab.dif, &fab.nodes, 0, seed, 1, 64);
+        let hub = fab.hub();
+        let hub_degree =
+            fab.degrees()[fab.nodes.iter().position(|&x| x == hub).expect("hub in fabric")];
+        let hub_ipcp = s.ipcp_of(fab.dif, hub);
+        let ipcps = fab.member_ipcps(&s);
 
-    // Settle manually so the management-traffic sum covers assembly only
-    // (comparable with E8, which also measures at the assembly instant).
-    let limit = Dur::from_secs(600) * (1 + n as u64 / 500);
-    let mut run = s.assemble(limit, Dur::ZERO);
-    let assemble_s = run.assembled_at.expect("assemble() ran").as_secs_f64();
-    let mgmt: u64 = ipcps.iter().map(|&h| run.net.ipcp(h).stats.mgmt_tx).sum();
-    let deferred: u64 = ipcps.iter().map(|&h| run.net.ipcp(h).stats.enrollments_deferred).sum();
-    run.run_for(Dur::from_secs(1));
-    run.run_until(Dur::from_millis(500), 120, |net| mesh.all_done(net));
+        let limit = Dur::from_secs(600) * (1 + n as u64 / 500);
+        let (run, assembled) = s.assemble_and_ping(limit, &ipcps, &mesh, 120);
 
-    let net = &run.net;
-    let fwd_sum: usize = ipcps.iter().map(|&h| net.ipcp(h).fwd().len()).sum();
-    let agg_sum: usize = ipcps.iter().map(|&h| net.ipcp(h).fwd().aggregated_len()).sum();
-    let rib_pdus: u64 = ipcps.iter().map(|&h| net.ipcp(h).stats.rib_tx).sum();
-    let flood_suppressed: u64 = ipcps.iter().map(|&h| net.ipcp(h).stats.flood_suppressed).sum();
-    let spf_full: u64 = ipcps.iter().map(|&h| net.ipcp(h).route_stats().spf_full).sum();
-    let spf_incremental: u64 =
-        ipcps.iter().map(|&h| net.ipcp(h).route_stats().spf_incremental).sum();
-    let ft_delta: u64 = ipcps.iter().map(|&h| net.ipcp(h).route_stats().ft_delta).sum();
-    ScaleFreeRow {
-        members: n,
-        attach_degree: m,
-        schedule: match schedule {
-            EnrollSchedule::Sequential { .. } => "sequential",
-            EnrollSchedule::Waves { .. } => "waves",
-        },
-        assemble_s,
-        wall_s: wall_t0.elapsed().as_secs_f64(),
-        mgmt_per_member: mgmt as f64 / n as f64,
-        rib_pdus,
-        flood_suppressed,
-        spf_full,
-        spf_incremental,
-        ft_delta,
-        deferred,
-        hub_degree,
-        hub_fwd: net.ipcp(hub_ipcp).fwd().len(),
-        hub_fwd_agg: net.ipcp(hub_ipcp).fwd().aggregated_len(),
-        fwd_mean: fwd_sum as f64 / n as f64,
-        fwd_agg_mean: agg_sum as f64 / n as f64,
-        hub_relayed: net.ipcp(hub_ipcp).stats.relayed,
-        relay_fast: ipcps.iter().map(|&h| net.ipcp(h).stats.relay_fast).sum(),
-        e2e_ok: mesh.all_done(net),
-    }
+        let net = &run.net;
+        let t = Totals::of(net, &ipcps, &[]);
+        let hub = net.ipcp(hub_ipcp);
+        ScaleFreeRow {
+            members: n,
+            attach_degree: m,
+            schedule: match schedule {
+                EnrollSchedule::Sequential { .. } => "sequential",
+                EnrollSchedule::Waves { .. } => "waves",
+            },
+            assemble_s: run.assemble_secs(),
+            wall_s: 0.0,
+            mgmt_per_member: assembled.mgmt_tx as f64 / n as f64,
+            rib_pdus: t.rib_tx,
+            flood_suppressed: t.flood_suppressed,
+            spf_full: t.spf_full,
+            spf_incremental: t.spf_incremental,
+            ft_delta: t.ft_delta,
+            deferred: assembled.deferred,
+            hub_degree,
+            hub_fwd: hub.fwd().len(),
+            hub_fwd_agg: hub.fwd().aggregated_len(),
+            fwd_mean: t.fwd_len as f64 / n as f64,
+            fwd_agg_mean: t.agg_len as f64 / n as f64,
+            hub_relayed: hub.stats.relayed,
+            relay_fast: t.relay_fast,
+            e2e_ok: mesh.all_done(net),
+        }
+    });
+    ScaleFreeRow { wall_s, ..row }
 }
 
 #[cfg(test)]

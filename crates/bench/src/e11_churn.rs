@@ -25,79 +25,74 @@
 //! sources and receives one probe per sample), masked by the plan's
 //! disturbance windows plus a reconvergence margin.
 
-use crate::{row_json, Scenario};
+use crate::report::{Col, Scalar};
+use crate::{row, timed, ExperimentRun, Scenario, Totals};
 use rina::prelude::*;
 use std::collections::BTreeMap;
 
-/// Result of one churn run.
-#[derive(Debug)]
-pub struct ChurnRow {
-    /// DIF size (members).
-    pub members: usize,
-    /// Disturbance counts: graceful leaves (with rejoin).
-    pub leaves: usize,
-    /// Crash-fails (downtime beyond the sponsor's GC grace).
-    pub fails: usize,
-    /// Single-link flaps.
-    pub flaps: usize,
-    /// Partition-and-heal events.
-    pub partitions: usize,
-    /// Enrollment makespan of the initial assembly (virtual s).
-    pub assemble_s: f64,
-    /// Length of the disturbance timeline (virtual s).
-    pub churn_s: f64,
-    /// Virtual time from the last heal until the DIF re-quiesced:
-    /// assembled, zero stale objects, full table-walk reachability.
-    pub reconverge_s: f64,
-    /// Reachability samples taken outside disturbance windows.
-    pub calm_samples: usize,
-    /// Worst sampled reachability fraction outside disturbance windows.
-    pub reach_min: f64,
-    /// Σ aggregated forwarding entries DIF-wide before churn.
-    pub agg_before: usize,
-    /// Σ aggregated forwarding entries DIF-wide at quiescence — bounded
-    /// by `agg_before` (± ECMP jitter) when rejoin grants aggregate.
-    pub agg_after: usize,
-    /// Largest Σ aggregated entries sampled outside disturbance windows.
-    pub agg_peak_calm: usize,
-    /// Live RIB objects of departed origins anywhere at quiescence
-    /// (must be zero).
-    pub stale_final: usize,
-    /// Members declared failed and garbage-collected by their sponsors.
-    pub purged: u64,
-    /// Own objects re-asserted over wrongful tombstones.
-    pub reasserts: u64,
-    /// Wall-clock cost of the whole run (s).
-    pub wall_s: f64,
-    /// The DIF re-quiesced within the measurement budget.
-    pub converged: bool,
+row! {
+    /// Result of one churn run.
+    pub struct ChurnRow {
+        /// DIF size (members).
+        members: usize,
+        /// Disturbance counts: graceful leaves (with rejoin).
+        leaves: usize,
+        /// Crash-fails (downtime beyond the sponsor's GC grace).
+        fails: usize,
+        /// Single-link flaps.
+        flaps: usize,
+        /// Partition-and-heal events.
+        partitions: usize,
+        /// Enrollment makespan of the initial assembly (virtual s).
+        assemble_s: f64,
+        /// Length of the disturbance timeline (virtual s).
+        churn_s: f64,
+        /// Virtual time from the last heal until the DIF re-quiesced:
+        /// assembled, zero stale objects, full table-walk reachability.
+        reconverge_s: f64,
+        /// Reachability samples taken outside disturbance windows.
+        calm_samples: usize,
+        /// Worst sampled reachability fraction outside disturbance windows.
+        reach_min: f64,
+        /// Σ aggregated forwarding entries DIF-wide before churn.
+        agg_before: usize,
+        /// Σ aggregated forwarding entries DIF-wide at quiescence — bounded
+        /// by `agg_before` (± ECMP jitter) when rejoin grants aggregate.
+        agg_after: usize,
+        /// Largest Σ aggregated entries sampled outside disturbance windows.
+        agg_peak_calm: usize,
+        /// Live RIB objects of departed origins anywhere at quiescence
+        /// (must be zero).
+        stale_final: usize,
+        /// Members declared failed and garbage-collected by their sponsors.
+        purged: u64,
+        /// Own objects re-asserted over wrongful tombstones.
+        reasserts: u64,
+        /// Wall-clock cost of the whole run (s).
+        wall_s: f64,
+        /// The DIF re-quiesced within the measurement budget.
+        converged: bool,
+    }
 }
 
-row_json!(ChurnRow {
-    members,
-    leaves,
-    fails,
-    flaps,
-    partitions,
-    assemble_s,
-    churn_s,
-    reconverge_s,
-    calm_samples,
-    reach_min,
-    agg_before,
-    agg_after,
-    agg_peak_calm,
-    stale_final,
-    purged,
-    reasserts,
-    wall_s,
-    converged,
-});
-
-/// Σ aggregated forwarding-table entries over the current members.
-pub fn agg_sum(net: &Net, members: &[IpcpH]) -> usize {
-    members.iter().map(|&h| net.ipcp(h).fwd().aggregated_len()).sum()
-}
+/// The E11 table of the `experiments` binary.
+pub const TABLE: &[Col<ChurnRow>] = &[
+    ("members", |r| r.members.cell()),
+    ("leaves", |r| r.leaves.cell()),
+    ("fails", |r| r.fails.cell()),
+    ("flaps", |r| r.flaps.cell()),
+    ("parts", |r| r.partitions.cell()),
+    ("assemble (s)", |r| r.assemble_s.cell()),
+    ("churn (s)", |r| r.churn_s.cell()),
+    ("reconverge (s)", |r| r.reconverge_s.cell()),
+    ("reach min", |r| r.reach_min.cell()),
+    ("agg before", |r| r.agg_before.cell()),
+    ("agg after", |r| r.agg_after.cell()),
+    ("agg peak", |r| r.agg_peak_calm.cell()),
+    ("stale", |r| r.stale_final.cell()),
+    ("purged", |r| r.purged.cell()),
+    ("converged", |r| r.converged.cell()),
+];
 
 /// Live RIB objects anywhere whose origin is not a current member.
 pub fn stale_count(net: &Net, members: &[IpcpH]) -> usize {
@@ -168,69 +163,63 @@ pub fn fully_reachable(net: &Net, members: &[IpcpH]) -> bool {
 /// Run the default mixed workload (two of each disturbance, one
 /// partition) against an `n`-member Barabási–Albert DIF.
 pub fn run(n: usize, seed: u64) -> ChurnRow {
-    run_with(n, seed, 2, 2, 2, 1)
+    run_with_cfg(n, seed, (2, 2, 2, 1), false)
 }
 
-/// Run a churn timeline with explicit disturbance counts.
-pub fn run_with(
-    n: usize,
-    seed: u64,
-    leaves: usize,
-    fails: usize,
-    flaps: usize,
-    partitions: usize,
-) -> ChurnRow {
-    run_with_cfg(n, seed, leaves, fails, flaps, partitions, false)
+/// What one churn timeline measured (the shared part of an E11 row and
+/// a sweep churn cell).
+#[derive(Clone, Copy, Debug)]
+pub struct ChurnOutcome {
+    /// Length of the disturbance timeline (virtual s).
+    pub churn_s: f64,
+    /// Virtual time from the last heal until the DIF re-quiesced.
+    pub reconverge_s: f64,
+    /// Reachability samples taken outside disturbance windows.
+    pub calm_samples: usize,
+    /// Worst sampled reachability fraction outside disturbance windows.
+    pub reach_min: f64,
+    /// Largest Σ aggregated entries sampled outside disturbance windows
+    /// (at least the pre-churn figure).
+    pub agg_peak_calm: usize,
+    /// The DIF re-quiesced within the measurement budget.
+    pub converged: bool,
 }
 
-/// Run a churn timeline with explicit disturbance counts, optionally
-/// under the partial-replication policy (owner-held `/dir` resolved on
-/// demand). The scoped variant also places a stride ping workload so
-/// real flows resolve names through the directory machinery while the
-/// disturbances land — with `scoped_dir` false the run is byte-identical
-/// to what [`run_with`] always produced.
-pub fn run_with_cfg(
-    n: usize,
+/// The continuous-dynamics phase, written once for E11 and the sweep's
+/// churn cells: plan a seeded [`Churn`] timeline of `counts` (leaves,
+/// fails, flaps, partitions) against the assembled `fab`, advance it in
+/// half-second slices sampling reachability and table size in the calm
+/// stretches, apply what remains, then step until the facility
+/// re-quiesces — assembled, no stale objects, every ordered pair
+/// reachable on the tables.
+pub fn churn_phase(
+    run: &mut ExperimentRun,
+    fab: &Fabric,
+    members: &[IpcpH],
     seed: u64,
-    leaves: usize,
-    fails: usize,
-    flaps: usize,
-    partitions: usize,
-    scoped_dir: bool,
-) -> ChurnRow {
-    let wall_t0 = std::time::Instant::now();
-    let mut s = Scenario::new("e11-churn", seed);
-    // Grace below the fail downtime (4 s default pacing): crashes are
-    // garbage-collected by their sponsors, not ridden out.
-    let cfg = DifConfig::new("as").with_member_gc_grace_ms(2_000).with_scoped_dir(scoped_dir);
-    let fab =
-        Topology::barabasi_albert(n, 2, seed).with_dif(cfg).with_prefix("as").materialize(&mut s);
-    let members = fab.member_ipcps(&s);
-    if scoped_dir {
-        let _ = Workload::ping_stride(&mut s, fab.dif, &fab.nodes, 1, 1, 16);
-    }
-    let limit = Dur::from_secs(600) * (1 + n as u64 / 500);
-    let mut run = s.assemble(limit, Dur::from_secs(1));
-    let assemble_s = run.assembled_at.expect("assemble() ran").as_secs_f64();
-    let agg_before = agg_sum(&run.net, &members);
-
+    (leaves, fails, flaps, partitions): (usize, usize, usize, usize),
+) -> ChurnOutcome {
     // 12 s epochs leave a measurable calm window between one heal's
     // convergence margin and the next disturbance.
     let plan = Churn::new(seed ^ 0x00c4_u64)
         .with_counts(leaves, fails, flaps, partitions)
         .with_pacing(Dur::from_secs(12), Dur::from_secs(4), Dur::from_millis(1_200))
-        .plan(&fab);
-    let churn_s = plan.horizon().as_secs_f64();
+        .plan(fab);
     let horizon = plan.horizon();
     // Convergence margin after each heal before steady-state sampling
     // resumes: adjacency expiry (~1.5 s), re-enrollment rounds, and the
     // reassert round-trips when a rejoin races an in-flight purge flood.
     let margin = Dur::from_secs(5);
-    let mut runner = ChurnRunner::new(plan, &run.net, members.clone());
+    let mut runner = ChurnRunner::new(plan, &run.net, members.to_vec());
 
-    let mut calm_samples = 0usize;
-    let mut reach_min = 1.0f64;
-    let mut agg_peak_calm = agg_before;
+    let mut out = ChurnOutcome {
+        churn_s: horizon.as_secs_f64(),
+        reconverge_s: 0.0,
+        calm_samples: 0,
+        reach_min: 1.0,
+        agg_peak_calm: Totals::of(&run.net, members, &[]).agg_len,
+        converged: false,
+    };
     let mut tick = 0u64;
     while runner.elapsed(&run.net) < horizon {
         runner.advance(&mut run.net, Dur::from_millis(500));
@@ -239,52 +228,76 @@ pub fn run_with_cfg(
         // re-assembled: while a rejoiner's flows are still re-allocating
         // the DIF is by definition inside a convergence window.
         if !runner.disturbed(&run.net, margin) && run.net.assembled() {
-            let f = reach_fraction(&run.net, &members, tick);
-            reach_min = reach_min.min(f);
-            calm_samples += 1;
-            agg_peak_calm = agg_peak_calm.max(agg_sum(&run.net, &members));
+            out.reach_min = out.reach_min.min(reach_fraction(&run.net, members, tick));
+            out.calm_samples += 1;
+            out.agg_peak_calm = out.agg_peak_calm.max(Totals::of(&run.net, members, &[]).agg_len);
         }
     }
-
     runner.finish(&mut run.net, Dur::ZERO);
 
-    // Reconvergence: step until the facility re-quiesces — assembled,
-    // no stale objects, every ordered pair reachable on the tables.
     let heal_at = run.net.sim.now();
-    let mut converged = false;
-    for _ in 0..240 {
-        run.run_for(Dur::from_millis(500));
-        if run.net.assembled()
-            && stale_count(&run.net, &members) == 0
-            && fully_reachable(&run.net, &members)
-        {
-            converged = true;
-            break;
-        }
-    }
-    let reconverge_s = run.net.sim.now().since(heal_at).as_secs_f64();
+    run.run_until(Dur::from_millis(500), 240, |net| {
+        out.converged =
+            net.assembled() && stale_count(net, members) == 0 && fully_reachable(net, members);
+        out.converged
+    });
+    out.reconverge_s = run.net.sim.now().since(heal_at).as_secs_f64();
+    out
+}
 
-    let net = &run.net;
-    ChurnRow {
-        members: n,
-        leaves,
-        fails,
-        flaps,
-        partitions,
-        assemble_s,
-        churn_s,
-        reconverge_s,
-        calm_samples,
-        reach_min,
-        agg_before,
-        agg_after: agg_sum(net, &members),
-        agg_peak_calm,
-        stale_final: stale_count(net, &members),
-        purged: members.iter().map(|&h| net.ipcp(h).stats.members_purged).sum(),
-        reasserts: members.iter().map(|&h| net.ipcp(h).stats.reasserts).sum(),
-        wall_s: wall_t0.elapsed().as_secs_f64(),
-        converged,
-    }
+/// Run a churn timeline with explicit disturbance `counts` (leaves,
+/// fails, flaps, partitions), optionally under the partial-replication
+/// policy (owner-held `/dir` resolved on demand). The scoped variant
+/// also places a stride ping workload so real flows resolve names
+/// through the directory machinery while the disturbances land.
+pub fn run_with_cfg(
+    n: usize,
+    seed: u64,
+    counts: (usize, usize, usize, usize),
+    scoped_dir: bool,
+) -> ChurnRow {
+    let (row, wall_s) = timed(|| {
+        let mut s = Scenario::new("e11-churn", seed);
+        // Grace below the fail downtime (4 s default pacing): crashes are
+        // garbage-collected by their sponsors, not ridden out.
+        let cfg = DifConfig::new("as").with_member_gc_grace_ms(2_000).with_scoped_dir(scoped_dir);
+        let fab = Topology::barabasi_albert(n, 2, seed)
+            .with_dif(cfg)
+            .with_prefix("as")
+            .materialize(&mut s);
+        let members = fab.member_ipcps(&s);
+        if scoped_dir {
+            let _ = Workload::ping_stride(&mut s, fab.dif, &fab.nodes, 1, 1, 16);
+        }
+        let limit = Dur::from_secs(600) * (1 + n as u64 / 500);
+        let mut run = s.assemble(limit, Dur::from_secs(1));
+        let agg_before = Totals::of(&run.net, &members, &[]).agg_len;
+        let churn = churn_phase(&mut run, &fab, &members, seed, counts);
+
+        let net = &run.net;
+        let t = Totals::of(net, &members, &[]);
+        ChurnRow {
+            members: n,
+            leaves: counts.0,
+            fails: counts.1,
+            flaps: counts.2,
+            partitions: counts.3,
+            assemble_s: run.assemble_secs(),
+            churn_s: churn.churn_s,
+            reconverge_s: churn.reconverge_s,
+            calm_samples: churn.calm_samples,
+            reach_min: churn.reach_min,
+            agg_before,
+            agg_after: t.agg_len,
+            agg_peak_calm: churn.agg_peak_calm,
+            stale_final: stale_count(net, &members),
+            purged: t.purged,
+            reasserts: t.reasserts,
+            wall_s: 0.0,
+            converged: churn.converged,
+        }
+    });
+    ChurnRow { wall_s, ..row }
 }
 
 #[cfg(test)]
@@ -317,7 +330,7 @@ mod tests {
     /// and no foreign directory state landing anywhere.
     #[test]
     fn flap_churn_with_scoped_dir_stays_clean_and_fully_reachable() {
-        let r = super::run_with_cfg(30, 71, 0, 0, 2, 0, true);
+        let r = super::run_with_cfg(30, 71, (0, 0, 2, 0), true);
         assert!(r.converged, "never re-quiesced: {r:?}");
         assert!(r.calm_samples > 0, "no calm window was ever sampled: {r:?}");
         assert_eq!(r.stale_final, 0, "scoped /dir leaked departed state: {r:?}");

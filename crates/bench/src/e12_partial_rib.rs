@@ -17,101 +17,100 @@
 //! own (O(1) in the member count), with the sampled ping workload
 //! verifying that on-demand resolution still completes end to end.
 
-use crate::{row_json, Scenario};
+use crate::report::{Col, Scalar};
+use crate::{rib_footprint, row, timed, Scenario, Totals};
 use rina::prelude::*;
 
-/// Result of one partial-replication run.
-#[derive(Debug)]
-pub struct PartialRibRow {
-    /// DIF size (members).
-    pub members: usize,
-    /// Whether `/dir` was owner-held (`true`) or DIF-wide (`false`).
-    pub scoped: bool,
-    /// Enrollment makespan: virtual time until the facility assembled (s).
-    pub assemble_s: f64,
-    /// Wall-clock cost of the whole run, in seconds.
-    pub wall_s: f64,
-    /// Largest total RIB object count any member holds (live +
-    /// tombstoned), the full-replication-floor metric.
-    pub rib_objects_max: u64,
-    /// Largest encoded RIB footprint any member holds, in bytes.
-    pub rib_bytes_max: u64,
-    /// Largest `/dir` object count any member holds — the directory
-    /// share. O(n) under full replication, O(own registrations) scoped.
-    pub dir_objects_max: u64,
-    /// Mean `/dir` object count across members.
-    pub dir_objects_mean: f64,
-    /// On-demand directory lookups sent DIF-wide (0 when unscoped).
-    pub dir_lookups: u64,
-    /// Directory cache hits DIF-wide (0 when unscoped).
-    pub dir_cache_hits: u64,
-    /// RIEP object PDUs sent DIF-wide over the whole run.
-    pub rib_pdus: u64,
-    /// All O(n) sampled-reachability pings completed.
-    pub e2e_ok: bool,
+row! {
+    /// Result of one partial-replication run.
+    pub struct PartialRibRow {
+        /// DIF size (members).
+        members: usize,
+        /// Whether `/dir` was owner-held (`true`) or DIF-wide (`false`).
+        scoped: bool,
+        /// Enrollment makespan: virtual time until the facility assembled (s).
+        assemble_s: f64,
+        /// Wall-clock cost of the whole run, in seconds.
+        wall_s: f64,
+        /// Largest total RIB object count any member holds (live +
+        /// tombstoned), the full-replication-floor metric.
+        rib_objects_max: u64,
+        /// Largest encoded RIB footprint any member holds, in bytes.
+        rib_bytes_max: u64,
+        /// Largest `/dir` object count any member holds — the directory
+        /// share. O(n) under full replication, O(own registrations) scoped.
+        dir_objects_max: u64,
+        /// Mean `/dir` object count across members.
+        dir_objects_mean: f64,
+        /// On-demand directory lookups sent DIF-wide (0 when unscoped).
+        dir_lookups: u64,
+        /// Directory cache hits DIF-wide (0 when unscoped).
+        dir_cache_hits: u64,
+        /// RIEP object PDUs sent DIF-wide over the whole run.
+        rib_pdus: u64,
+        /// All O(n) sampled-reachability pings completed.
+        e2e_ok: bool,
+    }
 }
 
-row_json!(PartialRibRow {
-    members,
-    scoped,
-    assemble_s,
-    wall_s,
-    rib_objects_max,
-    rib_bytes_max,
-    dir_objects_max,
-    dir_objects_mean,
-    dir_lookups,
-    dir_cache_hits,
-    rib_pdus,
-    e2e_ok,
-});
+/// The table of the `e12` binary.
+pub const TABLE: &[Col<PartialRibRow>] = &[
+    ("members", |r| r.members.cell()),
+    ("/dir", |r| if r.scoped { "scoped" } else { "full" }.into()),
+    ("rib obj max", |r| r.rib_objects_max.cell()),
+    ("rib bytes max", |r| r.rib_bytes_max.cell()),
+    ("dir obj max", |r| r.dir_objects_max.cell()),
+    ("dir obj mean", |r| r.dir_objects_mean.cell()),
+    ("lookups", |r| r.dir_lookups.cell()),
+    ("cache hits", |r| r.dir_cache_hits.cell()),
+    ("rib PDUs", |r| r.rib_pdus.cell()),
+    ("makespan (s)", |r| r.assemble_s.cell()),
+    ("wall (s)", |r| r.wall_s.cell()),
+    ("e2e ok", |r| r.e2e_ok.cell()),
+];
 
 /// Assemble an `n`-member Barabási–Albert DIF (attachment degree 2) with
 /// `/dir` owner-held iff `scoped`, run an O(n) sampled ping workload so
 /// every member resolves at least one foreign name, and measure the
 /// per-member RIB footprint.
 pub fn run(n: usize, seed: u64, scoped: bool) -> PartialRibRow {
-    let wall_t0 = std::time::Instant::now();
-    let mut s = Scenario::new("e12-partial-rib", seed);
-    let mut cfg = DifConfig::new("as");
-    if scoped {
-        cfg = cfg.with_scoped_dir(true);
-    }
-    let fab =
-        Topology::barabasi_albert(n, 2, seed).with_prefix("as").with_dif(cfg).materialize(&mut s);
-    let mesh = Workload::ping_sampled(&mut s, fab.dif, &fab.nodes, 0, seed, 1, 64);
-    let ipcps = fab.member_ipcps(&s);
+    let (row, wall_s) = timed(|| {
+        let mut s = Scenario::new("e12-partial-rib", seed);
+        let mut cfg = DifConfig::new("as");
+        if scoped {
+            cfg = cfg.with_scoped_dir(true);
+        }
+        let fab = Topology::barabasi_albert(n, 2, seed)
+            .with_prefix("as")
+            .with_dif(cfg)
+            .materialize(&mut s);
+        let mesh = Workload::ping_sampled(&mut s, fab.dif, &fab.nodes, 0, seed, 1, 64);
+        let ipcps = fab.member_ipcps(&s);
 
-    let limit = Dur::from_secs(600) * (1 + n as u64 / 500);
-    let mut run = s.assemble(limit, Dur::ZERO);
-    let assemble_s = run.assembled_at.expect("assemble() ran").as_secs_f64();
-    run.run_for(Dur::from_secs(1));
-    run.run_until(Dur::from_millis(500), 240, |net| mesh.all_done(net));
+        let limit = Dur::from_secs(600) * (1 + n as u64 / 500);
+        let (run, _) = s.assemble_and_ping(limit, &ipcps, &mesh, 240);
 
-    let net = &run.net;
-    let rib_objects_max: u64 =
-        ipcps.iter().map(|&h| net.ipcp(h).rib.iter_all().count() as u64).max().unwrap_or(0);
-    let rib_bytes_max: u64 = ipcps
-        .iter()
-        .map(|&h| net.ipcp(h).rib.iter_all().map(|o| o.encode().len() as u64).sum::<u64>())
-        .max()
-        .unwrap_or(0);
-    let dir_counts: Vec<u64> =
-        ipcps.iter().map(|&h| net.ipcp(h).rib.iter_prefix("/dir/").count() as u64).collect();
-    PartialRibRow {
-        members: n,
-        scoped,
-        assemble_s,
-        wall_s: wall_t0.elapsed().as_secs_f64(),
-        rib_objects_max,
-        rib_bytes_max,
-        dir_objects_max: dir_counts.iter().copied().max().unwrap_or(0),
-        dir_objects_mean: dir_counts.iter().sum::<u64>() as f64 / n as f64,
-        dir_lookups: ipcps.iter().map(|&h| net.ipcp(h).stats.dir_lookups_sent).sum(),
-        dir_cache_hits: ipcps.iter().map(|&h| net.ipcp(h).stats.dir_cache_hits).sum(),
-        rib_pdus: ipcps.iter().map(|&h| net.ipcp(h).stats.rib_tx).sum(),
-        e2e_ok: mesh.all_done(net),
-    }
+        let net = &run.net;
+        let t = Totals::of(net, &ipcps, &[]);
+        let (rib_objects_max, rib_bytes_max) = rib_footprint(net, &ipcps);
+        let dir_counts: Vec<u64> =
+            ipcps.iter().map(|&h| net.ipcp(h).rib.iter_prefix("/dir/").count() as u64).collect();
+        PartialRibRow {
+            members: n,
+            scoped,
+            assemble_s: run.assemble_secs(),
+            wall_s: 0.0,
+            rib_objects_max,
+            rib_bytes_max,
+            dir_objects_max: dir_counts.iter().copied().max().unwrap_or(0),
+            dir_objects_mean: dir_counts.iter().sum::<u64>() as f64 / n as f64,
+            dir_lookups: t.dir_lookups,
+            dir_cache_hits: t.dir_cache_hits,
+            rib_pdus: t.rib_tx,
+            e2e_ok: mesh.all_done(net),
+        }
+    });
+    PartialRibRow { wall_s, ..row }
 }
 
 #[cfg(test)]

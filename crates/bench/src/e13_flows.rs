@@ -12,9 +12,9 @@
 //! visible. The whole run — churn schedule, queue occupancy, drops —
 //! is a pure function of the seed, byte-identical at any thread count.
 
-use crate::{row_json, Scenario};
+use crate::report::{Col, Scalar};
+use crate::{row, timed, Scenario, Totals};
 use rina::prelude::*;
-use rina::rmt::LANES;
 
 /// Mix indices (the class bytes drivers stamp and sinks account).
 pub const CLASS_INTERACTIVE: usize = 0;
@@ -23,78 +23,74 @@ pub const CLASS_RELIABLE: usize = 1;
 /// Unreliable bulk.
 pub const CLASS_DATAGRAM: usize = 2;
 
-/// One cell of the flow-churn experiment.
-#[derive(Debug)]
-pub struct FlowsRow {
-    /// DIF size (members).
-    pub members: usize,
-    /// Churn drivers placed (each cycles one flow at a time).
-    pub drivers: usize,
-    /// RMT scheduling discipline ("fifo" / "priority" / "wrr").
-    pub sched: &'static str,
-    /// Peak concurrent flows over the sampled measurement window.
-    pub concurrent_peak: u64,
-    /// Minimum concurrent flows over the second half of the window —
-    /// the *sustained* concurrency level.
-    pub concurrent_sustained: u64,
-    /// Completed flow allocations during the measurement window.
-    pub allocs: u64,
-    /// Allocation failures during the measurement window (each retried;
-    /// pre-assembly refusals during the ramp are excluded).
-    pub alloc_failures: u64,
-    /// Established flows that died mid-life during the window (EFCP gave
-    /// up under sustained loss) — congestion shedding, not refusals.
-    pub flow_deaths: u64,
-    /// Flow allocations completed per virtual second.
-    pub allocs_per_s: f64,
-    /// Allocation latency p99 (ms of virtual time).
-    pub alloc_p99_ms: f64,
-    /// Interactive-class one-way data latency p99 (ms).
-    pub inter_p99_ms: f64,
-    /// Bulk (datagram) one-way data latency p99 (ms).
-    pub bulk_p99_ms: f64,
-    /// SDUs written by all drivers.
-    pub sdus_sent: u64,
-    /// SDUs received by all sinks.
-    pub sdus_received: u64,
-    /// RMT shed load (tail drops + push-out evictions), interactive
-    /// lane, summed over every queue.
-    pub rmt_drops_inter: u64,
-    /// RMT shed load, bulk lanes (reliable + datagram).
-    pub rmt_drops_bulk: u64,
-    /// RMT bytes transmitted (dequeued) across every queue.
-    pub rmt_deq_bytes: u64,
-    /// Widest single-queue backlog observed anywhere (bytes).
-    pub rmt_backlog_peak: u64,
-    /// Transit PDUs forwarded (TTL and CRC patched in place), summed
-    /// over every member.
-    pub relay_fast: u64,
-    /// Wall-clock seconds for the cell (machine-dependent).
-    pub wall_s: f64,
+row! {
+    /// One cell of the flow-churn experiment.
+    pub struct FlowsRow {
+        /// DIF size (members).
+        members: usize,
+        /// Churn drivers placed (each cycles one flow at a time).
+        drivers: usize,
+        /// RMT scheduling discipline ("fifo" / "priority" / "wrr").
+        sched: &'static str,
+        /// Peak concurrent flows over the sampled measurement window.
+        concurrent_peak: u64,
+        /// Minimum concurrent flows over the second half of the window —
+        /// the *sustained* concurrency level.
+        concurrent_sustained: u64,
+        /// Completed flow allocations during the measurement window.
+        allocs: u64,
+        /// Allocation failures during the measurement window (each retried;
+        /// pre-assembly refusals during the ramp are excluded).
+        alloc_failures: u64,
+        /// Established flows that died mid-life during the window (EFCP gave
+        /// up under sustained loss) — congestion shedding, not refusals.
+        flow_deaths: u64,
+        /// Flow allocations completed per virtual second.
+        allocs_per_s: f64,
+        /// Allocation latency p99 (ms of virtual time).
+        alloc_p99_ms: f64,
+        /// Interactive-class one-way data latency p99 (ms).
+        inter_p99_ms: f64,
+        /// Bulk (datagram) one-way data latency p99 (ms).
+        bulk_p99_ms: f64,
+        /// SDUs written by all drivers.
+        sdus_sent: u64,
+        /// SDUs received by all sinks.
+        sdus_received: u64,
+        /// RMT shed load (tail drops + push-out evictions), interactive
+        /// lane, summed over every queue.
+        rmt_drops_inter: u64,
+        /// RMT shed load, bulk lanes (reliable + datagram).
+        rmt_drops_bulk: u64,
+        /// RMT bytes transmitted (dequeued) across every queue.
+        rmt_deq_bytes: u64,
+        /// Widest single-queue backlog observed anywhere (bytes).
+        rmt_backlog_peak: u64,
+        /// Transit PDUs forwarded (TTL and CRC patched in place), summed
+        /// over every member.
+        relay_fast: u64,
+        /// Wall-clock seconds for the cell (machine-dependent).
+        wall_s: f64,
+    }
 }
 
-row_json!(FlowsRow {
-    members,
-    drivers,
-    sched,
-    concurrent_peak,
-    concurrent_sustained,
-    allocs,
-    alloc_failures,
-    flow_deaths,
-    allocs_per_s,
-    alloc_p99_ms,
-    inter_p99_ms,
-    bulk_p99_ms,
-    sdus_sent,
-    sdus_received,
-    rmt_drops_inter,
-    rmt_drops_bulk,
-    rmt_deq_bytes,
-    rmt_backlog_peak,
-    relay_fast,
-    wall_s,
-});
+/// The table of the `e13` binary.
+pub const TABLE: &[Col<FlowsRow>] = &[
+    ("members", |r| r.members.cell()),
+    ("drivers", |r| r.drivers.cell()),
+    ("sched", |r| r.sched.cell()),
+    ("sustained", |r| r.concurrent_sustained.cell()),
+    ("peak", |r| r.concurrent_peak.cell()),
+    ("allocs/s", |r| r.allocs_per_s.cell()),
+    ("alloc p99 (ms)", |r| r.alloc_p99_ms.cell()),
+    ("deaths", |r| r.flow_deaths.cell()),
+    ("inter p99 (ms)", |r| r.inter_p99_ms.cell()),
+    ("bulk p99 (ms)", |r| r.bulk_p99_ms.cell()),
+    ("drops inter", |r| r.rmt_drops_inter.cell()),
+    ("drops bulk", |r| r.rmt_drops_bulk.cell()),
+    ("relay fast", |r| r.relay_fast.cell()),
+    ("wall (s)", |r| r.wall_s.cell()),
+];
 
 /// The sched token of a policy.
 pub fn sched_key(sched: SchedPolicy) -> &'static str {
@@ -144,99 +140,92 @@ pub fn run_with(
     seed: u64,
     profile: Profile,
 ) -> FlowsRow {
-    let wall_t0 = std::time::Instant::now();
-    let mut s = Scenario::new("e13-flows", seed);
-    s.set_shim_sched(sched);
-    s.set_shim_queue_cap(profile.queue_cap);
-    let link = LinkCfg::wired().with_bandwidth(profile.bw_bps).with_delay(Dur::from_millis(2));
-    let dif_cfg = DifConfig::new("flows")
-        .with_cube_set(CubeSet::Standard)
-        .with_sched(sched)
-        .with_rmt_queue_cap_bytes(profile.queue_cap);
-    let fab = Topology::barabasi_albert(n, 2, seed)
-        .with_link(link)
-        .with_dif(dif_cfg)
-        .with_prefix("fl")
-        .materialize(&mut s);
+    let (row, wall_s) = timed(|| {
+        let mut s = Scenario::new("e13-flows", seed);
+        s.set_shim_sched(sched);
+        s.set_shim_queue_cap(profile.queue_cap);
+        let link = LinkCfg::wired().with_bandwidth(profile.bw_bps).with_delay(Dur::from_millis(2));
+        let dif_cfg = DifConfig::new("flows")
+            .with_cube_set(CubeSet::Standard)
+            .with_sched(sched)
+            .with_rmt_queue_cap_bytes(profile.queue_cap);
+        let fab = Topology::barabasi_albert(n, 2, seed)
+            .with_link(link)
+            .with_dif(dif_cfg)
+            .with_prefix("fl")
+            .materialize(&mut s);
 
-    // The lowest-degree vertices (ties by index) take the sinks.
-    let deg = fab.degrees();
-    let mut order: Vec<usize> = (0..fab.len()).collect();
-    order.sort_by_key(|&i| (deg[i], i));
-    let sink_count = profile.sinks.min(fab.len().saturating_sub(1)).max(1);
-    let sink_nodes: Vec<NodeH> = order.iter().take(sink_count).map(|&i| fab.node(i)).collect();
+        let sink_nodes = fab.lowest_degree(profile.sinks);
 
-    let churn_cfg = FlowChurnCfg::new(seed ^ 0x00f1)
-        .with_drivers_per_node(drivers_per_node)
-        .with_pacing(
-            (Dur::from_secs(8), Dur::from_secs(16)),
-            (Dur::from_millis(300), Dur::from_millis(1_200)),
-        )
-        .with_traffic(360, Dur::from_millis(25))
-        .with_mix(vec![
-            (QosSpec::interactive(), 1),
-            (QosSpec::reliable(), 1),
-            (QosSpec::datagram(), 2),
-        ]);
-    let churn = Workload::flow_churn(&mut s, fab.dif, &fab.all(), &sink_nodes, &churn_cfg);
-    let drivers = churn.drivers.len();
-    let ipcps = fab.member_ipcps(&s);
+        let churn_cfg = FlowChurnCfg::new(seed ^ 0x00f1)
+            .with_drivers_per_node(drivers_per_node)
+            .with_pacing(
+                (Dur::from_secs(8), Dur::from_secs(16)),
+                (Dur::from_millis(300), Dur::from_millis(1_200)),
+            )
+            .with_traffic(360, Dur::from_millis(25))
+            .with_mix(vec![
+                (QosSpec::interactive(), 1),
+                (QosSpec::reliable(), 1),
+                (QosSpec::datagram(), 2),
+            ]);
+        let churn = Workload::flow_churn(&mut s, fab.dif, &fab.all(), &sink_nodes, &churn_cfg);
+        let drivers = churn.drivers.len();
+        let ipcps = fab.member_ipcps(&s);
 
-    let limit = Dur::from_secs(600) * (1 + n as u64 / 500);
-    let mut run = s.assemble(limit, Dur::from_millis(500));
+        let limit = Dur::from_secs(600) * (1 + n as u64 / 500);
+        let mut run = s.assemble(limit, Dur::from_millis(500));
 
-    // Ramp: let the churn population reach its duty-cycle steady state
-    // (every driver has opened and most holds are in flight).
-    run.run_for(Dur::from_secs(4));
-    let allocs0 = churn.allocs(&run.net);
-    let failures0 = churn.alloc_failures(&run.net);
-    let deaths0 = churn.flow_deaths(&run.net);
+        // Ramp: let the churn population reach its duty-cycle steady state
+        // (every driver has opened and most holds are in flight).
+        run.run_for(Dur::from_secs(4));
+        let allocs0 = churn.allocs(&run.net);
+        let failures0 = churn.alloc_failures(&run.net);
+        let deaths0 = churn.flow_deaths(&run.net);
 
-    // Measurement window, sampled at fixed virtual-time points.
-    let step = Dur::from_millis(500);
-    let steps = (profile.measure.nanos() / step.nanos()).max(1);
-    let mut peak = 0u64;
-    let mut sustained = u64::MAX;
-    for i in 0..steps {
-        run.run_for(step);
-        let c = churn.concurrent(&run.net) as u64;
-        peak = peak.max(c);
-        if i >= steps / 2 {
-            sustained = sustained.min(c);
+        // Measurement window, sampled at fixed virtual-time points.
+        let step = Dur::from_millis(500);
+        let steps = (profile.measure.nanos() / step.nanos()).max(1);
+        let mut peak = 0u64;
+        let mut sustained = u64::MAX;
+        for i in 0..steps {
+            run.run_for(step);
+            let c = churn.concurrent(&run.net) as u64;
+            peak = peak.max(c);
+            if i >= steps / 2 {
+                sustained = sustained.min(c);
+            }
         }
-    }
-    let measured_s = (steps * step.nanos()) as f64 / 1e9;
+        let measured_s = (steps * step.nanos()) as f64 / 1e9;
 
-    let net = &run.net;
-    let allocs = churn.allocs(net) - allocs0;
-    let mut lane = [rina::LaneStats::default(); LANES];
-    for &h in &fab.nodes {
-        for (l, st) in net.node(h).rmt_lane_stats().iter().enumerate() {
-            lane[l].merge(st);
+        let net = &run.net;
+        let allocs = churn.allocs(net) - allocs0;
+        let t = Totals::of(net, &ipcps, &fab.nodes);
+        let lane = &t.lanes;
+        FlowsRow {
+            members: n,
+            drivers,
+            sched: sched_key(sched),
+            concurrent_peak: peak,
+            concurrent_sustained: if sustained == u64::MAX { 0 } else { sustained },
+            allocs,
+            alloc_failures: churn.alloc_failures(net) - failures0,
+            flow_deaths: churn.flow_deaths(net) - deaths0,
+            allocs_per_s: allocs as f64 / measured_s,
+            alloc_p99_ms: churn.alloc_latency(net).quantile(0.99) * 1e3,
+            inter_p99_ms: churn.latency_of_class(net, CLASS_INTERACTIVE).quantile(0.99) * 1e3,
+            bulk_p99_ms: churn.latency_of_class(net, CLASS_DATAGRAM).quantile(0.99) * 1e3,
+            sdus_sent: churn.sent(net),
+            sdus_received: churn.received(net),
+            rmt_drops_inter: lane[2].drops + lane[2].evict,
+            rmt_drops_bulk: lane[1].drops + lane[1].evict + lane[3].drops + lane[3].evict,
+            rmt_deq_bytes: lane.iter().map(|s| s.deq_bytes).sum(),
+            rmt_backlog_peak: lane.iter().map(|s| s.backlog_peak_bytes).max().unwrap_or(0),
+            relay_fast: t.relay_fast,
+            wall_s: 0.0,
         }
-    }
-    FlowsRow {
-        members: n,
-        drivers,
-        sched: sched_key(sched),
-        concurrent_peak: peak,
-        concurrent_sustained: if sustained == u64::MAX { 0 } else { sustained },
-        allocs,
-        alloc_failures: churn.alloc_failures(net) - failures0,
-        flow_deaths: churn.flow_deaths(net) - deaths0,
-        allocs_per_s: allocs as f64 / measured_s,
-        alloc_p99_ms: churn.alloc_latency(net).quantile(0.99) * 1e3,
-        inter_p99_ms: churn.latency_of_class(net, CLASS_INTERACTIVE).quantile(0.99) * 1e3,
-        bulk_p99_ms: churn.latency_of_class(net, CLASS_DATAGRAM).quantile(0.99) * 1e3,
-        sdus_sent: churn.sent(net),
-        sdus_received: churn.received(net),
-        rmt_drops_inter: lane[2].drops + lane[2].evict,
-        rmt_drops_bulk: lane[1].drops + lane[1].evict + lane[3].drops + lane[3].evict,
-        rmt_deq_bytes: lane.iter().map(|s| s.deq_bytes).sum(),
-        rmt_backlog_peak: lane.iter().map(|s| s.backlog_peak_bytes).max().unwrap_or(0),
-        relay_fast: ipcps.iter().map(|&h| net.ipcp(h).stats.relay_fast).sum(),
-        wall_s: wall_t0.elapsed().as_secs_f64(),
-    }
+    });
+    FlowsRow { wall_s, ..row }
 }
 
 #[cfg(test)]

@@ -4,38 +4,41 @@
 //! router (Fig 2). Reported: flow-allocation latency (by *name*), RTT,
 //! goodput, relay activity, and per-PDU header overhead per layer.
 
-use crate::{row_json, Scenario};
+use crate::report::{Col, Scalar};
+use crate::{row, Scenario, Totals};
 use rina::apps::{EchoApp, PingApp, SinkApp, SourceApp};
 use rina::prelude::*;
 
-/// Result of the two-system / relay scenarios.
-#[derive(Debug)]
-pub struct Fig1Row {
-    /// Scenario name.
-    pub scenario: &'static str,
-    /// Number of relaying members on the path.
-    pub relays: usize,
-    /// Time from allocation request to flow active (seconds).
-    pub alloc_latency_s: f64,
-    /// Mean application RTT (seconds).
-    pub rtt_mean_s: f64,
-    /// Bulk goodput (Mbit/s) over the transfer.
-    pub goodput_mbps: f64,
-    /// PDUs relayed by intermediate members.
-    pub relayed_pdus: u64,
-    /// Wire overhead per data PDU at the top DIF (bytes).
-    pub overhead_bytes: usize,
+row! {
+    /// Result of the two-system / relay scenarios.
+    pub struct Fig1Row {
+        /// Scenario name.
+        scenario: &'static str,
+        /// Number of relaying members on the path.
+        relays: usize,
+        /// Time from allocation request to flow active (seconds).
+        alloc_latency_s: f64,
+        /// Mean application RTT (seconds).
+        rtt_mean_s: f64,
+        /// Bulk goodput (Mbit/s) over the transfer.
+        goodput_mbps: f64,
+        /// PDUs relayed by intermediate members.
+        relayed_pdus: u64,
+        /// Wire overhead per data PDU at the top DIF (bytes).
+        overhead_bytes: usize,
+    }
 }
 
-row_json!(Fig1Row {
-    scenario,
-    relays,
-    alloc_latency_s,
-    rtt_mean_s,
-    goodput_mbps,
-    relayed_pdus,
-    overhead_bytes,
-});
+/// The E1/E2 table of the `experiments` binary.
+pub const TABLE: &[Col<Fig1Row>] = &[
+    ("scenario", |r| r.scenario.cell()),
+    ("relays", |r| r.relays.cell()),
+    ("alloc latency (s)", |r| r.alloc_latency_s.cell()),
+    ("RTT mean (s)", |r| r.rtt_mean_s.cell()),
+    ("goodput (Mb/s)", |r| r.goodput_mbps.cell()),
+    ("relayed PDUs", |r| r.relayed_pdus.cell()),
+    ("hdr overhead (B)", |r| r.overhead_bytes.cell()),
+];
 
 /// Run Figure 1 (relays = 0) or Figure 2 (relays = 1) style chains.
 pub fn run(relays: usize, seed: u64) -> Fig1Row {
@@ -72,7 +75,6 @@ pub fn run(relays: usize, seed: u64) -> Fig1Row {
     let sk = net.app(sink);
     let dur = sk.last_arrival.since(net.app(src).flow_up_at.unwrap_or(Time::ZERO)).as_secs_f64();
     let goodput = if dur > 0.0 { sk.bytes as f64 * 8.0 / dur / 1e6 } else { 0.0 };
-    let relayed = relay_ipcps.iter().map(|&h| net.ipcp(h).stats.relayed).sum();
 
     // Header overhead of a representative top-DIF data PDU.
     let pdu = rina_wire::Pdu::Data(rina_wire::DataPdu {
@@ -93,7 +95,7 @@ pub fn run(relays: usize, seed: u64) -> Fig1Row {
         alloc_latency_s: alloc,
         rtt_mean_s: rtt,
         goodput_mbps: goodput,
-        relayed_pdus: relayed,
+        relayed_pdus: Totals::of(net, &relay_ipcps, &[]).relayed,
         overhead_bytes: pdu.overhead(),
     }
 }

@@ -13,38 +13,40 @@
 //! The paper predicts the scoped configuration wins, increasingly so with
 //! loss (§6.2: proxies made unnecessary by structure).
 
-use crate::{row_json, Scenario};
+use crate::report::{Col, Scalar};
+use crate::{row, Scenario};
 use rina::apps::{SinkApp, SourceApp};
 use rina::prelude::*;
 
-/// One row of the Figure-3 sweep.
-#[derive(Debug)]
-pub struct Fig3Row {
-    /// Wireless badness parameter (Gilbert–Elliott stationary P(bad)).
-    pub p_bad: f64,
-    /// Layering configuration.
-    pub config: &'static str,
-    /// SDUs delivered within the run.
-    pub delivered: u64,
-    /// Goodput in Mbit/s.
-    pub goodput_mbps: f64,
-    /// Mean one-way latency (s).
-    pub latency_mean_s: f64,
-    /// 99th-percentile one-way latency (s).
-    pub latency_p99_s: f64,
-    /// End-to-end retransmissions at the source.
-    pub e2e_retx: u64,
+row! {
+    /// One row of the Figure-3 sweep.
+    pub struct Fig3Row {
+        /// Wireless badness parameter (Gilbert–Elliott stationary P(bad)).
+        p_bad: f64,
+        /// Layering configuration.
+        config: &'static str,
+        /// SDUs delivered within the run.
+        delivered: u64,
+        /// Goodput in Mbit/s.
+        goodput_mbps: f64,
+        /// Mean one-way latency (s).
+        latency_mean_s: f64,
+        /// 99th-percentile one-way latency (s).
+        latency_p99_s: f64,
+        /// End-to-end retransmissions at the source.
+        e2e_retx: u64,
+    }
 }
 
-row_json!(Fig3Row {
-    p_bad,
-    config,
-    delivered,
-    goodput_mbps,
-    latency_mean_s,
-    latency_p99_s,
-    e2e_retx,
-});
+/// The E3 table of the `experiments` binary.
+pub const TABLE: &[Col<Fig3Row>] = &[
+    ("P(bad)", |r| r.p_bad.cell()),
+    ("config", |r| r.config.cell()),
+    ("delivered", |r| r.delivered.cell()),
+    ("goodput (Mb/s)", |r| r.goodput_mbps.cell()),
+    ("lat mean (s)", |r| r.latency_mean_s.cell()),
+    ("lat p99 (s)", |r| r.latency_p99_s.cell()),
+];
 
 /// Run one cell of the sweep.
 pub fn run(p_bad: f64, scoped: bool, seed: u64) -> Fig3Row {

@@ -5,28 +5,37 @@
 //! the surviving (N-1) path, the flow lives. Baseline: the TCP connection
 //! is bound to the dead interface address; it must fail and be re-dialed.
 
-use crate::{row_json, GapSampler, Scenario};
-use bytes::Bytes;
-use inet::{Cidr, InetApi, InetApp, InetNode, IpAddr, SockId};
+use crate::inet_apps::{CountServer, RedialSource};
+use crate::report::{Col, Scalar};
+use crate::{row, GapSampler, Scenario};
+use inet::{Cidr, InetNode, IpAddr};
 use rina::apps::{SinkApp, SourceApp};
 use rina::prelude::*;
 
-/// Result of one failover run.
-#[derive(Debug)]
-pub struct Fig4Row {
-    /// Which stack.
-    pub stack: &'static str,
-    /// Did the original flow/connection survive the PoA failure?
-    pub flow_survived: bool,
-    /// Longest delivery gap around the failure (s).
-    pub outage_s: f64,
-    /// Messages delivered in total (of 2000).
-    pub delivered: u64,
-    /// Application-visible connection failures.
-    pub conn_failures: u64,
+row! {
+    /// Result of one failover run.
+    pub struct Fig4Row {
+        /// Which stack.
+        stack: &'static str,
+        /// Did the original flow/connection survive the PoA failure?
+        flow_survived: bool,
+        /// Longest delivery gap around the failure (s).
+        outage_s: f64,
+        /// Messages delivered in total (of 2000).
+        delivered: u64,
+        /// Application-visible connection failures.
+        conn_failures: u64,
+    }
 }
 
-row_json!(Fig4Row { stack, flow_survived, outage_s, delivered, conn_failures });
+/// The E4 table of the `experiments` binary.
+pub const TABLE: &[Col<Fig4Row>] = &[
+    ("stack", |r| r.stack.cell()),
+    ("flow survived", |r| r.flow_survived.cell()),
+    ("outage (s)", |r| r.outage_s.cell()),
+    ("delivered/2000", |r| r.delivered.cell()),
+    ("conn failures", |r| r.conn_failures.cell()),
+];
 
 /// RINA side: the multihoming scenario of the stack tests, measured.
 pub fn run_rina(seed: u64) -> Fig4Row {
@@ -76,76 +85,6 @@ pub fn run_rina(seed: u64) -> Fig4Row {
     }
 }
 
-/// Baseline client used by the inet failover scenario.
-struct FailClient {
-    dst: IpAddr,
-    count: u64,
-    pub sent: u64,
-    pub acked: u64,
-    pub failures: u64,
-    sock: Option<SockId>,
-}
-const K_DIAL: u64 = 1;
-const K_SEND: u64 = 2;
-impl InetApp for FailClient {
-    fn on_start(&mut self, api: &mut InetApi<'_, '_, '_>) {
-        api.timer_in(rina_sim::Dur::from_millis(10), K_DIAL);
-    }
-    fn on_timer(&mut self, key: u64, api: &mut InetApi<'_, '_, '_>) {
-        match key {
-            K_DIAL if self.sock.is_none() => {
-                self.sock = api.connect(self.dst, 80);
-                if self.sock.is_none() {
-                    api.timer_in(rina_sim::Dur::from_millis(100), K_DIAL);
-                }
-            }
-            K_SEND => {
-                let Some(sock) = self.sock else { return };
-                if self.sent >= self.count {
-                    return;
-                }
-                match api.send(sock, Bytes::from(vec![0u8; 200])) {
-                    Ok(()) => {
-                        self.sent += 1;
-                        api.timer_in(rina_sim::Dur::from_millis(2), K_SEND);
-                    }
-                    Err(_) => api.timer_in(rina_sim::Dur::from_millis(10), K_SEND),
-                }
-            }
-            _ => {}
-        }
-    }
-    fn on_connected(&mut self, _s: SockId, _p: (IpAddr, u16), api: &mut InetApi<'_, '_, '_>) {
-        api.timer_in(rina_sim::Dur::ZERO, K_SEND);
-    }
-    fn on_data(&mut self, _s: SockId, _d: Bytes, _api: &mut InetApi<'_, '_, '_>) {
-        self.acked += 1;
-    }
-    fn on_conn_failed(&mut self, _s: SockId, api: &mut InetApi<'_, '_, '_>) {
-        self.failures += 1;
-        self.sock = None;
-        self.sent = self.acked;
-        api.timer_in(rina_sim::Dur::from_millis(50), K_DIAL);
-    }
-}
-
-/// Echo-ish server counting arrivals.
-#[derive(Default)]
-struct CountServer {
-    received: u64,
-    last_arrival_ns: u64,
-}
-impl InetApp for CountServer {
-    fn on_start(&mut self, api: &mut InetApi<'_, '_, '_>) {
-        api.listen(80);
-    }
-    fn on_data(&mut self, sock: SockId, data: Bytes, api: &mut InetApi<'_, '_, '_>) {
-        self.received += 1;
-        self.last_arrival_ns = api.now().nanos();
-        let _ = api.send(sock, data);
-    }
-}
-
 /// Baseline side: same square topology, dual-homed *client* whose primary
 /// interface dies.
 pub fn run_inet(seed: u64) -> Fig4Row {
@@ -167,14 +106,7 @@ pub fn run_inet(seed: u64) -> Fig4Row {
     sv.add_iface(ip(10, 0, 2, 1), net24(10, 0, 2));
     sv.add_route(net24(10, 0, 1), 0, 0);
     sv.add_route(net24(10, 0, 3), 0, 0);
-    let c_app = ch.add_app(FailClient {
-        dst: ip(10, 0, 2, 1),
-        count: 2000,
-        sent: 0,
-        acked: 0,
-        failures: 0,
-        sock: None,
-    });
+    let c_app = ch.add_app(RedialSource::new(ip(10, 0, 2, 1), 2000, Dur::from_millis(10)));
     let s_app = sv.add_app(CountServer::default());
     let nc = sim.add_node(ch);
     let n1 = sim.add_node(r1);
@@ -195,12 +127,12 @@ pub fn run_inet(seed: u64) -> Fig4Row {
         let t = sim.now() + Dur::from_millis(50);
         sim.run_until(t);
         gaps.observe(sim.agent::<InetNode>(ns).app::<CountServer>(s_app).received, sim.now());
-        let cl = sim.agent::<InetNode>(nc).app::<FailClient>(c_app);
+        let cl = sim.agent::<InetNode>(nc).app::<RedialSource>(c_app);
         if cl.acked >= 2000 {
             break;
         }
     }
-    let cl = sim.agent::<InetNode>(nc).app::<FailClient>(c_app);
+    let cl = sim.agent::<InetNode>(nc).app::<RedialSource>(c_app);
     Fig4Row {
         stack: "inet(tcp)",
         flow_survived: cl.failures == 0,

@@ -5,28 +5,37 @@
 //! flow survives, update traffic is local. Baseline: Mobile-IP home-agent
 //! registration plus triangle routing through the home agent.
 
-use crate::{row_json, GapSampler, Scenario};
-use bytes::Bytes;
-use inet::{Cidr, InetApi, InetApp, InetNode, IpAddr, MobileCfg, SockId};
+use crate::inet_apps::{CountServer, RedialSource};
+use crate::report::{Col, Scalar};
+use crate::{row, GapSampler, Scenario, Totals};
+use inet::{Cidr, InetNode, IpAddr, MobileCfg};
 use rina::apps::{SinkApp, SourceApp};
 use rina::prelude::*;
 
-/// Result of one mobility run.
-#[derive(Debug)]
-pub struct Fig5Row {
-    /// Which stack/mechanism.
-    pub stack: &'static str,
-    /// Longest delivery gap around the handoff (s).
-    pub handoff_gap_s: f64,
-    /// Did the transport flow survive the handoff?
-    pub flow_survived: bool,
-    /// Routing/registration messages attributable to the handoff.
-    pub update_msgs: u64,
-    /// Messages delivered in total (of 3000).
-    pub delivered: u64,
+row! {
+    /// Result of one mobility run.
+    pub struct Fig5Row {
+        /// Which stack/mechanism.
+        stack: &'static str,
+        /// Longest delivery gap around the handoff (s).
+        handoff_gap_s: f64,
+        /// Did the transport flow survive the handoff?
+        flow_survived: bool,
+        /// Routing/registration messages attributable to the handoff.
+        update_msgs: u64,
+        /// Messages delivered in total (of 3000).
+        delivered: u64,
+    }
 }
 
-row_json!(Fig5Row { stack, handoff_gap_s, flow_survived, update_msgs, delivered });
+/// The E5 table of the `experiments` binary.
+pub const TABLE: &[Col<Fig5Row>] = &[
+    ("stack", |r| r.stack.cell()),
+    ("handoff gap (s)", |r| r.handoff_gap_s.cell()),
+    ("flow survived", |r| r.flow_survived.cell()),
+    ("update/tunnel msgs", |r| r.update_msgs.cell()),
+    ("delivered/3000", |r| r.delivered.cell()),
+];
 
 /// RINA side: the mobility scenario, instrumented.
 pub fn run_rina(seed: u64) -> Fig5Row {
@@ -60,7 +69,7 @@ pub fn run_rina(seed: u64) -> Fig5Row {
     run.net.set_link_up(l_m2, false);
     run.run_for(Dur::from_secs(3));
     let fails_before = run.net.app(src).alloc_failures;
-    let rib_before: u64 = members.iter().map(|&h| run.net.ipcp(h).stats.rib_tx).sum();
+    let rib_before = Totals::of(&run.net, &members, &[]).rib_tx;
 
     // Hard handoff.
     run.net.set_link_up(l_m1, false);
@@ -71,7 +80,7 @@ pub fn run_rina(seed: u64) -> Fig5Row {
         gaps.observe(net.app(sink).received, net.sim.now());
         net.app(sink).received >= 3000
     });
-    let rib_after: u64 = members.iter().map(|&h| run.net.ipcp(h).stats.rib_tx).sum();
+    let rib_after = Totals::of(&run.net, &members, &[]).rib_tx;
     let src_app = run.net.app(src);
     Fig5Row {
         stack: "rina",
@@ -79,73 +88,6 @@ pub fn run_rina(seed: u64) -> Fig5Row {
         flow_survived: src_app.alloc_failures == fails_before,
         update_msgs: rib_after - rib_before,
         delivered: run.net.app(sink).received,
-    }
-}
-
-/// Streaming client on the mobile for the Mobile-IP baseline.
-struct MipSource {
-    dst: IpAddr,
-    count: u64,
-    sent: u64,
-    pub acked: u64,
-    pub failures: u64,
-    sock: Option<SockId>,
-}
-const K_DIAL: u64 = 1;
-const K_SEND: u64 = 2;
-impl InetApp for MipSource {
-    fn on_start(&mut self, api: &mut InetApi<'_, '_, '_>) {
-        api.timer_in(Dur::from_millis(200), K_DIAL);
-    }
-    fn on_timer(&mut self, key: u64, api: &mut InetApi<'_, '_, '_>) {
-        match key {
-            K_DIAL if self.sock.is_none() => {
-                self.sock = api.connect(self.dst, 80);
-                if self.sock.is_none() {
-                    api.timer_in(Dur::from_millis(100), K_DIAL);
-                }
-            }
-            K_SEND => {
-                let Some(sock) = self.sock else { return };
-                if self.sent >= self.count {
-                    return;
-                }
-                match api.send(sock, Bytes::from(vec![0u8; 200])) {
-                    Ok(()) => {
-                        self.sent += 1;
-                        api.timer_in(Dur::from_millis(2), K_SEND);
-                    }
-                    Err(_) => api.timer_in(Dur::from_millis(10), K_SEND),
-                }
-            }
-            _ => {}
-        }
-    }
-    fn on_connected(&mut self, _s: SockId, _p: (IpAddr, u16), api: &mut InetApi<'_, '_, '_>) {
-        api.timer_in(Dur::ZERO, K_SEND);
-    }
-    fn on_data(&mut self, _s: SockId, _d: Bytes, _api: &mut InetApi<'_, '_, '_>) {
-        self.acked += 1;
-    }
-    fn on_conn_failed(&mut self, _s: SockId, api: &mut InetApi<'_, '_, '_>) {
-        self.failures += 1;
-        self.sock = None;
-        self.sent = self.acked;
-        api.timer_in(Dur::from_millis(50), K_DIAL);
-    }
-}
-
-#[derive(Default)]
-struct CountServer {
-    received: u64,
-}
-impl InetApp for CountServer {
-    fn on_start(&mut self, api: &mut InetApi<'_, '_, '_>) {
-        api.listen(80);
-    }
-    fn on_data(&mut self, sock: SockId, data: Bytes, api: &mut InetApi<'_, '_, '_>) {
-        self.received += 1;
-        let _ = api.send(sock, data);
     }
 }
 
@@ -186,14 +128,7 @@ pub fn run_inet(seed: u64) -> Fig5Row {
         home_agent: ip(10, 0, 9, 2),
         fa_of_iface: vec![Some(ip(10, 0, 60, 1)), Some(ip(10, 0, 61, 1))],
     });
-    let m_app = mob.add_app(MipSource {
-        dst: ip(10, 0, 9, 1),
-        count: 3000,
-        sent: 0,
-        acked: 0,
-        failures: 0,
-        sock: None,
-    });
+    let m_app = mob.add_app(RedialSource::new(ip(10, 0, 9, 1), 3000, Dur::from_millis(200)));
     let s_app = sv.add_app(CountServer::default());
 
     let ns = sim.add_node(sv);
@@ -222,11 +157,11 @@ pub fn run_inet(seed: u64) -> Fig5Row {
         let t = sim.now() + Dur::from_millis(50);
         sim.run_until(t);
         gaps.observe(sim.agent::<InetNode>(ns).app::<CountServer>(s_app).received, sim.now());
-        if sim.agent::<InetNode>(nm).app::<MipSource>(m_app).acked >= 3000 {
+        if sim.agent::<InetNode>(nm).app::<RedialSource>(m_app).acked >= 3000 {
             break;
         }
     }
-    let mobapp = sim.agent::<InetNode>(nm).app::<MipSource>(m_app);
+    let mobapp = sim.agent::<InetNode>(nm).app::<RedialSource>(m_app);
     let tunneled_after = sim.agent::<InetNode>(nh).stats.tunneled;
     Fig5Row {
         stack: "inet(mobile-ip)",

@@ -8,30 +8,40 @@
 //! per-member routing state and update traffic bounded by the *scope*, not
 //! the internetwork (§6.5).
 
-use crate::{row_json, ExperimentRun, Scenario};
+use crate::report::{Col, Scalar};
+use crate::{row, ExperimentRun, Scenario, Totals};
 use rina::apps::{EchoApp, PingApp};
 use rina::prelude::*;
 
-/// Result of one scalability cell.
-#[derive(Debug)]
-pub struct ScaleRow {
-    /// Regions × hosts-per-region.
-    pub regions: usize,
-    /// Hosts per region.
-    pub hosts_per_region: usize,
-    /// Layering.
-    pub config: &'static str,
-    /// Mean forwarding-table entries per IPC process (non-shim).
-    pub fwd_mean: f64,
-    /// Largest forwarding table anywhere.
-    pub fwd_max: usize,
-    /// Total RIEP messages sent during assembly + settle.
-    pub rib_msgs: u64,
-    /// Cross-internetwork reachability verified.
-    pub e2e_ok: bool,
+row! {
+    /// Result of one scalability cell.
+    pub struct ScaleRow {
+        /// Regions × hosts-per-region.
+        regions: usize,
+        /// Hosts per region.
+        hosts_per_region: usize,
+        /// Layering.
+        config: &'static str,
+        /// Mean forwarding-table entries per IPC process (non-shim).
+        fwd_mean: f64,
+        /// Largest forwarding table anywhere.
+        fwd_max: usize,
+        /// Total RIEP messages sent during assembly + settle.
+        rib_msgs: u64,
+        /// Cross-internetwork reachability verified.
+        e2e_ok: bool,
+    }
 }
 
-row_json!(ScaleRow { regions, hosts_per_region, config, fwd_mean, fwd_max, rib_msgs, e2e_ok });
+/// The E6 table of the `experiments` binary.
+pub const TABLE: &[Col<ScaleRow>] = &[
+    ("regions×hosts", |r| format!("{}×{}", r.regions, r.hosts_per_region)),
+    ("config", |r| r.config.cell()),
+    ("fwd mean", |r| r.fwd_mean.cell()),
+    ("fwd max", |r| r.fwd_max.cell()),
+    ("RIEP msgs", |r| r.rib_msgs.cell()),
+    ("e2e ok", |r| r.e2e_ok.cell()),
+];
 
 struct Built {
     run: ExperimentRun,
@@ -74,22 +84,14 @@ pub fn run(regions: usize, hosts: usize, flat: bool, seed: u64) -> ScaleRow {
     let Built { mut run, ipcps, ping } = build(regions, hosts, flat, seed);
     run.run_for(Dur::from_secs(3));
     let net = &run.net;
-    let mut fwd_sum = 0usize;
-    let mut fwd_max = 0usize;
-    let mut rib = 0u64;
-    for &h in &ipcps {
-        let ip = net.ipcp(h);
-        fwd_sum += ip.fwd().len();
-        fwd_max = fwd_max.max(ip.fwd().len());
-        rib += ip.stats.rib_tx;
-    }
+    let t = Totals::of(net, &ipcps, &[]);
     ScaleRow {
         regions,
         hosts_per_region: hosts,
         config: if flat { "flat" } else { "hierarchical" },
-        fwd_mean: fwd_sum as f64 / ipcps.len() as f64,
-        fwd_max,
-        rib_msgs: rib,
+        fwd_mean: t.fwd_len as f64 / ipcps.len() as f64,
+        fwd_max: t.fwd_max,
+        rib_msgs: t.rib_tx,
         e2e_ok: net.app(ping).done(),
     }
 }

@@ -7,25 +7,33 @@
 //! the credential, and (b) even inside an open DIF, flow allocation
 //! continues *to the destination application*, which refuses (§5.3).
 
-use crate::{row_json, Scenario};
+use crate::report::{Col, Scalar};
+use crate::{row, Scenario};
 use inet::{Cidr, InetApi, InetApp, InetNode, IpAddr, SockId};
 use rina::apps::{SinkApp, SourceApp};
 use rina::prelude::*;
 
-/// Result of the attack-surface comparison.
-#[derive(Debug)]
-pub struct SecurityRow {
-    /// Which stack / policy.
-    pub stack: &'static str,
-    /// Probes the attacker sent.
-    pub probes: u64,
-    /// Responses that leaked existence/reachability information.
-    pub leaks: u64,
-    /// Application data the attacker managed to deliver.
-    pub payloads_delivered: u64,
+row! {
+    /// Result of the attack-surface comparison.
+    pub struct SecurityRow {
+        /// Which stack / policy.
+        stack: &'static str,
+        /// Probes the attacker sent.
+        probes: u64,
+        /// Responses that leaked existence/reachability information.
+        leaks: u64,
+        /// Application data the attacker managed to deliver.
+        payloads_delivered: u64,
+    }
 }
 
-row_json!(SecurityRow { stack, probes, leaks, payloads_delivered });
+/// The E7 table of the `experiments` binary.
+pub const TABLE: &[Col<SecurityRow>] = &[
+    ("stack", |r| r.stack.cell()),
+    ("probes", |r| r.probes.cell()),
+    ("information leaks", |r| r.leaks.cell()),
+    ("attacker payloads delivered", |r| r.payloads_delivered.cell()),
+];
 
 /// A port scanner.
 struct Scanner {

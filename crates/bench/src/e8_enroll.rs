@@ -5,23 +5,31 @@
 //! messages per member — enrollment is a handshake plus a RIB sync, so
 //! cost should grow roughly linearly in members (with the sync set).
 
-use crate::{row_json, Scenario};
+use crate::report::{Col, Scalar};
+use crate::{row, Scenario, Totals};
 use rina::prelude::*;
 
-/// One row of the enrollment sweep.
-#[derive(Debug)]
-pub struct EnrollRow {
-    /// DIF size (members).
-    pub members: usize,
-    /// Virtual time until every member enrolled and adjacencies held (s).
-    pub assemble_s: f64,
-    /// Management PDUs sent in total during assembly.
-    pub mgmt_msgs: u64,
-    /// Management PDUs per member.
-    pub mgmt_per_member: f64,
+row! {
+    /// One row of the enrollment sweep.
+    pub struct EnrollRow {
+        /// DIF size (members).
+        members: usize,
+        /// Virtual time until every member enrolled and adjacencies held (s).
+        assemble_s: f64,
+        /// Management PDUs sent in total during assembly.
+        mgmt_msgs: u64,
+        /// Management PDUs per member.
+        mgmt_per_member: f64,
+    }
 }
 
-row_json!(EnrollRow { members, assemble_s, mgmt_msgs, mgmt_per_member });
+/// The E8 table of the `experiments` binary.
+pub const TABLE: &[Col<EnrollRow>] = &[
+    ("members", |r| r.members.cell()),
+    ("assemble (s)", |r| r.assemble_s.cell()),
+    ("mgmt msgs", |r| r.mgmt_msgs.cell()),
+    ("per member", |r| r.mgmt_per_member.cell()),
+];
 
 /// Enroll a `k`-member chain and measure.
 pub fn run(k: usize, seed: u64) -> EnrollRow {
@@ -29,11 +37,10 @@ pub fn run(k: usize, seed: u64) -> EnrollRow {
     let fab = Topology::line(k).materialize(&mut s);
     let ipcps = fab.member_ipcps(&s);
     let run = s.assemble(Dur::from_secs(120), Dur::ZERO);
-    let t = run.assembled_at.expect("assemble() ran");
-    let mgmt: u64 = ipcps.iter().map(|&h| run.net.ipcp(h).stats.mgmt_tx).sum();
+    let mgmt = Totals::of(&run.net, &ipcps, &[]).mgmt_tx;
     EnrollRow {
         members: k,
-        assemble_s: t.as_secs_f64(),
+        assemble_s: run.assemble_secs(),
         mgmt_msgs: mgmt,
         mgmt_per_member: mgmt as f64 / k as f64,
     }

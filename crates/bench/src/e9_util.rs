@@ -10,35 +10,38 @@
 //! over-provision" claim, and the basis of QoS-differentiated IPC
 //! services (§6.6's marketplace).
 
-use crate::{row_json, Scenario};
+use crate::report::{Col, Scalar};
+use crate::{row, Scenario};
 use rina::apps::{SinkApp, SourceApp};
 use rina::prelude::*;
 
-/// One row of the utilization sweep.
-#[derive(Debug)]
-pub struct UtilRow {
-    /// Offered load as a fraction of bottleneck capacity.
-    pub offered_load: f64,
-    /// Relay scheduling policy.
-    pub sched: &'static str,
-    /// Achieved bottleneck utilization (delivered bits / capacity).
-    pub utilization: f64,
-    /// Interactive-class mean one-way latency (s).
-    pub inter_lat_mean_s: f64,
-    /// Interactive-class p99 one-way latency (s).
-    pub inter_lat_p99_s: f64,
-    /// Bulk goodput (Mbit/s).
-    pub bulk_mbps: f64,
+row! {
+    /// One row of the utilization sweep.
+    pub struct UtilRow {
+        /// Offered load as a fraction of bottleneck capacity.
+        offered_load: f64,
+        /// Relay scheduling policy.
+        sched: &'static str,
+        /// Achieved bottleneck utilization (delivered bits / capacity).
+        utilization: f64,
+        /// Interactive-class mean one-way latency (s).
+        inter_lat_mean_s: f64,
+        /// Interactive-class p99 one-way latency (s).
+        inter_lat_p99_s: f64,
+        /// Bulk goodput (Mbit/s).
+        bulk_mbps: f64,
+    }
 }
 
-row_json!(UtilRow {
-    offered_load,
-    sched,
-    utilization,
-    inter_lat_mean_s,
-    inter_lat_p99_s,
-    bulk_mbps,
-});
+/// The E9 table of the `experiments` binary.
+pub const TABLE: &[Col<UtilRow>] = &[
+    ("offered load", |r| r.offered_load.cell()),
+    ("sched", |r| r.sched.cell()),
+    ("utilization", |r| r.utilization.cell()),
+    ("inter lat mean (s)", |r| r.inter_lat_mean_s.cell()),
+    ("inter lat p99 (s)", |r| r.inter_lat_p99_s.cell()),
+    ("bulk (Mb/s)", |r| r.bulk_mbps.cell()),
+];
 
 /// Run one cell: two senders behind one 10 Mbit/s bottleneck.
 pub fn run(offered_load: f64, priority: bool, seed: u64) -> UtilRow {

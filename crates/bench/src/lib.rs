@@ -3,9 +3,15 @@
 //! One module per experiment in DESIGN.md §4. Each builds its scenario
 //! through the typed [`rina::net`] / [`rina::scenario`] API inside a
 //! [`Scenario`], runs its measurement phase as an [`ExperimentRun`], and
-//! returns a typed result row. The `experiments` binary prints every
-//! table (the source of EXPERIMENTS.md) and writes `results.json`; the
-//! criterion benches wrap the same functions at reduced scale.
+//! returns a typed result row. A row type is declared once with
+//! [`row!`] and each printed view of it is one `const` column list
+//! ([`report`]); the phases experiments share — the DIF-wide sums
+//! ([`Totals`]), the assemble-then-ping opening
+//! ([`Scenario::assemble_and_ping`]), the churn loop
+//! ([`e11_churn::churn_phase`]), the wall column ([`timed`]) — are
+//! written once here and called from every experiment and sweep cell.
+//! The `experiments` binary prints every table (the source of
+//! EXPERIMENTS.md) and writes `results.json`.
 //!
 //! The paper is a position paper: its "figures" are architecture diagrams
 //! and its claims are qualitative. What we reproduce is the predicted
@@ -16,6 +22,8 @@
 #![warn(missing_docs)]
 
 use rina::prelude::*;
+use rina::scenario::PingMesh;
+use rina::LANES;
 
 pub mod compare;
 pub mod e10_scalefree;
@@ -30,6 +38,7 @@ pub mod e6_scale;
 pub mod e7_security;
 pub mod e8_enroll;
 pub mod e9_util;
+mod inet_apps;
 pub mod report;
 pub mod sweep;
 
@@ -58,6 +67,25 @@ impl Scenario {
         let at = net.run_until_assembled_labeled(self.name, limit, settle);
         let t0 = net.sim.now();
         ExperimentRun { net, assembled_at: Some(at), t0 }
+    }
+
+    /// The shared opening of E10, E12 and every sweep cell: assemble
+    /// without settling, snapshot the assembly-instant [`Totals`] of
+    /// `members` (so management cost covers assembly only, comparable
+    /// with E8), then give the sampled pings of `mesh` one virtual
+    /// second plus up to `steps` half-second slices to complete.
+    pub fn assemble_and_ping(
+        self,
+        limit: Dur,
+        members: &[IpcpH],
+        mesh: &PingMesh,
+        steps: usize,
+    ) -> (ExperimentRun, Totals) {
+        let mut run = self.assemble(limit, Dur::ZERO);
+        let assembled = Totals::of(&run.net, members, &[]);
+        run.run_for(Dur::from_secs(1));
+        run.run_until(Dur::from_millis(500), steps, |net| mesh.all_done(net));
+        (run, assembled)
     }
 
     /// Build the network *without* waiting for assembly — for scenarios
@@ -118,6 +146,12 @@ impl ExperimentRun {
         max_steps
     }
 
+    /// The enrollment makespan: virtual seconds until assembly held.
+    /// Panics on a [`Scenario::launch`]ed run, which never waited for it.
+    pub fn assemble_secs(&self) -> f64 {
+        self.assembled_at.expect("assemble() ran").as_secs_f64()
+    }
+
     /// Seconds of virtual time since the measurement clock started.
     pub fn measured_secs(&self) -> f64 {
         self.net.sim.now().since(self.t0).as_secs_f64()
@@ -168,6 +202,107 @@ impl GapSampler {
     pub fn gap(&self) -> f64 {
         self.gap
     }
+}
+
+/// DIF-wide sums at one instant: every counter an experiment row adds
+/// up over a member set, computed in one pass — so a counter is summed
+/// in one place, and a new one is one field here plus one line in
+/// [`Totals::of`].
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Totals {
+    /// Management PDUs sent.
+    pub mgmt_tx: u64,
+    /// Enrollment requests deferred by full admission windows.
+    pub deferred: u64,
+    /// RIEP object PDUs sent (flooding, resync streams, delta responses).
+    pub rib_tx: u64,
+    /// Floods skipped (digest-covered or rate-limited).
+    pub flood_suppressed: u64,
+    /// PDUs relayed.
+    pub relayed: u64,
+    /// Transit PDUs forwarded with TTL and CRC patched in place.
+    pub relay_fast: u64,
+    /// Members declared failed and garbage-collected by their sponsors.
+    pub purged: u64,
+    /// Own objects re-asserted over wrongful tombstones.
+    pub reasserts: u64,
+    /// On-demand directory lookups sent.
+    pub dir_lookups: u64,
+    /// Directory cache hits.
+    pub dir_cache_hits: u64,
+    /// From-scratch SPF runs.
+    pub spf_full: u64,
+    /// Incremental SPF repairs.
+    pub spf_incremental: u64,
+    /// Forwarding-table entries updated via the delta path.
+    pub ft_delta: u64,
+    /// Σ reachable destinations over the members' forwarding tables.
+    pub fwd_len: usize,
+    /// Largest single forwarding table (reachable destinations).
+    pub fwd_max: usize,
+    /// Σ stored range entries after prefix aggregation.
+    pub agg_len: usize,
+    /// RMT lane counters merged over every (N-1)-port queue of the
+    /// given nodes.
+    pub lanes: [LaneStats; LANES],
+}
+
+impl Totals {
+    /// Sum over the IPC processes `members` and the RMT queues of
+    /// `nodes` (pass `&[]` where the lanes are not reported).
+    pub fn of(net: &Net, members: &[IpcpH], nodes: &[NodeH]) -> Totals {
+        let mut t = Totals::default();
+        for &h in members {
+            let ip = net.ipcp(h);
+            let (s, r, fwd) = (&ip.stats, ip.route_stats(), ip.fwd().len());
+            t.mgmt_tx += s.mgmt_tx;
+            t.deferred += s.enrollments_deferred;
+            t.rib_tx += s.rib_tx;
+            t.flood_suppressed += s.flood_suppressed;
+            t.relayed += s.relayed;
+            t.relay_fast += s.relay_fast;
+            t.purged += s.members_purged;
+            t.reasserts += s.reasserts;
+            t.dir_lookups += s.dir_lookups_sent;
+            t.dir_cache_hits += s.dir_cache_hits;
+            t.spf_full += r.spf_full;
+            t.spf_incremental += r.spf_incremental;
+            t.ft_delta += r.ft_delta;
+            t.fwd_len += fwd;
+            t.fwd_max = t.fwd_max.max(fwd);
+            t.agg_len += ip.fwd().aggregated_len();
+        }
+        for &n in nodes {
+            for (lane, st) in t.lanes.iter_mut().zip(net.node(n).rmt_lane_stats()) {
+                lane.merge(&st);
+            }
+        }
+        t
+    }
+}
+
+/// The widest per-member RIB over `members` as `(objects, encoded
+/// bytes)`, live and tombstoned — the full-replication-floor metric of
+/// E12 and the sweep's scoped cells. Encodes every object, so it is
+/// kept out of [`Totals::of`].
+pub fn rib_footprint(net: &Net, members: &[IpcpH]) -> (u64, u64) {
+    let ribs = || members.iter().map(|&h| &net.ipcp(h).rib);
+    let objects = ribs().map(|r| r.iter_all().count() as u64).max();
+    let bytes = ribs().map(|r| r.iter_all().map(|o| o.encode().len() as u64).sum::<u64>()).max();
+    (objects.unwrap_or(0), bytes.unwrap_or(0))
+}
+
+/// Run `f` and return its result with the host wall-clock seconds it
+/// took: the `wall_s` column of every row and the bins' progress lines.
+/// The one place the harness reads a wall clock.
+#[expect(
+    clippy::disallowed_types,
+    reason = "harness wall-clock around a deterministic sim run; reported as host elapsed time, never fed back into simulation state"
+)]
+pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let t0 = std::time::Instant::now();
+    let out = f();
+    (out, t0.elapsed().as_secs_f64())
 }
 
 /// Format a floating value compactly for tables.

@@ -1,18 +1,27 @@
-//! Result-row reporting without external dependencies: a tiny JSON
-//! emitter and the [`crate::row_json!`] macro that wires a row struct's
-//! fields into it. (The build environment is offline, so serde is out of
+//! Result-row reporting without external dependencies: where a metric
+//! is named **once**. A row type is declared with [`crate::row!`] — one
+//! line per field gives the struct field *and* its JSON member, in
+//! declaration order — and a printed table is a `const` list of
+//! [`Col`]s, header and cell formatter together, rendered by
+//! [`markdown`]. Adding a metric is one field line; showing it is one
+//! column line. (The build environment is offline, so serde is out of
 //! reach; the experiment rows are flat structs of scalars, which this
 //! covers completely.)
 
-/// A JSON scalar renderer. Implemented for the field types experiment
-/// rows use.
-pub trait JsonValue {
+/// A scalar a row field can hold: how it renders as a JSON value and as
+/// a markdown table cell.
+pub trait Scalar {
     /// Render as a JSON value token.
-    fn render(&self) -> String;
+    fn json(&self) -> String;
+    /// Render as a table cell. Defaults to the JSON token, which is
+    /// right for integers and booleans.
+    fn cell(&self) -> String {
+        self.json()
+    }
 }
 
-impl JsonValue for f64 {
-    fn render(&self) -> String {
+impl Scalar for f64 {
+    fn json(&self) -> String {
         // JSON has no NaN/Inf; mirror serde_json and emit null.
         if self.is_finite() {
             format!("{self}")
@@ -20,29 +29,22 @@ impl JsonValue for f64 {
             "null".into()
         }
     }
-}
-impl JsonValue for u64 {
-    fn render(&self) -> String {
-        self.to_string()
+    fn cell(&self) -> String {
+        crate::fmt(*self)
     }
 }
-impl JsonValue for u32 {
-    fn render(&self) -> String {
-        self.to_string()
-    }
+macro_rules! plain_scalar {
+    ($($t:ty),+) => {$(
+        impl Scalar for $t {
+            fn json(&self) -> String {
+                self.to_string()
+            }
+        }
+    )+};
 }
-impl JsonValue for usize {
-    fn render(&self) -> String {
-        self.to_string()
-    }
-}
-impl JsonValue for bool {
-    fn render(&self) -> String {
-        self.to_string()
-    }
-}
-impl JsonValue for &str {
-    fn render(&self) -> String {
+plain_scalar!(u64, u32, usize, bool);
+impl Scalar for &str {
+    fn json(&self) -> String {
         let mut s = String::with_capacity(self.len() + 2);
         s.push('"');
         for c in self.chars() {
@@ -57,10 +59,16 @@ impl JsonValue for &str {
         s.push('"');
         s
     }
+    fn cell(&self) -> String {
+        self.to_string()
+    }
 }
-impl JsonValue for String {
-    fn render(&self) -> String {
-        self.as_str().render()
+impl Scalar for String {
+    fn json(&self) -> String {
+        self.as_str().json()
+    }
+    fn cell(&self) -> String {
+        self.clone()
     }
 }
 
@@ -77,13 +85,13 @@ impl Obj {
     }
 
     /// Append one field.
-    pub fn field(&mut self, name: &str, value: &dyn JsonValue) -> &mut Self {
+    pub fn field(&mut self, name: &str, value: &dyn Scalar) -> &mut Self {
         if !self.body.is_empty() {
             self.body.push_str(", ");
         }
-        self.body.push_str(&name.render());
+        self.body.push_str(&name.json());
         self.body.push_str(": ");
-        self.body.push_str(&value.render());
+        self.body.push_str(&value.json());
         self
     }
 
@@ -93,31 +101,58 @@ impl Obj {
     }
 }
 
-/// Types renderable as one JSON object — every experiment row.
-pub trait ToJson {
-    /// Render as a JSON object.
+/// One experiment result row: a flat struct of [`Scalar`]s declared
+/// with [`crate::row!`].
+pub trait Row {
+    /// Render as a JSON object, fields in declaration order.
     fn to_json(&self) -> String;
 }
 
-/// Implement [`ToJson`] for a row struct by listing its fields.
+/// Declare a row type: `row! { /// doc  pub struct Name { /// doc
+/// field: Type, … } }` expands to the struct (every field `pub`,
+/// `Debug` derived, further attributes passed through) and its [`Row`]
+/// impl — so a field can be neither forgotten in the JSON nor emitted
+/// out of order.
 #[macro_export]
-macro_rules! row_json {
-    ($t:ty { $($f:ident),+ $(,)? }) => {
-        impl $crate::report::ToJson for $t {
+macro_rules! row {
+    ($(#[$meta:meta])* pub struct $name:ident {
+        $($(#[$fmeta:meta])* $field:ident: $ty:ty),+ $(,)?
+    }) => {
+        $(#[$meta])*
+        #[derive(Debug)]
+        pub struct $name {
+            $($(#[$fmeta])* pub $field: $ty),+
+        }
+        impl $crate::report::Row for $name {
             fn to_json(&self) -> String {
                 let mut o = $crate::report::Obj::new();
-                $( o.field(stringify!($f), &self.$f); )+
+                $( o.field(stringify!($field), &self.$field); )+
                 o.finish()
             }
         }
     };
 }
 
+/// One column of a printed table: its header and how a row fills it.
+pub type Col<R> = (&'static str, fn(&R) -> String);
+
+/// Render `rows` as a markdown table — header line, separator, one line
+/// per row — under the column list `cols`.
+pub fn markdown<R>(cols: &[Col<R>], rows: &[R]) -> String {
+    let line = |cells: Vec<String>| format!("| {} |\n", cells.join(" | "));
+    let mut out = line(cols.iter().map(|(head, _)| head.to_string()).collect());
+    out.push_str(&format!("|{}\n", "---|".repeat(cols.len())));
+    for r in rows {
+        out.push_str(&line(cols.iter().map(|(_, cell)| cell(r)).collect()));
+    }
+    out
+}
+
 /// Render a named array-of-rows section and append it to a results
 /// document body.
-pub fn push_section<R: ToJson>(doc: &mut Vec<String>, name: &str, rows: &[R]) {
+pub fn push_section<R: Row>(doc: &mut Vec<String>, name: &str, rows: &[R]) {
     let items: Vec<String> = rows.iter().map(|r| r.to_json()).collect();
-    doc.push(format!("  {}: [\n    {}\n  ]", name.render(), items.join(",\n    ")));
+    doc.push(format!("  {}: [\n    {}\n  ]", name.json(), items.join(",\n    ")));
 }
 
 /// Close a results document into the final JSON text.
@@ -129,13 +164,15 @@ pub fn finish_doc(doc: Vec<String>) -> String {
 mod tests {
     use super::*;
 
-    struct R {
-        name: &'static str,
-        x: f64,
-        n: u64,
-        ok: bool,
+    crate::row! {
+        /// A row of each scalar kind.
+        pub struct R {
+            name: &'static str,
+            x: f64,
+            n: u64,
+            ok: bool,
+        }
     }
-    crate::row_json!(R { name, x, n, ok });
 
     #[test]
     fn renders_flat_object() {

@@ -20,8 +20,9 @@
 //! cells by descending size before submission, so a straggler 1000-node
 //! cell starts first instead of serializing the tail of the run.
 
-use crate::report::{Obj, ToJson};
-use crate::{row_json, Scenario};
+use crate::e11_churn::{churn_phase, stale_count};
+use crate::report::{finish_doc, markdown, push_section, Col, Obj, Row, Scalar};
+use crate::{rib_footprint, row, timed, Scenario, Totals};
 use rina::prelude::*;
 use rina::scenario::{Topology, Workload};
 use rina_sim::LossModel;
@@ -78,6 +79,10 @@ pub fn positional_numbers(args: &[String], flags_with_value: &[&str]) -> Vec<usi
 /// (work conserving). A panicking job does not poison the pool — the
 /// panic is re-raised on the caller's thread after every other job has
 /// finished, with the job's index in the message.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the sweep worker pool is the sanctioned OS-thread site: rows are independent sims joined deterministically by row index"
+)]
 pub fn run_jobs<R: Send + 'static>(
     threads: usize,
     jobs: Vec<Box<dyn FnOnce() -> R + Send>>,
@@ -254,115 +259,98 @@ impl SweepCell {
     }
 }
 
-/// One row of `BENCH_SWEEP.json`: the cell's parameters plus its
-/// measurements. Every field except `wall_s` is a pure function of the
-/// cell (virtual time, PDU counts, reachability are deterministic under
-/// the seed); `wall_s` is the one machine-dependent field, and the
-/// comparison gate treats it separately.
-#[derive(Clone, Debug)]
-pub struct SweepRow {
-    /// Stable cell key (see [`SweepCell::id`]).
-    pub id: String,
-    /// Members.
-    pub size: usize,
-    /// Graph family token.
-    pub topology: &'static str,
-    /// Schedule token.
-    pub schedule: String,
-    /// Link loss probability.
-    pub loss: f64,
-    /// Flood rate limit (objects/s, 0 = unlimited).
-    pub flood_rate: u32,
-    /// Virtual-time assembly makespan, seconds.
-    pub makespan_s: f64,
-    /// Management PDUs sent DIF-wide during assembly.
-    pub mgmt_pdus: u64,
-    /// RIEP object PDUs sent over the whole run.
-    pub rib_pdus: u64,
-    /// Floods suppressed (digest-covered or rate-limited).
-    pub flood_suppressed: u64,
-    /// From-scratch SPF runs DIF-wide. The `spf_full` / `spf_incremental`
-    /// split records, per grid cell, where the routing engine's full
-    /// fallback still fires (deterministic — gated exactly).
-    pub spf_full: u64,
-    /// Incremental SPF repairs DIF-wide.
-    pub spf_incremental: u64,
-    /// Forwarding-table entries updated via the delta path DIF-wide.
-    pub ft_delta: u64,
-    /// Enrollments deferred by full admission windows.
-    pub deferred: u64,
-    /// All sampled reachability pings completed.
-    pub reachable: bool,
-    /// Σ aggregated forwarding-table entries DIF-wide at the end of the
-    /// run. In churn cells this is the post-heal figure — growth against
-    /// the baseline means rejoin grants stopped aggregating (the
-    /// `max_addr + 1` fragmentation bug).
-    pub agg_len: u64,
-    /// Live RIB objects of departed origins anywhere at the end of the
-    /// run (must be 0: departed state never outlives its owner).
-    pub stale_rib: u64,
-    /// Worst sampled reachability fraction outside churn disturbance
-    /// windows (1 in non-churn cells).
-    pub churn_reach: f64,
-    /// Largest per-member RIB object count (live + tombstones) at the
-    /// end of the run. The partial-replication gate: scoped cells must
-    /// hold this below the full-replication floor.
-    pub rib_objects_max: u64,
-    /// Largest per-member RIB encoded size (bytes) at the end of the
-    /// run.
-    pub rib_bytes_max: u64,
-    /// Flow allocations completed by the churn phase (0 outside flow
-    /// cells).
-    pub flow_allocs: u64,
-    /// Flow-allocation failures during the churn phase (each retried).
-    pub flow_alloc_fail: u64,
-    /// SDUs written over churned flows.
-    pub flow_sdus: u64,
-    /// SDUs delivered to the churn sinks.
-    pub flow_recv: u64,
-    /// RMT tail drops summed over every (N-1)-port queue DIF-wide.
-    pub rmt_drops: u64,
-    /// RMT bytes transmitted (dequeued) summed over every queue — in
-    /// non-flow cells this counts the management traffic alone, so the
-    /// queue accounting is exact-gated in every cell of the grid.
-    pub rmt_deq_bytes: u64,
-    /// Transit PDUs forwarded (TTL and CRC patched in place), summed
-    /// over every member (deterministic — gated exactly).
-    pub relay_fast: u64,
-    /// Wall-clock seconds for the cell (machine-dependent).
-    pub wall_s: f64,
+row! {
+    /// One row of `BENCH_SWEEP.json`: the cell's parameters plus its
+    /// measurements. Every field except `wall_s` is a pure function of the
+    /// cell (virtual time, PDU counts, reachability are deterministic under
+    /// the seed); `wall_s` is the one machine-dependent field, and the
+    /// comparison gate treats it separately.
+    #[derive(Clone)]
+    pub struct SweepRow {
+        /// Stable cell key (see [`SweepCell::id`]).
+        id: String,
+        /// Members.
+        size: usize,
+        /// Graph family token.
+        topology: &'static str,
+        /// Schedule token.
+        schedule: String,
+        /// Link loss probability.
+        loss: f64,
+        /// Flood rate limit (objects/s, 0 = unlimited).
+        flood_rate: u32,
+        /// Virtual-time assembly makespan, seconds.
+        makespan_s: f64,
+        /// Management PDUs sent DIF-wide during assembly.
+        mgmt_pdus: u64,
+        /// RIEP object PDUs sent over the whole run.
+        rib_pdus: u64,
+        /// Floods suppressed (digest-covered or rate-limited).
+        flood_suppressed: u64,
+        /// From-scratch SPF runs DIF-wide. The `spf_full` / `spf_incremental`
+        /// split records, per grid cell, where the routing engine's full
+        /// fallback still fires (deterministic — gated exactly).
+        spf_full: u64,
+        /// Incremental SPF repairs DIF-wide.
+        spf_incremental: u64,
+        /// Forwarding-table entries updated via the delta path DIF-wide.
+        ft_delta: u64,
+        /// Enrollments deferred by full admission windows.
+        deferred: u64,
+        /// All sampled reachability pings completed.
+        reachable: bool,
+        /// Σ aggregated forwarding-table entries DIF-wide at the end of the
+        /// run. In churn cells this is the post-heal figure — growth against
+        /// the baseline means rejoin grants stopped aggregating (the
+        /// `max_addr + 1` fragmentation bug).
+        agg_len: u64,
+        /// Live RIB objects of departed origins anywhere at the end of the
+        /// run (must be 0: departed state never outlives its owner).
+        stale_rib: u64,
+        /// Worst sampled reachability fraction outside churn disturbance
+        /// windows (1 in non-churn cells).
+        churn_reach: f64,
+        /// Largest per-member RIB object count (live + tombstones) at the
+        /// end of the run. The partial-replication gate: scoped cells must
+        /// hold this below the full-replication floor.
+        rib_objects_max: u64,
+        /// Largest per-member RIB encoded size (bytes) at the end of the
+        /// run.
+        rib_bytes_max: u64,
+        /// Flow allocations completed by the churn phase (0 outside flow
+        /// cells).
+        flow_allocs: u64,
+        /// Flow-allocation failures during the churn phase (each retried).
+        flow_alloc_fail: u64,
+        /// SDUs written over churned flows.
+        flow_sdus: u64,
+        /// SDUs delivered to the churn sinks.
+        flow_recv: u64,
+        /// RMT tail drops summed over every (N-1)-port queue DIF-wide.
+        rmt_drops: u64,
+        /// RMT bytes transmitted (dequeued) summed over every queue — in
+        /// non-flow cells this counts the management traffic alone, so the
+        /// queue accounting is exact-gated in every cell of the grid.
+        rmt_deq_bytes: u64,
+        /// Transit PDUs forwarded (TTL and CRC patched in place), summed
+        /// over every member (deterministic — gated exactly).
+        relay_fast: u64,
+        /// Wall-clock seconds for the cell (machine-dependent).
+        wall_s: f64,
+    }
 }
 
-row_json!(SweepRow {
-    id,
-    size,
-    topology,
-    schedule,
-    loss,
-    flood_rate,
-    makespan_s,
-    mgmt_pdus,
-    rib_pdus,
-    flood_suppressed,
-    spf_full,
-    spf_incremental,
-    ft_delta,
-    deferred,
-    reachable,
-    agg_len,
-    stale_rib,
-    churn_reach,
-    rib_objects_max,
-    rib_bytes_max,
-    flow_allocs,
-    flow_alloc_fail,
-    flow_sdus,
-    flow_recv,
-    rmt_drops,
-    rmt_deq_bytes,
-    relay_fast,
-    wall_s,
-});
+/// The progress table of the `sweep` binary (the gate reads the JSON,
+/// which carries every field).
+pub const TABLE: &[Col<SweepRow>] = &[
+    ("cell", |r| r.id.cell()),
+    ("makespan (s)", |r| r.makespan_s.cell()),
+    ("mgmt PDUs", |r| r.mgmt_pdus.cell()),
+    ("rib PDUs", |r| r.rib_pdus.cell()),
+    ("suppressed", |r| r.flood_suppressed.cell()),
+    ("reachable", |r| r.reachable.cell()),
+    ("wall (s)", |r| format!("{:.3}", r.wall_s)),
+];
 
 /// The sweep matrix: the cross product of its dimension vectors.
 #[derive(Clone, Debug)]
@@ -430,48 +418,8 @@ impl SweepGrid {
         let mut sizes = self.sizes.clone();
         sizes.sort_unstable_by(|a, b| b.cmp(a));
         for &size in &sizes {
-            for &topology in &self.topologies {
-                cells.push(SweepCell {
-                    size,
-                    topology,
-                    schedule: EnrollSchedule::waves(),
-                    loss: 0.0,
-                    flood_rate: 0,
-                    churn: true,
-                    scoped: false,
-                    flow: false,
-                });
-                for (arm, &schedule) in self.schedules.iter().enumerate() {
-                    // The first schedule gets every (loss, flood) point,
-                    // a comparison arm only the first.
-                    let plane = if arm == 0 { usize::MAX } else { 1 };
-                    for &loss in self.losses.iter().take(plane) {
-                        for &flood_rate in self.flood_rates.iter().take(plane) {
-                            cells.push(SweepCell {
-                                size,
-                                topology,
-                                schedule,
-                                loss,
-                                flood_rate,
-                                churn: false,
-                                scoped: false,
-                                flow: false,
-                            });
-                        }
-                    }
-                }
-            }
-            cells.push(SweepCell {
-                size,
-                topology: SweepTopology::ScaleFree,
-                schedule: EnrollSchedule::waves(),
-                loss: 0.0,
-                flood_rate: 0,
-                churn: false,
-                scoped: true,
-                flow: false,
-            });
-            cells.push(SweepCell {
+            // The default config the churn, scoped and flow cells ride.
+            let plain = SweepCell {
                 size,
                 topology: SweepTopology::ScaleFree,
                 schedule: EnrollSchedule::waves(),
@@ -479,8 +427,24 @@ impl SweepGrid {
                 flood_rate: 0,
                 churn: false,
                 scoped: false,
-                flow: true,
-            });
+                flow: false,
+            };
+            for &topology in &self.topologies {
+                cells.push(SweepCell { topology, churn: true, ..plain });
+                for (arm, &schedule) in self.schedules.iter().enumerate() {
+                    // The first schedule gets every (loss, flood) point,
+                    // a comparison arm only the first.
+                    let plane = if arm == 0 { usize::MAX } else { 1 };
+                    for &loss in self.losses.iter().take(plane) {
+                        for &flood_rate in self.flood_rates.iter().take(plane) {
+                            let cell = SweepCell { topology, schedule, loss, flood_rate, ..plain };
+                            cells.push(cell);
+                        }
+                    }
+                }
+            }
+            cells.push(SweepCell { scoped: true, ..plain });
+            cells.push(SweepCell { flow: true, ..plain });
         }
         cells
     }
@@ -491,161 +455,108 @@ impl SweepGrid {
 /// counters. Self-contained — builds its own `Sim` — so any number of
 /// cells run concurrently.
 pub fn run_cell(cell: &SweepCell, base_seed: u64) -> SweepRow {
-    let wall_t0 = std::time::Instant::now();
-    let seed = cell.seed(base_seed);
-    let mut s = Scenario::new("sweep-cell", seed);
-    s.set_enroll_schedule(cell.schedule);
-    let link = if cell.loss > 0.0 {
-        LinkCfg::wired().with_loss(LossModel::Bernoulli(cell.loss))
-    } else {
-        LinkCfg::wired()
-    };
-    let base_cfg = DifConfig::new("sweep-dif");
-    let burst = base_cfg.flood_burst;
-    let mut dif_cfg = base_cfg.with_flood_rate(cell.flood_rate, burst);
-    if cell.churn {
-        // Grace below the churn plan's 4 s downtime: crash-fails get
-        // garbage-collected by their sponsors, not ridden out.
-        dif_cfg = dif_cfg.with_member_gc_grace_ms(2_000);
-    }
-    if cell.scoped {
-        dif_cfg = dif_cfg.with_scoped_dir(true);
-    }
-    let fab = cell
-        .topology
-        .build(cell.size, seed)
-        .with_link(link)
-        .with_dif(dif_cfg)
-        .with_prefix("sw")
-        .materialize(&mut s);
-    let mesh = Workload::ping_sampled(&mut s, fab.dif, &fab.nodes, 0, seed, 1, 64);
-    // Flow cells: place the churn population before the build. Sinks go
-    // on the two lowest-degree members; every other node drives.
-    let flow = if cell.flow {
-        let deg = fab.degrees();
-        let mut order: Vec<usize> = (0..fab.len()).collect();
-        order.sort_by_key(|&i| (deg[i], i));
-        let sink_count = 2.min(fab.len().saturating_sub(1)).max(1);
-        let sink_nodes: Vec<NodeH> = order.iter().take(sink_count).map(|&i| fab.node(i)).collect();
-        let cfg = FlowChurnCfg::new(seed ^ 0x00f2)
-            .with_drivers_per_node(2)
-            .with_pacing(
-                (Dur::from_secs(1), Dur::from_secs(3)),
-                (Dur::from_millis(100), Dur::from_millis(400)),
-            )
-            .with_traffic(32, Dur::from_millis(50));
-        Some(Workload::flow_churn(&mut s, fab.dif, &fab.nodes, &sink_nodes, &cfg))
-    } else {
-        None
-    };
-    let ipcps = fab.member_ipcps(&s);
-    // Generous limits: lossy sequential rings converge slowly in virtual
-    // time; a cell that blows the limit is a real regression and panics
-    // (the pool re-raises the panic on the caller's thread).
-    let limit = Dur::from_secs(600) * (1 + cell.size as u64 / 200);
-    let mut run = s.assemble(limit, Dur::ZERO);
-    let makespan_s = run.assembled_at.expect("assemble() ran").as_secs_f64();
-    let mgmt_pdus: u64 = ipcps.iter().map(|&h| run.net.ipcp(h).stats.mgmt_tx).sum();
-    let deferred: u64 = ipcps.iter().map(|&h| run.net.ipcp(h).stats.enrollments_deferred).sum();
-    run.run_for(Dur::from_secs(1));
-    // Budget scales with size: big lossy rings route across ~n/2 hops
-    // and repair dropped floods by (damped) anti-entropy, which takes
-    // real virtual time to converge.
-    let steps = 240 + cell.size;
-    run.run_until(Dur::from_millis(500), steps, |net| mesh.all_done(net));
-
-    // Continuous-dynamics phase (churn cells only): run a mixed seeded
-    // disturbance timeline — one leave/rejoin, one crash-fail past GC
-    // grace, one flap, one partition — sampling reachability in the calm
-    // stretches, then step until the DIF re-quiesces. Paced and margined
-    // like E11 (12 s epochs, 5 s convergence margin).
-    let mut churn_reach = 1.0f64;
-    if cell.churn {
-        let plan = Churn::new(seed ^ 0x00c4)
-            .with_counts(1, 1, 1, 1)
-            .with_pacing(Dur::from_secs(12), Dur::from_secs(4), Dur::from_millis(1_200))
-            .plan(&fab);
-        let horizon = plan.horizon();
-        let margin = Dur::from_secs(5);
-        let mut runner = ChurnRunner::new(plan, &run.net, ipcps.clone());
-        let mut tick = 0u64;
-        while runner.elapsed(&run.net) < horizon {
-            runner.advance(&mut run.net, Dur::from_millis(500));
-            tick += 1;
-            if !runner.disturbed(&run.net, margin) && run.net.assembled() {
-                churn_reach =
-                    churn_reach.min(crate::e11_churn::reach_fraction(&run.net, &ipcps, tick));
-            }
+    let (row, wall_s) = timed(|| {
+        let seed = cell.seed(base_seed);
+        let mut s = Scenario::new("sweep-cell", seed);
+        s.set_enroll_schedule(cell.schedule);
+        let link = if cell.loss > 0.0 {
+            LinkCfg::wired().with_loss(LossModel::Bernoulli(cell.loss))
+        } else {
+            LinkCfg::wired()
+        };
+        let base_cfg = DifConfig::new("sweep-dif");
+        let burst = base_cfg.flood_burst;
+        let mut dif_cfg = base_cfg.with_flood_rate(cell.flood_rate, burst);
+        if cell.churn {
+            // Grace below the churn plan's 4 s downtime: crash-fails get
+            // garbage-collected by their sponsors, not ridden out.
+            dif_cfg = dif_cfg.with_member_gc_grace_ms(2_000);
         }
-        runner.finish(&mut run.net, Dur::ZERO);
-        run.run_until(Dur::from_millis(500), 240, |net| {
-            net.assembled()
-                && crate::e11_churn::stale_count(net, &ipcps) == 0
-                && crate::e11_churn::fully_reachable(net, &ipcps)
+        if cell.scoped {
+            dif_cfg = dif_cfg.with_scoped_dir(true);
+        }
+        let fab = cell
+            .topology
+            .build(cell.size, seed)
+            .with_link(link)
+            .with_dif(dif_cfg)
+            .with_prefix("sw")
+            .materialize(&mut s);
+        let mesh = Workload::ping_sampled(&mut s, fab.dif, &fab.nodes, 0, seed, 1, 64);
+        // Flow cells: place the churn population before the build. Sinks go
+        // on the two lowest-degree members; every other node drives.
+        let flow = cell.flow.then(|| {
+            let cfg = FlowChurnCfg::new(seed ^ 0x00f2)
+                .with_drivers_per_node(2)
+                .with_pacing(
+                    (Dur::from_secs(1), Dur::from_secs(3)),
+                    (Dur::from_millis(100), Dur::from_millis(400)),
+                )
+                .with_traffic(32, Dur::from_millis(50));
+            Workload::flow_churn(&mut s, fab.dif, &fab.nodes, &fab.lowest_degree(2), &cfg)
         });
-    }
-    // Flow-churn phase: let the population cycle a few hold/gap rounds
-    // past the assembly-time opens, so the counters cover steady churn.
-    if flow.is_some() {
-        run.run_for(Dur::from_secs(8));
-    }
-    let net = &run.net;
-    let rib_pdus: u64 = ipcps.iter().map(|&h| net.ipcp(h).stats.rib_tx).sum();
-    let flood_suppressed: u64 = ipcps.iter().map(|&h| net.ipcp(h).stats.flood_suppressed).sum();
-    let spf_full: u64 = ipcps.iter().map(|&h| net.ipcp(h).route_stats().spf_full).sum();
-    let spf_incremental: u64 =
-        ipcps.iter().map(|&h| net.ipcp(h).route_stats().spf_incremental).sum();
-    let ft_delta: u64 = ipcps.iter().map(|&h| net.ipcp(h).route_stats().ft_delta).sum();
-    let rib_objects_max: u64 =
-        ipcps.iter().map(|&h| net.ipcp(h).rib.iter_all().count() as u64).max().unwrap_or(0);
-    let rib_bytes_max: u64 = ipcps
-        .iter()
-        .map(|&h| net.ipcp(h).rib.iter_all().map(|o| o.encode().len() as u64).sum::<u64>())
-        .max()
-        .unwrap_or(0);
-    let (flow_allocs, flow_alloc_fail, flow_sdus, flow_recv) = match &flow {
-        Some(f) => (f.allocs(net), f.alloc_failures(net), f.sent(net), f.received(net)),
-        None => (0, 0, 0, 0),
-    };
-    let mut rmt_drops = 0u64;
-    let mut rmt_deq_bytes = 0u64;
-    for &h in &fab.nodes {
-        for st in net.node(h).rmt_lane_stats() {
-            rmt_drops += st.drops;
-            rmt_deq_bytes += st.deq_bytes;
+        let ipcps = fab.member_ipcps(&s);
+        // Generous limits: lossy sequential rings converge slowly in virtual
+        // time; a cell that blows the limit is a real regression and panics
+        // (the pool re-raises the panic on the caller's thread). The ping
+        // budget scales with size too: big lossy rings route across ~n/2
+        // hops and repair dropped floods by (damped) anti-entropy, which
+        // takes real virtual time to converge.
+        let limit = Dur::from_secs(600) * (1 + cell.size as u64 / 200);
+        let (mut run, assembled) = s.assemble_and_ping(limit, &ipcps, &mesh, 240 + cell.size);
+
+        // Continuous-dynamics phase (churn cells only): one leave/rejoin,
+        // one crash-fail past GC grace, one flap, one partition, paced and
+        // margined like E11, then step until the DIF re-quiesces.
+        let churn_reach = if cell.churn {
+            churn_phase(&mut run, &fab, &ipcps, seed, (1, 1, 1, 1)).reach_min
+        } else {
+            1.0
+        };
+        // Flow-churn phase: let the population cycle a few hold/gap rounds
+        // past the assembly-time opens, so the counters cover steady churn.
+        if flow.is_some() {
+            run.run_for(Dur::from_secs(8));
         }
-    }
-    let relay_fast: u64 = ipcps.iter().map(|&h| net.ipcp(h).stats.relay_fast).sum();
-    SweepRow {
-        id: cell.id(),
-        size: cell.size,
-        topology: cell.topology.key(),
-        schedule: cell.schedule_key().into(),
-        loss: cell.loss,
-        flood_rate: cell.flood_rate,
-        makespan_s,
-        mgmt_pdus,
-        rib_pdus,
-        flood_suppressed,
-        spf_full,
-        spf_incremental,
-        ft_delta,
-        deferred,
-        reachable: mesh.all_done(net),
-        agg_len: crate::e11_churn::agg_sum(net, &ipcps) as u64,
-        stale_rib: crate::e11_churn::stale_count(net, &ipcps) as u64,
-        churn_reach,
-        rib_objects_max,
-        rib_bytes_max,
-        flow_allocs,
-        flow_alloc_fail,
-        flow_sdus,
-        flow_recv,
-        rmt_drops,
-        rmt_deq_bytes,
-        relay_fast,
-        wall_s: wall_t0.elapsed().as_secs_f64(),
-    }
+        let net = &run.net;
+        let t = Totals::of(net, &ipcps, &fab.nodes);
+        let (rib_objects_max, rib_bytes_max) = rib_footprint(net, &ipcps);
+        let (flow_allocs, flow_alloc_fail, flow_sdus, flow_recv) = match &flow {
+            Some(f) => (f.allocs(net), f.alloc_failures(net), f.sent(net), f.received(net)),
+            None => (0, 0, 0, 0),
+        };
+        SweepRow {
+            id: cell.id(),
+            size: cell.size,
+            topology: cell.topology.key(),
+            schedule: cell.schedule_key().into(),
+            loss: cell.loss,
+            flood_rate: cell.flood_rate,
+            makespan_s: run.assemble_secs(),
+            mgmt_pdus: assembled.mgmt_tx,
+            rib_pdus: t.rib_tx,
+            flood_suppressed: t.flood_suppressed,
+            spf_full: t.spf_full,
+            spf_incremental: t.spf_incremental,
+            ft_delta: t.ft_delta,
+            deferred: assembled.deferred,
+            reachable: mesh.all_done(net),
+            agg_len: t.agg_len as u64,
+            stale_rib: stale_count(net, &ipcps) as u64,
+            churn_reach,
+            rib_objects_max,
+            rib_bytes_max,
+            flow_allocs,
+            flow_alloc_fail,
+            flow_sdus,
+            flow_recv,
+            rmt_drops: t.lanes.iter().map(|l| l.drops).sum(),
+            rmt_deq_bytes: t.lanes.iter().map(|l| l.deq_bytes).sum(),
+            relay_fast: t.relay_fast,
+            wall_s: 0.0,
+        }
+    });
+    SweepRow { wall_s, ..row }
 }
 
 /// Run every cell of `grid` on `threads` workers. Rows come back in
@@ -686,24 +597,54 @@ pub fn sweep_doc(rows: &[SweepRow], threads: usize) -> String {
     )
 }
 
-/// Strip machine-dependent fields (`wall_s`, the `meta` threads line)
-/// from a sweep document, leaving only what must be byte-identical
-/// across thread counts and runs — the determinism tests compare this.
+/// Strip machine-dependent fields (the `wall_s` member of every row,
+/// wherever it stands, and the `meta` threads line) from a sweep
+/// document, leaving only what must be byte-identical across thread
+/// counts and runs — the determinism tests compare this.
 pub fn canonicalize(doc: &str) -> String {
+    const KEY: &str = "\"wall_s\": ";
     doc.lines()
         .filter(|l| !l.contains("\"meta\""))
-        .map(|l| match l.find(", \"wall_s\": ") {
-            // `wall_s` is emitted as the row's final field, so cutting
-            // from the preceding comma to the next delimiter removes it.
-            Some(i) => {
-                let tail = &l[i + 2..];
-                let end = tail.find(['}', ',']).map(|e| i + 2 + e).unwrap_or(l.len());
-                format!("{}{}", &l[..i], &l[end..])
+        .map(|l| match l.find(KEY) {
+            // The value is a bare number (or null): it runs to the next
+            // delimiter. Take one adjoining ", " with it — the one after
+            // if another member follows, else the one before.
+            Some(at) => {
+                let end = l[at..].find([',', '}']).map_or(l.len(), |e| at + e);
+                match l[end..].strip_prefix(", ") {
+                    Some(rest) => format!("{}{rest}", &l[..at]),
+                    None => format!("{}{}", l[..at].trim_end_matches(", "), &l[end..]),
+                }
             }
             None => l.to_string(),
         })
         .collect::<Vec<_>>()
         .join("\n")
+}
+
+/// The shared body of the per-experiment bins (`e10`, `e12`, `e13`):
+/// run `cells` through `run` on the pool, print the table under `cols`,
+/// write the rows as section `section` of `reports/<name>.json`, and
+/// report progress on stderr.
+pub fn report_cells<T, R, F>(
+    name: &str,
+    section: &str,
+    cols: &[Col<R>],
+    threads: usize,
+    cells: Vec<T>,
+    run: F,
+) where
+    T: Send + 'static,
+    R: Row + Send + 'static,
+    F: Fn(T) -> R + Send + Sync + 'static,
+{
+    eprintln!("{name}: {} cells on {threads} threads", cells.len());
+    let (rows, wall) = timed(|| par_map(threads, cells, run));
+    print!("{}", markdown(cols, &rows));
+    let mut doc = Vec::new();
+    push_section(&mut doc, section, &rows);
+    let path = write_report(&format!("{name}.json"), &finish_doc(doc));
+    eprintln!("{name}: {} cells in {wall:.1}s wall -> {}", rows.len(), path.display());
 }
 
 /// Write `doc` to `reports/<name>` (creating the directory), the

@@ -10,6 +10,10 @@
 //! wrapper unchanged.
 
 #![warn(missing_docs)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "a benchmark timer is a wall clock by definition: it times closures under `cargo bench` and no simulation links it"
+)]
 
 use std::time::{Duration, Instant};
 

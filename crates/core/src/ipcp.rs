@@ -27,6 +27,24 @@
 //!
 //! An `Ipcp` is sans-IO like everything else: methods append [`IpcpOut`]
 //! effects which the owning [`crate::node::Node`] executes.
+//!
+//! Every frame a member receives runs through this file, so it is held
+//! panic-free (DESIGN.md §9, R1): indexing, `unwrap`, `expect` and
+//! `panic!` are clippy errors here. Loops over the (N-1) port table use
+//! `get`; the four functions that keep a proven-safe index or `expect`
+//! say why in an `#[expect(clippy::…, reason = "…")]`.
+
+// R1 (DESIGN.md §9): this is a per-PDU protocol path, so a panic site
+// is a clippy error; each proven-safe exception is an `#[expect]` with
+// its reason on the function that needs it.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::unimplemented
+)]
 
 use crate::dif::DifConfig;
 use crate::msg::MgmtBody;
@@ -156,6 +174,12 @@ impl N1Port {
     /// every object of the subtree at the version we hold.
     fn covers(&self, subtree: &str, ours: Option<(u64, u64)>) -> bool {
         ours.is_some() && self.peer_digests.as_ref().and_then(|t| t.get(subtree)) == ours
+    }
+
+    /// Up, peer known, and on the spanning tree: a port that carries
+    /// tree-scoped lookups and floods.
+    fn live_tree(&self) -> bool {
+        self.up && self.peer_addr != 0 && self.tree
     }
 }
 
@@ -886,6 +910,10 @@ impl Ipcp {
     /// answers with exactly the objects we lack. Replaces the old
     /// push-the-whole-RIB resync — cost tracks the divergence, not the
     /// RIB.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "chunking cursor over a locally built summary Vec: start/end are clamped to summary.len() by the loop conditions, never wire-derived"
+    )]
     fn request_deltas(&mut self, n1: usize, subtrees: &[String]) {
         if let Some(p) = self.n1.get_mut(n1) {
             p.last_resync_tick = self.hello_ticks;
@@ -1516,7 +1544,7 @@ impl Ipcp {
         self.engine.recompute();
         // Announce ourselves on every port and advertise our adjacency.
         for i in 0..self.n1.len() {
-            if self.n1[i].up {
+            if self.n1.get(i).is_some_and(|p| p.up) {
                 self.send_hello(i);
             }
         }
@@ -1614,7 +1642,7 @@ impl Ipcp {
     /// propagation needs no duplicate-suppression state.
     fn send_dir_lookup(&mut self, name: &str, lookup_id: u64) {
         for i in 0..self.n1.len() {
-            if self.n1[i].up && self.n1[i].peer_addr != 0 && self.n1[i].tree {
+            if self.n1.get(i).is_some_and(N1Port::live_tree) {
                 let body = MgmtBody::DirLookupRequest {
                     name: name.to_string(),
                     origin: self.addr,
@@ -1685,7 +1713,7 @@ impl Ipcp {
             return;
         }
         for i in 0..self.n1.len() {
-            if i != from_n1 && self.n1[i].up && self.n1[i].peer_addr != 0 && self.n1[i].tree {
+            if i != from_n1 && self.n1.get(i).is_some_and(N1Port::live_tree) {
                 let body = MgmtBody::DirLookupRequest { name: name.clone(), origin, lookup_id };
                 self.send_mgmt_on(i, body, 0, 0);
             }
@@ -1780,7 +1808,7 @@ impl Ipcp {
             }
         }
         for i in 0..self.n1.len() {
-            if i != from_n1 && self.n1[i].up && self.n1[i].peer_addr != 0 && self.n1[i].tree {
+            if i != from_n1 && self.n1.get(i).is_some_and(N1Port::live_tree) {
                 self.flood_q.entry(i).or_default().push(enc.clone());
             }
         }
@@ -1812,6 +1840,10 @@ impl Ipcp {
     }
 
     /// Continue a flow allocation whose destination member is known.
+    #[expect(
+        clippy::expect_used,
+        reason = "cube(0) is the management cube, which DifConfig documents as mandatory and DifConfig::new always installs; absence is a construction bug, not a wire condition"
+    )]
     fn alloc_flow_resolved(
         &mut self,
         port: u64,
@@ -2232,6 +2264,10 @@ impl Ipcp {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "n1 indices originate from the node's own port registration, never from PDU contents; callers iterate 0..n1.len()"
+    )]
     fn tx_n1(&mut self, n1: usize, frame: Bytes, class: TxClass) {
         match self.n1[n1].kind {
             N1Kind::Phys { .. } => self.out.push(IpcpOut::TxPhys { n1, frame, class }),
@@ -2624,13 +2660,15 @@ impl Ipcp {
         let ours = self.rib.subtree_digest(subtree);
         let mut enc: Option<EncodedObject> = None;
         for i in 0..self.n1.len() {
-            if Some(i) == except || !self.n1[i].up || self.n1[i].peer_addr == 0 {
+            let Some(p) = self.n1.get(i) else { continue };
+            if Some(i) == except || !p.up || p.peer_addr == 0 {
                 continue;
             }
             // Tree ports flood freely (they alone replicate to every
             // member); cross ports pay the token bucket, so assembly
             // storms stop being amplified by every redundant edge.
-            if self.n1[i].covers(subtree, ours) || (!self.n1[i].tree && !self.take_flood_token()) {
+            let (covered, tree) = (p.covers(subtree, ours), p.tree);
+            if covered || (!tree && !self.take_flood_token()) {
                 self.stats.flood_suppressed += 1;
                 continue;
             }
@@ -2654,6 +2692,10 @@ impl Ipcp {
 
     /// Send objects in wire form as one or more under-MTU
     /// [`MgmtBody::RibDeltaResponse`] PDUs on `n1`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "batch slicing cursor over a locally encoded Vec; start/end clamped to encs.len() by the loop conditions"
+    )]
     fn send_encoded_batches(&mut self, n1: usize, subtree: &str, encs: &[EncodedObject]) {
         let mut start = 0;
         while start < encs.len() {

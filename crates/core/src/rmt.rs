@@ -30,6 +30,18 @@
 //! so the bench sweep can gate them **exactly** (any drift is a behaviour
 //! change, not noise).
 
+// R1 (DESIGN.md §9): this is a per-PDU protocol path, so a panic site
+// is a clippy error; each proven-safe exception is an `#[expect]` with
+// its reason on the function that needs it.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::unimplemented
+)]
+
 use crate::dif::SchedPolicy;
 use bytes::Bytes;
 use std::collections::VecDeque;
@@ -208,6 +220,10 @@ impl RmtQueue {
     /// and flow allocation collapses exactly when QoS matters most.
     /// Push-out victims count against *their* lane's eviction counters.
     /// `Fifo` stays pure DropTail — it is the no-QoS baseline.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "queues is a fixed 8-slot array and the priority index is `priority.min(7)`; cannot exceed bounds"
+    )]
     pub fn push(&mut self, class: TxClass, frame: Bytes, now_ns: u64) -> bool {
         let l = (class.qos_id as usize).min(LANES - 1);
         let len = frame.len();
@@ -238,6 +254,10 @@ impl RmtQueue {
     /// first on ties. Only entries **strictly below** `arr_prio` qualify
     /// — equal-priority traffic is never evicted, so a class cannot
     /// push out its own kind. Returns whether a frame was evicted.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "lane index comes from enumerate() over the fixed 8-slot lanes array and stats/lane_bytes/deficit are sized LANES in lockstep; cannot exceed bounds"
+    )]
     fn evict_one_below(&mut self, arr_prio: u8) -> bool {
         let victim = self
             .lanes
@@ -267,6 +287,10 @@ impl RmtQueue {
 
     /// Dequeue the next frame per the scheduling policy, recording its
     /// queueing delay against its lane.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "queues[0] on the fixed 8-slot array under Fifo policy; always in bounds"
+    )]
     pub fn pop(&mut self, now_ns: u64) -> Option<Bytes> {
         if self.occupied == 0 {
             // All policies answer None on an empty queue without touching

@@ -236,6 +236,18 @@ impl Fabric {
         self.nodes[i]
     }
 
+    /// The `k` lowest-degree vertices, ties by vertex number — the leaves
+    /// of scale-free graphs, where sinks belong so that their access
+    /// links, not the hubs, become the congestion points. At least one
+    /// vertex, and at most all but one (somebody has to send).
+    pub fn lowest_degree(&self, k: usize) -> Vec<NodeH> {
+        let deg = self.degrees();
+        let mut order: Vec<usize> = (0..self.len()).collect();
+        order.sort_by_key(|&i| (deg[i], i));
+        let k = k.min(self.len().saturating_sub(1)).max(1);
+        order.iter().take(k).map(|&i| self.node(i)).collect()
+    }
+
     /// This fabric's member IPC process on each node, for stats collection.
     pub fn member_ipcps(&self, b: &NetBuilder) -> Vec<crate::net::IpcpH> {
         self.nodes.iter().map(|&n| b.ipcp_of(self.dif, n)).collect()
@@ -1184,6 +1196,11 @@ mod tests {
         let fab = Topology::star(5).materialize(&mut b);
         assert_eq!(fab.hub(), fab.node(0));
         assert_eq!(fab.degrees(), vec![4, 1, 1, 1, 1]);
+        // Leaves first, ties by vertex number; never everybody, never
+        // nobody.
+        assert_eq!(fab.lowest_degree(2), vec![fab.node(1), fab.node(2)]);
+        assert_eq!(fab.lowest_degree(9), vec![fab.node(1), fab.node(2), fab.node(3), fab.node(4)]);
+        assert_eq!(fab.lowest_degree(0), vec![fab.node(1)]);
     }
 
     #[test]

@@ -244,6 +244,10 @@ proptest! {
             dir_counters(&a.net, &a.ipcps)
         };
         let base = run();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the property under test is that host threads cannot change a run: whole sims move to spawned threads and are joined before comparing"
+        )]
         let threads: Vec<_> = (0..2).map(|_| std::thread::spawn(run)).collect();
         for t in threads {
             let theirs = t.join().expect("worker run panicked");

@@ -8,6 +8,18 @@
 //! IPC process into data-transfer and transfer-control tasks coupled only
 //! through shared per-flow state (§4).
 
+// R1 (DESIGN.md §9): this is a per-PDU protocol path, so a panic site
+// is a clippy error; each proven-safe exception is an `#[expect]` with
+// its reason on the function that needs it.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::unimplemented
+)]
+
 use crate::cong::Cong;
 use crate::params::ConnParams;
 use bytes::Bytes;

@@ -1,28 +1,28 @@
-//! `rina-lint` CLI: scan the workspace, diff against `lint-allow.toml`,
-//! print clickable `file:line` diagnostics grouped by rule, and gate CI.
+//! `rina-lint` CLI: scan the workspace, print clickable `file:line`
+//! diagnostics grouped by rule, and gate CI.
 //!
-//! Exit codes (mirroring `bench-compare`): `0` clean, `1` unbaselined
-//! findings or (under `--deny`) stale baseline entries, `2` bad input.
+//! Exit codes (mirroring `bench-compare`): `0` clean, `1` findings,
+//! `2` bad input.
 
 #![forbid(unsafe_code)]
 
-use rina_lint::{baseline, run_all, Finding};
+use rina_lint::{run_all, Finding};
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+const RULES: [(&str, &str); 3] = [
+    ("D2", "hash-order iteration reaching output"),
+    ("W1", "wire-codec encode/decode asymmetry"),
+    ("C1", "undocumented policy-config fields"),
+];
+
 fn main() -> ExitCode {
-    let mut deny = false;
-    let mut emit = false;
     let mut root: Option<PathBuf> = None;
-    let mut allow_path: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--deny" => deny = true,
-            "--emit-baseline" => emit = true,
             "--root" => root = args.next().map(PathBuf::from),
-            "--baseline" => allow_path = args.next().map(PathBuf::from),
             "--help" | "-h" => {
                 print!("{USAGE}");
                 return ExitCode::SUCCESS;
@@ -48,87 +48,33 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-
-    if emit {
-        for f in &findings {
-            println!("[[allow]]\nrule = \"{}\"\nkey = \"{}\"\nreason = \"\"\n", f.rule, f.key);
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    let allow_path = allow_path.unwrap_or_else(|| root.join("lint-allow.toml"));
-    let allows = match std::fs::read_to_string(&allow_path) {
-        Ok(text) => match baseline::parse(&text) {
-            Ok(a) => a,
-            Err(e) => {
-                eprintln!("rina-lint: {}: {e}", allow_path.display());
-                return ExitCode::from(2);
-            }
-        },
-        Err(_) => Vec::new(),
-    };
-
-    let live_keys: Vec<&str> = findings.iter().map(|f| f.key.as_str()).collect();
-    let unbaselined: Vec<&Finding> =
-        findings.iter().filter(|f| !allows.iter().any(|a| a.key == f.key)).collect();
-    let stale: Vec<&baseline::Allow> =
-        allows.iter().filter(|a| !live_keys.contains(&a.key.as_str())).collect();
-
-    report(&findings, &unbaselined, &stale, deny);
-
-    let fail = !unbaselined.is_empty() || (deny && !stale.is_empty());
-    if fail {
-        ExitCode::from(1)
-    } else {
+    report(&findings);
+    if findings.is_empty() {
         ExitCode::SUCCESS
+    } else {
+        ExitCode::from(1)
     }
 }
 
-fn report(findings: &[Finding], unbaselined: &[&Finding], stale: &[&baseline::Allow], deny: bool) {
-    let rules = ["D1", "D2", "W1", "R1", "C1"];
-    if !unbaselined.is_empty() {
-        for rule in rules {
-            let of_rule: Vec<&&Finding> = unbaselined.iter().filter(|f| f.rule == rule).collect();
-            if of_rule.is_empty() {
-                continue;
-            }
-            eprintln!("{rule}: {}", rule_title(rule));
-            for f in &of_rule {
+fn report(findings: &[Finding]) {
+    let mut md = String::from("## rina-lint\n\n| rule | findings |\n|---|---|\n");
+    for (rule, title) in RULES {
+        let of_rule: Vec<&Finding> = findings.iter().filter(|f| f.rule == rule).collect();
+        md.push_str(&format!("| {rule} | {} |\n", of_rule.len()));
+        if !of_rule.is_empty() {
+            eprintln!("{rule}: {title}");
+            for f in of_rule {
                 eprintln!("  {}:{}: [{}] {}", f.file, f.line, f.rule, f.msg);
             }
             eprintln!();
         }
     }
-    for a in stale {
-        eprintln!(
-            "stale baseline entry (lint-allow.toml:{}): `{}` matches no live finding{}",
-            a.line,
-            a.key,
-            if deny { "" } else { " (fails under --deny)" }
-        );
-    }
-
-    let mut md = String::new();
-    md.push_str("## rina-lint\n\n");
-    md.push_str("| rule | live findings | baselined | new |\n|---|---|---|---|\n");
-    for rule in rules {
-        let live = findings.iter().filter(|f| f.rule == rule).count();
-        let new = unbaselined.iter().filter(|f| f.rule == rule).count();
-        md.push_str(&format!("| {rule} | {live} | {} | {new} |\n", live - new));
-    }
-    let verdict = if !unbaselined.is_empty() {
-        format!("**FAIL** — {} unbaselined finding(s)", unbaselined.len())
-    } else if deny && !stale.is_empty() {
-        format!("**FAIL** — {} stale baseline entr(ies)", stale.len())
-    } else if !stale.is_empty() {
-        format!("PASS with {} stale baseline entr(ies)", stale.len())
+    if findings.is_empty() {
+        md.push_str("\n**PASS** — workspace is lint-clean\n");
     } else {
-        "**PASS** — workspace is lint-clean against the baseline".to_string()
-    };
-    md.push_str(&format!("\n{verdict}\n"));
-    if !unbaselined.is_empty() {
+        md.push_str(&format!("\n**FAIL** — {} finding(s)\n", findings.len()));
         md.push_str("\n| finding | where |\n|---|---|\n");
-        for f in unbaselined.iter().take(50) {
+        for f in findings.iter().take(50) {
             md.push_str(&format!("| `{}` | `{}:{}` |\n", f.key, f.file, f.line));
         }
     }
@@ -140,25 +86,12 @@ fn report(findings: &[Finding], unbaselined: &[&Finding], stale: &[&baseline::Al
     }
 }
 
-fn rule_title(rule: &str) -> &'static str {
-    match rule {
-        "D1" => "ambient nondeterminism (wall clock / OS threads / OS randomness)",
-        "D2" => "hash-order iteration reaching output",
-        "W1" => "wire-codec encode/decode asymmetry",
-        "R1" => "panic sites in protocol hot paths",
-        "C1" => "undocumented policy-config fields",
-        _ => "",
-    }
-}
-
 const USAGE: &str = "\
-rina-lint: workspace determinism & protocol-invariant static analysis
+rina-lint: workspace protocol-invariant static analysis (D2, W1, C1)
 
-USAGE: rina-lint [--deny] [--root DIR] [--baseline FILE] [--emit-baseline]
+USAGE: rina-lint [--root DIR]
 
-  --deny            also fail on stale lint-allow.toml entries (CI mode)
-  --root DIR        workspace root (default: two levels above the crate)
-  --baseline FILE   baseline path (default: <root>/lint-allow.toml)
-  --emit-baseline   print a TOML skeleton for all current findings; every
-                    `reason` is left empty and must be justified by hand
+  --root DIR   workspace root (default: two levels above the crate)
+
+Any finding fails the run. D1 and R1 are clippy's: see clippy.toml.
 ";

@@ -1,51 +1,13 @@
-//! D1 — ambient nondeterminism sources (wall clocks, OS threads, OS
-//! randomness) and D2 — hash-order iteration that can leak into output.
+//! D2 — hash-order iteration that can leak into output.
 //!
 //! Every performance and protocol claim in this repo rests on runs being
-//! byte-identical given a seed; these two rules defend that statically.
+//! byte-identical given a seed; this rule defends that statically. (Its
+//! sibling D1 — no wall clocks, OS threads or OS randomness — is
+//! enforced by clippy's `disallowed-types` / `disallowed-methods` from
+//! the root `clippy.toml`.)
 
 use crate::lexer::{Tok, Token};
 use crate::Finding;
-
-/// Identifiers whose mere presence in shipping code is a D1 finding.
-const D1_SYMBOLS: &[&str] = &["Instant", "SystemTime", "thread_rng", "RandomState", "from_entropy"];
-
-/// D1: flag wall-clock, OS-thread, and OS-randomness symbols. One finding
-/// per `(file, symbol)` at the first occurrence; legitimate uses (the
-/// sweep worker pool, harness timing) carry a `lint-allow.toml` entry.
-pub fn check_d1(file: &str, toks: &[Token]) -> Vec<Finding> {
-    let mut seen: Vec<(String, u32)> = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        let Some(id) = t.ident() else { continue };
-        let sym = if D1_SYMBOLS.contains(&id) {
-            Some(id.to_string())
-        } else if id == "std"
-            && matches!(toks.get(i + 1).map(|t| &t.tok), Some(Tok::Colon2))
-            && toks.get(i + 2).is_some_and(|t| t.is_ident("thread"))
-        {
-            Some("std::thread".to_string())
-        } else {
-            None
-        };
-        if let Some(sym) = sym {
-            if !seen.iter().any(|(s, _)| *s == sym) {
-                seen.push((sym, t.line));
-            }
-        }
-    }
-    seen.into_iter()
-        .map(|(sym, line)| Finding {
-            rule: "D1",
-            file: file.to_string(),
-            line,
-            key: format!("D1|{file}|{sym}"),
-            msg: format!(
-                "ambient nondeterminism source `{sym}`; simulation code must use \
-                 the virtual clock and seeded RNGs"
-            ),
-        })
-        .collect()
-}
 
 /// Methods that enumerate a hash container in hash order.
 const ITER_METHODS: &[&str] = &[
@@ -108,7 +70,7 @@ pub fn check_d2(file: &str, toks: &[Token]) -> Vec<Finding> {
             key,
             msg: format!(
                 "iteration over hash-ordered `{name}`; sort before iterating, switch \
-                 to BTreeMap/BTreeSet, or baseline with a justification"
+                 to BTreeMap/BTreeSet"
             ),
         });
     };
@@ -223,21 +185,6 @@ fn suppressed(toks: &[Token], idx: usize) -> bool {
 mod tests {
     use super::*;
     use crate::lexer::lex;
-
-    #[test]
-    fn d1_flags_symbols_once_per_file() {
-        let src =
-            "use std::time::Instant; fn f() { let t = Instant::now(); std::thread::sleep(d); }";
-        let fs = check_d1("x.rs", &lex(src));
-        let keys: Vec<_> = fs.iter().map(|f| f.key.as_str()).collect();
-        assert_eq!(keys, ["D1|x.rs|Instant", "D1|x.rs|std::thread"]);
-    }
-
-    #[test]
-    fn d1_ignores_comments_and_strings() {
-        let src = "// Instant\nfn f() { let s = \"SystemTime\"; }";
-        assert!(check_d1("x.rs", &lex(src)).is_empty());
-    }
 
     #[test]
     fn d2_flags_unsorted_iteration() {

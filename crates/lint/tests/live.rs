@@ -1,11 +1,11 @@
-//! The lint run against the real workspace: the tree must be clean
-//! modulo the checked-in baseline, the baseline must carry no stale
-//! entries, and a seeded codec mutation must trip W1 — proving the gate
-//! would catch a real encode/decode drift, not just fixture toys.
+//! The lint run against the real workspace: the tree must carry no
+//! finding at all (there is no allow-list), and a seeded codec mutation
+//! must trip W1 — proving the gate would catch a real encode/decode
+//! drift, not just fixture toys.
 
 use rina_lint::lexer::{lex, strip_test_items};
 use rina_lint::rules::wire;
-use rina_lint::{baseline, run_all};
+use rina_lint::run_all;
 use std::path::PathBuf;
 
 fn workspace_root() -> PathBuf {
@@ -13,25 +13,11 @@ fn workspace_root() -> PathBuf {
 }
 
 #[test]
-fn workspace_is_clean_against_baseline_with_no_stale_entries() {
-    let root = workspace_root();
-    let findings = run_all(&root).expect("scan workspace");
-    let text = std::fs::read_to_string(root.join("lint-allow.toml")).expect("read baseline");
-    let allows = baseline::parse(&text).expect("baseline must parse with justified entries");
-
-    let unbaselined: Vec<String> = findings
-        .iter()
-        .filter(|f| !allows.iter().any(|a| a.key == f.key))
-        .map(|f| format!("{}:{} {}", f.file, f.line, f.key))
-        .collect();
-    assert!(unbaselined.is_empty(), "unbaselined findings:\n{}", unbaselined.join("\n"));
-
-    let stale: Vec<&str> = allows
-        .iter()
-        .filter(|a| !findings.iter().any(|f| f.key == a.key))
-        .map(|a| a.key.as_str())
-        .collect();
-    assert!(stale.is_empty(), "stale lint-allow.toml entries: {stale:?}");
+fn workspace_has_no_findings() {
+    let findings = run_all(&workspace_root()).expect("scan workspace");
+    let listed: Vec<String> =
+        findings.iter().map(|f| format!("{}:{} {}", f.file, f.line, f.key)).collect();
+    assert!(listed.is_empty(), "findings:\n{}", listed.join("\n"));
 }
 
 #[test]

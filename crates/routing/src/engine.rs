@@ -57,6 +57,18 @@
 //! edges would make equal-cost hop propagation order-dependent in the
 //! reference algorithm itself.
 
+// R1 (DESIGN.md §9): this is a per-PDU protocol path, so a panic site
+// is a clippy error; each proven-safe exception is an `#[expect]` with
+// its reason on the function that needs it.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::unimplemented
+)]
+
 use crate::{Addr, ForwardingTable, IntMap, Lsa};
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
@@ -222,6 +234,10 @@ impl RouteEngine {
 
     /// From-scratch path: rebuild adjacency from the mirror, run full
     /// Dijkstra, swap the table wholesale.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "dense-index SPF state: intern() allocates every slot before use, and adv/dist/hops are resized in lockstep by intern_into"
+    )]
     fn full_rebuild(&mut self) -> bool {
         self.stats.spf_full += 1;
         self.intern(self.self_addr);
@@ -285,6 +301,10 @@ impl RouteEngine {
         changed
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "iterates 0..addr_of.len() over the interned slot arrays, which are kept same-length by construction"
+    )]
     fn table_from_state(&self, src: u32) -> ForwardingTable {
         let mut t = ForwardingTable::default();
         let mut changes: BTreeMap<Addr, Option<Vec<Addr>>> = BTreeMap::new();
@@ -299,6 +319,10 @@ impl RouteEngine {
         t
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "maps interned u32 ids (produced by intern) back through addr_of; every interned id is < addr_of.len() by construction"
+    )]
     fn addrs_of(&self, hops: &[u32]) -> Vec<Addr> {
         let mut v: Vec<Addr> = hops.iter().map(|&h| self.addr_of[h as usize]).collect();
         v.sort_unstable();
@@ -307,6 +331,10 @@ impl RouteEngine {
 
     /// Delta path: classify `pending` into seeds, repair the affected
     /// region, patch the table.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "dense-index SPF repair over interned slots; debug builds assert byte-identical output against from-scratch compute_routes every recomputation, so an out-of-bounds invariant break cannot ship silently"
+    )]
     fn incremental(&mut self, pending: &BTreeSet<Addr>) -> bool {
         // Apply the new advertisements, keeping each changed origin's
         // old map for classification and old-DAG closure.
@@ -544,6 +572,10 @@ fn intern_into(
 /// Canonical first-hop set of `v`: the union of contributions from
 /// every tight predecessor, sorted and deduped. Predecessors settle
 /// first (costs ≥ 1), so their sets are already final.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "reads dist/hops/adv at interned ids only; slots exist for every interned id by construction"
+)]
 fn hop_set(
     adv: &[IntMap<u32, u32>],
     dist: &[u64],
@@ -573,6 +605,10 @@ fn hop_set(
 /// Reset the dirty region and re-run Dijkstra over it, seeded from
 /// boundary in-edges. Strict improvements escaping the region admit the
 /// improved node (into `dirty`, `mask`, and `saved`) on the fly.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "dense-index Dijkstra repair over interned slots, same invariant as incremental; pinned by the crate's proptests"
+)]
 fn repair_region(
     adv: &[IntMap<u32, u32>],
     src: u32,

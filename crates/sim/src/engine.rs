@@ -10,6 +10,18 @@
 //! mutating its own state and issuing effects through the [`Ctx`] (send a
 //! frame, arm a timer).
 
+// R1 (DESIGN.md §9): this is a per-PDU protocol path, so a panic site
+// is a clippy error; each proven-safe exception is an `#[expect]` with
+// its reason on the function that needs it.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::unimplemented
+)]
+
 use crate::link::{DirState, Link, LinkCfg, LinkId, LinkStats};
 use crate::time::{Dur, Time};
 use bytes::Bytes;
@@ -154,6 +166,10 @@ impl World {
         self.heap.push(Reverse(Entry { time, seq, kind }));
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "link index comes from the node's own iface table (validated via .get on the iface lookup just above); links never shrink"
+    )]
     fn send_from(&mut self, node: u32, iface: IfaceId, data: Bytes) -> Result<(), SendError> {
         let &(lidx, side) = self
             .ifaces
@@ -232,6 +248,10 @@ impl Ctx<'_> {
     }
 
     /// Whether the link behind `iface` is currently up.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented-panic accessor taking builder-minted handles; not reachable from wire data"
+    )]
     pub fn iface_up(&self, iface: IfaceId) -> bool {
         self.world.ifaces[self.node as usize]
             .get(iface.0 as usize)
@@ -241,6 +261,10 @@ impl Ctx<'_> {
 
     /// The bandwidth (bits/s) of the link behind `iface`, if it exists.
     /// Lets schedulers pace departures at the medium's rate.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented-panic accessor taking builder-minted handles; not reachable from wire data"
+    )]
     pub fn iface_bandwidth(&self, iface: IfaceId) -> Option<u64> {
         self.world.ifaces[self.node as usize]
             .get(iface.0 as usize)
@@ -324,6 +348,10 @@ impl Sim {
 
     /// Connect two nodes with a link. Returns the link id and the new
     /// interface id on each node (`a` first).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "topology construction API indexing builder-minted NodeIds; runs before any PDU exists"
+    )]
     pub fn connect(&mut self, a: NodeId, b: NodeId, cfg: LinkCfg) -> (LinkId, IfaceId, IfaceId) {
         assert!(a != b, "self-links are not supported");
         let lid = self.world.links.len() as u32;
@@ -342,11 +370,19 @@ impl Sim {
 
     /// Administratively bring a link up or down. Frames in flight when a
     /// link goes down are lost; sends on a down link fail.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "LinkId handles are only minted by connect; fault-injection API, not a wire path"
+    )]
     pub fn set_link_up(&mut self, link: LinkId, up: bool) {
         self.world.links[link.0 as usize].up = up;
     }
 
     /// Aggregate delivery/drop statistics for a link (both directions).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "LinkId handles are only minted by connect; accessor over builder state"
+    )]
     pub fn link_stats(&self, link: LinkId) -> LinkStats {
         let l = &self.world.links[link.0 as usize];
         let mut s = LinkStats::default();
@@ -375,6 +411,14 @@ impl Sim {
     ///
     /// # Panics
     /// Panics if the node id is invalid or the type does not match.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented-panic downcast: the caller names the concrete agent type it installed; a mismatch is a harness bug, not a runtime condition"
+    )]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented-panic typed accessor: NodeId is builder-minted, so an invalid id is a test/harness bug"
+    )]
     pub fn agent<T: Agent>(&self, n: NodeId) -> &T {
         self.nodes[n.0 as usize].agent.as_any().downcast_ref::<T>().expect("agent type mismatch")
     }
@@ -383,6 +427,14 @@ impl Sim {
     ///
     /// # Panics
     /// Panics if the node id is invalid or the type does not match.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented-panic downcast: the caller names the concrete agent type it installed; a mismatch is a harness bug, not a runtime condition"
+    )]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented-panic typed accessor: NodeId is builder-minted, so an invalid id is a test/harness bug"
+    )]
     pub fn agent_mut<T: Agent>(&mut self, n: NodeId) -> &mut T {
         self.nodes[n.0 as usize]
             .agent
@@ -392,6 +444,10 @@ impl Sim {
     }
 
     /// Process a single event. Returns `false` when the queue is empty.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "event queue entries carry node/link indices minted at topology build; the queue never holds wire-derived indices"
+    )]
     pub fn step(&mut self) -> bool {
         let Some(Reverse(e)) = self.world.heap.pop() else {
             return false;
@@ -421,6 +477,10 @@ impl Sim {
         true
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "dispatch indexes nodes by the event's builder-minted NodeId; same invariant as step"
+    )]
     fn dispatch(&mut self, node: u32, ev: Event) {
         let now = self.world.time;
         let slot = &mut self.nodes[node as usize];
@@ -451,6 +511,10 @@ impl Sim {
 
     /// Run until no events remain (or `max` events processed, as a runaway
     /// guard). Returns the final virtual time.
+    #[expect(
+        clippy::panic,
+        reason = "explicit liveness backstop: a sim that exceeds the event budget must abort the experiment loudly rather than report partial metrics"
+    )]
     pub fn run_until_idle(&mut self, max: u64) -> Time {
         for _ in 0..max {
             if !self.step() {
