@@ -62,17 +62,6 @@ pub struct DifConfig {
     /// Maximum SDU size the DIF accepts from its users. PDUs add header
     /// overhead below this.
     pub max_sdu: usize,
-    /// How many joiners one member sponsors concurrently (§5.2 at scale):
-    /// each admission reserves a window slot until the joiner's first
-    /// hello confirms it is up (or the slot times out); requests beyond
-    /// the window are told to back off and retry. `0` = unlimited.
-    pub admission_window: u32,
-    /// Flood aggregation window, in milliseconds: queued flood objects
-    /// sit up to this long so everything passing a member inside one
-    /// window leaves as a few MTU-sized batch PDUs per port instead of
-    /// one PDU per object. `0` flushes immediately (one pass = one
-    /// batch). Adds at most this much per-hop dissemination latency.
-    pub flood_batch_ms: u64,
     /// Token-bucket rate limit on RIEP flooding out *cross* (non
     /// spanning-tree) ports, in objects per second per member (`0` =
     /// unlimited). Tree ports are never limited — they alone replicate
@@ -102,11 +91,6 @@ pub struct DifConfig {
     /// caching. Tombstones still flood DIF-wide: they are the cache
     /// invalidation channel.
     pub scoped_dir: bool,
-    /// Capacity of the per-member directory resolution cache (only
-    /// meaningful when [`DifConfig::scoped_dir`] is set). Least-recently
-    /// used entries are evicted beyond this many; `0` disables caching,
-    /// forcing every allocation to resolve at the owner.
-    pub dir_cache_cap: u32,
     /// Byte capacity of each RMT transmit queue at a paced (N-1) port
     /// (all QoS lanes share it; frames beyond it tail-drop against their
     /// lane's counters). Sized like a host NIC ring: large enough to
@@ -126,13 +110,10 @@ impl DifConfig {
             hello_period: Dur::from_millis(500),
             hello_misses: 3,
             max_sdu: 64 * 1024,
-            admission_window: 8,
-            flood_batch_ms: 5,
             flood_rate: 64,
             flood_burst: 256,
             member_gc_grace_ms: 10_000,
             scoped_dir: false,
-            dir_cache_cap: 128,
             rmt_queue_cap_bytes: 8 * 1024 * 1024,
         }
     }
@@ -184,20 +165,6 @@ impl DifConfig {
         self
     }
 
-    /// Builder-style admission-window override (`0` = unlimited; `1`
-    /// serializes each sponsor's admissions — the sequential baseline).
-    pub fn with_admission_window(mut self, w: u32) -> Self {
-        self.admission_window = w;
-        self
-    }
-
-    /// Builder-style flood-aggregation override, in milliseconds (`0` =
-    /// flush flood batches as soon as the current event finishes).
-    pub fn with_flood_batch_ms(mut self, ms: u64) -> Self {
-        self.flood_batch_ms = ms;
-        self
-    }
-
     /// Builder-style flood rate limit: at most `rate` flooded RIEP
     /// objects per second per member out cross (non-tree) ports, with
     /// bursts up to `burst` (`rate` 0 = unlimited). Dropped floods are
@@ -220,13 +187,6 @@ impl DifConfig {
     /// DIF-wide replication.
     pub fn with_scoped_dir(mut self, scoped: bool) -> Self {
         self.scoped_dir = scoped;
-        self
-    }
-
-    /// Builder-style directory-cache capacity override (`0` disables
-    /// caching; only meaningful with [`DifConfig::with_scoped_dir`]).
-    pub fn with_dir_cache_cap(mut self, cap: u32) -> Self {
-        self.dir_cache_cap = cap;
         self
     }
 
@@ -275,10 +235,7 @@ mod tests {
     fn dir_scope_defaults_off_and_overrides() {
         let c = DifConfig::new("x");
         assert!(!c.scoped_dir, "scoped /dir is opt-in: default stays fully replicated");
-        assert!(c.dir_cache_cap > 0);
-        let c = c.with_scoped_dir(true).with_dir_cache_cap(4);
-        assert!(c.scoped_dir);
-        assert_eq!(c.dir_cache_cap, 4);
+        assert!(c.with_scoped_dir(true).scoped_dir);
     }
 
     #[test]

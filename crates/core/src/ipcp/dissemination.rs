@@ -1,0 +1,437 @@
+//! IPC Management — RIEP dissemination over the RIB: batch-preserving,
+//! tree-preferred flooding with digest-driven anti-entropy. Hellos carry
+//! per-subtree digest tables, mismatches trigger targeted delta pulls,
+//! floods out non-spanning-tree ports are token-bucket limited, and a
+//! member whose own objects get clobbered re-asserts them (DESIGN.md §6).
+
+use super::enroll::{block_name, encode_block, member_name, BLOCK_CLASS, BLOCK_PREFIX};
+use super::{encode_addr, Ipcp};
+use crate::msg::MgmtBody;
+use crate::naming::{Addr, AppName};
+use crate::routing::{Lsa, LSA_CLASS};
+use bytes::Bytes;
+use rina_rib::{subtree_of, EncodedObject, EncodedSummary, RibObject, RibObjectRef};
+use rina_sim::{Dur, Time};
+use std::collections::BTreeMap;
+
+/// Flood aggregation window: queued flood objects sit up to this long so
+/// everything passing a member inside one window leaves as a few
+/// MTU-sized batch PDUs per port instead of one PDU per object. Adds at
+/// most this much per-hop dissemination latency.
+const FLOOD_BATCH: Dur = Dur::from_millis(5);
+
+/// Minimum hello ticks between digest-triggered delta syncs of one port:
+/// anti-entropy must repair losses without turning assembly-time churn
+/// (when neighbors' RIBs differ constantly and legitimately) into
+/// request storms. Deltas are cheap (summaries + missing objects, per
+/// mismatched subtree), so this is tighter than the old full-RIB resync
+/// damp.
+pub(super) const RESYNC_DAMP_TICKS: u64 = 4;
+
+/// Byte budget per [`MgmtBody::RibDeltaRequest`] /
+/// [`MgmtBody::RibDeltaResponse`] chunk — comfortably under the smallest
+/// (N-1) MTU once the PDU and CDAP envelopes are added, so sync traffic
+/// is never silently undeliverable.
+const DELTA_CHUNK_BYTES: usize = 1024;
+
+/// The RIB names a member is authoritative for whatever else it wrote —
+/// its member record, its delegated block, its LSA — fixed by its name
+/// and address, so built once when the address is assigned rather than
+/// per object compared against them.
+#[derive(Default)]
+struct OwnNames {
+    member: String,
+    block: String,
+    lsa: String,
+}
+
+/// The dissemination task's state (see module docs).
+#[derive(Default)]
+pub(super) struct Dissemination {
+    /// Per-port flood queue (port → objects in wire form), flushed as
+    /// MTU-sized batches when the node's aggregation timer fires:
+    /// independent floods passing through within [`FLOOD_BATCH`]
+    /// coalesce into a few PDUs per port instead of one PDU per object.
+    /// Each object is encoded at most once — a re-flooded one not at
+    /// all, it is queued as the bytes that arrived — and shared across
+    /// ports. (BTreeMap for deterministic flush order — same seed, same
+    /// event sequence.)
+    flood_q: BTreeMap<usize, Vec<EncodedObject>>,
+    /// Flood token-bucket level (see [`crate::dif::DifConfig::flood_rate`]).
+    tokens: f64,
+    /// When the flood bucket last refilled.
+    refill_at: Time,
+    /// See [`OwnNames`] (empty until an address is assigned).
+    own: OwnNames,
+}
+
+impl Dissemination {
+    /// An idle task whose token bucket starts full, at `flood_burst`.
+    pub(super) fn new(flood_burst: u32) -> Self {
+        Dissemination { tokens: flood_burst as f64, ..Default::default() }
+    }
+
+    /// The member named `name` took up `addr`: fix the names of the
+    /// objects it is authoritative for.
+    pub(super) fn set_own_names(&mut self, name: &AppName, addr: Addr) {
+        self.own = OwnNames {
+            member: member_name(name),
+            block: block_name(addr),
+            lsa: Lsa::object_name(addr),
+        };
+    }
+
+    /// Queue `enc` for the next flood batch out port `n1`.
+    pub(super) fn enqueue(&mut self, n1: usize, enc: EncodedObject) {
+        self.flood_q.entry(n1).or_default().push(enc);
+    }
+
+    /// How long queued flood objects should still wait for company, if
+    /// any are queued.
+    pub(super) fn flush_wanted(&self) -> Option<Dur> {
+        (!self.flood_q.is_empty()).then_some(FLOOD_BATCH)
+    }
+
+    /// Take one token from the flood bucket of `rate` objects per second
+    /// and `burst` capacity, as of `now` (always succeeds when no rate
+    /// limit is configured).
+    fn take_token(&mut self, rate: u32, burst: u32, now: Time) -> bool {
+        if rate == 0 {
+            return true;
+        }
+        let elapsed = now.since(self.refill_at).as_secs_f64();
+        if elapsed > 0.0 {
+            self.tokens = (self.tokens + elapsed * rate as f64).min(burst as f64);
+            self.refill_at = now;
+        }
+        if self.tokens >= 1.0 {
+            self.tokens -= 1.0;
+            true
+        } else {
+            false
+        }
+    }
+}
+
+impl Ipcp {
+    /// Re-advertise the objects this member wrote. A port whose peer's
+    /// hello digests already cover an object's subtree is suppressed
+    /// exactly as [`Ipcp::flood_rib`] would — so a converged facility
+    /// goes quiet — but decided here on the stored objects by reference:
+    /// only an object some port still lacks is cloned and handed on.
+    /// Local-scope subtrees (owner-held /dir) are skipped whole: their
+    /// live entries never replicate, and their deletions already flooded
+    /// once — departures invalidate through the replicated /blocks
+    /// tombstone instead.
+    pub(super) fn readvertise_own(&mut self) {
+        let live = || {
+            let peers = self.neighbors.peers.iter();
+            self.transfer.n1.iter().zip(peers).filter(|(p, _)| p.live()).map(|(_, peer)| peer)
+        };
+        let live_ports = live().count() as u64;
+        let mut lacking: Vec<RibObject> = Vec::new();
+        let mut suppressed = 0;
+        for o in self.rib.iter_all().filter(|o| o.origin == self.addr) {
+            let subtree = subtree_of(&o.name);
+            if self.rib.is_local_subtree(subtree) {
+                continue;
+            }
+            let ours = self.rib.subtree_digest(subtree);
+            if live().all(|peer| peer.covers(subtree, ours)) {
+                suppressed += live_ports;
+            } else {
+                lacking.push(o.clone());
+            }
+        }
+        self.stats.flood_suppressed += suppressed;
+        for o in &lacking {
+            self.flood_rib(&o.name, None, || EncodedObject::of(o));
+        }
+    }
+
+    /// Anti-entropy pull: for each of `subtrees`, send the peer on `n1`
+    /// our version summary in MTU-sized name-range chunks; the peer
+    /// answers with exactly the objects we lack. Replaces the old
+    /// push-the-whole-RIB resync — cost tracks the divergence, not the
+    /// RIB.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "chunking cursor over a locally built summary Vec: start/end are clamped to summary.len() by the loop conditions, never wire-derived"
+    )]
+    pub(super) fn request_deltas(&mut self, n1: usize, subtrees: &[String]) {
+        if let Some(p) = self.neighbors.peers.get_mut(n1) {
+            p.last_resync_tick = self.neighbors.ticks;
+        }
+        // The summaries borrow their names from the RIB; sending wants
+        // `&mut self`, so every chunk is encoded first.
+        let mut requests = Vec::new();
+        for st in subtrees {
+            let summary = self.rib.summary(st);
+            // Chunk on the summary's encoded size; boundaries are object
+            // names so the responder can detect absences per range.
+            let mut start = 0usize;
+            loop {
+                let mut bytes = 0usize;
+                let mut end = start;
+                while end < summary.len() && bytes < DELTA_CHUNK_BYTES {
+                    bytes += summary[end].name.len() + 12;
+                    end += 1;
+                }
+                let name_at = |i: usize| summary.get(i).map_or("", |v| v.name).to_string();
+                requests.push(MgmtBody::RibDeltaRequest {
+                    subtree: st.clone(),
+                    from: if start == 0 { String::new() } else { name_at(start) },
+                    upto: name_at(end),
+                    summary: EncodedSummary::of(&summary[start..end]),
+                });
+                if end >= summary.len() {
+                    break;
+                }
+                start = end;
+            }
+        }
+        for body in requests {
+            self.stats.delta_requests += 1;
+            self.send_mgmt_on(n1, body, 0, 0);
+        }
+    }
+
+    /// Push the full objects of `subtrees` to the peer on `n1` as
+    /// MTU-sized [`MgmtBody::RibDeltaResponse`] batches — the enrollment
+    /// sync stream (version-guarded, so idempotent under retries).
+    pub(super) fn stream_subtrees(&mut self, n1: usize, subtrees: &[String]) {
+        if let Some(p) = self.neighbors.peers.get_mut(n1) {
+            p.last_resync_tick = self.neighbors.ticks;
+        }
+        for st in subtrees {
+            let encs: Vec<EncodedObject> =
+                self.rib.delta_for(st, "", "", &[]).0.into_iter().map(EncodedObject::of).collect();
+            self.send_encoded_batches(n1, st, &encs);
+        }
+    }
+
+    /// The peer on `from_n1` asked for what it lacks of `subtree` in
+    /// `[from, upto)`, given its `summary` of that range: answer with
+    /// exactly those objects.
+    pub(super) fn handle_delta_request(
+        &mut self,
+        from_n1: usize,
+        subtree: String,
+        from: &str,
+        upto: &str,
+        summary: &EncodedSummary,
+    ) {
+        if !self.manages() {
+            return;
+        }
+        let (objects, behind) = self.rib.delta_for(&subtree, from, upto, &summary.entries());
+        let encs: Vec<EncodedObject> = objects.into_iter().map(EncodedObject::of).collect();
+        self.send_encoded_batches(from_n1, &subtree, &encs);
+        // The summary proves the requester holds versions we
+        // lack: pull them right back (damped, so two diverged
+        // peers converge in one round trip without ping-pong).
+        if behind
+            && self
+                .neighbors
+                .peers
+                .get(from_n1)
+                .is_some_and(|p| self.neighbors.ticks >= p.last_resync_tick + RESYNC_DAMP_TICKS)
+        {
+            self.request_deltas(from_n1, std::slice::from_ref(&subtree));
+        }
+    }
+
+    /// Apply one received object; when it is news, re-flood it to the
+    /// other neighbors. LSA changes reach the routing engine through the
+    /// RIB watch hook and repair on the node's debounce timer (a flood
+    /// of remote LSAs collapses into one classified SPF repair).
+    pub(super) fn apply_and_reflood(&mut self, enc: &EncodedObject, from_n1: usize) {
+        let obj = enc.view();
+        if self.scoped_dir() && obj.name.starts_with("/dir/") {
+            // Owner-held scope: only the entry's owner stores it. The
+            // owner takes the normal path below — apply + reassert heal
+            // a wrongful tombstone of a live registration, with the
+            // correction staying local (lookups re-resolve it). Every
+            // other member handles the object without storing it.
+            let own = self.enrolled
+                && !self.departed
+                && obj.name.strip_prefix("/dir/").is_some_and(|app| self.directory.owns(app));
+            if !own {
+                self.on_scoped_dir_flood(&obj, enc, from_n1);
+                return;
+            }
+        }
+        if self.rib.apply_ref(&obj) {
+            if self.scoped_dir() && obj.deleted {
+                // A departing member's /blocks tombstone rides the
+                // fully-replicated machinery: use it to drop every
+                // cached directory answer pointing at the dead owner.
+                if let Some(a) =
+                    obj.name.strip_prefix(BLOCK_PREFIX).and_then(|s| s.parse::<Addr>().ok())
+                {
+                    self.directory.invalidate_owner(a, &mut self.stats);
+                }
+            }
+            self.enroll.on_news_from(obj.origin);
+            if self.reassert_own(&obj) {
+                // The stale update was superseded, not re-flooded: the
+                // correction from `drain_rib` floods in its place.
+                return;
+            }
+            // What arrived is what goes on: no re-encoding.
+            self.flood_rib(obj.name, Some(from_n1), || enc.clone());
+        }
+    }
+
+    /// If `obj` (just applied) clobbers an object this member is
+    /// authoritative for — its member record, its block, its LSA, or a
+    /// live directory registration of its own — rewrite the truth and
+    /// flood the correction ([`rina_rib::Rib::write_local`] bumps above
+    /// whatever version is stored, tombstones included, so one round
+    /// suffices). This is the self-healing half of failure GC: a sponsor
+    /// that wrongly purges a member it could not see (partition, long
+    /// flap) costs the DIF one reassert round of that member's objects,
+    /// nothing more. Returns whether a correction was issued.
+    ///
+    /// `obj.origin == self.addr` is NOT exempted: an applied remote
+    /// object bearing our own origin cannot be an echo of our own write
+    /// (same `(version, origin)` is never newer), so it is a previous
+    /// incarnation's record — typically the departure tombstone of a
+    /// member that left and rejoined under its old address, racing the
+    /// rejoin floods. Without the correction the rejoiner's LSA stays
+    /// tombstoned DIF-wide (nothing re-marks it dirty: the neighbor set
+    /// matches what it believes it advertises) and the member is
+    /// silently unroutable until its next adjacency change.
+    fn reassert_own(&mut self, obj: &RibObjectRef<'_>) -> bool {
+        if !self.manages() || self.departed {
+            return false;
+        }
+        let own = &self.dissemination.own;
+        let truth: Option<(&str, Bytes)> = if obj.name == own.member {
+            Some(("member", encode_addr(self.addr)))
+        } else if obj.name == own.block {
+            Some((BLOCK_CLASS, encode_block(self.block)))
+        } else if obj.name == own.lsa {
+            let lsa = Lsa { neighbors: self.routes.advertised.iter().map(|&a| (a, 1)).collect() };
+            Some((LSA_CLASS, lsa.encode()))
+        } else if let Some(app) = obj.name.strip_prefix("/dir/") {
+            self.directory.owns(app).then(|| ("dir", encode_addr(self.addr)))
+        } else {
+            None
+        };
+        let Some((class, value)) = truth else { return false };
+        let wrong = match self.rib.get(obj.name) {
+            None => true, // tombstoned (a live different value is also wrong)
+            Some(o) => o.value != value,
+        };
+        if !wrong {
+            return false;
+        }
+        self.stats.reasserts += 1;
+        self.rib.write_local(obj.name, class, value);
+        self.drain_rib();
+        true
+    }
+
+    /// Queue one RIB object for flooding to every live, enrolled
+    /// neighbor except `except` (the port it arrived on, for re-floods) —
+    /// with two suppressions. *Topology-aware*: a port whose peer's last
+    /// hello digest table equals our current digest for the object's
+    /// subtree provably already holds this version (it had our exact
+    /// subtree state, which includes the object), so nothing is sent —
+    /// on scale-free fabrics this is what keeps hub flooding bounded.
+    /// *Rate-limited*: when [`crate::dif::DifConfig::flood_rate`] is set,
+    /// a token bucket caps flooded objects per second; whatever it drops,
+    /// the digest anti-entropy repairs on the hello cadence.
+    ///
+    /// Queued objects are flushed as MTU-sized batches (one or a few
+    /// PDUs per port) when the node's aggregation timer fires, so a
+    /// burst applied in one window — a streamed enrollment sync, a whole
+    /// wave's LSAs — re-floods as a burst, not one PDU per object.
+    ///
+    /// `encoded` is asked for the object named `name` in wire form the
+    /// first time a port actually needs it (an object every port
+    /// suppresses is never encoded; a re-flooded one hands back the
+    /// bytes it arrived as).
+    fn flood_rib(
+        &mut self,
+        name: &str,
+        except: Option<usize>,
+        encoded: impl Fn() -> EncodedObject,
+    ) {
+        let subtree = subtree_of(name);
+        let ours = self.rib.subtree_digest(subtree);
+        let (rate, burst) = (self.cfg.flood_rate, self.cfg.flood_burst);
+        let mut enc: Option<EncodedObject> = None;
+        for (i, (p, peer)) in self.transfer.n1.iter().zip(&self.neighbors.peers).enumerate() {
+            if Some(i) == except || !p.live() {
+                continue;
+            }
+            // Tree ports flood freely (they alone replicate to every
+            // member); cross ports pay the token bucket, so assembly
+            // storms stop being amplified by every redundant edge.
+            if peer.covers(subtree, ours)
+                || (!peer.tree && !self.dissemination.take_token(rate, burst, self.clock))
+            {
+                self.stats.flood_suppressed += 1;
+                continue;
+            }
+            let enc = enc.get_or_insert_with(&encoded).clone();
+            self.dissemination.enqueue(i, enc);
+        }
+    }
+
+    /// Flush the per-port flood queues as batched PDUs. Duplicate
+    /// versions queued twice within one window (periodic re-advertisement
+    /// crossing a re-flood) are left in — the receiver's version guard
+    /// makes them no-ops.
+    pub(super) fn flush_floods(&mut self) {
+        for (port, encs) in std::mem::take(&mut self.dissemination.flood_q) {
+            self.send_encoded_batches(port, "", &encs);
+        }
+    }
+
+    /// Send objects in wire form as one or more under-MTU
+    /// [`MgmtBody::RibDeltaResponse`] PDUs on `n1`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "batch slicing cursor over a locally encoded Vec; start/end clamped to encs.len() by the loop conditions"
+    )]
+    fn send_encoded_batches(&mut self, n1: usize, subtree: &str, encs: &[EncodedObject]) {
+        let mut start = 0;
+        while start < encs.len() {
+            let mut bytes = 0usize;
+            let mut end = start;
+            while end < encs.len()
+                && (end == start || bytes + encs[end].wire().len() <= DELTA_CHUNK_BYTES)
+            {
+                bytes += encs[end].wire().len();
+                end += 1;
+            }
+            self.stats.rib_tx += (end - start) as u64;
+            self.send_payload_on(n1, MgmtBody::encode_delta_batch(subtree, &encs[start..end]));
+            start = end;
+        }
+    }
+
+    /// Flush RIB events, feed the engine, and disseminate queued updates
+    /// to all live neighbors. Bootstrap/re-root states (the only
+    /// full-path classifications left) recompute immediately; remote
+    /// deltas keep waiting for the node's debounce timer and ride along
+    /// in whichever recomputation runs first. Local LSA writes also
+    /// recompute immediately, in [`Ipcp::write_lsa_now`].
+    pub(super) fn drain_rib(&mut self) {
+        while self.rib.poll_event().is_some() {}
+        self.routes.sync(&mut self.rib);
+        if self.routes.engine.pending_full() {
+            self.routes.engine.recompute();
+        }
+        let mut updates = Vec::new();
+        while let Some(o) = self.rib.poll_dissemination() {
+            updates.push(o);
+        }
+        for obj in &updates {
+            self.flood_rib(&obj.name, None, || EncodedObject::of(obj));
+        }
+    }
+}

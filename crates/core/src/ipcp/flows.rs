@@ -1,0 +1,590 @@
+//! IPC Transfer Control and the flow allocator (§5.3): the one flow table.
+//!
+//! Every flow this process terminates — whichever DIF it is a member of —
+//! is one [`Flow`] keyed by its local CEP id. What differs between a real
+//! DIF and a shim is the flow's [`Binding`] and nothing else: an EFCP
+//! connection that sequences, windows and retransmits, or a pass-through
+//! straight to the medium. The allocator handshake, the phases, the port
+//! binding and teardown are the same code for both.
+
+use super::{Ipcp, IpcpOut};
+use crate::msg::MgmtBody;
+use crate::naming::{Addr, AppName};
+use crate::qos::{match_cube, QosCube, QosSpec};
+use crate::rmt::TxClass;
+use bytes::Bytes;
+use rina_efcp::{ConnId, ConnStats, Connection};
+use rina_sim::Time;
+use rina_wire::{CepId, Pdu};
+use std::collections::BTreeMap;
+
+/// Flow allocation phase of one endpoint.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Phase {
+    /// Requester waiting for the destination's FlowResponse, which will
+    /// echo `invoke`.
+    Requesting { invoke: u32 },
+    /// Data can flow.
+    Active,
+}
+
+/// What carries a flow's SDUs — the one thing a DIF's policy changes.
+enum Binding {
+    /// An EFCP connection. Boxed: a connection is ~0.5 KB, and the table
+    /// of a shim (which never holds one) should not pay for it per leaf.
+    Efcp(Box<Connection>),
+    /// No EFCP: the shim is the degenerate DIF "tailored to the physical
+    /// medium" — on a point-to-point link there is nothing to relay,
+    /// sequence, or window, so its data-transfer task reduces to framing
+    /// plus priority multiplexing.
+    Raw { peer_cep: CepId, qos_id: u8, priority: u8 },
+}
+
+/// One flow endpoint, bound to node port `port`.
+pub(super) struct Flow {
+    pub(super) port: u64,
+    phase: Phase,
+    peer: AppName,
+    binding: Binding,
+}
+
+/// The Transfer Control task's state (see module docs).
+#[derive(Default)]
+pub(super) struct Flows {
+    table: BTreeMap<CepId, Flow>,
+    /// Connections whose EFCP timer state may have moved since the last
+    /// [`Ipcp::conn_timer_wants`] pass. Every mutation path (pump, local
+    /// congestion, creation) records the cep here so the node's per-event
+    /// timer re-sync polls only the touched connections instead of
+    /// scanning the whole table (hundreds of entries on a flow-churn
+    /// sink member, once per delivered PDU).
+    timer_dirty: Vec<CepId>,
+    last_cep: CepId,
+    /// Flow requests awaiting their response: invoke id → requesting cep.
+    pending: BTreeMap<u32, CepId>,
+}
+
+impl Flows {
+    fn next_cep(&mut self) -> CepId {
+        self.last_cep += 1;
+        self.last_cep
+    }
+
+    /// Enter `flow` under `cep`; a requesting flow is also indexed by the
+    /// invoke id its response will carry.
+    fn insert(&mut self, cep: CepId, flow: Flow) {
+        if let Phase::Requesting { invoke } = flow.phase {
+            self.pending.insert(invoke, cep);
+        }
+        if matches!(flow.binding, Binding::Efcp(_)) {
+            self.timer_dirty.push(cep);
+        }
+        self.table.insert(cep, flow);
+    }
+
+    /// Drop the flow at `cep` with everything indexed under it: a flow
+    /// still requesting takes its pending-response entry along.
+    pub(super) fn remove(&mut self, cep: CepId) -> Option<Flow> {
+        let flow = self.table.remove(&cep)?;
+        if let Phase::Requesting { invoke } = flow.phase {
+            self.pending.remove(&invoke);
+        }
+        Some(flow)
+    }
+
+    /// The node port of the active flow at `cep`, if there is one.
+    pub(super) fn active_port(&self, cep: CepId) -> Option<u64> {
+        self.table.get(&cep).filter(|f| f.phase == Phase::Active).map(|f| f.port)
+    }
+
+    /// The EFCP connection bound to the flow at `cep`, if it has one.
+    pub(super) fn conn_mut(&mut self, cep: CepId) -> Option<&mut Connection> {
+        match self.table.get_mut(&cep) {
+            Some(Flow { binding: Binding::Efcp(conn), .. }) => Some(conn),
+            _ => None,
+        }
+    }
+
+    /// EFCP timer deadlines of the connections touched since the last
+    /// call, sorted by cep (the same relative order a full-table scan
+    /// produces, so the node arms timers — and numbers timer tokens —
+    /// identically). Untouched connections cannot have moved their
+    /// deadline, and an unchanged deadline never re-arms, so skipping them
+    /// is behavior-preserving.
+    fn timer_wants(&mut self) -> Vec<(CepId, u64)> {
+        if self.timer_dirty.is_empty() {
+            return Vec::new();
+        }
+        self.timer_dirty.sort_unstable();
+        self.timer_dirty.dedup();
+        let mut out = Vec::with_capacity(self.timer_dirty.len());
+        for &cep in &self.timer_dirty {
+            if let Some(Flow { binding: Binding::Efcp(conn), .. }) = self.table.get(&cep) {
+                if let Some(t) = conn.poll_timeout() {
+                    out.push((cep, t));
+                }
+            }
+        }
+        self.timer_dirty.clear();
+        out
+    }
+}
+
+/// A fresh EFCP connection `local`:`cep` ↔ `remote_addr`:`remote_cep`
+/// under `cube`'s policies.
+fn efcp(
+    local: Addr,
+    cep: CepId,
+    remote_addr: Addr,
+    remote_cep: CepId,
+    cube: &QosCube,
+) -> Box<Connection> {
+    let id = ConnId { local_addr: local, remote_addr, local_cep: cep, remote_cep, qos_id: cube.id };
+    Box::new(Connection::new(id, cube.params.clone()))
+}
+
+impl Ipcp {
+    /// EFCP timer deadlines the node should (re-)arm: those of the
+    /// connections touched since the last call, sorted by cep.
+    pub fn conn_timer_wants(&mut self) -> Vec<(CepId, u64)> {
+        self.flows.timer_wants()
+    }
+
+    /// Drive one connection's timers.
+    pub fn on_conn_timer(&mut self, cep: CepId, now: Time) {
+        if let Some(conn) = self.flows.conn_mut(cep) {
+            conn.on_timeout(now.nanos());
+        }
+        self.pump_conn(cep, now);
+    }
+
+    /// Requester side: allocate a flow from `src_app` (bound to node port
+    /// `port`) to `dst_app` with `spec`. The result arrives later as a
+    /// [`IpcpOut::FlowActive`] or [`IpcpOut::FlowFailed`] effect. Under
+    /// the scoped-`/dir` policy a name neither registered here nor
+    /// cached first resolves on demand at its owner; the allocation
+    /// continues when the answer arrives.
+    pub fn alloc_flow(&mut self, port: u64, src_app: AppName, dst_app: AppName, spec: QosSpec) {
+        if self.scoped_dir() {
+            match self.resolve_dir_local(&dst_app) {
+                Some(a) => self.alloc_flow_resolved(port, src_app, dst_app, spec, a),
+                None => self.start_dir_lookup(port, src_app, dst_app, spec),
+            }
+            return;
+        }
+        let Some(dst_addr) = self.dir_lookup(&dst_app) else {
+            self.out.push(IpcpOut::FlowFailed { port, reason: "destination unknown in DIF" });
+            return;
+        };
+        self.alloc_flow_resolved(port, src_app, dst_app, spec, dst_addr);
+    }
+
+    /// Continue a flow allocation whose destination member is known.
+    #[expect(
+        clippy::expect_used,
+        reason = "cube(0) is the management cube, which DifConfig documents as mandatory and DifConfig::new always installs; absence is a construction bug, not a wire condition"
+    )]
+    pub(super) fn alloc_flow_resolved(
+        &mut self,
+        port: u64,
+        src_app: AppName,
+        dst_app: AppName,
+        spec: QosSpec,
+        dst_addr: Addr,
+    ) {
+        // Fail fast if routing has not converged to the destination member
+        // yet — the requester retries rather than stalling on a timeout.
+        // (A shim's destination is the far end of its medium.)
+        let fwd = self.routes.engine.table();
+        if !self.is_shim
+            && dst_addr != self.addr
+            && self.transfer.pick_n1_toward(dst_addr, fwd).is_none()
+        {
+            self.out.push(IpcpOut::FlowFailed { port, reason: "no route to destination member" });
+            return;
+        }
+        let cep = self.flows.next_cep();
+        let binding = if self.is_shim {
+            let cube = match_cube(&self.cfg.cubes, &spec);
+            Binding::Raw {
+                peer_cep: 0,
+                qos_id: cube.map(|c| c.id).unwrap_or(3),
+                priority: cube.map(|c| c.priority).unwrap_or(1),
+            }
+        } else {
+            // The connection is provisional until the response supplies
+            // the peer cep and qos cube; created then.
+            Binding::Efcp(efcp(self.addr, cep, dst_addr, 0, self.cfg.cube(0).expect("mgmt cube")))
+        };
+        let invoke = self.next_invoke();
+        let phase = Phase::Requesting { invoke };
+        self.flows.insert(cep, Flow { port, phase, peer: dst_app.clone(), binding });
+        let body =
+            MgmtBody::FlowRequest { src_app, dst_app, spec, src_addr: self.addr, src_cep: cep };
+        self.send_mgmt_addr(dst_addr, body, invoke, 0);
+    }
+
+    /// Responder side: the node approved an inbound flow request. Creates
+    /// the local endpoint bound to `port` and answers the requester.
+    #[allow(clippy::too_many_arguments)]
+    pub fn flow_accept(
+        &mut self,
+        port: u64,
+        src_app: AppName,
+        spec: QosSpec,
+        src_addr: Addr,
+        src_cep: CepId,
+        invoke_id: u32,
+    ) {
+        let Some(cube) = match_cube(&self.cfg.cubes, &spec) else {
+            self.flow_reject(src_addr, invoke_id, -3);
+            return;
+        };
+        let qos_id = cube.id;
+        let cep = self.flows.next_cep();
+        let binding = if self.is_shim {
+            Binding::Raw { peer_cep: src_cep, qos_id, priority: cube.priority }
+        } else {
+            Binding::Efcp(efcp(self.addr, cep, src_addr, src_cep, cube))
+        };
+        self.flows.insert(cep, Flow { port, phase: Phase::Active, peer: src_app.clone(), binding });
+        let body = MgmtBody::FlowResponse { dst_cep: cep, qos_id };
+        self.send_mgmt_addr(src_addr, body, invoke_id, 0);
+        self.out.push(IpcpOut::FlowActive { port, peer: src_app });
+    }
+
+    /// Responder side: refuse an inbound flow request.
+    pub fn flow_reject(&mut self, src_addr: Addr, invoke_id: u32, result: i32) {
+        let body = MgmtBody::FlowResponse { dst_cep: 0, qos_id: 0 };
+        self.send_mgmt_addr(src_addr, body, invoke_id, result);
+    }
+
+    /// The destination answered flow request `invoke_id`: complete the
+    /// requesting endpoint's binding and activate it, or fail it.
+    pub(super) fn handle_flow_response(
+        &mut self,
+        invoke_id: u32,
+        dst_cep: CepId,
+        qos_id: u8,
+        result: i32,
+    ) {
+        let Some(cep) = self.flows.pending.remove(&invoke_id) else { return };
+        let Some(f) = self.flows.table.get_mut(&cep) else { return };
+        let refusal = if result != 0 || dst_cep == 0 {
+            Some("refused by destination")
+        } else {
+            match (&mut f.binding, self.cfg.cube(qos_id)) {
+                (Binding::Raw { peer_cep, .. }, _) => {
+                    *peer_cep = dst_cep;
+                    None
+                }
+                (Binding::Efcp(_), None) => Some("unknown qos cube"),
+                (Binding::Efcp(conn), Some(cube)) => {
+                    *conn = efcp(self.addr, cep, conn.id().remote_addr, dst_cep, cube);
+                    self.flows.timer_dirty.push(cep);
+                    None
+                }
+            }
+        };
+        let port = f.port;
+        match refusal {
+            Some(reason) => {
+                self.flows.remove(cep);
+                self.out.push(IpcpOut::FlowFailed { port, reason });
+            }
+            None => {
+                f.phase = Phase::Active;
+                self.out.push(IpcpOut::FlowActive { port, peer: f.peer.clone() });
+            }
+        }
+    }
+
+    /// Deallocate the flow bound to node port `port` (local side),
+    /// notifying the peer of an active one.
+    pub fn dealloc_port(&mut self, port: u64) {
+        let cep = self.flows.table.iter().find(|(_, f)| f.port == port).map(|(&cep, _)| cep);
+        let Some(f) = cep.and_then(|cep| self.flows.remove(cep)) else { return };
+        if f.phase != Phase::Active {
+            return;
+        }
+        let (peer_addr, peer_cep) = match f.binding {
+            Binding::Raw { peer_cep, .. } => (self.shim_peer(), peer_cep),
+            Binding::Efcp(conn) => (conn.id().remote_addr, conn.id().remote_cep),
+        };
+        let invoke = self.next_invoke();
+        self.send_mgmt_addr(peer_addr, MgmtBody::FlowTeardown { cep: peer_cep }, invoke, 0);
+    }
+
+    /// User SDU written to the flow bound to `port`. `class_hint`
+    /// carries the originating cube's scheduling class when the writer is
+    /// a higher IPC process (None for application writes).
+    pub fn write_port(
+        &mut self,
+        port: u64,
+        sdu: Bytes,
+        now: Time,
+        class_hint: Option<TxClass>,
+    ) -> Result<(), &'static str> {
+        let Some((&cep, f)) = self.flows.table.iter_mut().find(|(_, f)| f.port == port) else {
+            return Err("no such flow");
+        };
+        if f.phase != Phase::Active {
+            return Err("flow not active");
+        }
+        match &mut f.binding {
+            &mut Binding::Raw { peer_cep, qos_id, priority } => {
+                self.write_raw(peer_cep, TxClass::new(qos_id, priority), sdu, class_hint)
+            }
+            Binding::Efcp(conn) => {
+                if sdu.len() > self.cfg.max_sdu {
+                    return Err("sdu exceeds dif max");
+                }
+                conn.send_sdu(sdu, now.nanos()).map_err(|_| "flow failed or backpressured")?;
+                self.pump_conn(cep, now);
+                Ok(())
+            }
+        }
+    }
+
+    /// Shim data path: wrap the SDU in a DataPdu for demultiplexing at the
+    /// peer's `peer_cep` and pass it straight to the medium. `own` is the
+    /// shim flow's own class.
+    fn write_raw(
+        &mut self,
+        peer_cep: CepId,
+        own: TxClass,
+        sdu: Bytes,
+        class_hint: Option<TxClass>,
+    ) -> Result<(), &'static str> {
+        let d = rina_wire::DataPdu {
+            dest_addr: self.shim_peer(),
+            src_addr: self.addr,
+            qos_id: own.qos_id,
+            dest_cep: peer_cep,
+            src_cep: 0,
+            seq: 0,
+            flags: 0,
+            ttl: 1,
+            payload: sdu,
+        };
+        // Wrap fast path: an SDU handed down by an upper IPC process
+        // (class_hint is Some exactly then) is an encoded frame ending in
+        // its own CRC trailer, so the outer trailer combines in O(1) from
+        // a header-only sum — no pass over the payload bytes. Application
+        // SDUs are opaque and take the full re-sum. Byte-identical output
+        // either way (pinned by proptest in rina-wire).
+        let frame = if class_hint.is_some() && d.payload.len() >= 5 {
+            let (body, tail) = d.payload.split_at(d.payload.len() - 4);
+            let mut b = [0u8; 4];
+            b.copy_from_slice(tail);
+            let trailer = u32::from_be_bytes(b);
+            debug_assert_eq!(
+                trailer,
+                rina_wire::crc::crc32(body),
+                "TxLower SDU is not a CRC-trailed frame"
+            );
+            d.encode_with_payload_crc(rina_wire::crc::crc32_of_trailed(trailer))
+        } else {
+            Pdu::Data(d).encode()
+        };
+        let Some(n1) = self.transfer.first_up() else {
+            return Err("link down");
+        };
+        // The hint preserves the *originating* cube (an upper DIF's class
+        // riding this shim flow); plain writes class as the shim flow's
+        // own cube.
+        self.transfer.tx_n1(n1, frame, class_hint.unwrap_or(own), &mut self.out);
+        Ok(())
+    }
+
+    /// Pump one connection: route its outgoing PDUs, surface delivered
+    /// SDUs, detect failure.
+    pub(super) fn pump_conn(&mut self, cep: CepId, now: Time) {
+        self.flows.timer_dirty.push(cep);
+        let Some(Flow { port, binding: Binding::Efcp(conn), .. }) = self.flows.table.get_mut(&cep)
+        else {
+            return;
+        };
+        let port = *port;
+        let mut pdus = Vec::new();
+        while let Some(p) = conn.poll_transmit() {
+            pdus.push(p);
+        }
+        let mut sdus = Vec::new();
+        while let Some(s) = conn.poll_deliver() {
+            sdus.push(s);
+        }
+        let failed = conn.is_failed();
+        for pdu in pdus {
+            if pdu.dest_addr() == self.addr {
+                // Flow to an app on the same member: loop back.
+                self.deliver_local(pdu, usize::MAX, now);
+            } else {
+                self.forward(pdu);
+            }
+        }
+        for sdu in sdus {
+            self.out.push(IpcpOut::Deliver { port, sdu });
+        }
+        if failed {
+            self.flows.remove(cep);
+            self.out.push(IpcpOut::FlowFailed { port, reason: "efcp gave up (max rtx)" });
+        }
+    }
+
+    /// Aggregate EFCP stats over local flow endpoints.
+    pub fn conn_stats_sum(&self) -> ConnStats {
+        let mut s = ConnStats::default();
+        for f in self.flows.table.values() {
+            let Binding::Efcp(conn) = &f.binding else { continue };
+            let c = conn.stats();
+            s.sdus_sent += c.sdus_sent;
+            s.pdus_sent += c.pdus_sent;
+            s.retransmissions += c.retransmissions;
+            s.timeouts += c.timeouts;
+            s.sdus_delivered += c.sdus_delivered;
+            s.bytes_delivered += c.bytes_delivered;
+            s.dup_pdus += c.dup_pdus;
+            s.ooo_pdus += c.ooo_pdus;
+            s.acks_sent += c.acks_sent;
+            s.rcv_dropped += c.rcv_dropped;
+            s.cong_backoffs += c.cong_backoffs;
+        }
+        s
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::dif::DifConfig;
+    use crate::ipcp::N1Kind;
+    use proptest::prelude::*;
+    use rina_wire::{PduKind, PduView};
+
+    /// The two members of one DIF, at addresses 1 and 2, joined back to
+    /// back over port 0 of each: the two ends of a medium (raw binding)
+    /// or two members of a real DIF (EFCP binding).
+    fn pair(shim: bool) -> [Ipcp; 2] {
+        [1, 2].map(|side| {
+            let mut i = Ipcp::new(0, DifConfig::new("net"), AppName::new(&format!("net.{side}")));
+            if shim {
+                i.make_shim(side);
+            } else {
+                i.bootstrap(side);
+            }
+            i.add_n1(N1Kind::Phys { iface: 0 });
+            i.transfer.n1[0].peer_addr = 3 - side;
+            i.transfer.rebuild_peer_index();
+            i
+        })
+    }
+
+    /// Carry every frame `from` wants sent over to `to`, and return what
+    /// else `from` asked of its node — plus its management frames, but
+    /// not the data and control PDUs, which are the binding's own
+    /// business.
+    fn cross(from: &mut Ipcp, to: &mut Ipcp) -> Vec<String> {
+        let mut seen = Vec::new();
+        for effect in from.take_out() {
+            let IpcpOut::TxPhys { frame, .. } = &effect else {
+                seen.push(format!("{effect:?}"));
+                continue;
+            };
+            if PduView::peek(frame).is_some_and(|v| v.kind == PduKind::Mgmt) {
+                seen.push(format!("{effect:?}"));
+            }
+            to.on_frame(0, frame.clone(), Time::from_millis(1));
+        }
+        seen
+    }
+
+    /// Drive one allocation from requester `a` (node port `ports.0`) to
+    /// responder `b` (node port `ports.1`), which accepts or rejects it;
+    /// an accepted flow carries `sdu` and is then deallocated by `a`.
+    /// Returns everything the two asked of their nodes, in order.
+    fn handshake(
+        shim: bool,
+        ports: (u64, u64),
+        spec: QosSpec,
+        accept: bool,
+        sdu: &[u8],
+    ) -> Vec<String> {
+        let [mut a, mut b] = pair(shim);
+        let (src, dst) = (AppName::new("client"), AppName::new("server"));
+        a.alloc_flow_resolved(ports.0, src, dst, spec, 2);
+        let mut seen = cross(&mut a, &mut b);
+        let Some(IpcpOut::FlowReqIn { src_app, spec, src_addr, src_cep, invoke_id, .. }) =
+            b.take_out().pop()
+        else {
+            panic!("the request reached the responder");
+        };
+        if accept {
+            b.flow_accept(ports.1, src_app, spec, src_addr, src_cep, invoke_id);
+        } else {
+            b.flow_reject(src_addr, invoke_id, -5);
+        }
+        seen.extend(cross(&mut b, &mut a));
+        if accept {
+            a.write_port(ports.0, Bytes::copy_from_slice(sdu), Time::from_millis(1), None).unwrap();
+            // Data over, acknowledgements (if the binding has any) back.
+            for _ in 0..2 {
+                seen.extend(cross(&mut a, &mut b));
+                seen.extend(cross(&mut b, &mut a));
+            }
+            a.dealloc_port(ports.0);
+            seen.extend(cross(&mut a, &mut b));
+        }
+        seen.extend(cross(&mut a, &mut b));
+        seen.extend(cross(&mut b, &mut a));
+        for i in [&a, &b] {
+            assert!(i.flows.table.is_empty() && i.flows.pending.is_empty(), "{} leaked", i.name);
+            // One CEP each, counted from 1 — none at a responder that refused.
+            assert_eq!(i.flows.last_cep, if i.addr == 1 || accept { 1 } else { 0 });
+        }
+        seen
+    }
+
+    proptest! {
+        /// The flow allocator is one mechanism: request → accept →
+        /// response → write → teardown, and request → reject, ask the
+        /// same of the node, number CEPs the same and leave nothing
+        /// behind whether the flow is bound to EFCP or straight to the
+        /// medium.
+        #[test]
+        fn handshake_is_the_same_under_both_bindings(
+            a_port in 1u64..1000,
+            b_port in 1000u64..2000,
+            spec in 0usize..3,
+            accept in any::<bool>(),
+            sdu in proptest::collection::vec(any::<u8>(), 1..200),
+        ) {
+            let ports = (a_port, b_port);
+            let spec = [QosSpec::reliable(), QosSpec::datagram(), QosSpec::interactive()][spec];
+            let raw = handshake(true, ports, spec, accept, &sdu);
+            let efcp = handshake(false, ports, spec, accept, &sdu);
+            prop_assert_eq!(&raw, &efcp);
+            let delivered = raw.iter().any(|e| e.starts_with("Deliver"));
+            prop_assert_eq!(delivered, accept, "{:?}", raw);
+        }
+    }
+
+    /// A flow deallocated while its request is still unanswered takes its
+    /// pending-response entry with it (one map entry used to leak per
+    /// timed-out or abandoned allocation).
+    #[test]
+    fn dealloc_before_the_response_leaves_nothing_pending() {
+        for shim in [true, false] {
+            let [mut a, _] = pair(shim);
+            let (src, dst) = (AppName::new("client"), AppName::new("server"));
+            a.alloc_flow_resolved(7, src, dst, QosSpec::reliable(), 2);
+            assert_eq!((a.flows.table.len(), a.flows.pending.len()), (1, 1));
+            a.dealloc_port(7);
+            assert!(a.flows.table.is_empty(), "shim={shim}");
+            assert!(a.flows.pending.is_empty(), "shim={shim}: pending entry leaked");
+            // The response that never came in time is absorbed.
+            a.handle_flow_response(1, 9, 1, 0);
+            assert!(a.take_out().iter().all(|o| matches!(o, IpcpOut::TxPhys { .. })));
+        }
+    }
+}

@@ -1,0 +1,630 @@
+//! The IPC process: one member of one DIF.
+//!
+//! An IPC process is the paper's three loosely coupled task sets (§4) on
+//! three timescales, and this module tree is that split. Each file holds
+//! one task's state in one struct; [`Ipcp`] is the facade that owns one
+//! of each plus what they share.
+//!
+//! | task set | file | struct | owns |
+//! |---|---|---|---|
+//! | **IPC Data Transfer** (per PDU) | `transfer.rs` | `Transfer` | the (N-1) port table ([`N1Port`]), the peer-address relay index; relay-in-place, two-step forwarding, transmit |
+//! | **IPC Transfer Control** (per flow) | `flows.rs` | `Flows` | the one flow table (CEP → port, phase, binding), CEP ids, the EFCP timer dirty list, pending flow allocations; the flow-allocator handshake (§5.3) |
+//! | **IPC Management** — enrollment (§5.2) | `enroll.rs` | `Enroll` | outstanding requests, the admission window, sponsored members and their failure watch; address/block assignment, leave and purge |
+//! | — directory | `directory.rs` | `Directory` | own registrations, the lookup cache, tombstone memory, on-demand lookups in flight (scoped `/dir`) |
+//! | — neighbors | `neighbors.rs` | `Neighbors` | the management view of each port (tree edge, peer digests, hello memo), the hello send cache and tick count; hello send/receive, expiry |
+//! | — routing | `routes.rs` | `Routes` | the route engine (LSA mirror, SPF, forwarding table), the advertised neighbor set and its debounce |
+//! | — RIEP dissemination | `dissemination.rs` | `Dissemination` | per-port flood queues, the flood token bucket, own-object names; flood, anti-entropy deltas, apply/re-flood, reassert |
+//!
+//! A method that touches one task's state is a method on that task's
+//! struct; one that orchestrates several is an `impl Ipcp` block in the
+//! file of the task that starts it. What stays here is what the tasks
+//! share — identity, the [`Rib`], the effect queue, the counters, the
+//! clock shadow and the one invoke-id sequence (enrollment and flow
+//! allocation draw from it alike) — and the two places where they meet:
+//! [`Ipcp::on_frame`], which peeks each arriving frame and relays it,
+//! hands it up, or terminates it, and the management dispatch behind it.
+//! `transfer.rs` cannot name management state: it is handed the
+//! forwarding table and the QoS cubes and imports nothing else.
+//!
+//! The recursion that defines the architecture is in [`N1Kind`]: an (N-1)
+//! port is *either* a raw interface (making this a shim DIF "tailored to
+//! the physical medium") *or* a flow allocated from a lower DIF on the
+//! same node. A shim ([`Ipcp::is_shim`]) is the same machine under a
+//! degenerate policy, not a second implementation: its flows live in the
+//! same table bound straight to the medium instead of to an EFCP
+//! connection, it never relays, and the two-member DIF a medium defines
+//! needs no enrollment and nothing the RIB feeds — its only route is the
+//! medium and its directory is "the peer".
+//!
+//! An `Ipcp` is sans-IO like everything else: methods append [`IpcpOut`]
+//! effects which the owning [`crate::node::Node`] executes.
+//!
+//! Every frame a member receives runs through this module, so all of it
+//! is held panic-free (DESIGN.md §9, R1): indexing, `unwrap`, `expect` and
+//! `panic!` are clippy errors in every file below. Loops over the (N-1)
+//! port table use `get`; the four functions that keep a proven-safe index
+//! or `expect` say why in an `#[expect(clippy::…, reason = "…")]`.
+
+// R1 (DESIGN.md §9): this is a per-PDU protocol path, so a panic site
+// is a clippy error; each proven-safe exception is an `#[expect]` with
+// its reason on the function that needs it.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::unimplemented
+)]
+
+mod directory;
+mod dissemination;
+mod enroll;
+mod flows;
+mod neighbors;
+mod routes;
+mod transfer;
+
+pub use enroll::{
+    block_name, decode_block, encode_block, BLOCK_CLASS, BLOCK_PREFIX, R_ENROLL_BUSY,
+};
+pub use transfer::{N1Kind, N1Port};
+
+use crate::dif::DifConfig;
+use crate::msg::MgmtBody;
+use crate::naming::{Addr, AppName};
+use crate::qos::QosSpec;
+use crate::rmt::TxClass;
+use crate::routing::LSA_PREFIX;
+use bytes::Bytes;
+use rina_rib::Rib;
+use rina_sim::{Dur, Time};
+use rina_wire::{CdapMsg, CepId, MgmtPdu, Pdu, PduKind, PduView};
+
+/// What the node must do on behalf of this IPC process.
+#[derive(Debug)]
+pub enum IpcpOut {
+    /// Transmit a frame on a physical interface, scheduled by `class`.
+    TxPhys {
+        /// (N-1) port index (must be `N1Kind::Phys`).
+        n1: usize,
+        /// Encoded PDU.
+        frame: Bytes,
+        /// Scheduling class (QoS-cube id + priority).
+        class: TxClass,
+    },
+    /// Write an SDU into a lower-DIF flow.
+    TxLower {
+        /// Node-local port of the lower flow.
+        port: u64,
+        /// Encoded PDU (the lower DIF's SDU).
+        sdu: Bytes,
+        /// Scheduling class inherited from the originating QoS cube, so
+        /// class differentiation survives multiplexing onto shared lower
+        /// flows all the way to the bottleneck medium.
+        class: TxClass,
+    },
+    /// An SDU arrived for the user bound to `port`.
+    Deliver {
+        /// Node-local port id.
+        port: u64,
+        /// The SDU.
+        sdu: Bytes,
+    },
+    /// A flow requested earlier is now active.
+    FlowActive {
+        /// Node-local port id.
+        port: u64,
+        /// Peer application name.
+        peer: AppName,
+    },
+    /// A flow could not be allocated or has failed.
+    FlowFailed {
+        /// Node-local port id.
+        port: u64,
+        /// Human-readable reason.
+        reason: &'static str,
+    },
+    /// The peer deallocated this flow.
+    FlowClosed {
+        /// Node-local port id.
+        port: u64,
+    },
+    /// An inbound flow request: the node must look up the destination
+    /// application and call [`Ipcp::flow_accept`] or [`Ipcp::flow_reject`].
+    FlowReqIn {
+        /// Requesting application.
+        src_app: AppName,
+        /// Destination application (should be local).
+        dst_app: AppName,
+        /// Requested QoS.
+        spec: QosSpec,
+        /// Requester's member address.
+        src_addr: Addr,
+        /// Requester's endpoint.
+        src_cep: CepId,
+        /// Invoke id to echo in the response.
+        invoke_id: u32,
+    },
+    /// Enrollment completed; the IPC process now has an address.
+    Enrolled,
+    /// An (N-1) adjacency's hellos went silent past the expiry deadline.
+    /// The node must check whether it owns the flow behind this port
+    /// (an adjacency plan allocated it) and, if so, tear the dead flow
+    /// down and re-allocate: after a peer crash-restart the remote end
+    /// of the old flow no longer exists, so hellos can never resume on
+    /// it — without an active re-allocation the adjacency would stay
+    /// dead forever and silently partition the DIF.
+    N1Expired {
+        /// (N-1) port index whose peer expired.
+        n1: usize,
+    },
+}
+
+/// Counters the experiments aggregate per DIF.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct IpcpStats {
+    /// PDUs relayed (not locally originated or delivered).
+    pub relayed: u64,
+    /// PDUs dropped for lack of a route.
+    pub no_route: u64,
+    /// PDUs dropped because TTL expired.
+    pub ttl_drops: u64,
+    /// Relayed PDUs that left on an (N-1) port, TTL byte and CRC trailer
+    /// patched in place: `relayed - no_route` at the relay.
+    pub relay_fast: u64,
+    /// Management PDUs sent (all kinds).
+    pub mgmt_tx: u64,
+    /// RIEP object updates sent (dissemination + re-flood).
+    pub rib_tx: u64,
+    /// Floods skipped because the peer's last hello digest already
+    /// covered the object's subtree, or the DIF's flood rate limit was
+    /// exhausted (anti-entropy repairs whatever a drop loses).
+    pub flood_suppressed: u64,
+    /// Anti-entropy delta requests sent (per subtree chunk).
+    pub delta_requests: u64,
+    /// Enrollment requests handled as sponsor.
+    pub enrollments_sponsored: u64,
+    /// Enrollment requests deferred because the admission window was full.
+    pub enrollments_deferred: u64,
+    /// Flow requests handled as destination.
+    pub flow_reqs_in: u64,
+    /// Undecodable frames received.
+    pub decode_errors: u64,
+    /// Decodable data or control PDUs addressed here whose CEP nobody
+    /// owns — no active shim flow, no EFCP connection. Routine for what is
+    /// still in flight when a flow is deallocated.
+    pub no_flow_drops: u64,
+    /// Sponsored members declared failed and garbage-collected.
+    pub members_purged: u64,
+    /// Objects of ours someone else clobbered (usually a wrong failure
+    /// purge across a partition) that we re-asserted at a higher
+    /// version.
+    pub reasserts: u64,
+    /// Directory resolutions served from the lookup cache (scoped
+    /// `/dir` only). Same seed must give the same count at any thread
+    /// count — the determinism property tests pin this.
+    pub dir_cache_hits: u64,
+    /// Directory resolutions that missed both own registrations and the
+    /// cache (each starts or joins an on-demand lookup).
+    pub dir_cache_misses: u64,
+    /// [`MgmtBody::DirLookupRequest`]s originated (resends included;
+    /// forwarding on behalf of others is not counted).
+    pub dir_lookups_sent: u64,
+    /// Authoritative [`MgmtBody::DirLookupResponse`]s sent as owner.
+    pub dir_lookups_answered: u64,
+    /// Cache entries dropped by invalidation (a `/dir` tombstone or the
+    /// owner's `/blocks` departure tombstone).
+    pub dir_invalidations: u64,
+    /// Hellos sent (one per port per tick, plus triggered ones).
+    pub hello_tx: u64,
+    /// Hello frames actually encoded: the rest of `hello_tx` reused the
+    /// frame cached for the current RIB generation and address.
+    pub hello_built: u64,
+    /// Hellos received.
+    pub hello_rx: u64,
+    /// Received hellos that went through the full decode: the rest of
+    /// `hello_rx` were byte-identical to the port's previous hello.
+    pub hello_decoded: u64,
+}
+
+/// Work an IPC process defers to a node timer so that a burst costs one
+/// run: the node asks [`Ipcp::deferred_wanted`] after every event and
+/// calls [`Ipcp::run_deferred`] when the delay it was given has passed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Deferred {
+    /// Route recomputation over the LSA deltas queued since the last one.
+    Routes,
+    /// Re-advertisement of this member's own LSA.
+    Lsa,
+    /// Flush of the per-port flood queues.
+    Flood,
+}
+
+/// One IPC process (see module docs).
+pub struct Ipcp {
+    /// This process's index within its node (used by the node to route
+    /// effects back).
+    pub idx: usize,
+    /// The DIF's shared configuration.
+    pub cfg: DifConfig,
+    /// This IPC process's application name (it is an application of the
+    /// DIF below).
+    pub name: AppName,
+    /// DIF-internal address (0 until enrolled).
+    pub addr: Addr,
+    /// Address block `[lo, hi]` delegated to this member at enrollment:
+    /// its own address plus the range it may sponsor its subtree from.
+    /// `(addr, addr)` when nothing was delegated.
+    pub block: (Addr, Addr),
+    /// Shim mode: degenerate two-member DIF bound to a point-to-point
+    /// medium; no enrollment, no routing, implicit directory.
+    pub is_shim: bool,
+    /// Member state.
+    enrolled: bool,
+    /// This member announced a graceful leave: its objects are
+    /// tombstoned and it must not originate new state (LSA refreshes,
+    /// reasserts) that would resurrect itself while it lingers.
+    departed: bool,
+    /// The Resource Information Base.
+    pub rib: Rib,
+    /// Pending effects, drained by the node.
+    out: Vec<IpcpOut>,
+    /// Counters.
+    pub stats: IpcpStats,
+    /// Shadow of the virtual clock, updated at the public entry points;
+    /// drives the flood token bucket without threading `now` through
+    /// every dissemination path.
+    clock: Time,
+    /// The next CDAP invoke id: one sequence for every request this
+    /// process originates, enrollment and flow allocation alike.
+    next_invoke: u32,
+    transfer: transfer::Transfer,
+    flows: flows::Flows,
+    enroll: enroll::Enroll,
+    directory: directory::Directory,
+    neighbors: neighbors::Neighbors,
+    routes: routes::Routes,
+    dissemination: dissemination::Dissemination,
+}
+
+impl Ipcp {
+    /// Create a not-yet-enrolled IPC process for `cfg`, named `name`.
+    pub fn new(idx: usize, cfg: DifConfig, name: AppName) -> Self {
+        let mut rib = Rib::new(0);
+        // Object-level delta hook: the engine mirrors /lsa/* without
+        // ever re-decoding the subtree wholesale.
+        rib.watch_prefix(LSA_PREFIX);
+        if cfg.scoped_dir {
+            // Owner-held directory: /dir leaves the digest, snapshot,
+            // and delta surface entirely.
+            rib.set_local_subtree("/dir");
+        }
+        Ipcp {
+            idx,
+            dissemination: dissemination::Dissemination::new(cfg.flood_burst),
+            cfg,
+            name,
+            addr: 0,
+            block: (0, 0),
+            is_shim: false,
+            enrolled: false,
+            departed: false,
+            rib,
+            out: Vec::new(),
+            stats: IpcpStats::default(),
+            clock: Time::ZERO,
+            next_invoke: 1,
+            transfer: Default::default(),
+            flows: Default::default(),
+            enroll: Default::default(),
+            directory: Default::default(),
+            neighbors: Default::default(),
+            routes: routes::Routes::new(),
+        }
+    }
+
+    /// Configure shim mode with the given side address (1 or 2).
+    pub fn make_shim(&mut self, side_addr: Addr) {
+        self.is_shim = true;
+        self.addr = side_addr;
+        self.rib.set_origin(side_addr);
+        self.enrolled = true;
+    }
+
+    /// Whether this process is an enrolled member.
+    pub fn is_enrolled(&self) -> bool {
+        self.enrolled
+    }
+
+    /// Whether this member has announced a graceful leave.
+    pub fn is_departed(&self) -> bool {
+        self.departed
+    }
+
+    /// Whether this process runs the management tasks the RIB feeds —
+    /// dissemination, anti-entropy, LSAs, sponsoring: an enrolled member
+    /// of a real DIF. The two-member DIF a medium defines has none.
+    fn manages(&self) -> bool {
+        self.enrolled && !self.is_shim
+    }
+
+    /// The other side of a shim's point-to-point medium.
+    fn shim_peer(&self) -> Addr {
+        if self.addr == 1 {
+            2
+        } else {
+            1
+        }
+    }
+
+    /// Attach an (N-1) port. Returns its index.
+    pub fn add_n1(&mut self, kind: N1Kind) -> usize {
+        self.neighbors.peers.push(Default::default());
+        self.transfer.add(kind)
+    }
+
+    /// The (N-1) ports (read-only view).
+    pub fn n1_ports(&self) -> &[N1Port] {
+        &self.transfer.n1
+    }
+
+    /// Find the (N-1) port backed by the given lower-flow port id.
+    pub fn n1_by_lower_port(&self, port: u64) -> Option<usize> {
+        self.transfer.n1.iter().position(|p| p.kind == N1Kind::Lower { port })
+    }
+
+    /// Drain pending effects.
+    pub fn take_out(&mut self) -> Vec<IpcpOut> {
+        std::mem::take(&mut self.out)
+    }
+
+    /// Like [`Ipcp::take_out`], but swaps the effects into a caller-owned
+    /// buffer so a hot flush loop recycles two allocations forever instead
+    /// of minting a fresh `Vec` per event.
+    pub fn take_out_into(&mut self, buf: &mut Vec<IpcpOut>) {
+        buf.clear();
+        std::mem::swap(&mut self.out, buf);
+    }
+
+    /// Whether `job` has work waiting, and if so how long the node should
+    /// let more of it accumulate before [`Ipcp::run_deferred`]. Asking
+    /// about [`Deferred::Routes`] first drains the RIB's delta hook, so
+    /// the answer reflects everything stored so far whichever path stored
+    /// it.
+    pub fn deferred_wanted(&mut self, job: Deferred) -> Option<Dur> {
+        match job {
+            Deferred::Routes => {
+                self.routes.sync(&mut self.rib);
+                self.routes.recompute_wanted()
+            }
+            Deferred::Lsa => self.routes.lsa_dirty.then_some(routes::LSA_DEBOUNCE),
+            Deferred::Flood => self.dissemination.flush_wanted(),
+        }
+    }
+
+    /// Run `job` now (its timer fired); a no-op when nothing is waiting.
+    pub fn run_deferred(&mut self, job: Deferred, now: Time) {
+        match job {
+            Deferred::Routes => {
+                self.routes.sync(&mut self.rib);
+                self.routes.engine.recompute();
+            }
+            Deferred::Lsa => {
+                self.clock = now;
+                if self.routes.lsa_dirty {
+                    self.write_lsa_now();
+                }
+            }
+            Deferred::Flood => {
+                self.clock = now;
+                self.flush_floods();
+            }
+        }
+    }
+
+    /// A frame (encoded PDU) arrived on (N-1) port `n1`: one peek decides
+    /// between relaying it untouched and terminating it here, and only
+    /// terminated frames are decoded.
+    ///
+    /// The peek validates a subset of what [`Pdu::decode`] does (it
+    /// trusts the CRC trailer), so a frame it declines is one decode
+    /// would reject. Skipping the CRC on the relay and shim branches is
+    /// sound because links lose frames but never corrupt them, and a
+    /// frame's own trailer is still checked by the full decode at its
+    /// terminal hop.
+    pub fn on_frame(&mut self, n1: usize, frame: Bytes, now: Time) {
+        self.clock = now;
+        if let Some(p) = self.transfer.n1.get_mut(n1) {
+            // Any traffic proves liveness.
+            p.last_hello = now;
+        }
+        let Some(v) = PduView::peek(&frame) else {
+            self.stats.decode_errors += 1;
+            return;
+        };
+        if self.is_shim {
+            // A shim never relays: whatever the destination, it is local.
+            // Data is the wrapped frame of an upper DIF — slice it out of
+            // the arrival buffer and hand it up, or drop it when no
+            // active flow owns the CEP. The rest is the shim's own flow
+            // handshake and takes the decode below.
+            if v.kind == PduKind::Data {
+                match v.dest_cep.and_then(|cep| self.flows.active_port(cep)) {
+                    Some(port) => {
+                        let sdu = frame.slice(v.payload_range(frame.len()));
+                        self.out.push(IpcpOut::Deliver { port, sdu });
+                    }
+                    None => self.stats.no_flow_drops += 1,
+                }
+                return;
+            }
+        } else if v.dest_addr != 0 && v.dest_addr != self.addr {
+            let (fwd, cubes) = (self.routes.engine.table(), &self.cfg.cubes);
+            self.transfer.relay(v, frame, fwd, cubes, &mut self.stats, &mut self.out);
+            return;
+        }
+        match Pdu::decode(&frame) {
+            Ok(pdu) => self.deliver_local(pdu, n1, now),
+            Err(_) => self.stats.decode_errors += 1,
+        }
+    }
+
+    /// Terminate a decoded PDU here: management to the management task,
+    /// data and control to the EFCP connection owning the CEP (never a
+    /// shim's data — `on_frame` hands that up undecoded).
+    fn deliver_local(&mut self, pdu: Pdu, from_n1: usize, now: Time) {
+        let cep = match pdu {
+            Pdu::Mgmt(m) => return self.handle_mgmt(m, from_n1, now),
+            Pdu::Data(ref d) => d.dest_cep,
+            Pdu::Ctrl(ref c) => c.dest_cep,
+        };
+        let Some(conn) = self.flows.conn_mut(cep) else {
+            self.stats.no_flow_drops += 1;
+            return;
+        };
+        conn.on_pdu(&pdu, now.nanos());
+        self.pump_conn(cep, now);
+    }
+
+    /// Send `pdu`, originated here, toward its destination address.
+    fn forward(&mut self, pdu: Pdu) {
+        let (fwd, cubes) = (self.routes.engine.table(), &self.cfg.cubes);
+        self.transfer.forward(pdu, self.is_shim, fwd, cubes, &mut self.stats, &mut self.out);
+    }
+
+    fn handle_mgmt(&mut self, m: MgmtPdu, from_n1: usize, now: Time) {
+        if self.on_repeated_hello(&m.payload, from_n1, now) {
+            self.routes.sync(&mut self.rib);
+            return;
+        }
+        let Ok(cdap) = CdapMsg::decode(&m.payload) else {
+            self.stats.decode_errors += 1;
+            return;
+        };
+        let Ok(body) = MgmtBody::from_cdap(&cdap) else {
+            self.stats.decode_errors += 1;
+            return;
+        };
+        match body {
+            MgmtBody::Hello { name, addr, digests } => {
+                self.on_decoded_hello(m.payload, name, addr, digests, from_n1, now);
+            }
+            MgmtBody::EnrollRequest {
+                name,
+                credential,
+                proposed_addr,
+                proposed_block,
+                digests,
+            } => {
+                self.handle_enroll_request(
+                    from_n1,
+                    name,
+                    credential,
+                    proposed_addr,
+                    proposed_block,
+                    digests,
+                    cdap.invoke_id,
+                    now,
+                );
+            }
+            MgmtBody::EnrollResponse { addr, block, retry_after_ms, snapshot } => {
+                if self.enroll.pending.remove(&cdap.invoke_id) {
+                    self.handle_enroll_response(addr, block, retry_after_ms, snapshot, cdap.result);
+                }
+            }
+            MgmtBody::FlowRequest { src_app, dst_app, spec, src_addr, src_cep } => {
+                self.stats.flow_reqs_in += 1;
+                self.out.push(IpcpOut::FlowReqIn {
+                    src_app,
+                    dst_app,
+                    spec,
+                    src_addr,
+                    src_cep,
+                    invoke_id: cdap.invoke_id,
+                });
+            }
+            MgmtBody::FlowResponse { dst_cep, qos_id } => {
+                self.handle_flow_response(cdap.invoke_id, dst_cep, qos_id, cdap.result);
+            }
+            MgmtBody::FlowTeardown { cep } => {
+                if let Some(f) = self.flows.remove(cep) {
+                    self.out.push(IpcpOut::FlowClosed { port: f.port });
+                }
+            }
+            MgmtBody::RibUpdate(obj) => self.apply_and_reflood(&obj, from_n1),
+            MgmtBody::RibDeltaRequest { subtree, from, upto, summary } => {
+                self.handle_delta_request(from_n1, subtree, &from, &upto, &summary);
+            }
+            MgmtBody::RibDeltaResponse { subtree: _, objects } => {
+                for obj in &objects {
+                    self.apply_and_reflood(obj, from_n1);
+                }
+            }
+            MgmtBody::DirLookupRequest { name, origin, lookup_id } => {
+                self.handle_dir_lookup_request(name, origin, lookup_id, from_n1);
+            }
+            MgmtBody::DirLookupResponse { name, addr, version, lookup_id: _ } => {
+                self.handle_dir_lookup_response(name, addr, version);
+            }
+        }
+        // Whatever this PDU applied, surface it to the engine now so the
+        // node sees a current dirty/classification state when it decides
+        // whether (and how fast) to arm the recompute debounce.
+        self.routes.sync(&mut self.rib);
+    }
+
+    /// Frame `payload` as a management PDU from this process: link-local
+    /// (`dest` 0, `ttl` 1) or addressed to a member.
+    fn mgmt_pdu(&self, dest: Addr, ttl: u8, payload: Bytes) -> Pdu {
+        Pdu::Mgmt(MgmtPdu { dest_addr: dest, src_addr: self.addr, ttl, payload })
+    }
+
+    /// Send an encoded management frame over one (N-1) port.
+    fn tx_mgmt(&mut self, n1: usize, frame: Bytes) {
+        self.stats.mgmt_tx += 1;
+        self.transfer.tx_n1(n1, frame, TxClass::mgmt(), &mut self.out);
+    }
+
+    /// Send a management payload link-locally over one (N-1) port.
+    fn send_payload_on(&mut self, n1: usize, payload: Bytes) {
+        let frame = self.mgmt_pdu(0, 1, payload).encode();
+        self.tx_mgmt(n1, frame);
+    }
+
+    /// Send a management body link-locally over one (N-1) port.
+    fn send_mgmt_on(&mut self, n1: usize, body: MgmtBody, invoke_id: u32, result: i32) {
+        self.send_payload_on(n1, body.encode(invoke_id, result));
+    }
+
+    /// Send a management body to a member address (relayed if needed).
+    fn send_mgmt_addr(&mut self, dest: Addr, body: MgmtBody, invoke_id: u32, result: i32) {
+        let pdu = self.mgmt_pdu(dest, rina_wire::efcp::DEFAULT_TTL, body.encode(invoke_id, result));
+        self.stats.mgmt_tx += 1;
+        if dest == self.addr {
+            // Rare but possible: both apps on the same member.
+            self.deliver_local(pdu, usize::MAX, self.clock);
+            return;
+        }
+        self.forward(pdu);
+    }
+
+    fn next_invoke(&mut self) -> u32 {
+        let i = self.next_invoke;
+        self.next_invoke += 1;
+        i
+    }
+}
+
+fn encode_addr(a: Addr) -> Bytes {
+    let mut w = rina_wire::codec::Writer::new();
+    w.varint(a);
+    w.finish()
+}
+
+fn decode_addr(b: &[u8]) -> Option<Addr> {
+    rina_wire::codec::Reader::new(b).varint().ok()
+}
+
+#[cfg(test)]
+mod tests;

@@ -255,7 +255,6 @@ impl NetBuilder {
     /// processes. The returned handle feeds [`Via::Link`] and
     /// [`Net::set_link_up`].
     pub fn link(&mut self, a: NodeH, b: NodeH, cfg: LinkCfg) -> LinkH {
-        let mtu = cfg.mtu;
         let (lid, ia, ib) = self.sim.connect(self.nodes[a.0], self.nodes[b.0], cfg);
         let lidx = self.links.len();
         self.links.push(lid);
@@ -271,12 +270,12 @@ impl NetBuilder {
         let na = {
             let node = self.node_mut(a.0);
             let name_a = AppName::new(&format!("shim{shim_name}.a"));
-            node.add_shim(shim_cfg.clone(), name_a, ia, 0, mtu)
+            node.add_shim(shim_cfg.clone(), name_a, ia, 0)
         };
         let nb = {
             let node = self.node_mut(b.0);
             let name_b = AppName::new(&format!("shim{shim_name}.b"));
-            node.add_shim(shim_cfg, name_b, ib, 1, mtu)
+            node.add_shim(shim_cfg, name_b, ib, 1)
         };
         self.shim_of.insert((lidx, a.0), na);
         self.shim_of.insert((lidx, b.0), nb);

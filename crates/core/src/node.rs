@@ -16,7 +16,7 @@
 use crate::app::{AppProcess, FlowH, FlowOrigin, IpcApi, IpcError};
 use crate::dif::DifConfig;
 use crate::fxhash::FxBuild;
-use crate::ipcp::{Ipcp, IpcpOut, N1Kind, LSA_DEBOUNCE};
+use crate::ipcp::{Deferred, Ipcp, IpcpOut, N1Kind};
 use crate::naming::{Addr, AppName};
 use crate::qos::QosSpec;
 use crate::rmt::{RmtQueue, TxClass};
@@ -40,15 +40,9 @@ const CMD_BIT: u64 = 1 << 62;
 /// overrides it — see [`TimerKind::EnrollRetry`]).
 const ENROLL_RETRY_PERIOD: Dur = Dur::from_millis(300);
 
-/// Debounce floor for route recomputation after LSA floods that need the
-/// full-recomputation fallback (own-LSA changes): one Dijkstra run per
-/// burst. The effective window is `max(this, lsa_count / 10 ms)`.
-const RECOMPUTE_DEBOUNCE_FLOOR: Dur = Dur::from_millis(50);
-
-/// Debounce for route recomputation when every queued LSA delta is
-/// delta-classified (incremental SPF repairs only the affected region):
-/// it only coalesces one flood burst, however big the facility.
-const RECOMPUTE_DELTA_DEBOUNCE: Dur = Dur::from_millis(20);
+/// The deferred jobs of an IPC process, in the order the node asks after
+/// them (and so arms their timers and numbers their tokens).
+const DEFERRED: [Deferred; 3] = [Deferred::Routes, Deferred::Lsa, Deferred::Flood];
 
 /// Build the key for [`rina_sim::Sim::call`] that fires
 /// [`AppProcess::on_timer`] with `key` at application `app` of the target
@@ -91,6 +85,18 @@ struct PortState {
     requested: bool,
     active: bool,
     n1_of_owner: Option<usize>,
+}
+
+impl PortState {
+    /// How the flow on this port (`port`) came about, as its application
+    /// is told.
+    fn origin(&self, port: u64) -> FlowOrigin {
+        if self.requested {
+            FlowOrigin::Requested(FlowH(port))
+        } else {
+            FlowOrigin::Inbound
+        }
+    }
 }
 
 struct AppEntry {
@@ -157,45 +163,7 @@ enum TimerKind {
     App { app: usize, key: u64 },
     N1Retry(usize),
     AllocTimeout { port: u64 },
-    Routes { ipcp: usize },
-    LsaFlush { ipcp: usize },
-    FloodFlush { ipcp: usize },
-}
-
-enum Work {
-    WritePort {
-        port: u64,
-        sdu: Bytes,
-        class: Option<TxClass>,
-    },
-    DeliverPort {
-        port: u64,
-        sdu: Bytes,
-    },
-    NotifyActive {
-        port: u64,
-        peer: AppName,
-    },
-    NotifyFailed {
-        port: u64,
-        reason: &'static str,
-    },
-    NotifyClosed {
-        port: u64,
-    },
-    FlowReqIn {
-        ipcp: usize,
-        src_app: AppName,
-        dst_app: AppName,
-        spec: QosSpec,
-        src_addr: Addr,
-        src_cep: CepId,
-        invoke_id: u32,
-    },
-    N1Expired {
-        ipcp: usize,
-        n1: usize,
-    },
+    Deferred { ipcp: usize, job: Deferred },
 }
 
 /// A set of IPC-process slot indices, one bit per slot: a node hosts a few
@@ -245,7 +213,10 @@ pub struct Node {
     next_port: u64,
     timers: HashMap<u64, TimerKind, FxBuild>,
     next_token: u64,
-    workq: VecDeque<Work>,
+    /// Effects awaiting execution, each with the index of the IPC process
+    /// that emitted it ([`IpcpOut::TxPhys`] and [`IpcpOut::Enrolled`] are
+    /// executed as they are flushed and never queue).
+    workq: VecDeque<(usize, IpcpOut)>,
     ifmap: HashMap<u32, (usize, usize), FxBuild>,
     pace: HashMap<(usize, usize), Pace, FxBuild>,
     plans: Vec<N1Plan>,
@@ -259,14 +230,17 @@ pub struct Node {
     /// allocation per flush (the data plane flushes after every frame).
     out_scratch: Vec<IpcpOut>,
     armed_conn: HashMap<(usize, CepId), (u64, u64), FxBuild>,
-    /// IPC processes with a route-recompute debounce timer in flight.
-    routes_armed: SlotSet,
-    /// IPC processes with an LSA-flush debounce timer in flight.
-    lsa_armed: SlotSet,
-    /// IPC processes with a flood-aggregation timer in flight.
-    flood_armed: SlotSet,
+    /// Per deferred job (indexed like [`DEFERRED`]): the IPC processes
+    /// with its timer in flight.
+    armed: [SlotSet; 3],
     /// SDUs delivered to ports with no live owner (diagnostic).
     pub orphan_sdus: u64,
+    /// Frames and SDUs refused on their way down and dropped uncounted
+    /// anywhere else: a frame the link would not take (too big, no such
+    /// interface — a full queue is the link's own `drops_overflow`), or
+    /// an upper IPC process's PDU its lower flow would not (not active,
+    /// EFCP back-pressure).
+    pub tx_refused: u64,
 }
 
 impl Node {
@@ -288,10 +262,9 @@ impl Node {
             dirty: SlotSet::default(),
             out_scratch: Vec::new(),
             armed_conn: HashMap::default(),
-            routes_armed: SlotSet::default(),
-            lsa_armed: SlotSet::default(),
-            flood_armed: SlotSet::default(),
+            armed: Default::default(),
             orphan_sdus: 0,
+            tx_refused: 0,
         }
     }
 
@@ -314,17 +287,10 @@ impl Node {
 
     /// Create the shim IPC process for a physical interface. `side` is 0
     /// or 1 (which end of the link this node is). Returns the ipcp index.
-    pub fn add_shim(
-        &mut self,
-        cfg: DifConfig,
-        name: AppName,
-        iface: IfaceId,
-        side: u8,
-        mtu: usize,
-    ) -> usize {
+    pub fn add_shim(&mut self, cfg: DifConfig, name: AppName, iface: IfaceId, side: u8) -> usize {
         let idx = self.add_ipcp(cfg, name);
         self.ipcps[idx].make_shim(side as Addr + 1);
-        let n1 = self.ipcps[idx].add_n1(N1Kind::Phys { iface: iface.0, mtu });
+        let n1 = self.ipcps[idx].add_n1(N1Kind::Phys { iface: iface.0 });
         self.ifmap.insert(iface.0, (idx, n1));
         // This queue models the *host's own* buffering toward its NIC
         // (the network bottleneck queues live in the links). Its default
@@ -469,8 +435,8 @@ impl Node {
         let Some(provider) = self.pick_provider(&dst) else {
             // Deliver the failure asynchronously, after this callback.
             let port = self.new_port(Owner::App(app), usize::MAX, true);
-            self.workq
-                .push_back(Work::NotifyFailed { port, reason: "no DIF knows the destination" });
+            let reason = "no DIF knows the destination";
+            self.workq.push_back((usize::MAX, IpcpOut::FlowFailed { port, reason }));
             return FlowH(port);
         };
         let port = self.new_port(Owner::App(app), provider, true);
@@ -520,6 +486,14 @@ impl Node {
     // ------------------------------------------------------------------
     // Internals
     // ------------------------------------------------------------------
+
+    /// The ports whose state satisfies `pred`, in port-id order.
+    fn ports_where(&self, pred: impl Fn(&PortState) -> bool) -> Vec<u64> {
+        let mut ports: Vec<u64> =
+            self.ports.iter().filter(|&(_, s)| pred(s)).map(|(&p, _)| p).collect();
+        ports.sort_unstable();
+        ports
+    }
 
     fn new_port(&mut self, owner: Owner, provider: usize, requested: bool) -> u64 {
         let port = self.next_port;
@@ -572,35 +546,6 @@ impl Node {
                     IpcpOut::TxPhys { n1, frame, class } => {
                         self.pace_push(i, n1, frame, class, ctx);
                     }
-                    IpcpOut::TxLower { port, sdu, class } => {
-                        self.workq.push_back(Work::WritePort { port, sdu, class: Some(class) });
-                    }
-                    IpcpOut::Deliver { port, sdu } => {
-                        self.workq.push_back(Work::DeliverPort { port, sdu });
-                    }
-                    IpcpOut::FlowActive { port, peer } => {
-                        self.workq.push_back(Work::NotifyActive { port, peer });
-                    }
-                    IpcpOut::FlowFailed { port, reason } => {
-                        self.workq.push_back(Work::NotifyFailed { port, reason });
-                    }
-                    IpcpOut::FlowClosed { port } => {
-                        self.workq.push_back(Work::NotifyClosed { port });
-                    }
-                    IpcpOut::FlowReqIn { src_app, dst_app, spec, src_addr, src_cep, invoke_id } => {
-                        self.workq.push_back(Work::FlowReqIn {
-                            ipcp: i,
-                            src_app,
-                            dst_app,
-                            spec,
-                            src_addr,
-                            src_cep,
-                            invoke_id,
-                        });
-                    }
-                    IpcpOut::N1Expired { n1 } => {
-                        self.workq.push_back(Work::N1Expired { ipcp: i, n1 });
-                    }
                     IpcpOut::Enrolled => {
                         // Apply (and keep) the durable registration
                         // intents: a re-enrolling process re-announces
@@ -615,6 +560,7 @@ impl Node {
                             self.ipcps[i].dir_register(&n);
                         }
                     }
+                    queued => self.workq.push_back((i, queued)),
                 }
             }
         }
@@ -636,58 +582,58 @@ impl Node {
         let Some(p) = self.pace.get_mut(&(i, n1)) else {
             return;
         };
-        if now < p.busy_until {
-            // Transmitter busy: make sure a wake-up is armed so queued
-            // frames leave as soon as it frees (not at the next unrelated
-            // event).
-            if !p.timer_armed && !p.queue.is_empty() {
-                p.timer_armed = true;
-                let at = p.busy_until;
-                let token = self.next_token;
-                self.next_token += 1;
-                self.timers.insert(token, TimerKind::Pace { ipcp: i, n1 });
-                ctx.timer_at(at, token);
-            }
-            return;
-        }
-        let Some(frame) = p.queue.pop(now.nanos()) else {
-            return;
-        };
-        let bw = ctx.iface_bandwidth(p.iface).unwrap_or(1_000_000_000);
-        let tx = Dur::serialization(frame.len(), bw);
-        match ctx.send(p.iface, frame) {
-            Ok(()) => {
-                p.busy_until = now + tx;
-                if !p.queue.is_empty() && !p.timer_armed {
-                    p.timer_armed = true;
-                    let token = self.next_token;
-                    self.next_token += 1;
-                    self.timers.insert(token, TimerKind::Pace { ipcp: i, n1 });
-                    ctx.timer_at(now + tx, token);
+        if now >= p.busy_until {
+            let Some(frame) = p.queue.pop(now.nanos()) else {
+                return;
+            };
+            let bw = ctx.iface_bandwidth(p.iface).unwrap_or(1_000_000_000);
+            let tx = Dur::serialization(frame.len(), bw);
+            match ctx.send(p.iface, frame) {
+                Ok(()) => p.busy_until = now + tx,
+                Err(SendError::LinkDown) => {
+                    // Local failure detection: the medium is gone.
+                    self.ipcps[i].n1_down(n1, now);
+                    self.flush_ipcp(i, ctx);
+                    return;
+                }
+                // Tail drop at the link, booked in its `drops_overflow`.
+                Err(SendError::QueueFull) => return,
+                Err(SendError::TooBig | SendError::NoSuchIface) => {
+                    self.tx_refused += 1;
+                    return;
                 }
             }
-            Err(SendError::LinkDown) => {
-                // Local failure detection: the medium is gone.
-                self.ipcps[i].n1_down(n1, now);
-                self.flush_ipcp(i, ctx);
-            }
-            Err(_) => { /* oversize or queue-full at the link: drop */ }
+        }
+        // Transmitter busy: make sure a wake-up is armed so queued frames
+        // leave as soon as it frees (not at the next unrelated event).
+        if !p.timer_armed && !p.queue.is_empty() {
+            p.timer_armed = true;
+            let at = p.busy_until;
+            let token = self.next_token;
+            self.next_token += 1;
+            self.timers.insert(token, TimerKind::Pace { ipcp: i, n1 });
+            ctx.timer_at(at, token);
         }
     }
 
     fn drain(&mut self, ctx: &mut Ctx<'_>) {
         let mut guard = 0u64;
-        while let Some(w) = self.workq.pop_front() {
+        while let Some((ipcp, w)) = self.workq.pop_front() {
             guard += 1;
             assert!(guard < 5_000_000, "node work loop runaway on {}", self.name);
             match w {
-                Work::WritePort { port, sdu, class } => {
+                IpcpOut::TxPhys { .. } | IpcpOut::Enrolled => {
+                    unreachable!("flush_ipcp executes these as it drains them")
+                }
+                IpcpOut::TxLower { port, sdu, class } => {
                     let Some(st) = self.ports.get(&port) else { continue };
                     let provider = st.provider;
-                    let _ = self.ipcps[provider].write_port(port, sdu, ctx.now(), class);
+                    if self.ipcps[provider].write_port(port, sdu, ctx.now(), Some(class)).is_err() {
+                        self.tx_refused += 1;
+                    }
                     self.flush_ipcp(provider, ctx);
                 }
-                Work::DeliverPort { port, sdu } => {
+                IpcpOut::Deliver { port, sdu } => {
                     let Some(st) = self.ports.get(&port) else {
                         self.orphan_sdus += 1;
                         continue;
@@ -710,17 +656,12 @@ impl Node {
                         }
                     }
                 }
-                Work::NotifyActive { port, peer } => {
+                IpcpOut::FlowActive { port, peer } => {
                     let Some(st) = self.ports.get_mut(&port) else { continue };
                     st.active = true;
-                    let (owner, requested) = (st.owner, st.requested);
+                    let (owner, origin) = (st.owner, st.origin(port));
                     match owner {
                         Owner::App(a) => {
-                            let origin = if requested {
-                                FlowOrigin::Requested(FlowH(port))
-                            } else {
-                                FlowOrigin::Inbound
-                            };
                             self.call_app(a, ctx, |app, api| {
                                 app.on_flow_allocated(origin, FlowH(port), &peer, api);
                             });
@@ -768,51 +709,20 @@ impl Node {
                         }
                     }
                 }
-                Work::NotifyFailed { port, reason } => {
-                    let Some(st) = self.ports.remove(&port) else { continue };
-                    match st.owner {
-                        Owner::App(a) => {
-                            let origin = if st.requested {
-                                FlowOrigin::Requested(FlowH(port))
-                            } else {
-                                FlowOrigin::Inbound
-                            };
-                            self.call_app(a, ctx, |app, api| {
-                                app.on_flow_failed(origin, reason, api);
-                            });
+                IpcpOut::FlowFailed { port, reason } => self.flow_gone(port, Some(reason), ctx),
+                IpcpOut::FlowClosed { port } => self.flow_gone(port, None, ctx),
+                IpcpOut::FlowReqIn { src_app, dst_app, spec, src_addr, src_cep, invoke_id } => {
+                    match self.flow_taker(&src_app, &dst_app) {
+                        Ok(owner) => {
+                            let port = self.new_port(owner, ipcp, false);
+                            self.ipcps[ipcp]
+                                .flow_accept(port, src_app, spec, src_addr, src_cep, invoke_id);
                         }
-                        Owner::Upper(u) => {
-                            if let Some(n1) = st.n1_of_owner {
-                                self.ipcps[u].n1_down(n1, ctx.now());
-                                self.flush_ipcp(u, ctx);
-                            }
-                            self.reschedule_plan_for(port, ctx);
-                        }
+                        Err(refusal) => self.ipcps[ipcp].flow_reject(src_addr, invoke_id, refusal),
                     }
+                    self.flush_ipcp(ipcp, ctx);
                 }
-                Work::NotifyClosed { port } => {
-                    let Some(st) = self.ports.remove(&port) else { continue };
-                    match st.owner {
-                        Owner::App(a) => {
-                            self.call_app(a, ctx, |app, api| {
-                                app.on_flow_closed(FlowH(port), api);
-                            });
-                        }
-                        Owner::Upper(u) => {
-                            if let Some(n1) = st.n1_of_owner {
-                                self.ipcps[u].n1_down(n1, ctx.now());
-                                self.flush_ipcp(u, ctx);
-                            }
-                            self.reschedule_plan_for(port, ctx);
-                        }
-                    }
-                }
-                Work::FlowReqIn { ipcp, src_app, dst_app, spec, src_addr, src_cep, invoke_id } => {
-                    self.handle_flow_req(
-                        ipcp, src_app, dst_app, spec, src_addr, src_cep, invoke_id, ctx,
-                    );
-                }
-                Work::N1Expired { ipcp, n1 } => {
+                IpcpOut::N1Expired { n1 } => {
                     // An adjacency went silent. If one of our plans
                     // allocated the flow behind it, the remote end may be
                     // gone for good (peer crash-restart deallocates only
@@ -831,41 +741,21 @@ impl Node {
                     if !self.plans.iter().any(|p| p.port == Some(port)) {
                         continue;
                     }
-                    if let Some(st) = self.ports.remove(&port) {
-                        if st.provider != usize::MAX {
-                            self.ipcps[st.provider].dealloc_port(port);
-                            self.flush_ipcp(st.provider, ctx);
-                        }
-                    }
+                    self.release_port(port, ctx);
                     self.reschedule_plan_for(port, ctx);
                 }
             }
         }
-        // Re-sync EFCP timers for every touched ipcp. Nothing in the loop
+        // Re-sync timers for every touched ipcp. Nothing in the loop
         // body re-marks an ipcp dirty, so popping in ascending order visits
         // exactly the set the old take-and-collect walk did.
         while let Some(i) = self.dirty.pop_first() {
-            if self.ipcps[i].routes_dirty() && self.routes_armed.insert(i) {
-                // A burst of flooded LSAs costs one SPF repair, not one
-                // per update. Delta-classified batches repair
-                // incrementally (cost tracks the change), so they run on
-                // a small constant; only the full-recomputation fallback
-                // stretches its floor with the LSA count (1000 members →
-                // 100 ms), since its cost scales with the whole LSA set.
-                let d = if self.ipcps[i].pending_full_recompute() {
-                    RECOMPUTE_DEBOUNCE_FLOOR
-                        .max(Dur::from_millis(self.ipcps[i].lsa_count() as u64 / 10))
-                } else {
-                    RECOMPUTE_DELTA_DEBOUNCE
-                };
-                self.arm(ctx, d, TimerKind::Routes { ipcp: i });
-            }
-            if self.ipcps[i].lsa_flush_wanted() && self.lsa_armed.insert(i) {
-                self.arm(ctx, LSA_DEBOUNCE, TimerKind::LsaFlush { ipcp: i });
-            }
-            if self.ipcps[i].flood_flush_wanted() && self.flood_armed.insert(i) {
-                let d = Dur::from_millis(self.ipcps[i].cfg.flood_batch_ms);
-                self.arm(ctx, d, TimerKind::FloodFlush { ipcp: i });
+            for job in DEFERRED {
+                if let Some(d) = self.ipcps[i].deferred_wanted(job) {
+                    if self.armed[job as usize].insert(i) {
+                        self.arm(ctx, d, TimerKind::Deferred { ipcp: i, job });
+                    }
+                }
             }
             for (cep, t) in self.ipcps[i].conn_timer_wants() {
                 let key = (i, cep);
@@ -884,42 +774,59 @@ impl Node {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn handle_flow_req(
-        &mut self,
-        ipcp: usize,
-        src_app: AppName,
-        dst_app: AppName,
-        spec: QosSpec,
-        src_addr: Addr,
-        src_cep: CepId,
-        invoke_id: u32,
-        ctx: &mut Ctx<'_>,
-    ) {
-        // Destination is a local application?
-        if let Some(a) = self.apps.iter().position(|e| e.name == dst_app) {
+    /// Who on this node takes an inbound flow from `src_app` to `dst_app`
+    /// — the local application of that name, if it agrees, or a higher IPC
+    /// process of that name (they are applications of the DIF below:
+    /// auto-accept, this is adjacency forming) — or the result code to
+    /// refuse it with.
+    fn flow_taker(&mut self, src_app: &AppName, dst_app: &AppName) -> Result<Owner, i32> {
+        if let Some(a) = self.apps.iter().position(|e| e.name == *dst_app) {
             let mut b = self.apps[a].behavior.take().expect("app busy");
-            let accept = b.on_flow_requested(&src_app);
+            let accept = b.on_flow_requested(src_app);
             self.apps[a].behavior = Some(b);
-            if accept {
-                let port = self.new_port(Owner::App(a), ipcp, false);
-                self.ipcps[ipcp].flow_accept(port, src_app, spec, src_addr, src_cep, invoke_id);
-            } else {
-                self.ipcps[ipcp].flow_reject(src_addr, invoke_id, -5);
+            return if accept { Ok(Owner::App(a)) } else { Err(-5) };
+        }
+        self.ipcps.iter().position(|p| p.name == *dst_app).map(Owner::Upper).ok_or(-4)
+    }
+
+    /// The flow bound to `port` is gone — it failed (`failed` says why)
+    /// or the peer closed it: forget the port and tell its owner. An
+    /// application gets the matching callback; for a higher IPC process
+    /// the flow was an (N-1) port, which goes down either way, and the
+    /// adjacency plan behind it (if any) re-fires.
+    fn flow_gone(&mut self, port: u64, failed: Option<&'static str>, ctx: &mut Ctx<'_>) {
+        let Some(st) = self.ports.remove(&port) else { return };
+        match (st.owner, failed) {
+            (Owner::App(a), Some(reason)) => {
+                let origin = st.origin(port);
+                self.call_app(a, ctx, |app, api| {
+                    app.on_flow_failed(origin, reason, api);
+                });
             }
-            self.flush_ipcp(ipcp, ctx);
-            return;
+            (Owner::App(a), None) => {
+                self.call_app(a, ctx, |app, api| {
+                    app.on_flow_closed(FlowH(port), api);
+                });
+            }
+            (Owner::Upper(u), _) => {
+                if let Some(n1) = st.n1_of_owner {
+                    self.ipcps[u].n1_down(n1, ctx.now());
+                    self.flush_ipcp(u, ctx);
+                }
+                self.reschedule_plan_for(port, ctx);
+            }
         }
-        // Destination is a higher IPC process on this node? (They are
-        // applications of this DIF — auto-accept; adjacency forming.)
-        if let Some(u) = self.ipcps.iter().position(|p| p.name == dst_app) {
-            let port = self.new_port(Owner::Upper(u), ipcp, false);
-            self.ipcps[ipcp].flow_accept(port, src_app, spec, src_addr, src_cep, invoke_id);
-            self.flush_ipcp(ipcp, ctx);
-            return;
+    }
+
+    /// Forget `port` and release the flow behind it at its provider (the
+    /// local end only; the provider tells the peer of an active flow).
+    fn release_port(&mut self, port: u64, ctx: &mut Ctx<'_>) {
+        if let Some(st) = self.ports.remove(&port) {
+            if st.provider != usize::MAX {
+                self.ipcps[st.provider].dealloc_port(port);
+                self.flush_ipcp(st.provider, ctx);
+            }
         }
-        self.ipcps[ipcp].flow_reject(src_addr, invoke_id, -4);
-        self.flush_ipcp(ipcp, ctx);
     }
 
     fn reschedule_plan_for(&mut self, port: u64, ctx: &mut Ctx<'_>) {
@@ -954,10 +861,7 @@ impl Node {
         };
         // Drop any stale pending port.
         if let Some(old) = self.plans[idx].port.take() {
-            if let Some(st) = self.ports.remove(&old) {
-                self.ipcps[st.provider].dealloc_port(old);
-                self.flush_ipcp(st.provider, ctx);
-            }
+            self.release_port(old, ctx);
         }
         let src = self.ipcps[upper].name.clone();
         let port = self.new_port(Owner::Upper(upper), via, false);
@@ -1007,27 +911,12 @@ impl Node {
         // local provider end only — a crash tells the remote end nothing).
         // Port-id order, not hash order: dealloc emits events whose order
         // must be identical across runs.
-        let mut owned: Vec<u64> = self
-            .ports
-            .iter()
-            .filter(|&(_, s)| s.owner == Owner::Upper(i))
-            .map(|(&p, _)| p)
-            .collect();
-        owned.sort_unstable();
-        for port in owned {
-            if let Some(st) = self.ports.remove(&port) {
-                if st.provider != usize::MAX {
-                    self.ipcps[st.provider].dealloc_port(port);
-                    self.flush_ipcp(st.provider, ctx);
-                }
-            }
+        for port in self.ports_where(|s| s.owner == Owner::Upper(i)) {
+            self.release_port(port, ctx);
         }
         // Flows the dead process provided die with it.
-        let mut provided: Vec<u64> =
-            self.ports.iter().filter(|&(_, s)| s.provider == i).map(|(&p, _)| p).collect();
-        provided.sort_unstable();
-        for port in provided {
-            self.workq.push_back(Work::NotifyClosed { port });
+        for port in self.ports_where(|s| s.provider == i) {
+            self.workq.push_back((i, IpcpOut::FlowClosed { port }));
         }
         // Scrub timers bound to the dead process's internal state (CEP
         // retransmits, enrollment retries, debounced flushes). Hello and
@@ -1037,14 +926,12 @@ impl Node {
             !matches!(k,
                 TimerKind::EnrollRetry { ipcp, .. }
                 | TimerKind::Conn { ipcp, .. }
-                | TimerKind::Routes { ipcp }
-                | TimerKind::LsaFlush { ipcp }
-                | TimerKind::FloodFlush { ipcp } if *ipcp == i)
+                | TimerKind::Deferred { ipcp, .. } if *ipcp == i)
         });
         self.armed_conn.retain(|&(p, _), _| p != i);
-        self.routes_armed.remove(i);
-        self.lsa_armed.remove(i);
-        self.flood_armed.remove(i);
+        for armed in &mut self.armed {
+            armed.remove(i);
+        }
         self.ipcps[i] = Ipcp::new(i, cfg, name);
         // Re-fire the adjacency plans so the fresh process re-assembles.
         for idx in 0..self.plans.len() {
@@ -1056,17 +943,20 @@ impl Node {
         }
     }
 
+    /// One hello period of IPC process `i`, and the timer for the next.
+    fn hello_tick(&mut self, i: usize, ctx: &mut Ctx<'_>) {
+        self.ipcps[i].tick_hello(ctx.now());
+        self.flush_ipcp(i, ctx);
+        let period = self.ipcps[i].cfg.hello_period;
+        self.arm(ctx, period, TimerKind::Hello(i));
+    }
+
     fn on_timer_kind(&mut self, token: u64, ctx: &mut Ctx<'_>) {
         let Some(kind) = self.timers.remove(&token) else {
             return;
         };
         match kind {
-            TimerKind::Hello(i) => {
-                self.ipcps[i].tick_hello(ctx.now());
-                self.flush_ipcp(i, ctx);
-                let period = self.ipcps[i].cfg.hello_period;
-                self.arm(ctx, period, TimerKind::Hello(i));
-            }
+            TimerKind::Hello(i) => self.hello_tick(i, ctx),
             TimerKind::EnrollRetry { ipcp, plan } => {
                 if !self.ipcps[ipcp].is_enrolled() {
                     self.ipcps[ipcp].retry_enroll(&plan.credential, plan.proposed_addr, plan.block);
@@ -1101,18 +991,9 @@ impl Node {
                     self.try_plan(idx, ctx);
                 }
             }
-            TimerKind::Routes { ipcp } => {
-                self.routes_armed.remove(ipcp);
-                self.ipcps[ipcp].recompute_routes_now();
-            }
-            TimerKind::LsaFlush { ipcp } => {
-                self.lsa_armed.remove(ipcp);
-                self.ipcps[ipcp].flush_lsa_now(ctx.now());
-                self.flush_ipcp(ipcp, ctx);
-            }
-            TimerKind::FloodFlush { ipcp } => {
-                self.flood_armed.remove(ipcp);
-                self.ipcps[ipcp].flush_floods_now(ctx.now());
+            TimerKind::Deferred { ipcp, job } => {
+                self.armed[job as usize].remove(ipcp);
+                self.ipcps[ipcp].run_deferred(job, ctx.now());
                 self.flush_ipcp(ipcp, ctx);
             }
             TimerKind::AllocTimeout { port } => {
@@ -1123,8 +1004,8 @@ impl Node {
                         self.ipcps[provider].dealloc_port(port);
                         self.flush_ipcp(provider, ctx);
                     }
-                    self.workq
-                        .push_back(Work::NotifyFailed { port, reason: "allocation timed out" });
+                    let reason = "allocation timed out";
+                    self.workq.push_back((provider, IpcpOut::FlowFailed { port, reason }));
                 }
             }
         }
@@ -1147,10 +1028,7 @@ impl Agent for Node {
             Event::Start => {
                 // Arm hellos (shims included: they learn peers this way).
                 for i in 0..self.ipcps.len() {
-                    self.ipcps[i].tick_hello(ctx.now());
-                    self.flush_ipcp(i, ctx);
-                    let period = self.ipcps[i].cfg.hello_period;
-                    self.arm(ctx, period, TimerKind::Hello(i));
+                    self.hello_tick(i, ctx);
                 }
                 // Kick adjacency plans — immediately, or at their wave
                 // time when the enrollment planner staggered them.
@@ -1200,9 +1078,152 @@ impl Agent for Node {
 
 #[cfg(test)]
 mod tests {
-    use super::SlotSet;
+    use super::*;
+    use crate::msg::MgmtBody;
+    use crate::routing::{Lsa, LSA_CLASS};
     use proptest::prelude::*;
+    use rina_rib::{DigestTable, EncodedObject, RibObject};
+    use rina_sim::{LinkCfg, NodeId, Sim};
+    use rina_wire::{MgmtPdu, Pdu};
     use std::collections::BTreeSet;
+
+    /// A link-local management frame from the member at `src`.
+    fn mgmt_frame(src: Addr, body: MgmtBody) -> Bytes {
+        Pdu::Mgmt(MgmtPdu { dest_addr: 0, src_addr: src, ttl: 1, payload: body.encode(0, 0) })
+            .encode()
+    }
+
+    /// A node hosting one bootstrapped member (address 1) whose two ports
+    /// are wired straight to interfaces 0 and 1 — no shim, no pacing, so
+    /// what it transmits vanishes — run through `Event::Start`, and then
+    /// left, unflushed, with all three deferred jobs wanted: a first
+    /// neighbor appears (its LSA version is written at once and queued
+    /// for flooding), a second inside the LSA debounce window (dirty),
+    /// and a remote LSA arrives (a delta-classified route repair).
+    fn member_wanting_all_three() -> (Sim, NodeId) {
+        let mut node = Node::new("n");
+        let i = node.add_ipcp(DifConfig::new("net"), AppName::new("net.a"));
+        node.bootstrap_ipcp(i, 1);
+        for iface in 0..2 {
+            let n1 = node.ipcps[i].add_n1(N1Kind::Phys { iface });
+            node.ifmap.insert(iface, (i, n1));
+        }
+        let mut sim = Sim::new(7);
+        let id = sim.add_node(node);
+        assert!(sim.step(), "Event::Start");
+        let hello = |name: &str, addr| {
+            let (name, digests) = (AppName::new(name), DigestTable::default());
+            mgmt_frame(addr, MgmtBody::Hello { name, addr, digests })
+        };
+        let lsa = RibObject {
+            name: Lsa::object_name(2),
+            class: LSA_CLASS.into(),
+            value: Lsa { neighbors: vec![(1, 1), (9, 1)] }.encode(),
+            version: 1,
+            origin: 2,
+            deleted: false,
+        };
+        let batch = MgmtBody::RibDeltaResponse {
+            subtree: String::new(),
+            objects: vec![EncodedObject::of(&lsa)],
+        };
+        let member = sim.agent_mut::<Node>(id).ipcp_mut(0);
+        member.on_frame(0, hello("net.b", 2), Time::from_millis(400));
+        member.on_frame(1, hello("net.c", 3), Time::from_millis(410));
+        member.on_frame(0, mgmt_frame(2, batch), Time::from_millis(420));
+        (sim, id)
+    }
+
+    /// The deferred-job timers in flight for IPC process 0, by token.
+    fn deferred_timers(sim: &Sim, id: NodeId) -> Vec<(u64, Deferred)> {
+        let mut found: Vec<(u64, Deferred)> = sim
+            .agent::<Node>(id)
+            .timers
+            .iter()
+            .filter_map(|(&token, k)| match k {
+                TimerKind::Deferred { ipcp: 0, job } => Some((token, *job)),
+                _ => None,
+            })
+            .collect();
+        found.sort_unstable_by_key(|&(token, _)| token);
+        found
+    }
+
+    /// One event that finds all three deferred jobs wanted (here the hello
+    /// timer at 500 ms, the first to flush the member) arms exactly three
+    /// timers, in Routes → Lsa → Flood order on consecutive tokens, with
+    /// the delays the jobs ask for: 20 ms for a delta-classified route
+    /// repair, the 100 ms LSA debounce, the 5 ms flood batch window.
+    #[test]
+    fn one_event_arms_the_three_deferred_jobs_in_order() {
+        let (mut sim, id) = member_wanting_all_three();
+        assert!(deferred_timers(&sim, id).is_empty(), "nothing flushed the member yet");
+        assert!(sim.step(), "the hello timer");
+        assert_eq!(sim.now(), Time::from_millis(500));
+        let armed = deferred_timers(&sim, id);
+        let jobs: Vec<Deferred> = armed.iter().map(|&(_, job)| job).collect();
+        assert_eq!(jobs, DEFERRED);
+        assert!(armed.windows(2).all(|w| w[1].0 == w[0].0 + 1), "consecutive tokens: {armed:?}");
+        // Each fires after its own delay and disarms itself.
+        for (at_ms, fired) in
+            [(505, Deferred::Flood), (520, Deferred::Routes), (600, Deferred::Lsa)]
+        {
+            let (token, _) = *armed.iter().find(|&&(_, job)| job == fired).unwrap();
+            assert!(sim.step());
+            assert_eq!(sim.now(), Time::from_millis(at_ms), "{fired:?}");
+            assert!(deferred_timers(&sim, id).iter().all(|&(t, _)| t != token), "{fired:?} fired");
+        }
+    }
+
+    /// A crash-restart scrubs all three deferred timers of the dead
+    /// process, and forgets they were armed.
+    #[test]
+    fn respawn_scrubs_every_deferred_timer() {
+        let (mut sim, id) = member_wanting_all_three();
+        assert!(sim.step(), "the hello timer");
+        assert_eq!(deferred_timers(&sim, id).len(), 3);
+        sim.call(id, respawn_key(0), Dur::ZERO);
+        assert!(sim.step(), "the respawn command");
+        assert!(deferred_timers(&sim, id).is_empty());
+        let node = sim.agent_mut::<Node>(id);
+        assert!(node.armed.iter_mut().all(|armed| armed.insert(0)), "armed marks survived");
+    }
+
+    /// A frame the link refuses as too big dies at the node, counted.
+    #[test]
+    fn a_frame_the_link_refuses_is_counted() {
+        let mut sim = Sim::new(7);
+        let (a, b) = (sim.add_node(Node::new("a")), sim.add_node(Node::new("b")));
+        // No hello fits 16 bytes.
+        let (_, ia, ib) = sim.connect(a, b, LinkCfg::wired().with_mtu(16));
+        for (id, iface, side) in [(a, ia, 0), (b, ib, 1)] {
+            let cfg = DifConfig::new("shim0");
+            sim.agent_mut::<Node>(id).add_shim(cfg, AppName::new("shim0"), iface, side);
+        }
+        assert!(sim.step() && sim.step(), "both nodes start");
+        for id in [a, b] {
+            assert_eq!(sim.agent::<Node>(id).tx_refused, 1, "the shim's first hello");
+        }
+        assert_eq!(sim.link_stats(rina_sim::LinkId(0)).drops_overflow, 0, "not the link's drop");
+    }
+
+    /// A PDU of a higher IPC process that its lower flow refuses (here:
+    /// the flow was never allocated at the provider) dies at the node,
+    /// counted.
+    #[test]
+    fn an_sdu_the_lower_flow_refuses_is_counted() {
+        let mut node = Node::new("n");
+        let lower = node.add_ipcp(DifConfig::new("lower"), AppName::new("lower.a"));
+        node.bootstrap_ipcp(lower, 1);
+        let upper = node.add_ipcp(DifConfig::new("upper"), AppName::new("upper.a"));
+        node.bootstrap_ipcp(upper, 1);
+        let port = node.new_port(Owner::Upper(upper), lower, false);
+        node.ipcps[upper].add_n1(N1Kind::Lower { port });
+        let mut sim = Sim::new(7);
+        let id = sim.add_node(node);
+        assert!(sim.step(), "Event::Start: the upper process says hello down the dead flow");
+        assert_eq!(sim.agent::<Node>(id).tx_refused, 1);
+    }
 
     proptest! {
         /// Any interleaving of the three operations returns what the

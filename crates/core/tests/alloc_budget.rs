@@ -15,7 +15,7 @@
 
 use bytes::Bytes;
 use rina::dif::DifConfig;
-use rina::ipcp::{Ipcp, IpcpOut, N1Kind};
+use rina::ipcp::{Deferred, Ipcp, IpcpOut, N1Kind};
 use rina::msg::MgmtBody;
 use rina::naming::AppName;
 use rina::qos::{QosCube, QosSpec};
@@ -81,9 +81,9 @@ impl Pair {
         let mut a = Ipcp::new(0, DifConfig::new("net"), AppName::new("net.a"));
         a.bootstrap(1);
         a.set_block((1, 64));
-        a.add_n1(N1Kind::Phys { iface: 0, mtu: 1500 });
+        a.add_n1(N1Kind::Phys { iface: 0 });
         let mut b = Ipcp::new(0, DifConfig::new("net"), AppName::new("net.b"));
-        b.add_n1(N1Kind::Phys { iface: 0, mtu: 1500 });
+        b.add_n1(N1Kind::Phys { iface: 0 });
         b.start_enroll(0, "", 2, (2, 32));
         let mut p = Pair { a, b, now: Time::ZERO, effects: Vec::new() };
         for _ in 0..24 {
@@ -118,9 +118,9 @@ impl Pair {
     /// Run `i`'s deferred work (what the node's timers would) and take
     /// the frames it wants sent.
     fn drain(i: &mut Ipcp, now: Time, effects: &mut Vec<IpcpOut>) -> Vec<Bytes> {
-        i.flush_lsa_now(now);
-        i.flush_floods_now(now);
-        i.recompute_routes_now();
+        for job in [Deferred::Lsa, Deferred::Flood, Deferred::Routes] {
+            i.run_deferred(job, now);
+        }
         i.take_out_into(effects);
         effects
             .drain(..)
@@ -210,7 +210,7 @@ fn stale_objects_allocate_nothing_and_news_stays_in_budget() {
         let (a, now, effects) = (&mut p.a, p.now, &mut p.effects);
         allocations(|| {
             a.on_frame(0, frame, now);
-            a.flush_floods_now(now);
+            a.run_deferred(Deferred::Flood, now);
             a.take_out_into(effects);
         })
     };
@@ -302,7 +302,7 @@ fn a_relay_hop_allocates_nothing_at_the_member_and_two_at_the_shim() {
     let mut shim =
         Ipcp::new(1, DifConfig::new("shim").with_cubes(QosCube::shim_set()), AppName::new("s.a"));
     shim.make_shim(1);
-    shim.add_n1(N1Kind::Phys { iface: 0, mtu: 1500 });
+    shim.add_n1(N1Kind::Phys { iface: 0 });
     shim.flow_accept(11, AppName::new("net.b"), QosSpec::datagram(), 2, 5, 1);
     // What the set-up asked for (hello replies, the flow response) is
     // not part of a hop.

@@ -32,9 +32,9 @@ fn dropped_first_enroll_response_converges_without_leaking_pending() {
     let mut sponsor = Ipcp::new(0, DifConfig::new("net"), AppName::new("net.s"));
     sponsor.bootstrap(1);
     sponsor.set_block((1, 8));
-    sponsor.add_n1(N1Kind::Phys { iface: 0, mtu: 1500 });
+    sponsor.add_n1(N1Kind::Phys { iface: 0 });
     let mut joiner = Ipcp::new(0, DifConfig::new("net"), AppName::new("net.j"));
-    joiner.add_n1(N1Kind::Phys { iface: 0, mtu: 1500 });
+    joiner.add_n1(N1Kind::Phys { iface: 0 });
 
     joiner.start_enroll(0, "", 2, (2, 4));
     for f in tx_frames(&mut joiner) {

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rina::dif::DifConfig;
-use rina::ipcp::{Ipcp, IpcpOut, N1Kind};
+use rina::ipcp::{Deferred, Ipcp, IpcpOut, N1Kind};
 use rina::msg::MgmtBody;
 use rina::naming::AppName;
 use rina_rib::{DigestTable, RibObject};
@@ -53,7 +53,7 @@ proptest! {
     fn cached_hello_is_the_freshly_built_hello(seed in any::<u64>()) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut i = Ipcp::new(0, DifConfig::new("net"), AppName::with_instance("net", "m"));
-        i.add_n1(N1Kind::Phys { iface: 0, mtu: 1500 });
+        i.add_n1(N1Kind::Phys { iface: 0 });
         i.start_enroll(0, "", 0, (0, 0)); // invoke id 1 stays pending
         i.take_out();
         let mut now = Time::ZERO;
@@ -125,13 +125,11 @@ proptest! {
     fn memoised_hello_receive_equals_full_decode(seed in any::<u64>()) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mk = || {
-            let mut cfg = DifConfig::new("net");
-            cfg.flood_batch_ms = 0; // floods flush with the effects
-            let mut i = Ipcp::new(0, cfg, AppName::new("net.a"));
+            let mut i = Ipcp::new(0, DifConfig::new("net"), AppName::new("net.a"));
             i.bootstrap(1);
             i.set_block((1, 64));
             for iface in 0..2 {
-                i.add_n1(N1Kind::Phys { iface, mtu: 1500 });
+                i.add_n1(N1Kind::Phys { iface });
             }
             i.rib.write_local("/lsa/7", "x", Bytes::from_static(b"7"));
             i.take_out();
@@ -179,6 +177,10 @@ proptest! {
                     memo.on_frame(port, hello(&peers[who], addr, digests.clone(), 0), now);
                     full.on_frame(port, hello(&peers[who], addr, digests, step + 1), now);
                 }
+            }
+            // Floods leave with the effects, as if the node's batch timer fired.
+            for i in [&mut memo, &mut full] {
+                i.run_deferred(Deferred::Flood, now);
             }
             prop_assert_eq!(format!("{:?}", memo.take_out()), format!("{:?}", full.take_out()));
             for (m, f) in memo.n1_ports().iter().zip(full.n1_ports()) {

@@ -39,8 +39,8 @@ fn hello_from(name: &str, addr: u64) -> Bytes {
 fn relay_toward(next_hop: u64) -> Ipcp {
     let mut r = Ipcp::new(0, DifConfig::new("net"), AppName::new("net.r"));
     r.bootstrap(1);
-    r.add_n1(N1Kind::Phys { iface: 0, mtu: 1500 });
-    r.add_n1(N1Kind::Phys { iface: 1, mtu: 1500 });
+    r.add_n1(N1Kind::Phys { iface: 0 });
+    r.add_n1(N1Kind::Phys { iface: 1 });
     r.on_frame(0, hello_from("net.a", u64::MAX), Time::ZERO);
     r.on_frame(1, hello_from("net.b", next_hop), Time::ZERO);
     r.take_out();
@@ -51,7 +51,7 @@ fn relay_toward(next_hop: u64) -> Ipcp {
 fn shim() -> Ipcp {
     let mut s = Ipcp::new(0, DifConfig::new("shim"), AppName::new("shim.a"));
     s.make_shim(1);
-    s.add_n1(N1Kind::Phys { iface: 0, mtu: 1500 });
+    s.add_n1(N1Kind::Phys { iface: 0 });
     s
 }
 
