@@ -464,9 +464,7 @@ pub fn run_cell(cell: &SweepCell, base_seed: u64) -> SweepRow {
         } else {
             LinkCfg::wired()
         };
-        let base_cfg = DifConfig::new("sweep-dif");
-        let burst = base_cfg.flood_burst;
-        let mut dif_cfg = base_cfg.with_flood_rate(cell.flood_rate, burst);
+        let mut dif_cfg = DifConfig::new("sweep-dif").with_flood_rate(cell.flood_rate);
         if cell.churn {
             // Grace below the churn plan's 4 s downtime: crash-fails get
             // garbage-collected by their sponsors, not ridden out.
@@ -695,7 +693,7 @@ mod tests {
     fn cell_ids_are_stable_and_distinct() {
         let grid = SweepGrid::ci();
         let cells = grid.cells();
-        let ids: std::collections::HashSet<String> = cells.iter().map(|c| c.id()).collect();
+        let ids: std::collections::BTreeSet<String> = cells.iter().map(|c| c.id()).collect();
         assert_eq!(ids.len(), cells.len(), "cell ids collide");
         // Per size × topology: the first schedule's loss × flood plane,
         // one cell per further schedule and one churn cell; per size, one

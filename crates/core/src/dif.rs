@@ -57,11 +57,6 @@ pub struct DifConfig {
     /// Neighbor keepalive (hello) period. Narrow-scope DIFs use short
     /// hellos — policies tuned to the range (§4).
     pub hello_period: Dur,
-    /// Declare a neighbor dead after this many missed hellos.
-    pub hello_misses: u32,
-    /// Maximum SDU size the DIF accepts from its users. PDUs add header
-    /// overhead below this.
-    pub max_sdu: usize,
     /// Token-bucket rate limit on RIEP flooding out *cross* (non
     /// spanning-tree) ports, in objects per second per member (`0` =
     /// unlimited). Tree ports are never limited — they alone replicate
@@ -69,9 +64,6 @@ pub struct DifConfig {
     /// redundant copies dense fabrics would otherwise push over every
     /// extra edge; digest-driven anti-entropy repairs whatever it drops.
     pub flood_rate: u32,
-    /// Burst size of the flood token bucket (only meaningful when
-    /// [`DifConfig::flood_rate`] is nonzero).
-    pub flood_burst: u32,
     /// How long a sponsor waits after a sponsored member's adjacency
     /// expires before declaring it failed and garbage-collecting its
     /// RIB objects (member record, block, LSA, directory entries) via
@@ -108,10 +100,7 @@ impl DifConfig {
             cubes: QosCube::standard_set(),
             sched: SchedPolicy::Priority,
             hello_period: Dur::from_millis(500),
-            hello_misses: 3,
-            max_sdu: 64 * 1024,
             flood_rate: 64,
-            flood_burst: 256,
             member_gc_grace_ms: 10_000,
             scoped_dir: false,
             rmt_queue_cap_bytes: 8 * 1024 * 1024,
@@ -166,12 +155,10 @@ impl DifConfig {
     }
 
     /// Builder-style flood rate limit: at most `rate` flooded RIEP
-    /// objects per second per member out cross (non-tree) ports, with
-    /// bursts up to `burst` (`rate` 0 = unlimited). Dropped floods are
-    /// repaired by digest anti-entropy.
-    pub fn with_flood_rate(mut self, rate: u32, burst: u32) -> Self {
+    /// objects per second per member out cross (non-tree) ports (`rate`
+    /// 0 = unlimited). Dropped floods are repaired by digest anti-entropy.
+    pub fn with_flood_rate(mut self, rate: u32) -> Self {
         self.flood_rate = rate;
-        self.flood_burst = burst.max(1);
         self
     }
 
@@ -227,8 +214,7 @@ mod tests {
     fn sync_knobs_default_and_override() {
         let c = DifConfig::new("x");
         assert!(c.flood_rate > 0, "cross-port flooding is bounded by default");
-        let c = c.with_flood_rate(200, 0);
-        assert_eq!((c.flood_rate, c.flood_burst), (200, 1), "burst floors at 1");
+        assert_eq!(c.with_flood_rate(200).flood_rate, 200);
     }
 
     #[test]

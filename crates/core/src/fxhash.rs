@@ -6,9 +6,10 @@
 //! small simulator-internal integers — port numbers, timer tokens,
 //! interface ids — that an adversary never chooses, so the defence buys
 //! nothing while its per-lookup cost is visible in the data-plane
-//! profile. Iteration order over these maps is still never allowed to
-//! reach output (rule D2), so the fixed seed changes no observable
-//! behaviour.
+//! profile. These are the only hashed maps outside routing's SPF
+//! internals: `std`'s `HashMap`/`HashSet` are disallowed types (rule D2,
+//! root `clippy.toml`), and `FxHashMap` is this crate's one sanctioned
+//! alias.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -63,10 +64,17 @@ impl Hasher for FxHasher {
     }
 }
 
-/// Build-hasher for fx-keyed maps. Spelled out at each declaration as
-/// `HashMap<K, V, FxBuild>` — keeping the `HashMap` token in the binding —
-/// so rule D2 continues to recognise these bindings as hash-ordered.
+/// Build-hasher for fx-keyed maps.
 pub type FxBuild = BuildHasherDefault<FxHasher>;
+
+/// The node's per-frame tables (ports, timers, interfaces, pacers, armed
+/// connection timers).
+#[expect(
+    clippy::disallowed_types,
+    reason = "fixed-seed hasher: iteration order is a pure function of the operation \
+              sequence, and the node's two iterations (`ports_where`, `rmt_lane_stats`) sort"
+)]
+pub(crate) type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuild>;
 
 #[cfg(test)]
 mod tests {

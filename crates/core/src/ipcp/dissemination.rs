@@ -20,6 +20,10 @@ use std::collections::BTreeMap;
 /// most this much per-hop dissemination latency.
 const FLOOD_BATCH: Dur = Dur::from_millis(5);
 
+/// Burst size of the cross-port flood token bucket (see
+/// [`crate::dif::DifConfig::flood_rate`]); the bucket starts full.
+const FLOOD_BURST: u32 = 256;
+
 /// Minimum hello ticks between digest-triggered delta syncs of one port:
 /// anti-entropy must repair losses without turning assembly-time churn
 /// (when neighbors' RIBs differ constantly and legitimately) into
@@ -66,9 +70,9 @@ pub(super) struct Dissemination {
 }
 
 impl Dissemination {
-    /// An idle task whose token bucket starts full, at `flood_burst`.
-    pub(super) fn new(flood_burst: u32) -> Self {
-        Dissemination { tokens: flood_burst as f64, ..Default::default() }
+    /// An idle task whose token bucket starts full, at [`FLOOD_BURST`].
+    pub(super) fn new() -> Self {
+        Dissemination { tokens: FLOOD_BURST as f64, ..Default::default() }
     }
 
     /// The member named `name` took up `addr`: fix the names of the
@@ -95,13 +99,13 @@ impl Dissemination {
     /// Take one token from the flood bucket of `rate` objects per second
     /// and `burst` capacity, as of `now` (always succeeds when no rate
     /// limit is configured).
-    fn take_token(&mut self, rate: u32, burst: u32, now: Time) -> bool {
+    fn take_token(&mut self, rate: u32, now: Time) -> bool {
         if rate == 0 {
             return true;
         }
         let elapsed = now.since(self.refill_at).as_secs_f64();
         if elapsed > 0.0 {
-            self.tokens = (self.tokens + elapsed * rate as f64).min(burst as f64);
+            self.tokens = (self.tokens + elapsed * rate as f64).min(FLOOD_BURST as f64);
             self.refill_at = now;
         }
         if self.tokens >= 1.0 {
@@ -361,7 +365,7 @@ impl Ipcp {
     ) {
         let subtree = subtree_of(name);
         let ours = self.rib.subtree_digest(subtree);
-        let (rate, burst) = (self.cfg.flood_rate, self.cfg.flood_burst);
+        let rate = self.cfg.flood_rate;
         let mut enc: Option<EncodedObject> = None;
         for (i, (p, peer)) in self.transfer.n1.iter().zip(&self.neighbors.peers).enumerate() {
             if Some(i) == except || !p.live() {
@@ -371,7 +375,7 @@ impl Ipcp {
             // member); cross ports pay the token bucket, so assembly
             // storms stop being amplified by every redundant edge.
             if peer.covers(subtree, ours)
-                || (!peer.tree && !self.dissemination.take_token(rate, burst, self.clock))
+                || (!peer.tree && !self.dissemination.take_token(rate, self.clock))
             {
                 self.stats.flood_suppressed += 1;
                 continue;

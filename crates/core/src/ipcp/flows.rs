@@ -18,6 +18,10 @@ use rina_sim::Time;
 use rina_wire::{CepId, Pdu};
 use std::collections::BTreeMap;
 
+/// Largest SDU a DIF accepts from its users; PDUs add header overhead
+/// below this.
+const MAX_SDU: usize = 64 * 1024;
+
 /// Flow allocation phase of one endpoint.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Phase {
@@ -336,7 +340,7 @@ impl Ipcp {
                 self.write_raw(peer_cep, TxClass::new(qos_id, priority), sdu, class_hint)
             }
             Binding::Efcp(conn) => {
-                if sdu.len() > self.cfg.max_sdu {
+                if sdu.len() > MAX_SDU {
                     return Err("sdu exceeds dif max");
                 }
                 conn.send_sdu(sdu, now.nanos()).map_err(|_| "flow failed or backpressured")?;

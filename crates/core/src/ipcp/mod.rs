@@ -302,7 +302,7 @@ impl Ipcp {
         }
         Ipcp {
             idx,
-            dissemination: dissemination::Dissemination::new(cfg.flood_burst),
+            dissemination: dissemination::Dissemination::new(),
             cfg,
             name,
             addr: 0,

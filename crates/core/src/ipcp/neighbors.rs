@@ -13,6 +13,10 @@ use bytes::Bytes;
 use rina_rib::DigestTable;
 use rina_sim::{Dur, Time};
 
+/// A neighbor is declared dead after this many missed hellos (the
+/// adjacency expires after `hello_period × HELLO_MISSES` of silence).
+const HELLO_MISSES: u64 = 3;
+
 /// What management knows about the peer on one (N-1) port (same index
 /// as the port in the Data Transfer task's table).
 #[derive(Default)]
@@ -101,7 +105,7 @@ impl Ipcp {
         self.retry_dir_lookups();
         self.directory.expire_tombstones(now, Dur::from_millis(self.cfg.member_gc_grace_ms));
         // Expire neighbors we have not heard from.
-        let deadline = self.cfg.hello_period * self.cfg.hello_misses as u64;
+        let deadline = self.cfg.hello_period * HELLO_MISSES;
         let mut silent: Vec<usize> = Vec::new();
         let mut lost: Vec<AppName> = Vec::new();
         for (i, p) in self.transfer.n1.iter().enumerate() {

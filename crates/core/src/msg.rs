@@ -672,4 +672,88 @@ mod tests {
         let m = CdapMsg::request(OpCode::Stop, 1, "bogus", "/x", Bytes::new());
         assert!(MgmtBody::from_cdap(&m).is_err());
     }
+
+    /// The sample of `b`'s variant. No `_` arm, and a constant index past
+    /// the array's end does not compile: a new variant needs a sample.
+    fn sample_of<'a>(samples: &'a [MgmtBody; 11], b: &MgmtBody) -> &'a MgmtBody {
+        match b {
+            MgmtBody::Hello { .. } => &samples[0],
+            MgmtBody::EnrollRequest { .. } => &samples[1],
+            MgmtBody::EnrollResponse { .. } => &samples[2],
+            MgmtBody::FlowRequest { .. } => &samples[3],
+            MgmtBody::FlowResponse { .. } => &samples[4],
+            MgmtBody::FlowTeardown { .. } => &samples[5],
+            MgmtBody::RibUpdate(_) => &samples[6],
+            MgmtBody::RibDeltaRequest { .. } => &samples[7],
+            MgmtBody::RibDeltaResponse { .. } => &samples[8],
+            MgmtBody::DirLookupRequest { .. } => &samples[9],
+            MgmtBody::DirLookupResponse { .. } => &samples[10],
+        }
+    }
+
+    /// Codec symmetry for every variant at once (DESIGN.md §9, W1).
+    #[test]
+    fn every_variant_roundtrips() {
+        let obj = |name: &str, deleted| {
+            EncodedObject::of(&RibObject {
+                name: name.into(),
+                class: "lsa".into(),
+                value: Bytes::from_static(b"\x01\x02\x03"),
+                version: 8,
+                origin: 4,
+                deleted,
+            })
+        };
+        let samples = [
+            MgmtBody::Hello { name: AppName::new("net.r1"), addr: 7, digests: table() },
+            MgmtBody::EnrollRequest {
+                name: AppName::new("net.h9"),
+                credential: "k".into(),
+                proposed_addr: 17,
+                proposed_block: (17, 40),
+                digests: table(),
+            },
+            MgmtBody::EnrollResponse {
+                addr: 1 << 40,
+                block: (1 << 40, (1 << 41) - 1),
+                retry_after_ms: 120,
+                snapshot: vec![obj("/lsa/4", false)],
+            },
+            MgmtBody::FlowRequest {
+                src_app: AppName::new("client"),
+                dst_app: AppName::new("server"),
+                spec: QosSpec::reliable(),
+                src_addr: 3,
+                src_cep: 11,
+            },
+            MgmtBody::FlowResponse { dst_cep: 12, qos_id: 1 },
+            MgmtBody::FlowTeardown { cep: 12 },
+            MgmtBody::RibUpdate(obj("/lsa/4", false)),
+            MgmtBody::RibDeltaRequest {
+                subtree: "/dir".into(),
+                from: "/dir/b".into(),
+                upto: "/dir/k".into(),
+                summary: EncodedSummary::of(&[ObjVer { name: "/dir/b", version: 3, origin: 9 }]),
+            },
+            MgmtBody::RibDeltaResponse {
+                subtree: "/lsa".into(),
+                objects: vec![obj("/lsa/4", false), obj("/lsa/5", true)],
+            },
+            MgmtBody::DirLookupRequest {
+                name: "/dir/echo.h3".into(),
+                origin: 1 << 40,
+                lookup_id: u64::MAX,
+            },
+            MgmtBody::DirLookupResponse {
+                name: "/dir/far".into(),
+                addr: (1 << 41) - 1,
+                version: 1 << 33,
+                lookup_id: 1 << 50,
+            },
+        ];
+        for b in &samples {
+            assert!(std::ptr::eq(sample_of(&samples, b), b), "misfiled: {b:?}");
+            roundtrip(b.clone());
+        }
+    }
 }

@@ -48,7 +48,7 @@ use crate::naming::AppName;
 use crate::node::{EnrollPlan, Node};
 use crate::qos::QosSpec;
 use rina_sim::{Dur, LinkCfg, LinkId, NodeId, Sim, Time};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::marker::PhantomData;
 
 /// When each member's enrollment plan first fires, relative to
@@ -188,7 +188,7 @@ struct DifPlan {
     members: Vec<(usize, usize)>,
     /// Per-node credential override (node index → credential a joiner
     /// presents instead of the DIF's real secret — impostor testing).
-    credential_overrides: HashMap<usize, String>,
+    credential_overrides: BTreeMap<usize, String>,
 }
 
 /// Builder for a complete simulated network. See the crate examples.
@@ -196,7 +196,7 @@ pub struct NetBuilder {
     sim: Sim,
     nodes: Vec<NodeId>,
     links: Vec<LinkId>,
-    shim_of: HashMap<(usize, usize), usize>,
+    shim_of: BTreeMap<(usize, usize), usize>,
     difs: Vec<DifPlan>,
     adjacencies: Vec<AdjPlan>,
     shim_count: usize,
@@ -212,7 +212,7 @@ impl NetBuilder {
             sim: Sim::new(seed),
             nodes: Vec::new(),
             links: Vec::new(),
-            shim_of: HashMap::new(),
+            shim_of: BTreeMap::new(),
             difs: Vec::new(),
             adjacencies: Vec::new(),
             shim_count: 0,
@@ -284,7 +284,7 @@ impl NetBuilder {
 
     /// Declare a DIF.
     pub fn dif(&mut self, cfg: DifConfig) -> DifH {
-        self.difs.push(DifPlan { cfg, members: Vec::new(), credential_overrides: HashMap::new() });
+        self.difs.push(DifPlan { cfg, members: Vec::new(), credential_overrides: BTreeMap::new() });
         DifH(self.difs.len() - 1)
     }
 
@@ -457,50 +457,53 @@ impl NetBuilder {
                     children.entry(p).or_default().push(v);
                 }
             }
-            let mut subtree: HashMap<usize, u64> = seen.iter().map(|&v| (v, 1)).collect();
+            // Per-node tables of the tree, indexed by node.
+            let n = self.nodes.len();
+            let mut subtree = vec![0u64; n];
+            for &v in &seen {
+                subtree[v] = 1;
+            }
             for &v in seen.iter().rev() {
                 if let Some(&(p, _, _)) = parent.get(&v) {
-                    let s = subtree[&v];
-                    *subtree.get_mut(&p).expect("parent is seen") += s;
+                    subtree[p] += subtree[v];
                 }
             }
-            let mut addr_of: HashMap<usize, u64> = HashMap::new();
-            let mut block_of: HashMap<usize, (u64, u64)> = HashMap::new();
-            block_of.insert(boot, (1, subtree[&boot]));
+            let mut addr_of = vec![0u64; n];
+            let mut block_of = vec![(0u64, 0u64); n];
+            block_of[boot] = (1, subtree[boot]);
             let mut stack = vec![boot];
             while let Some(v) = stack.pop() {
-                let (lo, _) = block_of[&v];
-                addr_of.insert(v, lo);
+                let (lo, _) = block_of[v];
+                addr_of[v] = lo;
                 let mut cursor = lo + 1;
                 for &c in children.get(&v).into_iter().flatten() {
-                    block_of.insert(c, (cursor, cursor + subtree[&c] - 1));
-                    cursor += subtree[&c];
+                    block_of[c] = (cursor, cursor + subtree[c] - 1);
+                    cursor += subtree[c];
                     stack.push(c);
                 }
             }
-            // Spanning-tree depth and BFS rank drive the wave schedule.
-            let mut depth: HashMap<usize, u64> = HashMap::new();
-            depth.insert(boot, 0);
-            for &v in &seen {
+            // Spanning-tree depth and BFS rank drive the wave schedule
+            // (rank `usize::MAX`: not in this DIF).
+            let mut depth = vec![0u64; n];
+            let mut rank = vec![usize::MAX; n];
+            for (i, &v) in seen.iter().enumerate() {
+                rank[v] = i;
                 if let Some(&(p, _, _)) = parent.get(&v) {
-                    let d = depth[&p] + 1;
-                    depth.insert(v, d);
+                    depth[v] = depth[p] + 1;
                 }
             }
-            let rank_of: HashMap<usize, u64> =
-                seen.iter().enumerate().map(|(i, &v)| (v, i as u64)).collect();
             // The bootstrap sponsors from the whole DIF range.
             let boot_ipcp = self.ipcp_of(DifH(dif), NodeH(boot)).idx;
-            self.node_mut(boot).set_ipcp_block(boot_ipcp, (1, subtree[&boot]));
+            self.node_mut(boot).set_ipcp_block(boot_ipcp, (1, subtree[boot]));
             let schedule = self.enroll_schedule;
             for (&child, &(par, via, spec)) in &parent {
                 let credential = overrides.get(&child).unwrap_or(&credential).clone();
                 let enroll = EnrollPlan {
                     credential,
-                    proposed_addr: addr_of.get(&child).copied().unwrap_or(0),
-                    block: block_of.get(&child).copied().unwrap_or((0, 0)),
+                    proposed_addr: addr_of[child],
+                    block: block_of[child],
                 };
-                let start_after = schedule.start_after(depth[&child], rank_of[&child]);
+                let start_after = schedule.start_after(depth[child], rank[child] as u64);
                 let upper_child = self.ipcp_of(DifH(dif), NodeH(child)).idx;
                 let provider_child = self.provider_on(via, child);
                 let dst = self.ipcp_name(dif, par);
@@ -524,21 +527,13 @@ impl NetBuilder {
                 );
             }
             // Non-tree adjacencies: plain flows from the BFS-later side.
-            let order: HashMap<usize, usize> =
-                seen.iter().enumerate().map(|(i, &n)| (n, i)).collect();
             for &(a, b, via, spec) in &adjs {
                 let tree_edge = parent.get(&a).map(|&(p, _, _)| p) == Some(b)
                     || parent.get(&b).map(|&(p, _, _)| p) == Some(a);
                 if tree_edge {
                     continue;
                 }
-                let (src, dst_node) = if order.get(&a).unwrap_or(&usize::MAX)
-                    > order.get(&b).unwrap_or(&usize::MAX)
-                {
-                    (a, b)
-                } else {
-                    (b, a)
-                };
+                let (src, dst_node) = if rank[a] > rank[b] { (a, b) } else { (b, a) };
                 let upper = self.ipcp_of(DifH(dif), NodeH(src)).idx;
                 let provider = self.provider_on(via, src);
                 let dst = self.ipcp_name(dif, dst_node);

@@ -15,7 +15,7 @@
 
 use crate::app::{AppProcess, FlowH, FlowOrigin, IpcApi, IpcError};
 use crate::dif::DifConfig;
-use crate::fxhash::FxBuild;
+use crate::fxhash::FxHashMap;
 use crate::ipcp::{Deferred, Ipcp, IpcpOut, N1Kind};
 use crate::naming::{Addr, AppName};
 use crate::qos::QosSpec;
@@ -24,7 +24,7 @@ use bytes::Bytes;
 use rina_sim::{Agent, Ctx, Dur, Event, IfaceId, SendError, Time};
 use rina_wire::CepId;
 use std::any::Any;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Timer key bit marking externally injected application timers (see
 /// [`ext_timer_key`]).
@@ -209,16 +209,16 @@ pub struct Node {
     pub name: String,
     apps: Vec<AppEntry>,
     ipcps: Vec<Ipcp>,
-    ports: HashMap<u64, PortState, FxBuild>,
+    ports: FxHashMap<u64, PortState>,
     next_port: u64,
-    timers: HashMap<u64, TimerKind, FxBuild>,
+    timers: FxHashMap<u64, TimerKind>,
     next_token: u64,
     /// Effects awaiting execution, each with the index of the IPC process
     /// that emitted it ([`IpcpOut::TxPhys`] and [`IpcpOut::Enrolled`] are
     /// executed as they are flushed and never queue).
     workq: VecDeque<(usize, IpcpOut)>,
-    ifmap: HashMap<u32, (usize, usize), FxBuild>,
-    pace: HashMap<(usize, usize), Pace, FxBuild>,
+    ifmap: FxHashMap<u32, (usize, usize)>,
+    pace: FxHashMap<(usize, usize), Pace>,
     plans: Vec<N1Plan>,
     /// Durable registration intents: application name → directory DIF.
     /// Applied when the ipcp (re-)enrolls and kept — a respawned IPC
@@ -229,7 +229,7 @@ pub struct Node {
     /// Recycled buffer for draining IPCP effect queues without a fresh
     /// allocation per flush (the data plane flushes after every frame).
     out_scratch: Vec<IpcpOut>,
-    armed_conn: HashMap<(usize, CepId), (u64, u64), FxBuild>,
+    armed_conn: FxHashMap<(usize, CepId), (u64, u64)>,
     /// Per deferred job (indexed like [`DEFERRED`]): the IPC processes
     /// with its timer in flight.
     armed: [SlotSet; 3],
@@ -250,18 +250,18 @@ impl Node {
             name: name.to_string(),
             apps: Vec::new(),
             ipcps: Vec::new(),
-            ports: HashMap::default(),
+            ports: FxHashMap::default(),
             next_port: 1,
-            timers: HashMap::default(),
+            timers: FxHashMap::default(),
             next_token: 1,
             workq: VecDeque::new(),
-            ifmap: HashMap::default(),
-            pace: HashMap::default(),
+            ifmap: FxHashMap::default(),
+            pace: FxHashMap::default(),
             plans: Vec::new(),
             regs: Vec::new(),
             dirty: SlotSet::default(),
             out_scratch: Vec::new(),
-            armed_conn: HashMap::default(),
+            armed_conn: FxHashMap::default(),
             armed: Default::default(),
             orphan_sdus: 0,
             tx_refused: 0,

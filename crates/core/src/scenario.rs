@@ -704,7 +704,7 @@ impl Workload {
         use rand::seq::SliceRandom;
         perm.shuffle(&mut rng);
         let mut pairs: Vec<(usize, usize)> = (0..n).map(|i| (perm[i], perm[(i + 1) % n])).collect();
-        let used: std::collections::HashSet<(usize, usize)> = pairs.iter().copied().collect();
+        let used: std::collections::BTreeSet<(usize, usize)> = pairs.iter().copied().collect();
         if extra > 0 {
             if extra * 2 >= available {
                 // Dense request: enumerate the leftover pair space and
@@ -1283,10 +1283,10 @@ mod tests {
             let fab = Topology::ring(9).materialize(&mut b);
             let mesh = Workload::ping_sampled(&mut b, fab.dif, &fab.nodes, 6, seed, 1, 16);
             let (mut src, mut dst) = (vec![0usize; 9], vec![0usize; 9]);
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = std::collections::BTreeSet::new();
             for &(from, to, _) in &mesh.pings {
                 assert_ne!(from, to);
-                assert!(seen.insert((from, to)), "duplicate pair {from:?}->{to:?}");
+                assert!(seen.insert((from.0, to.0)), "duplicate pair {from:?}->{to:?}");
                 src[fab.nodes.iter().position(|&x| x == from).unwrap()] += 1;
                 dst[fab.nodes.iter().position(|&x| x == to).unwrap()] += 1;
             }
@@ -1304,8 +1304,8 @@ mod tests {
         // 5·4 − 5 = 15 pairs remain beside the ring; ask for all of them.
         let mesh = Workload::ping_sampled(&mut b, fab.dif, &fab.nodes, 15, 3, 1, 16);
         assert_eq!(mesh.pings.len(), 5 + 15, "dense extras are exact, not best-effort");
-        let mut seen = std::collections::HashSet::new();
-        assert!(mesh.pings.iter().all(|&(f, t, _)| f != t && seen.insert((f, t))));
+        let mut seen = std::collections::BTreeSet::new();
+        assert!(mesh.pings.iter().all(|&(f, t, _)| f != t && seen.insert((f.0, t.0))));
     }
 
     #[test]

@@ -689,7 +689,7 @@ mod tests {
             a.send_sdu(Bytes::from(vec![i; 64]), 0).unwrap();
         }
         // Drop every 5th data PDU on its first transmission.
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         run(
             &mut a,
             &mut b,

@@ -10,7 +10,7 @@ use crate::addr::IpAddr;
 use crate::app::{InetApi, InetApp};
 use crate::pkt::Port;
 use bytes::Bytes;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Well-known DNS port.
 pub const DNS_PORT: Port = 53;
@@ -20,7 +20,7 @@ pub const DNS_PORT: Port = 53;
 /// `[ip u32]` or an empty payload for NXDOMAIN.
 pub struct DnsServerApp {
     /// name → address table.
-    pub table: HashMap<String, IpAddr>,
+    pub table: BTreeMap<String, IpAddr>,
     /// Queries served.
     pub queries: u64,
 }

@@ -20,7 +20,7 @@ use crate::tcp::TcpConn;
 use bytes::Bytes;
 use rina_sim::{Agent, Ctx, Dur, Event, IfaceId, Time};
 use std::any::Any;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Well-known port of the Mobile-IP registration protocol.
 pub const MIP_PORT: Port = 434;
@@ -125,19 +125,19 @@ pub struct InetNode {
     ifaces: Vec<IfaceCfg>,
     routes: Vec<Route>,
     apps: Vec<AppEntry>,
-    listeners: HashMap<Port, usize>,
-    dgram_binds: HashMap<Port, usize>,
-    socks: HashMap<u64, SockEntry>,
-    conn_index: HashMap<(IpAddr, Port, IpAddr, Port), u64>,
+    listeners: BTreeMap<Port, usize>,
+    dgram_binds: BTreeMap<Port, usize>,
+    socks: BTreeMap<u64, SockEntry>,
+    conn_index: BTreeMap<(IpAddr, Port, IpAddr, Port), u64>,
     next_sock: u64,
     next_eph: Port,
-    timers: HashMap<u64, TimerKind>,
+    timers: BTreeMap<u64, TimerKind>,
     next_token: u64,
     /// TCP base retransmission timeout (ns), applied to new connections.
     pub rtx_timeout_ns: u64,
     // Mobile-IP roles.
-    home_agent_for: HashMap<IpAddr, Option<IpAddr>>,
-    foreign_attached: HashMap<IpAddr, usize>,
+    home_agent_for: BTreeMap<IpAddr, Option<IpAddr>>,
+    foreign_attached: BTreeMap<IpAddr, usize>,
     mobile: Option<MobileCfg>,
     /// Interface the mobile most recently registered through.
     mip_active_iface: Option<usize>,
@@ -156,17 +156,17 @@ impl InetNode {
             ifaces: Vec::new(),
             routes: Vec::new(),
             apps: Vec::new(),
-            listeners: HashMap::new(),
-            dgram_binds: HashMap::new(),
-            socks: HashMap::new(),
-            conn_index: HashMap::new(),
+            listeners: BTreeMap::new(),
+            dgram_binds: BTreeMap::new(),
+            socks: BTreeMap::new(),
+            conn_index: BTreeMap::new(),
             next_sock: 1,
             next_eph: 49152,
-            timers: HashMap::new(),
+            timers: BTreeMap::new(),
             next_token: 1,
             rtx_timeout_ns: 50_000_000,
-            home_agent_for: HashMap::new(),
-            foreign_attached: HashMap::new(),
+            home_agent_for: BTreeMap::new(),
+            foreign_attached: BTreeMap::new(),
             mobile: None,
             mip_active_iface: None,
             stats: InetStats::default(),

@@ -30,7 +30,7 @@ use bytes::Bytes;
 use rina_wire::codec::{Reader, Writer};
 pub use rina_wire::Addr;
 use rina_wire::WireError;
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap};
 use std::hash::{BuildHasherDefault, Hasher};
 
 mod engine;
@@ -63,7 +63,17 @@ impl Hasher for IntHasher {
     }
 }
 
+/// Integer-keyed map of the SPF internals.
+#[expect(
+    clippy::disallowed_types,
+    reason = "fixed-seed hasher: iteration order is a pure function of the operation sequence"
+)]
 pub(crate) type IntMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<IntHasher>>;
+/// Integer-keyed set of the SPF internals.
+#[expect(
+    clippy::disallowed_types,
+    reason = "fixed-seed hasher: iteration order is a pure function of the operation sequence"
+)]
 pub(crate) type IntSet<K> = std::collections::HashSet<K, BuildHasherDefault<IntHasher>>;
 
 /// RIB object name prefix for link-state advertisements.
@@ -134,11 +144,9 @@ pub struct ForwardingTable {
 impl ForwardingTable {
     /// Build from a per-destination next-hop map, merging consecutive
     /// addresses with identical hop sets.
-    fn from_next_hops(map: HashMap<Addr, Vec<Addr>>) -> Self {
-        let mut entries: Vec<(Addr, Vec<Addr>)> = map.into_iter().collect();
-        entries.sort_unstable_by_key(|&(a, _)| a);
+    fn from_next_hops(map: BTreeMap<Addr, Vec<Addr>>) -> Self {
         let mut ranges: Vec<(Addr, Addr, Vec<Addr>)> = Vec::new();
-        for (addr, hops) in entries {
+        for (addr, hops) in map {
             match ranges.last_mut() {
                 Some((_, hi, h)) if *hi + 1 == addr && *h == hops => *hi = addr,
                 _ => ranges.push((addr, addr, hops)),
@@ -343,7 +351,7 @@ pub fn compute_routes(self_addr: Addr, lsas: &BTreeMap<Addr, Lsa>) -> Forwarding
         }
     }
 
-    let mut next_hops: HashMap<Addr, Vec<Addr>> = HashMap::with_capacity(n);
+    let mut next_hops: BTreeMap<Addr, Vec<Addr>> = BTreeMap::new();
     for (vi, hops) in first_hops.into_iter().enumerate() {
         if vi as u32 == src || dist[vi] == UNSEEN || hops.is_empty() {
             continue;

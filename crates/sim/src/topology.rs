@@ -188,7 +188,7 @@ pub fn random_connected(n: usize, extra: usize, seed: u64) -> Vec<Edge> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     fn connected(n: usize, edges: &[Edge]) -> bool {
         let mut adj = vec![vec![]; n];
@@ -196,7 +196,7 @@ mod tests {
             adj[a].push(b);
             adj[b].push(a);
         }
-        let mut seen = HashSet::from([0usize]);
+        let mut seen = BTreeSet::from([0usize]);
         let mut stack = vec![0usize];
         while let Some(v) = stack.pop() {
             for &w in &adj[v] {

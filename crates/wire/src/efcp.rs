@@ -514,6 +514,56 @@ mod tests {
         assert_eq!(Pdu::decode(&b).unwrap(), p);
     }
 
+    /// The sample of `p`'s PDU type and control kind. No `_` arm, and a
+    /// constant index past the array's end does not compile: a new variant
+    /// needs a sample.
+    fn sample_of<'a>(samples: &'a [Pdu; 6], p: &Pdu) -> &'a Pdu {
+        match p {
+            Pdu::Data(_) => &samples[0],
+            Pdu::Ctrl(c) => match c.kind {
+                CtrlKind::Ack { .. } => &samples[1],
+                CtrlKind::Nack { .. } => &samples[2],
+                CtrlKind::Credit { .. } => &samples[3],
+                CtrlKind::AckCredit { .. } => &samples[4],
+            },
+            Pdu::Mgmt(_) => &samples[5],
+        }
+    }
+
+    /// Codec symmetry for every PDU type and control kind at once
+    /// (DESIGN.md §9, W1).
+    #[test]
+    fn every_variant_roundtrips() {
+        let ctrl = |kind| {
+            Pdu::Ctrl(CtrlPdu {
+                dest_addr: 1,
+                src_addr: 2,
+                qos_id: 0,
+                dest_cep: 3,
+                src_cep: 4,
+                ttl: 16,
+                kind,
+            })
+        };
+        let samples = [
+            Pdu::Data(sample_data()),
+            ctrl(CtrlKind::Ack { seq: 9 }),
+            ctrl(CtrlKind::Nack { seq: 10 }),
+            ctrl(CtrlKind::Credit { rwe: 999 }),
+            ctrl(CtrlKind::AckCredit { seq: 5, rwe: 105 }),
+            Pdu::Mgmt(MgmtPdu {
+                dest_addr: 0,
+                src_addr: 0,
+                ttl: 1,
+                payload: Bytes::from_static(b"cdap"),
+            }),
+        ];
+        for p in &samples {
+            assert!(std::ptr::eq(sample_of(&samples, p), p), "misfiled: {p:?}");
+            assert_eq!(&Pdu::decode(&p.encode()).unwrap(), p);
+        }
+    }
+
     #[test]
     fn ttl_decrements_and_floors() {
         let mut p = Pdu::Data(DataPdu { ttl: 1, ..sample_data() });
