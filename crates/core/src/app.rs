@@ -17,6 +17,7 @@ use crate::naming::AppName;
 use crate::qos::QosSpec;
 use bytes::Bytes;
 use rina_sim::{Dur, Time};
+use std::any::Any;
 
 /// An opaque, node-local handle to one flow.
 ///
@@ -68,8 +69,9 @@ impl FlowOrigin {
 ///
 /// Applications must be [`Send`] (like every [`rina_sim::Agent`]): a
 /// node owns its apps outright, so whole simulations can be sharded
-/// across OS threads by the sweep harness.
-pub trait AppProcess: Send + 'static {
+/// across OS threads by the sweep harness. [`Any`] lets the node hand one
+/// back as its concrete type ([`crate::node::Node::app`]).
+pub trait AppProcess: Any + Send {
     /// The node started (simulation time zero for statically built nets).
     fn on_start(&mut self, api: &mut IpcApi<'_, '_, '_>) {
         let _ = api;
@@ -112,8 +114,7 @@ pub trait AppProcess: Send + 'static {
         let _ = (flow, api);
     }
 
-    /// A timer armed with [`IpcApi::timer_in`] (or injected externally)
-    /// fired.
+    /// A timer armed with [`IpcApi::timer_in`] fired.
     fn on_timer(&mut self, key: u64, api: &mut IpcApi<'_, '_, '_>) {
         let _ = (key, api);
     }

@@ -4,7 +4,7 @@
 //! (gracefully, or purged by the sponsor) is the same subject run
 //! backwards and lives here too.
 
-use super::{decode_addr, encode_addr, Ipcp, IpcpOut};
+use super::{decode_addr, encode_addr, Ipcp, IpcpOut, IpcpTimer};
 use crate::msg::MgmtBody;
 use crate::naming::{Addr, AppName};
 use crate::routing::Lsa;
@@ -32,9 +32,13 @@ const ADMISSION_WINDOW: usize = 8;
 /// gives up waiting for the admitted joiner's first hello.
 const ADMIT_SLOT_TTL: Dur = Dur::from_millis(1500);
 
-/// Backoff hint sent with [`R_ENROLL_BUSY`] responses. Shorter than the
-/// joiner's initial retry period: once a joiner has reached a live
-/// sponsor, admission rounds — not timeouts — should pace the wave.
+/// How long a joiner waits for an answer before repeating its enrollment
+/// request; a busy sponsor's backoff hint overrides it once.
+const ENROLL_RETRY_PERIOD: Dur = Dur::from_millis(300);
+
+/// Backoff hint sent with [`R_ENROLL_BUSY`] responses. Shorter than
+/// [`ENROLL_RETRY_PERIOD`]: once a joiner has reached a live sponsor,
+/// admission rounds — not timeouts — should pace the wave.
 const ADMIT_RETRY_MS: u32 = 100;
 
 /// Largest RIB snapshot inlined into one [`MgmtBody::EnrollResponse`].
@@ -56,6 +60,10 @@ pub(super) struct Enroll {
     pub(super) pending: BTreeSet<u32>,
     /// The (N-1) port we enroll (or enrolled) through.
     via: Option<usize>,
+    /// What our requests present and propose — credential, address,
+    /// block — as [`Ipcp::start_enroll`] was given it: every retry
+    /// repeats it.
+    request: Option<(String, Addr, (Addr, Addr))>,
     /// Joiners admitted but not yet confirmed up (first hello pending):
     /// joiner name → (admitted at, grant). Size is capped by
     /// [`ADMISSION_WINDOW`].
@@ -69,7 +77,7 @@ pub(super) struct Enroll {
     /// the member alive within [`crate::dif::DifConfig::member_gc_grace_ms`],
     /// its RIB objects are purged (one-shot).
     gc_watch: BTreeMap<AppName, (Addr, Time)>,
-    /// Backoff hint from the last busy sponsor response; the node's
+    /// Backoff hint from the last busy sponsor response; the next
     /// enrollment-retry timer consumes it.
     retry_hint: Option<Dur>,
 }
@@ -159,34 +167,49 @@ impl Ipcp {
     /// Begin enrollment through the member reachable over (N-1) port `n1`,
     /// presenting `credential` and proposing `proposed_addr` (0 = let the
     /// sponsor choose) plus the address block the joiner's own subtree
-    /// will occupy ((0, 0) = none).
+    /// will occupy ((0, 0) = none), and arm the retry timer
+    /// (`ENROLL_RETRY_PERIOD` from `now`).
     pub fn start_enroll(
         &mut self,
         n1: usize,
         credential: &str,
         proposed_addr: Addr,
         proposed_block: (Addr, Addr),
+        now: Time,
     ) {
         assert!(!self.enrolled, "already enrolled");
         self.enroll.via = Some(n1);
+        self.enroll.request = Some((credential.to_string(), proposed_addr, proposed_block));
         self.send_hello(n1);
-        self.retry_enroll(credential, proposed_addr, proposed_block);
+        self.retry_enroll();
+        let at = now + ENROLL_RETRY_PERIOD;
+        self.out.push(IpcpOut::Arm { at, timer: IpcpTimer::EnrollRetry });
+    }
+
+    /// The retry timer fired: while still not a member, ask again, and
+    /// arm the next retry at a busy sponsor's hint if one came, else
+    /// [`ENROLL_RETRY_PERIOD`] out.
+    pub(super) fn enroll_retry_timer(&mut self, now: Time) {
+        if self.enrolled {
+            return;
+        }
+        self.retry_enroll();
+        let d = self.enroll.retry_hint.take().unwrap_or(ENROLL_RETRY_PERIOD);
+        self.out.push(IpcpOut::Arm { at: now + d, timer: IpcpTimer::EnrollRetry });
     }
 
     /// Send an enrollment request if still not a member: the first one,
-    /// and every one the node's retry timer asks for.
-    pub fn retry_enroll(
-        &mut self,
-        credential: &str,
-        proposed_addr: Addr,
-        proposed_block: (Addr, Addr),
-    ) {
+    /// and one per retry.
+    fn retry_enroll(&mut self) {
         let Some(n1) = self.enroll.via.filter(|_| !self.enrolled) else { return };
+        let Some((credential, proposed_addr, proposed_block)) = self.enroll.request.clone() else {
+            return;
+        };
         let invoke = self.next_invoke();
         self.enroll.pending.insert(invoke);
         let body = MgmtBody::EnrollRequest {
             name: self.name.clone(),
-            credential: credential.to_string(),
+            credential,
             proposed_addr,
             proposed_block,
             // A retry advertises whatever the lost round already
@@ -194,12 +217,6 @@ impl Ipcp {
             digests: self.rib.digest_table(),
         };
         self.send_mgmt_on(n1, body, invoke, 0);
-    }
-
-    /// How soon the enrollment-retry timer should re-fire, if a sponsor
-    /// asked for a specific backoff (consumed on read).
-    pub fn take_enroll_retry_hint(&mut self) -> Option<Dur> {
-        self.enroll.retry_hint.take()
     }
 
     /// Enrollment requests still awaiting a response — must be 0 once

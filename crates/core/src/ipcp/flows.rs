@@ -7,7 +7,7 @@
 //! straight to the medium. The allocator handshake, the phases, the port
 //! binding and teardown are the same code for both.
 
-use super::{Ipcp, IpcpOut};
+use super::{Ipcp, IpcpOut, IpcpTimer};
 use crate::msg::MgmtBody;
 use crate::naming::{Addr, AppName};
 use crate::qos::{match_cube, QosCube, QosSpec};
@@ -50,6 +50,9 @@ pub(super) struct Flow {
     phase: Phase,
     peer: AppName,
     binding: Binding,
+    /// The EFCP deadline a timer is armed for, and that timer's arm id
+    /// (see [`IpcpTimer::Conn`]).
+    timer: Option<(u64, u64)>,
 }
 
 /// The Transfer Control task's state (see module docs).
@@ -57,13 +60,14 @@ pub(super) struct Flow {
 pub(super) struct Flows {
     table: BTreeMap<CepId, Flow>,
     /// Connections whose EFCP timer state may have moved since the last
-    /// [`Ipcp::conn_timer_wants`] pass. Every mutation path (pump, local
-    /// congestion, creation) records the cep here so the node's per-event
-    /// timer re-sync polls only the touched connections instead of
-    /// scanning the whole table (hundreds of entries on a flow-churn
-    /// sink member, once per delivered PDU).
+    /// [`Ipcp::timers_wanted`] pass. Every mutation path (pump, creation)
+    /// records the cep here so the per-event timer re-sync polls only the
+    /// touched connections instead of scanning the whole table (hundreds
+    /// of entries on a flow-churn sink member, once per delivered PDU).
     timer_dirty: Vec<CepId>,
     last_cep: CepId,
+    /// The last arm id handed out (see [`IpcpTimer::Conn`]).
+    last_arm: u64,
     /// Flow requests awaiting their response: invoke id → requesting cep.
     pending: BTreeMap<u32, CepId>,
 }
@@ -109,28 +113,27 @@ impl Flows {
         }
     }
 
-    /// EFCP timer deadlines of the connections touched since the last
-    /// call, sorted by cep (the same relative order a full-table scan
-    /// produces, so the node arms timers — and numbers timer tokens —
-    /// identically). Untouched connections cannot have moved their
-    /// deadline, and an unchanged deadline never re-arms, so skipping them
-    /// is behavior-preserving.
-    fn timer_wants(&mut self) -> Vec<(CepId, u64)> {
-        if self.timer_dirty.is_empty() {
-            return Vec::new();
-        }
+    /// Push a timer onto `buf` for each connection touched since the last
+    /// call whose deadline is strictly earlier than the one armed for it
+    /// (or has none armed), in cep order — the same relative order a
+    /// full-table scan produces. Untouched connections cannot have moved
+    /// their deadline, so skipping them is behavior-preserving.
+    pub(super) fn timers_wanted(&mut self, buf: &mut Vec<(Time, IpcpTimer)>) {
         self.timer_dirty.sort_unstable();
         self.timer_dirty.dedup();
-        let mut out = Vec::with_capacity(self.timer_dirty.len());
         for &cep in &self.timer_dirty {
-            if let Some(Flow { binding: Binding::Efcp(conn), .. }) = self.table.get(&cep) {
-                if let Some(t) = conn.poll_timeout() {
-                    out.push((cep, t));
-                }
+            let Some(Flow { binding: Binding::Efcp(conn), timer, .. }) = self.table.get_mut(&cep)
+            else {
+                continue;
+            };
+            let Some(t) = conn.poll_timeout() else { continue };
+            if timer.is_none_or(|(deadline, _)| t < deadline) {
+                self.last_arm += 1;
+                *timer = Some((t, self.last_arm));
+                buf.push((Time(t), IpcpTimer::Conn { cep, arm: self.last_arm }));
             }
         }
         self.timer_dirty.clear();
-        out
     }
 }
 
@@ -148,17 +151,20 @@ fn efcp(
 }
 
 impl Ipcp {
-    /// EFCP timer deadlines the node should (re-)arm: those of the
-    /// connections touched since the last call, sorted by cep.
-    pub fn conn_timer_wants(&mut self) -> Vec<(CepId, u64)> {
-        self.flows.timer_wants()
-    }
-
-    /// Drive one connection's timers.
-    pub fn on_conn_timer(&mut self, cep: CepId, now: Time) {
-        if let Some(conn) = self.flows.conn_mut(cep) {
-            conn.on_timeout(now.nanos());
+    /// The timer armed as `arm` for the flow at `cep` fired: drive the
+    /// connection's timers — unless `arm` is no longer the flow's arming
+    /// (an earlier deadline superseded it, or the flow is gone), which
+    /// makes it stale and a no-op.
+    pub(super) fn conn_timer(&mut self, cep: CepId, arm: u64, now: Time) {
+        let Some(Flow { binding: Binding::Efcp(conn), timer, .. }) = self.flows.table.get_mut(&cep)
+        else {
+            return;
+        };
+        if timer.map(|(_, id)| id) != Some(arm) {
+            return;
         }
+        *timer = None;
+        conn.on_timeout(now.nanos());
         self.pump_conn(cep, now);
     }
 
@@ -222,7 +228,7 @@ impl Ipcp {
         };
         let invoke = self.next_invoke();
         let phase = Phase::Requesting { invoke };
-        self.flows.insert(cep, Flow { port, phase, peer: dst_app.clone(), binding });
+        self.flows.insert(cep, Flow { port, phase, peer: dst_app.clone(), binding, timer: None });
         let body =
             MgmtBody::FlowRequest { src_app, dst_app, spec, src_addr: self.addr, src_cep: cep };
         self.send_mgmt_addr(dst_addr, body, invoke, 0);
@@ -251,7 +257,8 @@ impl Ipcp {
         } else {
             Binding::Efcp(efcp(self.addr, cep, src_addr, src_cep, cube))
         };
-        self.flows.insert(cep, Flow { port, phase: Phase::Active, peer: src_app.clone(), binding });
+        let flow = Flow { port, phase: Phase::Active, peer: src_app.clone(), binding, timer: None };
+        self.flows.insert(cep, flow);
         let body = MgmtBody::FlowResponse { dst_cep: cep, qos_id };
         self.send_mgmt_addr(src_addr, body, invoke_id, 0);
         self.out.push(IpcpOut::FlowActive { port, peer: src_app });
@@ -571,6 +578,90 @@ mod tests {
             let delivered = raw.iter().any(|e| e.starts_with("Deliver"));
             prop_assert_eq!(delivered, accept, "{:?}", raw);
         }
+    }
+
+    /// Carry every frame `from` wants sent over to `to`, arriving at `now`.
+    fn carry(from: &mut Ipcp, to: &mut Ipcp, now: Time) {
+        for effect in from.take_out() {
+            if let IpcpOut::TxPhys { frame, .. } = effect {
+                to.on_frame(0, frame, now);
+            }
+        }
+    }
+
+    /// Two members with an active EFCP flow between them, set up at 1 ms:
+    /// from `a`'s node port 7 to `b`'s node port 8.
+    fn efcp_flow() -> [Ipcp; 2] {
+        let [mut a, mut b] = pair(false);
+        let (src, dst) = (AppName::new("client"), AppName::new("server"));
+        a.alloc_flow_resolved(7, src, dst, QosSpec::reliable(), 2);
+        carry(&mut a, &mut b, Time::from_millis(1));
+        let Some(IpcpOut::FlowReqIn { src_app, spec, src_addr, src_cep, invoke_id, .. }) =
+            b.take_out().pop()
+        else {
+            panic!("the request reached the responder");
+        };
+        b.flow_accept(8, src_app, spec, src_addr, src_cep, invoke_id);
+        carry(&mut b, &mut a, Time::from_millis(1));
+        assert!(matches!(a.take_out().pop(), Some(IpcpOut::FlowActive { port: 7, .. })));
+        [a, b]
+    }
+
+    /// The EFCP timers `i` wants armed after an event at `now`.
+    fn conn_timers(i: &mut Ipcp, now: Time) -> Vec<(Time, IpcpTimer)> {
+        let mut wanted = Vec::new();
+        i.timers_wanted(now, &mut wanted);
+        wanted.retain(|(_, t)| matches!(t, IpcpTimer::Conn { .. }));
+        wanted
+    }
+
+    /// A timer superseded by an earlier deadline does nothing when it
+    /// fires, even past that deadline: a timeout backs the RTO off, an
+    /// ack then pulls the deadline in, and only the timer armed for the
+    /// new deadline drives the connection.
+    #[test]
+    fn a_superseded_deadline_fires_as_a_no_op() {
+        let ms = Time::from_millis;
+        let [mut a, mut b] = efcp_flow();
+        for sdu in [&b"one"[..], b"two"] {
+            a.write_port(7, Bytes::copy_from_slice(sdu), ms(10), None).unwrap();
+        }
+        a.take_out(); // both PDUs are lost
+        let [(at, first)] = conn_timers(&mut a, ms(10))[..] else { panic!("one timer") };
+        assert_eq!(at, ms(210));
+        a.on_timer(first, at); // the head goes again, the RTO doubles
+        let [(at, backed_off)] = conn_timers(&mut a, at)[..] else { panic!("re-armed") };
+        assert_eq!(at, ms(610));
+        carry(&mut a, &mut b, ms(220)); // the retransmission arrives
+        carry(&mut b, &mut a, ms(230)); // its ack resets the RTO
+        let [(at, current)] = conn_timers(&mut a, ms(230))[..] else { panic!("re-armed") };
+        assert_eq!(at, ms(430), "an earlier deadline re-arms");
+        a.take_out(); // the go-back-N retransmission the ack pulled
+        let timeouts = a.conn_stats_sum().timeouts;
+        a.on_timer(backed_off, ms(610));
+        assert!(a.take_out().is_empty(), "the superseded timer emitted nothing");
+        assert_eq!(a.conn_stats_sum().timeouts, timeouts);
+        assert!(conn_timers(&mut a, ms(610)).is_empty(), "and armed nothing");
+        a.on_timer(current, ms(610));
+        assert_eq!(a.conn_stats_sum().timeouts, timeouts + 1, "the current one drives the flow");
+        assert!(!a.take_out().is_empty());
+    }
+
+    /// A flow deallocated with its timer armed takes the timer's record
+    /// along: nothing is left to arm, and the late firing emits nothing.
+    #[test]
+    fn a_deallocated_flow_leaves_no_timer_behind() {
+        let [mut a, _] = efcp_flow();
+        a.write_port(7, Bytes::from_static(b"lost"), Time::from_millis(10), None).unwrap();
+        let [(at, timer)] = conn_timers(&mut a, Time::from_millis(10))[..] else {
+            panic!("one timer")
+        };
+        a.dealloc_port(7);
+        a.take_out();
+        assert!(conn_timers(&mut a, Time::from_millis(20)).is_empty());
+        a.on_timer(timer, at);
+        assert!(a.take_out().is_empty(), "the orphaned timer emitted nothing");
+        assert!(conn_timers(&mut a, at).is_empty());
     }
 
     /// A flow deallocated while its request is still unanswered takes its

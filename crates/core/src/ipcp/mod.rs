@@ -8,8 +8,8 @@
 //! | task set | file | struct | owns |
 //! |---|---|---|---|
 //! | **IPC Data Transfer** (per PDU) | `transfer.rs` | `Transfer` | the (N-1) port table ([`N1Port`]), the peer-address relay index; relay-in-place, two-step forwarding, transmit |
-//! | **IPC Transfer Control** (per flow) | `flows.rs` | `Flows` | the one flow table (CEP → port, phase, binding), CEP ids, the EFCP timer dirty list, pending flow allocations; the flow-allocator handshake (§5.3) |
-//! | **IPC Management** — enrollment (§5.2) | `enroll.rs` | `Enroll` | outstanding requests, the admission window, sponsored members and their failure watch; address/block assignment, leave and purge |
+//! | **IPC Transfer Control** (per flow) | `flows.rs` | `Flows` | the one flow table (CEP → port, phase, binding), CEP ids, the EFCP timer dirty list, pending flow allocations, and each connection's armed deadline; the flow-allocator handshake (§5.3) |
+//! | **IPC Management** — enrollment (§5.2) | `enroll.rs` | `Enroll` | outstanding requests and what they propose, the admission window, sponsored members and their failure watch; address/block assignment, leave and purge |
 //! | — directory | `directory.rs` | `Directory` | own registrations, the lookup cache, tombstone memory, on-demand lookups in flight (scoped `/dir`) |
 //! | — neighbors | `neighbors.rs` | `Neighbors` | the management view of each port (tree edge, peer digests, hello memo), the hello send cache and tick count; hello send/receive, expiry |
 //! | — routing | `routes.rs` | `Routes` | the route engine (LSA mirror, SPF, forwarding table), the advertised neighbor set and its debounce |
@@ -38,6 +38,15 @@
 //!
 //! An `Ipcp` is sans-IO like everything else: methods append [`IpcpOut`]
 //! effects which the owning [`crate::node::Node`] executes.
+//!
+//! Each task owns its timers ([`IpcpTimer`]); the node only arms them and
+//! hands them back to [`Ipcp::on_timer`]. Neighbors keep the hello
+//! cadence and enrollment the request retry (a busy sponsor's backoff
+//! hint included): each asks for its next timer with an [`IpcpOut::Arm`]
+//! emitted last. Routing and dissemination debounce their [`Deferred`]
+//! jobs, and transfer control keeps one deadline per EFCP connection;
+//! both are collected after every event by [`Ipcp::timers_wanted`], which
+//! also decides which of them are already armed.
 //!
 //! Every frame a member receives runs through this module, so all of it
 //! is held panic-free (DESIGN.md §9, R1): indexing, `unwrap`, `expect` and
@@ -159,6 +168,37 @@ pub enum IpcpOut {
         /// (N-1) port index whose peer expired.
         n1: usize,
     },
+    /// Arm `timer`: the node hands it back to [`Ipcp::on_timer`] at `at`.
+    Arm {
+        /// When it fires.
+        at: Time,
+        /// Which timer.
+        timer: IpcpTimer,
+    },
+}
+
+/// A timer an IPC process owns. The process asks for one — with an
+/// [`IpcpOut::Arm`] effect, or by answering [`Ipcp::timers_wanted`] — and
+/// the node arms it and hands it back to [`Ipcp::on_timer`] when it
+/// fires; what it means and when the next one is due is the process's
+/// business.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum IpcpTimer {
+    /// The neighbor task's hello period; each tick arms the next.
+    Hello,
+    /// The enrollment task's request retry, re-armed until a member.
+    EnrollRetry,
+    /// A deferred job's debounce ran out.
+    Deferred(Deferred),
+    /// An EFCP deadline of the flow at `cep`. A firing whose `arm` is no
+    /// longer the flow's — an earlier deadline superseded it, or the flow
+    /// is gone — does nothing.
+    Conn {
+        /// The flow's local CEP id.
+        cep: CepId,
+        /// Which arming of the flow's timer this is.
+        arm: u64,
+    },
 }
 
 /// Counters the experiments aggregate per DIF.
@@ -228,9 +268,9 @@ pub struct IpcpStats {
     pub hello_decoded: u64,
 }
 
-/// Work an IPC process defers to a node timer so that a burst costs one
-/// run: the node asks [`Ipcp::deferred_wanted`] after every event and
-/// calls [`Ipcp::run_deferred`] when the delay it was given has passed.
+/// Work an IPC process defers so that a burst costs one run: after an
+/// event, [`Ipcp::timers_wanted`] asks for an [`IpcpTimer::Deferred`]
+/// for each job with work waiting, and the job runs when it fires.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Deferred {
     /// Route recomputation over the LSA deltas queued since the last one.
@@ -279,6 +319,8 @@ pub struct Ipcp {
     /// The next CDAP invoke id: one sequence for every request this
     /// process originates, enrollment and flow allocation alike.
     next_invoke: u32,
+    /// The [`Deferred`] jobs with a timer in flight, one bit each.
+    deferred_armed: u8,
     transfer: transfer::Transfer,
     flows: flows::Flows,
     enroll: enroll::Enroll,
@@ -315,6 +357,7 @@ impl Ipcp {
             stats: IpcpStats::default(),
             clock: Time::ZERO,
             next_invoke: 1,
+            deferred_armed: 0,
             transfer: Default::default(),
             flows: Default::default(),
             enroll: Default::default(),
@@ -387,12 +430,45 @@ impl Ipcp {
         std::mem::swap(&mut self.out, buf);
     }
 
-    /// Whether `job` has work waiting, and if so how long the node should
-    /// let more of it accumulate before [`Ipcp::run_deferred`]. Asking
-    /// about [`Deferred::Routes`] first drains the RIB's delta hook, so
-    /// the answer reflects everything stored so far whichever path stored
-    /// it.
-    pub fn deferred_wanted(&mut self, job: Deferred) -> Option<Dur> {
+    /// One of this process's timers fired.
+    pub fn on_timer(&mut self, timer: IpcpTimer, now: Time) {
+        match timer {
+            IpcpTimer::Hello => self.hello_timer(now),
+            IpcpTimer::EnrollRetry => self.enroll_retry_timer(now),
+            IpcpTimer::Deferred(job) => {
+                self.deferred_armed &= !(1 << job as u8);
+                self.run_deferred(job, now);
+            }
+            IpcpTimer::Conn { cep, arm } => self.conn_timer(cep, arm, now),
+        }
+    }
+
+    /// After an event: push onto `buf` the timers this process wants
+    /// armed and has not got, each with when it should fire. Deferred
+    /// jobs come first, as Routes → Lsa → Flood, `now` plus the delay each
+    /// asks for; a job already armed is skipped whatever it asks for now.
+    /// Then each EFCP flow touched since the last call, in CEP order, at
+    /// its connection's deadline — only if that is strictly earlier than
+    /// the one already armed for it.
+    pub fn timers_wanted(&mut self, now: Time, buf: &mut Vec<(Time, IpcpTimer)>) {
+        for job in [Deferred::Routes, Deferred::Lsa, Deferred::Flood] {
+            // Asked even when armed: asking about Routes drains the RIB's
+            // delta hook.
+            let Some(d) = self.deferred_wanted(job) else { continue };
+            let bit = 1 << job as u8;
+            if self.deferred_armed & bit == 0 {
+                self.deferred_armed |= bit;
+                buf.push((now + d, IpcpTimer::Deferred(job)));
+            }
+        }
+        self.flows.timers_wanted(buf);
+    }
+
+    /// Whether `job` has work waiting, and if so how long to let more of
+    /// it accumulate before [`Ipcp::run_deferred`]. Asking about
+    /// [`Deferred::Routes`] first drains the RIB's delta hook, so the
+    /// answer reflects everything stored so far whichever path stored it.
+    fn deferred_wanted(&mut self, job: Deferred) -> Option<Dur> {
         match job {
             Deferred::Routes => {
                 self.routes.sync(&mut self.rib);
@@ -404,7 +480,7 @@ impl Ipcp {
     }
 
     /// Run `job` now (its timer fired); a no-op when nothing is waiting.
-    pub fn run_deferred(&mut self, job: Deferred, now: Time) {
+    fn run_deferred(&mut self, job: Deferred, now: Time) {
         match job {
             Deferred::Routes => {
                 self.routes.sync(&mut self.rib);

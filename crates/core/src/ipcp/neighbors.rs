@@ -6,7 +6,7 @@
 //! only what relaying needs.
 
 use super::dissemination::RESYNC_DAMP_TICKS;
-use super::{Ipcp, IpcpOut};
+use super::{Ipcp, IpcpOut, IpcpTimer};
 use crate::msg::MgmtBody;
 use crate::naming::{Addr, AppName};
 use bytes::Bytes;
@@ -92,7 +92,7 @@ impl Ipcp {
     /// Also expires silent neighbors, and periodically re-advertises this
     /// member's own RIB objects (anti-entropy: RIEP dissemination is
     /// unreliable, so lost updates must eventually be repaired).
-    /// Called on the DIF's hello period.
+    /// Run by [`IpcpTimer::Hello`], once per DIF hello period.
     pub fn tick_hello(&mut self, now: Time) {
         self.clock = now;
         for i in 0..self.transfer.n1.len() {
@@ -120,6 +120,14 @@ impl Ipcp {
         // watch; whoever stays silent past the grace is purged.
         self.enroll.watch(lost, now);
         self.purge_failed(now);
+    }
+
+    /// The hello timer fired: one period, then the next timer one
+    /// `hello_period` out, after everything the tick emitted.
+    pub(super) fn hello_timer(&mut self, now: Time) {
+        self.tick_hello(now);
+        let at = now + self.cfg.hello_period;
+        self.out.push(IpcpOut::Arm { at, timer: IpcpTimer::Hello });
     }
 
     /// Take `ports` down: their peers are forgotten and they leave the

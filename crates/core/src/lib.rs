@@ -102,7 +102,7 @@ pub use app::{AppProcess, FlowH, FlowOrigin, IpcApi, IpcError};
 pub use dif::{AuthPolicy, DifConfig, SchedPolicy};
 pub use naming::{Addr, AppName, DifName};
 pub use net::{AppH, DifH, EnrollSchedule, IpcpH, LinkH, Net, NetBuilder, NodeH, Via};
-pub use node::{ext_timer_key, Node};
+pub use node::Node;
 pub use qos::{CubeSet, QosCube, QosSpec};
 pub use rmt::{LaneStats, RmtQueue, TxClass, LANES};
 
@@ -113,7 +113,7 @@ pub mod prelude {
     pub use crate::dif::{AuthPolicy, DifConfig, SchedPolicy};
     pub use crate::naming::{AppName, DifName};
     pub use crate::net::{AppH, DifH, EnrollSchedule, IpcpH, LinkH, Net, NetBuilder, NodeH, Via};
-    pub use crate::node::{ext_timer_key, Node};
+    pub use crate::node::Node;
     pub use crate::qos::{CubeSet, QosCube, QosSpec};
     pub use crate::rmt::{LaneStats, TxClass};
     pub use crate::scenario::{

@@ -507,16 +507,7 @@ impl NetBuilder {
                 let upper_child = self.ipcp_of(DifH(dif), NodeH(child)).idx;
                 let provider_child = self.provider_on(via, child);
                 let dst = self.ipcp_name(dif, par);
-                // Register the upper ipcp names in lower-DIF directories so
-                // flows to them can be allocated.
-                if let Via::Dif(lower) = via {
-                    let par_upper_name = self.ipcp_name(dif, par);
-                    let par_provider = self.ipcp_of(lower, NodeH(par)).idx;
-                    self.node_mut(par).register_name(par_upper_name, par_provider);
-                    let child_upper_name = self.ipcp_name(dif, child);
-                    let child_provider = self.ipcp_of(lower, NodeH(child)).idx;
-                    self.node_mut(child).register_name(child_upper_name, child_provider);
-                }
+                self.register_upper_names(dif, via, par, child);
                 self.node_mut(child).plan_n1(
                     upper_child,
                     dst,
@@ -537,18 +528,23 @@ impl NetBuilder {
                 let upper = self.ipcp_of(DifH(dif), NodeH(src)).idx;
                 let provider = self.provider_on(via, src);
                 let dst = self.ipcp_name(dif, dst_node);
-                if let Via::Dif(lower) = via {
-                    let dst_upper_name = self.ipcp_name(dif, dst_node);
-                    let dst_provider = self.ipcp_of(lower, NodeH(dst_node)).idx;
-                    self.node_mut(dst_node).register_name(dst_upper_name, dst_provider);
-                    let src_upper_name = self.ipcp_name(dif, src);
-                    let src_provider = self.ipcp_of(lower, NodeH(src)).idx;
-                    self.node_mut(src).register_name(src_upper_name, src_provider);
-                }
+                self.register_upper_names(dif, via, dst_node, src);
                 self.node_mut(src).plan_n1(upper, dst, spec, provider, None, Dur::ZERO);
             }
         }
         Net { sim: self.sim, nodes: self.nodes, links: self.links }
+    }
+
+    /// An adjacency of `dif` from `src` to `dst` carried over a lower DIF:
+    /// register both upper IPC processes' names in its directory, `dst`
+    /// first, so flows to them can be allocated.
+    fn register_upper_names(&mut self, dif: usize, via: Via, dst: usize, src: usize) {
+        let Via::Dif(lower) = via else { return };
+        for node in [dst, src] {
+            let name = self.ipcp_name(dif, node);
+            let provider = self.ipcp_of(lower, NodeH(node)).idx;
+            self.node_mut(node).register_name(name, provider);
+        }
     }
 
     fn ipcp_name(&mut self, dif: usize, node: usize) -> AppName {

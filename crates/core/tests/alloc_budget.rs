@@ -15,7 +15,7 @@
 
 use bytes::Bytes;
 use rina::dif::DifConfig;
-use rina::ipcp::{Deferred, Ipcp, IpcpOut, N1Kind};
+use rina::ipcp::{Deferred, Ipcp, IpcpOut, IpcpTimer, N1Kind};
 use rina::msg::MgmtBody;
 use rina::naming::AppName;
 use rina::qos::{QosCube, QosSpec};
@@ -84,7 +84,7 @@ impl Pair {
         a.add_n1(N1Kind::Phys { iface: 0 });
         let mut b = Ipcp::new(0, DifConfig::new("net"), AppName::new("net.b"));
         b.add_n1(N1Kind::Phys { iface: 0 });
-        b.start_enroll(0, "", 2, (2, 32));
+        b.start_enroll(0, "", 2, (2, 32), Time::ZERO);
         let mut p = Pair { a, b, now: Time::ZERO, effects: Vec::new() };
         for _ in 0..24 {
             p.period();
@@ -119,7 +119,7 @@ impl Pair {
     /// the frames it wants sent.
     fn drain(i: &mut Ipcp, now: Time, effects: &mut Vec<IpcpOut>) -> Vec<Bytes> {
         for job in [Deferred::Lsa, Deferred::Flood, Deferred::Routes] {
-            i.run_deferred(job, now);
+            i.on_timer(IpcpTimer::Deferred(job), now);
         }
         i.take_out_into(effects);
         effects
@@ -210,7 +210,7 @@ fn stale_objects_allocate_nothing_and_news_stays_in_budget() {
         let (a, now, effects) = (&mut p.a, p.now, &mut p.effects);
         allocations(|| {
             a.on_frame(0, frame, now);
-            a.run_deferred(Deferred::Flood, now);
+            a.on_timer(IpcpTimer::Deferred(Deferred::Flood), now);
             a.take_out_into(effects);
         })
     };

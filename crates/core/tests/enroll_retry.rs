@@ -2,12 +2,11 @@
 //!
 //! Management traffic over a shim rides raw frames — no EFCP — so a lost
 //! `EnrollResponse` must be repaired by the joiner's enrollment-retry
-//! timer (the `TimerKind::EnrollRetry` path in `node.rs`), and the
-//! retried requests must not leak `Pending::Enroll` entries once the
-//! joiner finally gets in.
+//! timer (`IpcpTimer::EnrollRetry`), and the retried requests must not
+//! leak `Pending::Enroll` entries once the joiner finally gets in.
 
 use rina::dif::DifConfig;
-use rina::ipcp::{Ipcp, IpcpOut, N1Kind};
+use rina::ipcp::{Ipcp, IpcpOut, IpcpTimer, N1Kind};
 use rina::naming::AppName;
 use rina::prelude::*;
 use rina::scenario::Topology;
@@ -36,7 +35,7 @@ fn dropped_first_enroll_response_converges_without_leaking_pending() {
     let mut joiner = Ipcp::new(0, DifConfig::new("net"), AppName::new("net.j"));
     joiner.add_n1(N1Kind::Phys { iface: 0 });
 
-    joiner.start_enroll(0, "", 2, (2, 4));
+    joiner.start_enroll(0, "", 2, (2, 4), t);
     for f in tx_frames(&mut joiner) {
         sponsor.on_frame(0, f, t);
     }
@@ -47,7 +46,7 @@ fn dropped_first_enroll_response_converges_without_leaking_pending() {
     assert_eq!(joiner.pending_enrolls(), 1, "one request in flight");
 
     // The retry timer fires; this time the link delivers.
-    joiner.retry_enroll("", 2, (2, 4));
+    joiner.on_timer(IpcpTimer::EnrollRetry, t);
     assert_eq!(joiner.pending_enrolls(), 2, "retry adds a second in-flight request");
     for f in tx_frames(&mut joiner) {
         sponsor.on_frame(0, f, t);

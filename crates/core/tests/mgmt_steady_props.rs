@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rina::dif::DifConfig;
-use rina::ipcp::{Deferred, Ipcp, IpcpOut, N1Kind};
+use rina::ipcp::{Deferred, Ipcp, IpcpOut, IpcpTimer, N1Kind};
 use rina::msg::MgmtBody;
 use rina::naming::AppName;
 use rina_rib::{DigestTable, RibObject};
@@ -54,7 +54,7 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut i = Ipcp::new(0, DifConfig::new("net"), AppName::with_instance("net", "m"));
         i.add_n1(N1Kind::Phys { iface: 0 });
-        i.start_enroll(0, "", 0, (0, 0)); // invoke id 1 stays pending
+        i.start_enroll(0, "", 0, (0, 0), Time::ZERO); // invoke id 1 stays pending
         i.take_out();
         let mut now = Time::ZERO;
         // The state the last hello was sent for, and the encodes so far.
@@ -180,7 +180,7 @@ proptest! {
             }
             // Floods leave with the effects, as if the node's batch timer fired.
             for i in [&mut memo, &mut full] {
-                i.run_deferred(Deferred::Flood, now);
+                i.on_timer(IpcpTimer::Deferred(Deferred::Flood), now);
             }
             prop_assert_eq!(format!("{:?}", memo.take_out()), format!("{:?}", full.take_out()));
             for (m, f) in memo.n1_ports().iter().zip(full.n1_ports()) {

@@ -130,8 +130,6 @@ pub struct Connection {
     /// Unreliable mode: currently discarding fragments of a lost SDU.
     dropping_sdu: bool,
     deliver_q: VecDeque<Bytes>,
-    ack_pending: bool,
-    ack_deadline: Option<u64>,
     last_nacked: Option<SeqNum>,
 
     outq: VecDeque<Pdu>,
@@ -163,8 +161,6 @@ impl Connection {
             reasm: Vec::new(),
             dropping_sdu: false,
             deliver_q: VecDeque::new(),
-            ack_pending: false,
-            ack_deadline: None,
             last_nacked: None,
             outq: VecDeque::new(),
             stats: ConnStats::default(),
@@ -218,7 +214,6 @@ impl Connection {
             && self.rtxq.is_empty()
             && self.outq.is_empty()
             && self.deliver_q.is_empty()
-            && !self.ack_pending
     }
 
     /// Number of PDUs in flight (sent, not yet acknowledged).
@@ -310,13 +305,13 @@ impl Connection {
     /// Feed one incoming PDU addressed to this connection.
     pub fn on_pdu(&mut self, pdu: &Pdu, now_ns: u64) {
         match pdu {
-            Pdu::Data(d) => self.on_data(d, now_ns),
+            Pdu::Data(d) => self.on_data(d),
             Pdu::Ctrl(c) => self.on_ctrl(c.kind, now_ns),
             Pdu::Mgmt(_) => { /* management is handled above EFCP */ }
         }
     }
 
-    fn on_data(&mut self, d: &DataPdu, now_ns: u64) {
+    fn on_data(&mut self, d: &DataPdu) {
         if !self.p.reliable {
             self.on_data_unreliable(d);
             return;
@@ -324,7 +319,7 @@ impl Connection {
         if d.seq < self.rcv_next {
             // Duplicate: re-ack so the sender advances.
             self.stats.dup_pdus += 1;
-            self.schedule_ack(now_ns);
+            self.emit_ack();
             return;
         }
         if d.seq > self.rcv_next {
@@ -337,7 +332,7 @@ impl Connection {
                 let k = CtrlKind::Nack { seq: self.rcv_next };
                 self.outq.push_back(Pdu::Ctrl(self.ctrl_pdu(k)));
             }
-            self.schedule_ack(now_ns);
+            self.emit_ack();
             return;
         }
         // In-order.
@@ -350,7 +345,7 @@ impl Connection {
             self.accept_in_order(flags, payload);
         }
         self.last_nacked = None;
-        self.schedule_ack(now_ns);
+        self.emit_ack();
     }
 
     /// Accept the in-sequence fragment at `rcv_next`.
@@ -404,20 +399,7 @@ impl Connection {
         }
     }
 
-    fn schedule_ack(&mut self, now_ns: u64) {
-        if !self.p.reliable {
-            return;
-        }
-        if self.p.ack_delay_ns == 0 {
-            self.emit_ack();
-        } else {
-            self.ack_pending = true;
-            if self.ack_deadline.is_none() {
-                self.ack_deadline = Some(now_ns + self.p.ack_delay_ns);
-            }
-        }
-    }
-
+    /// Acknowledge everything received in order so far (reliable mode).
     fn emit_ack(&mut self) {
         let rwe = if self.p.flow_control {
             self.rcv_next + self.p.credit_window
@@ -427,8 +409,6 @@ impl Connection {
         self.stats.acks_sent += 1;
         let k = CtrlKind::AckCredit { seq: self.rcv_next, rwe };
         self.outq.push_back(Pdu::Ctrl(self.ctrl_pdu(k)));
-        self.ack_pending = false;
-        self.ack_deadline = None;
     }
 
     fn on_ctrl(&mut self, kind: CtrlKind, now_ns: u64) {
@@ -485,23 +465,15 @@ impl Connection {
         self.pump(now_ns);
     }
 
-    /// Earliest instant at which [`Connection::on_timeout`] must be called,
-    /// if any timer is armed.
+    /// Earliest instant at which [`Connection::on_timeout`] must be called
+    /// (the retransmission deadline), if any timer is armed.
     pub fn poll_timeout(&self) -> Option<u64> {
-        match (self.rtx_deadline, self.ack_deadline) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        self.rtx_deadline
     }
 
     /// Drive timers. Call at (or after) the instant from
     /// [`Connection::poll_timeout`]; spurious calls are harmless.
     pub fn on_timeout(&mut self, now_ns: u64) {
-        if let Some(d) = self.ack_deadline {
-            if now_ns >= d && self.ack_pending {
-                self.emit_ack();
-            }
-        }
         if let Some(d) = self.rtx_deadline {
             if now_ns >= d {
                 self.retransmit_head(now_ns);
@@ -849,29 +821,6 @@ mod tests {
         a.send_sdu(Bytes::from_static(b"y"), 0).unwrap();
         let p2 = a.poll_transmit().unwrap();
         assert_eq!(p2.dest_addr(), 99);
-    }
-
-    #[test]
-    fn delayed_ack_batches() {
-        let mut p = ConnParams::reliable().with_congestion(CongestionCtrl::None);
-        p.ack_delay_ns = 5_000_000;
-        let (mut a, mut b) = pair(p);
-        for _ in 0..8 {
-            a.send_sdu(Bytes::from_static(b"z"), 0).unwrap();
-        }
-        while let Some(pdu) = a.poll_transmit() {
-            b.on_pdu(&pdu, 0);
-        }
-        // No ack yet.
-        assert!(b.poll_transmit().is_none());
-        let t = b.poll_timeout().unwrap();
-        b.on_timeout(t);
-        let acks: Vec<_> = std::iter::from_fn(|| b.poll_transmit()).collect();
-        assert_eq!(acks.len(), 1, "one cumulative ack for 8 PDUs");
-        match &acks[0] {
-            Pdu::Ctrl(c) => assert_eq!(c.kind, CtrlKind::AckCredit { seq: 8, rwe: 8 + 256 }),
-            _ => panic!("expected ctrl"),
-        }
     }
 
     #[test]

@@ -51,8 +51,6 @@ pub struct ConnParams {
     pub max_rtx: u32,
     /// Congestion control policy.
     pub congestion: CongestionCtrl,
-    /// Delay before sending a pure ack, nanoseconds (0 = ack immediately).
-    pub ack_delay_ns: u64,
 }
 
 impl ConnParams {
@@ -69,7 +67,6 @@ impl ConnParams {
             rtx_max_timeout_ns: 5_000_000_000, // 5 s RTO ceiling
             max_rtx: 12,
             congestion: CongestionCtrl::aimd(),
-            ack_delay_ns: 0,
         }
     }
 
@@ -85,7 +82,6 @@ impl ConnParams {
             rtx_max_timeout_ns: 0,
             max_rtx: 0,
             congestion: CongestionCtrl::None,
-            ack_delay_ns: 0,
         }
     }
 

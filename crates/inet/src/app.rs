@@ -9,6 +9,7 @@ use crate::addr::IpAddr;
 use crate::pkt::Port;
 use bytes::Bytes;
 use rina_sim::{Dur, Time};
+use std::any::Any;
 
 /// Identifier of a socket on one node.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -16,8 +17,9 @@ pub struct SockId(pub u64);
 
 /// Callbacks of a baseline application. Must be [`Send`] (like every
 /// [`rina_sim::Agent`]) so whole simulations can be sharded across OS
-/// threads by the sweep harness.
-pub trait InetApp: Send + 'static {
+/// threads by the sweep harness, and [`Any`] so
+/// [`crate::node::InetNode::app`] can hand one back as its concrete type.
+pub trait InetApp: Any + Send {
     /// Node start.
     fn on_start(&mut self, api: &mut InetApi<'_, '_, '_>) {
         let _ = api;

@@ -73,20 +73,7 @@ struct SockEntry {
 }
 
 struct AppEntry {
-    behavior: Option<Box<dyn AnyApp>>,
-}
-
-trait AnyApp: InetApp {
-    fn as_any(&self) -> &dyn Any;
-    fn as_any_mut(&mut self) -> &mut dyn Any;
-}
-impl<T: InetApp> AnyApp for T {
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
+    behavior: Option<Box<dyn InetApp>>,
 }
 
 enum TimerKind {
@@ -143,7 +130,6 @@ pub struct InetNode {
     mip_active_iface: Option<usize>,
     /// Counters.
     pub stats: InetStats,
-    outq: VecDeque<(usize, Bytes)>,
     app_events: VecDeque<(usize, AppEvent)>,
 }
 
@@ -170,7 +156,6 @@ impl InetNode {
             mobile: None,
             mip_active_iface: None,
             stats: InetStats::default(),
-            outq: VecDeque::new(),
             app_events: VecDeque::new(),
         }
     }
@@ -211,24 +196,14 @@ impl InetNode {
 
     /// Downcast an application.
     pub fn app<T: InetApp>(&self, idx: usize) -> &T {
-        self.apps[idx]
-            .behavior
-            .as_ref()
-            .expect("app mid-callback")
-            .as_any()
-            .downcast_ref()
-            .expect("app type mismatch")
+        let app: &dyn Any = self.apps[idx].behavior.as_deref().expect("app mid-callback");
+        app.downcast_ref().expect("app type mismatch")
     }
 
     /// Mutable downcast of an application (tests/benches).
     pub fn app_mut<T: InetApp>(&mut self, idx: usize) -> &mut T {
-        self.apps[idx]
-            .behavior
-            .as_mut()
-            .expect("app mid-callback")
-            .as_any_mut()
-            .downcast_mut()
-            .expect("app type mismatch")
+        let app: &mut dyn Any = self.apps[idx].behavior.as_deref_mut().expect("app mid-callback");
+        app.downcast_mut().expect("app type mismatch")
     }
 
     /// Current care-of address registered for `mobile` (home-agent role).
@@ -620,7 +595,7 @@ impl InetNode {
         let mut b = self.apps[a].behavior.take().expect("app re-entered");
         {
             let mut api = InetApi { node: self, ctx, app: a };
-            f(b.as_mut_app(), &mut api);
+            f(b.as_mut(), &mut api);
         }
         self.apps[a].behavior = Some(b);
     }
@@ -649,15 +624,6 @@ impl InetNode {
                 }
             }
         }
-    }
-}
-
-trait AsMutApp {
-    fn as_mut_app(&mut self) -> &mut dyn InetApp;
-}
-impl AsMutApp for Box<dyn AnyApp> {
-    fn as_mut_app(&mut self) -> &mut dyn InetApp {
-        self.as_mut()
     }
 }
 
@@ -713,9 +679,5 @@ impl Agent for InetNode {
             }
         }
         self.drain_app_events(ctx);
-        // Flush any deferred sends.
-        while let Some((iface, frame)) = self.outq.pop_front() {
-            let _ = ctx.send(IfaceId(iface as u32), frame);
-        }
     }
 }

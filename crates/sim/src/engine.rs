@@ -94,24 +94,11 @@ impl std::error::Error for SendError {}
 /// seeded RNG), so whole simulations can be sharded across OS threads —
 /// the sweep harness in `rina-bench` runs one independent `Sim` per
 /// worker. The bound is what keeps thread-hostile state (`Rc`,
-/// `RefCell`, raw pointers) out of agent implementations.
-pub trait Agent: Send + 'static {
+/// `RefCell`, raw pointers) out of agent implementations. [`Any`] lets
+/// [`Sim::agent`] hand one back as its concrete type.
+pub trait Agent: Any + Send {
     /// React to one event at virtual time `now`.
     fn handle(&mut self, now: Time, ev: Event, ctx: &mut Ctx<'_>);
-}
-
-/// Object-safe wrapper adding downcasting to [`Agent`] trait objects.
-trait AnyAgent: Agent {
-    fn as_any(&self) -> &dyn Any;
-    fn as_any_mut(&mut self) -> &mut dyn Any;
-}
-impl<T: Agent> AnyAgent for T {
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 #[derive(Debug)]
@@ -299,7 +286,7 @@ impl Ctx<'_> {
 }
 
 struct NodeSlot {
-    agent: Box<dyn AnyAgent>,
+    agent: Box<dyn Agent>,
 }
 
 /// A deterministic discrete-event network simulation.
@@ -420,7 +407,8 @@ impl Sim {
         reason = "documented-panic typed accessor: NodeId is builder-minted, so an invalid id is a test/harness bug"
     )]
     pub fn agent<T: Agent>(&self, n: NodeId) -> &T {
-        self.nodes[n.0 as usize].agent.as_any().downcast_ref::<T>().expect("agent type mismatch")
+        let agent: &dyn Any = &*self.nodes[n.0 as usize].agent;
+        agent.downcast_ref::<T>().expect("agent type mismatch")
     }
 
     /// Mutable access to a node's agent, downcast to its concrete type.
@@ -436,11 +424,8 @@ impl Sim {
         reason = "documented-panic typed accessor: NodeId is builder-minted, so an invalid id is a test/harness bug"
     )]
     pub fn agent_mut<T: Agent>(&mut self, n: NodeId) -> &mut T {
-        self.nodes[n.0 as usize]
-            .agent
-            .as_any_mut()
-            .downcast_mut::<T>()
-            .expect("agent type mismatch")
+        let agent: &mut dyn Any = &mut *self.nodes[n.0 as usize].agent;
+        agent.downcast_mut::<T>().expect("agent type mismatch")
     }
 
     /// Process a single event. Returns `false` when the queue is empty.
