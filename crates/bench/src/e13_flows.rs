@@ -145,10 +145,7 @@ pub fn run_with(
         s.set_shim_sched(sched);
         s.set_shim_queue_cap(profile.queue_cap);
         let link = LinkCfg::wired().with_bandwidth(profile.bw_bps).with_delay(Dur::from_millis(2));
-        let dif_cfg = DifConfig::new("flows")
-            .with_cube_set(CubeSet::Standard)
-            .with_sched(sched)
-            .with_rmt_queue_cap_bytes(profile.queue_cap);
+        let dif_cfg = DifConfig::new("flows").with_cube_set(CubeSet::Standard);
         let fab = Topology::barabasi_albert(n, 2, seed)
             .with_link(link)
             .with_dif(dif_cfg)

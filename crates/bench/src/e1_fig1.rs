@@ -76,7 +76,8 @@ pub fn run(relays: usize, seed: u64) -> Fig1Row {
     let dur = sk.last_arrival.since(net.app(src).flow_up_at.unwrap_or(Time::ZERO)).as_secs_f64();
     let goodput = if dur > 0.0 { sk.bytes as f64 * 8.0 / dur / 1e6 } else { 0.0 };
 
-    // Header overhead of a representative top-DIF data PDU.
+    // Header + trailer overhead of a representative top-DIF data PDU.
+    const PAYLOAD: usize = 64;
     let pdu = rina_wire::Pdu::Data(rina_wire::DataPdu {
         dest_addr: 2,
         src_addr: 1,
@@ -86,7 +87,7 @@ pub fn run(relays: usize, seed: u64) -> Fig1Row {
         seq: 1000,
         flags: 0,
         ttl: 64,
-        payload: bytes::Bytes::from_static(&[0u8; 64]),
+        payload: bytes::Bytes::from_static(&[0u8; PAYLOAD]),
     });
 
     Fig1Row {
@@ -96,7 +97,7 @@ pub fn run(relays: usize, seed: u64) -> Fig1Row {
         rtt_mean_s: rtt,
         goodput_mbps: goodput,
         relayed_pdus: Totals::of(net, &relay_ipcps, &[]).relayed,
-        overhead_bytes: pdu.overhead(),
+        overhead_bytes: pdu.encode().len() - PAYLOAD,
     }
 }
 

@@ -55,16 +55,16 @@ pub fn run(offered_load: f64, priority: bool, seed: u64) -> UtilRow {
     let l_in = b.link(src, gw, LinkCfg::wired());
     let l_bottle =
         b.link(gw, dst, LinkCfg::wired().with_bandwidth(cap_bps).with_delay(Dur::from_millis(5)));
-    let d = b.dif(DifConfig::new("net").with_sched(sched));
+    let d = b.dif(DifConfig::new("net"));
     b.join(d, gw);
     b.join(d, src);
     b.join(d, dst);
     b.adjacency_over_link(d, src, gw, l_in);
     b.adjacency_over_link(d, gw, dst, l_bottle);
 
-    // NOTE: the shim at the bottleneck inherits the DIF's scheduling via
-    // the builder (each link's shim uses its own cfg) — the priority that
-    // matters is applied at the bottleneck's transmit queue.
+    // NOTE: `set_shim_sched` above is what schedules: the shim at each end
+    // of a link owns that link's transmit queue, so the policy applies at
+    // the bottleneck. The member DIF relays into the shims and owns none.
     let isink = b.app(dst, AppName::new("inter-sink"), d, SinkApp::default());
     let bsink = b.app(dst, AppName::new("bulk-sink"), d, SinkApp::default());
 

@@ -52,7 +52,10 @@ pub struct DifConfig {
     pub auth: AuthPolicy,
     /// Offered QoS cubes (cube 0 must exist: management).
     pub cubes: Vec<QosCube>,
-    /// Relay scheduling discipline.
+    /// Transmit scheduling discipline. Read only by a shim DIF, whose
+    /// (N-1) port owns the paced queue ([`crate::node::Node::add_shim`]);
+    /// a member DIF relays into lower flows, owns no queue, and ignores it.
+    /// Set it for every link with [`crate::net::NetBuilder::set_shim_sched`].
     pub sched: SchedPolicy,
     /// Neighbor keepalive (hello) period. Narrow-scope DIFs use short
     /// hellos — policies tuned to the range (§4).
@@ -87,7 +90,9 @@ pub struct DifConfig {
     /// (all QoS lanes share it; frames beyond it tail-drop against their
     /// lane's counters). Sized like a host NIC ring: large enough to
     /// absorb sync bursts, small enough that congestion shows up as
-    /// scheduling pressure rather than unbounded memory.
+    /// scheduling pressure rather than unbounded memory. Like `sched`, read
+    /// only by a shim DIF; a member DIF ignores it. Set it for every link
+    /// with [`crate::net::NetBuilder::set_shim_queue_cap`].
     pub rmt_queue_cap_bytes: usize,
 }
 

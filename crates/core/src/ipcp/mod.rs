@@ -628,7 +628,6 @@ impl Ipcp {
                     self.out.push(IpcpOut::FlowClosed { port: f.port });
                 }
             }
-            MgmtBody::RibUpdate(obj) => self.apply_and_reflood(&obj, from_n1),
             MgmtBody::RibDeltaRequest { subtree, from, upto, summary } => {
                 self.handle_delta_request(from_n1, subtree, &from, &upto, &summary);
             }

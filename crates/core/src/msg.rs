@@ -17,7 +17,6 @@ mod class {
     pub const HELLO: &str = "hello";
     pub const ENROLL: &str = "enrollment";
     pub const FLOW: &str = "flow";
-    pub const RIB: &str = "rib-object";
     pub const RIB_SYNC: &str = "rib-sync";
     pub const DIR: &str = "dir-lookup";
 }
@@ -103,11 +102,6 @@ pub enum MgmtBody {
         /// The endpoint at the receiver of this message.
         cep: CepId,
     },
-    /// RIEP dissemination of one RIB object version. Kept as accepted
-    /// protocol surface (decode + apply) for single-object updates;
-    /// the send paths now batch objects into
-    /// [`MgmtBody::RibDeltaResponse`] PDUs instead.
-    RibUpdate(EncodedObject),
     /// Anti-entropy pull: "here is the version summary of my `subtree`
     /// for names in `[from, upto)`; send me whatever I lack or hold
     /// older". Big subtrees are requested in several name-range chunks so
@@ -214,9 +208,6 @@ impl MgmtBody {
                 w.varint(cep as u64);
                 (OpCode::Delete, class::FLOW, "/flows".to_string(), w.finish())
             }
-            MgmtBody::RibUpdate(obj) => {
-                (OpCode::Write, class::RIB, obj.view().name.to_string(), obj.wire().clone())
-            }
             MgmtBody::RibDeltaRequest { subtree, from, upto, summary } => {
                 let mut w = Writer::new();
                 w.string(&from).string(&upto).raw(summary.wire());
@@ -305,9 +296,6 @@ impl MgmtBody {
                 let c = cep(r.varint()?)?;
                 r.expect_end()?;
                 Ok(MgmtBody::FlowTeardown { cep: c })
-            }
-            (OpCode::Write, class::RIB) => {
-                Ok(MgmtBody::RibUpdate(EncodedObject::parse(m.value.clone())?))
             }
             (OpCode::Read, class::RIB_SYNC) => {
                 let from = r.string()?.to_string();
@@ -490,18 +478,6 @@ mod tests {
         roundtrip(MgmtBody::FlowTeardown { cep: 12 });
     }
 
-    #[test]
-    fn rib_update_roundtrip() {
-        roundtrip(MgmtBody::RibUpdate(EncodedObject::of(&RibObject {
-            name: "/lsa/4".into(),
-            class: "lsa".into(),
-            value: Bytes::from_static(b"\x01\x02\x03"),
-            version: 8,
-            origin: 4,
-            deleted: false,
-        })));
-    }
-
     /// Codec pins for the incremental-sync messages: subtree, name-range
     /// chunk bounds, version summaries, and batched objects must survive
     /// the wire byte-exactly.
@@ -675,7 +651,7 @@ mod tests {
 
     /// The sample of `b`'s variant. No `_` arm, and a constant index past
     /// the array's end does not compile: a new variant needs a sample.
-    fn sample_of<'a>(samples: &'a [MgmtBody; 11], b: &MgmtBody) -> &'a MgmtBody {
+    fn sample_of<'a>(samples: &'a [MgmtBody; 10], b: &MgmtBody) -> &'a MgmtBody {
         match b {
             MgmtBody::Hello { .. } => &samples[0],
             MgmtBody::EnrollRequest { .. } => &samples[1],
@@ -683,11 +659,10 @@ mod tests {
             MgmtBody::FlowRequest { .. } => &samples[3],
             MgmtBody::FlowResponse { .. } => &samples[4],
             MgmtBody::FlowTeardown { .. } => &samples[5],
-            MgmtBody::RibUpdate(_) => &samples[6],
-            MgmtBody::RibDeltaRequest { .. } => &samples[7],
-            MgmtBody::RibDeltaResponse { .. } => &samples[8],
-            MgmtBody::DirLookupRequest { .. } => &samples[9],
-            MgmtBody::DirLookupResponse { .. } => &samples[10],
+            MgmtBody::RibDeltaRequest { .. } => &samples[6],
+            MgmtBody::RibDeltaResponse { .. } => &samples[7],
+            MgmtBody::DirLookupRequest { .. } => &samples[8],
+            MgmtBody::DirLookupResponse { .. } => &samples[9],
         }
     }
 
@@ -728,7 +703,6 @@ mod tests {
             },
             MgmtBody::FlowResponse { dst_cep: 12, qos_id: 1 },
             MgmtBody::FlowTeardown { cep: 12 },
-            MgmtBody::RibUpdate(obj("/lsa/4", false)),
             MgmtBody::RibDeltaRequest {
                 subtree: "/dir".into(),
                 from: "/dir/b".into(),

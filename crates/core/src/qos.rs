@@ -72,42 +72,28 @@ pub struct QosCube {
 
 impl QosCube {
     /// The standard cube set most DIFs start from: management (highest
-    /// priority, reliable), reliable bulk, interactive, and datagram.
+    /// priority, reliable), reliable bulk, interactive, and datagram. This
+    /// is the one cube table; every other shipped set is derived from it.
     pub fn standard_set() -> Vec<QosCube> {
+        let cube = |id, name: &str, params, priority, weight| QosCube {
+            id,
+            name: name.into(),
+            params,
+            priority,
+            weight,
+        };
+        let interactive = ConnParams { ordered: true, ..ConnParams::unreliable() };
         vec![
-            QosCube {
-                id: 0,
-                name: "mgmt".into(),
-                params: ConnParams::reliable(),
-                priority: 7,
-                weight: 4,
-            },
-            QosCube {
-                id: 1,
-                name: "reliable".into(),
-                params: ConnParams::reliable(),
-                priority: 2,
-                weight: 2,
-            },
-            QosCube {
-                id: 2,
-                name: "interactive".into(),
-                params: {
-                    let mut p = ConnParams::unreliable();
-                    p.ordered = true;
-                    p
-                },
-                priority: 5,
-                weight: 4,
-            },
-            QosCube {
-                id: 3,
-                name: "datagram".into(),
-                params: ConnParams::unreliable(),
-                priority: 1,
-                weight: 1,
-            },
+            cube(0, "mgmt", ConnParams::reliable(), 7, 4),
+            cube(1, "reliable", ConnParams::reliable(), 2, 2),
+            cube(2, "interactive", interactive, 5, 4),
+            cube(3, "datagram", ConnParams::unreliable(), 1, 1),
         ]
+    }
+
+    /// The standard cubes whose ids are in `ids`, in table order.
+    fn standard_subset(ids: &[u8]) -> Vec<QosCube> {
+        Self::standard_set().into_iter().filter(|c| ids.contains(&c.id)).collect()
     }
 
     /// A cube set tuned for a short-haul lossy (wireless) DIF: local
@@ -125,56 +111,17 @@ impl QosCube {
 
     /// The cube set of a shim DIF over a point-to-point medium: the shim
     /// adds no EFCP, so it honestly offers only unreliable service (the
-    /// link preserves order; reliability is a higher DIF's job).
+    /// link preserves order; reliability is a higher DIF's job). The
+    /// standard mgmt, interactive and datagram cubes.
     pub fn shim_set() -> Vec<QosCube> {
-        vec![
-            QosCube {
-                id: 0,
-                name: "mgmt".into(),
-                params: ConnParams::reliable(),
-                priority: 7,
-                weight: 4,
-            },
-            QosCube {
-                id: 2,
-                name: "interactive".into(),
-                params: {
-                    let mut p = ConnParams::unreliable();
-                    p.ordered = true;
-                    p
-                },
-                priority: 5,
-                weight: 4,
-            },
-            QosCube {
-                id: 3,
-                name: "datagram".into(),
-                params: ConnParams::unreliable(),
-                priority: 1,
-                weight: 1,
-            },
-        ]
+        Self::standard_subset(&[0, 2, 3])
     }
 
     /// A transit cube set: relays do not retransmit (end-to-end DIFs keep
     /// responsibility) — used as the *baseline* in the Figure 3 experiment.
+    /// The standard mgmt and datagram cubes.
     pub fn transit_set() -> Vec<QosCube> {
-        vec![
-            QosCube {
-                id: 0,
-                name: "mgmt".into(),
-                params: ConnParams::reliable(),
-                priority: 7,
-                weight: 4,
-            },
-            QosCube {
-                id: 3,
-                name: "datagram".into(),
-                params: ConnParams::unreliable(),
-                priority: 1,
-                weight: 1,
-            },
-        ]
+        Self::standard_subset(&[0, 3])
     }
 }
 
@@ -281,10 +228,37 @@ mod tests {
         assert!(wl_rtx < std_rtx);
     }
 
+    /// Every shipped cube set, cube by cube, field by field.
+    #[test]
+    fn cube_sets_golden() {
+        type Row<'a> = (u8, &'a str, u8, u32, bool, bool, u64, u64, &'static str);
+        fn row(c: &QosCube) -> Row<'_> {
+            let p = &c.params;
+            let cong = if p.congestion == CongestionCtrl::None { "none" } else { "aimd" };
+            let (rel, ord) = (p.reliable, p.ordered);
+            (c.id, &c.name, c.priority, c.weight, rel, ord, p.credit_window, p.rtx_timeout_ns, cong)
+        }
+        let any = u64::MAX / 4;
+        let mgmt = (0, "mgmt", 7, 4, true, true, 256, 200_000_000, "aimd");
+        let reliable = (1, "reliable", 2, 2, true, true, 256, 200_000_000, "aimd");
+        let interactive = (2, "interactive", 5, 4, false, true, any, 0, "none");
+        let datagram = (3, "datagram", 1, 1, false, false, any, 0, "none");
+        let lossy = |r: Row<'static>| (r.0, r.1, r.2, r.3, true, true, 64, 15_000_000, "none");
+        for (set, want) in [
+            (CubeSet::Standard, vec![mgmt, reliable, interactive, datagram]),
+            (CubeSet::Wireless, vec![lossy(mgmt), lossy(reliable), interactive, datagram]),
+            (CubeSet::Shim, vec![mgmt, interactive, datagram]),
+            (CubeSet::Transit, vec![mgmt, datagram]),
+        ] {
+            let cubes = set.cubes();
+            assert_eq!(cubes.iter().map(row).collect::<Vec<_>>(), want, "{set:?}");
+        }
+    }
+
     #[test]
     fn congestion_defaults_sane() {
         let cubes = QosCube::standard_set();
         let rel = cubes.iter().find(|c| c.name == "reliable").unwrap();
-        assert!(matches!(rel.params.congestion, CongestionCtrl::Aimd { .. }));
+        assert_eq!(rel.params.congestion, CongestionCtrl::Aimd);
     }
 }

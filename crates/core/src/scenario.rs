@@ -30,24 +30,6 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rina_sim::{topology, Dur, Histogram, LinkCfg, Time};
 
-/// Which graph a [`Topology`] generates.
-#[derive(Clone, Debug)]
-enum Graph {
-    /// A chain of `n` nodes.
-    Line(usize),
-    /// Node 0 at the centre, `n - 1` leaves.
-    Star(usize),
-    /// A cycle of `n >= 3` nodes.
-    Ring(usize),
-    /// A complete `fanout`-ary tree of `depth` levels below the root.
-    Tree { fanout: usize, depth: usize },
-    /// A complete graph over `n` nodes.
-    Mesh(usize),
-    /// Barabási–Albert preferential attachment: `n` nodes, `m` edges per
-    /// arrival, deterministic in `seed`.
-    BarabasiAlbert { n: usize, m: usize, seed: u64 },
-}
-
 /// A declarative topology: nodes, physical links, and one DIF spanning
 /// them, materialized into a [`NetBuilder`] with one call.
 ///
@@ -55,47 +37,49 @@ enum Graph {
 /// explicit seed), so a scenario is reproducible from its parameters.
 #[derive(Clone, Debug)]
 pub struct Topology {
-    graph: Graph,
+    nodes: usize,
+    edges: Vec<(usize, usize)>,
     link: LinkCfg,
     dif: Option<DifConfig>,
     prefix: String,
 }
 
 impl Topology {
-    fn new(graph: Graph) -> Self {
-        Topology { graph, link: LinkCfg::wired(), dif: None, prefix: "n".into() }
+    fn new(nodes: usize, edges: Vec<(usize, usize)>) -> Self {
+        Topology { nodes, edges, link: LinkCfg::wired(), dif: None, prefix: "n".into() }
     }
 
     /// A chain `0 - 1 - … - (n-1)`.
     pub fn line(n: usize) -> Self {
-        Topology::new(Graph::Line(n))
+        Topology::new(n, topology::line(n))
     }
 
     /// A star with node 0 at the centre (the hub) and `n - 1` leaves.
     pub fn star(n: usize) -> Self {
-        Topology::new(Graph::Star(n))
+        Topology::new(n, topology::star(n))
     }
 
     /// A ring `0 - 1 - … - (n-1) - 0`. Requires `n >= 3`.
     pub fn ring(n: usize) -> Self {
-        Topology::new(Graph::Ring(n))
+        Topology::new(n, topology::ring(n))
     }
 
     /// A complete `fanout`-ary tree with the root at node 0 and `depth`
     /// levels below it (BFS numbering; leaves occupy the index tail).
     pub fn tree(fanout: usize, depth: usize) -> Self {
-        Topology::new(Graph::Tree { fanout, depth })
+        let (edges, n) = topology::tree(fanout, depth);
+        Topology::new(n, edges)
     }
 
     /// A complete graph over `n` nodes.
     pub fn mesh(n: usize) -> Self {
-        Topology::new(Graph::Mesh(n))
+        Topology::new(n, topology::full_mesh(n))
     }
 
     /// A Barabási–Albert scale-free graph: `n` nodes, each arrival
     /// attaching `m` degree-weighted edges; deterministic in `seed`.
     pub fn barabasi_albert(n: usize, m: usize, seed: u64) -> Self {
-        Topology::new(Graph::BarabasiAlbert { n, m, seed })
+        Topology::new(n, topology::barabasi_albert(n, m, seed))
     }
 
     /// Use `cfg` for every physical link (default: [`LinkCfg::wired`]).
@@ -120,23 +104,12 @@ impl Topology {
 
     /// The edge list this topology generates (deterministic).
     pub fn edges(&self) -> Vec<(usize, usize)> {
-        match self.graph {
-            Graph::Line(n) => topology::line(n),
-            Graph::Star(n) => topology::star(n),
-            Graph::Ring(n) => topology::ring(n),
-            Graph::Tree { fanout, depth } => topology::tree(fanout, depth).0,
-            Graph::Mesh(n) => topology::full_mesh(n),
-            Graph::BarabasiAlbert { n, m, seed } => topology::barabasi_albert(n, m, seed),
-        }
+        self.edges.clone()
     }
 
     /// Number of nodes this topology generates.
     pub fn node_count(&self) -> usize {
-        match self.graph {
-            Graph::Line(n) | Graph::Star(n) | Graph::Ring(n) | Graph::Mesh(n) => n,
-            Graph::Tree { fanout, depth } => topology::tree(fanout, depth).1,
-            Graph::BarabasiAlbert { n, .. } => n,
-        }
+        self.nodes
     }
 
     /// Use this topology as the **backbone graph** of a layered

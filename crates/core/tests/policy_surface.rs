@@ -42,13 +42,18 @@ fn every_policy_field_is_documented() {
 #[test]
 fn constants_paragraph_names_the_fixed_policies() {
     let md = design_md();
-    let start = md.find("### 9.1").expect("DESIGN.md has §9.1");
-    let end = md[start..].find("### 9.2").map_or(md.len(), |i| start + i);
-    let para = md[start..end]
-        .split("\n\n")
-        .find(|p| p.contains("constant"))
-        .expect("§9.1 has a constants paragraph");
-    for c in ["HELLO_MISSES", "MAX_SDU", "FLOOD_BURST"] {
-        assert!(para.contains(&format!("`{c}`")), "§9.1's constants paragraph does not name `{c}`");
+    for (sec, next, constants) in [
+        ("9.1", "### 9.2", &["HELLO_MISSES", "MAX_SDU", "FLOOD_BURST"][..]),
+        ("9.2", "\n## ", &["MAX_PDU_PAYLOAD", "RTX_MAX_TIMEOUT", "MAX_RTX"][..]),
+    ] {
+        let start = md.find(&format!("### {sec}")).unwrap_or_else(|| panic!("no §{sec}"));
+        let end = md[start..].find(next).map_or(md.len(), |i| start + i);
+        let para = md[start..end]
+            .split("\n\n")
+            .find(|p| p.contains("constant"))
+            .unwrap_or_else(|| panic!("§{sec} has no constants paragraph"));
+        for c in constants {
+            assert!(para.contains(&format!("`{c}`")), "§{sec}'s constants paragraph lacks `{c}`");
+        }
     }
 }

@@ -88,10 +88,8 @@ fn build_pdu(
             dest_cep,
             src_cep,
             ttl,
-            kind: match flags % 4 {
-                0 => CtrlKind::Ack { seq },
-                1 => CtrlKind::Nack { seq },
-                2 => CtrlKind::Credit { rwe: seq },
+            kind: match flags % 2 {
+                0 => CtrlKind::Nack { seq },
                 _ => CtrlKind::AckCredit { seq, rwe: seq.wrapping_add(src_cep as u64) },
             },
         }),

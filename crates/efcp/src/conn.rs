@@ -66,8 +66,9 @@ pub struct ConnStats {
     pub acks_sent: u64,
     /// SDUs (or fragments) dropped by the receiver in unreliable modes.
     pub rcv_dropped: u64,
-    /// Window halvings triggered by [`Connection::on_local_congestion`],
-    /// at most one per RTT.
+    /// Window halvings on a local congestion signal. Nothing raises one,
+    /// so this is always 0; it stays until the benchmark stops reading it
+    /// (ROADMAP item 4).
     pub cong_backoffs: u64,
 }
 
@@ -99,6 +100,17 @@ impl std::error::Error for SendSduError {}
 
 /// Maximum fragments queued before `send_sdu` applies backpressure.
 const SENDQ_LIMIT: usize = 4096;
+
+/// Largest PDU payload, in bytes; `send_sdu` fragments larger SDUs.
+pub const MAX_PDU_PAYLOAD: usize = 1400;
+
+/// Ceiling on the backed-off retransmission timeout, nanoseconds (5 s).
+/// Backoff doubles the RTO per expiry; without a cap, ten expiries on one
+/// PDU (long lossy paths) push the next attempt minutes out.
+pub const RTX_MAX_TIMEOUT: u64 = 5_000_000_000;
+
+/// Retransmissions of one PDU before the next expiry fails the connection.
+pub const MAX_RTX: u32 = 12;
 
 /// One end of an EFCP connection.
 #[derive(Debug)]
@@ -134,21 +146,18 @@ pub struct Connection {
 
     outq: VecDeque<Pdu>,
     stats: ConnStats,
-    /// Last time local RMT pressure halved the window (once-per-RTT guard).
-    last_cong_ns: Option<u64>,
 }
 
 impl Connection {
     /// Create a connection endpoint with the given addressing and policies.
     pub fn new(id: ConnId, params: ConnParams) -> Self {
-        let credit_rwe = if params.flow_control { params.credit_window } else { SeqNum::MAX / 4 };
         Connection {
             id,
             cong: Cong::new(params.congestion),
+            credit_rwe: params.credit_window,
             p: params,
             next_seq: 0,
             snd_una: 0,
-            credit_rwe,
             sendq: VecDeque::new(),
             rtxq: BTreeMap::new(),
             rtx_deadline: None,
@@ -164,31 +173,12 @@ impl Connection {
             last_nacked: None,
             outq: VecDeque::new(),
             stats: ConnStats::default(),
-            last_cong_ns: None,
         }
     }
 
     /// The connection's addressing.
     pub fn id(&self) -> ConnId {
         self.id
-    }
-
-    /// Local RMT pressure signal: a PDU of this flow was pushed out of (or
-    /// tail-dropped at) a queue on this node. Halve the window like a fast
-    /// retransmit would — the loss is certain, no need to wait for the
-    /// retransmission timer — but at most once per RTT so a burst of drops
-    /// from a single overload event does not collapse the window to nothing.
-    /// With no RTT estimator on the connection, the retransmission timeout
-    /// stands in for the RTT.
-    pub fn on_local_congestion(&mut self, now_ns: u64) {
-        if let Some(last) = self.last_cong_ns {
-            if now_ns.saturating_sub(last) < self.p.rtx_timeout_ns {
-                return;
-            }
-        }
-        self.last_cong_ns = Some(now_ns);
-        self.cong.on_fast_retransmit();
-        self.stats.cong_backoffs += 1;
     }
 
     /// Rebind the peer address — the late binding that makes multihoming
@@ -203,7 +193,7 @@ impl Connection {
         self.stats
     }
 
-    /// True once `max_rtx` retransmissions of one PDU have failed.
+    /// True once [`MAX_RTX`] retransmissions of one PDU have failed.
     pub fn is_failed(&self) -> bool {
         self.failed
     }
@@ -230,13 +220,12 @@ impl Connection {
             return Err(SendSduError::Backpressured);
         }
         self.stats.sdus_sent += 1;
-        let mtu = self.p.max_pdu_payload;
         if data.is_empty() {
             self.sendq.push_back((FLAG_FIRST, data));
         } else {
             let mut off = 0;
             while off < data.len() {
-                let end = (off + mtu).min(data.len());
+                let end = (off + MAX_PDU_PAYLOAD).min(data.len());
                 let mut flags = if end < data.len() { FLAG_MORE } else { 0 };
                 if off == 0 {
                     flags |= FLAG_FIRST;
@@ -399,26 +388,18 @@ impl Connection {
         }
     }
 
-    /// Acknowledge everything received in order so far (reliable mode).
+    /// Acknowledge everything received in order so far and extend the
+    /// sender's credit (only reliable flows ack).
     fn emit_ack(&mut self) {
-        let rwe = if self.p.flow_control {
-            self.rcv_next + self.p.credit_window
-        } else {
-            SeqNum::MAX / 4
-        };
         self.stats.acks_sent += 1;
-        let k = CtrlKind::AckCredit { seq: self.rcv_next, rwe };
+        let k =
+            CtrlKind::AckCredit { seq: self.rcv_next, rwe: self.rcv_next + self.p.credit_window };
         self.outq.push_back(Pdu::Ctrl(self.ctrl_pdu(k)));
     }
 
     fn on_ctrl(&mut self, kind: CtrlKind, now_ns: u64) {
         match kind {
-            CtrlKind::Ack { seq } => self.on_ack(seq, None, now_ns),
-            CtrlKind::AckCredit { seq, rwe } => self.on_ack(seq, Some(rwe), now_ns),
-            CtrlKind::Credit { rwe } => {
-                self.credit_rwe = self.credit_rwe.max(rwe);
-                self.pump(now_ns);
-            }
+            CtrlKind::AckCredit { seq, rwe } => self.on_ack(seq, rwe, now_ns),
             CtrlKind::Nack { seq } => {
                 if let Some(e) = self.rtxq.get_mut(&seq) {
                     e.retries += 1;
@@ -432,10 +413,8 @@ impl Connection {
         }
     }
 
-    fn on_ack(&mut self, seq: SeqNum, rwe: Option<SeqNum>, now_ns: u64) {
-        if let Some(rwe) = rwe {
-            self.credit_rwe = self.credit_rwe.max(rwe);
-        }
+    fn on_ack(&mut self, seq: SeqNum, rwe: SeqNum, now_ns: u64) {
+        self.credit_rwe = self.credit_rwe.max(rwe);
         if seq > self.snd_una {
             let acked = seq - self.snd_una;
             self.snd_una = seq;
@@ -486,7 +465,7 @@ impl Connection {
             self.rtx_deadline = None;
             return;
         };
-        if e.retries >= self.p.max_rtx {
+        if e.retries >= MAX_RTX {
             self.failed = true;
             self.rtx_deadline = None;
             return;
@@ -499,10 +478,7 @@ impl Connection {
         self.cong.on_loss();
         self.recover_until = Some(self.next_seq);
         self.rtx_backoff = (self.rtx_backoff + 1).min(10);
-        let mut rto = self.p.rtx_timeout_ns << self.rtx_backoff;
-        if self.p.rtx_max_timeout_ns > 0 {
-            rto = rto.min(self.p.rtx_max_timeout_ns);
-        }
+        let rto = (self.p.rtx_timeout_ns << self.rtx_backoff).min(RTX_MAX_TIMEOUT);
         self.rtx_deadline = Some(now_ns + rto);
         self.outq.push_back(Pdu::Data(self.data_pdu(seq, flags, payload)));
     }
@@ -610,23 +586,6 @@ mod tests {
     }
 
     #[test]
-    fn local_congestion_backs_off_at_most_once_per_rtt() {
-        let p = ConnParams::reliable().with_rtx_timeout_ns(1_000_000);
-        let (mut a, _b) = pair(p);
-        let before = a.cong.window();
-        // A burst of drops from one overload event counts once.
-        a.on_local_congestion(10);
-        a.on_local_congestion(20);
-        a.on_local_congestion(999_000);
-        assert_eq!(a.stats().cong_backoffs, 1);
-        let after = a.cong.window();
-        assert!(after <= before, "window never grows on a congestion signal");
-        // After an RTT the signal is armed again.
-        a.on_local_congestion(1_000_010);
-        assert_eq!(a.stats().cong_backoffs, 2);
-    }
-
-    #[test]
     fn basic_transfer_in_order() {
         let (mut a, mut b) = pair(ConnParams::reliable());
         for i in 0..10u8 {
@@ -643,14 +602,13 @@ mod tests {
 
     #[test]
     fn fragmentation_and_reassembly() {
-        let p = ConnParams::reliable().with_max_pdu_payload(100);
-        let (mut a, mut b) = pair(p);
-        let sdu = Bytes::from((0..1000u32).flat_map(|v| v.to_be_bytes()).collect::<Vec<u8>>());
+        let (mut a, mut b) = pair(ConnParams::reliable());
+        let sdu = Bytes::from((0..10_000u32).flat_map(|v| v.to_be_bytes()).collect::<Vec<u8>>());
         a.send_sdu(sdu.clone(), 0).unwrap();
         run(&mut a, &mut b, |_| false, 1000);
         let got = drain(&mut b);
         assert_eq!(got, vec![sdu]);
-        assert!(a.stats().pdus_sent >= 40); // 4000 bytes / 100
+        assert!(a.stats().pdus_sent >= 29); // 40000 bytes / MAX_PDU_PAYLOAD
     }
 
     #[test]
@@ -717,7 +675,11 @@ mod tests {
 
     #[test]
     fn window_stalls_then_credit_opens() {
-        let p = ConnParams::reliable().with_credit_window(4).with_congestion(CongestionCtrl::None);
+        let p = ConnParams {
+            credit_window: 4,
+            congestion: CongestionCtrl::None,
+            ..ConnParams::reliable()
+        };
         let (mut a, mut b) = pair(p);
         for i in 0..20u8 {
             a.send_sdu(Bytes::from(vec![i; 8]), 0).unwrap();
@@ -745,15 +707,45 @@ mod tests {
 
     #[test]
     fn max_rtx_fails_connection() {
-        let p = ConnParams::reliable().with_rtx_timeout_ns(1_000_000);
-        let mut pp = p;
-        pp.max_rtx = 3;
-        let (mut a, mut b) = pair(pp);
+        let (mut a, mut b) =
+            pair(ConnParams { rtx_timeout_ns: 1_000_000, ..ConnParams::reliable() });
         a.send_sdu(Bytes::from_static(b"doomed"), 0).unwrap();
         // Black hole: drop everything.
         run(&mut a, &mut b, |_| true, 10_000);
         assert!(a.is_failed());
+        assert_eq!(a.stats().retransmissions, u64::from(MAX_RTX));
         assert_eq!(a.send_sdu(Bytes::from_static(b"x"), 0), Err(SendSduError::ConnectionFailed));
+    }
+
+    /// The reliable preset's fixed policies, end to end: 1400-byte PDUs,
+    /// an RTO that doubles from 200 ms up to its 5 s ceiling and stays
+    /// there, and failure on the 13th expiry, after 12 retransmissions.
+    #[test]
+    fn reliable_preset_fragments_caps_backoff_and_gives_up() {
+        let (mut a, _b) = pair(ConnParams::reliable());
+        a.send_sdu(Bytes::from(vec![7u8; 1401]), 0).unwrap();
+        let sizes: Vec<usize> = std::iter::from_fn(|| a.poll_transmit())
+            .map(|p| match p {
+                Pdu::Data(d) => d.payload.len(),
+                other => panic!("expected data, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(sizes, [1400, 1]);
+        // Black hole: every expiry retransmits the head and nothing answers.
+        let (mut now, mut gaps_ms) = (0u64, Vec::new());
+        while let Some(t) = a.poll_timeout() {
+            assert!(!a.is_failed());
+            gaps_ms.push((t - now) / 1_000_000);
+            now = t;
+            a.on_timeout(now);
+            while a.poll_transmit().is_some() {}
+        }
+        assert_eq!(
+            gaps_ms,
+            [200, 400, 800, 1600, 3200, 5000, 5000, 5000, 5000, 5000, 5000, 5000, 5000]
+        );
+        assert!(a.is_failed());
+        assert_eq!((a.stats().retransmissions, a.stats().timeouts), (12, 12));
     }
 
     #[test]
@@ -799,11 +791,11 @@ mod tests {
 
     #[test]
     fn unreliable_fragmented_sdu_dropped_on_gap() {
-        let p = ConnParams::unreliable().with_max_pdu_payload(10);
-        let (mut a, mut b) = pair(p);
-        a.send_sdu(Bytes::from(vec![1u8; 25]), 0).unwrap(); // 3 fragments
+        let (mut a, mut b) = pair(ConnParams::unreliable());
+        a.send_sdu(Bytes::from(vec![1u8; 2 * MAX_PDU_PAYLOAD + 100]), 0).unwrap(); // 3 fragments
         a.send_sdu(Bytes::from(vec![2u8; 5]), 0).unwrap(); // 1 PDU
-                                                           // Drop the middle fragment (seq 1).
+
+        // Drop the middle fragment (seq 1).
         run(&mut a, &mut b, |p| matches!(p, Pdu::Data(d) if d.seq == 1), 100);
         let got = drain(&mut b);
         assert_eq!(got.len(), 1, "partial SDU dropped, whole one kept");
@@ -841,7 +833,11 @@ mod tests {
 
     #[test]
     fn backpressure_at_sendq_limit() {
-        let p = ConnParams::reliable().with_credit_window(1).with_congestion(CongestionCtrl::None);
+        let p = ConnParams {
+            credit_window: 1,
+            congestion: CongestionCtrl::None,
+            ..ConnParams::reliable()
+        };
         let (mut a, _) = pair(p);
         let mut hit = false;
         for _ in 0..(SENDQ_LIMIT + 10) {

@@ -5,7 +5,9 @@
 //! 2008). One implementation, many behaviours: a [`ConnParams`] policy set
 //! turns the same state machine into a reliable ordered byte-stream, an
 //! unreliable datagram flow, or a short-feedback-loop segment protocol for
-//! the lossy inner DIFs of the paper's Figure 3.
+//! the lossy inner DIFs of the paper's Figure 3. `ConnParams` carries only
+//! what DIFs set differently; what every connection shares is a constant
+//! ([`MAX_PDU_PAYLOAD`], [`RTX_MAX_TIMEOUT`], [`MAX_RTX`]).
 //!
 //! The crate is sans-IO (no sockets, no clock): a [`Connection`] consumes
 //! SDUs, PDUs and timeout notifications, and is polled for outgoing PDUs
@@ -20,5 +22,7 @@ mod cong;
 mod conn;
 mod params;
 
-pub use conn::{ConnId, ConnStats, Connection, SendSduError};
+pub use conn::{
+    ConnId, ConnStats, Connection, SendSduError, MAX_PDU_PAYLOAD, MAX_RTX, RTX_MAX_TIMEOUT,
+};
 pub use params::{CongestionCtrl, ConnParams};

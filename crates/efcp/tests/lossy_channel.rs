@@ -127,8 +127,7 @@ fn bulk_transfer_over_20pct_loss() {
 fn large_fragmented_sdus_survive_loss() {
     let sdus: Vec<Vec<u8>> =
         (0..20).map(|i| (0..10_000).map(|j| ((i * 7 + j) % 256) as u8).collect()).collect();
-    let p = ConnParams::reliable().with_max_pdu_payload(512);
-    let got = transfer(&sdus, p, 7, 0.10);
+    let got = transfer(&sdus, ConnParams::reliable(), 7, 0.10);
     assert_eq!(got.len(), 20);
     for (want, got) in sdus.iter().zip(&got) {
         assert_eq!(&want[..], got.as_ref());
@@ -154,7 +153,7 @@ proptest! {
             .collect();
         // Short base RTO: with heavy loss, exponential backoff on the
         // default 200ms RTO can push a retry past the harness horizon.
-        let params = ConnParams::reliable().with_rtx_timeout_ns(20_000_000);
+        let params = ConnParams { rtx_timeout_ns: 20_000_000, ..ConnParams::reliable() };
         let got = transfer(&sdus, params, seed, drop_p);
         prop_assert_eq!(got.len(), sdus.len());
         for (want, got) in sdus.iter().zip(&got) {

@@ -29,8 +29,6 @@ pub const DEFAULT_TTL: u8 = 64;
 pub const FLAG_DRF: u8 = 0x01;
 /// Flag bit: this PDU is a fragment and more fragments of the SDU follow.
 pub const FLAG_MORE: u8 = 0x02;
-/// Flag bit: explicit congestion notification (set by relays under pressure).
-pub const FLAG_ECN: u8 = 0x04;
 /// Flag bit: this PDU carries the *first* fragment of an SDU (set together
 /// with a clear `FLAG_MORE` on unfragmented SDUs). Lets receivers on
 /// unreliable flows resynchronize SDU boundaries after loss.
@@ -59,29 +57,21 @@ pub struct DataPdu {
     pub payload: Bytes,
 }
 
-/// The control content of a DTCP PDU.
+/// The control content of a DTCP PDU. Tags 1 and 3 (a bare ack, a bare
+/// credit) are retired: nothing sent them, and decode refuses them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CtrlKind {
-    /// Cumulative acknowledgement: everything `< seq` has been delivered.
-    Ack {
-        /// Next expected sequence number.
-        seq: SeqNum,
-    },
     /// Selective negative acknowledgement of one missing PDU.
     Nack {
         /// The missing sequence number.
         seq: SeqNum,
     },
-    /// Flow-control only: advance the sender's right window edge.
-    Credit {
-        /// New right window edge (highest sendable seq, exclusive).
-        rwe: SeqNum,
-    },
-    /// Combined ack + credit, the common case.
+    /// Cumulative acknowledgement (everything `< seq` has been delivered)
+    /// plus credit.
     AckCredit {
         /// Next expected sequence number.
         seq: SeqNum,
-        /// New right window edge (exclusive).
+        /// New right window edge (highest sendable seq, exclusive).
         rwe: SeqNum,
     },
 }
@@ -137,9 +127,7 @@ const T_DATA: u8 = 0x81;
 const T_CTRL: u8 = 0x82;
 const T_MGMT: u8 = 0x83;
 
-const CK_ACK: u8 = 1;
 const CK_NACK: u8 = 2;
-const CK_CREDIT: u8 = 3;
 const CK_ACK_CREDIT: u8 = 4;
 
 impl Pdu {
@@ -219,14 +207,8 @@ impl Pdu {
                     .varint(p.src_cep as u64)
                     .u8(p.ttl);
                 match p.kind {
-                    CtrlKind::Ack { seq } => {
-                        w.u8(CK_ACK).varint(seq);
-                    }
                     CtrlKind::Nack { seq } => {
                         w.u8(CK_NACK).varint(seq);
-                    }
-                    CtrlKind::Credit { rwe } => {
-                        w.u8(CK_CREDIT).varint(rwe);
                     }
                     CtrlKind::AckCredit { seq, rwe } => {
                         w.u8(CK_ACK_CREDIT).varint(seq).varint(rwe);
@@ -280,9 +262,7 @@ impl Pdu {
                 let src_cep = cep(r.varint()?)?;
                 let ttl = r.u8()?;
                 let kind = match r.u8()? {
-                    CK_ACK => CtrlKind::Ack { seq: r.varint()? },
                     CK_NACK => CtrlKind::Nack { seq: r.varint()? },
-                    CK_CREDIT => CtrlKind::Credit { rwe: r.varint()? },
                     CK_ACK_CREDIT => CtrlKind::AckCredit { seq: r.varint()?, rwe: r.varint()? },
                     _ => return Err(WireError::Invalid("ctrl kind")),
                 };
@@ -306,12 +286,6 @@ impl Pdu {
             Pdu::Mgmt(p) => p.payload.len(),
             Pdu::Ctrl(_) => 0,
         }
-    }
-
-    /// Encoded header + trailer overhead for this PDU (everything except the
-    /// payload). Used by the header-overhead experiment.
-    pub fn overhead(&self) -> usize {
-        self.encode().len() - self.payload_len()
     }
 }
 
@@ -482,12 +456,7 @@ mod tests {
 
     #[test]
     fn ctrl_roundtrips() {
-        for kind in [
-            CtrlKind::Ack { seq: 9 },
-            CtrlKind::Nack { seq: 10 },
-            CtrlKind::Credit { rwe: 999 },
-            CtrlKind::AckCredit { seq: 5, rwe: 105 },
-        ] {
+        for kind in [CtrlKind::Nack { seq: 10 }, CtrlKind::AckCredit { seq: 5, rwe: 105 }] {
             let p = Pdu::Ctrl(CtrlPdu {
                 dest_addr: 1,
                 src_addr: 2,
@@ -517,16 +486,14 @@ mod tests {
     /// The sample of `p`'s PDU type and control kind. No `_` arm, and a
     /// constant index past the array's end does not compile: a new variant
     /// needs a sample.
-    fn sample_of<'a>(samples: &'a [Pdu; 6], p: &Pdu) -> &'a Pdu {
+    fn sample_of<'a>(samples: &'a [Pdu; 4], p: &Pdu) -> &'a Pdu {
         match p {
             Pdu::Data(_) => &samples[0],
             Pdu::Ctrl(c) => match c.kind {
-                CtrlKind::Ack { .. } => &samples[1],
-                CtrlKind::Nack { .. } => &samples[2],
-                CtrlKind::Credit { .. } => &samples[3],
-                CtrlKind::AckCredit { .. } => &samples[4],
+                CtrlKind::Nack { .. } => &samples[1],
+                CtrlKind::AckCredit { .. } => &samples[2],
             },
-            Pdu::Mgmt(_) => &samples[5],
+            Pdu::Mgmt(_) => &samples[3],
         }
     }
 
@@ -547,9 +514,7 @@ mod tests {
         };
         let samples = [
             Pdu::Data(sample_data()),
-            ctrl(CtrlKind::Ack { seq: 9 }),
             ctrl(CtrlKind::Nack { seq: 10 }),
-            ctrl(CtrlKind::Credit { rwe: 999 }),
             ctrl(CtrlKind::AckCredit { seq: 5, rwe: 105 }),
             Pdu::Mgmt(MgmtPdu {
                 dest_addr: 0,
@@ -596,11 +561,27 @@ mod tests {
         assert_eq!(Pdu::decode(&b).err(), Some(WireError::BadVersion(9)));
     }
 
+    /// The bare-ack (1) and bare-credit (3) control tags are retired:
+    /// decode refuses them, while peek, which never reads the control
+    /// suffix, still lets such a frame through to the terminal hop.
+    #[test]
+    fn retired_ctrl_tags_rejected() {
+        for tag in [1u8, 3] {
+            let mut w = Writer::new();
+            w.u8(WIRE_VERSION).u8(T_CTRL).varint(1).varint(2).u8(0).varint(3).varint(4).u8(16);
+            w.u8(tag).varint(9);
+            let b = w.finish_with_crc();
+            assert_eq!(Pdu::decode(&b).err(), Some(WireError::Invalid("ctrl kind")), "tag {tag}");
+            assert_eq!(PduView::peek(&b).map(|v| v.kind), Some(PduKind::Ctrl), "tag {tag}");
+        }
+    }
+
     #[test]
     fn overhead_is_modest() {
-        let p = Pdu::Data(sample_data());
+        let d = sample_data();
+        let overhead = Pdu::Data(d.clone()).encode().len() - d.payload.len();
         // varint fields keep small-address headers compact.
-        assert!(p.overhead() <= 24, "overhead {}", p.overhead());
+        assert!(overhead <= 24, "overhead {overhead}");
     }
 
     #[test]
@@ -652,10 +633,8 @@ mod tests {
                 dest_cep,
                 src_cep,
                 ttl,
-                kind: match ck % 4 {
-                    0 => CtrlKind::Ack { seq },
-                    1 => CtrlKind::Nack { seq },
-                    2 => CtrlKind::Credit { rwe },
+                kind: match ck % 2 {
+                    0 => CtrlKind::Nack { seq },
                     _ => CtrlKind::AckCredit { seq, rwe },
                 },
             }),
@@ -700,7 +679,7 @@ mod tests {
             k in 0u8..3, dest_addr in any::<u64>(), src_addr in any::<u64>(),
             qos_id in any::<u8>(), dest_cep in any::<u32>(), src_cep in any::<u32>(),
             seq in any::<u64>(), flags in 0u8..8, ttl in any::<u8>(),
-            ck in 0u8..4, rwe in any::<u64>(),
+            ck in 0u8..2, rwe in any::<u64>(),
             payload in proptest::collection::vec(any::<u8>(), 0..128),
         ) {
             let p = build_pdu(
@@ -755,7 +734,7 @@ mod tests {
             k in 0u8..3, dest_addr in any::<u64>(), src_addr in any::<u64>(),
             qos_id in any::<u8>(), dest_cep in any::<u32>(), src_cep in any::<u32>(),
             seq in any::<u64>(), flags in 0u8..8, ttl in 1u8..=255,
-            ck in 0u8..4, rwe in any::<u64>(),
+            ck in 0u8..2, rwe in any::<u64>(),
             payload in proptest::collection::vec(any::<u8>(), 0..128),
         ) {
             let p = build_pdu(
