@@ -397,8 +397,9 @@ fn lsa_deletion_propagates_through_the_delta_hook() {
     assert_eq!(a.routes.engine.lsa_count(), 1, "only our own LSA remains mirrored");
 }
 
-/// A live LSA whose value does not decode must not be treated as a
-/// withdrawal: the mirror keeps the last good advertisement (one
+/// A live LSA whose value does not decode (truncated, or listing a
+/// neighbor twice) must not be treated as a withdrawal: the mirror
+/// keeps the last good advertisement (one
 /// corrupt or future-format update must not cause an outage). A
 /// foreign-class object squatting under `/lsa/` is ignored entirely.
 #[test]
@@ -416,6 +417,10 @@ fn undecodable_lsa_value_keeps_last_good_mirror_entry() {
     recompute(&mut a);
     assert_eq!(a.fwd().route(2), Some(&[2][..]), "last good LSA still routes");
     assert_eq!(a.routes.engine.lsa_count(), 2);
+    // So does one that lists a neighbor twice.
+    assert!(a.rib.apply_remote_silent(lsa_obj(2, &[(1, 1), (3, 1), (1, 5)], 3, false)));
+    recompute(&mut a);
+    assert_eq!(a.routes.engine.mirror()[&2].neighbors, vec![(1, 1)]);
     // A non-lsa-class object under the /lsa/ prefix never reaches
     // the engine.
     let mut alien = lsa_obj(9, &[(1, 1)], 1, false);

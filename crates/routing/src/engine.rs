@@ -5,7 +5,10 @@
 //!
 //! 1. **A graph mirror** — the decoded `/lsa/*` set, updated object by
 //!    object from RIB change notifications ([`RouteEngine::on_lsa`]), so
-//!    a recomputation never re-parses LSA values it parsed earlier.
+//!    a recomputation never re-parses LSA values it parsed earlier. Each
+//!    node's advertisements are one sorted `(neighbor, cost)` list over
+//!    dense indices, so confirming an edge is a binary search and
+//!    comparing a node's old and new advertisements is a merge.
 //! 2. **Dynamic SPF state** — the dense-index distance array and
 //!    equal-cost first-hop sets of the last computation. On a batch of
 //!    LSA deltas the engine *classifies* every confirmed-edge change
@@ -50,6 +53,13 @@
 //! the region by construction: a node whose shortest path crossed the
 //! region is an old-DAG descendant of a seed, hence inside it.
 //!
+//! A repair's working state — the changed origins' old lists, the
+//! region's dense marks, the distances and hop sets it saved — lives in
+//! the call and is dropped when it returns: an engine between
+//! recomputations (one per IPC process, shims included) holds none.
+//! Beyond two per-node mark arrays, a repair's cost is its changed
+//! origins' degrees plus the region and its boundary.
+//!
 //! In debug builds every recomputation asserts the result is identical
 //! to [`compute_routes`] over the same mirror; the crate's proptests pin
 //! the same equivalence over random mutation sequences. Costs are
@@ -70,9 +80,15 @@
 )]
 
 use crate::{Addr, ForwardingTable, IntMap, Lsa};
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::ops::Range;
 
 const UNSEEN: u64 = u64::MAX;
+
+/// One node's advertisements: `(neighbor, cost)` by dense index, sorted
+/// by neighbor, one entry per neighbor.
+type Adj = Vec<(u32, u32)>;
 
 /// Counters the experiments aggregate per DIF (all deterministic under
 /// a fixed seed — the bench gate compares them exactly).
@@ -96,19 +112,15 @@ pub struct RouteEngine {
     /// Dense interning of every address ever seen (append-only).
     index: IntMap<Addr, u32>,
     addr_of: Vec<Addr>,
-    /// Advertised neighbor → cost per node. The confirmed directed edge
-    /// `u→v` exists iff `adv[u]` contains `v` *and* `adv[v]` contains
-    /// `u` (cost taken from the direction of travel).
-    adv: Vec<IntMap<u32, u32>>,
+    /// Advertisements per node. The confirmed directed edge `u→v`
+    /// exists iff `adv[u]` lists `v` *and* `adv[v]` lists `u` (cost
+    /// taken from the direction of travel).
+    adv: Vec<Adj>,
     /// Shortest distance from `self_addr` per node (`UNSEEN` = none).
     dist: Vec<u64>,
     /// Canonical (sorted, deduped) equal-cost first-hop sets, as indices.
     hops: Vec<Vec<u32>>,
     table: ForwardingTable,
-    /// Dense dirty-region scratch mask (always all-false between
-    /// recomputations — repairs reset exactly the bits they set, so the
-    /// hot loops test membership in O(1) without hashing or tree walks).
-    mask: Vec<bool>,
     /// Origins whose LSA changed since the last recomputation.
     pending: BTreeSet<Addr>,
     /// A queued change requires a full recomputation (the engine was
@@ -134,7 +146,6 @@ impl RouteEngine {
             dist: Vec::new(),
             hops: Vec::new(),
             table: ForwardingTable::default(),
-            mask: Vec::new(),
             pending: BTreeSet::new(),
             pending_full: false,
             computed: false,
@@ -203,11 +214,6 @@ impl RouteEngine {
         true
     }
 
-    fn intern(&mut self, a: Addr) -> u32 {
-        let RouteEngine { index, addr_of, adv, dist, hops, .. } = self;
-        intern_into(index, addr_of, adv, dist, hops, a)
-    }
-
     /// Process queued deltas into a fresh table. Returns whether the
     /// table changed. No-op (and `false`) when nothing is queued.
     pub fn recompute(&mut self) -> bool {
@@ -232,68 +238,60 @@ impl RouteEngine {
         changed
     }
 
+    /// Give every interned node its slot in the index-aligned columns.
+    fn grow(&mut self) {
+        let n = self.addr_of.len();
+        self.adv.resize_with(n, Vec::new);
+        self.dist.resize(n, UNSEEN);
+        self.hops.resize_with(n, Vec::new);
+    }
+
     /// From-scratch path: rebuild adjacency from the mirror, run full
     /// Dijkstra, swap the table wholesale.
     #[expect(
         clippy::indexing_slicing,
-        reason = "dense-index SPF state: intern() allocates every slot before use, and adv/dist/hops are resized in lockstep by intern_into"
+        reason = "dense-index SPF state: every index comes from intern(), and grow() sizes adv/dist/hops to every interned node before use"
     )]
     fn full_rebuild(&mut self) -> bool {
         self.stats.spf_full += 1;
-        self.intern(self.self_addr);
-        {
-            // Field-split borrow: iterate the mirror while interning —
-            // no per-LSA clone on a path the spf_full counter shows runs
-            // thousands of times per big assembly.
-            let RouteEngine { mirror, index, addr_of, adv, dist, hops, .. } = self;
-            for (&o, lsa) in mirror.iter() {
-                let mut m = IntMap::default();
-                for &(v, c) in &lsa.neighbors {
-                    let vi = intern_into(index, addr_of, adv, dist, hops, v);
-                    m.insert(vi, c);
-                }
-                let oi = intern_into(index, addr_of, adv, dist, hops, o) as usize;
-                adv[oi] = m;
-            }
-        }
+        let src = intern(&mut self.index, &mut self.addr_of, self.self_addr);
+        let lists: Vec<(u32, Adj)> = {
+            let RouteEngine { mirror, index, addr_of, .. } = self;
+            mirror.iter().map(|(&o, l)| adjacency(index, addr_of, o, Some(l))).collect()
+        };
+        self.grow();
         // Nodes whose LSA is gone keep their interned slot with no
         // advertisements (no confirmed edges ⇒ unreachable).
-        for (i, a) in self.addr_of.iter().enumerate() {
-            if !self.mirror.contains_key(a) {
-                self.adv[i].clear();
-            }
+        for a in &mut self.adv {
+            a.clear();
         }
-        let src = self.index[&self.self_addr];
-        for d in &mut self.dist {
-            *d = UNSEEN;
+        for (oi, list) in lists {
+            self.adv[oi as usize] = list;
         }
+        self.dist.fill(UNSEEN);
         for h in &mut self.hops {
             h.clear();
         }
         self.dist[src as usize] = 0;
-        let mut heap: BinaryHeap<std::cmp::Reverse<(u64, u32)>> = BinaryHeap::new();
-        heap.push(std::cmp::Reverse((0, src)));
+        let mut heap = BinaryHeap::from([Reverse((0, src))]);
         let mut order = Vec::with_capacity(self.addr_of.len());
-        while let Some(std::cmp::Reverse((d, u))) = heap.pop() {
+        while let Some(Reverse((d, u))) = heap.pop() {
             if d != self.dist[u as usize] {
                 continue;
             }
             if u != src {
                 order.push(u);
             }
-            for (&v, &c) in &self.adv[u as usize] {
-                if !self.adv[v as usize].contains_key(&u) {
-                    continue;
-                }
+            for &(v, c) in &self.adv[u as usize] {
                 let nd = d.saturating_add(c as u64);
-                if nd < self.dist[v as usize] {
+                if nd < self.dist[v as usize] && cost_to(&self.adv[v as usize], u).is_some() {
                     self.dist[v as usize] = nd;
-                    heap.push(std::cmp::Reverse((nd, v)));
+                    heap.push(Reverse((nd, v)));
                 }
             }
         }
         for &v in &order {
-            self.hops[v as usize] = hop_set(&self.adv, &self.dist, &self.hops, src, v);
+            set_hops(&self.adv, &self.dist, &mut self.hops, src, v);
         }
         let new = self.table_from_state(src);
         let changed = new != self.table;
@@ -301,22 +299,14 @@ impl RouteEngine {
         changed
     }
 
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "iterates 0..addr_of.len() over the interned slot arrays, which are kept same-length by construction"
-    )]
     fn table_from_state(&self, src: u32) -> ForwardingTable {
-        let mut t = ForwardingTable::default();
-        let mut changes: BTreeMap<Addr, Option<Vec<Addr>>> = BTreeMap::new();
-        for (vi, h) in self.hops.iter().enumerate() {
-            if vi as u32 == src || self.dist[vi] == UNSEEN || h.is_empty() {
-                continue;
-            }
-            changes.insert(self.addr_of[vi], Some(self.addrs_of(h)));
-        }
-        let changes: Vec<_> = changes.into_iter().collect();
-        t.patch(&changes);
-        t
+        let mut next_hops: Vec<(Addr, Vec<Addr>)> = (0..)
+            .zip(self.addr_of.iter().zip(&self.dist).zip(&self.hops))
+            .filter(|&(vi, ((_, &d), h))| vi != src && d != UNSEEN && !h.is_empty())
+            .map(|(_, ((&a, _), h))| (a, self.addrs_of(h)))
+            .collect();
+        next_hops.sort_unstable_by_key(|&(a, _)| a);
+        ForwardingTable::from_next_hops(next_hops)
     }
 
     #[expect(
@@ -336,32 +326,31 @@ impl RouteEngine {
         reason = "dense-index SPF repair over interned slots; debug builds assert byte-identical output against from-scratch compute_routes every recomputation, so an out-of-bounds invariant break cannot ship silently"
     )]
     fn incremental(&mut self, pending: &BTreeSet<Addr>) -> bool {
-        // Apply the new advertisements, keeping each changed origin's
-        // old map for classification and old-DAG closure.
-        let mut old_maps: BTreeMap<u32, IntMap<u32, u32>> = BTreeMap::new();
-        {
-            let RouteEngine { mirror, index, addr_of, adv, dist, hops, .. } = self;
-            for &o in pending {
-                let mut new_map = IntMap::default();
-                if let Some(l) = mirror.get(&o) {
-                    for &(v, c) in &l.neighbors {
-                        let vi = intern_into(index, addr_of, adv, dist, hops, v);
-                        new_map.insert(vi, c);
-                    }
-                }
-                let oi = intern_into(index, addr_of, adv, dist, hops, o) as usize;
-                let old = std::mem::replace(&mut adv[oi], new_map);
-                old_maps.insert(oi as u32, old);
-            }
+        // Apply the new advertisements, moving each changed origin's old
+        // list out for classification and the old-DAG closure; `old_of`
+        // finds it by node.
+        let mut olds: Vec<(u32, Adj)> = {
+            let RouteEngine { mirror, index, addr_of, .. } = self;
+            pending.iter().map(|&o| adjacency(index, addr_of, o, mirror.get(&o))).collect()
+        };
+        self.grow();
+        let mut old_of = vec![u32::MAX; self.addr_of.len()];
+        for (k, (oi, list)) in (0..).zip(&mut olds) {
+            std::mem::swap(list, &mut self.adv[*oi as usize]);
+            old_of[*oi as usize] = k;
         }
         let src = self.index[&self.self_addr];
-        let old_adv = |x: u32| old_maps.get(&x).unwrap_or(&self.adv[x as usize]);
+        let old_adv = |x: u32| match old_of[x as usize] {
+            u32::MAX => &self.adv[x as usize],
+            k => &olds[k as usize].1,
+        };
 
         // Classify every changed *confirmed* directed edge.
-        let mut plain: BTreeSet<u32> = BTreeSet::new();
-        let mut closure: BTreeSet<u32> = BTreeSet::new();
+        let mut plain: Vec<u32> = Vec::new();
+        let mut closure: Vec<u32> = Vec::new();
         let mut any_change = false;
-        let mut classify = |u: u32, v: u32, oc: Option<u32>, nc: Option<u32>, dist: &[u64]| {
+        let dist = &self.dist;
+        let mut classify = |u: u32, v: u32, oc: Option<u32>, nc: Option<u32>| {
             if oc == nc {
                 return;
             }
@@ -374,36 +363,28 @@ impl RouteEngine {
             if du != UNSEEN {
                 if let Some(oc) = oc {
                     if du.saturating_add(oc as u64) == dist[v as usize] {
-                        closure.insert(v); // lost/changed a tight edge
+                        closure.push(v); // lost/changed a tight edge
                     }
                 }
                 if let Some(nc) = nc {
                     let nd = du.saturating_add(nc as u64);
                     match nd.cmp(&dist[v as usize]) {
-                        std::cmp::Ordering::Less => {
-                            plain.insert(v); // strict improvement
-                        }
-                        std::cmp::Ordering::Equal => {
-                            closure.insert(v); // new equal-cost path
-                        }
+                        std::cmp::Ordering::Less => plain.push(v), // strict improvement
+                        std::cmp::Ordering::Equal => closure.push(v), // new equal-cost path
                         std::cmp::Ordering::Greater => {}
                     }
                 }
             }
         };
-        for (&ai, old_a) in &old_maps {
-            let new_a = &self.adv[ai as usize];
-            let mut peers: BTreeSet<u32> = old_a.keys().copied().collect();
-            peers.extend(new_a.keys().copied());
-            for &n in &peers {
+        for (a, old_a) in &olds {
+            let a = *a;
+            for (n, oa, na) in merged(old_a, &self.adv[a as usize]) {
+                let on = cost_to(old_adv(n), a);
+                let nn = cost_to(&self.adv[n as usize], a);
                 // Direction a→n: a's advertised cost, confirmed by n.
-                let oc = old_a.get(&n).copied().filter(|_| old_adv(n).contains_key(&ai));
-                let nc = new_a.get(&n).copied().filter(|_| self.adv[n as usize].contains_key(&ai));
-                classify(ai, n, oc, nc, &self.dist);
+                classify(a, n, oa.filter(|_| on.is_some()), na.filter(|_| nn.is_some()));
                 // Direction n→a: n's advertised cost, confirmed by a.
-                let oc = old_adv(n).get(&ai).copied().filter(|_| old_a.contains_key(&n));
-                let nc = self.adv[n as usize].get(&ai).copied().filter(|_| new_a.contains_key(&n));
-                classify(n, ai, oc, nc, &self.dist);
+                classify(n, a, on.filter(|_| oa.is_some()), nn.filter(|_| na.is_some()));
             }
         }
         if !any_change {
@@ -412,181 +393,158 @@ impl RouteEngine {
 
         // Dirty region: plain seeds plus the old-DAG descendant closure
         // of the closure seeds (nodes whose old shortest paths crossed a
-        // changed edge). The region lives in a dense mask + list — the
-        // membership tests below are the hot loops of every repair.
-        self.mask.resize(self.addr_of.len(), false);
-        let mut mask = std::mem::take(&mut self.mask);
-        let mut dirty: Vec<u32> = Vec::new();
-        let add = |x: u32, mask: &mut Vec<bool>, dirty: &mut Vec<u32>| {
-            if !mask[x as usize] {
-                mask[x as usize] = true;
-                dirty.push(x);
-            }
-        };
-        for &p in &plain {
-            add(p, &mut mask, &mut dirty);
+        // changed edge).
+        let mut region = Region::new(self.addr_of.len());
+        for &x in plain.iter().chain(&closure) {
+            region.admit(x, &self.dist, &self.hops);
         }
-        let mut stack: Vec<u32> = closure.iter().copied().collect();
-        for &c in &closure {
-            add(c, &mut mask, &mut dirty);
-        }
+        let mut stack = closure;
         while let Some(u) = stack.pop() {
             let du = self.dist[u as usize];
-            for (&w, &c) in old_adv(u) {
-                let tight = old_adv(w).contains_key(&u)
-                    && du != UNSEEN
-                    && du.saturating_add(c as u64) == self.dist[w as usize];
-                if tight && !mask[w as usize] {
-                    mask[w as usize] = true;
-                    dirty.push(w);
+            if du == UNSEEN {
+                continue;
+            }
+            for &(w, c) in old_adv(u) {
+                let tight = du.saturating_add(c as u64) == self.dist[w as usize]
+                    && cost_to(old_adv(w), u).is_some();
+                if tight && region.admit(w, &self.dist, &self.hops) {
                     stack.push(w);
                 }
             }
         }
-        drop(old_maps);
-        // Hand the scratch back all-false whichever way we leave.
-        let reset_mask = |mut mask: Vec<bool>, dirty: &[u32], slot: &mut Vec<bool>| {
-            for &d in dirty {
-                mask[d as usize] = false;
-            }
-            *slot = mask;
-        };
-        if mask[src as usize] {
-            reset_mask(mask, &dirty, &mut self.mask);
+        drop(olds);
+        if region.contains(src) {
             return self.full_rebuild();
         }
 
         // Repair to a fixpoint, expanding for equal-cost hop propagation.
-        let mut saved: BTreeMap<u32, (u64, Vec<u32>)> = BTreeMap::new();
-        for &d in &dirty {
-            saved.insert(d, (self.dist[d as usize], self.hops[d as usize].clone()));
-        }
-        loop {
-            if 2 * dirty.len() >= self.addr_of.len().max(2) {
-                reset_mask(mask, &dirty, &mut self.mask);
+        let moved = loop {
+            if 2 * region.len() >= self.addr_of.len().max(2) {
                 return self.full_rebuild(); // pathological: region ≥ half
             }
-            repair_region(
-                &self.adv,
-                src,
-                &mut dirty,
-                &mut mask,
-                &mut saved,
-                &mut self.dist,
-                &mut self.hops,
-            );
+            repair_region(&self.adv, src, &mut region, &mut self.dist, &mut self.hops);
             // Expansion: a repaired node whose distance or hop set moved
             // can change the hop sets of equal-cost successors outside
             // the region (strict improvements were admitted during the
             // run; equality cases need the region to grow). Grown nodes'
             // own tight descendants join by the same rule, iterated to a
             // fixpoint.
-            let mut grew = false;
+            let moved = region.moved(&self.dist, &self.hops);
             let mut stack: Vec<u32> = Vec::new();
-            for (&v, (od, oh)) in &saved {
+            for &(v, od) in &moved {
                 let dv = self.dist[v as usize];
-                let moved = dv != *od || self.hops[v as usize] != *oh;
-                if !moved {
-                    continue;
-                }
-                for (&w, &c) in &self.adv[v as usize] {
-                    if mask[w as usize] || !self.adv[w as usize].contains_key(&v) {
+                for &(w, c) in &self.adv[v as usize] {
+                    if region.contains(w) || cost_to(&self.adv[w as usize], v).is_none() {
                         continue;
                     }
                     let dw = self.dist[w as usize];
                     let newly_tight = dv != UNSEEN && dv.saturating_add(c as u64) == dw;
-                    let was_tight = *od != UNSEEN && od.saturating_add(c as u64) == dw;
-                    if newly_tight || was_tight {
-                        mask[w as usize] = true;
-                        dirty.push(w);
+                    let was_tight = od != UNSEEN && od.saturating_add(c as u64) == dw;
+                    if (newly_tight || was_tight) && region.admit(w, &self.dist, &self.hops) {
                         stack.push(w);
-                        grew = true;
                     }
                 }
+            }
+            if stack.is_empty() {
+                break moved;
             }
             while let Some(u) = stack.pop() {
                 let du = self.dist[u as usize];
-                for (&w, &c) in &self.adv[u as usize] {
-                    let tight = self.adv[w as usize].contains_key(&u)
-                        && !mask[w as usize]
-                        && du != UNSEEN
-                        && du.saturating_add(c as u64) == self.dist[w as usize];
-                    if tight {
-                        mask[w as usize] = true;
-                        dirty.push(w);
+                for &(w, c) in &self.adv[u as usize] {
+                    let tight = du != UNSEEN
+                        && du.saturating_add(c as u64) == self.dist[w as usize]
+                        && cost_to(&self.adv[w as usize], u).is_some();
+                    if tight && region.admit(w, &self.dist, &self.hops) {
                         stack.push(w);
                     }
                 }
             }
-            if !grew {
-                break;
-            }
-            for &w in &dirty {
-                saved.entry(w).or_insert((self.dist[w as usize], self.hops[w as usize].clone()));
-            }
-        }
-        reset_mask(mask, &dirty, &mut self.mask);
+        };
         self.stats.spf_incremental += 1;
 
         // Patch only what moved.
-        let mut changes: BTreeMap<Addr, Option<Vec<Addr>>> = BTreeMap::new();
-        for &v in saved.keys() {
-            if v == src {
-                continue;
-            }
-            let reachable = self.dist[v as usize] != UNSEEN && !self.hops[v as usize].is_empty();
-            changes.insert(
-                self.addr_of[v as usize],
-                reachable.then(|| self.addrs_of(&self.hops[v as usize])),
-            );
-        }
-        let changes: Vec<_> = changes.into_iter().collect();
+        let mut changes: Vec<(Addr, Option<Vec<Addr>>)> = moved
+            .iter()
+            .filter(|&&(v, _)| v != src)
+            .map(|&(v, _)| {
+                let h = &self.hops[v as usize];
+                let reachable = self.dist[v as usize] != UNSEEN && !h.is_empty();
+                (self.addr_of[v as usize], reachable.then(|| self.addrs_of(h)))
+            })
+            .collect();
+        changes.sort_unstable_by_key(|&(a, _)| a);
         let patched = self.table.patch(&changes);
         self.stats.ft_delta += patched as u64;
         patched > 0
     }
 }
 
-/// Intern `a` into the engine's dense index, growing every
-/// index-aligned column (borrow-split form so callers can iterate one
-/// field while interning into the others).
-fn intern_into(
-    index: &mut IntMap<Addr, u32>,
-    addr_of: &mut Vec<Addr>,
-    adv: &mut Vec<IntMap<u32, u32>>,
-    dist: &mut Vec<u64>,
-    hops: &mut Vec<Vec<u32>>,
-    a: Addr,
-) -> u32 {
+/// Dense index of `a`, appending it to `addr_of` if new (the
+/// index-aligned columns catch up in [`RouteEngine::grow`]).
+fn intern(index: &mut IntMap<Addr, u32>, addr_of: &mut Vec<Addr>, a: Addr) -> u32 {
     let next = addr_of.len() as u32;
-    let i = *index.entry(a).or_insert(next);
-    if i == next {
+    *index.entry(a).or_insert_with(|| {
         addr_of.push(a);
-        adv.push(IntMap::default());
-        dist.push(UNSEEN);
-        hops.push(Vec::new());
-    }
-    i
+        next
+    })
 }
 
-/// Canonical first-hop set of `v`: the union of contributions from
-/// every tight predecessor, sorted and deduped. Predecessors settle
-/// first (costs ≥ 1), so their sets are already final.
+/// Intern origin `o` and the neighbors of its LSA (none without one):
+/// `o`'s index and its advertisements. A neighbor listed twice keeps
+/// its lowest cost — the one the reference Dijkstra relaxes.
+fn adjacency(
+    index: &mut IntMap<Addr, u32>,
+    addr_of: &mut Vec<Addr>,
+    o: Addr,
+    lsa: Option<&Lsa>,
+) -> (u32, Adj) {
+    let neighbors = lsa.map_or(&[][..], |l| &l.neighbors);
+    let mut list: Adj = neighbors.iter().map(|&(v, c)| (intern(index, addr_of, v), c)).collect();
+    list.sort_unstable();
+    list.dedup_by_key(|&mut (v, _)| v);
+    (intern(index, addr_of, o), list)
+}
+
+/// The cost `list` advertises toward `v`, if it lists `v`.
+fn cost_to(list: &[(u32, u32)], v: u32) -> Option<u32> {
+    let i = list.binary_search_by_key(&v, |&(n, _)| n).ok()?;
+    list.get(i).map(|&(_, c)| c)
+}
+
+/// Every peer of two advertisement lists, in neighbor order, with its
+/// cost in `old` and in `new`.
+fn merged<'a>(
+    old: &'a [(u32, u32)],
+    new: &'a [(u32, u32)],
+) -> impl Iterator<Item = (u32, Option<u32>, Option<u32>)> + 'a {
+    let (mut i, mut j) = (0, 0);
+    std::iter::from_fn(move || {
+        let next = match (old.get(i), new.get(j)) {
+            (Some(&(x, c)), Some(&(y, d))) if x == y => (x, Some(c), Some(d)),
+            (Some(&(x, c)), n) if n.is_none_or(|&(y, _)| x < y) => (x, Some(c), None),
+            (_, Some(&(y, d))) => (y, None, Some(d)),
+            _ => return None,
+        };
+        i += usize::from(next.1.is_some());
+        j += usize::from(next.2.is_some());
+        Some(next)
+    })
+}
+
+/// Rewrite `v`'s canonical first-hop set in place: the union of
+/// contributions from every tight predecessor, sorted and deduped.
+/// Predecessors settle first (costs ≥ 1), so their sets are already
+/// final.
 #[expect(
     clippy::indexing_slicing,
     reason = "reads dist/hops/adv at interned ids only; slots exist for every interned id by construction"
 )]
-fn hop_set(
-    adv: &[IntMap<u32, u32>],
-    dist: &[u64],
-    hops: &[Vec<u32>],
-    src: u32,
-    v: u32,
-) -> Vec<u32> {
+fn set_hops(adv: &[Adj], dist: &[u64], hops: &mut [Vec<u32>], src: u32, v: u32) {
     let dv = dist[v as usize];
-    let mut hs: Vec<u32> = Vec::new();
-    for &u in adv[v as usize].keys() {
-        let Some(&c) = adv[u as usize].get(&v) else { continue };
+    let mut hs = std::mem::take(&mut hops[v as usize]);
+    hs.clear();
+    for &(u, _) in &adv[v as usize] {
+        let Some(c) = cost_to(&adv[u as usize], v) else { continue };
         let du = dist[u as usize];
         if du == UNSEEN || du.saturating_add(c as u64) != dv {
             continue;
@@ -599,73 +557,121 @@ fn hop_set(
     }
     hs.sort_unstable();
     hs.dedup();
-    hs
+    hops[v as usize] = hs;
+}
+
+/// The dirty region of one repair, and what its nodes held before it:
+/// dense membership marks, the members in admission order with their
+/// distance before the repair, and their hop sets back to back in one
+/// buffer.
+struct Region {
+    inside: Vec<bool>,
+    members: Vec<(u32, u64, Range<usize>)>,
+    old_hops: Vec<u32>,
+}
+
+impl Region {
+    fn new(nodes: usize) -> Self {
+        Region { inside: vec![false; nodes], members: Vec::new(), old_hops: Vec::new() }
+    }
+
+    fn len(&self) -> usize {
+        self.members.len()
+    }
+
+    fn contains(&self, x: u32) -> bool {
+        self.inside.get(x as usize).is_some_and(|&m| m)
+    }
+
+    fn nodes(&self) -> impl Iterator<Item = u32> + '_ {
+        self.members.iter().map(|&(x, _, _)| x)
+    }
+
+    /// Admit `x`, saving its current distance and hop set. False if it
+    /// was already inside.
+    fn admit(&mut self, x: u32, dist: &[u64], hops: &[Vec<u32>]) -> bool {
+        let x_ = x as usize;
+        let (Some(m), Some(&d), Some(h)) = (self.inside.get_mut(x_), dist.get(x_), hops.get(x_))
+        else {
+            return false;
+        };
+        if *m {
+            return false;
+        }
+        *m = true;
+        let at = self.old_hops.len();
+        self.old_hops.extend_from_slice(h);
+        self.members.push((x, d, at..self.old_hops.len()));
+        true
+    }
+
+    /// The members whose distance or hop set differs from what they
+    /// held before the repair, each with its old distance.
+    fn moved(&self, dist: &[u64], hops: &[Vec<u32>]) -> Vec<(u32, u64)> {
+        self.members
+            .iter()
+            .filter(|(x, d, r)| {
+                let x = *x as usize;
+                dist.get(x) != Some(d)
+                    || hops.get(x).map(Vec::as_slice) != self.old_hops.get(r.clone())
+            })
+            .map(|&(x, d, _)| (x, d))
+            .collect()
+    }
 }
 
 /// Reset the dirty region and re-run Dijkstra over it, seeded from
 /// boundary in-edges. Strict improvements escaping the region admit the
-/// improved node (into `dirty`, `mask`, and `saved`) on the fly.
+/// improved node on the fly.
 #[expect(
     clippy::indexing_slicing,
     reason = "dense-index Dijkstra repair over interned slots, same invariant as incremental; pinned by the crate's proptests"
 )]
 fn repair_region(
-    adv: &[IntMap<u32, u32>],
+    adv: &[Adj],
     src: u32,
-    dirty: &mut Vec<u32>,
-    mask: &mut [bool],
-    saved: &mut BTreeMap<u32, (u64, Vec<u32>)>,
+    region: &mut Region,
     dist: &mut [u64],
     hops: &mut [Vec<u32>],
 ) {
-    for &d in dirty.iter() {
+    for d in region.nodes() {
         dist[d as usize] = UNSEEN;
         hops[d as usize].clear();
     }
-    let mut heap: BinaryHeap<std::cmp::Reverse<(u64, u32)>> = BinaryHeap::new();
-    for &d in dirty.iter() {
-        for &u in adv[d as usize].keys() {
-            if mask[u as usize] {
-                continue;
-            }
-            let Some(&c) = adv[u as usize].get(&d) else { continue };
+    let mut heap: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
+    for d in region.nodes() {
+        for &(u, _) in &adv[d as usize] {
             let du = dist[u as usize];
-            if du == UNSEEN {
+            if du == UNSEEN || region.contains(u) {
                 continue;
             }
+            let Some(c) = cost_to(&adv[u as usize], d) else { continue };
             let nd = du.saturating_add(c as u64);
             if nd < dist[d as usize] {
                 dist[d as usize] = nd;
-                heap.push(std::cmp::Reverse((nd, d)));
+                heap.push(Reverse((nd, d)));
             }
         }
     }
     let mut order: Vec<u32> = Vec::new();
-    while let Some(std::cmp::Reverse((nd, v))) = heap.pop() {
+    while let Some(Reverse((nd, v))) = heap.pop() {
         if nd != dist[v as usize] {
             continue;
         }
         order.push(v);
-        for (&w, &c) in &adv[v as usize] {
-            if !adv[w as usize].contains_key(&v) {
-                continue;
-            }
+        for &(w, c) in &adv[v as usize] {
             let nw = nd.saturating_add(c as u64);
-            if nw < dist[w as usize] {
-                if !mask[w as usize] {
-                    // A strict improvement leaving the region: admit the
-                    // node so its entry (and its successors') repairs too.
-                    saved.entry(w).or_insert((dist[w as usize], hops[w as usize].clone()));
-                    mask[w as usize] = true;
-                    dirty.push(w);
-                }
+            if nw < dist[w as usize] && cost_to(&adv[w as usize], v).is_some() {
+                // A strict improvement leaving the region: admit the
+                // node so its entry (and its successors') repairs too.
+                region.admit(w, dist, hops);
                 dist[w as usize] = nw;
-                heap.push(std::cmp::Reverse((nw, w)));
+                heap.push(Reverse((nw, w)));
             }
         }
     }
     for &v in &order {
-        hops[v as usize] = hop_set(adv, dist, hops, src, v);
+        set_hops(adv, dist, hops, src, v);
     }
 }
 

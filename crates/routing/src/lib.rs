@@ -99,7 +99,8 @@ impl Lsa {
         w.finish()
     }
 
-    /// Decode from a RIB object value.
+    /// Decode from a RIB object value. A neighbor listed twice is
+    /// refused: which of its costs counts would be a guess.
     pub fn decode(buf: &[u8]) -> Result<Self, WireError> {
         let mut r = Reader::new(buf);
         let n = r.varint()? as usize;
@@ -110,6 +111,14 @@ impl Lsa {
             neighbors.push((a, c));
         }
         r.expect_end()?;
+        // Members advertise in address order, so the copy is the rare case.
+        if !neighbors.windows(2).all(|w| w[0].0 < w[1].0) {
+            let mut addrs: Vec<Addr> = neighbors.iter().map(|&(a, _)| a).collect();
+            addrs.sort_unstable();
+            if addrs.windows(2).any(|w| w[0] == w[1]) {
+                return Err(WireError::Invalid("lsa neighbor repeated"));
+            }
+        }
         Ok(Lsa { neighbors })
     }
 
@@ -142,11 +151,11 @@ pub struct ForwardingTable {
 }
 
 impl ForwardingTable {
-    /// Build from a per-destination next-hop map, merging consecutive
-    /// addresses with identical hop sets.
-    fn from_next_hops(map: BTreeMap<Addr, Vec<Addr>>) -> Self {
+    /// Build from per-destination next hops in ascending destination
+    /// order, merging consecutive addresses with identical hop sets.
+    fn from_next_hops(sorted: impl IntoIterator<Item = (Addr, Vec<Addr>)>) -> Self {
         let mut ranges: Vec<(Addr, Addr, Vec<Addr>)> = Vec::new();
-        for (addr, hops) in map {
+        for (addr, hops) in sorted {
             match ranges.last_mut() {
                 Some((_, hi, h)) if *hi + 1 == addr && *h == hops => *hi = addr,
                 _ => ranges.push((addr, addr, hops)),
@@ -383,6 +392,14 @@ mod tests {
     }
 
     #[test]
+    fn lsa_decode_refuses_a_repeated_neighbor() {
+        let unsorted = lsa(&[(3, 1), (2, 1)]);
+        assert_eq!(Lsa::decode(&unsorted.encode()).unwrap(), unsorted);
+        let twice = lsa(&[(2, 1), (3, 3), (2, 5)]).encode();
+        assert!(matches!(Lsa::decode(&twice), Err(WireError::Invalid("lsa neighbor repeated"))));
+    }
+
+    #[test]
     fn line_routes() {
         // 1 - 2 - 3
         let m = lsas(&[(1, &[(2, 1)]), (2, &[(1, 1), (3, 1)]), (3, &[(2, 1)])]);
@@ -485,9 +502,9 @@ mod tests {
         assert_eq!(dests, vec![2, 4]);
     }
 
-    /// Rebuild a table from a plain map (the reference for patch tests).
+    /// Rebuild a table from sorted entries (the reference for patch tests).
     fn table_of(entries: &[(Addr, &[Addr])]) -> ForwardingTable {
-        ForwardingTable::from_next_hops(entries.iter().map(|&(a, h)| (a, h.to_vec())).collect())
+        ForwardingTable::from_next_hops(entries.iter().map(|&(a, h)| (a, h.to_vec())))
     }
 
     #[test]

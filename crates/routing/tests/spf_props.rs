@@ -6,9 +6,10 @@
 //! included.
 
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rina_routing::{compute_routes, Addr, Lsa, RouteEngine};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Advertisement model: origin → (neighbor → cost). A row's presence is
 /// "this member has a (possibly empty) LSA"; absence is a deleted LSA.
@@ -194,6 +195,261 @@ proptest! {
         }
         fresh.recompute();
         prop_assert_eq!(engine.table(), fresh.table());
+    }
+}
+
+/// Barabási–Albert growth on members `1..=n` (m = 2, degree-weighted
+/// attachment), deterministic in `seed`: the edges in join order, each
+/// member from 4 on bringing two.
+fn ba_edges(n: Addr, seed: u64) -> Vec<(Addr, Addr)> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut edges = vec![(1, 2), (1, 3), (2, 3)];
+    let mut ends: Vec<Addr> = vec![1, 2, 1, 3, 2, 3];
+    for v in 4..=n {
+        let a = ends[rng.gen_range(0..ends.len())];
+        let mut b = a;
+        while b == a {
+            b = ends[rng.gen_range(0..ends.len())];
+        }
+        for t in [a, b] {
+            edges.push((t, v));
+            ends.extend([t, v]);
+        }
+    }
+    edges
+}
+
+/// Set (`Some`) or drop (`None`) the cost `a` advertises toward `b`,
+/// queuing `a`.
+fn set_dir(model: &mut Model, touched: &mut BTreeSet<Addr>, a: Addr, b: Addr, c: Option<u32>) {
+    let row = model.entry(a).or_default();
+    match c {
+        Some(c) => row.insert(b, c),
+        None => row.remove(&b),
+    };
+    touched.insert(a);
+}
+
+/// Add or drop the edge `a`–`b` on both sides.
+fn set_edge(model: &mut Model, touched: &mut BTreeSet<Addr>, a: Addr, b: Addr, c: Option<u32>) {
+    set_dir(model, touched, a, b, c);
+    set_dir(model, touched, b, a, c);
+}
+
+/// Push every touched origin into the engine and recompute.
+fn flush(e: &mut RouteEngine, model: &Model, touched: &mut BTreeSet<Addr>) -> bool {
+    for o in std::mem::take(touched) {
+        sync(e, model, o);
+    }
+    e.recompute()
+}
+
+/// One engine driven through a fixed script: a 200-member BA DIF grows
+/// in waves of about 20–40 LSA changes per recomputation, then links flap
+/// (one at the source, three at once), a member leaves, a cost moves,
+/// and `set_self` re-roots the engine. Every recomputation must equal
+/// the from-scratch reference, and what `recompute` returned and the
+/// engine's three counters are pinned: a rewrite of the engine's inside
+/// must keep the algorithm, not just the answer.
+#[test]
+fn a_fixed_engine_script_keeps_its_counters() {
+    let edges = ba_edges(200, 7);
+    let mut model = Model::new();
+    let mut touched = BTreeSet::new();
+    let mut e = RouteEngine::new(1);
+    let mut src = 1;
+    let mut returned = String::new();
+    let mut step = |e: &mut RouteEngine, model: &Model, touched: &mut BTreeSet<Addr>, src| {
+        returned.push(if flush(e, model, touched) { '1' } else { '0' });
+        assert_eq!(e.table(), &compute_routes(src, e.mirror()), "step {}", returned.len());
+    };
+    // Growth in waves of 10–16 joiners (two edges each).
+    let mut joined = 0;
+    for wave in [24usize, 28, 32, 20].into_iter().cycle() {
+        let end = (joined + wave).min(edges.len());
+        for &(a, b) in &edges[joined..end] {
+            set_edge(&mut model, &mut touched, a, b, Some(1));
+        }
+        joined = end;
+        step(&mut e, &model, &mut touched, src);
+        if joined == edges.len() {
+            break;
+        }
+    }
+    // Single flaps, down then up: a remote edge, an edge at the source,
+    // an edge at a late leaf.
+    for &(a, b) in [edges[150], edges[0], edges[edges.len() - 1]].iter() {
+        set_edge(&mut model, &mut touched, a, b, None);
+        step(&mut e, &model, &mut touched, src);
+        set_edge(&mut model, &mut touched, a, b, Some(1));
+        step(&mut e, &model, &mut touched, src);
+    }
+    // Three links down in one batch, then back.
+    let three = [edges[40], edges[41], edges[200]];
+    for c in [None, Some(1)] {
+        for &(a, b) in &three {
+            set_edge(&mut model, &mut touched, a, b, c);
+        }
+        step(&mut e, &model, &mut touched, src);
+    }
+    // Member 150 leaves: its peers withdraw it and its LSA goes.
+    let peers: Vec<Addr> = model[&150].keys().copied().collect();
+    for p in peers {
+        set_edge(&mut model, &mut touched, 150, p, None);
+    }
+    model.remove(&150);
+    step(&mut e, &model, &mut touched, src);
+    // One direction of a hub edge costs 3.
+    let (a, b) = edges[1];
+    set_dir(&mut model, &mut touched, a, b, Some(3));
+    step(&mut e, &model, &mut touched, src);
+    // A link to an address with no LSA is unconfirmed: nothing routes.
+    for c in [Some(1), None] {
+        set_dir(&mut model, &mut touched, 5, 999, c);
+        step(&mut e, &model, &mut touched, src);
+    }
+    // Re-root at member 100, then flap one of its own links.
+    src = 100;
+    e.set_self(src);
+    step(&mut e, &model, &mut touched, src);
+    let b = *model[&100].keys().next().expect("100 has a peer");
+    for c in [None, Some(1)] {
+        set_edge(&mut model, &mut touched, 100, b, c);
+        step(&mut e, &model, &mut touched, src);
+    }
+    let s = e.stats;
+    assert_eq!(
+        (returned.as_str(), s.spf_full, s.spf_incremental, s.ft_delta),
+        ("1111111111111111111111111100111", 5, 24, 351)
+    );
+}
+
+/// An LSA listing a neighbor twice: the engine keeps the cheaper cost,
+/// as the reference Dijkstra does, so they agree (at 1, member 3 is
+/// reached via 2 at distance 2, not directly at 3).
+#[test]
+fn a_repeated_neighbor_routes_at_its_lowest_cost() {
+    let mut e = RouteEngine::new(1);
+    e.on_lsa(1, Some(Lsa { neighbors: vec![(2, 1), (3, 3), (2, 5)] }));
+    e.on_lsa(2, Some(Lsa { neighbors: vec![(1, 1), (3, 1)] }));
+    e.on_lsa(3, Some(Lsa { neighbors: vec![(1, 1), (2, 1)] }));
+    e.recompute();
+    assert_eq!(e.table(), &compute_routes(1, e.mirror()));
+    assert_eq!(e.table().route(3), Some(&[2][..]));
+}
+
+mod at_scale {
+    use super::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The shape the engine runs at in a DIF: 50–300 members and a
+        /// batch of 10–40 changed origins per recomputation, mixing
+        /// joins, link flaps, member leaves, one-sided withdrawals and
+        /// cost changes. Every recomputation equals the from-scratch
+        /// reference, and at the end so does a fresh engine fed only
+        /// the final LSA set.
+        #[test]
+        fn wave_sized_batches_on_large_graphs_stay_identical_to_scratch(seed in any::<u64>()) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let n: Addr = rng.gen_range(50..=300u64);
+            let edges = ba_edges(n, seed);
+            // Two thirds of the members are there at the start; the rest,
+            // and anyone who leaves, may join later.
+            let start = n * 2 / 3;
+            let src: Addr = rng.gen_range(1..=start);
+            let mut model = Model::new();
+            let mut touched = BTreeSet::new();
+            for &(a, b) in edges.iter().filter(|&&(_, b)| b <= start) {
+                set_edge(&mut model, &mut touched, a, b, Some(1));
+            }
+            let mut engine = RouteEngine::new(src);
+            flush(&mut engine, &model, &mut touched);
+            prop_assert_eq!(engine.table(), &compute_routes(src, engine.mirror()));
+
+            let mut down: Vec<(Addr, Addr)> = Vec::new();
+            for _ in 0..10 {
+                let want = rng.gen_range(10..=40usize);
+                for _ in 0..400 {
+                    if touched.len() >= want {
+                        break;
+                    }
+                    let present: Vec<Addr> = model.keys().copied().collect();
+                    let a = present[rng.gen_range(0..present.len())];
+                    let peer = |m: &Model, rng: &mut SmallRng| {
+                        let row = &m[&a];
+                        let i = rng.gen_range(0..row.len().max(1));
+                        row.keys().nth(i).copied()
+                    };
+                    match rng.gen_range(0..10u32) {
+                        // An absent member joins at one to three present ones.
+                        0..=2 => {
+                            let v = rng.gen_range(1..=n);
+                            if model.contains_key(&v) {
+                                continue;
+                            }
+                            for _ in 0..rng.gen_range(1..=3u32) {
+                                let t = present[rng.gen_range(0..present.len())];
+                                set_dir(&mut model, &mut touched, v, t, Some(1));
+                                let c = rng.gen_range(1..=3u32);
+                                set_dir(&mut model, &mut touched, t, v, Some(c));
+                            }
+                        }
+                        // A link flaps down, or a downed one comes back.
+                        3..=4 => {
+                            if let Some(b) = peer(&model, &mut rng) {
+                                set_edge(&mut model, &mut touched, a, b, None);
+                                down.push((a, b));
+                            }
+                        }
+                        5 => {
+                            if down.is_empty() {
+                                continue;
+                            }
+                            let (a, b) = down.swap_remove(rng.gen_range(0..down.len()));
+                            if model.contains_key(&a) && model.contains_key(&b) {
+                                set_edge(&mut model, &mut touched, a, b, Some(1));
+                            }
+                        }
+                        // A member other than the source leaves.
+                        6 => {
+                            if a == src {
+                                continue;
+                            }
+                            let peers: Vec<Addr> = model[&a].keys().copied().collect();
+                            for p in peers {
+                                set_edge(&mut model, &mut touched, a, p, None);
+                            }
+                            model.remove(&a);
+                            touched.insert(a);
+                        }
+                        // One-sided withdrawal.
+                        7 => {
+                            if let Some(b) = peer(&model, &mut rng) {
+                                set_dir(&mut model, &mut touched, a, b, None);
+                            }
+                        }
+                        // Cost change on one advertised direction.
+                        _ => {
+                            if let Some(b) = peer(&model, &mut rng) {
+                                let c = rng.gen_range(1..=4u32);
+                                set_dir(&mut model, &mut touched, a, b, Some(c));
+                            }
+                        }
+                    }
+                }
+                flush(&mut engine, &model, &mut touched);
+                prop_assert_eq!(engine.table(), &compute_routes(src, engine.mirror()));
+            }
+            prop_assert_eq!(engine.lsa_count(), model.len());
+            let mut fresh = RouteEngine::new(src);
+            for &a in model.keys() {
+                sync(&mut fresh, &model, a);
+            }
+            fresh.recompute();
+            prop_assert_eq!(engine.table(), fresh.table());
+        }
     }
 }
 
