@@ -22,8 +22,8 @@ const DIR_CACHE_CAP: usize = 128;
 const DIR_LOOKUP_RETRY_TICKS: u64 = 2;
 
 /// How many resends an unanswered directory lookup gets before the
-/// allocations waiting on it fail. The node's own allocation timeout
-/// usually fires first; the late failure is absorbed as a no-op.
+/// allocations still waiting on it fail. The node's own allocation
+/// timeout usually fires first and releases its waiter.
 const DIR_LOOKUP_RETRIES: u32 = 3;
 
 /// One flow allocation parked behind an on-demand directory lookup
@@ -127,6 +127,14 @@ impl Directory {
             e.used = used;
         }
         e.addr
+    }
+
+    /// Forget the allocation parked for `port`: its answer resumes
+    /// nothing. The lookup itself runs on.
+    pub(super) fn drop_waiter(&mut self, port: u64) {
+        for p in self.pending.values_mut() {
+            p.waiters.retain(|w| w.port != port);
+        }
     }
 
     /// Drop every cached entry pointing at `addr` — the owner departed
@@ -276,8 +284,8 @@ impl Ipcp {
 
     /// Resend outstanding directory lookups on the hello cadence and
     /// fail the allocations whose retry budget ran out (the node's own
-    /// allocation timeout has usually beaten us to it; its port is
-    /// already gone and the late failure is a no-op).
+    /// allocation timeout has usually beaten us to it and released
+    /// their waiters).
     pub(super) fn retry_dir_lookups(&mut self) {
         if !self.scoped_dir() || self.directory.pending.is_empty() {
             return;

@@ -311,8 +311,10 @@ impl Ipcp {
     }
 
     /// Deallocate the flow bound to node port `port` (local side),
-    /// notifying the peer of an active one.
+    /// notifying the peer of an active one, or the allocation still
+    /// waiting on a directory lookup.
     pub fn dealloc_port(&mut self, port: u64) {
+        self.directory.drop_waiter(port);
         let cep = self.flows.table.iter().find(|(_, f)| f.port == port).map(|(&cep, _)| cep);
         let Some(f) = cep.and_then(|cep| self.flows.remove(cep)) else { return };
         if f.phase != Phase::Active {

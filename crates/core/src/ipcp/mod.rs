@@ -526,7 +526,7 @@ impl Ipcp {
             // active flow owns the CEP. The rest is the shim's own flow
             // handshake and takes the decode below.
             if v.kind == PduKind::Data {
-                match v.dest_cep.and_then(|cep| self.flows.active_port(cep)) {
+                match self.flows.active_port(v.dest_cep) {
                     Some(port) => {
                         let sdu = frame.slice(v.payload_range(frame.len()));
                         self.out.push(IpcpOut::Deliver { port, sdu });

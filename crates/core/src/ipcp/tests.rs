@@ -835,6 +835,33 @@ fn scoped_lookup_retry_budget_fails_the_waiting_allocation() {
     assert!(a.directory.pending.is_empty());
 }
 
+/// The node gives up on an allocation parked behind a directory lookup
+/// (its allocation timeout releases the port): the owner's late answer
+/// still caches, but resumes nothing — no flow request leaves for a port
+/// the node has dropped, so neither end keeps a flow nobody owns.
+#[test]
+fn a_port_released_while_its_lookup_is_pending_never_resumes() {
+    let mut a = mk_scoped("net.a");
+    a.bootstrap(1);
+    live_port(&mut a, 0, 7, true);
+    assert!(a.rib.apply_remote_silent(block_obj(7, 1, false)));
+    a.alloc_flow(10, AppName::new("c"), AppName::new("web"), QosSpec::reliable());
+    a.take_out();
+    a.dealloc_port(10);
+    assert!(a.take_out().is_empty(), "nothing to tell a peer");
+    a.handle_dir_lookup_response("/dir/web".into(), 7, 1);
+    let out = a.take_out();
+    let requests = tx_mgmt(&out)
+        .into_iter()
+        .filter(|(_, _, b)| matches!(b, MgmtBody::FlowRequest { .. }))
+        .count();
+    assert_eq!(requests, 0, "the released port's allocation resumed");
+    let sdu = Bytes::from_static(b"sdu");
+    assert_eq!(a.write_port(10, sdu, Time::ZERO, None), Err("no such flow"));
+    assert_eq!(a.dir_cache_entries(), vec![("/dir/web".to_string(), 7, 1)]);
+    assert_eq!(a.stats.dir_lookups_sent, 1);
+}
+
 #[test]
 fn dir_cache_evicts_least_recently_used_beyond_capacity() {
     let mut a = mk_scoped("net.a");

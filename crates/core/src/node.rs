@@ -124,17 +124,26 @@ struct N1Plan {
     retry_pending: bool,
 }
 
+/// A physical interface: the IPC process and (N-1) port bound to it,
+/// and the pacer that drains that port into the link (a shim's; none for
+/// a port wired straight to the medium).
+struct Iface {
+    ipcp: usize,
+    n1: usize,
+    pace: Option<Pace>,
+}
+
 struct Pace {
     queue: RmtQueue,
+    /// When the link's transmitter is free again, as its last send said.
     busy_until: Time,
-    iface: IfaceId,
     /// A wake-up timer for `busy_until` is already armed.
     timer_armed: bool,
 }
 
 enum TimerKind {
     Ipcp { ipcp: usize, timer: IpcpTimer },
-    Pace { ipcp: usize, n1: usize },
+    Pace { iface: usize },
     App { app: usize, key: u64 },
     N1Retry(usize),
     AllocTimeout { port: u64 },
@@ -183,8 +192,8 @@ pub struct Node {
     /// [`IpcpOut::Enrolled`] are executed as they are flushed and never
     /// queue).
     workq: VecDeque<(usize, IpcpOut)>,
-    ifmap: FxHashMap<u32, (usize, usize)>,
-    pace: FxHashMap<(usize, usize), Pace>,
+    /// Indexed by [`IfaceId`].
+    ifaces: Vec<Iface>,
     plans: Vec<N1Plan>,
     /// Durable registration intents: application name → directory DIF.
     /// Applied when the ipcp (re-)enrolls and kept — a respawned IPC
@@ -219,8 +228,7 @@ impl Node {
             timers: FxHashMap::default(),
             next_token: 1,
             workq: VecDeque::new(),
-            ifmap: FxHashMap::default(),
-            pace: FxHashMap::default(),
+            ifaces: Vec::new(),
             plans: Vec::new(),
             regs: Vec::new(),
             dirty: SlotSet::default(),
@@ -250,11 +258,15 @@ impl Node {
 
     /// Create the shim IPC process for a physical interface. `side` is 0
     /// or 1 (which end of the link this node is). Returns the ipcp index.
+    ///
+    /// # Panics
+    /// If `iface` is not the node's next interface: shims bind in the
+    /// order the node was connected to links.
     pub fn add_shim(&mut self, cfg: DifConfig, name: AppName, iface: IfaceId, side: u8) -> usize {
+        assert_eq!(iface.0 as usize, self.ifaces.len(), "shims bind in interface order");
         let idx = self.add_ipcp(cfg, name);
         self.ipcps[idx].make_shim(side as Addr + 1);
         let n1 = self.ipcps[idx].add_n1(N1Kind::Phys { iface: iface.0 });
-        self.ifmap.insert(iface.0, (idx, n1));
         // This queue models the *host's own* buffering toward its NIC
         // (the network bottleneck queues live in the links). Its default
         // capacity must absorb a sponsor's full-RIB resync burst —
@@ -263,8 +275,8 @@ impl Node {
         // distant objects.
         let c = &self.ipcps[idx].cfg;
         let queue = RmtQueue::for_cubes(c.sched, c.rmt_queue_cap_bytes, &c.cubes);
-        self.pace
-            .insert((idx, n1), Pace { queue, busy_until: Time::ZERO, iface, timer_armed: false });
+        let pace = Some(Pace { queue, busy_until: Time::ZERO, timer_armed: false });
+        self.ifaces.push(Iface { ipcp: idx, n1, pace });
         idx
     }
 
@@ -359,14 +371,10 @@ impl Node {
     }
 
     /// Aggregate per-lane RMT transmit-queue counters over every paced
-    /// (N-1) port of this node (key-sorted: the aggregation order is
-    /// deterministic, so exact gating on the result is sound).
+    /// (N-1) port of this node.
     pub fn rmt_lane_stats(&self) -> [crate::rmt::LaneStats; crate::rmt::LANES] {
         let mut agg = [crate::rmt::LaneStats::default(); crate::rmt::LANES];
-        let mut keys: Vec<(usize, usize)> = self.pace.keys().copied().collect();
-        keys.sort_unstable();
-        for k in keys {
-            let Some(p) = self.pace.get(&k) else { continue };
+        for p in self.ifaces.iter().filter_map(|f| f.pace.as_ref()) {
             for (l, s) in p.queue.lane_stats().iter().enumerate() {
                 agg[l].merge(s);
             }
@@ -527,28 +535,31 @@ impl Node {
         self.dirty.insert(i);
     }
 
+    /// Queue `frame`, which IPC process `i` sends on its (N-1) port
+    /// `n1`, at the pacer of the interface behind that port.
     fn pace_push(&mut self, i: usize, n1: usize, frame: Bytes, class: TxClass, ctx: &mut Ctx<'_>) {
-        let now_ns = ctx.now().nanos();
-        let Some(p) = self.pace.get_mut(&(i, n1)) else {
+        let Some(N1Kind::Phys { iface }) = self.ipcps[i].n1_ports().get(n1).map(|p| p.kind) else {
             return;
         };
-        p.queue.push(class, frame, now_ns);
-        self.pace_kick(i, n1, ctx);
+        let Some(p) = self.ifaces.get_mut(iface as usize).and_then(|f| f.pace.as_mut()) else {
+            return;
+        };
+        p.queue.push(class, frame, ctx.now().nanos());
+        self.pace_kick(iface as usize, ctx);
     }
 
-    fn pace_kick(&mut self, i: usize, n1: usize, ctx: &mut Ctx<'_>) {
+    fn pace_kick(&mut self, iface: usize, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
-        let Some(p) = self.pace.get_mut(&(i, n1)) else {
+        let Some(Iface { ipcp: i, n1, pace: Some(p) }) = self.ifaces.get_mut(iface) else {
             return;
         };
+        let (i, n1) = (*i, *n1);
         if now >= p.busy_until {
             let Some(frame) = p.queue.pop(now.nanos()) else {
                 return;
             };
-            let bw = ctx.iface_bandwidth(p.iface).unwrap_or(1_000_000_000);
-            let tx = Dur::serialization(frame.len(), bw);
-            match ctx.send(p.iface, frame) {
-                Ok(()) => p.busy_until = now + tx,
+            match ctx.send(IfaceId(iface as u32), frame) {
+                Ok(left) => p.busy_until = left,
                 Err(SendError::LinkDown) => {
                     // Local failure detection: the medium is gone.
                     self.ipcps[i].n1_down(n1, now);
@@ -568,7 +579,7 @@ impl Node {
         if !p.timer_armed && !p.queue.is_empty() {
             p.timer_armed = true;
             let at = p.busy_until;
-            self.arm(ctx, at, TimerKind::Pace { ipcp: i, n1 });
+            self.arm(ctx, at, TimerKind::Pace { iface });
         }
     }
 
@@ -884,11 +895,11 @@ impl Node {
         };
         match kind {
             TimerKind::Ipcp { ipcp, timer } => self.ipcp_timer(ipcp, timer, ctx),
-            TimerKind::Pace { ipcp, n1 } => {
-                if let Some(p) = self.pace.get_mut(&(ipcp, n1)) {
+            TimerKind::Pace { iface } => {
+                if let Some(p) = self.ifaces.get_mut(iface).and_then(|f| f.pace.as_mut()) {
                     p.timer_armed = false;
                 }
-                self.pace_kick(ipcp, n1, ctx);
+                self.pace_kick(iface, ctx);
             }
             TimerKind::App { app, key } => {
                 self.call_app(app, ctx, |a, api| a.on_timer(key, api));
@@ -941,9 +952,9 @@ impl Agent for Node {
                 }
             }
             Event::Frame { iface, data } => {
-                if let Some(&(i, n1)) = self.ifmap.get(&iface.0) {
-                    self.ipcps[i].on_frame(n1, data, ctx.now());
-                    self.flush_ipcp(i, ctx);
+                if let Some(&Iface { ipcp, n1, .. }) = self.ifaces.get(iface.0 as usize) {
+                    self.ipcps[ipcp].on_frame(n1, data, ctx.now());
+                    self.flush_ipcp(ipcp, ctx);
                 }
             }
             Event::Timer { key } if key & CMD_BIT != 0 => {
@@ -990,7 +1001,7 @@ mod tests {
         node.bootstrap_ipcp(i, 1);
         for iface in 0..2 {
             let n1 = node.ipcps[i].add_n1(N1Kind::Phys { iface });
-            node.ifmap.insert(iface, (i, n1));
+            node.ifaces.push(Iface { ipcp: i, n1, pace: None });
         }
         let mut sim = Sim::new(7);
         let id = sim.add_node(node);

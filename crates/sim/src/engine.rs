@@ -135,10 +135,6 @@ impl Ord for Entry {
 pub(crate) struct World {
     time: Time,
     seq: u64,
-    /// Sequence number of the event currently being dispatched. Transmit
-    /// completions strictly before `(time, cur_seq)` are the ones a
-    /// heap-driven TxDone would already have retired.
-    cur_seq: u64,
     heap: BinaryHeap<Reverse<Entry>>,
     links: Vec<Link>,
     /// Per node: (link index, side) for each interface.
@@ -157,7 +153,7 @@ impl World {
         clippy::indexing_slicing,
         reason = "link index comes from the node's own iface table (validated via .get on the iface lookup just above); links never shrink"
     )]
-    fn send_from(&mut self, node: u32, iface: IfaceId, data: Bytes) -> Result<(), SendError> {
+    fn send_from(&mut self, node: u32, iface: IfaceId, data: Bytes) -> Result<Time, SendError> {
         let &(lidx, side) = self
             .ifaces
             .get(node as usize)
@@ -172,48 +168,26 @@ impl World {
         if !link.up {
             return Err(SendError::LinkDown);
         }
+        let bw = link.cfg.bandwidth_bps;
         let d = &mut link.dir[side as usize];
-        // Retire completed transmissions before the capacity check. An
-        // entry is complete iff its `(tx done, seq)` precedes the event
-        // being dispatched — exactly the set a TxDone heap event would
-        // already have processed, so the occupancy seen here is identical
-        // while the heap handles one event per frame fewer.
-        while let Some(&(t, s, l)) = d.inflight.front() {
-            if (t, s) < (now, self.cur_seq) {
-                d.inflight.pop_front();
-                d.queued_bytes = d.queued_bytes.saturating_sub(l);
-            } else {
-                break;
-            }
-        }
-        if d.queued_bytes + len > link.cfg.queue_bytes {
+        // The backlog is the bytes the transmitter has not yet put on the
+        // wire: its busy time left, at the link's rate.
+        let busy_ns = d.busy_until.since(now).nanos() as u128;
+        let backlog = (busy_ns * bw as u128 / 8_000_000_000) as usize;
+        if backlog + len > link.cfg.queue_bytes {
             d.drops_overflow += 1;
             return Err(SendError::QueueFull);
         }
-        d.queued_bytes += len;
-        let start = d.busy_until.max(now);
-        let tx_done = start + Dur::serialization(len, link.cfg.bandwidth_bps);
+        let tx_done = d.busy_until.max(now) + Dur::serialization(len, bw);
         d.busy_until = tx_done;
-        let lost = link.cfg.loss.clone().sample(&mut d.loss, &mut self.rng);
-        let deliver_at = tx_done + link.cfg.delay;
-        let (peer_node, peer_iface) = {
-            let (n, i) = link.ends[1 - side as usize];
-            (n, i)
-        };
-        if lost {
-            link.dir[side as usize].drops_loss += 1;
+        if link.cfg.loss.sample(&mut d.loss, &mut self.rng) {
+            d.drops_loss += 1;
+        } else {
+            let (node, iface) = link.ends[1 - side as usize];
+            let at = tx_done + link.cfg.delay;
+            self.push(at, EvKind::Deliver { node, iface, data });
         }
-        // Record the completion in the ledger instead of pushing a TxDone
-        // heap event — but still consume a sequence number, so every later
-        // event gets the same seq (and thus the same tie-break order) as it
-        // would have with the event in the heap.
-        let tx_seq = self.seq;
-        self.seq += 1;
-        self.links[lidx as usize].dir[side as usize].inflight.push_back((tx_done, tx_seq, len));
-        if !lost {
-            self.push(deliver_at, EvKind::Deliver { node: peer_node, iface: peer_iface, data });
-        }
-        Ok(())
+        Ok(tx_done)
     }
 }
 
@@ -246,22 +220,12 @@ impl Ctx<'_> {
             .unwrap_or(false)
     }
 
-    /// The bandwidth (bits/s) of the link behind `iface`, if it exists.
-    /// Lets schedulers pace departures at the medium's rate.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "documented-panic accessor taking builder-minted handles; not reachable from wire data"
-    )]
-    pub fn iface_bandwidth(&self, iface: IfaceId) -> Option<u64> {
-        self.world.ifaces[self.node as usize]
-            .get(iface.0 as usize)
-            .map(|&(l, _)| self.world.links[l as usize].cfg.bandwidth_bps)
-    }
-
     /// Transmit a frame on `iface`. The frame is serialized at link rate,
     /// subject to queueing, loss and propagation delay, and delivered to the
-    /// peer agent as [`Event::Frame`].
-    pub fn send(&mut self, iface: IfaceId, data: Bytes) -> Result<(), SendError> {
+    /// peer agent as [`Event::Frame`]. Returns the instant its last bit
+    /// leaves the transmitter (lost or not), which lets a scheduler pace
+    /// departures at the medium's rate.
+    pub fn send(&mut self, iface: IfaceId, data: Bytes) -> Result<Time, SendError> {
         self.world.send_from(self.node, iface, data)
     }
 
@@ -277,11 +241,6 @@ impl Ctx<'_> {
     /// Arm a timer `d` from now.
     pub fn timer_in(&mut self, d: Dur, key: u64) {
         self.timer_at(self.world.time + d, key);
-    }
-
-    /// The simulation-wide deterministic RNG.
-    pub fn rng(&mut self) -> &mut StdRng {
-        &mut self.world.rng
     }
 }
 
@@ -313,7 +272,6 @@ impl Sim {
             world: World {
                 time: Time::ZERO,
                 seq: 0,
-                cur_seq: 0,
                 heap: BinaryHeap::new(),
                 links: Vec::new(),
                 ifaces: Vec::new(),
@@ -439,7 +397,6 @@ impl Sim {
         };
         debug_assert!(e.time >= self.world.time, "time went backwards");
         self.world.time = e.time;
-        self.world.cur_seq = e.seq;
         match e.kind {
             EvKind::Start { node } => self.dispatch(node, Event::Start),
             EvKind::Timer { node, key } => self.dispatch(node, Event::Timer { key }),
@@ -682,6 +639,131 @@ mod tests {
         sim.call(a, 9, Dur::from_millis(1));
         sim.run_until_idle(100);
         assert_eq!(sim.agent::<T>(a).fired, vec![9, 7]);
+    }
+
+    /// What a [`Scripted`] node saw, and when.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    enum Seen {
+        Start,
+        Frame { iface: u32, len: usize },
+        Timer { key: u64 },
+    }
+
+    /// At start, arms `timers` (absolute ns, key) and sends `sends`
+    /// (iface, len) in order; echoes the first frame it receives as
+    /// `echo` bytes, if set; logs every event.
+    struct Scripted {
+        timers: Vec<(u64, u64)>,
+        sends: Vec<(u32, usize)>,
+        echo: Option<usize>,
+        log: Vec<(u64, Seen)>,
+    }
+    impl Agent for Scripted {
+        fn handle(&mut self, now: Time, ev: Event, ctx: &mut Ctx<'_>) {
+            let seen = match ev {
+                Event::Start => {
+                    for &(at, key) in &self.timers {
+                        ctx.timer_at(Time(at), key);
+                    }
+                    for &(iface, len) in &self.sends {
+                        ctx.send(IfaceId(iface), Bytes::from(vec![0u8; len])).unwrap();
+                    }
+                    Seen::Start
+                }
+                Event::Frame { iface, data } => {
+                    if let Some(len) = self.echo.take() {
+                        ctx.send(iface, Bytes::from(vec![0u8; len])).unwrap();
+                    }
+                    Seen::Frame { iface: iface.0, len: data.len() }
+                }
+                Event::Timer { key } => Seen::Timer { key },
+            };
+            self.log.push((now.nanos(), seen));
+        }
+    }
+
+    /// The whole timeline of a small run, event by event in dispatch
+    /// order: bursts from both ends of a 10 Mbit/s link at the same
+    /// instant, a timer due at the exact instant a frame arrives (armed
+    /// before the frame was sent at one end, after it at the other), and
+    /// six frames over a Bernoulli-lossy 1 Gbit/s link.
+    #[test]
+    fn a_run_keeps_its_timeline_to_the_nanosecond_and_the_tie() {
+        let mut sim = Sim::new(11);
+        let node = |timers, sends, echo| Scripted { timers, sends, echo, log: Vec::new() };
+        let six = vec![(1, 60); 6];
+        let a_sends = [vec![(0, 100), (0, 200), (0, 50)], six].concat();
+        // 125 B at 10 Mbit/s is 100 us: b's first frame lands at a at 1.1 ms.
+        let a = sim.add_node(node(vec![(1_100_000, 1)], a_sends, None));
+        // 100 B is 80 us: a's first frame lands at b at 1.08 ms.
+        let b = sim.add_node(node(vec![(1_080_000, 2)], vec![(0, 125), (0, 125)], Some(40)));
+        let c = sim.add_node(node(vec![], vec![], None));
+        sim.connect(a, b, LinkCfg::wired().with_bandwidth(10_000_000));
+        let lossy = LinkCfg::wired().with_loss(LossModel::Bernoulli(0.5));
+        let (l, _, _) = sim.connect(a, c, lossy);
+        let mut timeline = Vec::new();
+        let mut seen = [0usize; 3];
+        while sim.step() {
+            for (i, id) in [a, b, c].into_iter().enumerate() {
+                let log = &sim.agent::<Scripted>(id).log;
+                timeline.extend(log[seen[i]..].iter().map(|&(t, s)| (t, i, s)));
+                seen[i] = log.len();
+            }
+        }
+        let frame = |iface, len| Seen::Frame { iface, len };
+        let expected = vec![
+            (0, 0, Seen::Start),
+            (0, 1, Seen::Start),
+            (0, 2, Seen::Start),
+            // 60 B at 1 Gbit/s is 480 ns; the fifth frame is lost.
+            (1_000_480, 2, frame(0, 60)),
+            (1_000_960, 2, frame(0, 60)),
+            (1_001_440, 2, frame(0, 60)),
+            (1_001_920, 2, frame(0, 60)),
+            (1_002_880, 2, frame(0, 60)),
+            // The frame was sent before the timer was armed: it goes first.
+            (1_080_000, 1, frame(0, 100)),
+            (1_080_000, 1, Seen::Timer { key: 2 }),
+            // The timer was armed before the frame was sent: it goes first.
+            (1_100_000, 0, Seen::Timer { key: 1 }),
+            (1_100_000, 0, frame(0, 125)),
+            (1_200_000, 0, frame(0, 125)),
+            (1_240_000, 1, frame(0, 200)),
+            (1_280_000, 1, frame(0, 50)),
+            // b's echo leaves an idle transmitter at 1.08 ms: 32 us + 1 ms.
+            (2_112_000, 0, frame(0, 40)),
+        ];
+        assert_eq!(timeline, expected);
+        assert_eq!((sim.link_stats(l).delivered, sim.link_stats(l).drops_loss), (5, 1));
+    }
+
+    /// `send` says when each frame's last bit leaves: the k-th of a
+    /// back-to-back burst k serialization times from now, whether the
+    /// loss process then drops it or not.
+    #[test]
+    fn send_returns_when_the_frame_has_left() {
+        struct Burst(Vec<Result<Time, SendError>>);
+        impl Agent for Burst {
+            fn handle(&mut self, _: Time, ev: Event, ctx: &mut Ctx<'_>) {
+                if let Event::Timer { .. } = ev {
+                    for _ in 0..6 {
+                        self.0.push(ctx.send(IfaceId(0), Bytes::from_static(&[0u8; 100])));
+                    }
+                }
+            }
+        }
+        let mut sim = Sim::new(11);
+        let a = sim.add_node(Burst(Vec::new()));
+        let b = sim.add_node(Echo { rx: 0 });
+        let cfg = LinkCfg::wired().with_loss(LossModel::Bernoulli(0.5));
+        let (l, _, _) = sim.connect(a, b, cfg);
+        sim.call(a, 0, Dur::from_micros(5));
+        sim.run_until_idle(1_000);
+        // 100 B at 1 Gbit/s is 800 ns.
+        let left: Vec<_> = (1..=6).map(|k| Ok(Time(5_000 + k * 800))).collect();
+        assert_eq!(sim.agent::<Burst>(a).0, left);
+        let st = sim.link_stats(l);
+        assert!(st.drops_loss > 0 && st.delivered > 0, "{st:?}");
     }
 
     #[test]

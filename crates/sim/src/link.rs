@@ -88,8 +88,9 @@ pub struct LinkCfg {
     pub delay: Dur,
     /// Loss process, sampled independently per direction.
     pub loss: LossModel,
-    /// Transmit queue capacity per direction, in bytes. Frames that would
-    /// overflow the queue are dropped (tail drop).
+    /// Transmit queue capacity per direction, in bytes: the bytes the
+    /// transmitter has not yet put on the wire. Frames that would overflow
+    /// the queue are dropped (tail drop).
     pub queue_bytes: usize,
     /// Maximum frame size; larger frames are rejected at `send`.
     pub mtu: usize,
@@ -154,16 +155,9 @@ impl Default for LinkCfg {
 /// Mutable state of one direction of a link.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct DirState {
-    /// Instant at which the transmitter becomes free.
+    /// Instant at which the transmitter becomes free: the queue holds
+    /// what it takes until then at the link's rate.
     pub busy_until: Time,
-    /// Bytes currently queued or being serialized. Kept lazily: in-flight
-    /// transmissions are retired from [`Self::inflight`] on the next send
-    /// over this direction, not by a heap event at their completion instant.
-    pub queued_bytes: usize,
-    /// Completion ledger for queued transmissions: `(tx done, event seq,
-    /// len)`, lexicographically nondecreasing (serialization finishes in
-    /// submission order and seq is globally increasing).
-    pub inflight: std::collections::VecDeque<(Time, u64, usize)>,
     /// Loss-channel state.
     pub loss: LossState,
     /// Frames dropped due to queue overflow.

@@ -51,70 +51,6 @@ pub fn tree(fanout: usize, depth: usize) -> (Vec<Edge>, usize) {
     (edges, next_id)
 }
 
-/// A `w` x `h` grid; vertex `(x, y)` has index `y * w + x`.
-pub fn grid(w: usize, h: usize) -> Vec<Edge> {
-    let mut e = Vec::new();
-    for y in 0..h {
-        for x in 0..w {
-            let i = y * w + x;
-            if x + 1 < w {
-                e.push((i, i + 1));
-            }
-            if y + 1 < h {
-                e.push((i, i + w));
-            }
-        }
-    }
-    e
-}
-
-/// The leaves of a [`tree`] topology: the vertex range that has no children.
-pub fn tree_leaves(fanout: usize, depth: usize) -> std::ops::Range<usize> {
-    let (_, total) = tree(fanout, depth);
-    let leaves = fanout.pow(depth as u32);
-    (total - leaves)..total
-}
-
-/// A two-tier "ISP internetwork": `isps` provider cores connected in a ring
-/// (full mesh if `isps <= 4`), each core serving `hosts_per_isp` customer
-/// hosts via an access router.
-///
-/// Vertex layout: `0..isps` are core routers, `isps..2*isps` are access
-/// routers (access router i hangs off core i), and hosts follow, grouped by
-/// ISP. Returns `(edges, host index range, total vertices)`.
-pub fn isp_internetwork(
-    isps: usize,
-    hosts_per_isp: usize,
-) -> (Vec<Edge>, std::ops::Range<usize>, usize) {
-    assert!(isps >= 2);
-    let mut e = Vec::new();
-    // Core interconnect.
-    if isps <= 4 {
-        for i in 0..isps {
-            for j in (i + 1)..isps {
-                e.push((i, j));
-            }
-        }
-    } else {
-        for i in 0..isps {
-            e.push((i, (i + 1) % isps));
-        }
-    }
-    // Access routers.
-    for i in 0..isps {
-        e.push((i, isps + i));
-    }
-    // Hosts.
-    let host_base = 2 * isps;
-    for i in 0..isps {
-        for h in 0..hosts_per_isp {
-            e.push((isps + i, host_base + i * hosts_per_isp + h));
-        }
-    }
-    let total = host_base + isps * hosts_per_isp;
-    (e, host_base..total, total)
-}
-
 /// A complete graph over `n` vertices.
 pub fn full_mesh(n: usize) -> Vec<Edge> {
     let mut e = Vec::with_capacity(n * n.saturating_sub(1) / 2);
@@ -159,32 +95,6 @@ pub fn barabasi_albert(n: usize, m: usize, seed: u64) -> Vec<Edge> {
     edges
 }
 
-/// A connected random graph: a random spanning tree plus `extra` random
-/// chords, deterministic in `seed`.
-pub fn random_connected(n: usize, extra: usize, seed: u64) -> Vec<Edge> {
-    assert!(n >= 2);
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut edges = Vec::with_capacity(n - 1 + extra);
-    // Random spanning tree: attach each new vertex to a random earlier one.
-    for v in 1..n {
-        let u = rng.gen_range(0..v);
-        edges.push((u, v));
-    }
-    let mut tries = 0;
-    let mut added = 0;
-    while added < extra && tries < extra * 20 {
-        tries += 1;
-        let a = rng.gen_range(0..n);
-        let b = rng.gen_range(0..n);
-        if a == b || edges.iter().any(|&(x, y)| (x, y) == (a.min(b), a.max(b))) {
-            continue;
-        }
-        edges.push((a.min(b), a.max(b)));
-        added += 1;
-    }
-    edges
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,24 +133,6 @@ mod tests {
         assert_eq!(total, 1 + 2 + 4 + 8);
         assert_eq!(edges.len(), total - 1);
         assert!(connected(total, &edges));
-        assert_eq!(tree_leaves(2, 3), 7..15);
-    }
-
-    #[test]
-    fn grid_shape() {
-        let e = grid(3, 2);
-        assert_eq!(e.len(), 3 + 4); // 3 vertical + 2*2 horizontal
-        assert!(connected(6, &e));
-    }
-
-    #[test]
-    fn isp_internetwork_shape() {
-        let (edges, hosts, total) = isp_internetwork(3, 4);
-        assert_eq!(total, 3 + 3 + 12);
-        assert_eq!(hosts, 6..18);
-        assert!(connected(total, &edges));
-        // Full mesh core for 3 ISPs: 3 core edges.
-        assert!(edges.contains(&(0, 1)) && edges.contains(&(1, 2)) && edges.contains(&(0, 2)));
     }
 
     #[test]
@@ -266,14 +158,5 @@ mod tests {
             deg[b] += 1;
         }
         assert!(deg.iter().copied().max().unwrap() >= 12, "max degree {:?}", deg.iter().max());
-    }
-
-    #[test]
-    fn random_connected_is_connected_and_deterministic() {
-        let e1 = random_connected(50, 20, 9);
-        let e2 = random_connected(50, 20, 9);
-        assert_eq!(e1, e2);
-        assert!(connected(50, &e1));
-        assert!(e1.len() >= 49);
     }
 }

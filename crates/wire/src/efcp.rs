@@ -184,22 +184,13 @@ impl Pdu {
     /// Encode to bytes with version byte and trailing CRC-32.
     pub fn encode(&self) -> Bytes {
         let mut w = Writer::with_capacity(32 + self.payload_len());
-        w.u8(WIRE_VERSION);
         match self {
             Pdu::Data(p) => {
-                w.u8(T_DATA)
-                    .varint(p.dest_addr)
-                    .varint(p.src_addr)
-                    .u8(p.qos_id)
-                    .varint(p.dest_cep as u64)
-                    .varint(p.src_cep as u64)
-                    .varint(p.seq)
-                    .u8(p.flags)
-                    .u8(p.ttl)
-                    .raw(&p.payload);
+                p.header(&mut w).raw(&p.payload);
             }
             Pdu::Ctrl(p) => {
-                w.u8(T_CTRL)
+                w.u8(WIRE_VERSION)
+                    .u8(T_CTRL)
                     .varint(p.dest_addr)
                     .varint(p.src_addr)
                     .u8(p.qos_id)
@@ -216,33 +207,30 @@ impl Pdu {
                 }
             }
             Pdu::Mgmt(p) => {
-                w.u8(T_MGMT).varint(p.dest_addr).varint(p.src_addr).u8(p.ttl).raw(&p.payload);
+                w.u8(WIRE_VERSION)
+                    .u8(T_MGMT)
+                    .varint(p.dest_addr)
+                    .varint(p.src_addr)
+                    .u8(p.ttl)
+                    .raw(&p.payload);
             }
         }
         w.finish_with_crc()
     }
 
-    /// Decode from bytes, verifying the CRC. The payload of data/management
-    /// PDUs is a zero-copy slice of `buf`.
+    /// Decode from bytes, verifying the CRC: the header as
+    /// [`PduView::peek`] reads it, then a control PDU's suffix. The
+    /// payload of data/management PDUs is a zero-copy slice of `buf`.
     pub fn decode(buf: &Bytes) -> Result<Pdu, WireError> {
-        let mut r = Reader::new_checked(buf)?;
-        let v = r.u8()?;
-        if v != WIRE_VERSION {
-            return Err(WireError::BadVersion(v));
-        }
-        let t = r.u8()?;
-        match t {
-            T_DATA => {
-                let dest_addr = r.varint()?;
-                let src_addr = r.varint()?;
-                let qos_id = r.u8()?;
-                let dest_cep = cep(r.varint()?)?;
-                let src_cep = cep(r.varint()?)?;
-                let seq = r.varint()?;
-                let flags = r.u8()?;
-                let ttl = r.u8()?;
-                let payload = slice_rest(buf, &mut r);
-                Ok(Pdu::Data(DataPdu {
+        Reader::new_checked(buf)?;
+        let v = PduView::read(buf)?;
+        let (dest_addr, src_addr, qos_id, ttl) = (v.dest_addr, v.src_addr, v.qos_id, v.ttl);
+        let (dest_cep, src_cep) = (v.dest_cep, v.src_cep);
+        let rest = v.payload_range(buf.len());
+        Ok(match v.kind {
+            PduKind::Data => {
+                let (seq, flags, payload) = (v.seq, v.flags, buf.slice(rest));
+                Pdu::Data(DataPdu {
                     dest_addr,
                     src_addr,
                     qos_id,
@@ -252,32 +240,22 @@ impl Pdu {
                     flags,
                     ttl,
                     payload,
-                }))
+                })
             }
-            T_CTRL => {
-                let dest_addr = r.varint()?;
-                let src_addr = r.varint()?;
-                let qos_id = r.u8()?;
-                let dest_cep = cep(r.varint()?)?;
-                let src_cep = cep(r.varint()?)?;
-                let ttl = r.u8()?;
+            PduKind::Ctrl => {
+                let mut r = Reader::new(&buf[rest]);
                 let kind = match r.u8()? {
                     CK_NACK => CtrlKind::Nack { seq: r.varint()? },
                     CK_ACK_CREDIT => CtrlKind::AckCredit { seq: r.varint()?, rwe: r.varint()? },
                     _ => return Err(WireError::Invalid("ctrl kind")),
                 };
                 r.expect_end()?;
-                Ok(Pdu::Ctrl(CtrlPdu { dest_addr, src_addr, qos_id, dest_cep, src_cep, ttl, kind }))
+                Pdu::Ctrl(CtrlPdu { dest_addr, src_addr, qos_id, dest_cep, src_cep, ttl, kind })
             }
-            T_MGMT => {
-                let dest_addr = r.varint()?;
-                let src_addr = r.varint()?;
-                let ttl = r.u8()?;
-                let payload = slice_rest(buf, &mut r);
-                Ok(Pdu::Mgmt(MgmtPdu { dest_addr, src_addr, ttl, payload }))
+            PduKind::Mgmt => {
+                Pdu::Mgmt(MgmtPdu { dest_addr, src_addr, ttl, payload: buf.slice(rest) })
             }
-            _ => Err(WireError::Invalid("pdu type")),
-        }
+        })
     }
 
     fn payload_len(&self) -> usize {
@@ -290,6 +268,21 @@ impl Pdu {
 }
 
 impl DataPdu {
+    /// Write the frame up to the payload — version, type tag and header
+    /// fields — into `w`.
+    fn header<'w>(&self, w: &'w mut Writer) -> &'w mut Writer {
+        w.u8(WIRE_VERSION)
+            .u8(T_DATA)
+            .varint(self.dest_addr)
+            .varint(self.src_addr)
+            .u8(self.qos_id)
+            .varint(self.dest_cep as u64)
+            .varint(self.src_cep as u64)
+            .varint(self.seq)
+            .u8(self.flags)
+            .u8(self.ttl)
+    }
+
     /// Encode with a caller-known `crc32(payload)`, skipping the payload
     /// re-sum: the trailer is `crc32_combine(crc32(header), payload_crc)`.
     /// Byte-identical to `Pdu::Data(self).encode()` (pinned by proptest)
@@ -301,16 +294,7 @@ impl DataPdu {
     /// trailer costs O(1) instead of a full pass over the bytes.
     pub fn encode_with_payload_crc(&self, payload_crc: u32) -> Bytes {
         let mut w = Writer::with_capacity(32 + self.payload.len());
-        w.u8(WIRE_VERSION)
-            .u8(T_DATA)
-            .varint(self.dest_addr)
-            .varint(self.src_addr)
-            .u8(self.qos_id)
-            .varint(self.dest_cep as u64)
-            .varint(self.src_cep as u64)
-            .varint(self.seq)
-            .u8(self.flags)
-            .u8(self.ttl);
+        self.header(&mut w);
         let header_crc = crate::crc::crc32(w.as_slice());
         w.raw(&self.payload);
         w.finish_with_crc_value(crate::crc::crc32_combine(
@@ -336,19 +320,16 @@ pub enum PduKind {
     Mgmt,
 }
 
-/// A relay's view of an encoded frame: the handful of header fields the
-/// relaying function needs, read in place — no allocation, no payload copy,
-/// no `Pdu` construction.
+/// The header of an encoded frame, read in place — no allocation, no
+/// payload copy, no `Pdu` construction: what a relay needs to forward
+/// it, and all [`Pdu::decode`] reads before the payload or a control
+/// PDU's suffix.
 ///
-/// `peek` validates exactly the prefix it reads (version, type tag, the
-/// varints up to the TTL byte), which is a strict subset of what
-/// [`Pdu::decode`] validates: it does **not** verify the CRC trailer, the
-/// control-kind suffix, or trailing-byte hygiene. The contract, pinned by
-/// proptest, is therefore one-directional — every frame `decode` accepts,
-/// `peek` accepts with identical field values, and every frame `peek`
-/// rejects, `decode` rejects. A corrupted frame that slips through is
-/// caught by the full decode at its terminal hop; simulator links lose
-/// frames but never corrupt them.
+/// `peek` does **not** verify the CRC trailer, the control suffix or
+/// trailing-byte hygiene, so it accepts some frames `decode` refuses;
+/// everything it reads, `decode` reads through it. A corrupted frame
+/// that slips through is caught by the full decode at its terminal hop;
+/// simulator links lose frames but never corrupt them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PduView {
     /// PDU type tag.
@@ -359,11 +340,15 @@ pub struct PduView {
     pub src_addr: Addr,
     /// QoS cube id (management PDUs ride cube 0, mirroring [`Pdu::qos_id`]).
     pub qos_id: u8,
-    /// Destination CEP id for data/control PDUs (flow demultiplexing at
-    /// the terminal hop); `None` for management PDUs.
-    pub dest_cep: Option<CepId>,
-    /// Source CEP id for data/control PDUs; `None` for management PDUs.
-    pub src_cep: Option<CepId>,
+    /// Destination CEP id (flow demultiplexing at the terminal hop); 0 on
+    /// management PDUs.
+    pub dest_cep: CepId,
+    /// Source CEP id; 0 on management PDUs.
+    pub src_cep: CepId,
+    /// Sequence number of a data PDU; 0 on the others.
+    pub seq: SeqNum,
+    /// `FLAG_*` bits of a data PDU; 0 on the others.
+    pub flags: u8,
     /// Remaining TTL.
     pub ttl: u8,
     /// Byte offset of the TTL within the frame, for in-place patching.
@@ -371,45 +356,55 @@ pub struct PduView {
 }
 
 impl PduView {
-    /// Peek the relay-relevant header fields of an encoded frame.
+    /// Peek the header fields of an encoded frame.
     ///
     /// Returns `None` on anything the full decoder would reject in the
-    /// peeked prefix; never panics on arbitrary bytes.
+    /// header; never panics on arbitrary bytes.
     pub fn peek(frame: &[u8]) -> Option<PduView> {
-        if frame.len() < 4 {
-            return None;
-        }
+        Self::read(frame).ok()
+    }
+
+    /// Read the header of `frame` (everything up to and including the
+    /// TTL byte), with the error [`Pdu::decode`] reports for it.
+    fn read(frame: &[u8]) -> Result<PduView, WireError> {
         // The CRC trailer is not part of the header; exclude it so a header
-        // truncated into the trailer bytes is rejected here like in decode.
-        let body = &frame[..frame.len() - 4];
+        // truncated into the trailer bytes is rejected as truncated.
+        let body = frame.len().checked_sub(4).map_or(&[][..], |n| &frame[..n]);
         let mut r = Reader::new(body);
-        if r.u8().ok()? != WIRE_VERSION {
-            return None;
+        let version = r.u8()?;
+        if version != WIRE_VERSION {
+            return Err(WireError::BadVersion(version));
         }
-        let kind = match r.u8().ok()? {
+        let kind = match r.u8()? {
             T_DATA => PduKind::Data,
             T_CTRL => PduKind::Ctrl,
             T_MGMT => PduKind::Mgmt,
-            _ => return None,
+            _ => return Err(WireError::Invalid("pdu type")),
         };
-        let dest_addr = r.varint().ok()?;
-        let src_addr = r.varint().ok()?;
+        let dest_addr = r.varint()?;
+        let src_addr = r.varint()?;
         let (qos_id, dest_cep, src_cep) = match kind {
-            PduKind::Mgmt => (0, None, None),
-            PduKind::Data | PduKind::Ctrl => {
-                let qos_id = r.u8().ok()?;
-                let dest_cep = cep(r.varint().ok()?).ok()?;
-                let src_cep = cep(r.varint().ok()?).ok()?;
-                if kind == PduKind::Data {
-                    let _seq = r.varint().ok()?;
-                    let _flags = r.u8().ok()?;
-                }
-                (qos_id, Some(dest_cep), Some(src_cep))
-            }
+            PduKind::Mgmt => (0, 0, 0),
+            PduKind::Data | PduKind::Ctrl => (r.u8()?, cep(r.varint()?)?, cep(r.varint()?)?),
+        };
+        let (seq, flags) = match kind {
+            PduKind::Data => (r.varint()?, r.u8()?),
+            PduKind::Ctrl | PduKind::Mgmt => (0, 0),
         };
         let ttl_offset = body.len() - r.remaining();
-        let ttl = r.u8().ok()?;
-        Some(PduView { kind, dest_addr, src_addr, qos_id, dest_cep, src_cep, ttl, ttl_offset })
+        let ttl = r.u8()?;
+        Ok(PduView {
+            kind,
+            dest_addr,
+            src_addr,
+            qos_id,
+            dest_cep,
+            src_cep,
+            seq,
+            flags,
+            ttl,
+            ttl_offset,
+        })
     }
 
     /// Byte range of a data PDU's payload within the `frame_len`-byte frame
@@ -421,11 +416,6 @@ impl PduView {
         let end = frame_len.saturating_sub(4);
         (self.ttl_offset + 1).min(end)..end
     }
-}
-
-/// Zero-copy slice of the remaining body bytes out of the original buffer.
-fn slice_rest(buf: &Bytes, r: &mut Reader<'_>) -> Bytes {
-    buf.slice_ref(r.rest())
 }
 
 #[cfg(test)]
@@ -576,6 +566,58 @@ mod tests {
         }
     }
 
+    /// Every way a frame is refused, with the exact error `decode` gives
+    /// and whether `peek` refuses it too: `peek` reads the header (up to
+    /// the TTL byte), so it declines exactly the frames whose header is
+    /// bad, and lets through a bad CRC or a bad control suffix.
+    #[test]
+    fn every_rejection_keeps_its_error() {
+        // `body` and a valid CRC trailer over it.
+        let framed = |body: &[u8]| {
+            let mut w = Writer::new();
+            w.raw(body);
+            w.finish_with_crc()
+        };
+        let (v, data, ctrl, mgmt) = (WIRE_VERSION, T_DATA, T_CTRL, T_MGMT);
+        // A control header up to its TTL: addrs 1 → 2, cube 0, ceps 3 → 4.
+        let ctrl_header = [v, ctrl, 1, 2, 0, 3, 4, 16];
+        let mut bad_crc = Pdu::Data(sample_data()).encode().to_vec();
+        let last_payload_byte = bad_crc.len() - 5;
+        bad_crc[last_payload_byte] ^= 0x01;
+        let mut wide_cep = vec![v, data, 1, 2, 0];
+        wide_cep.extend_from_slice(&[0x80, 0x80, 0x80, 0x80, 0x10]); // 2^32
+        wide_cep.extend_from_slice(&[4, 5, 0, 16]);
+        let mut wide_varint = vec![v, mgmt];
+        wide_varint.extend_from_slice(&[0xFF; 10]);
+        let table: Vec<(&str, Bytes, WireError, bool)> = vec![
+            ("empty", Bytes::new(), WireError::Truncated, true),
+            ("under 4 bytes", Bytes::from_static(&[1, 0x81, 0]), WireError::Truncated, true),
+            ("bad crc", Bytes::from(bad_crc), WireError::BadChecksum, false),
+            ("bad version", framed(&[9, data]), WireError::BadVersion(9), true),
+            ("unknown type", framed(&[v, 0x7F]), WireError::Invalid("pdu type"), true),
+            ("header truncated", framed(&[v, data, 1, 2, 0]), WireError::Truncated, true),
+            ("varint past 64 bits", framed(&wide_varint), WireError::VarintOverflow, true),
+            ("cep id past u32", framed(&wide_cep), WireError::Invalid("cep id"), true),
+            ("control kind missing", framed(&ctrl_header), WireError::Truncated, false),
+            (
+                "unknown control kind",
+                framed(&[&ctrl_header[..], &[7, 9]].concat()),
+                WireError::Invalid("ctrl kind"),
+                false,
+            ),
+            (
+                "trailing bytes",
+                framed(&[&ctrl_header[..], &[CK_NACK, 9, 0]].concat()),
+                WireError::TrailingBytes,
+                false,
+            ),
+        ];
+        for (case, frame, error, header_fails) in table {
+            assert_eq!(Pdu::decode(&frame), Err(error), "{case}");
+            assert_eq!(PduView::peek(&frame).is_none(), header_fails, "{case}");
+        }
+    }
+
     #[test]
     fn overhead_is_modest() {
         let d = sample_data();
@@ -652,8 +694,8 @@ mod tests {
         match p {
             Pdu::Data(d) => {
                 assert_eq!(v.kind, PduKind::Data);
-                assert_eq!(v.dest_cep, Some(d.dest_cep));
-                assert_eq!(v.src_cep, Some(d.src_cep));
+                assert_eq!((v.dest_cep, v.src_cep), (d.dest_cep, d.src_cep));
+                assert_eq!((v.seq, v.flags), (d.seq, d.flags));
                 assert_eq!(
                     &frame[v.payload_range(frame.len())],
                     &d.payload[..],
@@ -662,13 +704,12 @@ mod tests {
             }
             Pdu::Ctrl(c) => {
                 assert_eq!(v.kind, PduKind::Ctrl);
-                assert_eq!(v.dest_cep, Some(c.dest_cep));
-                assert_eq!(v.src_cep, Some(c.src_cep));
+                assert_eq!((v.dest_cep, v.src_cep), (c.dest_cep, c.src_cep));
+                assert_eq!((v.seq, v.flags), (0, 0));
             }
             Pdu::Mgmt(_) => {
                 assert_eq!(v.kind, PduKind::Mgmt);
-                assert_eq!(v.dest_cep, None);
-                assert_eq!(v.src_cep, None);
+                assert_eq!((v.dest_cep, v.src_cep, v.seq, v.flags), (0, 0, 0, 0));
             }
         }
     }
@@ -697,9 +738,9 @@ mod tests {
         ) {
             let b = Bytes::from(data);
             let peek = PduView::peek(&b);
-            // One-directional agreement: decode-accept ⟹ peek-accept with the
-            // same fields; peek-reject ⟹ decode-reject. (Peek skips the CRC
-            // and suffix checks, so it may accept frames decode rejects.)
+            // Decode reads its header through peek's reader: decode-accept ⟹
+            // peek-accept with the same fields. (Peek skips the CRC and
+            // suffix checks, so it may accept frames decode rejects.)
             if let Ok(p) = Pdu::decode(&b) {
                 let v = peek.expect("decode accepted, peek must too");
                 assert_view_matches(&v, &p, &b);
