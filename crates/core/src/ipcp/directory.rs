@@ -61,9 +61,11 @@ pub(super) struct DirCached {
 /// The directory task's state (see module docs).
 #[derive(Default)]
 pub(super) struct Directory {
-    /// Applications registered here (drives directory reasserts when a
-    /// wrong purge tombstones one of our `/dir/*` entries).
-    registered: Vec<AppName>,
+    /// Applications registered here, in the order they registered,
+    /// whether or not this process is a member yet (drives directory
+    /// reasserts when a wrong purge tombstones one of our `/dir/*`
+    /// entries).
+    pub(super) registered: Vec<AppName>,
     /// On-demand resolution cache (scoped `/dir` only): name → owner
     /// answer, LRU-bounded by [`DIR_CACHE_CAP`].
     pub(super) cache: BTreeMap<String, DirCached>,
@@ -185,39 +187,47 @@ fn dir_name(app: &AppName) -> String {
 }
 
 impl Ipcp {
-    /// Whether this process runs the owner-held `/dir` replication
-    /// scope (shims have an implicit two-party directory and never do).
+    /// Whether this process runs the owner-held `/dir` replication scope.
     pub(super) fn scoped_dir(&self) -> bool {
-        self.cfg.scoped_dir && !self.is_shim
+        self.cfg.scoped_dir
     }
 
-    /// Register a local application in this DIF's directory.
+    /// Register a local application in this DIF's directory. The name is
+    /// recorded at once and written to `/dir` while this process is a
+    /// member: now, or when it enrolls — and again when the fresh process
+    /// a crash-restart puts in its slot enrolls.
     pub fn dir_register(&mut self, app: &AppName) {
-        if self.is_shim {
-            return; // shims have an implicit two-party directory
-        }
         if !self.directory.registered.contains(app) {
             self.directory.registered.push(app.clone());
         }
-        self.rib.write_local(&dir_name(app), "dir", encode_addr(self.addr));
-        self.drain_rib();
+        if self.enrolled {
+            self.rib.write_local(&dir_name(app), "dir", encode_addr(self.addr));
+            self.drain_rib();
+        }
     }
 
     /// Remove a local application from this DIF's directory.
     pub fn dir_unregister(&mut self, app: &AppName) {
-        if self.is_shim {
-            return;
-        }
         self.directory.registered.retain(|r| r != app);
         self.rib.delete_local(&dir_name(app));
         self.drain_rib();
     }
 
+    /// The fresh, unenrolled process a crash-restart puts in this one's
+    /// slot: the same configuration and name, carrying the applications
+    /// registered here.
+    pub(crate) fn respawned(&self) -> Ipcp {
+        let mut fresh = Ipcp::new(self.idx, self.cfg.clone(), self.name.clone());
+        fresh.directory.registered = self.directory.registered.clone();
+        fresh
+    }
+
     /// Where (which member address) an application is registered, if known.
     pub fn dir_lookup(&self, app: &AppName) -> Option<Addr> {
         if self.is_shim {
-            // Degenerate directory: the peer might have it.
-            return self.transfer.first_up().map(|_| self.shim_peer());
+            // Degenerate directory: whatever the name, the peer across a
+            // live medium might have it.
+            return self.transfer.n1.iter().find(|p| p.live()).map(|p| p.peer_addr);
         }
         self.rib.get(&dir_name(app)).and_then(|o| decode_addr(&o.value))
     }

@@ -363,7 +363,11 @@ impl Ipcp {
             }
         }
         self.refresh_lsa();
-        self.out.push(IpcpOut::Enrolled);
+        // What the applications registered while this process was outside
+        // the DIF enters its directory now, in registration order.
+        for app in self.directory.registered.clone() {
+            self.dir_register(&app);
+        }
     }
 
     /// Gracefully leave the DIF: tombstone every object this member is

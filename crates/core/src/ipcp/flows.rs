@@ -4,8 +4,11 @@
 //! is one [`Flow`] keyed by its local CEP id. What differs between a real
 //! DIF and a shim is the flow's [`Binding`] and nothing else: an EFCP
 //! connection that sequences, windows and retransmits, or a pass-through
-//! straight to the medium. The allocator handshake, the phases, the port
-//! binding and teardown are the same code for both.
+//! straight to the medium. One function, `Ipcp::bind`, makes that
+//! choice, and the binding then decides delivery: a raw flow's data is
+//! handed up as it arrived, an EFCP flow's PDUs feed its connection. The
+//! allocator handshake, the phases, the port binding and teardown are
+//! the same code for both.
 
 use super::{Ipcp, IpcpOut, IpcpTimer};
 use crate::msg::MgmtBody;
@@ -15,7 +18,7 @@ use crate::rmt::TxClass;
 use bytes::Bytes;
 use rina_efcp::{ConnId, ConnStats, Connection};
 use rina_sim::Time;
-use rina_wire::{CepId, Pdu};
+use rina_wire::{CepId, Pdu, PduView};
 use std::collections::BTreeMap;
 
 /// Largest SDU a DIF accepts from its users; PDUs add header overhead
@@ -41,7 +44,17 @@ enum Binding {
     /// medium" — on a point-to-point link there is nothing to relay,
     /// sequence, or window, so its data-transfer task reduces to framing
     /// plus priority multiplexing.
-    Raw { peer_cep: CepId, qos_id: u8, priority: u8 },
+    Raw { peer_addr: Addr, peer_cep: CepId, qos_id: u8, priority: u8 },
+}
+
+impl Binding {
+    /// The far end of the flow: its member address and CEP id.
+    fn peer(&self) -> (Addr, CepId) {
+        match *self {
+            Binding::Efcp(ref conn) => (conn.id().remote_addr, conn.id().remote_cep),
+            Binding::Raw { peer_addr, peer_cep, .. } => (peer_addr, peer_cep),
+        }
+    }
 }
 
 /// One flow endpoint, bound to node port `port`.
@@ -100,11 +113,6 @@ impl Flows {
         Some(flow)
     }
 
-    /// The node port of the active flow at `cep`, if there is one.
-    pub(super) fn active_port(&self, cep: CepId) -> Option<u64> {
-        self.table.get(&cep).filter(|f| f.phase == Phase::Active).map(|f| f.port)
-    }
-
     /// The EFCP connection bound to the flow at `cep`, if it has one.
     pub(super) fn conn_mut(&mut self, cep: CepId) -> Option<&mut Connection> {
         match self.table.get_mut(&cep) {
@@ -137,20 +145,53 @@ impl Flows {
     }
 }
 
-/// A fresh EFCP connection `local`:`cep` ↔ `remote_addr`:`remote_cep`
-/// under `cube`'s policies.
-fn efcp(
-    local: Addr,
-    cep: CepId,
-    remote_addr: Addr,
-    remote_cep: CepId,
-    cube: &QosCube,
-) -> Box<Connection> {
-    let id = ConnId { local_addr: local, remote_addr, local_cep: cep, remote_cep, qos_id: cube.id };
-    Box::new(Connection::new(id, cube.params.clone()))
-}
-
 impl Ipcp {
+    /// Bind the flow at `cep` to the peer's `peer_addr`:`peer_cep` under
+    /// `cube`'s policies — the one choice a shim makes differently here:
+    /// its flows pass straight to the medium, a member's ride a fresh
+    /// EFCP connection.
+    fn bind(&self, cep: CepId, peer_addr: Addr, peer_cep: CepId, cube: &QosCube) -> Binding {
+        if self.is_shim {
+            return Binding::Raw { peer_addr, peer_cep, qos_id: cube.id, priority: cube.priority };
+        }
+        let id = ConnId {
+            local_addr: self.addr,
+            remote_addr: peer_addr,
+            local_cep: cep,
+            remote_cep: peer_cep,
+            qos_id: cube.id,
+        };
+        Binding::Efcp(Box::new(Connection::new(id, cube.params.clone())))
+    }
+
+    /// A data PDU `v`, addressed here, arrived in `frame`; one flow-table
+    /// lookup decides where it goes. An active raw flow's data is the
+    /// frame of an upper DIF: it is sliced out of the arrival buffer and
+    /// handed up undecoded. Anything else is decoded and fed to the EFCP
+    /// connection owning its CEP, or booked in `no_flow_drops` when no
+    /// flow owns it.
+    pub(super) fn on_data(&mut self, v: PduView, frame: Bytes, now: Time) {
+        let conn = match self.flows.table.get_mut(&v.dest_cep) {
+            Some(Flow { port, phase: Phase::Active, binding: Binding::Raw { .. }, .. }) => {
+                let sdu = frame.slice(v.payload_range(frame.len()));
+                self.out.push(IpcpOut::Deliver { port: *port, sdu });
+                return;
+            }
+            Some(Flow { binding: Binding::Efcp(conn), .. }) => Some(conn),
+            _ => None,
+        };
+        let Ok(pdu) = Pdu::decode(&frame) else {
+            self.stats.decode_errors += 1;
+            return;
+        };
+        let Some(conn) = conn else {
+            self.stats.no_flow_drops += 1;
+            return;
+        };
+        conn.on_pdu(&pdu, now.nanos());
+        self.pump_conn(v.dest_cep, now);
+    }
+
     /// The timer armed as `arm` for the flow at `cep` fired: drive the
     /// connection's timers — unless `arm` is no longer the flow's arming
     /// (an earlier deadline superseded it, or the flow is gone), which
@@ -204,28 +245,15 @@ impl Ipcp {
     ) {
         // Fail fast if routing has not converged to the destination member
         // yet — the requester retries rather than stalling on a timeout.
-        // (A shim's destination is the far end of its medium.)
         let fwd = self.routes.engine.table();
-        if !self.is_shim
-            && dst_addr != self.addr
-            && self.transfer.pick_n1_toward(dst_addr, fwd).is_none()
-        {
+        if dst_addr != self.addr && self.transfer.pick_n1_toward(dst_addr, fwd).is_none() {
             self.out.push(IpcpOut::FlowFailed { port, reason: "no route to destination member" });
             return;
         }
         let cep = self.flows.next_cep();
-        let binding = if self.is_shim {
-            let cube = match_cube(&self.cfg.cubes, &spec);
-            Binding::Raw {
-                peer_cep: 0,
-                qos_id: cube.map(|c| c.id).unwrap_or(3),
-                priority: cube.map(|c| c.priority).unwrap_or(1),
-            }
-        } else {
-            // The connection is provisional until the response supplies
-            // the peer cep and qos cube; created then.
-            Binding::Efcp(efcp(self.addr, cep, dst_addr, 0, self.cfg.cube(0).expect("mgmt cube")))
-        };
+        // Provisional until the response supplies the peer cep and qos
+        // cube; bound again then.
+        let binding = self.bind(cep, dst_addr, 0, self.cfg.cube(0).expect("mgmt cube"));
         let invoke = self.next_invoke();
         let phase = Phase::Requesting { invoke };
         self.flows.insert(cep, Flow { port, phase, peer: dst_app.clone(), binding, timer: None });
@@ -252,11 +280,7 @@ impl Ipcp {
         };
         let qos_id = cube.id;
         let cep = self.flows.next_cep();
-        let binding = if self.is_shim {
-            Binding::Raw { peer_cep: src_cep, qos_id, priority: cube.priority }
-        } else {
-            Binding::Efcp(efcp(self.addr, cep, src_addr, src_cep, cube))
-        };
+        let binding = self.bind(cep, src_addr, src_cep, cube);
         let flow = Flow { port, phase: Phase::Active, peer: src_app.clone(), binding, timer: None };
         self.flows.insert(cep, flow);
         let body = MgmtBody::FlowResponse { dst_cep: cep, qos_id };
@@ -280,31 +304,26 @@ impl Ipcp {
         result: i32,
     ) {
         let Some(cep) = self.flows.pending.remove(&invoke_id) else { return };
-        let Some(f) = self.flows.table.get_mut(&cep) else { return };
-        let refusal = if result != 0 || dst_cep == 0 {
-            Some("refused by destination")
-        } else {
-            match (&mut f.binding, self.cfg.cube(qos_id)) {
-                (Binding::Raw { peer_cep, .. }, _) => {
-                    *peer_cep = dst_cep;
-                    None
-                }
-                (Binding::Efcp(_), None) => Some("unknown qos cube"),
-                (Binding::Efcp(conn), Some(cube)) => {
-                    *conn = efcp(self.addr, cep, conn.id().remote_addr, dst_cep, cube);
-                    self.flows.timer_dirty.push(cep);
-                    None
-                }
-            }
+        let Some((peer_addr, _)) = self.flows.table.get(&cep).map(|f| f.binding.peer()) else {
+            return;
         };
+        let bound = if result != 0 || dst_cep == 0 {
+            Err("refused by destination")
+        } else {
+            let cube = self.cfg.cube(qos_id).ok_or("unknown qos cube");
+            cube.map(|cube| self.bind(cep, peer_addr, dst_cep, cube))
+        };
+        let Some(f) = self.flows.table.get_mut(&cep) else { return };
         let port = f.port;
-        match refusal {
-            Some(reason) => {
+        match bound {
+            Err(reason) => {
                 self.flows.remove(cep);
                 self.out.push(IpcpOut::FlowFailed { port, reason });
             }
-            None => {
+            Ok(binding) => {
+                f.binding = binding;
                 f.phase = Phase::Active;
+                self.flows.timer_dirty.push(cep);
                 self.out.push(IpcpOut::FlowActive { port, peer: f.peer.clone() });
             }
         }
@@ -320,10 +339,7 @@ impl Ipcp {
         if f.phase != Phase::Active {
             return;
         }
-        let (peer_addr, peer_cep) = match f.binding {
-            Binding::Raw { peer_cep, .. } => (self.shim_peer(), peer_cep),
-            Binding::Efcp(conn) => (conn.id().remote_addr, conn.id().remote_cep),
-        };
+        let (peer_addr, peer_cep) = f.binding.peer();
         let invoke = self.next_invoke();
         self.send_mgmt_addr(peer_addr, MgmtBody::FlowTeardown { cep: peer_cep }, invoke, 0);
     }
@@ -345,8 +361,9 @@ impl Ipcp {
             return Err("flow not active");
         }
         match &mut f.binding {
-            &mut Binding::Raw { peer_cep, qos_id, priority } => {
-                self.write_raw(peer_cep, TxClass::new(qos_id, priority), sdu, class_hint)
+            &mut Binding::Raw { peer_addr, peer_cep, qos_id, priority } => {
+                let own = TxClass::new(qos_id, priority);
+                self.write_raw(peer_addr, peer_cep, own, sdu, class_hint)
             }
             Binding::Efcp(conn) => {
                 if sdu.len() > MAX_SDU {
@@ -359,18 +376,22 @@ impl Ipcp {
         }
     }
 
-    /// Shim data path: wrap the SDU in a DataPdu for demultiplexing at the
-    /// peer's `peer_cep` and pass it straight to the medium. `own` is the
-    /// shim flow's own class.
+    /// Shim data path: wrap the SDU in a DataPdu for demultiplexing at
+    /// `peer_addr`'s `peer_cep` and pass it straight to the medium. `own`
+    /// is the shim flow's own class.
     fn write_raw(
         &mut self,
+        peer_addr: Addr,
         peer_cep: CepId,
         own: TxClass,
         sdu: Bytes,
         class_hint: Option<TxClass>,
     ) -> Result<(), &'static str> {
+        let Some(n1) = self.transfer.pick_n1_toward(peer_addr, self.routes.engine.table()) else {
+            return Err("link down");
+        };
         let d = rina_wire::DataPdu {
-            dest_addr: self.shim_peer(),
+            dest_addr: peer_addr,
             src_addr: self.addr,
             qos_id: own.qos_id,
             dest_cep: peer_cep,
@@ -399,9 +420,6 @@ impl Ipcp {
             d.encode_with_payload_crc(rina_wire::crc::crc32_of_trailed(trailer))
         } else {
             Pdu::Data(d).encode()
-        };
-        let Some(n1) = self.transfer.first_up() else {
-            return Err("link down");
         };
         // The hint preserves the *originating* cube (an upper DIF's class
         // riding this shim flow); plain writes class as the shim flow's
@@ -480,12 +498,12 @@ mod tests {
     /// or two members of a real DIF (EFCP binding).
     fn pair(shim: bool) -> [Ipcp; 2] {
         [1, 2].map(|side| {
-            let mut i = Ipcp::new(0, DifConfig::new("net"), AppName::new(&format!("net.{side}")));
+            let (cfg, name) = (DifConfig::new("net"), AppName::new(&format!("net.{side}")));
             if shim {
-                i.make_shim(side);
-            } else {
-                i.bootstrap(side);
+                return Ipcp::shim(0, cfg, name, 0, side);
             }
+            let mut i = Ipcp::new(0, cfg, name);
+            i.bootstrap(side);
             i.add_n1(N1Kind::Phys { iface: 0 });
             i.transfer.n1[0].peer_addr = 3 - side;
             i.transfer.rebuild_peer_index();

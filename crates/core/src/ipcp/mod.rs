@@ -29,12 +29,15 @@
 //! The recursion that defines the architecture is in [`N1Kind`]: an (N-1)
 //! port is *either* a raw interface (making this a shim DIF "tailored to
 //! the physical medium") *or* a flow allocated from a lower DIF on the
-//! same node. A shim ([`Ipcp::is_shim`]) is the same machine under a
-//! degenerate policy, not a second implementation: its flows live in the
-//! same table bound straight to the medium instead of to an EFCP
-//! connection, it never relays, and the two-member DIF a medium defines
-//! needs no enrollment and nothing the RIB feeds — its only route is the
-//! medium and its directory is "the peer".
+//! same node. A shim ([`Ipcp::shim`]) is the same machine built over its
+//! medium with its peer known, not a second implementation: its one port
+//! is bound to the medium with the other end's address in it, so
+//! forwarding, delivery and the flow handshake find the peer as they
+//! find any neighbor. Three policies are all a shim varies: the
+//! two-member DIF a medium defines runs no management task (no
+//! enrollment, nothing the RIB feeds), its directory is "the peer", and
+//! its flows are bound straight to the medium instead of to an EFCP
+//! connection.
 //!
 //! An `Ipcp` is sans-IO like everything else: methods append [`IpcpOut`]
 //! effects which the owning [`crate::node::Node`] executes.
@@ -155,8 +158,6 @@ pub enum IpcpOut {
         /// Invoke id to echo in the response.
         invoke_id: u32,
     },
-    /// Enrollment completed; the IPC process now has an address.
-    Enrolled,
     /// An (N-1) adjacency's hellos went silent past the expiry deadline.
     /// The node must check whether it owns the flow behind this port
     /// (an adjacency plan allocated it) and, if so, tear the dead flow
@@ -297,9 +298,10 @@ pub struct Ipcp {
     /// its own address plus the range it may sponsor its subtree from.
     /// `(addr, addr)` when nothing was delegated.
     pub block: (Addr, Addr),
-    /// Shim mode: degenerate two-member DIF bound to a point-to-point
-    /// medium; no enrollment, no routing, implicit directory.
-    pub is_shim: bool,
+    /// Built over a point-to-point medium ([`Ipcp::shim`]). Read by the
+    /// three policies a shim varies, and nowhere else: [`Ipcp::manages`],
+    /// [`Ipcp::dir_lookup`] and the flow binding.
+    is_shim: bool,
     /// Member state.
     enrolled: bool,
     /// This member announced a graceful leave: its objects are
@@ -367,12 +369,23 @@ impl Ipcp {
         }
     }
 
-    /// Configure shim mode with the given side address (1 or 2).
-    pub fn make_shim(&mut self, side_addr: Addr) {
-        self.is_shim = true;
-        self.addr = side_addr;
-        self.rib.set_origin(side_addr);
-        self.enrolled = true;
+    /// Create the shim IPC process at end `addr` (1 or 2) of the
+    /// point-to-point medium behind interface `iface`: a member from the
+    /// start, its one (N-1) port bound to the medium with the other end,
+    /// `3 - addr`, as its peer.
+    pub fn shim(idx: usize, cfg: DifConfig, name: AppName, iface: u32, addr: Addr) -> Self {
+        assert!(addr == 1 || addr == 2, "a medium's two ends are addresses 1 and 2");
+        let mut s = Ipcp::new(idx, cfg, name);
+        s.is_shim = true;
+        s.addr = addr;
+        s.rib.set_origin(addr);
+        s.enrolled = true;
+        s.add_n1(N1Kind::Phys { iface });
+        if let Some(p) = s.transfer.n1.first_mut() {
+            p.peer_addr = 3 - addr;
+        }
+        s.transfer.rebuild_peer_index();
+        s
     }
 
     /// Whether this process is an enrolled member.
@@ -388,17 +401,8 @@ impl Ipcp {
     /// Whether this process runs the management tasks the RIB feeds —
     /// dissemination, anti-entropy, LSAs, sponsoring: an enrolled member
     /// of a real DIF. The two-member DIF a medium defines has none.
-    fn manages(&self) -> bool {
+    pub(crate) fn manages(&self) -> bool {
         self.enrolled && !self.is_shim
-    }
-
-    /// The other side of a shim's point-to-point medium.
-    fn shim_peer(&self) -> Addr {
-        if self.addr == 1 {
-            2
-        } else {
-            1
-        }
     }
 
     /// Attach an (N-1) port. Returns its index.
@@ -410,11 +414,6 @@ impl Ipcp {
     /// The (N-1) ports (read-only view).
     pub fn n1_ports(&self) -> &[N1Port] {
         &self.transfer.n1
-    }
-
-    /// Find the (N-1) port backed by the given lower-flow port id.
-    pub fn n1_by_lower_port(&self, port: u64) -> Option<usize> {
-        self.transfer.n1.iter().position(|p| p.kind == N1Kind::Lower { port })
     }
 
     /// Drain pending effects.
@@ -505,8 +504,8 @@ impl Ipcp {
     ///
     /// The peek validates a subset of what [`Pdu::decode`] does (it
     /// trusts the CRC trailer), so a frame it declines is one decode
-    /// would reject. Skipping the CRC on the relay and shim branches is
-    /// sound because links lose frames but never corrupt them, and a
+    /// would reject. Skipping the CRC on the relay and raw-delivery paths
+    /// is sound because links lose frames but never corrupt them, and a
     /// frame's own trailer is still checked by the full decode at its
     /// terminal hop.
     pub fn on_frame(&mut self, n1: usize, frame: Bytes, now: Time) {
@@ -519,26 +518,13 @@ impl Ipcp {
             self.stats.decode_errors += 1;
             return;
         };
-        if self.is_shim {
-            // A shim never relays: whatever the destination, it is local.
-            // Data is the wrapped frame of an upper DIF — slice it out of
-            // the arrival buffer and hand it up, or drop it when no
-            // active flow owns the CEP. The rest is the shim's own flow
-            // handshake and takes the decode below.
-            if v.kind == PduKind::Data {
-                match self.flows.active_port(v.dest_cep) {
-                    Some(port) => {
-                        let sdu = frame.slice(v.payload_range(frame.len()));
-                        self.out.push(IpcpOut::Deliver { port, sdu });
-                    }
-                    None => self.stats.no_flow_drops += 1,
-                }
-                return;
-            }
-        } else if v.dest_addr != 0 && v.dest_addr != self.addr {
+        if v.dest_addr != 0 && v.dest_addr != self.addr {
             let (fwd, cubes) = (self.routes.engine.table(), &self.cfg.cubes);
             self.transfer.relay(v, frame, fwd, cubes, &mut self.stats, &mut self.out);
             return;
+        }
+        if v.kind == PduKind::Data {
+            return self.on_data(v, frame, now);
         }
         match Pdu::decode(&frame) {
             Ok(pdu) => self.deliver_local(pdu, n1, now),
@@ -547,8 +533,9 @@ impl Ipcp {
     }
 
     /// Terminate a decoded PDU here: management to the management task,
-    /// data and control to the EFCP connection owning the CEP (never a
-    /// shim's data — `on_frame` hands that up undecoded).
+    /// data and control to the EFCP connection owning the CEP. Data from
+    /// an (N-1) port takes [`Ipcp::on_data`] instead; only this member's
+    /// own loopback brings data here.
     fn deliver_local(&mut self, pdu: Pdu, from_n1: usize, now: Time) {
         let cep = match pdu {
             Pdu::Mgmt(m) => return self.handle_mgmt(m, from_n1, now),
@@ -566,7 +553,7 @@ impl Ipcp {
     /// Send `pdu`, originated here, toward its destination address.
     fn forward(&mut self, pdu: Pdu) {
         let (fwd, cubes) = (self.routes.engine.table(), &self.cfg.cubes);
-        self.transfer.forward(pdu, self.is_shim, fwd, cubes, &mut self.stats, &mut self.out);
+        self.transfer.forward(pdu, fwd, cubes, &mut self.stats, &mut self.out);
     }
 
     fn handle_mgmt(&mut self, m: MgmtPdu, from_n1: usize, now: Time) {

@@ -88,10 +88,21 @@ fn dir_register_and_lookup() {
 
 #[test]
 fn shim_directory_points_at_peer() {
-    let mut s = mk("shim.a");
-    s.make_shim(1);
-    s.add_n1(N1Kind::Phys { iface: 0 });
+    let s = Ipcp::shim(0, DifConfig::new("shim"), AppName::new("shim.a"), 0, 1);
     assert_eq!(s.dir_lookup(&AppName::new("anything")), Some(2));
+}
+
+/// A registration made before the process is a member is recorded and
+/// written nowhere; the enrollment response that makes it a member
+/// writes it to `/dir`.
+#[test]
+fn registration_before_enrollment_is_written_on_enrolling() {
+    let mut j = mk("net.j");
+    j.add_n1(N1Kind::Phys { iface: 0 });
+    j.dir_register(&AppName::new("web"));
+    assert_eq!(j.rib.object_count(), 0, "not a member: nothing written");
+    j.handle_enroll_response(5, (5, 5), 0, Vec::new(), 0);
+    assert_eq!(j.dir_lookup(&AppName::new("web")), Some(5));
 }
 
 /// A relay at address 1 with live ports toward peers 2 and 3.

@@ -92,16 +92,11 @@ impl Transfer {
         }
     }
 
-    /// The first port that is up — on a shim's point-to-point medium,
-    /// the only path there is.
-    pub(super) fn first_up(&self) -> Option<usize> {
-        self.n1.iter().position(|p| p.up)
-    }
-
     /// Choose the (N-1) port for `dest`: step 1 route lookup, step 2 path
     /// selection among live ports to the chosen next hop.
     pub(super) fn pick_n1_toward(&self, dest: Addr, fwd: &ForwardingTable) -> Option<usize> {
-        // Direct adjacency short-circuit (also the only case for shims).
+        // Direct adjacency short-circuit (a shim's only case: its table
+        // is empty and its index holds the peer alone).
         if let Some(&i) = self.peer_index.get(&dest) {
             return Some(i);
         }
@@ -166,18 +161,16 @@ impl Transfer {
     /// Two-step forwarding (§ Fig 4) of a PDU framed here: (1) next-hop
     /// member address from the forwarding table, (2) live (N-1) port (path
     /// / point of attachment) toward that next hop, chosen at transmission
-    /// time. A shim's only path is the medium itself.
+    /// time.
     pub(super) fn forward(
         &self,
         pdu: Pdu,
-        shim: bool,
         fwd: &ForwardingTable,
         cubes: &[QosCube],
         stats: &mut IpcpStats,
         out: &mut Vec<IpcpOut>,
     ) {
-        let picked = if shim { self.first_up() } else { self.pick_n1_toward(pdu.dest_addr(), fwd) };
-        let Some(n1) = picked else {
+        let Some(n1) = self.pick_n1_toward(pdu.dest_addr(), fwd) else {
             stats.no_route += 1;
             return;
         };

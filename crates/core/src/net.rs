@@ -199,7 +199,6 @@ pub struct NetBuilder {
     shim_of: BTreeMap<(usize, usize), usize>,
     difs: Vec<DifPlan>,
     adjacencies: Vec<AdjPlan>,
-    shim_count: usize,
     shim_sched: crate::dif::SchedPolicy,
     shim_queue_cap: Option<usize>,
     enroll_schedule: EnrollSchedule,
@@ -215,7 +214,6 @@ impl NetBuilder {
             shim_of: BTreeMap::new(),
             difs: Vec::new(),
             adjacencies: Vec::new(),
-            shim_count: 0,
             shim_sched: crate::dif::SchedPolicy::Priority,
             shim_queue_cap: None,
             enroll_schedule: EnrollSchedule::default(),
@@ -258,9 +256,7 @@ impl NetBuilder {
         let (lid, ia, ib) = self.sim.connect(self.nodes[a.0], self.nodes[b.0], cfg);
         let lidx = self.links.len();
         self.links.push(lid);
-        let shim_name = self.shim_count;
-        self.shim_count += 1;
-        let mut shim_cfg = DifConfig::new(&format!("shim{shim_name}"))
+        let mut shim_cfg = DifConfig::new(&format!("shim{lidx}"))
             .with_cubes(crate::qos::QosCube::shim_set())
             .with_sched(self.shim_sched);
         if let Some(cap) = self.shim_queue_cap {
@@ -269,12 +265,12 @@ impl NetBuilder {
         shim_cfg.hello_period = Dur::from_millis(100);
         let na = {
             let node = self.node_mut(a.0);
-            let name_a = AppName::new(&format!("shim{shim_name}.a"));
+            let name_a = AppName::new(&format!("shim{lidx}.a"));
             node.add_shim(shim_cfg.clone(), name_a, ia, 0)
         };
         let nb = {
             let node = self.node_mut(b.0);
-            let name_b = AppName::new(&format!("shim{shim_name}.b"));
+            let name_b = AppName::new(&format!("shim{lidx}.b"));
             node.add_shim(shim_cfg, name_b, ib, 1)
         };
         self.shim_of.insert((lidx, a.0), na);

@@ -45,7 +45,7 @@ const CMD_BIT: u64 = 1 << 62;
 /// `ipcp` of the target node gracefully leave its DIF: it tombstones all
 /// its RIB objects ([`Ipcp::announce_leave`]) and the node floods the
 /// deletions while the process lingers for its neighbors to drain them.
-pub fn leave_key(ipcp: usize) -> u64 {
+pub(crate) fn leave_key(ipcp: usize) -> u64 {
     CMD_BIT | (1 << 32) | ipcp as u64
 }
 
@@ -53,7 +53,7 @@ pub fn leave_key(ipcp: usize) -> u64 {
 /// process `ipcp` of the target node: the old process vanishes without a
 /// word (its neighbors detect the silence), a fresh one takes its slot,
 /// and the node's adjacency plans re-fire so it re-enrolls from scratch.
-pub fn respawn_key(ipcp: usize) -> u64 {
+pub(crate) fn respawn_key(ipcp: usize) -> u64 {
     CMD_BIT | (2 << 32) | ipcp as u64
 }
 
@@ -125,12 +125,11 @@ struct N1Plan {
 }
 
 /// A physical interface: the IPC process and (N-1) port bound to it,
-/// and the pacer that drains that port into the link (a shim's; none for
-/// a port wired straight to the medium).
+/// and the pacer that drains that port into the link.
 struct Iface {
     ipcp: usize,
     n1: usize,
-    pace: Option<Pace>,
+    pace: Pace,
 }
 
 struct Pace {
@@ -139,6 +138,19 @@ struct Pace {
     busy_until: Time,
     /// A wake-up timer for `busy_until` is already armed.
     timer_armed: bool,
+}
+
+impl Pace {
+    /// An idle pacer whose queue `cfg` schedules and bounds. The queue
+    /// models the *host's own* buffering toward its NIC (the network
+    /// bottleneck queues live in the links). Its default capacity must
+    /// absorb a sponsor's full-RIB resync burst — O(members) small frames
+    /// at enrollment time — which a wire-queue-sized cap would tail-drop
+    /// with no repair path for distant objects.
+    fn new(cfg: &DifConfig) -> Self {
+        let queue = RmtQueue::for_cubes(cfg.sched, cfg.rmt_queue_cap_bytes, &cfg.cubes);
+        Pace { queue, busy_until: Time::ZERO, timer_armed: false }
+    }
 }
 
 enum TimerKind {
@@ -188,17 +200,12 @@ pub struct Node {
     timers: FxHashMap<u64, TimerKind>,
     next_token: u64,
     /// Effects awaiting execution, each with the index of the IPC process
-    /// that emitted it ([`IpcpOut::TxPhys`], [`IpcpOut::Arm`] and
-    /// [`IpcpOut::Enrolled`] are executed as they are flushed and never
-    /// queue).
+    /// that emitted it ([`IpcpOut::TxPhys`] and [`IpcpOut::Arm`] are
+    /// executed as they are flushed and never queue).
     workq: VecDeque<(usize, IpcpOut)>,
     /// Indexed by [`IfaceId`].
     ifaces: Vec<Iface>,
     plans: Vec<N1Plan>,
-    /// Durable registration intents: application name → directory DIF.
-    /// Applied when the ipcp (re-)enrolls and kept — a respawned IPC
-    /// process must re-register its applications, not forget them.
-    regs: Vec<(AppName, usize)>,
     /// IPC processes flushed since the last drain.
     dirty: SlotSet,
     /// Recycled buffer for draining IPCP effect queues without a fresh
@@ -230,7 +237,6 @@ impl Node {
             workq: VecDeque::new(),
             ifaces: Vec::new(),
             plans: Vec::new(),
-            regs: Vec::new(),
             dirty: SlotSet::default(),
             out_scratch: Vec::new(),
             wanted: Vec::new(),
@@ -264,19 +270,11 @@ impl Node {
     /// order the node was connected to links.
     pub fn add_shim(&mut self, cfg: DifConfig, name: AppName, iface: IfaceId, side: u8) -> usize {
         assert_eq!(iface.0 as usize, self.ifaces.len(), "shims bind in interface order");
-        let idx = self.add_ipcp(cfg, name);
-        self.ipcps[idx].make_shim(side as Addr + 1);
-        let n1 = self.ipcps[idx].add_n1(N1Kind::Phys { iface: iface.0 });
-        // This queue models the *host's own* buffering toward its NIC
-        // (the network bottleneck queues live in the links). Its default
-        // capacity must absorb a sponsor's full-RIB resync burst —
-        // O(members) small frames at enrollment time — which a
-        // wire-queue-sized cap would tail-drop with no repair path for
-        // distant objects.
-        let c = &self.ipcps[idx].cfg;
-        let queue = RmtQueue::for_cubes(c.sched, c.rmt_queue_cap_bytes, &c.cubes);
-        let pace = Some(Pace { queue, busy_until: Time::ZERO, timer_armed: false });
-        self.ifaces.push(Iface { ipcp: idx, n1, pace });
+        let idx = self.ipcps.len();
+        let pace = Pace::new(&cfg);
+        self.ipcps.push(Ipcp::shim(idx, cfg, name, iface.0, side as Addr + 1));
+        // A shim's one (N-1) port is the medium.
+        self.ifaces.push(Iface { ipcp: idx, n1: 0, pace });
         idx
     }
 
@@ -319,19 +317,11 @@ impl Node {
         });
     }
 
-    /// Register application `name` in DIF `ipcp`'s directory (deferred
-    /// until the ipcp is enrolled, and re-applied whenever it re-enrolls
-    /// after a crash-restart).
+    /// Register application `name` in DIF `ipcp`'s directory. The IPC
+    /// process keeps the registration ([`Ipcp::dir_register`]): written
+    /// once it is a member, and again after a crash-restart.
     pub fn register_name(&mut self, name: AppName, ipcp: usize) {
-        if self.ipcps[ipcp].is_shim {
-            return;
-        }
-        if self.ipcps[ipcp].is_enrolled() {
-            self.ipcps[ipcp].dir_register(&name);
-        }
-        if !self.regs.iter().any(|(n, p)| *n == name && *p == ipcp) {
-            self.regs.push((name, ipcp));
-        }
+        self.ipcps[ipcp].dir_register(&name);
     }
 
     // ------------------------------------------------------------------
@@ -370,12 +360,12 @@ impl Node {
         self.plans.iter().all(|p| p.satisfied) && self.ipcps.iter().all(|i| i.is_enrolled())
     }
 
-    /// Aggregate per-lane RMT transmit-queue counters over every paced
-    /// (N-1) port of this node.
+    /// Aggregate per-lane RMT transmit-queue counters over every physical
+    /// interface of this node.
     pub fn rmt_lane_stats(&self) -> [crate::rmt::LaneStats; crate::rmt::LANES] {
         let mut agg = [crate::rmt::LaneStats::default(); crate::rmt::LANES];
-        for p in self.ifaces.iter().filter_map(|f| f.pace.as_ref()) {
-            for (l, s) in p.queue.lane_stats().iter().enumerate() {
+        for f in &self.ifaces {
+            for (l, s) in f.pace.queue.lane_stats().iter().enumerate() {
                 agg[l].merge(s);
             }
         }
@@ -469,19 +459,17 @@ impl Node {
         port
     }
 
-    /// Applications allocate only from real DIFs; shims serve IPC
-    /// processes (their service is raw and their directory degenerate).
-    /// A DIF that replicates its directory must know the name locally;
-    /// one running the scoped-`/dir` policy resolves names on demand at
-    /// their owner, so it is eligible without local knowledge (the
-    /// allocation fails later if no owner answers).
+    /// Applications allocate only from members that run their DIF's
+    /// management; shims serve IPC processes (their service is raw and
+    /// their directory degenerate). A DIF that replicates its directory
+    /// must know the name locally; one running the scoped-`/dir` policy
+    /// resolves names on demand at their owner, so it is eligible without
+    /// local knowledge (the allocation fails later if no owner answers).
     fn pick_provider(&self, dst: &AppName) -> Option<usize> {
         self.ipcps
             .iter()
-            .position(|p| !p.is_shim && p.is_enrolled() && p.dir_lookup(dst).is_some())
-            .or_else(|| {
-                self.ipcps.iter().position(|p| !p.is_shim && p.is_enrolled() && p.cfg.scoped_dir)
-            })
+            .position(|p| p.manages() && p.dir_lookup(dst).is_some())
+            .or_else(|| self.ipcps.iter().position(|p| p.manages() && p.cfg.scoped_dir))
     }
 
     fn arm(&mut self, ctx: &mut Ctx<'_>, at: Time, kind: TimerKind) {
@@ -513,20 +501,6 @@ impl Node {
                     IpcpOut::Arm { at, timer } => {
                         self.arm(ctx, at, TimerKind::Ipcp { ipcp: i, timer });
                     }
-                    IpcpOut::Enrolled => {
-                        // Apply (and keep) the durable registration
-                        // intents: a re-enrolling process re-announces
-                        // its applications to the rebuilt directory.
-                        let regs: Vec<_> = self
-                            .regs
-                            .iter()
-                            .filter(|(_, p)| *p == i)
-                            .map(|(n, _)| n.clone())
-                            .collect();
-                        for n in regs {
-                            self.ipcps[i].dir_register(&n);
-                        }
-                    }
                     queued => self.workq.push_back((i, queued)),
                 }
             }
@@ -541,16 +515,16 @@ impl Node {
         let Some(N1Kind::Phys { iface }) = self.ipcps[i].n1_ports().get(n1).map(|p| p.kind) else {
             return;
         };
-        let Some(p) = self.ifaces.get_mut(iface as usize).and_then(|f| f.pace.as_mut()) else {
+        let Some(f) = self.ifaces.get_mut(iface as usize) else {
             return;
         };
-        p.queue.push(class, frame, ctx.now().nanos());
+        f.pace.queue.push(class, frame, ctx.now().nanos());
         self.pace_kick(iface as usize, ctx);
     }
 
     fn pace_kick(&mut self, iface: usize, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
-        let Some(Iface { ipcp: i, n1, pace: Some(p) }) = self.ifaces.get_mut(iface) else {
+        let Some(Iface { ipcp: i, n1, pace: p }) = self.ifaces.get_mut(iface) else {
             return;
         };
         let (i, n1) = (*i, *n1);
@@ -589,7 +563,7 @@ impl Node {
             guard += 1;
             assert!(guard < 5_000_000, "node work loop runaway on {}", self.name);
             match w {
-                IpcpOut::TxPhys { .. } | IpcpOut::Enrolled | IpcpOut::Arm { .. } => {
+                IpcpOut::TxPhys { .. } | IpcpOut::Arm { .. } => {
                     unreachable!("flush_ipcp executes these as it drains them")
                 }
                 IpcpOut::TxLower { port, sdu, class } => {
@@ -612,9 +586,7 @@ impl Node {
                             });
                         }
                         Owner::Upper(u) => {
-                            let n1 =
-                                st.n1_of_owner.or_else(|| self.ipcps[u].n1_by_lower_port(port));
-                            if let Some(n1) = n1 {
+                            if let Some(n1) = st.n1_of_owner {
                                 self.ipcps[u].on_frame(n1, sdu, ctx.now());
                                 self.flush_ipcp(u, ctx);
                             } else {
@@ -843,17 +815,13 @@ impl Node {
     }
 
     /// Crash-restart ([`respawn_key`]): replace IPC process `i` with a
-    /// fresh, unenrolled instance of the same configuration and name.
+    /// fresh, unenrolled instance of the same configuration and name that
+    /// keeps its application registrations ([`Ipcp::respawned`]).
     /// Nothing is announced — neighbors must detect the silence (hello
     /// expiry withdraws the adjacency; the sponsor's failure GC reclaims
     /// the RIB objects). The node's adjacency plans for `i` re-fire, so
     /// the fresh process re-allocates its (N-1) flows and re-enrolls.
     fn respawn_ipcp(&mut self, i: usize, ctx: &mut Ctx<'_>) {
-        let cfg = self.ipcps[i].cfg.clone();
-        let name = self.ipcps[i].name.clone();
-        if self.ipcps[i].is_shim {
-            return; // Shims are the medium's, not the DIF's, to restart.
-        }
         // The dead process's (N-1) ports: release the lower flows (the
         // local provider end only — a crash tells the remote end nothing).
         // Port-id order, not hash order: dealloc emits events whose order
@@ -872,7 +840,7 @@ impl Node {
         self.timers.retain(|_, k| {
             !matches!(k, TimerKind::Ipcp { ipcp, timer } if *ipcp == i && *timer != IpcpTimer::Hello)
         });
-        self.ipcps[i] = Ipcp::new(i, cfg, name);
+        self.ipcps[i] = self.ipcps[i].respawned();
         // Re-fire the adjacency plans so the fresh process re-assembles.
         for idx in 0..self.plans.len() {
             if self.plans[idx].upper == i {
@@ -896,8 +864,8 @@ impl Node {
         match kind {
             TimerKind::Ipcp { ipcp, timer } => self.ipcp_timer(ipcp, timer, ctx),
             TimerKind::Pace { iface } => {
-                if let Some(p) = self.ifaces.get_mut(iface).and_then(|f| f.pace.as_mut()) {
-                    p.timer_armed = false;
+                if let Some(f) = self.ifaces.get_mut(iface) {
+                    f.pace.timer_armed = false;
                 }
                 self.pace_kick(iface, ctx);
             }
@@ -992,16 +960,18 @@ mod tests {
     }
 
     /// A node hosting one bootstrapped member (address 1) whose two ports
-    /// are wired straight to interfaces 0 and 1 — no shim, no pacing, so
-    /// what it transmits vanishes — run through `Event::Start`, and then
-    /// left, unflushed, wanting all three deferred jobs from 400 ms.
+    /// are wired straight to interfaces 0 and 1 — no shim, and no link
+    /// behind them, so what it transmits dies as `NoSuchIface` — run
+    /// through `Event::Start`, and then left, unflushed, wanting all
+    /// three deferred jobs from 400 ms.
     fn member_wanting_all_three() -> (Sim, NodeId) {
         let mut node = Node::new("n");
         let i = node.add_ipcp(DifConfig::new("net"), AppName::new("net.a"));
         node.bootstrap_ipcp(i, 1);
         for iface in 0..2 {
             let n1 = node.ipcps[i].add_n1(N1Kind::Phys { iface });
-            node.ifaces.push(Iface { ipcp: i, n1, pace: None });
+            let pace = Pace::new(&node.ipcps[i].cfg);
+            node.ifaces.push(Iface { ipcp: i, n1, pace });
         }
         let mut sim = Sim::new(7);
         let id = sim.add_node(node);

@@ -299,10 +299,8 @@ fn a_relay_hop_allocates_nothing_at_the_member_and_two_at_the_shim() {
     member.on_frame(0, hello("net.a", 9), now);
     member.on_frame(1, hello("net.b", 7), now);
     // The shim providing flow 11, already allocated by its peer.
-    let mut shim =
-        Ipcp::new(1, DifConfig::new("shim").with_cubes(QosCube::shim_set()), AppName::new("s.a"));
-    shim.make_shim(1);
-    shim.add_n1(N1Kind::Phys { iface: 0 });
+    let cfg = DifConfig::new("shim").with_cubes(QosCube::shim_set());
+    let mut shim = Ipcp::shim(1, cfg, AppName::new("s.a"), 0, 1);
     shim.flow_accept(11, AppName::new("net.b"), QosSpec::datagram(), 2, 5, 1);
     // What the set-up asked for (hello replies, the flow response) is
     // not part of a hop.

@@ -231,6 +231,66 @@ fn flaps_and_partitions_heal_with_no_purges_or_address_changes() {
     assert_eq!(purged, 0, "a flap or partition must never purge a member");
 }
 
+/// A two-machine line whose joiner hosts `sink`, assembled and settled:
+/// the net with the sponsor's and the joiner's members.
+fn line_with_sink() -> (Net, IpcpH, IpcpH) {
+    let mut b = NetBuilder::new(46);
+    let (s, j) = (b.node("s"), b.node("j"));
+    let wire = b.link(s, j, LinkCfg::wired());
+    let d = b.dif(DifConfig::new("net"));
+    b.join(d, s);
+    b.join(d, j);
+    b.adjacency_over_link(d, s, j, wire);
+    b.app(j, AppName::new("sink"), d, SinkApp::default());
+    let (sponsor, joiner) = (b.ipcp_of(d, s), b.ipcp_of(d, j));
+    let mut net = b.build();
+    net.run_until_assembled(Dur::from_secs(10), Dur::from_secs(1));
+    (net, sponsor, joiner)
+}
+
+/// Crash-restart `joiner` and run until the fresh process has enrolled
+/// again and the DIF has settled.
+fn respawn_and_reassemble(net: &mut Net, joiner: IpcpH) {
+    net.respawn_ipcp(joiner);
+    net.run_for(Dur::from_millis(10));
+    assert!(!net.ipcp(joiner).is_enrolled(), "the fresh process starts outside the DIF");
+    net.run_until_assembled(Dur::from_secs(10), Dur::from_secs(1));
+}
+
+/// A crash-restart forgets nothing the joiner's applications asked for:
+/// the fresh process registers `sink` again, and the sponsor holds the
+/// new registration, live and pointing at the joiner.
+#[test]
+fn registration_survives_a_crash_restart() {
+    let (mut net, sponsor, joiner) = line_with_sink();
+    let sink = AppName::new("sink");
+    let entry = |net: &Net| {
+        let version = net.ipcp(sponsor).rib.get("/dir/sink").map(|o| o.version);
+        (net.ipcp(sponsor).dir_lookup(&sink), version)
+    };
+    let (at, before) = entry(&net);
+    assert_eq!(at, Some(net.ipcp(joiner).addr));
+    respawn_and_reassemble(&mut net, joiner);
+    let (at, after) = entry(&net);
+    assert_eq!(at, Some(net.ipcp(joiner).addr));
+    assert!(after > before, "written again by the fresh process: {before:?} -> {after:?}");
+}
+
+/// A name the joiner unregistered stays unregistered when its process
+/// restarts: the fresh process carries the registrations its
+/// predecessor held, not every name ever registered on the node.
+#[test]
+fn an_unregistered_name_stays_gone_across_a_crash_restart() {
+    let (mut net, sponsor, joiner) = line_with_sink();
+    let sink = AppName::new("sink");
+    net.ipcp_mut(joiner).dir_unregister(&sink);
+    net.run_for(Dur::from_secs(1));
+    assert_eq!(net.ipcp(sponsor).dir_lookup(&sink), None, "the tombstone reached the sponsor");
+    respawn_and_reassemble(&mut net, joiner);
+    assert!(net.ipcp(joiner).is_enrolled());
+    assert_eq!(net.ipcp(sponsor).dir_lookup(&sink), None);
+}
+
 #[test]
 fn churn_runs_are_deterministic_in_their_seeds() {
     let fingerprint = || {

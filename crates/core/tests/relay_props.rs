@@ -15,7 +15,10 @@
 //! 3. arbitrary bytes never panic a member — shim or not — and a frame
 //!    the peek declines counts exactly one `decode_errors`; a decodable
 //!    data or control frame addressed to the member, for a CEP nobody
-//!    owns, counts exactly one `no_flow_drops` and emits nothing.
+//!    owns, counts exactly one `no_flow_drops` and emits nothing;
+//! 4. a shim relays by the same path and finds nothing to relay to: a
+//!    frame addressed to a third member books `(relayed, no_route) =
+//!    (1, 1)` and emits nothing.
 
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -47,12 +50,9 @@ fn relay_toward(next_hop: u64) -> Ipcp {
     r
 }
 
-/// One end of a physical link, before any flow is allocated over it.
+/// End 1 of a physical link, before any flow is allocated over it.
 fn shim() -> Ipcp {
-    let mut s = Ipcp::new(0, DifConfig::new("shim"), AppName::new("shim.a"));
-    s.make_shim(1);
-    s.add_n1(N1Kind::Phys { iface: 0 });
-    s
+    Ipcp::shim(0, DifConfig::new("shim"), AppName::new("shim.a"), 0, 1)
 }
 
 /// One of the three PDU types from flat draws, addressed to `dest_addr`.
@@ -213,5 +213,23 @@ proptest! {
             );
             prop_assert!(member.take_out().is_empty(), "a dropped PDU emits nothing");
         }
+    }
+
+    /// Invariant 4: a correct peer never sends a shim a frame for a third
+    /// member; one that arrives anyway finds no route, since a shim's
+    /// table is empty and its relay index holds only the peer.
+    #[test]
+    fn a_shim_books_a_third_members_frame_as_no_route(
+        k in 0u8..3, dest_addr in 3u64..u64::MAX, src_addr in any::<u64>(),
+        qos_id in any::<u8>(), dest_cep in any::<u32>(), src_cep in any::<u32>(),
+        seq in any::<u64>(), flags in 0u8..8, ttl in 1u8..=255,
+        payload in proptest::collection::vec(any::<u8>(), 0..128),
+    ) {
+        let pdu =
+            build_pdu(k, dest_addr, src_addr, qos_id, dest_cep, src_cep, seq, flags, ttl, payload);
+        let mut s = shim();
+        s.on_frame(0, pdu.encode(), Time::ZERO);
+        prop_assert_eq!((s.stats.relayed, s.stats.no_route), (1, 1));
+        prop_assert!(s.take_out().is_empty(), "a frame with no route emits nothing");
     }
 }

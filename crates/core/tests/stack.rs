@@ -3,7 +3,10 @@
 //! API ([`rina::net`]) and, where a generator fits, [`rina::scenario`].
 
 use rina::apps::{EchoApp, PingApp, SinkApp, SourceApp};
+use rina::ipcp::IpcpOut;
+use rina::msg::MgmtBody;
 use rina::prelude::*;
+use rina_wire::{CdapMsg, Pdu};
 
 /// Figure 1: two hosts, one link, one DIF; flow by name; data flows.
 #[test]
@@ -351,6 +354,37 @@ fn barabasi_albert_sixty_nodes_assemble_and_route() {
     assert!(mesh.all_done(&net), "rtts: {:?}", mesh.rtts(&net));
     // The hub carries state for the whole 60-member scope.
     assert!(net.ipcp(hub_ipcp).fwd().len() >= 30, "hub fwd {}", net.ipcp(hub_ipcp).fwd().len());
+}
+
+/// A shim's medium goes down and comes back. While its port is down the
+/// shim knows no peer: an allocation fails at once and sends nothing. The
+/// peer's next hello brings the medium back, and an allocation's request
+/// leaves over it.
+#[test]
+fn a_shims_medium_goes_down_and_comes_back() {
+    let mut b = NetBuilder::new(15);
+    let (h1, h2) = (b.node("h1"), b.node("h2"));
+    b.link(h1, h2, LinkCfg::wired());
+    let mut net = b.build();
+    net.run_for(Dur::from_millis(250));
+    let (src, dst) = (AppName::new("a"), AppName::new("b"));
+    let now = net.sim.now();
+    let shim = net.node_mut(h1).ipcp_mut(0);
+    shim.n1_down(0, now);
+    shim.take_out();
+    shim.alloc_flow(90, src.clone(), dst.clone(), QosSpec::datagram());
+    let out = shim.take_out();
+    let [IpcpOut::FlowFailed { port: 90, reason }] = &out[..] else { panic!("{out:?}") };
+    assert_eq!(*reason, "destination unknown in DIF");
+    // The peer says hello every 100 ms.
+    net.run_for(Dur::from_millis(150));
+    let shim = net.node_mut(h1).ipcp_mut(0);
+    shim.alloc_flow(91, src, dst, QosSpec::datagram());
+    let out = shim.take_out();
+    let [IpcpOut::TxPhys { n1: 0, frame, .. }] = &out[..] else { panic!("{out:?}") };
+    let Ok(Pdu::Mgmt(m)) = Pdu::decode(frame) else { panic!("a management frame") };
+    let body = CdapMsg::decode(&m.payload).ok().and_then(|c| MgmtBody::from_cdap(&c).ok());
+    assert!(matches!(body, Some(MgmtBody::FlowRequest { .. })), "{body:?}");
 }
 
 /// Applications never see addresses — nor raw integers: the API surface
