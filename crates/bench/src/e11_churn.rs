@@ -21,14 +21,16 @@
 //!   they mislead routing or admission.
 //!
 //! Reachability is sampled between disturbances by walking the live
-//! forwarding tables over a seeded permutation ring (every member
-//! sources and receives one probe per sample), masked by the plan's
-//! disturbance windows plus a reconvergence margin.
+//! forwarding tables over a seeded rotation ring (every member sources
+//! and receives one probe per sample, [`Tables::ring`]), masked by the
+//! plan's disturbance windows plus a reconvergence margin. What counts
+//! as re-converged is [`rina::invariants`]' one definition of a healthy
+//! DIF.
 
 use crate::report::{Col, Scalar};
 use crate::{row, timed, ExperimentRun, Scenario, Totals};
+use rina::invariants::{self, Tables};
 use rina::prelude::*;
-use std::collections::BTreeMap;
 
 row! {
     /// Result of one churn run.
@@ -47,8 +49,8 @@ row! {
         assemble_s: f64,
         /// Length of the disturbance timeline (virtual s).
         churn_s: f64,
-        /// Virtual time from the last heal until the DIF re-quiesced:
-        /// assembled, zero stale objects, full table-walk reachability.
+        /// Virtual time from the last heal until the DIF was healthy again
+        /// ([`rina::invariants::check`] found nothing).
         reconverge_s: f64,
         /// Reachability samples taken outside disturbance windows.
         calm_samples: usize,
@@ -94,72 +96,6 @@ pub const TABLE: &[Col<ChurnRow>] = &[
     ("converged", |r| r.converged.cell()),
 ];
 
-/// Live RIB objects anywhere whose origin is not a current member.
-pub fn stale_count(net: &Net, members: &[IpcpH]) -> usize {
-    let addrs: std::collections::BTreeSet<u64> =
-        members.iter().map(|&h| net.ipcp(h).addr).collect();
-    members
-        .iter()
-        .map(|&h| {
-            net.ipcp(h)
-                .rib
-                .iter_prefix("/")
-                .filter(|o| o.origin != 0 && !addrs.contains(&o.origin))
-                .count()
-        })
-        .sum()
-}
-
-/// Walk `src`'s forwarding table hop by hop toward `dst`'s address.
-fn walk(net: &Net, by_addr: &BTreeMap<u64, IpcpH>, src: u64, dst: u64, ttl: usize) -> bool {
-    let mut cur = src;
-    for _ in 0..ttl {
-        if cur == dst {
-            return true;
-        }
-        let Some(&h) = by_addr.get(&cur) else { return false };
-        let Some(hops) = net.ipcp(h).fwd().route(dst) else { return false };
-        let Some(&nh) = hops.first() else { return false };
-        cur = nh;
-    }
-    cur == dst
-}
-
-/// Sampled reachability over the enrolled members: a seeded permutation
-/// ring, so every member sources and receives exactly one probe.
-/// Members mid-rejoin (unenrolled or departed) are excluded — they are
-/// not part of the facility at this instant.
-pub fn reach_fraction(net: &Net, members: &[IpcpH], salt: u64) -> f64 {
-    let live: Vec<u64> = members
-        .iter()
-        .filter(|&&h| {
-            let ip = net.ipcp(h);
-            ip.is_enrolled() && !ip.is_departed()
-        })
-        .map(|&h| net.ipcp(h).addr)
-        .collect();
-    if live.len() < 2 {
-        return 1.0;
-    }
-    let by_addr: BTreeMap<u64, IpcpH> = members.iter().map(|&h| (net.ipcp(h).addr, h)).collect();
-    // Seeded rotation: probe i → i+k in address order, k from the salt.
-    let k = 1 + (salt as usize % (live.len() - 1));
-    let ok = (0..live.len())
-        .filter(|&i| walk(net, &by_addr, live[i], live[(i + k) % live.len()], live.len() + 2))
-        .count();
-    ok as f64 / live.len() as f64
-}
-
-/// Full table-walk reachability over every ordered pair of enrolled
-/// members (the quiescence criterion — O(n²) walks, used sparingly).
-pub fn fully_reachable(net: &Net, members: &[IpcpH]) -> bool {
-    let by_addr: BTreeMap<u64, IpcpH> = members.iter().map(|&h| (net.ipcp(h).addr, h)).collect();
-    let addrs: Vec<u64> = by_addr.keys().copied().collect();
-    addrs
-        .iter()
-        .all(|&s| addrs.iter().all(|&d| s == d || walk(net, &by_addr, s, d, addrs.len() + 2)))
-}
-
 /// Run the default mixed workload (two of each disturbance, one
 /// partition) against an `n`-member Barabási–Albert DIF.
 pub fn run(n: usize, seed: u64) -> ChurnRow {
@@ -190,8 +126,7 @@ pub struct ChurnOutcome {
 /// fails, flaps, partitions) against the assembled `fab`, advance it in
 /// half-second slices sampling reachability and table size in the calm
 /// stretches, apply what remains, then step until the facility
-/// re-quiesces — assembled, no stale objects, every ordered pair
-/// reachable on the tables.
+/// is healthy again ([`invariants::settle`]).
 pub fn churn_phase(
     run: &mut ExperimentRun,
     fab: &Fabric,
@@ -228,7 +163,7 @@ pub fn churn_phase(
         // re-assembled: while a rejoiner's flows are still re-allocating
         // the DIF is by definition inside a convergence window.
         if !runner.disturbed(&run.net, margin) && run.net.assembled() {
-            out.reach_min = out.reach_min.min(reach_fraction(&run.net, members, tick));
+            out.reach_min = out.reach_min.min(Tables::of(&run.net, members).ring(tick));
             out.calm_samples += 1;
             out.agg_peak_calm = out.agg_peak_calm.max(Totals::of(&run.net, members, &[]).agg_len);
         }
@@ -236,11 +171,7 @@ pub fn churn_phase(
     runner.finish(&mut run.net, Dur::ZERO);
 
     let heal_at = run.net.sim.now();
-    run.run_until(Dur::from_millis(500), 240, |net| {
-        out.converged =
-            net.assembled() && stale_count(net, members) == 0 && fully_reachable(net, members);
-        out.converged
-    });
+    out.converged = invariants::settle(&mut run.net, members, 240).is_empty();
     out.reconverge_s = run.net.sim.now().since(heal_at).as_secs_f64();
     out
 }
@@ -290,7 +221,7 @@ pub fn run_with_cfg(
             agg_before,
             agg_after: t.agg_len,
             agg_peak_calm: churn.agg_peak_calm,
-            stale_final: stale_count(net, &members),
+            stale_final: invariants::stale_objects(net, &members).len(),
             purged: t.purged,
             reasserts: t.reasserts,
             wall_s: 0.0,

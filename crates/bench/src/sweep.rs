@@ -20,9 +20,10 @@
 //! cells by descending size before submission, so a straggler 1000-node
 //! cell starts first instead of serializing the tail of the run.
 
-use crate::e11_churn::{churn_phase, stale_count};
+use crate::e11_churn::churn_phase;
 use crate::report::{finish_doc, markdown, push_section, Col, Obj, Row, Scalar};
 use crate::{rib_footprint, row, timed, Scenario, Totals};
+use rina::invariants;
 use rina::prelude::*;
 use rina::scenario::{Topology, Workload};
 use rina_sim::LossModel;
@@ -540,7 +541,7 @@ pub fn run_cell(cell: &SweepCell, base_seed: u64) -> SweepRow {
             deferred: assembled.deferred,
             reachable: mesh.all_done(net),
             agg_len: t.agg_len as u64,
-            stale_rib: stale_count(net, &ipcps) as u64,
+            stale_rib: invariants::stale_objects(net, &ipcps).len() as u64,
             churn_reach,
             rib_objects_max,
             rib_bytes_max,

@@ -33,6 +33,9 @@
 //!   workload placers ([`scenario::Workload`]) that stamp out whole
 //!   internetworks and their traffic in a few lines.
 //! * [`apps`] — ready-made application processes for experiments.
+//! * [`invariants`] — one definition of a healthy DIF (unique addresses,
+//!   nested blocks, no departed state, every member reaching every other
+//!   on the tables) that tests and experiments check a member set against.
 //!
 //! ## Quickstart
 //!
@@ -88,6 +91,7 @@ pub mod app;
 pub mod apps;
 pub mod dif;
 pub mod fxhash;
+pub mod invariants;
 pub mod ipcp;
 pub mod msg;
 pub mod naming;

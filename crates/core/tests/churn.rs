@@ -10,12 +10,13 @@
 //!   re-enrolls under its old identity with nothing purged;
 //! - flaps and partitions reroute and heal without purging or leaking
 //!   any member's state;
-//! - at quiescence, every live RIB object's origin is a current member —
+//! - at quiescence the DIF is healthy by [`rina::invariants::check`]:
+//!   among the rest, every live RIB object's origin is a current member —
 //!   departed state never outlives its owner;
 //! - the whole timeline is deterministic in its seeds.
 
+use rina::invariants;
 use rina::prelude::*;
-use std::collections::{BTreeMap, BTreeSet};
 
 /// An `n`-member Barabási–Albert DIF with the given failure-GC grace,
 /// assembled and settled. Returns the runnable net, the fabric, and the
@@ -30,67 +31,10 @@ fn build(n: usize, seed: u64, grace_ms: u64) -> (Net, Fabric, Vec<IpcpH>) {
     (net, fab, members)
 }
 
-/// Live RIB objects anywhere in the DIF whose origin is not a current
-/// member — the stale-state leak the churn machinery must prevent.
-fn stale_objects(net: &Net, members: &[IpcpH]) -> Vec<(usize, u64, String)> {
-    let addrs: BTreeSet<u64> = members.iter().map(|&h| net.ipcp(h).addr).collect();
-    let mut out = Vec::new();
-    for (i, &h) in members.iter().enumerate() {
-        for o in net.ipcp(h).rib.iter_prefix("/") {
-            if o.origin != 0 && !addrs.contains(&o.origin) {
-                out.push((i, o.origin, o.name.clone()));
-            }
-        }
-    }
-    out
-}
-
-/// Walk the forwarding tables member-by-member for every ordered pair;
-/// returns the pairs that fail to reach.
-fn unreachable_pairs(net: &Net, members: &[IpcpH]) -> Vec<(u64, u64)> {
-    let by_addr: BTreeMap<u64, IpcpH> = members.iter().map(|&h| (net.ipcp(h).addr, h)).collect();
-    let mut missing = Vec::new();
-    for &src in members {
-        for &dst in members {
-            let (s, d) = (net.ipcp(src).addr, net.ipcp(dst).addr);
-            if s == d {
-                continue;
-            }
-            let mut cur = s;
-            let mut ok = false;
-            for _ in 0..members.len() + 2 {
-                if cur == d {
-                    ok = true;
-                    break;
-                }
-                let Some(&h) = by_addr.get(&cur) else { break };
-                let Some(hops) = net.ipcp(h).fwd().route(d) else { break };
-                let Some(&nh) = hops.first() else { break };
-                cur = nh;
-            }
-            if !ok {
-                missing.push((s, d));
-            }
-        }
-    }
-    missing
-}
-
-/// Run in hello-period steps until the DIF is quiescent again: stack
-/// assembled, no stale objects, full table-walk reachability.
+/// Run until the DIF is healthy again ([`invariants::settle`]).
 fn wait_quiescent(net: &mut Net, members: &[IpcpH]) {
-    for _ in 0..120 {
-        net.run_for(Dur::from_millis(500));
-        if net.assembled()
-            && stale_objects(net, members).is_empty()
-            && unreachable_pairs(net, members).is_empty()
-        {
-            return;
-        }
-    }
-    let stale = stale_objects(net, members);
-    let unreach = unreachable_pairs(net, members);
-    panic!("never quiesced: assembled={} stale={stale:?} unreachable={unreach:?}", net.assembled());
+    let left = invariants::settle(net, members, 120);
+    assert!(left.is_empty(), "never quiesced: {left:?}");
 }
 
 fn agg_sum(net: &Net, members: &[IpcpH]) -> usize {

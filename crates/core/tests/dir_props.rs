@@ -14,34 +14,14 @@
 //! 4. the whole machinery is deterministic: same seed ⇒ identical
 //!    cache hit/miss/lookup counters, whatever host thread runs it.
 
+mod common;
+
+use common::topology;
 use proptest::prelude::*;
+use rina::invariants;
 use rina::prelude::*;
 use rina::scenario::Topology;
 use std::collections::BTreeSet;
-
-/// Run in hello-period steps until the stack holds again after churn
-/// (bounded; the caller asserts the stronger invariants afterwards).
-fn requiesce(net: &mut Net) {
-    for _ in 0..120 {
-        net.run_for(Dur::from_millis(500));
-        if net.assembled() {
-            net.run_for(Dur::from_secs(3));
-            return;
-        }
-    }
-}
-
-/// Deterministic topology from a (kind, size, seed) triple. Sizes stay
-/// small so 64 debug-mode assemblies per property stay fast.
-fn topology(kind: u8, n: usize, seed: u64) -> Topology {
-    match kind % 5 {
-        0 => Topology::line(n),
-        1 => Topology::star(n),
-        2 => Topology::ring(n.max(3)),
-        3 => Topology::tree(2 + (n % 2), 2),
-        _ => Topology::barabasi_albert(n.max(4), 2, seed),
-    }
-}
 
 /// The spanning DIF with owner-held `/dir`, grace short enough for the
 /// churn property to cross it inside a test-sized run.
@@ -133,9 +113,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Invariant 1: after assembly, a random churn mix (graceful leave,
-    /// crash-fail, link flap, partition-and-heal) and requiescence, no
-    /// member holds a foreign `/dir` object, and every cached answer
-    /// points at a live member.
+    /// crash-fail, link flap, partition-and-heal) and the DIF healthy
+    /// again, no member holds a foreign `/dir` object, and every cached
+    /// answer points at a live member.
     #[test]
     fn foreign_dir_state_never_lands_even_under_churn(
         kind in 0u8..5,
@@ -157,7 +137,8 @@ proptest! {
             .plan(&fab);
         let mut runner = ChurnRunner::new(plan, &net, ipcps.clone());
         runner.finish(&mut net, Dur::from_secs(2));
-        requiesce(&mut net);
+        let left = invariants::settle(&mut net, &ipcps, 120);
+        prop_assert!(left.is_empty(), "not healthy after churn: {left:?}");
 
         assert_dir_owner_held(&net, &ipcps);
         let live: BTreeSet<u64> = ipcps.iter().map(|&h| net.ipcp(h).addr).collect();

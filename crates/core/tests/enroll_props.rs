@@ -3,41 +3,22 @@
 //! property, reproducible from the fixed per-test seed stream).
 //!
 //! The invariants guard the wave-parallel enrollment machinery: whatever
-//! graph the planner spans and however admission interleaves, every
-//! member must end enrolled, planner addresses must be the unique DFS
-//! preorder 1..=n, sibling subtree blocks must never overlap, and the
-//! final outcome must be independent of the event interleaving the
-//! schedule produces.
+//! graph the planner spans and however admission interleaves, the DIF
+//! must end healthy ([`invariants::check`]: every member enrolled, unique
+//! addresses, blocks nested or disjoint), planner addresses must be the
+//! DFS preorder 1..=n, every member's RIB must record the blocks the
+//! members hold, and the final outcome must be independent of the event
+//! interleaving the schedule produces.
 
+mod common;
+
+use common::topology;
 use proptest::prelude::*;
+use rina::invariants;
 use rina::ipcp::{decode_block, BLOCK_PREFIX};
 use rina::prelude::*;
 use rina::scenario::Topology;
 use std::collections::{BTreeMap, BTreeSet};
-
-/// Run in hello-period steps until the stack holds again after churn
-/// (bounded; the caller asserts the stronger invariants afterwards).
-fn requiesce(net: &mut Net) {
-    for _ in 0..120 {
-        net.run_for(Dur::from_millis(500));
-        if net.assembled() {
-            net.run_for(Dur::from_secs(3));
-            return;
-        }
-    }
-}
-
-/// Deterministic topology from a (kind, size, seed) triple. Sizes stay
-/// small so 64 debug-mode assemblies per property stay fast.
-fn topology(kind: u8, n: usize, seed: u64) -> Topology {
-    match kind % 5 {
-        0 => Topology::line(n),
-        1 => Topology::star(n),
-        2 => Topology::ring(n.max(3)),
-        3 => Topology::tree(2 + (n % 2), 2),
-        _ => Topology::barabasi_albert(n.max(4), 2, seed),
-    }
-}
 
 /// Deterministic schedule from a selector (intervals kept short so the
 /// sequential baseline does not dominate test wall-clock).
@@ -79,8 +60,8 @@ fn member_map(a: &Assembled) -> BTreeMap<String, u64> {
 }
 
 /// Every delegated block, read from one member's RIB: (owner address
-/// parsed from the object name, `[lo, hi]`).
-fn block_map(a: &Assembled) -> Vec<(u64, (u64, u64))> {
+/// parsed from the object name, `[lo, hi]`), by owner.
+fn block_map(a: &Assembled) -> BTreeMap<u64, (u64, u64)> {
     a.net
         .ipcp(a.ipcps[0])
         .rib
@@ -90,6 +71,17 @@ fn block_map(a: &Assembled) -> Vec<(u64, (u64, u64))> {
             (owner, decode_block(&o.value).expect("block value"))
         })
         .collect()
+}
+
+/// The block each member holds, by its address.
+fn own_blocks(a: &Assembled) -> BTreeMap<u64, (u64, u64)> {
+    a.ipcps.iter().map(|&h| (a.net.ipcp(h).addr, a.net.ipcp(h).block)).collect()
+}
+
+/// Run until the DIF of `a` is healthy, or fail with what is still wrong.
+fn settle(a: &mut Assembled) {
+    let left = invariants::settle(&mut a.net, &a.ipcps, 120);
+    assert!(left.is_empty(), "not healthy: {left:?}");
 }
 
 /// One RIB object, flattened for ordering: (name, class, value, version,
@@ -118,8 +110,8 @@ fn rib_fingerprint(a: &Assembled) -> Vec<Vec<ObjKey>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every member ends enrolled, and the planner's proposed addresses
-    /// survive admission as exactly the unique range 1..=n.
+    /// The DIF ends healthy, and the planner's proposed addresses survive
+    /// admission as exactly the range 1..=n.
     #[test]
     fn every_member_enrolls_with_unique_addresses(
         kind in 0u8..5,
@@ -128,20 +120,17 @@ proptest! {
         seed in 0u64..1 << 32,
     ) {
         let top = topology(kind, n, seed);
-        let a = assemble(&top, schedule(sched), seed);
-        let members = top.node_count();
-        let mut addrs = BTreeSet::new();
-        for &h in &a.ipcps {
-            let ip = a.net.ipcp(h);
-            prop_assert!(ip.is_enrolled(), "{} not enrolled", ip.name);
-            prop_assert!(addrs.insert(ip.addr), "duplicate address {}", ip.addr);
-        }
-        let expect: BTreeSet<u64> = (1..=members as u64).collect();
+        let mut a = assemble(&top, schedule(sched), seed);
+        settle(&mut a);
+        let addrs: BTreeSet<u64> = a.ipcps.iter().map(|&h| a.net.ipcp(h).addr).collect();
+        let expect: BTreeSet<u64> = (1..=top.node_count() as u64).collect();
         prop_assert_eq!(addrs, expect);
     }
 
     /// Subtree prefix blocks nest or are disjoint — sibling subtrees
-    /// never overlap — and each member owns its block's first address.
+    /// never overlap — each member owns its block's first address, the
+    /// bootstrap's block is the whole range, and the RIB records exactly
+    /// the block each member holds.
     #[test]
     fn subtree_blocks_never_overlap(
         kind in 0u8..5,
@@ -150,24 +139,11 @@ proptest! {
         seed in 0u64..1 << 32,
     ) {
         let top = topology(kind, n, seed);
-        let a = assemble(&top, schedule(sched), seed);
-        let members = top.node_count() as u64;
-        let blocks = block_map(&a);
-        prop_assert_eq!(blocks.len(), a.ipcps.len(), "one block per member");
-        for &(owner, (lo, hi)) in &blocks {
-            prop_assert!(lo <= hi && lo >= 1 && hi <= members, "block ({lo},{hi})/{members}");
-            prop_assert_eq!(owner, lo, "a member sits at its block's base");
-        }
-        for (i, &(_, (a0, a1))) in blocks.iter().enumerate() {
-            for &(_, (b0, b1)) in &blocks[i + 1..] {
-                let disjoint = a1 < b0 || b1 < a0;
-                let nested = (a0 >= b0 && a1 <= b1) || (b0 >= a0 && b1 <= a1);
-                prop_assert!(
-                    disjoint || nested,
-                    "blocks ({a0},{a1}) and ({b0},{b1}) partially overlap"
-                );
-            }
-        }
+        let mut a = assemble(&top, schedule(sched), seed);
+        settle(&mut a);
+        let blocks = own_blocks(&a);
+        prop_assert_eq!(blocks.get(&1), Some(&(1, top.node_count() as u64)));
+        prop_assert_eq!(block_map(&a), blocks);
     }
 
     /// The final membership is independent of event interleaving: the
@@ -183,24 +159,17 @@ proptest! {
         let waves = assemble(&top, schedule(0), seed);
         let seq = assemble(&top, schedule(1), seed);
         prop_assert_eq!(member_map(&waves), member_map(&seq), "waves vs sequential membership");
-        let sort = |mut v: Vec<(u64, (u64, u64))>| {
-            v.sort();
-            v
-        };
-        prop_assert_eq!(
-            sort(block_map(&waves)),
-            sort(block_map(&seq)),
-            "waves vs sequential blocks"
-        );
+        prop_assert_eq!(block_map(&waves), block_map(&seq), "waves vs sequential blocks");
     }
 
     /// Churn preserves every standing invariant: after a random mix of
     /// graceful leaves, crash-fails (with rejoin), link flaps, and a
-    /// partition-and-heal over a random topology, the facility
-    /// re-quiesces with every member enrolled under a unique in-range
-    /// address, every delegated block nested-or-disjoint with its base
-    /// owned by its member, and **no live RIB object owned by a departed
-    /// origin** — departed state never outlives its owner.
+    /// partition-and-heal over a random topology, the DIF is healthy
+    /// again — every member enrolled under a unique address inside the
+    /// root block, every delegated block nested-or-disjoint with its
+    /// base owned by its member, and **no live RIB object owned by a
+    /// departed origin** — and the RIB records one block per member, the
+    /// one it holds.
     #[test]
     fn churn_sequences_requiesce_with_nested_blocks_and_no_stale_state(
         kind in 0u8..5,
@@ -223,48 +192,9 @@ proptest! {
             .plan(&fab);
         let mut runner = ChurnRunner::new(plan, &net, ipcps.clone());
         runner.finish(&mut net, Dur::from_secs(2));
-        requiesce(&mut net);
-
-        let members = top.node_count() as u64;
-        let mut addrs = BTreeSet::new();
-        for &h in &ipcps {
-            let ip = net.ipcp(h);
-            prop_assert!(ip.is_enrolled(), "{} not enrolled after churn", ip.name);
-            prop_assert!(
-                ip.addr >= 1 && ip.addr <= members,
-                "address {} escaped the root block 1..={members}",
-                ip.addr
-            );
-            prop_assert!(addrs.insert(ip.addr), "duplicate address {}", ip.addr);
-        }
-        let a = Assembled { net, ipcps };
-        let blocks = block_map(&a);
-        prop_assert_eq!(blocks.len(), a.ipcps.len(), "one live block per member: {:?}", blocks);
-        for &(owner, (lo, hi)) in &blocks {
-            prop_assert!(lo <= hi && lo >= 1 && hi <= members, "block ({lo},{hi})/{members}");
-            prop_assert_eq!(owner, lo, "a member sits at its block's base");
-        }
-        for (i, &(_, (a0, a1))) in blocks.iter().enumerate() {
-            for &(_, (b0, b1)) in &blocks[i + 1..] {
-                let disjoint = a1 < b0 || b1 < a0;
-                let nested = (a0 >= b0 && a1 <= b1) || (b0 >= a0 && b1 <= a1);
-                prop_assert!(
-                    disjoint || nested,
-                    "blocks ({a0},{a1}) and ({b0},{b1}) partially overlap after churn"
-                );
-            }
-        }
-        // No member holds a live object from a departed origin.
-        for (i, &h) in a.ipcps.iter().enumerate() {
-            for o in a.net.ipcp(h).rib.iter_prefix("/") {
-                prop_assert!(
-                    o.origin == 0 || addrs.contains(&o.origin),
-                    "member {i} holds stale {} of departed origin {}",
-                    o.name,
-                    o.origin
-                );
-            }
-        }
+        let mut a = Assembled { net, ipcps };
+        settle(&mut a);
+        prop_assert_eq!(block_map(&a), own_blocks(&a));
     }
 
     /// Same seed ⇒ identical final RIB: two runs of the same scenario

@@ -6,6 +6,7 @@
 //! leak `Pending::Enroll` entries once the joiner finally gets in.
 
 use rina::dif::DifConfig;
+use rina::invariants;
 use rina::ipcp::{Ipcp, IpcpOut, IpcpTimer, N1Kind};
 use rina::naming::AppName;
 use rina::prelude::*;
@@ -79,28 +80,10 @@ fn lossy_streamed_snapshots_repaired_by_digest_anti_entropy() {
     let mut net = b.build();
     net.run_until_assembled(Dur::from_secs(180), Dur::ZERO);
     // Anti-entropy runs on the hello cadence; give it room, then demand
-    // complete convergence: full membership and full reachability at
-    // every member.
-    for _ in 0..120 {
-        net.run_for(Dur::from_millis(500));
-        let done = ipcps.iter().all(|&h| {
-            let ip = net.ipcp(h);
-            ip.rib.iter_prefix("/members/").count() == n && ip.fwd().len() == n - 1
-        });
-        if done {
-            break;
-        }
-    }
-    for &h in &ipcps {
-        let ip = net.ipcp(h);
-        assert_eq!(
-            ip.rib.iter_prefix("/members/").count(),
-            n,
-            "{} missing members despite anti-entropy",
-            ip.name
-        );
-        assert_eq!(ip.fwd().len(), n - 1, "{} cannot reach everyone", ip.name);
-    }
+    // a healthy DIF: full membership and full reachability at every
+    // member.
+    let left = invariants::settle(&mut net, &ipcps, 120);
+    assert!(left.is_empty(), "not healthy despite anti-entropy: {left:?}");
 }
 
 /// The tentpole scale case: a 100-member scale-free DIF whose every
@@ -119,34 +102,15 @@ fn hundred_member_scale_free_converges_via_subtree_deltas_under_loss() {
     let ipcps = fab.member_ipcps(&b);
     let mut net = b.build();
     net.run_until_assembled(Dur::from_secs(300), Dur::ZERO);
-    for _ in 0..120 {
-        net.run_for(Dur::from_millis(500));
-        let done = ipcps.iter().all(|&h| {
-            let ip = net.ipcp(h);
-            ip.rib.iter_prefix("/members/").count() == n && ip.fwd().len() == n - 1
-        });
-        if done {
-            break;
-        }
-    }
-    let mut delta_requests = 0;
-    for &h in &ipcps {
-        let ip = net.ipcp(h);
-        assert_eq!(
-            ip.rib.iter_prefix("/members/").count(),
-            n,
-            "{} missing members despite anti-entropy",
-            ip.name
-        );
-        assert_eq!(ip.fwd().len(), n - 1, "{} cannot reach everyone", ip.name);
-        delta_requests += ip.stats.delta_requests;
-    }
+    let left = invariants::settle(&mut net, &ipcps, 120);
+    assert!(left.is_empty(), "not healthy despite anti-entropy: {left:?}");
+    let delta_requests: u64 = ipcps.iter().map(|&h| net.ipcp(h).stats.delta_requests).sum();
     assert!(delta_requests > 0, "losses at 10% must have exercised the delta machinery");
 }
 
 /// Full-stack version: a line whose links lose 20% of frames. The
-/// node-level retry timers must still assemble the DIF, and no member
-/// may be left holding `Pending::Enroll` state.
+/// node-level retry timers must still assemble the DIF, healthy, and no
+/// member may be left holding `Pending::Enroll` state.
 #[test]
 fn lossy_sponsor_links_still_assemble_via_retry_timers() {
     let mut b = NetBuilder::new(77);
@@ -156,14 +120,11 @@ fn lossy_sponsor_links_still_assemble_via_retry_timers() {
     let mut net = b.build();
     // Generous limit: each hop may need several retry rounds.
     net.run_until_assembled(Dur::from_secs(120), Dur::from_millis(300));
+    // Every member enrolled, addresses unique under retries and re-grants.
+    let left = invariants::settle(&mut net, &ipcps, 120);
+    assert!(left.is_empty(), "not healthy after lossy enrollment: {left:?}");
     for &h in &ipcps {
         let ip = net.ipcp(h);
-        assert!(ip.is_enrolled(), "{} enrolled despite loss", ip.name);
         assert_eq!(ip.pending_enrolls(), 0, "{} leaked Pending::Enroll entries", ip.name);
     }
-    // Addresses still unique under retries and re-grants.
-    let mut addrs: Vec<_> = ipcps.iter().map(|&h| net.ipcp(h).addr).collect();
-    addrs.sort_unstable();
-    addrs.dedup();
-    assert_eq!(addrs.len(), ipcps.len(), "duplicate addresses after lossy enrollment");
 }
