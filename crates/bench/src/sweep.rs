@@ -308,6 +308,9 @@ row! {
         /// Live RIB objects of departed origins anywhere at the end of the
         /// run (must be 0: departed state never outlives its owner).
         stale_rib: u64,
+        /// Violations [`invariants::check`] finds at the end of the run
+        /// (must be 0: the DIF is healthy when the cell ends).
+        invariants: u64,
         /// Worst sampled reachability fraction outside churn disturbance
         /// windows (1 in non-churn cells).
         churn_reach: f64,
@@ -542,6 +545,7 @@ pub fn run_cell(cell: &SweepCell, base_seed: u64) -> SweepRow {
             reachable: mesh.all_done(net),
             agg_len: t.agg_len as u64,
             stale_rib: invariants::stale_objects(net, &ipcps).len() as u64,
+            invariants: invariants::check(net, &ipcps).len() as u64,
             churn_reach,
             rib_objects_max,
             rib_bytes_max,
@@ -781,6 +785,7 @@ mod tests {
             reachable: true,
             agg_len: 40,
             stale_rib: 0,
+            invariants: 0,
             churn_reach: 1.0,
             rib_objects_max: 9,
             rib_bytes_max: 300,
@@ -823,6 +828,7 @@ mod tests {
         assert_eq!(a.mgmt_pdus, b.mgmt_pdus);
         assert_eq!(a.rib_pdus, b.rib_pdus);
         assert_eq!(a.stale_rib, 0);
+        assert_eq!(a.invariants, 0, "{a:?}");
         assert_eq!(a.churn_reach, 1.0, "non-churn cells report full reachability");
         // Even without a flow phase the RMT queues carried the mgmt
         // traffic, and the accounting is reproducible.
@@ -877,6 +883,7 @@ mod tests {
         let b = run_cell(&cell, 1);
         assert!(a.reachable, "{a:?}");
         assert_eq!(a.stale_rib, 0, "departed state leaked: {a:?}");
+        assert_eq!(a.invariants, 0, "the DIF re-settled unhealthy: {a:?}");
         assert!(a.churn_reach >= 0.99, "reachability dipped in calm windows: {a:?}");
         assert_eq!(a.agg_len, b.agg_len);
         assert_eq!(a.rib_pdus, b.rib_pdus);

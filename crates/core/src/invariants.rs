@@ -6,6 +6,8 @@
 //!
 //! - the stack has assembled, every member is enrolled and has not
 //!   announced a leave, and every member's RIB records every member;
+//! - every (N-1) port of every member is live: up, with the peer it
+//!   learned — no port outlives its adjacency;
 //! - member addresses are unique, each member sits at the base of the
 //!   block delegated to it, and the blocks form one tree: any two are
 //!   nested or disjoint, and the first and widest holds them all;
@@ -35,6 +37,13 @@ pub enum Violation {
     Unassembled,
     /// This member is not enrolled, or has announced a leave.
     NotLive(AppName),
+    /// This member's (N-1) port `n1` is down, or up without a peer.
+    DeadPort {
+        /// The member holding the port.
+        member: AppName,
+        /// The port's index.
+        n1: usize,
+    },
     /// The member at `holder` records `records` members, not one per
     /// live member.
     Membership {
@@ -83,6 +92,10 @@ pub fn check(net: &Net, members: &[IpcpH]) -> Vec<Violation> {
     let (live, gone): (Vec<&Ipcp>, Vec<&Ipcp>) =
         members.iter().map(|&h| net.ipcp(h)).partition(|ip| is_live(ip));
     out.extend(gone.iter().map(|ip| Violation::NotLive(ip.name.clone())));
+    for ip in members.iter().map(|&h| net.ipcp(h)) {
+        let dead = ip.n1_ports().iter().enumerate().filter(|(_, p)| !p.live());
+        out.extend(dead.map(|(n1, _)| Violation::DeadPort { member: ip.name.clone(), n1 }));
+    }
     membership(&live, &mut out);
     out.extend(stale_objects(net, members));
     out.extend(Tables::of(net, members).unreachable());
@@ -282,11 +295,18 @@ mod tests {
             net.ipcp_mut(h).announce_leave(now);
         });
         assert!(found.contains(&NotLive(name)), "{found:?}");
-        // Cut the wire between addresses 2 and 3 and let the hellos expire.
-        let (found, _) = after(|net, _| {
+        // Cut the wire between addresses 2 and 3 and let the hellos expire:
+        // both ends' ports over it go down.
+        let (found, name) = after(|net, _| {
             net.set_link_up(crate::net::LinkH(1), false);
             net.run_for(Dur::from_secs(2));
         });
         assert!(found.contains(&Unreachable { src: 2, dst: 3, at: 2 }), "{found:?}");
+        assert!(found.contains(&DeadPort { member: name, n1: 1 }), "{found:?}");
+        // A port that is up but never learned its peer.
+        let (found, name) = after(set(|ip| {
+            ip.add_n1(crate::ipcp::N1Kind::Lower { port: 999 });
+        }));
+        assert_eq!(found, [DeadPort { member: name, n1: 2 }]);
     }
 }

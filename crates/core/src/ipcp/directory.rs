@@ -213,15 +213,6 @@ impl Ipcp {
         self.drain_rib();
     }
 
-    /// The fresh, unenrolled process a crash-restart puts in this one's
-    /// slot: the same configuration and name, carrying the applications
-    /// registered here.
-    pub(crate) fn respawned(&self) -> Ipcp {
-        let mut fresh = Ipcp::new(self.idx, self.cfg.clone(), self.name.clone());
-        fresh.directory.registered = self.directory.registered.clone();
-        fresh
-    }
-
     /// Where (which member address) an application is registered, if known.
     pub fn dir_lookup(&self, app: &AppName) -> Option<Addr> {
         if self.is_shim {
@@ -313,10 +304,8 @@ impl Ipcp {
             if p.retries >= DIR_LOOKUP_RETRIES {
                 let Some(p) = self.directory.pending.remove(&name) else { continue };
                 for w in p.waiters {
-                    self.out.push(IpcpOut::FlowFailed {
-                        port: w.port,
-                        reason: "destination unknown in DIF",
-                    });
+                    let failed = Some("destination unknown in DIF");
+                    self.out.push(IpcpOut::FlowGone { port: w.port, failed });
                 }
                 continue;
             }

@@ -61,9 +61,9 @@ pub(super) struct Enroll {
     /// The (N-1) port we enroll (or enrolled) through.
     via: Option<usize>,
     /// What our requests present and propose — credential, address,
-    /// block — as [`Ipcp::start_enroll`] was given it: every retry
-    /// repeats it.
-    request: Option<(String, Addr, (Addr, Addr))>,
+    /// block — as [`Ipcp::start_enroll`] or the planned enrollment path
+    /// ([`Ipcp::plan_adjacency`]) gave it: every retry repeats it.
+    pub(super) request: Option<(String, Addr, (Addr, Addr))>,
     /// Joiners admitted but not yet confirmed up (first hello pending):
     /// joiner name → (admitted at, grant). Size is capped by
     /// [`ADMISSION_WINDOW`].
@@ -177,9 +177,15 @@ impl Ipcp {
         proposed_block: (Addr, Addr),
         now: Time,
     ) {
+        self.enroll.request = Some((credential.to_string(), proposed_addr, proposed_block));
+        self.enroll_through(n1, now);
+    }
+
+    /// Begin enrollment through (N-1) port `n1` with the stored request,
+    /// and arm the retry timer.
+    pub(super) fn enroll_through(&mut self, n1: usize, now: Time) {
         assert!(!self.enrolled, "already enrolled");
         self.enroll.via = Some(n1);
-        self.enroll.request = Some((credential.to_string(), proposed_addr, proposed_block));
         self.send_hello(n1);
         self.retry_enroll();
         let at = now + ENROLL_RETRY_PERIOD;

@@ -211,7 +211,7 @@ impl Ipcp {
 
     /// Requester side: allocate a flow from `src_app` (bound to node port
     /// `port`) to `dst_app` with `spec`. The result arrives later as a
-    /// [`IpcpOut::FlowActive`] or [`IpcpOut::FlowFailed`] effect. Under
+    /// [`IpcpOut::FlowActive`] or [`IpcpOut::FlowGone`] effect. Under
     /// the scoped-`/dir` policy a name neither registered here nor
     /// cached first resolves on demand at its owner; the allocation
     /// continues when the answer arrives.
@@ -224,7 +224,7 @@ impl Ipcp {
             return;
         }
         let Some(dst_addr) = self.dir_lookup(&dst_app) else {
-            self.out.push(IpcpOut::FlowFailed { port, reason: "destination unknown in DIF" });
+            self.out.push(IpcpOut::FlowGone { port, failed: Some("destination unknown in DIF") });
             return;
         };
         self.alloc_flow_resolved(port, src_app, dst_app, spec, dst_addr);
@@ -247,7 +247,8 @@ impl Ipcp {
         // yet — the requester retries rather than stalling on a timeout.
         let fwd = self.routes.engine.table();
         if dst_addr != self.addr && self.transfer.pick_n1_toward(dst_addr, fwd).is_none() {
-            self.out.push(IpcpOut::FlowFailed { port, reason: "no route to destination member" });
+            self.out
+                .push(IpcpOut::FlowGone { port, failed: Some("no route to destination member") });
             return;
         }
         let cep = self.flows.next_cep();
@@ -318,7 +319,7 @@ impl Ipcp {
         match bound {
             Err(reason) => {
                 self.flows.remove(cep);
-                self.out.push(IpcpOut::FlowFailed { port, reason });
+                self.out.push(IpcpOut::FlowGone { port, failed: Some(reason) });
             }
             Ok(binding) => {
                 f.binding = binding;
@@ -459,7 +460,7 @@ impl Ipcp {
         }
         if failed {
             self.flows.remove(cep);
-            self.out.push(IpcpOut::FlowFailed { port, reason: "efcp gave up (max rtx)" });
+            self.out.push(IpcpOut::FlowGone { port, failed: Some("efcp gave up (max rtx)") });
         }
     }
 

@@ -7,11 +7,11 @@
 //!
 //! | task set | file | struct | owns |
 //! |---|---|---|---|
-//! | **IPC Data Transfer** (per PDU) | `transfer.rs` | `Transfer` | the (N-1) port table ([`N1Port`]), the peer-address relay index; relay-in-place, two-step forwarding, transmit |
+//! | **IPC Data Transfer** (per PDU) | `transfer.rs` | `Transfer` | the (N-1) port table ([`N1Port`]), the peer-address relay index, the lower-flow index; relay-in-place, two-step forwarding, transmit |
 //! | **IPC Transfer Control** (per flow) | `flows.rs` | `Flows` | the one flow table (CEP → port, phase, binding), CEP ids, the EFCP timer dirty list, pending flow allocations, and each connection's armed deadline; the flow-allocator handshake (§5.3) |
 //! | **IPC Management** — enrollment (§5.2) | `enroll.rs` | `Enroll` | outstanding requests and what they propose, the admission window, sponsored members and their failure watch; address/block assignment, leave and purge |
 //! | — directory | `directory.rs` | `Directory` | own registrations, the lookup cache, tombstone memory, on-demand lookups in flight (scoped `/dir`) |
-//! | — neighbors | `neighbors.rs` | `Neighbors` | the management view of each port (tree edge, peer digests, hello memo), the hello send cache and tick count; hello send/receive, expiry |
+//! | — neighbors | `neighbors.rs` | `Neighbors` | the planned adjacencies, the management view of each port (tree edge, peer digests, hello memo, a port's last lower flow), the hello send cache and tick count; allocating, retrying and binding lower flows, hello send/receive, expiry and release |
 //! | — routing | `routes.rs` | `Routes` | the route engine (LSA mirror, SPF, forwarding table), the advertised neighbor set and its debounce |
 //! | — RIEP dissemination | `dissemination.rs` | `Dissemination` | per-port flood queues, the flood token bucket, own-object names; flood, anti-entropy deltas, apply/re-flood, reassert |
 //!
@@ -40,14 +40,17 @@
 //! connection.
 //!
 //! An `Ipcp` is sans-IO like everything else: methods append [`IpcpOut`]
-//! effects which the owning [`crate::node::Node`] executes.
+//! effects which the owning [`crate::node::Node`] executes — asking for
+//! and releasing its lower flows included, so the life of an (N-1)
+//! adjacency, from plan to release, is this process's.
 //!
 //! Each task owns its timers ([`IpcpTimer`]); the node only arms them and
 //! hands them back to [`Ipcp::on_timer`]. Neighbors keep the hello
-//! cadence and enrollment the request retry (a busy sponsor's backoff
-//! hint included): each asks for its next timer with an [`IpcpOut::Arm`]
-//! emitted last. Routing and dissemination debounce their [`Deferred`]
-//! jobs, and transfer control keeps one deadline per EFCP connection;
+//! cadence and the planned adjacencies' retries, enrollment the request
+//! retry (a busy sponsor's backoff hint included): each asks for its next
+//! timer with an [`IpcpOut::Arm`]. Routing and dissemination debounce
+//! their [`Deferred`] jobs, and transfer control keeps one deadline per
+//! EFCP connection;
 //! both are collected after every event by [`Ipcp::timers_wanted`], which
 //! also decides which of them are already armed.
 //!
@@ -130,17 +133,13 @@ pub enum IpcpOut {
         /// Peer application name.
         peer: AppName,
     },
-    /// A flow could not be allocated or has failed.
-    FlowFailed {
+    /// A flow ended: it could not be allocated or has failed (`failed`
+    /// says why), or the peer deallocated it (`None`).
+    FlowGone {
         /// Node-local port id.
         port: u64,
-        /// Human-readable reason.
-        reason: &'static str,
-    },
-    /// The peer deallocated this flow.
-    FlowClosed {
-        /// Node-local port id.
-        port: u64,
+        /// Why the flow failed, in words; `None` when the peer closed it.
+        failed: Option<&'static str>,
     },
     /// An inbound flow request: the node must look up the destination
     /// application and call [`Ipcp::flow_accept`] or [`Ipcp::flow_reject`].
@@ -158,16 +157,26 @@ pub enum IpcpOut {
         /// Invoke id to echo in the response.
         invoke_id: u32,
     },
-    /// An (N-1) adjacency's hellos went silent past the expiry deadline.
-    /// The node must check whether it owns the flow behind this port
-    /// (an adjacency plan allocated it) and, if so, tear the dead flow
-    /// down and re-allocate: after a peer crash-restart the remote end
-    /// of the old flow no longer exists, so hellos can never resume on
-    /// it — without an active re-allocation the adjacency would stay
-    /// dead forever and silently partition the DIF.
-    N1Expired {
-        /// (N-1) port index whose peer expired.
-        n1: usize,
+    /// Allocate a lower flow for planned adjacency `plan`: from `via`,
+    /// an IPC process on this node, to the peer IPC process `dst` with
+    /// properties `spec`. The node names the flow's port to this process
+    /// (`Ipcp::lower_requested`) before it asks `via`.
+    Allocate {
+        /// Index of the planned adjacency.
+        plan: usize,
+        /// The providing IPC process's index on the node.
+        via: usize,
+        /// The peer IPC process.
+        dst: AppName,
+        /// Requested flow properties.
+        spec: QosSpec,
+    },
+    /// Release this process's end of the lower flow at `port`: the node
+    /// forgets the port and deallocates the flow at its provider, which
+    /// tells the peer if the flow was active.
+    Release {
+        /// Node-local port id.
+        port: u64,
     },
     /// Arm `timer`: the node hands it back to [`Ipcp::on_timer`] at `at`.
     Arm {
@@ -189,6 +198,8 @@ pub enum IpcpTimer {
     Hello,
     /// The enrollment task's request retry, re-armed until a member.
     EnrollRetry,
+    /// The retry of planned adjacency `k`, re-armed until its flow is up.
+    Adjacency(usize),
     /// A deferred job's debounce ran out.
     Deferred(Deferred),
     /// An EFCP deadline of the flow at `cep`. A firing whose `arm` is no
@@ -388,6 +399,18 @@ impl Ipcp {
         s
     }
 
+    /// The fresh, unenrolled process a crash-restart puts in this one's
+    /// slot: the same configuration and name, carrying the applications
+    /// registered here and the adjacencies planned here, with the same
+    /// enrollment request.
+    pub(crate) fn respawned(&self) -> Ipcp {
+        let mut fresh = Ipcp::new(self.idx, self.cfg.clone(), self.name.clone());
+        fresh.directory.registered = self.directory.registered.clone();
+        fresh.neighbors.plans = self.neighbors.plans.iter().map(|p| p.restarted()).collect();
+        fresh.enroll.request = self.enroll.request.clone();
+        fresh
+    }
+
     /// Whether this process is an enrolled member.
     pub fn is_enrolled(&self) -> bool {
         self.enrolled
@@ -434,6 +457,7 @@ impl Ipcp {
         match timer {
             IpcpTimer::Hello => self.hello_timer(now),
             IpcpTimer::EnrollRetry => self.enroll_retry_timer(now),
+            IpcpTimer::Adjacency(k) => self.adjacency_timer(k, now),
             IpcpTimer::Deferred(job) => {
                 self.deferred_armed &= !(1 << job as u8);
                 self.run_deferred(job, now);
@@ -612,7 +636,7 @@ impl Ipcp {
             }
             MgmtBody::FlowTeardown { cep } => {
                 if let Some(f) = self.flows.remove(cep) {
-                    self.out.push(IpcpOut::FlowClosed { port: f.port });
+                    self.out.push(IpcpOut::FlowGone { port: f.port, failed: None });
                 }
             }
             MgmtBody::RibDeltaRequest { subtree, from, upto, summary } => {

@@ -1,14 +1,18 @@
-//! IPC Management — neighbors: the hello that announces this process on
-//! every (N-1) port and keeps the adjacency alive, what the peer's hello
-//! teaches us (who it is, what its RIB holds), and the expiry of
-//! neighbors gone silent. This is also where management keeps its own
-//! view of each port — the Data Transfer task's [`super::N1Port`] knows
-//! only what relaying needs.
+//! IPC Management — neighbors: the life of each (N-1) adjacency. The
+//! adjacencies this process plans are allocated from its lower DIF and
+//! re-allocated until they hold; every lower flow that comes up, planned
+//! or inbound, is bound to a port; the hello announces this process on
+//! every port and keeps the adjacency alive, and teaches us who the peer
+//! is and what its RIB holds; a port gone silent expires and releases
+//! its flow. This is also where management keeps its own view of each
+//! port — the Data Transfer task's [`super::N1Port`] knows only what
+//! relaying needs.
 
 use super::dissemination::RESYNC_DAMP_TICKS;
-use super::{Ipcp, IpcpOut, IpcpTimer};
+use super::{Ipcp, IpcpOut, IpcpTimer, N1Kind};
 use crate::msg::MgmtBody;
 use crate::naming::{Addr, AppName};
+use crate::qos::QosSpec;
 use bytes::Bytes;
 use rina_rib::DigestTable;
 use rina_sim::{Dur, Time};
@@ -16,6 +20,48 @@ use rina_sim::{Dur, Time};
 /// A neighbor is declared dead after this many missed hellos (the
 /// adjacency expires after `hello_period × HELLO_MISSES` of silence).
 const HELLO_MISSES: u64 = 3;
+
+/// How long a planned adjacency waits for its flow before asking again:
+/// the request or its answer may be lost.
+const PLAN_WATCHDOG: Dur = Dur::from_millis(250);
+
+/// How long a planned adjacency whose flow failed or went silent waits
+/// before asking again.
+const PLAN_RETRY: Dur = Dur::from_millis(200);
+
+/// How soon a crash-restarted process asks for its planned adjacencies.
+const RESTART_DELAY: Dur = Dur::from_millis(50);
+
+/// An (N-1) adjacency this process allocates itself: a flow from its
+/// provider `via` to the peer, asked for `start_after` from start and
+/// again whenever it is lost, until it holds.
+#[derive(Clone)]
+pub(super) struct Plan {
+    peer: AppName,
+    spec: QosSpec,
+    /// The providing IPC process's index on the node.
+    via: usize,
+    start_after: Dur,
+    /// The adjacency is the enrollment path: once its flow is up, this
+    /// process enrolls through it with the request `Enroll` stores.
+    enroll: bool,
+    /// The lower flow asked for or held (node-local port id).
+    port: Option<u64>,
+    /// The flow in `port` is active.
+    up: bool,
+    /// An [`IpcpTimer::Adjacency`] is armed (one per plan: several
+    /// failure signals for one attempt must not multiply retries).
+    retry_armed: bool,
+}
+
+impl Plan {
+    /// The same adjacency for a crash-restarted process: nothing asked
+    /// for yet, first asked [`RESTART_DELAY`] after it starts.
+    pub(super) fn restarted(&self) -> Plan {
+        let (port, up, retry_armed) = (None, false, false);
+        Plan { start_after: RESTART_DELAY, port, up, retry_armed, ..self.clone() }
+    }
+}
 
 /// What management knows about the peer on one (N-1) port (same index
 /// as the port in the Data Transfer task's table).
@@ -38,6 +84,10 @@ pub(super) struct Peer {
     pub(super) last_resync_tick: u64,
     /// The last hello heard on this port (see [`HelloMemo`]).
     hello_memo: Option<HelloMemo>,
+    /// For a port over lower flows: the provider and the peer process of
+    /// the last one. The next flow between the same two processes over
+    /// that provider takes this port again.
+    lower: Option<(usize, AppName)>,
 }
 
 impl Peer {
@@ -67,6 +117,8 @@ struct HelloMemo {
 pub(super) struct Neighbors {
     /// One entry per (N-1) port.
     pub(super) peers: Vec<Peer>,
+    /// The adjacencies this process allocates, in the order planned.
+    pub(super) plans: Vec<Plan>,
     /// Hello periods elapsed (drives periodic re-advertisement and every
     /// tick-counted damp and retry).
     pub(super) ticks: u64,
@@ -85,18 +137,22 @@ impl Ipcp {
             && self.neighbors.peers.get(n1).is_some_and(|peer| peer.tree)
     }
 
-    /// Send a hello on every (N-1) port — including down ones, as a
-    /// revival probe: if the medium or lower flow comes back, the peer's
-    /// hello response brings the port up again (mobility depends on this:
-    /// re-attaching to a previously-left point of attachment must work).
-    /// Also expires silent neighbors, and periodically re-advertises this
+    /// Send a hello on every (N-1) port with a medium or a lower flow
+    /// under it — including one whose medium is down, as a revival probe:
+    /// if the medium comes back, the peer's hello response brings the port
+    /// up again (mobility depends on this: re-attaching to a
+    /// previously-left point of attachment must work). A port whose lower
+    /// flow is gone is silent until a new flow is bound to it.
+    /// Also expires silent ports, and periodically re-advertises this
     /// member's own RIB objects (anti-entropy: RIEP dissemination is
     /// unreliable, so lost updates must eventually be repaired).
     /// Run by [`IpcpTimer::Hello`], once per DIF hello period.
     pub fn tick_hello(&mut self, now: Time) {
         self.clock = now;
         for i in 0..self.transfer.n1.len() {
-            self.send_hello(i);
+            if self.transfer.attached(i) {
+                self.send_hello(i);
+            }
         }
         self.neighbors.ticks += 1;
         if self.manages() && self.neighbors.ticks.is_multiple_of(8) {
@@ -104,18 +160,26 @@ impl Ipcp {
         }
         self.retry_dir_lookups();
         self.directory.expire_tombstones(now, Dur::from_millis(self.cfg.member_gc_grace_ms));
-        // Expire neighbors we have not heard from.
+        // Expire the ports we have not heard from, and release the lower
+        // flows under them: whichever end allocated a flow, the other end
+        // may be gone for good (a crash-restart), so hellos may never
+        // resume on it.
         let deadline = self.cfg.hello_period * HELLO_MISSES;
         let mut silent: Vec<usize> = Vec::new();
         let mut lost: Vec<AppName> = Vec::new();
         for (i, p) in self.transfer.n1.iter().enumerate() {
-            if p.live() && p.last_hello != Time::ZERO && now.since(p.last_hello) > deadline {
+            if p.up && p.last_hello != Time::ZERO && now.since(p.last_hello) > deadline {
                 silent.push(i);
                 lost.extend(p.peer_name.clone());
-                self.out.push(IpcpOut::N1Expired { n1: i });
             }
         }
         self.ports_down(&silent);
+        for &i in &silent {
+            if let Some(N1Kind::Lower { port }) = self.transfer.n1.get(i).map(|p| p.kind) {
+                self.out.push(IpcpOut::Release { port });
+                self.lower_flow_gone(port, now);
+            }
+        }
         // Sponsored members whose adjacency just expired go on failure
         // watch; whoever stays silent past the grace is purged.
         self.enroll.watch(lost, now);
@@ -164,15 +228,152 @@ impl Ipcp {
         }
     }
 
-    /// Mark an (N-1) port back up and re-hello.
-    pub fn n1_up(&mut self, n1: usize, now: Time) {
+    /// Plan an (N-1) adjacency: ask provider `via`, an IPC process on
+    /// this node, for a flow to the peer IPC process `peer` with
+    /// properties `spec`, first `start_after` into the run (the
+    /// enrollment planner staggers waves by spanning-tree depth), and
+    /// again whenever it is lost, until it holds. With `enroll` —
+    /// credential, proposed address (0 = sponsor chooses), proposed
+    /// subtree block ((0, 0) = none) — the adjacency is also the
+    /// enrollment path: once its flow is up and this process is not yet
+    /// a member, it enrolls through it.
+    pub(crate) fn plan_adjacency(
+        &mut self,
+        peer: AppName,
+        spec: QosSpec,
+        via: usize,
+        start_after: Dur,
+        enroll: Option<(String, Addr, (Addr, Addr))>,
+    ) {
+        let enrolls = enroll.is_some();
+        if enrolls {
+            self.enroll.request = enroll;
+        }
+        let (port, up, retry_armed) = (None, false, false);
+        let plan = Plan { peer, spec, via, start_after, enroll: enrolls, port, up, retry_armed };
+        self.neighbors.plans.push(plan);
+    }
+
+    /// Start the planned adjacencies: each asks for its flow
+    /// `start_after` from `now`, at once when that is zero.
+    pub(crate) fn start_adjacencies(&mut self, now: Time) {
+        for k in 0..self.neighbors.plans.len() {
+            match self.neighbors.plans.get(k).map(|p| p.start_after) {
+                Some(Dur::ZERO) => self.ask_for_plan(k, now),
+                Some(d) => self.arm_plan_retry(k, now + d),
+                None => {}
+            }
+        }
+    }
+
+    /// Whether this process is a member and every adjacency it planned
+    /// is up: its part of "the stack has assembled".
+    pub(crate) fn is_assembled(&self) -> bool {
+        self.enrolled && self.neighbors.plans.iter().all(|p| p.up)
+    }
+
+    /// The node asked for planned adjacency `plan`'s flow at `port`.
+    pub(crate) fn lower_requested(&mut self, plan: usize, port: u64) {
+        if let Some(p) = self.neighbors.plans.get_mut(plan) {
+            p.port = Some(port);
+        }
+    }
+
+    /// Arm planned adjacency `k`'s retry for `at`, unless one is armed.
+    fn arm_plan_retry(&mut self, k: usize, at: Time) {
+        let Some(p) = self.neighbors.plans.get_mut(k).filter(|p| !p.retry_armed) else { return };
+        p.retry_armed = true;
+        self.out.push(IpcpOut::Arm { at, timer: IpcpTimer::Adjacency(k) });
+    }
+
+    /// Planned adjacency `k`'s retry fired: ask again unless it is up.
+    pub(super) fn adjacency_timer(&mut self, k: usize, now: Time) {
+        let Some(p) = self.neighbors.plans.get_mut(k) else { return };
+        p.retry_armed = false;
+        if !p.up {
+            self.ask_for_plan(k, now);
+        }
+    }
+
+    /// Ask for planned adjacency `k`'s flow: drop the request still in
+    /// flight, if any, ask anew, and arm the watchdog.
+    fn ask_for_plan(&mut self, k: usize, now: Time) {
+        let Some(p) = self.neighbors.plans.get_mut(k) else { return };
+        if let Some(port) = p.port.take() {
+            self.out.push(IpcpOut::Release { port });
+        }
+        let (via, dst, spec) = (p.via, p.peer.clone(), p.spec);
+        self.out.push(IpcpOut::Allocate { plan: k, via, dst, spec });
+        self.arm_plan_retry(k, now + PLAN_WATCHDOG);
+    }
+
+    /// The lower flow at `port`, from provider `via` to or from the peer
+    /// IPC process `peer`, is active: bind it to a port and bring that
+    /// port up, and start enrollment if it is a planned adjacency's flow
+    /// on the enrollment path. The flow takes the port the last flow
+    /// between this process and `peer` over `via` had — releasing that
+    /// flow if it is still held — else a port whose flow is gone, else a
+    /// new one.
+    pub(crate) fn lower_flow_up(&mut self, port: u64, via: usize, peer: AppName, now: Time) {
         self.clock = self.clock.max(now);
-        if let Some(p) = self.transfer.n1.get_mut(n1) {
-            p.up = true;
-            p.last_hello = now;
+        let slot = self.slot_for(via, &peer);
+        let held = slot.and_then(|i| self.transfer.n1.get(i)).map(|p| p.kind);
+        if let Some(N1Kind::Lower { port: old }) = held {
+            if self.transfer.lower.remove(&old).is_some() {
+                self.out.push(IpcpOut::Release { port: old });
+            }
+        }
+        let n1 = self.transfer.bind_lower(slot, port, now);
+        self.neighbors.peers.resize_with(self.transfer.n1.len(), Peer::default);
+        if let Some(p) = self.neighbors.peers.get_mut(n1) {
+            *p = Peer { lower: Some((via, peer)), ..Peer::default() };
         }
         self.transfer.rebuild_peer_index();
         self.send_hello(n1);
+        let mut enrolls = false;
+        if let Some(p) = self.neighbors.plans.iter_mut().find(|p| p.port == Some(port)) {
+            p.up = true;
+            enrolls = p.enroll && !self.enrolled;
+        }
+        if enrolls {
+            self.enroll_through(n1, now);
+        }
+    }
+
+    /// The port a lower flow between this process and `peer` over
+    /// provider `via` takes: the one the last such flow had, else the
+    /// first whose flow is gone.
+    fn slot_for(&self, via: usize, peer: &AppName) -> Option<usize> {
+        let mut freed = None;
+        for (i, p) in self.neighbors.peers.iter().enumerate() {
+            let Some((v, n)) = &p.lower else { continue };
+            if *v == via && n == peer {
+                return Some(i);
+            }
+            if freed.is_none() && !self.transfer.attached(i) {
+                freed = Some(i);
+            }
+        }
+        freed
+    }
+
+    /// The lower flow at `port` is gone — it failed, its peer closed it,
+    /// it never came up, or this process released it: the port bound to
+    /// it goes down and is free, and a planned adjacency behind it asks
+    /// again after `PLAN_RETRY` (200 ms).
+    pub(crate) fn lower_flow_gone(&mut self, port: u64, now: Time) {
+        if let Some(n1) = self.transfer.lower.remove(&port) {
+            self.n1_down(n1, now);
+        }
+        let mut plans = self.neighbors.plans.iter_mut().enumerate();
+        let Some((k, p)) = plans.find(|(_, p)| p.port == Some(port)) else { return };
+        (p.port, p.up) = (None, false);
+        self.arm_plan_retry(k, now + PLAN_RETRY);
+    }
+
+    /// The port the lower flow at `port` is bound to, if any.
+    pub(crate) fn n1_bound_to(&self, port: u64) -> Option<usize> {
+        self.transfer.lower.get(&port).copied()
     }
 
     /// The current hello, fully encoded as a link-local frame: built

@@ -159,7 +159,7 @@ fn alloc_flow_unknown_dest_fails_immediately() {
     a.bootstrap(1);
     a.alloc_flow(10, AppName::new("c"), AppName::new("ghost"), QosSpec::reliable());
     let out = a.take_out();
-    assert!(matches!(&out[..], [IpcpOut::FlowFailed { port: 10, .. }]));
+    assert!(matches!(&out[..], [IpcpOut::FlowGone { port: 10, failed: Some(_) }]));
 }
 
 #[test]
@@ -705,7 +705,7 @@ fn scoped_lookup_resolves_waiting_allocation_and_caches() {
     a.alloc_flow(10, AppName::new("c"), AppName::new("web"), QosSpec::reliable());
     let out = a.take_out();
     assert!(
-        !out.iter().any(|o| matches!(o, IpcpOut::FlowFailed { .. })),
+        !out.iter().any(|o| matches!(o, IpcpOut::FlowGone { failed: Some(_), .. })),
         "the allocation parks behind the lookup instead of failing"
     );
     assert!(tx_mgmt(&out).iter().any(|(_, _, b)| matches!(b, MgmtBody::DirLookupRequest { .. })));
@@ -834,9 +834,9 @@ fn scoped_lookup_retry_budget_fails_the_waiting_allocation() {
     for tick in 1..=16u64 {
         a.tick_hello(Time::from_millis(tick * 500));
         let out = a.take_out();
-        if out.iter().any(
-            |o| matches!(o, IpcpOut::FlowFailed { port: 10, reason } if *reason == "destination unknown in DIF"),
-        ) {
+        if out.iter().any(|o| {
+            matches!(o, IpcpOut::FlowGone { port: 10, failed: Some("destination unknown in DIF") })
+        }) {
             failed = Some(tick);
             break;
         }

@@ -7,6 +7,7 @@
 //! [`QosCube`]s, so nothing the RIB feeds can be named from here.
 
 use super::{IpcpOut, IpcpStats};
+use crate::fxhash::FxHashMap;
 use crate::naming::{Addr, AppName};
 use crate::qos::QosCube;
 use crate::rmt::TxClass;
@@ -49,9 +50,14 @@ pub struct N1Port {
 }
 
 impl N1Port {
+    /// A port just attached to `kind`: up, no peer known, nothing heard.
+    fn new(kind: N1Kind) -> Self {
+        N1Port { kind, peer_name: None, peer_addr: 0, up: true, last_hello: Time::ZERO }
+    }
+
     /// Up with an enrolled peer: a port that relays, floods and counts
     /// as an adjacency.
-    pub(super) fn live(&self) -> bool {
+    pub fn live(&self) -> bool {
         self.up && self.peer_addr != 0
     }
 }
@@ -59,24 +65,54 @@ impl N1Port {
 /// The Data Transfer task's state (see module docs).
 #[derive(Default)]
 pub(super) struct Transfer {
+    /// The (N-1) port table. Bound: a port per medium (a shim's one) and
+    /// per lower flow held at once — a new lower flow takes the port the
+    /// last flow between the same two processes over the same provider
+    /// had, else one whose flow is gone — so never more ports than the
+    /// most adjacencies this process held at one time.
     pub(super) n1: Vec<N1Port>,
     /// Relay index over `n1`: peer address → lowest live port toward it.
     /// Rebuilt on every port up/down/peer-address change so the per-frame
     /// next-hop port lookup is a map probe, not a linear port scan.
     peer_index: BTreeMap<Addr, usize>,
+    /// The lower flows bound to ports of `n1`: node-local port id →
+    /// port index, what an arriving SDU's flow resolves through. At most
+    /// one entry per port.
+    pub(super) lower: FxHashMap<u64, usize>,
 }
 
 impl Transfer {
     /// Attach an (N-1) port. Returns its index.
     pub(super) fn add(&mut self, kind: N1Kind) -> usize {
-        self.n1.push(N1Port {
-            kind,
-            peer_name: None,
-            peer_addr: 0,
-            up: true,
-            last_hello: Time::ZERO,
-        });
-        self.n1.len() - 1
+        let i = self.n1.len();
+        self.n1.push(N1Port::new(kind));
+        if let N1Kind::Lower { port } = kind {
+            self.lower.insert(port, i);
+        }
+        i
+    }
+
+    /// Bind the lower flow at `port` to port `slot`, or to a new port
+    /// when `slot` is `None`: up since `now`, no peer known yet. Returns
+    /// the port's index.
+    pub(super) fn bind_lower(&mut self, slot: Option<usize>, port: u64, now: Time) -> usize {
+        let bound = N1Port { last_hello: now, ..N1Port::new(N1Kind::Lower { port }) };
+        let i = slot.unwrap_or(self.n1.len());
+        match self.n1.get_mut(i) {
+            Some(p) => *p = bound,
+            None => self.n1.push(bound),
+        }
+        self.lower.insert(port, i);
+        i
+    }
+
+    /// Whether port `i` has a medium or a lower flow under it.
+    pub(super) fn attached(&self, i: usize) -> bool {
+        match self.n1.get(i).map(|p| p.kind) {
+            Some(N1Kind::Phys { .. }) => true,
+            Some(N1Kind::Lower { port }) => self.lower.get(&port) == Some(&i),
+            None => false,
+        }
     }
 
     /// Rebuild the `peer_addr → port` relay index. Called whenever a

@@ -44,8 +44,8 @@
 use crate::app::AppProcess;
 use crate::dif::{AuthPolicy, DifConfig};
 use crate::ipcp::Ipcp;
-use crate::naming::AppName;
-use crate::node::{EnrollPlan, Node};
+use crate::naming::{Addr, AppName};
+use crate::node::Node;
 use crate::qos::QosSpec;
 use rina_sim::{Dur, LinkCfg, LinkId, NodeId, Sim, Time};
 use std::collections::{BTreeMap, VecDeque};
@@ -300,7 +300,7 @@ impl NetBuilder {
         let idx = self.node_mut(node.0).add_ipcp(cfg, ipcp_name);
         let first = self.difs[dif.0].members.is_empty();
         if first {
-            self.node_mut(node.0).bootstrap_ipcp(idx, 1);
+            self.node_mut(node.0).ipcp_mut(idx).bootstrap(1);
         }
         self.difs[dif.0].members.push((node.0, idx));
     }
@@ -343,7 +343,7 @@ impl NetBuilder {
         let ipcp = self.ipcp_of(dif, node);
         let n = self.node_mut(node.0);
         let idx = n.add_app(name.clone(), behavior);
-        n.register_name(name, ipcp.idx);
+        n.ipcp_mut(ipcp.idx).dir_register(&name);
         AppH { node, idx, _ty: PhantomData }
     }
 
@@ -389,8 +389,8 @@ impl NetBuilder {
         }
     }
 
-    /// Finalize: compute per-DIF enrollment spanning trees and install all
-    /// (N-1) plans. Returns the runnable [`Net`].
+    /// Finalize: compute per-DIF enrollment spanning trees and hand each
+    /// member the (N-1) adjacencies it plans. Returns the runnable [`Net`].
     pub fn build(mut self) -> Net {
         // Group adjacencies per dif.
         for dif in 0..self.difs.len() {
@@ -405,8 +405,13 @@ impl NetBuilder {
                 .map(|a| (a.a, a.b, a.via, a.spec))
                 .collect();
             // BFS from the bootstrap member over declared adjacencies.
+            // Spanning-tree depth and BFS rank drive the wave schedule
+            // (rank `usize::MAX`: not in this DIF).
             let boot = members[0];
-            // BTreeMap: enrollment plans are installed by iterating this
+            let n = self.nodes.len();
+            let (mut depth, mut rank) = (vec![0u64; n], vec![usize::MAX; n]);
+            rank[boot] = 0;
+            // BTreeMap: enrollment paths are planned by iterating this
             // map, so its order must not depend on hasher state.
             let mut parent: BTreeMap<usize, (usize, Via, QosSpec)> = BTreeMap::new();
             let mut seen = vec![boot];
@@ -421,6 +426,7 @@ impl NetBuilder {
                         continue;
                     };
                     if !seen.contains(&v) {
+                        (depth[v], rank[v]) = (depth[u] + 1, seen.len());
                         seen.push(v);
                         parent.insert(v, (u, via, spec));
                         q.push_back(v);
@@ -438,7 +444,7 @@ impl NetBuilder {
                 AuthPolicy::Open => String::new(),
                 AuthPolicy::Secret(s) => s.clone(),
             };
-            // Enrollment plans: child allocates the flow toward its parent
+            // Enrollment paths: child allocates the flow toward its parent
             // and enrolls through it.
             let overrides = self.difs[dif].credential_overrides.clone();
             // Member addresses are pre-assigned from per-subtree prefix
@@ -453,82 +459,63 @@ impl NetBuilder {
                     children.entry(p).or_default().push(v);
                 }
             }
-            // Per-node tables of the tree, indexed by node.
-            let n = self.nodes.len();
-            let mut subtree = vec![0u64; n];
-            for &v in &seen {
-                subtree[v] = 1;
-            }
+            // Subtree sizes, then each member's block: a member takes the
+            // first address of its range (entries of non-members unused).
+            let mut subtree = vec![1u64; n];
             for &v in seen.iter().rev() {
                 if let Some(&(p, _, _)) = parent.get(&v) {
                     subtree[p] += subtree[v];
                 }
             }
-            let mut addr_of = vec![0u64; n];
             let mut block_of = vec![(0u64, 0u64); n];
             block_of[boot] = (1, subtree[boot]);
             let mut stack = vec![boot];
             while let Some(v) = stack.pop() {
-                let (lo, _) = block_of[v];
-                addr_of[v] = lo;
-                let mut cursor = lo + 1;
+                let mut cursor = block_of[v].0 + 1;
                 for &c in children.get(&v).into_iter().flatten() {
                     block_of[c] = (cursor, cursor + subtree[c] - 1);
                     cursor += subtree[c];
                     stack.push(c);
                 }
             }
-            // Spanning-tree depth and BFS rank drive the wave schedule
-            // (rank `usize::MAX`: not in this DIF).
-            let mut depth = vec![0u64; n];
-            let mut rank = vec![usize::MAX; n];
-            for (i, &v) in seen.iter().enumerate() {
-                rank[v] = i;
-                if let Some(&(p, _, _)) = parent.get(&v) {
-                    depth[v] = depth[p] + 1;
-                }
-            }
             // The bootstrap sponsors from the whole DIF range.
             let boot_ipcp = self.ipcp_of(DifH(dif), NodeH(boot)).idx;
-            self.node_mut(boot).set_ipcp_block(boot_ipcp, (1, subtree[boot]));
+            self.node_mut(boot).ipcp_mut(boot_ipcp).set_block(block_of[boot]);
             let schedule = self.enroll_schedule;
             for (&child, &(par, via, spec)) in &parent {
                 let credential = overrides.get(&child).unwrap_or(&credential).clone();
-                let enroll = EnrollPlan {
-                    credential,
-                    proposed_addr: addr_of[child],
-                    block: block_of[child],
-                };
+                let enroll = (credential, block_of[child].0, block_of[child]);
                 let start_after = schedule.start_after(depth[child], rank[child] as u64);
-                let upper_child = self.ipcp_of(DifH(dif), NodeH(child)).idx;
-                let provider_child = self.provider_on(via, child);
-                let dst = self.ipcp_name(dif, par);
-                self.register_upper_names(dif, via, par, child);
-                self.node_mut(child).plan_n1(
-                    upper_child,
-                    dst,
-                    spec,
-                    provider_child,
-                    Some(enroll),
-                    start_after,
-                );
+                self.hand_over(dif, (child, par), (via, spec), start_after, Some(enroll));
             }
             // Non-tree adjacencies: plain flows from the BFS-later side.
+            let tree_edge = |x, y| parent.get(&x).is_some_and(|&(p, _, _)| p == y);
             for &(a, b, via, spec) in &adjs {
-                let tree_edge = parent.get(&a).map(|&(p, _, _)| p) == Some(b)
-                    || parent.get(&b).map(|&(p, _, _)| p) == Some(a);
-                if tree_edge {
-                    continue;
+                if !tree_edge(a, b) && !tree_edge(b, a) {
+                    let ends = if rank[a] > rank[b] { (a, b) } else { (b, a) };
+                    self.hand_over(dif, ends, (via, spec), Dur::ZERO, None);
                 }
-                let (src, dst_node) = if rank[a] > rank[b] { (a, b) } else { (b, a) };
-                let upper = self.ipcp_of(DifH(dif), NodeH(src)).idx;
-                let provider = self.provider_on(via, src);
-                let dst = self.ipcp_name(dif, dst_node);
-                self.register_upper_names(dif, via, dst_node, src);
-                self.node_mut(src).plan_n1(upper, dst, spec, provider, None, Dur::ZERO);
             }
         }
         Net { sim: self.sim, nodes: self.nodes, links: self.links }
+    }
+
+    /// Hand `dif`'s member on node `src` the adjacency it plans toward
+    /// the member on `dst`, carried `via` with properties `spec`.
+    fn hand_over(
+        &mut self,
+        dif: usize,
+        (src, dst): (usize, usize),
+        (via, spec): (Via, QosSpec),
+        start_after: Dur,
+        enroll: Option<(String, Addr, (Addr, Addr))>,
+    ) {
+        let upper = self.ipcp_of(DifH(dif), NodeH(src)).idx;
+        let provider = self.provider_on(via, src);
+        let peer = self.ipcp_name(dif, dst);
+        self.register_upper_names(dif, via, dst, src);
+        let member = self.node_mut(src).ipcp_mut(upper);
+        member.plan_adjacency(peer, spec, provider, start_after, enroll);
     }
 
     /// An adjacency of `dif` from `src` to `dst` carried over a lower DIF:
@@ -539,7 +526,7 @@ impl NetBuilder {
         for node in [dst, src] {
             let name = self.ipcp_name(dif, node);
             let provider = self.ipcp_of(lower, NodeH(node)).idx;
-            self.node_mut(node).register_name(name, provider);
+            self.node_mut(node).ipcp_mut(provider).dir_register(&name);
         }
     }
 

@@ -7,21 +7,25 @@
 //! they are applications too, §4) to the flows lower DIFs provide, executes
 //! the effects IPC processes emit, and arms their timers.
 //!
-//! Construction is declarative: shims are attached to interfaces, higher
-//! DIF memberships are *planned* ([`Node::plan_n1`]) as "allocate a flow to
-//! that peer IPC process and, optionally, enroll through it". Plans retry
-//! until the stack assembles itself — exactly the bottom-up self-formation
-//! the paper's §5 describes.
+//! Construction is declarative: shims are attached to interfaces, and the
+//! IPC processes of higher DIFs are handed the adjacencies they plan
+//! (`Ipcp::plan_adjacency`). Each process allocates and re-allocates
+//! its own lower flows until the stack assembles itself — exactly the
+//! bottom-up self-formation the paper's §5 describes. The node only
+//! executes what a process asks: [`IpcpOut::Allocate`] and
+//! [`IpcpOut::Release`] run inline as it flushes, like a transmit or a
+//! timer, and a lower flow coming up or going away is handed to the
+//! process that owns its port (`Ipcp::lower_flow_up`,
+//! `Ipcp::lower_flow_gone`).
 //!
 //! Timers: an IPC process owns its own — the hello cadence, the
-//! enrollment retry, the debounced deferred jobs and the EFCP deadlines
-//! ([`IpcpTimer`]). It asks for them with an [`IpcpOut::Arm`] effect,
-//! which the node runs inline as it flushes, or through
-//! [`Ipcp::timers_wanted`], which the node asks after every event; the node
-//! arms each as one `TimerKind::Ipcp` and hands it back to
+//! enrollment retry, the adjacency retries, the debounced deferred jobs
+//! and the EFCP deadlines ([`IpcpTimer`]). It asks for them with an
+//! [`IpcpOut::Arm`] effect, which the node runs inline as it flushes, or
+//! through [`Ipcp::timers_wanted`], which the node asks after every event;
+//! the node arms each as one `TimerKind::Ipcp` and hands it back to
 //! [`Ipcp::on_timer`]. The node's own timers are the IPC manager's: NIC
-//! pacing, adjacency-plan retries, the allocation watchdog and the
-//! applications' timers.
+//! pacing, the allocation watchdog and the applications' timers.
 
 use crate::app::{AppProcess, FlowH, FlowOrigin, IpcApi, IpcError};
 use crate::dif::DifConfig;
@@ -51,8 +55,8 @@ pub(crate) fn leave_key(ipcp: usize) -> u64 {
 
 /// Build the key for [`rina_sim::Sim::call`] that crash-restarts IPC
 /// process `ipcp` of the target node: the old process vanishes without a
-/// word (its neighbors detect the silence), a fresh one takes its slot,
-/// and the node's adjacency plans re-fire so it re-enrolls from scratch.
+/// word (its neighbors detect the silence), and a fresh one takes its
+/// slot and starts its planned adjacencies, so it re-enrolls from scratch.
 pub(crate) fn respawn_key(ipcp: usize) -> u64 {
     CMD_BIT | (2 << 32) | ipcp as u64
 }
@@ -74,7 +78,6 @@ struct PortState {
     /// IPCPs.
     requested: bool,
     active: bool,
-    n1_of_owner: Option<usize>,
 }
 
 impl PortState {
@@ -92,36 +95,6 @@ impl PortState {
 struct AppEntry {
     name: AppName,
     behavior: Option<Box<dyn AppProcess>>,
-}
-
-/// How a planned adjacency enrolls once its (N-1) flow is up: what the
-/// joiner presents and proposes (see [`crate::ipcp::Ipcp::start_enroll`]).
-#[derive(Clone, Debug)]
-pub struct EnrollPlan {
-    /// Credential presented to the sponsor.
-    pub credential: String,
-    /// Proposed member address (0 = sponsor chooses).
-    pub proposed_addr: Addr,
-    /// Proposed subtree address block ((0, 0) = none).
-    pub block: (Addr, Addr),
-}
-
-/// A planned (N-1) adjacency for a higher IPC process, retried until it
-/// holds. Optionally doubles as the enrollment path.
-struct N1Plan {
-    upper: usize,
-    dst: AppName,
-    spec: QosSpec,
-    via: usize,
-    enroll: Option<EnrollPlan>,
-    /// Earliest virtual time (from simulation start) the plan first
-    /// fires — the enrollment planner's wave schedule.
-    start_after: Dur,
-    port: Option<u64>,
-    satisfied: bool,
-    /// A retry timer is already armed (dedupe: multiple failure signals
-    /// for one attempt must not multiply retries).
-    retry_pending: bool,
 }
 
 /// A physical interface: the IPC process and (N-1) port bound to it,
@@ -157,7 +130,6 @@ enum TimerKind {
     Ipcp { ipcp: usize, timer: IpcpTimer },
     Pace { iface: usize },
     App { app: usize, key: u64 },
-    N1Retry(usize),
     AllocTimeout { port: u64 },
 }
 
@@ -200,12 +172,12 @@ pub struct Node {
     timers: FxHashMap<u64, TimerKind>,
     next_token: u64,
     /// Effects awaiting execution, each with the index of the IPC process
-    /// that emitted it ([`IpcpOut::TxPhys`] and [`IpcpOut::Arm`] are
-    /// executed as they are flushed and never queue).
+    /// that emitted it ([`IpcpOut::TxPhys`], [`IpcpOut::Allocate`],
+    /// [`IpcpOut::Release`] and [`IpcpOut::Arm`] are executed as they are
+    /// flushed and never queue).
     workq: VecDeque<(usize, IpcpOut)>,
     /// Indexed by [`IfaceId`].
     ifaces: Vec<Iface>,
-    plans: Vec<N1Plan>,
     /// IPC processes flushed since the last drain.
     dirty: SlotSet,
     /// Recycled buffer for draining IPCP effect queues without a fresh
@@ -218,8 +190,8 @@ pub struct Node {
     /// Frames and SDUs refused on their way down and dropped uncounted
     /// anywhere else: a frame the link would not take (too big, no such
     /// interface — a full queue is the link's own `drops_overflow`), or
-    /// an upper IPC process's PDU its lower flow would not (not active,
-    /// EFCP back-pressure).
+    /// an upper IPC process's PDU its lower flow would not (no such flow
+    /// here, not active, EFCP back-pressure).
     pub tx_refused: u64,
 }
 
@@ -236,7 +208,6 @@ impl Node {
             next_token: 1,
             workq: VecDeque::new(),
             ifaces: Vec::new(),
-            plans: Vec::new(),
             dirty: SlotSet::default(),
             out_scratch: Vec::new(),
             wanted: Vec::new(),
@@ -278,52 +249,6 @@ impl Node {
         idx
     }
 
-    /// Make ipcp `idx` the first member of its DIF with address `addr`.
-    pub fn bootstrap_ipcp(&mut self, idx: usize, addr: Addr) {
-        self.ipcps[idx].bootstrap(addr);
-    }
-
-    /// Hand the (bootstrapped) ipcp `idx` the address block it sponsors
-    /// its DIF from (the planner calls this with the whole DIF range).
-    pub fn set_ipcp_block(&mut self, idx: usize, block: (Addr, Addr)) {
-        self.ipcps[idx].set_block(block);
-    }
-
-    /// Plan an (N-1) adjacency: allocate a flow from DIF `via` to the peer
-    /// IPC process `dst`, attach it to `upper` as an (N-1) port, and — if
-    /// `enroll` is given and `upper` is not yet enrolled — enroll through
-    /// it. The plan first fires `start_after` into the run (the
-    /// enrollment planner staggers waves by spanning-tree depth); it then
-    /// retries until it succeeds.
-    pub fn plan_n1(
-        &mut self,
-        upper: usize,
-        dst: AppName,
-        spec: QosSpec,
-        via: usize,
-        enroll: Option<EnrollPlan>,
-        start_after: Dur,
-    ) {
-        self.plans.push(N1Plan {
-            upper,
-            dst,
-            spec,
-            via,
-            enroll,
-            start_after,
-            port: None,
-            satisfied: false,
-            retry_pending: false,
-        });
-    }
-
-    /// Register application `name` in DIF `ipcp`'s directory. The IPC
-    /// process keeps the registration ([`Ipcp::dir_register`]): written
-    /// once it is a member, and again after a crash-restart.
-    pub fn register_name(&mut self, name: AppName, ipcp: usize) {
-        self.ipcps[ipcp].dir_register(&name);
-    }
-
     // ------------------------------------------------------------------
     // Inspection
     // ------------------------------------------------------------------
@@ -333,7 +258,13 @@ impl Node {
         &self.ipcps[idx]
     }
 
-    /// Mutable access to the IPC process at `idx` (tests/benches only).
+    /// Every IPC process on this machine, by index.
+    pub fn ipcps(&self) -> &[Ipcp] {
+        &self.ipcps
+    }
+
+    /// Mutable access to the IPC process at `idx` (construction, tests,
+    /// benches).
     pub fn ipcp_mut(&mut self, idx: usize) -> &mut Ipcp {
         &mut self.ipcps[idx]
     }
@@ -354,10 +285,10 @@ impl Node {
         app.downcast_mut().expect("app type mismatch")
     }
 
-    /// Whether all planned (N-1) adjacencies are up and all IPC processes
-    /// enrolled — "the stack has assembled".
+    /// Whether every IPC process is enrolled with all its planned (N-1)
+    /// adjacencies up — "the stack has assembled".
     pub fn assembled(&self) -> bool {
-        self.plans.iter().all(|p| p.satisfied) && self.ipcps.iter().all(|i| i.is_enrolled())
+        self.ipcps.iter().all(Ipcp::is_assembled)
     }
 
     /// Aggregate per-lane RMT transmit-queue counters over every physical
@@ -387,8 +318,8 @@ impl Node {
         let Some(provider) = self.pick_provider(&dst) else {
             // Deliver the failure asynchronously, after this callback.
             let port = self.new_port(Owner::App(app), usize::MAX, true);
-            let reason = "no DIF knows the destination";
-            self.workq.push_back((usize::MAX, IpcpOut::FlowFailed { port, reason }));
+            let failed = Some("no DIF knows the destination");
+            self.workq.push_back((usize::MAX, IpcpOut::FlowGone { port, failed }));
             return FlowH(port);
         };
         let port = self.new_port(Owner::App(app), provider, true);
@@ -422,14 +353,9 @@ impl Node {
     }
 
     pub(crate) fn api_deallocate(&mut self, app: usize, flow: FlowH, ctx: &mut Ctx<'_>) {
-        let Some(st) = self.ports.get(&flow.0) else { return };
-        if st.owner != Owner::App(app) {
-            return;
+        if self.ports.get(&flow.0).is_some_and(|st| st.owner == Owner::App(app)) {
+            self.release_port(flow.0, ctx);
         }
-        let provider = st.provider;
-        self.ipcps[provider].dealloc_port(flow.0);
-        self.flush_ipcp(provider, ctx);
-        self.ports.remove(&flow.0);
     }
 
     pub(crate) fn api_timer(&mut self, app: usize, d: Dur, key: u64, ctx: &mut Ctx<'_>) {
@@ -452,10 +378,7 @@ impl Node {
     fn new_port(&mut self, owner: Owner, provider: usize, requested: bool) -> u64 {
         let port = self.next_port;
         self.next_port += 1;
-        self.ports.insert(
-            port,
-            PortState { owner, provider, requested, active: false, n1_of_owner: None },
-        );
+        self.ports.insert(port, PortState { owner, provider, requested, active: false });
         port
     }
 
@@ -480,13 +403,11 @@ impl Node {
     }
 
     fn flush_ipcp(&mut self, i: usize, ctx: &mut Ctx<'_>) {
-        if i == usize::MAX {
-            return;
-        }
         // Recycled drain buffer: effects go to the workq, straight to the
         // pace queues or onto the timer heap, so one scratch Vec serves
         // every flush with zero steady-state allocation (only a link
-        // found down mid-flush nests a flush, on a fresh Vec).
+        // found down mid-flush, or a lower flow allocated or released,
+        // nests a flush, on a fresh Vec).
         let mut effs = std::mem::take(&mut self.out_scratch);
         loop {
             self.ipcps[i].take_out_into(&mut effs);
@@ -501,6 +422,14 @@ impl Node {
                     IpcpOut::Arm { at, timer } => {
                         self.arm(ctx, at, TimerKind::Ipcp { ipcp: i, timer });
                     }
+                    IpcpOut::Allocate { plan, via, dst, spec } => {
+                        let port = self.new_port(Owner::Upper(i), via, false);
+                        self.ipcps[i].lower_requested(plan, port);
+                        let src = self.ipcps[i].name.clone();
+                        self.ipcps[via].alloc_flow(port, src, dst, spec);
+                        self.flush_ipcp(via, ctx);
+                    }
+                    IpcpOut::Release { port } => self.release_port(port, ctx),
                     queued => self.workq.push_back((i, queued)),
                 }
             }
@@ -563,11 +492,17 @@ impl Node {
             guard += 1;
             assert!(guard < 5_000_000, "node work loop runaway on {}", self.name);
             match w {
-                IpcpOut::TxPhys { .. } | IpcpOut::Arm { .. } => {
+                IpcpOut::TxPhys { .. }
+                | IpcpOut::Arm { .. }
+                | IpcpOut::Allocate { .. }
+                | IpcpOut::Release { .. } => {
                     unreachable!("flush_ipcp executes these as it drains them")
                 }
                 IpcpOut::TxLower { port, sdu, class } => {
-                    let Some(st) = self.ports.get(&port) else { continue };
+                    let Some(st) = self.ports.get(&port) else {
+                        self.tx_refused += 1;
+                        continue;
+                    };
                     let provider = st.provider;
                     if self.ipcps[provider].write_port(port, sdu, ctx.now(), Some(class)).is_err() {
                         self.tx_refused += 1;
@@ -586,7 +521,7 @@ impl Node {
                             });
                         }
                         Owner::Upper(u) => {
-                            if let Some(n1) = st.n1_of_owner {
+                            if let Some(n1) = self.ipcps[u].n1_bound_to(port) {
                                 self.ipcps[u].on_frame(n1, sdu, ctx.now());
                                 self.flush_ipcp(u, ctx);
                             } else {
@@ -598,7 +533,7 @@ impl Node {
                 IpcpOut::FlowActive { port, peer } => {
                     let Some(st) = self.ports.get_mut(&port) else { continue };
                     st.active = true;
-                    let (owner, origin) = (st.owner, st.origin(port));
+                    let (owner, origin, via) = (st.owner, st.origin(port), st.provider);
                     match owner {
                         Owner::App(a) => {
                             self.call_app(a, ctx, |app, api| {
@@ -606,45 +541,12 @@ impl Node {
                             });
                         }
                         Owner::Upper(u) => {
-                            let n1 = match self.ports.get(&port).and_then(|s| s.n1_of_owner) {
-                                Some(n1) => n1,
-                                None => {
-                                    let n1 = self.ipcps[u].add_n1(N1Kind::Lower { port });
-                                    if let Some(s) = self.ports.get_mut(&port) {
-                                        s.n1_of_owner = Some(n1);
-                                    }
-                                    n1
-                                }
-                            };
-                            self.ipcps[u].n1_up(n1, ctx.now());
+                            self.ipcps[u].lower_flow_up(port, via, peer, ctx.now());
                             self.flush_ipcp(u, ctx);
-                            // Satisfy the plan and kick enrollment if this
-                            // adjacency is the enrollment path.
-                            let mut enroll_plan = None;
-                            for (idx, p) in self.plans.iter_mut().enumerate() {
-                                if p.port == Some(port) {
-                                    p.satisfied = true;
-                                    if p.enroll.is_some() {
-                                        enroll_plan = Some(idx);
-                                    }
-                                }
-                            }
-                            let plan = enroll_plan.and_then(|idx| self.plans[idx].enroll.as_ref());
-                            if let Some(e) = plan.filter(|_| !self.ipcps[u].is_enrolled()) {
-                                self.ipcps[u].start_enroll(
-                                    n1,
-                                    &e.credential,
-                                    e.proposed_addr,
-                                    e.block,
-                                    ctx.now(),
-                                );
-                                self.flush_ipcp(u, ctx);
-                            }
                         }
                     }
                 }
-                IpcpOut::FlowFailed { port, reason } => self.flow_gone(port, Some(reason), ctx),
-                IpcpOut::FlowClosed { port } => self.flow_gone(port, None, ctx),
+                IpcpOut::FlowGone { port, failed } => self.flow_gone(port, failed, ctx),
                 IpcpOut::FlowReqIn { src_app, dst_app, spec, src_addr, src_cep, invoke_id } => {
                     match self.flow_taker(&src_app, &dst_app) {
                         Ok(owner) => {
@@ -655,28 +557,6 @@ impl Node {
                         Err(refusal) => self.ipcps[ipcp].flow_reject(src_addr, invoke_id, refusal),
                     }
                     self.flush_ipcp(ipcp, ctx);
-                }
-                IpcpOut::N1Expired { n1 } => {
-                    // An adjacency went silent. If one of our plans
-                    // allocated the flow behind it, the remote end may be
-                    // gone for good (peer crash-restart deallocates only
-                    // its local state), so hellos can never resume on the
-                    // old flow: tear it down and re-fire the plan. Ports
-                    // we did not allocate are the peer's to re-establish.
-                    let dead = self.ipcps[ipcp].n1_ports().get(n1).and_then(|p| match p.kind {
-                        N1Kind::Lower { port } => Some(port),
-                        _ => None,
-                    });
-                    let Some(port) = dead else { continue };
-                    let ours = self.ports.get(&port).is_some_and(|s| s.owner == Owner::Upper(ipcp));
-                    if !ours {
-                        continue;
-                    }
-                    if !self.plans.iter().any(|p| p.port == Some(port)) {
-                        continue;
-                    }
-                    self.release_port(port, ctx);
-                    self.reschedule_plan_for(port, ctx);
                 }
             }
         }
@@ -709,9 +589,8 @@ impl Node {
 
     /// The flow bound to `port` is gone — it failed (`failed` says why)
     /// or the peer closed it: forget the port and tell its owner. An
-    /// application gets the matching callback; for a higher IPC process
-    /// the flow was an (N-1) port, which goes down either way, and the
-    /// adjacency plan behind it (if any) re-fires.
+    /// application gets the matching callback; a higher IPC process loses
+    /// the (N-1) port bound to it either way.
     fn flow_gone(&mut self, port: u64, failed: Option<&'static str>, ctx: &mut Ctx<'_>) {
         let Some(st) = self.ports.remove(&port) else { return };
         match (st.owner, failed) {
@@ -727,11 +606,8 @@ impl Node {
                 });
             }
             (Owner::Upper(u), _) => {
-                if let Some(n1) = st.n1_of_owner {
-                    self.ipcps[u].n1_down(n1, ctx.now());
-                    self.flush_ipcp(u, ctx);
-                }
-                self.reschedule_plan_for(port, ctx);
+                self.ipcps[u].lower_flow_gone(port, ctx.now());
+                self.flush_ipcp(u, ctx);
             }
         }
     }
@@ -745,50 +621,6 @@ impl Node {
                 self.flush_ipcp(st.provider, ctx);
             }
         }
-    }
-
-    fn reschedule_plan_for(&mut self, port: u64, ctx: &mut Ctx<'_>) {
-        let mut retry = None;
-        for (idx, p) in self.plans.iter_mut().enumerate() {
-            if p.port == Some(port) {
-                p.port = None;
-                p.satisfied = false;
-                retry = Some(idx);
-            }
-        }
-        if let Some(idx) = retry {
-            self.schedule_plan_retry(idx, Dur::from_millis(200), ctx);
-        }
-    }
-
-    /// Arm the plan's retry timer unless one is already pending.
-    fn schedule_plan_retry(&mut self, idx: usize, d: Dur, ctx: &mut Ctx<'_>) {
-        if !self.plans[idx].retry_pending {
-            self.plans[idx].retry_pending = true;
-            let at = ctx.now() + d;
-            self.arm(ctx, at, TimerKind::N1Retry(idx));
-        }
-    }
-
-    fn try_plan(&mut self, idx: usize, ctx: &mut Ctx<'_>) {
-        let (upper, dst, spec, via) = {
-            let p = &self.plans[idx];
-            if p.satisfied {
-                return;
-            }
-            (p.upper, p.dst.clone(), p.spec, p.via)
-        };
-        // Drop any stale pending port.
-        if let Some(old) = self.plans[idx].port.take() {
-            self.release_port(old, ctx);
-        }
-        let src = self.ipcps[upper].name.clone();
-        let port = self.new_port(Owner::Upper(upper), via, false);
-        self.plans[idx].port = Some(port);
-        self.ipcps[via].alloc_flow(port, src, dst, spec);
-        self.flush_ipcp(via, ctx);
-        // Watchdog: if the request (or its response) is lost, try again.
-        self.schedule_plan_retry(idx, Dur::from_millis(250), ctx);
     }
 
     fn call_app(
@@ -816,11 +648,11 @@ impl Node {
 
     /// Crash-restart ([`respawn_key`]): replace IPC process `i` with a
     /// fresh, unenrolled instance of the same configuration and name that
-    /// keeps its application registrations ([`Ipcp::respawned`]).
-    /// Nothing is announced — neighbors must detect the silence (hello
-    /// expiry withdraws the adjacency; the sponsor's failure GC reclaims
-    /// the RIB objects). The node's adjacency plans for `i` re-fire, so
-    /// the fresh process re-allocates its (N-1) flows and re-enrolls.
+    /// keeps its application registrations and its planned adjacencies
+    /// ([`Ipcp::respawned`]). Nothing is announced — neighbors must detect
+    /// the silence (hello expiry withdraws the adjacency; the sponsor's
+    /// failure GC reclaims the RIB objects). The fresh process starts its
+    /// adjacencies, so it re-allocates its (N-1) flows and re-enrolls.
     fn respawn_ipcp(&mut self, i: usize, ctx: &mut Ctx<'_>) {
         // The dead process's (N-1) ports: release the lower flows (the
         // local provider end only — a crash tells the remote end nothing).
@@ -831,24 +663,18 @@ impl Node {
         }
         // Flows the dead process provided die with it.
         for port in self.ports_where(|s| s.provider == i) {
-            self.workq.push_back((i, IpcpOut::FlowClosed { port }));
+            self.workq.push_back((i, IpcpOut::FlowGone { port, failed: None }));
         }
         // Scrub the timers bound to the dead process's state (EFCP
-        // deadlines, enrollment retries, deferred jobs); the fresh process
-        // has none armed. Hello and plan-retry timers survive: they index
-        // the slot, not the state, and serve the fresh process.
+        // deadlines, enrollment and adjacency retries, deferred jobs); the
+        // fresh process has none armed. The hello timer survives: it
+        // indexes the slot, not the state, and serves the fresh process.
         self.timers.retain(|_, k| {
             !matches!(k, TimerKind::Ipcp { ipcp, timer } if *ipcp == i && *timer != IpcpTimer::Hello)
         });
         self.ipcps[i] = self.ipcps[i].respawned();
-        // Re-fire the adjacency plans so the fresh process re-assembles.
-        for idx in 0..self.plans.len() {
-            if self.plans[idx].upper == i {
-                self.plans[idx].port = None;
-                self.plans[idx].satisfied = false;
-                self.schedule_plan_retry(idx, Dur::from_millis(50), ctx);
-            }
-        }
+        self.ipcps[i].start_adjacencies(ctx.now());
+        self.flush_ipcp(i, ctx);
     }
 
     /// Hand `timer` back to IPC process `i`, and execute what it asks for.
@@ -872,23 +698,13 @@ impl Node {
             TimerKind::App { app, key } => {
                 self.call_app(app, ctx, |a, api| a.on_timer(key, api));
             }
-            TimerKind::N1Retry(idx) => {
-                self.plans[idx].retry_pending = false;
-                if !self.plans[idx].satisfied {
-                    self.try_plan(idx, ctx);
-                }
-            }
             TimerKind::AllocTimeout { port } => {
-                let still_pending = self.ports.get(&port).map(|s| !s.active).unwrap_or(false);
-                if still_pending {
-                    let provider = self.ports[&port].provider;
-                    if provider != usize::MAX {
-                        self.ipcps[provider].dealloc_port(port);
-                        self.flush_ipcp(provider, ctx);
-                    }
-                    let reason = "allocation timed out";
-                    self.workq.push_back((provider, IpcpOut::FlowFailed { port, reason }));
-                }
+                let pending = self.ports.get(&port).filter(|s| !s.active);
+                let Some(provider) = pending.map(|s| s.provider) else { return };
+                self.ipcps[provider].dealloc_port(port);
+                self.flush_ipcp(provider, ctx);
+                let failed = Some("allocation timed out");
+                self.workq.push_back((provider, IpcpOut::FlowGone { port, failed }));
             }
         }
     }
@@ -904,15 +720,11 @@ impl Agent for Node {
                 for i in 0..self.ipcps.len() {
                     self.ipcp_timer(i, IpcpTimer::Hello, ctx);
                 }
-                // Kick adjacency plans — immediately, or at their wave
+                // Start the planned adjacencies — at once, or at their wave
                 // time when the enrollment planner staggered them.
-                for idx in 0..self.plans.len() {
-                    let delay = self.plans[idx].start_after;
-                    if delay == Dur::ZERO {
-                        self.try_plan(idx, ctx);
-                    } else {
-                        self.schedule_plan_retry(idx, delay, ctx);
-                    }
+                for i in 0..self.ipcps.len() {
+                    self.ipcps[i].start_adjacencies(ctx.now());
+                    self.flush_ipcp(i, ctx);
                 }
                 // Start applications.
                 for a in 0..self.apps.len() {
@@ -967,7 +779,7 @@ mod tests {
     fn member_wanting_all_three() -> (Sim, NodeId) {
         let mut node = Node::new("n");
         let i = node.add_ipcp(DifConfig::new("net"), AppName::new("net.a"));
-        node.bootstrap_ipcp(i, 1);
+        node.ipcps[i].bootstrap(1);
         for iface in 0..2 {
             let n1 = node.ipcps[i].add_n1(N1Kind::Phys { iface });
             let pace = Pace::new(&node.ipcps[i].cfg);
@@ -1116,6 +928,21 @@ mod tests {
         assert_eq!(sim.link_stats(rina_sim::LinkId(0)).drops_overflow, 0, "not the link's drop");
     }
 
+    /// A PDU of a higher IPC process bound to a lower flow the node does
+    /// not hold dies at the node, counted.
+    #[test]
+    fn an_sdu_for_a_flow_the_node_does_not_hold_is_counted() {
+        let mut node = Node::new("n");
+        let upper = node.add_ipcp(DifConfig::new("upper"), AppName::new("upper.a"));
+        node.ipcps[upper].bootstrap(1);
+        node.ipcps[upper].add_n1(N1Kind::Lower { port: 99 });
+        let mut sim = Sim::new(7);
+        let id = sim.add_node(node);
+        assert!(sim.step(), "Event::Start: the upper process says hello down flow 99");
+        assert_eq!(sim.agent::<Node>(id).ipcp(upper).stats.hello_tx, 1);
+        assert_eq!(sim.agent::<Node>(id).tx_refused, 1);
+    }
+
     /// A PDU of a higher IPC process that its lower flow refuses (here:
     /// the flow was never allocated at the provider) dies at the node,
     /// counted.
@@ -1123,9 +950,9 @@ mod tests {
     fn an_sdu_the_lower_flow_refuses_is_counted() {
         let mut node = Node::new("n");
         let lower = node.add_ipcp(DifConfig::new("lower"), AppName::new("lower.a"));
-        node.bootstrap_ipcp(lower, 1);
+        node.ipcps[lower].bootstrap(1);
         let upper = node.add_ipcp(DifConfig::new("upper"), AppName::new("upper.a"));
-        node.bootstrap_ipcp(upper, 1);
+        node.ipcps[upper].bootstrap(1);
         let port = node.new_port(Owner::Upper(upper), lower, false);
         node.ipcps[upper].add_n1(N1Kind::Lower { port });
         let mut sim = Sim::new(7);

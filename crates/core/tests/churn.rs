@@ -13,6 +13,9 @@
 //! - at quiescence the DIF is healthy by [`rina::invariants::check`]:
 //!   among the rest, every live RIB object's origin is a current member —
 //!   departed state never outlives its owner;
+//! - a member's (N-1) ports live exactly as long as its adjacencies: once
+//!   the churn settles it holds the ports it held before, all live, and
+//!   says hello at the rate it did;
 //! - the whole timeline is deterministic in its seeds.
 
 use rina::invariants;
@@ -39,6 +42,58 @@ fn wait_quiescent(net: &mut Net, members: &[IpcpH]) {
 
 fn agg_sum(net: &Net, members: &[IpcpH]) -> usize {
     members.iter().map(|&h| net.ipcp(h).fwd().aggregated_len()).sum()
+}
+
+/// How many (N-1) ports the members hold, and how many of them are up
+/// with a peer.
+fn ports(net: &Net, members: &[IpcpH]) -> (usize, usize) {
+    let all: Vec<_> = members.iter().flat_map(|&h| net.ipcp(h).n1_ports()).collect();
+    (all.len(), all.iter().filter(|p| p.up && p.peer_addr != 0).count())
+}
+
+/// Hellos the members send over the next `d`.
+fn hellos_over(net: &mut Net, members: &[IpcpH], d: Dur) -> u64 {
+    let sent = |net: &Net| members.iter().map(|&h| net.ipcp(h).stats.hello_tx).sum::<u64>();
+    let before = sent(net);
+    net.run_for(d);
+    sent(net) - before
+}
+
+/// Run `plan` to its end, let the DIF settle and run 5 s more; the
+/// members must then hold the ports they held before, all live, and say
+/// hello at the rate they did.
+fn ports_track_adjacencies(mut net: Net, plan: ChurnPlan, members: &[IpcpH], held: usize) {
+    assert_eq!(ports(&net, members), (held, held), "one live port per adjacency end");
+    let rate = hellos_over(&mut net, members, Dur::from_secs(10));
+    ChurnRunner::new(plan, &net, members.to_vec()).finish(&mut net, Dur::ZERO);
+    wait_quiescent(&mut net, members);
+    net.run_for(Dur::from_secs(5));
+    assert_eq!(ports(&net, members), (held, held), "no port outlived its adjacency");
+    assert_eq!(hellos_over(&mut net, members, Dur::from_secs(10)), rate);
+}
+
+/// A leave, a crash-restart, a flap and a partition: every adjacency
+/// they cut comes back on the ports it had.
+#[test]
+fn churn_leaves_each_adjacency_end_one_live_port() {
+    let (net, fab, members) = build(30, 5, 2_000);
+    let plan = Churn::new(5)
+        .with_counts(1, 1, 1, 1)
+        .with_pacing(Dur::from_secs(12), Dur::from_secs(4), Dur::from_millis(1_200))
+        .plan(&fab);
+    ports_track_adjacencies(net, plan, &members, 114);
+}
+
+/// A single flap: both ends' ports over the link expire and release the
+/// flow, and the planned end's next flow comes back on the same ports.
+#[test]
+fn a_flap_rebinds_the_ports_it_took_down() {
+    let (net, fab, members) = build(10, 44, 10_000);
+    let plan = Churn::new(17)
+        .with_counts(0, 0, 1, 0)
+        .with_pacing(Dur::from_secs(5), Dur::from_millis(2_500), Dur::from_secs(1))
+        .plan(&fab);
+    ports_track_adjacencies(net, plan, &members, 34);
 }
 
 #[test]

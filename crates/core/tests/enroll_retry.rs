@@ -108,8 +108,29 @@ fn hundred_member_scale_free_converges_via_subtree_deltas_under_loss() {
     assert!(delta_requests > 0, "losses at 10% must have exercised the delta machinery");
 }
 
+/// A lost flow response leaves the responder's end of the lower flow
+/// with no requester: the planned end asks again on a new flow. The
+/// responder binds that flow to the port the first one had, releasing
+/// the first, so a 2 % lossy assembly ends with every port live.
+#[test]
+fn a_lossy_assembly_leaves_every_port_live() {
+    let mut b = NetBuilder::new(7);
+    let lossy = LinkCfg::wired().with_loss(LossModel::Bernoulli(0.02));
+    let fab = Topology::barabasi_albert(32, 2, 7).with_link(lossy).materialize(&mut b);
+    let ipcps = fab.member_ipcps(&b);
+    let mut net = b.build();
+    net.run_until_assembled(Dur::from_secs(120), Dur::ZERO);
+    net.run_for(Dur::from_secs(5));
+    for &h in &ipcps {
+        let ip = net.ipcp(h);
+        let ports = ip.n1_ports().iter().enumerate();
+        let dead: Vec<usize> = ports.filter(|(_, p)| !p.live()).map(|(i, _)| i).collect();
+        assert!(dead.is_empty(), "{} holds dead ports {dead:?}", ip.name);
+    }
+}
+
 /// Full-stack version: a line whose links lose 20% of frames. The
-/// node-level retry timers must still assemble the DIF, healthy, and no
+/// adjacency and enrollment retry timers must still assemble the DIF, healthy, and no
 /// member may be left holding `Pending::Enroll` state.
 #[test]
 fn lossy_sponsor_links_still_assemble_via_retry_timers() {

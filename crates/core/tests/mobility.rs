@@ -11,6 +11,7 @@ struct Cells {
     l_m2: LinkH,
     sink: AppH<SinkApp>,
     src: AppH<SourceApp>,
+    mobile: IpcpH,
 }
 
 /// Server + two access points + one mobile, all in one DIF with fast
@@ -41,7 +42,8 @@ fn build_cells(seed: u64, count: u64, size: usize) -> Cells {
         d,
         SourceApp::new(AppName::new("sink"), QosSpec::reliable(), size, count, Dur::from_millis(2)),
     );
-    Cells { net: b.build(), l_m1, l_m2, sink, src }
+    let mobile = b.ipcp_of(d, m);
+    Cells { net: b.build(), l_m1, l_m2, sink, src, mobile }
 }
 
 /// The mobile M detaches from access point AP1 and attaches to AP2 while
@@ -49,7 +51,7 @@ fn build_cells(seed: u64, count: u64, size: usize) -> Cells {
 /// updates.
 #[test]
 fn handoff_preserves_flow() {
-    let Cells { mut net, l_m1, l_m2, sink, src } = build_cells(11, 3000, 256);
+    let Cells { mut net, l_m1, l_m2, sink, src, .. } = build_cells(11, 3000, 256);
     // M starts attached to AP1 only.
     net.set_link_up(l_m2, false);
     net.run_for(Dur::from_secs(3));
@@ -89,4 +91,25 @@ fn repeated_handoffs() {
     }
     net.run_for(Dur::from_secs(10));
     assert_eq!(net.app(sink).received, 6000, "all SDUs across 4 handoffs");
+}
+
+/// The mobile plans both its adjacencies (one per access point), so each
+/// handoff rebinds the port of the access point it returns to: after six
+/// handoffs it holds two ports, the one toward its current access point
+/// live.
+#[test]
+fn handoffs_rebind_the_mobiles_two_ports() {
+    let Cells { mut net, l_m1, l_m2, mobile, .. } = build_cells(13, 2000, 64);
+    net.set_link_up(l_m2, false);
+    net.run_for(Dur::from_secs(2));
+    for i in 0..6 {
+        let (down, up) = if i % 2 == 0 { (l_m1, l_m2) } else { (l_m2, l_m1) };
+        net.set_link_up(down, false);
+        net.run_for(Dur::from_millis(30));
+        net.set_link_up(up, true);
+        net.run_for(Dur::from_secs(2));
+    }
+    let ports = net.ipcp(mobile).n1_ports();
+    assert_eq!(ports.len(), 2, "one port per access point");
+    assert_eq!(ports.iter().filter(|p| p.up && p.peer_addr != 0).count(), 1);
 }

@@ -374,8 +374,8 @@ fn a_shims_medium_goes_down_and_comes_back() {
     shim.take_out();
     shim.alloc_flow(90, src.clone(), dst.clone(), QosSpec::datagram());
     let out = shim.take_out();
-    let [IpcpOut::FlowFailed { port: 90, reason }] = &out[..] else { panic!("{out:?}") };
-    assert_eq!(*reason, "destination unknown in DIF");
+    let [IpcpOut::FlowGone { port: 90, failed }] = &out[..] else { panic!("{out:?}") };
+    assert_eq!(*failed, Some("destination unknown in DIF"));
     // The peer says hello every 100 ms.
     net.run_for(Dur::from_millis(150));
     let shim = net.node_mut(h1).ipcp_mut(0);
