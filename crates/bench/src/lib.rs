@@ -283,12 +283,12 @@ impl Totals {
 
 /// The widest per-member RIB over `members` as `(objects, encoded
 /// bytes)`, live and tombstoned — the full-replication-floor metric of
-/// E12 and the sweep's scoped cells. Encodes every object, so it is
-/// kept out of [`Totals::of`].
+/// E12 and the sweep's scoped cells. Walks every stored object, so it
+/// is kept out of [`Totals::of`].
 pub fn rib_footprint(net: &Net, members: &[IpcpH]) -> (u64, u64) {
     let ribs = || members.iter().map(|&h| &net.ipcp(h).rib);
     let objects = ribs().map(|r| r.iter_all().count() as u64).max();
-    let bytes = ribs().map(|r| r.iter_all().map(|o| o.encode().len() as u64).sum::<u64>()).max();
+    let bytes = ribs().map(|r| r.iter_all().map(|o| o.wire().len() as u64).sum::<u64>()).max();
     (objects.unwrap_or(0), bytes.unwrap_or(0))
 }
 

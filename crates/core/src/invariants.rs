@@ -125,7 +125,7 @@ pub fn stale_objects(net: &Net, members: &[IpcpH]) -> Vec<Violation> {
     for &h in members {
         let ip = net.ipcp(h);
         for o in ip.rib.iter_prefix("/").filter(|o| o.origin != 0 && !addrs.contains(&o.origin)) {
-            out.push(Violation::Stale { holder: ip.addr, origin: o.origin, name: o.name.clone() });
+            out.push(Violation::Stale { holder: ip.addr, origin: o.origin, name: o.name.into() });
         }
     }
     out

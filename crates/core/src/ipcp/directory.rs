@@ -220,7 +220,7 @@ impl Ipcp {
             // live medium might have it.
             return self.transfer.n1.iter().find(|p| p.live()).map(|p| p.peer_addr);
         }
-        self.rib.get(&dir_name(app)).and_then(|o| decode_addr(&o.value))
+        self.rib.get(&dir_name(app)).and_then(|o| decode_addr(o.value))
     }
 
     /// Resolve `app` from local knowledge under the scoped-`/dir`
@@ -229,7 +229,7 @@ impl Ipcp {
     pub(super) fn resolve_dir_local(&mut self, app: &AppName) -> Option<Addr> {
         let name = dir_name(app);
         match self.rib.get(&name) {
-            Some(o) => decode_addr(&o.value),
+            Some(o) => decode_addr(o.value),
             None => self.directory.cached(&name, &mut self.stats),
         }
     }
@@ -333,7 +333,7 @@ impl Ipcp {
             .rib
             .get(&name)
             .filter(|o| o.origin == self.addr)
-            .map(|o| (decode_addr(&o.value), o.version));
+            .map(|o| (decode_addr(o.value), o.version));
         if let Some((maybe_addr, version)) = own {
             let Some(addr) = maybe_addr else { return };
             let body = MgmtBody::DirLookupResponse { name, addr, version, lookup_id };

@@ -10,7 +10,7 @@ use crate::msg::MgmtBody;
 use crate::naming::{Addr, AppName};
 use crate::routing::{Lsa, LSA_CLASS};
 use bytes::Bytes;
-use rina_rib::{subtree_of, EncodedObject, EncodedSummary, RibObject, RibObjectRef};
+use rina_rib::{subtree_of, EncodedObject, EncodedSummary, RibObjectRef};
 use rina_sim::{Dur, Time};
 use std::collections::BTreeMap;
 
@@ -122,7 +122,7 @@ impl Ipcp {
     /// hello digests already cover an object's subtree is suppressed
     /// exactly as [`Ipcp::flood_rib`] would — so a converged facility
     /// goes quiet — but decided here on the stored objects by reference:
-    /// only an object some port still lacks is cloned and handed on.
+    /// only an object some port still lacks is handed on, as stored.
     /// Local-scope subtrees (owner-held /dir) are skipped whole: their
     /// live entries never replicate, and their deletions already flooded
     /// once — departures invalidate through the replicated /blocks
@@ -133,10 +133,10 @@ impl Ipcp {
             self.transfer.n1.iter().zip(peers).filter(|(p, _)| p.live()).map(|(_, peer)| peer)
         };
         let live_ports = live().count() as u64;
-        let mut lacking: Vec<RibObject> = Vec::new();
+        let mut lacking: Vec<EncodedObject> = Vec::new();
         let mut suppressed = 0;
-        for o in self.rib.iter_all().filter(|o| o.origin == self.addr) {
-            let subtree = subtree_of(&o.name);
+        for o in self.rib.written_by(self.addr) {
+            let subtree = subtree_of(o.view().name);
             if self.rib.is_local_subtree(subtree) {
                 continue;
             }
@@ -149,7 +149,7 @@ impl Ipcp {
         }
         self.stats.flood_suppressed += suppressed;
         for o in &lacking {
-            self.flood_rib(&o.name, None, || EncodedObject::of(o));
+            self.flood_rib(o.view().name, None, || o.clone());
         }
     }
 
@@ -209,7 +209,7 @@ impl Ipcp {
         }
         for st in subtrees {
             let encs: Vec<EncodedObject> =
-                self.rib.delta_for(st, "", "", &[]).0.into_iter().map(EncodedObject::of).collect();
+                self.rib.delta_for(st, "", "", &[]).0.into_iter().cloned().collect();
             self.send_encoded_batches(n1, st, &encs);
         }
     }
@@ -229,7 +229,7 @@ impl Ipcp {
             return;
         }
         let (objects, behind) = self.rib.delta_for(&subtree, from, upto, &summary.entries());
-        let encs: Vec<EncodedObject> = objects.into_iter().map(EncodedObject::of).collect();
+        let encs: Vec<EncodedObject> = objects.into_iter().cloned().collect();
         self.send_encoded_batches(from_n1, &subtree, &encs);
         // The summary proves the requester holds versions we
         // lack: pull them right back (damped, so two diverged
@@ -326,7 +326,7 @@ impl Ipcp {
         let Some((class, value)) = truth else { return false };
         let wrong = match self.rib.get(obj.name) {
             None => true, // tombstoned (a live different value is also wrong)
-            Some(o) => o.value != value,
+            Some(o) => o.value != &value[..],
         };
         if !wrong {
             return false;
@@ -435,7 +435,7 @@ impl Ipcp {
             updates.push(o);
         }
         for obj in &updates {
-            self.flood_rib(&obj.name, None, || EncodedObject::of(obj));
+            self.flood_rib(obj.view().name, None, || obj.clone());
         }
     }
 }

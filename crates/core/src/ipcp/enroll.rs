@@ -315,11 +315,7 @@ impl Ipcp {
             addr: new_addr,
             block: new_block,
             retry_after_ms: 0,
-            snapshot: if stream {
-                vec![]
-            } else {
-                self.rib.snapshot().iter().map(EncodedObject::of).collect()
-            },
+            snapshot: if stream { vec![] } else { self.rib.snapshot() },
         };
         self.send_mgmt_on(from_n1, body, invoke_id, 0);
         if stream {
@@ -489,7 +485,7 @@ fn assign_enrollee(
         || proposed_addr > proposed_block.1;
     let own_member_name = member_name(name);
     for o in rib.iter_prefix("/members/") {
-        if let Some(a) = decode_addr(&o.value) {
+        if let Some(a) = decode_addr(o.value) {
             max_addr = max_addr.max(a);
             if a == proposed_addr && o.name != own_member_name {
                 taken = true;
@@ -497,7 +493,7 @@ fn assign_enrollee(
         }
     }
     for o in rib.iter_prefix(BLOCK_PREFIX) {
-        let Some(b) = decode_block(&o.value) else { continue };
+        let Some(b) = decode_block(o.value) else { continue };
         max_addr = max_addr.max(b.1);
         let disjoint = proposed_block.1 < b.0 || b.1 < proposed_block.0;
         // Nesting is only legitimate *inward*: a proposal may sit
@@ -521,11 +517,11 @@ fn assign_enrollee(
     // Identity reuse: a member that failed (or lost its state) and
     // re-enrolls under the same name is re-granted its recorded
     // address and block.
-    if let Some(a) = rib.get(&own_member_name).and_then(|o| decode_addr(&o.value)) {
+    if let Some(a) = rib.get(&own_member_name).and_then(|o| decode_addr(o.value)) {
         if a != 0 && a != my_addr {
             let b = rib
                 .get(&block_name(a))
-                .and_then(|o| decode_block(&o.value))
+                .and_then(|o| decode_block(o.value))
                 .filter(|&(lo, hi)| lo <= a && a <= hi)
                 .unwrap_or((a, a));
             return (a, b);
@@ -559,7 +555,7 @@ fn carve_block(rib: &Rib, me: Grant) -> Option<Grant> {
     // us, so they are skipped, as is our own block record.
     let mut occ: Vec<(Addr, Addr)> = vec![(addr, addr)];
     for o in rib.iter_prefix(BLOCK_PREFIX) {
-        let Some(b) = decode_block(&o.value) else { continue };
+        let Some(b) = decode_block(o.value) else { continue };
         if b.0 <= lo && hi <= b.1 {
             continue;
         }
@@ -568,7 +564,7 @@ fn carve_block(rib: &Rib, me: Grant) -> Option<Grant> {
         }
     }
     for o in rib.iter_prefix("/members/") {
-        if let Some(a) = decode_addr(&o.value) {
+        if let Some(a) = decode_addr(o.value) {
             if lo <= a && a <= hi {
                 occ.push((a, a));
             }

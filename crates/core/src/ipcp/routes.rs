@@ -60,14 +60,15 @@ impl Routes {
     /// of LSA changes, whatever path stored them (local write, flood,
     /// delta response, enrollment snapshot, tombstone).
     pub(super) fn sync(&mut self, rib: &mut Rib) {
-        while let Some(o) = rib.poll_watch() {
+        while let Some(enc) = rib.poll_watch() {
+            let o = enc.view();
             if o.class != LSA_CLASS {
                 continue;
             }
-            let Some(addr) = Lsa::addr_of_name(&o.name) else { continue };
+            let Some(addr) = Lsa::addr_of_name(o.name) else { continue };
             if o.deleted {
                 self.engine.on_lsa(addr, None);
-            } else if let Ok(lsa) = Lsa::decode(&o.value) {
+            } else if let Ok(lsa) = Lsa::decode(o.value) {
                 self.engine.on_lsa(addr, Some(lsa));
             }
             // An undecodable live value keeps the last good mirror entry:

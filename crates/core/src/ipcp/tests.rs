@@ -206,8 +206,8 @@ fn sponsor_assigns_sequential_addresses() {
     sponsor.add_n1(N1Kind::Phys { iface: 1 });
     enroll_req(&mut sponsor, 0, "net.x", NO_PROPOSAL, 1, Time::ZERO);
     enroll_req(&mut sponsor, 1, "net.y", NO_PROPOSAL, 2, Time::ZERO);
-    let x = decode_addr(&sponsor.rib.get("/members/net.x").unwrap().value).unwrap();
-    let y = decode_addr(&sponsor.rib.get("/members/net.y").unwrap().value).unwrap();
+    let x = decode_addr(sponsor.rib.get("/members/net.x").unwrap().value).unwrap();
+    let y = decode_addr(sponsor.rib.get("/members/net.y").unwrap().value).unwrap();
     assert_eq!((x, y), (2, 3));
 }
 
@@ -490,7 +490,7 @@ fn failed_member_re_enrolls_with_its_old_grant() {
     let (r, again_addr, again_block, _) = last_enroll_response(&mut sponsor);
     assert_eq!(r, 0);
     assert_eq!((again_addr, again_block), (first_addr, first_block), "identity reuse");
-    let rec = decode_addr(&sponsor.rib.get("/members/net.x").unwrap().value).unwrap();
+    let rec = decode_addr(sponsor.rib.get("/members/net.x").unwrap().value).unwrap();
     assert_eq!(rec, first_addr, "one member record, unchanged");
 }
 
@@ -567,7 +567,7 @@ fn wrong_purge_is_reasserted_by_the_owner() {
         let cur = a.rib.get(name).expect("live before the purge");
         let tomb = RibObject {
             name: name.into(),
-            class: cur.class.clone(),
+            class: cur.class.to_string(),
             value: Bytes::new(),
             version: cur.version + 1,
             origin: 9,
@@ -577,7 +577,7 @@ fn wrong_purge_is_reasserted_by_the_owner() {
     }
     assert_eq!(a.stats.reasserts, 2);
     let rec = a.rib.get("/members/net.a").expect("reasserted");
-    assert_eq!(decode_addr(&rec.value), Some(1));
+    assert_eq!(decode_addr(rec.value), Some(1));
     assert_eq!(a.dir_lookup(&AppName::new("web")), Some(1));
     // An unregistered app's tombstone is accepted, not fought.
     a.dir_unregister(&AppName::new("web"));
@@ -647,7 +647,7 @@ fn scoped_dir_leaves_the_hello_digest_surface() {
     // ...but advertises nothing about /dir to its neighbors.
     let table = a.rib.digest_table();
     assert!(table.entries().iter().all(|e| e.0 != "/dir"));
-    assert!(a.rib.snapshot().iter().all(|o| !o.name.starts_with("/dir/")));
+    assert!(a.rib.snapshot().iter().all(|o| !o.view().name.starts_with("/dir/")));
 }
 
 #[test]
@@ -913,7 +913,7 @@ fn stale_incarnations_own_origin_tombstone_is_reasserted() {
     let cur = a.rib.get(&Lsa::object_name(1)).expect("own LSA live");
     let tomb = RibObject {
         name: Lsa::object_name(1),
-        class: cur.class.clone(),
+        class: cur.class.to_string(),
         value: Bytes::new(),
         version: cur.version + 1,
         origin: 1, // authored by our own previous incarnation
@@ -922,5 +922,5 @@ fn stale_incarnations_own_origin_tombstone_is_reasserted() {
     reflood(&mut a, tomb, 0);
     assert_eq!(a.stats.reasserts, 1, "own-origin clobber must be fought");
     let healed = a.rib.get(&Lsa::object_name(1)).expect("LSA reasserted");
-    assert_eq!(Lsa::decode(&healed.value).unwrap().neighbors, vec![(2, 1)]);
+    assert_eq!(Lsa::decode(healed.value).unwrap().neighbors, vec![(2, 1)]);
 }

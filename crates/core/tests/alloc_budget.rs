@@ -19,7 +19,7 @@ use rina::ipcp::{Deferred, Ipcp, IpcpOut, IpcpTimer, N1Kind};
 use rina::msg::MgmtBody;
 use rina::naming::AppName;
 use rina::qos::{QosCube, QosSpec};
-use rina_rib::{DigestTable, EncodedObject, RibObject};
+use rina_rib::{DigestTable, EncodedObject, EncodedSummary, ObjVer, RibObject};
 use rina_sim::{Dur, Time};
 use rina_wire::{DataPdu, MgmtPdu, Pdu};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -191,7 +191,11 @@ fn a_repeated_hello_allocates_nothing_to_receive() {
 #[test]
 fn stale_objects_allocate_nothing_and_news_stays_in_budget() {
     let mut p = Pair::converged();
-    let held: Vec<RibObject> = p.a.rib.iter_all().cloned().collect();
+    let held: Vec<RibObject> =
+        p.a.rib
+            .iter_all()
+            .map(|o| RibObject::decode(o.wire()).expect("stored, so it decodes"))
+            .collect();
     assert!(held.len() >= 6, "members, blocks and LSAs of both");
 
     // In the RIB itself: a version the RIB already holds is rejected on
@@ -219,8 +223,8 @@ fn stale_objects_allocate_nothing_and_news_stays_in_budget() {
     assert_eq!(cost(&mut p, &held), envelope, "stale objects are not free");
     assert!(p.effects.is_empty(), "nothing stale is re-flooded");
 
-    // A newer version of a known name is written into the stored object:
-    // only the changed value is copied.
+    // A newer version of a known name replaces the stored encoding in
+    // its map slot: one copy of the arriving bytes, nothing else.
     let member = held.iter().find(|o| o.name == "/members/net.b").expect("b's record");
     let newer = RibObject {
         value: Bytes::from_static(b"\x09\x09"),
@@ -230,11 +234,11 @@ fn stale_objects_allocate_nothing_and_news_stays_in_budget() {
     let enc = EncodedObject::of(&newer);
     let rib = &mut p.a.rib;
     let n = allocations(|| assert!(rib.apply_ref(&enc.view())));
-    assert!(n <= 1, "in-place update of a known name cost {n} allocations");
-    assert_eq!(p.a.rib.get("/members/net.b"), Some(&newer));
+    assert!(n <= 1, "a newer version of a known name cost {n} allocations");
+    assert_eq!(p.a.rib.get("/members/net.b"), Some(enc.view()));
 
-    // A first-seen name is the one case that materialises an object:
-    // name, class, value, the map key, and at most a tree node.
+    // A first-seen name costs the stored encoding, the map key, and at
+    // most one tree node.
     let first = RibObject {
         name: "/members/net.zz".into(),
         class: "member".into(),
@@ -246,7 +250,7 @@ fn stale_objects_allocate_nothing_and_news_stays_in_budget() {
     let enc = EncodedObject::of(&first);
     let rib = &mut p.a.rib;
     let n = allocations(|| assert!(rib.apply_ref(&enc.view())));
-    assert!(n <= 5, "first-seen name cost {n} allocations");
+    assert!(n <= 3, "first-seen name cost {n} allocations");
 
     // The same two kinds of news arriving as a frame: the envelope, the
     // RIB's share above, and nothing per object on the way back out —
@@ -254,7 +258,62 @@ fn stale_objects_allocate_nothing_and_news_stays_in_budget() {
     let newest = RibObject { version: newer.version + 1, ..newer };
     let second = RibObject { name: "/members/net.zy".into(), ..first };
     let n = cost(&mut p, &[newest, second]);
-    assert!(n <= envelope + 1 + 5, "a two-object batch of news cost {n} allocations");
+    assert!(n <= envelope + 1 + 3, "a two-object batch of news cost {n} allocations");
+}
+
+/// A delta answer hands out the RIB's stored encodings: what answering
+/// costs is the request's and the batch's envelopes, the same whether
+/// one object or eight go back, never an encoding per object.
+#[test]
+fn a_delta_answer_allocates_the_same_for_every_object_count() {
+    let mut p = Pair::converged();
+    const N: usize = 8;
+    let name = |i: usize| format!("/x/{i}");
+    for i in 0..N {
+        let o = RibObject {
+            name: name(i),
+            class: "x".into(),
+            value: Bytes::from(vec![i as u8; 12]),
+            version: 2,
+            origin: 2,
+            deleted: false,
+        };
+        assert!(p.a.rib.apply_remote_silent(o));
+    }
+    // The peer lists every name, the first `k` a version behind: a sends
+    // exactly those `k`, and nothing in the summary is news to it.
+    let names: Vec<String> = (0..N).map(name).collect();
+    let request = |k: usize| {
+        let entries: Vec<ObjVer<'_>> = names
+            .iter()
+            .enumerate()
+            .map(|(i, n)| ObjVer { name: n, version: if i < k { 1 } else { 2 }, origin: 2 })
+            .collect();
+        let body = MgmtBody::RibDeltaRequest {
+            subtree: "/x".into(),
+            from: String::new(),
+            upto: String::new(),
+            summary: EncodedSummary::of(&entries),
+        };
+        Pdu::Mgmt(MgmtPdu { dest_addr: 0, src_addr: 2, ttl: 1, payload: body.encode(0, 0) })
+            .encode()
+    };
+    let tx = p.a.stats.rib_tx;
+    let mut answer = |k: usize| {
+        let (a, now, effects, frame) = (&mut p.a, p.now, &mut p.effects, request(k));
+        let n = allocations(|| {
+            a.on_frame(0, frame, now);
+            a.take_out_into(effects);
+        });
+        assert_eq!(effects.len(), 1, "one batch answers {k} objects");
+        // Cleared in place: the recycled buffer keeps its capacity.
+        effects.clear();
+        n
+    };
+    answer(N);
+    let costs: Vec<u64> = (1..=N).map(&mut answer).collect();
+    assert!(costs.iter().all(|&c| c == costs[0]), "allocations per answered count: {costs:?}");
+    assert_eq!(p.a.stats.rib_tx - tx, (N + (1..=N).sum::<usize>()) as u64, "each answer sent k");
 }
 
 /// One relay hop is a member's in-place TTL/CRC patch of the arrival

@@ -53,8 +53,8 @@ fn member_map(a: &Assembled) -> BTreeMap<String, u64> {
         .rib
         .iter_prefix("/members/")
         .map(|o| {
-            let addr = rina_wire::codec::Reader::new(&o.value).varint().expect("member addr");
-            (o.name.clone(), addr)
+            let addr = rina_wire::codec::Reader::new(o.value).varint().expect("member addr");
+            (o.name.to_string(), addr)
         })
         .collect()
 }
@@ -68,7 +68,7 @@ fn block_map(a: &Assembled) -> BTreeMap<u64, (u64, u64)> {
         .iter_prefix(BLOCK_PREFIX)
         .map(|o| {
             let owner = o.name[BLOCK_PREFIX.len()..].parse::<u64>().expect("block owner");
-            (owner, decode_block(&o.value).expect("block value"))
+            (owner, decode_block(o.value).expect("block value"))
         })
         .collect()
 }
@@ -98,8 +98,9 @@ fn rib_fingerprint(a: &Assembled) -> Vec<Vec<ObjKey>> {
                 .ipcp(h)
                 .rib
                 .snapshot()
-                .into_iter()
-                .map(|o| (o.name, o.class, o.value.to_vec(), o.version, o.origin))
+                .iter()
+                .map(|o| o.view())
+                .map(|o| (o.name.into(), o.class.into(), o.value.to_vec(), o.version, o.origin))
                 .collect();
             objs.sort();
             objs

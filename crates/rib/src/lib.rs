@@ -26,14 +26,21 @@
 //! divergence, not the RIB — the basis of digest-driven anti-entropy
 //! and of O(missing) re-enrollment sync (DESIGN.md §6).
 //!
+//! Each object is stored as the bytes it travels in, an
+//! [`EncodedObject`], with its version coordinates beside it. An object
+//! arriving from a peer is decided on the borrowed view the receive path
+//! already holds ([`Rib::apply_ref`]): a stale version costs nothing, a
+//! newer one is copied once into a buffer of its own. Everything that
+//! hands objects out — the watch queue, the dissemination outbox,
+//! enrollment snapshots, delta answers — hands out that stored encoding,
+//! so no object is ever re-encoded on its way back onto the wire. Reads
+//! ([`Rib::get`], [`Rib::iter_prefix`]) are [`RibObjectRef`] views of it.
+//!
 //! The crate is sans-IO: [`Rib`] produces [`RibEvent`]s for the local IPC
 //! process (routing recomputation, directory changes) and dissemination
 //! items for the management task to forward; the `rina` crate moves them.
 //! Hot paths that react to freshness directly can apply without event
-//! bookkeeping via [`Rib::apply_remote_silent`]; the wire receive path
-//! goes one step further and applies borrowed [`RibObjectRef`] views
-//! ([`Rib::apply_ref`]), so an object that is not news costs no
-//! allocation at all.
+//! bookkeeping via [`Rib::apply_remote_silent`] or [`Rib::apply_ref`].
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
@@ -92,17 +99,13 @@ impl RibObject {
         r.expect_end()?;
         Ok(RibObject { name, class, value, version, origin, deleted })
     }
-
-    fn newer_than(&self, other: &RibObject) -> bool {
-        (self.version, self.origin) > (other.version, other.origin)
-    }
 }
 
 /// A borrowed view of one object in its wire encoding: name, class and
-/// value are slices of the buffer it was decoded from. The receive path
-/// decides on this view — a stale version is rejected, a known name is
-/// updated in place ([`Rib::apply_ref`]) — and a [`RibObject`] is
-/// materialised only for a name seen for the first time.
+/// value are slices of the buffer it was decoded from — an arriving
+/// batch, or the RIB's own stored copy. Reads of the RIB return these,
+/// and the receive path applies them ([`Rib::apply_ref`]) without
+/// materialising anything.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RibObjectRef<'a> {
     /// Path-style instance name.
@@ -117,6 +120,8 @@ pub struct RibObjectRef<'a> {
     pub origin: u64,
     /// True if this version deletes the object.
     pub deleted: bool,
+    /// The whole encoding the fields were read from.
+    wire: &'a [u8],
 }
 
 impl<'a> RibObjectRef<'a> {
@@ -131,28 +136,19 @@ impl<'a> RibObjectRef<'a> {
         let origin = r.varint()?;
         let deleted = r.boolean()?;
         r.expect_end()?;
-        Ok(RibObjectRef { name, class, value, version, origin, deleted })
+        Ok(RibObjectRef { name, class, value, version, origin, deleted, wire: buf })
     }
 
-    /// Materialise an owned object. The value is copied, never sliced
-    /// from the arriving frame: a stored 20-byte object must not keep a
-    /// whole batch buffer alive.
-    pub fn to_object(self) -> RibObject {
-        RibObject {
-            name: self.name.to_string(),
-            class: self.class.to_string(),
-            value: Bytes::copy_from_slice(self.value),
-            version: self.version,
-            origin: self.origin,
-            deleted: self.deleted,
-        }
+    /// The encoding this view was decoded from, byte for byte.
+    pub fn wire(&self) -> &'a [u8] {
+        self.wire
     }
 }
 
-/// One object in wire form, known to decode — the unit that travels:
-/// sliced out of an arriving batch, viewed through [`RibObjectRef`],
-/// queued for re-flooding and written into the next batch as the very
-/// bytes that arrived.
+/// One object in wire form, known to decode — the unit that travels and
+/// the unit the RIB stores: sliced out of an arriving batch, viewed
+/// through [`RibObjectRef`], kept in the RIB as a copy of its own, and
+/// written into the next batch as those very bytes.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EncodedObject(Bytes);
 
@@ -166,6 +162,13 @@ impl EncodedObject {
     pub fn parse(wire: Bytes) -> Result<Self, WireError> {
         RibObjectRef::decode(&wire)?;
         Ok(EncodedObject(wire))
+    }
+
+    /// The encoding `obj` was read from, copied into a buffer of its own
+    /// — never a slice of the arriving batch, so a stored 20-byte object
+    /// keeps no batch buffer alive.
+    fn copy_of(obj: &RibObjectRef<'_>) -> Self {
+        EncodedObject(Bytes::copy_from_slice(obj.wire))
     }
 
     /// The object, borrowed from the encoding.
@@ -193,6 +196,14 @@ impl RibEvent {
     pub fn object(&self) -> &RibObject {
         match self {
             RibEvent::Upserted(o) | RibEvent::Deleted(o) => o,
+        }
+    }
+
+    fn of(obj: RibObject) -> Self {
+        if obj.deleted {
+            RibEvent::Deleted(obj)
+        } else {
+            RibEvent::Upserted(obj)
         }
     }
 }
@@ -265,7 +276,9 @@ impl EncodedSummary {
 
     /// The entries, names borrowed from the encoding.
     pub fn entries(&self) -> Vec<ObjVer<'_>> {
-        let mut out = Vec::new();
+        // The count was checked against the bytes at construction.
+        let n = Reader::new(&self.0).varint().unwrap_or(0);
+        let mut out = Vec::with_capacity(n as usize);
         Self::walk(&self.0, |v| out.push(v)).expect("checked at construction");
         out
     }
@@ -387,9 +400,9 @@ fn diff_tables<'a>(
 /// monotonic per name), so two RIBs with equal `(object_count, digest)`
 /// hold the same object versions with overwhelming probability — the
 /// basis of hello-driven anti-entropy.
-fn obj_fingerprint(o: &RibObject) -> u64 {
+fn fingerprint(name: &str, version: u64, origin: u64, deleted: bool) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in o.name.bytes() {
+    for b in name.bytes() {
         h ^= b as u64;
         h = h.wrapping_mul(0x100_0000_01b3);
     }
@@ -399,9 +412,9 @@ fn obj_fingerprint(o: &RibObject) -> u64 {
     // of the name — two objects each one version stale then cancel in
     // the XOR aggregate, and anti-entropy would declare two diverged
     // RIBs in sync (seen in practice on lossy 22-member lines).
-    h = mix(h ^ o.version.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    h = mix(h ^ o.origin.rotate_left(32));
-    if o.deleted {
+    h = mix(h ^ version.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    h = mix(h ^ origin.rotate_left(32));
+    if deleted {
         h = !h;
     }
     h
@@ -416,16 +429,29 @@ fn mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// One stored object: the encoding it travels in, and beside it the
+/// coordinates the version guard and the digests read without decoding
+/// it.
+#[derive(Debug)]
+struct Stored {
+    enc: EncodedObject,
+    version: u64,
+    origin: u64,
+    deleted: bool,
+    /// [`fingerprint`] of this version.
+    fingerprint: u64,
+}
+
 /// The Resource Information Base of one IPC process.
 #[derive(Debug, Default)]
 pub struct Rib {
     /// The member's own DIF-internal address (0 until enrolled).
     origin: u64,
-    objects: BTreeMap<String, RibObject>,
+    objects: BTreeMap<String, Stored>,
     events: VecDeque<RibEvent>,
     /// Objects (new versions) to disseminate to neighbors.
-    outbox: VecDeque<RibObject>,
-    /// XOR of [`obj_fingerprint`] over every stored object (tombstones
+    outbox: VecDeque<EncodedObject>,
+    /// XOR of [`fingerprint`] over every stored object (tombstones
     /// included), maintained incrementally.
     digest: u64,
     /// Per-subtree `(count, digest)`, maintained incrementally alongside
@@ -434,7 +460,7 @@ pub struct Rib {
     /// Name prefixes with a change subscription (see [`Rib::watch_prefix`]).
     watch_prefixes: Vec<String>,
     /// Stored objects matching a watched prefix, in application order.
-    watch_q: VecDeque<RibObject>,
+    watch_q: VecDeque<EncodedObject>,
     /// Subtrees with **local replication scope** (sorted): their objects
     /// are owner-held instead of DIF-wide. A local subtree is excluded
     /// from the digest table, the enrollment snapshot, and delta
@@ -479,7 +505,7 @@ impl Rib {
             self.local_subtrees.insert(i, subtree.to_string());
         }
         self.watch_prefixes.retain(|p| subtree_of(p) != subtree);
-        self.watch_q.retain(|o| subtree_of(&o.name) != subtree);
+        self.watch_q.retain(|o| subtree_of(o.view().name) != subtree);
     }
 
     /// A counter that moves whenever [`Rib::digest_table`] may have: on
@@ -503,20 +529,15 @@ impl Rib {
     /// Write (create or update) an object authored locally. The new version
     /// supersedes any existing one and is queued for dissemination.
     pub fn write_local(&mut self, name: &str, class: &str, value: Bytes) {
-        let version = self.objects.get(name).map(|o| o.version + 1).unwrap_or(1);
-        let obj = RibObject {
+        let version = self.objects.get(name).map_or(1, |o| o.version + 1);
+        self.store_local(RibObject {
             name: name.to_string(),
             class: class.to_string(),
             value,
             version,
             origin: self.origin,
             deleted: false,
-        };
-        self.store(obj.clone());
-        self.events.push_back(RibEvent::Upserted(obj.clone()));
-        if !self.is_local_subtree(subtree_of(&obj.name)) {
-            self.outbox.push_back(obj);
-        }
+        });
     }
 
     /// Subscribe to object-level changes under `prefix`: every stored
@@ -533,8 +554,8 @@ impl Rib {
         }
     }
 
-    /// Drain the next watched change (in application order).
-    pub fn poll_watch(&mut self) -> Option<RibObject> {
+    /// Drain the next watched change (in application order), as stored.
+    pub fn poll_watch(&mut self) -> Option<EncodedObject> {
         self.watch_q.pop_front()
     }
 
@@ -548,24 +569,55 @@ impl Rib {
         }
         self.watch_prefixes.retain(|p| p != prefix);
         // Keep queued changes still covered by another live watcher.
-        let live = self.watch_prefixes.clone();
-        self.watch_q.retain(|o| live.iter().any(|p| o.name.starts_with(p.as_str())));
+        let live = &self.watch_prefixes;
+        self.watch_q.retain(|o| Self::watched(live, o.view().name));
     }
 
-    /// Insert `obj`, keeping the incremental digests (whole-RIB and
-    /// per-subtree) in sync.
-    fn store(&mut self, obj: RibObject) {
-        if Self::watched(&self.watch_prefixes, &obj.name) {
-            self.watch_q.push_back(obj.clone());
+    /// Store the version `(version, origin, deleted)` of `name` if it is
+    /// newer than the one held, keeping the incremental digests
+    /// (whole-RIB and per-subtree) in sync — the single store choke
+    /// point. The version guard and the store share one map walk, and
+    /// `enc` is asked for the encoding only once the version has won.
+    /// Returns whether it was stored.
+    fn put(
+        &mut self,
+        name: &str,
+        version: u64,
+        origin: u64,
+        deleted: bool,
+        enc: impl FnOnce() -> EncodedObject,
+    ) -> bool {
+        let slot = self.objects.get_mut(name);
+        if slot.as_ref().is_some_and(|cur| (version, origin) <= (cur.version, cur.origin)) {
+            // Nothing is computed for a version that loses: most do.
+            return false;
         }
-        let old = self.objects.get(&obj.name).map(obj_fingerprint);
-        self.account(subtree_of(&obj.name), old, obj_fingerprint(&obj));
-        if old.is_none() {
-            self.objects.insert(obj.name.clone(), obj);
-        } else if let Some(slot) = self.objects.get_mut(&obj.name) {
-            // A known name keeps its key: no second copy of the name.
-            *slot = obj;
+        let fingerprint = fingerprint(name, version, origin, deleted);
+        let new = Stored { enc: enc(), version, origin, deleted, fingerprint };
+        if Self::watched(&self.watch_prefixes, name) {
+            self.watch_q.push_back(new.enc.clone());
         }
+        let old = match slot {
+            Some(cur) => Some(std::mem::replace(cur, new).fingerprint),
+            None => {
+                self.objects.insert(name.to_string(), new);
+                None
+            }
+        };
+        self.account(subtree_of(name), old, fingerprint);
+        true
+    }
+
+    /// Store a version authored here, queue its event, and queue it for
+    /// dissemination unless it is a live write under a local subtree.
+    fn store_local(&mut self, obj: RibObject) {
+        let enc = EncodedObject::of(&obj);
+        if obj.deleted || !self.is_local_subtree(subtree_of(&obj.name)) {
+            self.outbox.push_back(enc.clone());
+        }
+        // A local version is one above whatever is held: it always wins.
+        self.put(&obj.name, obj.version, obj.origin, obj.deleted, || enc);
+        self.events.push_back(RibEvent::of(obj));
     }
 
     fn watched(prefixes: &[String], name: &str) -> bool {
@@ -596,13 +648,25 @@ impl Rib {
         entry.1 ^= new;
     }
 
-    /// All stored objects (tombstones included) in `subtree`, name order.
-    fn subtree_objects<'a>(&'a self, subtree: &'a str) -> impl Iterator<Item = &'a RibObject> + 'a {
+    /// Every stored object (tombstones included) whose name starts with
+    /// `prefix`, in name order, starting at `start` if that sorts after
+    /// `prefix`.
+    fn range_of<'a>(
+        &'a self,
+        prefix: &'a str,
+        start: &str,
+    ) -> impl Iterator<Item = (&'a String, &'a Stored)> + 'a {
         self.objects
-            .range::<str, _>((Bound::Included(subtree), Bound::Unbounded))
-            .take_while(move |(k, _)| k.starts_with(subtree))
-            .filter(move |(k, _)| subtree_of(k) == subtree)
-            .map(|(_, v)| v)
+            .range::<str, _>((Bound::Included(prefix.max(start)), Bound::Unbounded))
+            .take_while(move |(k, _)| k.starts_with(prefix))
+    }
+
+    /// All stored objects (tombstones included) in `subtree`, name order.
+    fn subtree_objects<'a>(
+        &'a self,
+        subtree: &'a str,
+    ) -> impl Iterator<Item = (&'a String, &'a Stored)> + 'a {
+        self.range_of(subtree, subtree).filter(move |(k, _)| subtree_of(k) == subtree)
     }
 
     /// [`Rib::write_local`], but a no-op when the object already holds
@@ -611,8 +675,8 @@ impl Rib {
     /// versions, which would re-flood an unchanged object DIF-wide.
     /// Returns whether a write happened.
     pub fn write_local_if_changed(&mut self, name: &str, class: &str, value: Bytes) -> bool {
-        match self.objects.get(name) {
-            Some(o) if !o.deleted && o.class == class && o.value == value => false,
+        match self.get(name) {
+            Some(o) if o.class == class && o.value == &value[..] => false,
             _ => {
                 self.write_local(name, class, value);
                 true
@@ -623,100 +687,61 @@ impl Rib {
     /// Tombstone an object authored locally. No-op if absent or already
     /// deleted.
     pub fn delete_local(&mut self, name: &str) {
-        let Some(cur) = self.objects.get(name) else {
+        let Some(cur) = self.objects.get(name).filter(|o| !o.deleted) else {
             return;
         };
-        if cur.deleted {
-            return;
-        }
-        let obj = RibObject {
-            name: cur.name.clone(),
-            class: cur.class.clone(),
+        self.store_local(RibObject {
+            name: name.to_string(),
+            class: cur.enc.view().class.to_string(),
             value: Bytes::new(),
             version: cur.version + 1,
             origin: self.origin,
             deleted: true,
-        };
-        self.store(obj.clone());
-        self.events.push_back(RibEvent::Deleted(obj.clone()));
-        self.outbox.push_back(obj);
+        });
     }
 
     /// Apply an object received from a peer. Returns `true` if it was newer
     /// than local state (caller should then re-flood it to other
     /// neighbors); `false` if stale or identical.
     pub fn apply_remote(&mut self, obj: RibObject) -> bool {
-        match self.objects.get(&obj.name) {
-            Some(cur) if !obj.newer_than(cur) => return false,
-            _ => {}
+        let fresh = self.apply_owned(&obj);
+        if fresh {
+            self.events.push_back(RibEvent::of(obj));
         }
-        let ev = if obj.deleted {
-            RibEvent::Deleted(obj.clone())
-        } else {
-            RibEvent::Upserted(obj.clone())
-        };
-        self.store(obj);
-        self.events.push_back(ev);
-        true
+        fresh
     }
 
     /// [`Rib::apply_remote`] without queueing a [`RibEvent`] — for
     /// callers that react to the returned freshness directly and would
-    /// only drain-and-discard the event. Skipping it avoids cloning
-    /// every applied object, which matters when a joiner absorbs a
-    /// multi-thousand-object sync stream.
+    /// only drain-and-discard the event.
     pub fn apply_remote_silent(&mut self, obj: RibObject) -> bool {
-        match self.objects.get(&obj.name) {
-            Some(cur) if !obj.newer_than(cur) => return false,
-            _ => {}
-        }
-        self.store(obj);
-        true
+        self.apply_owned(&obj)
+    }
+
+    fn apply_owned(&mut self, obj: &RibObject) -> bool {
+        self.put(&obj.name, obj.version, obj.origin, obj.deleted, || EncodedObject::of(obj))
     }
 
     /// [`Rib::apply_remote_silent`] for an object still in its arriving
-    /// frame. The version guard runs on the borrowed view, so a stale or
-    /// duplicate object allocates nothing; a newer version of a known
-    /// name is written into the stored object (only a changed value is
-    /// copied); only a first-seen name materialises a [`RibObject`].
+    /// frame, decided on the view the receive path already holds. A
+    /// stale or duplicate object allocates nothing; a newer one is
+    /// stored as a copy of the encoding it arrived in — one copy, in a
+    /// buffer of its own, however the object changed.
     pub fn apply_ref(&mut self, obj: &RibObjectRef<'_>) -> bool {
-        let Some(cur) = self.objects.get_mut(obj.name) else {
-            self.store(obj.to_object());
-            return true;
-        };
-        if (obj.version, obj.origin) <= (cur.version, cur.origin) {
-            return false;
-        }
-        let old = obj_fingerprint(cur);
-        if cur.class != obj.class {
-            cur.class = obj.class.to_string();
-        }
-        if cur.value != *obj.value {
-            cur.value = Bytes::copy_from_slice(obj.value);
-        }
-        cur.version = obj.version;
-        cur.origin = obj.origin;
-        cur.deleted = obj.deleted;
-        let new = obj_fingerprint(cur);
-        if Self::watched(&self.watch_prefixes, obj.name) {
-            self.watch_q.push_back(cur.clone());
-        }
-        self.account(subtree_of(obj.name), Some(old), new);
-        true
+        self.put(obj.name, obj.version, obj.origin, obj.deleted, || EncodedObject::copy_of(obj))
     }
 
     /// Current value of a live (non-deleted) object.
-    pub fn get(&self, name: &str) -> Option<&RibObject> {
-        self.objects.get(name).filter(|o| !o.deleted)
+    pub fn get(&self, name: &str) -> Option<RibObjectRef<'_>> {
+        self.objects.get(name).filter(|o| !o.deleted).map(|o| o.enc.view())
     }
 
     /// All live objects whose names start with `prefix`, in name order.
-    pub fn iter_prefix<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = &'a RibObject> + 'a {
-        self.objects
-            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
-            .take_while(move |(k, _)| k.starts_with(prefix))
-            .map(|(_, v)| v)
-            .filter(|o| !o.deleted)
+    pub fn iter_prefix<'a>(
+        &'a self,
+        prefix: &'a str,
+    ) -> impl Iterator<Item = RibObjectRef<'a>> + 'a {
+        self.range_of(prefix, prefix).filter(|(_, o)| !o.deleted).map(|(_, o)| o.enc.view())
     }
 
     /// Names of every live object whose last write came from `origin` —
@@ -726,28 +751,34 @@ impl Rib {
     /// converge like any other write.
     pub fn live_of_origin(&self, origin: u64) -> Vec<String> {
         self.objects
-            .values()
-            .filter(|o| !o.deleted && o.origin == origin)
-            .map(|o| o.name.clone())
+            .iter()
+            .filter(|(_, o)| !o.deleted && o.origin == origin)
+            .map(|(k, _)| k.clone())
             .collect()
     }
 
-    /// Every object including tombstones — the enrollment sync set a new
-    /// member receives (§5.2). Local-scope subtrees are excluded: their
-    /// objects are owner-held, so a joiner never receives them.
-    pub fn snapshot(&self) -> Vec<RibObject> {
+    /// Every stored object (tombstones included) whose last write came
+    /// from `origin`, as stored, in name order — what periodic
+    /// re-advertisement hands on (3 own objects, not a 3000-object RIB).
+    pub fn written_by(&self, origin: u64) -> impl Iterator<Item = &EncodedObject> + '_ {
+        self.objects.values().filter(move |o| o.origin == origin).map(|o| &o.enc)
+    }
+
+    /// Every object including tombstones, as stored, in name order — the
+    /// enrollment sync set a new member receives (§5.2). Local-scope
+    /// subtrees are excluded: their objects are owner-held, so a joiner
+    /// never receives them.
+    pub fn snapshot(&self) -> Vec<EncodedObject> {
         self.objects
-            .values()
-            .filter(|o| !self.is_local_subtree(subtree_of(&o.name)))
-            .cloned()
+            .iter()
+            .filter(|(k, _)| !self.is_local_subtree(subtree_of(k)))
+            .map(|(_, o)| o.enc.clone())
             .collect()
     }
 
-    /// Borrowing iterator over every stored object, tombstones included
-    /// — for callers that filter before cloning (periodic
-    /// re-advertisement clones 3 own objects, not a 3000-object RIB).
-    pub fn iter_all(&self) -> impl Iterator<Item = &RibObject> + '_ {
-        self.objects.values()
+    /// Every stored object, tombstones included, in name order.
+    pub fn iter_all(&self) -> impl Iterator<Item = RibObjectRef<'_>> + '_ {
+        self.objects.values().map(|o| o.enc.view())
     }
 
     /// Number of live objects.
@@ -809,47 +840,79 @@ impl Rib {
             return Vec::new();
         }
         self.subtree_objects(subtree)
-            .map(|o| ObjVer { name: &o.name, version: o.version, origin: o.origin })
+            .map(|(k, o)| ObjVer { name: k, version: o.version, origin: o.origin })
             .collect()
     }
 
     /// Answer a delta request: given a peer's version `summary` of
     /// `subtree` restricted to names in `[from, upto)` (empty bound =
     /// unbounded), return the objects *we* hold in that range which the
-    /// peer lacks or holds older, plus `true` if the summary proves the
-    /// peer holds versions newer than ours (so the caller should issue
-    /// its own request for this subtree).
+    /// peer lacks or holds older, as stored, plus `true` if the summary
+    /// proves the peer holds versions newer than ours (so the caller
+    /// should issue its own request for this subtree). A name the
+    /// summary lists twice is compared at its last entry.
     pub fn delta_for<'a>(
         &'a self,
         subtree: &'a str,
         from: &str,
         upto: &str,
         summary: &[ObjVer<'_>],
-    ) -> (Vec<&'a RibObject>, bool) {
+    ) -> (Vec<&'a EncodedObject>, bool) {
         if self.is_local_subtree(subtree) {
             // Owner-held state is never served by anti-entropy, and a
             // peer's summary of it proves nothing we should pull.
             return (Vec::new(), false);
         }
-        let theirs: BTreeMap<&str, (u64, u64)> =
-            summary.iter().map(|v| (v.name, (v.version, v.origin))).collect();
         let in_range =
             |name: &str| (from.is_empty() || name >= from) && (upto.is_empty() || name < upto);
-        let mut send = Vec::new();
-        for o in self.subtree_objects(subtree) {
-            if !in_range(&o.name) {
-                continue;
+        // A peer's summary comes from its own name-ordered RIB, so it is
+        // merged with ours as it stands; any other list is merged from a
+        // sorted copy, whose stable sort keeps a twice-listed name's
+        // entries in the order they were listed.
+        let sorted;
+        let theirs = if summary.windows(2).all(|w| w[0].name < w[1].name) {
+            summary
+        } else {
+            let mut copy = summary.to_vec();
+            copy.sort_by(|a, b| a.name.cmp(b.name));
+            sorted = copy;
+            &sorted
+        };
+        let mut theirs = theirs.iter().filter(|v| in_range(v.name)).peekable();
+        // Whether an entry the walk pairs with none of our objects proves
+        // the peer ahead. One in this subtree names an object we lack
+        // (the walk meets every one we hold in range); any other name
+        // is looked up.
+        let lacked = |v: &ObjVer<'_>| {
+            subtree_of(v.name) == subtree
+                || self
+                    .objects
+                    .get(v.name)
+                    .is_none_or(|o| (v.version, v.origin) > (o.version, o.origin))
+        };
+        let mut send = Vec::with_capacity(self.subtree_digest(subtree).map_or(0, |e| e.0 as usize));
+        let mut behind = false;
+        let ours = self
+            .range_of(subtree, from)
+            .take_while(|(k, _)| upto.is_empty() || k.as_str() < upto)
+            .filter(|(k, _)| subtree_of(k) == subtree);
+        for (name, o) in ours {
+            let mut peer = None;
+            while let Some(v) = theirs.next_if(|v| v.name <= name.as_str()) {
+                if v.name == name {
+                    behind |= (v.version, v.origin) > (o.version, o.origin);
+                    peer = Some((v.version, v.origin));
+                } else {
+                    behind |= lacked(v);
+                }
             }
-            match theirs.get(o.name.as_str()) {
-                Some(&(v, org)) if (v, org) >= (o.version, o.origin) => {}
-                _ => send.push(o),
+            if peer.is_none_or(|p| p < (o.version, o.origin)) {
+                send.push(&o.enc);
             }
         }
-        let behind =
-            summary.iter().filter(|v| in_range(v.name)).any(|v| match self.objects.get(v.name) {
-                Some(o) => (v.version, v.origin) > (o.version, o.origin),
-                None => true,
-            });
+        for v in theirs {
+            behind |= lacked(v);
+        }
         (send, behind)
     }
 
@@ -863,8 +926,8 @@ impl Rib {
         self.events.pop_front()
     }
 
-    /// Drain objects queued for dissemination to neighbors.
-    pub fn poll_dissemination(&mut self) -> Option<RibObject> {
+    /// Drain objects queued for dissemination to neighbors, as stored.
+    pub fn poll_dissemination(&mut self) -> Option<EncodedObject> {
         self.outbox.pop_front()
     }
 }
@@ -878,6 +941,27 @@ mod tests {
         std::iter::from_fn(|| r.poll_event()).collect()
     }
 
+    /// The next object queued for dissemination, decoded.
+    fn pop_out(r: &mut Rib) -> RibObject {
+        owned(&r.poll_dissemination().expect("an object was queued"))
+    }
+
+    fn owned(enc: &EncodedObject) -> RibObject {
+        fields(enc.view())
+    }
+
+    /// A view's fields, copied — what the borrowed decoder read.
+    fn fields(v: RibObjectRef<'_>) -> RibObject {
+        RibObject {
+            name: v.name.to_string(),
+            class: v.class.to_string(),
+            value: Bytes::copy_from_slice(v.value),
+            version: v.version,
+            origin: v.origin,
+            deleted: v.deleted,
+        }
+    }
+
     #[test]
     fn local_write_and_get() {
         let mut rib = Rib::new(5);
@@ -885,7 +969,7 @@ mod tests {
         let o = rib.get("/dir/app-a").unwrap();
         assert_eq!(o.version, 1);
         assert_eq!(o.origin, 5);
-        assert_eq!(o.value.as_ref(), b"\x2a");
+        assert_eq!(o.value, b"\x2a");
         let evs = drain_events(&mut rib);
         assert_eq!(evs.len(), 1);
         assert!(matches!(evs[0], RibEvent::Upserted(_)));
@@ -899,7 +983,7 @@ mod tests {
         rib.write_local("/x", "c", Bytes::from_static(b"1"));
         rib.write_local("/x", "c", Bytes::from_static(b"2"));
         assert_eq!(rib.get("/x").unwrap().version, 2);
-        assert_eq!(rib.get("/x").unwrap().value.as_ref(), b"2");
+        assert_eq!(rib.get("/x").unwrap().value, b"2");
     }
 
     #[test]
@@ -914,7 +998,7 @@ mod tests {
         // A tombstoned object counts as changed: it must resurrect.
         rib.delete_local("/x");
         assert!(rib.write_local_if_changed("/x", "c", Bytes::from_static(b"2")));
-        assert_eq!(rib.get("/x").unwrap().value.as_ref(), b"2");
+        assert_eq!(rib.get("/x").unwrap().value, b"2");
     }
 
     #[test]
@@ -922,23 +1006,23 @@ mod tests {
         let mut a = Rib::new(1);
         let mut b = Rib::new(2);
         a.write_local("/lsa/1", "lsa", Bytes::from_static(b"v1"));
-        let o1 = a.poll_dissemination().unwrap();
+        let o1 = pop_out(&mut a);
         assert!(b.apply_remote(o1.clone()));
         assert!(!b.apply_remote(o1.clone()), "duplicate is stale");
         a.write_local("/lsa/1", "lsa", Bytes::from_static(b"v2"));
-        let o2 = a.poll_dissemination().unwrap();
+        let o2 = pop_out(&mut a);
         assert!(b.apply_remote(o2));
         assert!(!b.apply_remote(o1), "old version rejected");
-        assert_eq!(b.get("/lsa/1").unwrap().value.as_ref(), b"v2");
+        assert_eq!(b.get("/lsa/1").unwrap().value, b"v2");
     }
 
     #[test]
     fn delete_tombstones_and_wins() {
         let mut a = Rib::new(1);
         a.write_local("/dir/app", "dir", Bytes::from_static(b"7"));
-        let create = a.poll_dissemination().unwrap();
+        let create = pop_out(&mut a);
         a.delete_local("/dir/app");
-        let tomb = a.poll_dissemination().unwrap();
+        let tomb = pop_out(&mut a);
         assert!(a.get("/dir/app").is_none());
         assert_eq!(a.len(), 0);
 
@@ -972,7 +1056,7 @@ mod tests {
         // Another member's object arrives via dissemination.
         let mut b = Rib::new(9);
         b.write_local("/lsa/9", "lsa", Bytes::from_static(b"peer"));
-        let obj = b.poll_dissemination().unwrap();
+        let obj = pop_out(&mut b);
         assert!(a.apply_remote(obj));
 
         let mut live = a.live_of_origin(7);
@@ -989,8 +1073,8 @@ mod tests {
         let mut b = Rib::new(9);
         a.write_local("/contested", "c", Bytes::from_static(b"low"));
         b.write_local("/contested", "c", Bytes::from_static(b"high"));
-        let oa = a.poll_dissemination().unwrap();
-        let ob = b.poll_dissemination().unwrap();
+        let oa = pop_out(&mut a);
+        let ob = pop_out(&mut b);
         // Cross-apply in both orders: both converge on origin 9's value.
         let mut x = Rib::new(50);
         assert!(x.apply_remote(oa.clone()));
@@ -999,7 +1083,7 @@ mod tests {
         assert!(y.apply_remote(ob));
         assert!(!y.apply_remote(oa));
         assert_eq!(x.get("/contested").unwrap().value, y.get("/contested").unwrap().value);
-        assert_eq!(x.get("/contested").unwrap().value.as_ref(), b"high");
+        assert_eq!(x.get("/contested").unwrap().value, b"high");
     }
 
     #[test]
@@ -1010,7 +1094,7 @@ mod tests {
         rib.write_local("/lsa/1", "lsa", Bytes::new());
         rib.write_local("/dir/c", "dir", Bytes::new());
         rib.delete_local("/dir/b");
-        let names: Vec<_> = rib.iter_prefix("/dir/").map(|o| o.name.as_str()).collect();
+        let names: Vec<_> = rib.iter_prefix("/dir/").map(|o| o.name).collect();
         assert_eq!(names, vec!["/dir/a", "/dir/c"]);
     }
 
@@ -1025,7 +1109,7 @@ mod tests {
         // A fresh member applying the snapshot converges.
         let mut n = Rib::new(7);
         for o in snap {
-            n.apply_remote(o);
+            n.apply_ref(&o.view());
         }
         assert!(n.get("/a").is_none());
         assert!(n.get("/b").is_some());
@@ -1038,7 +1122,7 @@ mod tests {
         let mut a = Rib::new(1);
         a.write_local("/x", "c", Bytes::from_static(b"1"));
         a.write_local("/y", "c", Bytes::from_static(b"2"));
-        let (ox, oy) = (a.poll_dissemination().unwrap(), a.poll_dissemination().unwrap());
+        let (ox, oy) = (pop_out(&mut a), pop_out(&mut a));
         let mut b = Rib::new(2);
         assert_ne!((a.object_count(), a.digest()), (b.object_count(), b.digest()));
         b.apply_remote(oy); // reversed arrival order
@@ -1046,14 +1130,14 @@ mod tests {
         assert_eq!((a.object_count(), a.digest()), (b.object_count(), b.digest()));
         // A new version moves the digest; syncing restores it.
         a.write_local("/x", "c", Bytes::from_static(b"3"));
-        let o = a.poll_dissemination().unwrap();
+        let o = pop_out(&mut a);
         assert_ne!(a.digest(), b.digest());
         b.apply_remote(o);
         assert_eq!(a.digest(), b.digest());
         // Tombstones count too.
         a.delete_local("/y");
         assert_ne!(a.digest(), b.digest());
-        b.apply_remote(a.poll_dissemination().unwrap());
+        b.apply_remote(pop_out(&mut a));
         assert_eq!(a.digest(), b.digest());
         assert_eq!(a.object_count(), 2, "tombstone still stored");
     }
@@ -1079,7 +1163,8 @@ mod tests {
         // Simulate flooding: each dissemination is offered to neighbors,
         // re-offered while apply_remote returns true.
         let mut pending: Vec<(usize, RibObject)> = vec![];
-        while let Some(o) = ribs[0].poll_dissemination() {
+        let mut out = || ribs[0].poll_dissemination().map(|o| owned(&o));
+        while let Some(o) = out() {
             pending.push((0, o));
         }
         while let Some((from, obj)) = pending.pop() {
@@ -1095,7 +1180,7 @@ mod tests {
             }
         }
         for rib in &ribs {
-            assert_eq!(rib.get("/lsa/1").unwrap().value.as_ref(), b"x");
+            assert_eq!(rib.get("/lsa/1").unwrap().value, b"x");
         }
     }
 
@@ -1116,7 +1201,7 @@ mod tests {
         a.write_local("/lsa/1", "lsa", Bytes::from_static(b"2"));
         let mut b = Rib::new(2);
         while let Some(o) = a.poll_dissemination() {
-            b.apply_remote(o);
+            b.apply_ref(&o.view());
         }
         assert_eq!(a.digest_table(), b.digest_table());
         assert!(a.digest_table().mismatched(&b.digest_table()).is_empty());
@@ -1142,13 +1227,13 @@ mod tests {
         a.write_local("/dir/x", "dir", Bytes::new());
         let mut b = Rib::new(2);
         // b holds /lsa/2 at the same version and /lsa/3 newer.
-        b.apply_remote(a.get("/lsa/2").unwrap().clone());
-        let mut newer = a.get("/lsa/3").unwrap().clone();
+        b.apply_ref(&a.get("/lsa/2").unwrap());
+        let mut newer = fields(a.get("/lsa/3").unwrap());
         newer.version += 1;
         newer.origin = 2;
         b.apply_remote(newer);
         let (send, behind) = a.delta_for("/lsa", "", "", &b.summary("/lsa"));
-        let names: Vec<_> = send.iter().map(|o| o.name.as_str()).collect();
+        let names: Vec<_> = send.iter().map(|o| o.view().name).collect();
         assert_eq!(names, vec!["/lsa/1"], "equal version skipped, newer-at-peer skipped");
         assert!(behind, "the summary proves the peer has a newer /lsa/3");
         // Range bounds restrict the exchange.
@@ -1161,6 +1246,40 @@ mod tests {
         let (send, behind) = a.delta_for("/lsa", "", "", &[]);
         assert_eq!(send.len(), 3);
         assert!(!behind);
+    }
+
+    /// A summary no honest peer sends — out of name order, one name
+    /// listed twice — is answered by the same rule as a map built from
+    /// it: a name is compared at its last entry, and any entry newer
+    /// than ours proves the peer ahead.
+    #[test]
+    fn delta_for_reads_a_disordered_summary_at_each_names_last_entry() {
+        let mut a = Rib::new(1);
+        for n in ["/lsa/1", "/lsa/2", "/lsa/3"] {
+            a.write_local(n, "lsa", Bytes::from_static(b"v"));
+            a.write_local(n, "lsa", Bytes::from_static(b"w"));
+        }
+        let at = |name, version| ObjVer { name, version, origin: 1 };
+        let names = |send: Vec<&EncodedObject>| -> Vec<String> {
+            send.iter().map(|o| o.view().name.to_string()).collect()
+        };
+        // /lsa/2 listed current, then behind: the later entry wins.
+        let summary = [at("/lsa/3", 2), at("/lsa/2", 2), at("/lsa/1", 2), at("/lsa/2", 1)];
+        let (send, behind) = a.delta_for("/lsa", "", "", &summary);
+        assert_eq!(names(send), vec!["/lsa/2"]);
+        assert!(!behind);
+        // Listed behind, then current: nothing to send.
+        let summary = [at("/lsa/2", 1), at("/lsa/3", 2), at("/lsa/1", 2), at("/lsa/2", 2)];
+        let (send, behind) = a.delta_for("/lsa", "", "", &summary);
+        assert!(send.is_empty() && !behind);
+        // An entry ahead of ours counts wherever it sits, and so does
+        // a name we lack, inside the subtree or out of it.
+        let summary = [at("/lsa/2", 3), at("/lsa/1", 2), at("/lsa/3", 2), at("/lsa/2", 2)];
+        assert_eq!(a.delta_for("/lsa", "", "", &summary), (vec![], true));
+        let summary = [at("/lsa/9", 1), at("/lsa/1", 2), at("/lsa/3", 2), at("/lsa/2", 2)];
+        assert_eq!(a.delta_for("/lsa", "", "", &summary), (vec![], true));
+        let summary = [at("/lsa/3", 2), at("/dir/x", 1), at("/lsa/1", 2), at("/lsa/2", 2)];
+        assert_eq!(a.delta_for("/lsa", "", "", &summary), (vec![], true));
     }
 
     /// The watch hook fires on every path into the store — local
@@ -1183,8 +1302,9 @@ mod tests {
         assert!(a.apply_remote_silent(remote.clone()));
         assert!(!a.apply_remote_silent(remote), "stale apply must not re-notify");
         a.delete_local("/lsa/1");
-        let seen: Vec<(String, bool)> =
-            std::iter::from_fn(|| a.poll_watch()).map(|o| (o.name, o.deleted)).collect();
+        let seen: Vec<(String, bool)> = std::iter::from_fn(|| a.poll_watch())
+            .map(|o| (owned(&o).name, o.view().deleted))
+            .collect();
         assert_eq!(
             seen,
             vec![
@@ -1208,9 +1328,9 @@ mod tests {
         a.write_local("/dir/echo", "dir", Bytes::from_static(b"\x01"));
         a.write_local("/lsa/1", "lsa", Bytes::from_static(b"x"));
         // Only the /lsa write disseminates.
-        let out: Vec<RibObject> = std::iter::from_fn(|| a.poll_dissemination()).collect();
+        let out: Vec<EncodedObject> = std::iter::from_fn(|| a.poll_dissemination()).collect();
         assert_eq!(out.len(), 1);
-        assert_eq!(out[0].name, "/lsa/1");
+        assert_eq!(out[0].view().name, "/lsa/1");
         // The owner still reads its own entry; events still fire.
         assert!(a.get("/dir/echo").is_some());
         assert_eq!(drain_events(&mut a).len(), 2);
@@ -1218,12 +1338,12 @@ mod tests {
         let table = a.digest_table();
         let subs: Vec<&str> = table.entries().iter().map(|e| e.0.as_str()).collect();
         assert_eq!(subs, vec!["/lsa"]);
-        assert!(a.snapshot().iter().all(|o| !o.name.starts_with("/dir")));
+        assert!(a.snapshot().iter().all(|o| !o.view().name.starts_with("/dir")));
         assert!(a.summary("/dir").is_empty());
         assert_eq!(a.delta_for("/dir", "", "", &[]), (vec![], false));
         // Tombstones still flood — remote caches must hear deletions.
         a.delete_local("/dir/echo");
-        let tomb = a.poll_dissemination().expect("tombstone disseminates");
+        let tomb = pop_out(&mut a);
         assert!(tomb.deleted && tomb.name == "/dir/echo");
         assert!(a.poll_dissemination().is_none());
     }
@@ -1241,7 +1361,7 @@ mod tests {
         a.write_local("/dir/app-a", "dir", Bytes::from_static(b"\x01"));
         b.write_local("/dir/app-b", "dir", Bytes::from_static(b"\x02"));
         while let Some(o) = a.poll_dissemination() {
-            b.apply_remote(o);
+            b.apply_ref(&o.view());
         }
         assert!(a.digest_table().mismatched(&b.digest_table()).is_empty());
     }
@@ -1259,7 +1379,8 @@ mod tests {
         a.set_local_subtree("/dir");
         a.write_local("/dir/late", "dir", Bytes::from_static(b"\x02"));
         a.write_local("/lsa/1", "lsa", Bytes::from_static(b"x"));
-        let seen: Vec<String> = std::iter::from_fn(|| a.poll_watch()).map(|o| o.name).collect();
+        let seen: Vec<String> =
+            std::iter::from_fn(|| a.poll_watch()).map(|o| owned(&o).name).collect();
         assert_eq!(seen, vec!["/lsa/1".to_string()], "no /dir change fires, queued or new");
         // Re-registering after the scope change is also inert for /dir.
         a.watch_prefix("/lsa/");
@@ -1278,7 +1399,8 @@ mod tests {
         a.write_local("/lsa/1", "lsa", Bytes::from_static(b"x"));
         a.write_local("/blocks/1", "block", Bytes::from_static(b"b"));
         a.unwatch_prefix("/lsa/");
-        let seen: Vec<String> = std::iter::from_fn(|| a.poll_watch()).map(|o| o.name).collect();
+        let seen: Vec<String> =
+            std::iter::from_fn(|| a.poll_watch()).map(|o| owned(&o).name).collect();
         assert_eq!(seen, vec!["/blocks/1".to_string()]);
     }
 
@@ -1293,7 +1415,7 @@ mod tests {
         a.write_local("/lsa/14", "lsa", Bytes::from_static(b"1"));
         let mut b = Rib::new(2);
         while let Some(o) = a.poll_dissemination() {
-            b.apply_remote(o);
+            b.apply_ref(&o.view());
         }
         // a advances both objects by exactly one version; b hears neither.
         a.write_local("/lsa/13", "lsa", Bytes::from_static(b"22"));
@@ -1324,7 +1446,7 @@ mod tests {
         a.write_local("/lsa/1", "lsa", Bytes::from_static(b"x"));
         let g1 = a.generation();
         assert!(g1 > g0, "a stored version moves it");
-        let o = a.get("/lsa/1").unwrap().clone();
+        let o = fields(a.get("/lsa/1").unwrap());
         assert!(!a.apply_remote_silent(o.clone()));
         assert!(!a.apply_ref(&EncodedObject::of(&o).view()));
         assert!(!a.write_local_if_changed("/lsa/1", "lsa", Bytes::from_static(b"x")));
@@ -1353,7 +1475,7 @@ mod tests {
         assert!(a.apply_ref(&EncodedObject::of(&tomb).view()));
         assert!(!a.apply_ref(&EncodedObject::of(&v1).view()), "the older version is stale");
         assert!(a.get("/lsa/9").is_none());
-        assert_eq!(a.iter_all().next(), Some(&tomb));
+        assert_eq!(a.iter_all().next(), Some(EncodedObject::of(&tomb).view()));
         // The same two versions through the owned path: same digests,
         // same watch stream.
         let mut b = Rib::new(1);
@@ -1399,7 +1521,7 @@ mod tests {
                 let (objs, _) = a.delta_for(&st, "", "", &b.summary(&st));
                 for o in objs {
                     moved += 1;
-                    b.apply_remote(o.clone());
+                    b.apply_ref(&o.view());
                 }
             }
         }
@@ -1434,13 +1556,11 @@ mod tests {
             deleted in any::<bool>(),
             cut in 0usize..128,
         ) {
-            let agree = |buf: &[u8]| {
-                RibObjectRef::decode(buf).map(|r| r.to_object()) == RibObject::decode(buf)
-            };
+            let agree = |buf: &[u8]| RibObjectRef::decode(buf).map(fields) == RibObject::decode(buf);
             prop_assert!(agree(&junk));
             let o = RibObject { name, class, value: Bytes::from(value), version, origin, deleted };
             let enc = o.encode();
-            prop_assert_eq!(RibObjectRef::decode(&enc).map(|r| r.to_object()), Ok(o));
+            prop_assert_eq!(RibObjectRef::decode(&enc).map(fields), Ok(o));
             prop_assert!(agree(&enc[..cut.min(enc.len())]));
             let mut tail = enc.to_vec();
             tail.extend_from_slice(&junk);
@@ -1448,55 +1568,242 @@ mod tests {
             prop_assert_eq!(EncodedObject::parse(tail.clone().into()).is_ok(), junk.is_empty());
         }
 
-        /// Applying a stream of arriving encodings through the borrowed
-        /// path leaves the RIB exactly where the owned path leaves it —
-        /// same verdict per object, same objects, digests, generation
-        /// count and watch stream — and the bytes that arrived are the
-        /// bytes `encode` gives for what was stored, so forwarding them
-        /// is forwarding a re-encoding.
+        /// One object, one accepted encoding: whatever bytes
+        /// `EncodedObject::parse` accepts are exactly what
+        /// `RibObject::encode` writes for their decode — so the stored
+        /// bytes a member serves are the bytes an honest encoder would
+        /// have written, however the peer that sent them padded its
+        /// varints or booleans.
         #[test]
-        fn prop_apply_ref_equals_apply_owned(seed in any::<u64>()) {
+        fn prop_accepted_encodings_are_canonical(
+            name in "[a-z/]{0,8}",
+            value in proptest::collection::vec(any::<u8>(), 0..6),
+            version in any::<u64>(),
+            pads in proptest::collection::vec(0u8..4, 6..7),
+            flag in any::<u8>(),
+        ) {
+            // A varint with `pad` extra groups: each pad moves the
+            // terminator one group on, leaving a zero last group behind.
+            let varint = |out: &mut Vec<u8>, v: u64, pad: u8| {
+                let mut w = Writer::new();
+                w.varint(v);
+                let mut bytes = w.finish().to_vec();
+                for _ in 0..pad {
+                    if let Some(last) = bytes.last_mut() {
+                        *last |= 0x80;
+                    }
+                    bytes.push(0);
+                }
+                out.extend_from_slice(&bytes);
+            };
+            let mut buf = Vec::new();
+            for (field, pad) in [(name.as_bytes(), pads[0]), (b"c".as_slice(), pads[1]), (&value[..], pads[2])] {
+                varint(&mut buf, field.len() as u64, pad);
+                buf.extend_from_slice(field);
+            }
+            varint(&mut buf, version, pads[3]);
+            varint(&mut buf, 7, pads[4]);
+            // Half the cases write any byte as the deleted flag.
+            let flag = if pads[5] < 2 { flag } else { flag & 1 };
+            buf.push(flag);
+            let canonical = pads[..5].iter().all(|&p| p == 0) && flag < 2;
+            match EncodedObject::parse(Bytes::from(buf.clone())) {
+                Ok(enc) => {
+                    prop_assert!(canonical, "a padded encoding was accepted");
+                    prop_assert_eq!(&owned(&enc).encode()[..], &buf[..]);
+                }
+                Err(_) => prop_assert!(!canonical, "a canonical encoding was refused"),
+            }
+        }
+
+        /// The RIB against a plain model: a `BTreeMap` of owned objects
+        /// and the queues it should be holding. A random run of local
+        /// writes, conditional writes and deletes, applies of arriving
+        /// encodings (stale, duplicate, newer, tombstone, changed
+        /// class), scope changes and watch teardowns leaves the RIB
+        /// agreeing with the model after every step — snapshot, digest
+        /// table, generation, reads — and its watch queue and outbox
+        /// decode to exactly what the model expects.
+        #[test]
+        fn prop_rib_matches_a_model(seed in any::<u64>()) {
             use rand::Rng;
             use rand::SeedableRng;
+            use std::collections::VecDeque;
             let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
-            let (mut by_ref, mut owned) = (Rib::new(1), Rib::new(1));
-            for r in [&mut by_ref, &mut owned] {
-                r.watch_prefix("/lsa/");
-                r.set_local_subtree("/dir");
-            }
-            for _ in 0..60 {
-                let deleted = rng.gen_range(0..5u32) == 0;
-                let o = RibObject {
-                    name: format!(
-                        "{}{}",
-                        ["/lsa/", "/dir/", "/members/"][rng.gen_range(0..3usize)],
-                        rng.gen_range(0..6u32)
-                    ),
-                    class: ["lsa", "dir"][rng.gen_range(0..2usize)].to_string(),
-                    value: if deleted {
-                        Bytes::new()
-                    } else {
-                        Bytes::from(vec![rng.gen_range(0..4u8); rng.gen_range(0..3usize)])
-                    },
-                    version: rng.gen_range(1..5u64),
-                    origin: rng.gen_range(1..4u64),
-                    deleted,
-                };
-                let enc = EncodedObject::of(&o);
-                let fresh = by_ref.apply_ref(&enc.view());
-                prop_assert_eq!(fresh, owned.apply_remote_silent(o.clone()));
-                if fresh {
-                    let stored = by_ref.iter_all().find(|s| s.name == o.name).unwrap();
-                    prop_assert_eq!(stored, &o);
-                    prop_assert_eq!(&stored.encode(), enc.wire());
+            const ME: u64 = 1;
+            let mut rib = Rib::new(ME);
+            let mut model: BTreeMap<String, RibObject> = BTreeMap::new();
+            let (mut local, mut watching) = (Vec::<String>::new(), Vec::<String>::new());
+            let (mut watch_q, mut outbox) = (VecDeque::new(), VecDeque::new());
+            let mut generation = 0u64;
+            for p in ["/lsa/", "/dir/", "/members/"] {
+                if rng.gen_range(0..3u32) > 0 {
+                    rib.watch_prefix(p);
+                    watching.push(p.to_string());
                 }
             }
-            prop_assert!(by_ref.iter_all().eq(owned.iter_all()));
-            prop_assert_eq!(by_ref.digest_table(), owned.digest_table());
-            prop_assert_eq!(by_ref.digest(), owned.digest());
-            prop_assert_eq!(by_ref.generation(), owned.generation());
-            let seen = |r: &mut Rib| std::iter::from_fn(|| r.poll_watch()).collect::<Vec<_>>();
-            prop_assert_eq!(seen(&mut by_ref), seen(&mut owned));
+            let classes = ["lsa", "dir", "member"];
+            for _ in 0..80 {
+                let name = format!(
+                    "{}{}",
+                    ["/lsa/", "/dir/", "/members/"][rng.gen_range(0..3usize)],
+                    rng.gen_range(0..5u32)
+                );
+                let class = classes[rng.gen_range(0..3usize)];
+                let value = Bytes::from(vec![rng.gen_range(0..4u8); rng.gen_range(0..3usize)]);
+                let cur = model.get(&name).cloned();
+                let live = cur.clone().filter(|o| !o.deleted);
+                // The version the model stores, if any, and whether it
+                // goes out through the outbox.
+                let mut stored: Option<(RibObject, bool)> = None;
+                match rng.gen_range(0..10u32) {
+                    0 | 1 => {
+                        rib.write_local(&name, class, value.clone());
+                        let version = cur.map_or(1, |o| o.version + 1);
+                        let o = RibObject {
+                            name: name.clone(), class: class.into(), value, version, origin: ME,
+                            deleted: false,
+                        };
+                        stored = Some((o, true));
+                    }
+                    2 => {
+                        let wrote = rib.write_local_if_changed(&name, class, value.clone());
+                        let same = live.is_some_and(|o| o.class == class && o.value == value);
+                        prop_assert_eq!(wrote, !same);
+                        if wrote {
+                            let version = cur.map_or(1, |o| o.version + 1);
+                            let o = RibObject {
+                                name: name.clone(), class: class.into(), value, version,
+                                origin: ME, deleted: false,
+                            };
+                            stored = Some((o, true));
+                        }
+                    }
+                    3 => {
+                        rib.delete_local(&name);
+                        if let Some(o) = live {
+                            let tomb = RibObject {
+                                value: Bytes::new(), version: o.version + 1, origin: ME,
+                                deleted: true, ..o
+                            };
+                            stored = Some((tomb, true));
+                        }
+                    }
+                    4..=7 => {
+                        let base = cur.unwrap_or(RibObject {
+                            name: name.clone(), class: class.into(), value: value.clone(),
+                            version: 1, origin: rng.gen_range(1..4u64), deleted: false,
+                        });
+                        let arriving = match rng.gen_range(0..5u32) {
+                            // Stale: an older version, or the same one
+                            // from a lower origin.
+                            0 => RibObject {
+                                version: rng.gen_range(0..=base.version),
+                                origin: rng.gen_range(0..base.origin.max(1)),
+                                ..base.clone()
+                            },
+                            // Duplicate: what is held, byte for byte.
+                            1 => base.clone(),
+                            // Newer: next version, any origin, new value.
+                            2 => RibObject {
+                                version: base.version + 1, origin: rng.gen_range(1..4u64),
+                                value, deleted: false, ..base.clone()
+                            },
+                            // Tombstone.
+                            3 => RibObject {
+                                version: base.version + 1, value: Bytes::new(), deleted: true,
+                                ..base.clone()
+                            },
+                            // Changed class: same version, higher origin.
+                            _ => RibObject {
+                                class: classes.iter().find(|c| **c != base.class)
+                                    .map_or(String::new(), |c| c.to_string()),
+                                origin: base.origin + 1, deleted: false, ..base.clone()
+                            },
+                        };
+                        let newer = model.get(&name).is_none_or(|o| {
+                            (arriving.version, arriving.origin) > (o.version, o.origin)
+                        });
+                        let enc = EncodedObject::of(&arriving);
+                        let applied = if rng.gen_range(0..4u32) == 0 {
+                            rib.apply_remote_silent(arriving.clone())
+                        } else {
+                            rib.apply_ref(&enc.view())
+                        };
+                        prop_assert_eq!(applied, newer);
+                        if newer {
+                            stored = Some((arriving, false));
+                        }
+                    }
+                    8 => {
+                        let subtree = subtree_of(&name).to_string();
+                        rib.set_local_subtree(&subtree);
+                        generation += 1;
+                        if !local.contains(&subtree) {
+                            local.push(subtree.clone());
+                        }
+                        watching.retain(|p| subtree_of(p) != subtree);
+                        watch_q.retain(|o: &RibObject| subtree_of(&o.name) != subtree);
+                    }
+                    _ => {
+                        let prefix = ["/lsa/", "/dir/", "/members/"][rng.gen_range(0..3usize)];
+                        rib.unwatch_prefix(prefix);
+                        watching.retain(|p| p != prefix);
+                        watch_q.retain(|o: &RibObject| {
+                            watching.iter().any(|p| o.name.starts_with(p.as_str()))
+                        });
+                    }
+                }
+                if let Some((o, local_write)) = stored {
+                    generation += 1;
+                    if watching.iter().any(|p| o.name.starts_with(p.as_str())) {
+                        watch_q.push_back(o.clone());
+                    }
+                    if local_write && (o.deleted || !local.contains(&subtree_of(&o.name).to_string())) {
+                        outbox.push_back(o.clone());
+                    }
+                    model.insert(o.name.clone(), o);
+                }
+
+                let replicated = |n: &str| !local.iter().any(|s| s == subtree_of(n));
+                let snapshot: Vec<EncodedObject> =
+                    model.values().filter(|o| replicated(&o.name)).map(EncodedObject::of).collect();
+                prop_assert_eq!(rib.snapshot(), snapshot);
+                let mut table: BTreeMap<String, (u64, u64)> = BTreeMap::new();
+                for o in model.values().filter(|o| replicated(&o.name)) {
+                    let e = table.entry(subtree_of(&o.name).to_string()).or_default();
+                    e.0 += 1;
+                    e.1 ^= fingerprint(&o.name, o.version, o.origin, o.deleted);
+                }
+                let table = DigestTable::from_entries(
+                    table.into_iter().map(|(s, (c, d))| (s, c, d)).collect(),
+                );
+                prop_assert_eq!(rib.digest_table(), table);
+                prop_assert_eq!(rib.generation(), generation);
+                prop_assert_eq!(rib.object_count(), model.len());
+                let live_model = |prefix: &str| -> Vec<RibObject> {
+                    model
+                        .values()
+                        .filter(|o| !o.deleted && o.name.starts_with(prefix))
+                        .cloned()
+                        .collect()
+                };
+                for prefix in ["/", "/lsa/", "/dir/", "/members/", "/nope/"] {
+                    let ours: Vec<RibObject> = rib.iter_prefix(prefix).map(fields).collect();
+                    prop_assert_eq!(ours, live_model(prefix));
+                }
+                prop_assert_eq!(rib.len(), live_model("").len());
+                let got = rib.get(&name).map(fields);
+                prop_assert_eq!(got, model.get(&name).filter(|o| !o.deleted).cloned());
+                if rng.gen_range(0..6u32) == 0 {
+                    let watched: Vec<RibObject> =
+                        std::iter::from_fn(|| rib.poll_watch()).map(|o| owned(&o)).collect();
+                    prop_assert_eq!(watched, watch_q.drain(..).collect::<Vec<_>>());
+                    let out: Vec<RibObject> =
+                        std::iter::from_fn(|| rib.poll_dissemination()).map(|o| owned(&o)).collect();
+                    prop_assert_eq!(out, outbox.drain(..).collect::<Vec<_>>());
+                }
+            }
         }
 
         /// `Rib::mismatched` is `digest_table().mismatched()` without the
@@ -1521,7 +1828,7 @@ mod tests {
                 let both = rng.gen_range(0..3u32) > 0;
                 a.write_local(&name, "c", Bytes::new());
                 if both {
-                    b.apply_remote_silent(a.iter_all().find(|o| o.name == name).unwrap().clone());
+                    b.apply_ref(&a.iter_all().find(|o| o.name == name).unwrap());
                 } else if rng.gen_range(0..2u32) == 0 {
                     b.write_local(&format!("/only-b/{name}"), "c", Bytes::new());
                 }
@@ -1549,9 +1856,9 @@ mod tests {
             let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
             updates.shuffle(&mut rng);
             let mut r = Rib::new(9);
-            for o in updates.clone() { r.apply_remote(o); }
-            let winner = updates.iter().max_by_key(|o| (o.version, o.origin)).unwrap();
-            prop_assert_eq!(&r.get("/obj").unwrap().value, &winner.value);
+            for o in &updates { r.apply_ref(&o.view()); }
+            let winner = updates.iter().map(|o| o.view()).max_by_key(|o| (o.version, o.origin));
+            prop_assert_eq!(r.get("/obj").unwrap().value, winner.unwrap().value);
         }
 
         /// The tentpole invariant: syncing a diverged replica via
@@ -1578,25 +1885,25 @@ mod tests {
                     a.write_local(&name, "c", Bytes::from(vec![rng.gen_range(0..=255u8) as u8]));
                 }
             }
-            let updates: Vec<RibObject> =
+            let updates: Vec<EncodedObject> =
                 std::iter::from_fn(|| a.poll_dissemination()).collect();
             // A replica that saw a random subset of the updates.
             let mut behind = Rib::new(2);
             let mut missed = 0usize;
             for o in &updates {
                 if rng.gen_range(0..3u32) > 0 {
-                    behind.apply_remote(o.clone());
+                    behind.apply_ref(&o.view());
                 } else {
                     missed += 1;
                 }
             }
             let mut full = Rib::new(3);
             for o in behind.snapshot() {
-                full.apply_remote(o);
+                full.apply_ref(&o.view());
             }
             // Arm one: full snapshot resync (the pre-digest behavior).
             for o in a.snapshot() {
-                full.apply_remote(o);
+                full.apply_ref(&o.view());
             }
             // Arm two: digest-driven per-subtree delta sync.
             let moved = delta_sync(&mut a, &mut behind);

@@ -13,7 +13,7 @@ use bytes::Bytes;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::Rng;
-use rina_rib::{Rib, RibObject};
+use rina_rib::{EncodedObject, Rib};
 
 /// One generated mutation against a RIB.
 #[derive(Clone, Debug)]
@@ -60,7 +60,7 @@ fn op_strategy() -> OpStrategy {
     OpStrategy
 }
 
-fn drain_outbox(rib: &mut Rib) -> Vec<RibObject> {
+fn drain_outbox(rib: &mut Rib) -> Vec<EncodedObject> {
     std::iter::from_fn(|| rib.poll_dissemination()).collect()
 }
 
@@ -77,11 +77,11 @@ fn sync(a: &mut Rib, b: &mut Rib) -> usize {
         for s in mismatch {
             let (objs, _) = a.delta_for(&s, "", "", &b.summary(&s));
             for o in objs {
-                b.apply_remote_silent(o.clone());
+                b.apply_ref(&o.view());
             }
             let (objs, _) = b.delta_for(&s, "", "", &a.summary(&s));
             for o in objs {
-                a.apply_remote_silent(o.clone());
+                a.apply_ref(&o.view());
             }
         }
     }
@@ -105,14 +105,14 @@ proptest! {
         for op in &ops {
             apply(&mut rib, op);
         }
-        prop_assert!(rib.snapshot().iter().all(|o| !o.name.starts_with("/dir/")));
+        prop_assert!(rib.snapshot().iter().all(|o| !o.view().name.starts_with("/dir/")));
         prop_assert!(rib.digest_table().entries().iter().all(|e| e.0 != "/dir"));
         prop_assert!(rib.summary("/dir").is_empty());
         let (objs, behind) = rib.delta_for("/dir", "", "", &[]);
         prop_assert!(objs.is_empty() && !behind, "owner-held state served by anti-entropy");
         let out = drain_outbox(&mut rib);
         prop_assert!(
-            out.iter().all(|o| !o.name.starts_with("/dir/") || o.deleted),
+            out.iter().map(EncodedObject::view).all(|o| !o.name.starts_with("/dir/") || o.deleted),
             "a live /dir object left through the outbox"
         );
         // The RIB itself still holds the owner's live entries.
@@ -144,9 +144,9 @@ proptest! {
         for op in shared.iter().filter(|o| SUBTREES[o.subtree as usize % 3] != "/dir") {
             apply(&mut scribe, op);
         }
-        for o in scribe.iter_all().cloned().collect::<Vec<_>>() {
-            a.apply_remote_silent(o.clone());
-            b.apply_remote_silent(o);
+        for o in scribe.iter_all() {
+            a.apply_ref(&o);
+            b.apply_ref(&o);
         }
         // Divergent owner-held /dir content on each side.
         for op in dir_a.iter().filter(|o| SUBTREES[o.subtree as usize % 3] == "/dir") {
@@ -183,18 +183,14 @@ proptest! {
         for op in &ops_b {
             apply(&mut b, op);
         }
-        let dir_a: Vec<RibObject> =
-            a.iter_all().filter(|o| o.name.starts_with("/dir/")).cloned().collect();
-        let dir_b: Vec<RibObject> =
-            b.iter_all().filter(|o| o.name.starts_with("/dir/")).cloned().collect();
+        let dir = |r: &Rib| -> Vec<Vec<u8>> {
+            r.iter_all().filter(|o| o.name.starts_with("/dir/")).map(|o| o.wire().to_vec()).collect()
+        };
+        let (dir_a, dir_b) = (dir(&a), dir(&b));
         sync(&mut a, &mut b);
         prop_assert_eq!(a.snapshot(), b.snapshot(), "replicated views diverge after sync");
-        let dir_a_after: Vec<RibObject> =
-            a.iter_all().filter(|o| o.name.starts_with("/dir/")).cloned().collect();
-        let dir_b_after: Vec<RibObject> =
-            b.iter_all().filter(|o| o.name.starts_with("/dir/")).cloned().collect();
-        prop_assert_eq!(dir_a, dir_a_after, "sync perturbed a's owner-held directory");
-        prop_assert_eq!(dir_b, dir_b_after, "sync perturbed b's owner-held directory");
+        prop_assert_eq!(dir_a, dir(&a), "sync perturbed a's owner-held directory");
+        prop_assert_eq!(dir_b, dir(&b), "sync perturbed b's owner-held directory");
     }
 
     /// Marking a subtree local tears its watchers down: after the scope
@@ -218,6 +214,7 @@ proptest! {
         }
         let mut lsa_seen = 0usize;
         while let Some(o) = rib.poll_watch() {
+            let o = o.view();
             prop_assert!(!o.name.starts_with("/dir/"), "torn-down watcher fired: {}", o.name);
             lsa_seen += 1;
         }

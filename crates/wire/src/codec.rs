@@ -188,7 +188,10 @@ impl<'a> Reader<'a> {
         let s = self.take(8)?;
         Ok(u64::from_be_bytes(s.try_into().expect("len 8")))
     }
-    /// Read an unsigned LEB128 varint.
+    /// Read an unsigned LEB128 varint in its one canonical form, the
+    /// shortest: a multi-byte varint whose last group is zero is
+    /// rejected, so every value has exactly one accepted encoding and a
+    /// decoded object re-encodes to the bytes it was read from.
     #[inline]
     pub fn varint(&mut self) -> Result<u64, WireError> {
         let mut v: u64 = 0;
@@ -200,6 +203,9 @@ impl<'a> Reader<'a> {
             }
             v |= ((b & 0x7F) as u64) << shift;
             if b & 0x80 == 0 {
+                if b == 0 && shift > 0 {
+                    return Err(WireError::Invalid("overlong varint"));
+                }
                 return Ok(v);
             }
             shift += 7;
@@ -274,6 +280,21 @@ mod tests {
         let bad = [0xFFu8; 10];
         let mut r = Reader::new(&bad);
         assert!(matches!(r.varint(), Err(WireError::VarintOverflow) | Err(WireError::Truncated)));
+    }
+
+    #[test]
+    fn overlong_varints_rejected() {
+        for bad in [&[0x80, 0x00][..], &[0xFF, 0x80, 0x00], &[0x81, 0x80, 0x80, 0x00]] {
+            let mut r = Reader::new(bad);
+            assert_eq!(r.varint(), Err(WireError::Invalid("overlong varint")), "{bad:02x?}");
+        }
+        // The tenth byte of u64::MAX's encoding is 0x01; a zero there is
+        // overlong too.
+        let mut tenth_zero = [0xFFu8; 10];
+        tenth_zero[9] = 0x00;
+        assert_eq!(Reader::new(&tenth_zero).varint(), Err(WireError::Invalid("overlong varint")));
+        // A lone zero byte is 0, the one canonical encoding of it.
+        assert_eq!(Reader::new(&[0x00]).varint(), Ok(0));
     }
 
     #[test]
