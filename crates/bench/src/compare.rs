@@ -280,6 +280,39 @@ const FINDINGS: &[Col<Finding>] = &[
     ("status", |f| f.status.clone()),
 ];
 
+/// One row of the drift roll-up: an exact metric, the cells it moved
+/// in, and current ÷ baseline over those of them with a non-zero
+/// numeric baseline, ascending.
+struct Moved {
+    metric: String,
+    cells: usize,
+    ratios: Vec<f64>,
+}
+
+/// The median of ascending `sorted`, `None` when it is empty.
+fn median(sorted: &[f64]) -> Option<f64> {
+    let n = sorted.len();
+    match n {
+        0 => None,
+        _ if n % 2 == 1 => Some(sorted[n / 2]),
+        _ => Some((sorted[n / 2 - 1] + sorted[n / 2]) / 2.0),
+    }
+}
+
+/// A ratio cell: three decimals, or a dash when there is none.
+fn times(r: Option<f64>) -> String {
+    r.map_or("—".into(), |r| format!("{r:.3}"))
+}
+
+/// The roll-up table: one line per exact metric that moved.
+const MOVED: &[Col<Moved>] = &[
+    ("metric", |m| m.metric.clone()),
+    ("cells", |m| m.cells.to_string()),
+    ("min ×", |m| times(m.ratios.first().copied())),
+    ("median ×", |m| times(median(&m.ratios))),
+    ("max ×", |m| times(m.ratios.last().copied())),
+];
+
 impl Comparison {
     /// Whether the gate passes.
     pub fn ok(&self) -> bool {
@@ -310,7 +343,35 @@ impl Comparison {
             return out;
         }
         out.push_str(&markdown(FINDINGS, &self.findings));
+        let moved = self.moved();
+        if !moved.is_empty() {
+            out.push_str("\n### Moved columns (current ÷ baseline)\n\n");
+            out.push_str(&markdown(MOVED, &moved));
+        }
         out
+    }
+
+    /// The exact-metric findings rolled up per metric, in name order.
+    fn moved(&self) -> Vec<Moved> {
+        let mut by_metric: BTreeMap<&str, Moved> = BTreeMap::new();
+        for f in self.findings.iter().filter(|f| f.metric != WALL) {
+            let m = by_metric.entry(&f.metric).or_insert_with(|| Moved {
+                metric: f.metric.clone(),
+                cells: 0,
+                ratios: Vec::new(),
+            });
+            m.cells += 1;
+            if let (Ok(b), Ok(c)) = (f.base.parse::<f64>(), f.fresh.parse::<f64>()) {
+                if b != 0.0 {
+                    m.ratios.push(c / b);
+                }
+            }
+        }
+        let mut moved: Vec<Moved> = by_metric.into_values().collect();
+        for m in &mut moved {
+            m.ratios.sort_by(f64::total_cmp);
+        }
+        moved
     }
 }
 
@@ -424,11 +485,7 @@ pub fn compare(base: &Json, fresh: &Json, wall_tol: f64) -> Comparison {
         })
         .collect();
     ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite ratios"));
-    cmp.wall_scale = match ratios.len() {
-        0 => 1.0,
-        n if n % 2 == 1 => ratios[n / 2],
-        n => (ratios[n / 2 - 1] + ratios[n / 2]) / 2.0,
-    };
+    cmp.wall_scale = median(&ratios).unwrap_or(1.0);
     cmp.cells = shared.len();
     for id in shared {
         let (b, f) = (base_cells[id], fresh_cells[id]);
@@ -780,5 +837,24 @@ mod tests {
         assert!(md.contains("| a | mgmt_pdus | 10 | 12 |"));
         let ok = compare(&base, &base, 0.25);
         assert!(ok.to_markdown().contains("no perf regression"));
+    }
+
+    /// Exact drift ends with one roll-up line per moved metric: the cells
+    /// it moved in and the spread of current ÷ baseline; wall clock stays
+    /// out of it.
+    #[test]
+    fn markdown_rolls_up_the_moved_columns() {
+        let base = sweep(&[("a", 1.0, 10.0), ("b", 1.0, 20.0), ("c", 1.0, 40.0), ("d", 1.0, 8.0)]);
+        let fresh = sweep(&[("a", 1.0, 12.0), ("b", 1.0, 20.0), ("c", 1.0, 20.0), ("d", 3.0, 6.0)]);
+        let fresh = with_member(&fresh, "reachable", Some(Json::Bool(false)));
+        let md = compare(&base, &fresh, 0.25).to_markdown();
+        let (_, rollup) = md.split_once("### Moved columns").expect("a roll-up");
+        assert!(rollup.contains("| metric | cells | min × | median × | max × |"), "{md}");
+        assert!(rollup.contains("| mgmt_pdus | 3 | 0.500 | 0.750 | 1.200 |"), "{md}");
+        assert!(rollup.contains("| reachable | 1 | — | — | — |"), "{md}");
+        assert!(!rollup.contains("wall_s"), "{md}");
+        let wall_only =
+            sweep(&[("a", 1.0, 10.0), ("b", 1.0, 20.0), ("c", 1.0, 40.0), ("d", 3.0, 8.0)]);
+        assert!(!compare(&base, &wall_only, 0.25).to_markdown().contains("Moved columns"));
     }
 }

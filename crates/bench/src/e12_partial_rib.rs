@@ -7,8 +7,11 @@
 //! becomes owner-held: each member stores only its own registrations and
 //! resolves foreign names on demand over the spanning tree
 //! (`DirLookupRequest`/`DirLookupResponse`), caching answers in a small
-//! LRU. `/lsa` and `/blocks` stay DIF-wide — routing and liveness still
-//! need the full graph.
+//! LRU. `/members` and `/lsa` stay DIF-wide — enrollment, routing and
+//! liveness still need every member's record and the full graph — so
+//! what a member holds is one record and one LSA per member plus its
+//! share of `/dir`: 2n + own registrations scoped, 2n + every
+//! registration in full.
 //!
 //! This experiment assembles the same scale-free internetwork as E10 with
 //! and without scoped `/dir` and measures the per-member **directory
@@ -133,6 +136,10 @@ mod tests {
         // Scoped: nobody holds more than its own few registrations.
         assert!(part.dir_objects_max <= 4, "scoped member hoards directory: {part:?}");
         assert!(part.rib_objects_max < full.rib_objects_max, "no RIB shrink: {part:?}");
+        // Beside `/dir`, a member holds one record and one LSA per member.
+        for r in [&full, &part] {
+            assert_eq!(r.rib_objects_max, 2 * r.members as u64 + r.dir_objects_max, "{r:?}");
+        }
         assert!(part.rib_bytes_max < full.rib_bytes_max, "no byte shrink: {part:?}");
         // The machinery was exercised, not bypassed.
         assert!(part.dir_lookups > 0, "no on-demand lookup ran: {part:?}");

@@ -5,12 +5,13 @@
 //! is healthy when:
 //!
 //! - the stack has assembled, every member is enrolled and has not
-//!   announced a leave, and every member's RIB records every member;
+//!   announced a leave, and every member's RIB holds exactly one
+//!   `/members/` record per member, naming its address and block;
 //! - every (N-1) port of every member is live: up, with the peer it
 //!   learned — no port outlives its adjacency;
-//! - member addresses are unique, each member sits at the base of the
-//!   block delegated to it, and the blocks form one tree: any two are
-//!   nested or disjoint, and the first and widest holds them all;
+//! - member addresses are unique, and the blocks `[addr, hi]` delegated
+//!   to them form one tree: any two are nested or disjoint, and the first
+//!   and widest holds them all;
 //! - no member holds a live RIB object whose origin is not a current
 //!   member: departed state never outlives its owner;
 //! - following first next hops through the members' forwarding tables
@@ -22,7 +23,7 @@
 //! both use; its [`Tables::ring`] is also the churn experiment's sampled
 //! reachability.
 
-use crate::ipcp::Ipcp;
+use crate::ipcp::{decode_member, member_name, Ipcp, MEMBER_PREFIX};
 use crate::naming::{Addr, AppName};
 use crate::net::{IpcpH, Net};
 use rina_sim::Dur;
@@ -44,18 +45,17 @@ pub enum Violation {
         /// The port's index.
         n1: usize,
     },
-    /// The member at `holder` records `records` members, not one per
-    /// live member.
+    /// The member at `holder` is wrong about the member record `record`:
+    /// it holds a record no live member has, lacks a live member's, or
+    /// holds one that is not that member's `(addr, hi)`.
     Membership {
-        /// Address of the member whose RIB is short or long.
+        /// Address of the member whose RIB is wrong.
         holder: Addr,
-        /// How many `/members/` records it holds.
-        records: usize,
+        /// The record's name.
+        record: String,
     },
     /// Two live members hold this address.
     DuplicateAddress(Addr),
-    /// This member's address is not the base of its block.
-    OffBlock(AppName),
     /// These two blocks partially overlap.
     Overlap((Addr, Addr), (Addr, Addr)),
     /// This block lies outside the first and widest one.
@@ -137,22 +137,23 @@ fn is_live(ip: &Ipcp) -> bool {
 
 /// The membership, address and block checks over the `live` members.
 fn membership(live: &[&Ipcp], out: &mut Vec<Violation>) {
+    let truth: BTreeMap<String, Option<(Addr, Addr)>> =
+        live.iter().map(|ip| (member_name(&ip.name), Some(ip.block()))).collect();
     let mut seen = BTreeSet::new();
     for ip in live {
-        let records = ip.rib.iter_prefix("/members/").count();
-        if records != live.len() {
-            out.push(Violation::Membership { holder: ip.addr, records });
-        }
+        let held: BTreeMap<&str, Option<(Addr, Addr)>> =
+            ip.rib.iter_prefix(MEMBER_PREFIX).map(|o| (o.name, decode_member(o.value))).collect();
+        let wrong = held.iter().filter(|&(n, v)| truth.get(*n) != Some(v)).map(|(n, _)| *n);
+        let missing = truth.keys().map(String::as_str).filter(|n| !held.contains_key(n));
+        let records = wrong.chain(missing).map(|n| n.to_string());
+        out.extend(records.map(|record| Violation::Membership { holder: ip.addr, record }));
         if !seen.insert(ip.addr) {
             out.push(Violation::DuplicateAddress(ip.addr));
-        }
-        if ip.block.0 != ip.addr || ip.block.1 < ip.addr {
-            out.push(Violation::OffBlock(ip.name.clone()));
         }
     }
     // By base, the wider first: each block must lie inside the innermost
     // block still open at its base, and only the first opens at none.
-    let mut blocks: Vec<(Addr, Addr)> = live.iter().map(|ip| ip.block).collect();
+    let mut blocks: Vec<(Addr, Addr)> = live.iter().map(|ip| ip.block()).collect();
     blocks.sort_by_key(|&(lo, hi)| (lo, Reverse(hi)));
     let mut open: Vec<(Addr, Addr)> = Vec::new();
     for (i, b) in blocks.into_iter().enumerate() {
@@ -240,6 +241,7 @@ impl<'n> Tables<'n> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ipcp::encode_member;
     use crate::net::NetBuilder;
     use crate::scenario::Topology;
     use bytes::Bytes;
@@ -259,7 +261,7 @@ mod tests {
     }
 
     /// What `check` says of a settled line once `brk` has been done to
-    /// its second member (address 2, block `(2, 4)`), and that member's
+    /// its second member (address 2, block `[2, 4]`), and that member's
     /// name.
     fn after(brk: impl FnOnce(&mut Net, IpcpH)) -> (Vec<Violation>, AppName) {
         let (mut net, m) = line();
@@ -273,11 +275,9 @@ mod tests {
         let set = |f: fn(&mut Ipcp)| move |net: &mut Net, h| f(net.ipcp_mut(h));
         let (found, _) = after(set(|ip| ip.addr = 1));
         assert!(found.contains(&DuplicateAddress(1)), "{found:?}");
-        let (found, name) = after(set(|ip| ip.block = (3, 4)));
-        assert!(found.contains(&OffBlock(name)), "{found:?}");
-        let (found, _) = after(set(|ip| ip.block = (2, 9)));
+        let (found, _) = after(set(|ip| ip.hi = 9));
         assert!(found.contains(&Overlap((1, 4), (2, 9))), "{found:?}");
-        let (found, _) = after(set(|ip| ip.block = (7, 9)));
+        let (found, _) = after(set(|ip| (ip.addr, ip.hi) = (7, 9)));
         assert!(found.contains(&OutsideRoot((7, 9))), "{found:?}");
         let (found, _) = after(set(|ip| {
             let (name, class) = ("/dir/ghost".to_string(), "dir".to_string());
@@ -287,9 +287,27 @@ mod tests {
         }));
         let ghost = Stale { holder: 2, origin: 99, name: "/dir/ghost".into() };
         assert!(found.contains(&ghost), "{found:?}");
+        let wrong = |record: &str| Membership { holder: 2, record: record.into() };
         let (found, _) =
             after(set(|ip| ip.rib.write_local("/members/ghost", "member", Bytes::new())));
-        assert!(found.contains(&Membership { holder: 2, records: 5 }), "{found:?}");
+        assert_eq!(found, [wrong("/members/ghost")]);
+        // A ghost in place of a real record: the count still matches.
+        let mut replaced = String::new();
+        let (found, _) = after(|net, h| {
+            let ip = net.ipcp_mut(h);
+            let own = member_name(&ip.name);
+            let other = ip.rib.iter_prefix(MEMBER_PREFIX).map(|o| o.name.to_string());
+            replaced = other.filter(|n| *n != own).last().expect("another member's record");
+            ip.rib.delete_local(&replaced);
+            ip.rib.write_local("/members/ghost", "member", encode_member(9, 9));
+        });
+        assert_eq!(found, [wrong("/members/ghost"), wrong(&replaced)]);
+        // A record with the wrong top of block.
+        let (found, name) = after(set(|ip| {
+            let rec = member_name(&ip.name);
+            ip.rib.write_local(&rec, "member", encode_member(2, 3));
+        }));
+        assert_eq!(found, [wrong(&member_name(&name))]);
         let (found, name) = after(|net, h| {
             let now = net.sim.now();
             net.ipcp_mut(h).announce_leave(now);

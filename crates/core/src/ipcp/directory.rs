@@ -4,10 +4,11 @@
 //! everyone else resolves on demand over the spanning tree into an LRU
 //! cache that the owners' tombstones invalidate.
 
-use super::{block_name, decode_addr, encode_addr, Ipcp, IpcpOut, IpcpStats};
+use super::{decode_addr, encode_addr, Ipcp, IpcpOut, IpcpStats};
 use crate::msg::MgmtBody;
 use crate::naming::{Addr, AppName};
 use crate::qos::QosSpec;
+use crate::routing::Lsa;
 use rina_rib::{EncodedObject, RibObjectRef};
 use rina_sim::{Dur, Time};
 use std::collections::BTreeMap;
@@ -362,10 +363,11 @@ impl Ipcp {
                 return; // the answer lost the race with a newer deletion
             }
         }
-        if self.rib.get(&block_name(addr)).is_none() {
-            // The owner's member state is already tombstoned DIF-wide:
-            // the answer raced its departure. Serving or caching it
-            // would point flows at a dead member past the GC grace.
+        if self.rib.get(&Lsa::object_name(addr)).is_none() {
+            // The owner's LSA is already tombstoned DIF-wide (or it
+            // never had one, and no route): the answer raced its
+            // departure. Serving or caching it would point flows at a
+            // dead member past the GC grace.
             return;
         }
         let resolved = self.directory.cache_answer(&name, addr, version);

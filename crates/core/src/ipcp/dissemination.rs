@@ -4,7 +4,7 @@
 //! floods out non-spanning-tree ports are token-bucket limited, and a
 //! member whose own objects get clobbered re-asserts them (DESIGN.md §6).
 
-use super::enroll::{block_name, encode_block, member_name, BLOCK_CLASS, BLOCK_PREFIX};
+use super::enroll::{encode_member, member_name, MEMBER_CLASS};
 use super::{encode_addr, Ipcp};
 use crate::msg::MgmtBody;
 use crate::naming::{Addr, AppName};
@@ -39,13 +39,12 @@ pub(super) const RESYNC_DAMP_TICKS: u64 = 4;
 const DELTA_CHUNK_BYTES: usize = 1024;
 
 /// The RIB names a member is authoritative for whatever else it wrote —
-/// its member record, its delegated block, its LSA — fixed by its name
-/// and address, so built once when the address is assigned rather than
-/// per object compared against them.
+/// its member record and its LSA — fixed by its name and address, so
+/// built once when the address is assigned rather than per object
+/// compared against them.
 #[derive(Default)]
 struct OwnNames {
     member: String,
-    block: String,
     lsa: String,
 }
 
@@ -78,11 +77,7 @@ impl Dissemination {
     /// The member named `name` took up `addr`: fix the names of the
     /// objects it is authoritative for.
     pub(super) fn set_own_names(&mut self, name: &AppName, addr: Addr) {
-        self.own = OwnNames {
-            member: member_name(name),
-            block: block_name(addr),
-            lsa: Lsa::object_name(addr),
-        };
+        self.own = OwnNames { member: member_name(name), lsa: Lsa::object_name(addr) };
     }
 
     /// Queue `enc` for the next flood batch out port `n1`.
@@ -125,7 +120,7 @@ impl Ipcp {
     /// only an object some port still lacks is handed on, as stored.
     /// Local-scope subtrees (owner-held /dir) are skipped whole: their
     /// live entries never replicate, and their deletions already flooded
-    /// once — departures invalidate through the replicated /blocks
+    /// once — departures invalidate through the replicated /lsa
     /// tombstone instead.
     pub(super) fn readvertise_own(&mut self) {
         let live = || {
@@ -267,12 +262,10 @@ impl Ipcp {
         }
         if self.rib.apply_ref(&obj) {
             if self.scoped_dir() && obj.deleted {
-                // A departing member's /blocks tombstone rides the
+                // A departing member's /lsa tombstone rides the
                 // fully-replicated machinery: use it to drop every
                 // cached directory answer pointing at the dead owner.
-                if let Some(a) =
-                    obj.name.strip_prefix(BLOCK_PREFIX).and_then(|s| s.parse::<Addr>().ok())
-                {
+                if let Some(a) = Lsa::addr_of_name(obj.name) {
                     self.directory.invalidate_owner(a, &mut self.stats);
                 }
             }
@@ -288,7 +281,7 @@ impl Ipcp {
     }
 
     /// If `obj` (just applied) clobbers an object this member is
-    /// authoritative for — its member record, its block, its LSA, or a
+    /// authoritative for — its member record, its LSA, or a
     /// live directory registration of its own — rewrite the truth and
     /// flood the correction ([`rina_rib::Rib::write_local`] bumps above
     /// whatever version is stored, tombstones included, so one round
@@ -312,9 +305,7 @@ impl Ipcp {
         }
         let own = &self.dissemination.own;
         let truth: Option<(&str, Bytes)> = if obj.name == own.member {
-            Some(("member", encode_addr(self.addr)))
-        } else if obj.name == own.block {
-            Some((BLOCK_CLASS, encode_block(self.block)))
+            Some((MEMBER_CLASS, encode_member(self.addr, self.hi)))
         } else if obj.name == own.lsa {
             let lsa = Lsa { neighbors: self.routes.advertised.iter().map(|&a| (a, 1)).collect() };
             Some((LSA_CLASS, lsa.encode()))

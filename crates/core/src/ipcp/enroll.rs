@@ -4,7 +4,7 @@
 //! (gracefully, or purged by the sponsor) is the same subject run
 //! backwards and lives here too.
 
-use super::{decode_addr, encode_addr, Ipcp, IpcpOut, IpcpTimer};
+use super::{Ipcp, IpcpOut, IpcpTimer};
 use crate::msg::MgmtBody;
 use crate::naming::{Addr, AppName};
 use crate::routing::Lsa;
@@ -17,10 +17,8 @@ use std::collections::{BTreeMap, BTreeSet};
 /// not a refusal — the joiner should back off and retry.
 pub const R_ENROLL_BUSY: i32 = -6;
 
-/// RIB object name prefix for delegated address blocks.
-pub const BLOCK_PREFIX: &str = "/blocks/";
-/// RIB object class for delegated address blocks.
-pub const BLOCK_CLASS: &str = "block";
+/// RIB object name prefix of the member records.
+pub(crate) const MEMBER_PREFIX: &str = "/members/";
 
 /// How many joiners one member sponsors concurrently (§5.2 at scale):
 /// each admission reserves a window slot until the joiner's first hello
@@ -50,8 +48,9 @@ const ADMIT_RETRY_MS: u32 = 100;
 /// not already cover (version-guarded and therefore idempotent).
 const SNAPSHOT_INLINE_MAX: usize = 64;
 
-/// An address with the block `[lo, hi]` delegated along with it.
-type Grant = (Addr, (Addr, Addr));
+/// An address with the top of the block delegated along with it: the
+/// grant of block `[addr, hi]`.
+type Grant = (Addr, Addr);
 
 /// The enrollment task's state (see module docs).
 #[derive(Default)]
@@ -61,9 +60,9 @@ pub(super) struct Enroll {
     /// The (N-1) port we enroll (or enrolled) through.
     via: Option<usize>,
     /// What our requests present and propose — credential, address,
-    /// block — as [`Ipcp::start_enroll`] or the planned enrollment path
-    /// ([`Ipcp::plan_adjacency`]) gave it: every retry repeats it.
-    pub(super) request: Option<(String, Addr, (Addr, Addr))>,
+    /// top of block — as [`Ipcp::start_enroll`] or the planned enrollment
+    /// path ([`Ipcp::plan_adjacency`]) gave it: every retry repeats it.
+    pub(super) request: Option<(String, Addr, Addr)>,
     /// Joiners admitted but not yet confirmed up (first hello pending):
     /// joiner name → (admitted at, grant). Size is capped by
     /// [`ADMISSION_WINDOW`].
@@ -138,46 +137,47 @@ impl Ipcp {
     pub fn bootstrap(&mut self, addr: Addr) {
         assert!(!self.enrolled, "already a member");
         assert!(addr != 0, "address 0 is reserved");
-        self.become_member(addr, (addr, addr));
-        self.rib.write_local(&member_name(&self.name), "member", encode_addr(addr));
+        self.become_member(addr, addr);
+        self.rib.write_local(&member_name(&self.name), MEMBER_CLASS, encode_member(addr, addr));
         self.drain_rib();
     }
 
-    /// Take up `addr` and `block` as a member of the DIF.
-    fn become_member(&mut self, addr: Addr, block: (Addr, Addr)) {
+    /// Take up `addr` and the block `[addr, hi]` as a member of the DIF.
+    fn become_member(&mut self, addr: Addr, hi: Addr) {
         self.addr = addr;
-        self.block = block;
+        self.hi = hi;
         self.rib.set_origin(addr);
         self.routes.engine.set_self(addr);
         self.enrolled = true;
         self.dissemination.set_own_names(&self.name, addr);
     }
 
-    /// Give this (bootstrapped) member the address block it sponsors
-    /// from. The enrollment planner hands the bootstrap the whole DIF
-    /// range; sub-blocks are delegated recursively at enrollment.
-    pub fn set_block(&mut self, block: (Addr, Addr)) {
+    /// Give this (bootstrapped) member the address block `[addr, hi]` it
+    /// sponsors from. The enrollment planner hands the bootstrap the
+    /// whole DIF range; sub-blocks are delegated recursively at
+    /// enrollment.
+    pub fn set_block(&mut self, hi: Addr) {
         assert!(self.enrolled, "only members hold blocks");
-        assert!(block.0 <= self.addr && self.addr <= block.1, "own address outside block");
-        self.block = block;
-        self.rib.write_local(&block_name(self.addr), BLOCK_CLASS, encode_block(block));
+        assert!(self.addr <= hi, "own address outside block");
+        self.hi = hi;
+        self.rib.write_local(&member_name(&self.name), MEMBER_CLASS, encode_member(self.addr, hi));
         self.drain_rib();
     }
 
     /// Begin enrollment through the member reachable over (N-1) port `n1`,
     /// presenting `credential` and proposing `proposed_addr` (0 = let the
-    /// sponsor choose) plus the address block the joiner's own subtree
-    /// will occupy ((0, 0) = none), and arm the retry timer
-    /// (`ENROLL_RETRY_PERIOD` from `now`).
+    /// sponsor choose) as the base of the block `[proposed_addr,
+    /// proposed_hi]` the joiner's own subtree will occupy, and arm the
+    /// retry timer (`ENROLL_RETRY_PERIOD` from `now`).
     pub fn start_enroll(
         &mut self,
         n1: usize,
         credential: &str,
         proposed_addr: Addr,
-        proposed_block: (Addr, Addr),
+        proposed_hi: Addr,
         now: Time,
     ) {
-        self.enroll.request = Some((credential.to_string(), proposed_addr, proposed_block));
+        self.enroll.request = Some((credential.to_string(), proposed_addr, proposed_hi));
         self.enroll_through(n1, now);
     }
 
@@ -208,7 +208,7 @@ impl Ipcp {
     /// and one per retry.
     fn retry_enroll(&mut self) {
         let Some(n1) = self.enroll.via.filter(|_| !self.enrolled) else { return };
-        let Some((credential, proposed_addr, proposed_block)) = self.enroll.request.clone() else {
+        let Some((credential, proposed_addr, proposed_hi)) = self.enroll.request.clone() else {
             return;
         };
         let invoke = self.next_invoke();
@@ -217,7 +217,7 @@ impl Ipcp {
             name: self.name.clone(),
             credential,
             proposed_addr,
-            proposed_block,
+            proposed_hi,
             // A retry advertises whatever the lost round already
             // synced, so the sponsor re-streams only the rest.
             digests: self.rib.digest_table(),
@@ -238,14 +238,14 @@ impl Ipcp {
         name: AppName,
         credential: String,
         proposed_addr: Addr,
-        proposed_block: (Addr, Addr),
+        proposed_hi: Addr,
         joiner_digests: DigestTable,
         invoke_id: u32,
         now: Time,
     ) {
         let refuse = |retry_after_ms: u32| MgmtBody::EnrollResponse {
             addr: 0,
-            block: (0, 0),
+            hi: 0,
             retry_after_ms,
             snapshot: vec![],
         };
@@ -261,7 +261,7 @@ impl Ipcp {
         self.enroll.admitting.retain(|_, &mut (t, _)| now.since(t) <= ADMIT_SLOT_TTL);
         // A retry from a joiner already holding a slot (its response was
         // lost): re-grant the same address and block, idempotently.
-        let (new_addr, new_block) = match self.enroll.admitting.get(&name) {
+        let (new_addr, new_hi) = match self.enroll.admitting.get(&name) {
             Some(&(_, grant)) => grant,
             None => {
                 if self.enroll.admitting.len() >= ADMISSION_WINDOW {
@@ -271,26 +271,21 @@ impl Ipcp {
                 }
                 assign_enrollee(
                     &self.rib,
-                    (self.addr, self.block),
+                    (self.addr, self.hi),
                     &name,
-                    proposed_addr,
-                    proposed_block,
+                    (proposed_addr, proposed_hi),
                 )
             }
         };
-        self.enroll.admitting.insert(name.clone(), (now, (new_addr, new_block)));
+        self.enroll.admitting.insert(name.clone(), (now, (new_addr, new_hi)));
         // An enrollment request is proof of life: a re-enrolling member
         // must not be purged by its own pending failure watch.
         self.enroll.gc_watch.remove(&name);
         self.stats.enrollments_sponsored += 1;
-        // Value-guarded: a re-granting retry must not bump versions and
-        // re-flood two unchanged objects to the whole DIF.
-        self.rib.write_local_if_changed(&member_name(&name), "member", encode_addr(new_addr));
-        self.rib.write_local_if_changed(
-            &block_name(new_addr),
-            BLOCK_CLASS,
-            encode_block(new_block),
-        );
+        // Value-guarded: a re-granting retry must not bump the version
+        // and re-flood an unchanged record to the whole DIF.
+        let record = encode_member(new_addr, new_hi);
+        self.rib.write_local_if_changed(&member_name(&name), MEMBER_CLASS, record);
         // Sync set captured *after* recording the new member so the
         // joiner sees itself. Small RIBs ride inline in the response;
         // big ones would overflow the (N-1) MTU, so they stream as
@@ -313,7 +308,7 @@ impl Ipcp {
         self.transfer.rebuild_peer_index();
         let body = MgmtBody::EnrollResponse {
             addr: new_addr,
-            block: new_block,
+            hi: new_hi,
             retry_after_ms: 0,
             snapshot: if stream { vec![] } else { self.rib.snapshot() },
         };
@@ -329,7 +324,7 @@ impl Ipcp {
     pub(super) fn handle_enroll_response(
         &mut self,
         addr: Addr,
-        block: (Addr, Addr),
+        hi: Addr,
         retry_after_ms: u32,
         snapshot: Vec<EncodedObject>,
         result: i32,
@@ -343,10 +338,10 @@ impl Ipcp {
             self.enroll.retry_hint = Some(Dur::from_millis(retry_after_ms.max(1) as u64));
             return;
         }
-        if result != 0 || addr == 0 {
+        if result != 0 || addr == 0 || hi < addr {
             return; // keep retrying (or give up via node policy)
         }
-        self.become_member(addr, if block == (0, 0) { (addr, addr) } else { block });
+        self.become_member(addr, hi);
         // The port we enrolled through is our spanning-tree edge.
         if let Some(peer) = self.enroll.via.and_then(|n1| self.neighbors.peers.get_mut(n1)) {
             peer.tree = true;
@@ -373,7 +368,7 @@ impl Ipcp {
     }
 
     /// Gracefully leave the DIF: tombstone every object this member is
-    /// responsible for — its member record, delegated block, LSA, and
+    /// responsible for — its member record, LSA, and
     /// everything it originated (directory registrations included) — so
     /// the deletions flood and anti-entropy exactly like any other RIB
     /// update, and stop originating new state. The caller must keep the
@@ -406,7 +401,7 @@ impl Ipcp {
     }
 
     /// Garbage-collect a failed sponsored member: tombstone its member
-    /// record, block, LSA, and every other live object it originated
+    /// record, LSA, and every other live object it originated
     /// (directory entries, re-asserted records). The tombstones ride
     /// the ordinary dissemination machinery — flood now, digest-driven
     /// anti-entropy later — so departed state cannot linger anywhere.
@@ -415,7 +410,7 @@ impl Ipcp {
             self.rib.delete_local(&n);
         }
         if self.scoped_dir() {
-            // The sponsor tombstones the block locally, so the wire
+            // The sponsor tombstones the LSA locally, so the wire
             // hook in `apply_and_reflood` never sees it: drop our own
             // cached answers pointing at the purged member here.
             self.directory.invalidate_owner(addr, &mut self.stats);
@@ -426,117 +421,82 @@ impl Ipcp {
 }
 
 /// The RIB objects that depart with member (`name`, `addr`): its
-/// member record, delegated block, LSA, and everything else it
-/// originated — EXCEPT the member and block records it wrote *as a
-/// sponsor* for other members. Those records carry the sponsor's
-/// origin (admission authored them) but describe still-live members;
-/// tombstoning them would force every described member through a
-/// reassert round for state that was never the departing member's
-/// to retract.
+/// member record, LSA, and everything else it originated — EXCEPT the
+/// member records it wrote *as a sponsor* for other members. Those
+/// records carry the sponsor's origin (admission authored them) but
+/// describe still-live members; tombstoning them would force every
+/// described member through a reassert round for state that was never
+/// the departing member's to retract.
 fn departure_names(rib: &Rib, name: &AppName, addr: Addr) -> Vec<String> {
     let member_rec = member_name(name);
     let mut names: Vec<String> = rib
         .live_of_origin(addr)
         .into_iter()
-        .filter(|n| {
-            if let Some(owner) = n.strip_prefix(BLOCK_PREFIX) {
-                return owner.parse::<u64>().map(|a| a == addr).unwrap_or(true);
-            }
-            if n.starts_with("/members/") {
-                return *n == member_rec;
-            }
-            true
-        })
+        .filter(|n| !n.starts_with(MEMBER_PREFIX) || *n == member_rec)
         .collect();
     names.push(member_rec);
-    names.push(block_name(addr));
     names.push(Lsa::object_name(addr));
     names.sort_unstable();
     names.dedup();
     names
 }
 
-/// Choose the address and block for enrollee `name`, as the sponsor at
-/// `me` (own address and delegated block), honouring its proposal when
-/// it conflicts with nothing `rib` knows. Sibling blocks must stay
-/// disjoint: a proposal that *partially* overlaps a known block (neither
-/// contains the other) is refused. A refused or absent proposal no
-/// longer dooms the joiner to a fragmenting singleton: a re-enrolling
-/// member gets its previous grant back (identity reuse — its stale
-/// records become its records again instead of colliding with them), and
-/// otherwise the sponsor *carves* a fresh sub-range out of its own
-/// delegated block, so unplanned joiners stay aggregatable with the
-/// sponsor's subtree. Only when the block is exhausted does the legacy
-/// fallback — a singleton past everything delegated — fire.
-fn assign_enrollee(
-    rib: &Rib,
-    me: Grant,
-    name: &AppName,
-    proposed_addr: Addr,
-    proposed_block: (Addr, Addr),
-) -> Grant {
-    let proposed_block =
-        if proposed_block == (0, 0) { (proposed_addr, proposed_addr) } else { proposed_block };
-    let (my_addr, (_, my_hi)) = me;
-    let mut max_addr = my_addr.max(my_hi);
-    let mut taken = proposed_addr == 0
-        || proposed_addr == my_addr
-        || proposed_addr < proposed_block.0
-        || proposed_addr > proposed_block.1;
+/// Choose the address and block for enrollee `name`, as the sponsor
+/// granted `me`, honouring its `proposed` grant when it conflicts with
+/// nothing `rib` knows. Sibling blocks must stay disjoint: a proposal
+/// that *partially* overlaps a recorded block (neither contains the
+/// other) is refused, and so is a block whose top lies below its base.
+/// A refused or absent proposal no longer dooms the joiner to a
+/// fragmenting singleton: a re-enrolling member gets its previous grant
+/// back (identity reuse — its stale record becomes its record again
+/// instead of colliding with it), and otherwise the sponsor *carves* a
+/// fresh sub-range out of its own delegated block, so unplanned joiners
+/// stay aggregatable with the sponsor's subtree. Only when the block is
+/// exhausted does the legacy fallback — a singleton past everything
+/// delegated — fire.
+fn assign_enrollee(rib: &Rib, me: Grant, name: &AppName, proposed: Grant) -> Grant {
+    let (my_addr, my_hi) = me;
+    let (p_addr, p_hi) = proposed;
+    let mut max_addr = my_hi;
+    let mut taken = p_addr == 0 || p_addr == my_addr || p_hi < p_addr;
     let own_member_name = member_name(name);
-    for o in rib.iter_prefix("/members/") {
-        if let Some(a) = decode_addr(o.value) {
-            max_addr = max_addr.max(a);
-            if a == proposed_addr && o.name != own_member_name {
-                taken = true;
-            }
+    let mut own = None;
+    for o in rib.iter_prefix(MEMBER_PREFIX) {
+        let Some((a, hi)) = decode_member(o.value) else { continue };
+        max_addr = max_addr.max(hi);
+        let mine = o.name == own_member_name;
+        if mine {
+            own = Some((a, hi));
         }
-    }
-    for o in rib.iter_prefix(BLOCK_PREFIX) {
-        let Some(b) = decode_block(o.value) else { continue };
-        max_addr = max_addr.max(b.1);
-        let disjoint = proposed_block.1 < b.0 || b.1 < proposed_block.0;
         // Nesting is only legitimate *inward*: a proposal may sit
         // inside an ancestor's block (enrollment runs top-down, so
         // every known containing block is an ancestor's). A proposal
         // that swallows an already-delegated block would let two
         // sponsors hand out the same addresses.
-        let inside = proposed_block.0 >= b.0 && proposed_block.1 <= b.1;
-        if !disjoint && !inside {
-            taken = true;
-        }
-        // A block equal to ours belongs to us; a proposal claiming it
-        // wholesale is only fine when it is the joiner's own retry.
-        if b == proposed_block && o.name != block_name(proposed_addr) {
+        let disjoint = p_hi < a || hi < p_addr;
+        let inside = a <= p_addr && p_hi <= hi;
+        if (!disjoint && !inside) || (a == p_addr && !mine) {
             taken = true;
         }
     }
     if !taken {
-        return (proposed_addr, proposed_block);
+        return proposed;
     }
     // Identity reuse: a member that failed (or lost its state) and
-    // re-enrolls under the same name is re-granted its recorded
-    // address and block.
-    if let Some(a) = rib.get(&own_member_name).and_then(|o| decode_addr(o.value)) {
-        if a != 0 && a != my_addr {
-            let b = rib
-                .get(&block_name(a))
-                .and_then(|o| decode_block(o.value))
-                .filter(|&(lo, hi)| lo <= a && a <= hi)
-                .unwrap_or((a, a));
-            return (a, b);
-        }
+    // re-enrolls under the same name is re-granted its recorded block.
+    if let Some(grant) = own.filter(|&(a, _)| a != 0 && a != my_addr) {
+        return grant;
     }
     if let Some(grant) = carve_block(rib, me) {
         return grant;
     }
     let a = max_addr + 1;
-    (a, (a, a))
+    (a, a)
 }
 
 /// Carve an unused sub-range out of the delegated block of the member
-/// at `me` for a joiner that proposed nothing usable: the joiner gets
-/// the first address of the largest free gap, plus the first half
+/// granted `me` for a joiner that proposed nothing usable: the joiner
+/// gets the first address of the largest free gap, plus the first half
 /// of that gap as its own block to sponsor from. Repeated carving
 /// halves geometrically, so one sponsor absorbs O(log block-size)
 /// generations of unplanned joiners before ever falling back to a
@@ -544,30 +504,23 @@ fn assign_enrollee(
 /// churn. Returns `None` when the block is a singleton or fully
 /// delegated.
 fn carve_block(rib: &Rib, me: Grant) -> Option<Grant> {
-    let (addr, (lo, hi)) = me;
+    let (lo, hi) = me;
     if lo >= hi {
         return None;
     }
-    // Everything already spoken for inside our block: our own
-    // address, delegated sub-blocks, and member addresses in range.
-    // Blocks *containing* ours are ancestors' (enrollment delegates
-    // top-down) — carving may only subdivide what was delegated to
-    // us, so they are skipped, as is our own block record.
-    let mut occ: Vec<(Addr, Addr)> = vec![(addr, addr)];
-    for o in rib.iter_prefix(BLOCK_PREFIX) {
-        let Some(b) = decode_block(o.value) else { continue };
-        if b.0 <= lo && hi <= b.1 {
+    // Everything already spoken for inside our block: our own address
+    // and the blocks of the members in range. Blocks *containing* ours
+    // are ancestors' (enrollment delegates top-down) — carving may only
+    // subdivide what was delegated to us, so they are skipped, as is
+    // our own record.
+    let mut occ: Vec<(Addr, Addr)> = vec![(lo, lo)];
+    for o in rib.iter_prefix(MEMBER_PREFIX) {
+        let Some((a, b)) = decode_member(o.value) else { continue };
+        if a <= lo && hi <= b {
             continue;
         }
-        if b.1 >= lo && b.0 <= hi {
-            occ.push((b.0.max(lo), b.1.min(hi)));
-        }
-    }
-    for o in rib.iter_prefix("/members/") {
-        if let Some(a) = decode_addr(o.value) {
-            if lo <= a && a <= hi {
-                occ.push((a, a));
-            }
+        if b >= lo && a <= hi {
+            occ.push((a.max(lo), b.min(hi)));
         }
     }
     occ.sort_unstable();
@@ -597,32 +550,33 @@ fn carve_block(rib: &Rib, me: Grant) -> Option<Grant> {
         }
     }
     let (g0, g1) = best?;
-    Some((g0, (g0, g0 + (g1 - g0) / 2)))
+    Some((g0, g0 + (g1 - g0) / 2))
 }
+
+/// RIB object class of the member records.
+pub(super) const MEMBER_CLASS: &str = "member";
 
 /// RIB object name of the member record of the process named `name`.
-pub(super) fn member_name(name: &AppName) -> String {
-    format!("/members/{}", name.key())
+pub(crate) fn member_name(name: &AppName) -> String {
+    format!("{MEMBER_PREFIX}{}", name.key())
 }
 
-/// RIB object name for the delegated block rooted at `addr`.
-pub fn block_name(addr: Addr) -> String {
-    format!("{BLOCK_PREFIX}{addr}")
-}
-
-/// Encode a delegated `[lo, hi]` block as a RIB object value.
-pub fn encode_block(b: (Addr, Addr)) -> Bytes {
+/// Encode a member record: the member's address, then the top of its
+/// block `[addr, hi]`. A reader that wants only the address reads the
+/// first varint.
+pub(crate) fn encode_member(addr: Addr, hi: Addr) -> Bytes {
     let mut w = rina_wire::codec::Writer::new();
-    w.varint(b.0).varint(b.1);
+    w.varint(addr).varint(hi);
     w.finish()
 }
 
-/// Decode a delegated block from a RIB object value.
-pub fn decode_block(b: &[u8]) -> Option<(Addr, Addr)> {
+/// Decode a member record into `(addr, hi)`; `None` unless it holds
+/// both and `hi` is not below `addr`.
+pub fn decode_member(b: &[u8]) -> Option<(Addr, Addr)> {
     let mut r = rina_wire::codec::Reader::new(b);
-    let lo = r.varint().ok()?;
+    let addr = r.varint().ok()?;
     let hi = r.varint().ok()?;
-    Some((lo, hi))
+    (addr <= hi).then_some((addr, hi))
 }
 
 #[cfg(test)]
@@ -635,23 +589,31 @@ mod tests {
     #[test]
     fn carve_block_halves_the_largest_free_gap() {
         let mut rib = Rib::new(1);
-        let me = (1, (1, 64));
-        let delegate = |rib: &mut Rib| {
-            let (addr, block) = carve_block(rib, me)?;
-            rib.write_local(&block_name(addr), BLOCK_CLASS, encode_block(block));
-            Some((addr, block))
+        let record = |rib: &mut Rib, name: &str, (addr, hi): Grant| {
+            rib.write_local(
+                &format!("{MEMBER_PREFIX}{name}"),
+                MEMBER_CLASS,
+                encode_member(addr, hi),
+            );
         };
-        assert_eq!(delegate(&mut rib), Some((2, (2, 33))));
-        assert_eq!(delegate(&mut rib), Some((34, (34, 49))));
-        assert_eq!(delegate(&mut rib), Some((50, (50, 57))));
-        // A member address inside the block is spoken for too.
-        rib.write_local("/members/net.x", "member", encode_addr(58));
-        assert_eq!(delegate(&mut rib), Some((59, (59, 61))));
+        let me = (1, 64);
+        record(&mut rib, "net.s", me);
+        let delegate = |rib: &mut Rib| {
+            let grant = carve_block(rib, me)?;
+            record(rib, &format!("net.j{}", grant.0), grant);
+            Some(grant)
+        };
+        assert_eq!(delegate(&mut rib), Some((2, 33)));
+        assert_eq!(delegate(&mut rib), Some((34, 49)));
+        assert_eq!(delegate(&mut rib), Some((50, 57)));
+        // A singleton member inside the block is spoken for too.
+        record(&mut rib, "net.x", (58, 58));
+        assert_eq!(delegate(&mut rib), Some((59, 61)));
         // An ancestor's block containing ours is not ours to subdivide
         // around; a singleton block has nothing to carve.
-        rib.write_local(&block_name(900), BLOCK_CLASS, encode_block((1, 1000)));
-        assert_eq!(delegate(&mut rib), Some((62, (62, 63))));
-        assert_eq!(carve_block(&rib, (5, (5, 5))), None);
+        record(&mut rib, "net.up", (1, 1000));
+        assert_eq!(delegate(&mut rib), Some((62, 63)));
+        assert_eq!(carve_block(&rib, (5, 5)), None);
     }
 
     /// The sponsor's books on the bare task struct: an admitted joiner's
@@ -662,7 +624,7 @@ mod tests {
         let (x, y) = (AppName::new("net.x"), AppName::new("net.y"));
         let mut e = Enroll::default();
         for (name, addr) in [(&x, 2), (&y, 3)] {
-            e.admitting.insert(name.clone(), (Time::ZERO, (addr, (addr, addr))));
+            e.admitting.insert(name.clone(), (Time::ZERO, (addr, addr)));
             e.on_enrolled_hello(name, addr);
         }
         assert!(e.admitting.is_empty() && e.sponsored.len() == 2);

@@ -9,7 +9,7 @@
 //! |---|---|---|---|
 //! | **IPC Data Transfer** (per PDU) | `transfer.rs` | `Transfer` | the (N-1) port table ([`N1Port`]), the peer-address relay index, the lower-flow index; relay-in-place, two-step forwarding, transmit |
 //! | **IPC Transfer Control** (per flow) | `flows.rs` | `Flows` | the one flow table (CEP → port, phase, binding), CEP ids, the EFCP timer dirty list, pending flow allocations, and each connection's armed deadline; the flow-allocator handshake (§5.3) |
-//! | **IPC Management** — enrollment (§5.2) | `enroll.rs` | `Enroll` | outstanding requests and what they propose, the admission window, sponsored members and their failure watch; address/block assignment, leave and purge |
+//! | **IPC Management** — enrollment (§5.2) | `enroll.rs` | `Enroll` | outstanding requests and what they propose, the admission window, sponsored members and their failure watch; address and block assignment, leave and purge |
 //! | — directory | `directory.rs` | `Directory` | own registrations, the lookup cache, tombstone memory, on-demand lookups in flight (scoped `/dir`) |
 //! | — neighbors | `neighbors.rs` | `Neighbors` | the planned adjacencies, the management view of each port (tree edge, peer digests, hello memo, a port's last lower flow), the hello send cache and tick count; allocating, retrying and binding lower flows, hello send/receive, expiry and release |
 //! | — routing | `routes.rs` | `Routes` | the route engine (LSA mirror, SPF, forwarding table), the advertised neighbor set and its debounce |
@@ -80,9 +80,8 @@ mod neighbors;
 mod routes;
 mod transfer;
 
-pub use enroll::{
-    block_name, decode_block, encode_block, BLOCK_CLASS, BLOCK_PREFIX, R_ENROLL_BUSY,
-};
+pub use enroll::{decode_member, R_ENROLL_BUSY};
+pub(crate) use enroll::{member_name, MEMBER_PREFIX};
 pub use transfer::{N1Kind, N1Port};
 
 use crate::dif::DifConfig;
@@ -266,7 +265,7 @@ pub struct IpcpStats {
     /// Authoritative [`MgmtBody::DirLookupResponse`]s sent as owner.
     pub dir_lookups_answered: u64,
     /// Cache entries dropped by invalidation (a `/dir` tombstone or the
-    /// owner's `/blocks` departure tombstone).
+    /// owner's `/lsa` departure tombstone).
     pub dir_invalidations: u64,
     /// Hellos sent (one per port per tick, plus triggered ones).
     pub hello_tx: u64,
@@ -305,10 +304,10 @@ pub struct Ipcp {
     pub name: AppName,
     /// DIF-internal address (0 until enrolled).
     pub addr: Addr,
-    /// Address block `[lo, hi]` delegated to this member at enrollment:
-    /// its own address plus the range it may sponsor its subtree from.
-    /// `(addr, addr)` when nothing was delegated.
-    pub block: (Addr, Addr),
+    /// Top of the address block `[addr, hi]` delegated to this member at
+    /// enrollment: the range it may sponsor its subtree from, its own
+    /// address first. `addr` when nothing was delegated.
+    pub hi: Addr,
     /// Built over a point-to-point medium ([`Ipcp::shim`]). Read by the
     /// three policies a shim varies, and nowhere else: [`Ipcp::manages`],
     /// [`Ipcp::dir_lookup`] and the flow binding.
@@ -361,7 +360,7 @@ impl Ipcp {
             cfg,
             name,
             addr: 0,
-            block: (0, 0),
+            hi: 0,
             is_shim: false,
             enrolled: false,
             departed: false,
@@ -409,6 +408,11 @@ impl Ipcp {
         fresh.neighbors.plans = self.neighbors.plans.iter().map(|p| p.restarted()).collect();
         fresh.enroll.request = self.enroll.request.clone();
         fresh
+    }
+
+    /// The address block `[addr, hi]` delegated to this member.
+    pub fn block(&self) -> (Addr, Addr) {
+        (self.addr, self.hi)
     }
 
     /// Whether this process is an enrolled member.
@@ -597,27 +601,21 @@ impl Ipcp {
             MgmtBody::Hello { name, addr, digests } => {
                 self.on_decoded_hello(m.payload, name, addr, digests, from_n1, now);
             }
-            MgmtBody::EnrollRequest {
-                name,
-                credential,
-                proposed_addr,
-                proposed_block,
-                digests,
-            } => {
+            MgmtBody::EnrollRequest { name, credential, proposed_addr, proposed_hi, digests } => {
                 self.handle_enroll_request(
                     from_n1,
                     name,
                     credential,
                     proposed_addr,
-                    proposed_block,
+                    proposed_hi,
                     digests,
                     cdap.invoke_id,
                     now,
                 );
             }
-            MgmtBody::EnrollResponse { addr, block, retry_after_ms, snapshot } => {
+            MgmtBody::EnrollResponse { addr, hi, retry_after_ms, snapshot } => {
                 if self.enroll.pending.remove(&cdap.invoke_id) {
-                    self.handle_enroll_response(addr, block, retry_after_ms, snapshot, cdap.result);
+                    self.handle_enroll_response(addr, hi, retry_after_ms, snapshot, cdap.result);
                 }
             }
             MgmtBody::FlowRequest { src_app, dst_app, spec, src_addr, src_cep } => {
@@ -711,6 +709,9 @@ fn encode_addr(a: Addr) -> Bytes {
 fn decode_addr(b: &[u8]) -> Option<Addr> {
     rina_wire::codec::Reader::new(b).varint().ok()
 }
+
+#[cfg(test)]
+pub(crate) use enroll::encode_member;
 
 #[cfg(test)]
 mod tests;

@@ -233,8 +233,8 @@ impl Ipcp {
     /// properties `spec`, first `start_after` into the run (the
     /// enrollment planner staggers waves by spanning-tree depth), and
     /// again whenever it is lost, until it holds. With `enroll` —
-    /// credential, proposed address (0 = sponsor chooses), proposed
-    /// subtree block ((0, 0) = none) — the adjacency is also the
+    /// credential, proposed address (0 = sponsor chooses), top of the
+    /// proposed subtree block — the adjacency is also the
     /// enrollment path: once its flow is up and this process is not yet
     /// a member, it enrolls through it.
     pub(crate) fn plan_adjacency(
@@ -243,7 +243,7 @@ impl Ipcp {
         spec: QosSpec,
         via: usize,
         start_after: Dur,
-        enroll: Option<(String, Addr, (Addr, Addr))>,
+        enroll: Option<(String, Addr, Addr)>,
     ) {
         let enrolls = enroll.is_some();
         if enrolls {

@@ -26,24 +26,18 @@ fn live_port(i: &mut Ipcp, iface: u32, peer_addr: Addr, tree: bool) -> usize {
 }
 
 /// An enrollment request from `name` arrives on `n1` at `now`, proposing
-/// `addr` and `block`, with an open-DIF (empty) credential.
-fn enroll_req(
-    s: &mut Ipcp,
-    n1: usize,
-    name: &str,
-    (addr, block): Proposal,
-    invoke: u32,
-    now: Time,
-) {
+/// the block `[addr, hi]`, with an open-DIF (empty) credential.
+fn enroll_req(s: &mut Ipcp, n1: usize, name: &str, (addr, hi): Proposal, invoke: u32, now: Time) {
     let none = DigestTable::default();
-    s.handle_enroll_request(n1, AppName::new(name), String::new(), addr, block, none, invoke, now);
+    s.handle_enroll_request(n1, AppName::new(name), String::new(), addr, hi, none, invoke, now);
 }
 
-/// What a joiner proposes: an address and the block around it.
-type Proposal = (Addr, (Addr, Addr));
+/// What a joiner proposes: an address and the top of the block it
+/// starts.
+type Proposal = (Addr, Addr);
 
 /// A joiner that proposes nothing.
-const NO_PROPOSAL: Proposal = (0, (0, 0));
+const NO_PROPOSAL: Proposal = (0, 0);
 
 /// The enrolled member `name` at `addr` says hello on `n1` at `now`.
 fn hello_from(s: &mut Ipcp, n1: usize, name: &str, addr: Addr, now: Time) {
@@ -53,17 +47,10 @@ fn hello_from(s: &mut Ipcp, n1: usize, name: &str, addr: Addr, now: Time) {
     s.on_frame(n1, pdu.encode(), now);
 }
 
-/// The `/blocks` record member `owner` holds for itself alone — the
-/// liveness record directory answers are checked against.
-fn block_obj(owner: Addr, version: u64, deleted: bool) -> RibObject {
-    RibObject {
-        name: block_name(owner),
-        class: BLOCK_CLASS.into(),
-        value: if deleted { Bytes::new() } else { encode_block((owner, owner)) },
-        version,
-        origin: owner,
-        deleted,
-    }
+/// The LSA of member `owner` with no neighbors — the liveness record
+/// directory answers are checked against.
+fn owner_lsa(owner: Addr, version: u64, deleted: bool) -> RibObject {
+    lsa_obj(owner, &[], version, deleted)
 }
 
 #[test]
@@ -101,7 +88,7 @@ fn registration_before_enrollment_is_written_on_enrolling() {
     j.add_n1(N1Kind::Phys { iface: 0 });
     j.dir_register(&AppName::new("web"));
     assert_eq!(j.rib.object_count(), 0, "not a member: nothing written");
-    j.handle_enroll_response(5, (5, 5), 0, Vec::new(), 0);
+    j.handle_enroll_response(5, 5, 0, Vec::new(), 0);
     assert_eq!(j.dir_lookup(&AppName::new("web")), Some(5));
 }
 
@@ -176,7 +163,7 @@ fn enroll_request_rejected_on_bad_secret() {
         AppName::new("net.x"),
         "wrong".into(),
         0,
-        (0, 0),
+        0,
         DigestTable::default(),
         5,
         Time::ZERO,
@@ -213,7 +200,7 @@ fn sponsor_assigns_sequential_addresses() {
 
 /// Decode the EnrollResponse a sponsor just emitted (among whatever
 /// RIB floods followed it).
-fn last_enroll_response(i: &mut Ipcp) -> (i32, Addr, (Addr, Addr), u32) {
+fn last_enroll_response(i: &mut Ipcp) -> (i32, Addr, Addr, u32) {
     i.take_out()
         .iter()
         .filter_map(|o| match o {
@@ -224,8 +211,8 @@ fn last_enroll_response(i: &mut Ipcp) -> (i32, Addr, (Addr, Addr), u32) {
             let Pdu::Mgmt(m) = Pdu::decode(&frame).ok()? else { return None };
             let cdap = CdapMsg::decode(&m.payload).ok()?;
             match MgmtBody::from_cdap(&cdap).ok()? {
-                MgmtBody::EnrollResponse { addr, block, retry_after_ms, .. } => {
-                    Some((cdap.result, addr, block, retry_after_ms))
+                MgmtBody::EnrollResponse { addr, hi, retry_after_ms, .. } => {
+                    Some((cdap.result, addr, hi, retry_after_ms))
                 }
                 _ => None,
             }
@@ -233,17 +220,17 @@ fn last_enroll_response(i: &mut Ipcp) -> (i32, Addr, (Addr, Addr), u32) {
         .expect("an EnrollResponse frame")
 }
 
-/// A sponsor at address 1 holding block (1, 100), with `ports` ports, and
+/// A sponsor at address 1 holding block `[1, 100]`, with `ports` ports, and
 /// the joiners `net.j0 … net.j8` with the disjoint ten-address blocks
 /// they propose.
 fn sponsor_and_joiners(ports: u32) -> (Ipcp, Vec<(String, Proposal)>) {
     let mut sponsor = mk("net.s");
     sponsor.bootstrap(1);
-    sponsor.set_block((1, 100));
+    sponsor.set_block(100);
     for iface in 0..ports {
         sponsor.add_n1(N1Kind::Phys { iface });
     }
-    let joiners = (0..9u64).map(|k| (format!("net.j{k}"), (2 + 10 * k, (2 + 10 * k, 11 + 10 * k))));
+    let joiners = (0..9u64).map(|k| (format!("net.j{k}"), (2 + 10 * k, 11 + 10 * k)));
     (sponsor, joiners.collect())
 }
 
@@ -295,39 +282,39 @@ fn admitted_retry_regrants_same_address_without_a_second_slot() {
 fn block_proposal_swallowing_a_sibling_is_refused_and_carved() {
     let mut sponsor = mk("net.s");
     sponsor.bootstrap(1);
-    sponsor.set_block((1, 50));
+    sponsor.set_block(50);
     sponsor.add_n1(N1Kind::Phys { iface: 0 });
     sponsor.add_n1(N1Kind::Phys { iface: 1 });
-    enroll_req(&mut sponsor, 0, "net.a", (2, (2, 10)), 1, Time::ZERO);
-    let (_, a, b, _) = last_enroll_response(&mut sponsor);
-    assert_eq!((a, b), (2, (2, 10)));
-    // net.b proposes (2, 20): strictly *contains* net.a's (2, 10) —
+    enroll_req(&mut sponsor, 0, "net.a", (20, 30), 1, Time::ZERO);
+    let (_, a, hi, _) = last_enroll_response(&mut sponsor);
+    assert_eq!((a, hi), (20, 30));
+    // net.b proposes [11, 40]: strictly *contains* net.a's [20, 30] —
     // inward nesting is fine, swallowing a delegation is not.
-    enroll_req(&mut sponsor, 1, "net.b", (11, (2, 20)), 2, Time::ZERO);
-    let (r, a2, b2, _) = last_enroll_response(&mut sponsor);
+    enroll_req(&mut sponsor, 1, "net.b", (11, 40), 2, Time::ZERO);
+    let (r, a2, hi2, _) = last_enroll_response(&mut sponsor);
     assert_eq!(r, 0);
     // The refused proposal is replaced by a carve from the
-    // sponsor's own block: the largest free gap is (11, 50), the
+    // sponsor's own block: the largest free gap is [31, 50], the
     // joiner gets its first address and its first half.
-    assert_eq!((a2, b2), (11, (11, 30)));
+    assert_eq!((a2, hi2), (31, 40));
 }
 
 #[test]
 fn partially_overlapping_block_proposal_gets_a_carved_block() {
     let mut sponsor = mk("net.s");
     sponsor.bootstrap(1);
-    sponsor.set_block((1, 50));
+    sponsor.set_block(50);
     sponsor.add_n1(N1Kind::Phys { iface: 0 });
     sponsor.add_n1(N1Kind::Phys { iface: 1 });
-    enroll_req(&mut sponsor, 0, "net.a", (2, (2, 20)), 1, Time::ZERO);
-    let (_, a, b, _) = last_enroll_response(&mut sponsor);
-    assert_eq!((a, b), (2, (2, 20)));
-    // net.b claims (15, 30): straddles net.a's block — rejected
-    // proposal, replaced by a carve of the free (21, 50) gap.
-    enroll_req(&mut sponsor, 1, "net.b", (15, (15, 30)), 2, Time::ZERO);
-    let (r, a2, b2, _) = last_enroll_response(&mut sponsor);
+    enroll_req(&mut sponsor, 0, "net.a", (2, 20), 1, Time::ZERO);
+    let (_, a, hi, _) = last_enroll_response(&mut sponsor);
+    assert_eq!((a, hi), (2, 20));
+    // net.b claims [15, 30]: straddles net.a's block — rejected
+    // proposal, replaced by a carve of the free [21, 50] gap.
+    enroll_req(&mut sponsor, 1, "net.b", (15, 30), 2, Time::ZERO);
+    let (r, a2, hi2, _) = last_enroll_response(&mut sponsor);
     assert_eq!(r, 0);
-    assert_eq!((a2, b2), (21, (21, 35)));
+    assert_eq!((a2, hi2), (21, 35));
 }
 
 #[test]
@@ -448,7 +435,7 @@ fn undecodable_lsa_value_keeps_last_good_mirror_entry() {
 fn carving_gives_unplanned_joiners_nested_aggregatable_blocks() {
     let mut sponsor = mk("net.s");
     sponsor.bootstrap(1);
-    sponsor.set_block((1, 64));
+    sponsor.set_block(64);
     for i in 0..3 {
         sponsor.add_n1(N1Kind::Phys { iface: i });
     }
@@ -459,13 +446,12 @@ fn carving_gives_unplanned_joiners_nested_aggregatable_blocks() {
         assert_eq!(r, 0);
         grants.push((a, b));
     }
-    assert_eq!(grants, vec![(2, (2, 33)), (34, (34, 49)), (50, (50, 57))]);
-    for &(a, (lo, hi)) in &grants {
-        assert!(1 <= lo && hi <= 64, "carves stay inside the sponsor's block");
-        assert!(lo <= a && a <= hi);
+    assert_eq!(grants, vec![(2, 33), (34, 49), (50, 57)]);
+    for &(lo, hi) in &grants {
+        assert!(1 < lo && lo <= hi && hi <= 64, "carves stay inside the sponsor's block");
     }
-    for (i, &(_, x)) in grants.iter().enumerate() {
-        for &(_, y) in &grants[i + 1..] {
+    for (i, &x) in grants.iter().enumerate() {
+        for &y in &grants[i + 1..] {
             assert!(x.1 < y.0 || y.1 < x.0, "carved blocks stay disjoint");
         }
     }
@@ -478,20 +464,51 @@ fn carving_gives_unplanned_joiners_nested_aggregatable_blocks() {
 fn failed_member_re_enrolls_with_its_old_grant() {
     let mut sponsor = mk("net.s");
     sponsor.bootstrap(1);
-    sponsor.set_block((1, 64));
+    sponsor.set_block(64);
     sponsor.add_n1(N1Kind::Phys { iface: 0 });
     enroll_req(&mut sponsor, 0, "net.x", NO_PROPOSAL, 1, Time::ZERO);
-    let (_, first_addr, first_block, _) = last_enroll_response(&mut sponsor);
+    let (_, first_addr, first_hi, _) = last_enroll_response(&mut sponsor);
     // The joiner came up (enrolled hello), then crashed and lost its
     // state entirely: its fresh incarnation proposes nothing.
     hello_from(&mut sponsor, 0, "net.x", first_addr, Time::ZERO);
     sponsor.take_out();
     enroll_req(&mut sponsor, 0, "net.x", NO_PROPOSAL, 2, Time::from_secs(10));
-    let (r, again_addr, again_block, _) = last_enroll_response(&mut sponsor);
+    let (r, again_addr, again_hi, _) = last_enroll_response(&mut sponsor);
     assert_eq!(r, 0);
-    assert_eq!((again_addr, again_block), (first_addr, first_block), "identity reuse");
-    let rec = decode_addr(sponsor.rib.get("/members/net.x").unwrap().value).unwrap();
-    assert_eq!(rec, first_addr, "one member record, unchanged");
+    assert_eq!((again_addr, again_hi), (first_addr, first_hi), "identity reuse");
+    let rec = decode_member(sponsor.rib.get("/members/net.x").unwrap().value).unwrap();
+    assert_eq!(rec, (first_addr, first_hi), "one member record, unchanged");
+}
+
+/// A block whose top lies below its base is no grant, whichever way it
+/// travels: the sponsor treats such a proposal as none (identity reuse,
+/// then a carve), and the joiner refuses such a grant and keeps retrying.
+#[test]
+fn a_block_below_its_base_is_refused_both_ways() {
+    let mut sponsor = mk("net.s");
+    sponsor.bootstrap(1);
+    sponsor.set_block(64);
+    sponsor.add_n1(N1Kind::Phys { iface: 0 });
+    enroll_req(&mut sponsor, 0, "net.x", (10, 9), 1, Time::ZERO);
+    let (r, a, hi, _) = last_enroll_response(&mut sponsor);
+    assert_eq!((r, a, hi), (0, 2, 33), "carved, as for no proposal");
+    hello_from(&mut sponsor, 0, "net.x", 2, Time::ZERO);
+    sponsor.take_out();
+    enroll_req(&mut sponsor, 0, "net.x", (40, 39), 2, Time::from_secs(10));
+    let (r, a, hi, _) = last_enroll_response(&mut sponsor);
+    assert_eq!((r, a, hi), (0, 2, 33), "identity reuse");
+
+    let mut j = mk("net.j");
+    j.add_n1(N1Kind::Phys { iface: 0 });
+    j.start_enroll(0, "", 0, 0, Time::ZERO);
+    j.take_out();
+    j.handle_enroll_response(5, 4, 0, Vec::new(), 0);
+    assert!(!j.is_enrolled(), "a grant below its base is refused");
+    j.on_timer(IpcpTimer::EnrollRetry, Time::from_millis(300));
+    let asks = tx_mgmt(&j.take_out());
+    assert!(asks.iter().any(|(_, _, b)| matches!(b, MgmtBody::EnrollRequest { .. })), "retried");
+    j.handle_enroll_response(5, 5, 0, Vec::new(), 0);
+    assert_eq!((j.is_enrolled(), j.block()), (true, (5, 5)));
 }
 
 /// A sponsor with a 2 s failure-GC grace that has admitted `net.x` over
@@ -500,7 +517,7 @@ fn sponsor_of_x() -> (Ipcp, Addr) {
     let cfg = DifConfig::new("net").with_member_gc_grace_ms(2_000);
     let mut sponsor = Ipcp::new(0, cfg, AppName::new("net.s"));
     sponsor.bootstrap(1);
-    sponsor.set_block((1, 64));
+    sponsor.set_block(64);
     sponsor.add_n1(N1Kind::Phys { iface: 0 });
     enroll_req(&mut sponsor, 0, "net.x", NO_PROPOSAL, 1, Time::ZERO);
     let (_, addr, _, _) = last_enroll_response(&mut sponsor);
@@ -508,7 +525,7 @@ fn sponsor_of_x() -> (Ipcp, Addr) {
 }
 
 /// Sponsor-side failure GC: a sponsored member that goes silent past
-/// the grace has its member record, block, and LSA tombstoned; any
+/// the grace has its member record and LSA tombstoned; any
 /// sign of life within the grace cancels the purge.
 #[test]
 fn sponsor_purges_a_silent_sponsored_member_after_grace() {
@@ -531,7 +548,6 @@ fn sponsor_purges_a_silent_sponsored_member_after_grace() {
     let purged_at = purged_at.expect("the purge fired");
     assert!(purged_at >= 3_500, "expiry (~1.5 s) plus grace (2 s), got {purged_at} ms");
     assert!(sponsor.rib.get("/members/net.x").is_none());
-    assert!(sponsor.rib.get(&block_name(addr)).is_none());
     assert!(sponsor.rib.get(&Lsa::object_name(addr)).is_none());
     assert!(sponsor.rib.live_of_origin(addr).is_empty());
 
@@ -700,8 +716,8 @@ fn scoped_lookup_resolves_waiting_allocation_and_caches() {
     let mut a = mk_scoped("net.a");
     a.bootstrap(1);
     live_port(&mut a, 0, 7, true); // owner is a direct tree neighbor
-                                   // The owner's member state is known DIF-wide (liveness guard).
-    assert!(a.rib.apply_remote_silent(block_obj(7, 1, false)));
+                                   // The owner's LSA is known DIF-wide (liveness guard).
+    assert!(a.rib.apply_remote_silent(owner_lsa(7, 1, false)));
     a.alloc_flow(10, AppName::new("c"), AppName::new("web"), QosSpec::reliable());
     let out = a.take_out();
     assert!(
@@ -757,7 +773,7 @@ fn dir_tombstone_invalidates_cache_and_blocks_stale_answers() {
     a.bootstrap(1);
     live_port(&mut a, 0, 7, true);
     live_port(&mut a, 1, 8, true);
-    assert!(a.rib.apply_remote_silent(block_obj(7, 1, false)));
+    assert!(a.rib.apply_remote_silent(owner_lsa(7, 1, false)));
     // Seed the cache through a lookup answer.
     a.handle_dir_lookup_response("/dir/web".into(), 7, 1);
     a.alloc_flow(10, AppName::new("c"), AppName::new("web"), QosSpec::reliable());
@@ -802,20 +818,20 @@ fn dir_tombstone_invalidates_cache_and_blocks_stale_answers() {
 }
 
 #[test]
-fn blocks_tombstone_drops_cached_answers_for_departed_owner() {
+fn lsa_tombstone_drops_cached_answers_for_departed_owner() {
     let mut a = mk_scoped("net.a");
     a.bootstrap(1);
-    assert!(a.rib.apply_remote_silent(block_obj(7, 1, false)));
+    assert!(a.rib.apply_remote_silent(owner_lsa(7, 1, false)));
     a.handle_dir_lookup_response("/dir/web".into(), 7, 1);
     a.handle_dir_lookup_response("/dir/ssh".into(), 7, 1);
     a.handle_dir_lookup_response("/dir/ftp".into(), 8, 1);
     // /dir/ftp points elsewhere and needs its own liveness record.
-    assert_eq!(a.directory.cache.len(), 2, "owner 8 has no member state: not cached");
-    assert!(a.rib.apply_remote_silent(block_obj(8, 1, false)));
+    assert_eq!(a.directory.cache.len(), 2, "owner 8 has no LSA: not cached");
+    assert!(a.rib.apply_remote_silent(owner_lsa(8, 1, false)));
     a.handle_dir_lookup_response("/dir/ftp".into(), 8, 1);
     assert_eq!(a.directory.cache.len(), 3);
-    // Member 7 departs: its block tombstone arrives over the wire.
-    reflood(&mut a, block_obj(7, 2, true), 0);
+    // Member 7 departs: its LSA tombstone arrives over the wire.
+    reflood(&mut a, owner_lsa(7, 2, true), 0);
     assert_eq!(a.stats.dir_invalidations, 2, "both answers pointing at 7 dropped");
     assert_eq!(a.directory.cache.len(), 1, "the unrelated answer survives");
     // A late answer from the departed owner is refused outright.
@@ -855,7 +871,7 @@ fn a_port_released_while_its_lookup_is_pending_never_resumes() {
     let mut a = mk_scoped("net.a");
     a.bootstrap(1);
     live_port(&mut a, 0, 7, true);
-    assert!(a.rib.apply_remote_silent(block_obj(7, 1, false)));
+    assert!(a.rib.apply_remote_silent(owner_lsa(7, 1, false)));
     a.alloc_flow(10, AppName::new("c"), AppName::new("web"), QosSpec::reliable());
     a.take_out();
     a.dealloc_port(10);
@@ -878,7 +894,7 @@ fn dir_cache_evicts_least_recently_used_beyond_capacity() {
     let mut a = mk_scoped("net.a");
     a.bootstrap(1);
     for owner in [7u64, 8, 9] {
-        assert!(a.rib.apply_remote_silent(block_obj(owner, 1, false)));
+        assert!(a.rib.apply_remote_silent(owner_lsa(owner, 1, false)));
     }
     a.handle_dir_lookup_response("/dir/one".into(), 7, 1);
     a.handle_dir_lookup_response("/dir/two".into(), 8, 1);

@@ -49,10 +49,11 @@ pub enum MgmtBody {
         /// planned networks propose to avoid races between concurrent
         /// sponsors; the sponsor still verifies uniqueness.
         proposed_addr: Addr,
-        /// Address block `[lo, hi]` the joiner proposes to sponsor its own
-        /// subtree from ((0, 0) = none; the planner derives blocks from
-        /// spanning-subtree sizes so sibling blocks never overlap).
-        proposed_block: (Addr, Addr),
+        /// Top of the address block `[proposed_addr, proposed_hi]` the
+        /// joiner proposes to sponsor its own subtree from (the planner
+        /// derives blocks from spanning-subtree sizes so sibling blocks
+        /// never overlap). Below `proposed_addr`, no usable proposal.
+        proposed_hi: Addr,
         /// The joiner's RIB digest table. Empty for a fresh joiner; a
         /// retrying or re-enrolling joiner advertises what it already
         /// holds, and the sponsor syncs only the mismatched subtrees —
@@ -64,9 +65,10 @@ pub enum MgmtBody {
     EnrollResponse {
         /// Address assigned to the joiner (0 on failure).
         addr: Addr,
-        /// Address block delegated to the joiner for sub-sponsorship
-        /// ((0, 0) = singleton: just `addr`).
-        block: (Addr, Addr),
+        /// Top of the address block `[addr, hi]` delegated to the joiner
+        /// for sub-sponsorship (`addr` for a singleton). Below `addr`, no
+        /// grant.
+        hi: Addr,
         /// When the sponsor's admission window was full
         /// ([`crate::ipcp::R_ENROLL_BUSY`]), how soon the joiner should
         /// retry, in milliseconds (0 otherwise).
@@ -169,22 +171,16 @@ impl MgmtBody {
                 digests.encode_into(&mut w);
                 (OpCode::Write, class::HELLO, "/neighbors/self".to_string(), w.finish())
             }
-            MgmtBody::EnrollRequest {
-                name,
-                credential,
-                proposed_addr,
-                proposed_block,
-                digests,
-            } => {
+            MgmtBody::EnrollRequest { name, credential, proposed_addr, proposed_hi, digests } => {
                 let mut w = Writer::new();
-                w.string(&name.key()).string(&credential).varint(proposed_addr);
-                w.varint(proposed_block.0).varint(proposed_block.1);
+                w.string(&name.key()).string(&credential);
+                w.varint(proposed_addr).varint(proposed_hi);
                 digests.encode_into(&mut w);
                 (OpCode::Connect, class::ENROLL, "/enrollment".to_string(), w.finish())
             }
-            MgmtBody::EnrollResponse { addr, block, retry_after_ms, snapshot } => {
+            MgmtBody::EnrollResponse { addr, hi, retry_after_ms, snapshot } => {
                 let mut w = Writer::new();
-                w.varint(addr).varint(block.0).varint(block.1).varint(retry_after_ms as u64);
+                w.varint(addr).varint(hi).varint(retry_after_ms as u64);
                 w.varint(snapshot.len() as u64);
                 for o in &snapshot {
                     w.bytes(o.wire());
@@ -253,20 +249,20 @@ impl MgmtBody {
                 let name = AppName::from_key(r.string()?);
                 let credential = r.string()?.to_string();
                 let proposed_addr = r.varint()?;
-                let proposed_block = (r.varint()?, r.varint()?);
+                let proposed_hi = r.varint()?;
                 let digests = DigestTable::decode_from(&mut r)?;
                 r.expect_end()?;
                 Ok(MgmtBody::EnrollRequest {
                     name,
                     credential,
                     proposed_addr,
-                    proposed_block,
+                    proposed_hi,
                     digests,
                 })
             }
             (OpCode::ConnectR, class::ENROLL) => {
                 let addr = r.varint()?;
-                let block = (r.varint()?, r.varint()?);
+                let hi = r.varint()?;
                 let retry_after_ms =
                     u32::try_from(r.varint()?).map_err(|_| WireError::Invalid("retry_after_ms"))?;
                 let n = r.varint()? as usize;
@@ -275,7 +271,7 @@ impl MgmtBody {
                     snapshot.push(EncodedObject::parse(m.value.slice_ref(r.bytes()?))?);
                 }
                 r.expect_end()?;
-                Ok(MgmtBody::EnrollResponse { addr, block, retry_after_ms, snapshot })
+                Ok(MgmtBody::EnrollResponse { addr, hi, retry_after_ms, snapshot })
             }
             (OpCode::Create, class::FLOW) => {
                 let src_app = AppName::from_key(r.string()?);
@@ -402,12 +398,12 @@ mod tests {
             name: AppName::new("net.h1"),
             credential: "s3cret".into(),
             proposed_addr: 4,
-            proposed_block: (4, 9),
+            proposed_hi: 9,
             digests: table(),
         });
         roundtrip(MgmtBody::EnrollResponse {
             addr: 9,
-            block: (9, 14),
+            hi: 14,
             retry_after_ms: 0,
             snapshot: vec![EncodedObject::of(&RibObject {
                 name: "/dir/a".into(),
@@ -418,12 +414,7 @@ mod tests {
                 deleted: false,
             })],
         });
-        roundtrip(MgmtBody::EnrollResponse {
-            addr: 0,
-            block: (0, 0),
-            retry_after_ms: 0,
-            snapshot: vec![],
-        });
+        roundtrip(MgmtBody::EnrollResponse { addr: 0, hi: 0, retry_after_ms: 0, snapshot: vec![] });
     }
 
     /// Regression pin for the wave-parallel enrollment fields: subtree
@@ -431,13 +422,13 @@ mod tests {
     /// hint on busy responses must survive the codec byte-exactly.
     #[test]
     fn enroll_admission_and_prefix_fields_roundtrip() {
-        // A dynamic joiner proposes nothing; blocks stay (0, 0) and the
-        // digest table is empty (fresh RIB).
+        // A dynamic joiner proposes nothing: address and block top stay
+        // 0 and the digest table is empty (fresh RIB).
         roundtrip(MgmtBody::EnrollRequest {
             name: AppName::new("net.dyn"),
             credential: String::new(),
             proposed_addr: 0,
-            proposed_block: (0, 0),
+            proposed_hi: 0,
             digests: DigestTable::default(),
         });
         // A planned joiner proposes the block its subtree will occupy; a
@@ -446,20 +437,30 @@ mod tests {
             name: AppName::new("net.h9"),
             credential: "k".into(),
             proposed_addr: 17,
-            proposed_block: (17, 40),
+            proposed_hi: 40,
             digests: table(),
         });
         // Busy sponsor: no address, no block, an explicit backoff hint.
         roundtrip(MgmtBody::EnrollResponse {
             addr: 0,
-            block: (0, 0),
+            hi: 0,
             retry_after_ms: 120,
             snapshot: vec![],
         });
+        // A block whose top lies below its base travels as sent: refusing
+        // it is the receiver's call, not the codec's.
+        roundtrip(MgmtBody::EnrollRequest {
+            name: AppName::new("net.h9"),
+            credential: "k".into(),
+            proposed_addr: 17,
+            proposed_hi: 16,
+            digests: DigestTable::default(),
+        });
+        roundtrip(MgmtBody::EnrollResponse { addr: 9, hi: 3, retry_after_ms: 0, snapshot: vec![] });
         // Large block bounds exercise multi-byte varints.
         roundtrip(MgmtBody::EnrollResponse {
             addr: 1 << 40,
-            block: (1 << 40, (1 << 41) - 1),
+            hi: (1 << 41) - 1,
             retry_after_ms: u32::MAX,
             snapshot: vec![],
         });
@@ -685,12 +686,12 @@ mod tests {
                 name: AppName::new("net.h9"),
                 credential: "k".into(),
                 proposed_addr: 17,
-                proposed_block: (17, 40),
+                proposed_hi: 40,
                 digests: table(),
             },
             MgmtBody::EnrollResponse {
                 addr: 1 << 40,
-                block: (1 << 40, (1 << 41) - 1),
+                hi: (1 << 41) - 1,
                 retry_after_ms: 120,
                 snapshot: vec![obj("/lsa/4", false)],
             },

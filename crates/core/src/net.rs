@@ -480,11 +480,12 @@ impl NetBuilder {
             }
             // The bootstrap sponsors from the whole DIF range.
             let boot_ipcp = self.ipcp_of(DifH(dif), NodeH(boot)).idx;
-            self.node_mut(boot).ipcp_mut(boot_ipcp).set_block(block_of[boot]);
+            self.node_mut(boot).ipcp_mut(boot_ipcp).set_block(block_of[boot].1);
             let schedule = self.enroll_schedule;
             for (&child, &(par, via, spec)) in &parent {
                 let credential = overrides.get(&child).unwrap_or(&credential).clone();
-                let enroll = (credential, block_of[child].0, block_of[child]);
+                let (addr, hi) = block_of[child];
+                let enroll = (credential, addr, hi);
                 let start_after = schedule.start_after(depth[child], rank[child] as u64);
                 self.hand_over(dif, (child, par), (via, spec), start_after, Some(enroll));
             }
@@ -508,7 +509,7 @@ impl NetBuilder {
         (src, dst): (usize, usize),
         (via, spec): (Via, QosSpec),
         start_after: Dur,
-        enroll: Option<(String, Addr, (Addr, Addr))>,
+        enroll: Option<(String, Addr, Addr)>,
     ) {
         let upper = self.ipcp_of(DifH(dif), NodeH(src)).idx;
         let provider = self.provider_on(via, src);

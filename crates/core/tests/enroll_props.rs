@@ -6,7 +6,7 @@
 //! graph the planner spans and however admission interleaves, the DIF
 //! must end healthy ([`invariants::check`]: every member enrolled, unique
 //! addresses, blocks nested or disjoint), planner addresses must be the
-//! DFS preorder 1..=n, every member's RIB must record the blocks the
+//! DFS preorder 1..=n, the member records must name the blocks the
 //! members hold, and the final outcome must be independent of the event
 //! interleaving the schedule produces.
 
@@ -15,7 +15,7 @@ mod common;
 use common::topology;
 use proptest::prelude::*;
 use rina::invariants;
-use rina::ipcp::{decode_block, BLOCK_PREFIX};
+use rina::ipcp::decode_member;
 use rina::prelude::*;
 use rina::scenario::Topology;
 use std::collections::{BTreeMap, BTreeSet};
@@ -59,23 +59,23 @@ fn member_map(a: &Assembled) -> BTreeMap<String, u64> {
         .collect()
 }
 
-/// Every delegated block, read from one member's RIB: (owner address
-/// parsed from the object name, `[lo, hi]`), by owner.
+/// Every delegated block `[addr, hi]`, read from the member records in
+/// one member's RIB, by address.
 fn block_map(a: &Assembled) -> BTreeMap<u64, (u64, u64)> {
     a.net
         .ipcp(a.ipcps[0])
         .rib
-        .iter_prefix(BLOCK_PREFIX)
+        .iter_prefix("/members/")
         .map(|o| {
-            let owner = o.name[BLOCK_PREFIX.len()..].parse::<u64>().expect("block owner");
-            (owner, decode_block(o.value).expect("block value"))
+            let (addr, hi) = decode_member(o.value).expect("member record");
+            (addr, (addr, hi))
         })
         .collect()
 }
 
 /// The block each member holds, by its address.
 fn own_blocks(a: &Assembled) -> BTreeMap<u64, (u64, u64)> {
-    a.ipcps.iter().map(|&h| (a.net.ipcp(h).addr, a.net.ipcp(h).block)).collect()
+    a.ipcps.iter().map(|&h| (a.net.ipcp(h).addr, a.net.ipcp(h).block())).collect()
 }
 
 /// Run until the DIF of `a` is healthy, or fail with what is still wrong.

@@ -31,12 +31,12 @@ fn dropped_first_enroll_response_converges_without_leaking_pending() {
     let t = Time::ZERO;
     let mut sponsor = Ipcp::new(0, DifConfig::new("net"), AppName::new("net.s"));
     sponsor.bootstrap(1);
-    sponsor.set_block((1, 8));
+    sponsor.set_block(8);
     sponsor.add_n1(N1Kind::Phys { iface: 0 });
     let mut joiner = Ipcp::new(0, DifConfig::new("net"), AppName::new("net.j"));
     joiner.add_n1(N1Kind::Phys { iface: 0 });
 
-    joiner.start_enroll(0, "", 2, (2, 4), t);
+    joiner.start_enroll(0, "", 2, 4, t);
     for f in tx_frames(&mut joiner) {
         sponsor.on_frame(0, f, t);
     }
@@ -57,7 +57,7 @@ fn dropped_first_enroll_response_converges_without_leaking_pending() {
     }
     assert!(joiner.is_enrolled(), "retry converged");
     assert_eq!(joiner.addr, 2, "the sponsor re-granted the same address");
-    assert_eq!(joiner.block, (2, 4), "and the same block");
+    assert_eq!(joiner.block(), (2, 4), "and the same block");
     assert_eq!(
         joiner.pending_enrolls(),
         0,
@@ -72,7 +72,7 @@ fn dropped_first_enroll_response_converges_without_leaking_pending() {
 /// whole membership and full routes.
 #[test]
 fn lossy_streamed_snapshots_repaired_by_digest_anti_entropy() {
-    let n = 22; // members + blocks + LSAs ≈ 66 objects > the inline cap
+    let n = 33; // members + LSAs ≈ 66 objects > the inline cap
     let mut b = NetBuilder::new(5);
     let lossy = LinkCfg::wired().with_loss(LossModel::Bernoulli(0.1));
     let fab = Topology::line(n).with_link(lossy).materialize(&mut b);

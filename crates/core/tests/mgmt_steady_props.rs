@@ -54,7 +54,7 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut i = Ipcp::new(0, DifConfig::new("net"), AppName::with_instance("net", "m"));
         i.add_n1(N1Kind::Phys { iface: 0 });
-        i.start_enroll(0, "", 0, (0, 0), Time::ZERO); // invoke id 1 stays pending
+        i.start_enroll(0, "", 0, 0, Time::ZERO); // invoke id 1 stays pending
         i.take_out();
         let mut now = Time::ZERO;
         // The state the last hello was sent for, and the encodes so far.
@@ -85,9 +85,10 @@ proptest! {
                     // A streamed enrollment: the response carries the
                     // address and no objects, so the address moves and
                     // the RIB generation does not.
+                    let addr = rng.gen_range(1..9u64);
                     let granted = MgmtBody::EnrollResponse {
-                        addr: rng.gen_range(1..9u64),
-                        block: (0, 0),
+                        addr,
+                        hi: addr,
                         retry_after_ms: 0,
                         snapshot: vec![],
                     };
@@ -127,7 +128,7 @@ proptest! {
         let mk = || {
             let mut i = Ipcp::new(0, DifConfig::new("net"), AppName::new("net.a"));
             i.bootstrap(1);
-            i.set_block((1, 64));
+            i.set_block(64);
             for iface in 0..2 {
                 i.add_n1(N1Kind::Phys { iface });
             }
