@@ -281,11 +281,14 @@ const FINDINGS: &[Col<Finding>] = &[
 ];
 
 /// One row of the drift roll-up: an exact metric, the cells it moved
-/// in, and current ÷ baseline over those of them with a non-zero
-/// numeric baseline, ascending.
+/// in, how many of them it rose and fell in (numeric values only, a
+/// zero baseline included), and current ÷ baseline over those of them
+/// with a non-zero numeric baseline, ascending.
 struct Moved {
     metric: String,
     cells: usize,
+    up: usize,
+    down: usize,
     ratios: Vec<f64>,
 }
 
@@ -308,6 +311,8 @@ fn times(r: Option<f64>) -> String {
 const MOVED: &[Col<Moved>] = &[
     ("metric", |m| m.metric.clone()),
     ("cells", |m| m.cells.to_string()),
+    ("up", |m| m.up.to_string()),
+    ("down", |m| m.down.to_string()),
     ("min ×", |m| times(m.ratios.first().copied())),
     ("median ×", |m| times(median(&m.ratios))),
     ("max ×", |m| times(m.ratios.last().copied())),
@@ -358,10 +363,14 @@ impl Comparison {
             let m = by_metric.entry(&f.metric).or_insert_with(|| Moved {
                 metric: f.metric.clone(),
                 cells: 0,
+                up: 0,
+                down: 0,
                 ratios: Vec::new(),
             });
             m.cells += 1;
             if let (Ok(b), Ok(c)) = (f.base.parse::<f64>(), f.fresh.parse::<f64>()) {
+                m.up += usize::from(c > b);
+                m.down += usize::from(c < b);
                 if b != 0.0 {
                     m.ratios.push(c / b);
                 }
@@ -840,18 +849,24 @@ mod tests {
     }
 
     /// Exact drift ends with one roll-up line per moved metric: the cells
-    /// it moved in and the spread of current ÷ baseline; wall clock stays
-    /// out of it.
+    /// it moved in, how many it rose and fell in, and the spread of
+    /// current ÷ baseline; a move off a zero baseline counts its
+    /// direction but has no ratio; wall clock stays out of it.
     #[test]
     fn markdown_rolls_up_the_moved_columns() {
         let base = sweep(&[("a", 1.0, 10.0), ("b", 1.0, 20.0), ("c", 1.0, 40.0), ("d", 1.0, 8.0)]);
         let fresh = sweep(&[("a", 1.0, 12.0), ("b", 1.0, 20.0), ("c", 1.0, 20.0), ("d", 3.0, 6.0)]);
         let fresh = with_member(&fresh, "reachable", Some(Json::Bool(false)));
+        let fresh = with_member(&fresh, "stale_rib", Some(Json::Num(1.0)));
         let md = compare(&base, &fresh, 0.25).to_markdown();
         let (_, rollup) = md.split_once("### Moved columns").expect("a roll-up");
-        assert!(rollup.contains("| metric | cells | min × | median × | max × |"), "{md}");
-        assert!(rollup.contains("| mgmt_pdus | 3 | 0.500 | 0.750 | 1.200 |"), "{md}");
-        assert!(rollup.contains("| reachable | 1 | — | — | — |"), "{md}");
+        assert!(
+            rollup.contains("| metric | cells | up | down | min × | median × | max × |"),
+            "{md}"
+        );
+        assert!(rollup.contains("| mgmt_pdus | 3 | 1 | 2 | 0.500 | 0.750 | 1.200 |"), "{md}");
+        assert!(rollup.contains("| reachable | 1 | 0 | 0 | — | — | — |"), "{md}");
+        assert!(rollup.contains("| stale_rib | 1 | 1 | 0 | — | — | — |"), "{md}");
         assert!(!rollup.contains("wall_s"), "{md}");
         let wall_only =
             sweep(&[("a", 1.0, 10.0), ("b", 1.0, 20.0), ("c", 1.0, 40.0), ("d", 3.0, 8.0)]);

@@ -10,7 +10,7 @@ use crate::msg::MgmtBody;
 use crate::naming::{Addr, AppName};
 use crate::routing::{Lsa, LSA_CLASS};
 use bytes::Bytes;
-use rina_rib::{subtree_of, EncodedObject, EncodedSummary, RibObjectRef};
+use rina_rib::{subtree_of, EncodedObject, EncodedSummary, ObjVer, RibObjectRef};
 use rina_sim::{Dur, Time};
 use std::collections::BTreeMap;
 
@@ -195,18 +195,24 @@ impl Ipcp {
         }
     }
 
-    /// Push the full objects of `subtrees` to the peer on `n1` as
-    /// MTU-sized [`MgmtBody::RibDeltaResponse`] batches — the enrollment
+    /// Send the peer on `n1` what it lacks of `subtree` in `[from, upto)`,
+    /// given its `summary` of that range, as MTU-sized
+    /// [`MgmtBody::RibDeltaResponse`] batches; returns whether the summary
+    /// shows the peer holding versions we lack. An empty summary of the
+    /// whole subtree is answered with all of it: that is the enrollment
     /// sync stream (version-guarded, so idempotent under retries).
-    pub(super) fn stream_subtrees(&mut self, n1: usize, subtrees: &[String]) {
-        if let Some(p) = self.neighbors.peers.get_mut(n1) {
-            p.last_resync_tick = self.neighbors.ticks;
-        }
-        for st in subtrees {
-            let encs: Vec<EncodedObject> =
-                self.rib.delta_for(st, "", "", &[]).0.into_iter().cloned().collect();
-            self.send_encoded_batches(n1, st, &encs);
-        }
+    pub(super) fn serve_delta(
+        &mut self,
+        n1: usize,
+        subtree: &str,
+        from: &str,
+        upto: &str,
+        summary: &[ObjVer<'_>],
+    ) -> bool {
+        let (objects, behind) = self.rib.delta_for(subtree, from, upto, summary);
+        let encs: Vec<EncodedObject> = objects.into_iter().cloned().collect();
+        self.send_encoded_batches(n1, subtree, &encs);
+        behind
     }
 
     /// The peer on `from_n1` asked for what it lacks of `subtree` in
@@ -223,9 +229,7 @@ impl Ipcp {
         if !self.manages() {
             return;
         }
-        let (objects, behind) = self.rib.delta_for(&subtree, from, upto, &summary.entries());
-        let encs: Vec<EncodedObject> = objects.into_iter().cloned().collect();
-        self.send_encoded_batches(from_n1, &subtree, &encs);
+        let behind = self.serve_delta(from_n1, &subtree, from, upto, &summary.entries());
         // The summary proves the requester holds versions we
         // lack: pull them right back (damped, so two diverged
         // peers converge in one round trip without ping-pong).
@@ -244,8 +248,16 @@ impl Ipcp {
     /// other neighbors. LSA changes reach the routing engine through the
     /// RIB watch hook and repair on the node's debounce timer (a flood
     /// of remote LSAs collapses into one classified SPF repair).
+    ///
+    /// A process that is not yet a member applies and forwards nothing:
+    /// what reaches it is its sponsor's sync set, streamed ahead of the
+    /// enrollment response to initialize its RIB.
     pub(super) fn apply_and_reflood(&mut self, enc: &EncodedObject, from_n1: usize) {
         let obj = enc.view();
+        if !self.manages() {
+            self.rib.apply_ref(&obj);
+            return;
+        }
         if self.scoped_dir() && obj.name.starts_with("/dir/") {
             // Owner-held scope: only the entry's owner stores it. The
             // owner takes the normal path below — apply + reassert heal

@@ -9,7 +9,7 @@ use crate::msg::MgmtBody;
 use crate::naming::{Addr, AppName};
 use crate::routing::Lsa;
 use bytes::Bytes;
-use rina_rib::{DigestTable, EncodedObject, Rib};
+use rina_rib::{DigestTable, Rib};
 use rina_sim::{Dur, Time};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -38,15 +38,6 @@ const ENROLL_RETRY_PERIOD: Dur = Dur::from_millis(300);
 /// [`ENROLL_RETRY_PERIOD`]: once a joiner has reached a live sponsor,
 /// admission rounds — not timeouts — should pace the wave.
 const ADMIT_RETRY_MS: u32 = 100;
-
-/// Largest RIB snapshot inlined into one [`MgmtBody::EnrollResponse`].
-/// Bigger RIBs would overflow the (N-1) MTU in a single PDU — the very
-/// wall that capped facilities near 100 members — so past this size the
-/// sponsor sends an *empty* snapshot and streams the sync set as
-/// MTU-sized [`MgmtBody::RibDeltaResponse`] batches right behind the
-/// response, restricted to the subtrees the joiner's digest table does
-/// not already cover (version-guarded and therefore idempotent).
-const SNAPSHOT_INLINE_MAX: usize = 64;
 
 /// An address with the top of the block delegated along with it: the
 /// grant of block `[addr, hi]`.
@@ -243,12 +234,8 @@ impl Ipcp {
         invoke_id: u32,
         now: Time,
     ) {
-        let refuse = |retry_after_ms: u32| MgmtBody::EnrollResponse {
-            addr: 0,
-            hi: 0,
-            retry_after_ms,
-            snapshot: vec![],
-        };
+        let refuse =
+            |retry_after_ms: u32| MgmtBody::EnrollResponse { addr: 0, hi: 0, retry_after_ms };
         if !self.manages() {
             self.send_mgmt_on(from_n1, refuse(0), invoke_id, -1);
             return;
@@ -286,17 +273,6 @@ impl Ipcp {
         // and re-flood an unchanged record to the whole DIF.
         let record = encode_member(new_addr, new_hi);
         self.rib.write_local_if_changed(&member_name(&name), MEMBER_CLASS, record);
-        // Sync set captured *after* recording the new member so the
-        // joiner sees itself. Small RIBs ride inline in the response;
-        // big ones would overflow the (N-1) MTU, so they stream as
-        // batched subtree deltas behind an empty-snapshot response —
-        // and only for the subtrees the joiner's advertised digest
-        // table does not already cover: a retrying or re-enrolling
-        // joiner costs O(missing), not O(RIB). (The snapshot clone
-        // itself is taken only on the inline path — cloning a growing
-        // RIB per sponsored joiner just to count it was an O(members ×
-        // RIB) tax on assembly.)
-        let stream = self.rib.object_count() > SNAPSHOT_INLINE_MAX;
         if let Some(p) = self.transfer.n1.get_mut(from_n1) {
             p.peer_name = Some(name);
             p.peer_addr = new_addr;
@@ -304,19 +280,21 @@ impl Ipcp {
         if let Some(peer) = self.neighbors.peers.get_mut(from_n1) {
             // Sponsoring over this port makes it a spanning-tree edge.
             peer.tree = true;
+            peer.last_resync_tick = self.neighbors.ticks;
         }
         self.transfer.rebuild_peer_index();
-        let body = MgmtBody::EnrollResponse {
-            addr: new_addr,
-            hi: new_hi,
-            retry_after_ms: 0,
-            snapshot: if stream { vec![] } else { self.rib.snapshot() },
-        };
-        self.send_mgmt_on(from_n1, body, invoke_id, 0);
-        if stream {
-            let missing = self.rib.mismatched(&joiner_digests);
-            self.stream_subtrees(from_n1, &missing);
+        // Initialize the joiner's RIB, then grant: the sync set — taken
+        // *after* recording the new member, so the joiner sees itself —
+        // streams as MTU-sized batches ahead of the response on the same
+        // port, so the joiner has learned the DIF before it writes as a
+        // member. Only the subtrees its advertised digest table does not
+        // already cover go: a retrying or re-enrolling joiner costs
+        // O(missing), not O(RIB).
+        for subtree in self.rib.mismatched(&joiner_digests) {
+            self.serve_delta(from_n1, &subtree, "", "", &[]);
         }
+        let body = MgmtBody::EnrollResponse { addr: new_addr, hi: new_hi, retry_after_ms: 0 };
+        self.send_mgmt_on(from_n1, body, invoke_id, 0);
         self.drain_rib();
         self.refresh_lsa();
     }
@@ -326,7 +304,6 @@ impl Ipcp {
         addr: Addr,
         hi: Addr,
         retry_after_ms: u32,
-        snapshot: Vec<EncodedObject>,
         result: i32,
     ) {
         if self.enrolled {
@@ -348,9 +325,6 @@ impl Ipcp {
         }
         // Requests retried before this response landed are now moot.
         self.enroll.pending.clear();
-        for o in &snapshot {
-            self.rib.apply_ref(&o.view());
-        }
         self.routes.sync(&mut self.rib);
         self.routes.engine.recompute();
         // Announce ourselves on every port and advertise our adjacency.

@@ -350,7 +350,7 @@ impl Ipcp {
         // ever re-decoding the subtree wholesale.
         rib.watch_prefix(LSA_PREFIX);
         if cfg.scoped_dir {
-            // Owner-held directory: /dir leaves the digest, snapshot,
+            // Owner-held directory: /dir leaves the digest, sync-stream
             // and delta surface entirely.
             rib.set_local_subtree("/dir");
         }
@@ -499,7 +499,9 @@ impl Ipcp {
         match job {
             Deferred::Routes => {
                 self.routes.sync(&mut self.rib);
-                self.routes.recompute_wanted()
+                // Routes are rooted at this member's address: before
+                // enrollment there is none, and enrollment recomputes.
+                self.routes.recompute_wanted().filter(|_| self.enrolled)
             }
             Deferred::Lsa => self.routes.lsa_dirty.then_some(routes::LSA_DEBOUNCE),
             Deferred::Flood => self.dissemination.flush_wanted(),
@@ -613,9 +615,9 @@ impl Ipcp {
                     now,
                 );
             }
-            MgmtBody::EnrollResponse { addr, hi, retry_after_ms, snapshot } => {
+            MgmtBody::EnrollResponse { addr, hi, retry_after_ms } => {
                 if self.enroll.pending.remove(&cdap.invoke_id) {
-                    self.handle_enroll_response(addr, hi, retry_after_ms, snapshot, cdap.result);
+                    self.handle_enroll_response(addr, hi, retry_after_ms, cdap.result);
                 }
             }
             MgmtBody::FlowRequest { src_app, dst_app, spec, src_addr, src_cep } => {

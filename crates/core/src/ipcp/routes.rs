@@ -58,7 +58,7 @@ impl Routes {
     /// Drain `rib`'s `/lsa/*` watch queue into the routing engine —
     /// the single funnel through which the engine's graph mirror learns
     /// of LSA changes, whatever path stored them (local write, flood,
-    /// delta response, enrollment snapshot, tombstone).
+    /// delta response, enrollment sync stream, tombstone).
     pub(super) fn sync(&mut self, rib: &mut Rib) {
         while let Some(enc) = rib.poll_watch() {
             let o = enc.view();

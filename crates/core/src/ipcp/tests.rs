@@ -88,8 +88,30 @@ fn registration_before_enrollment_is_written_on_enrolling() {
     j.add_n1(N1Kind::Phys { iface: 0 });
     j.dir_register(&AppName::new("web"));
     assert_eq!(j.rib.object_count(), 0, "not a member: nothing written");
-    j.handle_enroll_response(5, 5, 0, Vec::new(), 0);
+    j.handle_enroll_response(5, 5, 0, 0);
     assert_eq!(j.dir_lookup(&AppName::new("web")), Some(5));
+}
+
+/// What reaches a process before it is a member — its sponsor's sync
+/// set, streamed ahead of the response — is stored and goes no further:
+/// nothing is queued for any other port, and no route recomputation is
+/// asked for, since routes are rooted at an address it does not hold
+/// yet. The response that makes it a member computes them once.
+#[test]
+fn a_non_member_applies_the_sync_set_and_forwards_nothing() {
+    let mut j = mk("net.j");
+    live_port(&mut j, 0, 1, true);
+    live_port(&mut j, 1, 7, false);
+    reflood(&mut j, lsa_obj(1, &[(7, 1)], 1, false), 0);
+    reflood(&mut j, lsa_obj(7, &[(1, 1)], 1, false), 0);
+    assert!(j.rib.get("/lsa/1").is_some() && j.rib.get("/lsa/7").is_some());
+    assert_eq!(j.dissemination.flush_wanted(), None, "nothing queued to flood");
+    let mut timers = Vec::new();
+    j.timers_wanted(Time::ZERO, &mut timers);
+    assert!(timers.is_empty(), "{timers:?}");
+    assert_eq!(j.route_stats().spf_full, 0);
+    j.handle_enroll_response(5, 5, 0, 0);
+    assert_eq!(j.route_stats().spf_full, 1);
 }
 
 /// A relay at address 1 with live ports toward peers 2 and 3.
@@ -502,12 +524,12 @@ fn a_block_below_its_base_is_refused_both_ways() {
     j.add_n1(N1Kind::Phys { iface: 0 });
     j.start_enroll(0, "", 0, 0, Time::ZERO);
     j.take_out();
-    j.handle_enroll_response(5, 4, 0, Vec::new(), 0);
+    j.handle_enroll_response(5, 4, 0, 0);
     assert!(!j.is_enrolled(), "a grant below its base is refused");
     j.on_timer(IpcpTimer::EnrollRetry, Time::from_millis(300));
     let asks = tx_mgmt(&j.take_out());
     assert!(asks.iter().any(|(_, _, b)| matches!(b, MgmtBody::EnrollRequest { .. })), "retried");
-    j.handle_enroll_response(5, 5, 0, Vec::new(), 0);
+    j.handle_enroll_response(5, 5, 0, 0);
     assert_eq!((j.is_enrolled(), j.block()), (true, (5, 5)));
 }
 

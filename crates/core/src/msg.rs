@@ -60,8 +60,11 @@ pub enum MgmtBody {
         /// O(missing) instead of O(RIB).
         digests: DigestTable,
     },
-    /// Enrollment outcome. On success carries the assigned address and a
-    /// full RIB synchronization set.
+    /// Enrollment outcome. On success grants the joiner its address and
+    /// block. It carries no RIB: the sponsor streams the sync set as
+    /// [`MgmtBody::RibDeltaResponse`] batches on the same port *ahead* of
+    /// this response, so whatever the RIB's size the joiner has learned
+    /// the DIF before it starts writing as a member.
     EnrollResponse {
         /// Address assigned to the joiner (0 on failure).
         addr: Addr,
@@ -73,8 +76,6 @@ pub enum MgmtBody {
         /// ([`crate::ipcp::R_ENROLL_BUSY`]), how soon the joiner should
         /// retry, in milliseconds (0 otherwise).
         retry_after_ms: u32,
-        /// RIB snapshot to initialize the joiner.
-        snapshot: Vec<EncodedObject>,
     },
     /// Ask the member hosting the destination application to create a flow
     /// (the request "continues to the identified IPC process to ensure that
@@ -178,13 +179,9 @@ impl MgmtBody {
                 digests.encode_into(&mut w);
                 (OpCode::Connect, class::ENROLL, "/enrollment".to_string(), w.finish())
             }
-            MgmtBody::EnrollResponse { addr, hi, retry_after_ms, snapshot } => {
+            MgmtBody::EnrollResponse { addr, hi, retry_after_ms } => {
                 let mut w = Writer::new();
                 w.varint(addr).varint(hi).varint(retry_after_ms as u64);
-                w.varint(snapshot.len() as u64);
-                for o in &snapshot {
-                    w.bytes(o.wire());
-                }
                 (OpCode::ConnectR, class::ENROLL, "/enrollment".to_string(), w.finish())
             }
             MgmtBody::FlowRequest { src_app, dst_app, spec, src_addr, src_cep } => {
@@ -265,13 +262,8 @@ impl MgmtBody {
                 let hi = r.varint()?;
                 let retry_after_ms =
                     u32::try_from(r.varint()?).map_err(|_| WireError::Invalid("retry_after_ms"))?;
-                let n = r.varint()? as usize;
-                let mut snapshot = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    snapshot.push(EncodedObject::parse(m.value.slice_ref(r.bytes()?))?);
-                }
                 r.expect_end()?;
-                Ok(MgmtBody::EnrollResponse { addr, hi, retry_after_ms, snapshot })
+                Ok(MgmtBody::EnrollResponse { addr, hi, retry_after_ms })
             }
             (OpCode::Create, class::FLOW) => {
                 let src_app = AppName::from_key(r.string()?);
@@ -401,20 +393,8 @@ mod tests {
             proposed_hi: 9,
             digests: table(),
         });
-        roundtrip(MgmtBody::EnrollResponse {
-            addr: 9,
-            hi: 14,
-            retry_after_ms: 0,
-            snapshot: vec![EncodedObject::of(&RibObject {
-                name: "/dir/a".into(),
-                class: "dir".into(),
-                value: Bytes::from_static(b"\x07"),
-                version: 3,
-                origin: 1,
-                deleted: false,
-            })],
-        });
-        roundtrip(MgmtBody::EnrollResponse { addr: 0, hi: 0, retry_after_ms: 0, snapshot: vec![] });
+        roundtrip(MgmtBody::EnrollResponse { addr: 9, hi: 14, retry_after_ms: 0 });
+        roundtrip(MgmtBody::EnrollResponse { addr: 0, hi: 0, retry_after_ms: 0 });
     }
 
     /// Regression pin for the wave-parallel enrollment fields: subtree
@@ -441,12 +421,7 @@ mod tests {
             digests: table(),
         });
         // Busy sponsor: no address, no block, an explicit backoff hint.
-        roundtrip(MgmtBody::EnrollResponse {
-            addr: 0,
-            hi: 0,
-            retry_after_ms: 120,
-            snapshot: vec![],
-        });
+        roundtrip(MgmtBody::EnrollResponse { addr: 0, hi: 0, retry_after_ms: 120 });
         // A block whose top lies below its base travels as sent: refusing
         // it is the receiver's call, not the codec's.
         roundtrip(MgmtBody::EnrollRequest {
@@ -456,13 +431,12 @@ mod tests {
             proposed_hi: 16,
             digests: DigestTable::default(),
         });
-        roundtrip(MgmtBody::EnrollResponse { addr: 9, hi: 3, retry_after_ms: 0, snapshot: vec![] });
+        roundtrip(MgmtBody::EnrollResponse { addr: 9, hi: 3, retry_after_ms: 0 });
         // Large block bounds exercise multi-byte varints.
         roundtrip(MgmtBody::EnrollResponse {
             addr: 1 << 40,
             hi: (1 << 41) - 1,
             retry_after_ms: u32::MAX,
-            snapshot: vec![],
         });
     }
 
@@ -689,12 +663,7 @@ mod tests {
                 proposed_hi: 40,
                 digests: table(),
             },
-            MgmtBody::EnrollResponse {
-                addr: 1 << 40,
-                hi: (1 << 41) - 1,
-                retry_after_ms: 120,
-                snapshot: vec![obj("/lsa/4", false)],
-            },
+            MgmtBody::EnrollResponse { addr: 1 << 40, hi: (1 << 41) - 1, retry_after_ms: 120 },
             MgmtBody::FlowRequest {
                 src_app: AppName::new("client"),
                 dst_app: AppName::new("server"),

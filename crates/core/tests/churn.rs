@@ -230,20 +230,17 @@ fn flaps_and_partitions_heal_with_no_purges_or_address_changes() {
     assert_eq!(purged, 0, "a flap or partition must never purge a member");
 }
 
-/// A two-machine line whose joiner hosts `sink`, assembled and settled:
-/// the net with the sponsor's and the joiner's members.
-fn line_with_sink() -> (Net, IpcpH, IpcpH) {
+/// An `n`-machine line whose last machine hosts `sink`, assembled and
+/// settled: the net with the members of the last machine's neighbour,
+/// its sponsor, and of the last machine, the joiner.
+fn line_with_sink(n: usize) -> (Net, IpcpH, IpcpH) {
     let mut b = NetBuilder::new(46);
-    let (s, j) = (b.node("s"), b.node("j"));
-    let wire = b.link(s, j, LinkCfg::wired());
-    let d = b.dif(DifConfig::new("net"));
-    b.join(d, s);
-    b.join(d, j);
-    b.adjacency_over_link(d, s, j, wire);
-    b.app(j, AppName::new("sink"), d, SinkApp::default());
-    let (sponsor, joiner) = (b.ipcp_of(d, s), b.ipcp_of(d, j));
+    let fab = Topology::line(n).materialize(&mut b);
+    let (s, j) = (fab.node(n - 2), fab.last());
+    b.app(j, AppName::new("sink"), fab.dif, SinkApp::default());
+    let (sponsor, joiner) = (b.ipcp_of(fab.dif, s), b.ipcp_of(fab.dif, j));
     let mut net = b.build();
-    net.run_until_assembled(Dur::from_secs(10), Dur::from_secs(1));
+    net.run_until_assembled(Dur::from_secs(30), Dur::from_secs(1));
     (net, sponsor, joiner)
 }
 
@@ -258,21 +255,27 @@ fn respawn_and_reassemble(net: &mut Net, joiner: IpcpH) {
 
 /// A crash-restart forgets nothing the joiner's applications asked for:
 /// the fresh process registers `sink` again, and the sponsor holds the
-/// new registration, live and pointing at the joiner.
+/// new registration, live and pointing at the joiner. The fresh process
+/// has learned the DIF — its predecessor's registration included — before
+/// it writes, so its write lands above the old version whatever the
+/// RIB's size: at 2 members, and at 40, where the sync set takes many
+/// batches.
 #[test]
 fn registration_survives_a_crash_restart() {
-    let (mut net, sponsor, joiner) = line_with_sink();
-    let sink = AppName::new("sink");
-    let entry = |net: &Net| {
-        let version = net.ipcp(sponsor).rib.get("/dir/sink").map(|o| o.version);
-        (net.ipcp(sponsor).dir_lookup(&sink), version)
-    };
-    let (at, before) = entry(&net);
-    assert_eq!(at, Some(net.ipcp(joiner).addr));
-    respawn_and_reassemble(&mut net, joiner);
-    let (at, after) = entry(&net);
-    assert_eq!(at, Some(net.ipcp(joiner).addr));
-    assert!(after > before, "written again by the fresh process: {before:?} -> {after:?}");
+    for n in [2, 40] {
+        let (mut net, sponsor, joiner) = line_with_sink(n);
+        let sink = AppName::new("sink");
+        let entry = |net: &Net| {
+            let version = net.ipcp(sponsor).rib.get("/dir/sink").map(|o| o.version);
+            (net.ipcp(sponsor).dir_lookup(&sink), version)
+        };
+        let (at, before) = entry(&net);
+        assert_eq!(at, Some(net.ipcp(joiner).addr));
+        respawn_and_reassemble(&mut net, joiner);
+        let (at, after) = entry(&net);
+        assert_eq!(at, Some(net.ipcp(joiner).addr));
+        assert!(after > before, "{n} members: not written again: {before:?} -> {after:?}");
+    }
 }
 
 /// A name the joiner unregistered stays unregistered when its process
@@ -280,7 +283,7 @@ fn registration_survives_a_crash_restart() {
 /// predecessor held, not every name ever registered on the node.
 #[test]
 fn an_unregistered_name_stays_gone_across_a_crash_restart() {
-    let (mut net, sponsor, joiner) = line_with_sink();
+    let (mut net, sponsor, joiner) = line_with_sink(2);
     let sink = AppName::new("sink");
     net.ipcp_mut(joiner).dir_unregister(&sink);
     net.run_for(Dur::from_secs(1));

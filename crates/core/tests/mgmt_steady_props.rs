@@ -82,16 +82,11 @@ proptest! {
                 5 => i.rib.set_local_subtree("/dir"),
                 6 if !i.is_enrolled() => i.bootstrap(rng.gen_range(1..9u64)),
                 7 if !i.is_enrolled() => {
-                    // A streamed enrollment: the response carries the
-                    // address and no objects, so the address moves and
-                    // the RIB generation does not.
+                    // The enrollment response: it carries the address and
+                    // no objects (the sync set streams ahead of it), so
+                    // the address moves and the RIB generation does not.
                     let addr = rng.gen_range(1..9u64);
-                    let granted = MgmtBody::EnrollResponse {
-                        addr,
-                        hi: addr,
-                        retry_after_ms: 0,
-                        snapshot: vec![],
-                    };
+                    let granted = MgmtBody::EnrollResponse { addr, hi: addr, retry_after_ms: 0 };
                     let pdu = MgmtPdu { dest_addr: 0, src_addr: 9, ttl: 1, payload: granted.encode(1, 0) };
                     i.on_frame(0, Pdu::Mgmt(pdu).encode(), now);
                     prop_assert!(i.is_enrolled());

@@ -463,9 +463,10 @@ pub struct Rib {
     watch_q: VecDeque<EncodedObject>,
     /// Subtrees with **local replication scope** (sorted): their objects
     /// are owner-held instead of DIF-wide. A local subtree is excluded
-    /// from the digest table, the enrollment snapshot, and delta
-    /// serving, and its live writes are not queued for dissemination —
-    /// only its tombstones flood, so remote caches still hear deletions.
+    /// from the digest table, the replicated view, and delta serving
+    /// (the enrollment sync stream included), and its live writes are
+    /// not queued for dissemination — only its tombstones flood, so
+    /// remote caches still hear deletions.
     local_subtrees: Vec<String>,
     /// Bumped by everything that can change [`Rib::digest_table`] (see
     /// [`Rib::generation`]).
@@ -492,9 +493,9 @@ impl Rib {
     /// replication scope**: its objects stay owner-held instead of
     /// replicating DIF-wide. From this call on the subtree disappears
     /// from [`Rib::digest_table`] (so hellos stop advertising it),
-    /// [`Rib::snapshot`] (so enrollment stops copying it), and
-    /// [`Rib::delta_for`]/[`Rib::summary`] (so anti-entropy never pulls
-    /// it), and live writes under it skip the dissemination outbox.
+    /// [`Rib::snapshot`], and [`Rib::delta_for`]/[`Rib::summary`] (so
+    /// neither enrollment's sync stream nor anti-entropy ever moves it),
+    /// and live writes under it skip the dissemination outbox.
     /// Tombstones still disseminate — deletion floods are how remote
     /// lookup caches hear invalidations. Watchers registered for a
     /// prefix inside the subtree are torn down: a watcher must not fire
@@ -764,10 +765,12 @@ impl Rib {
         self.objects.values().filter(move |o| o.origin == origin).map(|o| &o.enc)
     }
 
-    /// Every object including tombstones, as stored, in name order — the
-    /// enrollment sync set a new member receives (§5.2). Local-scope
-    /// subtrees are excluded: their objects are owner-held, so a joiner
-    /// never receives them.
+    /// The replicated view: every object including tombstones, as
+    /// stored, in name order, local-scope subtrees excluded (their
+    /// objects are owner-held). Two members hold the same replicated
+    /// state exactly when their snapshots are equal — what the tests
+    /// compare. Nothing ships it: a joiner's RIB streams as
+    /// [`Rib::delta_for`] answers.
     pub fn snapshot(&self) -> Vec<EncodedObject> {
         self.objects
             .iter()
