@@ -24,6 +24,7 @@
 use rina::prelude::*;
 use rina::scenario::PingMesh;
 use rina::LANES;
+use rina_sim::EventCounts;
 
 pub mod compare;
 pub mod e10_scalefree;
@@ -245,6 +246,9 @@ pub struct Totals {
     /// RMT lane counters merged over every (N-1)-port queue of the
     /// given nodes.
     pub lanes: [LaneStats; LANES],
+    /// The engine's events dispatched so far, by kind (the whole net's,
+    /// whatever `members` and `nodes` are).
+    pub events: EventCounts,
 }
 
 impl Totals {
@@ -277,6 +281,7 @@ impl Totals {
                 lane.merge(&st);
             }
         }
+        t.events = net.sim.events();
         t
     }
 }

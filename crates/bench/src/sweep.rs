@@ -339,6 +339,9 @@ row! {
         /// Transit PDUs forwarded (TTL and CRC patched in place), summed
         /// over every member (deterministic — gated exactly).
         relay_fast: u64,
+        /// Events the engine dispatched over the whole cell: frames
+        /// delivered, timers fired, link state changes and node starts.
+        events: u64,
         /// Wall-clock seconds for the cell (machine-dependent).
         wall_s: f64,
     }
@@ -556,6 +559,7 @@ pub fn run_cell(cell: &SweepCell, base_seed: u64) -> SweepRow {
             rmt_drops: t.lanes.iter().map(|l| l.drops).sum(),
             rmt_deq_bytes: t.lanes.iter().map(|l| l.deq_bytes).sum(),
             relay_fast: t.relay_fast,
+            events: t.events.total(),
             wall_s: 0.0,
         }
     });
@@ -796,6 +800,7 @@ mod tests {
             rmt_drops: 0,
             rmt_deq_bytes: 4_096,
             relay_fast: 7,
+            events: 5_000,
             wall_s: 0.123456,
         };
         let doc = sweep_doc(std::slice::from_ref(&row), 4);

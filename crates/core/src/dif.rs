@@ -58,7 +58,9 @@ pub struct DifConfig {
     /// Set it for every link with [`crate::net::NetBuilder::set_shim_sched`].
     pub sched: SchedPolicy,
     /// Neighbor keepalive (hello) period. Narrow-scope DIFs use short
-    /// hellos — policies tuned to the range (§4).
+    /// hellos — policies tuned to the range (§4). A shim DIF runs no
+    /// hello and ignores it: its medium's up and down events keep its
+    /// port.
     pub hello_period: Dur,
     /// Token-bucket rate limit on RIEP flooding out *cross* (non
     /// spanning-tree) ports, in objects per second per member (`0` =

@@ -35,8 +35,9 @@
 //! forwarding, delivery and the flow handshake find the peer as they
 //! find any neighbor. Three policies are all a shim varies: the
 //! two-member DIF a medium defines runs no management task (no
-//! enrollment, nothing the RIB feeds), its directory is "the peer", and
-//! its flows are bound straight to the medium instead of to an EFCP
+//! enrollment, no hello, nothing the RIB feeds: the medium's own up and
+//! down events keep its port), its directory is "the peer", and its
+//! flows are bound straight to the medium instead of to an EFCP
 //! connection.
 //!
 //! An `Ipcp` is sans-IO like everything else: methods append [`IpcpOut`]
@@ -309,8 +310,10 @@ pub struct Ipcp {
     /// address first. `addr` when nothing was delegated.
     pub hi: Addr,
     /// Built over a point-to-point medium ([`Ipcp::shim`]). Read by the
-    /// three policies a shim varies, and nowhere else: [`Ipcp::manages`],
-    /// [`Ipcp::dir_lookup`] and the flow binding.
+    /// three policies a shim varies, and nowhere else: no management
+    /// task ([`Ipcp::manages`]) and no hello (`start_hello`, with
+    /// [`Ipcp::medium_up`] restoring its fixed peer instead),
+    /// [`Ipcp::dir_lookup`], and the flow binding.
     is_shim: bool,
     /// Member state.
     enrolled: bool,
@@ -382,7 +385,9 @@ impl Ipcp {
     /// Create the shim IPC process at end `addr` (1 or 2) of the
     /// point-to-point medium behind interface `iface`: a member from the
     /// start, its one (N-1) port bound to the medium with the other end,
-    /// `3 - addr`, as its peer.
+    /// `3 - addr`, as its peer. It runs no hello: the medium going down
+    /// or coming back reaches it as [`Ipcp::n1_down`] or
+    /// [`Ipcp::medium_up`].
     pub fn shim(idx: usize, cfg: DifConfig, name: AppName, iface: u32, addr: Addr) -> Self {
         assert!(addr == 1 || addr == 2, "a medium's two ends are addresses 1 and 2");
         let mut s = Ipcp::new(idx, cfg, name);
@@ -390,11 +395,8 @@ impl Ipcp {
         s.addr = addr;
         s.rib.set_origin(addr);
         s.enrolled = true;
-        s.add_n1(N1Kind::Phys { iface });
-        if let Some(p) = s.transfer.n1.first_mut() {
-            p.peer_addr = 3 - addr;
-        }
-        s.transfer.rebuild_peer_index();
+        let n1 = s.add_n1(N1Kind::Phys { iface });
+        s.medium_up(n1, Time::ZERO);
         s
     }
 

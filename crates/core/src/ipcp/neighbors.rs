@@ -138,14 +138,11 @@ impl Ipcp {
     }
 
     /// Send a hello on every (N-1) port with a medium or a lower flow
-    /// under it — including one whose medium is down, as a revival probe:
-    /// if the medium comes back, the peer's hello response brings the port
-    /// up again (mobility depends on this: re-attaching to a
-    /// previously-left point of attachment must work). A port whose lower
-    /// flow is gone is silent until a new flow is bound to it.
-    /// Also expires silent ports, and periodically re-advertises this
-    /// member's own RIB objects (anti-entropy: RIEP dissemination is
-    /// unreliable, so lost updates must eventually be repaired).
+    /// under it. A port whose lower flow is gone is silent until a new
+    /// flow is bound to it. Also expires silent ports, and periodically
+    /// re-advertises this member's own RIB objects (anti-entropy: RIEP
+    /// dissemination is unreliable, so lost updates must eventually be
+    /// repaired).
     /// Run by [`IpcpTimer::Hello`], once per DIF hello period.
     pub fn tick_hello(&mut self, now: Time) {
         self.clock = now;
@@ -186,6 +183,16 @@ impl Ipcp {
         self.purge_failed(now);
     }
 
+    /// Start the hello cadence: the first tick now. A shim runs none: it
+    /// is the two ends of one medium, its peer is fixed, and the medium
+    /// itself says when it goes down or comes back ([`Ipcp::n1_down`],
+    /// [`Ipcp::medium_up`]).
+    pub(crate) fn start_hello(&mut self, now: Time) {
+        if !self.is_shim {
+            self.hello_timer(now);
+        }
+    }
+
     /// The hello timer fired: one period, then the next timer one
     /// `hello_period` out, after everything the tick emitted.
     pub(super) fn hello_timer(&mut self, now: Time) {
@@ -220,12 +227,28 @@ impl Ipcp {
     }
 
     /// Mark an (N-1) port down (local failure detection: the lower flow
-    /// failed or the interface reported link-down).
+    /// failed, or the medium under it went down or refused a frame).
     pub fn n1_down(&mut self, n1: usize, now: Time) {
         self.clock = self.clock.max(now);
         if self.transfer.n1.get(n1).is_some_and(|p| p.up) {
             self.ports_down(&[n1]);
         }
+    }
+
+    /// The medium under port `n1` came back: a shim's port is live again,
+    /// with the medium's other end, `3 - addr`, as its peer. Only a shim
+    /// is bound to a medium.
+    pub fn medium_up(&mut self, n1: usize, now: Time) {
+        self.clock = self.clock.max(now);
+        if !self.is_shim {
+            return;
+        }
+        let peer = 3 - self.addr;
+        if let Some(p) = self.transfer.n1.get_mut(n1) {
+            p.up = true;
+            p.peer_addr = peer;
+        }
+        self.transfer.rebuild_peer_index();
     }
 
     /// Plan an (N-1) adjacency: ask provider `via`, an IPC process on

@@ -262,7 +262,6 @@ impl NetBuilder {
         if let Some(cap) = self.shim_queue_cap {
             shim_cfg = shim_cfg.with_rmt_queue_cap_bytes(cap);
         }
-        shim_cfg.hello_period = Dur::from_millis(100);
         let na = {
             let node = self.node_mut(a.0);
             let name_a = AppName::new(&format!("shim{lidx}.a"));
@@ -619,7 +618,9 @@ impl Net {
         self.links[h.0]
     }
 
-    /// Bring a physical link down or up mid-run.
+    /// Bring a physical link down or up mid-run. A change reaches the
+    /// shims at both ends at this instant ([`rina_sim::Agent::medium`]),
+    /// and the layers above learn of it from them.
     pub fn set_link_up(&mut self, h: LinkH, up: bool) {
         self.sim.set_link_up(self.links[h.0], up);
     }

@@ -26,6 +26,11 @@
 //! the node arms each as one `TimerKind::Ipcp` and hands it back to
 //! [`Ipcp::on_timer`]. The node's own timers are the IPC manager's: NIC
 //! pacing, the allocation watchdog and the applications' timers.
+//!
+//! A medium that goes down or comes back is an engine event
+//! ([`Agent::medium`]), which the node hands to the shim bound to that
+//! interface, as a port going down ([`Ipcp::n1_down`], which a failed
+//! send also reports) or coming back ([`Ipcp::medium_up`]).
 
 use crate::app::{AppProcess, FlowH, FlowOrigin, IpcApi, IpcError};
 use crate::dif::DifConfig;
@@ -715,10 +720,10 @@ impl Agent for Node {
         let _ = now;
         match ev {
             Event::Start => {
-                // Start every hello cadence (shims included: they learn
-                // peers this way).
+                // Start every hello cadence a process runs.
                 for i in 0..self.ipcps.len() {
-                    self.ipcp_timer(i, IpcpTimer::Hello, ctx);
+                    self.ipcps[i].start_hello(ctx.now());
+                    self.flush_ipcp(i, ctx);
                 }
                 // Start the planned adjacencies — at once, or at their wave
                 // time when the enrollment planner staggered them.
@@ -748,6 +753,21 @@ impl Agent for Node {
                 }
             }
             Event::Timer { key } => self.on_timer_kind(key, ctx),
+        }
+        self.drain(ctx);
+    }
+
+    /// The medium behind `iface` went down or came back: the shim bound
+    /// to it is told through its port, as a failed send or a lower flow's
+    /// loss would tell it.
+    fn medium(&mut self, now: Time, iface: IfaceId, up: bool, ctx: &mut Ctx<'_>) {
+        if let Some(&Iface { ipcp, n1, .. }) = self.ifaces.get(iface.0 as usize) {
+            if up {
+                self.ipcps[ipcp].medium_up(n1, now);
+            } else {
+                self.ipcps[ipcp].n1_down(n1, now);
+            }
+            self.flush_ipcp(ipcp, ctx);
         }
         self.drain(ctx);
     }
@@ -915,15 +935,19 @@ mod tests {
     fn a_frame_the_link_refuses_is_counted() {
         let mut sim = Sim::new(7);
         let (a, b) = (sim.add_node(Node::new("a")), sim.add_node(Node::new("b")));
-        // No hello fits 16 bytes.
+        // No management frame fits 16 bytes.
         let (_, ia, ib) = sim.connect(a, b, LinkCfg::wired().with_mtu(16));
-        for (id, iface, side) in [(a, ia, 0), (b, ib, 1)] {
-            let cfg = DifConfig::new("shim0");
-            sim.agent_mut::<Node>(id).add_shim(cfg, AppName::new("shim0"), iface, side);
+        for (id, iface, side, peer) in [(a, ia, 0, "upper.b"), (b, ib, 1, "upper.a")] {
+            let node = sim.agent_mut::<Node>(id);
+            let shim = node.add_shim(DifConfig::new("shim0"), AppName::new("shim0"), iface, side);
+            let upper = node.add_ipcp(DifConfig::new("upper"), AppName::new("upper"));
+            let peer = AppName::new(peer);
+            node.ipcps[upper].plan_adjacency(peer, QosSpec::datagram(), shim, Dur::ZERO, None);
         }
         assert!(sim.step() && sim.step(), "both nodes start");
         for id in [a, b] {
-            assert_eq!(sim.agent::<Node>(id).tx_refused, 1, "the shim's first hello");
+            // The upper member's first frame over the shim: its flow request.
+            assert_eq!(sim.agent::<Node>(id).tx_refused, 1);
         }
         assert_eq!(sim.link_stats(rina_sim::LinkId(0)).drops_overflow, 0, "not the link's drop");
     }

@@ -356,28 +356,30 @@ fn barabasi_albert_sixty_nodes_assemble_and_route() {
     assert!(net.ipcp(hub_ipcp).fwd().len() >= 30, "hub fwd {}", net.ipcp(hub_ipcp).fwd().len());
 }
 
-/// A shim's medium goes down and comes back. While its port is down the
-/// shim knows no peer: an allocation fails at once and sends nothing. The
-/// peer's next hello brings the medium back, and an allocation's request
-/// leaves over it.
+/// A shim's medium goes down and comes back, and the shim is told at
+/// the instant of each change. While the link is down the shim knows no
+/// peer: an allocation fails at once and sends nothing. At the instant
+/// the link is back, with no wait, an allocation's request leaves over it.
 #[test]
 fn a_shims_medium_goes_down_and_comes_back() {
     let mut b = NetBuilder::new(15);
     let (h1, h2) = (b.node("h1"), b.node("h2"));
-    b.link(h1, h2, LinkCfg::wired());
+    let l = b.link(h1, h2, LinkCfg::wired());
     let mut net = b.build();
     net.run_for(Dur::from_millis(250));
     let (src, dst) = (AppName::new("a"), AppName::new("b"));
-    let now = net.sim.now();
+    net.set_link_up(l, false);
+    net.run_for(Dur::ZERO);
     let shim = net.node_mut(h1).ipcp_mut(0);
-    shim.n1_down(0, now);
-    shim.take_out();
     shim.alloc_flow(90, src.clone(), dst.clone(), QosSpec::datagram());
     let out = shim.take_out();
     let [IpcpOut::FlowGone { port: 90, failed }] = &out[..] else { panic!("{out:?}") };
     assert_eq!(*failed, Some("destination unknown in DIF"));
-    // The peer says hello every 100 ms.
     net.run_for(Dur::from_millis(150));
+    let back = net.sim.now();
+    net.set_link_up(l, true);
+    net.run_for(Dur::ZERO);
+    assert_eq!(net.sim.now(), back, "no wait");
     let shim = net.node_mut(h1).ipcp_mut(0);
     shim.alloc_flow(91, src, dst, QosSpec::datagram());
     let out = shim.take_out();
@@ -385,6 +387,49 @@ fn a_shims_medium_goes_down_and_comes_back() {
     let Ok(Pdu::Mgmt(m)) = Pdu::decode(frame) else { panic!("a management frame") };
     let body = CdapMsg::decode(&m.payload).ok().and_then(|c| MgmtBody::from_cdap(&c).ok());
     assert!(matches!(body, Some(MgmtBody::FlowRequest { .. })), "{body:?}");
+}
+
+/// A medium with nothing above it carries nothing: a shim arms no hello
+/// timer, so two nodes joined by one link and no DIF fire no timer and
+/// exchange no frame in 10 s.
+#[test]
+fn an_idle_link_carries_nothing() {
+    let mut b = NetBuilder::new(16);
+    let (h1, h2) = (b.node("h1"), b.node("h2"));
+    let l = b.link(h1, h2, LinkCfg::wired());
+    let mut net = b.build();
+    net.run_for(Dur::from_secs(10));
+    let st = net.sim.link_stats(net.link_id(l));
+    assert_eq!((st.delivered, st.drops_loss, st.drops_overflow), (0, 0, 0), "{st:?}");
+    assert_eq!(net.sim.events().timer, 0, "{:?}", net.sim.events());
+}
+
+/// Both ends of a medium learn its state at the instant it changes: the
+/// shims' ports go down when the link does, and come back live, each
+/// with the other end as its peer, when it is back up.
+#[test]
+fn both_shims_follow_their_medium_at_the_instant_it_changes() {
+    let mut b = NetBuilder::new(17);
+    let (h1, h2) = (b.node("h1"), b.node("h2"));
+    let l = b.link(h1, h2, LinkCfg::wired());
+    let mut net = b.build();
+    net.run_for(Dur::from_millis(40));
+    let ports = |net: &Net| {
+        [h1, h2].map(|h| {
+            let p = &net.node(h).ipcp(0).n1_ports()[0];
+            (p.up, p.peer_addr)
+        })
+    };
+    assert_eq!(ports(&net), [(true, 2), (true, 1)]);
+    for (up, expected) in [(false, [(false, 0), (false, 0)]), (true, [(true, 2), (true, 1)])] {
+        let at = net.sim.now();
+        net.set_link_up(l, up);
+        net.run_for(Dur::ZERO);
+        assert_eq!(net.sim.now(), at);
+        assert_eq!(ports(&net), expected, "link up: {up}");
+        net.run_for(Dur::from_secs(1));
+        assert_eq!(ports(&net), expected, "link up: {up}, a second later");
+    }
 }
 
 /// Applications never see addresses — nor raw integers: the API surface

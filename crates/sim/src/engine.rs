@@ -8,7 +8,8 @@
 //! Agents are event-driven state machines in the style of smoltcp: the
 //! engine calls [`Agent::handle`] with an [`Event`] and the agent reacts by
 //! mutating its own state and issuing effects through the [`Ctx`] (send a
-//! frame, arm a timer).
+//! frame, arm a timer). A link that goes down or comes back is an event
+//! too, delivered to both ends through [`Agent::medium`].
 
 // R1 (DESIGN.md §9): this is a per-PDU protocol path, so a panic site
 // is a clippy error; each proven-safe exception is an `#[expect]` with
@@ -99,6 +100,35 @@ impl std::error::Error for SendError {}
 pub trait Agent: Any + Send {
     /// React to one event at virtual time `now`.
     fn handle(&mut self, now: Time, ev: Event, ctx: &mut Ctx<'_>);
+
+    /// The medium behind `iface` went down (`up == false`) or came back
+    /// at `now` ([`Sim::set_link_up`]). Both ends of the link are told,
+    /// at the instant of the change. The default ignores it.
+    fn medium(&mut self, now: Time, iface: IfaceId, up: bool, ctx: &mut Ctx<'_>) {
+        let _ = (now, iface, up, ctx);
+    }
+}
+
+/// How many events a [`Sim`] has dispatched, by kind. A frame lost in
+/// flight to a link that went down is never dispatched, so it is not
+/// counted.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct EventCounts {
+    /// [`Event::Start`]: one per node.
+    pub start: u64,
+    /// [`Event::Frame`]: frames delivered.
+    pub frame: u64,
+    /// [`Event::Timer`]: timers fired and [`Sim::call`] injections.
+    pub timer: u64,
+    /// [`Agent::medium`]: link state changes, one per end.
+    pub medium: u64,
+}
+
+impl EventCounts {
+    /// Every event dispatched.
+    pub fn total(&self) -> u64 {
+        self.start + self.frame + self.timer + self.medium
+    }
 }
 
 #[derive(Debug)]
@@ -106,6 +136,7 @@ enum EvKind {
     Start { node: u32 },
     Deliver { node: u32, iface: u32, data: Bytes },
     Timer { node: u32, key: u64 },
+    Medium { node: u32, iface: u32, up: bool },
 }
 
 struct Entry {
@@ -252,6 +283,7 @@ struct NodeSlot {
 pub struct Sim {
     nodes: Vec<NodeSlot>,
     world: World,
+    events: EventCounts,
 }
 
 // A whole simulation is self-contained — agents, links, event heap, and
@@ -277,6 +309,7 @@ impl Sim {
                 ifaces: Vec::new(),
                 rng: StdRng::seed_from_u64(seed),
             },
+            events: EventCounts::default(),
         }
     }
 
@@ -314,13 +347,24 @@ impl Sim {
     }
 
     /// Administratively bring a link up or down. Frames in flight when a
-    /// link goes down are lost; sends on a down link fail.
+    /// link goes down are lost; sends on a down link fail. A change of
+    /// state queues one [`Agent::medium`] event for each end at the
+    /// current instant, after the events already queued for it; setting
+    /// the state a link already has tells nobody.
     #[expect(
         clippy::indexing_slicing,
         reason = "LinkId handles are only minted by connect; fault-injection API, not a wire path"
     )]
     pub fn set_link_up(&mut self, link: LinkId, up: bool) {
-        self.world.links[link.0 as usize].up = up;
+        let l = &mut self.world.links[link.0 as usize];
+        if l.up == up {
+            return;
+        }
+        l.up = up;
+        let t = self.world.time;
+        for (node, iface) in l.ends {
+            self.world.push(t, EvKind::Medium { node, iface, up });
+        }
     }
 
     /// Aggregate delivery/drop statistics for a link (both directions).
@@ -398,8 +442,21 @@ impl Sim {
         debug_assert!(e.time >= self.world.time, "time went backwards");
         self.world.time = e.time;
         match e.kind {
-            EvKind::Start { node } => self.dispatch(node, Event::Start),
-            EvKind::Timer { node, key } => self.dispatch(node, Event::Timer { key }),
+            EvKind::Start { node } => {
+                self.events.start += 1;
+                self.dispatch(node, Event::Start);
+            }
+            EvKind::Timer { node, key } => {
+                self.events.timer += 1;
+                self.dispatch(node, Event::Timer { key });
+            }
+            EvKind::Medium { node, iface, up } => {
+                self.events.medium += 1;
+                let now = self.world.time;
+                let slot = &mut self.nodes[node as usize];
+                let mut ctx = Ctx { node, world: &mut self.world };
+                slot.agent.medium(now, IfaceId(iface), up, &mut ctx);
+            }
             EvKind::Deliver { node, iface, data } => {
                 // Find the link behind the destination iface to account the
                 // delivery and honour link-down (in-flight loss).
@@ -413,6 +470,7 @@ impl Sim {
                 let d = &mut link.dir[1 - side as usize];
                 d.delivered += 1;
                 d.delivered_bytes += data.len() as u64;
+                self.events.frame += 1;
                 self.dispatch(node, Event::Frame { iface: IfaceId(iface), data });
             }
         }
@@ -469,6 +527,11 @@ impl Sim {
     /// Number of events currently pending.
     pub fn pending(&self) -> usize {
         self.world.heap.len()
+    }
+
+    /// The events dispatched so far, by kind.
+    pub fn events(&self) -> EventCounts {
+        self.events
     }
 }
 
@@ -764,6 +827,94 @@ mod tests {
         assert_eq!(sim.agent::<Burst>(a).0, left);
         let st = sim.link_stats(l);
         assert!(st.drops_loss > 0 && st.delivered > 0, "{st:?}");
+    }
+
+    /// Logs each medium event it is told of, as (when, iface, up), and
+    /// each timer as (when, key).
+    #[derive(Default)]
+    struct Watcher {
+        media: Vec<(u64, u32, bool)>,
+        timers: Vec<(u64, u64)>,
+    }
+    impl Agent for Watcher {
+        fn handle(&mut self, now: Time, ev: Event, _: &mut Ctx<'_>) {
+            if let Event::Timer { key } = ev {
+                self.timers.push((now.nanos(), key));
+            }
+        }
+        fn medium(&mut self, now: Time, iface: IfaceId, up: bool, _: &mut Ctx<'_>) {
+            self.media.push((now.nanos(), iface.0, up));
+        }
+    }
+
+    /// A link state change reaches each end once, on its own interface,
+    /// at the instant of the change and after every event already queued
+    /// for that instant.
+    #[test]
+    fn set_link_up_tells_both_ends_at_the_instant() {
+        let mut sim = Sim::new(0);
+        let (a, b) = (sim.add_node(Watcher::default()), sim.add_node(Watcher::default()));
+        sim.connect(a, b, LinkCfg::wired());
+        // b's second interface: its end of this link is iface 1.
+        let (l, _, _) = sim.connect(a, b, LinkCfg::wired());
+        sim.run_until(Time(1_000));
+        sim.call(b, 7, Dur::ZERO);
+        sim.set_link_up(l, false);
+        sim.call(b, 8, Dur::ZERO);
+        let mut order = Vec::new();
+        while sim.step() {
+            let (wa, wb) = (sim.agent::<Watcher>(a), sim.agent::<Watcher>(b));
+            order.push((wa.media.len(), wb.media.len(), wb.timers.len()));
+        }
+        assert_eq!(sim.agent::<Watcher>(a).media, [(1_000, 1, false)]);
+        assert_eq!(sim.agent::<Watcher>(b).media, [(1_000, 1, false)]);
+        assert_eq!(sim.agent::<Watcher>(b).timers, [(1_000, 7), (1_000, 8)]);
+        // Timer 7, then a's end, then b's end, then timer 8.
+        assert_eq!(order, [(0, 0, 1), (1, 0, 1), (1, 1, 1), (1, 1, 2)]);
+        assert_eq!(sim.events().medium, 2);
+        sim.set_link_up(l, true);
+        sim.run_until_idle(10);
+        assert_eq!(sim.agent::<Watcher>(a).media, [(1_000, 1, false), (1_000, 1, true)]);
+        assert_eq!(sim.events().medium, 4);
+    }
+
+    /// Setting a link to the state it already has is no change, and
+    /// tells nobody.
+    #[test]
+    fn setting_a_links_state_again_tells_nobody() {
+        let mut sim = Sim::new(0);
+        let (a, b) = (sim.add_node(Watcher::default()), sim.add_node(Watcher::default()));
+        let (l, _, _) = sim.connect(a, b, LinkCfg::wired());
+        sim.set_link_up(l, true);
+        sim.run_until_idle(10);
+        sim.set_link_up(l, false);
+        sim.set_link_up(l, false);
+        sim.run_until_idle(10);
+        assert_eq!(sim.agent::<Watcher>(a).media, [(0, 0, false)]);
+        assert_eq!(sim.agent::<Watcher>(b).media, [(0, 0, false)]);
+        assert_eq!(sim.events(), EventCounts { start: 2, frame: 0, timer: 0, medium: 2 });
+    }
+
+    /// An agent that does not override [`Agent::medium`] behaves as it
+    /// did before medium events existed: a link taken down and back up
+    /// before the frames leave changes nothing it sees.
+    #[test]
+    fn agents_that_ignore_the_medium_run_as_before() {
+        let run = |flap: bool| {
+            let (mut sim, a, b) = two_node(LinkCfg::wired(), 10);
+            if flap {
+                sim.set_link_up(LinkId(0), false);
+                sim.set_link_up(LinkId(0), true);
+            }
+            sim.run_until_idle(100_000);
+            let p = sim.agent::<Pinger>(a);
+            let seen = (p.rx, p.last_rx, sim.agent::<Echo>(b).rx, sim.link_stats(LinkId(0)));
+            (seen, sim.events())
+        };
+        let (still, flapped) = (run(false), run(true));
+        assert_eq!(still.0, flapped.0);
+        assert_eq!(still.1, EventCounts { start: 2, frame: 20, timer: 0, medium: 0 });
+        assert_eq!(flapped.1, EventCounts { medium: 4, ..still.1 });
     }
 
     #[test]

@@ -14,6 +14,8 @@
 //!   propagation delay, a bounded FIFO transmit queue (tail drop), and a
 //!   pluggable stochastic loss process — including the Gilbert–Elliott
 //!   bursty model for the wireless segments of the paper's Figure 3.
+//!   A link brought down or back up mid-run is an event at both ends
+//!   ([`Agent::medium`]).
 //! * **Time** is virtual, in nanoseconds ([`Time`], [`Dur`]).
 //! * **Determinism**: one seeded RNG, total event ordering.
 //!
@@ -48,7 +50,7 @@ pub mod metrics;
 pub mod time;
 pub mod topology;
 
-pub use engine::{Agent, Ctx, Event, IfaceId, NodeId, SendError, Sim};
+pub use engine::{Agent, Ctx, Event, EventCounts, IfaceId, NodeId, SendError, Sim};
 pub use link::{LinkCfg, LinkId, LinkStats, LossModel};
 pub use metrics::Histogram;
 pub use time::{Dur, Time};
