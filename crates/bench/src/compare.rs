@@ -639,6 +639,7 @@ mod tests {
                             ("reachable".into(), Json::Bool(true)),
                             ("agg_len".into(), Json::Num(40.0)),
                             ("stale_rib".into(), Json::Num(0.0)),
+                            ("half_open".into(), Json::Num(0.0)),
                             ("churn_reach".into(), Json::Num(1.0)),
                             ("rib_objects_max".into(), Json::Num(9.0)),
                             ("rib_bytes_max".into(), Json::Num(300.0)),

@@ -311,6 +311,11 @@ row! {
         /// Violations [`invariants::check`] finds at the end of the run
         /// (must be 0: the DIF is healthy when the cell ends).
         invariants: u64,
+        /// EFCP endpoints [`invariants::half_open`] finds at the end of
+        /// the run: requesting, or naming an endpoint that does not name
+        /// them back. 0 without loss or churn; what loss and churn leave
+        /// is the residual of the one-shot teardown.
+        half_open: u64,
         /// Worst sampled reachability fraction outside churn disturbance
         /// windows (1 in non-churn cells).
         churn_reach: f64,
@@ -549,6 +554,7 @@ pub fn run_cell(cell: &SweepCell, base_seed: u64) -> SweepRow {
             agg_len: t.agg_len as u64,
             stale_rib: invariants::stale_objects(net, &ipcps).len() as u64,
             invariants: invariants::check(net, &ipcps).len() as u64,
+            half_open: invariants::half_open(net, &ipcps).len() as u64,
             churn_reach,
             rib_objects_max,
             rib_bytes_max,
@@ -790,6 +796,7 @@ mod tests {
             agg_len: 40,
             stale_rib: 0,
             invariants: 0,
+            half_open: 0,
             churn_reach: 1.0,
             rib_objects_max: 9,
             rib_bytes_max: 300,

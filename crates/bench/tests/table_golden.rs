@@ -212,6 +212,7 @@ fn sweep_row() -> sweep::SweepRow {
         agg_len: 640,
         stale_rib: 0,
         invariants: 0,
+        half_open: 2,
         churn_reach: 1.0,
         rib_objects_max: 400,
         rib_bytes_max: 18_000,
@@ -391,7 +392,7 @@ fn every_table_view_matches_its_golden_strings() {
             "| cell | makespan (s) | mgmt PDUs | rib PDUs | suppressed | reachable | wall (s) |",
             "|---|---|---|---|---|---|---|",
             "| ba2-n96-waves-l0.02-f64 | 5.12 | 20480 | 16000 | 1234 | true | 0.123 |",
-            r#"{"id": "ba2-n96-waves-l0.02-f64", "size": 96, "topology": "ba2", "schedule": "waves", "loss": 0.02, "flood_rate": 64, "makespan_s": 5.125, "mgmt_pdus": 20480, "rib_pdus": 16000, "flood_suppressed": 1234, "spf_full": 300, "spf_incremental": 4000, "ft_delta": 9000, "deferred": 5, "reachable": true, "agg_len": 640, "stale_rib": 0, "invariants": 0, "churn_reach": 1, "rib_objects_max": 400, "rib_bytes_max": 18000, "flow_allocs": 0, "flow_alloc_fail": 0, "flow_sdus": 0, "flow_recv": 0, "rmt_drops": 0, "rmt_deq_bytes": 2345678, "relay_fast": 1111, "events": 654321, "wall_s": 0.123456}"#,
+            r#"{"id": "ba2-n96-waves-l0.02-f64", "size": 96, "topology": "ba2", "schedule": "waves", "loss": 0.02, "flood_rate": 64, "makespan_s": 5.125, "mgmt_pdus": 20480, "rib_pdus": 16000, "flood_suppressed": 1234, "spf_full": 300, "spf_incremental": 4000, "ft_delta": 9000, "deferred": 5, "reachable": true, "agg_len": 640, "stale_rib": 0, "invariants": 0, "half_open": 2, "churn_reach": 1, "rib_objects_max": 400, "rib_bytes_max": 18000, "flow_allocs": 0, "flow_alloc_fail": 0, "flow_sdus": 0, "flow_recv": 0, "rmt_drops": 0, "rmt_deq_bytes": 2345678, "relay_fast": 1111, "events": 654321, "wall_s": 0.123456}"#,
         ],
     );
 }

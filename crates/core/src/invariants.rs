@@ -22,11 +22,19 @@
 //! runs the network until nothing is left. [`Tables`] is the table walk
 //! both use; its [`Tables::ring`] is also the churn experiment's sampled
 //! reachability.
+//!
+//! One more clause is measured but not yet part of [`check`]: every
+//! flow has two ends. [`half_open`] lists each EFCP endpoint of a live
+//! member that is still requesting, or is active and names an endpoint
+//! that does not name it back. A teardown lost on a lossy path, or a
+//! peer that restarted, still leaves some behind, so [`settle`] would
+//! not converge on them.
 
 use crate::ipcp::{decode_member, member_name, Ipcp, MEMBER_PREFIX};
 use crate::naming::{Addr, AppName};
 use crate::net::{IpcpH, Net};
 use rina_sim::Dur;
+use rina_wire::CepId;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -115,6 +123,29 @@ pub fn settle(net: &mut Net, members: &[IpcpH], max_steps: usize) -> Vec<Violati
         }
     }
     check(net, members)
+}
+
+/// An EFCP endpoint with no partner: it is still requesting, or the
+/// endpoint it names is gone or names another.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct HalfOpen {
+    /// Address of the member holding the endpoint.
+    pub holder: Addr,
+    /// The endpoint's CEP id there.
+    pub cep: CepId,
+}
+
+/// Every EFCP endpoint of a live member among `members` that has no
+/// partner: each active one must name a live endpoint that names it
+/// back, and after quiesce none is still requesting.
+pub fn half_open(net: &Net, members: &[IpcpH]) -> Vec<HalfOpen> {
+    let live = members.iter().map(|&h| net.ipcp(h)).filter(|ip| is_live(ip));
+    let ends: BTreeMap<(Addr, CepId), Option<(Addr, CepId)>> =
+        live.flat_map(|ip| ip.efcp_ends().map(move |(cep, peer)| ((ip.addr, cep), peer))).collect();
+    let paired =
+        |me, peer: Option<_>| peer.and_then(|p| ends.get(&p).copied().flatten()) == Some(me);
+    let unpaired = ends.iter().filter(|&(&me, &peer)| !paired(me, peer));
+    unpaired.map(|(&(holder, cep), _)| HalfOpen { holder, cep }).collect()
 }
 
 /// Live RIB objects anywhere among `members` whose origin is not a
@@ -326,5 +357,41 @@ mod tests {
             ip.add_n1(crate::ipcp::N1Kind::Lower { port: 999 });
         }));
         assert_eq!(found, [DeadPort { member: name, n1: 2 }]);
+    }
+
+    /// A flow with one end is named by [`half_open`], and only by it: a
+    /// settled line with a ping flow between its ends has none; a
+    /// teardown its far end hears but its near end never sent leaves the
+    /// near end named, and so does a request still unanswered.
+    #[test]
+    fn a_flow_with_one_end_is_named() {
+        use crate::apps::{EchoApp, PingApp};
+        use crate::msg::MgmtBody;
+        use crate::qos::QosSpec;
+        use rina_wire::{MgmtPdu, Pdu};
+        let mut b = NetBuilder::new(5);
+        let fab = Topology::line(4).materialize(&mut b);
+        let members = fab.member_ipcps(&b);
+        let echo = AppName::new("echo");
+        b.app(fab.nodes[3], echo.clone(), fab.dif, EchoApp::default());
+        let pinger = PingApp::new(echo.clone(), QosSpec::reliable(), 1, 64);
+        let ping = b.app(fab.nodes[0], AppName::new("ping"), fab.dif, pinger);
+        let mut net = b.build();
+        assert_eq!(settle(&mut net, &members, 20), []);
+        net.run_for(Dur::from_secs(1));
+        assert!(net.app(ping).done(), "the ping completed");
+        assert_eq!(half_open(&net, &members), []);
+        let near = net.ipcp(members[0]);
+        let ends: Vec<_> = near.efcp_ends().collect();
+        let [(cep, Some((far, _)))] = ends[..] else { panic!("one ping endpoint: {ends:?}") };
+        let payload = MgmtBody::FlowTeardown { cep }.encode(0, 0);
+        let frame = Pdu::Mgmt(MgmtPdu { dest_addr: far, src_addr: near.addr, ttl: 4, payload });
+        let now = net.sim.now();
+        net.ipcp_mut(members[3]).on_frame(0, frame.encode(), now);
+        assert_eq!(half_open(&net, &members), [HalfOpen { holder: 1, cep }]);
+        net.ipcp_mut(members[1]).alloc_flow(99, AppName::new("x"), echo, QosSpec::reliable(), now);
+        let requesting = HalfOpen { holder: 2, cep: 1 };
+        assert_eq!(half_open(&net, &members), [HalfOpen { holder: 1, cep }, requesting]);
+        assert_eq!(check(&net, &members), [], "not a `check` clause yet");
     }
 }

@@ -4,7 +4,7 @@
 //! everyone else resolves on demand over the spanning tree into an LRU
 //! cache that the owners' tombstones invalidate.
 
-use super::{decode_addr, encode_addr, Ipcp, IpcpOut, IpcpStats};
+use super::{decode_addr, encode_addr, Ipcp, IpcpStats};
 use crate::msg::MgmtBody;
 use crate::naming::{Addr, AppName};
 use crate::qos::QosSpec;
@@ -19,17 +19,13 @@ const DIR_CACHE_CAP: usize = 128;
 
 /// Hello ticks between resends of an unanswered on-demand directory
 /// lookup (scoped `/dir` only): requests ride the spanning tree best
-/// effort, so a lookup racing assembly or churn is simply asked again.
+/// effort, so a lookup racing assembly or churn is simply asked again,
+/// for as long as an allocation waits on it.
 const DIR_LOOKUP_RETRY_TICKS: u64 = 2;
 
-/// How many resends an unanswered directory lookup gets before the
-/// allocations still waiting on it fail. The node's own allocation
-/// timeout usually fires first and releases its waiter.
-const DIR_LOOKUP_RETRIES: u32 = 3;
-
 /// One flow allocation parked behind an on-demand directory lookup
-/// (scoped `/dir` only): resumed by the owner's answer, failed when the
-/// retry budget runs out.
+/// (scoped `/dir` only). It leaves through the owner's answer, which
+/// resumes it, or through its allocation's deadline, which ends it.
 struct DirWaiter {
     port: u64,
     src_app: AppName,
@@ -42,8 +38,6 @@ pub(super) struct DirPending {
     waiters: Vec<DirWaiter>,
     /// Hello tick when the request was last sent — drives resends.
     asked_tick: u64,
-    /// Resends so far (bounded by [`DIR_LOOKUP_RETRIES`]).
-    retries: u32,
     /// Correlation id echoed by the owner's response.
     lookup_id: u64,
 }
@@ -132,17 +126,23 @@ impl Directory {
         e.addr
     }
 
+    /// Whether the allocation for `port` waits on a lookup.
+    pub(super) fn waits(&self, port: u64) -> bool {
+        self.pending.values().any(|p| p.waiters.iter().any(|w| w.port == port))
+    }
+
     /// Forget the allocation parked for `port`: its answer resumes
-    /// nothing. The lookup itself runs on.
+    /// nothing, and a lookup no allocation waits on any more is dropped.
     pub(super) fn drop_waiter(&mut self, port: u64) {
         for p in self.pending.values_mut() {
             p.waiters.retain(|w| w.port != port);
         }
+        self.pending.retain(|_, p| !p.waiters.is_empty());
     }
 
     /// Drop every cached entry pointing at `addr` — the owner departed
     /// (graceful leave or sponsor purge), announced by its DIF-wide
-    /// `/blocks` tombstone.
+    /// `/lsa` tombstone.
     pub(super) fn invalidate_owner(&mut self, addr: Addr, stats: &mut IpcpStats) {
         let before = self.cache.len();
         self.cache.retain(|_, c| c.addr != addr);
@@ -236,10 +236,9 @@ impl Ipcp {
     }
 
     /// Park a flow allocation behind an on-demand directory lookup:
-    /// ask the spanning tree for the owner's entry and continue (or
-    /// fail) the allocation when the answer (or the retry budget)
-    /// arrives. Concurrent allocations to the same name share one
-    /// outstanding request.
+    /// ask the spanning tree for the owner's entry and continue the
+    /// allocation when the answer arrives. Concurrent allocations to the
+    /// same name share one outstanding request.
     pub(super) fn start_dir_lookup(
         &mut self,
         port: u64,
@@ -255,15 +254,9 @@ impl Ipcp {
         }
         self.directory.last_lookup += 1;
         let id = self.directory.last_lookup;
-        self.directory.pending.insert(
-            name.clone(),
-            DirPending {
-                waiters: vec![w],
-                asked_tick: self.neighbors.ticks,
-                retries: 0,
-                lookup_id: id,
-            },
-        );
+        let asked_tick = self.neighbors.ticks;
+        let p = DirPending { waiters: vec![w], asked_tick, lookup_id: id };
+        self.directory.pending.insert(name.clone(), p);
         self.send_dir_lookup(&name, id);
     }
 
@@ -284,35 +277,20 @@ impl Ipcp {
         }
     }
 
-    /// Resend outstanding directory lookups on the hello cadence and
-    /// fail the allocations whose retry budget ran out (the node's own
-    /// allocation timeout has usually beaten us to it and released
-    /// their waiters).
+    /// Resend outstanding directory lookups on the hello cadence.
     pub(super) fn retry_dir_lookups(&mut self) {
         if !self.scoped_dir() || self.directory.pending.is_empty() {
             return;
         }
         let ticks = self.neighbors.ticks;
-        let due: Vec<String> = self
-            .directory
-            .pending
-            .iter()
-            .filter(|(_, p)| ticks >= p.asked_tick + DIR_LOOKUP_RETRY_TICKS)
-            .map(|(n, _)| n.clone())
-            .collect();
-        for name in due {
-            let Some(p) = self.directory.pending.get_mut(&name) else { continue };
-            if p.retries >= DIR_LOOKUP_RETRIES {
-                let Some(p) = self.directory.pending.remove(&name) else { continue };
-                for w in p.waiters {
-                    let failed = Some("destination unknown in DIF");
-                    self.out.push(IpcpOut::FlowGone { port: w.port, failed });
-                }
-                continue;
+        let mut due = Vec::new();
+        for (name, p) in &mut self.directory.pending {
+            if ticks >= p.asked_tick + DIR_LOOKUP_RETRY_TICKS {
+                p.asked_tick = ticks;
+                due.push((name.clone(), p.lookup_id));
             }
-            p.retries += 1;
-            p.asked_tick = ticks;
-            let id = p.lookup_id;
+        }
+        for (name, id) in due {
             self.send_dir_lookup(&name, id);
         }
     }

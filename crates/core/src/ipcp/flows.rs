@@ -17,13 +17,22 @@ use crate::qos::{match_cube, QosCube, QosSpec};
 use crate::rmt::TxClass;
 use bytes::Bytes;
 use rina_efcp::{ConnId, ConnStats, Connection};
-use rina_sim::Time;
+use rina_sim::{Dur, Time};
 use rina_wire::{CepId, Pdu, PduView};
 use std::collections::BTreeMap;
 
 /// Largest SDU a DIF accepts from its users; PDUs add header overhead
 /// below this.
 const MAX_SDU: usize = 64 * 1024;
+
+/// How long a member's flow allocation may stay in flight before the
+/// allocator gives up on it.
+const ALLOC_DEADLINE: Dur = Dur::from_secs(1);
+
+/// The same over a shim: one hop over one medium, whose links are at
+/// most 5 ms one way, so a handshake still unanswered after this long
+/// was lost.
+const SHIM_ALLOC_DEADLINE: Dur = Dur::from_millis(50);
 
 /// Flow allocation phase of one endpoint.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -164,6 +173,16 @@ impl Ipcp {
         Binding::Efcp(Box::new(Connection::new(id, cube.params.clone())))
     }
 
+    /// How long an allocation from here may stay in flight — the other
+    /// choice a shim makes differently.
+    fn alloc_deadline(&self) -> Dur {
+        if self.is_shim {
+            SHIM_ALLOC_DEADLINE
+        } else {
+            ALLOC_DEADLINE
+        }
+    }
+
     /// A data PDU `v`, addressed here, arrived in `frame`; one flow-table
     /// lookup decides where it goes. An active raw flow's data is the
     /// frame of an upper DIF: it is sliced out of the arrival buffer and
@@ -214,20 +233,49 @@ impl Ipcp {
     /// [`IpcpOut::FlowActive`] or [`IpcpOut::FlowGone`] effect. Under
     /// the scoped-`/dir` policy a name neither registered here nor
     /// cached first resolves on demand at its owner; the allocation
-    /// continues when the answer arrives.
-    pub fn alloc_flow(&mut self, port: u64, src_app: AppName, dst_app: AppName, spec: QosSpec) {
-        if self.scoped_dir() {
-            match self.resolve_dir_local(&dst_app) {
-                Some(a) => self.alloc_flow_resolved(port, src_app, dst_app, spec, a),
-                None => self.start_dir_lookup(port, src_app, dst_app, spec),
-            }
-            return;
-        }
-        let Some(dst_addr) = self.dir_lookup(&dst_app) else {
-            self.out.push(IpcpOut::FlowGone { port, failed: Some("destination unknown in DIF") });
-            return;
+    /// continues when the answer arrives. An allocation still in flight
+    /// when its one deadline ([`IpcpTimer::Alloc`]) fires is ended.
+    pub fn alloc_flow(
+        &mut self,
+        port: u64,
+        src_app: AppName,
+        dst_app: AppName,
+        spec: QosSpec,
+        now: Time,
+    ) {
+        let dst_addr = if self.scoped_dir() {
+            self.resolve_dir_local(&dst_app)
+        } else {
+            self.dir_lookup(&dst_app)
         };
-        self.alloc_flow_resolved(port, src_app, dst_app, spec, dst_addr);
+        match dst_addr {
+            Some(a) => self.alloc_flow_resolved(port, src_app, dst_app, spec, a),
+            None if self.scoped_dir() => self.start_dir_lookup(port, src_app, dst_app, spec),
+            None => {
+                let failed = Some("destination unknown in DIF");
+                self.out.push(IpcpOut::FlowGone { port, failed });
+            }
+        }
+        if self.alloc_pending(port) {
+            let at = now + self.alloc_deadline();
+            self.out.push(IpcpOut::Arm { at, timer: IpcpTimer::Alloc { port } });
+        }
+    }
+
+    /// Whether the allocation for `port` is in flight: its request is
+    /// unanswered, or it waits on a directory lookup.
+    fn alloc_pending(&self, port: u64) -> bool {
+        self.flows.table.values().any(|f| f.port == port && f.phase != Phase::Active)
+            || self.directory.waits(port)
+    }
+
+    /// The deadline of the allocation for `port` ran out: one still in
+    /// flight is ended, its peer told, and the node told why.
+    pub(super) fn alloc_timer(&mut self, port: u64) {
+        if self.alloc_pending(port) {
+            self.dealloc_port(port);
+            self.out.push(IpcpOut::FlowGone { port, failed: Some("allocation timed out") });
+        }
     }
 
     /// Continue a flow allocation whose destination member is known.
@@ -295,19 +343,21 @@ impl Ipcp {
         self.send_mgmt_addr(src_addr, body, invoke_id, result);
     }
 
-    /// The destination answered flow request `invoke_id`: complete the
-    /// requesting endpoint's binding and activate it, or fail it.
+    /// The member at `src_addr` answered flow request `invoke_id`:
+    /// complete the requesting endpoint's binding and activate it, or
+    /// fail it. Only the member the request went to can answer it.
     pub(super) fn handle_flow_response(
         &mut self,
         invoke_id: u32,
+        src_addr: Addr,
         dst_cep: CepId,
         qos_id: u8,
         result: i32,
     ) {
-        let Some(cep) = self.flows.pending.remove(&invoke_id) else { return };
-        let Some((peer_addr, _)) = self.flows.table.get(&cep).map(|f| f.binding.peer()) else {
-            return;
-        };
+        let Some(&cep) = self.flows.pending.get(&invoke_id) else { return };
+        let peer = self.flows.table.get(&cep).map(|f| f.binding.peer().0);
+        let Some(peer_addr) = peer.filter(|&a| a == src_addr) else { return };
+        self.flows.pending.remove(&invoke_id);
         let bound = if result != 0 || dst_cep == 0 {
             Err("refused by destination")
         } else {
@@ -330,19 +380,27 @@ impl Ipcp {
         }
     }
 
-    /// Deallocate the flow bound to node port `port` (local side),
-    /// notifying the peer of an active one, or the allocation still
-    /// waiting on a directory lookup.
+    /// Deallocate the flow bound to node port `port` (local side) in
+    /// whatever phase it is, telling the member it names, or drop the
+    /// allocation still waiting on a directory lookup.
     pub fn dealloc_port(&mut self, port: u64) {
         self.directory.drop_waiter(port);
-        let cep = self.flows.table.iter().find(|(_, f)| f.port == port).map(|(&cep, _)| cep);
-        let Some(f) = cep.and_then(|cep| self.flows.remove(cep)) else { return };
-        if f.phase != Phase::Active {
+        let Some(cep) = self.flows.table.iter().find(|(_, f)| f.port == port).map(|(&c, _)| c)
+        else {
             return;
-        }
-        let (peer_addr, peer_cep) = f.binding.peer();
+        };
+        let Some(f) = self.flows.remove(cep) else { return };
         let invoke = self.next_invoke();
-        self.send_mgmt_addr(peer_addr, MgmtBody::FlowTeardown { cep: peer_cep }, invoke, 0);
+        self.send_mgmt_addr(f.binding.peer().0, MgmtBody::FlowTeardown { cep }, invoke, 0);
+    }
+
+    /// The member at `src_addr` ended its endpoint `cep`: end the flow
+    /// here bound to exactly that endpoint, if any.
+    pub(super) fn handle_flow_teardown(&mut self, src_addr: Addr, cep: CepId) {
+        let ours = self.flows.table.iter().find(|(_, f)| f.binding.peer() == (src_addr, cep));
+        if let Some(f) = ours.map(|(&c, _)| c).and_then(|c| self.flows.remove(c)) {
+            self.out.push(IpcpOut::FlowGone { port: f.port, failed: None });
+        }
     }
 
     /// User SDU written to the flow bound to `port`. `class_hint`
@@ -484,6 +542,13 @@ impl Ipcp {
         }
         s
     }
+
+    /// Every EFCP flow endpoint here, by CEP id, with the far endpoint
+    /// `(addr, cep)` it names once active (`None` while it requests).
+    pub(crate) fn efcp_ends(&self) -> impl Iterator<Item = (CepId, Option<(Addr, CepId)>)> + '_ {
+        let efcp = self.flows.table.iter().filter(|(_, f)| matches!(f.binding, Binding::Efcp(_)));
+        efcp.map(|(&cep, f)| (cep, (f.phase == Phase::Active).then(|| f.binding.peer())))
+    }
 }
 
 #[cfg(test)]
@@ -601,13 +666,17 @@ mod tests {
         }
     }
 
-    /// Carry every frame `from` wants sent over to `to`, arriving at `now`.
-    fn carry(from: &mut Ipcp, to: &mut Ipcp, now: Time) {
+    /// Carry every frame `from` wants sent over to `to`, arriving at
+    /// `now`, and return what else `from` asked of its node.
+    fn carry(from: &mut Ipcp, to: &mut Ipcp, now: Time) -> Vec<IpcpOut> {
+        let mut told = Vec::new();
         for effect in from.take_out() {
-            if let IpcpOut::TxPhys { frame, .. } = effect {
-                to.on_frame(0, frame, now);
+            match effect {
+                IpcpOut::TxPhys { frame, .. } => to.on_frame(0, frame, now),
+                other => told.push(other),
             }
         }
+        told
     }
 
     /// Two members with an active EFCP flow between them, set up at 1 ms:
@@ -617,12 +686,7 @@ mod tests {
         let (src, dst) = (AppName::new("client"), AppName::new("server"));
         a.alloc_flow_resolved(7, src, dst, QosSpec::reliable(), 2);
         carry(&mut a, &mut b, Time::from_millis(1));
-        let Some(IpcpOut::FlowReqIn { src_app, spec, src_addr, src_cep, invoke_id, .. }) =
-            b.take_out().pop()
-        else {
-            panic!("the request reached the responder");
-        };
-        b.flow_accept(8, src_app, spec, src_addr, src_cep, invoke_id);
+        accept(&mut b);
         carry(&mut b, &mut a, Time::from_millis(1));
         assert!(matches!(a.take_out().pop(), Some(IpcpOut::FlowActive { port: 7, .. })));
         [a, b]
@@ -699,8 +763,129 @@ mod tests {
             assert!(a.flows.table.is_empty(), "shim={shim}");
             assert!(a.flows.pending.is_empty(), "shim={shim}: pending entry leaked");
             // The response that never came in time is absorbed.
-            a.handle_flow_response(1, 9, 1, 0);
+            a.handle_flow_response(1, 2, 9, 1, 0);
             assert!(a.take_out().iter().all(|o| matches!(o, IpcpOut::TxPhys { .. })));
         }
+    }
+
+    /// `a`, the requester of a [`pair`], asks at `now` for a flow from its
+    /// node port 7 to the application "server" at member 2, and returns
+    /// the deadline it armed for it.
+    fn ask(a: &mut Ipcp, now: Time) -> Time {
+        if !a.is_shim {
+            a.rib.write_local("/dir/server", "dir", super::super::encode_addr(2));
+        }
+        a.alloc_flow(7, AppName::new("client"), AppName::new("server"), QosSpec::reliable(), now);
+        let armed = a.out.iter().find_map(|o| match *o {
+            IpcpOut::Arm { at, timer: IpcpTimer::Alloc { port: 7 } } => Some(at),
+            _ => None,
+        });
+        armed.expect("a request in flight arms its deadline")
+    }
+
+    /// `b` accepts the request that reached it on its node port 8.
+    fn accept(b: &mut Ipcp) {
+        let Some(IpcpOut::FlowReqIn { src_app, spec, src_addr, src_cep, invoke_id, .. }) =
+            b.take_out().pop()
+        else {
+            panic!("the request reached the responder");
+        };
+        b.flow_accept(8, src_app, spec, src_addr, src_cep, invoke_id);
+    }
+
+    /// Whether both ends' flow tables are empty.
+    fn both_empty(a: &Ipcp, b: &Ipcp) -> bool {
+        [a, b].iter().all(|i| i.flows.table.is_empty() && i.flows.pending.is_empty())
+    }
+
+    /// A request whose response is lost is ended at its deadline — 50 ms
+    /// over a shim, 1 s in a member DIF: the node is told why, the
+    /// teardown reaches the responder, whose endpoint ends too, and both
+    /// tables end empty.
+    #[test]
+    fn a_lost_response_ends_both_endpoints_at_the_deadline() {
+        let ms = Time::from_millis;
+        for (shim, deadline) in [(true, ms(60)), (false, ms(1010))] {
+            let [mut a, mut b] = pair(shim);
+            assert_eq!(ask(&mut a, ms(10)), deadline, "shim={shim}");
+            carry(&mut a, &mut b, ms(11));
+            accept(&mut b);
+            b.take_out(); // the response is lost
+            a.on_timer(IpcpTimer::Alloc { port: 7 }, deadline);
+            let told = carry(&mut a, &mut b, deadline);
+            let [IpcpOut::FlowGone { port: 7, failed }] = &told[..] else { panic!("{told:?}") };
+            assert_eq!(*failed, Some("allocation timed out"));
+            let told = b.take_out();
+            assert!(matches!(&told[..], [IpcpOut::FlowGone { port: 8, failed: None }]), "{told:?}");
+            assert!(both_empty(&a, &b), "shim={shim}");
+        }
+    }
+
+    /// A response that arrives after its deadline ran out is absorbed,
+    /// before or after the teardown reaches the responder: both tables
+    /// end empty, and the requester's node hears only of the timeout.
+    #[test]
+    fn a_response_after_the_deadline_is_absorbed() {
+        let ms = Time::from_millis;
+        for teardown_first in [true, false] {
+            let [mut a, mut b] = pair(false);
+            let deadline = ask(&mut a, ms(0));
+            carry(&mut a, &mut b, ms(1));
+            accept(&mut b);
+            let late = b.take_out();
+            a.on_timer(IpcpTimer::Alloc { port: 7 }, deadline);
+            if teardown_first {
+                carry(&mut a, &mut b, deadline);
+            }
+            for effect in late {
+                if let IpcpOut::TxPhys { frame, .. } = effect {
+                    a.on_frame(0, frame, deadline);
+                }
+            }
+            let told = carry(&mut a, &mut b, deadline);
+            assert!(told.iter().all(|o| !matches!(o, IpcpOut::FlowActive { .. })), "{told:?}");
+            assert!(both_empty(&a, &b), "teardown_first={teardown_first}");
+        }
+    }
+
+    /// A management frame from the member at `src` to the one at `dest`.
+    fn mgmt_from(src: Addr, dest: Addr, body: MgmtBody, invoke_id: u32) -> Bytes {
+        let payload = body.encode(invoke_id, 0);
+        Pdu::Mgmt(rina_wire::MgmtPdu { dest_addr: dest, src_addr: src, ttl: 4, payload }).encode()
+    }
+
+    /// A teardown ends only the flow bound to the endpoint it comes from:
+    /// one from a third member naming a live CEP ends nothing, the peer's
+    /// own ends the flow.
+    #[test]
+    fn a_teardown_from_a_third_member_ends_nothing() {
+        let [_, mut b] = efcp_flow();
+        b.on_frame(0, mgmt_from(3, 2, MgmtBody::FlowTeardown { cep: 1 }, 9), Time::from_millis(2));
+        assert!(b.take_out().is_empty());
+        assert_eq!(b.flows.table.len(), 1, "the flow outlives a stranger's teardown");
+        b.on_frame(0, mgmt_from(1, 2, MgmtBody::FlowTeardown { cep: 1 }, 9), Time::from_millis(3));
+        let told = b.take_out();
+        assert!(matches!(&told[..], [IpcpOut::FlowGone { port: 8, failed: None }]), "{told:?}");
+        assert!(b.flows.table.is_empty());
+    }
+
+    /// A response counts only from the member its request went to: one
+    /// from another member carrying the same invoke id — a process that
+    /// crash-restarted numbers its requests from 1 again — binds nothing,
+    /// and the real answer still completes the flow.
+    #[test]
+    fn a_response_from_another_member_binds_nothing() {
+        let [mut a, mut b] = pair(false);
+        ask(&mut a, Time::ZERO);
+        carry(&mut a, &mut b, Time::from_millis(1));
+        let stray = MgmtBody::FlowResponse { dst_cep: 5, qos_id: 1 };
+        a.on_frame(0, mgmt_from(3, 1, stray, 1), Time::from_millis(1));
+        assert!(a.take_out().is_empty(), "the stray response activated the flow");
+        accept(&mut b);
+        let told = carry(&mut b, &mut a, Time::from_millis(2));
+        assert!(told.iter().any(|o| matches!(o, IpcpOut::FlowActive { port: 8, .. })));
+        let told = a.take_out();
+        assert!(matches!(&told[..], [IpcpOut::FlowActive { port: 7, .. }]), "{told:?}");
+        assert_eq!(a.efcp_ends().collect::<Vec<_>>(), [(1, Some((2, 1)))]);
     }
 }

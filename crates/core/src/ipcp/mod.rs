@@ -8,7 +8,7 @@
 //! | task set | file | struct | owns |
 //! |---|---|---|---|
 //! | **IPC Data Transfer** (per PDU) | `transfer.rs` | `Transfer` | the (N-1) port table ([`N1Port`]), the peer-address relay index, the lower-flow index; relay-in-place, two-step forwarding, transmit |
-//! | **IPC Transfer Control** (per flow) | `flows.rs` | `Flows` | the one flow table (CEP → port, phase, binding), CEP ids, the EFCP timer dirty list, pending flow allocations, and each connection's armed deadline; the flow-allocator handshake (§5.3) |
+//! | **IPC Transfer Control** (per flow) | `flows.rs` | `Flows` | the one flow table (CEP → port, phase, binding), CEP ids, the EFCP timer dirty list, pending flow allocations, and each connection's armed deadline; the flow-allocator handshake (§5.3), its deadline and its teardown |
 //! | **IPC Management** — enrollment (§5.2) | `enroll.rs` | `Enroll` | outstanding requests and what they propose, the admission window, sponsored members and their failure watch; address and block assignment, leave and purge |
 //! | — directory | `directory.rs` | `Directory` | own registrations, the lookup cache, tombstone memory, on-demand lookups in flight (scoped `/dir`) |
 //! | — neighbors | `neighbors.rs` | `Neighbors` | the planned adjacencies, the management view of each port (tree edge, peer digests, hello memo, a port's last lower flow), the hello send cache and tick count; allocating, retrying and binding lower flows, hello send/receive, expiry and release |
@@ -48,10 +48,11 @@
 //! Each task owns its timers ([`IpcpTimer`]); the node only arms them and
 //! hands them back to [`Ipcp::on_timer`]. Neighbors keep the hello
 //! cadence and the planned adjacencies' retries, enrollment the request
-//! retry (a busy sponsor's backoff hint included): each asks for its next
-//! timer with an [`IpcpOut::Arm`]. Routing and dissemination debounce
-//! their [`Deferred`] jobs, and transfer control keeps one deadline per
-//! EFCP connection;
+//! retry (a busy sponsor's backoff hint included), transfer control each
+//! flow allocation's one deadline: each asks for its timer with an
+//! [`IpcpOut::Arm`]. Routing and dissemination debounce their
+//! [`Deferred`] jobs, and transfer control keeps one deadline per EFCP
+//! connection;
 //! both are collected after every event by [`Ipcp::timers_wanted`], which
 //! also decides which of them are already armed.
 //!
@@ -198,10 +199,17 @@ pub enum IpcpTimer {
     Hello,
     /// The enrollment task's request retry, re-armed until a member.
     EnrollRetry,
-    /// The retry of planned adjacency `k`, re-armed until its flow is up.
+    /// Planned adjacency `k` asks for its flow: armed from start and
+    /// after each loss of it, until its flow is up.
     Adjacency(usize),
     /// A deferred job's debounce ran out.
     Deferred(Deferred),
+    /// The deadline of the flow allocation for node port `port`: one
+    /// still in flight then is ended.
+    Alloc {
+        /// The node port the allocation is for.
+        port: u64,
+    },
     /// An EFCP deadline of the flow at `cep`. A firing whose `arm` is no
     /// longer the flow's — an earlier deadline superseded it, or the flow
     /// is gone — does nothing.
@@ -463,11 +471,12 @@ impl Ipcp {
         match timer {
             IpcpTimer::Hello => self.hello_timer(now),
             IpcpTimer::EnrollRetry => self.enroll_retry_timer(now),
-            IpcpTimer::Adjacency(k) => self.adjacency_timer(k, now),
+            IpcpTimer::Adjacency(k) => self.ask_for_plan(k),
             IpcpTimer::Deferred(job) => {
                 self.deferred_armed &= !(1 << job as u8);
                 self.run_deferred(job, now);
             }
+            IpcpTimer::Alloc { port } => self.alloc_timer(port),
             IpcpTimer::Conn { cep, arm } => self.conn_timer(cep, arm, now),
         }
     }
@@ -634,13 +643,10 @@ impl Ipcp {
                 });
             }
             MgmtBody::FlowResponse { dst_cep, qos_id } => {
-                self.handle_flow_response(cdap.invoke_id, dst_cep, qos_id, cdap.result);
+                let (invoke, result) = (cdap.invoke_id, cdap.result);
+                self.handle_flow_response(invoke, m.src_addr, dst_cep, qos_id, result);
             }
-            MgmtBody::FlowTeardown { cep } => {
-                if let Some(f) = self.flows.remove(cep) {
-                    self.out.push(IpcpOut::FlowGone { port: f.port, failed: None });
-                }
-            }
+            MgmtBody::FlowTeardown { cep } => self.handle_flow_teardown(m.src_addr, cep),
             MgmtBody::RibDeltaRequest { subtree, from, upto, summary } => {
                 self.handle_delta_request(from_n1, subtree, &from, &upto, &summary);
             }

@@ -21,12 +21,8 @@ use rina_sim::{Dur, Time};
 /// adjacency expires after `hello_period × HELLO_MISSES` of silence).
 const HELLO_MISSES: u64 = 3;
 
-/// How long a planned adjacency waits for its flow before asking again:
-/// the request or its answer may be lost.
-const PLAN_WATCHDOG: Dur = Dur::from_millis(250);
-
-/// How long a planned adjacency whose flow failed or went silent waits
-/// before asking again.
+/// How long a planned adjacency whose flow failed, timed out or went
+/// silent waits before asking again.
 const PLAN_RETRY: Dur = Dur::from_millis(200);
 
 /// How soon a crash-restarted process asks for its planned adjacencies.
@@ -34,7 +30,9 @@ const RESTART_DELAY: Dur = Dur::from_millis(50);
 
 /// An (N-1) adjacency this process allocates itself: a flow from its
 /// provider `via` to the peer, asked for `start_after` from start and
-/// again whenever it is lost, until it holds.
+/// again whenever it is lost, until it holds. Its one timer
+/// ([`IpcpTimer::Adjacency`]) is armed exactly while no flow is asked
+/// for or held: from start, and from each loss, until it fires and asks.
 #[derive(Clone)]
 pub(super) struct Plan {
     peer: AppName,
@@ -49,17 +47,13 @@ pub(super) struct Plan {
     port: Option<u64>,
     /// The flow in `port` is active.
     up: bool,
-    /// An [`IpcpTimer::Adjacency`] is armed (one per plan: several
-    /// failure signals for one attempt must not multiply retries).
-    retry_armed: bool,
 }
 
 impl Plan {
     /// The same adjacency for a crash-restarted process: nothing asked
     /// for yet, first asked [`RESTART_DELAY`] after it starts.
     pub(super) fn restarted(&self) -> Plan {
-        let (port, up, retry_armed) = (None, false, false);
-        Plan { start_after: RESTART_DELAY, port, up, retry_armed, ..self.clone() }
+        Plan { start_after: RESTART_DELAY, port: None, up: false, ..self.clone() }
     }
 }
 
@@ -272,8 +266,7 @@ impl Ipcp {
         if enrolls {
             self.enroll.request = enroll;
         }
-        let (port, up, retry_armed) = (None, false, false);
-        let plan = Plan { peer, spec, via, start_after, enroll: enrolls, port, up, retry_armed };
+        let plan = Plan { peer, spec, via, start_after, enroll: enrolls, port: None, up: false };
         self.neighbors.plans.push(plan);
     }
 
@@ -282,8 +275,10 @@ impl Ipcp {
     pub(crate) fn start_adjacencies(&mut self, now: Time) {
         for k in 0..self.neighbors.plans.len() {
             match self.neighbors.plans.get(k).map(|p| p.start_after) {
-                Some(Dur::ZERO) => self.ask_for_plan(k, now),
-                Some(d) => self.arm_plan_retry(k, now + d),
+                Some(Dur::ZERO) => self.ask_for_plan(k),
+                Some(d) => {
+                    self.out.push(IpcpOut::Arm { at: now + d, timer: IpcpTimer::Adjacency(k) })
+                }
                 None => {}
             }
         }
@@ -302,32 +297,14 @@ impl Ipcp {
         }
     }
 
-    /// Arm planned adjacency `k`'s retry for `at`, unless one is armed.
-    fn arm_plan_retry(&mut self, k: usize, at: Time) {
-        let Some(p) = self.neighbors.plans.get_mut(k).filter(|p| !p.retry_armed) else { return };
-        p.retry_armed = true;
-        self.out.push(IpcpOut::Arm { at, timer: IpcpTimer::Adjacency(k) });
-    }
-
-    /// Planned adjacency `k`'s retry fired: ask again unless it is up.
-    pub(super) fn adjacency_timer(&mut self, k: usize, now: Time) {
-        let Some(p) = self.neighbors.plans.get_mut(k) else { return };
-        p.retry_armed = false;
-        if !p.up {
-            self.ask_for_plan(k, now);
-        }
-    }
-
-    /// Ask for planned adjacency `k`'s flow: drop the request still in
-    /// flight, if any, ask anew, and arm the watchdog.
-    fn ask_for_plan(&mut self, k: usize, now: Time) {
-        let Some(p) = self.neighbors.plans.get_mut(k) else { return };
-        if let Some(port) = p.port.take() {
-            self.out.push(IpcpOut::Release { port });
-        }
+    /// Ask for planned adjacency `k`'s flow, unless one is asked for or
+    /// held. Whether it comes up is the provider's allocator's business:
+    /// a flow it fails or times out comes back as
+    /// [`Ipcp::lower_flow_gone`], which asks again.
+    pub(super) fn ask_for_plan(&mut self, k: usize) {
+        let Some(p) = self.neighbors.plans.get(k).filter(|p| p.port.is_none()) else { return };
         let (via, dst, spec) = (p.via, p.peer.clone(), p.spec);
         self.out.push(IpcpOut::Allocate { plan: k, via, dst, spec });
-        self.arm_plan_retry(k, now + PLAN_WATCHDOG);
     }
 
     /// The lower flow at `port`, from provider `via` to or from the peer
@@ -381,9 +358,9 @@ impl Ipcp {
     }
 
     /// The lower flow at `port` is gone — it failed, its peer closed it,
-    /// it never came up, or this process released it: the port bound to
-    /// it goes down and is free, and a planned adjacency behind it asks
-    /// again after `PLAN_RETRY` (200 ms).
+    /// its allocation failed or timed out, or this process released it:
+    /// the port bound to it goes down and is free, and a planned
+    /// adjacency behind it asks again after `PLAN_RETRY` (200 ms).
     pub(crate) fn lower_flow_gone(&mut self, port: u64, now: Time) {
         if let Some(n1) = self.transfer.lower.remove(&port) {
             self.n1_down(n1, now);
@@ -391,7 +368,7 @@ impl Ipcp {
         let mut plans = self.neighbors.plans.iter_mut().enumerate();
         let Some((k, p)) = plans.find(|(_, p)| p.port == Some(port)) else { return };
         (p.port, p.up) = (None, false);
-        self.arm_plan_retry(k, now + PLAN_RETRY);
+        self.out.push(IpcpOut::Arm { at: now + PLAN_RETRY, timer: IpcpTimer::Adjacency(k) });
     }
 
     /// The port the lower flow at `port` is bound to, if any.

@@ -166,7 +166,7 @@ fn relay_patches_ttl_in_place() {
 fn alloc_flow_unknown_dest_fails_immediately() {
     let mut a = mk("net.a");
     a.bootstrap(1);
-    a.alloc_flow(10, AppName::new("c"), AppName::new("ghost"), QosSpec::reliable());
+    a.alloc_flow(10, AppName::new("c"), AppName::new("ghost"), QosSpec::reliable(), Time::ZERO);
     let out = a.take_out();
     assert!(matches!(&out[..], [IpcpOut::FlowGone { port: 10, failed: Some(_) }]));
 }
@@ -740,7 +740,7 @@ fn scoped_lookup_resolves_waiting_allocation_and_caches() {
     live_port(&mut a, 0, 7, true); // owner is a direct tree neighbor
                                    // The owner's LSA is known DIF-wide (liveness guard).
     assert!(a.rib.apply_remote_silent(owner_lsa(7, 1, false)));
-    a.alloc_flow(10, AppName::new("c"), AppName::new("web"), QosSpec::reliable());
+    a.alloc_flow(10, AppName::new("c"), AppName::new("web"), QosSpec::reliable(), Time::ZERO);
     let out = a.take_out();
     assert!(
         !out.iter().any(|o| matches!(o, IpcpOut::FlowGone { failed: Some(_), .. })),
@@ -764,7 +764,7 @@ fn scoped_lookup_resolves_waiting_allocation_and_caches() {
         .collect();
     assert_eq!(reqs, vec![(7, "web".to_string())], "the parked allocation continued");
     // A second allocation hits the cache — no new lookup.
-    a.alloc_flow(11, AppName::new("c"), AppName::new("web"), QosSpec::reliable());
+    a.alloc_flow(11, AppName::new("c"), AppName::new("web"), QosSpec::reliable(), Time::ZERO);
     assert_eq!((a.stats.dir_cache_hits, a.stats.dir_lookups_sent), (1, 1));
     assert!(a.rib.get("/dir/web").is_none(), "cached, never stored in the RIB");
 }
@@ -798,7 +798,7 @@ fn dir_tombstone_invalidates_cache_and_blocks_stale_answers() {
     assert!(a.rib.apply_remote_silent(owner_lsa(7, 1, false)));
     // Seed the cache through a lookup answer.
     a.handle_dir_lookup_response("/dir/web".into(), 7, 1);
-    a.alloc_flow(10, AppName::new("c"), AppName::new("web"), QosSpec::reliable());
+    a.alloc_flow(10, AppName::new("c"), AppName::new("web"), QosSpec::reliable(), Time::ZERO);
     assert_eq!(a.stats.dir_cache_hits, 1);
     a.take_out();
     // The owner unregisters: its tombstone floods in on port 0.
@@ -831,11 +831,11 @@ fn dir_tombstone_invalidates_cache_and_blocks_stale_answers() {
     assert_eq!(fwd, vec![1], "tombstone forwarded down the tree, ingress excluded");
     // A stale in-flight answer (version 1 < tombstone 2) is refused…
     a.handle_dir_lookup_response("/dir/web".into(), 7, 1);
-    a.alloc_flow(11, AppName::new("c"), AppName::new("web"), QosSpec::reliable());
+    a.alloc_flow(11, AppName::new("c"), AppName::new("web"), QosSpec::reliable(), Time::ZERO);
     assert_eq!(a.stats.dir_cache_hits, 1, "no stale hit");
     // …while the re-registered entry (version 3) is accepted again.
     a.handle_dir_lookup_response("/dir/web".into(), 7, 3);
-    a.alloc_flow(12, AppName::new("c"), AppName::new("web"), QosSpec::reliable());
+    a.alloc_flow(12, AppName::new("c"), AppName::new("web"), QosSpec::reliable(), Time::ZERO);
     assert_eq!(a.stats.dir_cache_hits, 2);
 }
 
@@ -861,43 +861,55 @@ fn lsa_tombstone_drops_cached_answers_for_departed_owner() {
     assert_eq!(a.directory.cache.len(), 1);
 }
 
+/// An allocation parked behind a lookup nobody answers ends at its one
+/// deadline, 1 s after it was asked for. Until then the lookup is resent
+/// on the hello cadence; the deadline fails the allocation, the lookup
+/// goes with its last waiter, and nothing is resent after.
 #[test]
-fn scoped_lookup_retry_budget_fails_the_waiting_allocation() {
+fn the_deadline_fails_a_waiting_allocation() {
+    let ms = Time::from_millis;
     let mut a = mk_scoped("net.a");
     a.bootstrap(1);
     live_port(&mut a, 0, 2, true);
-    a.alloc_flow(10, AppName::new("c"), AppName::new("ghost"), QosSpec::reliable());
-    a.take_out();
-    let mut failed = None;
-    for tick in 1..=16u64 {
-        a.tick_hello(Time::from_millis(tick * 500));
-        let out = a.take_out();
-        if out.iter().any(|o| {
-            matches!(o, IpcpOut::FlowGone { port: 10, failed: Some("destination unknown in DIF") })
-        }) {
-            failed = Some(tick);
-            break;
-        }
+    a.alloc_flow(10, AppName::new("c"), AppName::new("ghost"), QosSpec::reliable(), Time::ZERO);
+    let armed = a.take_out().into_iter().find_map(|o| match o {
+        IpcpOut::Arm { at, timer: IpcpTimer::Alloc { port: 10 } } => Some(at),
+        _ => None,
+    });
+    assert_eq!(armed, Some(ms(1000)));
+    let gone = |out: &[IpcpOut]| out.iter().any(|o| matches!(o, IpcpOut::FlowGone { .. }));
+    for tick in 1..=2 {
+        a.tick_hello(ms(tick * 500));
+        assert!(!gone(&a.take_out()), "no budget fails the waiter");
     }
-    assert!(failed.is_some(), "the unanswered lookup eventually fails its waiter");
-    assert!(a.stats.dir_lookups_sent > 1, "the lookup was retried before giving up");
-    assert!(a.directory.pending.is_empty());
+    assert_eq!(a.stats.dir_lookups_sent, 2, "resent two ticks after asking");
+    a.on_timer(IpcpTimer::Alloc { port: 10 }, ms(1000));
+    let out = a.take_out();
+    let [IpcpOut::FlowGone { port: 10, failed }] = &out[..] else { panic!("{out:?}") };
+    assert_eq!(*failed, Some("allocation timed out"));
+    assert!(a.directory.pending.is_empty(), "the lookup went with its last waiter");
+    for tick in 3..=16 {
+        a.tick_hello(ms(tick * 500));
+    }
+    assert_eq!(a.stats.dir_lookups_sent, 2, "nothing waits, nothing is resent");
 }
 
-/// The node gives up on an allocation parked behind a directory lookup
-/// (its allocation timeout releases the port): the owner's late answer
-/// still caches, but resumes nothing — no flow request leaves for a port
-/// the node has dropped, so neither end keeps a flow nobody owns.
+/// An allocation parked behind a directory lookup is released (its
+/// application closed it, or its deadline ran out): the lookup goes with
+/// its last waiter, and the owner's late answer still caches but resumes
+/// nothing — no flow request leaves for a port the node has dropped, so
+/// neither end keeps a flow nobody owns.
 #[test]
 fn a_port_released_while_its_lookup_is_pending_never_resumes() {
     let mut a = mk_scoped("net.a");
     a.bootstrap(1);
     live_port(&mut a, 0, 7, true);
     assert!(a.rib.apply_remote_silent(owner_lsa(7, 1, false)));
-    a.alloc_flow(10, AppName::new("c"), AppName::new("web"), QosSpec::reliable());
+    a.alloc_flow(10, AppName::new("c"), AppName::new("web"), QosSpec::reliable(), Time::ZERO);
     a.take_out();
     a.dealloc_port(10);
     assert!(a.take_out().is_empty(), "nothing to tell a peer");
+    assert!(a.directory.pending.is_empty(), "no waiter, no lookup");
     a.handle_dir_lookup_response("/dir/web".into(), 7, 1);
     let out = a.take_out();
     let requests = tx_mgmt(&out)

@@ -100,9 +100,11 @@ pub enum MgmtBody {
         /// QoS cube the flow was bound to.
         qos_id: u8,
     },
-    /// Tear down a flow by its destination endpoint.
+    /// The sender ended its endpoint of a flow, in whatever phase: the
+    /// receiver ends the flow bound to exactly that endpoint.
     FlowTeardown {
-        /// The endpoint at the receiver of this message.
+        /// The sender's own endpoint; with the PDU's source address it
+        /// names the receiver's flow.
         cep: CepId,
     },
     /// Anti-entropy pull: "here is the version summary of my `subtree`

@@ -19,13 +19,17 @@
 //! `Ipcp::lower_flow_gone`).
 //!
 //! Timers: an IPC process owns its own — the hello cadence, the
-//! enrollment retry, the adjacency retries, the debounced deferred jobs
-//! and the EFCP deadlines ([`IpcpTimer`]). It asks for them with an
-//! [`IpcpOut::Arm`] effect, which the node runs inline as it flushes, or
-//! through [`Ipcp::timers_wanted`], which the node asks after every event;
-//! the node arms each as one `TimerKind::Ipcp` and hands it back to
+//! enrollment retry, the adjacency retries, the debounced deferred jobs,
+//! each flow allocation's deadline and the EFCP deadlines
+//! ([`IpcpTimer`]). It asks for them with an [`IpcpOut::Arm`] effect,
+//! which the node runs inline as it flushes, or through
+//! [`Ipcp::timers_wanted`], which the node asks after every event; the
+//! node arms each as one `TimerKind::Ipcp` and hands it back to
 //! [`Ipcp::on_timer`]. The node's own timers are the IPC manager's: NIC
-//! pacing, the allocation watchdog and the applications' timers.
+//! pacing and the applications' timers. Whether an allocation succeeds,
+//! fails or times out, for an application or for a higher IPC process,
+//! is the providing process's to say, as one [`IpcpOut::FlowActive`] or
+//! [`IpcpOut::FlowGone`].
 //!
 //! A medium that goes down or comes back is an engine event
 //! ([`Agent::medium`]), which the node hands to the shim bound to that
@@ -135,7 +139,6 @@ enum TimerKind {
     Ipcp { ipcp: usize, timer: IpcpTimer },
     Pace { iface: usize },
     App { app: usize, key: u64 },
-    AllocTimeout { port: u64 },
 }
 
 /// A set of IPC-process slot indices, one bit per slot: a node hosts a few
@@ -328,10 +331,8 @@ impl Node {
             return FlowH(port);
         };
         let port = self.new_port(Owner::App(app), provider, true);
-        self.ipcps[provider].alloc_flow(port, src, dst, spec);
+        self.ipcps[provider].alloc_flow(port, src, dst, spec, ctx.now());
         self.flush_ipcp(provider, ctx);
-        let at = ctx.now() + Dur::from_secs(1);
-        self.arm(ctx, at, TimerKind::AllocTimeout { port });
         FlowH(port)
     }
 
@@ -431,7 +432,7 @@ impl Node {
                         let port = self.new_port(Owner::Upper(i), via, false);
                         self.ipcps[i].lower_requested(plan, port);
                         let src = self.ipcps[i].name.clone();
-                        self.ipcps[via].alloc_flow(port, src, dst, spec);
+                        self.ipcps[via].alloc_flow(port, src, dst, spec, ctx.now());
                         self.flush_ipcp(via, ctx);
                     }
                     IpcpOut::Release { port } => self.release_port(port, ctx),
@@ -703,14 +704,6 @@ impl Node {
             TimerKind::App { app, key } => {
                 self.call_app(app, ctx, |a, api| a.on_timer(key, api));
             }
-            TimerKind::AllocTimeout { port } => {
-                let pending = self.ports.get(&port).filter(|s| !s.active);
-                let Some(provider) = pending.map(|s| s.provider) else { return };
-                self.ipcps[provider].dealloc_port(port);
-                self.flush_ipcp(provider, ctx);
-                let failed = Some("allocation timed out");
-                self.workq.push_back((provider, IpcpOut::FlowGone { port, failed }));
-            }
         }
     }
 }
@@ -950,6 +943,41 @@ mod tests {
             assert_eq!(sim.agent::<Node>(id).tx_refused, 1);
         }
         assert_eq!(sim.link_stats(rina_sim::LinkId(0)).drops_overflow, 0, "not the link's drop");
+    }
+
+    /// A planned adjacency whose first flow request is lost asks again
+    /// 250 ms after asking: the shim's allocator ends the request at its
+    /// 50 ms deadline, and the plan waits its 200 ms retry.
+    #[test]
+    fn a_planned_adjacency_whose_request_is_lost_asks_again_at_250_ms() {
+        let mut sim = Sim::new(7);
+        let (a, b) = (sim.add_node(Node::new("a")), sim.add_node(Node::new("b")));
+        let (link, ia, ib) = sim.connect(a, b, LinkCfg::wired());
+        for (id, iface, side) in [(a, ia, 0), (b, ib, 1)] {
+            let node = sim.agent_mut::<Node>(id);
+            let shim = node.add_shim(DifConfig::new("shim0"), AppName::new("shim0"), iface, side);
+            let name = format!("upper.{}", node.name);
+            let upper = node.add_ipcp(DifConfig::new("upper"), AppName::new(&name));
+            if id == a {
+                let peer = AppName::new("upper.b");
+                node.ipcps[upper].plan_adjacency(peer, QosSpec::datagram(), shim, Dur::ZERO, None);
+            }
+        }
+        assert!(sim.step() && sim.step(), "both nodes start; a's request is on the wire");
+        // The medium drops what it carries, then comes back at once.
+        sim.set_link_up(link, false);
+        sim.run_until(Time::from_millis(5));
+        sim.set_link_up(link, true);
+        let asked = |sim: &Sim| sim.agent::<Node>(b).ipcp(0).stats.flow_reqs_in;
+        sim.run_until(Time::from_millis(250));
+        assert_eq!(asked(&sim), 0, "the lost request is not repeated before 250 ms");
+        assert!(!sim.agent::<Node>(a).ipcp(1).is_assembled());
+        // Asked at 250 ms, arriving one link delay (and a transmit) later.
+        sim.run_until(Time::from_millis(252));
+        assert_eq!(asked(&sim), 1);
+        sim.run_until(Time::from_millis(300));
+        let ports = &sim.agent::<Node>(a).ports;
+        assert!(ports.values().any(|p| p.owner == Owner::Upper(1) && p.active), "it holds");
     }
 
     /// A PDU of a higher IPC process bound to a lower flow the node does

@@ -3,7 +3,7 @@
 //! API ([`rina::net`]) and, where a generator fits, [`rina::scenario`].
 
 use rina::apps::{EchoApp, PingApp, SinkApp, SourceApp};
-use rina::ipcp::IpcpOut;
+use rina::ipcp::{IpcpOut, IpcpTimer};
 use rina::msg::MgmtBody;
 use rina::prelude::*;
 use rina_wire::{CdapMsg, Pdu};
@@ -370,8 +370,9 @@ fn a_shims_medium_goes_down_and_comes_back() {
     let (src, dst) = (AppName::new("a"), AppName::new("b"));
     net.set_link_up(l, false);
     net.run_for(Dur::ZERO);
+    let down = net.sim.now();
     let shim = net.node_mut(h1).ipcp_mut(0);
-    shim.alloc_flow(90, src.clone(), dst.clone(), QosSpec::datagram());
+    shim.alloc_flow(90, src.clone(), dst.clone(), QosSpec::datagram(), down);
     let out = shim.take_out();
     let [IpcpOut::FlowGone { port: 90, failed }] = &out[..] else { panic!("{out:?}") };
     assert_eq!(*failed, Some("destination unknown in DIF"));
@@ -381,9 +382,12 @@ fn a_shims_medium_goes_down_and_comes_back() {
     net.run_for(Dur::ZERO);
     assert_eq!(net.sim.now(), back, "no wait");
     let shim = net.node_mut(h1).ipcp_mut(0);
-    shim.alloc_flow(91, src, dst, QosSpec::datagram());
+    shim.alloc_flow(91, src, dst, QosSpec::datagram(), back);
     let out = shim.take_out();
-    let [IpcpOut::TxPhys { n1: 0, frame, .. }] = &out[..] else { panic!("{out:?}") };
+    let [IpcpOut::TxPhys { n1: 0, frame, .. }, IpcpOut::Arm { timer, .. }] = &out[..] else {
+        panic!("{out:?}")
+    };
+    assert_eq!(*timer, IpcpTimer::Alloc { port: 91 }, "and its deadline is armed");
     let Ok(Pdu::Mgmt(m)) = Pdu::decode(frame) else { panic!("a management frame") };
     let body = CdapMsg::decode(&m.payload).ok().and_then(|c| MgmtBody::from_cdap(&c).ok());
     assert!(matches!(body, Some(MgmtBody::FlowRequest { .. })), "{body:?}");
