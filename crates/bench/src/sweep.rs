@@ -308,8 +308,9 @@ row! {
         /// Live RIB objects of departed origins anywhere at the end of the
         /// run (must be 0: departed state never outlives its owner).
         stale_rib: u64,
-        /// Violations [`invariants::check`] finds at the end of the run
-        /// (must be 0: the DIF is healthy when the cell ends).
+        /// Violations [`invariants::check`] still finds after the cell's
+        /// closing [`invariants::settle`] (must be 0: the DIF is healthy
+        /// when the cell ends).
         invariants: u64,
         /// EFCP endpoints [`invariants::half_open`] finds at the end of
         /// the run: requesting, or naming an endpoint that does not name
@@ -463,9 +464,9 @@ impl SweepGrid {
 }
 
 /// Run one cell: stamp the topology, assemble the DIF under the cell's
-/// schedule/loss/flood config, verify sampled reachability, collect the
-/// counters. Self-contained — builds its own `Sim` — so any number of
-/// cells run concurrently.
+/// schedule/loss/flood config, verify sampled reachability, settle the
+/// DIF healthy, collect the counters. Self-contained — builds its own
+/// `Sim` — so any number of cells run concurrently.
 pub fn run_cell(cell: &SweepCell, base_seed: u64) -> SweepRow {
     let (row, wall_s) = timed(|| {
         let seed = cell.seed(base_seed);
@@ -528,6 +529,9 @@ pub fn run_cell(cell: &SweepCell, base_seed: u64) -> SweepRow {
         if flow.is_some() {
             run.run_for(Dur::from_secs(8));
         }
+        // Every row is read at quiescence: the oracle's own settle, which
+        // runs no virtual time when the DIF is already healthy.
+        let violations = invariants::settle(&mut run.net, &ipcps, 240).len() as u64;
         let net = &run.net;
         let t = Totals::of(net, &ipcps, &fab.nodes);
         let (rib_objects_max, rib_bytes_max) = rib_footprint(net, &ipcps);
@@ -553,7 +557,7 @@ pub fn run_cell(cell: &SweepCell, base_seed: u64) -> SweepRow {
             reachable: mesh.all_done(net),
             agg_len: t.agg_len as u64,
             stale_rib: invariants::stale_objects(net, &ipcps).len() as u64,
-            invariants: invariants::check(net, &ipcps).len() as u64,
+            invariants: violations,
             half_open: invariants::half_open(net, &ipcps).len() as u64,
             churn_reach,
             rib_objects_max,

@@ -12,6 +12,10 @@
 //! - member addresses are unique, and the blocks `[addr, hi]` delegated
 //!   to them form one tree: any two are nested or disjoint, and the first
 //!   and widest holds them all;
+//! - every live member's replicated RIB holds what the first live
+//!   member's holds: their per-subtree digest tables are equal (owner-held
+//!   `/dir` is outside the table), so anti-entropy has nothing left to
+//!   repair;
 //! - no member holds a live RIB object whose origin is not a current
 //!   member: departed state never outlives its owner;
 //! - following first next hops through the members' forwarding tables
@@ -19,7 +23,8 @@
 //!   loop on a path between members.
 //!
 //! [`check`] lists every way a DIF falls short of that, and [`settle`]
-//! runs the network until nothing is left. [`Tables`] is the table walk
+//! runs the network until nothing is left, so a DIF that is already
+//! healthy costs it no virtual time. [`Tables`] is the table walk
 //! both use; its [`Tables::ring`] is also the churn experiment's sampled
 //! reachability.
 //!
@@ -61,6 +66,14 @@ pub enum Violation {
         holder: Addr,
         /// The record's name.
         record: String,
+    },
+    /// The member at `holder` disagrees with the first live member about
+    /// the replicated `subtree`: their digest tables differ there.
+    Diverged {
+        /// Address of the member whose table differs.
+        holder: Addr,
+        /// The subtree whose `(count, digest)` differs.
+        subtree: String,
     },
     /// Two live members hold this address.
     DuplicateAddress(Addr),
@@ -105,22 +118,23 @@ pub fn check(net: &Net, members: &[IpcpH]) -> Vec<Violation> {
         out.extend(dead.map(|(n1, _)| Violation::DeadPort { member: ip.name.clone(), n1 }));
     }
     membership(&live, &mut out);
+    diverged(&live, &mut out);
     out.extend(stale_objects(net, members));
     out.extend(Tables::of(net, members).unreachable());
     out
 }
 
 /// Run `net` in half-second steps, at most `max_steps` of them, until
-/// [`check`] finds nothing wrong with `members`, and stop at the first
-/// step where it does. Returns what is still wrong: empty when the DIF
-/// became healthy. Steps where the stack has not assembled skip the
-/// check.
+/// [`check`] finds nothing wrong with `members`. It checks before each
+/// step, so a DIF that is already healthy runs no virtual time. Returns
+/// what is still wrong: empty when the DIF is healthy. While the stack
+/// has not assembled the check is skipped.
 pub fn settle(net: &mut Net, members: &[IpcpH], max_steps: usize) -> Vec<Violation> {
     for _ in 0..max_steps {
-        net.run_for(Dur::from_millis(500));
         if net.assembled() && check(net, members).is_empty() {
             return Vec::new();
         }
+        net.run_for(Dur::from_millis(500));
     }
     check(net, members)
 }
@@ -197,6 +211,17 @@ fn membership(live: &[&Ipcp], out: &mut Vec<Violation>) {
             _ => {}
         }
         open.push(b);
+    }
+}
+
+/// Every subtree where a `live` member's digest table differs from the
+/// first live member's.
+fn diverged(live: &[&Ipcp], out: &mut Vec<Violation>) {
+    let Some((first, rest)) = live.split_first() else { return };
+    let reference = first.rib.digest_table();
+    for ip in rest {
+        let subtrees = ip.rib.mismatched(&reference).into_iter();
+        out.extend(subtrees.map(|subtree| Violation::Diverged { holder: ip.addr, subtree }));
     }
 }
 
@@ -319,9 +344,10 @@ mod tests {
         let ghost = Stale { holder: 2, origin: 99, name: "/dir/ghost".into() };
         assert!(found.contains(&ghost), "{found:?}");
         let wrong = |record: &str| Membership { holder: 2, record: record.into() };
+        let diverged = |subtree: &str| Diverged { holder: 2, subtree: subtree.into() };
         let (found, _) =
             after(set(|ip| ip.rib.write_local("/members/ghost", "member", Bytes::new())));
-        assert_eq!(found, [wrong("/members/ghost")]);
+        assert_eq!(found, [wrong("/members/ghost"), diverged("/members")]);
         // A ghost in place of a real record: the count still matches.
         let mut replaced = String::new();
         let (found, _) = after(|net, h| {
@@ -332,13 +358,17 @@ mod tests {
             ip.rib.delete_local(&replaced);
             ip.rib.write_local("/members/ghost", "member", encode_member(9, 9));
         });
-        assert_eq!(found, [wrong("/members/ghost"), wrong(&replaced)]);
+        assert_eq!(found, [wrong("/members/ghost"), wrong(&replaced), diverged("/members")]);
         // A record with the wrong top of block.
         let (found, name) = after(set(|ip| {
             let rec = member_name(&ip.name);
             ip.rib.write_local(&rec, "member", encode_member(2, 3));
         }));
-        assert_eq!(found, [wrong(&member_name(&name))]);
+        assert_eq!(found, [wrong(&member_name(&name)), diverged("/members")]);
+        // An object only this member holds, written by a live member: its
+        // RIB is right about every member and wrong about the DIF.
+        let (found, _) = after(set(|ip| ip.rib.write_local("/dir/lonely", "dir", Bytes::new())));
+        assert_eq!(found, [diverged("/dir")]);
         let (found, name) = after(|net, h| {
             let now = net.sim.now();
             net.ipcp_mut(h).announce_leave(now);

@@ -113,41 +113,6 @@ impl Dissemination {
 }
 
 impl Ipcp {
-    /// Re-advertise the objects this member wrote. A port whose peer's
-    /// hello digests already cover an object's subtree is suppressed
-    /// exactly as [`Ipcp::flood_rib`] would — so a converged facility
-    /// goes quiet — but decided here on the stored objects by reference:
-    /// only an object some port still lacks is handed on, as stored.
-    /// Local-scope subtrees (owner-held /dir) are skipped whole: their
-    /// live entries never replicate, and their deletions already flooded
-    /// once — departures invalidate through the replicated /lsa
-    /// tombstone instead.
-    pub(super) fn readvertise_own(&mut self) {
-        let live = || {
-            let peers = self.neighbors.peers.iter();
-            self.transfer.n1.iter().zip(peers).filter(|(p, _)| p.live()).map(|(_, peer)| peer)
-        };
-        let live_ports = live().count() as u64;
-        let mut lacking: Vec<EncodedObject> = Vec::new();
-        let mut suppressed = 0;
-        for o in self.rib.written_by(self.addr) {
-            let subtree = subtree_of(o.view().name);
-            if self.rib.is_local_subtree(subtree) {
-                continue;
-            }
-            let ours = self.rib.subtree_digest(subtree);
-            if live().all(|peer| peer.covers(subtree, ours)) {
-                suppressed += live_ports;
-            } else {
-                lacking.push(o.clone());
-            }
-        }
-        self.stats.flood_suppressed += suppressed;
-        for o in &lacking {
-            self.flood_rib(o.view().name, None, || o.clone());
-        }
-    }
-
     /// Anti-entropy pull: for each of `subtrees`, send the peer on `n1`
     /// our version summary in MTU-sized name-range chunks; the peer
     /// answers with exactly the objects we lack. Replaces the old
@@ -389,9 +354,9 @@ impl Ipcp {
     }
 
     /// Flush the per-port flood queues as batched PDUs. Duplicate
-    /// versions queued twice within one window (periodic re-advertisement
-    /// crossing a re-flood) are left in — the receiver's version guard
-    /// makes them no-ops.
+    /// versions queued twice within one window (two neighbors' floods of
+    /// one update) are left in — the receiver's version guard makes them
+    /// no-ops.
     pub(super) fn flush_floods(&mut self) {
         for (port, encs) in std::mem::take(&mut self.dissemination.flood_q) {
             self.send_encoded_batches(port, "", &encs);

@@ -113,8 +113,8 @@ pub(super) struct Neighbors {
     pub(super) peers: Vec<Peer>,
     /// The adjacencies this process allocates, in the order planned.
     pub(super) plans: Vec<Plan>,
-    /// Hello periods elapsed (drives periodic re-advertisement and every
-    /// tick-counted damp and retry).
+    /// Hello periods elapsed: the clock of the anti-entropy damp
+    /// ([`RESYNC_DAMP_TICKS`]) and of the directory lookup resend.
     pub(super) ticks: u64,
     /// The encoded hello frame for one `(RIB generation, address)`: a
     /// hello is a function of the digest table, the address and the
@@ -133,10 +133,10 @@ impl Ipcp {
 
     /// Send a hello on every (N-1) port with a medium or a lower flow
     /// under it. A port whose lower flow is gone is silent until a new
-    /// flow is bound to it. Also expires silent ports, and periodically
-    /// re-advertises this member's own RIB objects (anti-entropy: RIEP
-    /// dissemination is unreliable, so lost updates must eventually be
-    /// repaired).
+    /// flow is bound to it. Also expires silent ports. The hellos are
+    /// the only repair path for lost floods: each carries our digest
+    /// table, and a peer that finds it differs pulls what it lacks
+    /// (DESIGN.md §6).
     /// Run by [`IpcpTimer::Hello`], once per DIF hello period.
     pub fn tick_hello(&mut self, now: Time) {
         self.clock = now;
@@ -146,9 +146,6 @@ impl Ipcp {
             }
         }
         self.neighbors.ticks += 1;
-        if self.manages() && self.neighbors.ticks.is_multiple_of(8) {
-            self.readvertise_own();
-        }
         self.retry_dir_lookups();
         self.directory.expire_tombstones(now, Dur::from_millis(self.cfg.member_gc_grace_ms));
         // Expire the ports we have not heard from, and release the lower

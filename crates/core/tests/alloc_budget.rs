@@ -2,13 +2,17 @@
 //!
 //! Management runs on the slowest timescale of an IPC process, and in a
 //! converged DIF nearly all of it is repetition: the same hello goes out
-//! every period, the same hello comes back, re-advertised objects arrive
-//! at members that already hold them. None of that may touch the heap —
+//! every period, the same hello comes back, re-flooded objects arrive at
+//! members that already hold them. None of that may touch the heap —
 //! what it costs is what a 1000-member assembly or a long quiescent
 //! drain costs per member per period. This file pins it with a counting
 //! global allocator (an integration test is its own crate, outside the
 //! libraries' `forbid(unsafe_code)`): two hand-wired members converge,
 //! then each steady-state operation runs under the counter.
+//!
+//! The same pair also pins that the hellos' anti-entropy is the one
+//! repair path for a lost flood: the object travels back only as the
+//! answer to the peer's pull, never as a time-driven resend.
 //!
 //! The last test pins the data plane's per-hop ledger the same way, as
 //! it stands — the figure ROADMAP item 2 quotes comes from here.
@@ -21,7 +25,7 @@ use rina::naming::AppName;
 use rina::qos::{QosCube, QosSpec};
 use rina_rib::{DigestTable, EncodedObject, EncodedSummary, ObjVer, RibObject};
 use rina_sim::{Dur, Time};
-use rina_wire::{DataPdu, MgmtPdu, Pdu};
+use rina_wire::{CdapMsg, DataPdu, MgmtPdu, Pdu};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -132,6 +136,63 @@ impl Pair {
     }
 }
 
+/// What a management frame carries, if it decodes as one.
+fn mgmt_body(frame: &Bytes) -> Option<MgmtBody> {
+    let Ok(Pdu::Mgmt(m)) = Pdu::decode(frame) else { return None };
+    MgmtBody::from_cdap(&CdapMsg::decode(&m.payload).ok()?).ok()
+}
+
+/// `a` registers an application and the flood of its `/dir` record is
+/// lost, so `b` lacks one of `a`'s own objects. For the next sixteen
+/// periods the record must reach `b` only as `a`'s answer to a
+/// `RibDeltaRequest` of `b`'s, never as an unsolicited flood. For the
+/// first eight, `b`'s requests are lost too: the mismatch stays, and
+/// `b` keeps asking while it does.
+#[test]
+fn a_lost_flood_is_repaired_only_by_the_peers_pull() {
+    let mut p = Pair::converged();
+    p.a.dir_register(&AppName::new("echo"));
+    let lost = Pair::drain(&mut p.a, p.now, &mut p.effects);
+    assert!(!lost.is_empty(), "the registration was flooded");
+    let name = p.a.rib.iter_prefix("/dir/").map(|o| o.name.to_string()).next().expect("a record");
+    let carries = |objects: &[EncodedObject]| objects.iter().any(|o| o.view().name == name);
+    let (mut asked, mut answered) = (0, 0);
+    for period in 0..16 {
+        p.now += Dur::from_millis(500);
+        p.a.tick_hello(p.now);
+        p.b.tick_hello(p.now);
+        loop {
+            let to_b = Pair::drain(&mut p.a, p.now, &mut p.effects);
+            let to_a = Pair::drain(&mut p.b, p.now, &mut p.effects);
+            if to_a.is_empty() && to_b.is_empty() {
+                break;
+            }
+            for f in to_b {
+                if let Some(MgmtBody::RibDeltaResponse { subtree, objects }) = mgmt_body(&f) {
+                    if carries(&objects) {
+                        assert_eq!(subtree, "/dir", "period {period}: flooded unasked");
+                        assert!(asked > answered, "period {period}: answered no request");
+                        answered += 1;
+                    }
+                }
+                p.b.on_frame(0, f, p.now);
+            }
+            for f in to_a {
+                if let Some(MgmtBody::RibDeltaRequest { subtree, .. }) = mgmt_body(&f) {
+                    if period < 8 {
+                        continue;
+                    }
+                    asked += usize::from(subtree == "/dir");
+                }
+                p.a.on_frame(0, f, p.now);
+            }
+        }
+        assert_eq!(p.b.rib.get(&name).is_some(), answered > 0, "period {period}");
+    }
+    assert!(answered > 0, "b's pull was answered once its requests got through");
+    assert_eq!(p.a.rib.digest_table(), p.b.rib.digest_table(), "the pair converged again");
+}
+
 /// A link-local management frame carrying `objects` as one flood batch.
 fn batch_frame(src: u64, objects: &[RibObject]) -> Bytes {
     let objects = objects.iter().map(EncodedObject::of).collect();
@@ -143,8 +204,8 @@ fn batch_frame(src: u64, objects: &[RibObject]) -> Bytes {
 fn steady_state_hello_ticks_allocate_nothing() {
     let mut p = Pair::converged();
     let built = p.a.stats.hello_built;
-    // Sixteen periods cover two of the every-8th-tick re-advertisements
-    // of own objects, every one of them suppressed by the peer's digests.
+    // Sixteen periods of a converged pair: each tick sends the cached
+    // hello and nothing else, since no digest differs.
     for _ in 0..16 {
         p.now += Dur::from_millis(500);
         let (a, now, effects) = (&mut p.a, p.now, &mut p.effects);

@@ -758,13 +758,6 @@ impl Rib {
             .collect()
     }
 
-    /// Every stored object (tombstones included) whose last write came
-    /// from `origin`, as stored, in name order — what periodic
-    /// re-advertisement hands on (3 own objects, not a 3000-object RIB).
-    pub fn written_by(&self, origin: u64) -> impl Iterator<Item = &EncodedObject> + '_ {
-        self.objects.values().filter(move |o| o.origin == origin).map(|o| &o.enc)
-    }
-
     /// The replicated view: every object including tombstones, as
     /// stored, in name order, local-scope subtrees excluded (their
     /// objects are owner-held). Two members hold the same replicated
