@@ -253,6 +253,15 @@ mod tests {
         assert!(r.reach_min >= 0.99, "reachability dipped outside disturbance windows: {r:?}");
     }
 
+    /// The table's 30-member row heals within two hello periods of the
+    /// last heal: anti-entropy pulls at the first hello that differs.
+    #[test]
+    fn thirty_member_table_row_reconverges_within_a_second() {
+        let r = super::run(30, 1130);
+        assert!(r.converged, "never re-quiesced: {r:?}");
+        assert!(r.reconverge_s <= 1.0, "reconvergence took {} s", r.reconverge_s);
+    }
+
     /// Satellite regression for partial RIB replication: the E11 flap
     /// scenario rerun with owner-held `/dir` and a live ping workload
     /// resolving names on demand. Scoping the directory must not
@@ -285,7 +294,7 @@ mod tests {
             r.agg_before,
             r.agg_after
         );
-        assert!(r.reconverge_s < 60.0, "reconvergence took {} s", r.reconverge_s);
+        assert!(r.reconverge_s <= 1.0, "reconvergence took {} s", r.reconverge_s);
         assert!(r.wall_s < 120.0, "200-member churn took {:.1} s wall clock", r.wall_s);
     }
 }

@@ -511,8 +511,8 @@ pub fn run_cell(cell: &SweepCell, base_seed: u64) -> SweepRow {
         // time; a cell that blows the limit is a real regression and panics
         // (the pool re-raises the panic on the caller's thread). The ping
         // budget scales with size too: big lossy rings route across ~n/2
-        // hops and repair dropped floods by (damped) anti-entropy, which
-        // takes real virtual time to converge.
+        // hops and repair dropped floods by hello-driven anti-entropy,
+        // which takes real virtual time to converge.
         let limit = Dur::from_secs(600) * (1 + cell.size as u64 / 200);
         let (mut run, assembled) = s.assemble_and_ping(limit, &ipcps, &mesh, 240 + cell.size);
 

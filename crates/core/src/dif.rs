@@ -71,7 +71,7 @@ pub struct DifConfig {
     pub flood_rate: u32,
     /// How long a sponsor waits after a sponsored member's adjacency
     /// expires before declaring it failed and garbage-collecting its
-    /// RIB objects (member record, block, LSA, directory entries) via
+    /// RIB objects (member record, LSA, directory entries) via
     /// deletion floods, in milliseconds. The grace must comfortably
     /// exceed a link flap plus re-enrollment, because a purge of a
     /// live member costs one reassert round trip (the owner rewrites

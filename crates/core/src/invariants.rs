@@ -30,15 +30,17 @@
 //!
 //! One more clause is measured but not yet part of [`check`]: every
 //! flow has two ends. [`half_open`] lists each EFCP endpoint of a live
-//! member that is still requesting, or is active and names an endpoint
-//! that does not name it back. A teardown lost on a lossy path, or a
+//! member that is still requesting past its allocation deadline, or is
+//! active and names an endpoint that does not name it back. A handshake
+//! in flight is neither: the requester is younger than its deadline,
+//! and the responder names it. A teardown lost on a lossy path, or a
 //! peer that restarted, still leaves some behind, so [`settle`] would
 //! not converge on them.
 
-use crate::ipcp::{decode_member, member_name, Ipcp, MEMBER_PREFIX};
+use crate::ipcp::{decode_member, member_name, FarEnd, Ipcp, MEMBER_PREFIX};
 use crate::naming::{Addr, AppName};
 use crate::net::{IpcpH, Net};
-use rina_sim::Dur;
+use rina_sim::{Dur, Time};
 use rina_wire::CepId;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
@@ -139,8 +141,9 @@ pub fn settle(net: &mut Net, members: &[IpcpH], max_steps: usize) -> Vec<Violati
     check(net, members)
 }
 
-/// An EFCP endpoint with no partner: it is still requesting, or the
-/// endpoint it names is gone or names another.
+/// An EFCP endpoint with no partner: it is still requesting past its
+/// allocation deadline, or the endpoint it names is gone, names another
+/// or is such a requester.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HalfOpen {
     /// Address of the member holding the endpoint.
@@ -150,15 +153,27 @@ pub struct HalfOpen {
 }
 
 /// Every EFCP endpoint of a live member among `members` that has no
-/// partner: each active one must name a live endpoint that names it
-/// back, and after quiesce none is still requesting.
+/// partner now: each active one must name a live endpoint that names it
+/// back or is still in flight, and none is requesting past its
+/// allocation deadline.
 pub fn half_open(net: &Net, members: &[IpcpH]) -> Vec<HalfOpen> {
+    half_open_at(net, members, net.sim.now())
+}
+
+/// [`half_open`] as of `now`.
+fn half_open_at(net: &Net, members: &[IpcpH], now: Time) -> Vec<HalfOpen> {
     let live = members.iter().map(|&h| net.ipcp(h)).filter(|ip| is_live(ip));
-    let ends: BTreeMap<(Addr, CepId), Option<(Addr, CepId)>> =
-        live.flat_map(|ip| ip.efcp_ends().map(move |(cep, peer)| ((ip.addr, cep), peer))).collect();
-    let paired =
-        |me, peer: Option<_>| peer.and_then(|p| ends.get(&p).copied().flatten()) == Some(me);
-    let unpaired = ends.iter().filter(|&(&me, &peer)| !paired(me, peer));
+    let ends: BTreeMap<(Addr, CepId), FarEnd> =
+        live.flat_map(|ip| ip.efcp_ends().map(move |(cep, far)| ((ip.addr, cep), far))).collect();
+    let in_flight = |end: Option<&FarEnd>| matches!(end, Some(&FarEnd::Asked(at)) if now < at);
+    let paired = |me, end: &FarEnd| match *end {
+        FarEnd::Asked(at) => now < at,
+        FarEnd::Named(far) => {
+            let far = ends.get(&far);
+            far == Some(&FarEnd::Named(me)) || in_flight(far)
+        }
+    };
+    let unpaired = ends.iter().filter(|&(&me, end)| !paired(me, end));
     unpaired.map(|(&(holder, cep), _)| HalfOpen { holder, cep }).collect()
 }
 
@@ -390,9 +405,9 @@ mod tests {
     }
 
     /// A flow with one end is named by [`half_open`], and only by it: a
-    /// settled line with a ping flow between its ends has none; a
+    /// settled line with a ping flow between its ends has none, and a
     /// teardown its far end hears but its near end never sent leaves the
-    /// near end named, and so does a request still unanswered.
+    /// near end named.
     #[test]
     fn a_flow_with_one_end_is_named() {
         use crate::apps::{EchoApp, PingApp};
@@ -404,7 +419,7 @@ mod tests {
         let members = fab.member_ipcps(&b);
         let echo = AppName::new("echo");
         b.app(fab.nodes[3], echo.clone(), fab.dif, EchoApp::default());
-        let pinger = PingApp::new(echo.clone(), QosSpec::reliable(), 1, 64);
+        let pinger = PingApp::new(echo, QosSpec::reliable(), 1, 64);
         let ping = b.app(fab.nodes[0], AppName::new("ping"), fab.dif, pinger);
         let mut net = b.build();
         assert_eq!(settle(&mut net, &members, 20), []);
@@ -413,15 +428,53 @@ mod tests {
         assert_eq!(half_open(&net, &members), []);
         let near = net.ipcp(members[0]);
         let ends: Vec<_> = near.efcp_ends().collect();
-        let [(cep, Some((far, _)))] = ends[..] else { panic!("one ping endpoint: {ends:?}") };
+        let [(cep, FarEnd::Named((far, _)))] = ends[..] else {
+            panic!("one ping endpoint: {ends:?}")
+        };
         let payload = MgmtBody::FlowTeardown { cep }.encode(0, 0);
         let frame = Pdu::Mgmt(MgmtPdu { dest_addr: far, src_addr: near.addr, ttl: 4, payload });
         let now = net.sim.now();
         net.ipcp_mut(members[3]).on_frame(0, frame.encode(), now);
         assert_eq!(half_open(&net, &members), [HalfOpen { holder: 1, cep }]);
-        net.ipcp_mut(members[1]).alloc_flow(99, AppName::new("x"), echo, QosSpec::reliable(), now);
-        let requesting = HalfOpen { holder: 2, cep: 1 };
-        assert_eq!(half_open(&net, &members), [HalfOpen { holder: 1, cep }, requesting]);
         assert_eq!(check(&net, &members), [], "not a `check` clause yet");
+    }
+
+    /// A handshake in flight is not half-open: the request, younger than
+    /// its allocation deadline, and the responder endpoint that names
+    /// it. Read at the deadline (its `Alloc` timer not fired), both are.
+    #[test]
+    fn a_handshake_in_flight_is_not_half_open() {
+        use crate::apps::EchoApp;
+        use crate::qos::QosSpec;
+        let mut b = NetBuilder::new(5);
+        let fab = Topology::line(4).materialize(&mut b);
+        let members = fab.member_ipcps(&b);
+        let echo = AppName::new("echo");
+        b.app(fab.nodes[3], echo.clone(), fab.dif, EchoApp::default());
+        let mut net = b.build();
+        assert_eq!(settle(&mut net, &members, 20), []);
+        let now = net.sim.now();
+        net.ipcp_mut(members[1]).alloc_flow(99, AppName::new("x"), echo, QosSpec::reliable(), now);
+        let deadline = now + Dur::from_secs(1);
+        let (asker, responder) = (net.ipcp(members[1]).addr, net.ipcp(members[3]).addr);
+        let asked = |net: &Net| net.ipcp(members[1]).efcp_ends().collect::<Vec<_>>();
+        assert_eq!(asked(&net), [(1, FarEnd::Asked(deadline))]);
+        assert_eq!(half_open(&net, &members), [], "a request in flight");
+        let requester = HalfOpen { holder: asker, cep: 1 };
+        assert_eq!(half_open_at(&net, &members, deadline), [requester]);
+        // Until the responder holds its end; its answer is still on the way.
+        let answered = |net: &Net| net.ipcp(members[3]).efcp_ends().next();
+        for _ in 0..10_000 {
+            if answered(&net).is_some() {
+                break;
+            }
+            net.run_for(Dur::from_micros(100));
+        }
+        let Some((cep, far)) = answered(&net) else { panic!("the request never arrived") };
+        assert_eq!(far, FarEnd::Named((asker, 1)));
+        assert_eq!(asked(&net), [(1, FarEnd::Asked(deadline))], "the answer arrived too soon");
+        assert_eq!(half_open(&net, &members), [], "a handshake in flight");
+        let named = [requester, HalfOpen { holder: responder, cep }];
+        assert_eq!(half_open_at(&net, &members, deadline), named);
     }
 }

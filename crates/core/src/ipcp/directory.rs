@@ -31,6 +31,7 @@ struct DirWaiter {
     src_app: AppName,
     dst_app: AppName,
     spec: QosSpec,
+    deadline: Time,
 }
 
 /// An in-flight on-demand directory lookup.
@@ -245,9 +246,10 @@ impl Ipcp {
         src_app: AppName,
         dst_app: AppName,
         spec: QosSpec,
+        deadline: Time,
     ) {
         let name = dir_name(&dst_app);
-        let w = DirWaiter { port, src_app, dst_app, spec };
+        let w = DirWaiter { port, src_app, dst_app, spec, deadline };
         if let Some(p) = self.directory.pending.get_mut(&name) {
             p.waiters.push(w);
             return;
@@ -351,7 +353,9 @@ impl Ipcp {
         let resolved = self.directory.cache_answer(&name, addr, version);
         if let Some(p) = self.directory.pending.remove(&name) {
             for w in p.waiters {
-                self.alloc_flow_resolved(w.port, w.src_app, w.dst_app, w.spec, resolved);
+                self.alloc_flow_resolved(
+                    w.port, w.src_app, w.dst_app, w.spec, resolved, w.deadline,
+                );
             }
         }
     }

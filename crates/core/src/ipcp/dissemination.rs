@@ -24,14 +24,6 @@ const FLOOD_BATCH: Dur = Dur::from_millis(5);
 /// [`crate::dif::DifConfig::flood_rate`]); the bucket starts full.
 const FLOOD_BURST: u32 = 256;
 
-/// Minimum hello ticks between digest-triggered delta syncs of one port:
-/// anti-entropy must repair losses without turning assembly-time churn
-/// (when neighbors' RIBs differ constantly and legitimately) into
-/// request storms. Deltas are cheap (summaries + missing objects, per
-/// mismatched subtree), so this is tighter than the old full-RIB resync
-/// damp.
-pub(super) const RESYNC_DAMP_TICKS: u64 = 4;
-
 /// Byte budget per [`MgmtBody::RibDeltaRequest`] /
 /// [`MgmtBody::RibDeltaResponse`] chunk — comfortably under the smallest
 /// (N-1) MTU once the PDU and CDAP envelopes are added, so sync traffic
@@ -115,17 +107,16 @@ impl Dissemination {
 impl Ipcp {
     /// Anti-entropy pull: for each of `subtrees`, send the peer on `n1`
     /// our version summary in MTU-sized name-range chunks; the peer
-    /// answers with exactly the objects we lack. Replaces the old
-    /// push-the-whole-RIB resync — cost tracks the divergence, not the
-    /// RIB.
+    /// answers with exactly the objects we lack, so the cost tracks the
+    /// divergence, not the RIB. The one caller is the hello handler, at
+    /// every hello whose digest table differs from ours: a lost pull or
+    /// answer is retried at the next hello, and what the peer lacks of
+    /// ours it pulls at its own next hello from us.
     #[expect(
         clippy::indexing_slicing,
         reason = "chunking cursor over a locally built summary Vec: start/end are clamped to summary.len() by the loop conditions, never wire-derived"
     )]
     pub(super) fn request_deltas(&mut self, n1: usize, subtrees: &[String]) {
-        if let Some(p) = self.neighbors.peers.get_mut(n1) {
-            p.last_resync_tick = self.neighbors.ticks;
-        }
         // The summaries borrow their names from the RIB; sending wants
         // `&mut self`, so every chunk is encoded first.
         let mut requests = Vec::new();
@@ -162,8 +153,7 @@ impl Ipcp {
 
     /// Send the peer on `n1` what it lacks of `subtree` in `[from, upto)`,
     /// given its `summary` of that range, as MTU-sized
-    /// [`MgmtBody::RibDeltaResponse`] batches; returns whether the summary
-    /// shows the peer holding versions we lack. An empty summary of the
+    /// [`MgmtBody::RibDeltaResponse`] batches. An empty summary of the
     /// whole subtree is answered with all of it: that is the enrollment
     /// sync stream (version-guarded, so idempotent under retries).
     pub(super) fn serve_delta(
@@ -173,39 +163,26 @@ impl Ipcp {
         from: &str,
         upto: &str,
         summary: &[ObjVer<'_>],
-    ) -> bool {
-        let (objects, behind) = self.rib.delta_for(subtree, from, upto, summary);
+    ) {
+        let objects = self.rib.delta_for(subtree, from, upto, summary);
         let encs: Vec<EncodedObject> = objects.into_iter().cloned().collect();
         self.send_encoded_batches(n1, subtree, &encs);
-        behind
     }
 
     /// The peer on `from_n1` asked for what it lacks of `subtree` in
     /// `[from, upto)`, given its `summary` of that range: answer with
-    /// exactly those objects.
+    /// exactly those objects. Serving is all it does; what the summary
+    /// shows the peer holding newer, we pull at our next hello from it.
     pub(super) fn handle_delta_request(
         &mut self,
         from_n1: usize,
-        subtree: String,
+        subtree: &str,
         from: &str,
         upto: &str,
         summary: &EncodedSummary,
     ) {
-        if !self.manages() {
-            return;
-        }
-        let behind = self.serve_delta(from_n1, &subtree, from, upto, &summary.entries());
-        // The summary proves the requester holds versions we
-        // lack: pull them right back (damped, so two diverged
-        // peers converge in one round trip without ping-pong).
-        if behind
-            && self
-                .neighbors
-                .peers
-                .get(from_n1)
-                .is_some_and(|p| self.neighbors.ticks >= p.last_resync_tick + RESYNC_DAMP_TICKS)
-        {
-            self.request_deltas(from_n1, std::slice::from_ref(&subtree));
+        if self.manages() {
+            self.serve_delta(from_n1, subtree, from, upto, &summary.entries());
         }
     }
 

@@ -280,7 +280,6 @@ impl Ipcp {
         if let Some(peer) = self.neighbors.peers.get_mut(from_n1) {
             // Sponsoring over this port makes it a spanning-tree edge.
             peer.tree = true;
-            peer.last_resync_tick = self.neighbors.ticks;
         }
         self.transfer.rebuild_peer_index();
         // Initialize the joiner's RIB, then grant: the sync set — taken

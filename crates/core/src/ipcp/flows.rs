@@ -38,10 +38,19 @@ const SHIM_ALLOC_DEADLINE: Dur = Dur::from_millis(50);
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Phase {
     /// Requester waiting for the destination's FlowResponse, which will
-    /// echo `invoke`.
-    Requesting { invoke: u32 },
+    /// echo `invoke`, until its allocation's `deadline`.
+    Requesting { invoke: u32, deadline: Time },
     /// Data can flow.
     Active,
+}
+
+/// What an EFCP endpoint knows of its far end (see [`Ipcp::efcp_ends`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum FarEnd {
+    /// Still requesting; the allocation ends at this deadline.
+    Asked(Time),
+    /// Active, naming the far endpoint `(addr, cep)`.
+    Named((Addr, CepId)),
 }
 
 /// What carries a flow's SDUs — the one thing a DIF's policy changes.
@@ -103,7 +112,7 @@ impl Flows {
     /// Enter `flow` under `cep`; a requesting flow is also indexed by the
     /// invoke id its response will carry.
     fn insert(&mut self, cep: CepId, flow: Flow) {
-        if let Phase::Requesting { invoke } = flow.phase {
+        if let Phase::Requesting { invoke, .. } = flow.phase {
             self.pending.insert(invoke, cep);
         }
         if matches!(flow.binding, Binding::Efcp(_)) {
@@ -116,7 +125,7 @@ impl Flows {
     /// still requesting takes its pending-response entry along.
     pub(super) fn remove(&mut self, cep: CepId) -> Option<Flow> {
         let flow = self.table.remove(&cep)?;
-        if let Phase::Requesting { invoke } = flow.phase {
+        if let Phase::Requesting { invoke, .. } = flow.phase {
             self.pending.remove(&invoke);
         }
         Some(flow)
@@ -248,17 +257,19 @@ impl Ipcp {
         } else {
             self.dir_lookup(&dst_app)
         };
+        let deadline = now + self.alloc_deadline();
         match dst_addr {
-            Some(a) => self.alloc_flow_resolved(port, src_app, dst_app, spec, a),
-            None if self.scoped_dir() => self.start_dir_lookup(port, src_app, dst_app, spec),
+            Some(a) => self.alloc_flow_resolved(port, src_app, dst_app, spec, a, deadline),
+            None if self.scoped_dir() => {
+                self.start_dir_lookup(port, src_app, dst_app, spec, deadline);
+            }
             None => {
                 let failed = Some("destination unknown in DIF");
                 self.out.push(IpcpOut::FlowGone { port, failed });
             }
         }
         if self.alloc_pending(port) {
-            let at = now + self.alloc_deadline();
-            self.out.push(IpcpOut::Arm { at, timer: IpcpTimer::Alloc { port } });
+            self.out.push(IpcpOut::Arm { at: deadline, timer: IpcpTimer::Alloc { port } });
         }
     }
 
@@ -278,7 +289,8 @@ impl Ipcp {
         }
     }
 
-    /// Continue a flow allocation whose destination member is known.
+    /// Continue a flow allocation, due to end at `deadline`, whose
+    /// destination member is known.
     #[expect(
         clippy::expect_used,
         reason = "cube(0) is the management cube, which DifConfig documents as mandatory and DifConfig::new always installs; absence is a construction bug, not a wire condition"
@@ -290,6 +302,7 @@ impl Ipcp {
         dst_app: AppName,
         spec: QosSpec,
         dst_addr: Addr,
+        deadline: Time,
     ) {
         // Fail fast if routing has not converged to the destination member
         // yet — the requester retries rather than stalling on a timeout.
@@ -304,7 +317,7 @@ impl Ipcp {
         // cube; bound again then.
         let binding = self.bind(cep, dst_addr, 0, self.cfg.cube(0).expect("mgmt cube"));
         let invoke = self.next_invoke();
-        let phase = Phase::Requesting { invoke };
+        let phase = Phase::Requesting { invoke, deadline };
         self.flows.insert(cep, Flow { port, phase, peer: dst_app.clone(), binding, timer: None });
         let body =
             MgmtBody::FlowRequest { src_app, dst_app, spec, src_addr: self.addr, src_cep: cep };
@@ -543,11 +556,14 @@ impl Ipcp {
         s
     }
 
-    /// Every EFCP flow endpoint here, by CEP id, with the far endpoint
-    /// `(addr, cep)` it names once active (`None` while it requests).
-    pub(crate) fn efcp_ends(&self) -> impl Iterator<Item = (CepId, Option<(Addr, CepId)>)> + '_ {
+    /// Every EFCP flow endpoint here, by CEP id, with what it knows of
+    /// its far end.
+    pub(crate) fn efcp_ends(&self) -> impl Iterator<Item = (CepId, FarEnd)> + '_ {
         let efcp = self.flows.table.iter().filter(|(_, f)| matches!(f.binding, Binding::Efcp(_)));
-        efcp.map(|(&cep, f)| (cep, (f.phase == Phase::Active).then(|| f.binding.peer())))
+        efcp.map(|(&cep, f)| match f.phase {
+            Phase::Requesting { deadline, .. } => (cep, FarEnd::Asked(deadline)),
+            Phase::Active => (cep, FarEnd::Named(f.binding.peer())),
+        })
     }
 }
 
@@ -609,7 +625,7 @@ mod tests {
     ) -> Vec<String> {
         let [mut a, mut b] = pair(shim);
         let (src, dst) = (AppName::new("client"), AppName::new("server"));
-        a.alloc_flow_resolved(ports.0, src, dst, spec, 2);
+        a.alloc_flow_resolved(ports.0, src, dst, spec, 2, Time::from_secs(1));
         let mut seen = cross(&mut a, &mut b);
         let Some(IpcpOut::FlowReqIn { src_app, spec, src_addr, src_cep, invoke_id, .. }) =
             b.take_out().pop()
@@ -684,7 +700,7 @@ mod tests {
     fn efcp_flow() -> [Ipcp; 2] {
         let [mut a, mut b] = pair(false);
         let (src, dst) = (AppName::new("client"), AppName::new("server"));
-        a.alloc_flow_resolved(7, src, dst, QosSpec::reliable(), 2);
+        a.alloc_flow_resolved(7, src, dst, QosSpec::reliable(), 2, Time::from_secs(1));
         carry(&mut a, &mut b, Time::from_millis(1));
         accept(&mut b);
         carry(&mut b, &mut a, Time::from_millis(1));
@@ -757,7 +773,7 @@ mod tests {
         for shim in [true, false] {
             let [mut a, _] = pair(shim);
             let (src, dst) = (AppName::new("client"), AppName::new("server"));
-            a.alloc_flow_resolved(7, src, dst, QosSpec::reliable(), 2);
+            a.alloc_flow_resolved(7, src, dst, QosSpec::reliable(), 2, Time::from_secs(1));
             assert_eq!((a.flows.table.len(), a.flows.pending.len()), (1, 1));
             a.dealloc_port(7);
             assert!(a.flows.table.is_empty(), "shim={shim}");
@@ -886,6 +902,6 @@ mod tests {
         assert!(told.iter().any(|o| matches!(o, IpcpOut::FlowActive { port: 8, .. })));
         let told = a.take_out();
         assert!(matches!(&told[..], [IpcpOut::FlowActive { port: 7, .. }]), "{told:?}");
-        assert_eq!(a.efcp_ends().collect::<Vec<_>>(), [(1, Some((2, 1)))]);
+        assert_eq!(a.efcp_ends().collect::<Vec<_>>(), [(1, FarEnd::Named((2, 1)))]);
     }
 }

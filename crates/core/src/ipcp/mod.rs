@@ -84,6 +84,7 @@ mod transfer;
 
 pub use enroll::{decode_member, R_ENROLL_BUSY};
 pub(crate) use enroll::{member_name, MEMBER_PREFIX};
+pub(crate) use flows::FarEnd;
 pub use transfer::{N1Kind, N1Port};
 
 use crate::dif::DifConfig;
@@ -295,7 +296,8 @@ pub struct IpcpStats {
 pub enum Deferred {
     /// Route recomputation over the LSA deltas queued since the last one.
     Routes,
-    /// Re-advertisement of this member's own LSA.
+    /// A new version of this member's own LSA, debounced: neighbor-set
+    /// changes inside one window become one version.
     Lsa,
     /// Flush of the per-port flood queues.
     Flood,
@@ -648,7 +650,7 @@ impl Ipcp {
             }
             MgmtBody::FlowTeardown { cep } => self.handle_flow_teardown(m.src_addr, cep),
             MgmtBody::RibDeltaRequest { subtree, from, upto, summary } => {
-                self.handle_delta_request(from_n1, subtree, &from, &upto, &summary);
+                self.handle_delta_request(from_n1, &subtree, &from, &upto, &summary);
             }
             MgmtBody::RibDeltaResponse { subtree: _, objects } => {
                 for obj in &objects {

@@ -8,7 +8,6 @@
 //! port — the Data Transfer task's [`super::N1Port`] knows only what
 //! relaying needs.
 
-use super::dissemination::RESYNC_DAMP_TICKS;
 use super::{Ipcp, IpcpOut, IpcpTimer, N1Kind};
 use crate::msg::MgmtBody;
 use crate::naming::{Addr, AppName};
@@ -73,9 +72,6 @@ pub(super) struct Peer {
     /// targeted delta requests and of flood suppression (don't send an
     /// object out a port whose peer provably already holds its subtree).
     digests: Option<DigestTable>,
-    /// Our hello-tick count when this port last started a delta sync
-    /// (damps digest-triggered anti-entropy).
-    pub(super) last_resync_tick: u64,
     /// The last hello heard on this port (see [`HelloMemo`]).
     hello_memo: Option<HelloMemo>,
     /// For a port over lower flows: the provider and the peer process of
@@ -113,8 +109,7 @@ pub(super) struct Neighbors {
     pub(super) peers: Vec<Peer>,
     /// The adjacencies this process allocates, in the order planned.
     pub(super) plans: Vec<Plan>,
-    /// Hello periods elapsed: the clock of the anti-entropy damp
-    /// ([`RESYNC_DAMP_TICKS`]) and of the directory lookup resend.
+    /// Hello periods elapsed: the clock of the directory lookup resend.
     pub(super) ticks: u64,
     /// The encoded hello frame for one `(RIB generation, address)`: a
     /// hello is a function of the digest table, the address and the
@@ -453,7 +448,6 @@ impl Ipcp {
         now: Time,
     ) {
         let mut changed = false;
-        let mut new_member = false;
         if addr != 0 {
             self.enroll.on_enrolled_hello(name, addr);
         }
@@ -474,7 +468,6 @@ impl Ipcp {
             if addr != 0 && p.peer_addr != addr {
                 p.peer_addr = addr;
                 changed = true;
-                new_member = true;
             }
         }
         if let Some(peer) = self.neighbors.peers.get_mut(from_n1) {
@@ -489,19 +482,11 @@ impl Ipcp {
         if self.manages() && addr != 0 {
             // Anti-entropy: the digest table localizes divergence
             // to subtrees, and a targeted delta *pull* moves only
-            // the objects we actually lack (the peer's own hellos
-            // drive the opposite direction symmetrically). A
-            // member (re)appearing on the port syncs immediately —
-            // this is what makes mobility's join/leave cycles
-            // (§6.4) converge — while steady-state mismatches are
-            // damped to once per port per few hello cycles.
+            // the objects we actually lack. Every hello that differs
+            // pulls; the peer's own hellos drive the opposite
+            // direction symmetrically.
             let mismatched = self.rib.mismatched(digests);
-            if !mismatched.is_empty()
-                && (new_member
-                    || self.neighbors.peers.get(from_n1).is_some_and(|p| {
-                        self.neighbors.ticks >= p.last_resync_tick + RESYNC_DAMP_TICKS
-                    }))
-            {
+            if !mismatched.is_empty() {
                 self.request_deltas(from_n1, &mismatched);
             }
         }

@@ -103,9 +103,9 @@ impl Ipcp {
         self.routes.engine.stats
     }
 
-    /// Re-advertise our LSA if the live neighbor set changed — with a
-    /// leading-edge debounce. The first change after a quiet period
-    /// writes (and floods) immediately, so failure rerouting and
+    /// Write a new version of our LSA if the live neighbor set changed,
+    /// with a leading-edge debounce. The first change after a quiet
+    /// period writes (and floods) immediately, so failure rerouting and
     /// mobility stay fast; further changes inside [`LSA_DEBOUNCE`] mark
     /// the LSA dirty and are batched into one version when the node's
     /// flush timer fires. A hub admitting a wave of joiners then emits a

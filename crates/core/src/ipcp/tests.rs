@@ -4,7 +4,7 @@
 use super::*;
 use crate::dif::AuthPolicy;
 use crate::routing::{Lsa, LSA_CLASS};
-use rina_rib::{DigestTable, EncodedObject, RibObject};
+use rina_rib::{DigestTable, EncodedObject, Rib, RibObject};
 
 /// `obj` arrives from the wire on port `from_n1`.
 fn reflood(i: &mut Ipcp, obj: RibObject, from_n1: usize) {
@@ -41,7 +41,12 @@ const NO_PROPOSAL: Proposal = (0, 0);
 
 /// The enrolled member `name` at `addr` says hello on `n1` at `now`.
 fn hello_from(s: &mut Ipcp, n1: usize, name: &str, addr: Addr, now: Time) {
-    let hello = MgmtBody::Hello { name: AppName::new(name), addr, digests: DigestTable::default() };
+    hello_with(s, n1, name, addr, DigestTable::default(), now);
+}
+
+/// The same hello, advertising `digests`.
+fn hello_with(s: &mut Ipcp, n1: usize, name: &str, addr: Addr, digests: DigestTable, now: Time) {
+    let hello = MgmtBody::Hello { name: AppName::new(name), addr, digests };
     let pdu =
         Pdu::Mgmt(MgmtPdu { dest_addr: 0, src_addr: addr, ttl: 1, payload: hello.encode(0, 0) });
     s.on_frame(n1, pdu.encode(), now);
@@ -378,6 +383,40 @@ fn lsa_obj(addr: Addr, neighbors: &[(Addr, u32)], version: u64, deleted: bool) -
         origin: addr,
         deleted,
     }
+}
+
+/// Anti-entropy pulls at every hello whose digest table differs from
+/// ours, and at no other: one hello period after a pull on a port, a
+/// fresh divergence is pulled at once.
+#[test]
+fn each_hello_that_differs_pulls() {
+    let ms = Time::from_millis;
+    let mut a = mk("net.a");
+    a.bootstrap(1);
+    let n1 = live_port(&mut a, 0, 2, true);
+    // The first hello names the peer, and `a` advertises it in its LSA.
+    hello_from(&mut a, n1, "net.b", 2, Time::ZERO);
+    for tick in 1..=4 {
+        a.tick_hello(ms(tick * 500));
+    }
+    let mut peer = Rib::new(2);
+    for o in a.rib.snapshot() {
+        peer.apply_ref(&o.view());
+    }
+    let before = a.stats.delta_requests;
+    hello_with(&mut a, n1, "net.b", 2, peer.digest_table(), ms(2_000));
+    assert_eq!(a.stats.delta_requests, before, "a hello that matches pulls nothing");
+    let first = lsa_obj(2, &[(1, 1)], 1, false);
+    peer.apply_remote(first.clone());
+    hello_with(&mut a, n1, "net.b", 2, peer.digest_table(), ms(2_000));
+    let pulled = a.stats.delta_requests;
+    assert!(pulled > before, "a hello that differs pulls");
+    // The answer arrives; one hello period later the peer differs again.
+    reflood(&mut a, first, n1);
+    a.tick_hello(ms(2_500));
+    peer.apply_remote(lsa_obj(3, &[(2, 1)], 1, false));
+    hello_with(&mut a, n1, "net.b", 2, peer.digest_table(), ms(2_500));
+    assert!(a.stats.delta_requests > pulled, "the next hello that differs pulls");
 }
 
 /// Run the deferred route recomputation, as the node's timer would.

@@ -843,24 +843,21 @@ impl Rib {
     /// Answer a delta request: given a peer's version `summary` of
     /// `subtree` restricted to names in `[from, upto)` (empty bound =
     /// unbounded), return the objects *we* hold in that range which the
-    /// peer lacks or holds older, as stored, plus `true` if the summary
-    /// proves the peer holds versions newer than ours (so the caller
-    /// should issue its own request for this subtree). A name the
-    /// summary lists twice is compared at its last entry.
+    /// peer lacks or holds older, as stored. What the summary shows the
+    /// peer holding newer is not our answer's business: we pull it with
+    /// a request of our own. A name the summary lists twice is compared
+    /// at its last entry.
     pub fn delta_for<'a>(
         &'a self,
         subtree: &'a str,
         from: &str,
         upto: &str,
         summary: &[ObjVer<'_>],
-    ) -> (Vec<&'a EncodedObject>, bool) {
+    ) -> Vec<&'a EncodedObject> {
         if self.is_local_subtree(subtree) {
-            // Owner-held state is never served by anti-entropy, and a
-            // peer's summary of it proves nothing we should pull.
-            return (Vec::new(), false);
+            // Owner-held state is never served by anti-entropy.
+            return Vec::new();
         }
-        let in_range =
-            |name: &str| (from.is_empty() || name >= from) && (upto.is_empty() || name < upto);
         // A peer's summary comes from its own name-ordered RIB, so it is
         // merged with ours as it stands; any other list is merged from a
         // sorted copy, whose stable sort keeps a twice-listed name's
@@ -874,20 +871,10 @@ impl Rib {
             sorted = copy;
             &sorted
         };
-        let mut theirs = theirs.iter().filter(|v| in_range(v.name)).peekable();
-        // Whether an entry the walk pairs with none of our objects proves
-        // the peer ahead. One in this subtree names an object we lack
-        // (the walk meets every one we hold in range); any other name
-        // is looked up.
-        let lacked = |v: &ObjVer<'_>| {
-            subtree_of(v.name) == subtree
-                || self
-                    .objects
-                    .get(v.name)
-                    .is_none_or(|o| (v.version, v.origin) > (o.version, o.origin))
-        };
+        // Only an entry naming one of our objects counts, so entries out
+        // of range or out of the subtree are passed over by the walk.
+        let mut theirs = theirs.iter().peekable();
         let mut send = Vec::with_capacity(self.subtree_digest(subtree).map_or(0, |e| e.0 as usize));
-        let mut behind = false;
         let ours = self
             .range_of(subtree, from)
             .take_while(|(k, _)| upto.is_empty() || k.as_str() < upto)
@@ -896,20 +883,14 @@ impl Rib {
             let mut peer = None;
             while let Some(v) = theirs.next_if(|v| v.name <= name.as_str()) {
                 if v.name == name {
-                    behind |= (v.version, v.origin) > (o.version, o.origin);
                     peer = Some((v.version, v.origin));
-                } else {
-                    behind |= lacked(v);
                 }
             }
             if peer.is_none_or(|p| p < (o.version, o.origin)) {
                 send.push(&o.enc);
             }
         }
-        for v in theirs {
-            behind |= lacked(v);
-        }
-        (send, behind)
+        send
     }
 
     /// True when no live objects exist.
@@ -1228,26 +1209,22 @@ mod tests {
         newer.version += 1;
         newer.origin = 2;
         b.apply_remote(newer);
-        let (send, behind) = a.delta_for("/lsa", "", "", &b.summary("/lsa"));
+        let send = a.delta_for("/lsa", "", "", &b.summary("/lsa"));
         let names: Vec<_> = send.iter().map(|o| o.view().name).collect();
         assert_eq!(names, vec!["/lsa/1"], "equal version skipped, newer-at-peer skipped");
-        assert!(behind, "the summary proves the peer has a newer /lsa/3");
         // Range bounds restrict the exchange.
-        let (send, behind) = a.delta_for("/lsa", "/lsa/2", "", &b.summary("/lsa"));
-        assert!(send.is_empty() && behind);
-        let (send, behind) = a.delta_for("/lsa", "", "/lsa/2", &b.summary("/lsa"));
+        let send = a.delta_for("/lsa", "/lsa/2", "", &b.summary("/lsa"));
+        assert!(send.is_empty());
+        let send = a.delta_for("/lsa", "", "/lsa/2", &b.summary("/lsa"));
         assert_eq!(send.len(), 1);
-        assert!(!behind, "peer's newer /lsa/3 is outside [., /lsa/2)");
         // An empty summary (fresh joiner) pulls the whole subtree.
-        let (send, behind) = a.delta_for("/lsa", "", "", &[]);
+        let send = a.delta_for("/lsa", "", "", &[]);
         assert_eq!(send.len(), 3);
-        assert!(!behind);
     }
 
     /// A summary no honest peer sends — out of name order, one name
     /// listed twice — is answered by the same rule as a map built from
-    /// it: a name is compared at its last entry, and any entry newer
-    /// than ours proves the peer ahead.
+    /// it: a name is compared at its last entry.
     #[test]
     fn delta_for_reads_a_disordered_summary_at_each_names_last_entry() {
         let mut a = Rib::new(1);
@@ -1261,21 +1238,18 @@ mod tests {
         };
         // /lsa/2 listed current, then behind: the later entry wins.
         let summary = [at("/lsa/3", 2), at("/lsa/2", 2), at("/lsa/1", 2), at("/lsa/2", 1)];
-        let (send, behind) = a.delta_for("/lsa", "", "", &summary);
-        assert_eq!(names(send), vec!["/lsa/2"]);
-        assert!(!behind);
+        assert_eq!(names(a.delta_for("/lsa", "", "", &summary)), vec!["/lsa/2"]);
         // Listed behind, then current: nothing to send.
         let summary = [at("/lsa/2", 1), at("/lsa/3", 2), at("/lsa/1", 2), at("/lsa/2", 2)];
-        let (send, behind) = a.delta_for("/lsa", "", "", &summary);
-        assert!(send.is_empty() && !behind);
-        // An entry ahead of ours counts wherever it sits, and so does
-        // a name we lack, inside the subtree or out of it.
+        assert!(a.delta_for("/lsa", "", "", &summary).is_empty());
+        // An entry ahead of ours, a name we lack, inside the subtree or
+        // out of it: nothing to send, wherever it sits.
         let summary = [at("/lsa/2", 3), at("/lsa/1", 2), at("/lsa/3", 2), at("/lsa/2", 2)];
-        assert_eq!(a.delta_for("/lsa", "", "", &summary), (vec![], true));
+        assert!(a.delta_for("/lsa", "", "", &summary).is_empty());
         let summary = [at("/lsa/9", 1), at("/lsa/1", 2), at("/lsa/3", 2), at("/lsa/2", 2)];
-        assert_eq!(a.delta_for("/lsa", "", "", &summary), (vec![], true));
+        assert!(a.delta_for("/lsa", "", "", &summary).is_empty());
         let summary = [at("/lsa/3", 2), at("/dir/x", 1), at("/lsa/1", 2), at("/lsa/2", 2)];
-        assert_eq!(a.delta_for("/lsa", "", "", &summary), (vec![], true));
+        assert!(a.delta_for("/lsa", "", "", &summary).is_empty());
     }
 
     /// The watch hook fires on every path into the store — local
@@ -1336,7 +1310,7 @@ mod tests {
         assert_eq!(subs, vec!["/lsa"]);
         assert!(a.snapshot().iter().all(|o| !o.view().name.starts_with("/dir")));
         assert!(a.summary("/dir").is_empty());
-        assert_eq!(a.delta_for("/dir", "", "", &[]), (vec![], false));
+        assert!(a.delta_for("/dir", "", "", &[]).is_empty());
         // Tombstones still flood — remote caches must hear deletions.
         a.delete_local("/dir/echo");
         let tomb = pop_out(&mut a);
@@ -1514,7 +1488,7 @@ mod tests {
                 return moved;
             }
             for st in mm {
-                let (objs, _) = a.delta_for(&st, "", "", &b.summary(&st));
+                let objs = a.delta_for(&st, "", "", &b.summary(&st));
                 for o in objs {
                     moved += 1;
                     b.apply_ref(&o.view());

@@ -75,11 +75,11 @@ fn sync(a: &mut Rib, b: &mut Rib) -> usize {
             return round;
         }
         for s in mismatch {
-            let (objs, _) = a.delta_for(&s, "", "", &b.summary(&s));
+            let objs = a.delta_for(&s, "", "", &b.summary(&s));
             for o in objs {
                 b.apply_ref(&o.view());
             }
-            let (objs, _) = b.delta_for(&s, "", "", &a.summary(&s));
+            let objs = b.delta_for(&s, "", "", &a.summary(&s));
             for o in objs {
                 a.apply_ref(&o.view());
             }
@@ -108,8 +108,8 @@ proptest! {
         prop_assert!(rib.snapshot().iter().all(|o| !o.view().name.starts_with("/dir/")));
         prop_assert!(rib.digest_table().entries().iter().all(|e| e.0 != "/dir"));
         prop_assert!(rib.summary("/dir").is_empty());
-        let (objs, behind) = rib.delta_for("/dir", "", "", &[]);
-        prop_assert!(objs.is_empty() && !behind, "owner-held state served by anti-entropy");
+        let objs = rib.delta_for("/dir", "", "", &[]);
+        prop_assert!(objs.is_empty(), "owner-held state served by anti-entropy");
         let out = drain_outbox(&mut rib);
         prop_assert!(
             out.iter().map(EncodedObject::view).all(|o| !o.name.starts_with("/dir/") || o.deleted),
@@ -159,8 +159,8 @@ proptest! {
         prop_assert_eq!(ta.mismatched(&tb), Vec::<String>::new());
         prop_assert_eq!(ta.total_digest(), tb.total_digest());
         for s in ["/lsa", "/blocks"] {
-            let (objs, behind) = a.delta_for(s, "", "", &b.summary(s));
-            prop_assert!(objs.is_empty() && !behind, "spurious delta on {s}");
+            let objs = a.delta_for(s, "", "", &b.summary(s));
+            prop_assert!(objs.is_empty(), "spurious delta on {s}");
         }
     }
 
