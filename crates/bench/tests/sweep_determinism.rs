@@ -41,9 +41,13 @@ fn rows_come_back_in_grid_order_and_reach() {
     let ids: Vec<String> = grid.cells().iter().map(|c| c.id()).collect();
     let got: Vec<String> = rows.iter().map(|r| r.id.clone()).collect();
     assert_eq!(ids, got, "row order is grid enumeration order, not completion order");
-    for r in &rows {
+    for (r, cell) in rows.iter().zip(grid.cells()) {
         assert!(r.reachable, "cell {} failed reachability: {r:?}", r.id);
         assert!(r.makespan_s > 0.0 && r.mgmt_pdus > 0, "cell {} ran: {r:?}", r.id);
+        assert_eq!(r.invariants, 0, "cell {} ends unhealthy: {r:?}", r.id);
+        if cell.loss == 0.0 && !cell.churn {
+            assert_eq!(r.half_open, 0, "lossless static cell {} ends half-open: {r:?}", r.id);
+        }
     }
 }
 

@@ -75,8 +75,7 @@ pub struct DifConfig {
     /// deletion floods, in milliseconds. The grace must comfortably
     /// exceed a link flap plus re-enrollment, because a purge of a
     /// live member costs one reassert round trip (the owner rewrites
-    /// its objects at a higher version). `0` disables failure GC —
-    /// departed state then only leaves via graceful leave.
+    /// its objects at a higher version).
     pub member_gc_grace_ms: u64,
     /// Replication scope of the `/dir` application-directory subtree.
     /// `false` (default): DIF-wide — every member mirrors every directory
@@ -169,8 +168,7 @@ impl DifConfig {
         self
     }
 
-    /// Builder-style failure-GC grace override, in milliseconds (`0`
-    /// disables sponsor-side garbage collection of failed members).
+    /// Builder-style failure-GC grace override, in milliseconds.
     pub fn with_member_gc_grace_ms(mut self, ms: u64) -> Self {
         self.member_gc_grace_ms = ms;
         self

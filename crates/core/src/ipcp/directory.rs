@@ -17,30 +17,15 @@ use std::collections::BTreeMap;
 /// least-recently used entries are evicted beyond this many.
 const DIR_CACHE_CAP: usize = 128;
 
-/// Hello ticks between resends of an unanswered on-demand directory
-/// lookup (scoped `/dir` only): requests ride the spanning tree best
-/// effort, so a lookup racing assembly or churn is simply asked again,
-/// for as long as an allocation waits on it.
-const DIR_LOOKUP_RETRY_TICKS: u64 = 2;
-
 /// One flow allocation parked behind an on-demand directory lookup
 /// (scoped `/dir` only). It leaves through the owner's answer, which
 /// resumes it, or through its allocation's deadline, which ends it.
-struct DirWaiter {
+pub(super) struct DirWaiter {
     port: u64,
     src_app: AppName,
     dst_app: AppName,
     spec: QosSpec,
     deadline: Time,
-}
-
-/// An in-flight on-demand directory lookup.
-pub(super) struct DirPending {
-    waiters: Vec<DirWaiter>,
-    /// Hello tick when the request was last sent — drives resends.
-    asked_tick: u64,
-    /// Correlation id echoed by the owner's response.
-    lookup_id: u64,
 }
 
 /// A cached directory resolution (scoped `/dir` only): where the owner
@@ -75,10 +60,9 @@ pub(super) struct Directory {
     /// reborn entry; past the grace the staleness window it guards has
     /// long closed.
     tombstones: BTreeMap<String, (u64, Addr, Time)>,
-    /// Outstanding lookups by RIB name.
-    pub(super) pending: BTreeMap<String, DirPending>,
-    /// Correlation ids handed to [`MgmtBody::DirLookupRequest`]s.
-    last_lookup: u64,
+    /// The allocations waiting on each on-demand lookup in flight, by
+    /// RIB name.
+    pub(super) pending: BTreeMap<String, Vec<DirWaiter>>,
 }
 
 impl Directory {
@@ -129,16 +113,16 @@ impl Directory {
 
     /// Whether the allocation for `port` waits on a lookup.
     pub(super) fn waits(&self, port: u64) -> bool {
-        self.pending.values().any(|p| p.waiters.iter().any(|w| w.port == port))
+        self.pending.values().any(|ws| ws.iter().any(|w| w.port == port))
     }
 
     /// Forget the allocation parked for `port`: its answer resumes
     /// nothing, and a lookup no allocation waits on any more is dropped.
     pub(super) fn drop_waiter(&mut self, port: u64) {
-        for p in self.pending.values_mut() {
-            p.waiters.retain(|w| w.port != port);
+        for ws in self.pending.values_mut() {
+            ws.retain(|w| w.port != port);
         }
-        self.pending.retain(|_, p| !p.waiters.is_empty());
+        self.pending.retain(|_, ws| !ws.is_empty());
     }
 
     /// Drop every cached entry pointing at `addr` — the owner departed
@@ -171,15 +155,13 @@ impl Directory {
         true
     }
 
-    /// Expire tombstone memory older than `grace` (0 = keep): a
-    /// re-registered owner restarts its version clock, and /dir is off
-    /// the anti-entropy surface, so memory held forever would refuse the
-    /// reborn entry's answers. The in-flight answers the memory guards
-    /// against are milliseconds old, never grace-old.
+    /// Expire tombstone memory older than `grace`: a re-registered owner
+    /// restarts its version clock, and /dir is off the anti-entropy
+    /// surface, so memory held forever would refuse the reborn entry's
+    /// answers. The in-flight answers the memory guards against are
+    /// milliseconds old, never grace-old.
     pub(super) fn expire_tombstones(&mut self, now: Time, grace: Dur) {
-        if grace != Dur::ZERO {
-            self.tombstones.retain(|_, &mut (_, _, t)| now.since(t) <= grace);
-        }
+        self.tombstones.retain(|_, &mut (_, _, t)| now.since(t) <= grace);
     }
 }
 
@@ -237,9 +219,11 @@ impl Ipcp {
     }
 
     /// Park a flow allocation behind an on-demand directory lookup:
-    /// ask the spanning tree for the owner's entry and continue the
+    /// ask the spanning tree once for the owner's entry and continue the
     /// allocation when the answer arrives. Concurrent allocations to the
-    /// same name share one outstanding request.
+    /// same name share one outstanding request. Nothing resends it: a
+    /// lookup that is lost, or reaches no owner, ends with the
+    /// allocation's deadline, and the application asks again.
     pub(super) fn start_dir_lookup(
         &mut self,
         port: u64,
@@ -250,63 +234,28 @@ impl Ipcp {
     ) {
         let name = dir_name(&dst_app);
         let w = DirWaiter { port, src_app, dst_app, spec, deadline };
-        if let Some(p) = self.directory.pending.get_mut(&name) {
-            p.waiters.push(w);
+        if let Some(ws) = self.directory.pending.get_mut(&name) {
+            ws.push(w);
             return;
         }
-        self.directory.last_lookup += 1;
-        let id = self.directory.last_lookup;
-        let asked_tick = self.neighbors.ticks;
-        let p = DirPending { waiters: vec![w], asked_tick, lookup_id: id };
-        self.directory.pending.insert(name.clone(), p);
-        self.send_dir_lookup(&name, id);
-    }
-
-    /// Emit one [`MgmtBody::DirLookupRequest`] out every live tree
-    /// port. The tree alone reaches every member and is acyclic, so
-    /// propagation needs no duplicate-suppression state.
-    fn send_dir_lookup(&mut self, name: &str, lookup_id: u64) {
+        // One request out every live tree port: the tree alone reaches
+        // every member and is acyclic, so propagation needs no
+        // duplicate-suppression state.
         for i in 0..self.transfer.n1.len() {
             if self.live_tree(i) {
-                let body = MgmtBody::DirLookupRequest {
-                    name: name.to_string(),
-                    origin: self.addr,
-                    lookup_id,
-                };
+                let body = MgmtBody::DirLookupRequest { name: name.clone(), origin: self.addr };
                 self.stats.dir_lookups_sent += 1;
                 self.send_mgmt_on(i, body, 0, 0);
             }
         }
-    }
-
-    /// Resend outstanding directory lookups on the hello cadence.
-    pub(super) fn retry_dir_lookups(&mut self) {
-        if !self.scoped_dir() || self.directory.pending.is_empty() {
-            return;
-        }
-        let ticks = self.neighbors.ticks;
-        let mut due = Vec::new();
-        for (name, p) in &mut self.directory.pending {
-            if ticks >= p.asked_tick + DIR_LOOKUP_RETRY_TICKS {
-                p.asked_tick = ticks;
-                due.push((name.clone(), p.lookup_id));
-            }
-        }
-        for (name, id) in due {
-            self.send_dir_lookup(&name, id);
-        }
+        self.directory.pending.insert(name, vec![w]);
     }
 
     /// A directory lookup reached us: answer if we hold the live entry
     /// as its authoritative owner, else forward it down the spanning
-    /// tree (away from the ingress port).
-    pub(super) fn handle_dir_lookup_request(
-        &mut self,
-        name: String,
-        origin: Addr,
-        lookup_id: u64,
-        from_n1: usize,
-    ) {
+    /// tree (away from the ingress port). An owner without a live entry
+    /// stays silent: no negative answer is ever sent.
+    pub(super) fn handle_dir_lookup_request(&mut self, name: String, origin: Addr, from_n1: usize) {
         if !self.manages() || origin == 0 || origin == self.addr {
             return;
         }
@@ -317,14 +266,14 @@ impl Ipcp {
             .map(|o| (decode_addr(o.value), o.version));
         if let Some((maybe_addr, version)) = own {
             let Some(addr) = maybe_addr else { return };
-            let body = MgmtBody::DirLookupResponse { name, addr, version, lookup_id };
+            let body = MgmtBody::DirLookupResponse { name, addr, version };
             self.stats.dir_lookups_answered += 1;
             self.send_mgmt_addr(origin, body, 0, 0);
             return;
         }
         for i in 0..self.transfer.n1.len() {
             if i != from_n1 && self.live_tree(i) {
-                let body = MgmtBody::DirLookupRequest { name: name.clone(), origin, lookup_id };
+                let body = MgmtBody::DirLookupRequest { name: name.clone(), origin };
                 self.send_mgmt_on(i, body, 0, 0);
             }
         }
@@ -351,8 +300,8 @@ impl Ipcp {
             return;
         }
         let resolved = self.directory.cache_answer(&name, addr, version);
-        if let Some(p) = self.directory.pending.remove(&name) {
-            for w in p.waiters {
+        if let Some(ws) = self.directory.pending.remove(&name) {
+            for w in ws {
                 self.alloc_flow_resolved(
                     w.port, w.src_app, w.dst_app, w.spec, resolved, w.deadline,
                 );

@@ -173,14 +173,19 @@ impl Ipcp {
     }
 
     /// Begin enrollment through (N-1) port `n1` with the stored request,
-    /// and arm the retry timer.
+    /// and arm the retry timer unless a retry chain already runs: one
+    /// arms on the first call, and each firing re-arms it until this
+    /// process is a member, retrying through whichever port it then
+    /// enrolls through.
     pub(super) fn enroll_through(&mut self, n1: usize, now: Time) {
         assert!(!self.enrolled, "already enrolled");
-        self.enroll.via = Some(n1);
+        let chained = self.enroll.via.replace(n1).is_some();
         self.send_hello(n1);
         self.retry_enroll();
-        let at = now + ENROLL_RETRY_PERIOD;
-        self.out.push(IpcpOut::Arm { at, timer: IpcpTimer::EnrollRetry });
+        if !chained {
+            let at = now + ENROLL_RETRY_PERIOD;
+            self.out.push(IpcpOut::Arm { at, timer: IpcpTimer::EnrollRetry });
+        }
     }
 
     /// The retry timer fired: while still not a member, ask again, and
@@ -365,7 +370,7 @@ impl Ipcp {
     /// the hello cadence).
     pub(super) fn purge_failed(&mut self, now: Time) {
         let grace = Dur::from_millis(self.cfg.member_gc_grace_ms);
-        if grace == Dur::ZERO || self.departed || self.enroll.gc_watch.is_empty() {
+        if self.departed || self.enroll.gc_watch.is_empty() {
             return;
         }
         for (name, addr) in self.enroll.take_failed(now, grace) {

@@ -99,8 +99,6 @@ pub(super) struct Flows {
     last_cep: CepId,
     /// The last arm id handed out (see [`IpcpTimer::Conn`]).
     last_arm: u64,
-    /// Flow requests awaiting their response: invoke id → requesting cep.
-    pending: BTreeMap<u32, CepId>,
 }
 
 impl Flows {
@@ -109,26 +107,12 @@ impl Flows {
         self.last_cep
     }
 
-    /// Enter `flow` under `cep`; a requesting flow is also indexed by the
-    /// invoke id its response will carry.
+    /// Enter `flow` under `cep`.
     fn insert(&mut self, cep: CepId, flow: Flow) {
-        if let Phase::Requesting { invoke, .. } = flow.phase {
-            self.pending.insert(invoke, cep);
-        }
         if matches!(flow.binding, Binding::Efcp(_)) {
             self.timer_dirty.push(cep);
         }
         self.table.insert(cep, flow);
-    }
-
-    /// Drop the flow at `cep` with everything indexed under it: a flow
-    /// still requesting takes its pending-response entry along.
-    pub(super) fn remove(&mut self, cep: CepId) -> Option<Flow> {
-        let flow = self.table.remove(&cep)?;
-        if let Phase::Requesting { invoke, .. } = flow.phase {
-            self.pending.remove(&invoke);
-        }
-        Some(flow)
     }
 
     /// The EFCP connection bound to the flow at `cep`, if it has one.
@@ -306,8 +290,7 @@ impl Ipcp {
     ) {
         // Fail fast if routing has not converged to the destination member
         // yet — the requester retries rather than stalling on a timeout.
-        let fwd = self.routes.engine.table();
-        if dst_addr != self.addr && self.transfer.pick_n1_toward(dst_addr, fwd).is_none() {
+        if !self.routes_to(dst_addr) {
             self.out
                 .push(IpcpOut::FlowGone { port, failed: Some("no route to destination member") });
             return;
@@ -322,6 +305,35 @@ impl Ipcp {
         let body =
             MgmtBody::FlowRequest { src_app, dst_app, spec, src_addr: self.addr, src_cep: cep };
         self.send_mgmt_addr(dst_addr, body, invoke, 0);
+    }
+
+    /// Whether a PDU addressed to the member at `addr` can leave here:
+    /// it is this member, or a live (N-1) port leads toward it.
+    fn routes_to(&self, addr: Addr) -> bool {
+        addr == self.addr
+            || self.transfer.pick_n1_toward(addr, self.routes.engine.table()).is_some()
+    }
+
+    /// Responder side: the member at `src_addr` asks for a flow, which
+    /// the node accepts or rejects. A request with no route back is
+    /// dropped and booked in `no_route`, as its answer would be: it
+    /// creates nothing here, and the requester's deadline ends its side.
+    pub(super) fn handle_flow_request(
+        &mut self,
+        src_app: AppName,
+        dst_app: AppName,
+        spec: QosSpec,
+        src_addr: Addr,
+        src_cep: CepId,
+        invoke_id: u32,
+    ) {
+        self.stats.flow_reqs_in += 1;
+        if !self.routes_to(src_addr) {
+            self.stats.no_route += 1;
+            return;
+        }
+        let req = IpcpOut::FlowReqIn { src_app, dst_app, spec, src_addr, src_cep, invoke_id };
+        self.out.push(req);
     }
 
     /// Responder side: the node approved an inbound flow request. Creates
@@ -358,7 +370,8 @@ impl Ipcp {
 
     /// The member at `src_addr` answered flow request `invoke_id`:
     /// complete the requesting endpoint's binding and activate it, or
-    /// fail it. Only the member the request went to can answer it.
+    /// fail it. Only the member the request went to can answer it, and
+    /// only while the endpoint still requests.
     pub(super) fn handle_flow_response(
         &mut self,
         invoke_id: u32,
@@ -367,21 +380,22 @@ impl Ipcp {
         qos_id: u8,
         result: i32,
     ) {
-        let Some(&cep) = self.flows.pending.get(&invoke_id) else { return };
-        let peer = self.flows.table.get(&cep).map(|f| f.binding.peer().0);
-        let Some(peer_addr) = peer.filter(|&a| a == src_addr) else { return };
-        self.flows.pending.remove(&invoke_id);
+        let asked = self.flows.table.iter().find(|(_, f)| {
+            matches!(f.phase, Phase::Requesting { invoke, .. } if invoke == invoke_id)
+                && f.binding.peer().0 == src_addr
+        });
+        let Some((&cep, _)) = asked else { return };
         let bound = if result != 0 || dst_cep == 0 {
             Err("refused by destination")
         } else {
             let cube = self.cfg.cube(qos_id).ok_or("unknown qos cube");
-            cube.map(|cube| self.bind(cep, peer_addr, dst_cep, cube))
+            cube.map(|cube| self.bind(cep, src_addr, dst_cep, cube))
         };
         let Some(f) = self.flows.table.get_mut(&cep) else { return };
         let port = f.port;
         match bound {
             Err(reason) => {
-                self.flows.remove(cep);
+                self.flows.table.remove(&cep);
                 self.out.push(IpcpOut::FlowGone { port, failed: Some(reason) });
             }
             Ok(binding) => {
@@ -402,7 +416,7 @@ impl Ipcp {
         else {
             return;
         };
-        let Some(f) = self.flows.remove(cep) else { return };
+        let Some(f) = self.flows.table.remove(&cep) else { return };
         let invoke = self.next_invoke();
         self.send_mgmt_addr(f.binding.peer().0, MgmtBody::FlowTeardown { cep }, invoke, 0);
     }
@@ -411,7 +425,7 @@ impl Ipcp {
     /// here bound to exactly that endpoint, if any.
     pub(super) fn handle_flow_teardown(&mut self, src_addr: Addr, cep: CepId) {
         let ours = self.flows.table.iter().find(|(_, f)| f.binding.peer() == (src_addr, cep));
-        if let Some(f) = ours.map(|(&c, _)| c).and_then(|c| self.flows.remove(c)) {
+        if let Some(f) = ours.map(|(&c, _)| c).and_then(|c| self.flows.table.remove(&c)) {
             self.out.push(IpcpOut::FlowGone { port: f.port, failed: None });
         }
     }
@@ -530,7 +544,7 @@ impl Ipcp {
             self.out.push(IpcpOut::Deliver { port, sdu });
         }
         if failed {
-            self.flows.remove(cep);
+            self.flows.table.remove(&cep);
             self.out.push(IpcpOut::FlowGone { port, failed: Some("efcp gave up (max rtx)") });
         }
     }
@@ -651,7 +665,7 @@ mod tests {
         seen.extend(cross(&mut a, &mut b));
         seen.extend(cross(&mut b, &mut a));
         for i in [&a, &b] {
-            assert!(i.flows.table.is_empty() && i.flows.pending.is_empty(), "{} leaked", i.name);
+            assert!(i.flows.table.is_empty(), "{} leaked", i.name);
             // One CEP each, counted from 1 — none at a responder that refused.
             assert_eq!(i.flows.last_cep, if i.addr == 1 || accept { 1 } else { 0 });
         }
@@ -765,19 +779,18 @@ mod tests {
         assert!(conn_timers(&mut a, at).is_empty());
     }
 
-    /// A flow deallocated while its request is still unanswered takes its
-    /// pending-response entry with it (one map entry used to leak per
-    /// timed-out or abandoned allocation).
+    /// A flow deallocated while its request is still unanswered leaves
+    /// nothing behind: a requesting flow is one table entry and nothing
+    /// else, and the late response finds no flow to bind.
     #[test]
     fn dealloc_before_the_response_leaves_nothing_pending() {
         for shim in [true, false] {
             let [mut a, _] = pair(shim);
             let (src, dst) = (AppName::new("client"), AppName::new("server"));
             a.alloc_flow_resolved(7, src, dst, QosSpec::reliable(), 2, Time::from_secs(1));
-            assert_eq!((a.flows.table.len(), a.flows.pending.len()), (1, 1));
+            assert_eq!(a.flows.table.len(), 1);
             a.dealloc_port(7);
             assert!(a.flows.table.is_empty(), "shim={shim}");
-            assert!(a.flows.pending.is_empty(), "shim={shim}: pending entry leaked");
             // The response that never came in time is absorbed.
             a.handle_flow_response(1, 2, 9, 1, 0);
             assert!(a.take_out().iter().all(|o| matches!(o, IpcpOut::TxPhys { .. })));
@@ -811,7 +824,7 @@ mod tests {
 
     /// Whether both ends' flow tables are empty.
     fn both_empty(a: &Ipcp, b: &Ipcp) -> bool {
-        [a, b].iter().all(|i| i.flows.table.is_empty() && i.flows.pending.is_empty())
+        [a, b].iter().all(|i| i.flows.table.is_empty())
     }
 
     /// A request whose response is lost is ended at its deadline — 50 ms
@@ -903,5 +916,33 @@ mod tests {
         let told = a.take_out();
         assert!(matches!(&told[..], [IpcpOut::FlowActive { port: 7, .. }]), "{told:?}");
         assert_eq!(a.efcp_ends().collect::<Vec<_>>(), [(1, FarEnd::Named((2, 1)))]);
+    }
+
+    /// A request from a member the responder has no route back to
+    /// creates nothing: its answer could never leave, so the node hears
+    /// of no request, no flow is entered, and the drop is booked in
+    /// `no_route`. The same request from the member behind the port is
+    /// handed to the node.
+    #[test]
+    fn a_request_with_no_route_back_creates_nothing() {
+        for shim in [true, false] {
+            let [_, mut b] = pair(shim);
+            let request = |src_addr| MgmtBody::FlowRequest {
+                src_app: AppName::new("client"),
+                dst_app: AppName::new("server"),
+                spec: QosSpec::reliable(),
+                src_addr,
+                src_cep: 1,
+            };
+            b.on_frame(0, mgmt_from(3, 2, request(3), 1), Time::from_millis(1));
+            let told = b.take_out();
+            assert!(told.is_empty(), "shim={shim}: {told:?}");
+            assert!(b.flows.table.is_empty() && b.flows.last_cep == 0);
+            assert_eq!((b.stats.flow_reqs_in, b.stats.no_route), (1, 1));
+            b.on_frame(0, mgmt_from(1, 2, request(1), 1), Time::from_millis(2));
+            let told = b.take_out();
+            assert!(matches!(&told[..], [IpcpOut::FlowReqIn { src_addr: 1, .. }]), "{told:?}");
+            assert_eq!((b.stats.flow_reqs_in, b.stats.no_route), (2, 1));
+        }
     }
 }

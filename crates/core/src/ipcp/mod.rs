@@ -8,10 +8,10 @@
 //! | task set | file | struct | owns |
 //! |---|---|---|---|
 //! | **IPC Data Transfer** (per PDU) | `transfer.rs` | `Transfer` | the (N-1) port table ([`N1Port`]), the peer-address relay index, the lower-flow index; relay-in-place, two-step forwarding, transmit |
-//! | **IPC Transfer Control** (per flow) | `flows.rs` | `Flows` | the one flow table (CEP → port, phase, binding), CEP ids, the EFCP timer dirty list, pending flow allocations, and each connection's armed deadline; the flow-allocator handshake (§5.3), its deadline and its teardown |
+//! | **IPC Transfer Control** (per flow) | `flows.rs` | `Flows` | the one flow table (CEP → port, phase, binding; a requesting flow's phase holds the invoke id its response echoes), CEP ids, the EFCP timer dirty list, and each connection's armed deadline; the flow-allocator handshake (§5.3), its deadline and its teardown |
 //! | **IPC Management** — enrollment (§5.2) | `enroll.rs` | `Enroll` | outstanding requests and what they propose, the admission window, sponsored members and their failure watch; address and block assignment, leave and purge |
-//! | — directory | `directory.rs` | `Directory` | own registrations, the lookup cache, tombstone memory, on-demand lookups in flight (scoped `/dir`) |
-//! | — neighbors | `neighbors.rs` | `Neighbors` | the planned adjacencies, the management view of each port (tree edge, peer digests, hello memo, a port's last lower flow), the hello send cache and tick count; allocating, retrying and binding lower flows, hello send/receive, expiry and release |
+//! | — directory | `directory.rs` | `Directory` | own registrations, the lookup cache, tombstone memory, the allocations waiting on each on-demand lookup in flight (scoped `/dir`) |
+//! | — neighbors | `neighbors.rs` | `Neighbors` | the planned adjacencies, the management view of each port (tree edge, peer digests, hello memo, a port's last lower flow), the hello send cache; allocating, retrying and binding lower flows, hello send/receive, expiry and release |
 //! | — routing | `routes.rs` | `Routes` | the route engine (LSA mirror, SPF, forwarding table), the advertised neighbor set and its debounce |
 //! | — RIEP dissemination | `dissemination.rs` | `Dissemination` | per-port flood queues, the flood token bucket, own-object names; flood, anti-entropy deltas, apply/re-flood, reassert |
 //!
@@ -269,8 +269,9 @@ pub struct IpcpStats {
     /// Directory resolutions that missed both own registrations and the
     /// cache (each starts or joins an on-demand lookup).
     pub dir_cache_misses: u64,
-    /// [`MgmtBody::DirLookupRequest`]s originated (resends included;
-    /// forwarding on behalf of others is not counted).
+    /// [`MgmtBody::DirLookupRequest`]s originated, one per live tree
+    /// port per lookup, each lookup asked once (forwarding on behalf of
+    /// others is not counted).
     pub dir_lookups_sent: u64,
     /// Authoritative [`MgmtBody::DirLookupResponse`]s sent as owner.
     pub dir_lookups_answered: u64,
@@ -634,15 +635,8 @@ impl Ipcp {
                 }
             }
             MgmtBody::FlowRequest { src_app, dst_app, spec, src_addr, src_cep } => {
-                self.stats.flow_reqs_in += 1;
-                self.out.push(IpcpOut::FlowReqIn {
-                    src_app,
-                    dst_app,
-                    spec,
-                    src_addr,
-                    src_cep,
-                    invoke_id: cdap.invoke_id,
-                });
+                let invoke = cdap.invoke_id;
+                self.handle_flow_request(src_app, dst_app, spec, src_addr, src_cep, invoke);
             }
             MgmtBody::FlowResponse { dst_cep, qos_id } => {
                 let (invoke, result) = (cdap.invoke_id, cdap.result);
@@ -657,10 +651,10 @@ impl Ipcp {
                     self.apply_and_reflood(obj, from_n1);
                 }
             }
-            MgmtBody::DirLookupRequest { name, origin, lookup_id } => {
-                self.handle_dir_lookup_request(name, origin, lookup_id, from_n1);
+            MgmtBody::DirLookupRequest { name, origin } => {
+                self.handle_dir_lookup_request(name, origin, from_n1);
             }
-            MgmtBody::DirLookupResponse { name, addr, version, lookup_id: _ } => {
+            MgmtBody::DirLookupResponse { name, addr, version } => {
                 self.handle_dir_lookup_response(name, addr, version);
             }
         }

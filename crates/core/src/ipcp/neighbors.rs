@@ -109,8 +109,6 @@ pub(super) struct Neighbors {
     pub(super) peers: Vec<Peer>,
     /// The adjacencies this process allocates, in the order planned.
     pub(super) plans: Vec<Plan>,
-    /// Hello periods elapsed: the clock of the directory lookup resend.
-    pub(super) ticks: u64,
     /// The encoded hello frame for one `(RIB generation, address)`: a
     /// hello is a function of the digest table, the address and the
     /// (fixed) name, so until one of the first two moves every tick and
@@ -140,8 +138,6 @@ impl Ipcp {
                 self.send_hello(i);
             }
         }
-        self.neighbors.ticks += 1;
-        self.retry_dir_lookups();
         self.directory.expire_tombstones(now, Dur::from_millis(self.cfg.member_gc_grace_ms));
         // Expire the ports we have not heard from, and release the lower
         // flows under them: whichever end allocated a flow, the other end

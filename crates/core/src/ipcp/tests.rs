@@ -572,6 +572,35 @@ fn a_block_below_its_base_is_refused_both_ways() {
     assert_eq!((j.is_enrolled(), j.block()), (true, (5, 5)));
 }
 
+/// A joiner whose enrollment path comes up twice before it is a member
+/// (a flap mid-enrollment) runs one retry chain: the second start asks
+/// again at once but arms no second timer, and the one chain retries
+/// through the port it enrolls through last.
+#[test]
+fn two_enrollment_starts_arm_one_retry() {
+    let mut j = mk("net.j");
+    j.add_n1(N1Kind::Phys { iface: 0 });
+    j.add_n1(N1Kind::Phys { iface: 1 });
+    let retries = |out: &[IpcpOut]| {
+        out.iter()
+            .filter(|o| matches!(o, IpcpOut::Arm { timer: IpcpTimer::EnrollRetry, .. }))
+            .count()
+    };
+    let asks = |out: &[IpcpOut]| -> Vec<usize> {
+        let sent = tx_mgmt(out).into_iter();
+        sent.filter_map(|(n1, _, b)| matches!(b, MgmtBody::EnrollRequest { .. }).then_some(n1))
+            .collect()
+    };
+    j.start_enroll(0, "", 0, 0, Time::ZERO);
+    j.start_enroll(1, "", 0, 0, Time::from_millis(100));
+    let out = j.take_out();
+    assert_eq!(asks(&out), [0, 1]);
+    assert_eq!(retries(&out), 1, "one retry chain");
+    j.on_timer(IpcpTimer::EnrollRetry, Time::from_millis(300));
+    let out = j.take_out();
+    assert_eq!((asks(&out), retries(&out)), (vec![1], 1));
+}
+
 /// A sponsor with a 2 s failure-GC grace that has admitted `net.x` over
 /// its only port; returns it with the address it granted.
 fn sponsor_of_x() -> (Ipcp, Addr) {
@@ -734,21 +763,20 @@ fn scoped_owner_answers_lookup_requests_authoritatively() {
     live_port(&mut owner, 0, 9, false); // the requester is a direct neighbor
     owner.dir_register(&AppName::new("web"));
     owner.take_out();
-    let req = MgmtBody::DirLookupRequest { name: "/dir/web".into(), origin: 9, lookup_id: 3 }
-        .encode(0, 0);
+    let req = MgmtBody::DirLookupRequest { name: "/dir/web".into(), origin: 9 }.encode(0, 0);
     let pdu = Pdu::Mgmt(MgmtPdu { dest_addr: 0, src_addr: 9, ttl: 1, payload: req });
     owner.on_frame(0, pdu.encode(), Time::ZERO);
     let out = owner.take_out();
     let answers: Vec<_> = tx_mgmt(&out)
         .into_iter()
         .filter_map(|(_, dest, b)| match b {
-            MgmtBody::DirLookupResponse { name, addr, version, lookup_id } => {
-                Some((dest, name, addr, version, lookup_id))
+            MgmtBody::DirLookupResponse { name, addr, version } => {
+                Some((dest, name, addr, version))
             }
             _ => None,
         })
         .collect();
-    assert_eq!(answers, vec![(9, "/dir/web".to_string(), 5, 1, 3)]);
+    assert_eq!(answers, vec![(9, "/dir/web".to_string(), 5, 1)]);
     assert_eq!(owner.stats.dir_lookups_answered, 1);
 }
 
@@ -760,8 +788,7 @@ fn scoped_member_forwards_lookups_down_the_tree_only() {
     live_port(&mut relay, 1, 11, true); // the only forwarding target
     live_port(&mut relay, 2, 12, false); // cross edge: lookups never ride it
     relay.take_out();
-    let req = MgmtBody::DirLookupRequest { name: "/dir/web".into(), origin: 9, lookup_id: 1 }
-        .encode(0, 0);
+    let req = MgmtBody::DirLookupRequest { name: "/dir/web".into(), origin: 9 }.encode(0, 0);
     let pdu = Pdu::Mgmt(MgmtPdu { dest_addr: 0, src_addr: 10, ttl: 1, payload: req });
     relay.on_frame(0, pdu.encode(), Time::ZERO);
     let out = relay.take_out();
@@ -789,8 +816,7 @@ fn scoped_lookup_resolves_waiting_allocation_and_caches() {
     assert_eq!((a.stats.dir_cache_misses, a.stats.dir_lookups_sent), (1, 1));
     // The owner's answer arrives, addressed to us.
     let resp =
-        MgmtBody::DirLookupResponse { name: "/dir/web".into(), addr: 7, version: 1, lookup_id: 1 }
-            .encode(0, 0);
+        MgmtBody::DirLookupResponse { name: "/dir/web".into(), addr: 7, version: 1 }.encode(0, 0);
     let pdu = Pdu::Mgmt(MgmtPdu { dest_addr: 1, src_addr: 7, ttl: 4, payload: resp });
     a.on_frame(0, pdu.encode(), Time::ZERO);
     let out = a.take_out();
@@ -901,36 +927,43 @@ fn lsa_tombstone_drops_cached_answers_for_departed_owner() {
 }
 
 /// An allocation parked behind a lookup nobody answers ends at its one
-/// deadline, 1 s after it was asked for. Until then the lookup is resent
-/// on the hello cadence; the deadline fails the allocation, the lookup
-/// goes with its last waiter, and nothing is resent after.
+/// deadline, 1 s after it was asked for. The lookup is asked once — one
+/// request out each live tree port — and never resent, however many
+/// hello ticks pass: the deadline is its retry. It fails the allocation
+/// and takes the lookup along with its last waiter.
 #[test]
 fn the_deadline_fails_a_waiting_allocation() {
     let ms = Time::from_millis;
     let mut a = mk_scoped("net.a");
     a.bootstrap(1);
     live_port(&mut a, 0, 2, true);
+    live_port(&mut a, 1, 3, true);
+    live_port(&mut a, 2, 4, false); // cross edge: lookups never ride it
+    let lookups = |out: &[IpcpOut]| -> Vec<usize> {
+        let asks = tx_mgmt(out).into_iter();
+        asks.filter_map(|(n1, _, b)| matches!(b, MgmtBody::DirLookupRequest { .. }).then_some(n1))
+            .collect()
+    };
     a.alloc_flow(10, AppName::new("c"), AppName::new("ghost"), QosSpec::reliable(), Time::ZERO);
-    let armed = a.take_out().into_iter().find_map(|o| match o {
+    let out = a.take_out();
+    assert_eq!(lookups(&out), [0, 1], "one request per live tree port");
+    let armed = out.iter().find_map(|o| match *o {
         IpcpOut::Arm { at, timer: IpcpTimer::Alloc { port: 10 } } => Some(at),
         _ => None,
     });
     assert_eq!(armed, Some(ms(1000)));
-    let gone = |out: &[IpcpOut]| out.iter().any(|o| matches!(o, IpcpOut::FlowGone { .. }));
-    for tick in 1..=2 {
-        a.tick_hello(ms(tick * 500));
-        assert!(!gone(&a.take_out()), "no budget fails the waiter");
+    for tick in 1..=16 {
+        a.tick_hello(ms(tick * 50));
+        let out = a.take_out();
+        assert!(lookups(&out).is_empty(), "resent at tick {tick}");
+        assert!(!out.iter().any(|o| matches!(o, IpcpOut::FlowGone { .. })), "failed early");
     }
-    assert_eq!(a.stats.dir_lookups_sent, 2, "resent two ticks after asking");
+    assert_eq!(a.stats.dir_lookups_sent, 2);
     a.on_timer(IpcpTimer::Alloc { port: 10 }, ms(1000));
     let out = a.take_out();
     let [IpcpOut::FlowGone { port: 10, failed }] = &out[..] else { panic!("{out:?}") };
     assert_eq!(*failed, Some("allocation timed out"));
     assert!(a.directory.pending.is_empty(), "the lookup went with its last waiter");
-    for tick in 3..=16 {
-        a.tick_hello(ms(tick * 500));
-    }
-    assert_eq!(a.stats.dir_lookups_sent, 2, "nothing waits, nothing is resent");
 }
 
 /// An allocation parked behind a directory lookup is released (its

@@ -145,22 +145,19 @@ pub enum MgmtBody {
         /// Requester's member address — the authoritative owner unicasts
         /// its [`MgmtBody::DirLookupResponse`] back to this address.
         origin: Addr,
-        /// Requester-chosen correlation id, echoed in the response.
-        lookup_id: u64,
     },
     /// Authoritative answer to a [`MgmtBody::DirLookupRequest`], sent by
-    /// the entry's owner straight to the requester. Carries the entry's
-    /// version so stale answers in flight lose to newer tombstones.
+    /// the entry's owner straight to the requester; the name it carries
+    /// matches it to the request. Only a live entry is answered — no
+    /// negative answer is ever sent. Carries the entry's version so
+    /// stale answers in flight lose to newer tombstones.
     DirLookupResponse {
         /// The RIB name that was resolved.
         name: String,
-        /// Member address the entry maps to (0 = the owner holds no such
-        /// live entry — a negative answer).
+        /// Member address the entry maps to.
         addr: Addr,
-        /// Version of the entry at the owner (0 on negative answers).
+        /// Version of the entry at the owner.
         version: u64,
-        /// Correlation id copied from the request.
-        lookup_id: u64,
     },
 }
 
@@ -216,14 +213,14 @@ impl MgmtBody {
                 }
                 (OpCode::ReadR, class::RIB_SYNC, subtree, w.finish())
             }
-            MgmtBody::DirLookupRequest { name, origin, lookup_id } => {
+            MgmtBody::DirLookupRequest { name, origin } => {
                 let mut w = Writer::new();
-                w.varint(origin).varint(lookup_id);
+                w.varint(origin);
                 (OpCode::Read, class::DIR, name, w.finish())
             }
-            MgmtBody::DirLookupResponse { name, addr, version, lookup_id } => {
+            MgmtBody::DirLookupResponse { name, addr, version } => {
                 let mut w = Writer::new();
-                w.varint(addr).varint(version).varint(lookup_id);
+                w.varint(addr).varint(version);
                 (OpCode::ReadR, class::DIR, name, w.finish())
             }
         };
@@ -304,21 +301,14 @@ impl MgmtBody {
             }
             (OpCode::Read, class::DIR) => {
                 let origin = r.varint()?;
-                let lookup_id = r.varint()?;
                 r.expect_end()?;
-                Ok(MgmtBody::DirLookupRequest { name: m.obj_name.clone(), origin, lookup_id })
+                Ok(MgmtBody::DirLookupRequest { name: m.obj_name.clone(), origin })
             }
             (OpCode::ReadR, class::DIR) => {
                 let addr = r.varint()?;
                 let version = r.varint()?;
-                let lookup_id = r.varint()?;
                 r.expect_end()?;
-                Ok(MgmtBody::DirLookupResponse {
-                    name: m.obj_name.clone(),
-                    addr,
-                    version,
-                    lookup_id,
-                })
+                Ok(MgmtBody::DirLookupResponse { name: m.obj_name.clone(), addr, version })
             }
             _ => Err(WireError::Invalid("mgmt op/class")),
         }
@@ -500,39 +490,23 @@ mod tests {
     }
 
     /// Codec pins for the on-demand directory resolution pair: the RIB
-    /// name rides the CDAP `obj_name`, and the correlation id plus the
-    /// owner's version (stale-response guard) must survive byte-exactly.
+    /// name rides the CDAP `obj_name`, and the requester's address plus
+    /// the owner's version (stale-response guard) must survive
+    /// byte-exactly.
     #[test]
     fn dir_lookup_roundtrip() {
-        roundtrip(MgmtBody::DirLookupRequest {
-            name: "/dir/echo.h3".into(),
-            origin: 7,
-            lookup_id: 1,
-        });
+        roundtrip(MgmtBody::DirLookupRequest { name: "/dir/echo.h3".into(), origin: 7 });
         // Multi-byte varints on every numeric field.
-        roundtrip(MgmtBody::DirLookupRequest {
-            name: "/dir/ping.h1.h2".into(),
-            origin: 1 << 40,
-            lookup_id: u64::MAX,
-        });
+        roundtrip(MgmtBody::DirLookupRequest { name: "/dir/ping.h1.h2".into(), origin: 1 << 40 });
         roundtrip(MgmtBody::DirLookupResponse {
             name: "/dir/echo.h3".into(),
             addr: 19,
             version: 4,
-            lookup_id: 1,
-        });
-        // Negative answer: no live entry at the owner.
-        roundtrip(MgmtBody::DirLookupResponse {
-            name: "/dir/gone".into(),
-            addr: 0,
-            version: 0,
-            lookup_id: 9,
         });
         roundtrip(MgmtBody::DirLookupResponse {
             name: "/dir/far".into(),
             addr: (1 << 41) - 1,
             version: 1 << 33,
-            lookup_id: 1 << 50,
         });
     }
 
@@ -540,8 +514,7 @@ mod tests {
     /// share its opcodes: dispatch is on `(op, class)` pairs.
     #[test]
     fn dir_lookup_class_does_not_collide_with_rib_sync() {
-        let req = MgmtBody::DirLookupRequest { name: "/dir/x".into(), origin: 2, lookup_id: 3 }
-            .into_cdap(1, 0);
+        let req = MgmtBody::DirLookupRequest { name: "/dir/x".into(), origin: 2 }.into_cdap(1, 0);
         assert_eq!(req.obj_class, class::DIR);
         let sync = MgmtBody::RibDeltaRequest {
             subtree: "/dir/x".into(),
@@ -685,16 +658,11 @@ mod tests {
                 subtree: "/lsa".into(),
                 objects: vec![obj("/lsa/4", false), obj("/lsa/5", true)],
             },
-            MgmtBody::DirLookupRequest {
-                name: "/dir/echo.h3".into(),
-                origin: 1 << 40,
-                lookup_id: u64::MAX,
-            },
+            MgmtBody::DirLookupRequest { name: "/dir/echo.h3".into(), origin: 1 << 40 },
             MgmtBody::DirLookupResponse {
                 name: "/dir/far".into(),
                 addr: (1 << 41) - 1,
                 version: 1 << 33,
-                lookup_id: 1 << 50,
             },
         ];
         for b in &samples {

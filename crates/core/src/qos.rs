@@ -6,7 +6,6 @@
 //! named operating points with concrete EFCP policies and a relay
 //! scheduling priority. The flow allocator matches spec to cube.
 
-use bytes::Bytes;
 use rina_efcp::ConnParams;
 use rina_wire::codec::{Reader, Writer};
 use rina_wire::WireError;
@@ -36,12 +35,6 @@ impl QosSpec {
     pub fn interactive() -> Self {
         QosSpec { reliable: false, ordered: true, urgency: 3 }
     }
-    /// Builder-style urgency override.
-    pub fn with_urgency(mut self, u: u8) -> Self {
-        self.urgency = u.min(3);
-        self
-    }
-
     /// Encode for carriage in flow-allocation requests.
     pub fn encode_into(&self, w: &mut Writer) {
         w.boolean(self.reliable).boolean(self.ordered).u8(self.urgency);
@@ -172,13 +165,6 @@ pub fn match_cube<'a>(cubes: &'a [QosCube], spec: &QosSpec) -> Option<&'a QosCub
         })
 }
 
-/// Serialize a QoS spec standalone (for CDAP values).
-pub fn encode_spec(spec: &QosSpec) -> Bytes {
-    let mut w = Writer::new();
-    spec.encode_into(&mut w);
-    w.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,7 +173,9 @@ mod tests {
     #[test]
     fn spec_roundtrip() {
         for spec in [QosSpec::reliable(), QosSpec::datagram(), QosSpec::interactive()] {
-            let b = encode_spec(&spec);
+            let mut w = Writer::new();
+            spec.encode_into(&mut w);
+            let b = w.finish();
             let mut r = Reader::new(&b);
             assert_eq!(QosSpec::decode_from(&mut r).unwrap(), spec);
         }
@@ -207,7 +195,10 @@ mod tests {
     #[test]
     fn matching_never_returns_mgmt_cube() {
         let cubes = QosCube::standard_set();
-        for spec in [QosSpec::reliable().with_urgency(3), QosSpec::datagram().with_urgency(3)] {
+        for spec in [
+            QosSpec { urgency: 3, ..QosSpec::reliable() },
+            QosSpec { urgency: 3, ..QosSpec::datagram() },
+        ] {
             assert_ne!(match_cube(&cubes, &spec).unwrap().id, 0);
         }
     }

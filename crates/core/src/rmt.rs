@@ -130,11 +130,6 @@ impl LaneStats {
         self.backlog_peak_bytes = self.backlog_peak_bytes.max(o.backlog_peak_bytes);
         self.lat_ns_sum += o.lat_ns_sum;
     }
-
-    /// Mean queueing delay of dequeued frames, nanoseconds (0 if none).
-    pub fn mean_lat_ns(&self) -> u64 {
-        self.lat_ns_sum.checked_div(self.deq).unwrap_or(0)
-    }
 }
 
 /// One queued frame with the metadata scheduling needs.
@@ -549,7 +544,6 @@ mod tests {
         assert!(x.pop(6_000).is_some());
         let s = x.lane_stats()[2];
         assert_eq!(s.lat_ns_sum, 4_000 + 4_000);
-        assert_eq!(s.mean_lat_ns(), 4_000);
     }
 
     #[test]

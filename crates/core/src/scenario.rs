@@ -183,14 +183,6 @@ impl Fabric {
         self.nodes.clone()
     }
 
-    /// The link along edge `(u, v)` (either orientation).
-    pub fn link_between(&self, u: usize, v: usize) -> Option<LinkH> {
-        self.edges
-            .iter()
-            .position(|&(a, b)| (a, b) == (u, v) || (a, b) == (v, u))
-            .map(|i| self.links[i])
-    }
-
     /// Per-vertex degree, for picking hubs and leaves of generated graphs.
     pub fn degrees(&self) -> Vec<usize> {
         let mut deg = vec![0usize; self.nodes.len()];
@@ -361,11 +353,6 @@ impl LayeredFabric {
     /// Host `h` of region `r`.
     pub fn host(&self, r: usize, h: usize) -> NodeH {
         self.hosts[r][h]
-    }
-
-    /// Every host, region by region.
-    pub fn all_hosts(&self) -> Vec<NodeH> {
-        self.hosts.iter().flatten().copied().collect()
     }
 
     /// Every member of the internet DIF (routers, then hosts).
@@ -1155,8 +1142,6 @@ mod tests {
         assert_eq!(fab.len(), 7);
         assert_eq!(fab.links.len(), 6);
         assert_eq!(b.node_count(), 7);
-        assert!(fab.link_between(0, 1).is_some());
-        assert!(fab.link_between(0, 6).is_none());
         // Every node is a member of the spanning DIF.
         for &n in &fab.nodes {
             let _ = b.ipcp_of(fab.dif, n);
@@ -1194,7 +1179,6 @@ mod tests {
         let fab = lay.materialize(&mut b);
         assert_eq!(b.node_count(), 15);
         assert_eq!(fab.routers().len(), 3);
-        assert_eq!(fab.all_hosts().len(), 12);
         assert_eq!(fab.region_difs.len(), 3);
         assert_ne!(fab.backbone.dif, fab.inet);
         // Every router is a member of three DIFs; every host of two.

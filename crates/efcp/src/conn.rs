@@ -181,13 +181,6 @@ impl Connection {
         self.id
     }
 
-    /// Rebind the peer address — the late binding that makes multihoming
-    /// and mobility cheap (§6.3/§6.4): in-flight state is untouched, future
-    /// PDUs are simply addressed to the node's current address.
-    pub fn set_remote_addr(&mut self, addr: Addr) {
-        self.id.remote_addr = addr;
-    }
-
     /// Counters.
     pub fn stats(&self) -> ConnStats {
         self.stats
@@ -204,11 +197,6 @@ impl Connection {
             && self.rtxq.is_empty()
             && self.outq.is_empty()
             && self.deliver_q.is_empty()
-    }
-
-    /// Number of PDUs in flight (sent, not yet acknowledged).
-    pub fn in_flight(&self) -> u64 {
-        self.next_seq - self.snd_una
     }
 
     /// Accept an SDU from the user, fragmenting to the PDU payload limit.
@@ -801,18 +789,6 @@ mod tests {
         assert_eq!(got.len(), 1, "partial SDU dropped, whole one kept");
         assert_eq!(got[0].as_ref(), &[2u8; 5][..]);
         assert_eq!(b.stats().rcv_dropped, 1);
-    }
-
-    #[test]
-    fn rebinding_remote_addr_changes_pdu_destination() {
-        let (mut a, _b) = pair(ConnParams::reliable());
-        a.send_sdu(Bytes::from_static(b"x"), 0).unwrap();
-        let p1 = a.poll_transmit().unwrap();
-        assert_eq!(p1.dest_addr(), 2);
-        a.set_remote_addr(99);
-        a.send_sdu(Bytes::from_static(b"y"), 0).unwrap();
-        let p2 = a.poll_transmit().unwrap();
-        assert_eq!(p2.dest_addr(), 99);
     }
 
     #[test]

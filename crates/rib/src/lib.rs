@@ -327,11 +327,6 @@ impl DigestTable {
             .map(|i| (self.entries[i].1, self.entries[i].2))
     }
 
-    /// Total stored objects (tombstones included) across subtrees.
-    pub fn total_count(&self) -> u64 {
-        self.entries.iter().map(|e| e.1).sum()
-    }
-
     /// Whole-RIB digest: XOR over the subtree digests.
     pub fn total_digest(&self) -> u64 {
         self.entries.iter().fold(0, |d, e| d ^ e.2)
@@ -520,11 +515,6 @@ impl Rib {
     /// Whether `subtree` has local replication scope.
     pub fn is_local_subtree(&self, subtree: &str) -> bool {
         self.local_subtrees.binary_search_by(|s| s.as_str().cmp(subtree)).is_ok()
-    }
-
-    /// The subtrees with local replication scope, sorted.
-    pub fn local_subtrees(&self) -> &[String] {
-        &self.local_subtrees
     }
 
     /// Write (create or update) an object authored locally. The new version
@@ -1188,7 +1178,6 @@ mod tests {
         assert_eq!(mm, vec!["/lsa".to_string()]);
         // The totals still match the whole-RIB digest machinery.
         assert_eq!(a.digest_table().total_digest(), a.digest());
-        assert_eq!(a.digest_table().total_count(), a.object_count() as u64);
         // A subtree present on only one side is a mismatch too.
         b.write_local("/blocks/9", "block", Bytes::new());
         let mm = a.digest_table().mismatched(&b.digest_table());

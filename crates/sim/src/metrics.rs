@@ -59,17 +59,6 @@ impl Histogram {
         s[idx]
     }
 
-    /// Sample standard deviation, or 0.0 with fewer than two samples.
-    pub fn stddev(&self) -> f64 {
-        let n = self.samples.len();
-        if n < 2 {
-            return 0.0;
-        }
-        let m = self.mean();
-        let var = self.samples.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / (n - 1) as f64;
-        var.sqrt()
-    }
-
     /// Raw samples, in insertion order.
     pub fn samples(&self) -> &[f64] {
         &self.samples
@@ -88,7 +77,6 @@ mod tests {
         assert_eq!(h.min(), 0.0);
         assert_eq!(h.max(), 0.0);
         assert_eq!(h.quantile(0.5), 0.0);
-        assert_eq!(h.stddev(), 0.0);
     }
 
     #[test]
@@ -104,7 +92,6 @@ mod tests {
         assert_eq!(h.quantile(0.0), 1.0);
         assert_eq!(h.quantile(0.5), 3.0);
         assert_eq!(h.quantile(1.0), 5.0);
-        assert!((h.stddev() - 1.5811).abs() < 1e-3);
     }
 
     #[test]

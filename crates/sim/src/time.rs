@@ -68,11 +68,6 @@ impl Dur {
     pub const fn from_nanos(ns: u64) -> Self {
         Dur(ns)
     }
-    /// Construct from fractional seconds, rounding to the nearest nanosecond.
-    pub fn from_secs_f64(s: f64) -> Self {
-        assert!(s >= 0.0 && s.is_finite(), "duration must be finite and non-negative");
-        Dur((s * 1e9).round() as u64)
-    }
     /// Raw nanosecond count.
     pub const fn nanos(self) -> u64 {
         self.0
@@ -167,7 +162,6 @@ mod tests {
         assert_eq!(Time::from_secs(1), Time(1_000_000_000));
         assert_eq!(Time::from_millis(1500), Time(1_500_000_000));
         assert_eq!(Dur::from_micros(3), Dur(3_000));
-        assert_eq!(Dur::from_secs_f64(0.25), Dur(250_000_000));
     }
 
     #[test]
