@@ -363,14 +363,13 @@ impl Ipcp {
         }
     }
 
-    /// Flush RIB events, feed the engine, and disseminate queued updates
-    /// to all live neighbors. Bootstrap/re-root states (the only
+    /// Feed the engine the RIB's LSA deltas, and disseminate queued
+    /// updates to all live neighbors. Bootstrap/re-root states (the only
     /// full-path classifications left) recompute immediately; remote
     /// deltas keep waiting for the node's debounce timer and ride along
     /// in whichever recomputation runs first. Local LSA writes also
     /// recompute immediately, in [`Ipcp::write_lsa_now`].
     pub(super) fn drain_rib(&mut self) {
-        while self.rib.poll_event().is_some() {}
         self.routes.sync(&mut self.rib);
         if self.routes.engine.pending_full() {
             self.routes.engine.recompute();

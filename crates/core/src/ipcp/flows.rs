@@ -81,24 +81,15 @@ pub(super) struct Flow {
     phase: Phase,
     peer: AppName,
     binding: Binding,
-    /// The EFCP deadline a timer is armed for, and that timer's arm id
-    /// (see [`IpcpTimer::Conn`]).
-    timer: Option<(u64, u64)>,
+    /// The EFCP deadline a timer is armed for (see [`IpcpTimer::Conn`]).
+    timer: Option<u64>,
 }
 
 /// The Transfer Control task's state (see module docs).
 #[derive(Default)]
 pub(super) struct Flows {
     table: BTreeMap<CepId, Flow>,
-    /// Connections whose EFCP timer state may have moved since the last
-    /// [`Ipcp::timers_wanted`] pass. Every mutation path (pump, creation)
-    /// records the cep here so the per-event timer re-sync polls only the
-    /// touched connections instead of scanning the whole table (hundreds
-    /// of entries on a flow-churn sink member, once per delivered PDU).
-    timer_dirty: Vec<CepId>,
     last_cep: CepId,
-    /// The last arm id handed out (see [`IpcpTimer::Conn`]).
-    last_arm: u64,
 }
 
 impl Flows {
@@ -107,43 +98,12 @@ impl Flows {
         self.last_cep
     }
 
-    /// Enter `flow` under `cep`.
-    fn insert(&mut self, cep: CepId, flow: Flow) {
-        if matches!(flow.binding, Binding::Efcp(_)) {
-            self.timer_dirty.push(cep);
-        }
-        self.table.insert(cep, flow);
-    }
-
     /// The EFCP connection bound to the flow at `cep`, if it has one.
     pub(super) fn conn_mut(&mut self, cep: CepId) -> Option<&mut Connection> {
         match self.table.get_mut(&cep) {
             Some(Flow { binding: Binding::Efcp(conn), .. }) => Some(conn),
             _ => None,
         }
-    }
-
-    /// Push a timer onto `buf` for each connection touched since the last
-    /// call whose deadline is strictly earlier than the one armed for it
-    /// (or has none armed), in cep order — the same relative order a
-    /// full-table scan produces. Untouched connections cannot have moved
-    /// their deadline, so skipping them is behavior-preserving.
-    pub(super) fn timers_wanted(&mut self, buf: &mut Vec<(Time, IpcpTimer)>) {
-        self.timer_dirty.sort_unstable();
-        self.timer_dirty.dedup();
-        for &cep in &self.timer_dirty {
-            let Some(Flow { binding: Binding::Efcp(conn), timer, .. }) = self.table.get_mut(&cep)
-            else {
-                continue;
-            };
-            let Some(t) = conn.poll_timeout() else { continue };
-            if timer.is_none_or(|(deadline, _)| t < deadline) {
-                self.last_arm += 1;
-                *timer = Some((t, self.last_arm));
-                buf.push((Time(t), IpcpTimer::Conn { cep, arm: self.last_arm }));
-            }
-        }
-        self.timer_dirty.clear();
     }
 }
 
@@ -204,16 +164,16 @@ impl Ipcp {
         self.pump_conn(v.dest_cep, now);
     }
 
-    /// The timer armed as `arm` for the flow at `cep` fired: drive the
-    /// connection's timers — unless `arm` is no longer the flow's arming
-    /// (an earlier deadline superseded it, or the flow is gone), which
-    /// makes it stale and a no-op.
-    pub(super) fn conn_timer(&mut self, cep: CepId, arm: u64, now: Time) {
+    /// A timer for the flow at `cep` fired: drive the connection's timers
+    /// — unless `now` is not the deadline armed for it (an earlier one
+    /// superseded it, or the flow is gone), which makes it stale and a
+    /// no-op.
+    pub(super) fn conn_timer(&mut self, cep: CepId, now: Time) {
         let Some(Flow { binding: Binding::Efcp(conn), timer, .. }) = self.flows.table.get_mut(&cep)
         else {
             return;
         };
-        if timer.map(|(_, id)| id) != Some(arm) {
+        if *timer != Some(now.nanos()) {
             return;
         }
         *timer = None;
@@ -301,7 +261,8 @@ impl Ipcp {
         let binding = self.bind(cep, dst_addr, 0, self.cfg.cube(0).expect("mgmt cube"));
         let invoke = self.next_invoke();
         let phase = Phase::Requesting { invoke, deadline };
-        self.flows.insert(cep, Flow { port, phase, peer: dst_app.clone(), binding, timer: None });
+        let flow = Flow { port, phase, peer: dst_app.clone(), binding, timer: None };
+        self.flows.table.insert(cep, flow);
         let body =
             MgmtBody::FlowRequest { src_app, dst_app, spec, src_addr: self.addr, src_cep: cep };
         self.send_mgmt_addr(dst_addr, body, invoke, 0);
@@ -356,7 +317,7 @@ impl Ipcp {
         let cep = self.flows.next_cep();
         let binding = self.bind(cep, src_addr, src_cep, cube);
         let flow = Flow { port, phase: Phase::Active, peer: src_app.clone(), binding, timer: None };
-        self.flows.insert(cep, flow);
+        self.flows.table.insert(cep, flow);
         let body = MgmtBody::FlowResponse { dst_cep: cep, qos_id };
         self.send_mgmt_addr(src_addr, body, invoke_id, 0);
         self.out.push(IpcpOut::FlowActive { port, peer: src_app });
@@ -401,7 +362,6 @@ impl Ipcp {
             Ok(binding) => {
                 f.binding = binding;
                 f.phase = Phase::Active;
-                self.flows.timer_dirty.push(cep);
                 self.out.push(IpcpOut::FlowActive { port, peer: f.peer.clone() });
             }
         }
@@ -515,9 +475,10 @@ impl Ipcp {
     }
 
     /// Pump one connection: route its outgoing PDUs, surface delivered
-    /// SDUs, detect failure.
+    /// SDUs, detect failure, and ask for its deadline if that is now
+    /// strictly earlier than the one armed (or none is) — pumping is the
+    /// one place a connection's deadline moves.
     pub(super) fn pump_conn(&mut self, cep: CepId, now: Time) {
-        self.flows.timer_dirty.push(cep);
         let Some(Flow { port, binding: Binding::Efcp(conn), .. }) = self.flows.table.get_mut(&cep)
         else {
             return;
@@ -546,6 +507,15 @@ impl Ipcp {
         if failed {
             self.flows.table.remove(&cep);
             self.out.push(IpcpOut::FlowGone { port, failed: Some("efcp gave up (max rtx)") });
+            return;
+        }
+        let Some(Flow { binding: Binding::Efcp(conn), timer, .. }) = self.flows.table.get_mut(&cep)
+        else {
+            return;
+        };
+        if let Some(t) = conn.poll_timeout().filter(|&t| timer.is_none_or(|armed| t < armed)) {
+            *timer = Some(t);
+            self.out.push(IpcpOut::Arm { at: Time(t), timer: IpcpTimer::Conn { cep } });
         }
     }
 
@@ -609,13 +579,15 @@ mod tests {
 
     /// Carry every frame `from` wants sent over to `to`, and return what
     /// else `from` asked of its node — plus its management frames, but
-    /// not the data and control PDUs, which are the binding's own
-    /// business.
+    /// not the data and control PDUs or the EFCP deadlines, which are the
+    /// binding's own business.
     fn cross(from: &mut Ipcp, to: &mut Ipcp) -> Vec<String> {
         let mut seen = Vec::new();
         for effect in from.take_out() {
             let IpcpOut::TxPhys { frame, .. } = &effect else {
-                seen.push(format!("{effect:?}"));
+                if !matches!(effect, IpcpOut::Arm { timer: IpcpTimer::Conn { .. }, .. }) {
+                    seen.push(format!("{effect:?}"));
+                }
                 continue;
             };
             if PduView::peek(frame).is_some_and(|v| v.kind == PduKind::Mgmt) {
@@ -722,18 +694,25 @@ mod tests {
         [a, b]
     }
 
-    /// The EFCP timers `i` wants armed after an event at `now`.
-    fn conn_timers(i: &mut Ipcp, now: Time) -> Vec<(Time, IpcpTimer)> {
-        let mut wanted = Vec::new();
-        i.timers_wanted(now, &mut wanted);
-        wanted.retain(|(_, t)| matches!(t, IpcpTimer::Conn { .. }));
-        wanted
+    /// The EFCP timers `i` has asked for since its effects were last
+    /// taken, taken out of them: each `Arm` of a [`IpcpTimer::Conn`].
+    fn conn_timers(i: &mut Ipcp) -> Vec<(Time, IpcpTimer)> {
+        let mut asked = Vec::new();
+        i.out.retain(|o| match *o {
+            IpcpOut::Arm { at, timer: timer @ IpcpTimer::Conn { .. } } => {
+                asked.push((at, timer));
+                false
+            }
+            _ => true,
+        });
+        asked
     }
 
     /// A timer superseded by an earlier deadline does nothing when it
-    /// fires, even past that deadline: a timeout backs the RTO off, an
-    /// ack then pulls the deadline in, and only the timer armed for the
-    /// new deadline drives the connection.
+    /// fires: a timeout backs the RTO off, an ack then pulls the deadline
+    /// in, and only the timer armed for the new deadline drives the
+    /// connection, at its own instant; the superseded one fires after it
+    /// as a no-op.
     #[test]
     fn a_superseded_deadline_fires_as_a_no_op() {
         let ms = Time::from_millis;
@@ -741,25 +720,26 @@ mod tests {
         for sdu in [&b"one"[..], b"two"] {
             a.write_port(7, Bytes::copy_from_slice(sdu), ms(10), None).unwrap();
         }
-        a.take_out(); // both PDUs are lost
-        let [(at, first)] = conn_timers(&mut a, ms(10))[..] else { panic!("one timer") };
+        let [(at, first)] = conn_timers(&mut a)[..] else { panic!("one timer") };
         assert_eq!(at, ms(210));
+        a.take_out(); // both PDUs are lost
         a.on_timer(first, at); // the head goes again, the RTO doubles
-        let [(at, backed_off)] = conn_timers(&mut a, at)[..] else { panic!("re-armed") };
+        let [(at, backed_off)] = conn_timers(&mut a)[..] else { panic!("re-armed") };
         assert_eq!(at, ms(610));
         carry(&mut a, &mut b, ms(220)); // the retransmission arrives
         carry(&mut b, &mut a, ms(230)); // its ack resets the RTO
-        let [(at, current)] = conn_timers(&mut a, ms(230))[..] else { panic!("re-armed") };
+        let [(at, current)] = conn_timers(&mut a)[..] else { panic!("re-armed") };
         assert_eq!(at, ms(430), "an earlier deadline re-arms");
         a.take_out(); // the go-back-N retransmission the ack pulled
         let timeouts = a.conn_stats_sum().timeouts;
-        a.on_timer(backed_off, ms(610));
-        assert!(a.take_out().is_empty(), "the superseded timer emitted nothing");
-        assert_eq!(a.conn_stats_sum().timeouts, timeouts);
-        assert!(conn_timers(&mut a, ms(610)).is_empty(), "and armed nothing");
-        a.on_timer(current, ms(610));
+        a.on_timer(current, ms(430));
         assert_eq!(a.conn_stats_sum().timeouts, timeouts + 1, "the current one drives the flow");
+        let [(at, _)] = conn_timers(&mut a)[..] else { panic!("re-armed") };
+        assert!(at > ms(610), "{at:?}");
         assert!(!a.take_out().is_empty());
+        a.on_timer(backed_off, ms(610));
+        assert!(a.take_out().is_empty(), "the superseded timer emitted and armed nothing");
+        assert_eq!(a.conn_stats_sum().timeouts, timeouts + 1);
     }
 
     /// A flow deallocated with its timer armed takes the timer's record
@@ -768,15 +748,12 @@ mod tests {
     fn a_deallocated_flow_leaves_no_timer_behind() {
         let [mut a, _] = efcp_flow();
         a.write_port(7, Bytes::from_static(b"lost"), Time::from_millis(10), None).unwrap();
-        let [(at, timer)] = conn_timers(&mut a, Time::from_millis(10))[..] else {
-            panic!("one timer")
-        };
+        let [(at, timer)] = conn_timers(&mut a)[..] else { panic!("one timer") };
         a.dealloc_port(7);
+        assert!(conn_timers(&mut a).is_empty());
         a.take_out();
-        assert!(conn_timers(&mut a, Time::from_millis(20)).is_empty());
         a.on_timer(timer, at);
-        assert!(a.take_out().is_empty(), "the orphaned timer emitted nothing");
-        assert!(conn_timers(&mut a, at).is_empty());
+        assert!(a.take_out().is_empty(), "the orphaned timer emitted and armed nothing");
     }
 
     /// A flow deallocated while its request is still unanswered leaves

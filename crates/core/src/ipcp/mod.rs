@@ -8,7 +8,7 @@
 //! | task set | file | struct | owns |
 //! |---|---|---|---|
 //! | **IPC Data Transfer** (per PDU) | `transfer.rs` | `Transfer` | the (N-1) port table ([`N1Port`]), the peer-address relay index, the lower-flow index; relay-in-place, two-step forwarding, transmit |
-//! | **IPC Transfer Control** (per flow) | `flows.rs` | `Flows` | the one flow table (CEP → port, phase, binding; a requesting flow's phase holds the invoke id its response echoes), CEP ids, the EFCP timer dirty list, and each connection's armed deadline; the flow-allocator handshake (§5.3), its deadline and its teardown |
+//! | **IPC Transfer Control** (per flow) | `flows.rs` | `Flows` | the one flow table (CEP → port, phase, binding; a requesting flow's phase holds the invoke id its response echoes), CEP ids, and each connection's armed deadline; the flow-allocator handshake (§5.3), its deadline and its teardown |
 //! | **IPC Management** — enrollment (§5.2) | `enroll.rs` | `Enroll` | outstanding requests and what they propose, the admission window, sponsored members and their failure watch; address and block assignment, leave and purge |
 //! | — directory | `directory.rs` | `Directory` | own registrations, the lookup cache, tombstone memory, the allocations waiting on each on-demand lookup in flight (scoped `/dir`) |
 //! | — neighbors | `neighbors.rs` | `Neighbors` | the planned adjacencies, the management view of each port (tree edge, peer digests, hello memo, a port's last lower flow), the hello send cache; allocating, retrying and binding lower flows, hello send/receive, expiry and release |
@@ -45,16 +45,16 @@
 //! and releasing its lower flows included, so the life of an (N-1)
 //! adjacency, from plan to release, is this process's.
 //!
-//! Each task owns its timers ([`IpcpTimer`]); the node only arms them and
+//! Each task owns its timers ([`IpcpTimer`]) and asks for each through
+//! one timer interface, an [`IpcpOut::Arm`]; the node only arms them and
 //! hands them back to [`Ipcp::on_timer`]. Neighbors keep the hello
 //! cadence and the planned adjacencies' retries, enrollment the request
 //! retry (a busy sponsor's backoff hint included), transfer control each
-//! flow allocation's one deadline: each asks for its timer with an
-//! [`IpcpOut::Arm`]. Routing and dissemination debounce their
-//! [`Deferred`] jobs, and transfer control keeps one deadline per EFCP
-//! connection;
-//! both are collected after every event by [`Ipcp::timers_wanted`], which
-//! also decides which of them are already armed.
+//! flow allocation's one deadline and each EFCP connection's deadline,
+//! asked for where the connection is pumped, the one place it moves.
+//! Routing and dissemination debounce their [`Deferred`] jobs, which ask
+//! once per flush (`Ipcp::arm_deferred`), when the node has drained
+//! everything else.
 //!
 //! Every frame a member receives runs through this module, so all of it
 //! is held panic-free (DESIGN.md §9, R1): indexing, `unwrap`, `expect` and
@@ -189,11 +189,10 @@ pub enum IpcpOut {
     },
 }
 
-/// A timer an IPC process owns. The process asks for one — with an
-/// [`IpcpOut::Arm`] effect, or by answering [`Ipcp::timers_wanted`] — and
-/// the node arms it and hands it back to [`Ipcp::on_timer`] when it
-/// fires; what it means and when the next one is due is the process's
-/// business.
+/// A timer an IPC process owns. The process asks for one with an
+/// [`IpcpOut::Arm`] effect, its one timer interface, and the node arms it
+/// and hands it back to [`Ipcp::on_timer`] when it fires; what it means
+/// and when the next one is due is the process's business.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum IpcpTimer {
     /// The neighbor task's hello period; each tick arms the next.
@@ -211,14 +210,12 @@ pub enum IpcpTimer {
         /// The node port the allocation is for.
         port: u64,
     },
-    /// An EFCP deadline of the flow at `cep`. A firing whose `arm` is no
-    /// longer the flow's — an earlier deadline superseded it, or the flow
-    /// is gone — does nothing.
+    /// An EFCP deadline of the flow at `cep`. A firing at an instant
+    /// that is not the flow's armed deadline — an earlier one superseded
+    /// it, or the flow is gone — does nothing.
     Conn {
         /// The flow's local CEP id.
         cep: CepId,
-        /// Which arming of the flow's timer this is.
-        arm: u64,
     },
 }
 
@@ -290,9 +287,9 @@ pub struct IpcpStats {
     pub hello_decoded: u64,
 }
 
-/// Work an IPC process defers so that a burst costs one run: after an
-/// event, [`Ipcp::timers_wanted`] asks for an [`IpcpTimer::Deferred`]
-/// for each job with work waiting, and the job runs when it fires.
+/// Work an IPC process defers so that a burst costs one run: once per
+/// flush, `Ipcp::arm_deferred` asks for an [`IpcpTimer::Deferred`] for
+/// each job with work waiting, and the job runs when it fires.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Deferred {
     /// Route recomputation over the LSA deltas queued since the last one.
@@ -480,18 +477,16 @@ impl Ipcp {
                 self.run_deferred(job, now);
             }
             IpcpTimer::Alloc { port } => self.alloc_timer(port),
-            IpcpTimer::Conn { cep, arm } => self.conn_timer(cep, arm, now),
+            IpcpTimer::Conn { cep } => self.conn_timer(cep, now),
         }
     }
 
-    /// After an event: push onto `buf` the timers this process wants
-    /// armed and has not got, each with when it should fire. Deferred
-    /// jobs come first, as Routes → Lsa → Flood, `now` plus the delay each
-    /// asks for; a job already armed is skipped whatever it asks for now.
-    /// Then each EFCP flow touched since the last call, in CEP order, at
-    /// its connection's deadline — only if that is strictly earlier than
-    /// the one already armed for it.
-    pub fn timers_wanted(&mut self, now: Time, buf: &mut Vec<(Time, IpcpTimer)>) {
+    /// Ask, with an [`IpcpOut::Arm`], for each deferred job with work
+    /// waiting, as Routes → Lsa → Flood, at `now` plus the delay it asks
+    /// for; a job already armed is skipped whatever it asks for now. The
+    /// node asks once per flush, when it has drained every other effect,
+    /// so a burst of work arms each job once.
+    pub(crate) fn arm_deferred(&mut self, now: Time) {
         for job in [Deferred::Routes, Deferred::Lsa, Deferred::Flood] {
             // Asked even when armed: asking about Routes drains the RIB's
             // delta hook.
@@ -499,10 +494,9 @@ impl Ipcp {
             let bit = 1 << job as u8;
             if self.deferred_armed & bit == 0 {
                 self.deferred_armed |= bit;
-                buf.push((now + d, IpcpTimer::Deferred(job)));
+                self.out.push(IpcpOut::Arm { at: now + d, timer: IpcpTimer::Deferred(job) });
             }
         }
-        self.flows.timers_wanted(buf);
     }
 
     /// Whether `job` has work waiting, and if so how long to let more of
@@ -658,9 +652,9 @@ impl Ipcp {
                 self.handle_dir_lookup_response(name, addr, version);
             }
         }
-        // Whatever this PDU applied, surface it to the engine now so the
-        // node sees a current dirty/classification state when it decides
-        // whether (and how fast) to arm the recompute debounce.
+        // Whatever this PDU applied, surface it to the engine now so a
+        // current dirty/classification state decides whether (and how
+        // fast) the recompute debounce is armed.
         self.routes.sync(&mut self.rib);
     }
 

@@ -111,9 +111,9 @@ fn a_non_member_applies_the_sync_set_and_forwards_nothing() {
     reflood(&mut j, lsa_obj(7, &[(1, 1)], 1, false), 0);
     assert!(j.rib.get("/lsa/1").is_some() && j.rib.get("/lsa/7").is_some());
     assert_eq!(j.dissemination.flush_wanted(), None, "nothing queued to flood");
-    let mut timers = Vec::new();
-    j.timers_wanted(Time::ZERO, &mut timers);
-    assert!(timers.is_empty(), "{timers:?}");
+    j.arm_deferred(Time::ZERO);
+    let asked = j.take_out();
+    assert!(asked.is_empty(), "{asked:?}");
     assert_eq!(j.route_stats().spf_full, 0);
     j.handle_enroll_response(5, 5, 0, 0);
     assert_eq!(j.route_stats().spf_full, 1);

@@ -21,15 +21,16 @@
 //! Timers: an IPC process owns its own — the hello cadence, the
 //! enrollment retry, the adjacency retries, the debounced deferred jobs,
 //! each flow allocation's deadline and the EFCP deadlines
-//! ([`IpcpTimer`]). It asks for them with an [`IpcpOut::Arm`] effect,
-//! which the node runs inline as it flushes, or through
-//! [`Ipcp::timers_wanted`], which the node asks after every event; the
-//! node arms each as one `TimerKind::Ipcp` and hands it back to
-//! [`Ipcp::on_timer`]. The node's own timers are the IPC manager's: NIC
-//! pacing and the applications' timers. Whether an allocation succeeds,
-//! fails or times out, for an application or for a higher IPC process,
-//! is the providing process's to say, as one [`IpcpOut::FlowActive`] or
-//! [`IpcpOut::FlowGone`].
+//! ([`IpcpTimer`]) — and asks for each through one timer interface, an
+//! [`IpcpOut::Arm`] effect, which the node runs inline as it flushes: it
+//! arms the timer as one `TimerKind::Ipcp` and hands it back to
+//! [`Ipcp::on_timer`]. The debounced jobs ask once per flush, when the
+//! node has drained everything else the process emitted
+//! (`Ipcp::arm_deferred`). The node's own timers are the IPC
+//! manager's: NIC pacing and the applications' timers. Whether an
+//! allocation succeeds, fails or times out, for an application or for a
+//! higher IPC process, is the providing process's to say, as one
+//! [`IpcpOut::FlowActive`] or [`IpcpOut::FlowGone`].
 //!
 //! A medium that goes down or comes back is an engine event
 //! ([`Agent::medium`]), which the node hands to the shim bound to that
@@ -141,34 +142,6 @@ enum TimerKind {
     App { app: usize, key: u64 },
 }
 
-/// A set of IPC-process slot indices, one bit per slot: a node hosts a few
-/// dozen at most, and the data plane inserts and pops one per frame.
-/// `insert` and `pop_first` mean what the standard ordered set's do
-/// (pinned against it by proptest).
-#[derive(Default)]
-struct SlotSet {
-    words: Vec<u64>,
-}
-
-impl SlotSet {
-    /// Add `i`.
-    fn insert(&mut self, i: usize) {
-        let w = i / 64;
-        if w >= self.words.len() {
-            self.words.resize(w + 1, 0);
-        }
-        self.words[w] |= 1u64 << (i % 64);
-    }
-
-    /// Remove and return the smallest member.
-    fn pop_first(&mut self) -> Option<usize> {
-        let (w, word) = self.words.iter_mut().enumerate().find(|(_, word)| **word != 0)?;
-        let i = w * 64 + word.trailing_zeros() as usize;
-        *word &= *word - 1;
-        Some(i)
-    }
-}
-
 /// A simulated machine hosting applications and a DIF stack.
 pub struct Node {
     /// Machine name (debugging and IPC-process naming convention).
@@ -186,13 +159,9 @@ pub struct Node {
     workq: VecDeque<(usize, IpcpOut)>,
     /// Indexed by [`IfaceId`].
     ifaces: Vec<Iface>,
-    /// IPC processes flushed since the last drain.
-    dirty: SlotSet,
     /// Recycled buffer for draining IPCP effect queues without a fresh
     /// allocation per flush (the data plane flushes after every frame).
     out_scratch: Vec<IpcpOut>,
-    /// Recycled buffer for [`Ipcp::timers_wanted`].
-    wanted: Vec<(Time, IpcpTimer)>,
     /// SDUs delivered to ports with no live owner (diagnostic).
     pub orphan_sdus: u64,
     /// Frames and SDUs refused on their way down and dropped uncounted
@@ -216,9 +185,7 @@ impl Node {
             next_token: 1,
             workq: VecDeque::new(),
             ifaces: Vec::new(),
-            dirty: SlotSet::default(),
             out_scratch: Vec::new(),
-            wanted: Vec::new(),
             orphan_sdus: 0,
             tx_refused: 0,
         }
@@ -415,10 +382,17 @@ impl Node {
         // found down mid-flush, or a lower flow allocated or released,
         // nests a flush, on a fresh Vec).
         let mut effs = std::mem::take(&mut self.out_scratch);
+        let mut asked = false;
         loop {
             self.ipcps[i].take_out_into(&mut effs);
             if effs.is_empty() {
-                break;
+                if std::mem::replace(&mut asked, true) {
+                    break;
+                }
+                // Drained: the debounced jobs ask for their timers, once
+                // per flush.
+                self.ipcps[i].arm_deferred(ctx.now());
+                continue;
             }
             for e in effs.drain(..) {
                 match e {
@@ -441,7 +415,6 @@ impl Node {
             }
         }
         self.out_scratch = effs;
-        self.dirty.insert(i);
     }
 
     /// Queue `frame`, which IPC process `i` sends on its (N-1) port
@@ -566,16 +539,6 @@ impl Node {
                 }
             }
         }
-        // Arm what every touched ipcp now wants, in ascending slot order.
-        // Arming re-marks nothing dirty.
-        let mut wanted = std::mem::take(&mut self.wanted);
-        while let Some(i) = self.dirty.pop_first() {
-            self.ipcps[i].timers_wanted(ctx.now(), &mut wanted);
-            for (at, timer) in wanted.drain(..) {
-                self.arm(ctx, at, TimerKind::Ipcp { ipcp: i, timer });
-            }
-        }
-        self.wanted = wanted;
     }
 
     /// Who on this node takes an inbound flow from `src_app` to `dst_app`
@@ -772,11 +735,9 @@ mod tests {
     use crate::ipcp::Deferred;
     use crate::msg::MgmtBody;
     use crate::routing::{Lsa, LSA_CLASS};
-    use proptest::prelude::*;
     use rina_rib::{DigestTable, EncodedObject, RibObject};
     use rina_sim::{LinkCfg, NodeId, Sim};
     use rina_wire::{MgmtPdu, Pdu};
-    use std::collections::BTreeSet;
 
     /// A link-local management frame from the member at `src`.
     fn mgmt_frame(src: Addr, body: MgmtBody) -> Bytes {
@@ -880,6 +841,46 @@ mod tests {
             assert_eq!(sim.now(), Time::from_millis(at_ms), "{fired:?}");
             assert!(deferred_timers(&sim, id).iter().all(|&(t, _)| t != token), "{fired:?} fired");
         }
+    }
+
+    /// A process asks for every timer with an [`IpcpOut::Arm`]: after one
+    /// event that leaves all three deferred jobs and an EFCP deadline
+    /// wanted, the effects a flush drains carry the four, the deadline as
+    /// the connection was pumped and then the jobs, asked once the rest
+    /// is drained.
+    #[test]
+    fn a_process_asks_for_every_timer_with_an_arm_effect() {
+        let ms = Time::from_millis;
+        let mut member = Ipcp::new(0, DifConfig::new("net"), AppName::new("net.a"));
+        member.bootstrap(1);
+        for iface in 0..2 {
+            member.add_n1(N1Kind::Phys { iface });
+        }
+        want_all_three(&mut member, 400);
+        member.flow_accept(7, AppName::new("peer"), QosSpec::reliable(), 2, 1, 1);
+        member.take_out();
+        // The event: an SDU written to the flow at 430 ms, then the drain.
+        member.write_port(7, Bytes::from_static(b"sdu"), ms(430), None).unwrap();
+        let mut drained = member.take_out();
+        member.arm_deferred(ms(430));
+        drained.extend(member.take_out());
+        let arms: Vec<(Time, IpcpTimer)> = drained
+            .iter()
+            .filter_map(|o| match *o {
+                IpcpOut::Arm { at, timer } => Some((at, timer)),
+                _ => None,
+            })
+            .collect();
+        let job = IpcpTimer::Deferred;
+        assert_eq!(
+            arms,
+            [
+                (ms(630), IpcpTimer::Conn { cep: 1 }),
+                (ms(450), job(Deferred::Routes)),
+                (ms(530), job(Deferred::Lsa)),
+                (ms(435), job(Deferred::Flood)),
+            ]
+        );
     }
 
     /// A crash-restart scrubs every timer bound to the dead process's
@@ -1011,31 +1012,5 @@ mod tests {
         let id = sim.add_node(node);
         assert!(sim.step(), "Event::Start: the upper process says hello down the dead flow");
         assert_eq!(sim.agent::<Node>(id).tx_refused, 1);
-    }
-
-    proptest! {
-        /// Any interleaving of the two operations pops what the ordered
-        /// set pops and leaves the same members, across the word boundary
-        /// at 64 and through growth of the word vector.
-        #[test]
-        fn slot_set_is_an_ordered_set(
-            steps in proptest::collection::vec(0usize..400, 0..400),
-        ) {
-            let (mut set, mut reference) = (SlotSet::default(), BTreeSet::new());
-            for step in steps {
-                let i = step / 2;
-                if step % 2 == 0 {
-                    set.insert(i);
-                    reference.insert(i);
-                } else {
-                    prop_assert_eq!(set.pop_first(), reference.pop_first());
-                }
-            }
-            // What is left drains in ascending order, then stays empty.
-            while let Some(i) = reference.pop_first() {
-                prop_assert_eq!(set.pop_first(), Some(i));
-            }
-            prop_assert_eq!(set.pop_first(), None);
-        }
     }
 }

@@ -36,10 +36,11 @@
 //! so no object is ever re-encoded on its way back onto the wire. Reads
 //! ([`Rib::get`], [`Rib::iter_prefix`]) are [`RibObjectRef`] views of it.
 //!
-//! The crate is sans-IO: [`Rib`] produces [`RibEvent`]s for the local IPC
-//! process (routing recomputation, directory changes) and dissemination
-//! items for the management task to forward; the `rina` crate moves them.
-//! Hot paths that react to freshness directly can apply without event
+//! The crate is sans-IO: [`Rib`] queues dissemination items for the
+//! management task to forward, and the `rina` crate moves them. One path
+//! queues a [`RibEvent`], drained with [`Rib::poll_event`]: an object
+//! applied through [`Rib::apply_remote`]. A local write queues none, and
+//! hot paths that react to freshness directly apply without event
 //! bookkeeping via [`Rib::apply_remote_silent`] or [`Rib::apply_ref`].
 
 #![forbid(unsafe_code)]
@@ -599,8 +600,8 @@ impl Rib {
         true
     }
 
-    /// Store a version authored here, queue its event, and queue it for
-    /// dissemination unless it is a live write under a local subtree.
+    /// Store a version authored here, and queue it for dissemination
+    /// unless it is a live write under a local subtree.
     fn store_local(&mut self, obj: RibObject) {
         let enc = EncodedObject::of(&obj);
         if obj.deleted || !self.is_local_subtree(subtree_of(&obj.name)) {
@@ -608,7 +609,6 @@ impl Rib {
         }
         // A local version is one above whatever is held: it always wins.
         self.put(&obj.name, obj.version, obj.origin, obj.deleted, || enc);
-        self.events.push_back(RibEvent::of(obj));
     }
 
     fn watched(prefixes: &[String], name: &str) -> bool {
@@ -937,9 +937,7 @@ mod tests {
         assert_eq!(o.version, 1);
         assert_eq!(o.origin, 5);
         assert_eq!(o.value, b"\x2a");
-        let evs = drain_events(&mut rib);
-        assert_eq!(evs.len(), 1);
-        assert!(matches!(evs[0], RibEvent::Upserted(_)));
+        assert!(drain_events(&mut rib).is_empty(), "a local write queues no event");
         assert!(rib.poll_dissemination().is_some());
         assert!(rib.poll_dissemination().is_none());
     }
@@ -976,6 +974,7 @@ mod tests {
         let o1 = pop_out(&mut a);
         assert!(b.apply_remote(o1.clone()));
         assert!(!b.apply_remote(o1.clone()), "duplicate is stale");
+        assert_eq!(drain_events(&mut b), [RibEvent::Upserted(o1.clone())], "the fresh one only");
         a.write_local("/lsa/1", "lsa", Bytes::from_static(b"v2"));
         let o2 = pop_out(&mut a);
         assert!(b.apply_remote(o2));
@@ -1290,9 +1289,8 @@ mod tests {
         let out: Vec<EncodedObject> = std::iter::from_fn(|| a.poll_dissemination()).collect();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].view().name, "/lsa/1");
-        // The owner still reads its own entry; events still fire.
+        // The owner still reads its own entry.
         assert!(a.get("/dir/echo").is_some());
-        assert_eq!(drain_events(&mut a).len(), 2);
         // Digest table, snapshot, summary, delta all exclude /dir.
         let table = a.digest_table();
         let subs: Vec<&str> = table.entries().iter().map(|e| e.0.as_str()).collect();
