@@ -7,15 +7,19 @@
 //! totals. Cells run concurrently on the sweep thread pool (one
 //! independent `Sim` each, largest first), so the whole sweep's wall
 //! clock approaches the slowest single cell as `--threads` grows.
-//! Writes `reports/e10.json`.
+//! At exit it prints the process's peak resident set (`VmHWM`, 0 where
+//! `/proc` is unreadable), the memory figure the largest cells are
+//! judged by. Writes `reports/e10.json`, the peak beside the rows: like
+//! `wall_s`, it is a host measurement, not a result of the run.
 //!
 //! Usage: `cargo run --release -p rina-bench --bin e10 -- \
 //!           [sizes...] [--threads N] [--waves-only]`
 //! (default sizes: 50 100 200 500 1000)
 
 use rina::prelude::EnrollSchedule;
-use rina_bench::e10_scalefree;
-use rina_bench::sweep::{positional_numbers, report_cells, threads_from_args};
+use rina_bench::report::{finish_doc, markdown, push_section, Scalar};
+use rina_bench::sweep::{par_map, positional_numbers, threads_from_args, write_report};
+use rina_bench::{e10_scalefree, rss_peak_mb, timed};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -34,12 +38,18 @@ fn main() {
             cells.push((n, EnrollSchedule::sequential()));
         }
     }
-    report_cells(
-        "e10",
-        "e10_sweep",
-        e10_scalefree::SWEEP_TABLE,
-        threads,
-        cells,
-        |(n, schedule)| e10_scalefree::run_with(n, 2, 900 + n as u64, schedule),
-    );
+    eprintln!("e10: {} cells on {threads} threads", cells.len());
+    let (rows, wall) = timed(|| {
+        par_map(threads, cells, |(n, schedule)| {
+            e10_scalefree::run_with(n, 2, 900 + n as u64, schedule)
+        })
+    });
+    print!("{}", markdown(e10_scalefree::SWEEP_TABLE, &rows));
+    let rss = rss_peak_mb();
+    println!("\npeak RSS: {rss:.1} MiB");
+    let mut doc = Vec::new();
+    push_section(&mut doc, "e10_sweep", &rows);
+    doc.push(format!("  \"rss_peak_mb\": {}", rss.json()));
+    let path = write_report("e10.json", &finish_doc(doc));
+    eprintln!("e10: {} cells in {wall:.1}s wall -> {}", rows.len(), path.display());
 }

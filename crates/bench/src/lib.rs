@@ -310,6 +310,16 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, t0.elapsed().as_secs_f64())
 }
 
+/// Peak resident set of this process so far, MiB (`VmHWM` from
+/// `/proc/self/status`; 0 where that cannot be read).
+pub fn rss_peak_mb() -> f64 {
+    let s = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    s.lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<f64>().ok())
+        .map_or(0.0, |kb| kb / 1024.0)
+}
+
 /// Format a floating value compactly for tables.
 pub fn fmt(v: f64) -> String {
     if v == 0.0 {

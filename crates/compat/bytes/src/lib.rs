@@ -43,6 +43,13 @@ impl Bytes {
         Bytes { data: Arc::from(s), start: 0, end: s.len() }
     }
 
+    /// A buffer over the whole of `owner`, sharing it: no copy. Upstream
+    /// takes any owner; the workspace only ever hands it a shared slice.
+    pub fn from_owner(owner: Arc<[u8]>) -> Self {
+        let end = owner.len();
+        Bytes { data: owner, start: 0, end }
+    }
+
     /// Length in bytes.
     #[inline]
     pub fn len(&self) -> usize {
@@ -217,6 +224,14 @@ mod tests {
         assert_eq!(&s[..], &[3, 4]);
         assert_eq!(s.as_ptr(), b[1..].as_ptr(), "shares the allocation");
         assert!(b.slice_ref(&b[2..2]).is_empty());
+    }
+
+    #[test]
+    fn from_owner_shares_the_allocation() {
+        let owner: Arc<[u8]> = Arc::from(&[1u8, 2, 3][..]);
+        let b = Bytes::from_owner(Arc::clone(&owner));
+        assert_eq!(&b[..], &[1, 2, 3]);
+        assert_eq!(b.as_ptr(), owner.as_ptr(), "no copy");
     }
 
     #[test]

@@ -164,8 +164,7 @@ impl Ipcp {
         upto: &str,
         summary: &[ObjVer<'_>],
     ) {
-        let objects = self.rib.delta_for(subtree, from, upto, summary);
-        let encs: Vec<EncodedObject> = objects.into_iter().cloned().collect();
+        let encs = self.rib.delta_for(subtree, from, upto, summary);
         self.send_encoded_batches(n1, subtree, &encs);
     }
 

@@ -12,7 +12,7 @@
 //! | **IPC Management** — enrollment (§5.2) | `enroll.rs` | `Enroll` | outstanding requests and what they propose, the admission window, sponsored members and their failure watch; address and block assignment, leave and purge |
 //! | — directory | `directory.rs` | `Directory` | own registrations, the lookup cache, tombstone memory, the allocations waiting on each on-demand lookup in flight (scoped `/dir`) |
 //! | — neighbors | `neighbors.rs` | `Neighbors` | the planned adjacencies, the management view of each port (tree edge, peer digests, hello memo, a port's last lower flow), the hello send cache; allocating, retrying and binding lower flows, hello send/receive, expiry and release |
-//! | — routing | `routes.rs` | `Routes` | the route engine (LSA mirror, SPF, forwarding table), the advertised neighbor set and its debounce |
+//! | — routing | `routes.rs` | `Routes` | the route engine (LSA graph, SPF, forwarding table), the advertised neighbor set and its debounce |
 //! | — RIEP dissemination | `dissemination.rs` | `Dissemination` | per-port flood queues, the flood token bucket, own-object names; flood, anti-entropy deltas, apply/re-flood, reassert |
 //!
 //! A method that touches one task's state is a method on that task's
@@ -357,7 +357,7 @@ impl Ipcp {
     /// Create a not-yet-enrolled IPC process for `cfg`, named `name`.
     pub fn new(idx: usize, cfg: DifConfig, name: AppName) -> Self {
         let mut rib = Rib::new(0);
-        // Object-level delta hook: the engine mirrors /lsa/* without
+        // Object-level delta hook: the engine follows /lsa/* without
         // ever re-decoding the subtree wholesale.
         rib.watch_prefix(LSA_PREFIX);
         if cfg.scoped_dir {

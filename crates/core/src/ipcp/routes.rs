@@ -1,6 +1,7 @@
 //! IPC Management — routing: the link-state advertisement this member
 //! originates (its live neighbor set, debounced) and the route engine
-//! that mirrors everyone's, fed by the RIB's `/lsa/*` watch hook. The
+//! that holds everyone's as one graph, fed by the RIB's `/lsa/*` watch
+//! hook. The
 //! engine's forwarding table is the one thing the Data Transfer task is
 //! handed from here.
 
@@ -30,7 +31,7 @@ const RECOMPUTE_DELTA_DEBOUNCE: Dur = Dur::from_millis(20);
 
 /// The routing task's state (see module docs).
 pub(super) struct Routes {
-    /// The routing engine: graph mirror fed by the RIB's `/lsa/*` watch
+    /// The routing engine: the LSA graph fed by the RIB's `/lsa/*` watch
     /// hook, incremental SPF, delta-patched forwarding table. Remote
     /// deltas accumulate here until the node's debounce timer runs
     /// [`super::Deferred::Routes`]; local LSA writes recompute
@@ -56,7 +57,7 @@ impl Routes {
     }
 
     /// Drain `rib`'s `/lsa/*` watch queue into the routing engine —
-    /// the single funnel through which the engine's graph mirror learns
+    /// the single funnel through which the engine's graph learns
     /// of LSA changes, whatever path stored them (local write, flood,
     /// delta response, enrollment sync stream, tombstone).
     pub(super) fn sync(&mut self, rib: &mut Rib) {
@@ -71,7 +72,7 @@ impl Routes {
             } else if let Ok(lsa) = Lsa::decode(o.value) {
                 self.engine.on_lsa(addr, Some(lsa));
             }
-            // An undecodable live value keeps the last good mirror entry:
+            // An undecodable live value keeps the last good advertisement:
             // withdrawing routes over a corrupt (or future-format) update
             // would turn one bad PDU into an outage.
         }

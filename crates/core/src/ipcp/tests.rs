@@ -425,9 +425,9 @@ fn recompute(i: &mut Ipcp) {
 }
 
 /// Regression: a member whose LSA is *removed* must leave every
-/// peer's graph mirror — through whichever path the tombstone (or a
+/// peer's route graph — through whichever path the tombstone (or a
 /// local deletion) reaches the RIB. Before the watch-hook funnel,
-/// only the wire apply paths maintained the mirror, so a locally
+/// only the wire apply paths maintained the graph, so a locally
 /// deleted LSA lingered and kept routing traffic at a dead member.
 #[test]
 fn lsa_deletion_propagates_through_the_delta_hook() {
@@ -446,18 +446,18 @@ fn lsa_deletion_propagates_through_the_delta_hook() {
     assert!(a.rib.apply_remote_silent(lsa_obj(3, &[], 2, true)));
     assert!(a.deferred_wanted(Deferred::Routes).is_some(), "the delta hook saw the deletion");
     recompute(&mut a);
-    assert_eq!(a.fwd().route(3), None, "deleted LSA must not linger in the mirror");
+    assert_eq!(a.fwd().route(3), None, "deleted LSA must not linger in the graph");
     assert_eq!(a.routes.engine.lsa_count(), 2);
 
     // The purely local deletion path (no wire apply involved).
     a.rib.delete_local(&Lsa::object_name(2));
     recompute(&mut a);
     assert_eq!(a.fwd().route(2), None);
-    assert_eq!(a.routes.engine.lsa_count(), 1, "only our own LSA remains mirrored");
+    assert_eq!(a.routes.engine.lsa_count(), 1, "only our own LSA remains");
 }
 
 /// A live LSA whose value does not decode (truncated, or listing a
-/// neighbor twice) must not be treated as a withdrawal: the mirror
+/// neighbor twice) must not be treated as a withdrawal: the engine
 /// keeps the last good advertisement (one
 /// corrupt or future-format update must not cause an outage). A
 /// foreign-class object squatting under `/lsa/` is ignored entirely.
@@ -479,14 +479,15 @@ fn undecodable_lsa_value_keeps_last_good_mirror_entry() {
     // So does one that lists a neighbor twice.
     assert!(a.rib.apply_remote_silent(lsa_obj(2, &[(1, 1), (3, 1), (1, 5)], 3, false)));
     recompute(&mut a);
-    assert_eq!(a.routes.engine.mirror()[&2].neighbors, vec![(1, 1)]);
+    assert_eq!(a.fwd().route(2), Some(&[2][..]), "still the last good LSA");
+    assert_eq!(a.routes.engine.lsa_count(), 2);
     // A non-lsa-class object under the /lsa/ prefix never reaches
     // the engine.
     let mut alien = lsa_obj(9, &[(1, 1)], 1, false);
     alien.class = "dir".into();
     assert!(a.rib.apply_remote_silent(alien));
     recompute(&mut a);
-    assert_eq!(a.routes.engine.lsa_count(), 2, "foreign class ignored by the mirror");
+    assert_eq!(a.routes.engine.lsa_count(), 2, "foreign class ignored by the engine");
 }
 
 /// Joiners with no usable proposal get nested sub-ranges carved out

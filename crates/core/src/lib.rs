@@ -21,7 +21,7 @@
 //!   transfer control (EFCP), and management (enrollment §5.2, flow
 //!   allocation §5.3, RIEP over the RIB).
 //! * [`routing`] (the `rina-routing` crate) — link-state routing per DIF:
-//!   the incremental [`routing::RouteEngine`] (LSA graph mirror, dynamic
+//!   the incremental [`routing::RouteEngine`] (LSA graph, dynamic
 //!   SPF, delta-patched tables) and the **two-step forwarding** of
 //!   Figure 4 (next-hop address, then live (N-1) path).
 //! * [`node`] — the IPC manager of one machine; hosts applications and the

@@ -26,15 +26,19 @@
 //! divergence, not the RIB — the basis of digest-driven anti-entropy
 //! and of O(missing) re-enrollment sync (DESIGN.md §6).
 //!
-//! Each object is stored as the bytes it travels in, an
-//! [`EncodedObject`], with its version coordinates beside it. An object
+//! Each object is stored as the bytes it travels in and nothing else:
+//! one shared buffer per object, ordered in the RIB's tree by the name
+//! those bytes begin with, so the name is held once and a lookup is one
+//! walk of the tree. Version coordinates are read from the same bytes,
+//! and a fingerprint is recomputed where a digest needs it. An object
 //! arriving from a peer is decided on the borrowed view the receive path
 //! already holds ([`Rib::apply_ref`]): a stale version costs nothing, a
 //! newer one is copied once into a buffer of its own. Everything that
 //! hands objects out — the watch queue, the dissemination outbox,
-//! enrollment snapshots, delta answers — hands out that stored encoding,
-//! so no object is ever re-encoded on its way back onto the wire. Reads
-//! ([`Rib::get`], [`Rib::iter_prefix`]) are [`RibObjectRef`] views of it.
+//! enrollment snapshots, delta answers — hands out that stored buffer as
+//! an [`EncodedObject`], so no object is ever re-encoded on its way back
+//! onto the wire. Reads ([`Rib::get`], [`Rib::iter_prefix`]) are
+//! [`RibObjectRef`] views of it.
 //!
 //! The crate is sans-IO: [`Rib`] queues dissemination items for the
 //! management task to forward, and the `rina` crate moves them. One path
@@ -50,9 +54,11 @@
 use bytes::Bytes;
 use rina_wire::codec::{Reader, Writer};
 use rina_wire::WireError;
+use std::borrow::Borrow;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::ops::Bound;
+use std::sync::Arc;
 
 /// One replicated object. Ordering of versions: `(version, origin)`
 /// lexicographic, so concurrent writes by different members resolve
@@ -77,6 +83,10 @@ pub struct RibObject {
 impl RibObject {
     /// Encode for carriage inside a CDAP value.
     pub fn encode(&self) -> Bytes {
+        self.writer().finish()
+    }
+
+    fn writer(&self) -> Writer {
         let mut w =
             Writer::with_capacity(16 + self.name.len() + self.class.len() + self.value.len());
         w.string(&self.name)
@@ -85,7 +95,7 @@ impl RibObject {
             .varint(self.version)
             .varint(self.origin)
             .boolean(self.deleted);
-        w.finish()
+        w
     }
 
     /// Decode from a CDAP value.
@@ -146,10 +156,10 @@ impl<'a> RibObjectRef<'a> {
     }
 }
 
-/// One object in wire form, known to decode — the unit that travels and
-/// the unit the RIB stores: sliced out of an arriving batch, viewed
-/// through [`RibObjectRef`], kept in the RIB as a copy of its own, and
-/// written into the next batch as those very bytes.
+/// One object in wire form, known to decode — the unit that travels:
+/// sliced out of an arriving batch, viewed through [`RibObjectRef`],
+/// kept in the RIB as a copy of its own, handed back out as that copy,
+/// and written into the next batch as those very bytes.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EncodedObject(Bytes);
 
@@ -163,13 +173,6 @@ impl EncodedObject {
     pub fn parse(wire: Bytes) -> Result<Self, WireError> {
         RibObjectRef::decode(&wire)?;
         Ok(EncodedObject(wire))
-    }
-
-    /// The encoding `obj` was read from, copied into a buffer of its own
-    /// — never a slice of the arriving batch, so a stored 20-byte object
-    /// keeps no batch buffer alive.
-    fn copy_of(obj: &RibObjectRef<'_>) -> Self {
-        EncodedObject(Bytes::copy_from_slice(obj.wire))
     }
 
     /// The object, borrowed from the encoding.
@@ -214,12 +217,15 @@ impl RibEvent {
 /// second separator are their own subtree. Digest tables, delta requests,
 /// and flood suppression all work at this granularity.
 pub fn subtree_of(name: &str) -> &str {
-    if let Some(rest) = name.strip_prefix('/') {
-        if let Some(i) = rest.find('/') {
-            return &name[..i + 1];
-        }
+    &name[..subtree_len(name.as_bytes())]
+}
+
+/// The length of [`subtree_of`]`(name)`, read off the name's bytes.
+fn subtree_len(name: &[u8]) -> usize {
+    match name.split_first() {
+        Some((b'/', rest)) => rest.iter().position(|&b| b == b'/').map_or(name.len(), |i| i + 1),
+        _ => name.len(),
     }
-    name
 }
 
 /// One object's version coordinates, without its value — the unit of a
@@ -425,25 +431,93 @@ fn mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// One stored object: the encoding it travels in, and beside it the
-/// coordinates the version guard and the digests read without decoding
-/// it.
+/// One stored object: the encoding it travels in, in a buffer of its
+/// own, and nothing beside it. It sorts and is looked up by the name the
+/// encoding begins with, so the RIB's set is its name-ordered map: the
+/// name is held once, inside the bytes that travel.
 #[derive(Debug)]
-struct Stored {
-    enc: EncodedObject,
-    version: u64,
-    origin: u64,
-    deleted: bool,
-    /// [`fingerprint`] of this version.
-    fingerprint: u64,
+struct Stored(Arc<[u8]>);
+
+impl Stored {
+    /// The object, borrowed from the encoding.
+    fn view(&self) -> RibObjectRef<'_> {
+        RibObjectRef::decode(&self.0).expect("checked at construction")
+    }
+
+    /// The name's bytes: the encoding's first field. Tree walks compare
+    /// it, so a name shorter than 128 bytes (one length byte) is sliced
+    /// without a decoder.
+    fn name(&self) -> &[u8] {
+        match self.0.first() {
+            Some(&n) if n < 0x80 => self.0.get(1..1 + n as usize).unwrap_or_default(),
+            _ => Reader::new(&self.0).bytes().unwrap_or_default(),
+        }
+    }
+
+    /// The name, as the string it was checked to be at construction.
+    fn name_str(&self) -> &str {
+        std::str::from_utf8(self.name()).expect("checked at construction")
+    }
+
+    /// Whether the object belongs to `subtree` (a [`subtree_of`] result).
+    fn in_subtree(&self, subtree: &str) -> bool {
+        let name = self.name();
+        name.get(..subtree_len(name)) == Some(subtree.as_bytes())
+    }
+
+    /// `(version, origin, deleted)`: what the version guard and the
+    /// digests read, decoded past the name, class and value without
+    /// checking them again.
+    fn coords(&self) -> (u64, u64, bool) {
+        let mut r = Reader::new(&self.0);
+        let mut read = || -> Result<_, WireError> {
+            r.bytes()?;
+            r.bytes()?;
+            r.bytes()?;
+            Ok((r.varint()?, r.varint()?, r.boolean()?))
+        };
+        read().expect("checked at construction")
+    }
+
+    /// The stored buffer, shared, in the form that travels.
+    fn encoded(&self) -> EncodedObject {
+        EncodedObject(Bytes::from_owner(Arc::clone(&self.0)))
+    }
 }
+
+impl Borrow<[u8]> for Stored {
+    fn borrow(&self) -> &[u8] {
+        self.name()
+    }
+}
+
+impl Ord for Stored {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.name().cmp(other.name())
+    }
+}
+
+impl PartialOrd for Stored {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Stored {
+    fn eq(&self, other: &Self) -> bool {
+        self.name() == other.name()
+    }
+}
+
+impl Eq for Stored {}
 
 /// The Resource Information Base of one IPC process.
 #[derive(Debug, Default)]
 pub struct Rib {
     /// The member's own DIF-internal address (0 until enrolled).
     origin: u64,
-    objects: BTreeMap<String, Stored>,
+    /// Every stored object, tombstones included, in name order.
+    objects: BTreeSet<Stored>,
     events: VecDeque<RibEvent>,
     /// Objects (new versions) to disseminate to neighbors.
     outbox: VecDeque<EncodedObject>,
@@ -521,7 +595,7 @@ impl Rib {
     /// Write (create or update) an object authored locally. The new version
     /// supersedes any existing one and is queued for dissemination.
     pub fn write_local(&mut self, name: &str, class: &str, value: Bytes) {
-        let version = self.objects.get(name).map_or(1, |o| o.version + 1);
+        let version = self.stored(name).map_or(1, |o| o.coords().0 + 1);
         self.store_local(RibObject {
             name: name.to_string(),
             class: class.to_string(),
@@ -536,7 +610,7 @@ impl Rib {
     /// version (local write, remote apply, tombstone — *any* path into
     /// the RIB) whose name starts with `prefix` is queued for
     /// [`Rib::poll_watch`]. This is the delta hook consumers like the
-    /// routing engine use to mirror a subtree incrementally instead of
+    /// routing engine use to follow a subtree incrementally instead of
     /// re-decoding it: because it sits on the single store choke point,
     /// deletions propagate exactly like upserts, whichever protocol path
     /// delivered them.
@@ -565,47 +639,45 @@ impl Rib {
         self.watch_q.retain(|o| Self::watched(live, o.view().name));
     }
 
+    /// The stored object named `name`, tombstone or live.
+    fn stored(&self, name: &str) -> Option<&Stored> {
+        self.objects.get(name.as_bytes())
+    }
+
     /// Store the version `(version, origin, deleted)` of `name` if it is
     /// newer than the one held, keeping the incremental digests
     /// (whole-RIB and per-subtree) in sync — the single store choke
-    /// point. The version guard and the store share one map walk, and
-    /// `enc` is asked for the encoding only once the version has won.
-    /// Returns whether it was stored.
+    /// point. `enc` is asked for the encoding only once the version has
+    /// won. Returns whether it was stored.
     fn put(
         &mut self,
         name: &str,
         version: u64,
         origin: u64,
         deleted: bool,
-        enc: impl FnOnce() -> EncodedObject,
+        enc: impl FnOnce() -> Arc<[u8]>,
     ) -> bool {
-        let slot = self.objects.get_mut(name);
-        if slot.as_ref().is_some_and(|cur| (version, origin) <= (cur.version, cur.origin)) {
+        let cur = self.stored(name).map(Stored::coords);
+        if cur.is_some_and(|(v, o, _)| (version, origin) <= (v, o)) {
             // Nothing is computed for a version that loses: most do.
             return false;
         }
-        let fingerprint = fingerprint(name, version, origin, deleted);
-        let new = Stored { enc: enc(), version, origin, deleted, fingerprint };
+        let old = cur.map(|(v, o, d)| fingerprint(name, v, o, d));
+        let new = Stored(enc());
         if Self::watched(&self.watch_prefixes, name) {
-            self.watch_q.push_back(new.enc.clone());
+            self.watch_q.push_back(new.encoded());
         }
-        let old = match slot {
-            Some(cur) => Some(std::mem::replace(cur, new).fingerprint),
-            None => {
-                self.objects.insert(name.to_string(), new);
-                None
-            }
-        };
-        self.account(subtree_of(name), old, fingerprint);
+        self.objects.replace(new);
+        self.account(subtree_of(name), old, fingerprint(name, version, origin, deleted));
         true
     }
 
     /// Store a version authored here, and queue it for dissemination
     /// unless it is a live write under a local subtree.
     fn store_local(&mut self, obj: RibObject) {
-        let enc = EncodedObject::of(&obj);
+        let enc: Arc<[u8]> = Arc::from(obj.writer().as_slice());
         if obj.deleted || !self.is_local_subtree(subtree_of(&obj.name)) {
-            self.outbox.push_back(enc.clone());
+            self.outbox.push_back(EncodedObject(Bytes::from_owner(Arc::clone(&enc))));
         }
         // A local version is one above whatever is held: it always wins.
         self.put(&obj.name, obj.version, obj.origin, obj.deleted, || enc);
@@ -646,18 +718,16 @@ impl Rib {
         &'a self,
         prefix: &'a str,
         start: &str,
-    ) -> impl Iterator<Item = (&'a String, &'a Stored)> + 'a {
+    ) -> impl Iterator<Item = &'a Stored> + 'a {
+        let from = prefix.max(start).as_bytes();
         self.objects
-            .range::<str, _>((Bound::Included(prefix.max(start)), Bound::Unbounded))
-            .take_while(move |(k, _)| k.starts_with(prefix))
+            .range::<[u8], _>((Bound::Included(from), Bound::Unbounded))
+            .take_while(move |o| o.name().starts_with(prefix.as_bytes()))
     }
 
     /// All stored objects (tombstones included) in `subtree`, name order.
-    fn subtree_objects<'a>(
-        &'a self,
-        subtree: &'a str,
-    ) -> impl Iterator<Item = (&'a String, &'a Stored)> + 'a {
-        self.range_of(subtree, subtree).filter(move |(k, _)| subtree_of(k) == subtree)
+    fn subtree_objects<'a>(&'a self, subtree: &'a str) -> impl Iterator<Item = &'a Stored> + 'a {
+        self.range_of(subtree, subtree).filter(move |o| o.in_subtree(subtree))
     }
 
     /// [`Rib::write_local`], but a no-op when the object already holds
@@ -678,12 +748,12 @@ impl Rib {
     /// Tombstone an object authored locally. No-op if absent or already
     /// deleted.
     pub fn delete_local(&mut self, name: &str) {
-        let Some(cur) = self.objects.get(name).filter(|o| !o.deleted) else {
+        let Some(cur) = self.get(name) else {
             return;
         };
         self.store_local(RibObject {
             name: name.to_string(),
-            class: cur.enc.view().class.to_string(),
+            class: cur.class.to_string(),
             value: Bytes::new(),
             version: cur.version + 1,
             origin: self.origin,
@@ -710,7 +780,9 @@ impl Rib {
     }
 
     fn apply_owned(&mut self, obj: &RibObject) -> bool {
-        self.put(&obj.name, obj.version, obj.origin, obj.deleted, || EncodedObject::of(obj))
+        self.put(&obj.name, obj.version, obj.origin, obj.deleted, || {
+            Arc::from(obj.writer().as_slice())
+        })
     }
 
     /// [`Rib::apply_remote_silent`] for an object still in its arriving
@@ -719,12 +791,14 @@ impl Rib {
     /// stored as a copy of the encoding it arrived in — one copy, in a
     /// buffer of its own, however the object changed.
     pub fn apply_ref(&mut self, obj: &RibObjectRef<'_>) -> bool {
-        self.put(obj.name, obj.version, obj.origin, obj.deleted, || EncodedObject::copy_of(obj))
+        // Never a slice of the arriving batch: a stored 20-byte object
+        // keeps no batch buffer alive.
+        self.put(obj.name, obj.version, obj.origin, obj.deleted, || Arc::from(obj.wire))
     }
 
     /// Current value of a live (non-deleted) object.
     pub fn get(&self, name: &str) -> Option<RibObjectRef<'_>> {
-        self.objects.get(name).filter(|o| !o.deleted).map(|o| o.enc.view())
+        self.stored(name).map(Stored::view).filter(|o| !o.deleted)
     }
 
     /// All live objects whose names start with `prefix`, in name order.
@@ -732,7 +806,7 @@ impl Rib {
         &'a self,
         prefix: &'a str,
     ) -> impl Iterator<Item = RibObjectRef<'a>> + 'a {
-        self.range_of(prefix, prefix).filter(|(_, o)| !o.deleted).map(|(_, o)| o.enc.view())
+        self.range_of(prefix, prefix).map(Stored::view).filter(|o| !o.deleted)
     }
 
     /// Names of every live object whose last write came from `origin` —
@@ -743,8 +817,8 @@ impl Rib {
     pub fn live_of_origin(&self, origin: u64) -> Vec<String> {
         self.objects
             .iter()
-            .filter(|(_, o)| !o.deleted && o.origin == origin)
-            .map(|(k, _)| k.clone())
+            .filter(|o| matches!(o.coords(), (_, by, false) if by == origin))
+            .map(|o| o.name_str().to_string())
             .collect()
     }
 
@@ -757,19 +831,19 @@ impl Rib {
     pub fn snapshot(&self) -> Vec<EncodedObject> {
         self.objects
             .iter()
-            .filter(|(k, _)| !self.is_local_subtree(subtree_of(k)))
-            .map(|(_, o)| o.enc.clone())
+            .filter(|o| !self.is_local_subtree(subtree_of(o.name_str())))
+            .map(Stored::encoded)
             .collect()
     }
 
     /// Every stored object, tombstones included, in name order.
     pub fn iter_all(&self) -> impl Iterator<Item = RibObjectRef<'_>> + '_ {
-        self.objects.values().map(|o| o.enc.view())
+        self.objects.iter().map(Stored::view)
     }
 
     /// Number of live objects.
     pub fn len(&self) -> usize {
-        self.objects.values().filter(|o| !o.deleted).count()
+        self.objects.iter().filter(|o| !o.coords().2).count()
     }
 
     /// Number of stored objects, tombstones included (pairs with
@@ -826,7 +900,10 @@ impl Rib {
             return Vec::new();
         }
         self.subtree_objects(subtree)
-            .map(|(k, o)| ObjVer { name: k, version: o.version, origin: o.origin })
+            .map(|o| {
+                let (version, origin, _) = o.coords();
+                ObjVer { name: o.name_str(), version, origin }
+            })
             .collect()
     }
 
@@ -837,13 +914,13 @@ impl Rib {
     /// peer holding newer is not our answer's business: we pull it with
     /// a request of our own. A name the summary lists twice is compared
     /// at its last entry.
-    pub fn delta_for<'a>(
-        &'a self,
-        subtree: &'a str,
+    pub fn delta_for(
+        &self,
+        subtree: &str,
         from: &str,
         upto: &str,
         summary: &[ObjVer<'_>],
-    ) -> Vec<&'a EncodedObject> {
+    ) -> Vec<EncodedObject> {
         if self.is_local_subtree(subtree) {
             // Owner-held state is never served by anti-entropy.
             return Vec::new();
@@ -867,17 +944,19 @@ impl Rib {
         let mut send = Vec::with_capacity(self.subtree_digest(subtree).map_or(0, |e| e.0 as usize));
         let ours = self
             .range_of(subtree, from)
-            .take_while(|(k, _)| upto.is_empty() || k.as_str() < upto)
-            .filter(|(k, _)| subtree_of(k) == subtree);
-        for (name, o) in ours {
+            .take_while(|o| upto.is_empty() || o.name() < upto.as_bytes())
+            .filter(|o| o.in_subtree(subtree));
+        for o in ours {
+            let name = o.name();
             let mut peer = None;
-            while let Some(v) = theirs.next_if(|v| v.name <= name.as_str()) {
-                if v.name == name {
+            while let Some(v) = theirs.next_if(|v| v.name.as_bytes() <= name) {
+                if v.name.as_bytes() == name {
                     peer = Some((v.version, v.origin));
                 }
             }
-            if peer.is_none_or(|p| p < (o.version, o.origin)) {
-                send.push(&o.enc);
+            let (version, origin, _) = o.coords();
+            if peer.is_none_or(|p| p < (version, origin)) {
+                send.push(o.encoded());
             }
         }
         send
@@ -1221,7 +1300,7 @@ mod tests {
             a.write_local(n, "lsa", Bytes::from_static(b"w"));
         }
         let at = |name, version| ObjVer { name, version, origin: 1 };
-        let names = |send: Vec<&EncodedObject>| -> Vec<String> {
+        let names = |send: Vec<EncodedObject>| -> Vec<String> {
             send.iter().map(|o| o.view().name.to_string()).collect()
         };
         // /lsa/2 listed current, then behind: the later entry wins.
@@ -1580,7 +1659,12 @@ mod tests {
         /// class), scope changes and watch teardowns leaves the RIB
         /// agreeing with the model after every step — snapshot, digest
         /// table, generation, reads — and its watch queue and outbox
-        /// decode to exactly what the model expects.
+        /// decode to exactly what the model expects. Name suffixes run
+        /// from 0 to 130 bytes, many sharing a long run of one byte, so
+        /// names fall on both sides of the 128 bytes past which a name's
+        /// length prefix takes a second byte, and the name-ordered walks
+        /// (`summary`, `delta_for` with and without a bound) are checked
+        /// there too.
         #[test]
         fn prop_rib_matches_a_model(seed in any::<u64>()) {
             use rand::Rng;
@@ -1600,11 +1684,17 @@ mod tests {
                 }
             }
             let classes = ["lsa", "dir", "member"];
+            let subtrees = ["/lsa/", "/dir/", "/members/"];
             for _ in 0..80 {
+                let run = [0, 0, 0, 1, 40, 118, 121, 122, 123, 130][rng.gen_range(0..10usize)];
+                let last = match rng.gen_range(0..6u32) {
+                    0 => String::new(),
+                    n => (n - 1).to_string(),
+                };
                 let name = format!(
-                    "{}{}",
-                    ["/lsa/", "/dir/", "/members/"][rng.gen_range(0..3usize)],
-                    rng.gen_range(0..5u32)
+                    "{}{}{last}",
+                    subtrees[rng.gen_range(0..3usize)],
+                    "p".repeat(run),
                 );
                 let class = classes[rng.gen_range(0..3usize)];
                 let value = Bytes::from(vec![rng.gen_range(0..4u8); rng.gen_range(0..3usize)]);
@@ -1745,9 +1835,30 @@ mod tests {
                         .cloned()
                         .collect()
                 };
-                for prefix in ["/", "/lsa/", "/dir/", "/members/", "/nope/"] {
+                let long = format!("/members/{}", "p".repeat(119));
+                for prefix in ["/", "/lsa/", "/dir/", "/members/", "/nope/", "/lsa/pp", &long] {
                     let ours: Vec<RibObject> = rib.iter_prefix(prefix).map(fields).collect();
                     prop_assert_eq!(ours, live_model(prefix));
+                }
+                for subtree in ["/lsa", "/dir", "/members"] {
+                    let held: Vec<&RibObject> = model
+                        .values()
+                        .filter(|o| subtree_of(&o.name) == subtree && replicated(&o.name))
+                        .collect();
+                    let summary: Vec<(String, u64, u64)> = rib
+                        .summary(subtree)
+                        .iter()
+                        .map(|v| (v.name.to_string(), v.version, v.origin))
+                        .collect();
+                    let want: Vec<(String, u64, u64)> =
+                        held.iter().map(|o| (o.name.clone(), o.version, o.origin)).collect();
+                    prop_assert_eq!(summary, want);
+                    // Everything below `name`, for a peer that holds nothing.
+                    let sent: Vec<RibObject> =
+                        rib.delta_for(subtree, "", &name, &[]).iter().map(owned).collect();
+                    let want: Vec<RibObject> =
+                        held.iter().filter(|o| o.name < name).map(|o| (*o).clone()).collect();
+                    prop_assert_eq!(sent, want);
                 }
                 prop_assert_eq!(rib.len(), live_model("").len());
                 let got = rib.get(&name).map(fields);

@@ -1,14 +1,16 @@
-//! The incremental routing engine: a long-lived graph mirror plus
-//! dynamic SPF.
+//! The incremental routing engine: one long-lived graph plus dynamic
+//! SPF.
 //!
 //! [`RouteEngine`] owns three things per IPC process:
 //!
-//! 1. **A graph mirror** — the decoded `/lsa/*` set, updated object by
-//!    object from RIB change notifications ([`RouteEngine::on_lsa`]), so
-//!    a recomputation never re-parses LSA values it parsed earlier. Each
-//!    node's advertisements are one sorted `(neighbor, cost)` list over
-//!    dense indices, so confirming an edge is a binary search and
-//!    comparing a node's old and new advertisements is a merge.
+//! 1. **The graph** — the `/lsa/*` set, updated object by object from
+//!    RIB change notifications ([`RouteEngine::on_lsa`]), which puts
+//!    each LSA in its canonical form at once: one sorted
+//!    `(neighbor, cost)` list over dense indices per node, so confirming
+//!    an edge is a binary search and comparing a node's old and new
+//!    advertisements is a merge. No decoded copy of the LSAs is kept
+//!    beside it; the changed origins' lists from before the batch wait
+//!    in the pending set until the next recomputation classifies them.
 //! 2. **Dynamic SPF state** — the dense-index distance array and
 //!    equal-cost first-hop sets of the last computation. On a batch of
 //!    LSA deltas the engine *classifies* every confirmed-edge change
@@ -54,15 +56,16 @@
 //! region is an old-DAG descendant of a seed, hence inside it.
 //!
 //! A repair's working state — the changed origins' old lists, the
-//! region's dense marks, the distances and hop sets it saved — lives in
-//! the call and is dropped when it returns: an engine between
-//! recomputations (one per IPC process, shims included) holds none.
+//! region's dense marks, the distances and hop sets it saved — is
+//! dropped when it returns: an engine between recomputations (one per
+//! IPC process, shims included) holds none.
 //! Beyond two per-node mark arrays, a repair's cost is its changed
 //! origins' degrees plus the region and its boundary.
 //!
 //! In debug builds every recomputation asserts the result is identical
-//! to [`compute_routes`] over the same mirror; the crate's proptests pin
-//! the same equivalence over random mutation sequences. Costs are
+//! to [`compute_routes`] over the LSAs the graph holds; the crate's
+//! proptests pin the same equivalence against LSA sets of their own over
+//! random mutation sequences. Costs are
 //! assumed `≥ 1` (this DIF stack advertises cost 1 edges): zero-cost
 //! edges would make equal-cost hop propagation order-dependent in the
 //! reference algorithm itself.
@@ -81,7 +84,7 @@
 
 use crate::{Addr, ForwardingTable, IntMap, Lsa};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BinaryHeap};
 use std::ops::Range;
 
 const UNSEEN: u64 = u64::MAX;
@@ -107,22 +110,26 @@ pub struct EngineStats {
 /// The long-lived routing engine of one IPC process (see module docs).
 pub struct RouteEngine {
     self_addr: Addr,
-    /// Decoded `/lsa/*` mirror — the authoritative graph input.
-    mirror: BTreeMap<Addr, Lsa>,
     /// Dense interning of every address ever seen (append-only).
     index: IntMap<Addr, u32>,
     addr_of: Vec<Addr>,
-    /// Advertisements per node. The confirmed directed edge `u→v`
-    /// exists iff `adv[u]` lists `v` *and* `adv[v]` lists `u` (cost
-    /// taken from the direction of travel).
+    /// Advertisements per node: its LSA in canonical form (empty without
+    /// one). The confirmed directed edge `u→v` exists iff `adv[u]` lists
+    /// `v` *and* `adv[v]` lists `u` (cost taken from the direction of
+    /// travel).
     adv: Vec<Adj>,
+    /// Whether each node holds an LSA, an empty one included.
+    has_lsa: Vec<bool>,
+    /// How many nodes hold an LSA.
+    lsas: usize,
     /// Shortest distance from `self_addr` per node (`UNSEEN` = none).
     dist: Vec<u64>,
     /// Canonical (sorted, deduped) equal-cost first-hop sets, as indices.
     hops: Vec<Vec<u32>>,
     table: ForwardingTable,
-    /// Origins whose LSA changed since the last recomputation.
-    pending: BTreeSet<Addr>,
+    /// Origins whose LSA changed since the last recomputation, each with
+    /// its advertisements from before the batch.
+    pending: BTreeMap<Addr, Adj>,
     /// A queued change requires a full recomputation (the engine was
     /// re-rooted by `set_self`, or has never computed). Own-LSA changes
     /// deliberately do *not* set this: a local adjacency flap repairs
@@ -139,14 +146,15 @@ impl RouteEngine {
     pub fn new(self_addr: Addr) -> Self {
         RouteEngine {
             self_addr,
-            mirror: BTreeMap::new(),
             index: IntMap::default(),
             addr_of: Vec::new(),
             adv: Vec::new(),
+            has_lsa: Vec::new(),
+            lsas: 0,
             dist: Vec::new(),
             hops: Vec::new(),
             table: ForwardingTable::default(),
-            pending: BTreeSet::new(),
+            pending: BTreeMap::new(),
             pending_full: false,
             computed: false,
             stats: EngineStats::default(),
@@ -167,14 +175,9 @@ impl RouteEngine {
         &self.table
     }
 
-    /// The decoded LSA mirror.
-    pub fn mirror(&self) -> &BTreeMap<Addr, Lsa> {
-        &self.mirror
-    }
-
-    /// Number of LSAs currently mirrored.
+    /// Number of LSAs currently held.
     pub fn lsa_count(&self) -> usize {
-        self.mirror.len()
+        self.lsas
     }
 
     /// Whether queued deltas await a [`RouteEngine::recompute`].
@@ -192,26 +195,40 @@ impl RouteEngine {
     }
 
     /// Feed one LSA delta from the RIB: `None` deletes `origin`'s LSA
-    /// (tombstone), `Some` upserts it. Returns whether the mirror
-    /// actually moved (value-identical re-writes are absorbed here).
+    /// (tombstone), `Some` upserts it. Returns whether the graph
+    /// actually moved (re-writes of the same advertisements are absorbed
+    /// here).
     pub fn on_lsa(&mut self, origin: Addr, lsa: Option<Lsa>) -> bool {
-        let changed = match &lsa {
-            Some(l) => self.mirror.get(&origin) != Some(l),
-            None => self.mirror.contains_key(&origin),
+        // A deletion of an LSA never held interns nothing.
+        let Some(lsa) = lsa else {
+            let Some(&oi) = self.index.get(&origin) else { return false };
+            let Some(held) = self.has_lsa.get_mut(oi as usize).filter(|h| **h) else {
+                return false;
+            };
+            *held = false;
+            self.lsas -= 1;
+            self.park(origin, oi, Adj::new());
+            return true;
         };
-        if !changed {
+        let (oi, list) = adjacency(&mut self.index, &mut self.addr_of, origin, &lsa);
+        self.grow();
+        let had = self.has_lsa.get_mut(oi as usize).is_some_and(|h| std::mem::replace(h, true));
+        if had && self.adv.get(oi as usize) == Some(&list) {
             return false;
         }
-        match lsa {
-            Some(l) => {
-                self.mirror.insert(origin, l);
-            }
-            None => {
-                self.mirror.remove(&origin);
-            }
-        }
-        self.pending.insert(origin);
+        self.lsas += usize::from(!had);
+        self.park(origin, oi, list);
         true
+    }
+
+    /// Put `list` in `origin`'s place, queuing the origin with the list
+    /// it held before the batch (the first one replaced since the last
+    /// recomputation).
+    fn park(&mut self, origin: Addr, oi: u32, list: Adj) {
+        if let Some(slot) = self.adv.get_mut(oi as usize) {
+            let old = std::mem::replace(slot, list);
+            self.pending.entry(origin).or_insert(old);
+        }
     }
 
     /// Process queued deltas into a fresh table. Returns whether the
@@ -222,11 +239,11 @@ impl RouteEngine {
         }
         let pending = std::mem::take(&mut self.pending);
         let full = std::mem::take(&mut self.pending_full) || !self.computed;
-        let changed = if full { self.full_rebuild() } else { self.incremental(&pending) };
+        let changed = if full { self.full_rebuild() } else { self.incremental(pending) };
         self.computed = true;
         #[cfg(debug_assertions)]
         {
-            let reference = crate::compute_routes(self.self_addr, &self.mirror);
+            let reference = crate::compute_routes(self.self_addr, &self.lsas());
             debug_assert!(
                 self.table == reference,
                 "incremental SPF diverged from full Dijkstra at {}: {:?} vs {:?}",
@@ -238,16 +255,30 @@ impl RouteEngine {
         changed
     }
 
+    /// The LSAs the graph holds, by address: what the debug build's
+    /// reference computation reads.
+    #[cfg(debug_assertions)]
+    fn lsas(&self) -> BTreeMap<Addr, Lsa> {
+        let addr = |v: u32| self.addr_of.get(v as usize).copied();
+        let held = self.addr_of.iter().zip(&self.adv).zip(&self.has_lsa).filter(|(_, &h)| h);
+        held.map(|((&a, list), _)| {
+            let neighbors = list.iter().filter_map(|&(v, c)| Some((addr(v)?, c))).collect();
+            (a, Lsa { neighbors })
+        })
+        .collect()
+    }
+
     /// Give every interned node its slot in the index-aligned columns.
     fn grow(&mut self) {
         let n = self.addr_of.len();
         self.adv.resize_with(n, Vec::new);
+        self.has_lsa.resize(n, false);
         self.dist.resize(n, UNSEEN);
         self.hops.resize_with(n, Vec::new);
     }
 
-    /// From-scratch path: rebuild adjacency from the mirror, run full
-    /// Dijkstra, swap the table wholesale.
+    /// From-scratch path: run full Dijkstra over the graph, swap the
+    /// table wholesale.
     #[expect(
         clippy::indexing_slicing,
         reason = "dense-index SPF state: every index comes from intern(), and grow() sizes adv/dist/hops to every interned node before use"
@@ -255,19 +286,7 @@ impl RouteEngine {
     fn full_rebuild(&mut self) -> bool {
         self.stats.spf_full += 1;
         let src = intern(&mut self.index, &mut self.addr_of, self.self_addr);
-        let lists: Vec<(u32, Adj)> = {
-            let RouteEngine { mirror, index, addr_of, .. } = self;
-            mirror.iter().map(|(&o, l)| adjacency(index, addr_of, o, Some(l))).collect()
-        };
         self.grow();
-        // Nodes whose LSA is gone keep their interned slot with no
-        // advertisements (no confirmed edges ⇒ unreachable).
-        for a in &mut self.adv {
-            a.clear();
-        }
-        for (oi, list) in lists {
-            self.adv[oi as usize] = list;
-        }
         self.dist.fill(UNSEEN);
         for h in &mut self.hops {
             h.clear();
@@ -325,19 +344,15 @@ impl RouteEngine {
         clippy::indexing_slicing,
         reason = "dense-index SPF repair over interned slots; debug builds assert byte-identical output against from-scratch compute_routes every recomputation, so an out-of-bounds invariant break cannot ship silently"
     )]
-    fn incremental(&mut self, pending: &BTreeSet<Addr>) -> bool {
-        // Apply the new advertisements, moving each changed origin's old
-        // list out for classification and the old-DAG closure; `old_of`
-        // finds it by node.
-        let mut olds: Vec<(u32, Adj)> = {
-            let RouteEngine { mirror, index, addr_of, .. } = self;
-            pending.iter().map(|&o| adjacency(index, addr_of, o, mirror.get(&o))).collect()
-        };
-        self.grow();
+    fn incremental(&mut self, pending: BTreeMap<Addr, Adj>) -> bool {
+        // Each changed origin's list from before the batch, for
+        // classification and the old-DAG closure; `old_of` finds it by
+        // node.
+        let olds: Vec<(u32, Adj)> =
+            pending.into_iter().map(|(o, old)| (self.index[&o], old)).collect();
         let mut old_of = vec![u32::MAX; self.addr_of.len()];
-        for (k, (oi, list)) in (0..).zip(&mut olds) {
-            std::mem::swap(list, &mut self.adv[*oi as usize]);
-            old_of[*oi as usize] = k;
+        for (k, &(oi, _)) in (0..).zip(&olds) {
+            old_of[oi as usize] = k;
         }
         let src = self.index[&self.self_addr];
         let old_adv = |x: u32| match old_of[x as usize] {
@@ -489,17 +504,17 @@ fn intern(index: &mut IntMap<Addr, u32>, addr_of: &mut Vec<Addr>, a: Addr) -> u3
     })
 }
 
-/// Intern origin `o` and the neighbors of its LSA (none without one):
-/// `o`'s index and its advertisements. A neighbor listed twice keeps
-/// its lowest cost — the one the reference Dijkstra relaxes.
+/// Intern origin `o` and the neighbors of its LSA: `o`'s index and its
+/// advertisements in canonical form. A neighbor listed twice keeps its
+/// lowest cost — the one the reference Dijkstra relaxes.
 fn adjacency(
     index: &mut IntMap<Addr, u32>,
     addr_of: &mut Vec<Addr>,
     o: Addr,
-    lsa: Option<&Lsa>,
+    lsa: &Lsa,
 ) -> (u32, Adj) {
-    let neighbors = lsa.map_or(&[][..], |l| &l.neighbors);
-    let mut list: Adj = neighbors.iter().map(|&(v, c)| (intern(index, addr_of, v), c)).collect();
+    let mut list: Adj =
+        lsa.neighbors.iter().map(|&(v, c)| (intern(index, addr_of, v), c)).collect();
     list.sort_unstable();
     list.dedup_by_key(|&mut (v, _)| v);
     (intern(index, addr_of, o), list)

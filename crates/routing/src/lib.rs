@@ -16,8 +16,8 @@
 //!
 //! * [`compute_routes`] — one from-scratch Dijkstra over a full LSA set.
 //!   The reference semantics, and the fallback.
-//! * [`RouteEngine`] — the long-lived per-IPCP engine: an incrementally
-//!   maintained graph mirror fed by LSA *deltas*, dynamic SPF that repairs
+//! * [`RouteEngine`] — the long-lived per-IPCP engine: one graph of
+//!   canonical advertisement lists fed by LSA *deltas*, dynamic SPF that repairs
 //!   only the affected shortest-path region, and delta application into the
 //!   forwarding table ([`ForwardingTable::patch`]). A join that touches one
 //!   subtree no longer costs a DIF-wide recomputation at every member.

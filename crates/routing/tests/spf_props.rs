@@ -2,7 +2,8 @@
 //! LSA mutations (edge add / edge remove / cost change / one-sided
 //! withdrawal / whole-LSA deletion), the incrementally repaired
 //! forwarding table is **byte-identical** to a from-scratch
-//! [`compute_routes`] over the same mirror — equal-cost next-hop sets
+//! [`compute_routes`] over the test's own model of the LSA set — built
+//! apart from anything the engine holds — equal-cost next-hop sets
 //! included.
 
 use proptest::prelude::*;
@@ -17,6 +18,16 @@ type Model = BTreeMap<Addr, BTreeMap<Addr, u32>>;
 
 fn lsa_of(row: &BTreeMap<Addr, u32>) -> Lsa {
     Lsa { neighbors: row.iter().map(|(&a, &c)| (a, c)).collect() }
+}
+
+/// The model's LSA set, as the reference computation reads it.
+fn lsas(model: &Model) -> BTreeMap<Addr, Lsa> {
+    model.iter().map(|(&a, row)| (a, lsa_of(row))).collect()
+}
+
+/// The counters a recomputation moves.
+fn counters(e: &RouteEngine) -> (u64, u64, u64) {
+    (e.stats.spf_full, e.stats.spf_incremental, e.stats.ft_delta)
 }
 
 /// Push `origin`'s current model row (or deletion) into the engine.
@@ -91,7 +102,7 @@ proptest! {
             sync(&mut engine, &model, a);
         }
         engine.recompute();
-        prop_assert_eq!(engine.table(), &compute_routes(src, engine.mirror()));
+        prop_assert_eq!(engine.table(), &compute_routes(src, &lsas(&model)));
 
         for _ in 0..30 {
             // A batch of 1–3 mutations lands before one recomputation
@@ -102,9 +113,17 @@ proptest! {
                 }
             }
             engine.recompute();
-            prop_assert_eq!(engine.table(), &compute_routes(src, engine.mirror()));
+            prop_assert_eq!(engine.table(), &compute_routes(src, &lsas(&model)));
+            // Re-feeding an unchanged LSA (or a deletion of one not
+            // held) is absorbed: nothing queued, nothing recomputed.
+            let before = counters(&engine);
+            prop_assert!(!engine.on_lsa(src, model.get(&src).map(lsa_of)));
+            let other = rng.gen_range(1..=n);
+            prop_assert!(!engine.on_lsa(other, model.get(&other).map(lsa_of)));
+            prop_assert!(!engine.recompute());
+            prop_assert_eq!(counters(&engine), before);
         }
-        // The mirror itself must match the model (deletions propagate).
+        // The engine holds as many LSAs as the model (deletions propagate).
         prop_assert_eq!(engine.lsa_count(), model.len());
     }
 
@@ -142,7 +161,7 @@ proptest! {
             sync(&mut engine, &model, a);
         }
         engine.recompute();
-        prop_assert_eq!(engine.table(), &compute_routes(src, engine.mirror()));
+        prop_assert_eq!(engine.table(), &compute_routes(src, &lsas(&model)));
 
         // Links currently flapped down: (a, b) → saved symmetric costs.
         let mut down: Vec<(Addr, Addr, u32, u32)> = Vec::new();
@@ -186,7 +205,7 @@ proptest! {
                 }
             }
             engine.recompute();
-            prop_assert_eq!(engine.table(), &compute_routes(src, engine.mirror()));
+            prop_assert_eq!(engine.table(), &compute_routes(src, &lsas(&model)));
         }
         // History independence: a fresh engine over the final state.
         let mut fresh = RouteEngine::new(src);
@@ -261,7 +280,7 @@ fn a_fixed_engine_script_keeps_its_counters() {
     let mut returned = String::new();
     let mut step = |e: &mut RouteEngine, model: &Model, touched: &mut BTreeSet<Addr>, src| {
         returned.push(if flush(e, model, touched) { '1' } else { '0' });
-        assert_eq!(e.table(), &compute_routes(src, e.mirror()), "step {}", returned.len());
+        assert_eq!(e.table(), &compute_routes(src, &lsas(model)), "step {}", returned.len());
     };
     // Growth in waves of 10–16 joiners (two edges each).
     let mut joined = 0;
@@ -330,11 +349,16 @@ fn a_fixed_engine_script_keeps_its_counters() {
 #[test]
 fn a_repeated_neighbor_routes_at_its_lowest_cost() {
     let mut e = RouteEngine::new(1);
-    e.on_lsa(1, Some(Lsa { neighbors: vec![(2, 1), (3, 3), (2, 5)] }));
-    e.on_lsa(2, Some(Lsa { neighbors: vec![(1, 1), (3, 1)] }));
-    e.on_lsa(3, Some(Lsa { neighbors: vec![(1, 1), (2, 1)] }));
+    let lsas = BTreeMap::from([
+        (1, Lsa { neighbors: vec![(2, 1), (3, 3), (2, 5)] }),
+        (2, Lsa { neighbors: vec![(1, 1), (3, 1)] }),
+        (3, Lsa { neighbors: vec![(1, 1), (2, 1)] }),
+    ]);
+    for (&a, l) in &lsas {
+        e.on_lsa(a, Some(l.clone()));
+    }
     e.recompute();
-    assert_eq!(e.table(), &compute_routes(1, e.mirror()));
+    assert_eq!(e.table(), &compute_routes(1, &lsas));
     assert_eq!(e.table().route(3), Some(&[2][..]));
 }
 
@@ -366,7 +390,7 @@ mod at_scale {
             }
             let mut engine = RouteEngine::new(src);
             flush(&mut engine, &model, &mut touched);
-            prop_assert_eq!(engine.table(), &compute_routes(src, engine.mirror()));
+            prop_assert_eq!(engine.table(), &compute_routes(src, &lsas(&model)));
 
             let mut down: Vec<(Addr, Addr)> = Vec::new();
             for _ in 0..10 {
@@ -440,7 +464,7 @@ mod at_scale {
                     }
                 }
                 flush(&mut engine, &model, &mut touched);
-                prop_assert_eq!(engine.table(), &compute_routes(src, engine.mirror()));
+                prop_assert_eq!(engine.table(), &compute_routes(src, &lsas(&model)));
             }
             prop_assert_eq!(engine.lsa_count(), model.len());
             let mut fresh = RouteEngine::new(src);
@@ -490,5 +514,5 @@ fn delta_repair_preserves_ecmp_next_hop_sets() {
     e.recompute();
     assert_eq!(e.table().route(4), Some(&[3][..]));
     assert_eq!(e.table().route(6), Some(&[3][..]));
-    assert_eq!(e.table(), &compute_routes(1, e.mirror()));
+    assert_eq!(e.table(), &compute_routes(1, &lsas(&model)));
 }
