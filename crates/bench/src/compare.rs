@@ -632,10 +632,10 @@ mod tests {
                             ("mgmt_pdus".into(), Json::Num(m)),
                             ("rib_pdus".into(), Json::Num(5.0)),
                             ("flood_suppressed".into(), Json::Num(0.0)),
+                            ("flood_throttled".into(), Json::Num(0.0)),
                             ("spf_full".into(), Json::Num(3.0)),
                             ("spf_incremental".into(), Json::Num(7.0)),
                             ("ft_delta".into(), Json::Num(11.0)),
-                            ("deferred".into(), Json::Num(0.0)),
                             ("reachable".into(), Json::Bool(true)),
                             ("agg_len".into(), Json::Num(40.0)),
                             ("stale_rib".into(), Json::Num(0.0)),

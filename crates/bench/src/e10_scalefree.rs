@@ -12,12 +12,11 @@
 //! into single forwarding ranges.
 //!
 //! The wave-parallel schedule ([`EnrollSchedule::waves`], the default)
-//! staggers joiners by spanning-tree depth while each sponsor admits up
-//! to its DIF's admission window concurrently, so makespan tracks tree
-//! depth × admission rounds — sublinear in members. The
-//! [`EnrollSchedule::sequential`] baseline enrolls one member at a time
-//! and grows linearly; it is kept behind the `schedule` parameter for
-//! comparison.
+//! staggers joiners by spanning-tree depth and every sponsor admits
+//! whoever asks, so makespan tracks tree depth — sublinear in members.
+//! The [`EnrollSchedule::sequential`] baseline enrolls one member at a
+//! time and grows linearly; it is kept behind the `schedule` parameter
+//! for comparison.
 
 use crate::report::{Col, Scalar};
 use crate::{row, timed, Scenario, Totals};
@@ -55,8 +54,6 @@ row! {
         spf_incremental: u64,
         /// Forwarding-table entries updated via the delta path DIF-wide.
         ft_delta: u64,
-        /// Enrollment requests deferred by full admission windows.
-        deferred: u64,
         /// Degree of the largest hub.
         hub_degree: usize,
         /// Destinations the largest hub can reach (≈ scope size).
@@ -88,7 +85,6 @@ pub const TABLE: &[Col<ScaleFreeRow>] = &[
     ("wall (s)", |r| r.wall_s.cell()),
     ("mgmt/member", |r| r.mgmt_per_member.cell()),
     ("rib PDUs", |r| r.rib_pdus.cell()),
-    ("deferred", |r| r.deferred.cell()),
     ("hub degree", |r| r.hub_degree.cell()),
     ("hub fwd", |r| r.hub_fwd.cell()),
     ("hub agg", |r| r.hub_fwd_agg.cell()),
@@ -156,7 +152,6 @@ pub fn run_with(n: usize, m: usize, seed: u64, schedule: EnrollSchedule) -> Scal
             spf_full: t.spf_full,
             spf_incremental: t.spf_incremental,
             ft_delta: t.ft_delta,
-            deferred: assembled.deferred,
             hub_degree,
             hub_fwd: hub.fwd().len(),
             hub_fwd_agg: hub.fwd().aggregated_len(),
@@ -227,7 +222,7 @@ mod tests {
         let r = super::run(200, 2, 23);
         assert!(r.e2e_ok, "{r:?}");
         // Virtual makespan stays near the 50-node figure (sublinear):
-        // depth × admission rounds, not member count.
+        // tree depth, not member count.
         assert!(r.assemble_s < 15.0, "makespan {} s (virtual)", r.assemble_s);
         assert!(r.wall_s < 60.0, "200-member run took {:.1} s of wall clock", r.wall_s);
         // ~300k with tree-preferred flooding + digest suppression; the
@@ -244,5 +239,56 @@ mod tests {
             r.spf_incremental,
             r.spf_full
         );
+    }
+
+    /// Waves assemble in the time the spanning tree's depth `D` takes and
+    /// no longer, because no joiner waits for another. The bound:
+    ///
+    /// * a member at tree depth `d` first asks at `(d - 1) × I`
+    ///   (`I` = 100 ms, [`EnrollSchedule::waves`]), so the last wave asks
+    ///   at `(D - 1) × I`;
+    /// * its sponsor, at depth `d - 1`, asked one interval earlier, and
+    ///   one enrollment round is far shorter than `I`, so every sponsor
+    ///   is a member before its joiners ask and no request is refused
+    ///   into the 300 ms retry;
+    /// * one round — the shim flow to the sponsor, the request, the sync
+    ///   set streamed ahead of the response, the first hellos — is a few
+    ///   round trips over 1 ms, 1 Gbit/s links, and assembly is read
+    ///   every 50 ms, so the round counts as one 50 ms look.
+    ///
+    /// So the makespan is at most `(D - 1) × 100 ms + 50 ms`. The
+    /// planner's tree is a BFS tree from the bootstrap (vertex 0), so `D`
+    /// is vertex 0's eccentricity in the generated graph. Release-only.
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn waves_assemble_within_tree_depth_intervals_plus_one_round() {
+        for n in [100, 200] {
+            let seed = 900 + n as u64; // the E10 table's seed
+            let edges = rina::prelude::Topology::barabasi_albert(n, 2, seed).edges();
+            let mut depth = vec![u64::MAX; n];
+            depth[0] = 0;
+            let mut queue = std::collections::VecDeque::from([0]);
+            while let Some(u) = queue.pop_front() {
+                for &(a, b) in &edges {
+                    let v = if a == u {
+                        b
+                    } else if b == u {
+                        a
+                    } else {
+                        continue;
+                    };
+                    if depth[v] == u64::MAX {
+                        depth[v] = depth[u] + 1;
+                        queue.push_back(v);
+                    }
+                }
+            }
+            let d = depth.into_iter().max().expect("non-empty graph");
+            let bound_ms = (d - 1) * 100 + 50;
+            let r = super::run(n, 2, seed);
+            assert!(r.e2e_ok, "{r:?}");
+            let makespan_ms = (r.assemble_s * 1000.0).round() as u64;
+            assert!(makespan_ms <= bound_ms, "n={n}: depth {d}, {makespan_ms} ms > {bound_ms} ms");
+        }
     }
 }

@@ -135,10 +135,16 @@ pub fn churn_phase(
     (leaves, fails, flaps, partitions): (usize, usize, usize, usize),
 ) -> ChurnOutcome {
     // 12 s epochs leave a measurable calm window between one heal's
-    // convergence margin and the next disturbance.
+    // convergence margin and the next disturbance. A 5 s downtime
+    // outlasts failure detection plus the 2 s GC grace whatever the
+    // phase: the victim's last hello is at most one 500 ms period old
+    // when it crashes, its port expires after 3 missed periods on the
+    // next tick (by 2.0 s), and the grace is checked on the same tick
+    // (by 2.5 s more), so a crash-fail is purged by 4.5 s, before the
+    // member comes back.
     let plan = Churn::new(seed ^ 0x00c4_u64)
         .with_counts(leaves, fails, flaps, partitions)
-        .with_pacing(Dur::from_secs(12), Dur::from_secs(4), Dur::from_millis(1_200))
+        .with_pacing(Dur::from_secs(12), Dur::from_secs(5), Dur::from_millis(1_200))
         .plan(fab);
     let horizon = plan.horizon();
     // Convergence margin after each heal before steady-state sampling
@@ -189,8 +195,8 @@ pub fn run_with_cfg(
 ) -> ChurnRow {
     let (row, wall_s) = timed(|| {
         let mut s = Scenario::new("e11-churn", seed);
-        // Grace below the fail downtime (4 s default pacing): crashes are
-        // garbage-collected by their sponsors, not ridden out.
+        // Grace well below the fail downtime (see `churn_phase`): crashes
+        // are garbage-collected by their sponsors, not ridden out.
         let cfg = DifConfig::new("as").with_member_gc_grace_ms(2_000).with_scoped_dir(scoped_dir);
         let fab = Topology::barabasi_albert(n, 2, seed)
             .with_dif(cfg)

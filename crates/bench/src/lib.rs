@@ -213,12 +213,12 @@ impl GapSampler {
 pub struct Totals {
     /// Management PDUs sent.
     pub mgmt_tx: u64,
-    /// Enrollment requests deferred by full admission windows.
-    pub deferred: u64,
     /// RIEP object PDUs sent (flooding, resync streams, delta responses).
     pub rib_tx: u64,
     /// Floods skipped (digest-covered or rate-limited).
     pub flood_suppressed: u64,
+    /// The rate-limited share of `flood_suppressed`.
+    pub flood_throttled: u64,
     /// PDUs relayed.
     pub relayed: u64,
     /// Transit PDUs forwarded with TTL and CRC patched in place.
@@ -260,9 +260,9 @@ impl Totals {
             let ip = net.ipcp(h);
             let (s, r, fwd) = (&ip.stats, ip.route_stats(), ip.fwd().len());
             t.mgmt_tx += s.mgmt_tx;
-            t.deferred += s.enrollments_deferred;
             t.rib_tx += s.rib_tx;
             t.flood_suppressed += s.flood_suppressed;
+            t.flood_throttled += s.flood_throttled;
             t.relayed += s.relayed;
             t.relay_fast += s.relay_fast;
             t.purged += s.members_purged;

@@ -288,6 +288,9 @@ row! {
         rib_pdus: u64,
         /// Floods suppressed (digest-covered or rate-limited).
         flood_suppressed: u64,
+        /// The rate-limited share of `flood_suppressed`: floods the
+        /// cross-port token bucket refused.
+        flood_throttled: u64,
         /// From-scratch SPF runs DIF-wide. The `spf_full` / `spf_incremental`
         /// split records, per grid cell, where the routing engine's full
         /// fallback still fires (deterministic — gated exactly).
@@ -296,8 +299,6 @@ row! {
         spf_incremental: u64,
         /// Forwarding-table entries updated via the delta path DIF-wide.
         ft_delta: u64,
-        /// Enrollments deferred by full admission windows.
-        deferred: u64,
         /// All sampled reachability pings completed.
         reachable: bool,
         /// Σ aggregated forwarding-table entries DIF-wide at the end of the
@@ -479,8 +480,9 @@ pub fn run_cell(cell: &SweepCell, base_seed: u64) -> SweepRow {
         };
         let mut dif_cfg = DifConfig::new("sweep-dif").with_flood_rate(cell.flood_rate);
         if cell.churn {
-            // Grace below the churn plan's 4 s downtime: crash-fails get
-            // garbage-collected by their sponsors, not ridden out.
+            // Grace well below the churn plan's downtime (see
+            // `churn_phase`): crash-fails get garbage-collected by their
+            // sponsors, not ridden out.
             dif_cfg = dif_cfg.with_member_gc_grace_ms(2_000);
         }
         if cell.scoped {
@@ -550,10 +552,10 @@ pub fn run_cell(cell: &SweepCell, base_seed: u64) -> SweepRow {
             mgmt_pdus: assembled.mgmt_tx,
             rib_pdus: t.rib_tx,
             flood_suppressed: t.flood_suppressed,
+            flood_throttled: t.flood_throttled,
             spf_full: t.spf_full,
             spf_incremental: t.spf_incremental,
             ft_delta: t.ft_delta,
-            deferred: assembled.deferred,
             reachable: mesh.all_done(net),
             agg_len: t.agg_len as u64,
             stale_rib: invariants::stale_objects(net, &ipcps).len() as u64,
@@ -792,10 +794,10 @@ mod tests {
             mgmt_pdus: 10,
             rib_pdus: 20,
             flood_suppressed: 0,
+            flood_throttled: 0,
             spf_full: 4,
             spf_incremental: 9,
             ft_delta: 12,
-            deferred: 0,
             reachable: true,
             agg_len: 40,
             stale_rib: 0,

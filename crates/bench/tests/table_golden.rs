@@ -115,7 +115,6 @@ fn scale_free() -> e10_scalefree::ScaleFreeRow {
         spf_full: 4_321,
         spf_incremental: 87_654,
         ft_delta: 345_678,
-        deferred: 17,
         hub_degree: 93,
         hub_fwd: 999,
         hub_fwd_agg: 120,
@@ -204,10 +203,10 @@ fn sweep_row() -> sweep::SweepRow {
         mgmt_pdus: 20_480,
         rib_pdus: 16_000,
         flood_suppressed: 1_234,
+        flood_throttled: 1_200,
         spf_full: 300,
         spf_incremental: 4_000,
         ft_delta: 9_000,
-        deferred: 5,
         reachable: true,
         agg_len: 640,
         stale_rib: 0,
@@ -323,10 +322,10 @@ fn every_table_view_matches_its_golden_strings() {
         e10_scalefree::TABLE,
         scale_free(),
         [
-            "| members | m | schedule | makespan (s) | wall (s) | mgmt/member | rib PDUs | deferred | hub degree | hub fwd | hub agg | fwd mean | agg mean | e2e ok |",
-            "|---|---|---|---|---|---|---|---|---|---|---|---|---|---|",
-            "| 1000 | 2 | waves | 8.43 | 31.25 | 412 | 1234567 | 17 | 93 | 999 | 120 | 999 | 7.06 | true |",
-            r#"{"members": 1000, "attach_degree": 2, "schedule": "waves", "assemble_s": 8.4321, "wall_s": 31.25, "mgmt_per_member": 412.5, "rib_pdus": 1234567, "flood_suppressed": 98765, "spf_full": 4321, "spf_incremental": 87654, "ft_delta": 345678, "deferred": 17, "hub_degree": 93, "hub_fwd": 999, "hub_fwd_agg": 120, "fwd_mean": 998.75, "fwd_agg_mean": 7.0625, "hub_relayed": 555, "relay_fast": 4444, "e2e_ok": true}"#,
+            "| members | m | schedule | makespan (s) | wall (s) | mgmt/member | rib PDUs | hub degree | hub fwd | hub agg | fwd mean | agg mean | e2e ok |",
+            "|---|---|---|---|---|---|---|---|---|---|---|---|---|",
+            "| 1000 | 2 | waves | 8.43 | 31.25 | 412 | 1234567 | 93 | 999 | 120 | 999 | 7.06 | true |",
+            r#"{"members": 1000, "attach_degree": 2, "schedule": "waves", "assemble_s": 8.4321, "wall_s": 31.25, "mgmt_per_member": 412.5, "rib_pdus": 1234567, "flood_suppressed": 98765, "spf_full": 4321, "spf_incremental": 87654, "ft_delta": 345678, "hub_degree": 93, "hub_fwd": 999, "hub_fwd_agg": 120, "fwd_mean": 998.75, "fwd_agg_mean": 7.0625, "hub_relayed": 555, "relay_fast": 4444, "e2e_ok": true}"#,
         ],
     );
     check(
@@ -348,7 +347,7 @@ fn every_table_view_matches_its_golden_strings() {
             "| members | schedule | makespan (s) | wall (s) | mgmt/member | rib PDUs | suppressed | spf full | spf incr | ft delta | e2e ok |",
             "|---|---|---|---|---|---|---|---|---|---|---|",
             "| 1000 | waves | 8.43 | 31.25 | 412 | 1234567 | 98765 | 4321 | 87654 | 345678 | true |",
-            r#"{"members": 1000, "attach_degree": 2, "schedule": "waves", "assemble_s": 8.4321, "wall_s": 31.25, "mgmt_per_member": 412.5, "rib_pdus": 1234567, "flood_suppressed": 98765, "spf_full": 4321, "spf_incremental": 87654, "ft_delta": 345678, "deferred": 17, "hub_degree": 93, "hub_fwd": 999, "hub_fwd_agg": 120, "fwd_mean": 998.75, "fwd_agg_mean": 7.0625, "hub_relayed": 555, "relay_fast": 4444, "e2e_ok": true}"#,
+            r#"{"members": 1000, "attach_degree": 2, "schedule": "waves", "assemble_s": 8.4321, "wall_s": 31.25, "mgmt_per_member": 412.5, "rib_pdus": 1234567, "flood_suppressed": 98765, "spf_full": 4321, "spf_incremental": 87654, "ft_delta": 345678, "hub_degree": 93, "hub_fwd": 999, "hub_fwd_agg": 120, "fwd_mean": 998.75, "fwd_agg_mean": 7.0625, "hub_relayed": 555, "relay_fast": 4444, "e2e_ok": true}"#,
         ],
     );
     check(
@@ -392,7 +391,7 @@ fn every_table_view_matches_its_golden_strings() {
             "| cell | makespan (s) | mgmt PDUs | rib PDUs | suppressed | reachable | wall (s) |",
             "|---|---|---|---|---|---|---|",
             "| ba2-n96-waves-l0.02-f64 | 5.12 | 20480 | 16000 | 1234 | true | 0.123 |",
-            r#"{"id": "ba2-n96-waves-l0.02-f64", "size": 96, "topology": "ba2", "schedule": "waves", "loss": 0.02, "flood_rate": 64, "makespan_s": 5.125, "mgmt_pdus": 20480, "rib_pdus": 16000, "flood_suppressed": 1234, "spf_full": 300, "spf_incremental": 4000, "ft_delta": 9000, "deferred": 5, "reachable": true, "agg_len": 640, "stale_rib": 0, "invariants": 0, "half_open": 2, "churn_reach": 1, "rib_objects_max": 400, "rib_bytes_max": 18000, "flow_allocs": 0, "flow_alloc_fail": 0, "flow_sdus": 0, "flow_recv": 0, "rmt_drops": 0, "rmt_deq_bytes": 2345678, "relay_fast": 1111, "events": 654321, "wall_s": 0.123456}"#,
+            r#"{"id": "ba2-n96-waves-l0.02-f64", "size": 96, "topology": "ba2", "schedule": "waves", "loss": 0.02, "flood_rate": 64, "makespan_s": 5.125, "mgmt_pdus": 20480, "rib_pdus": 16000, "flood_suppressed": 1234, "flood_throttled": 1200, "spf_full": 300, "spf_incremental": 4000, "ft_delta": 9000, "reachable": true, "agg_len": 640, "stale_rib": 0, "invariants": 0, "half_open": 2, "churn_reach": 1, "rib_objects_max": 400, "rib_bytes_max": 18000, "flow_allocs": 0, "flow_alloc_fail": 0, "flow_sdus": 0, "flow_recv": 0, "rmt_drops": 0, "rmt_deq_bytes": 2345678, "relay_fast": 1111, "events": 654321, "wall_s": 0.123456}"#,
         ],
     );
 }

@@ -318,10 +318,10 @@ impl Ipcp {
             // Tree ports flood freely (they alone replicate to every
             // member); cross ports pay the token bucket, so assembly
             // storms stop being amplified by every redundant edge.
-            if peer.covers(subtree, ours)
-                || (!peer.tree && !self.dissemination.take_token(rate, self.clock))
-            {
+            let covered = peer.covers(subtree, ours);
+            if covered || (!peer.tree && !self.dissemination.take_token(rate, self.clock)) {
                 self.stats.flood_suppressed += 1;
+                self.stats.flood_throttled += u64::from(!covered);
                 continue;
             }
             let enc = enc.get_or_insert_with(&encoded).clone();

@@ -1,8 +1,8 @@
 //! IPC Management — enrollment (§5.2): joining through a sponsor, and
-//! sponsoring — the admission window, address and block assignment, and
-//! the failure watch over the members this process sponsored. Leaving
-//! (gracefully, or purged by the sponsor) is the same subject run
-//! backwards and lives here too.
+//! sponsoring — address and block assignment, and the failure watch
+//! over the members this process sponsored. Leaving (gracefully, or
+//! purged by the sponsor) is the same subject run backwards and lives
+//! here too.
 
 use super::{Ipcp, IpcpOut, IpcpTimer};
 use crate::msg::MgmtBody;
@@ -13,31 +13,17 @@ use rina_rib::{DigestTable, Rib};
 use rina_sim::{Dur, Time};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// CDAP result code a sponsor returns when its admission window is full:
-/// not a refusal — the joiner should back off and retry.
-pub const R_ENROLL_BUSY: i32 = -6;
-
 /// RIB object name prefix of the member records.
 pub(crate) const MEMBER_PREFIX: &str = "/members/";
 
-/// How many joiners one member sponsors concurrently (§5.2 at scale):
-/// each admission reserves a window slot until the joiner's first hello
-/// confirms it is up (or the slot times out); requests beyond the window
-/// are told to back off and retry.
-const ADMISSION_WINDOW: usize = 8;
-
-/// How long one admission-window slot stays reserved before the sponsor
-/// gives up waiting for the admitted joiner's first hello.
+/// How long a sponsor keeps an admitted joiner's grant while it waits
+/// for the joiner's first hello: a retried request inside it gets the
+/// same grant back.
 const ADMIT_SLOT_TTL: Dur = Dur::from_millis(1500);
 
 /// How long a joiner waits for an answer before repeating its enrollment
-/// request; a busy sponsor's backoff hint overrides it once.
+/// request.
 const ENROLL_RETRY_PERIOD: Dur = Dur::from_millis(300);
-
-/// Backoff hint sent with [`R_ENROLL_BUSY`] responses. Shorter than
-/// [`ENROLL_RETRY_PERIOD`]: once a joiner has reached a live sponsor,
-/// admission rounds — not timeouts — should pace the wave.
-const ADMIT_RETRY_MS: u32 = 100;
 
 /// An address with the top of the block delegated along with it: the
 /// grant of block `[addr, hi]`.
@@ -55,8 +41,8 @@ pub(super) struct Enroll {
     /// path ([`Ipcp::plan_adjacency`]) gave it: every retry repeats it.
     pub(super) request: Option<(String, Addr, Addr)>,
     /// Joiners admitted but not yet confirmed up (first hello pending):
-    /// joiner name → (admitted at, grant). Size is capped by
-    /// [`ADMISSION_WINDOW`].
+    /// joiner name → (admitted at, grant). An entry lives at most
+    /// [`ADMIT_SLOT_TTL`] past its last request.
     admitting: BTreeMap<AppName, (Time, Grant)>,
     /// Members this process sponsored and saw come up (first enrolled
     /// hello): joiner name → granted address. The sponsor owns these
@@ -67,14 +53,11 @@ pub(super) struct Enroll {
     /// the member alive within [`crate::dif::DifConfig::member_gc_grace_ms`],
     /// its RIB objects are purged (one-shot).
     gc_watch: BTreeMap<AppName, (Addr, Time)>,
-    /// Backoff hint from the last busy sponsor response; the next
-    /// enrollment-retry timer consumes it.
-    retry_hint: Option<Dur>,
 }
 
 impl Enroll {
     /// An enrolled hello from `name` at `addr` was heard: the joiner is
-    /// up, so its admission-window slot (if any) frees and from here on
+    /// up, so its admission record (if any) goes and from here on
     /// this sponsor owns its failure GC; and any hello from a watched
     /// member proves it alive.
     pub(super) fn on_enrolled_hello(&mut self, name: &AppName, addr: Addr) {
@@ -189,15 +172,14 @@ impl Ipcp {
     }
 
     /// The retry timer fired: while still not a member, ask again, and
-    /// arm the next retry at a busy sponsor's hint if one came, else
-    /// [`ENROLL_RETRY_PERIOD`] out.
+    /// arm the next retry [`ENROLL_RETRY_PERIOD`] out.
     pub(super) fn enroll_retry_timer(&mut self, now: Time) {
         if self.enrolled {
             return;
         }
         self.retry_enroll();
-        let d = self.enroll.retry_hint.take().unwrap_or(ENROLL_RETRY_PERIOD);
-        self.out.push(IpcpOut::Arm { at: now + d, timer: IpcpTimer::EnrollRetry });
+        let at = now + ENROLL_RETRY_PERIOD;
+        self.out.push(IpcpOut::Arm { at, timer: IpcpTimer::EnrollRetry });
     }
 
     /// Send an enrollment request if still not a member: the first one,
@@ -239,35 +221,27 @@ impl Ipcp {
         invoke_id: u32,
         now: Time,
     ) {
-        let refuse =
-            |retry_after_ms: u32| MgmtBody::EnrollResponse { addr: 0, hi: 0, retry_after_ms };
+        let refuse = MgmtBody::EnrollResponse { addr: 0, hi: 0 };
         if !self.manages() {
-            self.send_mgmt_on(from_n1, refuse(0), invoke_id, -1);
+            self.send_mgmt_on(from_n1, refuse, invoke_id, -1);
             return;
         }
         if !self.cfg.auth.verify(&credential) {
-            self.send_mgmt_on(from_n1, refuse(0), invoke_id, -2);
+            self.send_mgmt_on(from_n1, refuse, invoke_id, -2);
             return;
         }
-        // Free slots of joiners we have stopped waiting for.
+        // Forget the joiners we have stopped waiting for.
         self.enroll.admitting.retain(|_, &mut (t, _)| now.since(t) <= ADMIT_SLOT_TTL);
-        // A retry from a joiner already holding a slot (its response was
-        // lost): re-grant the same address and block, idempotently.
+        // A retry from a joiner already admitted (its response was lost):
+        // re-grant the same address and block, idempotently.
         let (new_addr, new_hi) = match self.enroll.admitting.get(&name) {
             Some(&(_, grant)) => grant,
-            None => {
-                if self.enroll.admitting.len() >= ADMISSION_WINDOW {
-                    self.stats.enrollments_deferred += 1;
-                    self.send_mgmt_on(from_n1, refuse(ADMIT_RETRY_MS), invoke_id, R_ENROLL_BUSY);
-                    return;
-                }
-                assign_enrollee(
-                    &self.rib,
-                    (self.addr, self.hi),
-                    &name,
-                    (proposed_addr, proposed_hi),
-                )
-            }
+            None => assign_enrollee(
+                &self.rib,
+                (self.addr, self.hi),
+                &name,
+                (proposed_addr, proposed_hi),
+            ),
         };
         self.enroll.admitting.insert(name.clone(), (now, (new_addr, new_hi)));
         // An enrollment request is proof of life: a re-enrolling member
@@ -297,27 +271,15 @@ impl Ipcp {
         for subtree in self.rib.mismatched(&joiner_digests) {
             self.serve_delta(from_n1, &subtree, "", "", &[]);
         }
-        let body = MgmtBody::EnrollResponse { addr: new_addr, hi: new_hi, retry_after_ms: 0 };
+        let body = MgmtBody::EnrollResponse { addr: new_addr, hi: new_hi };
         self.send_mgmt_on(from_n1, body, invoke_id, 0);
         self.drain_rib();
         self.refresh_lsa();
     }
 
-    pub(super) fn handle_enroll_response(
-        &mut self,
-        addr: Addr,
-        hi: Addr,
-        retry_after_ms: u32,
-        result: i32,
-    ) {
+    pub(super) fn handle_enroll_response(&mut self, addr: Addr, hi: Addr, result: i32) {
         if self.enrolled {
             return; // duplicate response to a retried request
-        }
-        if result == R_ENROLL_BUSY {
-            // The sponsor's admission window is full: pace the retry to
-            // its hint instead of the default timeout.
-            self.enroll.retry_hint = Some(Dur::from_millis(retry_after_ms.max(1) as u64));
-            return;
         }
         if result != 0 || addr == 0 || hi < addr {
             return; // keep retrying (or give up via node policy)

@@ -9,7 +9,7 @@
 //! |---|---|---|---|
 //! | **IPC Data Transfer** (per PDU) | `transfer.rs` | `Transfer` | the (N-1) port table ([`N1Port`]), the peer-address relay index, the lower-flow index; relay-in-place, two-step forwarding, transmit |
 //! | **IPC Transfer Control** (per flow) | `flows.rs` | `Flows` | the one flow table (CEP → port, phase, binding; a requesting flow's phase holds the invoke id its response echoes), CEP ids, and each connection's armed deadline; the flow-allocator handshake (§5.3), its deadline and its teardown |
-//! | **IPC Management** — enrollment (§5.2) | `enroll.rs` | `Enroll` | outstanding requests and what they propose, the admission window, sponsored members and their failure watch; address and block assignment, leave and purge |
+//! | **IPC Management** — enrollment (§5.2) | `enroll.rs` | `Enroll` | outstanding requests and what they propose, admitted joiners awaiting their first hello, sponsored members and their failure watch; address and block assignment, leave and purge |
 //! | — directory | `directory.rs` | `Directory` | own registrations, the lookup cache, tombstone memory, the allocations waiting on each on-demand lookup in flight (scoped `/dir`) |
 //! | — neighbors | `neighbors.rs` | `Neighbors` | the planned adjacencies, the management view of each port (tree edge, peer digests, hello memo, a port's last lower flow), the hello send cache; allocating, retrying and binding lower flows, hello send/receive, expiry and release |
 //! | — routing | `routes.rs` | `Routes` | the route engine (LSA graph, SPF, forwarding table), the advertised neighbor set and its debounce |
@@ -49,7 +49,7 @@
 //! one timer interface, an [`IpcpOut::Arm`]; the node only arms them and
 //! hands them back to [`Ipcp::on_timer`]. Neighbors keep the hello
 //! cadence and the planned adjacencies' retries, enrollment the request
-//! retry (a busy sponsor's backoff hint included), transfer control each
+//! retry, transfer control each
 //! flow allocation's one deadline and each EFCP connection's deadline,
 //! asked for where the connection is pumped, the one place it moves.
 //! Routing and dissemination debounce their [`Deferred`] jobs, which ask
@@ -82,7 +82,7 @@ mod neighbors;
 mod routes;
 mod transfer;
 
-pub use enroll::{decode_member, R_ENROLL_BUSY};
+pub use enroll::decode_member;
 pub(crate) use enroll::{member_name, MEMBER_PREFIX};
 pub(crate) use flows::FarEnd;
 pub use transfer::{N1Kind, N1Port};
@@ -239,11 +239,15 @@ pub struct IpcpStats {
     /// covered the object's subtree, or the DIF's flood rate limit was
     /// exhausted (anti-entropy repairs whatever a drop loses).
     pub flood_suppressed: u64,
+    /// The rate-limited share of `flood_suppressed`: floods the
+    /// cross-port token bucket refused.
+    pub flood_throttled: u64,
     /// Anti-entropy delta requests sent (per subtree chunk).
     pub delta_requests: u64,
     /// Enrollment requests handled as sponsor.
     pub enrollments_sponsored: u64,
-    /// Enrollment requests deferred because the admission window was full.
+    /// Always 0: sponsors admit every joiner. Kept only because the repo
+    /// benchmark (`benchmark/src/counters.rs`) reads it.
     pub enrollments_deferred: u64,
     /// Flow requests handled as destination.
     pub flow_reqs_in: u64,
@@ -623,9 +627,9 @@ impl Ipcp {
                     now,
                 );
             }
-            MgmtBody::EnrollResponse { addr, hi, retry_after_ms } => {
+            MgmtBody::EnrollResponse { addr, hi, .. } => {
                 if self.enroll.pending.remove(&cdap.invoke_id) {
-                    self.handle_enroll_response(addr, hi, retry_after_ms, cdap.result);
+                    self.handle_enroll_response(addr, hi, cdap.result);
                 }
             }
             MgmtBody::FlowRequest { src_app, dst_app, spec, src_addr, src_cep } => {

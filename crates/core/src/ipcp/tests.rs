@@ -93,7 +93,7 @@ fn registration_before_enrollment_is_written_on_enrolling() {
     j.add_n1(N1Kind::Phys { iface: 0 });
     j.dir_register(&AppName::new("web"));
     assert_eq!(j.rib.object_count(), 0, "not a member: nothing written");
-    j.handle_enroll_response(5, 5, 0, 0);
+    j.handle_enroll_response(5, 5, 0);
     assert_eq!(j.dir_lookup(&AppName::new("web")), Some(5));
 }
 
@@ -115,7 +115,7 @@ fn a_non_member_applies_the_sync_set_and_forwards_nothing() {
     let asked = j.take_out();
     assert!(asked.is_empty(), "{asked:?}");
     assert_eq!(j.route_stats().spf_full, 0);
-    j.handle_enroll_response(5, 5, 0, 0);
+    j.handle_enroll_response(5, 5, 0);
     assert_eq!(j.route_stats().spf_full, 1);
 }
 
@@ -227,7 +227,7 @@ fn sponsor_assigns_sequential_addresses() {
 
 /// Decode the EnrollResponse a sponsor just emitted (among whatever
 /// RIB floods followed it).
-fn last_enroll_response(i: &mut Ipcp) -> (i32, Addr, Addr, u32) {
+fn last_enroll_response(i: &mut Ipcp) -> (i32, Addr, Addr) {
     i.take_out()
         .iter()
         .filter_map(|o| match o {
@@ -238,9 +238,7 @@ fn last_enroll_response(i: &mut Ipcp) -> (i32, Addr, Addr, u32) {
             let Pdu::Mgmt(m) = Pdu::decode(&frame).ok()? else { return None };
             let cdap = CdapMsg::decode(&m.payload).ok()?;
             match MgmtBody::from_cdap(&cdap).ok()? {
-                MgmtBody::EnrollResponse { addr, hi, retry_after_ms, .. } => {
-                    Some((cdap.result, addr, hi, retry_after_ms))
-                }
+                MgmtBody::EnrollResponse { addr, hi } => Some((cdap.result, addr, hi)),
                 _ => None,
             }
         })
@@ -261,45 +259,33 @@ fn sponsor_and_joiners(ports: u32) -> (Ipcp, Vec<(String, Proposal)>) {
     (sponsor, joiners.collect())
 }
 
+/// Nothing paces admission: nine joiners asking at once each get the
+/// grant they proposed, in the one round their requests arrive in.
 #[test]
-fn admission_window_defers_excess_joiners_then_frees_on_hello() {
+fn a_sponsor_grants_every_concurrent_joiner() {
     let (mut sponsor, joiners) = sponsor_and_joiners(9);
-    let (ninth, ninth_proposal) = joiners[8].clone();
-    for (k, (name, proposal)) in joiners[..8].iter().enumerate() {
+    for (k, (name, proposal)) in joiners.iter().enumerate() {
         enroll_req(&mut sponsor, k, name, *proposal, k as u32 + 1, Time::ZERO);
-        let (r, a, b, _) = last_enroll_response(&mut sponsor);
-        assert_eq!((r, (a, b)), (0, *proposal));
+        let (r, a, b) = last_enroll_response(&mut sponsor);
+        assert_eq!((r, (a, b)), (0, *proposal), "{name}");
     }
-    // Ninth concurrent joiner: the window (8) is full — busy, with a hint.
-    enroll_req(&mut sponsor, 8, &ninth, ninth_proposal, 9, Time::ZERO);
-    let (r, a, _, hint) = last_enroll_response(&mut sponsor);
-    assert_eq!((r, a), (R_ENROLL_BUSY, 0));
-    assert!(hint > 0, "busy responses carry a backoff hint");
-    assert_eq!(sponsor.stats.enrollments_deferred, 1);
-    // The first joiner's hello (enrolled) frees a slot; the ninth's retry
-    // is admitted.
-    hello_from(&mut sponsor, 0, &joiners[0].0, 2, Time::ZERO);
-    sponsor.take_out();
-    enroll_req(&mut sponsor, 8, &ninth, ninth_proposal, 10, Time::ZERO);
-    let (r, a, b, _) = last_enroll_response(&mut sponsor);
-    assert_eq!((r, (a, b)), (0, ninth_proposal));
+    assert_eq!(sponsor.stats.enrollments_sponsored, 9);
 }
 
 #[test]
 fn admitted_retry_regrants_same_address_without_a_second_slot() {
-    // Seven joiners and then net.x fill the window of eight.
+    // Seven joiners are admitted and not yet up; then net.x asks.
     let (mut sponsor, joiners) = sponsor_and_joiners(8);
     for (k, (name, proposal)) in joiners[..7].iter().enumerate() {
         enroll_req(&mut sponsor, k, name, *proposal, k as u32 + 1, Time::ZERO);
     }
     sponsor.take_out();
     enroll_req(&mut sponsor, 7, "net.x", NO_PROPOSAL, 8, Time::ZERO);
-    let (_, first, _, _) = last_enroll_response(&mut sponsor);
-    // The response was lost; the joiner retries. Same grant, no busy.
+    let (_, first, _) = last_enroll_response(&mut sponsor);
+    // The response was lost; the joiner retries and gets the same grant.
     enroll_req(&mut sponsor, 7, "net.x", NO_PROPOSAL, 9, Time::ZERO);
-    let (r, again, _, _) = last_enroll_response(&mut sponsor);
+    let (r, again, _) = last_enroll_response(&mut sponsor);
     assert_eq!((r, again), (0, first));
-    assert_eq!(sponsor.stats.enrollments_deferred, 0);
 }
 
 /// A proposal may nest *inside* an ancestor's block, but never
@@ -313,12 +299,12 @@ fn block_proposal_swallowing_a_sibling_is_refused_and_carved() {
     sponsor.add_n1(N1Kind::Phys { iface: 0 });
     sponsor.add_n1(N1Kind::Phys { iface: 1 });
     enroll_req(&mut sponsor, 0, "net.a", (20, 30), 1, Time::ZERO);
-    let (_, a, hi, _) = last_enroll_response(&mut sponsor);
+    let (_, a, hi) = last_enroll_response(&mut sponsor);
     assert_eq!((a, hi), (20, 30));
     // net.b proposes [11, 40]: strictly *contains* net.a's [20, 30] —
     // inward nesting is fine, swallowing a delegation is not.
     enroll_req(&mut sponsor, 1, "net.b", (11, 40), 2, Time::ZERO);
-    let (r, a2, hi2, _) = last_enroll_response(&mut sponsor);
+    let (r, a2, hi2) = last_enroll_response(&mut sponsor);
     assert_eq!(r, 0);
     // The refused proposal is replaced by a carve from the
     // sponsor's own block: the largest free gap is [31, 50], the
@@ -334,12 +320,12 @@ fn partially_overlapping_block_proposal_gets_a_carved_block() {
     sponsor.add_n1(N1Kind::Phys { iface: 0 });
     sponsor.add_n1(N1Kind::Phys { iface: 1 });
     enroll_req(&mut sponsor, 0, "net.a", (2, 20), 1, Time::ZERO);
-    let (_, a, hi, _) = last_enroll_response(&mut sponsor);
+    let (_, a, hi) = last_enroll_response(&mut sponsor);
     assert_eq!((a, hi), (2, 20));
     // net.b claims [15, 30]: straddles net.a's block — rejected
     // proposal, replaced by a carve of the free [21, 50] gap.
     enroll_req(&mut sponsor, 1, "net.b", (15, 30), 2, Time::ZERO);
-    let (r, a2, hi2, _) = last_enroll_response(&mut sponsor);
+    let (r, a2, hi2) = last_enroll_response(&mut sponsor);
     assert_eq!(r, 0);
     assert_eq!((a2, hi2), (21, 35));
 }
@@ -504,7 +490,7 @@ fn carving_gives_unplanned_joiners_nested_aggregatable_blocks() {
     let mut grants = Vec::new();
     for (i, name) in ["net.a", "net.b", "net.c"].iter().enumerate() {
         enroll_req(&mut sponsor, i, name, NO_PROPOSAL, i as u32 + 1, Time::ZERO);
-        let (r, a, b, _) = last_enroll_response(&mut sponsor);
+        let (r, a, b) = last_enroll_response(&mut sponsor);
         assert_eq!(r, 0);
         grants.push((a, b));
     }
@@ -529,13 +515,13 @@ fn failed_member_re_enrolls_with_its_old_grant() {
     sponsor.set_block(64);
     sponsor.add_n1(N1Kind::Phys { iface: 0 });
     enroll_req(&mut sponsor, 0, "net.x", NO_PROPOSAL, 1, Time::ZERO);
-    let (_, first_addr, first_hi, _) = last_enroll_response(&mut sponsor);
+    let (_, first_addr, first_hi) = last_enroll_response(&mut sponsor);
     // The joiner came up (enrolled hello), then crashed and lost its
     // state entirely: its fresh incarnation proposes nothing.
     hello_from(&mut sponsor, 0, "net.x", first_addr, Time::ZERO);
     sponsor.take_out();
     enroll_req(&mut sponsor, 0, "net.x", NO_PROPOSAL, 2, Time::from_secs(10));
-    let (r, again_addr, again_hi, _) = last_enroll_response(&mut sponsor);
+    let (r, again_addr, again_hi) = last_enroll_response(&mut sponsor);
     assert_eq!(r, 0);
     assert_eq!((again_addr, again_hi), (first_addr, first_hi), "identity reuse");
     let rec = decode_member(sponsor.rib.get("/members/net.x").unwrap().value).unwrap();
@@ -552,24 +538,24 @@ fn a_block_below_its_base_is_refused_both_ways() {
     sponsor.set_block(64);
     sponsor.add_n1(N1Kind::Phys { iface: 0 });
     enroll_req(&mut sponsor, 0, "net.x", (10, 9), 1, Time::ZERO);
-    let (r, a, hi, _) = last_enroll_response(&mut sponsor);
+    let (r, a, hi) = last_enroll_response(&mut sponsor);
     assert_eq!((r, a, hi), (0, 2, 33), "carved, as for no proposal");
     hello_from(&mut sponsor, 0, "net.x", 2, Time::ZERO);
     sponsor.take_out();
     enroll_req(&mut sponsor, 0, "net.x", (40, 39), 2, Time::from_secs(10));
-    let (r, a, hi, _) = last_enroll_response(&mut sponsor);
+    let (r, a, hi) = last_enroll_response(&mut sponsor);
     assert_eq!((r, a, hi), (0, 2, 33), "identity reuse");
 
     let mut j = mk("net.j");
     j.add_n1(N1Kind::Phys { iface: 0 });
     j.start_enroll(0, "", 0, 0, Time::ZERO);
     j.take_out();
-    j.handle_enroll_response(5, 4, 0, 0);
+    j.handle_enroll_response(5, 4, 0);
     assert!(!j.is_enrolled(), "a grant below its base is refused");
     j.on_timer(IpcpTimer::EnrollRetry, Time::from_millis(300));
     let asks = tx_mgmt(&j.take_out());
     assert!(asks.iter().any(|(_, _, b)| matches!(b, MgmtBody::EnrollRequest { .. })), "retried");
-    j.handle_enroll_response(5, 5, 0, 0);
+    j.handle_enroll_response(5, 5, 0);
     assert_eq!((j.is_enrolled(), j.block()), (true, (5, 5)));
 }
 
@@ -611,7 +597,7 @@ fn sponsor_of_x() -> (Ipcp, Addr) {
     sponsor.set_block(64);
     sponsor.add_n1(N1Kind::Phys { iface: 0 });
     enroll_req(&mut sponsor, 0, "net.x", NO_PROPOSAL, 1, Time::ZERO);
-    let (_, addr, _, _) = last_enroll_response(&mut sponsor);
+    let (_, addr, _) = last_enroll_response(&mut sponsor);
     (sponsor, addr)
 }
 

@@ -72,10 +72,6 @@ pub enum MgmtBody {
         /// for sub-sponsorship (`addr` for a singleton). Below `addr`, no
         /// grant.
         hi: Addr,
-        /// When the sponsor's admission window was full
-        /// ([`crate::ipcp::R_ENROLL_BUSY`]), how soon the joiner should
-        /// retry, in milliseconds (0 otherwise).
-        retry_after_ms: u32,
     },
     /// Ask the member hosting the destination application to create a flow
     /// (the request "continues to the identified IPC process to ensure that
@@ -178,9 +174,9 @@ impl MgmtBody {
                 digests.encode_into(&mut w);
                 (OpCode::Connect, class::ENROLL, "/enrollment".to_string(), w.finish())
             }
-            MgmtBody::EnrollResponse { addr, hi, retry_after_ms } => {
+            MgmtBody::EnrollResponse { addr, hi } => {
                 let mut w = Writer::new();
-                w.varint(addr).varint(hi).varint(retry_after_ms as u64);
+                w.varint(addr).varint(hi);
                 (OpCode::ConnectR, class::ENROLL, "/enrollment".to_string(), w.finish())
             }
             MgmtBody::FlowRequest { src_app, dst_app, spec, src_addr, src_cep } => {
@@ -259,10 +255,8 @@ impl MgmtBody {
             (OpCode::ConnectR, class::ENROLL) => {
                 let addr = r.varint()?;
                 let hi = r.varint()?;
-                let retry_after_ms =
-                    u32::try_from(r.varint()?).map_err(|_| WireError::Invalid("retry_after_ms"))?;
                 r.expect_end()?;
-                Ok(MgmtBody::EnrollResponse { addr, hi, retry_after_ms })
+                Ok(MgmtBody::EnrollResponse { addr, hi })
             }
             (OpCode::Create, class::FLOW) => {
                 let src_app = AppName::from_key(r.string()?);
@@ -385,13 +379,13 @@ mod tests {
             proposed_hi: 9,
             digests: table(),
         });
-        roundtrip(MgmtBody::EnrollResponse { addr: 9, hi: 14, retry_after_ms: 0 });
-        roundtrip(MgmtBody::EnrollResponse { addr: 0, hi: 0, retry_after_ms: 0 });
+        roundtrip(MgmtBody::EnrollResponse { addr: 9, hi: 14 });
+        roundtrip(MgmtBody::EnrollResponse { addr: 0, hi: 0 });
     }
 
     /// Regression pin for the wave-parallel enrollment fields: subtree
-    /// prefix blocks on both directions and the admission-window backoff
-    /// hint on busy responses must survive the codec byte-exactly.
+    /// prefix blocks on both directions must survive the codec
+    /// byte-exactly.
     #[test]
     fn enroll_admission_and_prefix_fields_roundtrip() {
         // A dynamic joiner proposes nothing: address and block top stay
@@ -412,8 +406,6 @@ mod tests {
             proposed_hi: 40,
             digests: table(),
         });
-        // Busy sponsor: no address, no block, an explicit backoff hint.
-        roundtrip(MgmtBody::EnrollResponse { addr: 0, hi: 0, retry_after_ms: 120 });
         // A block whose top lies below its base travels as sent: refusing
         // it is the receiver's call, not the codec's.
         roundtrip(MgmtBody::EnrollRequest {
@@ -423,13 +415,9 @@ mod tests {
             proposed_hi: 16,
             digests: DigestTable::default(),
         });
-        roundtrip(MgmtBody::EnrollResponse { addr: 9, hi: 3, retry_after_ms: 0 });
+        roundtrip(MgmtBody::EnrollResponse { addr: 9, hi: 3 });
         // Large block bounds exercise multi-byte varints.
-        roundtrip(MgmtBody::EnrollResponse {
-            addr: 1 << 40,
-            hi: (1 << 41) - 1,
-            retry_after_ms: u32::MAX,
-        });
+        roundtrip(MgmtBody::EnrollResponse { addr: 1 << 40, hi: (1 << 41) - 1 });
     }
 
     #[test]
@@ -638,7 +626,7 @@ mod tests {
                 proposed_hi: 40,
                 digests: table(),
             },
-            MgmtBody::EnrollResponse { addr: 1 << 40, hi: (1 << 41) - 1, retry_after_ms: 120 },
+            MgmtBody::EnrollResponse { addr: 1 << 40, hi: (1 << 41) - 1 },
             MgmtBody::FlowRequest {
                 src_app: AppName::new("client"),
                 dst_app: AppName::new("server"),

@@ -60,8 +60,8 @@ use std::marker::PhantomData;
 pub enum EnrollSchedule {
     /// Concurrent waves by spanning-tree depth: a member at depth `d`
     /// first fires at `(d - 1) × interval`, so each wave meets sponsors
-    /// that the previous wave just enrolled. Makespan tracks tree depth
-    /// (× per-sponsor admission rounds), not member count.
+    /// that the previous wave just enrolled. Makespan tracks tree depth,
+    /// not member count.
     Waves {
         /// Delay between consecutive waves.
         interval: Dur,

@@ -86,7 +86,7 @@ proptest! {
                     // no objects (the sync set streams ahead of it), so
                     // the address moves and the RIB generation does not.
                     let addr = rng.gen_range(1..9u64);
-                    let granted = MgmtBody::EnrollResponse { addr, hi: addr, retry_after_ms: 0 };
+                    let granted = MgmtBody::EnrollResponse { addr, hi: addr };
                     let pdu = MgmtPdu { dest_addr: 0, src_addr: 9, ttl: 1, payload: granted.encode(1, 0) };
                     i.on_frame(0, Pdu::Mgmt(pdu).encode(), now);
                     prop_assert!(i.is_enrolled());
