@@ -1,7 +1,7 @@
 //! The sweep-grid runner behind the CI perf-regression gate.
 //!
-//! Runs the scenario matrix (size × topology × schedule × loss × flood
-//! config) on a thread pool of independent `Sim`s and writes
+//! Runs the scenario matrix (size × topology × schedule × loss) on a
+//! thread pool of independent `Sim`s and writes
 //! `reports/BENCH_SWEEP.json`. Per-cell results are byte-identical for
 //! a given grid at any `--threads` value (only `wall_s` and the `meta`
 //! header vary between runs).

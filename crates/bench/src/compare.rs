@@ -632,7 +632,6 @@ mod tests {
                             ("mgmt_pdus".into(), Json::Num(m)),
                             ("rib_pdus".into(), Json::Num(5.0)),
                             ("flood_suppressed".into(), Json::Num(0.0)),
-                            ("flood_throttled".into(), Json::Num(0.0)),
                             ("spf_full".into(), Json::Num(3.0)),
                             ("spf_incremental".into(), Json::Num(7.0)),
                             ("ft_delta".into(), Json::Num(11.0)),
@@ -696,7 +695,7 @@ mod tests {
     /// matches.
     #[test]
     fn churn_metric_drift_fails() {
-        let base = sweep(&[("ba2-n16-waves-l0-f0-churn", 1.0, 10.0)]);
+        let base = sweep(&[("ba2-n16-waves-l0-churn", 1.0, 10.0)]);
         let fresh = with_member(&base, "stale_rib", Some(Json::Num(3.0)));
         let fresh = with_member(&fresh, "churn_reach", Some(Json::Num(0.9)));
         let cmp = compare(&base, &fresh, 0.25);
@@ -709,7 +708,7 @@ mod tests {
     /// count or RMT byte flow fails even when every other metric holds.
     #[test]
     fn data_plane_metric_drift_fails() {
-        let base = sweep(&[("ba2-n16-waves-l0-f0-flow", 1.0, 10.0)]);
+        let base = sweep(&[("ba2-n16-waves-l0-flow", 1.0, 10.0)]);
         let fresh = with_member(&base, "flow_allocs", Some(Json::Num(5.0)));
         let fresh = with_member(&fresh, "rmt_deq_bytes", Some(Json::Num(5000.0)));
         let cmp = compare(&base, &fresh, 0.25);

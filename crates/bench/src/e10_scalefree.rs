@@ -43,8 +43,7 @@ row! {
         /// RIEP object PDUs sent DIF-wide over the whole run (flooding,
         /// resync streams, and delta responses).
         rib_pdus: u64,
-        /// Floods skipped because the peer's hello digest already covered
-        /// the object (plus token-bucket drops when a rate limit is set).
+        /// Live ports floods skipped (off the flood graph).
         flood_suppressed: u64,
         /// From-scratch SPF runs DIF-wide (bootstrap + own-LSA changes +
         /// fallbacks) — with the incremental engine this tracks local

@@ -215,10 +215,8 @@ pub struct Totals {
     pub mgmt_tx: u64,
     /// RIEP object PDUs sent (flooding, resync streams, delta responses).
     pub rib_tx: u64,
-    /// Floods skipped (digest-covered or rate-limited).
+    /// Live ports floods skipped (off the flood graph).
     pub flood_suppressed: u64,
-    /// The rate-limited share of `flood_suppressed`.
-    pub flood_throttled: u64,
     /// PDUs relayed.
     pub relayed: u64,
     /// Transit PDUs forwarded with TTL and CRC patched in place.
@@ -262,7 +260,6 @@ impl Totals {
             t.mgmt_tx += s.mgmt_tx;
             t.rib_tx += s.rib_tx;
             t.flood_suppressed += s.flood_suppressed;
-            t.flood_throttled += s.flood_throttled;
             t.relayed += s.relayed;
             t.relay_fast += s.relay_fast;
             t.purged += s.members_purged;

@@ -11,7 +11,7 @@
 //!   regardless of which worker finished first, so output is
 //!   deterministic at any thread count.
 //! * [`SweepGrid`] / [`run_grid`] — the scenario matrix (size ×
-//!   topology × enrollment schedule × loss rate × flood config) behind
+//!   topology × enrollment schedule × loss rate) behind
 //!   `BENCH_SWEEP.json` and the CI perf-regression gate. Every cell
 //!   derives its seed from its own parameters, so per-cell results are
 //!   byte-identical for a given grid at 1 thread or 64.
@@ -202,8 +202,6 @@ pub struct SweepCell {
     pub schedule: EnrollSchedule,
     /// Per-link Bernoulli loss probability (0 = lossless).
     pub loss: f64,
-    /// Cross-port flood token-bucket rate (objects/s; 0 = unlimited).
-    pub flood_rate: u32,
     /// Run the continuous-dynamics phase (a seeded [`Churn`] timeline —
     /// leave/rejoin, crash-fail past GC grace, flap, partition — after
     /// assembly), gating post-churn fragmentation, staleness, and
@@ -235,12 +233,11 @@ impl SweepCell {
     /// of the cell, none of its results.
     pub fn id(&self) -> String {
         format!(
-            "{}-n{}-{}-l{}-f{}{}{}{}",
+            "{}-n{}-{}-l{}{}{}{}",
             self.topology.key(),
             self.size,
             self.schedule_key(),
             self.loss,
-            self.flood_rate,
             if self.churn { "-churn" } else { "" },
             if self.scoped { "-scoped" } else { "" },
             if self.flow { "-flow" } else { "" }
@@ -278,19 +275,14 @@ row! {
         schedule: String,
         /// Link loss probability.
         loss: f64,
-        /// Flood rate limit (objects/s, 0 = unlimited).
-        flood_rate: u32,
         /// Virtual-time assembly makespan, seconds.
         makespan_s: f64,
         /// Management PDUs sent DIF-wide during assembly.
         mgmt_pdus: u64,
         /// RIEP object PDUs sent over the whole run.
         rib_pdus: u64,
-        /// Floods suppressed (digest-covered or rate-limited).
+        /// Live ports floods skipped (off the flood graph).
         flood_suppressed: u64,
-        /// The rate-limited share of `flood_suppressed`: floods the
-        /// cross-port token bucket refused.
-        flood_throttled: u64,
         /// From-scratch SPF runs DIF-wide. The `spf_full` / `spf_incremental`
         /// split records, per grid cell, where the routing engine's full
         /// fallback still fires (deterministic — gated exactly).
@@ -373,14 +365,12 @@ pub struct SweepGrid {
     pub sizes: Vec<usize>,
     /// Graph families.
     pub topologies: Vec<SweepTopology>,
-    /// Enrollment schedules: the first spans the loss × flood plane,
-    /// every further one is a comparison arm with a single cell at the
-    /// plane's first point (see [`SweepGrid::cells`]).
+    /// Enrollment schedules: the first spans every loss, every further
+    /// one is a comparison arm with a single cell at the first loss (see
+    /// [`SweepGrid::cells`]).
     pub schedules: Vec<EnrollSchedule>,
     /// Per-link Bernoulli loss probabilities.
     pub losses: Vec<f64>,
-    /// Cross-port flood rates (0 = unlimited).
-    pub flood_rates: Vec<u32>,
     /// Base seed mixed into every cell seed.
     pub base_seed: u64,
 }
@@ -388,14 +378,13 @@ pub struct SweepGrid {
 impl SweepGrid {
     /// The CI grid: small enough to run on every PR in release mode,
     /// wide enough that a regression in any dimension (schedule, loss
-    /// recovery, flood suppression) moves at least one cell.
+    /// recovery, churn, scope, flows) moves at least one cell.
     pub fn ci() -> Self {
         SweepGrid {
             sizes: vec![16, 32, 96],
             topologies: vec![SweepTopology::ScaleFree, SweepTopology::Ring, SweepTopology::Star],
             schedules: vec![EnrollSchedule::waves(), EnrollSchedule::sequential()],
             losses: vec![0.0, 0.02],
-            flood_rates: vec![64, 0],
             base_seed: 1,
         }
     }
@@ -410,23 +399,21 @@ impl SweepGrid {
     /// order), largest sizes first so the pool starts stragglers early.
     ///
     /// The static cells of a size × topology are the first schedule
-    /// crossed with every loss and flood rate, plus **one** cell per
-    /// further schedule at the first loss and flood rate: a comparison
-    /// arm shows its makespan there, and its interaction with loss and
-    /// flood limiting is the first schedule's, already covered. On top
-    /// of the static cells, every size × topology gets
-    /// one **churn cell** (wave schedule, lossless, unlimited flood):
-    /// the continuous-dynamics phase costs tens of virtual seconds per
-    /// cell, so it rides the default config only — the static dimensions
-    /// already cover schedule/loss/flood interactions. Every size also
-    /// gets one **scoped cell** (scale-free, wave schedule, lossless,
-    /// unlimited flood, `/dir` owner-held): the partial-replication
-    /// counterpart of the matching static cell, gating the per-member
-    /// RIB footprint below the full-replication floor. And every size
-    /// gets one **flow cell** (scale-free, wave schedule, lossless,
-    /// unlimited flood): a flow-churn phase after assembly, gating the
-    /// §5.3 allocation-path counters and the per-port RMT queue
-    /// counters exactly.
+    /// crossed with every loss, plus **one** cell per further schedule at
+    /// the first loss: a comparison arm shows its makespan there, and
+    /// its interaction with loss is the first schedule's, already
+    /// covered. On top of the static cells, every size × topology gets
+    /// one **churn cell** (wave schedule, lossless): the
+    /// continuous-dynamics phase costs tens of virtual seconds per cell,
+    /// so it rides the default config only — the static dimensions
+    /// already cover schedule/loss interactions. Every size also gets
+    /// one **scoped cell** (scale-free, wave schedule, lossless, `/dir`
+    /// owner-held): the partial-replication counterpart of the matching
+    /// static cell, gating the per-member RIB footprint below the
+    /// full-replication floor. And every size gets one **flow cell**
+    /// (scale-free, wave schedule, lossless): a flow-churn phase after
+    /// assembly, gating the §5.3 allocation-path counters and the
+    /// per-port RMT queue counters exactly.
     pub fn cells(&self) -> Vec<SweepCell> {
         let mut cells = Vec::new();
         let mut sizes = self.sizes.clone();
@@ -438,7 +425,6 @@ impl SweepGrid {
                 topology: SweepTopology::ScaleFree,
                 schedule: EnrollSchedule::waves(),
                 loss: 0.0,
-                flood_rate: 0,
                 churn: false,
                 scoped: false,
                 flow: false,
@@ -446,14 +432,11 @@ impl SweepGrid {
             for &topology in &self.topologies {
                 cells.push(SweepCell { topology, churn: true, ..plain });
                 for (arm, &schedule) in self.schedules.iter().enumerate() {
-                    // The first schedule gets every (loss, flood) point,
-                    // a comparison arm only the first.
-                    let plane = if arm == 0 { usize::MAX } else { 1 };
-                    for &loss in self.losses.iter().take(plane) {
-                        for &flood_rate in self.flood_rates.iter().take(plane) {
-                            let cell = SweepCell { topology, schedule, loss, flood_rate, ..plain };
-                            cells.push(cell);
-                        }
+                    // The first schedule gets every loss, a comparison
+                    // arm only the first.
+                    let losses = if arm == 0 { self.losses.len() } else { 1 };
+                    for &loss in self.losses.iter().take(losses) {
+                        cells.push(SweepCell { topology, schedule, loss, ..plain });
                     }
                 }
             }
@@ -465,7 +448,7 @@ impl SweepGrid {
 }
 
 /// Run one cell: stamp the topology, assemble the DIF under the cell's
-/// schedule/loss/flood config, verify sampled reachability, settle the
+/// schedule and loss, verify sampled reachability, settle the
 /// DIF healthy, collect the counters. Self-contained — builds its own
 /// `Sim` — so any number of cells run concurrently.
 pub fn run_cell(cell: &SweepCell, base_seed: u64) -> SweepRow {
@@ -478,7 +461,7 @@ pub fn run_cell(cell: &SweepCell, base_seed: u64) -> SweepRow {
         } else {
             LinkCfg::wired()
         };
-        let mut dif_cfg = DifConfig::new("sweep-dif").with_flood_rate(cell.flood_rate);
+        let mut dif_cfg = DifConfig::new("sweep-dif");
         if cell.churn {
             // Grace well below the churn plan's downtime (see
             // `churn_phase`): crash-fails get garbage-collected by their
@@ -547,12 +530,10 @@ pub fn run_cell(cell: &SweepCell, base_seed: u64) -> SweepRow {
             topology: cell.topology.key(),
             schedule: cell.schedule_key().into(),
             loss: cell.loss,
-            flood_rate: cell.flood_rate,
             makespan_s: run.assemble_secs(),
             mgmt_pdus: assembled.mgmt_tx,
             rib_pdus: t.rib_tx,
             flood_suppressed: t.flood_suppressed,
-            flood_throttled: t.flood_throttled,
             spf_full: t.spf_full,
             spf_incremental: t.spf_incremental,
             ft_delta: t.ft_delta,
@@ -716,21 +697,21 @@ mod tests {
         let cells = grid.cells();
         let ids: std::collections::BTreeSet<String> = cells.iter().map(|c| c.id()).collect();
         assert_eq!(ids.len(), cells.len(), "cell ids collide");
-        // Per size × topology: the first schedule's loss × flood plane,
-        // one cell per further schedule and one churn cell; per size, one
-        // scoped cell and one flow cell.
+        // Per size × topology: the first schedule's losses, one cell per
+        // further schedule and one churn cell; per size, one scoped cell
+        // and one flow cell.
         assert_eq!(
             cells.len(),
             grid.sizes.len()
                 * grid.topologies.len()
-                * (grid.losses.len() * grid.flood_rates.len() + (grid.schedules.len() - 1) + 1)
+                * (grid.losses.len() + (grid.schedules.len() - 1) + 1)
                 + 2 * grid.sizes.len()
         );
-        assert_eq!(cells.len(), 60);
+        assert_eq!(cells.len(), 42);
         let seq: Vec<String> =
             cells.iter().filter(|c| c.schedule_key() == "seq").map(|c| c.id()).collect();
         assert_eq!(seq.len(), grid.sizes.len() * grid.topologies.len());
-        assert!(seq.iter().all(|id| id.ends_with("-seq-l0-f64")), "{seq:?}");
+        assert!(seq.iter().all(|id| id.ends_with("-seq-l0")), "{seq:?}");
         assert_eq!(
             cells.iter().filter(|c| c.churn).count(),
             grid.sizes.len() * grid.topologies.len()
@@ -760,7 +741,6 @@ mod tests {
             topology: SweepTopology::ScaleFree,
             schedule: EnrollSchedule::waves(),
             loss: 0.0,
-            flood_rate: 64,
             churn: false,
             scoped: false,
             flow: false,
@@ -789,12 +769,10 @@ mod tests {
             topology: "ring",
             schedule: "waves".into(),
             loss: 0.0,
-            flood_rate: 64,
             makespan_s: 1.5,
             mgmt_pdus: 10,
             rib_pdus: 20,
             flood_suppressed: 0,
-            flood_throttled: 0,
             spf_full: 4,
             spf_incremental: 9,
             ft_delta: 12,
@@ -834,7 +812,6 @@ mod tests {
             topology: SweepTopology::Ring,
             schedule: EnrollSchedule::waves(),
             loss: 0.0,
-            flood_rate: 64,
             churn: false,
             scoped: false,
             flow: false,
@@ -865,7 +842,6 @@ mod tests {
             topology: SweepTopology::ScaleFree,
             schedule: EnrollSchedule::waves(),
             loss: 0.0,
-            flood_rate: 0,
             churn: false,
             scoped: false,
             flow: true,
@@ -892,7 +868,6 @@ mod tests {
             topology: SweepTopology::ScaleFree,
             schedule: EnrollSchedule::waves(),
             loss: 0.0,
-            flood_rate: 0,
             churn: true,
             scoped: false,
             flow: false,
@@ -918,7 +893,6 @@ mod tests {
             topology: SweepTopology::ScaleFree,
             schedule: EnrollSchedule::waves(),
             loss: 0.0,
-            flood_rate: 0,
             churn: false,
             scoped: false,
             flow: false,

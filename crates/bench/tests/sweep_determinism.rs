@@ -8,15 +8,14 @@ use rina::prelude::EnrollSchedule;
 use rina_bench::sweep::{canonicalize, run_grid, sweep_doc, SweepGrid, SweepTopology};
 
 /// A miniature grid exercising every dimension (both schedules, loss
-/// on/off, flood limit on/off, all three graph families) at sizes small
-/// enough for debug-mode CI.
+/// on/off, all three graph families) at sizes small enough for
+/// debug-mode CI.
 fn tiny_grid() -> SweepGrid {
     SweepGrid {
         sizes: vec![6, 9],
         topologies: vec![SweepTopology::ScaleFree, SweepTopology::Ring, SweepTopology::Star],
         schedules: vec![EnrollSchedule::waves(), EnrollSchedule::sequential()],
         losses: vec![0.0, 0.05],
-        flood_rates: vec![64, 0],
         base_seed: 7,
     }
 }

@@ -193,17 +193,15 @@ fn flows() -> e13_flows::FlowsRow {
 
 fn sweep_row() -> sweep::SweepRow {
     sweep::SweepRow {
-        id: "ba2-n96-waves-l0.02-f64".into(),
+        id: "ba2-n96-waves-l0.02".into(),
         size: 96,
         topology: "ba2",
         schedule: "waves".into(),
         loss: 0.02,
-        flood_rate: 64,
         makespan_s: 5.125,
         mgmt_pdus: 20_480,
         rib_pdus: 16_000,
         flood_suppressed: 1_234,
-        flood_throttled: 1_200,
         spf_full: 300,
         spf_incremental: 4_000,
         ft_delta: 9_000,
@@ -390,8 +388,8 @@ fn every_table_view_matches_its_golden_strings() {
         [
             "| cell | makespan (s) | mgmt PDUs | rib PDUs | suppressed | reachable | wall (s) |",
             "|---|---|---|---|---|---|---|",
-            "| ba2-n96-waves-l0.02-f64 | 5.12 | 20480 | 16000 | 1234 | true | 0.123 |",
-            r#"{"id": "ba2-n96-waves-l0.02-f64", "size": 96, "topology": "ba2", "schedule": "waves", "loss": 0.02, "flood_rate": 64, "makespan_s": 5.125, "mgmt_pdus": 20480, "rib_pdus": 16000, "flood_suppressed": 1234, "flood_throttled": 1200, "spf_full": 300, "spf_incremental": 4000, "ft_delta": 9000, "reachable": true, "agg_len": 640, "stale_rib": 0, "invariants": 0, "half_open": 2, "churn_reach": 1, "rib_objects_max": 400, "rib_bytes_max": 18000, "flow_allocs": 0, "flow_alloc_fail": 0, "flow_sdus": 0, "flow_recv": 0, "rmt_drops": 0, "rmt_deq_bytes": 2345678, "relay_fast": 1111, "events": 654321, "wall_s": 0.123456}"#,
+            "| ba2-n96-waves-l0.02 | 5.12 | 20480 | 16000 | 1234 | true | 0.123 |",
+            r#"{"id": "ba2-n96-waves-l0.02", "size": 96, "topology": "ba2", "schedule": "waves", "loss": 0.02, "makespan_s": 5.125, "mgmt_pdus": 20480, "rib_pdus": 16000, "flood_suppressed": 1234, "spf_full": 300, "spf_incremental": 4000, "ft_delta": 9000, "reachable": true, "agg_len": 640, "stale_rib": 0, "invariants": 0, "half_open": 2, "churn_reach": 1, "rib_objects_max": 400, "rib_bytes_max": 18000, "flow_allocs": 0, "flow_alloc_fail": 0, "flow_sdus": 0, "flow_recv": 0, "rmt_drops": 0, "rmt_deq_bytes": 2345678, "relay_fast": 1111, "events": 654321, "wall_s": 0.123456}"#,
         ],
     );
 }

@@ -62,13 +62,6 @@ pub struct DifConfig {
     /// hello and ignores it: its medium's up and down events keep its
     /// port.
     pub hello_period: Dur,
-    /// Token-bucket rate limit on RIEP flooding out *cross* (non
-    /// spanning-tree) ports, in objects per second per member (`0` =
-    /// unlimited). Tree ports are never limited — they alone replicate
-    /// every update to every member — so the bucket only suppresses the
-    /// redundant copies dense fabrics would otherwise push over every
-    /// extra edge; digest-driven anti-entropy repairs whatever it drops.
-    pub flood_rate: u32,
     /// How long a sponsor waits after a sponsored member's adjacency
     /// expires before declaring it failed and garbage-collecting its
     /// RIB objects (member record, LSA, directory entries) via
@@ -106,7 +99,6 @@ impl DifConfig {
             cubes: QosCube::standard_set(),
             sched: SchedPolicy::Priority,
             hello_period: Dur::from_millis(500),
-            flood_rate: 64,
             member_gc_grace_ms: 10_000,
             scoped_dir: false,
             rmt_queue_cap_bytes: 8 * 1024 * 1024,
@@ -160,14 +152,6 @@ impl DifConfig {
         self
     }
 
-    /// Builder-style flood rate limit: at most `rate` flooded RIEP
-    /// objects per second per member out cross (non-tree) ports (`rate`
-    /// 0 = unlimited). Dropped floods are repaired by digest anti-entropy.
-    pub fn with_flood_rate(mut self, rate: u32) -> Self {
-        self.flood_rate = rate;
-        self
-    }
-
     /// Builder-style failure-GC grace override, in milliseconds.
     pub fn with_member_gc_grace_ms(mut self, ms: u64) -> Self {
         self.member_gc_grace_ms = ms;
@@ -213,13 +197,6 @@ mod tests {
     #[should_panic]
     fn cube_zero_required() {
         let _ = DifConfig::new("x").with_cubes(vec![]);
-    }
-
-    #[test]
-    fn sync_knobs_default_and_override() {
-        let c = DifConfig::new("x");
-        assert!(c.flood_rate > 0, "cross-port flooding is bounded by default");
-        assert_eq!(c.with_flood_rate(200).flood_rate, 200);
     }
 
     #[test]

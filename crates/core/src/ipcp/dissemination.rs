@@ -1,8 +1,11 @@
-//! IPC Management — RIEP dissemination over the RIB: batch-preserving,
-//! tree-preferred flooding with digest-driven anti-entropy. Hellos carry
-//! per-subtree digest tables, mismatches trigger targeted delta pulls,
-//! floods out non-spanning-tree ports are token-bucket limited, and a
-//! member whose own objects get clobbered re-asserts them (DESIGN.md §6).
+//! IPC Management — RIEP dissemination over the RIB: batch-preserving
+//! flooding over a graph that spans the DIF, with digest-driven
+//! anti-entropy. A flood leaves by the enrollment-tree ports, the port
+//! toward the DIF's root (the lowest address this member routes to) and
+//! every port a flood arrived on; hellos carry per-subtree digest
+//! tables, whose mismatches trigger targeted delta pulls of whatever a
+//! flood missed; and a member whose own objects get clobbered re-asserts
+//! them (DESIGN.md §6).
 
 use super::enroll::{encode_member, member_name, MEMBER_CLASS};
 use super::{encode_addr, Ipcp};
@@ -10,8 +13,8 @@ use crate::msg::MgmtBody;
 use crate::naming::{Addr, AppName};
 use crate::routing::{Lsa, LSA_CLASS};
 use bytes::Bytes;
-use rina_rib::{subtree_of, EncodedObject, EncodedSummary, ObjVer, RibObjectRef};
-use rina_sim::{Dur, Time};
+use rina_rib::{EncodedObject, EncodedSummary, ObjVer, RibObjectRef};
+use rina_sim::Dur;
 use std::collections::BTreeMap;
 
 /// Flood aggregation window: queued flood objects sit up to this long so
@@ -19,10 +22,6 @@ use std::collections::BTreeMap;
 /// MTU-sized batch PDUs per port instead of one PDU per object. Adds at
 /// most this much per-hop dissemination latency.
 const FLOOD_BATCH: Dur = Dur::from_millis(5);
-
-/// Burst size of the cross-port flood token bucket (see
-/// [`crate::dif::DifConfig::flood_rate`]); the bucket starts full.
-const FLOOD_BURST: u32 = 256;
 
 /// Byte budget per [`MgmtBody::RibDeltaRequest`] /
 /// [`MgmtBody::RibDeltaResponse`] chunk — comfortably under the smallest
@@ -52,20 +51,11 @@ pub(super) struct Dissemination {
     /// ports. (BTreeMap for deterministic flush order — same seed, same
     /// event sequence.)
     flood_q: BTreeMap<usize, Vec<EncodedObject>>,
-    /// Flood token-bucket level (see [`crate::dif::DifConfig::flood_rate`]).
-    tokens: f64,
-    /// When the flood bucket last refilled.
-    refill_at: Time,
     /// See [`OwnNames`] (empty until an address is assigned).
     own: OwnNames,
 }
 
 impl Dissemination {
-    /// An idle task whose token bucket starts full, at [`FLOOD_BURST`].
-    pub(super) fn new() -> Self {
-        Dissemination { tokens: FLOOD_BURST as f64, ..Default::default() }
-    }
-
     /// The member named `name` took up `addr`: fix the names of the
     /// objects it is authoritative for.
     pub(super) fn set_own_names(&mut self, name: &AppName, addr: Addr) {
@@ -81,26 +71,6 @@ impl Dissemination {
     /// any are queued.
     pub(super) fn flush_wanted(&self) -> Option<Dur> {
         (!self.flood_q.is_empty()).then_some(FLOOD_BATCH)
-    }
-
-    /// Take one token from the flood bucket of `rate` objects per second
-    /// and `burst` capacity, as of `now` (always succeeds when no rate
-    /// limit is configured).
-    fn take_token(&mut self, rate: u32, now: Time) -> bool {
-        if rate == 0 {
-            return true;
-        }
-        let elapsed = now.since(self.refill_at).as_secs_f64();
-        if elapsed > 0.0 {
-            self.tokens = (self.tokens + elapsed * rate as f64).min(FLOOD_BURST as f64);
-            self.refill_at = now;
-        }
-        if self.tokens >= 1.0 {
-            self.tokens -= 1.0;
-            true
-        } else {
-            false
-        }
     }
 }
 
@@ -229,7 +199,7 @@ impl Ipcp {
                 return;
             }
             // What arrived is what goes on: no re-encoding.
-            self.flood_rib(obj.name, Some(from_n1), || enc.clone());
+            self.flood_rib(Some(from_n1), || enc.clone());
         }
     }
 
@@ -281,52 +251,50 @@ impl Ipcp {
         true
     }
 
-    /// Queue one RIB object for flooding to every live, enrolled
-    /// neighbor except `except` (the port it arrived on, for re-floods) —
-    /// with two suppressions. *Topology-aware*: a port whose peer's last
-    /// hello digest table equals our current digest for the object's
-    /// subtree provably already holds this version (it had our exact
-    /// subtree state, which includes the object), so nothing is sent —
-    /// on scale-free fabrics this is what keeps hub flooding bounded.
-    /// *Rate-limited*: when [`crate::dif::DifConfig::flood_rate`] is set,
-    /// a token bucket caps flooded objects per second; whatever it drops,
-    /// the digest anti-entropy repairs on the hello cadence.
+    /// Queue one RIB object for flooding out this member's flood ports,
+    /// except `except` (the port it arrived on, for re-floods): the live
+    /// ports that are enrollment-tree edges, the one toward the DIF's
+    /// root ([`Ipcp::root_ward_port`]), or ones a flood batch arrived on
+    /// since they came up. The first keep assembly spanning before any
+    /// routes exist, the second span every connected component once
+    /// routes converge, and the third make each flood edge two-way.
+    /// Every other live port is skipped (counted in
+    /// [`super::IpcpStats::flood_suppressed`]); what a skipped peer
+    /// lacks it pulls at its next hello.
     ///
     /// Queued objects are flushed as MTU-sized batches (one or a few
     /// PDUs per port) when the node's aggregation timer fires, so a
     /// burst applied in one window — a streamed enrollment sync, a whole
     /// wave's LSAs — re-floods as a burst, not one PDU per object.
     ///
-    /// `encoded` is asked for the object named `name` in wire form the
-    /// first time a port actually needs it (an object every port
-    /// suppresses is never encoded; a re-flooded one hands back the
-    /// bytes it arrived as).
-    fn flood_rib(
-        &mut self,
-        name: &str,
-        except: Option<usize>,
-        encoded: impl Fn() -> EncodedObject,
-    ) {
-        let subtree = subtree_of(name);
-        let ours = self.rib.subtree_digest(subtree);
-        let rate = self.cfg.flood_rate;
+    /// `encoded` is asked for the object in wire form the first time a
+    /// port actually needs it (an object no port takes is never encoded;
+    /// a re-flooded one hands back the bytes it arrived as).
+    fn flood_rib(&mut self, except: Option<usize>, encoded: impl Fn() -> EncodedObject) {
+        let root_ward = self.root_ward_port();
         let mut enc: Option<EncodedObject> = None;
         for (i, (p, peer)) in self.transfer.n1.iter().zip(&self.neighbors.peers).enumerate() {
             if Some(i) == except || !p.live() {
                 continue;
             }
-            // Tree ports flood freely (they alone replicate to every
-            // member); cross ports pay the token bucket, so assembly
-            // storms stop being amplified by every redundant edge.
-            let covered = peer.covers(subtree, ours);
-            if covered || (!peer.tree && !self.dissemination.take_token(rate, self.clock)) {
+            if !peer.tree && !peer.flooded && Some(i) != root_ward {
                 self.stats.flood_suppressed += 1;
-                self.stats.flood_throttled += u64::from(!covered);
                 continue;
             }
             let enc = enc.get_or_insert_with(&encoded).clone();
             self.dissemination.enqueue(i, enc);
         }
+    }
+
+    /// The port toward this member's root: the next hop to the lowest
+    /// address its forwarding table reaches, when that address is below
+    /// its own. Every member but the lowest of its component has one, so
+    /// once routes converge these ports form a tree spanning the
+    /// component.
+    fn root_ward_port(&self) -> Option<usize> {
+        let fwd = self.fwd();
+        let root = fwd.destinations().next().filter(|&a| a < self.addr)?;
+        self.transfer.pick_n1_toward(root, fwd)
     }
 
     /// Flush the per-port flood queues as batched PDUs. Duplicate
@@ -378,7 +346,7 @@ impl Ipcp {
             updates.push(o);
         }
         for obj in &updates {
-            self.flood_rib(obj.view().name, None, || obj.clone());
+            self.flood_rib(None, || obj.clone());
         }
     }
 }

@@ -11,9 +11,9 @@
 //! | **IPC Transfer Control** (per flow) | `flows.rs` | `Flows` | the one flow table (CEP → port, phase, binding; a requesting flow's phase holds the invoke id its response echoes), CEP ids, and each connection's armed deadline; the flow-allocator handshake (§5.3), its deadline and its teardown |
 //! | **IPC Management** — enrollment (§5.2) | `enroll.rs` | `Enroll` | outstanding requests and what they propose, admitted joiners awaiting their first hello, sponsored members and their failure watch; address and block assignment, leave and purge |
 //! | — directory | `directory.rs` | `Directory` | own registrations, the lookup cache, tombstone memory, the allocations waiting on each on-demand lookup in flight (scoped `/dir`) |
-//! | — neighbors | `neighbors.rs` | `Neighbors` | the planned adjacencies, the management view of each port (tree edge, peer digests, hello memo, a port's last lower flow), the hello send cache; allocating, retrying and binding lower flows, hello send/receive, expiry and release |
+//! | — neighbors | `neighbors.rs` | `Neighbors` | the planned adjacencies, the management view of each port (tree edge, flood mark, hello memo, a port's last lower flow), the hello send cache; allocating, retrying and binding lower flows, hello send/receive, expiry and release |
 //! | — routing | `routes.rs` | `Routes` | the route engine (LSA graph, SPF, forwarding table), the advertised neighbor set and its debounce |
-//! | — RIEP dissemination | `dissemination.rs` | `Dissemination` | per-port flood queues, the flood token bucket, own-object names; flood, anti-entropy deltas, apply/re-flood, reassert |
+//! | — RIEP dissemination | `dissemination.rs` | `Dissemination` | per-port flood queues, own-object names; flood, anti-entropy deltas, apply/re-flood, reassert |
 //!
 //! A method that touches one task's state is a method on that task's
 //! struct; one that orchestrates several is an `impl Ipcp` block in the
@@ -235,13 +235,10 @@ pub struct IpcpStats {
     pub mgmt_tx: u64,
     /// RIEP object updates sent (dissemination + re-flood).
     pub rib_tx: u64,
-    /// Floods skipped because the peer's last hello digest already
-    /// covered the object's subtree, or the DIF's flood rate limit was
-    /// exhausted (anti-entropy repairs whatever a drop loses).
+    /// Live ports a flood skipped: neither an enrollment-tree port, nor
+    /// the port toward the DIF's root, nor one a flood arrived on
+    /// (anti-entropy pulls whatever a skipped peer lacks).
     pub flood_suppressed: u64,
-    /// The rate-limited share of `flood_suppressed`: floods the
-    /// cross-port token bucket refused.
-    pub flood_throttled: u64,
     /// Anti-entropy delta requests sent (per subtree chunk).
     pub delta_requests: u64,
     /// Enrollment requests handled as sponsor.
@@ -340,8 +337,8 @@ pub struct Ipcp {
     /// Counters.
     pub stats: IpcpStats,
     /// Shadow of the virtual clock, updated at the public entry points;
-    /// drives the flood token bucket without threading `now` through
-    /// every dissemination path.
+    /// drives the LSA debounce and `/dir` tombstone expiry without
+    /// threading `now` through every management path.
     clock: Time,
     /// The next CDAP invoke id: one sequence for every request this
     /// process originates, enrollment and flow allocation alike.
@@ -371,7 +368,7 @@ impl Ipcp {
         }
         Ipcp {
             idx,
-            dissemination: dissemination::Dissemination::new(),
+            dissemination: Default::default(),
             cfg,
             name,
             addr: 0,
@@ -415,9 +412,11 @@ impl Ipcp {
     /// The fresh, unenrolled process a crash-restart puts in this one's
     /// slot: the same configuration and name, carrying the applications
     /// registered here and the adjacencies planned here, with the same
-    /// enrollment request.
+    /// enrollment request. Its counters start at 0, except the purges
+    /// made here: they happened to the DIF, not to this incarnation.
     pub(crate) fn respawned(&self) -> Ipcp {
         let mut fresh = Ipcp::new(self.idx, self.cfg.clone(), self.name.clone());
+        fresh.stats.members_purged = self.stats.members_purged;
         fresh.directory.registered = self.directory.registered.clone();
         fresh.neighbors.plans = self.neighbors.plans.iter().map(|p| p.restarted()).collect();
         fresh.enroll.request = self.enroll.request.clone();
@@ -644,7 +643,11 @@ impl Ipcp {
             MgmtBody::RibDeltaRequest { subtree, from, upto, summary } => {
                 self.handle_delta_request(from_n1, &subtree, &from, &upto, &summary);
             }
-            MgmtBody::RibDeltaResponse { subtree: _, objects } => {
+            MgmtBody::RibDeltaResponse { subtree, objects } => {
+                // A flood batch (no subtree) makes its port a flood port.
+                if let Some(peer) = self.neighbors.peers.get_mut(from_n1) {
+                    peer.flooded |= subtree.is_empty();
+                }
                 for obj in &objects {
                     self.apply_and_reflood(obj, from_n1);
                 }
@@ -716,6 +719,17 @@ fn decode_addr(b: &[u8]) -> Option<Addr> {
 
 #[cfg(test)]
 pub(crate) use enroll::encode_member;
+
+#[cfg(test)]
+impl Ipcp {
+    /// Make port `n1` an enrollment-tree edge, as an enrollment over it
+    /// would.
+    pub(crate) fn set_tree_port(&mut self, n1: usize) {
+        if let Some(peer) = self.neighbors.peers.get_mut(n1) {
+            peer.tree = true;
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests;

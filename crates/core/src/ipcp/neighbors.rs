@@ -62,31 +62,20 @@ impl Plan {
 pub(super) struct Peer {
     /// This port carried an enrollment (we joined through it, or
     /// sponsored the peer over it): it is an edge of the DIF's
-    /// dissemination spanning tree. Tree edges alone reach every member,
-    /// so floods out tree ports are never rate-limited, while cross
-    /// (non-tree) ports go through the DIF's flood token bucket — the
-    /// topology-aware suppression that keeps hub flooding O(members),
-    /// not O(members × degree).
+    /// enrollment tree, which carries floods while assembly has no
+    /// routes yet, and alone carries scoped `/dir` lookups and
+    /// tombstones — the flood graph may hold cycles, and lookup
+    /// forwarding has no duplicate suppression.
     pub(super) tree: bool,
-    /// The peer's RIB digest table from its last hello — the basis of
-    /// targeted delta requests and of flood suppression (don't send an
-    /// object out a port whose peer provably already holds its subtree).
-    digests: Option<DigestTable>,
+    /// A flood batch arrived on this port since it last came up: the
+    /// peer floods to us, so we flood back to it.
+    pub(super) flooded: bool,
     /// The last hello heard on this port (see [`HelloMemo`]).
     hello_memo: Option<HelloMemo>,
     /// For a port over lower flows: the provider and the peer process of
     /// the last one. The next flow between the same two processes over
     /// that provider takes this port again.
     lower: Option<(usize, AppName)>,
-}
-
-impl Peer {
-    /// Whether the peer's last hello proves it holds our exact state of
-    /// `subtree` (`ours`, from [`rina_rib::Rib::subtree_digest`]) — and
-    /// with it every object of the subtree at the version we hold.
-    pub(super) fn covers(&self, subtree: &str, ours: Option<(u64, u64)>) -> bool {
-        ours.is_some() && self.digests.as_ref().and_then(|t| t.get(subtree)) == ours
-    }
 }
 
 /// A hello's payload bytes with what they decode to. A neighbor whose
@@ -117,8 +106,8 @@ pub(super) struct Neighbors {
 }
 
 impl Ipcp {
-    /// Up, peer known, and on the spanning tree: a port that carries
-    /// tree-scoped lookups and floods.
+    /// Up, peer known, and on the enrollment tree: a port that carries
+    /// scoped `/dir` lookups and tombstones.
     pub(super) fn live_tree(&self, n1: usize) -> bool {
         self.transfer.n1.get(n1).is_some_and(|p| p.live())
             && self.neighbors.peers.get(n1).is_some_and(|peer| peer.tree)
@@ -184,10 +173,13 @@ impl Ipcp {
     }
 
     /// Take `ports` down: their peers are forgotten and they leave the
-    /// dissemination tree (if the peer returns it re-earns tree status by
-    /// re-enrolling (fresh members) or syncs via delta pulls (mobility
-    /// reattachment); leaving it set would let every historical
-    /// enrollment edge flood rate-unlimited forever). Adjacency *loss* is
+    /// enrollment tree and the flood graph (a returning peer re-earns
+    /// tree status by re-enrolling (fresh members) or syncs via delta
+    /// pulls (mobility reattachment), and its port floods again once a
+    /// flood arrives on it or it is the root-ward port; left set, the
+    /// marks would keep every edge that ever carried an enrollment or a
+    /// flood in the flood graph, and every old enrollment edge in the
+    /// lookup tree). Adjacency *loss* is
     /// urgent: it bypasses the LSA debounce so the withdrawal floods —
     /// and the local table repairs via the delta-classified remove path —
     /// now, not one debounce window later.
@@ -201,7 +193,7 @@ impl Ipcp {
                 p.peer_addr = 0;
             }
             if let Some(peer) = self.neighbors.peers.get_mut(i) {
-                peer.tree = false;
+                (peer.tree, peer.flooded) = (false, false);
             }
         }
         self.transfer.rebuild_peer_index();
@@ -464,11 +456,6 @@ impl Ipcp {
             if addr != 0 && p.peer_addr != addr {
                 p.peer_addr = addr;
                 changed = true;
-            }
-        }
-        if let Some(peer) = self.neighbors.peers.get_mut(from_n1) {
-            if addr != 0 && peer.digests.as_ref() != Some(digests) {
-                peer.digests = Some(digests.clone());
             }
         }
         if changed {

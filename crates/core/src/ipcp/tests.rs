@@ -405,6 +405,84 @@ fn each_hello_that_differs_pulls() {
     assert!(a.stats.delta_requests > pulled, "the next hello that differs pulls");
 }
 
+/// A batch of `objs` arrives from the member at `src` on `n1`: a flood
+/// when `subtree` is empty, else the answer to a pull of `subtree`.
+fn batch_from(s: &mut Ipcp, n1: usize, src: Addr, subtree: &str, objs: &[RibObject]) {
+    let objects = objs.iter().map(EncodedObject::of).collect();
+    let body = MgmtBody::RibDeltaResponse { subtree: subtree.into(), objects };
+    let pdu =
+        Pdu::Mgmt(MgmtPdu { dest_addr: 0, src_addr: src, ttl: 1, payload: body.encode(0, 0) });
+    s.on_frame(n1, pdu.encode(), Time::ZERO);
+}
+
+/// Flush the flood queues: the ports the flood batches leave on.
+fn flood_ports(s: &mut Ipcp) -> Vec<usize> {
+    s.flush_floods();
+    tx_mgmt(&s.take_out())
+        .into_iter()
+        .filter_map(|(n1, _, b)| match b {
+            MgmtBody::RibDeltaResponse { subtree, .. } if subtree.is_empty() => Some(n1),
+            _ => None,
+        })
+        .collect()
+}
+
+/// A member at 1, the lowest address, with two cross ports (to 2 and
+/// 3): it has no root-ward port, and nothing flooded it yet.
+fn lowest_with_two_cross_ports() -> Ipcp {
+    let mut a = mk("net.a");
+    a.bootstrap(1);
+    live_port(&mut a, 0, 2, false);
+    live_port(&mut a, 1, 3, false);
+    a.take_out();
+    a
+}
+
+/// A local write floods out the port toward the lowest address the
+/// member routes to, though it is no tree port, and skips the other
+/// cross port.
+#[test]
+fn a_local_write_floods_out_the_root_ward_port() {
+    let mut a = mk("net.a");
+    a.bootstrap(5);
+    live_port(&mut a, 0, 2, false);
+    live_port(&mut a, 1, 7, false);
+    a.write_lsa_now();
+    reflood(&mut a, lsa_obj(2, &[(5, 1)], 1, false), 0);
+    reflood(&mut a, lsa_obj(7, &[(5, 1)], 1, false), 1);
+    recompute(&mut a);
+    assert_eq!(a.fwd().destinations().collect::<Vec<_>>(), [2, 7]);
+    flood_ports(&mut a);
+    let skipped = a.stats.flood_suppressed;
+    a.dir_register(&AppName::new("web"));
+    assert_eq!(flood_ports(&mut a), [0], "toward 2, below 5; not toward 7");
+    assert_eq!(a.stats.flood_suppressed, skipped + 1);
+}
+
+/// A flood batch arriving on a cross port makes it a flood port: later
+/// floods go back out it, and still not out the other cross port.
+#[test]
+fn a_flood_batch_on_a_cross_port_floods_back_out_it() {
+    let mut a = lowest_with_two_cross_ports();
+    a.dir_register(&AppName::new("web"));
+    assert!(flood_ports(&mut a).is_empty(), "no tree, root-ward or flooding port yet");
+    batch_from(&mut a, 0, 2, "", &[lsa_obj(2, &[(1, 1)], 1, false)]);
+    flood_ports(&mut a);
+    a.dir_register(&AppName::new("mail"));
+    assert_eq!(flood_ports(&mut a), [0]);
+}
+
+/// The answer to a pull (a batch naming its subtree) is no flood: its
+/// port stays off the flood graph.
+#[test]
+fn a_pull_answer_does_not_make_a_flood_port() {
+    let mut a = lowest_with_two_cross_ports();
+    batch_from(&mut a, 0, 2, "/lsa", &[lsa_obj(2, &[(1, 1)], 1, false)]);
+    flood_ports(&mut a);
+    a.dir_register(&AppName::new("web"));
+    assert!(flood_ports(&mut a).is_empty());
+}
+
 /// Run the deferred route recomputation, as the node's timer would.
 fn recompute(i: &mut Ipcp) {
     i.run_deferred(Deferred::Routes, Time::ZERO);
@@ -647,6 +725,23 @@ fn sponsor_purges_a_silent_sponsored_member_after_grace() {
     assert!(sponsor2.rib.get("/members/net.x").is_some());
 }
 
+/// A crash-restart keeps the purges its sponsor made: they happened to
+/// the DIF, so the DIF-wide total must not fall when that sponsor later
+/// crashes. Every other counter starts afresh.
+#[test]
+fn a_respawned_sponsor_keeps_its_purges() {
+    let (mut sponsor, addr) = sponsor_of_x();
+    hello_from(&mut sponsor, 0, "net.x", addr, Time::from_millis(100));
+    for ms in (500..=6_000).step_by(500) {
+        sponsor.tick_hello(Time::from_millis(ms));
+    }
+    assert_eq!(sponsor.stats.members_purged, 1, "the purge fired");
+    let fresh = sponsor.respawned();
+    assert!(!fresh.is_enrolled());
+    assert_eq!(fresh.stats.members_purged, 1, "the respawn dropped the purge");
+    assert_eq!(fresh.stats.hello_tx, 0);
+}
+
 /// A wrong purge (the member was alive behind a partition) is
 /// healed in one round: the owner rewrites its objects at a higher
 /// version than the tombstone.
@@ -774,7 +869,13 @@ fn scoped_member_forwards_lookups_down_the_tree_only() {
     live_port(&mut relay, 0, 10, true); // ingress
     live_port(&mut relay, 1, 11, true); // the only forwarding target
     live_port(&mut relay, 2, 12, false); // cross edge: lookups never ride it
-    relay.take_out();
+
+    // Floods arrive on the cross edge, so floods go back out it too; a
+    // lookup, which nothing de-duplicates, still does not.
+    batch_from(&mut relay, 2, 12, "", &[lsa_obj(12, &[(2, 1)], 1, false)]);
+    flood_ports(&mut relay);
+    batch_from(&mut relay, 0, 10, "", &[lsa_obj(10, &[(2, 1)], 1, false)]);
+    assert_eq!(flood_ports(&mut relay), [1, 2], "port 2 is a flood port");
     let req = MgmtBody::DirLookupRequest { name: "/dir/web".into(), origin: 9 }.encode(0, 0);
     let pdu = Pdu::Mgmt(MgmtPdu { dest_addr: 0, src_addr: 10, ttl: 1, payload: req });
     relay.on_frame(0, pdu.encode(), Time::ZERO);

@@ -125,7 +125,8 @@ pub enum MgmtBody {
     /// is version-guarded at the receiver, so batches are idempotent
     /// like any RIEP update.
     RibDeltaResponse {
-        /// Subtree being synchronized (empty for mixed flood batches).
+        /// Subtree being synchronized (empty for flood batches, which
+        /// make the port they arrive on a flood port).
         subtree: String,
         /// Missing/newer objects for the requested range.
         objects: Vec<EncodedObject>,

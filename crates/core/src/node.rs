@@ -766,10 +766,11 @@ mod tests {
         (sim, id)
     }
 
-    /// Make `member` — address 1, ports 0 and 1 attached — want all three
-    /// deferred jobs, from `ms` on: a first neighbor appears (its LSA
-    /// version is written at once and queued for flooding), a second
-    /// inside the LSA debounce window (dirty), and a remote LSA arrives (a
+    /// Make `member` — address 1, ports 0 and 1 attached, port 0 on its
+    /// enrollment tree — want all three deferred jobs, from `ms` on: a
+    /// first neighbor appears (its LSA version is written at once and
+    /// queued for flooding out the tree port), a second inside the LSA
+    /// debounce window (dirty), and a remote LSA arrives (a
     /// delta-classified route repair).
     fn want_all_three(member: &mut Ipcp, ms: u64) {
         let hello = |name: &str, addr| {
@@ -788,6 +789,7 @@ mod tests {
             subtree: String::new(),
             objects: vec![EncodedObject::of(&lsa)],
         };
+        member.set_tree_port(0);
         member.on_frame(0, hello("net.b", 2), Time::from_millis(ms));
         member.on_frame(1, hello("net.c", 3), Time::from_millis(ms + 10));
         member.on_frame(0, mgmt_frame(2, batch), Time::from_millis(ms + 20));
