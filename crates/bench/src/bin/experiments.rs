@@ -37,11 +37,22 @@ fn main() {
     let title = "## E1/E2 — Figures 1 & 2: two-system and relayed IPC";
     section(&mut doc, title, "e1_fig1", e1_fig1::TABLE, &rows);
 
+    // Every cell at every seed of `e3_fig3::SEEDS`, folded into one row
+    // per cell (rows come back in cell order, seeds innermost).
     let pbads: &[f64] = if quick { &[0.0, 0.25] } else { &[0.0, 0.1, 0.2, 0.3] };
-    let cells: Vec<(f64, bool)> = pbads.iter().flat_map(|&p| [(p, false), (p, true)]).collect();
-    let rows = par_map(threads, cells, |(p, scoped)| e3_fig3::run(p, scoped, 200));
-    let title = "\n## E3 — Figure 3: an extra DIF scoped to the lossy segment";
-    section(&mut doc, title, "e3_fig3", e3_fig3::TABLE, &rows);
+    let cells: Vec<(f64, bool, u64)> = pbads
+        .iter()
+        .flat_map(|&p| [(p, false), (p, true)])
+        .flat_map(|(p, scoped)| e3_fig3::SEEDS.map(move |seed| (p, scoped, seed)))
+        .collect();
+    let runs = par_map(threads, cells, |(p, scoped, seed)| e3_fig3::run(p, scoped, seed));
+    let rows: Vec<_> = runs.chunks(e3_fig3::SEEDS.count()).map(e3_fig3::spread).collect();
+    let (first, last) = (e3_fig3::SEEDS.start, e3_fig3::SEEDS.end - 1);
+    let title = format!(
+        "\n## E3 — Figure 3: an extra DIF scoped to the lossy segment\n\n\
+         (median [min–max] over seeds {first}–{last})"
+    );
+    section(&mut doc, &title, "e3_fig3", e3_fig3::TABLE, &rows);
 
     let jobs: Vec<Job<_>> =
         vec![Box::new(|| e4_fig4::run_rina(300)), Box::new(|| e4_fig4::run_inet(300))];

@@ -293,7 +293,7 @@ struct Moved {
 }
 
 /// The median of ascending `sorted`, `None` when it is empty.
-fn median(sorted: &[f64]) -> Option<f64> {
+pub(crate) fn median(sorted: &[f64]) -> Option<f64> {
     let n = sorted.len();
     match n {
         0 => None,

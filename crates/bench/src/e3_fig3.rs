@@ -12,8 +12,13 @@
 //!
 //! The paper predicts the scoped configuration wins, increasingly so with
 //! loss (§6.2: proxies made unnecessary by structure).
+//!
+//! The lossy cells are chaotic in the seed: one frame more or fewer
+//! anywhere reshuffles the shared RNG's loss draws, and a single seed's
+//! row can move either way. So each cell runs at every seed of [`SEEDS`]
+//! and is reported as the median and range over them ([`Fig3Spread`]).
 
-use crate::report::{Col, Scalar};
+use crate::report::{Col, Scalar, Spread};
 use crate::{row, Scenario};
 use rina::apps::{SinkApp, SourceApp};
 use rina::prelude::*;
@@ -38,8 +43,34 @@ row! {
     }
 }
 
+/// The seeds every cell of the `experiments` table runs at.
+pub const SEEDS: std::ops::Range<u64> = 200..210;
+
+row! {
+    /// One cell of the Figure-3 sweep over [`SEEDS`]: each metric of
+    /// [`Fig3Row`] as its median and range.
+    pub struct Fig3Spread {
+        /// Wireless badness parameter (Gilbert–Elliott stationary P(bad)).
+        p_bad: f64,
+        /// Layering configuration.
+        config: &'static str,
+        /// Seeds run.
+        seeds: u64,
+        /// SDUs delivered within the run.
+        delivered: Spread,
+        /// Goodput in Mbit/s.
+        goodput_mbps: Spread,
+        /// Mean one-way latency (s).
+        latency_mean_s: Spread,
+        /// 99th-percentile one-way latency (s).
+        latency_p99_s: Spread,
+        /// End-to-end retransmissions at the source.
+        e2e_retx: Spread,
+    }
+}
+
 /// The E3 table of the `experiments` binary.
-pub const TABLE: &[Col<Fig3Row>] = &[
+pub const TABLE: &[Col<Fig3Spread>] = &[
     ("P(bad)", |r| r.p_bad.cell()),
     ("config", |r| r.config.cell()),
     ("delivered", |r| r.delivered.cell()),
@@ -47,6 +78,22 @@ pub const TABLE: &[Col<Fig3Row>] = &[
     ("lat mean (s)", |r| r.latency_mean_s.cell()),
     ("lat p99 (s)", |r| r.latency_p99_s.cell()),
 ];
+
+/// Fold the runs of one cell at several seeds into its [`Fig3Spread`].
+pub fn spread(runs: &[Fig3Row]) -> Fig3Spread {
+    let of = |f: fn(&Fig3Row) -> f64| Spread::of(runs.iter().map(f));
+    let first = runs.first();
+    Fig3Spread {
+        p_bad: first.map_or(f64::NAN, |r| r.p_bad),
+        config: first.map_or("", |r| r.config),
+        seeds: runs.len() as u64,
+        delivered: of(|r| r.delivered as f64),
+        goodput_mbps: of(|r| r.goodput_mbps),
+        latency_mean_s: of(|r| r.latency_mean_s),
+        latency_p99_s: of(|r| r.latency_p99_s),
+        e2e_retx: of(|r| r.e2e_retx as f64),
+    }
+}
 
 /// Run one cell of the sweep.
 pub fn run(p_bad: f64, scoped: bool, seed: u64) -> Fig3Row {

@@ -72,6 +72,42 @@ impl Scalar for String {
     }
 }
 
+/// One metric over several seeds: its median and range. A cell reads
+/// `median [min–max]`; the JSON value is an object of the three.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Spread {
+    /// The median (the mean of the middle two of an even count).
+    pub median: f64,
+    /// The smallest value.
+    pub min: f64,
+    /// The largest value.
+    pub max: f64,
+}
+
+impl Spread {
+    /// The spread of `values`; NaN throughout when there are none.
+    pub fn of(values: impl IntoIterator<Item = f64>) -> Spread {
+        let mut v: Vec<f64> = values.into_iter().collect();
+        v.sort_by(f64::total_cmp);
+        Spread {
+            median: crate::compare::median(&v).unwrap_or(f64::NAN),
+            min: v.first().copied().unwrap_or(f64::NAN),
+            max: v.last().copied().unwrap_or(f64::NAN),
+        }
+    }
+}
+
+impl Scalar for Spread {
+    fn json(&self) -> String {
+        let mut o = Obj::new();
+        o.field("median", &self.median).field("min", &self.min).field("max", &self.max);
+        o.finish()
+    }
+    fn cell(&self) -> String {
+        format!("{} [{}–{}]", self.median.cell(), self.min.cell(), self.max.cell())
+    }
+}
+
 /// Incremental JSON object builder.
 #[derive(Default)]
 pub struct Obj {
@@ -184,6 +220,16 @@ mod tests {
     fn nan_becomes_null() {
         let r = R { name: "x", x: f64::NAN, n: 0, ok: false };
         assert!(r.to_json().contains("\"x\": null"));
+    }
+
+    #[test]
+    fn spread_is_median_and_range() {
+        let s = Spread::of([4.0, 1.0, 3.0, 2.0]);
+        assert_eq!(s, Spread { median: 2.5, min: 1.0, max: 4.0 });
+        assert_eq!(s.cell(), "2.50 [1.00–4.00]");
+        assert_eq!(s.json(), r#"{"median": 2.5, "min": 1, "max": 4}"#);
+        assert_eq!(Spread::of([3.0, 1.0, 2.0]).median, 2.0);
+        assert!(Spread::of([]).median.is_nan());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! that moves, renames or reformats fails here before it reaches
 //! EXPERIMENTS.md or a report consumer.
 
-use rina_bench::report::{markdown, Col, Row};
+use rina_bench::report::{markdown, Col, Row, Spread};
 use rina_bench::*;
 
 /// One view: the table of the single `row` must be exactly
@@ -29,15 +29,17 @@ fn fig1() -> e1_fig1::Fig1Row {
     }
 }
 
-fn fig3() -> e3_fig3::Fig3Row {
-    e3_fig3::Fig3Row {
+fn fig3() -> e3_fig3::Fig3Spread {
+    let spread = |median, min, max| Spread { median, min, max };
+    e3_fig3::Fig3Spread {
         p_bad: 0.25,
         config: "scoped(+wireless DIF)",
-        delivered: 3_000,
-        goodput_mbps: 2.5,
-        latency_mean_s: 0.04321,
-        latency_p99_s: 1.23456,
-        e2e_retx: 12,
+        seeds: 10,
+        delivered: spread(3_000.0, 1_788.0, 3_000.0),
+        goodput_mbps: spread(2.5, 0.95, 8.28),
+        latency_mean_s: spread(0.04321, 0.0053, 4.27),
+        latency_p99_s: spread(1.23456, 0.0124, 10.49),
+        e2e_retx: spread(12.5, 0.0, 311.0),
     }
 }
 
@@ -245,8 +247,8 @@ fn every_table_view_matches_its_golden_strings() {
         [
             "| P(bad) | config | delivered | goodput (Mb/s) | lat mean (s) | lat p99 (s) |",
             "|---|---|---|---|---|---|",
-            "| 0.2500 | scoped(+wireless DIF) | 3000 | 2.50 | 0.0432 | 1.23 |",
-            r#"{"p_bad": 0.25, "config": "scoped(+wireless DIF)", "delivered": 3000, "goodput_mbps": 2.5, "latency_mean_s": 0.04321, "latency_p99_s": 1.23456, "e2e_retx": 12}"#,
+            "| 0.2500 | scoped(+wireless DIF) | 3000 [1788–3000] | 2.50 [0.9500–8.28] | 0.0432 [0.0053–4.27] | 1.23 [0.0124–10.49] |",
+            r#"{"p_bad": 0.25, "config": "scoped(+wireless DIF)", "seeds": 10, "delivered": {"median": 3000, "min": 1788, "max": 3000}, "goodput_mbps": {"median": 2.5, "min": 0.95, "max": 8.28}, "latency_mean_s": {"median": 0.04321, "min": 0.0053, "max": 4.27}, "latency_p99_s": {"median": 1.23456, "min": 0.0124, "max": 10.49}, "e2e_retx": {"median": 12.5, "min": 0, "max": 311}}"#,
         ],
     );
     check(

@@ -742,6 +742,42 @@ mod tests {
         assert_eq!(a.conn_stats_sum().timeouts, timeouts + 1);
     }
 
+    /// An owed acknowledgement is one more EFCP deadline: once a dense
+    /// stream is past its quick acks, the receiver's `pump_conn` arms
+    /// [`IpcpTimer::Conn`] `ACK_DELAY` after the PDU it owes an ack, and
+    /// the timer's firing sends the `AckCredit` that pays it.
+    #[test]
+    fn an_owed_ack_arms_the_flow_timer_and_its_firing_acks() {
+        let [mut a, mut b] = efcp_flow();
+        let at = |i: u64| Time::from_millis(10) + Dur::from_micros(100 * i);
+        let (mut sent, mut armed) = (0, Vec::new());
+        while armed.is_empty() && sent < 100 {
+            a.write_port(7, Bytes::from_static(b"x"), at(sent), None).unwrap();
+            carry(&mut a, &mut b, at(sent));
+            armed = conn_timers(&mut b);
+            carry(&mut b, &mut a, at(sent)); // the acks so far
+            sent += 1;
+        }
+        let due = at(sent - 1) + Dur::from_nanos(rina_efcp::ACK_DELAY);
+        assert_eq!(armed, [(due, IpcpTimer::Conn { cep: 1 })]);
+        b.on_timer(IpcpTimer::Conn { cep: 1 }, due);
+        let acks: Vec<_> = b
+            .take_out()
+            .into_iter()
+            .filter_map(|o| match o {
+                IpcpOut::TxPhys { frame, .. } => match Pdu::decode(&frame) {
+                    Ok(Pdu::Ctrl(c)) => Some(c.kind),
+                    _ => None,
+                },
+                _ => None,
+            })
+            .collect();
+        assert!(
+            matches!(acks[..], [rina_wire::CtrlKind::AckCredit { seq, .. }] if seq == sent),
+            "{acks:?} after {sent} PDUs"
+        );
+    }
+
     /// A flow deallocated with its timer armed takes the timer's record
     /// along: nothing is left to arm, and the late firing emits nothing.
     #[test]

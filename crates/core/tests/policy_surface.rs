@@ -44,7 +44,7 @@ fn constants_paragraph_names_the_fixed_policies() {
     let md = design_md();
     for (sec, next, constants) in [
         ("9.1", "### 9.2", &["HELLO_MISSES", "MAX_SDU", "FLOOD_BATCH"][..]),
-        ("9.2", "\n## ", &["MAX_PDU_PAYLOAD", "RTX_MAX_TIMEOUT", "MAX_RTX"][..]),
+        ("9.2", "\n## ", &["MAX_PDU_PAYLOAD", "RTX_MAX_TIMEOUT", "MAX_RTX", "ACK_DELAY"][..]),
     ] {
         let start = md.find(&format!("### {sec}")).unwrap_or_else(|| panic!("no §{sec}"));
         let end = md[start..].find(next).map_or(md.len(), |i| start + i);

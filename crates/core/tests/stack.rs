@@ -451,3 +451,33 @@ fn api_exposes_no_addresses() {
     let _ = takes_only_flow_handles;
     assert!(std::mem::size_of::<FlowH>() <= 8, "handles stay copy-cheap");
 }
+
+/// A reliable stream over a 9-node line keeps its one-way latency now
+/// that the receiver acks every second PDU: 64-byte SDUs every 400 µs
+/// across eight 1 ms hops, the relay-line8 benchmark's farthest source
+/// alone. The SDUs queued while the flow was being allocated drain
+/// through slow start, which sets the tail; the quick acks of the first
+/// 64 PDUs keep it where acking every PDU had it. Holding the second ack
+/// while the sender's window is two or three PDUs costs the tail 2 ms.
+#[test]
+fn a_reliable_stream_over_a_line_keeps_its_tail_latency() {
+    let mut b = NetBuilder::new(9);
+    let fab = Topology::line(9).materialize(&mut b);
+    let traffic = Workload::sources_to_sink(
+        &mut b,
+        fab.dif,
+        fab.last(),
+        &[fab.node(0)],
+        QosSpec::reliable(),
+        64,
+        2_000,
+        Dur::from_micros(400),
+    );
+    let mut net = b.build();
+    net.run_until_assembled(Dur::from_secs(10), Dur::from_millis(100));
+    net.run_for(Dur::from_secs(3));
+    let sink = net.app(traffic.sink);
+    assert_eq!(sink.received, 2_000);
+    let us = |q: f64| (sink.latency.quantile(q) * 1e6).round() as u64;
+    assert_eq!((us(0.5), us(0.99)), (8_006, 57_655), "one-way p50 and p99, µs");
+}

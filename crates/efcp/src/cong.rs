@@ -5,7 +5,7 @@ use crate::params::CongestionCtrl;
 /// AIMD's initial congestion window, in PDUs.
 const INITIAL_WINDOW: f64 = 2.0;
 /// AIMD's initial slow-start threshold, in PDUs.
-const SSTHRESH: f64 = 64.0;
+pub(crate) const SSTHRESH: f64 = 64.0;
 
 /// AIMD/slow-start congestion state, measured in PDUs.
 #[derive(Clone, Debug)]

@@ -20,7 +20,7 @@
     clippy::unimplemented
 )]
 
-use crate::cong::Cong;
+use crate::cong::{Cong, SSTHRESH};
 use crate::params::ConnParams;
 use bytes::Bytes;
 use rina_wire::efcp::{FLAG_DRF, FLAG_FIRST, FLAG_MORE};
@@ -112,6 +112,13 @@ pub const RTX_MAX_TIMEOUT: u64 = 5_000_000_000;
 /// Retransmissions of one PDU before the next expiry fails the connection.
 pub const MAX_RTX: u32 = 12;
 
+/// How long a reliable receiver may owe an acknowledgement, nanoseconds
+/// (2 ms): an in-order PDU of a dense stream past its first 64 PDUs
+/// (AIMD's slow-start threshold) is acked with the next one, or this long
+/// after it arrived. Far below the shortest retransmission timeout any
+/// cube sets (15 ms), so a held ack never fires the sender's timer.
+pub const ACK_DELAY: u64 = 2_000_000;
+
 /// One end of an EFCP connection.
 #[derive(Debug)]
 pub struct Connection {
@@ -143,6 +150,15 @@ pub struct Connection {
     dropping_sdu: bool,
     deliver_q: VecDeque<Bytes>,
     last_nacked: Option<SeqNum>,
+    /// Deadline of the owed acknowledgement, if one is owed.
+    ack_due: Option<u64>,
+    /// When the previous in-order PDU arrived.
+    last_in_order: Option<u64>,
+    /// In-order PDUs since the connection began or its last gap or
+    /// duplicate. The first [`SSTHRESH`] of them are acked at once: the
+    /// sender may still be in slow start, where a held ack stalls a
+    /// window of two or three PDUs.
+    in_order_run: u64,
 
     outq: VecDeque<Pdu>,
     stats: ConnStats,
@@ -171,6 +187,9 @@ impl Connection {
             dropping_sdu: false,
             deliver_q: VecDeque::new(),
             last_nacked: None,
+            ack_due: None,
+            last_in_order: None,
+            in_order_run: 0,
             outq: VecDeque::new(),
             stats: ConnStats::default(),
         }
@@ -191,12 +210,14 @@ impl Connection {
         self.failed
     }
 
-    /// True when nothing is queued, unacked, or pending delivery.
+    /// True when nothing is queued, unacked, pending delivery, or owed
+    /// an acknowledgement.
     pub fn is_idle(&self) -> bool {
         self.sendq.is_empty()
             && self.rtxq.is_empty()
             && self.outq.is_empty()
             && self.deliver_q.is_empty()
+            && self.ack_due.is_none()
     }
 
     /// Accept an SDU from the user, fragmenting to the PDU payload limit.
@@ -282,13 +303,13 @@ impl Connection {
     /// Feed one incoming PDU addressed to this connection.
     pub fn on_pdu(&mut self, pdu: &Pdu, now_ns: u64) {
         match pdu {
-            Pdu::Data(d) => self.on_data(d),
+            Pdu::Data(d) => self.on_data(d, now_ns),
             Pdu::Ctrl(c) => self.on_ctrl(c.kind, now_ns),
             Pdu::Mgmt(_) => { /* management is handled above EFCP */ }
         }
     }
 
-    fn on_data(&mut self, d: &DataPdu) {
+    fn on_data(&mut self, d: &DataPdu, now_ns: u64) {
         if !self.p.reliable {
             self.on_data_unreliable(d);
             return;
@@ -296,11 +317,13 @@ impl Connection {
         if d.seq < self.rcv_next {
             // Duplicate: re-ack so the sender advances.
             self.stats.dup_pdus += 1;
+            self.in_order_run = 0;
             self.emit_ack();
             return;
         }
         if d.seq > self.rcv_next {
             self.stats.ooo_pdus += 1;
+            self.in_order_run = 0;
             self.ooo.insert(d.seq, (d.flags, d.payload.clone()));
             // One nack per gap head to trigger fast retransmit.
             if self.last_nacked != Some(self.rcv_next) {
@@ -312,7 +335,15 @@ impl Connection {
             self.emit_ack();
             return;
         }
-        // In-order.
+        // In-order: ack at once unless the stream is dense and past its
+        // quick acks, in which case the ack is owed to the next PDU or
+        // to `ACK_DELAY` from now, whichever comes first.
+        let fills_gap = !self.ooo.is_empty();
+        let sparse = self.last_in_order.is_none_or(|t| now_ns.saturating_sub(t) >= ACK_DELAY);
+        let ack_now =
+            fills_gap || self.ack_due.is_some() || sparse || self.in_order_run < SSTHRESH as u64;
+        self.last_in_order = Some(now_ns);
+        self.in_order_run = if fills_gap { 0 } else { self.in_order_run + 1 };
         self.accept_in_order(d.flags, d.payload.clone());
         while let Some(e) = self.ooo.first_entry() {
             if *e.key() != self.rcv_next {
@@ -322,7 +353,11 @@ impl Connection {
             self.accept_in_order(flags, payload);
         }
         self.last_nacked = None;
-        self.emit_ack();
+        if ack_now {
+            self.emit_ack();
+        } else {
+            self.ack_due = Some(now_ns + ACK_DELAY);
+        }
     }
 
     /// Accept the in-sequence fragment at `rcv_next`.
@@ -377,8 +412,9 @@ impl Connection {
     }
 
     /// Acknowledge everything received in order so far and extend the
-    /// sender's credit (only reliable flows ack).
+    /// sender's credit (only reliable flows ack); this pays any owed ack.
     fn emit_ack(&mut self) {
+        self.ack_due = None;
         self.stats.acks_sent += 1;
         let k =
             CtrlKind::AckCredit { seq: self.rcv_next, rwe: self.rcv_next + self.p.credit_window };
@@ -433,14 +469,18 @@ impl Connection {
     }
 
     /// Earliest instant at which [`Connection::on_timeout`] must be called
-    /// (the retransmission deadline), if any timer is armed.
+    /// (the retransmission deadline or the owed ack's), if any timer is
+    /// armed.
     pub fn poll_timeout(&self) -> Option<u64> {
-        self.rtx_deadline
+        [self.rtx_deadline, self.ack_due].into_iter().flatten().min()
     }
 
     /// Drive timers. Call at (or after) the instant from
     /// [`Connection::poll_timeout`]; spurious calls are harmless.
     pub fn on_timeout(&mut self, now_ns: u64) {
+        if self.ack_due.is_some_and(|d| now_ns >= d) {
+            self.emit_ack();
+        }
         if let Some(d) = self.rtx_deadline {
             if now_ns >= d {
                 self.retransmit_head(now_ns);
@@ -805,6 +845,182 @@ mod tests {
             }
             _ => panic!("expected data"),
         }
+    }
+
+    /// What the receiver of a [`stream`] saw and said: each data PDU's
+    /// arrival and each control PDU it sent, as (instant, …).
+    #[derive(Default)]
+    struct AckLog {
+        arrivals: Vec<(u64, SeqNum)>,
+        acks: Vec<(u64, CtrlKind)>,
+    }
+
+    impl AckLog {
+        /// How long each PDU waited, from its arrival, for the first
+        /// acknowledgement that covers it.
+        fn lags(&self) -> Vec<u64> {
+            self.arrivals
+                .iter()
+                .map(|&(at, seq)| {
+                    let covered = self.acks.iter().find(|&&(t, k)| {
+                        t >= at && matches!(k, CtrlKind::AckCredit { seq: s, .. } if s > seq)
+                    });
+                    covered.map_or(u64::MAX, |&(t, _)| t - at)
+                })
+                .collect()
+        }
+    }
+
+    /// A sender `a` and receiver `b` joined by a channel without delay
+    /// that drops the first transmission of each seq in `lose`, with a
+    /// log of what `b` saw and said.
+    struct Stream {
+        a: Connection,
+        b: Connection,
+        lose: std::collections::BTreeSet<SeqNum>,
+        log: AckLog,
+    }
+
+    impl Stream {
+        /// Carry PDUs both ways at `now` until neither end has any.
+        fn exchange(&mut self, now: u64) {
+            loop {
+                let mut moved = false;
+                while let Some(p) = self.a.poll_transmit() {
+                    moved = true;
+                    if let Pdu::Data(d) = &p {
+                        if self.lose.remove(&d.seq) {
+                            continue;
+                        }
+                        self.log.arrivals.push((now, d.seq));
+                    }
+                    self.b.on_pdu(&p, now);
+                }
+                while let Some(p) = self.b.poll_transmit() {
+                    moved = true;
+                    if let Pdu::Ctrl(c) = &p {
+                        self.log.acks.push((now, c.kind));
+                    }
+                    self.a.on_pdu(&p, now);
+                }
+                if !moved {
+                    break;
+                }
+            }
+        }
+
+        fn next_timeout(&self) -> Option<u64> {
+            [self.a.poll_timeout(), self.b.poll_timeout()].into_iter().flatten().min()
+        }
+
+        /// Fire every timer due by `end`, each at its deadline.
+        fn fire_until(&mut self, end: u64) {
+            while let Some(t) = self.next_timeout().filter(|&t| t <= end) {
+                self.a.on_timeout(t);
+                self.b.on_timeout(t);
+                self.exchange(t);
+                assert!(self.next_timeout().is_none_or(|next| next > t), "a timer stuck at {t}");
+            }
+        }
+    }
+
+    /// Stream `n` one-PDU SDUs, the i-th sent at `i * spacing` ns, over
+    /// a [`Stream`] that loses the first transmission of each seq in
+    /// `lose`; `check` sees the receiver after each SDU.
+    fn stream(
+        n: u64,
+        spacing: u64,
+        lose: std::collections::BTreeSet<SeqNum>,
+        mut check: impl FnMut(&Connection),
+    ) -> AckLog {
+        let (a, b) = pair(ConnParams::reliable());
+        let mut s = Stream { a, b, lose, log: AckLog::default() };
+        for i in 0..n {
+            let now = i * spacing;
+            s.fire_until(now);
+            s.a.send_sdu(Bytes::from_static(b"x"), now).unwrap();
+            s.exchange(now);
+            check(&s.b);
+        }
+        s.fire_until(u64::MAX);
+        assert_eq!(drain(&mut s.b).len() as u64, n);
+        assert!(s.a.is_idle() && s.b.is_idle());
+        s.log
+    }
+
+    fn ack_through(seq: SeqNum) -> CtrlKind {
+        CtrlKind::AckCredit { seq, rwe: seq + ConnParams::reliable().credit_window }
+    }
+
+    /// A dense stream (PDUs under `ACK_DELAY` apart) gets an ack per PDU
+    /// for its first `SSTHRESH` PDUs, then one per two; the odd last PDU
+    /// is acked by the timer, `ACK_DELAY` after it arrived. No PDU waits
+    /// longer than that for its ack.
+    #[test]
+    fn a_dense_stream_is_acked_every_second_pdu_after_its_quick_acks() {
+        let (quick, spacing) = (SSTHRESH as u64, 400_000);
+        let n = quick + 11;
+        let log = stream(n, spacing, Default::default(), |_| {});
+        let at = |i: u64| i * spacing;
+        let mut want: Vec<_> = (0..quick).map(|i| (at(i), ack_through(i + 1))).collect();
+        want.extend((quick + 1..n).step_by(2).map(|i| (at(i), ack_through(i + 1))));
+        want.push((at(n - 1) + ACK_DELAY, ack_through(n)));
+        assert_eq!(log.acks, want);
+        assert!(log.lags().iter().all(|&lag| lag <= ACK_DELAY), "{:?}", log.lags());
+    }
+
+    /// PDUs `ACK_DELAY` or more apart are each acked on arrival, however
+    /// long the stream, and the receiver never arms a timer.
+    #[test]
+    fn a_sparse_stream_is_acked_at_once_and_arms_no_timer() {
+        let n = 2 * SSTHRESH as u64;
+        for spacing in [ACK_DELAY, 3 * ACK_DELAY] {
+            let log = stream(n, spacing, Default::default(), |b| {
+                assert_eq!(b.poll_timeout(), None);
+            });
+            let want: Vec<_> = (0..n).map(|i| (i * spacing, ack_through(i + 1))).collect();
+            assert_eq!(log.acks, want, "spacing {spacing}");
+        }
+    }
+
+    /// A gap restarts the quick acks: the out-of-order PDU is nacked and
+    /// acked at once, so is the retransmission that fills the gap, and so
+    /// are the `SSTHRESH` in-order PDUs after it; only then is the stream
+    /// acked every second PDU again.
+    #[test]
+    fn a_gap_restarts_the_quick_acks() {
+        let (quick, spacing, lost) = (SSTHRESH as u64, 400_000, SSTHRESH as u64 + 16);
+        let log = stream(lost + quick + 5, spacing, [lost].into(), |_| {});
+        let at = |i: u64| i * spacing;
+        let after_gap: Vec<_> = log.acks.iter().filter(|&&(t, _)| t >= at(lost)).collect();
+        let mut want = vec![
+            (at(lost + 1), CtrlKind::Nack { seq: lost }),
+            (at(lost + 1), ack_through(lost)),
+            (at(lost + 1), ack_through(lost + 2)),
+        ];
+        want.extend((lost + 2..lost + 2 + quick).map(|i| (at(i), ack_through(i + 1))));
+        want.push((at(lost + quick + 3), ack_through(lost + quick + 4)));
+        want.push((at(lost + quick + 4) + ACK_DELAY, ack_through(lost + quick + 5)));
+        assert_eq!(after_gap.into_iter().copied().collect::<Vec<_>>(), want);
+        assert!(log.lags().iter().all(|&lag| lag <= ACK_DELAY), "{:?}", log.lags());
+    }
+
+    /// An owed acknowledgement keeps the connection busy until it is paid.
+    #[test]
+    fn an_owed_ack_keeps_the_receiver_busy() {
+        let (mut a, mut b) = pair(ConnParams::reliable());
+        let spacing = ACK_DELAY / 4;
+        for i in 0..=SSTHRESH as u64 {
+            a.send_sdu(Bytes::from_static(b"x"), i * spacing).unwrap();
+            shuttle(&mut a, &mut b, i * spacing, &mut |_| false);
+        }
+        drain(&mut b);
+        let due = SSTHRESH as u64 * spacing + ACK_DELAY;
+        assert_eq!(b.poll_timeout(), Some(due));
+        assert!(!b.is_idle(), "an ack is owed");
+        b.on_timeout(due);
+        assert!(matches!(b.poll_transmit(), Some(Pdu::Ctrl(_))));
+        assert!(b.is_idle() && b.poll_timeout().is_none());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! unreliable datagram flow, or a short-feedback-loop segment protocol for
 //! the lossy inner DIFs of the paper's Figure 3. `ConnParams` carries only
 //! what DIFs set differently; what every connection shares is a constant
-//! ([`MAX_PDU_PAYLOAD`], [`RTX_MAX_TIMEOUT`], [`MAX_RTX`]).
+//! ([`MAX_PDU_PAYLOAD`], [`RTX_MAX_TIMEOUT`], [`MAX_RTX`], [`ACK_DELAY`]).
 //!
 //! The crate is sans-IO (no sockets, no clock): a [`Connection`] consumes
 //! SDUs, PDUs and timeout notifications, and is polled for outgoing PDUs
@@ -23,6 +23,7 @@ mod conn;
 mod params;
 
 pub use conn::{
-    ConnId, ConnStats, Connection, SendSduError, MAX_PDU_PAYLOAD, MAX_RTX, RTX_MAX_TIMEOUT,
+    ConnId, ConnStats, Connection, SendSduError, ACK_DELAY, MAX_PDU_PAYLOAD, MAX_RTX,
+    RTX_MAX_TIMEOUT,
 };
 pub use params::{CongestionCtrl, ConnParams};

@@ -6,7 +6,8 @@
 //! flow was allocated against. It holds only what some DIF sets
 //! differently; what every connection shares is a constant beside the code
 //! that reads it ([`crate::MAX_PDU_PAYLOAD`], [`crate::RTX_MAX_TIMEOUT`],
-//! [`crate::MAX_RTX`], and AIMD's initial window and slow-start threshold).
+//! [`crate::MAX_RTX`], [`crate::ACK_DELAY`], and AIMD's initial window and
+//! slow-start threshold).
 
 /// Congestion-control policy applied on top of receiver flow control.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

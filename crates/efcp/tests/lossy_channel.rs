@@ -1,13 +1,17 @@
 //! End-to-end property tests: an EFCP connection pair driven over a
 //! deliberately hostile channel (loss, reordering, duplication) must still
-//! deliver every SDU exactly once, in order, for reliable parameters.
+//! deliver every SDU exactly once, in order, for reliable parameters —
+//! and its receiver must acknowledge every PDU within [`ACK_DELAY`] of
+//! its coming in order, sending no more control PDUs than it received
+//! data PDUs plus gaps.
 
 use bytes::Bytes;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rina_efcp::{ConnId, ConnParams, Connection};
-use rina_wire::Pdu;
+use rina_efcp::{ConnId, ConnParams, Connection, ACK_DELAY};
+use rina_wire::{CtrlKind, Pdu, SeqNum};
+use std::collections::BTreeMap;
 
 /// A channel that delays PDUs by a random number of steps, drops some, and
 /// occasionally duplicates — deterministic in its seed.
@@ -67,16 +71,85 @@ fn endpoints(params: &ConnParams) -> (Connection, Connection) {
     (a, b)
 }
 
-/// Drive a full transfer of `sdus` from a to b across the hostile channel.
-/// Each step is 1 ms of virtual time. Returns SDUs delivered at b.
+/// What the receiver saw and said over one transfer.
+#[derive(Default)]
+struct Receiver {
+    /// When each seq first arrived.
+    first_arrival: BTreeMap<SeqNum, u64>,
+    /// Data PDUs that arrived, duplicates included.
+    data_in: u64,
+    /// Arrivals of a seq beyond the first one not yet received.
+    gaps: u64,
+    /// Control PDUs sent.
+    ctrl_out: u64,
+    /// Each ack sent: when, and the seq it acknowledges up to.
+    acks: Vec<(u64, SeqNum)>,
+}
+
+impl Receiver {
+    fn arrived(&mut self, seq: SeqNum, now: u64) {
+        self.data_in += 1;
+        let keys = self.first_arrival.keys();
+        let frontier = keys.zip(0..).take_while(|&(&s, i)| s == i).count() as SeqNum;
+        if seq > frontier && !self.first_arrival.contains_key(&seq) {
+            self.gaps += 1;
+        }
+        self.first_arrival.entry(seq).or_insert(now);
+    }
+
+    fn sent(&mut self, kind: CtrlKind, at: u64) {
+        self.ctrl_out += 1;
+        if let CtrlKind::AckCredit { seq, .. } = kind {
+            self.acks.push((at, seq));
+        }
+    }
+
+    /// Every PDU is acked within `ACK_DELAY` of the instant it came in
+    /// order (when it and every seq before it had arrived), and control
+    /// PDUs never outnumber data arrivals plus gaps.
+    fn check(&self) {
+        let mut in_order_at = 0;
+        for (&seq, &t) in &self.first_arrival {
+            in_order_at = t.max(in_order_at);
+            let ack = self.acks.iter().find(|&&(at, s)| at >= in_order_at && s > seq);
+            let lag = ack.map(|&(at, _)| at - in_order_at);
+            assert!(lag.is_some_and(|l| l <= ACK_DELAY), "seq {seq}: acked after {lag:?} ns");
+        }
+        assert!(
+            self.ctrl_out <= self.data_in + self.gaps,
+            "{} control PDUs for {} data PDUs and {} gaps",
+            self.ctrl_out,
+            self.data_in,
+            self.gaps
+        );
+    }
+}
+
+/// Drive a full transfer of `sdus` from a to b across the hostile channel
+/// (drop 20 %, duplicate 5 %, up to 3 steps of jitter).
 fn transfer(sdus: &[Vec<u8>], params: ConnParams, seed: u64, drop_p: f64) -> Vec<Bytes> {
+    transfer_over(sdus, params, seed, (drop_p, 0.05, 3)).0
+}
+
+/// Drive a full transfer of `sdus` from a to b across a channel that
+/// drops, duplicates and delays by up to `(drop_p, dup_p, max_jitter)`.
+/// Each step is 1 ms of virtual time. Returns SDUs delivered at b and
+/// what b saw and said, after checking b's acknowledgements
+/// ([`Receiver::check`]).
+fn transfer_over(
+    sdus: &[Vec<u8>],
+    params: ConnParams,
+    seed: u64,
+    (drop_p, dup_p, max_jitter): (f64, f64, u64),
+) -> (Vec<Bytes>, Receiver) {
     let (mut a, mut b) = endpoints(&params);
-    let mut ab = HostileChannel::new(seed, drop_p, 0.05, 3);
-    let mut ba = HostileChannel::new(seed.wrapping_add(1), drop_p, 0.05, 3);
+    let mut ab = HostileChannel::new(seed, drop_p, dup_p, max_jitter);
+    let mut ba = HostileChannel::new(seed.wrapping_add(1), drop_p, dup_p, max_jitter);
     for s in sdus {
         a.send_sdu(Bytes::from(s.clone()), 0).expect("queue");
     }
     let mut delivered = Vec::new();
+    let mut rx = Receiver::default();
     let step_ns = 1_000_000u64;
     for step in 0..200_000u64 {
         let now = step * step_ns;
@@ -84,9 +157,16 @@ fn transfer(sdus: &[Vec<u8>], params: ConnParams, seed: u64, drop_p: f64) -> Vec
             ab.offer(step, p);
         }
         while let Some(p) = b.poll_transmit() {
+            // Sent in the previous step, by `on_pdu` or `on_timeout`.
+            if let Pdu::Ctrl(c) = &p {
+                rx.sent(c.kind, now - step_ns);
+            }
             ba.offer(step, p);
         }
         for p in ab.due(step) {
+            if let Pdu::Data(d) = &p {
+                rx.arrived(d.seq, now);
+            }
             b.on_pdu(&p, now);
         }
         for p in ba.due(step) {
@@ -110,7 +190,8 @@ fn transfer(sdus: &[Vec<u8>], params: ConnParams, seed: u64, drop_p: f64) -> Vec
         }
         assert!(!a.is_failed(), "sender failed at step {step}");
     }
-    delivered
+    rx.check();
+    (delivered, rx)
 }
 
 #[test]
@@ -131,6 +212,25 @@ fn large_fragmented_sdus_survive_loss() {
     assert_eq!(got.len(), 20);
     for (want, got) in sdus.iter().zip(&got) {
         assert_eq!(&want[..], got.as_ref());
+    }
+}
+
+/// Light loss and no jitter leave long in-order stretches between the
+/// gaps a loss opens, so past each gap's quick acks the receiver acks
+/// every second PDU — and still acks every PDU within `ACK_DELAY`.
+#[test]
+fn light_loss_acks_every_second_pdu_within_the_delay() {
+    let sdus: Vec<Vec<u8>> = (0..2_000).map(|i| vec![(i % 251) as u8; 100]).collect();
+    for seed in 1..=4 {
+        let (got, rx) = transfer_over(&sdus, ConnParams::reliable(), seed, (0.005, 0.0, 0));
+        assert_eq!(got.len(), sdus.len());
+        assert!(rx.gaps > 0, "seed {seed}: no loss to recover from");
+        assert!(
+            5 * rx.ctrl_out < 4 * rx.data_in,
+            "seed {seed}: {} control PDUs for {} data PDUs",
+            rx.ctrl_out,
+            rx.data_in
+        );
     }
 }
 
