@@ -62,10 +62,10 @@ pub struct DifConfig {
     /// hello and ignores it: its medium's up and down events keep its
     /// port.
     pub hello_period: Dur,
-    /// How long a sponsor waits after a sponsored member's adjacency
-    /// expires before declaring it failed and garbage-collecting its
-    /// RIB objects (member record, LSA, directory entries) via
-    /// deletion floods, in milliseconds. The grace must comfortably
+    /// How long a sponsor waits after the adjacency of a member whose
+    /// record it wrote expires before declaring it failed and
+    /// garbage-collecting its RIB objects (member record, LSA, directory
+    /// entries) via deletion floods, in milliseconds. The grace must comfortably
     /// exceed a link flap plus re-enrollment, because a purge of a
     /// live member costs one reassert round trip (the owner rewrites
     /// its objects at a higher version).

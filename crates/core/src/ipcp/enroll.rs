@@ -1,8 +1,13 @@
 //! IPC Management — enrollment (§5.2): joining through a sponsor, and
 //! sponsoring — address and block assignment, and the failure watch
-//! over the members this process sponsored. Leaving (gracefully, or
-//! purged by the sponsor) is the same subject run backwards and lives
-//! here too.
+//! over the members whose records this process wrote. Leaving
+//! (gracefully, or purged by the sponsor) is the same subject run
+//! backwards and lives here too.
+//!
+//! A sponsor keeps no books beside the RIB: the member record it writes
+//! at admission is both the grant a retried request gets back and the
+//! failure-GC duty, which stays with the record's origin address across
+//! the sponsor's own leave and rejoin.
 
 use super::{Ipcp, IpcpOut, IpcpTimer};
 use crate::msg::MgmtBody;
@@ -15,11 +20,6 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// RIB object name prefix of the member records.
 pub(crate) const MEMBER_PREFIX: &str = "/members/";
-
-/// How long a sponsor keeps an admitted joiner's grant while it waits
-/// for the joiner's first hello: a retried request inside it gets the
-/// same grant back.
-const ADMIT_SLOT_TTL: Dur = Dur::from_millis(1500);
 
 /// How long a joiner waits for an answer before repeating its enrollment
 /// request.
@@ -40,15 +40,8 @@ pub(super) struct Enroll {
     /// top of block — as [`Ipcp::start_enroll`] or the planned enrollment
     /// path ([`Ipcp::plan_adjacency`]) gave it: every retry repeats it.
     pub(super) request: Option<(String, Addr, Addr)>,
-    /// Joiners admitted but not yet confirmed up (first hello pending):
-    /// joiner name → (admitted at, grant). An entry lives at most
-    /// [`ADMIT_SLOT_TTL`] past its last request.
-    admitting: BTreeMap<AppName, (Time, Grant)>,
-    /// Members this process sponsored and saw come up (first enrolled
-    /// hello): joiner name → granted address. The sponsor owns these
-    /// members' failure garbage collection.
-    sponsored: BTreeMap<AppName, Addr>,
-    /// Sponsored members whose adjacency expired, on failure watch:
+    /// Members whose records we wrote and whose adjacency expired, on
+    /// failure watch:
     /// name → (address, when the watch was armed). If nothing proves
     /// the member alive within [`crate::dif::DifConfig::member_gc_grace_ms`],
     /// its RIB objects are purged (one-shot).
@@ -56,16 +49,9 @@ pub(super) struct Enroll {
 }
 
 impl Enroll {
-    /// An enrolled hello from `name` at `addr` was heard: the joiner is
-    /// up, so its admission record (if any) goes and from here on
-    /// this sponsor owns its failure GC; and any hello from a watched
+    /// An enrolled hello from `name` was heard: any hello from a watched
     /// member proves it alive.
-    pub(super) fn on_enrolled_hello(&mut self, name: &AppName, addr: Addr) {
-        if let Some((_, (granted, _))) = self.admitting.remove(name) {
-            if granted == addr {
-                self.sponsored.insert(name.clone(), granted);
-            }
-        }
+    pub(super) fn on_enrolled_hello(&mut self, name: &AppName) {
         self.gc_watch.remove(name);
     }
 
@@ -77,11 +63,14 @@ impl Enroll {
         }
     }
 
-    /// The adjacencies to `lost` just expired: those we sponsored go on
-    /// failure watch (anything proving them alive cancels it).
-    pub(super) fn watch(&mut self, lost: Vec<AppName>, now: Time) {
+    /// The adjacencies to `lost` just expired: each whose live member
+    /// record in `rib` was last written by `me` — its sponsor wrote it
+    /// at admission — goes on failure watch under the address that
+    /// record holds (anything proving it alive cancels the watch).
+    pub(super) fn watch(&mut self, rib: &Rib, me: Addr, lost: Vec<AppName>, now: Time) {
         for n in lost {
-            if let Some(&a) = self.sponsored.get(&n) {
+            let rec = rib.get(&member_name(&n)).filter(|o| me != 0 && o.origin == me);
+            if let Some((a, _)) = rec.and_then(|o| decode_member(o.value)) {
                 self.gc_watch.entry(n).or_insert((a, now));
             }
         }
@@ -100,7 +89,6 @@ impl Enroll {
             .collect();
         for (n, _) in &due {
             self.gc_watch.remove(n);
-            self.sponsored.remove(n);
         }
         due
     }
@@ -219,7 +207,6 @@ impl Ipcp {
         proposed_hi: Addr,
         joiner_digests: DigestTable,
         invoke_id: u32,
-        now: Time,
     ) {
         let refuse = MgmtBody::EnrollResponse { addr: 0, hi: 0 };
         if !self.manages() {
@@ -230,20 +217,11 @@ impl Ipcp {
             self.send_mgmt_on(from_n1, refuse, invoke_id, -2);
             return;
         }
-        // Forget the joiners we have stopped waiting for.
-        self.enroll.admitting.retain(|_, &mut (t, _)| now.since(t) <= ADMIT_SLOT_TTL);
-        // A retry from a joiner already admitted (its response was lost):
-        // re-grant the same address and block, idempotently.
-        let (new_addr, new_hi) = match self.enroll.admitting.get(&name) {
-            Some(&(_, grant)) => grant,
-            None => assign_enrollee(
-                &self.rib,
-                (self.addr, self.hi),
-                &name,
-                (proposed_addr, proposed_hi),
-            ),
-        };
-        self.enroll.admitting.insert(name.clone(), (now, (new_addr, new_hi)));
+        // A retry from a joiner already admitted (its response was lost)
+        // finds the record its admission wrote, and gets that grant back.
+        let me = (self.addr, self.hi);
+        let (new_addr, new_hi) =
+            assign_enrollee(&self.rib, me, &name, (proposed_addr, proposed_hi));
         // An enrollment request is proof of life: a re-enrolling member
         // must not be purged by its own pending failure watch.
         self.enroll.gc_watch.remove(&name);
@@ -328,7 +306,7 @@ impl Ipcp {
         self.drain_rib();
     }
 
-    /// Purge the sponsored members whose failure watch ran out (called on
+    /// Purge the watched members whose failure watch ran out (called on
     /// the hello cadence).
     pub(super) fn purge_failed(&mut self, now: Time) {
         let grace = Dur::from_millis(self.cfg.member_gc_grace_ms);
@@ -340,7 +318,7 @@ impl Ipcp {
         }
     }
 
-    /// Garbage-collect a failed sponsored member: tombstone its member
+    /// Garbage-collect a failed member: tombstone its member
     /// record, LSA, and every other live object it originated
     /// (directory entries, re-asserted records). The tombstones ride
     /// the ordinary dissemination machinery — flood now, digest-driven
@@ -385,7 +363,10 @@ fn departure_names(rib: &Rib, name: &AppName, addr: Addr) -> Vec<String> {
 /// granted `me`, honouring its `proposed` grant when it conflicts with
 /// nothing `rib` knows. Sibling blocks must stay disjoint: a proposal
 /// that *partially* overlaps a recorded block (neither contains the
-/// other) is refused, and so is a block whose top lies below its base.
+/// other) is refused, and so is a block whose top lies below its base
+/// or one containing a block delegated from outside it. A sponsor that
+/// left, or was purged, and re-enrolls thus gets its block back around
+/// the subtree it delegated before.
 /// A refused or absent proposal no longer dooms the joiner to a
 /// fragmenting singleton: a re-enrolling member gets its previous grant
 /// back (identity reuse — its stale record becomes its record again
@@ -411,11 +392,14 @@ fn assign_enrollee(rib: &Rib, me: Grant, name: &AppName, proposed: Grant) -> Gra
         // Nesting is only legitimate *inward*: a proposal may sit
         // inside an ancestor's block (enrollment runs top-down, so
         // every known containing block is an ancestor's). A proposal
-        // that swallows an already-delegated block would let two
-        // sponsors hand out the same addresses.
+        // that swallows a block another sponsor delegated would let two
+        // sponsors hand out the same addresses; one delegated from
+        // inside the proposal is the joiner's own subtree, whose records
+        // outlive the joiner's purged or retracted one.
         let disjoint = p_hi < a || hi < p_addr;
         let inside = a <= p_addr && p_hi <= hi;
-        if (!disjoint && !inside) || (a == p_addr && !mine) {
+        let own_subtree = p_addr < a && hi <= p_hi && (p_addr..=p_hi).contains(&o.origin);
+        if (!disjoint && !inside && !own_subtree) || (a == p_addr && !mine) {
             taken = true;
         }
     }
@@ -522,6 +506,7 @@ pub fn decode_member(b: &[u8]) -> Option<(Addr, Addr)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rina_rib::RibObject;
 
     /// Carving needs a RIB and the sponsor's own grant, nothing else: each
     /// joiner gets the first address and first half of the largest gap
@@ -556,25 +541,71 @@ mod tests {
         assert_eq!(carve_block(&rib, (5, 5)), None);
     }
 
-    /// The sponsor's books on the bare task struct: an admitted joiner's
-    /// enrolled hello makes it sponsored; losing it arms the failure
-    /// watch; only silence past the grace hands it over for purging.
+    /// A sponsor whose own record is gone (it left, or was purged)
+    /// re-enrolls with its planned block around the subtree it had
+    /// delegated — blocks recorded by members inside it — while a block
+    /// delegated from outside still refuses that proposal.
+    #[test]
+    fn a_rejoining_sponsor_gets_its_block_back_around_its_subtree() {
+        fn record(rib: &mut Rib, name: &str, (addr, hi): Grant, origin: Addr) {
+            rib.apply_remote_silent(RibObject {
+                name: format!("{MEMBER_PREFIX}{name}"),
+                class: MEMBER_CLASS.into(),
+                value: encode_member(addr, hi),
+                version: 1,
+                origin,
+                deleted: false,
+            });
+        }
+        let mut rib = Rib::new(1);
+        let root = (1, 30);
+        record(&mut rib, "net.r", root, 1);
+        // net.s at 2 delegated (3, 4) and (5, 5); net.c at 3 delegated (4, 4).
+        record(&mut rib, "net.c", (3, 4), 2);
+        record(&mut rib, "net.d", (5, 5), 2);
+        record(&mut rib, "net.g", (4, 4), 3);
+        let s = AppName::new("net.s");
+        assert_eq!(assign_enrollee(&rib, root, &s, (2, 12)), (2, 12));
+        // The root carved (6, 6) out of the range net.s left behind.
+        record(&mut rib, "net.x", (6, 6), 1);
+        assert_eq!(assign_enrollee(&rib, root, &s, (2, 12)), (7, 18), "refused, then carved");
+    }
+
+    /// The sponsor's books are its RIB: losing the adjacency to a member
+    /// whose live record this member wrote arms the failure watch under
+    /// the address that record holds — not for another origin's record,
+    /// a tombstone or a stranger; any sign of life cancels it, and only
+    /// silence past the grace hands the member over for purging.
     #[test]
     fn failure_watch_is_cancelled_by_any_sign_of_life() {
-        let (x, y) = (AppName::new("net.x"), AppName::new("net.y"));
-        let mut e = Enroll::default();
-        for (name, addr) in [(&x, 2), (&y, 3)] {
-            e.admitting.insert(name.clone(), (Time::ZERO, (addr, addr)));
-            e.on_enrolled_hello(name, addr);
+        let me = 1;
+        let mut rib = Rib::new(me);
+        let [x, y, z, w] = ["net.x", "net.y", "net.z", "net.w"].map(AppName::new);
+        for (name, addr) in [(&x, 2), (&y, 3), (&w, 5)] {
+            rib.write_local(&member_name(name), MEMBER_CLASS, encode_member(addr, addr));
         }
-        assert!(e.admitting.is_empty() && e.sponsored.len() == 2);
+        // Another sponsor admitted net.z; net.w's record is a tombstone.
+        rib.apply_remote_silent(RibObject {
+            name: member_name(&z),
+            class: MEMBER_CLASS.into(),
+            value: encode_member(4, 4),
+            version: 1,
+            origin: 7,
+            deleted: false,
+        });
+        rib.delete_local(&member_name(&w));
+        let mut e = Enroll::default();
         let grace = Dur::from_secs(2);
-        e.watch(vec![x.clone(), y.clone(), AppName::new("net.stranger")], Time::from_secs(1));
-        assert_eq!(e.gc_watch.len(), 2, "only sponsored members are watched");
+        let lost = vec![x.clone(), y.clone(), z, w, AppName::new("net.stranger")];
+        e.watch(&rib, me, lost, Time::from_secs(1));
+        assert_eq!(e.gc_watch.len(), 2, "only live records of our origin are watched");
         assert!(e.take_failed(Time::from_secs(3), grace).is_empty(), "not past the grace yet");
         e.on_news_from(3); // net.y wrote something new: alive
-        assert_eq!(e.take_failed(Time::from_secs(4), grace), vec![(x.clone(), 2)]);
-        assert!(e.gc_watch.is_empty() && !e.sponsored.contains_key(&x), "one-shot");
-        assert!(e.sponsored.contains_key(&y));
+        assert_eq!(e.take_failed(Time::from_secs(4), grace), vec![(x, 2)]);
+        assert!(e.gc_watch.is_empty(), "one-shot");
+        // A hello proves life as news does.
+        e.watch(&rib, me, vec![y.clone()], Time::from_secs(5));
+        e.on_enrolled_hello(&y);
+        assert!(e.take_failed(Time::from_secs(9), grace).is_empty());
     }
 }

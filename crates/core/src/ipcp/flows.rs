@@ -179,6 +179,12 @@ impl Ipcp {
         *timer = None;
         conn.on_timeout(now.nanos());
         self.pump_conn(cep, now);
+        // A fired deadline must move: one re-armed at or before `now`
+        // would fire at this same instant forever, freezing virtual time.
+        debug_assert!(
+            self.flows.table.get(&cep).and_then(|f| f.timer).is_none_or(|t| t > now.nanos()),
+            "the EFCP deadline of CEP {cep} did not move past {now:?}"
+        );
     }
 
     /// Requester side: allocate a flow from `src_app` (bound to node port

@@ -9,7 +9,7 @@
 //! |---|---|---|---|
 //! | **IPC Data Transfer** (per PDU) | `transfer.rs` | `Transfer` | the (N-1) port table ([`N1Port`]), the peer-address relay index, the lower-flow index; relay-in-place, two-step forwarding, transmit |
 //! | **IPC Transfer Control** (per flow) | `flows.rs` | `Flows` | the one flow table (CEP → port, phase, binding; a requesting flow's phase holds the invoke id its response echoes), CEP ids, and each connection's armed deadline; the flow-allocator handshake (§5.3), its deadline and its teardown |
-//! | **IPC Management** — enrollment (§5.2) | `enroll.rs` | `Enroll` | outstanding requests and what they propose, admitted joiners awaiting their first hello, sponsored members and their failure watch; address and block assignment, leave and purge |
+//! | **IPC Management** — enrollment (§5.2) | `enroll.rs` | `Enroll` | outstanding requests and what they propose, the failure watch over members whose records this member wrote (admissions and sponsorships are read off the RIB); address and block assignment, leave and purge |
 //! | — directory | `directory.rs` | `Directory` | own registrations, the lookup cache, tombstone memory, the allocations waiting on each on-demand lookup in flight (scoped `/dir`) |
 //! | — neighbors | `neighbors.rs` | `Neighbors` | the planned adjacencies, the management view of each port (tree edge, flood mark, hello memo, a port's last lower flow), the hello send cache; allocating, retrying and binding lower flows, hello send/receive, expiry and release |
 //! | — routing | `routes.rs` | `Routes` | the route engine (LSA graph, SPF, forwarding table), the advertised neighbor set and its debounce |
@@ -623,7 +623,6 @@ impl Ipcp {
                     proposed_hi,
                     digests,
                     cdap.invoke_id,
-                    now,
                 );
             }
             MgmtBody::EnrollResponse { addr, hi, .. } => {

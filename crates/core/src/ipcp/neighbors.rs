@@ -148,9 +148,10 @@ impl Ipcp {
                 self.lower_flow_gone(port, now);
             }
         }
-        // Sponsored members whose adjacency just expired go on failure
-        // watch; whoever stays silent past the grace is purged.
-        self.enroll.watch(lost, now);
+        // Members whose records we wrote and whose adjacency just expired
+        // go on failure watch; whoever stays silent past the grace is
+        // purged.
+        self.enroll.watch(&self.rib, self.addr, lost, now);
         self.purge_failed(now);
     }
 
@@ -437,7 +438,7 @@ impl Ipcp {
     ) {
         let mut changed = false;
         if addr != 0 {
-            self.enroll.on_enrolled_hello(name, addr);
+            self.enroll.on_enrolled_hello(name);
         }
         if let Some(p) = self.transfer.n1.get_mut(from_n1) {
             p.last_hello = now;

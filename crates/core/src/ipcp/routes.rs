@@ -16,18 +16,11 @@ use rina_sim::{Dur, Time};
 /// waits out.
 pub(super) const LSA_DEBOUNCE: Dur = Dur::from_millis(100);
 
-/// Debounce floor for route recomputation after LSA floods that need the
-/// full-recomputation fallback (bootstrap, re-rooting after enrollment):
-/// one Dijkstra run per burst. Its cost scales with the whole LSA set,
-/// so the effective window does too: `max(this, lsa_count / 10 ms)`
-/// (1000 members → 100 ms).
-const RECOMPUTE_DEBOUNCE_FLOOR: Dur = Dur::from_millis(50);
-
-/// Debounce for route recomputation when every queued LSA delta is
-/// delta-classified (incremental SPF repairs only the affected region,
-/// neighbor changes included): it only coalesces one flood burst,
-/// however big the facility.
-const RECOMPUTE_DELTA_DEBOUNCE: Dur = Dur::from_millis(20);
+/// Debounce for route recomputation: it only coalesces one flood burst
+/// into one SPF repair, however big the facility. The cases that need
+/// the full-recomputation fallback (bootstrap, re-rooting at enrollment)
+/// recompute at once instead of waiting for it.
+const RECOMPUTE_DEBOUNCE: Dur = Dur::from_millis(20);
 
 /// The routing task's state (see module docs).
 pub(super) struct Routes {
@@ -82,14 +75,7 @@ impl Routes {
     /// are queued: a burst of flooded LSAs costs one SPF repair, not one
     /// per update.
     pub(super) fn recompute_wanted(&self) -> Option<Dur> {
-        if !self.engine.dirty() {
-            None
-        } else if self.engine.pending_full() {
-            let stretched = Dur::from_millis(self.engine.lsa_count() as u64 / 10);
-            Some(RECOMPUTE_DEBOUNCE_FLOOR.max(stretched))
-        } else {
-            Some(RECOMPUTE_DELTA_DEBOUNCE)
-        }
+        self.engine.dirty().then_some(RECOMPUTE_DEBOUNCE)
     }
 }
 
@@ -157,9 +143,8 @@ mod tests {
     use super::*;
 
     /// The recompute debounce on the bare task struct: nothing queued, no
-    /// timer; the full-recomputation fallback waits out a floor that
-    /// stretches with the LSA count; a delta-classified batch a short
-    /// constant.
+    /// timer; anything queued, one short window, whatever the repair
+    /// will cost.
     #[test]
     fn recompute_debounce_tracks_what_the_repair_will_cost() {
         let lsa = |to: Addr| Some(Lsa { neighbors: vec![(to, 1)] });
@@ -167,13 +152,11 @@ mod tests {
         assert_eq!(r.recompute_wanted(), None);
         // Re-rooting (enrollment assigns the address): the full fallback.
         r.engine.set_self(1);
-        r.engine.on_lsa(1, lsa(2));
-        assert!(r.engine.pending_full());
-        assert_eq!(r.recompute_wanted(), Some(Dur::from_millis(50)), "the floor");
-        for a in 2..=700 {
-            r.engine.on_lsa(a, lsa(a - 1));
+        for a in 1..=700 {
+            r.engine.on_lsa(a, lsa(a + 1));
         }
-        assert_eq!(r.recompute_wanted(), Some(Dur::from_millis(70)), "700 LSAs / 10");
+        assert!(r.engine.pending_full());
+        assert_eq!(r.recompute_wanted(), Some(Dur::from_millis(20)));
         r.engine.recompute();
         assert_eq!(r.recompute_wanted(), None);
         // One more member attaches: an incremental repair.

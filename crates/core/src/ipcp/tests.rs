@@ -25,11 +25,11 @@ fn live_port(i: &mut Ipcp, iface: u32, peer_addr: Addr, tree: bool) -> usize {
     n1
 }
 
-/// An enrollment request from `name` arrives on `n1` at `now`, proposing
-/// the block `[addr, hi]`, with an open-DIF (empty) credential.
-fn enroll_req(s: &mut Ipcp, n1: usize, name: &str, (addr, hi): Proposal, invoke: u32, now: Time) {
+/// An enrollment request from `name` arrives on `n1`, proposing the
+/// block `[addr, hi]`, with an open-DIF (empty) credential.
+fn enroll_req(s: &mut Ipcp, n1: usize, name: &str, (addr, hi): Proposal, invoke: u32) {
     let none = DigestTable::default();
-    s.handle_enroll_request(n1, AppName::new(name), String::new(), addr, hi, none, invoke, now);
+    s.handle_enroll_request(n1, AppName::new(name), String::new(), addr, hi, none, invoke);
 }
 
 /// What a joiner proposes: an address and the top of the block it
@@ -193,7 +193,6 @@ fn enroll_request_rejected_on_bad_secret() {
         0,
         DigestTable::default(),
         5,
-        Time::ZERO,
     );
     // The response effect is a TxPhys frame; decode it and check result.
     let out = sponsor.take_out();
@@ -218,8 +217,8 @@ fn sponsor_assigns_sequential_addresses() {
     sponsor.bootstrap(1);
     sponsor.add_n1(N1Kind::Phys { iface: 0 });
     sponsor.add_n1(N1Kind::Phys { iface: 1 });
-    enroll_req(&mut sponsor, 0, "net.x", NO_PROPOSAL, 1, Time::ZERO);
-    enroll_req(&mut sponsor, 1, "net.y", NO_PROPOSAL, 2, Time::ZERO);
+    enroll_req(&mut sponsor, 0, "net.x", NO_PROPOSAL, 1);
+    enroll_req(&mut sponsor, 1, "net.y", NO_PROPOSAL, 2);
     let x = decode_addr(sponsor.rib.get("/members/net.x").unwrap().value).unwrap();
     let y = decode_addr(sponsor.rib.get("/members/net.y").unwrap().value).unwrap();
     assert_eq!((x, y), (2, 3));
@@ -265,27 +264,40 @@ fn sponsor_and_joiners(ports: u32) -> (Ipcp, Vec<(String, Proposal)>) {
 fn a_sponsor_grants_every_concurrent_joiner() {
     let (mut sponsor, joiners) = sponsor_and_joiners(9);
     for (k, (name, proposal)) in joiners.iter().enumerate() {
-        enroll_req(&mut sponsor, k, name, *proposal, k as u32 + 1, Time::ZERO);
+        enroll_req(&mut sponsor, k, name, *proposal, k as u32 + 1);
         let (r, a, b) = last_enroll_response(&mut sponsor);
         assert_eq!((r, (a, b)), (0, *proposal), "{name}");
     }
     assert_eq!(sponsor.stats.enrollments_sponsored, 9);
 }
 
+/// A joiner whose grant was lost asks again and gets the same grant
+/// back from the record its admission wrote — a planned joiner its
+/// proposal, an unplanned one its carved block — and the sponsor writes
+/// no second version of that record, so the re-grant floods nothing.
 #[test]
 fn admitted_retry_regrants_same_address_without_a_second_slot() {
-    // Seven joiners are admitted and not yet up; then net.x asks.
-    let (mut sponsor, joiners) = sponsor_and_joiners(8);
+    // Seven joiners are admitted and not yet up; then the planned
+    // net.j7 and the unplanned net.x ask.
+    let (mut sponsor, joiners) = sponsor_and_joiners(9);
     for (k, (name, proposal)) in joiners[..7].iter().enumerate() {
-        enroll_req(&mut sponsor, k, name, *proposal, k as u32 + 1, Time::ZERO);
+        enroll_req(&mut sponsor, k, name, *proposal, k as u32 + 1);
     }
     sponsor.take_out();
-    enroll_req(&mut sponsor, 7, "net.x", NO_PROPOSAL, 8, Time::ZERO);
-    let (_, first, _) = last_enroll_response(&mut sponsor);
-    // The response was lost; the joiner retries and gets the same grant.
-    enroll_req(&mut sponsor, 7, "net.x", NO_PROPOSAL, 9, Time::ZERO);
-    let (r, again, _) = last_enroll_response(&mut sponsor);
-    assert_eq!((r, again), (0, first));
+    let (planned, plan) = &joiners[7];
+    let version = |s: &Ipcp, name: &str| s.rib.get(&format!("/members/{name}")).map(|o| o.version);
+    for (n1, name, proposal, grant) in
+        [(7, planned.as_str(), *plan, *plan), (8, "net.x", NO_PROPOSAL, (82, 91))]
+    {
+        enroll_req(&mut sponsor, n1, name, proposal, 10);
+        let (r, a, hi) = last_enroll_response(&mut sponsor);
+        assert_eq!((r, (a, hi)), (0, grant), "{name}");
+        let written = version(&sponsor, name);
+        // The response was lost; the joiner retries and gets the same grant.
+        enroll_req(&mut sponsor, n1, name, proposal, 11);
+        assert_eq!(last_enroll_response(&mut sponsor), (0, a, hi), "{name}");
+        assert_eq!(version(&sponsor, name), written, "{name}: one record version");
+    }
 }
 
 /// A proposal may nest *inside* an ancestor's block, but never
@@ -298,12 +310,12 @@ fn block_proposal_swallowing_a_sibling_is_refused_and_carved() {
     sponsor.set_block(50);
     sponsor.add_n1(N1Kind::Phys { iface: 0 });
     sponsor.add_n1(N1Kind::Phys { iface: 1 });
-    enroll_req(&mut sponsor, 0, "net.a", (20, 30), 1, Time::ZERO);
+    enroll_req(&mut sponsor, 0, "net.a", (20, 30), 1);
     let (_, a, hi) = last_enroll_response(&mut sponsor);
     assert_eq!((a, hi), (20, 30));
     // net.b proposes [11, 40]: strictly *contains* net.a's [20, 30] —
     // inward nesting is fine, swallowing a delegation is not.
-    enroll_req(&mut sponsor, 1, "net.b", (11, 40), 2, Time::ZERO);
+    enroll_req(&mut sponsor, 1, "net.b", (11, 40), 2);
     let (r, a2, hi2) = last_enroll_response(&mut sponsor);
     assert_eq!(r, 0);
     // The refused proposal is replaced by a carve from the
@@ -319,12 +331,12 @@ fn partially_overlapping_block_proposal_gets_a_carved_block() {
     sponsor.set_block(50);
     sponsor.add_n1(N1Kind::Phys { iface: 0 });
     sponsor.add_n1(N1Kind::Phys { iface: 1 });
-    enroll_req(&mut sponsor, 0, "net.a", (2, 20), 1, Time::ZERO);
+    enroll_req(&mut sponsor, 0, "net.a", (2, 20), 1);
     let (_, a, hi) = last_enroll_response(&mut sponsor);
     assert_eq!((a, hi), (2, 20));
     // net.b claims [15, 30]: straddles net.a's block — rejected
     // proposal, replaced by a carve of the free [21, 50] gap.
-    enroll_req(&mut sponsor, 1, "net.b", (15, 30), 2, Time::ZERO);
+    enroll_req(&mut sponsor, 1, "net.b", (15, 30), 2);
     let (r, a2, hi2) = last_enroll_response(&mut sponsor);
     assert_eq!(r, 0);
     assert_eq!((a2, hi2), (21, 35));
@@ -567,7 +579,7 @@ fn carving_gives_unplanned_joiners_nested_aggregatable_blocks() {
     }
     let mut grants = Vec::new();
     for (i, name) in ["net.a", "net.b", "net.c"].iter().enumerate() {
-        enroll_req(&mut sponsor, i, name, NO_PROPOSAL, i as u32 + 1, Time::ZERO);
+        enroll_req(&mut sponsor, i, name, NO_PROPOSAL, i as u32 + 1);
         let (r, a, b) = last_enroll_response(&mut sponsor);
         assert_eq!(r, 0);
         grants.push((a, b));
@@ -592,13 +604,13 @@ fn failed_member_re_enrolls_with_its_old_grant() {
     sponsor.bootstrap(1);
     sponsor.set_block(64);
     sponsor.add_n1(N1Kind::Phys { iface: 0 });
-    enroll_req(&mut sponsor, 0, "net.x", NO_PROPOSAL, 1, Time::ZERO);
+    enroll_req(&mut sponsor, 0, "net.x", NO_PROPOSAL, 1);
     let (_, first_addr, first_hi) = last_enroll_response(&mut sponsor);
     // The joiner came up (enrolled hello), then crashed and lost its
     // state entirely: its fresh incarnation proposes nothing.
     hello_from(&mut sponsor, 0, "net.x", first_addr, Time::ZERO);
     sponsor.take_out();
-    enroll_req(&mut sponsor, 0, "net.x", NO_PROPOSAL, 2, Time::from_secs(10));
+    enroll_req(&mut sponsor, 0, "net.x", NO_PROPOSAL, 2);
     let (r, again_addr, again_hi) = last_enroll_response(&mut sponsor);
     assert_eq!(r, 0);
     assert_eq!((again_addr, again_hi), (first_addr, first_hi), "identity reuse");
@@ -615,12 +627,12 @@ fn a_block_below_its_base_is_refused_both_ways() {
     sponsor.bootstrap(1);
     sponsor.set_block(64);
     sponsor.add_n1(N1Kind::Phys { iface: 0 });
-    enroll_req(&mut sponsor, 0, "net.x", (10, 9), 1, Time::ZERO);
+    enroll_req(&mut sponsor, 0, "net.x", (10, 9), 1);
     let (r, a, hi) = last_enroll_response(&mut sponsor);
     assert_eq!((r, a, hi), (0, 2, 33), "carved, as for no proposal");
     hello_from(&mut sponsor, 0, "net.x", 2, Time::ZERO);
     sponsor.take_out();
-    enroll_req(&mut sponsor, 0, "net.x", (40, 39), 2, Time::from_secs(10));
+    enroll_req(&mut sponsor, 0, "net.x", (40, 39), 2);
     let (r, a, hi) = last_enroll_response(&mut sponsor);
     assert_eq!((r, a, hi), (0, 2, 33), "identity reuse");
 
@@ -674,7 +686,7 @@ fn sponsor_of_x() -> (Ipcp, Addr) {
     sponsor.bootstrap(1);
     sponsor.set_block(64);
     sponsor.add_n1(N1Kind::Phys { iface: 0 });
-    enroll_req(&mut sponsor, 0, "net.x", NO_PROPOSAL, 1, Time::ZERO);
+    enroll_req(&mut sponsor, 0, "net.x", NO_PROPOSAL, 1);
     let (_, addr, _) = last_enroll_response(&mut sponsor);
     (sponsor, addr)
 }
@@ -723,6 +735,74 @@ fn sponsor_purges_a_silent_sponsored_member_after_grace() {
     }
     assert_eq!(sponsor2.stats.members_purged, 0, "the flap was not a failure");
     assert!(sponsor2.rib.get("/members/net.x").is_some());
+}
+
+/// Run `s`'s hello cadence from `from_ms` to `to_ms`, every 500 ms.
+fn tick_until(s: &mut Ipcp, from_ms: u64, to_ms: u64) {
+    for ms in (from_ms..=to_ms).step_by(500) {
+        s.tick_hello(Time::from_millis(ms));
+        s.take_out();
+    }
+}
+
+/// A joiner admitted and then never heard from — its grant was lost with
+/// it — is watched like any member whose record the sponsor wrote: once
+/// its adjacency expires and the grace runs out, its record is purged.
+#[test]
+fn an_admitted_joiner_never_heard_from_is_purged_after_grace() {
+    let (mut sponsor, _) = sponsor_of_x();
+    // The joiner's hello cadence before it hears the grant, then silence.
+    hello_from(&mut sponsor, 0, "net.x", 0, Time::from_millis(100));
+    tick_until(&mut sponsor, 500, 3_500);
+    assert_eq!(sponsor.stats.members_purged, 0, "expiry (~1.5 s) plus grace (2 s)");
+    tick_until(&mut sponsor, 4_000, 6_000);
+    assert_eq!(sponsor.stats.members_purged, 1);
+    assert!(sponsor.rib.get("/members/net.x").is_none());
+}
+
+/// Failure-GC duty is a RIB fact, not a map the sponsor's process holds:
+/// a sponsor that leaves and rejoins, or crashes and re-enrolls, under
+/// its old address finds the records it wrote at admission in the RIB it
+/// syncs, so a member it admitted that then falls silent is still
+/// purged after the grace.
+#[test]
+fn a_sponsor_that_rejoins_purges_a_silent_member_it_admitted() {
+    for leaves in [true, false] {
+        let cfg = DifConfig::new("net").with_member_gc_grace_ms(2_000);
+        let mut sponsor = Ipcp::new(0, cfg, AppName::new("net.s"));
+        // Port 0 leads to the sponsor's own sponsor, port 1 to net.x.
+        let ports = |s: &mut Ipcp| {
+            for iface in 0..2 {
+                s.add_n1(N1Kind::Phys { iface });
+            }
+        };
+        ports(&mut sponsor);
+        sponsor.start_enroll(0, "", 2, 50, Time::ZERO);
+        sponsor.handle_enroll_response(2, 50, 0);
+        enroll_req(&mut sponsor, 1, "net.x", NO_PROPOSAL, 1);
+        let (_, addr, _) = last_enroll_response(&mut sponsor);
+        hello_from(&mut sponsor, 1, "net.x", addr, Time::from_millis(100));
+        if leaves {
+            sponsor.announce_leave(Time::from_secs(1));
+        }
+        // The sponsor's fresh process re-enrolls under its old grant,
+        // learning the DIF's RIB as any joiner does.
+        let mut fresh = sponsor.respawned();
+        ports(&mut fresh);
+        for o in sponsor.rib.snapshot() {
+            fresh.apply_and_reflood(&o, 0);
+        }
+        fresh.handle_enroll_response(2, 50, 0);
+        hello_from(&mut fresh, 1, "net.x", addr, Time::from_secs(2));
+        // net.x falls silent: its adjacency expires at 4 s, the grace
+        // runs out after 6 s.
+        tick_until(&mut fresh, 2_500, 6_000);
+        assert_eq!(fresh.stats.members_purged, 0, "leaves {leaves}: not past the grace yet");
+        tick_until(&mut fresh, 6_500, 7_000);
+        assert_eq!(fresh.stats.members_purged, 1, "leaves {leaves}: the duty survived");
+        assert!(fresh.rib.get("/members/net.x").is_none());
+        assert!(fresh.rib.live_of_origin(addr).is_empty());
+    }
 }
 
 /// A crash-restart keeps the purges its sponsor made: they happened to

@@ -172,14 +172,14 @@ fn transfer_over(
         for p in ba.due(step) {
             a.on_pdu(&p, now);
         }
-        if let Some(t) = a.poll_timeout() {
-            if t <= now {
-                a.on_timeout(now);
-            }
-        }
-        if let Some(t) = b.poll_timeout() {
-            if t <= now {
-                b.on_timeout(now);
+        for (end, c) in [("sender", &mut a), ("receiver", &mut b)] {
+            if c.poll_timeout().is_some_and(|t| t <= now) {
+                c.on_timeout(now);
+                // A fired deadline must move: the caller re-arms what
+                // `poll_timeout` says, so one at or before `now` would
+                // fire at this instant forever.
+                let next = c.poll_timeout();
+                assert!(next.is_none_or(|t| t > now), "{end}'s deadline {next:?} after {now}");
             }
         }
         while let Some(s) = b.poll_deliver() {
