@@ -43,7 +43,7 @@ row! {
         /// RIEP object PDUs sent DIF-wide over the whole run (flooding,
         /// resync streams, and delta responses).
         rib_pdus: u64,
-        /// Live ports floods skipped (off the flood graph).
+        /// Live ports floods skipped (off the spanning tree).
         flood_suppressed: u64,
         /// From-scratch SPF runs DIF-wide (bootstrap + own-LSA changes +
         /// fallbacks) — with the incremental engine this tracks local

@@ -260,7 +260,7 @@ mod tests {
     }
 
     /// The table's 30-member row heals within one hello period of the
-    /// last heal: the flood graph spans the healed DIF, and anti-entropy
+    /// last heal: the spanning tree heals with the routes, and anti-entropy
     /// pulls at the first hello that differs.
     #[test]
     fn thirty_member_table_row_reconverges_within_half_a_second() {
@@ -282,6 +282,62 @@ mod tests {
         assert!(r.calm_samples > 0, "no calm window was ever sampled: {r:?}");
         assert_eq!(r.stale_final, 0, "scoped /dir leaked departed state: {r:?}");
         assert_eq!(r.reach_min, 1.0, "reachability dipped under scoped /dir: {r:?}");
+    }
+
+    /// Scoped `/dir` stays live through the whole churn plan: at 30
+    /// members, one leave, one crash-fail, one flap and one partition
+    /// with a flow-churn population allocating throughout. Over 20 s
+    /// from one allocation deadline after the heal, every directory
+    /// lookup a member starts is answered by the name's owner — lookups
+    /// and tombstones ride the spanning tree routing repairs — and no
+    /// allocation fails.
+    #[test]
+    fn scoped_dir_answers_every_lookup_after_the_full_churn_plan() {
+        use crate::Scenario;
+        use rina::prelude::*;
+        let seed = 71;
+        let mut s = Scenario::new("e11-scoped-liveness", seed);
+        let cfg = DifConfig::new("as").with_member_gc_grace_ms(2_000).with_scoped_dir(true);
+        let fab = Topology::barabasi_albert(30, 2, seed)
+            .with_dif(cfg)
+            .with_prefix("as")
+            .materialize(&mut s);
+        let churn_cfg = FlowChurnCfg::new(seed)
+            .with_pacing(
+                (Dur::from_secs(1), Dur::from_secs(3)),
+                (Dur::from_millis(100), Dur::from_millis(400)),
+            )
+            .with_traffic(32, Dur::from_millis(50));
+        let sinks = fab.lowest_degree(2);
+        let flows = Workload::flow_churn(&mut s, fab.dif, &fab.nodes, &sinks, &churn_cfg);
+        let members = fab.member_ipcps(&s);
+        let sink_ipcps: Vec<IpcpH> = sinks.iter().map(|&n| s.ipcp_of(fab.dif, n)).collect();
+        let mut run = s.assemble(Dur::from_secs(600), Dur::from_secs(1));
+        let out = super::churn_phase(&mut run, &fab, &members, seed, (1, 1, 1, 1));
+        assert!(out.converged, "never re-quiesced: {out:?}");
+        // Every allocation asked before the heal ends within its 1 s
+        // deadline; the window counts those asked after it. The sinks
+        // then register anew: their tombstones empty every member's
+        // cache, so the window resolves each name again.
+        run.run_for(Dur::from_secs(1));
+        for &h in &sink_ipcps {
+            let sink = run.net.ipcp_mut(h);
+            let own = sink.rib.iter_prefix("/dir/").map(|o| o.name["/dir/".len()..].to_string());
+            for name in own.collect::<Vec<_>>().iter().map(|k| AppName::from_key(k)) {
+                sink.dir_unregister(&name);
+                sink.dir_register(&name);
+            }
+        }
+        let lookups = |net: &Net| {
+            let stats = members.iter().map(|&h| net.ipcp(h).stats);
+            stats.fold((0, 0), |(s, a), st| (s + st.dir_lookups_sent, a + st.dir_lookups_answered))
+        };
+        let (fails, (sent, answered)) = (flows.alloc_failures(&run.net), lookups(&run.net));
+        run.run_for(Dur::from_secs(20));
+        let (sent, answered) = (lookups(&run.net).0 - sent, lookups(&run.net).1 - answered);
+        assert!(sent > 0, "the window resolved no name");
+        assert_eq!(answered, sent, "lookups went unanswered");
+        assert_eq!(flows.alloc_failures(&run.net) - fails, 0, "allocations failed");
     }
 
     /// CI smoke at 200 members (release-only): the E11 acceptance gate —

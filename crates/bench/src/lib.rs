@@ -215,7 +215,7 @@ pub struct Totals {
     pub mgmt_tx: u64,
     /// RIEP object PDUs sent (flooding, resync streams, delta responses).
     pub rib_tx: u64,
-    /// Live ports floods skipped (off the flood graph).
+    /// Live ports floods skipped (off the spanning tree).
     pub flood_suppressed: u64,
     /// PDUs relayed.
     pub relayed: u64,

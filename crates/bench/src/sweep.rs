@@ -281,7 +281,7 @@ row! {
         mgmt_pdus: u64,
         /// RIEP object PDUs sent over the whole run.
         rib_pdus: u64,
-        /// Live ports floods skipped (off the flood graph).
+        /// Live ports floods skipped (off the spanning tree).
         flood_suppressed: u64,
         /// From-scratch SPF runs DIF-wide. The `spf_full` / `spf_incremental`
         /// split records, per grid cell, where the routing engine's full
@@ -358,6 +358,10 @@ pub const TABLE: &[Col<SweepRow>] = &[
     ("wall (s)", |r| format!("{:.3}", r.wall_s)),
 ];
 
+/// The size at which the grid churns a scoped DIF
+/// ([`SweepGrid::cells`]).
+const CHURN_SCOPED_SIZE: usize = 32;
+
 /// The sweep matrix: the cross product of its dimension vectors.
 #[derive(Clone, Debug)]
 pub struct SweepGrid {
@@ -413,7 +417,11 @@ impl SweepGrid {
     /// full-replication floor. And every size gets one **flow cell**
     /// (scale-free, wave schedule, lossless): a flow-churn phase after
     /// assembly, gating the §5.3 allocation-path counters and the
-    /// per-port RMT queue counters exactly.
+    /// per-port RMT queue counters exactly. At 32 members, the scale-free
+    /// and ring families, whose graphs hold cycles, each get one
+    /// **churned scoped cell**: scoped `/dir` lookups and tombstones ride
+    /// the spanning tree, and the churn plan is what breaks a tree that
+    /// does not heal with the routes (`invariants::check`'s `Unspanned`).
     pub fn cells(&self) -> Vec<SweepCell> {
         let mut cells = Vec::new();
         let mut sizes = self.sizes.clone();
@@ -442,6 +450,11 @@ impl SweepGrid {
             }
             cells.push(SweepCell { scoped: true, ..plain });
             cells.push(SweepCell { flow: true, ..plain });
+            if size == CHURN_SCOPED_SIZE {
+                for topology in [SweepTopology::ScaleFree, SweepTopology::Ring] {
+                    cells.push(SweepCell { topology, churn: true, scoped: true, ..plain });
+                }
+            }
         }
         cells
     }
@@ -699,25 +712,30 @@ mod tests {
         assert_eq!(ids.len(), cells.len(), "cell ids collide");
         // Per size × topology: the first schedule's losses, one cell per
         // further schedule and one churn cell; per size, one scoped cell
-        // and one flow cell.
+        // and one flow cell; and the two churned scoped cells.
         assert_eq!(
             cells.len(),
             grid.sizes.len()
                 * grid.topologies.len()
                 * (grid.losses.len() + (grid.schedules.len() - 1) + 1)
                 + 2 * grid.sizes.len()
+                + 2
         );
-        assert_eq!(cells.len(), 42);
+        assert_eq!(cells.len(), 44);
         let seq: Vec<String> =
             cells.iter().filter(|c| c.schedule_key() == "seq").map(|c| c.id()).collect();
         assert_eq!(seq.len(), grid.sizes.len() * grid.topologies.len());
         assert!(seq.iter().all(|id| id.ends_with("-seq-l0")), "{seq:?}");
+        let churned_scoped: Vec<String> =
+            cells.iter().filter(|c| c.churn && c.scoped).map(|c| c.id()).collect();
         assert_eq!(
-            cells.iter().filter(|c| c.churn).count(),
-            grid.sizes.len() * grid.topologies.len()
+            churned_scoped,
+            ["ba2-n32-waves-l0-churn-scoped", "ring-n32-waves-l0-churn-scoped"]
         );
-        assert!(cells.iter().filter(|c| c.churn).all(|c| c.id().ends_with("-churn")));
-        assert_eq!(cells.iter().filter(|c| c.scoped).count(), grid.sizes.len());
+        let churn = cells.iter().filter(|c| c.churn && !c.scoped);
+        assert_eq!(churn.clone().count(), grid.sizes.len() * grid.topologies.len());
+        assert!(churn.clone().all(|c| c.id().ends_with("-churn")));
+        assert_eq!(cells.iter().filter(|c| c.scoped).count(), grid.sizes.len() + 2);
         assert!(cells.iter().filter(|c| c.scoped).all(|c| c.id().ends_with("-scoped")));
         assert_eq!(cells.iter().filter(|c| c.flow).count(), grid.sizes.len());
         assert!(cells.iter().filter(|c| c.flow).all(|c| c.id().ends_with("-flow")));

@@ -14,6 +14,16 @@ const KEY_START: u64 = 1;
 const KEY_SEND: u64 = 2;
 const KEY_OPEN: u64 = 3;
 const KEY_CLOSE: u64 = 4;
+const KEY_REPLY: u64 = 5;
+
+/// How long a [`PingApp`] waits for an echo before it drops the flow and
+/// allocates a fresh one (130 s). A reliable connection retries a PDU for
+/// at most `(MAX_RTX + 1) × RTX_MAX_TIMEOUT` = 65 s before it fails, so
+/// the request and then the echo each land within that, or the responder's
+/// end has failed. Its teardown is one shot and may be lost on a long
+/// lossy path; past this deadline the pinger's end is known half-open.
+const PING_REPLY_DEADLINE: Dur =
+    Dur::from_nanos(2 * (rina_efcp::MAX_RTX as u64 + 1) * rina_efcp::RTX_MAX_TIMEOUT);
 
 /// Accepts every flow and echoes every SDU back to the sender.
 #[derive(Default)]
@@ -429,6 +439,8 @@ impl AppProcess for ChurnDriver {
 }
 
 /// Allocates a flow to an [`EchoApp`] and measures request/response RTTs.
+/// A ping whose echo misses its deadline (130 s) gives the flow up and
+/// allocates a fresh one; so does a flow the peer closes.
 pub struct PingApp {
     /// Destination (an echo responder).
     pub dst: AppName,
@@ -472,6 +484,13 @@ impl PingApp {
     pub fn done(&self) -> bool {
         self.rtts.len() >= self.count
     }
+
+    /// Send one ping on `flow` and arm its reply deadline.
+    fn ping(&mut self, flow: FlowH, api: &mut IpcApi<'_, '_, '_>) {
+        self.sent_at = api.now();
+        let _ = api.write(flow, Bytes::from(vec![0u8; self.size]));
+        api.timer_in(PING_REPLY_DEADLINE, KEY_REPLY);
+    }
 }
 
 impl AppProcess for PingApp {
@@ -484,6 +503,15 @@ impl AppProcess for PingApp {
             self.alloc_requested = Some(api.now());
             api.allocate_flow(&self.dst.clone(), self.spec);
         }
+        // A deadline armed for an earlier ping, or met, finds `sent_at`
+        // moved on or the pinger done.
+        let overdue = api.now().since(self.sent_at) >= PING_REPLY_DEADLINE;
+        if key == KEY_REPLY && overdue && !self.done() {
+            if let Some(flow) = self.flow.take() {
+                api.deallocate(flow);
+                api.timer_in(Dur::from_millis(200), KEY_START);
+            }
+        }
     }
 
     fn on_flow_allocated(
@@ -495,8 +523,7 @@ impl AppProcess for PingApp {
     ) {
         self.flow = Some(flow);
         self.alloc_done = Some(api.now());
-        self.sent_at = api.now();
-        let _ = api.write(flow, Bytes::from(vec![0u8; self.size]));
+        self.ping(flow, api);
     }
 
     fn on_flow_failed(&mut self, _origin: FlowOrigin, _reason: &str, api: &mut IpcApi<'_, '_, '_>) {
@@ -509,8 +536,14 @@ impl AppProcess for PingApp {
         let rtt = api.now().since(self.sent_at).as_secs_f64();
         self.rtts.push(rtt);
         if self.rtts.len() < self.count {
-            self.sent_at = api.now();
-            let _ = api.write(flow, Bytes::from(vec![0u8; self.size]));
+            self.ping(flow, api);
+        }
+    }
+
+    fn on_flow_closed(&mut self, flow: FlowH, api: &mut IpcApi<'_, '_, '_>) {
+        if self.flow == Some(flow) && !self.done() {
+            self.flow = None;
+            api.timer_in(Dur::from_millis(200), KEY_START);
         }
     }
 }

@@ -18,6 +18,10 @@
 //!   repair;
 //! - no member holds a live RIB object whose origin is not a current
 //!   member: departed state never outlives its owner;
+//! - the edges both ends count as tree ports — each member's up port and
+//!   its children's ports, the one set every DIF-spanning message leaves
+//!   by — connect every live member and form no cycle, so they number
+//!   one fewer than the live members;
 //! - following first next hops through the members' forwarding tables
 //!   leads from every member to every other, so no table has a hole or a
 //!   loop on a path between members.
@@ -93,6 +97,18 @@ pub enum Violation {
         /// The object's name.
         name: String,
     },
+    /// The edges both ends count as tree ports do not span the live
+    /// members as one tree: a search from `from` over them misses
+    /// `missed`, or they number `edges`, not one fewer than the live
+    /// members (a cycle).
+    Unspanned {
+        /// Where the search started: the first live member.
+        from: Addr,
+        /// The live members it did not reach.
+        missed: Vec<Addr>,
+        /// The edges both ends count.
+        edges: usize,
+    },
     /// The walk from `src` toward `dst` stopped at `at`: no route there,
     /// or the hop budget ran out on a loop.
     Unreachable {
@@ -121,6 +137,7 @@ pub fn check(net: &Net, members: &[IpcpH]) -> Vec<Violation> {
     }
     membership(&live, &mut out);
     diverged(&live, &mut out);
+    unspanned(&live, &mut out);
     out.extend(stale_objects(net, members));
     out.extend(Tables::of(net, members).unreachable());
     out
@@ -237,6 +254,35 @@ fn diverged(live: &[&Ipcp], out: &mut Vec<Violation>) {
     for ip in rest {
         let subtrees = ip.rib.mismatched(&reference).into_iter();
         out.extend(subtrees.map(|subtree| Violation::Diverged { holder: ip.addr, subtree }));
+    }
+}
+
+/// The tree clause over the `live` members: one search over the edges
+/// both ends count, from the first.
+fn unspanned(live: &[&Ipcp], out: &mut Vec<Violation>) {
+    let Some(first) = live.first() else { return };
+    let counts: BTreeMap<Addr, BTreeSet<Addr>> = live
+        .iter()
+        .map(|ip| {
+            let ports = ip.tree_ports().filter_map(|i| ip.n1_ports().get(i));
+            (ip.addr, ports.map(|p| p.peer_addr).collect())
+        })
+        .collect();
+    let both = |a: Addr, b: Addr| counts.get(&b).is_some_and(|s| s.contains(&a));
+    let edges = counts.iter().map(|(&a, s)| s.iter().filter(|&&b| a < b && both(a, b)).count());
+    let edges: usize = edges.sum();
+    let mut seen = BTreeSet::from([first.addr]);
+    let mut next = vec![first.addr];
+    while let Some(a) = next.pop() {
+        for &b in counts.get(&a).into_iter().flatten() {
+            if both(a, b) && seen.insert(b) {
+                next.push(b);
+            }
+        }
+    }
+    let missed: Vec<Addr> = counts.keys().filter(|a| !seen.contains(a)).copied().collect();
+    if !missed.is_empty() || edges + 1 != counts.len() {
+        out.push(Violation::Unspanned { from: first.addr, missed, edges });
     }
 }
 
@@ -402,6 +448,20 @@ mod tests {
             ip.add_n1(crate::ipcp::N1Kind::Lower { port: 999 });
         }));
         assert_eq!(found, [DeadPort { member: name, n1: 2 }]);
+        // The member forgets its child: a hello from address 3 naming no
+        // up peer clears the bit, and the tree falls in two.
+        let (found, _) = after(|net, h| {
+            use crate::msg::MgmtBody;
+            use rina_wire::{MgmtPdu, Pdu};
+            let ip = net.ipcp(h);
+            let name = ip.n1_ports()[1].peer_name.clone().expect("the peer at 3 is known");
+            let hello = MgmtBody::Hello { name, addr: 3, up: 0, digests: ip.rib.digest_table() };
+            let payload = hello.encode(0, 0);
+            let frame = Pdu::Mgmt(MgmtPdu { dest_addr: 0, src_addr: 3, ttl: 1, payload });
+            let now = net.sim.now();
+            net.ipcp_mut(h).on_frame(1, frame.encode(), now);
+        });
+        assert_eq!(found, [Unspanned { from: 1, missed: vec![3, 4], edges: 2 }]);
     }
 
     /// A flow with one end is named by [`half_open`], and only by it: a

@@ -1,15 +1,16 @@
 //! IPC Management — the application directory: which member an
 //! application name lives at. Registrations are `/dir/*` RIB objects;
 //! under the scoped-`/dir` policy only their owner stores them, and
-//! everyone else resolves on demand over the spanning tree into an LRU
-//! cache that the owners' tombstones invalidate.
+//! everyone else resolves on demand over the DIF's spanning tree into an
+//! LRU cache that the owners' tombstones, flooded over the same tree,
+//! invalidate.
 
 use super::{decode_addr, encode_addr, Ipcp, IpcpStats};
 use crate::msg::MgmtBody;
 use crate::naming::{Addr, AppName};
 use crate::qos::QosSpec;
 use crate::routing::Lsa;
-use rina_rib::{EncodedObject, RibObjectRef};
+use rina_rib::RibObjectRef;
 use rina_sim::{Dur, Time};
 use std::collections::BTreeMap;
 
@@ -26,6 +27,8 @@ pub(super) struct DirWaiter {
     dst_app: AppName,
     spec: QosSpec,
     deadline: Time,
+    /// This allocation sent the lookup's request.
+    asked: bool,
 }
 
 /// A cached directory resolution (scoped `/dir` only): where the owner
@@ -137,7 +140,12 @@ impl Directory {
     /// Record the tombstone `obj` of a foreign `/dir` entry, seen at
     /// `now`, and drop the cache entry it kills. Returns whether it was
     /// news (newer than the tombstone remembered for the name).
-    fn on_tombstone(&mut self, obj: &RibObjectRef<'_>, now: Time, stats: &mut IpcpStats) -> bool {
+    pub(super) fn on_tombstone(
+        &mut self,
+        obj: &RibObjectRef<'_>,
+        now: Time,
+        stats: &mut IpcpStats,
+    ) -> bool {
         let newer = self
             .tombstones
             .get(obj.name)
@@ -221,9 +229,12 @@ impl Ipcp {
     /// Park a flow allocation behind an on-demand directory lookup:
     /// ask the spanning tree once for the owner's entry and continue the
     /// allocation when the answer arrives. Concurrent allocations to the
-    /// same name share one outstanding request. Nothing resends it: a
-    /// lookup that is lost, or reaches no owner, ends with the
-    /// allocation's deadline, and the application asks again.
+    /// same name share one outstanding request while the allocation that
+    /// sent it waits. Nothing resends it: a request that is lost, or
+    /// reaches no owner, ends with that allocation's deadline, and the
+    /// next allocation to the name asks again — without that, allocations
+    /// retried inside each other's deadlines would keep a lost request
+    /// pending for ever.
     pub(super) fn start_dir_lookup(
         &mut self,
         port: u64,
@@ -233,30 +244,48 @@ impl Ipcp {
         deadline: Time,
     ) {
         let name = dir_name(&dst_app);
-        let w = DirWaiter { port, src_app, dst_app, spec, deadline };
-        if let Some(ws) = self.directory.pending.get_mut(&name) {
-            ws.push(w);
-            return;
+        let ws = self.directory.pending.entry(name.clone()).or_default();
+        let asked = !ws.iter().any(|w| w.asked);
+        ws.push(DirWaiter { port, src_app, dst_app, spec, deadline, asked });
+        if asked {
+            self.stats.dir_lookups_sent += 1;
+            // The widest hop budget the PDU's `ttl` carries: a tree path
+            // spans up to twice the root's depth, more than a relayed
+            // PDU's `DEFAULT_TTL`.
+            self.send_lookup(&name, self.addr, None, u8::MAX);
         }
-        // One request out every live tree port: the tree alone reaches
-        // every member and is acyclic, so propagation needs no
-        // duplicate-suppression state.
-        for i in 0..self.transfer.n1.len() {
-            if self.live_tree(i) {
-                let body = MgmtBody::DirLookupRequest { name: name.clone(), origin: self.addr };
-                self.stats.dir_lookups_sent += 1;
-                self.send_mgmt_on(i, body, 0, 0);
-            }
-        }
-        self.directory.pending.insert(name, vec![w]);
     }
 
-    /// A directory lookup reached us: answer if we hold the live entry
-    /// as its authoritative owner, else forward it down the spanning
-    /// tree (away from the ingress port). An owner without a live entry
+    /// Send the lookup of `name` that `origin` started out every tree
+    /// port but `except`, with `ttl` tree edges left to cross: the tree
+    /// reaches every member and has no cycle, so propagation needs no
+    /// duplicate-suppression state, and the budget ends a lookup caught
+    /// in a route transient's loop (DESIGN.md §11).
+    fn send_lookup(&mut self, name: &str, origin: Addr, except: Option<usize>, ttl: u8) {
+        let ports: Vec<usize> = self.tree_ports().filter(|&i| Some(i) != except).collect();
+        for i in ports {
+            let body = MgmtBody::DirLookupRequest { name: name.to_string(), origin };
+            let frame = self.mgmt_pdu(0, ttl, body.encode(0, 0)).encode();
+            self.tx_mgmt(i, frame);
+        }
+    }
+
+    /// A directory lookup reached us on `from_n1` with `ttl` tree edges
+    /// left: answer if we hold the live entry as its authoritative owner,
+    /// else forward it out the other tree ports while its budget lasts
+    /// (one spent is a `ttl_drops`). One that arrived on a port we do not
+    /// count as a tree port is dropped, so a lookup crosses only edges
+    /// both ends count (DESIGN.md §11). An owner without a live entry
     /// stays silent: no negative answer is ever sent.
-    pub(super) fn handle_dir_lookup_request(&mut self, name: String, origin: Addr, from_n1: usize) {
-        if !self.manages() || origin == 0 || origin == self.addr {
+    pub(super) fn handle_dir_lookup_request(
+        &mut self,
+        name: String,
+        origin: Addr,
+        from_n1: usize,
+        ttl: u8,
+    ) {
+        let on_tree = self.neighbors.on_tree(from_n1, self.up_port());
+        if !on_tree || !self.manages() || origin == 0 || origin == self.addr {
             return;
         }
         let own = self
@@ -271,11 +300,9 @@ impl Ipcp {
             self.send_mgmt_addr(origin, body, 0, 0);
             return;
         }
-        for i in 0..self.transfer.n1.len() {
-            if i != from_n1 && self.live_tree(i) {
-                let body = MgmtBody::DirLookupRequest { name: name.clone(), origin };
-                self.send_mgmt_on(i, body, 0, 0);
-            }
+        match ttl.checked_sub(1).filter(|&left| left > 0) {
+            Some(left) => self.send_lookup(&name, origin, Some(from_n1), left),
+            None => self.stats.ttl_drops += 1,
         }
     }
 
@@ -314,29 +341,6 @@ impl Ipcp {
     /// cached answer.
     pub fn dir_cache_entries(&self) -> Vec<(String, Addr, u64)> {
         self.directory.cache.iter().map(|(n, c)| (n.clone(), c.addr, c.version)).collect()
-    }
-
-    /// A `/dir` object arrived over the wire in scoped mode and we are
-    /// not its owner: nothing is stored — non-owners hold no foreign
-    /// directory state. Deletions are the cache-invalidation channel:
-    /// remember the newest tombstone per name, drop the cache entry it
-    /// kills, and pass it down the spanning tree exactly once (the
-    /// newness check is the duplicate suppression) as `enc`, the bytes
-    /// `obj` arrived in.
-    pub(super) fn on_scoped_dir_flood(
-        &mut self,
-        obj: &RibObjectRef<'_>,
-        enc: &EncodedObject,
-        from_n1: usize,
-    ) {
-        // Live entries are owner-held; never replicated.
-        if obj.deleted && self.directory.on_tombstone(obj, self.clock, &mut self.stats) {
-            for i in 0..self.transfer.n1.len() {
-                if i != from_n1 && self.live_tree(i) {
-                    self.dissemination.enqueue(i, enc.clone());
-                }
-            }
-        }
     }
 }
 

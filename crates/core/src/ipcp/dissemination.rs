@@ -1,11 +1,10 @@
 //! IPC Management — RIEP dissemination over the RIB: batch-preserving
-//! flooding over a graph that spans the DIF, with digest-driven
-//! anti-entropy. A flood leaves by the enrollment-tree ports, the port
-//! toward the DIF's root (the lowest address this member routes to) and
-//! every port a flood arrived on; hellos carry per-subtree digest
-//! tables, whose mismatches trigger targeted delta pulls of whatever a
-//! flood missed; and a member whose own objects get clobbered re-asserts
-//! them (DESIGN.md §6).
+//! flooding over the DIF's spanning tree, with digest-driven
+//! anti-entropy. A flood leaves by this member's tree ports (its up port
+//! toward the DIF's root and its children's ports); hellos carry
+//! per-subtree digest tables, whose mismatches trigger targeted delta
+//! pulls of whatever a flood missed; and a member whose own objects get
+//! clobbered re-asserts them (DESIGN.md §6).
 
 use super::enroll::{encode_member, member_name, MEMBER_CLASS};
 use super::{encode_addr, Ipcp};
@@ -174,12 +173,18 @@ impl Ipcp {
             // owner takes the normal path below — apply + reassert heal
             // a wrongful tombstone of a live registration, with the
             // correction staying local (lookups re-resolve it). Every
-            // other member handles the object without storing it.
+            // other member stores nothing: a live entry goes no further,
+            // and a tombstone, the cache-invalidation channel, is
+            // remembered against stale answers, drops the cache entry it
+            // kills and floods on like any object — once, since only a
+            // newer one is news.
             let own = self.enrolled
                 && !self.departed
                 && obj.name.strip_prefix("/dir/").is_some_and(|app| self.directory.owns(app));
             if !own {
-                self.on_scoped_dir_flood(&obj, enc, from_n1);
+                if obj.deleted && self.directory.on_tombstone(&obj, self.clock, &mut self.stats) {
+                    self.flood_rib(Some(from_n1), || enc.clone());
+                }
                 return;
             }
         }
@@ -251,16 +256,11 @@ impl Ipcp {
         true
     }
 
-    /// Queue one RIB object for flooding out this member's flood ports,
-    /// except `except` (the port it arrived on, for re-floods): the live
-    /// ports that are enrollment-tree edges, the one toward the DIF's
-    /// root ([`Ipcp::root_ward_port`]), or ones a flood batch arrived on
-    /// since they came up. The first keep assembly spanning before any
-    /// routes exist, the second span every connected component once
-    /// routes converge, and the third make each flood edge two-way.
-    /// Every other live port is skipped (counted in
-    /// [`super::IpcpStats::flood_suppressed`]); what a skipped peer
-    /// lacks it pulls at its next hello.
+    /// Queue one RIB object for flooding out this member's live tree ports
+    /// ([`super::neighbors::Neighbors::on_tree`]), except `except`
+    /// (the port it arrived on, for re-floods). Every other live port is
+    /// skipped (counted in [`super::IpcpStats::flood_suppressed`]); what
+    /// a skipped peer lacks it pulls at its next hello.
     ///
     /// Queued objects are flushed as MTU-sized batches (one or a few
     /// PDUs per port) when the node's aggregation timer fires, so a
@@ -271,30 +271,18 @@ impl Ipcp {
     /// port actually needs it (an object no port takes is never encoded;
     /// a re-flooded one hands back the bytes it arrived as).
     fn flood_rib(&mut self, except: Option<usize>, encoded: impl Fn() -> EncodedObject) {
-        let root_ward = self.root_ward_port();
+        let up = self.up_port();
         let mut enc: Option<EncodedObject> = None;
-        for (i, (p, peer)) in self.transfer.n1.iter().zip(&self.neighbors.peers).enumerate() {
-            if Some(i) == except || !p.live() {
-                continue;
-            }
-            if !peer.tree && !peer.flooded && Some(i) != root_ward {
+        let live =
+            self.transfer.n1.iter().enumerate().filter(|&(i, p)| p.live() && Some(i) != except);
+        for (i, _) in live {
+            if self.neighbors.on_tree(i, up) {
+                let enc = enc.get_or_insert_with(&encoded).clone();
+                self.dissemination.enqueue(i, enc);
+            } else {
                 self.stats.flood_suppressed += 1;
-                continue;
             }
-            let enc = enc.get_or_insert_with(&encoded).clone();
-            self.dissemination.enqueue(i, enc);
         }
-    }
-
-    /// The port toward this member's root: the next hop to the lowest
-    /// address its forwarding table reaches, when that address is below
-    /// its own. Every member but the lowest of its component has one, so
-    /// once routes converge these ports form a tree spanning the
-    /// component.
-    fn root_ward_port(&self) -> Option<usize> {
-        let fwd = self.fwd();
-        let root = fwd.destinations().next().filter(|&a| a < self.addr)?;
-        self.transfer.pick_n1_toward(root, fwd)
     }
 
     /// Flush the per-port flood queues as batched PDUs. Duplicate

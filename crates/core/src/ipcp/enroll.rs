@@ -34,8 +34,9 @@ type Grant = (Addr, Addr);
 pub(super) struct Enroll {
     /// Invoke ids of our enrollment requests still awaiting a response.
     pub(super) pending: BTreeSet<u32>,
-    /// The (N-1) port we enroll (or enrolled) through.
-    via: Option<usize>,
+    /// The (N-1) port we enroll (or enrolled) through: the up port until
+    /// routes give one.
+    pub(super) via: Option<usize>,
     /// What our requests present and propose — credential, address,
     /// top of block — as [`Ipcp::start_enroll`] or the planned enrollment
     /// path ([`Ipcp::plan_adjacency`]) gave it: every retry repeats it.
@@ -235,8 +236,8 @@ impl Ipcp {
             p.peer_addr = new_addr;
         }
         if let Some(peer) = self.neighbors.peers.get_mut(from_n1) {
-            // Sponsoring over this port makes it a spanning-tree edge.
-            peer.tree = true;
+            // The joiner's up peer is its sponsor until it has routes.
+            peer.child = true;
         }
         self.transfer.rebuild_peer_index();
         // Initialize the joiner's RIB, then grant: the sync set — taken
@@ -263,10 +264,6 @@ impl Ipcp {
             return; // keep retrying (or give up via node policy)
         }
         self.become_member(addr, hi);
-        // The port we enrolled through is our spanning-tree edge.
-        if let Some(peer) = self.enroll.via.and_then(|n1| self.neighbors.peers.get_mut(n1)) {
-            peer.tree = true;
-        }
         // Requests retried before this response landed are now moot.
         self.enroll.pending.clear();
         self.routes.sync(&mut self.rib);

@@ -11,7 +11,7 @@
 //! | **IPC Transfer Control** (per flow) | `flows.rs` | `Flows` | the one flow table (CEP → port, phase, binding; a requesting flow's phase holds the invoke id its response echoes), CEP ids, and each connection's armed deadline; the flow-allocator handshake (§5.3), its deadline and its teardown |
 //! | **IPC Management** — enrollment (§5.2) | `enroll.rs` | `Enroll` | outstanding requests and what they propose, the failure watch over members whose records this member wrote (admissions and sponsorships are read off the RIB); address and block assignment, leave and purge |
 //! | — directory | `directory.rs` | `Directory` | own registrations, the lookup cache, tombstone memory, the allocations waiting on each on-demand lookup in flight (scoped `/dir`) |
-//! | — neighbors | `neighbors.rs` | `Neighbors` | the planned adjacencies, the management view of each port (tree edge, flood mark, hello memo, a port's last lower flow), the hello send cache; allocating, retrying and binding lower flows, hello send/receive, expiry and release |
+//! | — neighbors | `neighbors.rs` | `Neighbors` | the planned adjacencies, the management view of each port (child bit, hello memo, a port's last lower flow), the hello send cache and the up port last announced; allocating, retrying and binding lower flows, hello send/receive, expiry and release |
 //! | — routing | `routes.rs` | `Routes` | the route engine (LSA graph, SPF, forwarding table), the advertised neighbor set and its debounce |
 //! | — RIEP dissemination | `dissemination.rs` | `Dissemination` | per-port flood queues, own-object names; flood, anti-entropy deltas, apply/re-flood, reassert |
 //!
@@ -226,7 +226,8 @@ pub struct IpcpStats {
     pub relayed: u64,
     /// PDUs dropped for lack of a route.
     pub no_route: u64,
-    /// PDUs dropped because TTL expired.
+    /// PDUs dropped because TTL expired, and directory lookups whose hop
+    /// budget ran out.
     pub ttl_drops: u64,
     /// Relayed PDUs that left on an (N-1) port, TTL byte and CRC trailer
     /// patched in place: `relayed - no_route` at the relay.
@@ -235,8 +236,7 @@ pub struct IpcpStats {
     pub mgmt_tx: u64,
     /// RIEP object updates sent (dissemination + re-flood).
     pub rib_tx: u64,
-    /// Live ports a flood skipped: neither an enrollment-tree port, nor
-    /// the port toward the DIF's root, nor one a flood arrived on
+    /// Live ports a flood skipped: not one of the member's tree ports
     /// (anti-entropy pulls whatever a skipped peer lacks).
     pub flood_suppressed: u64,
     /// Anti-entropy delta requests sent (per subtree chunk).
@@ -267,9 +267,11 @@ pub struct IpcpStats {
     /// Directory resolutions that missed both own registrations and the
     /// cache (each starts or joins an on-demand lookup).
     pub dir_cache_misses: u64,
-    /// [`MgmtBody::DirLookupRequest`]s originated, one per live tree
-    /// port per lookup, each lookup asked once (forwarding on behalf of
-    /// others is not counted).
+    /// Directory lookups originated: one per lookup, however many tree
+    /// ports its [`MgmtBody::DirLookupRequest`]s leave by, each asked
+    /// once (forwarding on behalf of others is not counted). In a
+    /// consistent tree each reaches the owner once, so it equals the
+    /// owners' `dir_lookups_answered` when every lookup is answered.
     pub dir_lookups_sent: u64,
     /// Authoritative [`MgmtBody::DirLookupResponse`]s sent as owner.
     pub dir_lookups_answered: u64,
@@ -537,6 +539,7 @@ impl Ipcp {
                 self.flush_floods();
             }
         }
+        self.announce_up();
     }
 
     /// A frame (encoded PDU) arrived on (N-1) port `n1`: one peek decides
@@ -611,8 +614,9 @@ impl Ipcp {
             return;
         };
         match body {
-            MgmtBody::Hello { name, addr, digests } => {
-                self.on_decoded_hello(m.payload, name, addr, digests, from_n1, now);
+            MgmtBody::Hello { name, addr, up, digests } => {
+                let hello = neighbors::HelloMemo { payload: m.payload, name, addr, up, digests };
+                self.on_decoded_hello(hello, from_n1, now);
             }
             MgmtBody::EnrollRequest { name, credential, proposed_addr, proposed_hi, digests } => {
                 self.handle_enroll_request(
@@ -642,17 +646,13 @@ impl Ipcp {
             MgmtBody::RibDeltaRequest { subtree, from, upto, summary } => {
                 self.handle_delta_request(from_n1, &subtree, &from, &upto, &summary);
             }
-            MgmtBody::RibDeltaResponse { subtree, objects } => {
-                // A flood batch (no subtree) makes its port a flood port.
-                if let Some(peer) = self.neighbors.peers.get_mut(from_n1) {
-                    peer.flooded |= subtree.is_empty();
-                }
+            MgmtBody::RibDeltaResponse { objects, .. } => {
                 for obj in &objects {
                     self.apply_and_reflood(obj, from_n1);
                 }
             }
             MgmtBody::DirLookupRequest { name, origin } => {
-                self.handle_dir_lookup_request(name, origin, from_n1);
+                self.handle_dir_lookup_request(name, origin, from_n1, m.ttl);
             }
             MgmtBody::DirLookupResponse { name, addr, version } => {
                 self.handle_dir_lookup_response(name, addr, version);
@@ -662,6 +662,7 @@ impl Ipcp {
         // current dirty/classification state decides whether (and how
         // fast) the recompute debounce is armed.
         self.routes.sync(&mut self.rib);
+        self.announce_up();
     }
 
     /// Frame `payload` as a management PDU from this process: link-local
@@ -718,17 +719,6 @@ fn decode_addr(b: &[u8]) -> Option<Addr> {
 
 #[cfg(test)]
 pub(crate) use enroll::encode_member;
-
-#[cfg(test)]
-impl Ipcp {
-    /// Make port `n1` an enrollment-tree edge, as an enrollment over it
-    /// would.
-    pub(crate) fn set_tree_port(&mut self, n1: usize) {
-        if let Some(peer) = self.neighbors.peers.get_mut(n1) {
-            peer.tree = true;
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests;

@@ -60,16 +60,13 @@ impl Plan {
 /// as the port in the Data Transfer task's table).
 #[derive(Default)]
 pub(super) struct Peer {
-    /// This port carried an enrollment (we joined through it, or
-    /// sponsored the peer over it): it is an edge of the DIF's
-    /// enrollment tree, which carries floods while assembly has no
-    /// routes yet, and alone carries scoped `/dir` lookups and
-    /// tombstones — the flood graph may hold cycles, and lookup
-    /// forwarding has no duplicate suppression.
-    pub(super) tree: bool,
-    /// A flood batch arrived on this port since it last came up: the
-    /// peer floods to us, so we flood back to it.
-    pub(super) flooded: bool,
+    /// The peer's up port leads here: it is this member's child in the
+    /// DIF's spanning tree, so the port is one of this member's tree
+    /// ports ([`Neighbors::on_tree`]). Sponsoring over the port sets
+    /// it (a joiner's up is its sponsor until it has routes), every hello
+    /// sets or clears it by whether it names this member as the sender's
+    /// up peer, and `ports_down` clears it.
+    pub(super) child: bool,
     /// The last hello heard on this port (see [`HelloMemo`]).
     hello_memo: Option<HelloMemo>,
     /// For a port over lower flows: the provider and the peer process of
@@ -84,11 +81,12 @@ pub(super) struct Peer {
 /// a CDAP and body decode. The decoded fields are a pure function of the
 /// bytes: the memo is replaced when different bytes arrive and never
 /// needs invalidating.
-struct HelloMemo {
-    payload: Bytes,
-    name: AppName,
-    addr: Addr,
-    digests: DigestTable,
+pub(super) struct HelloMemo {
+    pub(super) payload: Bytes,
+    pub(super) name: AppName,
+    pub(super) addr: Addr,
+    pub(super) up: Addr,
+    pub(super) digests: DigestTable,
 }
 
 /// The neighbor task's state (see module docs).
@@ -98,19 +96,73 @@ pub(super) struct Neighbors {
     pub(super) peers: Vec<Peer>,
     /// The adjacencies this process allocates, in the order planned.
     pub(super) plans: Vec<Plan>,
-    /// The encoded hello frame for one `(RIB generation, address)`: a
-    /// hello is a function of the digest table, the address and the
-    /// (fixed) name, so until one of the first two moves every tick and
-    /// every port sends these bytes again.
-    hello_cache: Option<(u64, Addr, Bytes)>,
+    /// The encoded hello frame for one `(RIB generation, address, up
+    /// peer)`: a hello is a function of the digest table, the address,
+    /// the up peer and the (fixed) name, so until one of the first three
+    /// moves every tick and every port sends these bytes again.
+    hello_cache: Option<((u64, Addr, Addr), Bytes)>,
+    /// The up port and its peer's address, as last announced: a move
+    /// sends the hello at once on the old and the new up port.
+    up: Option<(usize, Addr)>,
+}
+
+impl Neighbors {
+    /// Whether port `i` is a tree port of a member whose up port is `up`
+    /// — its up port or a child's — given that it is live. Every message
+    /// that must span the DIF leaves by the tree ports and no others —
+    /// floods, directory lookups and `/dir` tombstones — and a lookup is
+    /// accepted only on one (DESIGN.md §6, §11).
+    pub(super) fn on_tree(&self, i: usize, up: Option<usize>) -> bool {
+        Some(i) == up || self.peers.get(i).is_some_and(|p| p.child)
+    }
 }
 
 impl Ipcp {
-    /// Up, peer known, and on the enrollment tree: a port that carries
-    /// scoped `/dir` lookups and tombstones.
-    pub(super) fn live_tree(&self, n1: usize) -> bool {
-        self.transfer.n1.get(n1).is_some_and(|p| p.live())
-            && self.neighbors.peers.get(n1).is_some_and(|peer| peer.tree)
+    /// This member's up port in the DIF's spanning tree: once routes
+    /// exist, the port toward the lowest address it reaches — the lowest
+    /// destination of its forwarding table, or a live neighbor below that
+    /// (one whose adjacency routes have not caught up with yet) — when
+    /// that address is below its own (none: it is the root of its
+    /// component); before routes, the live port it enrolled through.
+    /// Once routes converge every neighbor is a destination, the up ports
+    /// are the next hops toward the component's lowest address and form a
+    /// tree spanning it, whatever happened to the edges enrollment used.
+    pub(super) fn up_port(&self) -> Option<usize> {
+        let fwd = self.fwd();
+        let Some(lowest) = fwd.destinations().next() else {
+            return self.enroll.via.filter(|&i| self.transfer.n1.get(i).is_some_and(|p| p.live()));
+        };
+        let root = self.transfer.lowest_peer().map_or(lowest, |n| n.min(lowest));
+        (root < self.addr).then(|| self.transfer.pick_n1_toward(root, fwd)).flatten()
+    }
+
+    /// The up port and its peer's address.
+    fn up_peer(&self) -> Option<(usize, Addr)> {
+        let i = self.up_port()?;
+        Some((i, self.transfer.n1.get(i).map_or(0, |p| p.peer_addr)))
+    }
+
+    /// This member's live tree ports now (see [`Neighbors::on_tree`]).
+    pub(crate) fn tree_ports(&self) -> impl Iterator<Item = usize> + '_ {
+        let up = self.up_port();
+        let live = self.transfer.n1.iter().enumerate().filter(|(_, p)| p.live());
+        live.map(|(i, _)| i).filter(move |&i| self.neighbors.on_tree(i, up))
+    }
+
+    /// If the up port moved since it was last announced, send the hello
+    /// at once on the old and the new up port, so the edge counts at both
+    /// ends within one link latency instead of one hello period. Asked
+    /// after each management PDU and each deferred job: the events that
+    /// move routes, ports and enrollment (a port that goes down floods
+    /// the LSA that says so, and the flood's flush asks).
+    pub(super) fn announce_up(&mut self) {
+        let up = self.up_peer();
+        let old = std::mem::replace(&mut self.neighbors.up, up);
+        for (i, _) in [old, up].into_iter().flatten().filter(|_| old != up) {
+            if self.transfer.attached(i) {
+                self.send_hello(i);
+            }
+        }
     }
 
     /// Send a hello on every (N-1) port with a medium or a lower flow
@@ -174,13 +226,8 @@ impl Ipcp {
     }
 
     /// Take `ports` down: their peers are forgotten and they leave the
-    /// enrollment tree and the flood graph (a returning peer re-earns
-    /// tree status by re-enrolling (fresh members) or syncs via delta
-    /// pulls (mobility reattachment), and its port floods again once a
-    /// flood arrives on it or it is the root-ward port; left set, the
-    /// marks would keep every edge that ever carried an enrollment or a
-    /// flood in the flood graph, and every old enrollment edge in the
-    /// lookup tree). Adjacency *loss* is
+    /// spanning tree (a returning peer's first hello makes its port a
+    /// child's again if the peer's up port leads here). Adjacency *loss* is
     /// urgent: it bypasses the LSA debounce so the withdrawal floods —
     /// and the local table repairs via the delta-classified remove path —
     /// now, not one debounce window later.
@@ -194,7 +241,7 @@ impl Ipcp {
                 p.peer_addr = 0;
             }
             if let Some(peer) = self.neighbors.peers.get_mut(i) {
-                (peer.tree, peer.flooded) = (false, false);
+                peer.child = false;
             }
         }
         self.transfer.rebuild_peer_index();
@@ -358,13 +405,14 @@ impl Ipcp {
     }
 
     /// The current hello, fully encoded as a link-local frame: built
-    /// once per `(RIB generation, address)` and shared — by every port
-    /// of a tick (a hub sends ~degree identical hellos) and by every
-    /// tick until the RIB or the address moves.
+    /// once per `(RIB generation, address, up peer)` and shared — by
+    /// every port of a tick (a hub sends ~degree identical hellos) and by
+    /// every tick until the RIB, the address or the up peer moves.
     fn hello_frame(&mut self) -> Bytes {
-        let key = (self.rib.generation(), self.addr);
-        if let Some((generation, addr, frame)) = &self.neighbors.hello_cache {
-            if (*generation, *addr) == key {
+        let up = self.up_peer().map_or(0, |(_, addr)| addr);
+        let key = (self.rib.generation(), self.addr, up);
+        if let Some((cached, frame)) = &self.neighbors.hello_cache {
+            if *cached == key {
                 return frame.clone();
             }
         }
@@ -372,10 +420,11 @@ impl Ipcp {
         let body = MgmtBody::Hello {
             name: self.name.clone(),
             addr: self.addr,
+            up,
             digests: self.rib.digest_table(),
         };
         let frame = self.mgmt_pdu(0, 1, body.encode(0, 0)).encode();
-        self.neighbors.hello_cache = Some((key.0, key.1, frame.clone()));
+        self.neighbors.hello_cache = Some((key, frame.clone()));
         frame
     }
 
@@ -397,7 +446,7 @@ impl Ipcp {
         let repeat = memo.payload == *payload;
         if repeat {
             self.stats.hello_rx += 1;
-            self.on_hello(&memo.name, memo.addr, &memo.digests, from_n1, now);
+            self.on_hello(&memo, from_n1, now);
         }
         if let Some(p) = self.neighbors.peers.get_mut(from_n1) {
             p.hello_memo = Some(memo);
@@ -406,36 +455,30 @@ impl Ipcp {
     }
 
     /// A hello that went through the full decode: handle it, and
-    /// memoise it against the `payload` bytes it came in.
-    pub(super) fn on_decoded_hello(
-        &mut self,
-        payload: Bytes,
-        name: AppName,
-        addr: Addr,
-        digests: DigestTable,
-        from_n1: usize,
-        now: Time,
-    ) {
+    /// memoise it against the payload bytes it came in.
+    pub(super) fn on_decoded_hello(&mut self, hello: HelloMemo, from_n1: usize, now: Time) {
         self.stats.hello_rx += 1;
         self.stats.hello_decoded += 1;
-        self.on_hello(&name, addr, &digests, from_n1, now);
+        self.on_hello(&hello, from_n1, now);
         if let Some(p) = self.neighbors.peers.get_mut(from_n1) {
-            p.hello_memo = Some(HelloMemo { payload, name, addr, digests });
+            p.hello_memo = Some(hello);
         }
     }
 
-    /// A hello from the process named `name` at `addr` (0 = not yet
-    /// enrolled), advertising `digests`, arrived on `from_n1`. Takes its
-    /// input by reference — it may be the port's memoised decode — and
-    /// clones a field only where the port's record of the peer changes.
-    fn on_hello(
-        &mut self,
-        name: &AppName,
-        addr: Addr,
-        digests: &DigestTable,
-        from_n1: usize,
-        now: Time,
-    ) {
+    /// A hello arrived on `from_n1` from the process named `name` at
+    /// `addr` (0 = not yet enrolled), whose up peer is `up`, advertising
+    /// `digests`. Takes it by reference — it may be the port's memoised
+    /// decode — and clones a field only where the port's record of the
+    /// peer changes.
+    fn on_hello(&mut self, hello: &HelloMemo, from_n1: usize, now: Time) {
+        let HelloMemo { ref name, addr, up, ref digests, .. } = *hello;
+        let child = up != 0 && up == self.addr;
+        let peer = self.neighbors.peers.get_mut(from_n1);
+        if peer.is_some_and(|p| !std::mem::replace(&mut p.child, child) && child) {
+            // A new child may have missed what we flooded before its
+            // hello arrived: our hello back shows it, and it pulls.
+            self.send_hello(from_n1);
+        }
         let mut changed = false;
         if addr != 0 {
             self.enroll.on_enrolled_hello(name);

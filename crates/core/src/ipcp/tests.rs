@@ -16,11 +16,11 @@ fn mk(name: &str) -> Ipcp {
 }
 
 /// Attach a physical port on `iface` whose peer is up and known at
-/// `peer_addr`, on the dissemination tree or not.
-fn live_port(i: &mut Ipcp, iface: u32, peer_addr: Addr, tree: bool) -> usize {
+/// `peer_addr`, a child of `i` in the spanning tree or not.
+fn live_port(i: &mut Ipcp, iface: u32, peer_addr: Addr, child: bool) -> usize {
     let n1 = i.add_n1(N1Kind::Phys { iface });
     i.transfer.n1[n1].peer_addr = peer_addr;
-    i.neighbors.peers[n1].tree = tree;
+    i.neighbors.peers[n1].child = child;
     i.transfer.rebuild_peer_index();
     n1
 }
@@ -39,14 +39,27 @@ type Proposal = (Addr, Addr);
 /// A joiner that proposes nothing.
 const NO_PROPOSAL: Proposal = (0, 0);
 
-/// The enrolled member `name` at `addr` says hello on `n1` at `now`.
+/// The enrolled member `name` at `addr`, with no up peer, says hello on
+/// `n1` at `now`.
 fn hello_from(s: &mut Ipcp, n1: usize, name: &str, addr: Addr, now: Time) {
     hello_with(s, n1, name, addr, DigestTable::default(), now);
 }
 
 /// The same hello, advertising `digests`.
 fn hello_with(s: &mut Ipcp, n1: usize, name: &str, addr: Addr, digests: DigestTable, now: Time) {
-    let hello = MgmtBody::Hello { name: AppName::new(name), addr, digests };
+    hello_up(s, n1, name, (addr, 0), digests, now);
+}
+
+/// The same hello from the member at `addr` whose up peer is `up`.
+fn hello_up(
+    s: &mut Ipcp,
+    n1: usize,
+    name: &str,
+    (addr, up): (Addr, Addr),
+    digests: DigestTable,
+    now: Time,
+) {
+    let hello = MgmtBody::Hello { name: AppName::new(name), addr, up, digests };
     let pdu =
         Pdu::Mgmt(MgmtPdu { dest_addr: 0, src_addr: addr, ttl: 1, payload: hello.encode(0, 0) });
     s.on_frame(n1, pdu.encode(), now);
@@ -440,7 +453,7 @@ fn flood_ports(s: &mut Ipcp) -> Vec<usize> {
 }
 
 /// A member at 1, the lowest address, with two cross ports (to 2 and
-/// 3): it has no root-ward port, and nothing flooded it yet.
+/// 3): it has no up port, and no hello named it anyone's up peer yet.
 fn lowest_with_two_cross_ports() -> Ipcp {
     let mut a = mk("net.a");
     a.bootstrap(1);
@@ -450,9 +463,8 @@ fn lowest_with_two_cross_ports() -> Ipcp {
     a
 }
 
-/// A local write floods out the port toward the lowest address the
-/// member routes to, though it is no tree port, and skips the other
-/// cross port.
+/// A local write floods out the member's up port — the port toward the
+/// lowest address it routes to — and skips the other cross port.
 #[test]
 fn a_local_write_floods_out_the_root_ward_port() {
     let mut a = mk("net.a");
@@ -464,6 +476,7 @@ fn a_local_write_floods_out_the_root_ward_port() {
     reflood(&mut a, lsa_obj(7, &[(5, 1)], 1, false), 1);
     recompute(&mut a);
     assert_eq!(a.fwd().destinations().collect::<Vec<_>>(), [2, 7]);
+    assert_eq!(a.up_port(), Some(0));
     flood_ports(&mut a);
     let skipped = a.stats.flood_suppressed;
     a.dir_register(&AppName::new("web"));
@@ -471,28 +484,127 @@ fn a_local_write_floods_out_the_root_ward_port() {
     assert_eq!(a.stats.flood_suppressed, skipped + 1);
 }
 
-/// A flood batch arriving on a cross port makes it a flood port: later
-/// floods go back out it, and still not out the other cross port.
+/// Before routes, the up port is the live port a member enrolled
+/// through; the hello names its peer there, and a sponsor counts the
+/// port it sponsored over as a child's from the start.
 #[test]
-fn a_flood_batch_on_a_cross_port_floods_back_out_it() {
-    let mut a = lowest_with_two_cross_ports();
-    a.dir_register(&AppName::new("web"));
-    assert!(flood_ports(&mut a).is_empty(), "no tree, root-ward or flooding port yet");
-    batch_from(&mut a, 0, 2, "", &[lsa_obj(2, &[(1, 1)], 1, false)]);
-    flood_ports(&mut a);
-    a.dir_register(&AppName::new("mail"));
-    assert_eq!(flood_ports(&mut a), [0]);
+fn before_routes_the_up_port_is_the_enrollment_port() {
+    let mut j = mk("net.j");
+    live_port(&mut j, 0, 7, false);
+    live_port(&mut j, 1, 9, false);
+    assert_eq!(j.up_port(), None);
+    j.start_enroll(1, "", 0, 0, Time::ZERO);
+    assert_eq!(j.up_port(), Some(1));
+    let hellos: Vec<Addr> = tx_mgmt(&j.take_out())
+        .into_iter()
+        .filter_map(|(_, _, b)| match b {
+            MgmtBody::Hello { up, .. } => Some(up),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(hellos, [9], "the hello names the sponsor as up peer");
+    let mut s = mk("net.s");
+    s.bootstrap(1);
+    live_port(&mut s, 0, 0, false);
+    enroll_req(&mut s, 0, "net.j", NO_PROPOSAL, 1);
+    s.take_out();
+    assert_eq!(s.tree_ports().collect::<Vec<_>>(), [0], "the joiner is a child");
 }
 
-/// The answer to a pull (a batch naming its subtree) is no flood: its
-/// port stays off the flood graph.
+/// A hello naming this member as the sender's up peer makes its port a
+/// child's: floods go out it from then on. A hello naming anyone else
+/// takes that back, and a port that goes down forgets it.
 #[test]
-fn a_pull_answer_does_not_make_a_flood_port() {
+fn a_hello_naming_this_member_makes_a_child_port() {
     let mut a = lowest_with_two_cross_ports();
-    batch_from(&mut a, 0, 2, "/lsa", &[lsa_obj(2, &[(1, 1)], 1, false)]);
+    a.dir_register(&AppName::new("web"));
+    assert!(flood_ports(&mut a).is_empty(), "no tree port yet");
+    hello_up(&mut a, 0, "net.b", (2, 1), DigestTable::default(), Time::ZERO);
+    a.dir_register(&AppName::new("mail"));
+    assert_eq!(flood_ports(&mut a), [0]);
+    hello_up(&mut a, 0, "net.b", (2, 3), DigestTable::default(), Time::ZERO);
+    a.dir_register(&AppName::new("ftp"));
+    assert!(flood_ports(&mut a).is_empty(), "the child moved its up port");
+    hello_up(&mut a, 1, "net.c", (3, 1), DigestTable::default(), Time::ZERO);
+    assert_eq!(a.tree_ports().collect::<Vec<_>>(), [1]);
+    a.n1_down(1, Time::ZERO);
+    assert_eq!(a.tree_ports().count(), 0, "a port going down forgets its child");
+}
+
+/// Neither a flood batch nor the answer to a pull makes a tree port:
+/// only the peer's own hello says where its up port leads.
+#[test]
+fn a_flood_batch_makes_no_tree_port() {
+    let mut a = lowest_with_two_cross_ports();
+    batch_from(&mut a, 0, 2, "", &[lsa_obj(2, &[(1, 1)], 1, false)]);
+    batch_from(&mut a, 1, 3, "/lsa", &[lsa_obj(3, &[(1, 1)], 1, false)]);
     flood_ports(&mut a);
     a.dir_register(&AppName::new("web"));
     assert!(flood_ports(&mut a).is_empty());
+}
+
+/// A member whose up port moves sends its hello at once on the old and
+/// the new one when the route repair that moved it runs, so both ends of
+/// each edge agree within a link latency.
+#[test]
+fn a_moved_up_port_is_announced_at_once_on_both_ports() {
+    let mut a = mk("net.a");
+    a.bootstrap(9);
+    live_port(&mut a, 0, 7, false);
+    live_port(&mut a, 1, 5, false);
+    a.write_lsa_now();
+    reflood(&mut a, lsa_obj(7, &[(9, 1)], 1, false), 0);
+    reflood(&mut a, lsa_obj(5, &[(9, 1)], 1, false), 1);
+    let announced = |a: &mut Ipcp| -> Vec<(usize, Addr)> {
+        recompute(a);
+        let hellos = tx_mgmt(&a.take_out()).into_iter();
+        hellos
+            .filter_map(|(n1, _, b)| match b {
+                MgmtBody::Hello { up, .. } => Some((n1, up)),
+                _ => None,
+            })
+            .collect()
+    };
+    assert_eq!(announced(&mut a), [(1, 5)], "toward 5, the lowest address it reaches");
+    assert!(announced(&mut a).is_empty(), "unchanged: nothing sent");
+    // 7 comes to reach 3, below 5: the up port moves to 7's.
+    reflood(&mut a, lsa_obj(7, &[(3, 1), (9, 1)], 2, false), 0);
+    reflood(&mut a, lsa_obj(3, &[(7, 1)], 1, false), 0);
+    assert_eq!(announced(&mut a), [(1, 7), (0, 7)], "old and new up port, naming 7");
+}
+
+/// A live neighbor below the lowest address the routes reach — an
+/// adjacency that just formed, whose LSAs have not arrived — is the
+/// up peer until they do: a member whose routes lag a healed edge
+/// joins the tree across it.
+#[test]
+fn a_lower_neighbor_is_the_up_peer_while_routes_lag() {
+    let mut a = mk("net.a");
+    a.bootstrap(9);
+    live_port(&mut a, 0, 7, false);
+    a.write_lsa_now();
+    reflood(&mut a, lsa_obj(7, &[(9, 1)], 1, false), 0);
+    recompute(&mut a);
+    assert_eq!(a.up_port(), Some(0));
+    live_port(&mut a, 1, 2, false);
+    assert_eq!(a.fwd().destinations().collect::<Vec<_>>(), [7], "no route to 2 yet");
+    assert_eq!(a.up_port(), Some(1), "2 is below 7");
+}
+
+/// A member that hears a hello adopting it as up peer answers with its
+/// own hello on that port, once: what it flooded before the child came
+/// shows in the answer's digests, and the child pulls it.
+#[test]
+fn a_new_child_is_answered_with_a_hello() {
+    let mut a = lowest_with_two_cross_ports();
+    let hellos = |a: &mut Ipcp| -> Vec<usize> {
+        let sent = tx_mgmt(&a.take_out()).into_iter();
+        sent.filter_map(|(n1, _, b)| matches!(b, MgmtBody::Hello { .. }).then_some(n1)).collect()
+    };
+    hello_up(&mut a, 1, "net.c", (3, 1), DigestTable::default(), Time::ZERO);
+    assert_eq!(hellos(&mut a), [1]);
+    hello_up(&mut a, 1, "net.c", (3, 1), DigestTable::default(), Time::ZERO);
+    assert!(hellos(&mut a).is_empty(), "already a child: no answer");
 }
 
 /// Run the deferred route recomputation, as the node's timer would.
@@ -922,7 +1034,7 @@ fn scoped_dir_leaves_the_hello_digest_surface() {
 fn scoped_owner_answers_lookup_requests_authoritatively() {
     let mut owner = mk_scoped("net.o");
     owner.bootstrap(5);
-    live_port(&mut owner, 0, 9, false); // the requester is a direct neighbor
+    live_port(&mut owner, 0, 9, true); // the requester is a child
     owner.dir_register(&AppName::new("web"));
     owner.take_out();
     let req = MgmtBody::DirLookupRequest { name: "/dir/web".into(), origin: 9 }.encode(0, 0);
@@ -942,6 +1054,10 @@ fn scoped_owner_answers_lookup_requests_authoritatively() {
     assert_eq!(owner.stats.dir_lookups_answered, 1);
 }
 
+/// A lookup leaves by the tree ports other than the one it came in on,
+/// with one tree edge less of budget; one that arrives on a port this
+/// member does not count as a tree port, or with its budget spent, goes
+/// nowhere: it crosses only edges both ends count, and a bounded number.
 #[test]
 fn scoped_member_forwards_lookups_down_the_tree_only() {
     let mut relay = mk_scoped("net.r");
@@ -949,22 +1065,26 @@ fn scoped_member_forwards_lookups_down_the_tree_only() {
     live_port(&mut relay, 0, 10, true); // ingress
     live_port(&mut relay, 1, 11, true); // the only forwarding target
     live_port(&mut relay, 2, 12, false); // cross edge: lookups never ride it
-
-    // Floods arrive on the cross edge, so floods go back out it too; a
-    // lookup, which nothing de-duplicates, still does not.
-    batch_from(&mut relay, 2, 12, "", &[lsa_obj(12, &[(2, 1)], 1, false)]);
-    flood_ports(&mut relay);
-    batch_from(&mut relay, 0, 10, "", &[lsa_obj(10, &[(2, 1)], 1, false)]);
-    assert_eq!(flood_ports(&mut relay), [1, 2], "port 2 is a flood port");
-    let req = MgmtBody::DirLookupRequest { name: "/dir/web".into(), origin: 9 }.encode(0, 0);
-    let pdu = Pdu::Mgmt(MgmtPdu { dest_addr: 0, src_addr: 10, ttl: 1, payload: req });
-    relay.on_frame(0, pdu.encode(), Time::ZERO);
-    let out = relay.take_out();
-    let forwards: Vec<usize> = tx_mgmt(&out)
-        .into_iter()
-        .filter_map(|(n1, _, b)| matches!(b, MgmtBody::DirLookupRequest { .. }).then_some(n1))
-        .collect();
-    assert_eq!(forwards, vec![1], "tree-only, ingress excluded");
+    let forwards = |relay: &mut Ipcp, n1: usize, ttl: u8| -> Vec<(usize, u8)> {
+        let req = MgmtBody::DirLookupRequest { name: "/dir/web".into(), origin: 9 }.encode(0, 0);
+        let pdu = Pdu::Mgmt(MgmtPdu { dest_addr: 0, src_addr: 10, ttl, payload: req });
+        relay.on_frame(n1, pdu.encode(), Time::ZERO);
+        let out = relay.take_out();
+        let sent = out.iter().filter_map(|o| match o {
+            IpcpOut::TxPhys { n1, frame, .. } => Some((*n1, frame)),
+            _ => None,
+        });
+        sent.filter_map(|(n1, frame)| {
+            let Pdu::Mgmt(m) = Pdu::decode(frame).ok()? else { return None };
+            let body = MgmtBody::from_cdap(&CdapMsg::decode(&m.payload).ok()?).ok()?;
+            matches!(body, MgmtBody::DirLookupRequest { .. }).then_some((n1, m.ttl))
+        })
+        .collect()
+    };
+    assert_eq!(forwards(&mut relay, 0, 5), [(1, 4)], "tree-only, ingress excluded");
+    assert!(forwards(&mut relay, 2, 5).is_empty(), "not accepted off the tree");
+    assert!(forwards(&mut relay, 0, 1).is_empty(), "the last edge of its budget");
+    assert_eq!(relay.stats.ttl_drops, 1);
 }
 
 #[test]
@@ -1096,7 +1216,7 @@ fn lsa_tombstone_drops_cached_answers_for_departed_owner() {
 
 /// An allocation parked behind a lookup nobody answers ends at its one
 /// deadline, 1 s after it was asked for. The lookup is asked once — one
-/// request out each live tree port — and never resent, however many
+/// request out each tree port — and never resent, however many
 /// hello ticks pass: the deadline is its retry. It fails the allocation
 /// and takes the lookup along with its last waiter.
 #[test]
@@ -1114,7 +1234,7 @@ fn the_deadline_fails_a_waiting_allocation() {
     };
     a.alloc_flow(10, AppName::new("c"), AppName::new("ghost"), QosSpec::reliable(), Time::ZERO);
     let out = a.take_out();
-    assert_eq!(lookups(&out), [0, 1], "one request per live tree port");
+    assert_eq!(lookups(&out), [0, 1], "one request per tree port");
     let armed = out.iter().find_map(|o| match *o {
         IpcpOut::Arm { at, timer: IpcpTimer::Alloc { port: 10 } } => Some(at),
         _ => None,
@@ -1126,12 +1246,35 @@ fn the_deadline_fails_a_waiting_allocation() {
         assert!(lookups(&out).is_empty(), "resent at tick {tick}");
         assert!(!out.iter().any(|o| matches!(o, IpcpOut::FlowGone { .. })), "failed early");
     }
-    assert_eq!(a.stats.dir_lookups_sent, 2);
+    assert_eq!(a.stats.dir_lookups_sent, 1, "one lookup");
     a.on_timer(IpcpTimer::Alloc { port: 10 }, ms(1000));
     let out = a.take_out();
     let [IpcpOut::FlowGone { port: 10, failed }] = &out[..] else { panic!("{out:?}") };
     assert_eq!(*failed, Some("allocation timed out"));
     assert!(a.directory.pending.is_empty(), "the lookup went with its last waiter");
+}
+
+/// Allocations that keep joining a lookup cannot keep a lost request
+/// pending for ever: once the allocation that asked is gone, the next
+/// allocation to the name asks again, while one joining in time does
+/// not.
+#[test]
+fn a_lookup_is_asked_again_once_its_asker_is_gone() {
+    let ms = Time::from_millis;
+    let mut a = mk_scoped("net.a");
+    a.bootstrap(1);
+    live_port(&mut a, 0, 2, true);
+    let alloc = |a: &mut Ipcp, port, at| {
+        a.alloc_flow(port, AppName::new("c"), AppName::new("ghost"), QosSpec::reliable(), at);
+    };
+    alloc(&mut a, 10, ms(0));
+    alloc(&mut a, 11, ms(500));
+    assert_eq!(a.stats.dir_lookups_sent, 1, "the second joins the first");
+    a.on_timer(IpcpTimer::Alloc { port: 10 }, ms(1000));
+    alloc(&mut a, 12, ms(1200));
+    assert_eq!(a.stats.dir_lookups_sent, 2, "the asker is gone: asked again");
+    alloc(&mut a, 13, ms(1300));
+    assert_eq!(a.stats.dir_lookups_sent, 2);
 }
 
 /// An allocation parked behind a directory lookup is released (its

@@ -128,6 +128,11 @@ impl Transfer {
         }
     }
 
+    /// The lowest address a live port leads to.
+    pub(super) fn lowest_peer(&self) -> Option<Addr> {
+        self.peer_index.keys().next().copied()
+    }
+
     /// Choose the (N-1) port for `dest`: step 1 route lookup, step 2 path
     /// selection among live ports to the chosen next hop.
     pub(super) fn pick_n1_toward(&self, dest: Addr, fwd: &ForwardingTable) -> Option<usize> {

@@ -35,6 +35,10 @@ pub enum MgmtBody {
         name: AppName,
         /// Sender's DIF-internal address (0 if not yet enrolled).
         addr: Addr,
+        /// Address of the sender's up peer in the DIF's spanning tree
+        /// (0 when it has none): the receiver that finds its own address
+        /// here counts the port as a tree port.
+        up: Addr,
         /// Per-subtree `(object_count, digest)` summary of the sender's
         /// RIB (tombstones included).
         digests: DigestTable,
@@ -125,17 +129,18 @@ pub enum MgmtBody {
     /// is version-guarded at the receiver, so batches are idempotent
     /// like any RIEP update.
     RibDeltaResponse {
-        /// Subtree being synchronized (empty for flood batches, which
-        /// make the port they arrive on a flood port).
+        /// Subtree being synchronized (empty for flood batches).
         subtree: String,
         /// Missing/newer objects for the requested range.
         objects: Vec<EncodedObject>,
     },
     /// On-demand resolution of an **owner-held** directory entry (one whose
     /// subtree has local replication scope, so it is not in every member's
-    /// RIB). Forwarded along spanning-tree ports until it reaches the member
-    /// authoritative for `name`; the tree is acyclic, so forwarding needs no
-    /// duplicate-suppression state.
+    /// RIB). Forwarded along the DIF's spanning tree until it reaches the
+    /// member authoritative for `name`, and accepted only on a tree port:
+    /// it crosses only edges both ends count, which form no cycle while
+    /// the tree is consistent, so forwarding needs no
+    /// duplicate-suppression state (DESIGN.md §11).
     DirLookupRequest {
         /// Full RIB name being resolved (e.g. `/dir/echo.h3`).
         name: String,
@@ -162,9 +167,9 @@ impl MgmtBody {
     /// Wrap into a CDAP message with the given invoke id and result code.
     pub fn into_cdap(self, invoke_id: u32, result: i32) -> CdapMsg {
         let (op, cls, name, value) = match self {
-            MgmtBody::Hello { name, addr, digests } => {
+            MgmtBody::Hello { name, addr, up, digests } => {
                 let mut w = Writer::new();
-                w.string(&name.key()).varint(addr);
+                w.string(&name.key()).varint(addr).varint(up);
                 digests.encode_into(&mut w);
                 (OpCode::Write, class::HELLO, "/neighbors/self".to_string(), w.finish())
             }
@@ -233,10 +238,10 @@ impl MgmtBody {
         match (m.op, m.obj_class.as_str()) {
             (OpCode::Write, class::HELLO) => {
                 let name = AppName::from_key(r.string()?);
-                let addr = r.varint()?;
+                let (addr, up) = (r.varint()?, r.varint()?);
                 let digests = DigestTable::decode_from(&mut r)?;
                 r.expect_end()?;
-                Ok(MgmtBody::Hello { name, addr, digests })
+                Ok(MgmtBody::Hello { name, addr, up, digests })
             }
             (OpCode::Connect, class::ENROLL) => {
                 let name = AppName::from_key(r.string()?);
@@ -363,12 +368,30 @@ mod tests {
 
     #[test]
     fn hello_roundtrip() {
-        roundtrip(MgmtBody::Hello { name: AppName::new("net.r1"), addr: 7, digests: table() });
+        roundtrip(MgmtBody::Hello {
+            name: AppName::new("net.r1"),
+            addr: 7,
+            up: 0,
+            digests: table(),
+        });
         roundtrip(MgmtBody::Hello {
             name: AppName::with_instance("net", "2"),
             addr: 0,
+            up: 0,
             digests: DigestTable::default(),
         });
+    }
+
+    /// A hello naming its sender's up peer carries the address through,
+    /// a wide one included.
+    #[test]
+    fn hello_with_an_up_peer_roundtrips() {
+        let hello =
+            |up| MgmtBody::Hello { name: AppName::new("net.r1"), addr: 9, up, digests: table() };
+        roundtrip(hello(3));
+        roundtrip(hello((1 << 41) - 1));
+        let bytes = |up| hello(up).into_cdap(1, 0).value;
+        assert_ne!(bytes(3), bytes(4), "the up peer is on the wire");
     }
 
     #[test]
@@ -619,7 +642,7 @@ mod tests {
             })
         };
         let samples = [
-            MgmtBody::Hello { name: AppName::new("net.r1"), addr: 7, digests: table() },
+            MgmtBody::Hello { name: AppName::new("net.r1"), addr: 7, up: 2, digests: table() },
             MgmtBody::EnrollRequest {
                 name: AppName::new("net.h9"),
                 credential: "k".into(),

@@ -766,16 +766,16 @@ mod tests {
         (sim, id)
     }
 
-    /// Make `member` — address 1, ports 0 and 1 attached, port 0 on its
-    /// enrollment tree — want all three deferred jobs, from `ms` on: a
-    /// first neighbor appears (its LSA version is written at once and
-    /// queued for flooding out the tree port), a second inside the LSA
+    /// Make `member` — address 1, ports 0 and 1 attached — want all three
+    /// deferred jobs, from `ms` on: a first neighbor appears, naming the
+    /// member as its up peer (its LSA version is written at once and
+    /// queued for flooding out that child's tree port), a second inside the LSA
     /// debounce window (dirty), and a remote LSA arrives (a
     /// delta-classified route repair).
     fn want_all_three(member: &mut Ipcp, ms: u64) {
-        let hello = |name: &str, addr| {
+        let hello = |name: &str, addr, up| {
             let (name, digests) = (AppName::new(name), DigestTable::default());
-            mgmt_frame(addr, MgmtBody::Hello { name, addr, digests })
+            mgmt_frame(addr, MgmtBody::Hello { name, addr, up, digests })
         };
         let lsa = RibObject {
             name: Lsa::object_name(2),
@@ -789,9 +789,8 @@ mod tests {
             subtree: String::new(),
             objects: vec![EncodedObject::of(&lsa)],
         };
-        member.set_tree_port(0);
-        member.on_frame(0, hello("net.b", 2), Time::from_millis(ms));
-        member.on_frame(1, hello("net.c", 3), Time::from_millis(ms + 10));
+        member.on_frame(0, hello("net.b", 2, 1), Time::from_millis(ms));
+        member.on_frame(1, hello("net.c", 3, 0), Time::from_millis(ms + 10));
         member.on_frame(0, mgmt_frame(2, batch), Time::from_millis(ms + 20));
     }
 
@@ -923,7 +922,9 @@ mod tests {
         want_all_three(member, 700);
         sim.run_until(Time::from_millis(1000));
         assert_eq!(deferred_timers(&sim, id).len(), 3, "armed marks survived");
-        assert_eq!(sim.agent::<Node>(id).ipcp(0).stats.hello_tx, 2, "one tick on both ports");
+        // One tick on both ports, and the answer to the neighbor that
+        // adopted the member as its up peer.
+        assert_eq!(sim.agent::<Node>(id).ipcp(0).stats.hello_tx, 3);
     }
 
     /// A frame the link refuses as too big dies at the node, counted.

@@ -412,8 +412,8 @@ fn a_delta_answer_allocates_the_same_for_every_object_count() {
 fn a_relay_hop_allocates_nothing_at_the_member_and_two_at_the_shim() {
     let now = Time::ZERO;
     let hello = |name: &str, addr: u64| {
-        let body =
-            MgmtBody::Hello { name: AppName::new(name), addr, digests: DigestTable::default() };
+        let digests = DigestTable::default();
+        let body = MgmtBody::Hello { name: AppName::new(name), addr, up: 0, digests };
         let payload = body.encode(0, 0);
         Pdu::Mgmt(MgmtPdu { dest_addr: 0, src_addr: addr, ttl: 1, payload }).encode()
     };

@@ -192,7 +192,7 @@ fn lossy_streamed_snapshots_repaired_by_digest_anti_entropy() {
 
 /// The tentpole scale case: a 100-member scale-free DIF whose every
 /// link loses 10% of frames. Enrollment syncs stream as batched subtree
-/// deltas, floods skip every port off the flood graph (DESIGN.md §6) —
+/// deltas, floods skip every port off the spanning tree (DESIGN.md §6) —
 /// so convergence *depends* on the digest-table anti-entropy localizing
 /// each loss to a subtree and pulling exactly the missing objects.
 /// Demanded outcome: every member holds the full membership and can

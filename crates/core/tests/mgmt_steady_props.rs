@@ -25,7 +25,7 @@ fn object_name(rng: &mut SmallRng) -> String {
 
 /// A hello as `name` at `addr` would put it on a link.
 fn hello(name: &AppName, addr: u64, digests: DigestTable, invoke_id: u32) -> Bytes {
-    let payload = MgmtBody::Hello { name: name.clone(), addr, digests }.encode(invoke_id, 0);
+    let payload = MgmtBody::Hello { name: name.clone(), addr, up: 0, digests }.encode(invoke_id, 0);
     Pdu::Mgmt(MgmtPdu { dest_addr: 0, src_addr: addr, ttl: 1, payload }).encode()
 }
 

@@ -33,7 +33,8 @@ use rina_wire::{CtrlKind, CtrlPdu, DataPdu, MgmtPdu, Pdu, PduView};
 
 /// A link-local hello from the member `name` at `addr`.
 fn hello_from(name: &str, addr: u64) -> Bytes {
-    let body = MgmtBody::Hello { name: AppName::new(name), addr, digests: DigestTable::default() };
+    let digests = DigestTable::default();
+    let body = MgmtBody::Hello { name: AppName::new(name), addr, up: 0, digests };
     Pdu::Mgmt(MgmtPdu { dest_addr: 0, src_addr: addr, ttl: 1, payload: body.encode(0, 0) }).encode()
 }
 

@@ -92,6 +92,30 @@ fn fig2_relay_through_router() {
     assert!(net.ipcp(r_ipcp).stats.relayed > 0, "router relayed");
 }
 
+/// A pinger whose reply never comes (the service under its target name
+/// only sinks) gives its flow up at the reply deadline, 130 s after the
+/// ping, and pings again on a fresh flow: a half-open flow, whose peer's
+/// teardown was lost, cannot hang it.
+#[test]
+fn a_pinger_without_a_reply_allocates_again() {
+    let mut b = NetBuilder::new(5);
+    let fab = Topology::line(2).materialize(&mut b);
+    let sink = b.app(fab.node(1), AppName::new("echo"), fab.dif, SinkApp::default());
+    let ping = b.app(
+        fab.node(0),
+        AppName::new("ping"),
+        fab.dif,
+        PingApp::new(AppName::new("echo"), QosSpec::reliable(), 1, 16),
+    );
+    let mut net = b.build();
+    net.run_until_assembled(Dur::from_secs(10), Dur::from_millis(100));
+    net.run_for(Dur::from_secs(129));
+    assert_eq!(net.app(sink).received, 1);
+    net.run_for(Dur::from_secs(2));
+    assert_eq!(net.app(sink).received, 2, "a second flow carries a second ping");
+    assert!(!net.app(ping).done());
+}
+
 /// Three-layer recursion: a host-to-host DIF rides a regional DIF which
 /// rides the shims (Figure 3's structure).
 #[test]
